@@ -119,26 +119,33 @@ type Result struct {
 }
 
 // Scratch holds the DP's working grids so repeated allocations (one
-// per query, and one per candidate move during partitioning
+// or more per query, and one per candidate move during partitioning
 // refinement) reuse memory instead of reallocating O(m·τ) cells each
 // time. The zero value is ready to use; a Scratch is not safe for
 // concurrent use.
 type Scratch struct {
-	cost grid[int64]
-	opt  grid[int64]
-	path grid[int16]
-	maxE []int
+	cost       grid[int64]
+	opt        grid[int64]
+	path       grid[int16]
+	maxE       []int
+	sufMax     []int
+	thresholds []int
+	// balls memoizes cumulative Hamming-ball sizes by partition width
+	// (balls[w][e] = Σ_{j≤e} C(w, j), cut where it overflows): a pure
+	// function of w, so entries never go stale, and steady-state
+	// allocations do no 128-bit binomial arithmetic at all.
+	balls [][]uint64
 }
 
-// grid is a reusable rows×cols matrix backed by one flat slice;
-// reshape re-fills it, so no stale state survives between
-// allocations.
+// grid is a reusable rows×cols matrix backed by one flat slice. Cells
+// keep whatever an earlier allocation left in them: every user writes
+// the cells it later reads.
 type grid[T int64 | int16] struct {
 	rows [][]T
 	flat []T
 }
 
-func (g *grid[T]) reshape(rows, cols int, fill T) [][]T {
+func (g *grid[T]) reshape(rows, cols int) [][]T {
 	if cap(g.rows) < rows {
 		g.rows = make([][]T, rows)
 	}
@@ -148,26 +155,48 @@ func (g *grid[T]) reshape(rows, cols int, fill T) [][]T {
 		g.flat = make([]T, need)
 	}
 	g.flat = g.flat[:need]
-	for i := range g.flat {
-		g.flat[i] = fill
-	}
 	for i := 0; i < rows; i++ {
 		g.rows[i] = g.flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return g.rows
 }
 
-func (s *Scratch) ints(n int) []int {
-	if cap(s.maxE) < n {
-		s.maxE = make([]int, n)
+func ints(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
 	}
-	return s.maxE[:n]
+	return (*buf)[:n]
+}
+
+// ballSizes returns the cumulative ball sizes for a partition of the
+// given width: entry e is ball(width, e), and the slice ends at the
+// last radius whose size fits in uint64 (or at e = width).
+func (s *Scratch) ballSizes(width int) []uint64 {
+	if width >= len(s.balls) {
+		s.balls = append(s.balls, make([][]uint64, width+1-len(s.balls))...)
+	}
+	if s.balls[width] == nil {
+		row := make([]uint64, 0, 8)
+		var total uint64
+		for e := 0; e <= width; e++ {
+			c, ok := hamming.Binomial(width, e)
+			if !ok || total+c < total {
+				break
+			}
+			total += c
+			row = append(row, total)
+		}
+		s.balls[width] = row
+	}
+	return s.balls[width]
 }
 
 // Allocate runs Algorithm 1: given the CN table for a query, the
 // partition widths, and the query threshold tau, it returns the
 // threshold vector minimizing the estimated cost subject to
-// ‖T‖₁ = tau − m + 1.
+// ‖T‖₁ = tau − m + 1. Among equally cheap vectors it returns the one
+// smallest in (T[m−1], T[m−2], …, T[0]) lexicographic order, so the
+// answer is a function of the table alone.
 //
 // enumBudget, when positive, additionally rejects thresholds whose
 // signature enumeration ball C(width, e) would exceed the budget —
@@ -178,16 +207,17 @@ func (s *Scratch) ints(n int) []int {
 // two times (Result.EffectiveBudget reports the final value); beyond
 // that the query is cheaper to answer by scanning and Result.Fallback
 // is set instead of returning thresholds that would explode
-// enumeration.
+// enumeration. Feasibility depends on the widths alone, never on the
+// CN values.
 func Allocate(cn Table, p Params) Result {
 	var s Scratch
 	return AllocateScratch(cn, p, &s)
 }
 
 // AllocateScratch is Allocate with caller-provided working memory;
-// hot paths keep one Scratch per worker and allocate (almost) nothing
-// per call. Result.Thresholds is always freshly allocated and safe to
-// retain.
+// hot paths keep one Scratch per worker and allocate nothing per call
+// after warm-up. Result.Thresholds is backed by the Scratch and valid
+// until its next use — callers that retain it copy it.
 func AllocateScratch(cn Table, p Params, s *Scratch) Result {
 	if len(cn) != len(p.Widths) {
 		panic(fmt.Sprintf("alloc: %d CN rows vs %d widths", len(cn), len(p.Widths)))
@@ -224,140 +254,134 @@ func AllocateScratch(cn Table, p Params, s *Scratch) Result {
 // across a workload cannot overflow.
 const FallbackCost = 1 << 40
 
+//gph:hotpath
 func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 	m := len(cn)
 	tau := p.Tau
 	target := tau - m + 1
 
-	// Per-partition ball sizes and feasibility, computed once per call:
-	// the DP consults them O(m·τ²) times. cost[i][e+1] is the DP weight
-	// CN(qᵢ, e) + SigWeight·ball(widthᵢ, e); infeasible entries carry
-	// the +∞ sentinel.
+	// cost[i][e+1] is the DP weight CN(qᵢ, e) + SigWeight·ball(widthᵢ, e)
+	// for e ∈ [−1, maxE[i]], maxE[i] being the largest threshold whose
+	// ball fits the budget; the DP never looks beyond it.
 	weight := p.sigWeight()
-	cost := s.cost.reshape(m, tau+2, infeasible)
+	cost := s.cost.reshape(m, tau+2)
+	maxE := ints(&s.maxE, m)
 	for i := range cost {
-		costRowInto(cost[i], cn[i], p.Widths[i], tau, enumBudget, weight)
-	}
-	//gphlint:ignore hotpath non-escaping closure: only called directly below, so it stays on the stack
-	feasible := func(i, e int) bool { return cost[i][e+1] < infeasible }
-	//gphlint:ignore hotpath non-escaping closure: only called directly below, so it stays on the stack
-	cnAt := func(i, e int) int64 {
-		if e < -1 {
-			return infeasible
-		}
-		if e > tau {
-			e = tau
-		}
-		return cost[i][e+1]
+		maxE[i] = costRowInto(cost[i], cn[i], s.ballSizes(p.Widths[i]), p.Widths[i], tau, enumBudget, weight)
 	}
 
-	// maxE[i] is the largest feasible threshold for partition i; the
-	// inner loop never needs to look beyond it.
-	maxE := s.ints(m)
-	for i := range maxE {
-		maxE[i] = -1
-		for e := tau; e >= 0; e-- {
-			if feasible(i, e) {
-				maxE[i] = e
-				break
-			}
+	// An incumbent: the cost of one feasible vector, found greedily. No
+	// cell and no partial sum above it can be part of an optimum (CN
+	// estimates are non-negative), so it caps every loop below. On the
+	// selective queries the index exists for, it cuts each row to one or
+	// two thresholds.
+	T := ints(&s.thresholds, m)
+	bound, ok := greedy(cost, maxE, T, tau+1)
+	if !ok {
+		return Result{}, false
+	}
+	// sufMax[i] = Σ_{j≥i} maxE[j]: what partitions i.. can still add.
+	sufMax := ints(&s.sufMax, m+1)
+	sufMax[m] = 0
+	for i := m - 1; i >= 0; i-- {
+		for maxE[i] >= 0 && cost[i][maxE[i]+1] > bound {
+			maxE[i]--
 		}
+		sufMax[i] = sufMax[i+1] + maxE[i]
 	}
 
 	// OPT[i][t+off] = min Σ_{j≤i} cost(q_j, e_j) with Σ e_j = t,
-	// e_j ∈ [−1, maxE[j]]. t ranges over [−m, tau].
+	// e_j ∈ [−1, maxE[j]], for the prefix sums t ∈ [lo, hi] from which
+	// the remaining partitions can still reach the target.
 	off := m
-	span := tau + m + 1
-	opt := s.opt.reshape(m, span, infeasible)
-	path := s.path.reshape(m, span, 0)
-	for e := -1; e <= maxE[0]; e++ {
-		if !feasible(0, e) {
-			continue
-		}
-		if c := cnAt(0, e); c < opt[0][e+off] {
-			opt[0][e+off] = c
-			path[0][e+off] = int16(e)
-		}
+	opt := s.opt.reshape(m, tau+m+1)
+	path := s.path.reshape(m, tau+m+1)
+	lo, hi := max(-1, target-sufMax[1]), min(maxE[0], target+m-1)
+	for t := lo; t <= hi; t++ {
+		opt[0][t+off] = cost[0][t+1]
+		path[0][t+off] = int16(t)
 	}
 	for i := 1; i < m; i++ {
-		lo, hi := -(i + 1), tau
+		prevLo, prevHi := lo, hi
+		lo, hi = max(prevLo-1, target-sufMax[i+1]), min(prevHi+maxE[i], target+m-1-i)
 		for t := lo; t <= hi; t++ {
-			best, bestE := int64(infeasible), -2
-			for e := -1; e <= maxE[i]; e++ {
-				prev := t - e
-				if prev < -i || prev > tau {
-					continue
-				}
-				if !feasible(i, e) {
-					continue
-				}
-				pc := opt[i-1][prev+off]
-				if pc >= infeasible {
-					continue
-				}
-				c := pc + cnAt(i, e)
-				if c < best {
+			best, bestE := int64(infeasible), 0
+			for e := max(-1, t-prevHi); e <= min(maxE[i], t-prevLo); e++ {
+				c := opt[i-1][t-e+off] + cost[i][e+1]
+				if c < best && c <= bound {
 					best, bestE = c, e
 				}
 			}
-			if bestE != -2 {
-				opt[i][t+off] = best
-				path[i][t+off] = int16(bestE)
-			}
+			opt[i][t+off] = best
+			path[i][t+off] = int16(bestE)
 		}
 	}
-	if target < -m || target > tau || opt[m-1][target+off] >= infeasible {
-		return Result{}, false
+	if lo != target || hi != target || opt[m-1][target+off] >= infeasible {
+		// Unreachable: the greedy vector is feasible and costs bound.
+		panic("alloc: DP lost the incumbent")
 	}
-	T := make([]int, m)
 	t := target
 	for i := m - 1; i >= 0; i-- {
 		e := int(path[i][t+off])
 		T[i] = e
 		t -= e
 	}
-	var sumCN int64
-	for i, e := range T {
-		if e < 0 {
-			continue
-		}
-		if e > tau {
-			e = tau
-		}
-		sumCN += cn[i][e+1]
-	}
-	return Result{Thresholds: T, SumCN: sumCN, Objective: opt[m-1][target+off]}, true
+	return Result{Thresholds: T, SumCN: SumCN(cn, T, tau), Objective: opt[m-1][target+off]}, true
 }
 
 // costRowInto computes, for one partition of the given width, the DP
-// weight of each threshold e ∈ [−1, tau]: the CN estimate plus the
-// weighted Hamming-ball size (the signature term). row has length
-// tau+2 and arrives pre-filled with the +∞ sentinel, which entries
-// whose ball exceeds the enumeration budget (or overflows) keep; ball
-// sizes grow cumulatively, so one incremental pass suffices and once
-// a radius is infeasible all larger radii are too.
-func costRowInto(row, cnRow []int64, width, tau int, enumBudget int64, weight float64) {
+// weight of each threshold e ∈ [−1, tau] into row[e+1]: the CN
+// estimate plus the weighted Hamming-ball size (the signature term;
+// balls is Scratch.ballSizes(width)). It returns the largest feasible
+// threshold — the last one whose ball fits uint64 and the enumeration
+// budget and whose weight stays below the +∞ sentinel. Ball sizes grow
+// with the radius, so feasibility is a prefix; cells beyond it are
+// left unwritten.
+func costRowInto(row, cnRow []int64, balls []uint64, width, tau int, enumBudget int64, weight float64) int {
 	row[0] = 0 // e = −1 enumerates nothing and admits no candidates
-	var total uint64
 	for e := 0; e <= tau; e++ {
-		c, ok := hamming.Binomial(width, e)
-		if !ok || total+c < total {
-			break
+		if e >= len(balls) && len(balls) <= width {
+			return e - 1 // ball(width, e) overflows
 		}
-		total += c
+		total := balls[min(e, width)] // past the width the ball is the whole space
 		if enumBudget > 0 && total > uint64(enumBudget) {
-			break
+			return e - 1
 		}
 		sig := int64(weight * float64(total))
 		if sig < 0 || sig >= infeasible {
-			break
+			return e - 1
 		}
-		v := cnRow[e+1] + sig
-		if v >= infeasible {
-			v = infeasible - 1
-		}
-		row[e+1] = v
+		row[e+1] = min(cnRow[e+1]+sig, infeasible-1)
 	}
+	return tau
+}
+
+// greedy builds one feasible threshold vector into T — every entry
+// starts at −1 and the cheapest next increment is taken steps times —
+// and returns its cost. It fails exactly when no feasible vector
+// exists (Σ maxE < target).
+func greedy(cost [][]int64, maxE, T []int, steps int) (int64, bool) {
+	for i := range T {
+		T[i] = -1
+	}
+	var total int64
+	for ; steps > 0; steps-- {
+		best, bestInc := -1, int64(0)
+		for i, e := range T {
+			if e >= maxE[i] {
+				continue
+			}
+			if inc := cost[i][e+2] - cost[i][e+1]; best < 0 || inc < bestInc {
+				best, bestInc = i, inc
+			}
+		}
+		if best < 0 {
+			return 0, false
+		}
+		T[best]++
+		total += bestInc
+	}
+	return total, true
 }
 
 // RoundRobin is the baseline allocator of §VII-C: thresholds start at

@@ -1,0 +1,182 @@
+package alloc
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"gph/internal/hamming"
+)
+
+// bruteObjective enumerates every threshold vector with entries in
+// [−1, tau] summing to tau−m+1 whose balls all fit budget (0 = no
+// budget) and returns the minimal Σ (CN + SigWeight·ball), together
+// with the optimal vector that is smallest in (T[m−1], …, T[0]) order —
+// the one Allocate documents it returns. ok=false when no vector fits.
+func bruteObjective(cn Table, p Params, budget int64) (best int64, bestT []int, ok bool) {
+	m, tau := len(cn), p.Tau
+	weight := p.sigWeight()
+	T := make([]int, m)
+	// Fill from the last partition down, thresholds ascending, so the
+	// first vector to reach a cost is the smallest in the documented
+	// order among its equals.
+	var rec func(i int, sum int64, remaining int)
+	rec = func(i int, sum int64, remaining int) {
+		if i < 0 {
+			if remaining == 0 && (!ok || sum < best) {
+				best, bestT, ok = sum, slices.Clone(T), true
+			}
+			return
+		}
+		for e := -1; e <= tau; e++ {
+			var c int64
+			if e >= 0 {
+				ball, fits := hamming.BallSize(p.Widths[i], e)
+				if !fits || (budget > 0 && ball > uint64(budget)) {
+					break
+				}
+				c = cn[i][e+1] + int64(weight*float64(ball))
+			}
+			T[i] = e
+			rec(i-1, sum+c, remaining-e)
+		}
+	}
+	rec(m-1, 0, tau-m+1)
+	return best, bestT, ok
+}
+
+// bruteAllocate is what AllocateScratch promises, by enumeration: the
+// optimum under the first of the three escalating budgets that admits
+// any vector, or a fallback.
+func bruteAllocate(cn Table, p Params) Result {
+	if p.EnumBudget <= 0 {
+		obj, T, _ := bruteObjective(cn, p, 0)
+		return Result{Thresholds: T, Objective: obj, SumCN: SumCN(cn, T, p.Tau)}
+	}
+	budget := p.EnumBudget
+	for attempt := 0; attempt < 3; attempt++ {
+		if obj, T, ok := bruteObjective(cn, p, budget); ok {
+			return Result{Thresholds: T, Objective: obj, SumCN: SumCN(cn, T, p.Tau), EffectiveBudget: budget}
+		}
+		budget *= 16
+	}
+	return Result{Fallback: true, SumCN: FallbackCost, Objective: FallbackCost}
+}
+
+func sameResult(a, b Result) bool {
+	return a.Objective == b.Objective && a.SumCN == b.SumCN && a.Fallback == b.Fallback &&
+		a.EffectiveBudget == b.EffectiveBudget && slices.Equal(a.Thresholds, b.Thresholds)
+}
+
+// randomCase draws a small allocation problem. Tables are monotone
+// with many repeated values (so equally cheap vectors are common and
+// the tie-break matters); budgets range from ones that force
+// escalation and fallback to none at all.
+func randomCase(r *rand.Rand) (Table, Params) {
+	m := 1 + r.Intn(4)
+	tau := r.Intn(8)
+	cn := make(Table, m)
+	for i := range cn {
+		row := make([]int64, tau+2)
+		for e := 1; e < len(row); e++ {
+			row[e] = row[e-1] + int64(r.Intn(3)*r.Intn(20))
+		}
+		cn[i] = row
+	}
+	widths := make([]int, m)
+	for i := range widths {
+		widths[i] = 1 + r.Intn(9)
+	}
+	p := Params{Tau: tau, Widths: widths, EnumBudget: []int64{0, 1, 3, 12, 200, 1 << 18}[r.Intn(6)]}
+	if r.Intn(3) == 0 {
+		p.SigWeight = -1
+	}
+	return cn, p
+}
+
+// TestAllocateMatchesEnumeration checks the incumbent-bounded DP — the
+// greedy bound, the pruned rows, the narrowed prefix-sum ranges, the
+// memoized ball sizes — against plain enumeration of every feasible
+// vector: same objective, same vector among ties, same budget
+// escalation, same fallback. One Scratch serves every case, as one
+// serves every query.
+func TestAllocateMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	var s Scratch
+	fallbacks, escalations := 0, 0
+	for n := 0; n < 3000; n++ {
+		cn, p := randomCase(r)
+		got, want := AllocateScratch(cn, p, &s), bruteAllocate(cn, p)
+		if !sameResult(got, want) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v):\n table %v\n DP    %+v\n brute %+v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, cn, got, want)
+		}
+		if got.Fallback {
+			fallbacks++
+		} else if got.EffectiveBudget > p.EnumBudget {
+			escalations++
+		}
+	}
+	if fallbacks == 0 || escalations == 0 {
+		t.Fatalf("cases covered %d fallbacks and %d escalations; want both", fallbacks, escalations)
+	}
+}
+
+// TestLazyRefinementSettlesOnOptimum is the argument behind the query
+// path's lazy allocation, in isolation. Each row is exact through some
+// radius and carries its last exact value — a lower bound, CN being
+// monotone — beyond it; the DP runs, the cells it picked are made
+// exact, and it runs again until it picks exact cells only. That
+// result is the enumerated optimum of the true table, vector included,
+// however little of the table was ever revealed.
+func TestLazyRefinementSettlesOnOptimum(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	var s Scratch
+	partial := 0
+	for n := 0; n < 3000; n++ {
+		truth, p := randomCase(r)
+		m := len(truth)
+		known := make([]int, m)
+		bound := make(Table, m)
+		reveal := func(i, e int) {
+			known[i] = e
+			for d := range bound[i] {
+				bound[i][d] = truth[i][min(d, e+1)]
+			}
+		}
+		for i := range bound {
+			bound[i] = make([]int64, p.Tau+2)
+			reveal(i, r.Intn(2)-1)
+		}
+		var got Result
+		for rounds := 0; ; rounds++ {
+			if rounds > m*(p.Tau+2) {
+				t.Fatalf("case %d: not settled after %d rounds", n, rounds)
+			}
+			got = AllocateScratch(bound, p, &s)
+			settled := true
+			for i, e := range got.Thresholds {
+				if e > known[i] {
+					reveal(i, e)
+					settled = false
+				}
+			}
+			if settled {
+				break
+			}
+		}
+		if want := bruteAllocate(truth, p); !sameResult(got, want) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d):\n truth %v\n known %v\n lazy  %+v\n brute %+v",
+				n, p.Tau, p.Widths, p.EnumBudget, truth, known, got, want)
+		}
+		for i := range known {
+			if known[i] < p.Tau-1 {
+				partial++
+				break
+			}
+		}
+	}
+	if partial == 0 {
+		t.Fatal("every case revealed its whole table; the lazy path was not exercised")
+	}
+}

@@ -56,7 +56,7 @@ func (r *Runner) Fig2a() error {
 					return err
 				}
 				alloc += st.AllocNanos
-				probe += st.EnumNanos + st.ProbeNanos
+				probe += st.ProbeNanos
 				verify += st.VerifyNanos
 			}
 			n := int64(len(c.queries))

@@ -317,13 +317,13 @@ func (v Vector) ProjectInto(dims []int, dst Vector) {
 	if dst.n != len(dims) {
 		panic(fmt.Sprintf("bitvec: ProjectInto dst has %d dims, want %d", dst.n, len(dims)))
 	}
-	for i := range dst.words {
-		dst.words[i] = 0
-	}
+	out, src := dst.words, v.words
+	clear(out)
 	for j, d := range dims {
-		if v.Bit(d) == 1 {
-			dst.Set(j)
+		if uint(d) >= uint(v.n) {
+			v.check(d) // panics; kept out of line so the loop stays branch-light
 		}
+		out[j>>6] |= (src[d>>6] >> (uint(d) & 63) & 1) << (uint(j) & 63)
 	}
 }
 

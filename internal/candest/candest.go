@@ -9,6 +9,7 @@ package candest
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -37,23 +38,22 @@ type Estimator interface {
 // allocation DP needs. Skewed partitions have few distinct values, so
 // the exact method is cheapest precisely where the paper's method
 // pays off.
+//
+// The distinct projections live in one flat word arena (a fixed-width
+// stripe per projection, in sorted key order) — the form persistence
+// writes and a borrow-mode load aliases straight off a file mapping.
+// The arena is only ever read, and nothing is carved out of it, so
+// queries need no synchronization with Validate.
 type Exact struct {
-	dims     []int
-	distinct []bitvec.Vector
-	counts   []int32
-	total    int64
+	dims   []int
+	arena  []uint64 // len(counts) stripes of (len(dims)+63)/64 words
+	counts []int32
+	total  int64
 
-	// Deferred construction (ExactFromRawState): the distinct
-	// projections stay a raw word arena until materialize carves the
-	// views, and state validation waits for Validate — so loading an
-	// estimator off a file mapping touches no arena page at open.
-	// Callers on the query hot path (CNAllIntoScratch) read distinct
-	// without synchronization; the loader guarantees Validate happens
-	// before the first estimate (core's deferred-validation pass).
-	arena    []uint64
-	pendingN int
+	// Deferred construction (ExactFromState with deferValidation): the
+	// content checks wait for Validate, so loading an estimator off a
+	// file mapping touches no arena page at open.
 	deferred bool
-	matOnce  sync.Once
 	valOnce  sync.Once
 	valErr   error
 }
@@ -74,92 +74,62 @@ func NewExact(data []bitvec.Vector, dims []int) *Exact {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	projWords := (len(dims) + 63) / 64
 	e := &Exact{
-		dims:     dims,
-		distinct: make([]bitvec.Vector, 0, len(byKey)),
-		counts:   make([]int32, 0, len(byKey)),
-		total:    int64(len(data)),
+		dims:   dims,
+		arena:  make([]uint64, 0, len(keys)*projWords),
+		counts: make([]int32, 0, len(keys)),
+		total:  int64(len(data)),
 	}
 	for _, k := range keys {
-		e.distinct = append(e.distinct, vectorFromKey(k, len(dims)))
+		if len(k) != 8*projWords {
+			panic(fmt.Sprintf("candest: key length %d for %d dims", len(k), len(dims)))
+		}
+		for i := 0; i < projWords; i++ {
+			var w uint64
+			for b := 7; b >= 0; b-- {
+				w = w<<8 | uint64(k[8*i+b])
+			}
+			e.arena = append(e.arena, w)
+		}
 		e.counts = append(e.counts, byKey[k])
 	}
 	return e
 }
 
-// ExactFromState rebuilds an Exact estimator from persisted state:
-// the distinct projections of the data onto dims with their
-// multiplicities, and the collection size. It is the load-side
-// counterpart of State — reconstructing from state skips the
-// projection pass and the dedup map entirely.
-func ExactFromState(dims []int, distinct []bitvec.Vector, counts []int32, total int64) (*Exact, error) {
-	if len(distinct) != len(counts) {
-		return nil, fmt.Errorf("candest: %d distinct projections with %d counts", len(distinct), len(counts))
-	}
-	var sum int64
-	for i, c := range counts {
-		if c <= 0 {
-			return nil, fmt.Errorf("candest: non-positive count %d at %d", c, i)
-		}
-		if distinct[i].Dims() != len(dims) {
-			return nil, fmt.Errorf("candest: projection %d has %d dims, partition has %d", i, distinct[i].Dims(), len(dims))
-		}
-		sum += int64(c)
-	}
-	if sum != total {
-		return nil, fmt.Errorf("candest: counts sum to %d, total says %d", sum, total)
-	}
-	return &Exact{dims: dims, distinct: distinct, counts: counts, total: total}, nil
-}
-
-// ExactFromRawState is ExactFromState for borrow-mode loads: the
-// distinct projections arrive as one raw word arena (one fixed-width
-// stripe per projection) rather than as carved views. Construction
-// does O(1) work — only slice-length arithmetic, no arena reads — so
-// opening an index over a file mapping faults none of the estimator's
-// pages. View carving and the content checks ExactFromState applies
-// eagerly run later, via Validate.
-func ExactFromRawState(dims []int, arena []uint64, numDistinct int, counts []int32, total int64) (*Exact, error) {
+// ExactFromState rebuilds an Exact estimator from persisted state: the
+// distinct projections of the data onto dims as one word arena (one
+// fixed-width stripe per projection), their multiplicities, and the
+// collection size. It is the load-side counterpart of State —
+// reconstructing from state skips the projection pass and the dedup
+// map entirely, and the estimator adopts both slices without copying.
+//
+// Slice-length arithmetic is always checked here. The content checks
+// (positive counts summing to total, no projection bits beyond the
+// partition width) read every element; deferValidation postpones them
+// to Validate, so a borrow-mode load over a file mapping faults none
+// of the estimator's pages at open.
+func ExactFromState(dims []int, arena []uint64, counts []int32, total int64, deferValidation bool) (*Exact, error) {
 	projWords := (len(dims) + 63) / 64
-	if numDistinct < 0 || len(arena) != numDistinct*projWords {
-		return nil, fmt.Errorf("candest: arena has %d words for %d projections of %d words", len(arena), numDistinct, projWords)
+	if len(arena) != len(counts)*projWords {
+		return nil, fmt.Errorf("candest: arena has %d words for %d projections of %d words", len(arena), len(counts), projWords)
 	}
-	if len(counts) != numDistinct {
-		return nil, fmt.Errorf("candest: %d distinct projections with %d counts", numDistinct, len(counts))
-	}
-	return &Exact{dims: dims, counts: counts, total: total, arena: arena, pendingN: numDistinct, deferred: true}, nil
-}
-
-// materialize carves the distinct-projection views out of the raw
-// arena (deferred constructions only; a no-op otherwise). Idempotent.
-// Callers that can run concurrently with queries are ordered through
-// Validate plus the loader's published validation result — see the
-// field comments on Exact.
-func (e *Exact) materialize() {
-	if !e.deferred {
-		return
-	}
-	e.matOnce.Do(func() {
-		w := len(e.dims)
-		projWords := (w + 63) / 64
-		d := make([]bitvec.Vector, e.pendingN)
-		for i := range d {
-			d[i] = bitvec.FromWordsSharedUnchecked(w, e.arena[i*projWords:(i+1)*projWords])
+	e := &Exact{dims: dims, arena: arena, counts: counts, total: total, deferred: deferValidation}
+	if !deferValidation {
+		if err := e.validateState(); err != nil {
+			return nil, err
 		}
-		e.distinct = d
-	})
+	}
+	return e, nil
 }
 
-// Validate materializes a deferred estimator's views and runs the
-// content checks ExactFromState applies at construction: positive
-// counts summing to total, and no projection bits set beyond the
-// partition width. The result is sticky. Eagerly built estimators
-// were validated at construction and return nil immediately.
+// Validate runs the content checks a deferred ExactFromState skipped.
+// The result is sticky. Eagerly built estimators were validated at
+// construction and return nil immediately.
 func (e *Exact) Validate() error {
 	if !e.deferred {
 		return nil
 	}
-	e.materialize()
 	e.valOnce.Do(func() {
 		e.valErr = e.validateState()
 	})
@@ -177,55 +147,33 @@ func (e *Exact) validateState() error {
 	if sum != e.total {
 		return fmt.Errorf("candest: counts sum to %d, total says %d", sum, e.total)
 	}
-	for i, dv := range e.distinct {
-		if err := dv.CheckTail(); err != nil {
-			return fmt.Errorf("candest: projection %d: %w", i, err)
+	w := len(e.dims)
+	if tail := w % 64; tail != 0 {
+		projWords := (w + 63) / 64
+		for i := projWords - 1; i < len(e.arena); i += projWords {
+			if e.arena[i]>>uint(tail) != 0 {
+				return fmt.Errorf("candest: projection %d has bits set beyond dimension %d", i/projWords, w)
+			}
 		}
 	}
 	return nil
 }
 
-// State exposes the estimator's persistable form: the distinct
-// projections (in the deterministic sorted order NewExact produces)
-// and their multiplicities. Both slices are owned by the estimator
-// and must not be modified.
-func (e *Exact) State() (distinct []bitvec.Vector, counts []int32) {
-	e.materialize()
-	return e.distinct, e.counts
-}
-
-func vectorFromKey(key string, n int) bitvec.Vector {
-	words := make([]uint64, (n+63)/64)
-	if len(key) != 8*len(words) {
-		panic(fmt.Sprintf("candest: key length %d for %d dims", len(key), n))
-	}
-	for i := range words {
-		var w uint64
-		for b := 7; b >= 0; b-- {
-			w = w<<8 | uint64(key[8*i+b])
-		}
-		words[i] = w
-	}
-	return bitvec.FromWords(n, words)
+// State exposes the estimator's persistable form: the word arena of
+// distinct projections (in the deterministic sorted order NewExact
+// produces) and their multiplicities. Both slices are owned by the
+// estimator and must not be modified.
+func (e *Exact) State() (arena []uint64, counts []int32) {
+	return e.arena, e.counts
 }
 
 // Dims implements Estimator.
 func (e *Exact) Dims() []int { return e.dims }
 
-// DistinctCount returns the number of distinct projections; the
-// partitioning refinement uses it to reason about selectivity.
-func (e *Exact) DistinctCount() int { return e.numDistinct() }
-
-// numDistinct is DistinctCount computed without materializing: for a
-// deferred estimator the count is known from the header, so size and
-// count accounting stay identical across open modes without touching
-// the arena.
-func (e *Exact) numDistinct() int {
-	if e.deferred {
-		return e.pendingN
-	}
-	return len(e.distinct)
-}
+// DistinctCount returns the number of distinct projections: the cost
+// of one histogram scan, which the query path weighs against probing
+// a Hamming ball's posting lengths instead.
+func (e *Exact) DistinctCount() int { return len(e.counts) }
 
 // Total returns the number of data vectors the estimator was built on.
 func (e *Exact) Total() int64 { return e.total }
@@ -256,22 +204,11 @@ type Scratch struct {
 // CNAllIntoScratch is CNAllInto with caller-provided working memory,
 // the form query hot paths use.
 func (e *Exact) CNAllIntoScratch(q bitvec.Vector, out []int64, s *Scratch) {
-	w := len(e.dims)
-	s.proj = s.proj.Resized(w)
-	q.ProjectInto(e.dims, s.proj)
-	if cap(s.hist) < w+1 {
-		s.hist = make([]int64, w+1)
-	}
-	hist := s.hist[:w+1]
-	clear(hist)
-	for i, dv := range e.distinct {
-		hist[s.proj.Hamming(dv)] += int64(e.counts[i])
-	}
+	hist := e.histogram(q, s)
 	out[0] = 0 // e = −1: negative thresholds generate no candidates
 	var cum int64
 	for ei := 1; ei < len(out); ei++ {
-		d := ei - 1
-		if d <= w {
+		if d := ei - 1; d < len(hist) {
 			cum += hist[d]
 		}
 		out[ei] = cum
@@ -279,16 +216,57 @@ func (e *Exact) CNAllIntoScratch(q bitvec.Vector, out []int64, s *Scratch) {
 }
 
 // Histogram returns the exact distance histogram of the data
-// projections relative to q (index = distance). Sub-partitioning and
-// tests build on it.
+// projections relative to q (index = distance, length width+1).
+// Sub-partitioning and tests build on it.
 func (e *Exact) Histogram(q bitvec.Vector) []int64 {
-	e.materialize()
+	var s Scratch
+	return e.histogram(q, &s)[:len(e.dims)+1]
+}
+
+// histogram is the one scan kernel every exact estimate shares: the
+// multiplicity-weighted histogram of distances between q's projection
+// and each distinct projection, into s.hist. The loop is branch-free
+// on purpose — skipping distances beyond a threshold costs a data-
+// dependent branch that mispredicts on every other element once the
+// threshold nears width/2, several times the price of the add it
+// saves. The histogram spans every popcount the stripe words can
+// produce (not just width+1), so arena bits a not-yet-run Validate
+// would reject still index in bounds.
+func (e *Exact) histogram(q bitvec.Vector, s *Scratch) []int64 {
 	w := len(e.dims)
-	proj := bitvec.New(w)
-	q.ProjectInto(e.dims, proj)
-	hist := make([]int64, w+1)
-	for i, dv := range e.distinct {
-		hist[proj.Hamming(dv)] += int64(e.counts[i])
+	projWords := (w + 63) / 64
+	s.proj = s.proj.Resized(w)
+	q.ProjectInto(e.dims, s.proj)
+	if cap(s.hist) < 64*projWords+1 {
+		s.hist = make([]int64, 64*projWords+1)
+	}
+	hist := s.hist[:64*projWords+1]
+	clear(hist)
+	counts := e.counts
+	switch projWords {
+	case 0:
+		// Zero-width partition: one (empty) projection at distance 0.
+		for _, c := range counts {
+			hist[0] += int64(c)
+		}
+	case 1:
+		// Every default build lands here (partition width = dims/m ≈
+		// 24): one word per projection, one popcount per element.
+		p := s.proj.Words()[0]
+		arena := e.arena[:len(counts)]
+		for j, x := range arena {
+			hist[bits.OnesCount64(x^p)] += int64(counts[j])
+		}
+	default:
+		p := s.proj.Words()
+		for j, c := range counts {
+			stripe := e.arena[j*projWords : (j+1)*projWords]
+			d := 0
+			for k, x := range stripe {
+				d += bits.OnesCount64(x ^ p[k])
+			}
+			hist[d] += int64(c)
+		}
 	}
 	return hist
 }
@@ -296,5 +274,5 @@ func (e *Exact) Histogram(q bitvec.Vector) []int64 {
 // SizeBytes implements Estimator.
 func (e *Exact) SizeBytes() int64 {
 	words := int64((len(e.dims) + 63) / 64)
-	return int64(e.numDistinct())*(words*8+4) + int64(len(e.dims))*8
+	return int64(len(e.counts))*(words*8+4) + int64(len(e.dims))*8
 }

@@ -284,3 +284,113 @@ func TestEstimatorInterfaces(t *testing.T) {
 		}
 	}
 }
+
+// TestExactKernelMatchesBitvec checks the scan kernel — the one-word
+// popcount loop for widths ≤ 64 and the striped loop beyond — against
+// a histogram taken with bitvec.Hamming over the materialized
+// projections, at widths on both sides of every word boundary, and
+// the CN rows derived from it from no threshold (maxTau = −1) to past
+// the width.
+func TestExactKernelMatchesBitvec(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, w := range []int{1, 24, 63, 64, 65, 130} {
+		total := w + 7
+		data := randData(rng, 300, total, 0.35)
+		data = append(data, bitvec.New(total)) // all-zero and all-one rows:
+		ones := bitvec.New(total)              // distances 0 and w both occur
+		for d := 0; d < total; d++ {
+			ones.Set(d)
+		}
+		data = append(data, ones)
+		dims := rng.Perm(total)[:w]
+		ex := NewExact(data, dims)
+		for _, q := range []bitvec.Vector{data[0], data[len(data)-1], data[len(data)-2], randData(rng, 1, total, 0.5)[0]} {
+			want := make([]int64, w+1)
+			qp := q.Project(dims)
+			for _, v := range data {
+				want[qp.Hamming(v.Project(dims))]++
+			}
+			got := ex.Histogram(q)
+			if len(got) != w+1 {
+				t.Fatalf("w=%d: histogram has %d bins, want %d", w, len(got), w+1)
+			}
+			for d := range want {
+				if got[d] != want[d] {
+					t.Fatalf("w=%d distance %d: kernel %d, bitvec %d", w, d, got[d], want[d])
+				}
+			}
+			for _, maxTau := range []int{-1, 0, 1, w / 2, w - 1, w, w + 3} {
+				row := ex.CNAll(q, maxTau)
+				if len(row) != maxTau+2 || row[0] != 0 {
+					t.Fatalf("w=%d maxTau=%d: row %v", w, maxTau, row)
+				}
+				var cum int64
+				for e := 0; e <= maxTau; e++ {
+					if e <= w {
+						cum += want[e]
+					}
+					if row[e+1] != cum {
+						t.Fatalf("w=%d maxTau=%d: CN(%d) = %d, want %d", w, maxTau, e, row[e+1], cum)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExactStateRoundTrip: the persistable state rebuilds an equal
+// estimator, eagerly and with validation deferred, and hostile state —
+// bits beyond the partition width, counts that do not add up — is
+// rejected by whichever of the two runs the content checks, while
+// estimates over the not-yet-validated state stay in bounds.
+func TestExactStateRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, w := range []int{1, 24, 63, 64, 65, 130} {
+		data := randData(rng, 200, w+3, 0.4)
+		dims := rng.Perm(w + 3)[:w]
+		ex := NewExact(data, dims)
+		arena, counts := ex.State()
+		for _, deferred := range []bool{false, true} {
+			re, err := ExactFromState(dims, arena, counts, ex.Total(), deferred)
+			if err != nil {
+				t.Fatalf("w=%d deferred=%v: %v", w, deferred, err)
+			}
+			if err := re.Validate(); err != nil {
+				t.Fatalf("w=%d deferred=%v: %v", w, deferred, err)
+			}
+			if re.SizeBytes() != ex.SizeBytes() || re.DistinctCount() != ex.DistinctCount() {
+				t.Fatalf("w=%d: rebuilt estimator accounts differently", w)
+			}
+			got, want := re.CNAll(data[3], w), ex.CNAll(data[3], w)
+			for e := range want {
+				if got[e] != want[e] {
+					t.Fatalf("w=%d: rebuilt CN(%d) = %d, want %d", w, e-1, got[e], want[e])
+				}
+			}
+		}
+		if _, err := ExactFromState(dims, arena[1:], counts, ex.Total(), true); err == nil {
+			t.Fatalf("w=%d: short arena accepted", w)
+		}
+		badCounts := append([]int32(nil), counts...)
+		badCounts[0]++
+		if _, err := ExactFromState(dims, arena, badCounts, ex.Total(), false); err == nil {
+			t.Fatalf("w=%d: counts not summing to total accepted", w)
+		}
+		if w%64 == 0 {
+			continue // no tail bits to corrupt
+		}
+		hostile := append([]uint64(nil), arena...)
+		hostile[len(hostile)-1] |= 1 << 63
+		if _, err := ExactFromState(dims, hostile, counts, ex.Total(), false); err == nil {
+			t.Fatalf("w=%d: tail bits accepted by the eager constructor", w)
+		}
+		re, err := ExactFromState(dims, hostile, counts, ex.Total(), true)
+		if err != nil {
+			t.Fatalf("w=%d: deferred constructor read the arena: %v", w, err)
+		}
+		_ = re.CNAll(data[3], w) // must not index out of bounds
+		if err := re.Validate(); err == nil {
+			t.Fatalf("w=%d: tail bits accepted by Validate", w)
+		}
+	}
+}

@@ -1,0 +1,218 @@
+package core
+
+import (
+	"gph/internal/alloc"
+	"gph/internal/bitvec"
+	"gph/internal/candest"
+	"gph/internal/hamming"
+)
+
+// scanElemsPerProbe prices one posting-length probe (enumerate the
+// next signature, pack its key, hash it into the frozen slot table,
+// read the count) in units of one histogram-scan step (one XOR,
+// popcount and add per distinct projection). It is a measurement, not
+// a tunable: benchmark/'s traced run reads invindex.probe_miss_ns ≈ 25
+// and hamming.enum_ns_per_sig ≈ 5–40 against ≈ 1.2 ns per scanned
+// projection (candest.cn_all_us over the distinct count), i.e. 25–50;
+// 32 sits inside that and errs towards the scan, whose cost does not
+// depend on the query. See DESIGN.md §1.
+const scanElemsPerProbe = 32
+
+// bindQuery points a scratch fresh from the pool (s.q zero) at its
+// query: q is projected onto every partition once — allocation and the
+// probe loop both read the projections — and every CN row is
+// forgotten. The binding lasts until putScratch.
+//
+//gph:hotpath
+func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
+	if s.projs == nil {
+		ix.carveProjections(s)
+	}
+	s.q = q
+	for i, dimsI := range ix.parts.Parts {
+		q.ProjectInto(dimsI, s.projs[i])
+		s.known[i] = -1
+	}
+	s.rounds, s.scans = 0, 0
+}
+
+// carveProjections sizes a new scratch for this index's partitioning:
+// one projection view per partition over a single word arena, and the
+// per-partition allocation state. Runs once per pooled scratch.
+func (ix *Index) carveProjections(s *searchScratch) {
+	m := ix.parts.NumParts()
+	words := 0
+	for _, dimsI := range ix.parts.Parts {
+		words += (len(dimsI) + 63) / 64
+	}
+	arena := make([]uint64, words)
+	s.projs = make([]bitvec.Vector, m)
+	for i, dimsI := range ix.parts.Parts {
+		n := (len(dimsI) + 63) / 64
+		s.projs[i] = bitvec.FromWordsSharedUnchecked(len(dimsI), arena[:n:n])
+		arena = arena[n:]
+	}
+	s.table = make(alloc.Table, m)
+	s.known = make([]int, m)
+	s.widths = ix.parts.Widths()
+}
+
+// allocate runs the threshold-allocation phase (Algorithm 1) into the
+// pooled scratch, lazily and exactly. s.table[i][e+1] holds CN(qᵢ, e)
+// exactly for e ≤ s.known[i] and the monotone lower bound
+// CN(qᵢ, s.known[i]) beyond it. Every row starts at its cheapest exact
+// prefix — e = 0, one posting-length probe — the DP runs on that
+// table, and only the cells it picked are made exact (extendRow)
+// before it runs again. A vector the DP picks entirely on exact cells
+// is optimal for the true table: its cost there equals its cost here,
+// and no vector costs less there than here. The DP breaks ties by a
+// fixed order on vectors, so it is also the very vector the DP would
+// return on the fully estimated table (EstimateTable) — objective,
+// SumCN, fallback and budget included.
+//
+// Estimators that cannot extend a row radius by radius (sub-partition,
+// learned) hand over whole rows up front and the loop settles in its
+// first round. The first call on a scratch binds it to q; rows then
+// outlive the call — CN(qᵢ, e) does not depend on τ, so SearchGrow's
+// later calls, same q and a larger tau, start from what the earlier
+// radii learned. Shared by gather and by EstimateSearchCost, which
+// exposes the objective to the query planner without running the
+// search. Result.Thresholds is backed by the scratch.
+//
+//gph:hotpath
+func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Result {
+	if s.q.Dims() == 0 {
+		ix.bindQuery(q, s)
+	}
+	m := ix.parts.NumParts()
+	if ix.opts.Allocator == AllocRR {
+		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}
+	}
+	for i := 0; i < m; i++ {
+		if ix.exactEstimator(i) == nil {
+			if s.known[i] < tau {
+				ix.extendRow(i, tau, tau, s)
+			}
+			continue
+		}
+		s.fitRow(i, tau)
+		if !ix.cnExact(i, 0, s) {
+			ix.extendRow(i, 0, tau, s)
+		}
+	}
+	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
+	for {
+		s.rounds++
+		res := alloc.AllocateScratch(s.table, params, &s.dp)
+		settled := true
+		for i, e := range res.Thresholds {
+			if !ix.cnExact(i, e, s) {
+				ix.extendRow(i, e, tau, s)
+				settled = false
+			}
+		}
+		if settled {
+			return res
+		}
+	}
+}
+
+// exactEstimator returns partition i's estimator when it is the exact
+// one — the only kind whose rows extend radius by radius, because its
+// CN(qᵢ, e) is by construction the posting lengths summed over the
+// radius-e ball — and nil otherwise.
+func (ix *Index) exactEstimator(i int) *candest.Exact {
+	exact, _ := ix.ests[i].(*candest.Exact)
+	return exact
+}
+
+// cnExact reports whether s.table[i] holds CN(qᵢ, e) itself rather
+// than a lower bound. Past the partition width an exact row is
+// constant (the ball is the whole space), so knowing it through the
+// width is knowing all of it.
+func (ix *Index) cnExact(i, e int, s *searchScratch) bool {
+	k := s.known[i]
+	return e <= k || (k >= len(ix.parts.Parts[i]) && ix.exactEstimator(i) != nil)
+}
+
+// fitRow sizes row i for thresholds up to tau: exact entries are kept
+// (they live in the backing array, which may be longer than the row a
+// smaller τ used) and the rest carry the lower bound.
+func (s *searchScratch) fitRow(i, tau int) {
+	row, k, n := s.table[i], s.known[i], tau+2
+	if cap(row) < n {
+		grown := make([]int64, n, 2*n)
+		copy(grown, row[:min(k+2, cap(row))])
+		row = grown
+	}
+	row = row[:n]
+	row[0] = 0 // e = −1: negative thresholds generate no candidates
+	for j := k + 2; j < n; j++ {
+		row[j] = row[k+1]
+	}
+	s.table[i] = row
+}
+
+// extendRow makes row i exact through radius e (≤ tau, the radius the
+// row is currently fitted to), by whichever is cheaper: summing
+// posting lengths over the radius-e ball of the query's projection, or
+// one histogram scan of the partition's distinct projections, which
+// yields every radius at once. The ball costs ball(wᵢ, e) probes and
+// the scan one step per distinct projection, a probe being worth
+// scanElemsPerProbe steps. Estimators other than the exact one have
+// only the whole-row form.
+func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
+	exact := ix.exactEstimator(i)
+	if exact == nil {
+		s.table[i] = ix.ests[i].CNAll(s.q, tau)
+		s.known[i] = tau
+		s.scans++
+		return
+	}
+	w := len(ix.parts.Parts[i])
+	if ball, ok := hamming.BallSize(w, e); ok && ball <= uint64(exact.DistinctCount()/scanElemsPerProbe) {
+		if cap(s.shell) < e+1 {
+			s.shell = make([]int64, e+1, 2*(e+1))
+		}
+		s.shell = s.shell[:e+1]
+		clear(s.shell)
+		s.inv, s.center = ix.inv[i], s.projs[i]
+		// Unbudgeted enumeration cannot fail.
+		_ = s.enum.Enumerate(s.center, e, 0, s.shellFn)
+		row := s.table[i]
+		var cum int64
+		for d, c := range s.shell {
+			cum += c
+			row[d+1] = cum
+		}
+		for j := e + 2; j < len(row); j++ {
+			row[j] = cum
+		}
+		s.known[i] = e
+		return
+	}
+	// One scan yields the whole histogram; keep all of it (through the
+	// width, past which the row is constant), so no later, larger τ of
+	// the same query scans this partition again.
+	n := max(tau, w) + 2
+	row := s.table[i]
+	if cap(row) < n {
+		row = make([]int64, n)
+	}
+	exact.CNAllIntoScratch(s.q, row[:n], &s.est)
+	s.table[i] = row[:tau+2]
+	s.known[i] = n - 2
+	s.scans++
+}
+
+// sumShell consumes one enumerated signature of the ball extendRow is
+// summing: its posting length — the number of data vectors projecting
+// exactly onto it — is added to the shell at its distance from the
+// centre. Bound once per scratch, like probe.
+//
+//gph:hotpath
+func (s *searchScratch) sumShell(v bitvec.Vector) bool {
+	s.keyBuf = v.AppendKey(s.keyBuf[:0])
+	s.shell[v.Hamming(s.center)] += int64(s.inv.PostingLenBytes(s.keyBuf))
+	return true
+}

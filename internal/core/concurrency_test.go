@@ -121,7 +121,7 @@ func TestSearchBatchPartialFailure(t *testing.T) {
 
 // TestSearchStatsFusedProbe checks the invariants the fused
 // enumerate+probe loop must preserve: signature and posting counters
-// still populate, and EnumNanos stays zero by construction.
+// still populate, and the loop's time is reported as ProbeNanos.
 func TestSearchStatsFusedProbe(t *testing.T) {
 	data := testData(t, 500, 25)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
@@ -134,9 +134,6 @@ func TestSearchStatsFusedProbe(t *testing.T) {
 	}
 	if st.Signatures < 1 {
 		t.Fatal("no signatures recorded")
-	}
-	if st.EnumNanos != 0 {
-		t.Fatalf("EnumNanos = %d, want 0 (fused into ProbeNanos)", st.EnumNanos)
 	}
 	if st.ProbeNanos <= 0 {
 		t.Fatal("fused probe loop recorded no time")

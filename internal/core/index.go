@@ -298,15 +298,19 @@ func (ix *Index) BuildStats() BuildStats { return ix.stats }
 func (ix *Index) Options() Options { return ix.opts }
 
 // EstimateTable returns the per-partition candidate-number estimates
-// for q at thresholds e ∈ [−1, tau] — the exact input Algorithm 1
-// consumes. It exists for the allocation experiments (Fig. 3), which
-// compare allocation policies under the same cost model.
+// for q at thresholds e ∈ [−1, tau], every cell of every row — the
+// eager view of what Algorithm 1 consumes. Queries do not call it:
+// their allocation (allocate.go) estimates only the cells the DP picks
+// and reaches the same result. It exists for the allocation
+// experiments (Fig. 3), which compare allocation policies under the
+// same cost model, for per-layer timing of the estimators
+// (benchmark/'s candest.cn_all_us), and as the reference the lazy
+// allocation is tested against.
 func (ix *Index) EstimateTable(q bitvec.Vector, tau int) alloc.Table {
 	// Experiments call this on freshly opened indexes: run any deferred
-	// content validation first so estimator views are materialized. A
-	// validation error still materializes the views (estimates over the
-	// corrupt state are deterministic and safe); it surfaces properly on
-	// the query path.
+	// content validation first. A validation error does not stop the
+	// estimate (estimates over the corrupt state are deterministic and
+	// in bounds); it surfaces properly on the query path.
 	_ = ix.ensureValidated()
 	table := make(alloc.Table, len(ix.ests))
 	for i, est := range ix.ests {

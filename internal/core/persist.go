@@ -85,18 +85,15 @@ func (ix *Index) Save(w io.Writer) error {
 	}
 	if persisted {
 		for _, est := range ix.ests {
-			exact := est.(*candest.Exact)
-			distinct, counts := exact.State()
+			arena, counts := est.(*candest.Exact).State()
 			// The projection arena must land 8-aligned for borrow-mode
 			// aliasing (the frozen payloads before it end on arbitrary
 			// byte counts); the counts payload is raw — its length is the
 			// head's distinct count — and lands 4-aligned for free after
 			// a whole number of words.
 			bw.Align8()
-			for _, v := range distinct {
-				for _, word := range v.Words() {
-					bw.Uint64(word)
-				}
+			for _, word := range arena {
+				bw.Uint64(word)
 			}
 			bw.Int32sRaw(counts)
 		}
@@ -533,70 +530,29 @@ func loadExactEstimator(br *binio.Reader, dimsI []int, count int) (*candest.Exac
 	if numDistinct < 0 || numDistinct > count {
 		return nil, fmt.Errorf("implausible distinct count %d", numDistinct)
 	}
-	w := len(dimsI)
-	projWords := (w + 63) / 64
-	raw := br.Uint64Raw(numDistinct*projWords, "estimator arena")
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	if br.Borrowed() {
-		counts := br.Int32s()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		return candest.ExactFromRawState(dimsI, raw, numDistinct, counts, int64(count))
-	}
-	distinct := make([]bitvec.Vector, numDistinct)
-	for i := range distinct {
-		v, err := bitvec.FromWordsShared(w, raw[i*projWords:(i+1)*projWords])
-		if err != nil {
-			return nil, fmt.Errorf("distinct projection %d corrupt: %w", i, err)
-		}
-		distinct[i] = v
-	}
+	arena := br.Uint64Raw(numDistinct*((len(dimsI)+63)/64), "estimator arena")
 	counts := br.Int32s()
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	return candest.ExactFromState(dimsI, distinct, counts, int64(count))
+	return candest.ExactFromState(dimsI, arena, counts, int64(count), br.Borrowed())
 }
 
 // loadExactEstimatorPayload reads one partition's estimator payload in
 // the GPHIX04 layout: the distinct count came from the head, so both
 // the aligned projection arena and the counts array are sized without
-// reading a payload byte. Like the vector section, borrow mode defers
-// even carving the per-projection views — the view headers alone are
-// O(distinct) heap, and the estimator arena is typically the largest
-// section after the postings. ExactFromRawState only ever reads the
-// projections, so aliasing persisted state is safe.
+// reading a payload byte. The estimator adopts the arena as it is —
+// in borrow mode a view of the mapping, with the content checks left
+// to the first query's validation pass — and only ever reads it, so
+// aliasing persisted state is safe.
 //
 //gph:borrow
 func loadExactEstimatorPayload(br *binio.Reader, dimsI []int, count, numDistinct int) (*candest.Exact, error) {
 	br.Align8()
-	w := len(dimsI)
-	projWords := (w + 63) / 64
-	raw := br.Uint64Raw(numDistinct*projWords, "estimator arena")
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	if br.Borrowed() {
-		counts := br.Int32sRaw(numDistinct, "estimator counts")
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		return candest.ExactFromRawState(dimsI, raw, numDistinct, counts, int64(count))
-	}
-	distinct := make([]bitvec.Vector, numDistinct)
-	for i := range distinct {
-		v, err := bitvec.FromWordsShared(w, raw[i*projWords:(i+1)*projWords])
-		if err != nil {
-			return nil, fmt.Errorf("distinct projection %d corrupt: %w", i, err)
-		}
-		distinct[i] = v
-	}
+	arena := br.Uint64Raw(numDistinct*((len(dimsI)+63)/64), "estimator arena")
 	counts := br.Int32sRaw(numDistinct, "estimator counts")
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	return candest.ExactFromState(dimsI, distinct, counts, int64(count))
+	return candest.ExactFromState(dimsI, arena, counts, int64(count), br.Borrowed())
 }

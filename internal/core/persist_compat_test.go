@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gph/internal/binio"
+	"gph/internal/candest"
 	"gph/internal/engine"
 )
 
@@ -242,5 +245,50 @@ func TestPrevFixtureLoads(t *testing.T) {
 	}
 	if !equalResults(searchAll(t, ix), searchAll(t, ix4)) {
 		t.Fatal("migrated index answers differently")
+	}
+}
+
+// TestCurrentFixtureBytes pins the GPHIX04 bytes across the estimator's
+// storage change: testdata/index-gphix04.bin is the GPHIX03 fixture as
+// re-saved by the writer that still kept per-projection views, and
+// today's writer must produce it byte for byte — from the GPHIX03
+// fixture, and from itself loaded into the heap or borrowed in place.
+// The estimator state those files carry verbatim is also what NewExact
+// builds from their vectors today, order included.
+func TestCurrentFixtureBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix04.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want[:8]) != indexMagic {
+		t.Fatalf("fixture leads with %q, want %q", want[:8], indexMagic)
+	}
+	sources := map[string]io.Reader{
+		"GPHIX03 fixture":          bytes.NewReader(loadPrevFixture(t)),
+		"GPHIX04 fixture":          bytes.NewReader(want),
+		"GPHIX04 fixture borrowed": binio.NewSource(want),
+	}
+	for name, src := range sources {
+		ix, err := Load(src)
+		if err != nil {
+			t.Fatalf("%s rejected: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s re-saves to %d bytes that differ from the %d-byte fixture", name, buf.Len(), len(want))
+		}
+		if err := ix.ensureValidated(); err != nil {
+			t.Fatal(err)
+		}
+		for i, dimsI := range ix.parts.Parts {
+			gotArena, gotCounts := ix.ests[i].(*candest.Exact).State()
+			wantArena, wantCounts := candest.NewExact(ix.data, dimsI).State()
+			if !slices.Equal(gotArena, wantArena) || !slices.Equal(gotCounts, wantCounts) {
+				t.Fatalf("%s partition %d: persisted estimator state differs from a rebuild", name, i)
+			}
+		}
 	}
 }

@@ -16,17 +16,23 @@ import (
 func (ix *Index) Codes() *verify.Codes { return ix.codes }
 
 // EstimateSearchCost implements engine.CostEstimator: it runs only
-// phase 1 of the pipeline (the threshold-allocation DP over candest
-// estimates) and returns the allocation objective in the cost units
+// phase 1 of the pipeline (the lazy threshold allocation of
+// allocate.go) and returns the allocation objective in the cost units
 // of Eq. 1 — posting accesses, with verification priced at 4 units
 // per candidate. A Fallback allocation (no valid plan under the enum
 // budget) reports alloc.FallbackCost, which prices the index path out
 // of any comparison, as it should: the engine itself would scan.
 // ok=false means no prediction exists (round-robin allocator or an
 // out-of-contract query). When the planner then routes to the index
-// path the DP runs again inside the search — an accepted double cost:
-// allocation is a small fraction of query time (Fig. 2(a)), and
-// keeping the estimate side-effect-free keeps the planner stateless.
+// path the allocation runs again inside the search — an accepted
+// double cost that keeps the estimate side-effect-free and the planner
+// stateless. What it doubles is measured, not assumed: benchmark/'s
+// traced run puts core.alloc_us at 4.6 µs of a 6.4 µs query on
+// lib_selective (one posting-length probe per partition and one DP
+// round) and at 111 µs of 870 µs on lib_wide (two rounds, three of
+// five partitions scanned). Before allocation was lazy it was 98 % of
+// the former (701 µs), the opposite of the paper's Fig. 2(a) premise
+// that allocation is a negligible share.
 //
 //gph:hotpath
 func (ix *Index) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {
@@ -35,10 +41,9 @@ func (ix *Index) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {
 	}
 	if ix.deepPending && !ix.deepDone.Load() {
 		// Deferred content validation (borrow-mode load) has not run yet,
-		// so the estimators' projection views may not be materialized —
-		// and could be mid-materialization on another goroutine. This is
-		// a cost probe with no error return and no license to do O(index)
-		// work, so report "no prediction"; the first search publishes the
+		// so the arenas behind an estimate are unchecked. This is a cost
+		// probe with no error return and no license to do O(index) work,
+		// so report "no prediction"; the first search publishes the
 		// validated state and estimates work from then on.
 		return 0, false
 	}
@@ -47,9 +52,6 @@ func (ix *Index) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {
 	ix.putScratch(s)
 	if res.Fallback {
 		return alloc.FallbackCost, true
-	}
-	if res.Thresholds == nil {
-		return 0, false
 	}
 	return res.Objective, true
 }
@@ -84,14 +86,15 @@ func (ix *Index) SearchGrow(q bitvec.Vector, k int) ([]engine.Neighbor, engine.G
 	}
 
 	s := ix.getScratch()
-	stats := &Stats{}
+	var stats Stats
 	var dists []int32 // dists[i] is the exact distance of s.cands[i]
 	done := 0         // prefix of s.cands already distance-ranked
 	tau := 1
 	for {
 		gs.Radii++
 		gs.FinalTau = tau
-		scanned, err := ix.gather(q, tau, s, stats)
+		scanned, err := ix.gather(q, tau, s, &stats)
+		gs.CNScans = stats.CNScans
 		if err != nil {
 			ix.putScratch(s)
 			return nil, gs, err

@@ -26,23 +26,35 @@ type Stats = engine.Stats
 // on the Index, so after warm-up the hot path performs no per-query
 // or per-signature allocations beyond the returned result slice.
 type searchScratch struct {
-	seen   []uint64      // candidate-dedup bitmap, one bit per data vector
-	keyBuf []byte        // packed signature key, rebuilt per signature
-	post   []int32       // decoded posting list, rebuilt per signature
-	cands  []int32       // distinct candidate ids in probe order
-	proj   bitvec.Vector // query projection, resized per partition
+	seen   []uint64 // candidate-dedup bitmap, one bit per data vector
+	keyBuf []byte   // packed signature key, rebuilt per signature
+	post   []int32  // decoded posting list, rebuilt per signature
+	cands  []int32  // distinct candidate ids in probe order
 	enum   hamming.Enumerator
-	table  alloc.Table     // reused CN-table rows for the allocation DP
+
+	// The bound query and its allocation state (allocate.go): q's
+	// projection onto each partition, the lazily refined CN table with
+	// each row's exact radius, and what refining it took.
+	q      bitvec.Vector
+	projs  []bitvec.Vector
+	widths []int
+	table  alloc.Table
+	known  []int
 	dp     alloc.Scratch   // reused DP grids for the allocator
 	est    candest.Scratch // reused estimator projection + histogram
+	shell  []int64         // posting-length sums by distance, per probed ball
+	center bitvec.Vector   // centre of the ball being probed
+	rounds int             // DP runs
+	scans  int             // rows estimated in full
 
-	// probe-loop state: probeFn is the enumeration callback bound
-	// once per scratch (a method value allocates on every binding, so
-	// rebinding per partition would defeat the pool).
+	// enumeration-callback state: probeFn and shellFn are bound once per
+	// scratch (a method value allocates on every binding, so rebinding
+	// per partition would defeat the pool).
 	inv     *invindex.Frozen
 	sigs    int
 	sumPost int64
 	probeFn func(bitvec.Vector) bool
+	shellFn func(bitvec.Vector) bool
 }
 
 // probe consumes one enumerated signature: build its packed key,
@@ -76,7 +88,7 @@ func (ix *Index) getScratch() *searchScratch {
 	if s == nil {
 		s = &searchScratch{}
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
-		s.probeFn = s.probe
+		s.probeFn, s.shellFn = s.probe, s.sumShell
 	}
 	words := (ix.count + 63) / 64
 	if cap(s.seen) < words {
@@ -96,15 +108,8 @@ func (ix *Index) getScratch() *searchScratch {
 //gph:release scratch
 func (ix *Index) putScratch(s *searchScratch) {
 	s.inv = nil
+	s.q = bitvec.Vector{} // the caller's memory, not the pool's
 	ix.scratch.Put(s)
-}
-
-// cnAllIntoScratch is implemented by estimators that can fill a
-// caller-provided row with caller-provided working memory instead of
-// allocating (the default Exact estimator does); the hot path uses it
-// to reuse the DP input table across queries.
-type cnAllIntoScratch interface {
-	CNAllIntoScratch(q bitvec.Vector, out []int64, s *candest.Scratch)
 }
 
 // Search returns the ids of all indexed vectors within Hamming
@@ -142,7 +147,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	stats := &Stats{}
+	var stats Stats
 	if tau >= ix.dims {
 		// The ball covers the whole space; every vector matches.
 		out := make([]int32, ix.count)
@@ -151,14 +156,14 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 		}
 		stats.Results = len(out)
 		stats.Candidates = len(out)
-		return out, stats, nil
+		return out, reportStats(&stats, wantStats), nil
 	}
 
 	// The scratch is returned to the pool explicitly on every exit
 	// (not deferred: this function is the hot path, and defer adds
 	// per-call overhead the benchmarks would charge to every query).
 	s := ix.getScratch()
-	scanned, err := ix.gather(q, tau, s, stats)
+	scanned, err := ix.gather(q, tau, s, &stats)
 	if err != nil {
 		ix.putScratch(s)
 		return nil, nil, err
@@ -170,8 +175,9 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 		stats.Candidates = ix.count
 		stats.Results = len(out)
 		stats.Scanned = true
+		report := reportStats(&stats, wantStats)
 		ix.putScratch(s)
-		return out, stats, nil
+		return out, report, nil
 	}
 
 	// Phase 4: batch verification on the packed arena, in place over
@@ -184,45 +190,23 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	copy(out, results)
 	stats.VerifyNanos = time.Since(start).Nanoseconds()
 	stats.Results = len(out)
+	report := reportStats(&stats, wantStats)
 	ix.putScratch(s)
-	if !wantStats {
-		return out, nil, nil
-	}
-	return out, stats, nil
+	return out, report, nil
 }
 
-// allocate runs the threshold-allocation phase (Algorithm 1) into the
-// pooled scratch: CN estimation per partition, then the allocation DP
-// (or the RR baseline). Shared by gather and by EstimateSearchCost,
-// which exposes the objective to the query planner without running
-// the search.
-//
-//gph:hotpath
-func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Result {
-	m := ix.parts.NumParts()
-	if ix.opts.Allocator == AllocRR {
-		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}
+// reportStats returns a heap copy of the query's stats that the caller
+// may keep — the threshold vector copied out of the pooled scratch it
+// aliases, so call it before putScratch — or nil when the caller did
+// not ask for stats, in which case the query allocated nothing for
+// them.
+func reportStats(stats *Stats, want bool) *Stats {
+	if !want {
+		return nil
 	}
-	if cap(s.table) < m {
-		s.table = make(alloc.Table, m)
-	}
-	s.table = s.table[:m]
-	for i, est := range ix.ests {
-		if into, ok := est.(cnAllIntoScratch); ok {
-			row := s.table[i]
-			if cap(row) < tau+2 {
-				row = make([]int64, tau+2)
-			}
-			row = row[:tau+2]
-			into.CNAllIntoScratch(q, row, &s.est)
-			s.table[i] = row
-		} else {
-			s.table[i] = est.CNAll(q, tau)
-		}
-	}
-	return alloc.AllocateScratch(s.table, alloc.Params{
-		Tau: tau, Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget,
-	}, &s.dp)
+	out := *stats
+	out.Thresholds = slices.Clone(stats.Thresholds)
+	return &out
 }
 
 // gather runs phases 1–3 of the pipeline into s: threshold allocation
@@ -230,7 +214,9 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Resu
 // fused enumerate+probe loop that fills s.cands with deduplicated
 // candidate ids. It reports scanned=true (with no candidates
 // generated) when every valid allocation costs more than verifying
-// the whole collection. Shared by Search and SearchIter.
+// the whole collection. stats.Thresholds aliases the scratch. Shared
+// by Search, SearchIter and SearchGrow, which calls it once per radius
+// on one scratch.
 //
 //gph:hotpath
 func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats) (scanned bool, err error) {
@@ -241,6 +227,8 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 	stats.AllocNanos = time.Since(start).Nanoseconds()
 	stats.Thresholds = res.Thresholds
 	stats.EstimatedCN = res.SumCN
+	stats.AllocRounds = s.rounds
+	stats.CNScans = s.scans
 
 	// Scan guard: when every valid allocation costs more than verifying
 	// the whole collection (tiny collections or τ near the index's
@@ -262,11 +250,8 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 		if ti < 0 {
 			continue
 		}
-		dimsI := ix.parts.Parts[i]
-		s.proj = s.proj.Resized(len(dimsI))
-		q.ProjectInto(dimsI, s.proj)
 		s.inv = ix.inv[i]
-		if err := s.enum.Enumerate(s.proj, ti, enumBudget, s.probeFn); err != nil {
+		if err := s.enum.Enumerate(s.projs[i], ti, enumBudget, s.probeFn); err != nil {
 			return false, fmt.Errorf("core: partition %d with threshold %d: %w", i, ti, err)
 		}
 	}
@@ -300,8 +285,8 @@ func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor,
 			return
 		}
 		s := ix.getScratch()
-		stats := &Stats{}
-		scanned, err := ix.gather(q, tau, s, stats)
+		var stats Stats
+		scanned, err := ix.gather(q, tau, s, &stats)
 		if err != nil {
 			ix.putScratch(s)
 			yield(engine.Neighbor{}, err)

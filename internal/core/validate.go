@@ -66,10 +66,6 @@ func (ix *Index) deepValidate() error {
 			return fmt.Errorf("core: partition %d postings: %w", p, err)
 		}
 		if exact, ok := ix.ests[p].(*candest.Exact); ok {
-			// Materializes the deferred estimator's projection views and
-			// checks counts and tail bits; the deepDone release-store
-			// below publishes the views to the query path's unsynchronized
-			// reads.
 			if err := exact.Validate(); err != nil {
 				return fmt.Errorf("core: partition %d estimator: %w", p, err)
 			}

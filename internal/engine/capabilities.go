@@ -51,6 +51,10 @@ type GrowStats struct {
 	Candidates int
 	// Scanned reports that the grower answered by verified full scan.
 	Scanned bool
+	// CNScans is Stats.CNScans summed over all rounds: growers that keep
+	// their CN rows across radii estimate each partition in full at
+	// most once per query.
+	CNScans int
 }
 
 // GrowSearcher is implemented by engines that answer kNN by

@@ -28,17 +28,23 @@ import (
 // fill only the candidate-accounting subset (Signatures, SumPostings,
 // Candidates, Results), leaving the rest zero.
 type Stats struct {
-	AllocNanos int64
-	// EnumNanos is retained for compatibility but is always 0: the
-	// GPH probe loop consumes each signature as it is enumerated
-	// instead of materializing the signature set first, so
-	// enumeration time is part of ProbeNanos.
-	EnumNanos   int64
+	// AllocNanos is threshold allocation, CN estimation included;
+	// ProbeNanos is the fused signature enumeration + posting probe
+	// loop; VerifyNanos is candidate verification.
+	AllocNanos  int64
 	ProbeNanos  int64
 	VerifyNanos int64
 
 	Thresholds  []int // allocated threshold vector T (GPH and PartAlloc)
 	EstimatedCN int64 // allocation objective term Σ CN(qᵢ, T[i])
+	// AllocRounds and CNScans say what the allocation took (GPH only):
+	// how often the DP ran before its answer sat entirely on exact CN
+	// cells, and how many partitions had their CN row estimated in full
+	// (a scan of the partition's distinct projections, or a whole-row
+	// estimator) rather than by posting-length probes. One round and no
+	// scans is the cheap case.
+	AllocRounds int
+	CNScans     int
 	Scanned     bool  // query answered by verified scan (plan cost ≥ scan cost)
 	Signatures  int   // enumerated signatures across partitions
 	SumPostings int64 // Σ_{s∈S_sig} |I_s| (Fig. 2(b) "sum")
@@ -49,7 +55,7 @@ type Stats struct {
 
 // TotalNanos returns the summed phase times.
 func (s *Stats) TotalNanos() int64 {
-	return s.AllocNanos + s.EnumNanos + s.ProbeNanos + s.VerifyNanos
+	return s.AllocNanos + s.ProbeNanos + s.VerifyNanos
 }
 
 // Neighbor is one k-nearest-neighbours result: a vector id and its

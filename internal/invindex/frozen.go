@@ -295,7 +295,13 @@ func (f *Frozen) PostingLen(key string) int {
 	return int(f.counts[e])
 }
 
-// PostingLenBytes is PostingLen for a packed byte key.
+// PostingLenBytes is PostingLen for a packed byte key: one hash of the
+// key into the slot table and one read of the stored count, no
+// posting byte touched. GPH's threshold allocation sums it over a
+// Hamming ball to get an exact candidate number — CN(qᵢ, e) is by
+// definition Σ |I_s| over the radius-e ball of qᵢ.
+//
+//gph:hotpath
 func (f *Frozen) PostingLenBytes(key []byte) int {
 	e := f.lookupBytes(key)
 	if e < 0 {
