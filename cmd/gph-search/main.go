@@ -86,9 +86,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gph-search: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: %d results in %v (candidates=%d, thresholds=%v, alloc_rounds=%d, cn_scans=%d)\n",
+		fmt.Printf("%s: %d results in %v (candidates=%d, thresholds=%v, alloc_rounds=%d, cn_scans=%d, signatures=%d, key_scans=%d, keys_scanned=%d)\n",
 			label, len(ids), time.Since(start).Round(time.Microsecond),
-			stats.Candidates, stats.Thresholds, stats.AllocRounds, stats.CNScans)
+			stats.Candidates, stats.Thresholds, stats.AllocRounds, stats.CNScans,
+			stats.Signatures, stats.KeyScans, stats.KeysScanned)
 		for i, id := range ids {
 			if i == 10 {
 				fmt.Printf("  … %d more\n", len(ids)-10)

@@ -313,8 +313,10 @@ func TestInsertCompactStats(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("compact → %d, want 202: %s", rec.Code, rec.Body.String())
 	}
+	// The fold is visible (delta 0) a moment before the run is booked
+	// (Runs), so wait for both.
 	deadline := time.Now().Add(30 * time.Second)
-	for statsDelta() != 0 {
+	for statsDelta() != 0 || s.sharded.CompactionStatus().Running {
 		if time.Now().After(deadline) {
 			t.Fatalf("background compaction never folded the delta")
 		}

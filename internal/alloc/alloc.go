@@ -191,6 +191,21 @@ func (s *Scratch) ballSizes(width int) []uint64 {
 	return s.balls[width]
 }
 
+// BallSize returns ball(width, e) = Σ_{j≤e} C(width, j) from the memo
+// (0 for e < 0, the whole space past the width), and false when it
+// does not fit uint64. It is how query paths size a ball without
+// redoing the binomials.
+func (s *Scratch) BallSize(width, e int) (uint64, bool) {
+	if e < 0 {
+		return 0, true
+	}
+	balls := s.ballSizes(width)
+	if e = min(e, width); e >= len(balls) {
+		return math.MaxUint64, false
+	}
+	return balls[e], true
+}
+
 // Allocate runs Algorithm 1: given the CN table for a query, the
 // partition widths, and the query threshold tau, it returns the
 // threshold vector minimizing the estimated cost subject to

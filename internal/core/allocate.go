@@ -7,16 +7,25 @@ import (
 	"gph/internal/hamming"
 )
 
-// scanElemsPerProbe prices one posting-length probe (enumerate the
-// next signature, pack its key, hash it into the frozen slot table,
-// read the count) in units of one histogram-scan step (one XOR,
-// popcount and add per distinct projection). It is a measurement, not
-// a tunable: benchmark/'s traced run reads invindex.probe_miss_ns ≈ 25
-// and hamming.enum_ns_per_sig ≈ 5–40 against ≈ 1.2 ns per scanned
-// projection (candest.cn_all_us over the distinct count), i.e. 25–50;
-// 32 sits inside that and errs towards the scan, whose cost does not
-// depend on the query. See DESIGN.md §1.
-const scanElemsPerProbe = 32
+// scanElemsPerProbe prices one slot-table probe (step to the next
+// signature of the ball, hash it, read the slot and the entry behind
+// it) in units of one key-scan step (load the next key, XOR, popcount,
+// compare). It is a measurement, not a tunable — DESIGN.md §1 has the
+// numbers and the sweep — and both users of a Hamming ball read it
+// through probeBeatsScan.
+const scanElemsPerProbe = 8
+
+// probeBeatsScan is the one rule for getting at the keys of a
+// partition that lie in a Hamming ball: enumerate the ball and probe
+// for each member, when the ball is small against the keys the
+// partition holds, else pass over the keys and keep those inside it.
+// Allocation asks it before summing posting lengths over a ball
+// (extendRow) and candidate generation before collecting the posting
+// lists themselves (gather); the per-element work differs between the
+// two, the ratio of a probe to a scan step does not.
+func probeBeatsScan(ball uint64, keys int) bool {
+	return ball <= uint64(keys/scanElemsPerProbe)
+}
 
 // bindQuery points a scratch fresh from the pool (s.q zero) at its
 // query: q is projected onto every partition once — allocation and the
@@ -157,10 +166,8 @@ func (s *searchScratch) fitRow(i, tau int) {
 // row is currently fitted to), by whichever is cheaper: summing
 // posting lengths over the radius-e ball of the query's projection, or
 // one histogram scan of the partition's distinct projections, which
-// yields every radius at once. The ball costs ball(wᵢ, e) probes and
-// the scan one step per distinct projection, a probe being worth
-// scanElemsPerProbe steps. Estimators other than the exact one have
-// only the whole-row form.
+// yields every radius at once — probeBeatsScan decides. Estimators
+// other than the exact one have only the whole-row form.
 func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 	exact := ix.exactEstimator(i)
 	if exact == nil {
@@ -169,16 +176,24 @@ func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 		s.scans++
 		return
 	}
-	w := len(ix.parts.Parts[i])
-	if ball, ok := hamming.BallSize(w, e); ok && ball <= uint64(exact.DistinctCount()/scanElemsPerProbe) {
+	w := s.widths[i]
+	if ball, ok := s.dp.BallSize(w, e); ok && probeBeatsScan(ball, exact.DistinctCount()) {
 		if cap(s.shell) < e+1 {
 			s.shell = make([]int64, e+1, 2*(e+1))
 		}
 		s.shell = s.shell[:e+1]
 		clear(s.shell)
-		s.inv, s.center = ix.inv[i], s.projs[i]
-		// Unbudgeted enumeration cannot fail.
-		_ = s.enum.Enumerate(s.center, e, 0, s.shellFn)
+		inv := ix.inv[i]
+		if w > 0 && w <= 64 {
+			b := hamming.NewWordBall(s.projs[i].Words()[0], w, e)
+			for ok := true; ok; ok = b.Next() {
+				s.shell[b.Dist()] += int64(inv.PostingLenWord(b.Sig))
+			}
+		} else {
+			s.inv, s.center = inv, s.projs[i]
+			// Unbudgeted enumeration cannot fail.
+			_ = s.enum.Enumerate(s.center, e, 0, s.shellFn)
+		}
 		row := s.table[i]
 		var cum int64
 		for d, c := range s.shell {
@@ -206,9 +221,10 @@ func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 }
 
 // sumShell consumes one enumerated signature of the ball extendRow is
-// summing: its posting length — the number of data vectors projecting
-// exactly onto it — is added to the shell at its distance from the
-// centre. Bound once per scratch, like probe.
+// summing over a partition wider than a word: its posting length — the
+// number of data vectors projecting exactly onto it — is added to the
+// shell at its distance from the centre. Bound once per scratch, like
+// probe.
 //
 //gph:hotpath
 func (s *searchScratch) sumShell(v bitvec.Vector) bool {

@@ -1,0 +1,259 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"gph/internal/binio"
+	"gph/internal/bitvec"
+	"gph/internal/dataset"
+	"gph/internal/engine"
+	"gph/internal/hamming"
+	"gph/internal/mmapio"
+)
+
+// openShifted opens ix in borrow mode over a file mapping that holds
+// the index one byte in, so every arena the mapping lends starts one
+// byte off wherever openModes' mapping puts it: between the two, each
+// key arena is read at an odd address.
+func openShifted(t *testing.T, ix *Index) *Index {
+	t.Helper()
+	buf := bytes.NewBuffer([]byte{0})
+	if err := ix.Save(buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shifted.gph")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := mmapio.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	shifted, err := Load(binio.NewSource(m.Data()[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shifted.ensureValidated(); err != nil {
+		t.Fatal(err)
+	}
+	return shifted
+}
+
+// TestGatherPathsAgree: the two ways generate has of collecting a
+// partition's candidates are one function. For every partition and
+// every threshold up to where the ball stops being enumerable, probing
+// the ball and scanning the keys gather the same ids and decode the
+// same number of postings — on skewed and unskewed corpora, and on an
+// index as built, loaded into the heap, and borrowed from a mapping at
+// either alignment. It also holds generate to using both.
+func TestGatherPathsAgree(t *testing.T) {
+	corpora := map[string]*dataset.Dataset{
+		"uqvideo": dataset.UQVideoLike(1200, 11),
+		"sift":    dataset.SIFTLike(1200, 12),
+	}
+	for name, ds := range corpora {
+		built := buildSmall(t, ds.Vectors, Options{Seed: 5})
+		modes := openModes(t, built)
+		modes["mapped+1"] = openShifted(t, built)
+		queries := append([]bitvec.Vector{ds.Vectors[0], ds.Vectors[600]}, dataset.PerturbQueries(ds, 3, 6, 21)...)
+		for mode, ix := range modes {
+			probed, scanned := ix.getScratch(), ix.getScratch()
+			for _, q := range queries {
+				ix.bindQuery(q, probed)
+				ix.bindQuery(q, scanned)
+				for i, w := range ix.parts.Widths() {
+					for ti := 0; ti <= w+1; ti++ {
+						if ball, ok := hamming.BallSize(w, ti); !ok || ball > 1<<14 {
+							break
+						}
+						ix.probeBall(i, ti, probed)
+						ix.scanKeys(i, ti, scanned)
+						if probed.sumPost != scanned.sumPost {
+							t.Fatalf("%s/%s partition %d (width %d) threshold %d: probes decoded %d postings, the scan %d",
+								name, mode, i, w, ti, probed.sumPost, scanned.sumPost)
+						}
+						slices.Sort(probed.cand.IDs)
+						slices.Sort(scanned.cand.IDs)
+						if !slices.Equal(probed.cand.IDs, scanned.cand.IDs) {
+							t.Fatalf("%s/%s partition %d (width %d) threshold %d: probes gathered %d ids, the scan %d",
+								name, mode, i, w, ti, len(probed.cand.IDs), len(scanned.cand.IDs))
+						}
+						probed.cand.Reset()
+						scanned.cand.Reset()
+					}
+				}
+			}
+			if probed.sigs == 0 || scanned.keysScanned == 0 {
+				t.Fatalf("%s/%s: %d signatures probed, %d keys scanned", name, mode, probed.sigs, scanned.keysScanned)
+			}
+			ix.putScratch(probed)
+			ix.putScratch(scanned)
+
+			sigs, keys := 0, 0
+			for tau := 0; tau <= 20; tau++ {
+				_, st, err := ix.SearchStats(queries[2], tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sigs, keys = sigs+st.Signatures, keys+st.KeysScanned
+				if (st.KeyScans == 0) != (st.KeysScanned == 0) {
+					t.Fatalf("%s/%s tau=%d: %d key scans compared %d keys", name, mode, tau, st.KeyScans, st.KeysScanned)
+				}
+			}
+			if sigs == 0 || keys == 0 {
+				t.Fatalf("%s/%s: searches probed %d signatures and scanned %d keys; the rule should choose both", name, mode, sigs, keys)
+			}
+		}
+	}
+}
+
+// drainScratches empties the index's scratch pool, checking that every
+// scratch in it came back with no candidate and an all-zero bitmap, and
+// returns how many it saw.
+func drainScratches(t *testing.T, ix *Index, after string) int {
+	t.Helper()
+	n := 0
+	for {
+		s, _ := ix.scratch.Get().(*searchScratch)
+		if s == nil {
+			return n
+		}
+		n++
+		if len(s.cand.IDs) != 0 {
+			t.Fatalf("after %s: pooled scratch holds %d candidates", after, len(s.cand.IDs))
+		}
+		for w, word := range s.cand.Seen {
+			if word != 0 {
+				t.Fatalf("after %s: pooled scratch has bitmap word %d = %#x", after, w, word)
+			}
+		}
+	}
+}
+
+// TestScratchComesBackClean: no query clears the dedup bitmap on the
+// way in, so every way out must leave it all zero — however the
+// candidates were reordered, compacted or abandoned on the way.
+func TestScratchComesBackClean(t *testing.T) {
+	ds := dataset.SIFTLike(1200, 12)
+	ix := buildSmall(t, ds.Vectors, Options{Seed: 5})
+	q := dataset.PerturbQueries(ds, 1, 6, 21)[0]
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"Search, few candidates", func() error { _, err := ix.Search(q, 2); return err }},
+		{"Search, more candidates than bitmap words", func() error {
+			_, st, err := ix.SearchStats(q, 14)
+			if err == nil && (st.Scanned || st.Candidates <= (ix.count+63)/64 || st.KeyScans == 0) {
+				t.Fatalf("tau=14 should gather many candidates through a key scan: %+v", *st)
+			}
+			return err
+		}},
+		{"Search by the scan guard", func() error {
+			_, st, err := ix.SearchStats(q, 60)
+			if err == nil && !st.Scanned {
+				t.Fatalf("tau=60 should trip the scan guard: %+v", *st)
+			}
+			return err
+		}},
+		{"SearchIter drained", func() error {
+			for _, err := range ix.SearchIter(q, 14) {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"SearchIter stopped early", func() error {
+			for _, err := range ix.SearchIter(ds.Vectors[7], 14) {
+				return err
+			}
+			t.Fatal("a stored vector found nothing")
+			return nil
+		}},
+		{"SearchGrow", func() error { _, _, err := ix.SearchGrow(q, 5); return err }},
+		{"SearchGrow ending in a scan", func() error {
+			_, gs, err := ix.SearchGrow(q, ix.count)
+			if err == nil && !gs.Scanned {
+				t.Fatalf("k = n should end in a scan: %+v", gs)
+			}
+			return err
+		}},
+		{"EstimateSearchCost", func() error { ix.EstimateSearchCost(q, 8); return nil }},
+		{"generate failing on its budget", func() error {
+			// The first partition is probed at its point — the stored
+			// vector's own bucket — then the first later one whose radius-1
+			// ball is small enough to be probed does not fit a budget of
+			// one signature.
+			s := ix.getScratch()
+			ix.bindQuery(ds.Vectors[7], s)
+			T := make([]int, ix.parts.NumParts())
+			for i := range T {
+				T[i] = -1
+			}
+			T[0] = 0
+			for i := 1; i < len(T) && !slices.Contains(T, 1); i++ {
+				if ball, _ := hamming.BallSize(s.widths[i], 1); probeBeatsScan(ball, ix.inv[i].NumKeys()) {
+					T[i] = 1
+				}
+			}
+			err := ix.generate(T, 1, s)
+			if !errors.Is(err, hamming.ErrEnumerationBudget) {
+				t.Fatalf("generate %v over a budget of 1: %v", T, err)
+			}
+			if len(s.cand.IDs) == 0 {
+				t.Fatal("a stored vector's own partition-0 bucket is empty")
+			}
+			ix.putScratch(s)
+			return nil
+		}},
+	}
+	for _, step := range steps {
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if drainScratches(t, ix, step.name) == 0 && !raceEnabled {
+			t.Fatalf("%s returned no scratch to the pool", step.name)
+		}
+	}
+}
+
+// TestGrowStatsMirrorKeyScans: a kNN that grows through radii reports
+// the key scans of all its rounds — what a Search at each of those
+// radii reports, summed.
+func TestGrowStatsMirrorKeyScans(t *testing.T) {
+	// Four partitions over 256 skewed dimensions leave one a few bits
+	// wide: a handful of keys, scanned at every radius.
+	ds := dataset.UQVideoLike(1200, 11)
+	ix := buildSmall(t, ds.Vectors, Options{Seed: 5, NumPartitions: 4})
+	scans := 0
+	for _, q := range dataset.PerturbQueries(ds, 4, 10, 3) {
+		_, gs, err := ix.SearchGrow(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want engine.GrowStats
+		for tau := 1; tau <= gs.FinalTau; tau *= 2 {
+			_, st, err := ix.SearchStats(q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.KeyScans += st.KeyScans
+			want.KeysScanned += st.KeysScanned
+		}
+		if gs.KeyScans != want.KeyScans || gs.KeysScanned != want.KeysScanned {
+			t.Fatalf("kNN through %d radii reports %d key scans over %d keys; its radii searched one by one, %d over %d",
+				gs.Radii, gs.KeyScans, gs.KeysScanned, want.KeyScans, want.KeysScanned)
+		}
+		scans += gs.KeyScans
+	}
+	if scans == 0 {
+		t.Fatal("no growing kNN scanned a partition's keys")
+	}
+}

@@ -87,14 +87,14 @@ func (ix *Index) SearchGrow(q bitvec.Vector, k int) ([]engine.Neighbor, engine.G
 
 	s := ix.getScratch()
 	var stats Stats
-	var dists []int32 // dists[i] is the exact distance of s.cands[i]
-	done := 0         // prefix of s.cands already distance-ranked
+	var dists []int32 // dists[i] is the exact distance of s.cand.IDs[i]
+	done := 0         // prefix of s.cand.IDs already distance-ranked
 	tau := 1
 	for {
 		gs.Radii++
 		gs.FinalTau = tau
 		scanned, err := ix.gather(q, tau, s, &stats)
-		gs.CNScans = stats.CNScans
+		gs.CNScans, gs.KeyScans, gs.KeysScanned = stats.CNScans, stats.KeyScans, stats.KeysScanned
 		if err != nil {
 			ix.putScratch(s)
 			return nil, gs, err
@@ -105,16 +105,16 @@ func (ix *Index) SearchGrow(q bitvec.Vector, k int) ([]engine.Neighbor, engine.G
 			gs.Scanned = true
 			return ix.knnByScan(q, k), gs, nil
 		}
-		if add := len(s.cands) - done; add > 0 {
-			if cap(dists) < len(s.cands) {
-				next := make([]int32, len(s.cands))
+		if add := len(s.cand.IDs) - done; add > 0 {
+			if cap(dists) < len(s.cand.IDs) {
+				next := make([]int32, len(s.cand.IDs))
 				copy(next, dists[:done])
 				dists = next
 			} else {
-				dists = dists[:len(s.cands)]
+				dists = dists[:len(s.cand.IDs)]
 			}
-			ix.codes.DistancesInto(q, s.cands[done:], dists[done:])
-			done = len(s.cands)
+			ix.codes.DistancesInto(q, s.cand.IDs[done:], dists[done:])
+			done = len(s.cand.IDs)
 		}
 		within := 0
 		for _, d := range dists {
@@ -145,7 +145,7 @@ func (ix *Index) SearchGrow(q bitvec.Vector, k int) ([]engine.Neighbor, engine.G
 	gs.Candidates = done
 	out := make([]engine.Neighbor, done)
 	for i := 0; i < done; i++ {
-		out[i] = engine.Neighbor{ID: s.cands[i], Distance: int(dists[i])}
+		out[i] = engine.Neighbor{ID: s.cand.IDs[i], Distance: int(dists[i])}
 	}
 	ix.putScratch(s)
 	sortNeighbors(out)

@@ -26,10 +26,8 @@ type Stats = engine.Stats
 // on the Index, so after warm-up the hot path performs no per-query
 // or per-signature allocations beyond the returned result slice.
 type searchScratch struct {
-	seen   []uint64 // candidate-dedup bitmap, one bit per data vector
-	keyBuf []byte   // packed signature key, rebuilt per signature
-	post   []int32  // decoded posting list, rebuilt per signature
-	cands  []int32  // distinct candidate ids in probe order
+	cand   invindex.IDSet // dedup bitmap, one bit per data vector, and the distinct candidate ids
+	keyBuf []byte         // packed signature key of a partition wider than a word
 	enum   hamming.Enumerator
 
 	// The bound query and its allocation state (allocate.go): q's
@@ -40,43 +38,82 @@ type searchScratch struct {
 	widths []int
 	table  alloc.Table
 	known  []int
-	dp     alloc.Scratch   // reused DP grids for the allocator
+	dp     alloc.Scratch   // reused DP grids and the ball-size memo
 	est    candest.Scratch // reused estimator projection + histogram
 	shell  []int64         // posting-length sums by distance, per probed ball
 	center bitvec.Vector   // centre of the ball being probed
 	rounds int             // DP runs
 	scans  int             // rows estimated in full
 
-	// enumeration-callback state: probeFn and shellFn are bound once per
-	// scratch (a method value allocates on every binding, so rebinding
-	// per partition would defeat the pool).
+	// What candidate generation did, summed over the gather calls on
+	// this scratch (SearchGrow makes one per radius).
+	sigs        int   // signatures enumerated and probed
+	keyScans    int   // partitions answered by a key-arena pass
+	keysScanned int   // keys compared in those passes
+	sumPost     int64 // postings decoded
+
+	// Enumeration callbacks for partitions wider than a word: probeFn
+	// and shellFn are bound once per scratch (a method value allocates
+	// on every binding, so rebinding per partition would defeat the
+	// pool).
 	inv     *invindex.Frozen
-	sigs    int
-	sumPost int64
 	probeFn func(bitvec.Vector) bool
 	shellFn func(bitvec.Vector) bool
 }
 
-// probe consumes one enumerated signature: build its packed key,
-// decode the matching delta-varint posting list into the pooled
-// scratch, and merge it into the candidate set. The frozen lookup
-// hashes and compares the byte key against the arena directly, so the
-// whole step is allocation-free after warm-up.
+// probe consumes one enumerated signature of a partition wider than a
+// word: build its packed key and merge the matching posting list into
+// the candidate set. The frozen lookup hashes and compares the byte key
+// against the arena directly, so the whole step is allocation-free
+// after warm-up.
 //
 //gph:hotpath
 func (s *searchScratch) probe(v bitvec.Vector) bool {
 	s.keyBuf = v.AppendKey(s.keyBuf[:0])
-	s.post = s.inv.AppendPostingsBytes(s.keyBuf, s.post[:0])
+	s.sumPost += int64(s.inv.CollectBytes(s.keyBuf, &s.cand))
 	s.sigs++
-	s.sumPost += int64(len(s.post))
-	for _, id := range s.post {
-		w, b := id/64, uint(id)%64
-		if s.seen[w]>>b&1 == 0 {
-			s.seen[w] |= 1 << b
-			s.cands = append(s.cands, id)
-		}
-	}
 	return true
+}
+
+// probeBall collects partition i's candidates at threshold t the
+// paper's way: enumerate ball(wᵢ, t) around the query's projection and
+// probe the slot table with every signature. A partition of 1 to 64
+// bits — every default build — is walked and probed as a word; wider
+// (and empty) ones go through the vector enumerator and its callback.
+// extendRow makes the same split, and both start the walk in place: a
+// helper handing the 96-byte walk back costs a tenth of a selective
+// query, which is nine such probes and little else.
+//
+//gph:hotpath
+func (ix *Index) probeBall(i, t int, s *searchScratch) {
+	inv, w := ix.inv[i], s.widths[i]
+	if w == 0 || w > 64 {
+		s.inv = inv
+		// Unbudgeted enumeration cannot fail.
+		_ = s.enum.Enumerate(s.projs[i], t, 0, s.probeFn)
+		return
+	}
+	var sum, sigs int
+	b := hamming.NewWordBall(s.projs[i].Words()[0], w, t)
+	for ok := true; ok; ok = b.Next() {
+		sum += inv.CollectWord(b.Sig, &s.cand)
+		sigs++
+	}
+	s.sumPost += int64(sum)
+	s.sigs += sigs
+}
+
+// scanKeys collects the same candidates from the other side: one pass
+// over partition i's key arena, keeping every key within t of the
+// query's projection. Both are {ids whose projection lies within t of
+// qᵢ}; which one runs is probeBeatsScan's call.
+//
+//gph:hotpath
+func (ix *Index) scanKeys(i, t int, s *searchScratch) {
+	inv := ix.inv[i]
+	s.sumPost += inv.CollectWithin(s.projs[i].Words(), t, &s.cand)
+	s.keyScans++
+	s.keysScanned += inv.NumKeys()
 }
 
 // getScratch hands a pooled scratch to the caller, who owes it
@@ -90,23 +127,21 @@ func (ix *Index) getScratch() *searchScratch {
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
 		s.probeFn, s.shellFn = s.probe, s.sumShell
 	}
-	words := (ix.count + 63) / 64
-	if cap(s.seen) < words {
-		s.seen = make([]uint64, words)
-	} else {
-		s.seen = s.seen[:words]
-		clear(s.seen)
+	// The bitmap comes back from every query all zero (IDSet.Reset), so
+	// a query pays for the bits it set, not for the collection's size.
+	if words := (ix.count + 63) / 64; len(s.cand.Seen) != words {
+		s.cand.Seen = make([]uint64, words)
 	}
-	s.cands = s.cands[:0]
-	s.sigs = 0
-	s.sumPost = 0
+	s.sigs, s.keyScans, s.keysScanned, s.sumPost = 0, 0, 0, 0
 	return s
 }
 
-// putScratch returns a scratch to the pool.
+// putScratch returns a scratch to the pool, its candidate set empty
+// and its bitmap all zero.
 //
 //gph:release scratch
 func (ix *Index) putScratch(s *searchScratch) {
+	s.cand.Reset() // a no-op for whoever had to reset before reordering the ids
 	s.inv = nil
 	s.q = bitvec.Vector{} // the caller's memory, not the pool's
 	ix.scratch.Put(s)
@@ -182,9 +217,12 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 
 	// Phase 4: batch verification on the packed arena, in place over
 	// the pooled candidate slice; survivors are sorted and copied into
-	// an exact-size result the caller owns.
+	// an exact-size result the caller owns. The bitmap is handed back
+	// clean first: FilterWithin compacts the ids it would be cleaned by.
 	start := time.Now()
-	results := ix.codes.FilterWithin(q, tau, s.cands)
+	cands := s.cand.IDs
+	s.cand.Reset()
+	results := ix.codes.FilterWithin(q, tau, cands)
 	slices.Sort(results)
 	out := make([]int32, len(results))
 	copy(out, results)
@@ -210,9 +248,9 @@ func reportStats(stats *Stats, want bool) *Stats {
 }
 
 // gather runs phases 1–3 of the pipeline into s: threshold allocation
-// (Algorithm 1) over estimated CNs, the scan-guard decision, and the
-// fused enumerate+probe loop that fills s.cands with deduplicated
-// candidate ids. It reports scanned=true (with no candidates
+// (Algorithm 1) over estimated CNs, the scan-guard decision, and
+// candidate generation (generate), which fills s.cand with
+// deduplicated candidate ids. It reports scanned=true (with no candidates
 // generated) when every valid allocation costs more than verifying
 // the whole collection. stats.Thresholds aliases the scratch. Shared
 // by Search, SearchIter and SearchGrow, which calls it once per radius
@@ -238,28 +276,44 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 	if res.Fallback || (res.Thresholds != nil && ix.opts.Allocator == AllocDP && res.Objective > scanCost) {
 		return true, nil
 	}
-	enumBudget := res.EffectiveBudget // 0 (unlimited) for RR and unbudgeted configs
-
-	// Phases 2+3 fused: per partition, enumerate the signature ball
-	// and probe the inverted index with each signature's byte key as
-	// it is produced. Nothing is materialized per signature — no key
-	// string, no signature slice — which is what makes the loop
-	// allocation-free.
 	start = time.Now()
-	for i, ti := range res.Thresholds {
+	err = ix.generate(res.Thresholds, res.EffectiveBudget, s)
+	stats.ProbeNanos = time.Since(start).Nanoseconds()
+	stats.Signatures = s.sigs
+	stats.KeyScans = s.keyScans
+	stats.KeysScanned = s.keysScanned
+	stats.SumPostings = s.sumPost
+	stats.Candidates = len(s.cand.IDs)
+	return false, err
+}
+
+// generate is phases 2+3 fused, candidate generation: per partition,
+// collect into s.cand the ids whose projection lies within the
+// threshold of the query's, by whichever costs less — the signature
+// ball probed against the slot table, or one pass over the partition's
+// keys. Nothing is materialized per signature or per matching key (no
+// key string, no posting slice), which is what makes the loop
+// allocation-free. budget (0 for unlimited: RR and unbudgeted configs)
+// caps a ball that is enumerated; a pass over the keys costs the same
+// whatever the ball holds.
+//
+//gph:hotpath
+func (ix *Index) generate(thresholds []int, budget int64, s *searchScratch) error {
+	for i, ti := range thresholds {
 		if ti < 0 {
 			continue
 		}
-		s.inv = ix.inv[i]
-		if err := s.enum.Enumerate(s.projs[i], ti, enumBudget, s.probeFn); err != nil {
-			return false, fmt.Errorf("core: partition %d with threshold %d: %w", i, ti, err)
+		ball, ok := s.dp.BallSize(s.widths[i], ti)
+		if !ok || !probeBeatsScan(ball, ix.inv[i].NumKeys()) {
+			ix.scanKeys(i, ti, s)
+			continue
 		}
+		if budget > 0 && ball > uint64(budget) {
+			return fmt.Errorf("core: partition %d with threshold %d: %w", i, ti, hamming.ErrEnumerationBudget)
+		}
+		ix.probeBall(i, ti, s)
 	}
-	stats.ProbeNanos = time.Since(start).Nanoseconds()
-	stats.Signatures = s.sigs
-	stats.SumPostings = s.sumPost
-	stats.Candidates = len(s.cands)
-	return false, nil
+	return nil
 }
 
 // SearchIter implements engine.Streamer: the same pipeline as Search,
@@ -297,7 +351,10 @@ func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor,
 			engine.StreamScan(ix.codes, q, tau, yield)
 			return
 		}
-		engine.StreamVerified(ix.codes, q, tau, s.cands, yield)
+		// StreamVerified reorders the candidates but keeps them all, so
+		// putScratch still finds every bit it has to clear — early stop
+		// included.
+		engine.StreamVerified(ix.codes, q, tau, s.cand.IDs, yield)
 		ix.putScratch(s)
 	}
 }

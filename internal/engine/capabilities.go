@@ -55,6 +55,10 @@ type GrowStats struct {
 	// their CN rows across radii estimate each partition in full at
 	// most once per query.
 	CNScans int
+	// KeyScans and KeysScanned are Stats' fields of the same names,
+	// summed over all rounds.
+	KeyScans    int
+	KeysScanned int
 }
 
 // GrowSearcher is implemented by engines that answer kNN by

@@ -45,10 +45,19 @@ type Stats struct {
 	// scans is the cheap case.
 	AllocRounds int
 	CNScans     int
-	Scanned     bool  // query answered by verified scan (plan cost ≥ scan cost)
-	Signatures  int   // enumerated signatures across partitions
-	SumPostings int64 // Σ_{s∈S_sig} |I_s| (Fig. 2(b) "sum")
-	Candidates  int   // |S_cand| distinct candidates (Fig. 2(b) "cand")
+	Scanned     bool // query answered by verified scan (plan cost ≥ scan cost)
+	// Candidate generation is three counts with three unit costs.
+	// Signatures are the signatures enumerated and probed; GPH answers a
+	// partition whose ball outgrows its keys by one pass over the
+	// partition's key arena instead — KeyScans such partitions,
+	// KeysScanned keys compared in them — and those balls are not
+	// enumerated, so they are not in Signatures. SumPostings is
+	// Σ |I_s| over the signatures and matching keys (Fig. 2(b) "sum").
+	Signatures  int
+	KeyScans    int
+	KeysScanned int
+	SumPostings int64
+	Candidates  int // |S_cand| distinct candidates (Fig. 2(b) "cand")
 	Results     int
 	CacheHit    bool // query answered from the planner's result cache
 }

@@ -98,10 +98,26 @@ func (e *Enumerator) Enumerate(center bitvec.Vector, radius int, budget int64, f
 	}
 	e.scratch = center.CloneInto(e.scratch)
 	scratch := e.scratch
-	if !fn(scratch) {
+	if w == 0 {
+		fn(scratch)
 		return nil
 	}
-	if radius == 0 || w == 0 {
+	if w <= 64 {
+		// One-word vectors — every default partition — walk the ball in a
+		// register (WordBall, same order) and hand each member over
+		// through the scratch's single word.
+		word := scratch.Words()
+		b := NewWordBall(word[0], w, radius)
+		for ok := true; ok; ok = b.Next() {
+			word[0] = b.Sig
+			if !fn(scratch) {
+				return nil
+			}
+		}
+		word[0] = center.Words()[0]
+		return nil
+	}
+	if !fn(scratch) || radius == 0 {
 		return nil
 	}
 	if cap(e.positions) < radius {
@@ -139,6 +155,64 @@ func (e *Enumerator) Enumerate(center bitvec.Vector, radius int, budget int64, f
 		scratch.Flip(i)
 		i++
 	}
+}
+
+// WordBall walks the Hamming ball around a vector of at most 64
+// dimensions held in one word: Sig is the current member and Dist its
+// distance from the centre — the walk knows it, nobody recounts it. The
+// order is Enumerate's (depth-first over ascending bit positions, a
+// member visited before the members that extend it). It is a value: no
+// callback, no heap state, nothing to pool — but declare it before the
+// loop, not in its init clause: a three-clause loop's variable is
+// copied every iteration, and the copy costs more than the step.
+//
+//	b := NewWordBall(center, w, r)
+//	for ok := true; ok; ok = b.Next() { use(b.Sig, b.Dist()) }
+type WordBall struct {
+	Sig     uint64
+	w, r, d int       // width, radius, bits currently flipped
+	pos     [64]uint8 // the flipped positions, ascending in pos[:d]
+}
+
+// NewWordBall starts a walk of ball(width, radius) at its first member,
+// the centre itself; Next moves on. It needs 1 ≤ width ≤ 64 and
+// radius ≥ 0, and centre bits at or beyond width stay as they are.
+func NewWordBall(center uint64, width, radius int) WordBall {
+	return WordBall{Sig: center, w: width, r: min(radius, width)}
+}
+
+// Dist returns the Hamming distance of Sig from the centre.
+func (b *WordBall) Dist() int { return b.d }
+
+// Next advances to the next member and reports whether there was one;
+// after the last, Sig is the centre again.
+func (b *WordBall) Next() bool {
+	if b.d < b.r {
+		// Extend the current member by the next higher bit.
+		next := 0
+		if b.d > 0 {
+			next = int(b.pos[b.d-1]) + 1
+		}
+		if next < b.w {
+			b.pos[b.d] = uint8(next)
+			b.d++
+			b.Sig ^= 1 << next
+			return true
+		}
+	}
+	// Move the deepest flipped bit one up, backtracking past bits that
+	// are already at the top.
+	for b.d > 0 {
+		i := int(b.pos[b.d-1])
+		b.Sig ^= 1 << i
+		if i+1 < b.w {
+			b.pos[b.d-1] = uint8(i + 1)
+			b.Sig ^= 1 << (i + 1)
+			return true
+		}
+		b.d--
+	}
+	return false
 }
 
 // EnumerateBall is Enumerate with single-use state; prefer a pooled

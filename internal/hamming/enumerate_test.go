@@ -3,7 +3,9 @@ package hamming
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +96,75 @@ func TestEnumerateBallComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ballRecursive is the natural recursion both enumerators unroll: a
+// member, then every member that extends it by one higher bit.
+func ballRecursive(v bitvec.Vector, r, from int, visit func(bitvec.Vector)) {
+	visit(v)
+	if r == 0 {
+		return
+	}
+	for i := from; i < v.Dims(); i++ {
+		v.Flip(i)
+		ballRecursive(v, r-1, i+1, visit)
+		v.Flip(i)
+	}
+}
+
+// TestEnumeratorsWalkTheRecursion: Enumerate — over a word and beyond
+// one — and the word walk visit exactly the members the recursion
+// visits, in its order; the word walk reports each at its true
+// distance and ends back on the centre.
+func TestEnumeratorsWalkTheRecursion(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, w := range []int{1, 2, 7, 13, 24, 63, 64, 65, 130} {
+		for r := 0; r <= w+1; r++ {
+			size, ok := BallSize(w, r)
+			if !ok || size > 1<<14 {
+				break
+			}
+			center := bitvec.New(w)
+			for d := 0; d < w; d++ {
+				center.SetBit(d, rng.Intn(2))
+			}
+			var want []string
+			ballRecursive(center.Clone(), min(r, w), 0, func(v bitvec.Vector) { want = append(want, v.Key()) })
+			if uint64(len(want)) != size {
+				t.Fatalf("w=%d r=%d: the recursion visits %d members, the ball holds %d", w, r, len(want), size)
+			}
+			var got []string
+			if err := EnumerateBall(center, r, 0, func(v bitvec.Vector) bool {
+				got = append(got, v.Key())
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("w=%d r=%d: Enumerate departs from the recursion", w, r)
+			}
+			if w > 64 {
+				continue
+			}
+			got = got[:0]
+			word := center.Words()[0]
+			member := bitvec.New(w)
+			b := NewWordBall(word, w, r)
+			for ok := true; ok; ok = b.Next() {
+				if d := bits.OnesCount64(b.Sig ^ word); d != b.Dist() || d > r {
+					t.Fatalf("w=%d r=%d: member %#x reported at distance %d, is at %d", w, r, b.Sig, b.Dist(), d)
+				}
+				member.Words()[0] = b.Sig
+				got = append(got, member.Key())
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("w=%d r=%d: the word walk departs from the recursion", w, r)
+			}
+			if b.Sig != word || b.Dist() != 0 {
+				t.Fatalf("w=%d r=%d: the word walk ends on %#x at distance %d, not on the centre", w, r, b.Sig, b.Dist())
+			}
+		}
 	}
 }
 

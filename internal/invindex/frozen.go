@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,27 +133,42 @@ func (ix *Index) Freeze() *Frozen {
 	return f
 }
 
-// fnvOffset and fnvPrime are the FNV-1a constants; the hash is
-// deterministic so the slot table can be rebuilt identically on load.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// hashMul is 2⁶⁴/φ rounded to odd, the usual multiplicative-hashing
+// constant.
+const hashMul = 0x9E3779B97F4A7C15
 
-func hashBytes(key []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+// mix folds one 8-byte key word into the running hash: one 64×64→128
+// multiply, the halves xored. Keys are packed projections whose entropy
+// sits in their low bits and the slot table is indexed by the hash's
+// low bits; the high half of the product is where the multiply mixes
+// every input bit, and the fold brings it down. The hash is
+// deterministic, so the slot table (derived state, never persisted) is
+// rebuilt identically on load.
+func mix(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^w, hashMul)
+	return hi ^ lo
 }
 
-func hashString(key string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
+// hashWord is hashKey of the 8-byte little-endian key holding w.
+func hashWord(w uint64) uint64 { return mix(8, w) }
+
+// hashKey hashes a byte or string key a little-endian word at a time
+// (a shorter tail zero-extended), seeded with the length so a tail's
+// zero bytes count.
+func hashKey[K string | []byte](key K) uint64 {
+	h := uint64(len(key))
+	i := 0
+	for ; i+8 <= len(key); i += 8 {
+		_ = key[i+7]
+		h = mix(h, uint64(key[i])|uint64(key[i+1])<<8|uint64(key[i+2])<<16|uint64(key[i+3])<<24|
+			uint64(key[i+4])<<32|uint64(key[i+5])<<40|uint64(key[i+6])<<48|uint64(key[i+7])<<56)
+	}
+	if i < len(key) {
+		var tail uint64
+		for j := i; j < len(key); j++ {
+			tail |= uint64(key[j]) << (8 * uint(j-i))
+		}
+		h = mix(h, tail)
 	}
 	return h
 }
@@ -201,7 +217,7 @@ func (f *Frozen) buildSlots() {
 	}
 	mask := uint64(size - 1)
 	for e := 0; e < n; e++ {
-		h := hashBytes(f.key(e)) & mask
+		h := hashKey(f.key(e)) & mask
 		for f.slots[h] >= 0 {
 			h = (h + 1) & mask
 		}
@@ -220,7 +236,7 @@ func (f *Frozen) key(e int) []byte {
 func (f *Frozen) lookupBytes(key []byte) int {
 	f.ensureSlots()
 	mask := uint64(len(f.slots) - 1)
-	for h := hashBytes(key) & mask; ; h = (h + 1) & mask {
+	for h := hashKey(key) & mask; ; h = (h + 1) & mask {
 		e := f.slots[h]
 		if e < 0 {
 			return -1
@@ -236,7 +252,7 @@ func (f *Frozen) lookupBytes(key []byte) int {
 func (f *Frozen) lookupString(key string) int {
 	f.ensureSlots()
 	mask := uint64(len(f.slots) - 1)
-	for h := hashString(key) & mask; ; h = (h + 1) & mask {
+	for h := hashKey(key) & mask; ; h = (h + 1) & mask {
 		e := f.slots[h]
 		if e < 0 {
 			return -1
@@ -254,6 +270,29 @@ func eqString(a []byte, b string) bool {
 		}
 	}
 	return true
+}
+
+// lookupWord is lookupBytes for the 8-byte little-endian key holding w
+// — the packed projection of a partition of at most 64 bits — without
+// the bytes: the word is hashed and compared as a word.
+func (f *Frozen) lookupWord(w uint64) int {
+	if f.keyLen != 8 {
+		// Mixed widths or no keys at all: the byte path knows both.
+		var key [8]byte
+		binary.LittleEndian.PutUint64(key[:], w)
+		return f.lookupBytes(key[:])
+	}
+	f.ensureSlots()
+	mask := uint64(len(f.slots) - 1)
+	for h := hashWord(w) & mask; ; h = (h + 1) & mask {
+		e := f.slots[h]
+		if e < 0 {
+			return -1
+		}
+		if binary.LittleEndian.Uint64(f.keyArena[8*int(e):]) == w {
+			return int(e)
+		}
+	}
 }
 
 // NumKeys returns the number of distinct keys (the map form's
@@ -287,8 +326,11 @@ func (f *Frozen) TotalPostings() int64 { return f.postings }
 
 // PostingLen returns the length of key's posting list without
 // decoding it; this is the |I_s| term of the paper's cost model.
-func (f *Frozen) PostingLen(key string) int {
-	e := f.lookupString(key)
+func (f *Frozen) PostingLen(key string) int { return f.count(f.lookupString(key)) }
+
+// count returns the length of entry e's posting list, 0 for e = −1 (a
+// lookup that found nothing).
+func (f *Frozen) count(e int) int {
 	if e < 0 {
 		return 0
 	}
@@ -302,13 +344,13 @@ func (f *Frozen) PostingLen(key string) int {
 // definition Σ |I_s| over the radius-e ball of qᵢ.
 //
 //gph:hotpath
-func (f *Frozen) PostingLenBytes(key []byte) int {
-	e := f.lookupBytes(key)
-	if e < 0 {
-		return 0
-	}
-	return int(f.counts[e])
-}
+func (f *Frozen) PostingLenBytes(key []byte) int { return f.count(f.lookupBytes(key)) }
+
+// PostingLenWord is PostingLenBytes for the 8-byte little-endian key
+// holding w.
+//
+//gph:hotpath
+func (f *Frozen) PostingLenWord(w uint64) int { return f.count(f.lookupWord(w)) }
 
 // AppendPostingsBytes decodes the posting list for the packed byte
 // key into dst and returns the extended slice (dst unchanged when the
@@ -335,26 +377,173 @@ func (f *Frozen) Postings(key string) []int32 {
 	return f.appendList(e, make([]int32, 0, f.counts[e]))
 }
 
+// uvarint32 reads the LEB128 varint at b[i:] and returns it with the
+// index of the byte after it. Lists are validated before they are
+// decoded (Validate), so the framing is not rechecked here.
+func uvarint32(b []byte, i int) (v uint32, next int) {
+	for shift := uint(0); ; shift += 7 {
+		c := b[i]
+		i++
+		v |= uint32(c&0x7f) << shift
+		if c < 0x80 {
+			return v, i
+		}
+	}
+}
+
 // appendList decodes entry e's delta-varint list into dst.
 func (f *Frozen) appendList(e int, dst []int32) []int32 {
 	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
 	var prev int32
 	for i := 0; i < len(b); {
 		var v uint32
-		var shift uint
-		for {
-			c := b[i]
-			i++
-			v |= uint32(c&0x7f) << shift
-			if c < 0x80 {
-				break
-			}
-			shift += 7
-		}
+		v, i = uvarint32(b, i)
 		prev += int32(v)
 		dst = append(dst, prev)
 	}
 	return dst
+}
+
+// IDSet is a set of posting ids under construction — a query's
+// candidates: Seen holds one bit per id the index can hold, IDs the
+// members in the order they were first decoded. The Collect methods
+// decode posting lists straight into it, no list in between.
+type IDSet struct {
+	Seen []uint64
+	IDs  []int32
+}
+
+// Reset empties the set, leaving Seen all zero: by clearing the words
+// of the members when they are fewer than the words, else all of it.
+// Whoever collected into the set resets it before reordering or
+// dropping IDs — the bits cannot be found again afterwards.
+func (s *IDSet) Reset() {
+	if len(s.IDs) < len(s.Seen) {
+		for _, id := range s.IDs {
+			s.Seen[id/64] = 0
+		}
+	} else {
+		clear(s.Seen)
+	}
+	s.IDs = s.IDs[:0]
+}
+
+// scanBlock is how many keys CollectWithin compares before it decodes
+// the matches among them; the entry numbers fit a stack array.
+const scanBlock = 256
+
+// matchWords notes in hits which of a block's one-word keys (at most
+// scanBlock of them) lie within radius of q, and returns how many do.
+// The count advances by a conditional move, not a branch. Kept out of
+// line: inlined into CollectWithin the loop's four live values spill
+// to the stack and a key costs half as much again.
+//
+//go:noinline
+func matchWords(block []byte, q uint64, radius int, hits *[scanBlock]int32) int {
+	k := uint(0)
+	for e := int32(0); len(block) >= 8; e++ {
+		hits[k%scanBlock] = e
+		if bits.OnesCount64(binary.LittleEndian.Uint64(block)^q) <= radius {
+			k++
+		}
+		block = block[8:]
+	}
+	return int(k)
+}
+
+// collect adds entry e's posting list to the set under construction
+// (its bitmap, and its ids as a slice that is returned extended): the
+// list is decoded like appendList decodes it, but only ids the bitmap
+// does not hold yet are kept, and they are marked.
+func (f *Frozen) collect(e int, seen []uint64, ids []int32) []int32 {
+	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
+	var prev int32
+	for i := 0; i < len(b); {
+		var v uint32
+		v, i = uvarint32(b, i)
+		prev += int32(v)
+		if w, bit := prev/64, uint(prev)%64; seen[w]>>bit&1 == 0 {
+			seen[w] |= 1 << bit
+			ids = append(ids, prev)
+		}
+	}
+	return ids
+}
+
+// collectKey is collect for a lookup's result: it returns the length
+// of the list, 0 for e = −1.
+func (f *Frozen) collectKey(e int, set *IDSet) int {
+	if e >= 0 {
+		set.IDs = f.collect(e, set.Seen, set.IDs)
+	}
+	return f.count(e)
+}
+
+// CollectBytes adds the posting list of the packed byte key to set and
+// returns its length (0 when the key is absent).
+//
+//gph:hotpath
+func (f *Frozen) CollectBytes(key []byte, set *IDSet) int {
+	return f.collectKey(f.lookupBytes(key), set)
+}
+
+// CollectWord is CollectBytes for the 8-byte little-endian key holding
+// w.
+//
+//gph:hotpath
+func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
+	return f.collectKey(f.lookupWord(w), set)
+}
+
+// CollectWithin adds to set the posting list of every key within
+// Hamming distance radius of q — the key read as len(q) little-endian
+// words; keys of any other length match nothing — and returns the
+// summed length of those lists. It is the union CollectBytes builds
+// over the radius-ball of q, computed from the other side: one pass
+// over the key arena, whatever the ball holds, entries taken in arena
+// order so posting bytes are read front to back. Key bits the ball
+// would never produce (beyond the partition width) count towards the
+// distance like any other.
+//
+// The arena is read through encoding/binary, not cast to words: a
+// borrowed file mapping need not be 8-aligned.
+//
+//gph:hotpath
+func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
+	seen, ids := set.Seen, set.IDs
+	var sum int64
+	if f.keyLen == 8 && len(q) == 1 {
+		// Every default build: one word a key, one popcount an entry. Keys
+		// are taken a block at a time: the matching entries of a block are
+		// noted without a branch — which keys match is the one thing about
+		// this loop no predictor can learn — and decoded after it.
+		var hits [scanBlock]int32
+		for base := 0; base < len(f.counts); base += scanBlock {
+			block := f.keyArena[8*base : 8*min(base+scanBlock, len(f.counts))]
+			for _, e := range hits[:matchWords(block, q[0], radius, &hits)] {
+				e += int32(base)
+				ids = f.collect(int(e), seen, ids)
+				sum += int64(f.counts[e])
+			}
+		}
+	} else {
+		for e := range f.counts {
+			key := f.key(e)
+			if len(key) != 8*len(q) {
+				continue
+			}
+			d := 0
+			for j, w := range q {
+				d += bits.OnesCount64(binary.LittleEndian.Uint64(key[8*j:]) ^ w)
+			}
+			if d <= radius {
+				ids = f.collect(e, seen, ids)
+				sum += int64(f.counts[e])
+			}
+		}
+	}
+	set.IDs = ids
+	return sum
 }
 
 // forEachPosting decodes entry e calling fn per id, materializing
@@ -364,16 +553,7 @@ func (f *Frozen) forEachPosting(e int, fn func(id int32)) {
 	var prev int32
 	for i := 0; i < len(b); {
 		var v uint32
-		var shift uint
-		for {
-			c := b[i]
-			i++
-			v |= uint32(c&0x7f) << shift
-			if c < 0x80 {
-				break
-			}
-			shift += 7
-		}
+		v, i = uvarint32(b, i)
 		prev += int32(v)
 		fn(prev)
 	}

@@ -2,6 +2,7 @@ package invindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -28,9 +29,14 @@ func fuzzCorpusIndex(seed int64, n, w int, variants bool) []byte {
 			ix.Add(v.Key(), int32(i))
 		}
 	}
+	return frozenBytes(ix.Freeze())
+}
+
+// frozenBytes serializes f exactly as the persistence path writes it.
+func frozenBytes(f *Frozen) []byte {
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
-	ix.Freeze().WriteTo(bw)
+	f.WriteTo(bw)
 	if err := bw.Flush(); err != nil {
 		panic(err)
 	}
@@ -56,6 +62,15 @@ func FuzzReadFrozen(f *testing.F) {
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped, int32(20))
+
+	// Keys with bits beyond the 8 dimensions they stand for: a probe
+	// never asks for them, the key scan meets them and must count their
+	// bits like any others.
+	stray := New()
+	for id, key := range []string{"\x05\x00\x00\x00\x00\x00\x00\x00", "\x05\x00\x00\x00\x00\x00\x00\x80", "\x07\xff\xff\xff\xff\xff\xff\xff"} {
+		stray.Add(key, int32(id))
+	}
+	f.Add(frozenBytes(stray.Freeze()), int32(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
 		fr, err := ReadFrozen(binio.NewReader(bytes.NewReader(data)), maxID, true)
@@ -88,6 +103,7 @@ func FuzzReadFrozen(f *testing.F) {
 		if total != fr.TotalPostings() {
 			t.Fatalf("lists hold %d postings, TotalPostings says %d", total, fr.TotalPostings())
 		}
+		checkKeyScan(t, fr)
 		// An accepted index must survive its own canonical
 		// serialization, and that form must be a fixed point.
 		var first bytes.Buffer
@@ -110,4 +126,54 @@ func FuzzReadFrozen(f *testing.F) {
 			t.Fatal("re-serialization is not a fixed point")
 		}
 	})
+}
+
+// checkKeyScan holds the key-scan kernel to Range on an accepted index
+// whose keys are all the same whole number of words: at radius 0, 1 and
+// the whole space around the first key, CollectWithin gathers exactly
+// the ids of the keys Range shows within that distance, and counts
+// their postings.
+func checkKeyScan(t *testing.T, fr *Frozen) {
+	minLen, maxLen := fr.KeyLenRange()
+	if minLen != maxLen || minLen == 0 || minLen%8 != 0 {
+		return
+	}
+	q := make([]uint64, minLen/8)
+	maxSeen := int32(-1)
+	fr.Range(func(key []byte, ids []int32) bool {
+		if maxSeen < 0 {
+			for j := range q {
+				q[j] = binary.LittleEndian.Uint64(key[8*j:])
+			}
+		}
+		for _, id := range ids {
+			maxSeen = max(maxSeen, id)
+		}
+		return true
+	})
+	for _, radius := range []int{0, 1, 8 * minLen} {
+		want := map[int32]bool{}
+		var wantSum int64
+		fr.Range(func(key []byte, ids []int32) bool {
+			if keyDistance(key, q) <= radius {
+				wantSum += int64(len(ids))
+				for _, id := range ids {
+					want[id] = true
+				}
+			}
+			return true
+		})
+		set := IDSet{Seen: make([]uint64, maxSeen/64+1)}
+		if sum := fr.CollectWithin(q, radius, &set); sum != wantSum {
+			t.Fatalf("radius %d: scan decoded %d postings, Range shows %d", radius, sum, wantSum)
+		}
+		if len(set.IDs) != len(want) {
+			t.Fatalf("radius %d: scan gathered %d ids, Range shows %d", radius, len(set.IDs), len(want))
+		}
+		for _, id := range set.IDs {
+			if !want[id] {
+				t.Fatalf("radius %d: scan gathered id %d, which no key within the radius posts", radius, id)
+			}
+		}
+	}
 }
