@@ -47,7 +47,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gph-datagen: %v\n", err)
 		os.Exit(1)
 	}
-	defer f.Close()
+	// A failed final write-back surfaces at Close: check it before
+	// reporting success.
+	closeOut := func() {
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "gph-datagen: writing %s: %v\n", *out, err)
+			os.Exit(1)
+		}
+	}
 
 	if *stream {
 		var s *datagen.Stream
@@ -69,6 +76,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gph-datagen: writing %s: %v\n", *out, err)
 			os.Exit(1)
 		}
+		closeOut()
 		fmt.Printf("wrote %s: %d vectors × %d dims (streamed)\n", *out, s.Len(), s.Dims)
 		return
 	}
@@ -87,6 +95,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gph-datagen: writing %s: %v\n", *out, err)
 		os.Exit(1)
 	}
+	closeOut()
 	fmt.Printf("wrote %s: %d vectors × %d dims (mean skewness %.3f)\n",
 		*out, ds.Len(), ds.Dims, ds.MeanSkewness())
 }

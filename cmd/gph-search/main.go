@@ -58,7 +58,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gph-search: saving index: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "gph-search: saving index: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Printf("saved %s index (%d vectors, %.2f MB) to %s\n",
 			index.Name(), index.Len(), float64(index.SizeBytes())/(1<<20), *savePath)
 	}

@@ -17,12 +17,12 @@ import (
 )
 
 // Fig6Report is the machine-readable artifact of the fig6 experiment
-// (Config.JSONPath): exact per-algorithm index sizes plus the frozen
-// substrate's before/after accounting.
+// (Config.JSONPath): exact per-algorithm index sizes plus what the GPH
+// index of each dataset costs to persist and load.
 type Fig6Report struct {
-	Scale     float64              `json:"scale"`
-	Points    []Fig6Point          `json:"points"`
-	Substrate []Fig6SubstratePoint `json:"substrate"`
+	Scale   float64            `json:"scale"`
+	Points  []Fig6Point        `json:"points"`
+	Persist []Fig6PersistPoint `json:"persist"`
 }
 
 // Fig6Point is one (dataset, τ, algorithm) index size.
@@ -33,36 +33,25 @@ type Fig6Point struct {
 	SizeBytes int64  `json:"size_bytes"`
 }
 
-// Fig6SubstratePoint compares the frozen posting arenas against the
-// superseded map-resident form on one dataset, including load times of
-// both container formats.
-type Fig6SubstratePoint struct {
-	Dataset             string `json:"dataset"`
-	PostingsFrozenBytes int64  `json:"postings_frozen_bytes"`
-	PostingsMapBytes    int64  `json:"postings_map_bytes"`
-	FileBytes           int64  `json:"file_bytes"`
-	LoadArenaNanos      int64  `json:"load_arena_nanos"`
-	LoadMapNanos        int64  `json:"load_map_nanos"`
+// Fig6PersistPoint is one dataset's GPH index at rest: the saved file
+// and the time to load it back into the heap.
+type Fig6PersistPoint struct {
+	Dataset   string `json:"dataset"`
+	FileBytes int64  `json:"file_bytes"`
+	LoadNanos int64  `json:"load_nanos"`
 }
 
 // Fig6 reproduces Fig. 6: index sizes of all algorithms across the
 // five datasets and τ settings. Every number is exact arena
-// accounting on the frozen substrate — arithmetic over real backing
+// accounting on the frozen indexes — arithmetic over real backing
 // arrays, not a per-key guess at Go map overhead. The paper's shape:
-// GPH ≳ MIH (the estimator state is the difference) and both well
-// below HmSearch / PartAlloc (deletion variants) with LSH varying by
-// τ. A second table reports the substrate before/after per dataset:
-// frozen posting bytes vs the superseded map-resident estimate, and
-// GPHIX03 arena load time vs the GPHIX02 map-rebuild load at equal n.
+// GPH ≳ MIH (learned estimators are the difference; the default exact
+// one reads the frozen index and adds nothing) and both well below
+// HmSearch / PartAlloc (deletion variants) with LSH varying by τ. A
+// second table reports each dataset's GPH index at rest: saved file
+// and load time.
 func (r *Runner) Fig6() error {
 	t := newTable(r.cfg.Out, "dataset", "tau", "GPH(MB)", "MIH(MB)", "HmSearch(MB)", "PartAlloc(MB)", "LSH(MB)")
-	type substrateRow struct {
-		name                string
-		frozenMB, mapMB     string
-		v3ms, v2ms, v3size  string
-		shrink, loadSpeedup string
-	}
-	var subRows []substrateRow
 	rep := Fig6Report{Scale: r.cfg.Scale}
 	for _, spec := range specs() {
 		c := r.load(spec.name)
@@ -91,70 +80,40 @@ func (r *Runner) Fig6() error {
 			t.row(cells...)
 		}
 
-		frozen, mapEst := gphIx.PostingsFootprint()
-		v3Bytes, v3Nanos, v2Nanos, err := measureLoads(gphIx)
+		fileBytes, loadNanos, err := measureLoad(gphIx)
 		if err != nil {
 			return err
 		}
-		rep.Substrate = append(rep.Substrate, Fig6SubstratePoint{
-			Dataset: spec.name, PostingsFrozenBytes: frozen, PostingsMapBytes: mapEst,
-			FileBytes: v3Bytes, LoadArenaNanos: v3Nanos, LoadMapNanos: v2Nanos,
-		})
-		subRows = append(subRows, substrateRow{
-			name:        spec.name,
-			frozenMB:    mb(frozen),
-			mapMB:       mb(mapEst),
-			shrink:      fmt.Sprintf("%.2fx", float64(mapEst)/float64(frozen)),
-			v3size:      mb(v3Bytes),
-			v3ms:        ms(v3Nanos),
-			v2ms:        ms(v2Nanos),
-			loadSpeedup: fmt.Sprintf("%.1fx", float64(v2Nanos)/float64(v3Nanos)),
-		})
+		rep.Persist = append(rep.Persist, Fig6PersistPoint{Dataset: spec.name, FileBytes: fileBytes, LoadNanos: loadNanos})
 	}
 	t.flush()
 
-	fmt.Fprintln(r.cfg.Out, "[substrate: frozen arenas vs superseded map form]")
-	st := newTable(r.cfg.Out, "dataset", "postings-frozen(MB)", "postings-map(MB)", "shrink",
-		"file(MB)", "load-GPHIX03(ms)", "load-GPHIX02(ms)", "load-speedup")
-	for _, row := range subRows {
-		st.row(row.name, row.frozenMB, row.mapMB, row.shrink, row.v3size, row.v3ms, row.v2ms, row.loadSpeedup)
+	fmt.Fprintln(r.cfg.Out, "[GPH index at rest]")
+	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)")
+	for _, p := range rep.Persist {
+		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos))
 	}
-	st.flush()
+	pt.flush()
 	return r.writeJSON(rep)
 }
 
-// measureLoads serializes ix in both container formats and times a
-// load of each: the GPHIX03 arena path against the GPHIX02 map
-// rebuild over the same index. It returns the GPHIX03 file size and
-// the best-of-three load time for each format.
-func measureLoads(ix *core.Index) (v3Bytes int64, v3Nanos, v2Nanos int64, err error) {
-	var v3, v2 bytes.Buffer
-	if err := ix.Save(&v3); err != nil {
-		return 0, 0, 0, err
+// measureLoad saves ix and times loading it back into the heap: the
+// file size and the best of three loads.
+func measureLoad(ix *core.Index) (fileBytes, loadNanos int64, err error) {
+	var file bytes.Buffer
+	if err := ix.Save(&file); err != nil {
+		return 0, 0, err
 	}
-	if err := ix.SaveLegacy(&v2); err != nil {
-		return 0, 0, 0, err
-	}
-	timeLoad := func(raw []byte) (int64, error) {
-		best := int64(0)
-		for trial := 0; trial < 3; trial++ {
-			start := time.Now()
-			if _, err := core.Load(bytes.NewReader(raw)); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start).Nanoseconds(); trial == 0 || d < best {
-				best = d
-			}
+	for trial := 0; trial < 3; trial++ {
+		start := time.Now()
+		if _, err := core.Load(bytes.NewReader(file.Bytes())); err != nil {
+			return 0, 0, err
 		}
-		return best, nil
+		if d := time.Since(start).Nanoseconds(); trial == 0 || d < loadNanos {
+			loadNanos = d
+		}
 	}
-	if v3Nanos, err = timeLoad(v3.Bytes()); err != nil {
-		return 0, 0, 0, err
-	}
-	if v2Nanos, err = timeLoad(v2.Bytes()); err != nil {
-		return 0, 0, 0, err
-	}
-	return int64(v3.Len()), v3Nanos, v2Nanos, nil
+	return int64(file.Len()), loadNanos, nil
 }
 
 // Table4 reproduces Table IV: index construction time on the

@@ -139,23 +139,6 @@ func (w *Writer) ByteSlice(b []byte) {
 	w.Bytes(b)
 }
 
-// Uint32s writes a length-prefixed []uint32; the frozen inverted
-// index persists its offset and count arrays with it.
-func (w *Writer) Uint32s(vs []uint32) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.Uint32(v)
-	}
-}
-
-// Uint64s writes a length-prefixed []uint64.
-func (w *Writer) Uint64s(vs []uint64) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.Uint64(v)
-	}
-}
-
 // Int32s writes a length-prefixed []int32.
 func (w *Writer) Int32s(vs []int32) {
 	w.Int(len(vs))
@@ -181,14 +164,6 @@ func (w *Writer) Ints(vs []int) {
 func (w *Writer) Uint32sRaw(vs []uint32) {
 	for _, v := range vs {
 		w.Uint32(v)
-	}
-}
-
-// Int32sRaw writes a []int32 payload with no length prefix; see
-// Uint32sRaw.
-func (w *Writer) Int32sRaw(vs []int32) {
-	for _, v := range vs {
-		w.Uint32(uint32(v))
 	}
 }
 
@@ -300,35 +275,6 @@ func (r *Reader) Magic(tag string) {
 	if string(buf) != tag {
 		r.fail(fmt.Errorf("binio: bad magic %q, want %q", buf, tag))
 	}
-}
-
-// MagicAny consumes one format tag and returns whichever of tags
-// matched (all tags must share a length); no match is an error.
-// Formats that still read superseded versions dispatch on it.
-func (r *Reader) MagicAny(tags ...string) string {
-	if r.err != nil {
-		return ""
-	}
-	var buf []byte
-	if r.src != nil {
-		if buf = r.take(len(tags[0]), "magic"); r.err != nil {
-			return ""
-		}
-	} else {
-		buf = make([]byte, len(tags[0]))
-		if _, err := io.ReadFull(r.r, buf); err != nil {
-			r.fail(fmt.Errorf("binio: reading magic: %w", err))
-			return ""
-		}
-		r.n += int64(len(buf))
-	}
-	for _, tag := range tags {
-		if string(buf) == tag {
-			return tag
-		}
-	}
-	r.fail(fmt.Errorf("binio: bad magic %q, want one of %q", buf, tags))
-	return ""
 }
 
 // Uint64 reads a fixed 8-byte value.
@@ -481,66 +427,9 @@ func aliasableAs(b []byte, align uintptr) bool {
 	return hostLittleEndian && (len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%align == 0)
 }
 
-// Uint32s reads a length-prefixed []uint32. Borrow mode aliases the
+// Int32s reads a length-prefixed []int32. Borrow mode aliases the
 // source bytes in place when host endianness and alignment allow,
 // falling back to an owned copy.
-//
-//gph:borrow
-func (r *Reader) Uint32s() []uint32 {
-	n := r.sliceLen("uint32 slice")
-	if r.err != nil {
-		return nil
-	}
-	if r.src != nil {
-		b := r.take(4*n, "uint32 slice")
-		if r.err != nil {
-			return nil
-		}
-		if n == 0 {
-			return nil
-		}
-		if aliasableAs(b, 4) {
-			return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-		}
-		//gphlint:ignore borrowalias unaligned or big-endian source cannot alias; copy-decode is the documented fallback
-		out := make([]uint32, n)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(b[4*i:])
-		}
-		return out
-	}
-	out := make([]uint32, 0, min(n, allocChunk/4))
-	for i := 0; i < n; i++ {
-		out = append(out, r.Uint32())
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// Uint64s reads a length-prefixed []uint64; the borrow-mode aliasing
-// contract matches Uint32s.
-func (r *Reader) Uint64s() []uint64 {
-	n := r.sliceLen("uint64 slice")
-	if r.err != nil {
-		return nil
-	}
-	if r.src != nil {
-		return r.uint64Body(n, "uint64 slice")
-	}
-	out := make([]uint64, 0, min(n, allocChunk/8))
-	for i := 0; i < n; i++ {
-		out = append(out, r.Uint64())
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// Int32s reads a length-prefixed []int32; the borrow-mode aliasing
-// contract matches Uint32s.
 //
 //gph:borrow
 func (r *Reader) Int32s() []int32 {
@@ -596,7 +485,7 @@ func (r *Reader) Ints() []int {
 }
 
 // Uint64Raw reads n raw (unprefixed) uint64 words — the layout the
-// vector and estimator arenas use, where the count is part of the
+// vector arenas use, where the count is part of the
 // header rather than the section. Unlike the prefixed reads it is not
 // capped at MaxSliceLen: the caller has already validated n against
 // its own header bounds, and a 100M-vector arena legitimately exceeds
@@ -690,52 +579,6 @@ func (r *Reader) Uint32sRaw(n int, what string) []uint32 {
 		out = slices.Grow(out, m)
 		for i := 0; i < m; i++ {
 			out = append(out, binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	}
-	return out
-}
-
-// Int32sRaw reads n raw (unprefixed) int32 values written by
-// Writer.Int32sRaw; the borrow-mode aliasing contract matches
-// Uint32sRaw.
-//
-//gph:borrow
-func (r *Reader) Int32sRaw(n int, what string) []int32 {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > math.MaxInt/4 {
-		r.fail(fmt.Errorf("binio: invalid %s element count %d", what, n))
-		return nil
-	}
-	if r.src != nil {
-		b := r.take(4*n, what)
-		if r.err != nil || n == 0 {
-			return nil
-		}
-		if aliasableAs(b, 4) {
-			return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-		}
-		//gphlint:ignore borrowalias unaligned or big-endian source cannot alias; copy-decode is the documented fallback
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		return out
-	}
-	out := make([]int32, 0, min(n, allocChunk/4))
-	chunk := make([]byte, min(4*n, allocChunk))
-	for len(out) < n {
-		m := min(n-len(out), allocChunk/4)
-		buf := chunk[:4*m]
-		if _, err := io.ReadFull(r.r, buf); err != nil {
-			r.fail(fmt.Errorf("binio: reading %s body: %w", what, err))
-			return nil
-		}
-		r.n += int64(len(buf))
-		out = slices.Grow(out, m)
-		for i := 0; i < m; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
 		}
 	}
 	return out

@@ -16,7 +16,6 @@ func TestRoundTrip(t *testing.T) {
 	w.Uint32(77)
 	w.String("hello, 世界")
 	w.String("")
-	w.Uint64s([]uint64{1, 2, 3})
 	w.Int32s([]int32{-1, 0, 7})
 	w.Ints([]int{-5, 5})
 	if err := w.Flush(); err != nil {
@@ -42,9 +41,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := r.String(); got != "" {
 		t.Fatalf("empty String = %q", got)
-	}
-	if got := r.Uint64s(); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("Uint64s = %v", got)
 	}
 	if got := r.Int32s(); len(got) != 3 || got[0] != -1 {
 		t.Fatalf("Int32s = %v", got)

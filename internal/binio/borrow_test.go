@@ -17,8 +17,6 @@ func encodeAll(t *testing.T) []byte {
 	w.Uint32(77)
 	w.String("hello")
 	w.ByteSlice([]byte{9, 8, 7})
-	w.Uint32s([]uint32{10, 20, 30})
-	w.Uint64s([]uint64{1, 2, 3})
 	w.Int32s([]int32{-1, 0, 7})
 	w.Ints([]int{-5, 5})
 	for _, v := range []uint64{111, 222, 333} { // raw section, count in header
@@ -49,12 +47,6 @@ func decodeAll(t *testing.T, r *Reader) {
 	}
 	if got := r.ByteSlice(); !bytes.Equal(got, []byte{9, 8, 7}) {
 		t.Fatalf("ByteSlice = %v", got)
-	}
-	if got := r.Uint32s(); len(got) != 3 || got[1] != 20 {
-		t.Fatalf("Uint32s = %v", got)
-	}
-	if got := r.Uint64s(); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("Uint64s = %v", got)
 	}
 	if got := r.Int32s(); len(got) != 3 || got[0] != -1 {
 		t.Fatalf("Int32s = %v", got)
@@ -90,13 +82,14 @@ func TestBorrowAliasesSource(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.ByteSlice([]byte{1, 2, 3, 4})
-	w.Uint64s([]uint64{5, 6})
+	w.Uint64(5)
+	w.Uint64(6)
 	w.Flush()
 	wire := buf.Bytes()
 
 	r := NewReader(NewSource(wire))
 	bs := r.ByteSlice()
-	u64s := r.Uint64s()
+	u64s := r.Uint64Raw(2, "words")
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
@@ -107,29 +100,29 @@ func TestBorrowAliasesSource(t *testing.T) {
 	if cap(bs) != len(bs) {
 		t.Fatalf("borrowed slice capacity %d exceeds length %d", cap(bs), len(bs))
 	}
-	// ByteSlice consumed 8+4 bytes, so the []uint64 body starts at
-	// offset 20 — misaligned for 8-byte words — and must have been
-	// copy-decoded rather than aliased.
+	// ByteSlice consumed 8+4 bytes, so the words start at offset 12 —
+	// misaligned for 8-byte words — and must have been copy-decoded
+	// rather than aliased.
 	if u64s[0] != 5 || u64s[1] != 6 {
-		t.Fatalf("Uint64s = %v", u64s)
+		t.Fatalf("Uint64Raw = %v", u64s)
 	}
 
-	// An aligned []uint64 body aliases the wire bytes on a
-	// little-endian host.
+	// Aligned words alias the wire bytes on a little-endian host.
 	buf.Reset()
 	w = NewWriter(&buf)
-	w.Uint64s([]uint64{7, 8})
+	w.Uint64(7)
+	w.Uint64(8)
 	w.Flush()
 	wire = buf.Bytes()
 	r = NewReader(NewSource(wire))
-	u64s = r.Uint64s()
+	u64s = r.Uint64Raw(2, "words")
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if hostLittleEndian && aliasableAs(wire[8:], 8) {
-		wire[8] = 0xff // mutate the wire; an alias must observe it
+	if hostLittleEndian && aliasableAs(wire, 8) {
+		wire[0] = 0xff // mutate the wire; an alias must observe it
 		if u64s[0]&0xff != 0xff {
-			t.Fatal("aligned Uint64s did not alias the source")
+			t.Fatal("aligned Uint64Raw did not alias the source")
 		}
 	}
 }
@@ -137,13 +130,13 @@ func TestBorrowAliasesSource(t *testing.T) {
 func TestBorrowTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Uint64s([]uint64{1, 2, 3})
+	w.Int32s([]int32{1, 2, 3})
 	w.Flush()
 	wire := buf.Bytes()
 
 	for cut := 0; cut < len(wire); cut++ {
 		r := NewReader(NewSource(wire[:cut]))
-		r.Uint64s()
+		r.Int32s()
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}

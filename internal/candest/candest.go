@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"gph/internal/bitvec"
 )
@@ -39,29 +38,20 @@ type Estimator interface {
 // the exact method is cheapest precisely where the paper's method
 // pays off.
 //
-// The distinct projections live in one flat word arena (a fixed-width
-// stripe per projection, in sorted key order) — the form persistence
-// writes and a borrow-mode load aliases straight off a file mapping.
-// The arena is only ever read, and nothing is carved out of it, so
-// queries need no synchronization with Validate.
+// It is the build-side form: partition refinement, the sub-partition
+// and learned estimators and the experiments construct one over a
+// sample or a sub-partition. A built index holds no Exact — its exact
+// estimates read the (key, posting count) pairs its frozen inverted
+// index already stores (invindex.Frozen.Histogram).
 type Exact struct {
 	dims   []int
-	arena  []uint64 // len(counts) stripes of (len(dims)+63)/64 words
+	arena  []uint64 // len(counts) stripes of (len(dims)+63)/64 words, in sorted key order
 	counts []int32
-	total  int64
-
-	// Deferred construction (ExactFromState with deferValidation): the
-	// content checks wait for Validate, so loading an estimator off a
-	// file mapping touches no arena page at open.
-	deferred bool
-	valOnce  sync.Once
-	valErr   error
 }
 
 // NewExact builds the estimator from the data collection. The
 // distinct projections are stored in sorted key order, so two builds
-// over the same data produce identical estimators — persistence
-// (which serializes this state verbatim) stays byte-reproducible.
+// over the same data produce identical estimators.
 func NewExact(data []bitvec.Vector, dims []int) *Exact {
 	byKey := make(map[string]int32, len(data)/4+1)
 	scratch := bitvec.New(len(dims))
@@ -79,7 +69,6 @@ func NewExact(data []bitvec.Vector, dims []int) *Exact {
 		dims:   dims,
 		arena:  make([]uint64, 0, len(keys)*projWords),
 		counts: make([]int32, 0, len(keys)),
-		total:  int64(len(data)),
 	}
 	for _, k := range keys {
 		if len(k) != 8*projWords {
@@ -97,86 +86,8 @@ func NewExact(data []bitvec.Vector, dims []int) *Exact {
 	return e
 }
 
-// ExactFromState rebuilds an Exact estimator from persisted state: the
-// distinct projections of the data onto dims as one word arena (one
-// fixed-width stripe per projection), their multiplicities, and the
-// collection size. It is the load-side counterpart of State —
-// reconstructing from state skips the projection pass and the dedup
-// map entirely, and the estimator adopts both slices without copying.
-//
-// Slice-length arithmetic is always checked here. The content checks
-// (positive counts summing to total, no projection bits beyond the
-// partition width) read every element; deferValidation postpones them
-// to Validate, so a borrow-mode load over a file mapping faults none
-// of the estimator's pages at open.
-func ExactFromState(dims []int, arena []uint64, counts []int32, total int64, deferValidation bool) (*Exact, error) {
-	projWords := (len(dims) + 63) / 64
-	if len(arena) != len(counts)*projWords {
-		return nil, fmt.Errorf("candest: arena has %d words for %d projections of %d words", len(arena), len(counts), projWords)
-	}
-	e := &Exact{dims: dims, arena: arena, counts: counts, total: total, deferred: deferValidation}
-	if !deferValidation {
-		if err := e.validateState(); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-// Validate runs the content checks a deferred ExactFromState skipped.
-// The result is sticky. Eagerly built estimators were validated at
-// construction and return nil immediately.
-func (e *Exact) Validate() error {
-	if !e.deferred {
-		return nil
-	}
-	e.valOnce.Do(func() {
-		e.valErr = e.validateState()
-	})
-	return e.valErr
-}
-
-func (e *Exact) validateState() error {
-	var sum int64
-	for i, c := range e.counts {
-		if c <= 0 {
-			return fmt.Errorf("candest: non-positive count %d at %d", c, i)
-		}
-		sum += int64(c)
-	}
-	if sum != e.total {
-		return fmt.Errorf("candest: counts sum to %d, total says %d", sum, e.total)
-	}
-	w := len(e.dims)
-	if tail := w % 64; tail != 0 {
-		projWords := (w + 63) / 64
-		for i := projWords - 1; i < len(e.arena); i += projWords {
-			if e.arena[i]>>uint(tail) != 0 {
-				return fmt.Errorf("candest: projection %d has bits set beyond dimension %d", i/projWords, w)
-			}
-		}
-	}
-	return nil
-}
-
-// State exposes the estimator's persistable form: the word arena of
-// distinct projections (in the deterministic sorted order NewExact
-// produces) and their multiplicities. Both slices are owned by the
-// estimator and must not be modified.
-func (e *Exact) State() (arena []uint64, counts []int32) {
-	return e.arena, e.counts
-}
-
 // Dims implements Estimator.
 func (e *Exact) Dims() []int { return e.dims }
-
-// DistinctCount returns the number of distinct projections: the cost
-// of one histogram scan, which the query path weighs against probing
-// a Hamming ball's posting lengths instead.
-func (e *Exact) DistinctCount() int { return len(e.counts) }
-
-// Total returns the number of data vectors the estimator was built on.
-func (e *Exact) Total() int64 { return e.total }
 
 // CNAll implements Estimator. The returned slice is freshly allocated.
 func (e *Exact) CNAll(q bitvec.Vector, maxTau int) []int64 {
@@ -188,24 +99,15 @@ func (e *Exact) CNAll(q bitvec.Vector, maxTau int) []int64 {
 // CNAllInto fills a caller-provided row: out must have length
 // maxTau+2 and is overwritten.
 func (e *Exact) CNAllInto(q bitvec.Vector, out []int64) {
-	var s Scratch
-	e.CNAllIntoScratch(q, out, &s)
+	Cumulate(e.Histogram(q), out)
 }
 
-// Scratch holds the projection and histogram buffers one CNAll
-// evaluation needs; reusing it across calls (and across estimators —
-// buffers resize to each partition's width) makes estimation
-// allocation-free. A Scratch is not safe for concurrent use.
-type Scratch struct {
-	proj bitvec.Vector
-	hist []int64
-}
-
-// CNAllIntoScratch is CNAllInto with caller-provided working memory,
-// the form query hot paths use.
-func (e *Exact) CNAllIntoScratch(q bitvec.Vector, out []int64, s *Scratch) {
-	hist := e.histogram(q, s)
-	out[0] = 0 // e = −1: negative thresholds generate no candidates
+// Cumulate turns a distance histogram (hist[d] = data vectors whose
+// projection lies at distance d) into a CN row: out[e+1] = CN(q, e),
+// the histogram's prefix sum, constant past its end; out[0], the
+// e = −1 entry, is 0 — negative thresholds generate no candidates.
+func Cumulate(hist, out []int64) {
+	out[0] = 0
 	var cum int64
 	for ei := 1; ei < len(out); ei++ {
 		if d := ei - 1; d < len(hist) {
@@ -216,32 +118,16 @@ func (e *Exact) CNAllIntoScratch(q bitvec.Vector, out []int64, s *Scratch) {
 }
 
 // Histogram returns the exact distance histogram of the data
-// projections relative to q (index = distance, length width+1).
-// Sub-partitioning and tests build on it.
+// projections relative to q (index = distance, length width+1): the
+// multiplicity-weighted count of distinct projections at each distance
+// from q's. The loop is branch-free for the reason
+// invindex.Frozen.Histogram gives.
 func (e *Exact) Histogram(q bitvec.Vector) []int64 {
-	var s Scratch
-	return e.histogram(q, &s)[:len(e.dims)+1]
-}
-
-// histogram is the one scan kernel every exact estimate shares: the
-// multiplicity-weighted histogram of distances between q's projection
-// and each distinct projection, into s.hist. The loop is branch-free
-// on purpose — skipping distances beyond a threshold costs a data-
-// dependent branch that mispredicts on every other element once the
-// threshold nears width/2, several times the price of the add it
-// saves. The histogram spans every popcount the stripe words can
-// produce (not just width+1), so arena bits a not-yet-run Validate
-// would reject still index in bounds.
-func (e *Exact) histogram(q bitvec.Vector, s *Scratch) []int64 {
 	w := len(e.dims)
 	projWords := (w + 63) / 64
-	s.proj = s.proj.Resized(w)
-	q.ProjectInto(e.dims, s.proj)
-	if cap(s.hist) < 64*projWords+1 {
-		s.hist = make([]int64, 64*projWords+1)
-	}
-	hist := s.hist[:64*projWords+1]
-	clear(hist)
+	proj := bitvec.New(w)
+	q.ProjectInto(e.dims, proj)
+	hist := make([]int64, w+1)
 	counts := e.counts
 	switch projWords {
 	case 0:
@@ -250,15 +136,13 @@ func (e *Exact) histogram(q bitvec.Vector, s *Scratch) []int64 {
 			hist[0] += int64(c)
 		}
 	case 1:
-		// Every default build lands here (partition width = dims/m ≈
-		// 24): one word per projection, one popcount per element.
-		p := s.proj.Words()[0]
+		p := proj.Words()[0]
 		arena := e.arena[:len(counts)]
 		for j, x := range arena {
 			hist[bits.OnesCount64(x^p)] += int64(counts[j])
 		}
 	default:
-		p := s.proj.Words()
+		p := proj.Words()
 		for j, c := range counts {
 			stripe := e.arena[j*projWords : (j+1)*projWords]
 			d := 0

@@ -77,9 +77,6 @@ func TestExactSaturates(t *testing.T) {
 	if got[len(got)-1] != int64(len(data)) {
 		t.Fatalf("CN at e=width.. should be N, got %d", got[len(got)-1])
 	}
-	if ex.Total() != int64(len(data)) {
-		t.Fatalf("Total = %d", ex.Total())
-	}
 }
 
 func TestExactEmptyPartition(t *testing.T) {
@@ -334,63 +331,6 @@ func TestExactKernelMatchesBitvec(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestExactStateRoundTrip: the persistable state rebuilds an equal
-// estimator, eagerly and with validation deferred, and hostile state —
-// bits beyond the partition width, counts that do not add up — is
-// rejected by whichever of the two runs the content checks, while
-// estimates over the not-yet-validated state stay in bounds.
-func TestExactStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, w := range []int{1, 24, 63, 64, 65, 130} {
-		data := randData(rng, 200, w+3, 0.4)
-		dims := rng.Perm(w + 3)[:w]
-		ex := NewExact(data, dims)
-		arena, counts := ex.State()
-		for _, deferred := range []bool{false, true} {
-			re, err := ExactFromState(dims, arena, counts, ex.Total(), deferred)
-			if err != nil {
-				t.Fatalf("w=%d deferred=%v: %v", w, deferred, err)
-			}
-			if err := re.Validate(); err != nil {
-				t.Fatalf("w=%d deferred=%v: %v", w, deferred, err)
-			}
-			if re.SizeBytes() != ex.SizeBytes() || re.DistinctCount() != ex.DistinctCount() {
-				t.Fatalf("w=%d: rebuilt estimator accounts differently", w)
-			}
-			got, want := re.CNAll(data[3], w), ex.CNAll(data[3], w)
-			for e := range want {
-				if got[e] != want[e] {
-					t.Fatalf("w=%d: rebuilt CN(%d) = %d, want %d", w, e-1, got[e], want[e])
-				}
-			}
-		}
-		if _, err := ExactFromState(dims, arena[1:], counts, ex.Total(), true); err == nil {
-			t.Fatalf("w=%d: short arena accepted", w)
-		}
-		badCounts := append([]int32(nil), counts...)
-		badCounts[0]++
-		if _, err := ExactFromState(dims, arena, badCounts, ex.Total(), false); err == nil {
-			t.Fatalf("w=%d: counts not summing to total accepted", w)
-		}
-		if w%64 == 0 {
-			continue // no tail bits to corrupt
-		}
-		hostile := append([]uint64(nil), arena...)
-		hostile[len(hostile)-1] |= 1 << 63
-		if _, err := ExactFromState(dims, hostile, counts, ex.Total(), false); err == nil {
-			t.Fatalf("w=%d: tail bits accepted by the eager constructor", w)
-		}
-		re, err := ExactFromState(dims, hostile, counts, ex.Total(), true)
-		if err != nil {
-			t.Fatalf("w=%d: deferred constructor read the arena: %v", w, err)
-		}
-		_ = re.CNAll(data[3], w) // must not index out of bounds
-		if err := re.Validate(); err == nil {
-			t.Fatalf("w=%d: tail bits accepted by Validate", w)
 		}
 	}
 }

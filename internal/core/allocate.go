@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
+
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
 	"gph/internal/candest"
 	"gph/internal/hamming"
+	"gph/internal/invindex"
 )
 
 // scanElemsPerProbe prices one slot-table probe (step to the next
@@ -98,7 +101,7 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Resu
 		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}
 	}
 	for i := 0; i < m; i++ {
-		if ix.exactEstimator(i) == nil {
+		if !ix.exactRows() {
 			if s.known[i] < tau {
 				ix.extendRow(i, tau, tau, s)
 			}
@@ -126,13 +129,46 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Resu
 	}
 }
 
-// exactEstimator returns partition i's estimator when it is the exact
-// one — the only kind whose rows extend radius by radius, because its
-// CN(qᵢ, e) is by construction the posting lengths summed over the
-// radius-e ball — and nil otherwise.
-func (ix *Index) exactEstimator(i int) *candest.Exact {
-	exact, _ := ix.ests[i].(*candest.Exact)
-	return exact
+// exactRows reports whether the index estimates with the exact
+// estimator — the only kind whose rows extend radius by radius, because
+// its CN(qᵢ, e) is by construction the posting lengths summed over the
+// radius-e ball, read from the partition's own frozen index.
+func (ix *Index) exactRows() bool { return ix.opts.Estimator == EstimatorExact }
+
+// frozenExact is the exact estimator of a built index as a
+// candest.Estimator, for the eager callers (EstimateTable, SizeBytes):
+// CN(qᵢ, ·) from one histogram pass over the partition's frozen keys
+// and posting counts, the pass extendRow makes with pooled buffers. It
+// holds no per-key state of its own.
+type frozenExact struct {
+	inv  *invindex.Frozen
+	dims []int
+}
+
+func (e frozenExact) Dims() []int { return e.dims }
+
+// SizeBytes charges the two fields: the keys and counts are the frozen
+// index's, and the dimension list is the partitioning's.
+func (e frozenExact) SizeBytes() int64 { return 8 + 24 }
+
+func (e frozenExact) CNAll(q bitvec.Vector, maxTau int) []int64 {
+	out := make([]int64, maxTau+2)
+	scanRow(e.inv, q.Project(e.dims).Words(), nil, out)
+	return out
+}
+
+// scanRow fills out with the CN row of the projection proj — out[e+1] =
+// CN(proj, e) — from one histogram pass over inv's keys and posting
+// counts. hist is working memory, returned for reuse: a bin for every
+// distance the projection's words can produce, which is what
+// Frozen.Histogram asks for.
+func scanRow(inv *invindex.Frozen, proj []uint64, hist, out []int64) []int64 {
+	bins := 64*len(proj) + 1
+	hist = slices.Grow(hist[:0], bins)[:bins]
+	clear(hist)
+	inv.Histogram(proj, hist)
+	candest.Cumulate(hist, out)
+	return hist
 }
 
 // cnExact reports whether s.table[i] holds CN(qᵢ, e) itself rather
@@ -141,7 +177,7 @@ func (ix *Index) exactEstimator(i int) *candest.Exact {
 // width is knowing all of it.
 func (ix *Index) cnExact(i, e int, s *searchScratch) bool {
 	k := s.known[i]
-	return e <= k || (k >= len(ix.parts.Parts[i]) && ix.exactEstimator(i) != nil)
+	return e <= k || (k >= len(ix.parts.Parts[i]) && ix.exactRows())
 }
 
 // fitRow sizes row i for thresholds up to tau: exact entries are kept
@@ -165,25 +201,23 @@ func (s *searchScratch) fitRow(i, tau int) {
 // extendRow makes row i exact through radius e (≤ tau, the radius the
 // row is currently fitted to), by whichever is cheaper: summing
 // posting lengths over the radius-e ball of the query's projection, or
-// one histogram scan of the partition's distinct projections, which
-// yields every radius at once — probeBeatsScan decides. Estimators
-// other than the exact one have only the whole-row form.
+// one histogram scan of the partition's frozen keys and posting counts,
+// which yields every radius at once — probeBeatsScan decides.
+// Estimators other than the exact one have only the whole-row form.
 func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
-	exact := ix.exactEstimator(i)
-	if exact == nil {
+	if !ix.exactRows() {
 		s.table[i] = ix.ests[i].CNAll(s.q, tau)
 		s.known[i] = tau
 		s.scans++
 		return
 	}
-	w := s.widths[i]
-	if ball, ok := s.dp.BallSize(w, e); ok && probeBeatsScan(ball, exact.DistinctCount()) {
+	w, inv := s.widths[i], ix.inv[i]
+	if ball, ok := s.dp.BallSize(w, e); ok && probeBeatsScan(ball, inv.NumKeys()) {
 		if cap(s.shell) < e+1 {
 			s.shell = make([]int64, e+1, 2*(e+1))
 		}
 		s.shell = s.shell[:e+1]
 		clear(s.shell)
-		inv := ix.inv[i]
 		if w > 0 && w <= 64 {
 			b := hamming.NewWordBall(s.projs[i].Words()[0], w, e)
 			for ok := true; ok; ok = b.Next() {
@@ -214,7 +248,7 @@ func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 	if cap(row) < n {
 		row = make([]int64, n)
 	}
-	exact.CNAllIntoScratch(s.q, row[:n], &s.est)
+	s.hist = scanRow(inv, s.projs[i].Words(), s.hist, row[:n])
 	s.table[i] = row[:tau+2]
 	s.known[i] = n - 2
 	s.scans++

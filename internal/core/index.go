@@ -129,11 +129,13 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 
 	// Offline phase 3: candidate-number estimators, on the same pool.
 	// Learned estimators are seeded per partition (opts.Seed ^ i), so
-	// training is reproducible under any schedule.
+	// training is reproducible under any schedule. The default exact
+	// estimator is a view of the partition's frozen index and costs
+	// nothing to build.
 	start = time.Now()
 	ix.ests = make([]candest.Estimator, parts.NumParts())
 	err = ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
-		est, err := buildEstimator(data, parts.Parts[i], opts, int64(i))
+		est, err := buildEstimator(data, ix.inv[i], parts.Parts[i], opts, int64(i))
 		if err != nil {
 			return err
 		}
@@ -247,10 +249,10 @@ func buildPartitioning(sample []bitvec.Vector, dims, totalRows int, opts Options
 	return p, nil
 }
 
-func buildEstimator(data []bitvec.Vector, dims []int, opts Options, salt int64) (candest.Estimator, error) {
+func buildEstimator(data []bitvec.Vector, inv *invindex.Frozen, dims []int, opts Options, salt int64) (candest.Estimator, error) {
 	switch opts.Estimator {
 	case EstimatorExact:
-		return candest.NewExact(data, dims), nil
+		return frozenExact{inv: inv, dims: dims}, nil
 	case EstimatorSubPartition:
 		return candest.NewSubPartition(data, dims, opts.SubPartitions), nil
 	case EstimatorKRR, EstimatorForest, EstimatorMLP:
@@ -319,21 +321,9 @@ func (ix *Index) EstimateTable(q bitvec.Vector, tau int) alloc.Table {
 	return table
 }
 
-// PostingsFootprint returns the exact resident size of the frozen
-// posting arenas alongside what the same postings were accounted at
-// in their build-time map form (key bytes + 4 bytes per posting +
-// 48 bytes assumed runtime overhead per key). Fig. 6's before/after
-// substrate comparison reports both.
-func (ix *Index) PostingsFootprint() (frozenBytes, mapEstimateBytes int64) {
-	for _, inv := range ix.inv {
-		frozenBytes += inv.SizeBytes()
-		mapEstimateBytes += inv.EstimatedMapBytes()
-	}
-	return frozenBytes, mapEstimateBytes
-}
-
 // SizeBytes reports the index's resident size: the frozen posting
-// arenas (exact, byte-for-byte accounting) plus estimator state.
+// arenas (exact, byte-for-byte accounting) plus estimator state — none
+// to speak of for the exact estimator, which reads those arenas.
 // (Learned estimators make GPH's index larger than MIH's, which
 // Fig. 6 shows.)
 func (ix *Index) SizeBytes() int64 {

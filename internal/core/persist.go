@@ -13,52 +13,36 @@ import (
 )
 
 // indexMagic identifies the index container format; bump the digit on
-// incompatible changes. GPHIX04 reframed the bulk sections for
-// borrow-mode opening: every array length lives in its section's
-// scalar header (posting offsets and counts derived from the key
-// count, arena byte lengths recorded), payloads follow raw with
-// 8-byte alignment padding before the word-sized ones. A borrow-mode
-// load over a page-aligned mapping aliases every payload in place
-// from lengths alone — the open touches one header page per section
-// instead of one per interleaved length prefix, the difference
-// between an O(headers) open and one that faults in a scattered page
-// per array. GPHIX03 replaced the
-// per-key posting records of GPHIX02 with the frozen arena layout
-// written verbatim (load is O(bytes) slicing instead of millions of
-// map inserts) and added persisted Exact-estimator state so
-// default-configuration loads rebuild nothing. GPHIX02 added Init and
-// Allocator to the persisted options — GPHIX01 dropped them, so a
-// round-tripped index built with AllocRR silently answered queries
-// with the DP allocator.
-const indexMagic = "GPHIX04\n"
-
-// prevIndexMagic is the superseded GPHIX03 tag: identical sections,
-// no alignment padding. Old files load forever.
-const prevIndexMagic = "GPHIX03\n"
-
-// legacyIndexMagic is the superseded GPHIX02 tag. Load accepts all
-// three magics, and the engine registry routes the old magics here
-// too.
-const legacyIndexMagic = "GPHIX02\n"
+// incompatible changes. The layout is head-then-payload for borrow-mode
+// opening: every array length lives in the head (posting offsets and
+// counts derived from the key count, arena byte lengths recorded),
+// payloads follow raw with 8-byte alignment padding before the
+// word-sized ones, so a load over a page-aligned mapping aliases every
+// payload in place from lengths alone — an O(head) open. Each
+// partition's distinct projections and their multiplicities are held
+// once, as its frozen keys and posting counts, which is also what the
+// exact estimator reads. One generation is read: files with an older
+// tag are rejected by their magic (DESIGN.md §6 has what each bump
+// fixed).
+const indexMagic = "GPHIX05\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
-// options, each partition's frozen posting arenas (written verbatim,
-// in lexicographic key order, so output is byte-reproducible), and —
-// when the index uses the default Exact estimator — each partition's
-// estimator state (distinct projections + multiplicities), which
-// makes Load pure deserialization. Sub-partition estimators are
-// rebuilt on Load from the persisted data (cheap); learned estimators
-// are retrained, which Load documents.
+// options and each partition's frozen posting arenas (written verbatim,
+// in lexicographic key order, so output is byte-reproducible). The
+// default exact estimator reads those arenas and has no state of its
+// own, so such a Load is pure deserialization. Sub-partition estimators
+// are rebuilt on Load from the persisted data (cheap); learned
+// estimators are retrained, which Load documents.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
 	// Head segment: every scalar and array length in the file,
 	// contiguous — collection header, partitioning, options, then each
-	// partition's frozen scalar header and each estimator's distinct
-	// count. A borrow-mode Load parses the head sequentially (a few
-	// pages at the front of the file) and aliases every payload from
-	// the recorded lengths, so a cold mapped open faults in the head
-	// alone no matter how large the arenas behind it are.
+	// partition's frozen scalar header. A borrow-mode Load parses the
+	// head sequentially (a few pages at the front of the file) and
+	// aliases every payload from the recorded lengths, so a cold mapped
+	// open faults in the head alone no matter how large the arenas
+	// behind it are.
 	bw.Int(ix.dims)
 	bw.Int(ix.count)
 	bw.Int(ix.parts.NumParts())
@@ -69,12 +53,6 @@ func (ix *Index) Save(w io.Writer) error {
 	for _, inv := range ix.inv {
 		inv.WriteHeaderTo(bw)
 	}
-	persisted := estimatorStatePersisted(ix.opts)
-	if persisted {
-		for _, est := range ix.ests {
-			bw.Int(est.(*candest.Exact).DistinctCount())
-		}
-	}
 	// Payload segment: the bulk arrays, raw, in head order. Word-sized
 	// sections are preceded by alignment padding so a page-aligned
 	// mapping aliases them in place.
@@ -83,56 +61,7 @@ func (ix *Index) Save(w io.Writer) error {
 	for _, inv := range ix.inv {
 		inv.WritePayloadTo(bw)
 	}
-	if persisted {
-		for _, est := range ix.ests {
-			arena, counts := est.(*candest.Exact).State()
-			// The projection arena must land 8-aligned for borrow-mode
-			// aliasing (the frozen payloads before it end on arbitrary
-			// byte counts); the counts payload is raw — its length is the
-			// head's distinct count — and lands 4-aligned for free after
-			// a whole number of words.
-			bw.Align8()
-			for _, word := range arena {
-				bw.Uint64(word)
-			}
-			bw.Int32sRaw(counts)
-		}
-	}
 	return bw.Flush()
-}
-
-// SaveLegacy writes the superseded GPHIX02 form: per-key posting
-// records and no estimator state. It exists so compatibility tests
-// and the Fig. 6 load-time comparison can produce old-format files on
-// demand; new code persists with Save.
-func (ix *Index) SaveLegacy(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Magic(legacyIndexMagic)
-	ix.saveHeader(bw)
-	for _, inv := range ix.inv {
-		bw.Int(inv.NumKeys())
-		inv.Range(func(key []byte, ids []int32) bool {
-			bw.String(string(key))
-			bw.Int32s(ids)
-			return true
-		})
-	}
-	return bw.Flush()
-}
-
-// saveHeader writes the GPHIX02 interleaved head: vectors inline
-// between the collection scalars and the partitioning. Only
-// SaveLegacy still writes this layout; Save groups all scalars ahead
-// of all payloads.
-func (ix *Index) saveHeader(bw *binio.Writer) {
-	bw.Int(ix.dims)
-	bw.Int(ix.count)
-	ix.saveArena(bw)
-	bw.Int(ix.parts.NumParts())
-	for _, part := range ix.parts.Parts {
-		bw.Ints(part)
-	}
-	ix.saveOptions(bw)
 }
 
 // saveArena writes the vector words, row-major, with no framing.
@@ -164,51 +93,37 @@ func (ix *Index) saveOptions(bw *binio.Writer) {
 	bw.Int64(ix.opts.Seed)
 }
 
-// estimatorStatePersisted reports whether the format carries
-// estimator state for these options: only the Exact estimator's state
-// is persisted (it is the default and the only one whose state is a
-// plain histogram; sub-partition estimators rebuild cheaply and
-// learned ones retrain from the persisted seed).
-func estimatorStatePersisted(opts Options) bool {
-	return opts.Estimator == EstimatorExact
-}
-
-// Load reads an index written by Save (GPHIX04), by the pre-alignment
-// GPHIX03 writer, or by the superseded GPHIX02 writer. For GPHIX04 and
-// GPHIX03 the posting arenas are adopted directly from the stream and
-// Exact-estimator state is deserialized, so loading is O(bytes) (and
-// O(metadata) over a mapping — only GPHIX04's aligned sections alias
-// without copying); for GPHIX02 the per-key records are replayed
-// into build-time maps and frozen, reproducing the index an old file
-// described. Estimators without persisted state are reconstructed:
-// exact and sub-partition estimators are rebuilt from the persisted
-// vectors; learned estimators are retrained with the persisted seed,
-// reproducing the original model.
+// Load reads an index written by Save. The posting arenas are adopted
+// directly from the stream, so loading is O(bytes), and O(metadata)
+// over a mapping, where the aligned sections alias without copying.
+// The exact estimator needs nothing rebuilt; sub-partition estimators
+// are rebuilt from the persisted vectors and learned estimators are
+// retrained with the persisted seed, reproducing the original model.
 //
 // Validation is two-tier. The structural tier always runs here:
-// magics, header sanity, offset monotonicity and arena spans, count
-// totals — everything needed to make every later arena access
-// in-bounds, at O(metadata) cost. The content tier (varint framing,
-// posting-id ranges, key order, vector tail bits) reads every arena
-// byte, so its timing depends on the reader: a streaming load has
-// already paid to copy every byte and validates eagerly before Load
-// returns, while a borrow-mode load (binio.Source over a file
-// mapping) defers it to the first query — see ensureValidated — so
-// open time stays flat in index size and the validation pass doubles
-// as page warm-up. Either way corruption surfaces as a clean error,
-// never a fault: at Load for streams, at the first search for
-// mappings.
+// magic, header sanity, arena and array lengths, posting totals —
+// everything needed to make every later arena access in-bounds, at
+// O(metadata) cost. The content tier (offset monotonicity, varint
+// framing, posting-id ranges, key order, key and vector tail bits)
+// reads every arena byte, so its timing depends on the reader: a
+// streaming load has already paid to copy every byte and validates
+// eagerly before Load returns, while a borrow-mode load (binio.Source
+// over a file mapping) defers it to the first query — see
+// ensureValidated — so open time stays flat in index size and the
+// validation pass doubles as page warm-up. Either way corruption
+// surfaces as a clean error, never a fault: at Load for streams, at the
+// first search for mappings.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
-	version := br.MagicAny(indexMagic, prevIndexMagic, legacyIndexMagic)
-	if version == indexMagic {
-		return loadCompact(br)
+	br.Magic(indexMagic)
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return loadInterleaved(br, version)
+	return loadCompact(br)
 }
 
-// readCollectionHeader reads and bounds-checks the dims/count pair
-// every format version leads with.
+// readCollectionHeader reads and bounds-checks the dims/count pair the
+// head leads with.
 func readCollectionHeader(br *binio.Reader) (dims, count int, err error) {
 	dims = br.Int()
 	count = br.Int()
@@ -307,9 +222,15 @@ func readVectorArena(br *binio.Reader, dims, count int) (arena []uint64, data []
 	return arena, data, nil
 }
 
-// checkPartitionKeyLen verifies a partition's frozen key width against
-// the partitioning that owns it.
-func checkPartitionKeyLen(inv *invindex.Frozen, dimsI []int, p int) error {
+// checkPartitionShape is the structural tier's per-partition check,
+// from header fields alone: every vector posts exactly once, so the
+// posting total is the collection size — with Frozen.Validate, which
+// ties the counts to that total, this is "counts sum to count" — and
+// the keys are as wide as the partition's packed projection.
+func checkPartitionShape(inv *invindex.Frozen, dimsI []int, p, count int) error {
+	if inv.TotalPostings() != int64(count) {
+		return fmt.Errorf("core: partition %d holds %d postings for %d vectors", p, inv.TotalPostings(), count)
+	}
 	wantKeyLen := 8 * ((len(dimsI) + 63) / 64)
 	if minLen, maxLen := inv.KeyLenRange(); inv.NumKeys() > 0 && (minLen != wantKeyLen || maxLen != wantKeyLen) {
 		return fmt.Errorf("core: partition %d keys span %d..%d bytes, want %d", p, minLen, maxLen, wantKeyLen)
@@ -317,10 +238,23 @@ func checkPartitionKeyLen(inv *invindex.Frozen, dimsI []int, p int) error {
 	return nil
 }
 
-// loadCompact reads the GPHIX04 head-then-payload layout: all scalars
-// and lengths first, then the raw aligned payloads in the same order.
-// A borrow-mode reader parses the head with a handful of page faults
-// and aliases every payload untouched.
+// validatePartition is the content tier's per-partition check: the
+// posting arenas decode cleanly, and no key carries a bit beyond the
+// partition's width.
+func validatePartition(inv *invindex.Frozen, dimsI []int, p int) error {
+	if err := inv.Validate(); err != nil {
+		return fmt.Errorf("core: partition %d postings: %w", p, err)
+	}
+	if err := inv.CheckKeyWidth(len(dimsI)); err != nil {
+		return fmt.Errorf("core: partition %d postings: %w", p, err)
+	}
+	return nil
+}
+
+// loadCompact reads the head-then-payload layout: all scalars and
+// lengths first, then the raw aligned payloads in the same order. A
+// borrow-mode reader parses the head with a handful of page faults and
+// aliases every payload untouched.
 func loadCompact(br *binio.Reader) (*Index, error) {
 	dims, count, err := readCollectionHeader(br)
 	if err != nil {
@@ -343,21 +277,6 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 		}
 		headers[i] = h
 	}
-	persisted := estimatorStatePersisted(opts)
-	var numDistinct []int
-	if persisted {
-		numDistinct = make([]int, numParts)
-		for i := range numDistinct {
-			nd := br.Int()
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("core: reading partition %d estimator: %w", i, err)
-			}
-			if nd < 0 || nd > count {
-				return nil, fmt.Errorf("core: partition %d: implausible distinct count %d", i, nd)
-			}
-			numDistinct[i] = nd
-		}
-	}
 
 	br.Align8()
 	arena, data, err := readVectorArena(br, dims, count)
@@ -376,183 +295,41 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading partition %d postings: %w", i, err)
 		}
+		if err := checkPartitionShape(inv, parts.Parts[i], i, count); err != nil {
+			return nil, err
+		}
 		if !deferred {
-			if err := inv.Validate(); err != nil {
-				return nil, fmt.Errorf("core: reading partition %d postings: %w", i, err)
+			if err := validatePartition(inv, parts.Parts[i], i); err != nil {
+				return nil, err
 			}
-		}
-		if err := checkPartitionKeyLen(inv, parts.Parts[i], i); err != nil {
-			return nil, err
 		}
 		ix.inv[i] = inv
-	}
-	ix.ests = make([]candest.Estimator, numParts)
-	if persisted {
-		for i, dimsI := range parts.Parts {
-			est, err := loadExactEstimatorPayload(br, dimsI, count, numDistinct[i])
-			if err != nil {
-				return nil, fmt.Errorf("core: reading partition %d estimator: %w", i, err)
-			}
-			ix.ests[i] = est
-		}
-	} else if err := ix.rebuildEstimators(); err != nil {
-		return nil, err
 	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
-	return ix, nil
-}
-
-// loadInterleaved reads the GPHIX03 and GPHIX02 layouts, whose
-// scalars and payloads interleave section by section. GPHIX03 arenas
-// are still adopted from the stream (prefixed, unaligned — a mapped
-// open copy-decodes the word arrays and faults more pages than
-// GPHIX04, but stays correct); GPHIX02 per-key records are replayed
-// into build-time maps and frozen.
-func loadInterleaved(br *binio.Reader, version string) (*Index, error) {
-	dims, count, err := readCollectionHeader(br)
-	if err != nil {
+	if err := ix.rebuildEstimators(); err != nil {
 		return nil, err
-	}
-	arena, data, err := readVectorArena(br, dims, count)
-	if err != nil {
-		return nil, err
-	}
-	deferred := br.Borrowed()
-	parts, err := readPartitioning(br, dims)
-	if err != nil {
-		return nil, err
-	}
-	numParts := len(parts.Parts)
-	opts, err := readOptions(br, dims, numParts)
-	if err != nil {
-		return nil, err
-	}
-	codes, err := verify.Wrap(count, dims, arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	ix := &Index{dims: dims, count: count, data: data, arena: arena, codes: codes, parts: parts, opts: opts, deepPending: deferred}
-	ix.inv = make([]*invindex.Frozen, numParts)
-	for i := 0; i < numParts; i++ {
-		var (
-			inv *invindex.Frozen
-			err error
-		)
-		if version != legacyIndexMagic {
-			if deferred {
-				inv, err = invindex.ReadFrozenDeferred(br, int32(count), false)
-			} else {
-				inv, err = invindex.ReadFrozen(br, int32(count), false)
-			}
-		} else {
-			inv, err = loadLegacyPostings(br, count)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading partition %d postings: %w", i, err)
-		}
-		if err := checkPartitionKeyLen(inv, parts.Parts[i], i); err != nil {
-			return nil, err
-		}
-		ix.inv[i] = inv
-	}
-	ix.ests = make([]candest.Estimator, numParts)
-	if version != legacyIndexMagic && estimatorStatePersisted(opts) {
-		for i, dimsI := range parts.Parts {
-			est, err := loadExactEstimator(br, dimsI, count)
-			if err != nil {
-				return nil, fmt.Errorf("core: reading partition %d estimator: %w", i, err)
-			}
-			ix.ests[i] = est
-		}
-	} else if err := ix.rebuildEstimators(); err != nil {
-		return nil, err
-	}
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
 	return ix, nil
 }
 
-// rebuildEstimators reconstructs estimators whose state the format
-// does not carry. The rebuild reads every vector, so a borrow-mode
-// load materializes its deferred views first — deferral buys nothing
-// on a path that walks the whole collection anyway.
+// rebuildEstimators reconstructs the estimators, whose state the format
+// does not carry. The exact one is a view of the partition's frozen
+// index; the others read every vector, so a borrow-mode load
+// materializes its deferred views first — deferral buys nothing on a
+// path that walks the whole collection anyway.
 func (ix *Index) rebuildEstimators() error {
-	ix.materializeData()
+	if ix.opts.Estimator != EstimatorExact {
+		ix.materializeData()
+	}
+	ix.ests = make([]candest.Estimator, len(ix.inv))
 	for i, dimsI := range ix.parts.Parts {
-		est, err := buildEstimator(ix.data, dimsI, ix.opts, int64(i))
+		est, err := buildEstimator(ix.data, ix.inv[i], dimsI, ix.opts, int64(i))
 		if err != nil {
 			return fmt.Errorf("core: rebuilding estimator %d: %w", i, err)
 		}
 		ix.ests[i] = est
 	}
 	return nil
-}
-
-// loadLegacyPostings replays one partition's GPHIX02 per-key records
-// into a build-time map and freezes it.
-func loadLegacyPostings(br *binio.Reader, count int) (*invindex.Frozen, error) {
-	keyCount := br.Int()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("reading key count: %w", err)
-	}
-	if keyCount < 0 || keyCount > count {
-		return nil, fmt.Errorf("implausible key count %d", keyCount)
-	}
-	inv := invindex.New()
-	for k := 0; k < keyCount; k++ {
-		key := br.String()
-		ids := br.Int32s()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("reading posting %d: %w", k, err)
-		}
-		for _, id := range ids {
-			if id < 0 || int(id) >= count {
-				return nil, fmt.Errorf("posting references vector %d of %d", id, count)
-			}
-			inv.Add(key, id)
-		}
-	}
-	return inv.Freeze(), nil
-}
-
-// loadExactEstimator reads one partition's persisted Exact-estimator
-// state (distinct projections and multiplicities) in the GPHIX03
-// interleaved framing: distinct count, unaligned word arena, prefixed
-// counts.
-func loadExactEstimator(br *binio.Reader, dimsI []int, count int) (*candest.Exact, error) {
-	numDistinct := br.Int()
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	if numDistinct < 0 || numDistinct > count {
-		return nil, fmt.Errorf("implausible distinct count %d", numDistinct)
-	}
-	arena := br.Uint64Raw(numDistinct*((len(dimsI)+63)/64), "estimator arena")
-	counts := br.Int32s()
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	return candest.ExactFromState(dimsI, arena, counts, int64(count), br.Borrowed())
-}
-
-// loadExactEstimatorPayload reads one partition's estimator payload in
-// the GPHIX04 layout: the distinct count came from the head, so both
-// the aligned projection arena and the counts array are sized without
-// reading a payload byte. The estimator adopts the arena as it is —
-// in borrow mode a view of the mapping, with the content checks left
-// to the first query's validation pass — and only ever reads it, so
-// aliasing persisted state is safe.
-//
-//gph:borrow
-func loadExactEstimatorPayload(br *binio.Reader, dimsI []int, count, numDistinct int) (*candest.Exact, error) {
-	br.Align8()
-	arena := br.Uint64Raw(numDistinct*((len(dimsI)+63)/64), "estimator arena")
-	counts := br.Int32sRaw(numDistinct, "estimator counts")
-	if err := br.Err(); err != nil {
-		return nil, err
-	}
-	return candest.ExactFromState(dimsI, arena, counts, int64(count), br.Borrowed())
 }

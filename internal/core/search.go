@@ -8,7 +8,6 @@ import (
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
-	"gph/internal/candest"
 	"gph/internal/engine"
 	"gph/internal/hamming"
 	"gph/internal/invindex"
@@ -38,12 +37,12 @@ type searchScratch struct {
 	widths []int
 	table  alloc.Table
 	known  []int
-	dp     alloc.Scratch   // reused DP grids and the ball-size memo
-	est    candest.Scratch // reused estimator projection + histogram
-	shell  []int64         // posting-length sums by distance, per probed ball
-	center bitvec.Vector   // centre of the ball being probed
-	rounds int             // DP runs
-	scans  int             // rows estimated in full
+	dp     alloc.Scratch // reused DP grids and the ball-size memo
+	hist   []int64       // distance histogram of a scanned partition's keys
+	shell  []int64       // posting-length sums by distance, per probed ball
+	center bitvec.Vector // centre of the ball being probed
+	rounds int           // DP runs
+	scans  int           // rows estimated in full
 
 	// What candidate generation did, summed over the gather calls on
 	// this scratch (SearchGrow makes one per radius).

@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"gph/internal/bitvec"
-	"gph/internal/candest"
 )
 
 // ensureValidated runs the deferred content tier of load validation —
-// posting-list varint framing and id ranges, key order, vector and
-// estimator-projection tail bits — exactly once, before the first
+// posting-list varint framing and id ranges, key order, key and vector
+// tail bits — exactly once, before the first
 // query of an index whose Load deferred it (borrow-mode loads over a
 // file mapping; see Load). The pass reads every arena byte, so over a
 // mapping it doubles as page warm-up: the first query pays the major
@@ -61,16 +60,7 @@ func (ix *Index) deepValidate() error {
 			}
 			return nil
 		}
-		p := i - 1
-		if err := ix.inv[p].Validate(); err != nil {
-			return fmt.Errorf("core: partition %d postings: %w", p, err)
-		}
-		if exact, ok := ix.ests[p].(*candest.Exact); ok {
-			if err := exact.Validate(); err != nil {
-				return fmt.Errorf("core: partition %d estimator: %w", p, err)
-			}
-		}
-		return nil
+		return validatePartition(ix.inv[i-1], ix.parts.Parts[i-1], i-1)
 	})
 }
 

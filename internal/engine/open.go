@@ -273,7 +273,7 @@ func (o *openedStream) SearchIter(q bitvec.Vector, tau int) iter.Seq2[Neighbor, 
 }
 
 // openedStreamFull adds the planner-facing capabilities (cost
-// estimation reads the mapped estimator arenas; incremental kNN reads
+// estimation reads the mapped key arenas and counts; incremental kNN reads
 // everything), both bracketed.
 type openedStreamFull struct{ openedStream }
 

@@ -32,10 +32,6 @@ type Registration struct {
 	// Magic is the MagicLen-byte tag that leads the engine's
 	// serialized form; LoadAny dispatches on it.
 	Magic string
-	// LegacyMagics lists superseded tags the engine's Load still
-	// reads (format migrations keep old files loadable forever);
-	// LoadAny dispatches them to the same loader.
-	LegacyMagics []string
 	// Build constructs the engine over data.
 	Build func(data []bitvec.Vector, opts BuildOptions) (Engine, error)
 	// Load restores an engine previously written with Engine.Save
@@ -68,19 +64,11 @@ func Register(reg Registration) {
 	if _, dup := byName[reg.Name]; dup {
 		panic(fmt.Sprintf("engine: %s registered twice", reg.Name))
 	}
-	magics := append([]string{reg.Magic}, reg.LegacyMagics...)
-	for _, magic := range magics {
-		if len(magic) != MagicLen {
-			panic(fmt.Sprintf("engine: %s magic %q is %d bytes, want %d", reg.Name, magic, len(magic), MagicLen))
-		}
-		if prev, dup := byMagic[magic]; dup {
-			panic(fmt.Sprintf("engine: magic %q claimed by both %s and %s", magic, prev.Name, reg.Name))
-		}
+	if prev, dup := byMagic[reg.Magic]; dup {
+		panic(fmt.Sprintf("engine: magic %q claimed by both %s and %s", reg.Magic, prev.Name, reg.Name))
 	}
 	byName[reg.Name] = reg
-	for _, magic := range magics {
-		byMagic[magic] = reg
-	}
+	byMagic[reg.Magic] = reg
 }
 
 // Lookup returns the registration for name.

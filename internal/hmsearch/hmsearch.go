@@ -151,6 +151,11 @@ func (ix *Index) MaxTau() int { return ix.tau }
 // shares storage with the index and must not be modified.
 func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
 
+// Codes implements engine.Scannable: the packed verification arena
+// over the indexed vectors (shared storage — do not modify). The
+// query planner's linear-scan route reads it directly.
+func (ix *Index) Codes() *verify.Codes { return ix.codes }
+
 // SizeBytes reports posting-list memory including deletion variants —
 // exact arena accounting on the frozen layout (Fig. 6).
 func (ix *Index) SizeBytes() int64 {

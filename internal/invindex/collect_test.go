@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gph/internal/bitvec"
+	"gph/internal/candest"
 	"gph/internal/hamming"
 )
 
@@ -38,13 +39,14 @@ func freezeWords(keys []uint64) *Frozen {
 }
 
 // projectionIndex freezes the projections of n random vectors onto w
-// dimensions, the way a GPH partition is built. Skewed draws most bits
-// zero, so few distinct keys carry long posting lists; otherwise keys
-// are near-distinct.
-func projectionIndex(rng *rand.Rand, n, w int, skewed bool) *Frozen {
+// dimensions, the way a GPH partition is built, and returns them with
+// it. Skewed draws most bits zero, so few distinct keys carry long
+// posting lists; otherwise keys are near-distinct.
+func projectionIndex(rng *rand.Rand, n, w int, skewed bool) (*Frozen, []bitvec.Vector) {
 	ix := New()
-	v := bitvec.New(w)
-	for id := 0; id < n; id++ {
+	data := make([]bitvec.Vector, n)
+	for id := range data {
+		v := bitvec.New(w)
 		for d := 0; d < w; d++ {
 			bit := rng.Intn(2)
 			if skewed && rng.Intn(8) != 0 {
@@ -53,25 +55,56 @@ func projectionIndex(rng *rand.Rand, n, w int, skewed bool) *Frozen {
 			v.SetBit(d, bit)
 		}
 		ix.Add(v.Key(), int32(id))
+		data[id] = v
 	}
-	return ix.Freeze()
+	return ix.Freeze(), data
+}
+
+// checkHistogram holds the histogram kernel to its two references: the
+// exact estimator built over the same vectors (what a built index used
+// to keep beside its frozen keys), and the distances themselves.
+func checkHistogram(t *testing.T, f *Frozen, data []bitvec.Vector, q bitvec.Vector) []int64 {
+	t.Helper()
+	w := q.Dims()
+	hist := make([]int64, 64*len(q.Words())+1)
+	f.Histogram(q.Words(), hist)
+	dims := make([]int, w)
+	for d := range dims {
+		dims[d] = d
+	}
+	exact := candest.NewExact(data, dims).Histogram(q)
+	brute := make([]int64, len(hist))
+	for _, v := range data {
+		brute[v.Hamming(q)]++
+	}
+	if !slices.Equal(hist, brute) || !slices.Equal(hist[:w+1], exact) {
+		t.Fatalf("w=%d: frozen histogram %v, exact estimator %v, distances %v", w, hist, exact, brute)
+	}
+	return hist
 }
 
 // TestCollectPathsAgree is the property candidate generation rests on:
 // the ids gathered by one pass over the key arena are the ids gathered
 // by enumerating the ball and probing, and so is Σ postings — for
-// one-word, striped and sub-word widths, skewed and near-distinct key
-// sets, and every radius from the point to past the whole space.
+// zero-width, one-word, striped and sub-word widths, skewed and
+// near-distinct key sets, and every radius from the point to past the
+// whole space. Allocation rests on the same keys read a third way: the
+// distance histogram's prefix sums are those Σ postings, and the
+// histogram is the exact estimator's and the data's own, for a perturbed
+// query and a stored one.
 func TestCollectPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, w := range []int{1, 13, 24, 63, 64, 65, 130} {
+	for _, w := range []int{0, 1, 13, 24, 63, 64, 65, 130} {
 		for _, skewed := range []bool{true, false} {
 			const n = 300
-			f := projectionIndex(rng, n, w, skewed)
+			f, data := projectionIndex(rng, n, w, skewed)
 			q := bitvec.New(w)
 			for d := 0; d < w; d++ {
 				q.SetBit(d, rng.Intn(2))
 			}
+			checkHistogram(t, f, data, data[7])
+			hist := checkHistogram(t, f, data, q)
+			var cn int64
 			// Enumeration is exponential in the radius.
 			maxEnum := w + 1
 			if size, ok := hamming.BallSize(w, maxEnum); !ok || size > 1<<16 {
@@ -93,12 +126,12 @@ func TestCollectPathsAgree(t *testing.T) {
 					_ = hamming.EnumerateBall(q, r, 0, func(v bitvec.Vector) bool {
 						key = v.AppendKey(key[:0])
 						probeSum += int64(f.CollectBytes(key, &probed))
-						if w <= 64 {
+						if w > 0 && w <= 64 {
 							wordSum += int64(f.CollectWord(v.Words()[0], &worded))
 						}
 						return true
 					})
-					if w <= 64 && (wordSum != probeSum || !slices.Equal(worded.IDs, probed.IDs)) {
+					if w > 0 && w <= 64 && (wordSum != probeSum || !slices.Equal(worded.IDs, probed.IDs)) {
 						t.Fatalf("w=%d skewed=%v r=%d: word probes decoded %d postings into %d ids, byte probes %d into %d",
 							w, skewed, r, wordSum, len(worded.IDs), probeSum, len(probed.IDs))
 					}
@@ -118,6 +151,12 @@ func TestCollectPathsAgree(t *testing.T) {
 				}
 				if scanSum != probeSum {
 					t.Fatalf("w=%d skewed=%v r=%d: scan decoded %d postings, probes %d", w, skewed, r, scanSum, probeSum)
+				}
+				if r < len(hist) {
+					cn += hist[r]
+				}
+				if cn != scanSum {
+					t.Fatalf("w=%d skewed=%v r=%d: the histogram sums to CN %d, the scan decoded %d postings", w, skewed, r, cn, scanSum)
 				}
 				slices.Sort(scanned.IDs)
 				slices.Sort(probed.IDs)
@@ -147,7 +186,7 @@ func keyDistance(key []byte, q []uint64) int {
 }
 
 // TestCollectWithinMixedWidths: on a deletion-variant index, whose keys
-// mix widths, the scan matches the keys that are len(q) words long and
+// mix widths, the scans match the keys that are len(q) words long and
 // no others, exactly as a byte probe would.
 func TestCollectWithinMixedWidths(t *testing.T) {
 	ix, sigs := randomIndex(t, 3, 60, 20, true)
@@ -168,6 +207,9 @@ func TestCollectWithinMixedWidths(t *testing.T) {
 	if !slices.Equal(got.IDs, want) {
 		t.Fatalf("scan over mixed widths gathered %v, want %v", got.IDs, want)
 	}
+	// The histogram counts the same keys: the variants, a byte longer,
+	// contribute nothing.
+	checkHistogram(t, f, sigs, q)
 }
 
 // TestLookupFormsAgree: the word, byte and string lookups hash through
@@ -282,8 +324,9 @@ func TestSlotChainsShort(t *testing.T) {
 // (internal/core) is derived from, on a partition shaped like
 // lib_wide's: 20 000 near-distinct 36-bit keys. A probe is one
 // signature of a Hamming ball looked up by word (the ball walk
-// included); a scan step is one key of the arena compared; a posting is
-// one id decoded into the candidate set, the same on either path.
+// included); a scan step is one key of the arena compared (candidate
+// generation) or added to the distance histogram (allocation); a posting
+// is one id decoded into the candidate set, the same on either path.
 func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	const n, width = 20000, 36
 	rng := rand.New(rand.NewSource(1))
@@ -342,11 +385,20 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 		}
 		perItem(b, n)
 	})
+	b.Run("histogram-key", func(b *testing.B) {
+		q := []uint64{absent[0]}
+		hist := make([]int64, 65)
+		for range b.N {
+			f.Histogram(q, hist)
+		}
+		sink += int(hist[0])
+		perItem(b, n)
+	})
 	b.Run("decode-posting", func(b *testing.B) {
 		// The regime where decoding dominates, lib_wide's narrow
 		// partition: 20 000 ids over the 2¹³ keys of a 13-bit partition,
 		// a radius-7 ball that holds most of them.
-		dense := projectionIndex(rng, n, 13, false)
+		dense, _ := projectionIndex(rng, n, 13, false)
 		q := []uint64{0x0A5A}
 		postings := dense.CollectWithin(q, 7, &set)
 		set.Reset()

@@ -60,7 +60,7 @@ type Frozen struct {
 	slotsReady atomic.Bool
 	slotsMu    sync.Mutex
 
-	// Deferred content validation (see ReadFrozenDeferred): maxID is
+	// Deferred content validation (see ReadPayload): maxID is
 	// the id bound Validate checks postings against, and deepOnce/
 	// deepErr make Validate idempotent and safe under concurrent first
 	// queries.
@@ -528,15 +528,7 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 		}
 	} else {
 		for e := range f.counts {
-			key := f.key(e)
-			if len(key) != 8*len(q) {
-				continue
-			}
-			d := 0
-			for j, w := range q {
-				d += bits.OnesCount64(binary.LittleEndian.Uint64(key[8*j:]) ^ w)
-			}
-			if d <= radius {
+			if d, ok := f.distance(e, q); ok && d <= radius {
 				ids = f.collect(e, seen, ids)
 				sum += int64(f.counts[e])
 			}
@@ -544,6 +536,77 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 	}
 	set.IDs = ids
 	return sum
+}
+
+// distance returns the Hamming distance between q and key e read as
+// len(q) little-endian words — the one way the key scans load a key
+// that is not known to be a single word. ok is false for a key of any
+// other length, and for an entry whose offsets do not lie in the arena:
+// Histogram may run on an index whose deferred validation has not
+// passed.
+func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
+	lo, n := e*f.keyLen, f.keyLen
+	if f.keyLen == 0 {
+		lo, n = int(f.keyOffs[e]), int(f.keyOffs[e+1]-f.keyOffs[e])
+	}
+	if n != 8*len(q) || lo+n > len(f.keyArena) {
+		return 0, false
+	}
+	key := f.keyArena[lo : lo+n]
+	for j, w := range q {
+		d += bits.OnesCount64(binary.LittleEndian.Uint64(key[8*j:]) ^ w)
+	}
+	return d, true
+}
+
+// Histogram adds to hist[d] the posting count of every key at Hamming
+// distance d from q, keys loaded as CollectWithin loads them. Its prefix
+// sums are the exact candidate numbers CN(q, e) = Σ |I_s| over the
+// radius-e ball — every radius from one pass over the key arena, which
+// is what threshold allocation falls back to when the ball outgrows the
+// keys. hist must hold 64·len(q) + 1 entries, one for every distance
+// the words can produce, not just those up to the partition width: key
+// bits a deferred validation has yet to reject still index in bounds.
+//
+// The loop is branch-free on purpose: skipping distances beyond a
+// threshold costs a data-dependent branch that mispredicts on every
+// other key once the threshold nears half the width, several times the
+// price of the add it saves.
+//
+//gph:hotpath
+func (f *Frozen) Histogram(q []uint64, hist []int64) {
+	if f.keyLen == 8 && len(q) == 1 {
+		histWords(f.keyArena, f.counts, q[0], hist)
+		return
+	}
+	for e, c := range f.counts {
+		if d, ok := f.distance(e, q); ok {
+			hist[d] += int64(c)
+		}
+	}
+}
+
+// histWords is Histogram over one-word keys — every default build: one
+// popcount an entry. Four keys are loaded before their four counts are
+// added: advancing the two slices once for four keys is what brings a
+// key read through encoding/binary down to the cost of one read from a
+// []uint64 (1.25 against 1.2 ns; a key at a time it is 1.6).
+func histWords(keys []byte, counts []uint32, q uint64, hist []int64) {
+	for len(keys) >= 32 && len(counts) >= 4 {
+		x0 := binary.LittleEndian.Uint64(keys) ^ q
+		x1 := binary.LittleEndian.Uint64(keys[8:]) ^ q
+		x2 := binary.LittleEndian.Uint64(keys[16:]) ^ q
+		x3 := binary.LittleEndian.Uint64(keys[24:]) ^ q
+		hist[bits.OnesCount64(x0)] += int64(counts[0])
+		hist[bits.OnesCount64(x1)] += int64(counts[1])
+		hist[bits.OnesCount64(x2)] += int64(counts[2])
+		hist[bits.OnesCount64(x3)] += int64(counts[3])
+		keys, counts = keys[32:], counts[4:]
+	}
+	for len(keys) >= 8 && len(counts) >= 1 {
+		hist[bits.OnesCount64(binary.LittleEndian.Uint64(keys)^q)] += int64(counts[0])
+		keys, counts = keys[8:], counts[1:]
+	}
 }
 
 // forEachPosting decodes entry e calling fn per id, materializing
@@ -570,10 +633,9 @@ func (f *Frozen) ForEachPosting(key string, fn func(id int32)) {
 // Range calls fn for every (key, postings) pair in lexicographic key
 // order until fn returns false. Both arguments are backed by reused
 // buffers owned by the iteration — callers must copy what they keep.
-// On an index whose deferred validation (see ReadFrozenDeferred)
-// fails, Range panics with that error rather than iterate corrupt
-// arenas: iterating nothing would let a caller silently serialize an
-// empty index.
+// On an index whose deferred validation (see ReadPayload) fails, Range
+// panics with that error rather than iterate corrupt arenas: iterating
+// nothing would let a caller silently serialize an empty index.
 func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 	if err := f.Validate(); err != nil {
 		panic(err)
@@ -629,9 +691,8 @@ const frozenStructBytes = 6*24 + 16
 
 // SizeBytes reports the exact resident size of the frozen index: the
 // two arenas, the offset/count/slot arrays, and the struct header.
-// Unlike the retired map-form estimate (48 bytes of assumed runtime
-// overhead per key), every term is the length of a real backing array,
-// so Fig. 6 reports a property of the index rather than a guess. The
+// Every term is the length of a real backing array, so Fig. 6 reports a
+// property of the index rather than a guess. The
 // slot table is charged at its committed size (slotCount, a pure
 // function of the key count) whether or not the lazy build has run
 // yet, so heap- and mmap-opened copies of one index always agree.
@@ -641,33 +702,20 @@ func (f *Frozen) SizeBytes() int64 {
 		frozenStructBytes
 }
 
-// EstimatedMapBytes reports what the same index resident as
-// map[string][]int32 was previously accounted at: key bytes, 4 bytes
-// per posting, and a flat 48-byte per-key overhead (map bucket share
-// plus string and slice headers). Fig. 6's before/after comparison
-// uses it as the "map form" column.
-func (f *Frozen) EstimatedMapBytes() int64 {
-	const perKeyOverhead = 48
-	return int64(len(f.keyArena)) + 4*f.postings + int64(f.NumKeys())*perKeyOverhead
-}
-
 // WriteTo serializes the frozen index as its arenas and offset
 // arrays, verbatim; the slot table is rebuilt on read (one hashing
 // pass) rather than stored, and uniform-width indexes persist the
 // single key length instead of an offset array. Output is
 // deterministic for a given logical index.
 //
-// The section is written in compact framing, split in two halves a
-// container may separate: a scalar header carrying every length a
-// reader needs (offset and count lengths derived from the key count,
-// arena byte lengths recorded), and a raw payload with alignment
-// padding before the word-sized arrays. A borrow-mode reader aliases
-// the whole payload from the header's lengths without reading a byte
-// of it, so a container that groups all its sections' headers
-// together (as the GPHIX04 index does) opens a cold mapping by
-// faulting the header pages alone. Readers of containers written with
-// the older interleaved self-describing framing pass compact=false to
-// ReadFrozen.
+// The section is split in two halves a container may separate: a
+// scalar header carrying every length a reader needs (offset and count
+// lengths derived from the key count, arena byte lengths recorded), and
+// a raw payload with alignment padding before the word-sized arrays. A
+// borrow-mode reader aliases the whole payload from the header's
+// lengths without reading a byte of it, so a container that groups all
+// its sections' headers together (as the GPH index does) opens a cold
+// mapping by faulting the header pages alone.
 func (f *Frozen) WriteTo(bw *binio.Writer) {
 	f.WriteHeaderTo(bw)
 	f.WritePayloadTo(bw)
@@ -704,12 +752,13 @@ func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 // contents (varint framing, that every decoded id lies in [0, maxID),
 // strict key order) before returning. The arenas are adopted directly
 // from the decoded buffers — loading is O(bytes) — and the slot table
-// is rebuilt lazily on the first probe. compact says whether the
-// section uses WriteTo's compact framing (lengths in the header,
-// aligned raw payloads); pre-compact containers wrote self-describing
-// prefixed arrays and pass false.
-func ReadFrozen(br *binio.Reader, maxID int32, compact bool) (*Frozen, error) {
-	f, err := ReadFrozenDeferred(br, maxID, compact)
+// is rebuilt lazily on the first probe.
+func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
+	h, err := ReadFrozenHeader(br, maxID)
+	if err != nil {
+		return nil, err
+	}
+	f, err := h.ReadPayload(br)
 	if err != nil {
 		return nil, err
 	}
@@ -719,78 +768,7 @@ func ReadFrozen(br *binio.Reader, maxID int32, compact bool) (*Frozen, error) {
 	return f, nil
 }
 
-// ReadFrozenDeferred reads an index written by WriteTo, running only
-// the O(1) half of validation: header sanity, arena/offset/count
-// length agreement, and that the offset arrays span their arenas.
-// Nothing here touches an arena or offset page — in compact framing
-// the section's only read is its scalar header, every payload being
-// aliased from derived lengths — so an index borrowed off a file
-// mapping opens with one page fault per partition; a truncated file
-// still fails here, at open, because the binio reads above are
-// bounds-checked. Everything page-touching — offset monotonicity,
-// count totals, varint framing, id ranges, key order — is deferred to
-// Validate, which callers MUST run before any entry accessor
-// (lookups, Range, posting decodes): until Validate passes, a
-// corrupted middle offset could make an entry slice panic.
-func ReadFrozenDeferred(br *binio.Reader, maxID int32, compact bool) (*Frozen, error) {
-	if compact {
-		h, err := ReadFrozenHeader(br, maxID)
-		if err != nil {
-			return nil, err
-		}
-		return h.ReadPayload(br)
-	}
-	numKeys := br.Int()
-	postings := br.Int64()
-	keyLen := br.Int()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("invindex: reading frozen header: %w", err)
-	}
-	if err := checkFrozenScalars(numKeys, postings, keyLen); err != nil {
-		return nil, err
-	}
-	f := &Frozen{keyLen: keyLen, postings: postings, maxID: maxID}
-	f.keyArena = br.ByteSlice()
-	if keyLen == 0 {
-		f.keyOffs = br.Uint32s()
-	}
-	f.postArena = br.ByteSlice()
-	f.postOffs = br.Uint32s()
-	f.counts = br.Uint32s()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("invindex: reading frozen arenas: %w", err)
-	}
-	if len(f.postOffs) != numKeys+1 || len(f.counts) != numKeys {
-		return nil, fmt.Errorf("invindex: frozen offsets disagree with key count %d", numKeys)
-	}
-	if keyLen > 0 {
-		if len(f.keyArena) != keyLen*numKeys {
-			return nil, fmt.Errorf("invindex: key arena holds %d bytes, %d keys × %d need %d",
-				len(f.keyArena), numKeys, keyLen, keyLen*numKeys)
-		}
-	} else if len(f.keyOffs) != numKeys+1 {
-		return nil, fmt.Errorf("invindex: frozen key offsets disagree with key count %d", numKeys)
-	}
-	return f, nil
-}
-
-// checkFrozenScalars sanity-checks the header scalars both framings
-// share.
-func checkFrozenScalars(numKeys int, postings int64, keyLen int) error {
-	if numKeys < 0 || numKeys > binio.MaxSliceLen {
-		return fmt.Errorf("invindex: implausible key count %d", numKeys)
-	}
-	if postings < 0 {
-		return fmt.Errorf("invindex: negative posting count %d", postings)
-	}
-	if keyLen < 0 || (numKeys > 0 && int64(keyLen)*int64(numKeys) >= arenaLimit) {
-		return fmt.Errorf("invindex: implausible key length %d", keyLen)
-	}
-	return nil
-}
-
-// FrozenHeader is the parsed scalar header of one compact-framing
-// section: everything ReadPayload needs to alias the payload arrays
+// FrozenHeader is the parsed scalar header of one section: everything ReadPayload needs to alias the payload arrays
 // without reading them.
 type FrozenHeader struct {
 	numKeys, keyLen           int
@@ -801,7 +779,7 @@ type FrozenHeader struct {
 
 // ReadFrozenHeader parses and sanity-checks one section's scalar
 // header as written by WriteHeaderTo. A container may place the
-// matching payload much later in the stream (the GPHIX04 index groups
+// matching payload much later in the stream (the GPH index groups
 // every section's header before any payload, so a cold mapped open
 // faults only the contiguous header pages); attach it with
 // ReadPayload when the stream reaches it.
@@ -815,8 +793,14 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	if err := br.Err(); err != nil {
 		return h, fmt.Errorf("invindex: reading frozen header: %w", err)
 	}
-	if err := checkFrozenScalars(h.numKeys, h.postings, h.keyLen); err != nil {
-		return h, err
+	if h.numKeys < 0 || h.numKeys > binio.MaxSliceLen {
+		return h, fmt.Errorf("invindex: implausible key count %d", h.numKeys)
+	}
+	if h.postings < 0 {
+		return h, fmt.Errorf("invindex: negative posting count %d", h.postings)
+	}
+	if h.keyLen < 0 || (h.numKeys > 0 && int64(h.keyLen)*int64(h.numKeys) >= arenaLimit) {
+		return h, fmt.Errorf("invindex: implausible key length %d", h.keyLen)
 	}
 	if h.keyArenaLen < 0 || int64(h.keyArenaLen) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible key arena length %d", h.keyArenaLen)
@@ -832,11 +816,17 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 }
 
 // ReadPayload consumes the section's payload written by
-// WritePayloadTo and returns the frozen index, still subject to the
-// deferred-validation contract of ReadFrozenDeferred. Every array is
-// sized from the header, so in borrow mode nothing here reads a
-// payload page — arrays are aliased, alignment padding is skipped by
-// offset — and the returned index has touched only header bytes.
+// WritePayloadTo and returns the frozen index with only the O(1) half
+// of validation done: header sanity and array lengths. Every array is
+// sized from the header, so in borrow mode nothing here reads a payload
+// page — arrays are aliased, alignment padding is skipped by offset —
+// and an index borrowed off a file mapping opens having touched header
+// bytes alone; a truncated file still fails here, at open, because the
+// binio reads are bounds-checked. Everything page-touching — offset
+// spans and monotonicity, count totals, varint framing, id ranges, key
+// order — is deferred to Validate, which callers MUST run before any
+// entry accessor (lookups, Range, posting decodes): until Validate
+// passes, a corrupted middle offset could make an entry slice panic.
 //
 //gph:borrow
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
@@ -861,8 +851,8 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // list decodes cleanly (varint framing, ids in [0, maxID), decoded
 // count matching the counts array) and keys are strictly sorted. It
 // reads both arenas end to end — over a mapping this is the pass that
-// faults the pages in, which is why ReadFrozenDeferred leaves it to
-// the caller's first query rather than open. Idempotent and safe for
+// faults the pages in, which is why ReadPayload leaves it to the
+// caller's first query rather than open. Idempotent and safe for
 // concurrent use; every call returns the first run's verdict.
 func (f *Frozen) Validate() error {
 	f.deepOnce.Do(func() { f.deepErr = f.validateContent() })
@@ -876,7 +866,7 @@ func (f *Frozen) validateContent() error {
 	// offset would index past an arena while earlier entries still
 	// look consistent — a panic, not a fault, but still not an error).
 	// These checks touch the offset pages, which is exactly what
-	// ReadFrozenDeferred exists to avoid at open, so they live here
+	// ReadPayload avoids at open, so they live here
 	// with the other page-touching checks; the length checks at read
 	// time keep this walk itself in-bounds.
 	if f.keyLen == 0 && len(f.keyOffs) > 0 && (f.keyOffs[0] != 0 || f.keyOffs[numKeys] != uint32(len(f.keyArena))) {
@@ -946,6 +936,26 @@ func validateList(b []byte, maxID int32) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// CheckKeyWidth verifies that every key is the packed form of a
+// width-bit projection: ⌈width/64⌉ little-endian words with no bit set
+// at or beyond width. A probe never asks for such a bit and a key scan
+// counts it like any other, so a key carrying one would make the two
+// disagree. It reads every key, so it belongs to the content tier, after
+// Validate has proved the offsets.
+func (f *Frozen) CheckKeyWidth(width int) error {
+	words, tail := (width+63)/64, uint(width%64)
+	for e := range f.counts {
+		key := f.key(e)
+		if len(key) != 8*words {
+			return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, 8*words)
+		}
+		if tail != 0 && binary.LittleEndian.Uint64(key[len(key)-8:])>>tail != 0 {
+			return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
+		}
+	}
+	return nil
 }
 
 // ArenaBreakdown reports the byte size of each backing component

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gph/internal/binio"
@@ -73,7 +74,7 @@ func FuzzReadFrozen(f *testing.F) {
 	f.Add(frozenBytes(stray.Freeze()), int32(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
-		fr, err := ReadFrozen(binio.NewReader(bytes.NewReader(data)), maxID, true)
+		fr, err := ReadFrozen(binio.NewReader(bytes.NewReader(data)), maxID)
 		if err != nil {
 			return
 		}
@@ -112,7 +113,7 @@ func FuzzReadFrozen(f *testing.F) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := ReadFrozen(binio.NewReader(bytes.NewReader(first.Bytes())), maxID, true)
+		re, err := ReadFrozen(binio.NewReader(bytes.NewReader(first.Bytes())), maxID)
 		if err != nil {
 			t.Fatalf("re-serialized accepted index rejected: %v", err)
 		}
@@ -128,11 +129,12 @@ func FuzzReadFrozen(f *testing.F) {
 	})
 }
 
-// checkKeyScan holds the key-scan kernel to Range on an accepted index
+// checkKeyScan holds the key-scan kernels to Range on an accepted index
 // whose keys are all the same whole number of words: at radius 0, 1 and
 // the whole space around the first key, CollectWithin gathers exactly
 // the ids of the keys Range shows within that distance, and counts
-// their postings.
+// their postings; Histogram counts the postings Range shows at every
+// distance.
 func checkKeyScan(t *testing.T, fr *Frozen) {
 	minLen, maxLen := fr.KeyLenRange()
 	if minLen != maxLen || minLen == 0 || minLen%8 != 0 {
@@ -151,6 +153,16 @@ func checkKeyScan(t *testing.T, fr *Frozen) {
 		}
 		return true
 	})
+	wantHist := make([]int64, 8*minLen+1)
+	fr.Range(func(key []byte, ids []int32) bool {
+		wantHist[keyDistance(key, q)] += int64(len(ids))
+		return true
+	})
+	hist := make([]int64, len(wantHist))
+	fr.Histogram(q, hist)
+	if !slices.Equal(hist, wantHist) {
+		t.Fatalf("histogram %v, Range shows %v", hist, wantHist)
+	}
 	for _, radius := range []int{0, 1, 8 * minLen} {
 		want := map[int32]bool{}
 		var wantSum int64

@@ -70,6 +70,10 @@ func (s *Scanner) MaxTau() int { return s.dims }
 // shares storage with the scanner and must not be modified.
 func (s *Scanner) Vector(id int32) bitvec.Vector { return s.data[id] }
 
+// Codes implements engine.Scannable: the packed verification arena
+// the scanner already searches over (shared storage — do not modify).
+func (s *Scanner) Codes() *verify.Codes { return s.codes }
+
 // SizeBytes reports resident size: the packed vectors (a scan keeps no
 // derived structures).
 func (s *Scanner) SizeBytes() int64 {

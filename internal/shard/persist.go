@@ -16,26 +16,17 @@ import (
 	"gph/internal/mmapio"
 )
 
-// shardMagic identifies the sharded container format. GPHSH03 added
-// 8-byte alignment padding before each shard's id arrays and nested
-// engine blob, so a mapped container hands every nested loader an
-// 8-aligned source and the engines' own aligned sections alias the
-// mapping instead of being copy-decoded. GPHSH02 wraps one
+// shardMagic identifies the sharded container format: one
 // length-prefixed engine blob per built shard (each carrying its own
-// engine magic), together with the engine name, the id mappings and
-// the update buffers the blobs do not know about. GPHSH02 superseded
-// GPHSH01 when the shard layer was generalized from GPH-only to any
-// registered engine: the container now records which engine its
-// shards are, so Load can dispatch and Compact can rebuild. The
-// nested blobs follow whatever format their engine currently writes
-// (GPH shards saved today carry GPHIX04 arenas; containers holding
-// older blobs still load, because the per-blob dispatch goes through
-// the registry's legacy-magic table).
+// engine magic), together with the engine name — so Load can dispatch
+// and Compact can rebuild — the id mappings and the update buffers the
+// blobs do not know about. Each shard's id arrays and nested blob are
+// preceded by 8-byte alignment padding, so a mapped container hands
+// every nested loader an 8-aligned source and the engines' own aligned
+// sections alias the mapping instead of being copy-decoded. The nested
+// blobs follow whatever format their engine writes; a container holding
+// blobs of a superseded format fails at the nested load.
 const shardMagic = "GPHSH03\n"
-
-// legacyShardMagic is the superseded pre-padding GPHSH02 tag; Load
-// accepts both.
-const legacyShardMagic = "GPHSH02\n"
 
 // Save serializes the sharded index: the container header (dims,
 // shard count, id counter, engine name, raw build options), then per
@@ -256,7 +247,7 @@ func sortedIDs(set map[int32]bool) []int32 {
 //gph:snapshotwriter
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
-	aligned := br.MagicAny(shardMagic, legacyShardMagic) == shardMagic
+	br.Magic(shardMagic)
 	dims := br.Int()
 	numShards := br.Int()
 	nextID := br.Int()
@@ -305,9 +296,7 @@ func Load(r io.Reader) (*Index, error) {
 	words := (dims + 63) / 64
 	for i := int32(0); i < int32(numShards); i++ {
 		sh := &state{builtPos: map[int32]int32{}, dead: map[int32]bool{}}
-		if aligned {
-			br.Align8()
-		}
+		br.Align8()
 		sh.builtIDs = br.Int32s()
 		if err := br.Err(); err != nil {
 			return nil, fmt.Errorf("shard: reading shard %d ids: %w", i, err)
@@ -323,9 +312,7 @@ func Load(r io.Reader) (*Index, error) {
 			s.owner[gid] = i
 		}
 		if len(sh.builtIDs) > 0 {
-			if aligned {
-				br.Align8()
-			}
+			br.Align8()
 			blob := br.ByteSlice()
 			if err := br.Err(); err != nil {
 				return nil, fmt.Errorf("shard: reading shard %d index blob: %w", i, err)
@@ -350,9 +337,7 @@ func Load(r io.Reader) (*Index, error) {
 			}
 			sh.built = built
 		}
-		if aligned {
-			br.Align8()
-		}
+		br.Align8()
 		for _, gid := range br.Int32s() {
 			if _, ok := sh.builtPos[gid]; !ok {
 				return nil, fmt.Errorf("shard: shard %d tombstone %d not in built index", i, gid)

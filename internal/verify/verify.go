@@ -13,8 +13,7 @@
 // boundaries for every batch size and block offset.
 //
 // The word-at-a-time path (Distance) is the reference implementation;
-// the unrolled kernels live behind a build-tag seam (kernel_generic.go
-// vs kernel_simd.go) that reserves a slot for a future SIMD variant.
+// the batch entry points call the unrolled loops of portable.go.
 package verify
 
 import (
@@ -118,7 +117,7 @@ func (c *Codes) FilterWithin(q bitvec.Vector, tau int, ids []int32) []int32 {
 	if tau >= c.dims {
 		return ids
 	}
-	return kernelFilter(c, q.Words(), tau, ids)
+	return filterPortable(c, q.Words(), tau, ids)
 }
 
 // AppendWithin appends the ids of every packed vector within Hamming
@@ -137,7 +136,7 @@ func (c *Codes) AppendWithin(q bitvec.Vector, tau int, dst []int32) []int32 {
 		}
 		return dst
 	}
-	return kernelScan(c, q.Words(), tau, dst)
+	return scanPortable(c, q.Words(), tau, dst)
 }
 
 // DistancesInto writes the Hamming distance between q and ids[j] into
@@ -147,7 +146,7 @@ func (c *Codes) AppendWithin(q bitvec.Vector, tau int, dst []int32) []int32 {
 //
 //gph:hotpath
 func (c *Codes) DistancesInto(q bitvec.Vector, ids []int32, dst []int32) {
-	kernelGather(c, q.Words(), ids, dst)
+	gatherPortable(c, q.Words(), ids, dst)
 }
 
 // DistancesSeqInto writes the Hamming distance between q and row
@@ -156,5 +155,5 @@ func (c *Codes) DistancesInto(q bitvec.Vector, ids []int32, dst []int32) {
 //
 //gph:hotpath
 func (c *Codes) DistancesSeqInto(q bitvec.Vector, base int, dst []int32) {
-	kernelSeq(c, q.Words(), base, dst)
+	seqPortable(c, q.Words(), base, dst)
 }

@@ -56,14 +56,6 @@ func TestBorrowAliasClean(t *testing.T) {
 	testkit.Run(t, analyzers.BorrowAlias, "gph/borrow/clean")
 }
 
-func TestMagicReg(t *testing.T) {
-	testkit.Run(t, analyzers.MagicReg, "gph/magic/a")
-}
-
-func TestMagicRegClean(t *testing.T) {
-	testkit.Run(t, analyzers.MagicReg, "gph/magic/clean")
-}
-
 func TestDocCheckPublicPackage(t *testing.T) {
 	testkit.Run(t, analyzers.DocCheck, "gph")
 }

@@ -1,11 +1,10 @@
-// Package analyzers holds gphlint's ten analyzers, each encoding one
+// Package analyzers holds gphlint's nine analyzers, each encoding one
 // of the repository's load-bearing invariants: hotpath
 // (allocation-free annotated query paths), borrowalias (zero-copy
 // arena borrows on the mapped open path), snapshotsafety (immutable
 // published shard snapshots), errsentinel (sentinel-wrapped query
-// validation errors), persistdet (deterministic persistence),
-// magicreg (unique 8-byte persistence magics), doccheck (the
-// documentation gate), and — built on the internal/cfg +
+// validation errors), persistdet (deterministic persistence), doccheck
+// (the documentation gate), and — built on the internal/cfg +
 // internal/dataflow engine (DESIGN.md §15) — the three path-sensitive
 // pairing analyzers: leakcheck (resources released on every path),
 // epochpair (snapshot stores post-dominated by an epoch bump) and
@@ -15,6 +14,7 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/types"
@@ -31,7 +31,6 @@ func All() []*lint.Analyzer {
 		SnapshotSafety,
 		ErrSentinel,
 		PersistDet,
-		MagicReg,
 		DocCheck,
 		LeakCheck,
 		EpochPair,
@@ -182,4 +181,13 @@ func callFullName(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
+}
+
+// shortPos renders a stable "file:line" with the path's base name
+// (full build paths would differ between CI and local runs).
+func shortPos(filename string, line int) string {
+	if i := strings.LastIndexByte(filename, '/'); i >= 0 {
+		filename = filename[i+1:]
+	}
+	return fmt.Sprintf("%s:%d", filename, line)
 }

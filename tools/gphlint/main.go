@@ -2,19 +2,17 @@
 // a go vet -vettool multichecker whose analyzers machine-check the
 // invariants the codebase is built on — allocation-free hot paths,
 // immutable published snapshots, sentinel-wrapped validation errors,
-// deterministic persistence, unique 8-byte persistence magics, the
-// documentation rules the old tools/doccheck enforced, and (since the
+// deterministic persistence, the documentation rules the old tools/doccheck enforced, and (since the
 // CFG/dataflow engine, DESIGN.md §15) the path-sensitive pairing
 // invariants: resource Acquire/Release on every path (leakcheck),
 // snapshot Store post-dominated by an epoch bump (epochpair), and
 // module-wide lock-acquisition ordering with the group-commit fsync
 // rule (lockorder).
 //
-// Usage (CI runs exactly this, under both build tags):
+// Usage (CI runs exactly this):
 //
 //	go build -o /tmp/gphlint ./tools/gphlint
 //	go vet -vettool=/tmp/gphlint ./...
-//	go vet -tags gph_simd -vettool=/tmp/gphlint ./...
 //
 // The tool implements the -vettool command-line protocol: it answers
 // -V=full (build-cache identity), -flags (supported flags as JSON)
