@@ -10,17 +10,19 @@ import (
 	"gph/datagen"
 )
 
-// engineServer builds a server over the named engine.
+// engineServer builds a default-flags (one-shard) server over the
+// named engine.
 func engineServer(t *testing.T, name string) *server {
 	t.Helper()
 	ds := datagen.UQVideoLike(500, 1)
-	eng, err := gph.BuildEngine(name, ds.Vectors, gph.EngineOptions{
+	index, err := gph.BuildShardedEngine(name, ds.Vectors, 1, gph.Options{
 		NumPartitions: 6, MaxTau: 16, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &server{engine: eng}
+	t.Cleanup(func() { index.Close() })
+	return &server{index: index}
 }
 
 // TestEngineModes drives /search and /knn through every registered
@@ -29,10 +31,10 @@ func TestEngineModes(t *testing.T) {
 	for _, info := range gph.Engines() {
 		t.Run(info.Name, func(t *testing.T) {
 			s := engineServer(t, info.Name)
-			q := s.engine.Vector(3)
+			q := vectorString(t, s, 3)
 
 			rec := httptest.NewRecorder()
-			s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=8", nil))
+			s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q+"&tau=8", nil))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("search → %d: %s", rec.Code, rec.Body.String())
 			}
@@ -56,7 +58,7 @@ func TestEngineModes(t *testing.T) {
 			}
 
 			rec = httptest.NewRecorder()
-			s.handleKNN(rec, httptest.NewRequest(http.MethodGet, "/knn?q="+q.String()+"&k=5", nil))
+			s.handleKNN(rec, httptest.NewRequest(http.MethodGet, "/knn?q="+q+"&k=5", nil))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("knn → %d: %s", rec.Code, rec.Body.String())
 			}
@@ -88,15 +90,15 @@ func TestEngineValidationMaps400(t *testing.T) {
 		t.Fatalf("dim mismatch → %d, want 400", rec.Code)
 	}
 
-	q := s.engine.Vector(0)
+	q := vectorString(t, s, 0)
 	rec = httptest.NewRecorder()
-	s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=17", nil))
+	s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q+"&tau=17", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("tau beyond build τ → %d, want 400: %s", rec.Code, rec.Body.String())
 	}
 
 	rec = httptest.NewRecorder()
-	s.handleKNN(rec, httptest.NewRequest(http.MethodGet, "/knn?q="+q.String()+"&k=0", nil))
+	s.handleKNN(rec, httptest.NewRequest(http.MethodGet, "/knn?q="+q+"&k=0", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("k=0 → %d, want 400", rec.Code)
 	}

@@ -19,11 +19,11 @@ import (
 func TestAlternateEngineClientErrors(t *testing.T) {
 	ds := datagen.UQVideoLike(400, 1)
 	for _, name := range []string{"mih", "hmsearch"} {
-		eng, err := gph.BuildEngine(name, ds.Vectors, gph.EngineOptions{MaxTau: 8, Seed: 1})
+		eng, err := gph.BuildShardedEngine(name, ds.Vectors, 1, gph.Options{MaxTau: 8, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := &server{engine: eng}
+		s := &server{index: eng}
 		cases := []struct {
 			url  string
 			want int
@@ -61,7 +61,7 @@ func TestShardedInsertDimMismatch400(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := &server{sharded: sharded}
+		s := &server{index: sharded}
 		body := strings.NewReader(`{"vector":"0101"}`)
 		rec := httptest.NewRecorder()
 		s.handleInsert(rec, httptest.NewRequest(http.MethodPost, "/insert", body))

@@ -8,10 +8,10 @@
 //	GET  /knn?q=0101...&k=10                → k nearest neighbours
 //	GET  /stats                             → index, shard and compaction statistics
 //	GET  /metrics                           → Prometheus text-format metrics
-//	POST /insert {"vector":"0101..."}       → insert one vector (-shards mode)
-//	POST /delete {"id":123}                 → delete one vector (-shards mode)
-//	POST /compact                           → start background compaction, 202 (-shards mode)
-//	POST /save                              → checkpoint to -snapshot, truncate WAL (-shards mode)
+//	POST /insert {"vector":"0101..."}       → insert one vector
+//	POST /delete {"id":123}                 → delete one vector
+//	POST /compact                           → start background compaction, 202
+//	POST /save                              → checkpoint to -snapshot, truncate WAL
 //
 // Usage:
 //
@@ -20,42 +20,49 @@
 //	gph-server -gen uqvideo -n 20000 -shards 4 -wal /var/lib/gph/index.wal -addr :8080
 //	gph-server -index corpus.gph -mmap -addr :8080
 //
-// -index serves a saved index file directly (any engine's Save
-// output, dispatched on its magic bytes) instead of building from
-// -data/-gen. -mmap opens index files — -index here, -snapshot in
-// sharded mode — through a read-only memory mapping: startup is O(1)
-// in index size, vectors page in from the kernel page cache on
-// demand, and resident memory tracks the pages queries touch rather
-// than the whole index (out-of-core serving; see DESIGN.md §14). The
-// active mode and mapping size surface as open_mode / mapped_bytes /
-// resident_bytes in /stats and gph_open_mode / gph_mapped_bytes /
-// gph_resident_bytes in /metrics.
+// There is one serving mode: every request is answered by a sharded,
+// updatable index (gph.ShardedIndex), and -shards (default 1) only
+// says how many shards a build hash-partitions the collection across.
+// One shard with empty update buffers is the plain single index.
+// -engine selects the engine every shard is built as (gph by default;
+// mih, hmsearch, partalloc, linscan, lsh) — every engine serves the
+// same API, with query-validation failures (wrong dimensionality,
+// negative or out-of-bound τ) answered 400 uniformly. Queries fan out
+// across shards concurrently; /search reports the candidates the
+// engines actually verified, summed over shards.
 //
-// -engine selects the backend (gph by default; mih, hmsearch,
-// partalloc, linscan, lsh) — every engine serves the same API, with
-// query-validation failures (wrong dimensionality, negative or
-// out-of-bound τ) answered 400 uniformly. With -shards N the
-// collection is hash-partitioned across N independently built shards
-// of that engine and queries fan out concurrently; this mode also
-// accepts live updates through /insert and /delete. Searches never
-// stall on maintenance: POST /compact starts a background fold and
-// returns 202 immediately (poll /stats for completion), and
-// -auto-compact N folds a shard automatically once it buffers N
-// pending updates. With -wal every acknowledged update is appended
-// and fsynced to a write-ahead log before the response, and replayed
-// over the freshly built collection on restart — a kill -9 loses no
-// acknowledged write. -snapshot PATH bounds the log: POST /save (and
-// graceful shutdown) atomically checkpoints the index there and
-// truncates the WAL, and a later start loads the snapshot instead of
-// rebuilding from -data/-gen. Without -shards the index is single and
-// immutable. -plan selects the per-query planner policy (adaptive by
-// default: each query routes between the built index and a verified
-// linear scan on calibrated cost) and -cache-size bounds the result
-// cache that answers repeated queries without re-searching; planner
-// decisions and cache counters surface in /stats and /metrics.
-// The server carries read/write timeouts, caps POST batch
-// sizes (-max-batch, oversize → 413), and shuts down gracefully on
-// SIGINT or SIGTERM, draining in-flight requests and syncing the WAL.
+// The index comes from one of three places. -data/-gen build it.
+// -index serves a saved file instead: an engine's own Save output
+// (dispatched on its magic bytes and adopted as one shard) or a
+// sharded container. -snapshot PATH, when the file exists, wins over
+// both — it is the checkpoint a previous run left. -mmap opens
+// -index/-snapshot files through a read-only memory mapping: start-up
+// is O(1) in arena bytes and O(n) in ids (the id maps are rebuilt),
+// vectors page in from the kernel page cache on demand, and resident
+// memory tracks the pages queries touch rather than the whole index
+// (out-of-core serving; see DESIGN.md §14). The active mode and
+// mapping size surface as open_mode / mapped_bytes / resident_bytes in
+// /stats and gph_open_mode / gph_mapped_bytes / gph_resident_bytes in
+// /metrics.
+//
+// Every index takes live updates through /insert and /delete, however
+// it was obtained. Searches never stall on maintenance: POST /compact
+// starts a background fold and returns 202 immediately (poll /stats
+// for completion), and -auto-compact N folds a shard automatically
+// once it buffers N pending updates. With -wal every acknowledged
+// update is appended and fsynced to a write-ahead log before the
+// response, and replayed over the index on restart — a kill -9 loses
+// no acknowledged write. -snapshot PATH bounds the log: POST /save
+// (and graceful shutdown) atomically checkpoints the index there and
+// truncates the WAL. -plan selects the per-query planner policy
+// (adaptive by default: each query routes between the built index and
+// a verified linear scan on calibrated cost) and -cache-size bounds
+// the result cache that answers repeated queries without
+// re-searching; planner decisions and cache counters surface in
+// /stats and /metrics. The server carries read/write timeouts, caps
+// POST batch sizes (-max-batch, oversize → 413), and shuts down
+// gracefully on SIGINT or SIGTERM, draining in-flight requests,
+// checkpointing and syncing the WAL.
 package main
 
 import (
@@ -64,7 +71,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"iter"
 	"log"
 	"net/http"
 	"os"
@@ -78,14 +84,11 @@ import (
 	"gph/internal/mmapio"
 )
 
-// server answers requests from exactly one of two backends: a single
-// immutable engine, or a sharded updatable one (-shards). Either way
-// the HTTP layer is engine-agnostic: it speaks the engine contract.
+// server answers every request from one backend, whichever way it was
+// obtained (built, -index, -snapshot). The HTTP layer is
+// engine-agnostic: it speaks the sharded index's contract.
 type server struct {
-	engine   gph.Engine        // single-engine mode
-	opened   gph.OpenedEngine  // set when -index opened a file; owns its mapping
-	sharded  *gph.ShardedIndex // sharded mode; nil without -shards
-	openMode gph.OpenMode      // how index files are brought into memory
+	index    *gph.ShardedIndex
 	maxBatch int
 	snapPath string // -snapshot: POST /save checkpoints here; "" disables
 	metrics  *metrics
@@ -95,83 +98,14 @@ type server struct {
 // order); every routed endpoint is instrumented under one of these.
 var handlerNames = []string{"healthz", "search", "stream", "knn", "stats", "insert", "delete", "compact", "save"}
 
-func (s *server) vectors() int {
-	if s.sharded != nil {
-		return s.sharded.Len()
-	}
-	return s.engine.Len()
-}
-
-func (s *server) dims() int {
-	if s.sharded != nil {
-		return s.sharded.Dims()
-	}
-	return s.engine.Dims()
-}
-
-func (s *server) sizeBytes() int64 {
-	if s.sharded != nil {
-		return s.sharded.SizeBytes()
-	}
-	return s.engine.SizeBytes()
-}
-
-// engineName reports which backend is serving, for /healthz and
-// /stats.
-func (s *server) engineName() string {
-	if s.sharded != nil {
-		return s.sharded.Engine()
-	}
-	return s.engine.Name()
-}
-
-// mappedBytes reports the size of the index's backing file mapping
-// (0 when the index lives on the heap).
-func (s *server) mappedBytes() int64 {
-	if s.sharded != nil {
-		return s.sharded.MappedBytes()
-	}
-	if s.opened != nil {
-		return s.opened.MappedBytes()
-	}
-	return 0
-}
-
 // openModeLabel is "mmap" when the index actually serves from a live
 // file mapping, "heap" otherwise — including when -mmap was requested
 // but the platform fell back to a heap read.
 func (s *server) openModeLabel() string {
-	mapped := false
-	if s.sharded != nil {
-		mapped = s.sharded.Mapped()
-	} else if s.opened != nil {
-		mapped = s.opened.Mapped()
-	}
-	if mapped {
+	if s.index.Mapped() {
 		return "mmap"
 	}
 	return "heap"
-}
-
-// planStats reports the backend's planner/cache counters; ok=false
-// when planning and caching are both disabled (-plan off -cache-size 0).
-func (s *server) planStats() (gph.PlanStats, bool) {
-	if s.sharded != nil {
-		return s.sharded.PlanStats()
-	}
-	return gph.PlanStatsOf(s.engine)
-}
-
-// vector resolves an id from a search result to its vector for
-// distance reporting.
-func (s *server) vector(id int32) (gph.Vector, bool) {
-	if s.sharded != nil {
-		return s.sharded.Vector(id)
-	}
-	if id < 0 || int(id) >= s.engine.Len() {
-		return gph.Vector{}, false
-	}
-	return s.engine.Vector(id), true
 }
 
 type searchResponse struct {
@@ -189,8 +123,8 @@ type batchRequest struct {
 func main() {
 	var (
 		dataPath = flag.String("data", "", "dataset file (from gph-datagen)")
-		idxPath  = flag.String("index", "", "serve a saved index file (any engine's Save output) instead of building from -data/-gen")
-		useMmap  = flag.Bool("mmap", false, "open index files (-index, -snapshot) through a read-only memory mapping: O(1) open, on-demand paging, shared pages across processes")
+		idxPath  = flag.String("index", "", "serve a saved index file (any engine's Save output, or a sharded container) instead of building from -data/-gen")
+		useMmap  = flag.Bool("mmap", false, "open index files (-index, -snapshot) through a read-only memory mapping: open O(1) in arena bytes, on-demand paging, shared pages across processes")
 		gen      = flag.String("gen", "", "generate a dataset instead: sift|gist|pubchem|fasttext|uqvideo")
 		n        = flag.Int("n", 10000, "vectors to generate with -gen")
 		seed     = flag.Int64("seed", 42, "seed")
@@ -198,12 +132,12 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		buildPar = flag.Int("build-parallelism", 0, "index-build worker count (0 = GOMAXPROCS)")
 		maxBatch = flag.Int("max-batch", 1024, "maximum queries per POST /search batch")
-		shards   = flag.Int("shards", 0, "shard count; 0 = single immutable index, >0 enables /insert, /delete and /compact")
+		shards   = flag.Int("shards", 1, "shard count a build hash-partitions the collection across (ignored when an -index/-snapshot file is served)")
 		engName  = flag.String("engine", "gph", fmt.Sprintf("search engine to serve %v", gph.Engines()))
 		maxTau   = flag.Int("max-tau", 0, "largest query threshold τ-bounded engines build for (0 = default 64)")
-		walPath  = flag.String("wal", "", "write-ahead log path: replay on start, fsync every update (-shards mode)")
+		walPath  = flag.String("wal", "", "write-ahead log path: replay on start, fsync every update")
 		autoComp = flag.Int("auto-compact", 0, "fold a shard automatically once it buffers this many pending updates; 0 = explicit /compact only")
-		snapPath = flag.String("snapshot", "", "snapshot path: loaded on start if present (instead of rebuilding from -data/-gen), written by POST /save and on graceful shutdown; checkpointing truncates the WAL (-shards mode)")
+		snapPath = flag.String("snapshot", "", "snapshot path: loaded on start if present (instead of rebuilding from -data/-gen), written by POST /save and on graceful shutdown; checkpointing truncates the WAL")
 		planMode = flag.String("plan", "adaptive", "query-planner policy: adaptive|index|scan|off")
 		cacheMB  = flag.Int("cache-size", 64, "result-cache budget in MiB; 0 disables caching")
 	)
@@ -215,101 +149,57 @@ func main() {
 	}
 
 	start := time.Now()
-	s := &server{maxBatch: *maxBatch, snapPath: *snapPath, openMode: openMode, metrics: newMetrics(handlerNames...)}
-	if *shards > 0 {
-		var sharded *gph.ShardedIndex
-		snapExists := false
-		if *snapPath != "" {
-			if _, err := os.Stat(*snapPath); err == nil {
-				snapExists = true
-			} else if !os.IsNotExist(err) {
-				log.Fatalf("gph-server: snapshot: %v", err)
-			}
+	// An existing -snapshot is the checkpoint a previous run left, so
+	// it wins over -index, which wins over building.
+	openPath := *idxPath
+	if *snapPath != "" {
+		if _, err := os.Stat(*snapPath); err == nil {
+			openPath = *snapPath
+		} else if !os.IsNotExist(err) {
+			log.Fatalf("gph-server: snapshot: %v", err)
 		}
-		if snapExists {
-			var err error
-			sharded, err = gph.OpenShardedFile(*snapPath, openMode)
-			if err != nil {
-				log.Fatalf("gph-server: loading snapshot: %v", err)
-			}
-			sharded.SetAutoCompact(*autoComp)
-			// Planner/cache policy is runtime configuration, not
-			// persisted state: apply the flags to the loaded index.
-			if err := sharded.ConfigurePlan(*planMode, cacheBytes); err != nil {
-				log.Fatalf("gph-server: %v", err)
-			}
-			log.Printf("loaded snapshot %s (%s, %d vectors); -data/-gen ignored", *snapPath, sharded.Engine(), sharded.Len())
-		} else {
-			ds, err := loadOrGenerate(*dataPath, *gen, *n, *seed)
-			if err != nil {
-				log.Fatalf("gph-server: %v", err)
-			}
-			opts := gph.Options{
-				NumPartitions: *m, MaxTau: *maxTau, Seed: *seed, BuildParallelism: *buildPar,
-				AutoCompactDelta: *autoComp,
-				PlanMode:         *planMode, CacheBytes: cacheBytes,
-			}
-			sharded, err = gph.BuildShardedEngine(*engName, ds.Vectors, *shards, opts)
-			if err != nil {
-				log.Fatalf("gph-server: building sharded index: %v", err)
-			}
-		}
-		if *walPath != "" {
-			replayed, err := sharded.OpenWAL(*walPath)
-			if err != nil {
-				log.Fatalf("gph-server: opening wal: %v", err)
-			}
-			if replayed > 0 {
-				log.Printf("replayed %d wal records from %s", replayed, *walPath)
-			}
-		}
-		s.sharded = sharded
-	} else {
-		if *walPath != "" {
-			log.Fatalf("gph-server: -wal requires -shards (a single index is immutable)")
-		}
-		if *autoComp != 0 {
-			log.Fatalf("gph-server: -auto-compact requires -shards (a single index is immutable)")
-		}
-		if *snapPath != "" {
-			log.Fatalf("gph-server: -snapshot requires -shards (a single index is immutable)")
-		}
-		var eng gph.Engine
-		if *idxPath != "" {
-			o, err := gph.OpenEngine(*idxPath, openMode)
-			if err != nil {
-				log.Fatalf("gph-server: opening index: %v", err)
-			}
-			s.opened = o
-			eng = o
-			log.Printf("opened index %s (%s, mode %s); -data/-gen ignored", *idxPath, o.Name(), s.openModeLabel())
-		} else {
-			ds, err := loadOrGenerate(*dataPath, *gen, *n, *seed)
-			if err != nil {
-				log.Fatalf("gph-server: %v", err)
-			}
-			eng, err = gph.BuildEngine(*engName, ds.Vectors, gph.EngineOptions{
-				NumPartitions: *m, MaxTau: *maxTau, Seed: *seed, BuildParallelism: *buildPar,
-			})
-			if err != nil {
-				log.Fatalf("gph-server: building index: %v", err)
-			}
-		}
-		// Decorate with the planner and result cache once, at startup
-		// (calibration runs inside WrapPlan).
-		eng, err := gph.WrapPlan(eng, *planMode, cacheBytes)
+	}
+	var index *gph.ShardedIndex
+	var err error
+	if openPath != "" {
+		index, err = gph.OpenShardedFile(openPath, openMode)
 		if err != nil {
+			log.Fatalf("gph-server: opening %s: %v", openPath, err)
+		}
+		// Lifecycle and planner/cache policy are runtime configuration,
+		// not persisted state: apply the flags to the opened index.
+		index.SetAutoCompact(*autoComp)
+		if err := index.ConfigurePlan(*planMode, cacheBytes); err != nil {
 			log.Fatalf("gph-server: %v", err)
 		}
-		s.engine = eng
+		log.Printf("opened %s; -data/-gen ignored", openPath)
+	} else {
+		ds, derr := loadOrGenerate(*dataPath, *gen, *n, *seed)
+		if derr != nil {
+			log.Fatalf("gph-server: %v", derr)
+		}
+		index, err = gph.BuildShardedEngine(*engName, ds.Vectors, *shards, gph.Options{
+			NumPartitions: *m, MaxTau: *maxTau, Seed: *seed, BuildParallelism: *buildPar,
+			AutoCompactDelta: *autoComp,
+			PlanMode:         *planMode, CacheBytes: cacheBytes,
+		})
+		if err != nil {
+			log.Fatalf("gph-server: building index: %v", err)
+		}
 	}
-	mode := "single index"
-	if *shards > 0 {
-		mode = fmt.Sprintf("%d shards", *shards)
+	if *walPath != "" {
+		replayed, err := index.OpenWAL(*walPath)
+		if err != nil {
+			log.Fatalf("gph-server: opening wal: %v", err)
+		}
+		if replayed > 0 {
+			log.Printf("replayed %d wal records from %s", replayed, *walPath)
+		}
 	}
-	log.Printf("%s index ready (%s): %d vectors × %d dims in %v (%.2f MB)",
-		s.engineName(), mode, s.vectors(), s.dims(), time.Since(start).Round(time.Millisecond),
-		float64(s.sizeBytes())/(1<<20))
+	s := &server{index: index, maxBatch: *maxBatch, snapPath: *snapPath, metrics: newMetrics(handlerNames...)}
+	log.Printf("%s index ready (shards=%d, %s): %d vectors × %d dims in %v (%.2f MB)",
+		index.Engine(), index.NumShards(), s.openModeLabel(), index.Len(), index.Dims(),
+		time.Since(start).Round(time.Millisecond), float64(index.SizeBytes())/(1<<20))
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.metrics.instrument("healthz", s.handleHealth))
@@ -355,22 +245,15 @@ func main() {
 		// release the index: waits out any background compaction and
 		// syncs and closes the WAL, so the log ends on a record
 		// boundary either way.
-		if s.sharded != nil {
-			if s.snapPath != "" {
-				if err := s.sharded.SaveFile(s.snapPath); err != nil {
-					log.Printf("gph-server: checkpoint on shutdown: %v", err)
-				} else {
-					log.Printf("checkpointed to %s", s.snapPath)
-				}
-			}
-			if err := s.sharded.Close(); err != nil {
-				log.Fatalf("gph-server: closing index: %v", err)
+		if s.snapPath != "" {
+			if err := s.index.SaveFile(s.snapPath); err != nil {
+				log.Printf("gph-server: checkpoint on shutdown: %v", err)
+			} else {
+				log.Printf("checkpointed to %s", s.snapPath)
 			}
 		}
-		if s.opened != nil {
-			if err := s.opened.Close(); err != nil {
-				log.Fatalf("gph-server: closing index: %v", err)
-			}
+		if err := s.index.Close(); err != nil {
+			log.Fatalf("gph-server: closing index: %v", err)
 		}
 		log.Printf("shutdown complete")
 	}
@@ -394,38 +277,35 @@ func loadOrGenerate(dataPath, gen string, n int, seed int64) (*datagen.Dataset, 
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status":  "ok",
-		"engine":  s.engineName(),
-		"vectors": s.vectors(),
-		"dims":    s.dims(),
+		"engine":  s.index.Engine(),
+		"vectors": s.index.Len(),
+		"dims":    s.index.Dims(),
 	})
 }
 
-// handleStats reports index occupancy; in sharded mode it adds the
-// per-shard breakdown (indexed vectors, pending delta inserts,
-// tombstones, resident size), which is how operators decide when to
-// /compact.
+// handleStats reports index occupancy with the per-shard breakdown
+// (indexed vectors, pending delta inserts, tombstones, resident
+// size), which is how operators decide when to /compact.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	resp := map[string]interface{}{
-		"engine":         s.engineName(),
-		"vectors":        s.vectors(),
-		"dims":           s.dims(),
-		"size_bytes":     s.sizeBytes(),
+		"engine":         s.index.Engine(),
+		"vectors":        s.index.Len(),
+		"dims":           s.index.Dims(),
+		"size_bytes":     s.index.SizeBytes(),
 		"open_mode":      s.openModeLabel(),
-		"mapped_bytes":   s.mappedBytes(),
+		"mapped_bytes":   s.index.MappedBytes(),
 		"resident_bytes": mmapio.ProcessResidentBytes(),
+		"num_shards":     s.index.NumShards(),
+		"shards":         s.index.ShardStats(),
+		"compaction":     s.index.CompactionStatus(),
+		"wal_bytes":      s.index.WALSizeBytes(),
+		"epoch":          s.index.Epoch(),
 	}
-	if s.sharded != nil {
-		resp["num_shards"] = s.sharded.NumShards()
-		resp["shards"] = s.sharded.ShardStats()
-		resp["compaction"] = s.sharded.CompactionStatus()
-		resp["wal_bytes"] = s.sharded.WALSizeBytes()
-		resp["epoch"] = s.sharded.Epoch()
-	}
-	if ps, ok := s.planStats(); ok {
+	if ps, ok := s.index.PlanStats(); ok {
 		resp["planner"] = ps
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -435,21 +315,17 @@ type insertRequest struct {
 	Vector string `json:"vector"`
 }
 
-// handleInsert adds one vector to a sharded index; it lands in the
+// handleInsert adds one vector to the index; it lands in the
 // owning shard's delta buffer, visible to searches immediately.
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if s.sharded == nil {
-		httpError(w, http.StatusNotImplemented, "updates require a sharded index: restart with -shards")
-		return
-	}
 	// An empty index has no dimensionality yet — the first insert
 	// defines it — so fall back to a generous fixed cap there.
-	maxBody := int64(s.dims()) + 4096
-	if s.dims() == 0 {
+	maxBody := int64(s.index.Dims()) + 4096
+	if s.index.Dims() == 0 {
 		maxBody = 1 << 20
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
@@ -468,7 +344,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad vector: %v", err)
 		return
 	}
-	id, err := s.sharded.Insert(v)
+	id, err := s.index.Insert(v)
 	if err != nil {
 		// Dimension mismatches wrap gph.ErrInvalidQuery (→ 400);
 		// anything else — a WAL append failure, say — is a server
@@ -491,12 +367,8 @@ func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if s.sharded == nil {
-		httpError(w, http.StatusNotImplemented, "compaction requires a sharded index: restart with -shards")
-		return
-	}
 	status := "started"
-	if !s.sharded.CompactAsync() {
+	if !s.index.CompactAsync() {
 		status = "already_running"
 	}
 	writeJSON(w, http.StatusAccepted, map[string]interface{}{
@@ -505,7 +377,7 @@ func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSave checkpoints the sharded index to the -snapshot path:
+// handleSave checkpoints the index to the -snapshot path:
 // the container is atomically replaced and the WAL truncated, so the
 // log stops growing and the next start loads the snapshot instead of
 // rebuilding and replaying history. Updates wait while the snapshot
@@ -515,23 +387,19 @@ func (s *server) handleSave(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if s.sharded == nil {
-		httpError(w, http.StatusNotImplemented, "checkpointing requires a sharded index: restart with -shards")
-		return
-	}
 	if s.snapPath == "" {
 		httpError(w, http.StatusNotImplemented, "no snapshot path configured: restart with -snapshot")
 		return
 	}
 	start := time.Now()
-	if err := s.sharded.SaveFile(s.snapPath); err != nil {
+	if err := s.index.SaveFile(s.snapPath); err != nil {
 		httpError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"path":      s.snapPath,
 		"millis":    time.Since(start).Milliseconds(),
-		"wal_bytes": s.sharded.WALSizeBytes(),
+		"wal_bytes": s.index.WALSizeBytes(),
 	})
 }
 
@@ -539,7 +407,7 @@ type deleteRequest struct {
 	ID int32 `json:"id"`
 }
 
-// handleDelete removes one vector by global id from a sharded index:
+// handleDelete removes one vector by global id:
 // tombstoned immediately (invisible to every subsequent search),
 // physically dropped by the next compaction. Deleting an id that is
 // not live answers 404.
@@ -548,17 +416,13 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if s.sharded == nil {
-		httpError(w, http.StatusNotImplemented, "updates require a sharded index: restart with -shards")
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, 4096)
 	var req deleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
-	if err := s.sharded.Delete(req.ID); err != nil {
+	if err := s.index.Delete(req.ID); err != nil {
 		if errors.Is(err, gph.ErrNotFound) {
 			httpError(w, http.StatusNotFound, "%v", err)
 			return
@@ -622,20 +486,7 @@ func (s *server) searchOne(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	var ids []int32
-	var candidates int
-	if s.sharded != nil {
-		// Per-query candidate accounting is a single-index notion;
-		// sharded stats live under /stats.
-		ids, err = s.sharded.Search(q, tau)
-		candidates = len(ids)
-	} else {
-		var stats *gph.Stats
-		ids, stats, err = s.engine.SearchStats(q, tau)
-		if stats != nil {
-			candidates = stats.Candidates
-		}
-	}
+	ids, stats, err := s.index.SearchStats(q, tau)
 	if err != nil {
 		httpError(w, searchStatus(err), "%v", err)
 		return
@@ -643,11 +494,11 @@ func (s *server) searchOne(w http.ResponseWriter, r *http.Request) {
 	resp := searchResponse{
 		Results:    ids,
 		Distances:  make([]int, len(ids)),
-		Candidates: candidates,
+		Candidates: stats.Candidates,
 		Micros:     time.Since(start).Microseconds(),
 	}
 	for i, id := range ids {
-		if v, ok := s.vector(id); ok {
+		if v, ok := s.index.Vector(id); ok {
 			resp.Distances[i] = gph.Hamming(q, v)
 		}
 	}
@@ -691,16 +542,10 @@ func (s *server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad tau: %v", err)
 		return
 	}
-	var seq iter.Seq2[gph.Neighbor, error]
-	if s.sharded != nil {
-		seq = s.sharded.SearchIter(q, tau)
-	} else {
-		seq = gph.SearchStream(s.engine, q, tau)
-	}
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	started := false
-	for nb, err := range seq {
+	for nb, err := range s.index.SearchIter(q, tau) {
 		if err != nil {
 			if !started {
 				httpError(w, searchStatus(err), "%v", err)
@@ -754,12 +599,7 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	var nns []gph.Neighbor
-	if s.sharded != nil {
-		nns, err = s.sharded.SearchKNN(q, k)
-	} else {
-		nns, err = s.engine.SearchKNN(q, k)
-	}
+	nns, err := s.index.SearchKNN(q, k)
 	if err != nil {
 		httpError(w, searchStatus(err), "%v", err)
 		return
@@ -781,7 +621,7 @@ func (s *server) searchBatch(w http.ResponseWriter, r *http.Request) {
 		// A '0'/'1' query string costs Dims bytes plus JSON quoting
 		// and separators; anything past this bound cannot be a legal
 		// batch, so cut the read off early.
-		maxBody := int64(s.maxBatch)*int64(s.dims()+16) + 4096
+		maxBody := int64(s.maxBatch)*int64(s.index.Dims()+16) + 4096
 		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	}
 	var req batchRequest
@@ -809,13 +649,7 @@ func (s *server) searchBatch(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	start := time.Now()
-	var results [][]int32
-	var err error
-	if s.sharded != nil {
-		results, err = s.sharded.SearchBatch(queries, req.Tau, 0)
-	} else {
-		results, err = s.engine.SearchBatch(queries, req.Tau, 0)
-	}
+	results, err := s.index.SearchBatch(queries, req.Tau, 0)
 	if err != nil {
 		// SearchBatch joins per-query errors ("query %d: ...") and
 		// keeps sibling results; report the failures with a status

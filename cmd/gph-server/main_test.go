@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,20 +16,34 @@ import (
 	"gph/datagen"
 )
 
-func testServer(t *testing.T) *server {
+// testOpts keeps test builds fast: small partitioning sample and
+// surrogate workload, modest MaxTau.
+var testOpts = gph.Options{NumPartitions: 6, MaxTau: 16, Seed: 1, SampleSize: 200, WorkloadSize: 8}
+
+// testServer serves 800 uqvideo-like vectors from a gph index built
+// over the given number of shards; 1 is the default-flags server.
+func testServer(t *testing.T, shards int) *server {
 	t.Helper()
-	ds := datagen.UQVideoLike(800, 1)
-	index, err := gph.Build(ds.Vectors, gph.Options{
-		NumPartitions: 6, MaxTau: 16, Seed: 1, SampleSize: 200, WorkloadSize: 8,
-	})
+	index, err := gph.BuildSharded(datagen.UQVideoLike(800, 1).Vectors, shards, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &server{engine: index}
+	t.Cleanup(func() { index.Close() })
+	return &server{index: index}
+}
+
+// vectorString returns the '0'/'1' form of the live vector id.
+func vectorString(t *testing.T, s *server, id int32) string {
+	t.Helper()
+	v, ok := s.index.Vector(id)
+	if !ok {
+		t.Fatalf("vector %d not live", id)
+	}
+	return v.String()
 }
 
 func TestHealthz(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	rec := httptest.NewRecorder()
 	s.handleHealth(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
@@ -44,10 +59,10 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestSearchGet(t *testing.T) {
-	s := testServer(t)
-	q := s.engine.Vector(0)
+	s := testServer(t, 1)
+	q := vectorString(t, s, 0)
 	rec := httptest.NewRecorder()
-	s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=8", nil))
+	s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q+"&tau=8", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -66,7 +81,7 @@ func TestSearchGet(t *testing.T) {
 }
 
 func TestSearchGetErrors(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	cases := []string{
 		"/search?q=01xy&tau=3",      // bad bits
 		"/search?q=0101&tau=potato", // bad tau
@@ -90,8 +105,8 @@ func TestSearchGetErrors(t *testing.T) {
 // parameters: the response must name the parameter rather than
 // surface strconv.Atoi's parse of the empty string.
 func TestMissingParams(t *testing.T) {
-	s := testServer(t)
-	q := s.engine.Vector(0).String()
+	s := testServer(t, 1)
+	q := vectorString(t, s, 0)
 	cases := []struct {
 		url     string
 		handler func(http.ResponseWriter, *http.Request)
@@ -113,9 +128,9 @@ func TestMissingParams(t *testing.T) {
 }
 
 func TestSearchBatchPost(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	req := batchRequest{
-		Queries: []string{s.engine.Vector(1).String(), s.engine.Vector(2).String()},
+		Queries: []string{vectorString(t, s, 1), vectorString(t, s, 2)},
 		Tau:     6,
 	}
 	body, _ := json.Marshal(req)
@@ -136,13 +151,13 @@ func TestSearchBatchPost(t *testing.T) {
 }
 
 func TestSearchBatchTooLarge(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	s.maxBatch = 2
 	req := batchRequest{
 		Queries: []string{
-			s.engine.Vector(0).String(),
-			s.engine.Vector(1).String(),
-			s.engine.Vector(2).String(),
+			vectorString(t, s, 0),
+			vectorString(t, s, 1),
+			vectorString(t, s, 2),
 		},
 		Tau: 6,
 	}
@@ -155,10 +170,10 @@ func TestSearchBatchTooLarge(t *testing.T) {
 }
 
 func TestSearchBatchBadQueryDims(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	s.maxBatch = 16
 	req := batchRequest{
-		Queries: []string{s.engine.Vector(0).String(), "0101"},
+		Queries: []string{vectorString(t, s, 0), "0101"},
 		Tau:     6,
 	}
 	body, _ := json.Marshal(req)
@@ -170,7 +185,7 @@ func TestSearchBatchBadQueryDims(t *testing.T) {
 }
 
 func TestSearchBatchPostBadBody(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	rec := httptest.NewRecorder()
 	s.handleSearch(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader([]byte("{nope"))))
 	if rec.Code != http.StatusBadRequest {
@@ -179,7 +194,7 @@ func TestSearchBatchPostBadBody(t *testing.T) {
 }
 
 func TestSearchBatchBodyTooLarge(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	s.maxBatch = 2
 	// Any body past maxBatch*(dims+16)+4096 bytes trips the
 	// MaxBytesReader before JSON decoding completes.
@@ -192,57 +207,61 @@ func TestSearchBatchBodyTooLarge(t *testing.T) {
 	}
 }
 
-// testShardedServer mirrors testServer in -shards mode.
-func testShardedServer(t *testing.T) *server {
-	t.Helper()
-	ds := datagen.UQVideoLike(800, 1)
-	sharded, err := gph.BuildSharded(ds.Vectors, 3, gph.Options{
-		NumPartitions: 6, MaxTau: 16, Seed: 1, SampleSize: 200, WorkloadSize: 8,
-	})
+// TestShardedSearchMatchesSingle: S = 1 is the degenerate sharded
+// index, not a second path — the same query answered over one shard
+// and over three returns the same ids and distances, and on a cache
+// miss "candidates" is what the engines verified, not the result
+// count: at S = 1 exactly the bare engine's own SearchStats count.
+func TestShardedSearchMatchesSingle(t *testing.T) {
+	data := datagen.UQVideoLike(800, 1).Vectors
+	bare, err := gph.Build(data, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &server{sharded: sharded}
-}
-
-// TestShardedSearchMatchesSingle: the HTTP layer must be
-// backend-agnostic — the same query answered by both backends
-// returns the same id set.
-func TestShardedSearchMatchesSingle(t *testing.T) {
-	single := testServer(t)
-	sharded := testShardedServer(t)
-	q := single.engine.Vector(7).String()
-	var bodies []searchResponse
-	for _, s := range []*server{single, sharded} {
+	q := data[7]
+	wantIDs, wantStats, err := bare.SearchStats(q, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		s := testServer(t, shards)
+		if err := s.index.ConfigurePlan("index", 0); err != nil { // same route as the bare engine, nothing cached
+			t.Fatal(err)
+		}
 		rec := httptest.NewRecorder()
-		s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q+"&tau=8", nil))
+		s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=8", nil))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			t.Fatalf("S=%d: status %d: %s", shards, rec.Code, rec.Body.String())
 		}
 		var resp searchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		bodies = append(bodies, resp)
-	}
-	if len(bodies[0].Results) != len(bodies[1].Results) {
-		t.Fatalf("backends disagree: %v vs %v", bodies[0].Results, bodies[1].Results)
-	}
-	for i := range bodies[0].Results {
-		if bodies[0].Results[i] != bodies[1].Results[i] || bodies[0].Distances[i] != bodies[1].Distances[i] {
-			t.Fatalf("backends disagree at %d: %v/%v vs %v/%v", i,
-				bodies[0].Results[i], bodies[0].Distances[i], bodies[1].Results[i], bodies[1].Distances[i])
+		if !slices.Equal(resp.Results, wantIDs) {
+			t.Fatalf("S=%d: results %v, bare engine %v", shards, resp.Results, wantIDs)
+		}
+		for i, id := range resp.Results {
+			if d := gph.Hamming(q, data[id]); resp.Distances[i] != d {
+				t.Fatalf("S=%d: id %d reported at distance %d, is %d", shards, id, resp.Distances[i], d)
+			}
+		}
+		if shards == 1 && resp.Candidates != wantStats.Candidates {
+			t.Fatalf("S=1: candidates %d, engine's SearchStats %d", resp.Candidates, wantStats.Candidates)
+		}
+		if resp.Candidates < len(resp.Results) {
+			t.Fatalf("S=%d: %d candidates for %d results", shards, resp.Candidates, len(resp.Results))
 		}
 	}
 }
 
-// TestInsertCompactStats drives the update lifecycle over HTTP:
-// insert → visible to search and /stats → compact → buffers folded.
+// TestInsertCompactStats drives the update lifecycle over HTTP on a
+// default-flags (one-shard) server: insert → visible to search and
+// /stats → compact → buffers folded.
 func TestInsertCompactStats(t *testing.T) {
-	s := testShardedServer(t)
-	before := s.vectors()
+	s := testServer(t, 1)
+	before := s.index.Len()
 
-	v, _ := s.sharded.Vector(0)
+	v, _ := s.index.Vector(0)
 	q := v.Clone()
 	q.Flip(1)
 	body, _ := json.Marshal(insertRequest{Vector: q.String()})
@@ -316,13 +335,13 @@ func TestInsertCompactStats(t *testing.T) {
 	// The fold is visible (delta 0) a moment before the run is booked
 	// (Runs), so wait for both.
 	deadline := time.Now().Add(30 * time.Second)
-	for statsDelta() != 0 || s.sharded.CompactionStatus().Running {
+	for statsDelta() != 0 || s.index.CompactionStatus().Running {
 		if time.Now().After(deadline) {
 			t.Fatalf("background compaction never folded the delta")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	status := s.sharded.CompactionStatus()
+	status := s.index.CompactionStatus()
 	if status.Runs == 0 || status.LastError != "" {
 		t.Fatalf("compaction status after fold: %+v", status)
 	}
@@ -330,10 +349,10 @@ func TestInsertCompactStats(t *testing.T) {
 
 // TestDelete drives the delete lifecycle over HTTP: a deleted vector
 // vanishes from searches immediately, a second delete of the same id
-// answers 404, and single-index mode answers 501.
+// answers 404.
 func TestDelete(t *testing.T) {
-	s := testShardedServer(t)
-	v, _ := s.sharded.Vector(3)
+	s := testServer(t, 3)
+	v, _ := s.index.Vector(3)
 	q := v.Clone()
 
 	del := func() *httptest.ResponseRecorder {
@@ -359,17 +378,11 @@ func TestDelete(t *testing.T) {
 	if rec := del(); rec.Code != http.StatusNotFound {
 		t.Fatalf("double delete → %d, want 404", rec.Code)
 	}
-	// Method and mode errors.
+	// Method errors.
 	rec = httptest.NewRecorder()
 	s.handleDelete(rec, httptest.NewRequest(http.MethodGet, "/delete", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /delete → %d, want 405", rec.Code)
-	}
-	single := testServer(t)
-	rec = httptest.NewRecorder()
-	single.handleDelete(rec, httptest.NewRequest(http.MethodPost, "/delete", bytes.NewReader([]byte(`{"id":1}`))))
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("delete on single index → %d, want 501", rec.Code)
 	}
 }
 
@@ -377,11 +390,11 @@ func TestDelete(t *testing.T) {
 // latency histograms and the sharded lifecycle gauges, and the
 // instrumentation wrapper actually feeds them.
 func TestMetrics(t *testing.T) {
-	s := testShardedServer(t)
+	s := testServer(t, 3)
 	s.metrics = newMetrics(handlerNames...)
 	search := s.metrics.instrument("search", s.handleSearch)
 
-	v, _ := s.sharded.Vector(0)
+	v, _ := s.index.Vector(0)
 	rec := httptest.NewRecorder()
 	search(rec, httptest.NewRequest(http.MethodGet, "/search?q="+v.String()+"&tau=2", nil))
 	if rec.Code != http.StatusOK {
@@ -425,16 +438,15 @@ func TestMetrics(t *testing.T) {
 }
 
 // TestSave: POST /save checkpoints to the configured snapshot path
-// and truncates the WAL; without -snapshot (or without -shards) it
-// answers 501.
+// and truncates the WAL; without -snapshot it answers 501.
 func TestSave(t *testing.T) {
-	s := testShardedServer(t)
+	s := testServer(t, 1)
 	dir := t.TempDir()
 	s.snapPath = filepath.Join(dir, "index.gph")
-	if _, err := s.sharded.OpenWAL(filepath.Join(dir, "index.wal")); err != nil {
+	if _, err := s.index.OpenWAL(filepath.Join(dir, "index.wal")); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := s.sharded.Vector(0)
+	v, _ := s.index.Vector(0)
 	q := v.Clone()
 	q.Flip(2)
 	body, _ := json.Marshal(insertRequest{Vector: q.String()})
@@ -443,7 +455,7 @@ func TestSave(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("insert → %d", rec.Code)
 	}
-	if s.sharded.WALSizeBytes() <= 8 {
+	if s.index.WALSizeBytes() <= 8 {
 		t.Fatal("wal empty after acknowledged insert")
 	}
 	rec = httptest.NewRecorder()
@@ -451,7 +463,7 @@ func TestSave(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("save → %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := s.sharded.WALSizeBytes(); got != 8 {
+	if got := s.index.WALSizeBytes(); got != 8 {
 		t.Fatalf("wal %d bytes after checkpoint, want header only", got)
 	}
 	if _, err := os.Stat(s.snapPath); err != nil {
@@ -464,36 +476,22 @@ func TestSave(t *testing.T) {
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("save without -snapshot → %d, want 501", rec.Code)
 	}
-	single := testServer(t)
-	rec = httptest.NewRecorder()
-	single.handleSave(rec, httptest.NewRequest(http.MethodPost, "/save", nil))
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("save on single index → %d, want 501", rec.Code)
-	}
 }
 
-// TestUpdatesRequireShardedMode: /insert and /compact on a single
-// immutable index answer 501, and non-POST methods 405.
+// TestUpdatesRequireShardedMode pins /insert's request validation —
+// non-POST methods 405, malformed vectors 400. (Its name predates the
+// single serving path: updates no longer require any mode, and the
+// default server accepting them is TestInsertCompactStats's and
+// TestSave's job.)
 func TestUpdatesRequireShardedMode(t *testing.T) {
-	s := testServer(t)
+	s := testServer(t, 1)
 	rec := httptest.NewRecorder()
-	s.handleInsert(rec, httptest.NewRequest(http.MethodPost, "/insert", bytes.NewReader([]byte(`{"vector":"01"}`))))
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("insert on single index → %d, want 501", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	s.handleCompact(rec, httptest.NewRequest(http.MethodPost, "/compact", nil))
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("compact on single index → %d, want 501", rec.Code)
-	}
-	sh := testShardedServer(t)
-	rec = httptest.NewRecorder()
-	sh.handleInsert(rec, httptest.NewRequest(http.MethodGet, "/insert", nil))
+	s.handleInsert(rec, httptest.NewRequest(http.MethodGet, "/insert", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /insert → %d, want 405", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	sh.handleInsert(rec, httptest.NewRequest(http.MethodPost, "/insert", bytes.NewReader([]byte(`{"vector":"01x"}`))))
+	s.handleInsert(rec, httptest.NewRequest(http.MethodPost, "/insert", bytes.NewReader([]byte(`{"vector":"01x"}`))))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad vector → %d, want 400", rec.Code)
 	}

@@ -132,16 +132,16 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	fmt.Fprintf(w, "# HELP gph_vectors Live vectors in the index.\n")
 	fmt.Fprintf(w, "# TYPE gph_vectors gauge\n")
-	fmt.Fprintf(w, "gph_vectors %d\n", s.vectors())
+	fmt.Fprintf(w, "gph_vectors %d\n", s.index.Len())
 	fmt.Fprintf(w, "# HELP gph_index_bytes Resident index size in bytes.\n")
 	fmt.Fprintf(w, "# TYPE gph_index_bytes gauge\n")
-	fmt.Fprintf(w, "gph_index_bytes %d\n", s.sizeBytes())
+	fmt.Fprintf(w, "gph_index_bytes %d\n", s.index.SizeBytes())
 	fmt.Fprintf(w, "# HELP gph_open_mode How the index was brought into memory (1 for the active mode).\n")
 	fmt.Fprintf(w, "# TYPE gph_open_mode gauge\n")
 	fmt.Fprintf(w, "gph_open_mode{mode=%q} 1\n", s.openModeLabel())
 	fmt.Fprintf(w, "# HELP gph_mapped_bytes Size of the index's backing file mapping (0 when heap-resident).\n")
 	fmt.Fprintf(w, "# TYPE gph_mapped_bytes gauge\n")
-	fmt.Fprintf(w, "gph_mapped_bytes %d\n", s.mappedBytes())
+	fmt.Fprintf(w, "gph_mapped_bytes %d\n", s.index.MappedBytes())
 	fmt.Fprintf(w, "# HELP gph_resident_bytes Process resident set size (0 where unavailable).\n")
 	fmt.Fprintf(w, "# TYPE gph_resident_bytes gauge\n")
 	fmt.Fprintf(w, "gph_resident_bytes %d\n", mmapio.ProcessResidentBytes())
@@ -149,7 +149,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Planner routing decisions and result-cache counters, read from
 	// the backend at scrape time like the other index gauges. Absent
 	// entirely when -plan off and -cache-size 0.
-	if ps, ok := s.planStats(); ok {
+	if ps, ok := s.index.PlanStats(); ok {
 		fmt.Fprintf(w, "# HELP gph_plan_routed_total Queries routed by the planner, by route.\n")
 		fmt.Fprintf(w, "# TYPE gph_plan_routed_total counter\n")
 		fmt.Fprintf(w, "gph_plan_routed_total{route=\"index\"} %d\n", ps.RoutedIndex)
@@ -177,12 +177,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "gph_cache_bytes_max %d\n", ps.Cache.MaxBytes)
 	}
 
-	if s.sharded == nil {
-		return
-	}
 	fmt.Fprintf(w, "# HELP gph_shard_delta Unindexed inserts pending compaction, by shard.\n")
 	fmt.Fprintf(w, "# TYPE gph_shard_delta gauge\n")
-	stats := s.sharded.ShardStats()
+	stats := s.index.ShardStats()
 	for i, sh := range stats {
 		fmt.Fprintf(w, "gph_shard_delta{shard=\"%d\"} %d\n", i, sh.Delta)
 	}
@@ -198,8 +195,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "# HELP gph_epoch Index-wide snapshot epoch (cache-invalidation counter).\n")
 	fmt.Fprintf(w, "# TYPE gph_epoch counter\n")
-	fmt.Fprintf(w, "gph_epoch %d\n", s.sharded.Epoch())
-	cs := s.sharded.CompactionStatus()
+	fmt.Fprintf(w, "gph_epoch %d\n", s.index.Epoch())
+	cs := s.index.CompactionStatus()
 	fmt.Fprintf(w, "# HELP gph_compactions_total Completed compaction runs.\n")
 	fmt.Fprintf(w, "# TYPE gph_compactions_total counter\n")
 	fmt.Fprintf(w, "gph_compactions_total %d\n", cs.Runs)
@@ -211,7 +208,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "gph_compaction_last_millis %d\n", cs.LastMillis)
 	fmt.Fprintf(w, "# HELP gph_wal_bytes Write-ahead log size (0 when no WAL is attached).\n")
 	fmt.Fprintf(w, "# TYPE gph_wal_bytes gauge\n")
-	fmt.Fprintf(w, "gph_wal_bytes %d\n", s.sharded.WALSizeBytes())
+	fmt.Fprintf(w, "gph_wal_bytes %d\n", s.index.WALSizeBytes())
 }
 
 func boolGauge(b bool) int {

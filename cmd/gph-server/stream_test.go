@@ -43,20 +43,16 @@ func streamGet(t *testing.T, s *server, url string) []streamResult {
 	return decodeNDJSON(t, rec.Body.Bytes())
 }
 
-// TestSearchStream pins the streamed lines against GET /search for
-// both backends: same ids in the same order, same distances, and an
-// empty stream is a well-formed zero-line 200.
+// TestSearchStream pins the streamed lines against GET /search on
+// both sides of S = 1: same ids in the same order, same distances,
+// and an empty stream is a well-formed zero-line 200.
 func TestSearchStream(t *testing.T) {
 	for name, s := range map[string]*server{
-		"single":  testServer(t),
-		"sharded": testShardedServer(t),
+		"single":  testServer(t, 1),
+		"sharded": testServer(t, 3),
 	} {
 		t.Run(name, func(t *testing.T) {
-			v, ok := s.vector(5)
-			if !ok {
-				t.Fatal("vector 5 not live")
-			}
-			q := v.String()
+			q := vectorString(t, s, 5)
 			rec := httptest.NewRecorder()
 			s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q+"&tau=8", nil))
 			var want searchResponse
@@ -74,7 +70,7 @@ func TestSearchStream(t *testing.T) {
 				}
 			}
 			// Far query: zero lines, still a 200 with NDJSON framing.
-			far := strings.Repeat("1", s.dims())
+			far := strings.Repeat("1", s.index.Dims())
 			if got := streamGet(t, s, "/search/stream?q="+far+"&tau=0"); len(got) != 0 {
 				t.Fatalf("far query streamed %d results", len(got))
 			}
@@ -82,18 +78,18 @@ func TestSearchStream(t *testing.T) {
 	}
 }
 
-// TestSearchStreamUpdates: streamed results track live updates on a
-// sharded backend — inserts appear, deletes vanish.
+// TestSearchStreamUpdates: streamed results track live updates —
+// inserts appear, deletes vanish.
 func TestSearchStreamUpdates(t *testing.T) {
-	s := testShardedServer(t)
-	v, _ := s.sharded.Vector(0)
+	s := testServer(t, 3)
+	v, _ := s.index.Vector(0)
 	q := v.Clone()
 	q.Flip(3)
-	id, err := s.sharded.Insert(q)
+	id, err := s.index.Insert(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.sharded.Delete(0); err != nil {
+	if err := s.index.Delete(0); err != nil {
 		t.Fatal(err)
 	}
 	got := streamGet(t, s, "/search/stream?q="+q.String()+"&tau=1")
@@ -117,8 +113,8 @@ func TestSearchStreamUpdates(t *testing.T) {
 // TestSearchStreamErrors: pre-stream failures use plain JSON errors
 // with the usual status codes — invalid queries 400, bad method 405.
 func TestSearchStreamErrors(t *testing.T) {
-	s := testServer(t)
-	q := s.engine.Vector(0).String()
+	s := testServer(t, 1)
+	q := vectorString(t, s, 0)
 	for _, c := range []struct {
 		url  string
 		code int

@@ -288,8 +288,8 @@ func LoadAny(r io.Reader) (Engine, error) { return engine.LoadAny(r) }
 
 // OpenMode selects how OpenEngine and OpenShardedFile bring an index
 // file into memory: OpenHeap reads and copies it (the classic Load
-// path), OpenMMap maps it read-only so open time is O(1) in index
-// size and the kernel pages data in on demand — see DESIGN.md §14.
+// path), OpenMMap maps it read-only so open time is O(1) in arena
+// bytes and the kernel pages data in on demand — see DESIGN.md §14.
 type OpenMode = engine.OpenMode
 
 // Open modes.
@@ -320,9 +320,12 @@ func OpenEngine(path string, mode OpenMode) (OpenedEngine, error) {
 	return engine.Open(path, mode)
 }
 
-// OpenShardedFile opens a sharded container file in the given mode —
-// the ShardedIndex counterpart of OpenEngine. In OpenMMap mode every
-// shard's built engine serves from the shared file mapping; updates,
+// OpenShardedFile opens an index file as a ShardedIndex in the given
+// mode: a sharded container (ShardedIndex.Save/SaveFile output), or
+// any engine's own Save output, which is adopted as a one-shard index
+// with global id == engine id — S = 1 with empty update buffers is
+// just the degenerate sharded index. In OpenMMap mode every shard's
+// built engine serves from the shared file mapping; updates,
 // compaction and checkpointing all work (compacted shards move to the
 // heap, and the mapping is released by Close, after which searches
 // fail with ErrIndexClosed). Attach a WAL afterwards with OpenWAL if
@@ -371,26 +374,9 @@ func NewShardedEngine(name string, numShards int, opts Options) (*ShardedIndex, 
 
 // PlanStats reports a query planner's routing counters, calibration
 // coefficients and result-cache counters; the struct lives in
-// internal/plan. Obtain one from ShardedIndex.PlanStats or, for a
-// WrapPlan-decorated engine, PlanStatsOf.
+// internal/plan. Obtain one from ShardedIndex.PlanStats.
 type PlanStats = plan.Stats
 
 // CacheStats is the result cache's counter snapshot (hits, misses,
 // evictions, entries, bytes).
 type CacheStats = plan.CacheStats
-
-// WrapPlan decorates a single immutable engine with the adaptive
-// query planner and a bounded result cache — the single-engine
-// counterpart of ShardedIndex's Options.PlanMode / Options.CacheBytes
-// wiring. mode is "adaptive" (also the empty string), "index",
-// "scan", or "off"; cacheBytes bounds the cache (0 disables it).
-// Mode "off" with no cache returns e unchanged. Calibration runs
-// inside WrapPlan, so wrap at startup, not per query. Cached range
-// hits return the shared cached slice: treat results as read-only.
-func WrapPlan(e Engine, mode string, cacheBytes int64) (Engine, error) {
-	return plan.Wrap(e, mode, cacheBytes)
-}
-
-// PlanStatsOf reports the planner and cache state of an engine
-// returned by WrapPlan; ok=false for any other engine.
-func PlanStatsOf(e Engine) (PlanStats, bool) { return plan.StatsOf(e) }

@@ -173,9 +173,8 @@ type Options struct {
 	AutoCompactDelta int
 	// PlanMode selects the sharded layer's query-planner policy:
 	// "adaptive" (default, also the empty string), "index", "scan", or
-	// "off". Runtime-only — ignored by a single immutable Index (wrap
-	// it with gph.WrapPlan instead) and not persisted in saved
-	// containers.
+	// "off". Runtime-only — ignored by a single immutable Index and
+	// not persisted in saved containers.
 	PlanMode string
 	// CacheBytes bounds the sharded layer's query-result cache; 0 (the
 	// default) disables caching. Runtime-only — ignored by a single

@@ -10,7 +10,6 @@ import (
 	"gph/internal/binio"
 	"gph/internal/bitvec"
 	"gph/internal/mmapio"
-	"gph/internal/verify"
 )
 
 // ErrIndexClosed reports a search against an opened engine whose
@@ -73,12 +72,12 @@ type OpenedEngine interface {
 // Heap opens stream every byte anyway and validate fully before Open
 // returns, exactly as Load always has.
 //
-// The mapped guard does not advertise Scannable: the packed arena it
-// would expose is read by callers outside any Acquire/Release bracket
-// (the planner's scan route), which would race Close. Routing layers
-// treat non-Scannable engines by calling Search, which the guard
-// brackets, so results are unchanged — only the external scan
-// shortcut is withheld.
+// The guard forwards the Engine contract plus streaming, not the
+// planner-facing capabilities (Scannable, CostEstimator, GrowSearcher):
+// the planner is only ever handed the raw engines inside the shard
+// layer's states, under that layer's own mapping bracket, and a packed
+// arena read outside any Acquire/Release bracket would race Close.
+// SearchKNN still reaches the inner engine's own grower.
 func Open(path string, mode OpenMode) (OpenedEngine, error) {
 	if mode == OpenMMap {
 		m, err := mmapio.Open(path)
@@ -114,31 +113,14 @@ func Open(path string, mode OpenMode) (OpenedEngine, error) {
 	return wrapOpened(e, nil), nil
 }
 
-// wrapOpened picks the guard variant matching e's capabilities. Only
-// capability sets that exist in the registry get variants; an engine
-// with an unanticipated combination degrades to a smaller set, which
-// every routing layer handles (capabilities are discovered by type
-// assertion with fallbacks).
+// wrapOpened picks the guard for e: the streaming one when e streams
+// natively, the base one otherwise (engine.Stream replays its Search).
 func wrapOpened(e Engine, m *mmapio.Mapping) OpenedEngine {
 	base := opened{e: e, m: m}
-	_, scan := e.(Scannable)
-	_, stream := e.(Streamer)
-	_, grow := e.(GrowSearcher)
-	_, cost := e.(CostEstimator)
-	full := stream && grow && cost
-	scan = scan && m == nil // see Open: no Scannable over a mapping
-	switch {
-	case full && scan:
-		return &openedScanStreamFull{openedStreamFull{openedStream{base}}}
-	case full:
-		return &openedStreamFull{openedStream{base}}
-	case stream && scan:
-		return &openedScanStream{openedStream{base}}
-	case stream:
+	if _, ok := e.(Streamer); ok {
 		return &openedStream{base}
-	default:
-		return &opened{e: e, m: m}
 	}
+	return &base
 }
 
 // opened is the base guard: it forwards the Engine contract, holding
@@ -271,35 +253,3 @@ func (o *openedStream) SearchIter(q bitvec.Vector, tau int) iter.Seq2[Neighbor, 
 		o.e.(Streamer).SearchIter(q, tau)(yield)
 	}
 }
-
-// openedStreamFull adds the planner-facing capabilities (cost
-// estimation reads the mapped key arenas and counts; incremental kNN reads
-// everything), both bracketed.
-type openedStreamFull struct{ openedStream }
-
-func (o *openedStreamFull) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {
-	if o.acquire() != nil {
-		return 0, false
-	}
-	defer o.release()
-	return o.e.(CostEstimator).EstimateSearchCost(q, tau)
-}
-
-func (o *openedStreamFull) SearchGrow(q bitvec.Vector, k int) ([]Neighbor, GrowStats, error) {
-	if err := o.acquire(); err != nil {
-		return nil, GrowStats{}, err
-	}
-	defer o.release()
-	return o.e.(GrowSearcher).SearchGrow(q, k)
-}
-
-// The Scannable variants exist only for heap opens (m == nil), where
-// exposing the arena is safe: there is no mapping to race.
-
-type openedScanStream struct{ openedStream }
-
-func (o *openedScanStream) Codes() *verify.Codes { return o.e.(Scannable).Codes() }
-
-type openedScanStreamFull struct{ openedStreamFull }
-
-func (o *openedScanStreamFull) Codes() *verify.Codes { return o.e.(Scannable).Codes() }

@@ -120,37 +120,47 @@ func Build(name string, data []bitvec.Vector, opts BuildOptions) (Engine, error)
 	return reg.Build(data, opts.WithDefaults())
 }
 
-// LoadAny restores an engine from r by peeking the leading magic bytes
-// and dispatching to the matching registered loader. It accepts any
-// format a registered engine's Save produces. When r is a
-// *binio.Source (the zero-copy open path hands one over a file
-// mapping), the source itself is passed through to the loader, so
-// binio.NewReader inside the engine codec stays in borrow mode and the
-// loaded structures alias the mapping instead of copying it.
-func LoadAny(r io.Reader) (Engine, error) {
+// PeekMagic returns r's leading MagicLen bytes without consuming them,
+// together with the reader to continue from. A *binio.Source (the
+// zero-copy open path hands one over a file mapping) is returned
+// itself, so a codec reading from it stays in borrow mode; any other
+// reader comes back buffered.
+func PeekMagic(r io.Reader) (string, io.Reader, error) {
 	var (
-		dispatch io.Reader
-		magic    []byte
-		err      error
+		magic []byte
+		err   error
 	)
 	if src, ok := r.(*binio.Source); ok {
 		magic, err = src.Peek(MagicLen)
-		dispatch = src
 	} else {
 		br := bufio.NewReader(r)
 		magic, err = br.Peek(MagicLen)
-		dispatch = br
+		r = br
 	}
 	if err != nil {
-		return nil, fmt.Errorf("engine: reading magic: %w", err)
+		return "", nil, fmt.Errorf("engine: reading magic: %w", err)
+	}
+	return string(magic), r, nil
+}
+
+// LoadAny restores an engine from r by peeking the leading magic bytes
+// and dispatching to the matching registered loader. It accepts any
+// format a registered engine's Save produces. When r is a
+// *binio.Source, the source itself is passed through to the loader, so
+// binio.NewReader inside the engine codec stays in borrow mode and the
+// loaded structures alias the mapping instead of copying it.
+func LoadAny(r io.Reader) (Engine, error) {
+	magic, r, err := PeekMagic(r)
+	if err != nil {
+		return nil, err
 	}
 	regMu.RLock()
-	reg, ok := byMagic[string(magic)]
+	reg, ok := byMagic[magic]
 	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown index format %q", magic)
 	}
-	e, err := reg.Load(dispatch)
+	e, err := reg.Load(r)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s index: %w", reg.Name, err)
 	}

@@ -21,6 +21,20 @@ type Key struct {
 	Eng   uint8
 }
 
+// EngineID folds an engine name to the cache key's engine byte
+// (FNV-1a folded to 8 bits). Distinct engines sharing one cache is
+// not a supported configuration, so 8 bits of separation is plenty —
+// the byte exists to keep an engine swap from replaying another
+// engine's entries.
+func EngineID(name string) uint8 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= 16777619
+	}
+	return uint8(h ^ h>>8 ^ h>>16 ^ h>>24)
+}
+
 // entry is one cached result, threaded on its shard's LRU list.
 // Size accounting charges the ids/dists payload plus a fixed overhead
 // for the entry, its map slot, and list links.

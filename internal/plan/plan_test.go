@@ -1,28 +1,10 @@
 package plan
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"gph/internal/bitvec"
-	"gph/internal/engine"
-	"gph/internal/linscan"
 )
-
-func randVectors(n, dims int, seed int64) []bitvec.Vector {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]bitvec.Vector, n)
-	bits := make([]byte, dims)
-	for i := range out {
-		for j := range bits {
-			bits[j] = byte(rng.Intn(2))
-		}
-		out[i] = bitvec.FromBits(bits)
-	}
-	return out
-}
 
 func TestHashWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -150,126 +132,5 @@ func TestCacheConcurrent(t *testing.T) {
 	st := c.Stats()
 	if st.Bytes < 0 || st.Entries < 0 {
 		t.Fatalf("accounting went negative: %+v", st)
-	}
-}
-
-func TestWrapConformanceAndCacheHits(t *testing.T) {
-	const dims = 64
-	data := randVectors(400, dims, 1)
-	bare, err := linscan.New(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := Wrap(bare, "adaptive", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := randVectors(5, dims, 2)
-	for _, tau := range []int{0, 4, 16, 40} {
-		for qi, q := range queries {
-			want, err := bare.Search(q, tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pass := 0; pass < 2; pass++ {
-				got, st, err := wrapped.SearchStats(q, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("tau=%d q=%d pass=%d: %d results, want %d", tau, qi, pass, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("tau=%d q=%d pass=%d: result %d = %d, want %d", tau, qi, pass, i, got[i], want[i])
-					}
-				}
-				if pass == 1 && !st.CacheHit {
-					t.Fatalf("tau=%d q=%d: second pass was not a cache hit", tau, qi)
-				}
-			}
-		}
-	}
-
-	// kNN conformance through the cache, both passes.
-	q := queries[0]
-	want, err := bare.SearchKNN(q, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		got, err := wrapped.SearchKNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("kNN pass %d: %d results, want %d", pass, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("kNN pass %d: neighbor %d = %+v, want %+v", pass, i, got[i], want[i])
-			}
-		}
-	}
-
-	if st, ok := StatsOf(wrapped); !ok || st.Cache.Hits == 0 || st.Cache.Misses == 0 {
-		t.Errorf("StatsOf = %+v, %v", st, ok)
-	}
-
-	// Out-of-contract queries pass through to the inner engine's
-	// canonical errors and are never cached.
-	if _, err := wrapped.Search(bitvec.New(dims+1), 3); !errors.Is(err, engine.ErrDimMismatch) {
-		t.Errorf("wrong-dims error = %v", err)
-	}
-	if _, err := wrapped.Search(q, -1); !errors.Is(err, engine.ErrNegativeTau) {
-		t.Errorf("negative-tau error = %v", err)
-	}
-}
-
-func TestWrapCachedHitDoesNotAllocate(t *testing.T) {
-	data := randVectors(300, 64, 3)
-	bare, err := linscan.New(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := Wrap(bare, "adaptive", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := randVectors(1, 64, 4)[0]
-	if _, err := wrapped.Search(q, 8); err != nil { // fill
-		t.Fatal(err)
-	}
-	var sink int
-	allocs := testing.AllocsPerRun(100, func() {
-		out, err := wrapped.Search(q, 8)
-		if err != nil {
-			panic(err)
-		}
-		sink += len(out)
-	})
-	if allocs != 0 {
-		t.Errorf("cached hit allocates %v times per op, want 0", allocs)
-	}
-}
-
-func TestWrapOffIsIdentity(t *testing.T) {
-	data := randVectors(50, 64, 5)
-	bare, err := linscan.New(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Wrap(bare, "off", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != engine.Engine(bare) {
-		t.Error("Wrap(off, 0) did not return the engine unchanged")
-	}
-	if _, ok := StatsOf(e); ok {
-		t.Error("StatsOf reported ok for an unwrapped engine")
-	}
-	if _, err := Wrap(bare, "bogus", 0); err == nil {
-		t.Error("Wrap accepted an unknown mode")
 	}
 }

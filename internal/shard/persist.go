@@ -383,24 +383,25 @@ func Load(r io.Reader) (*Index, error) {
 	return s, nil
 }
 
-// OpenFile opens the sharded container at path in the given mode. With
-// engine.OpenHeap it is LoadFile as it always was: the container is
-// read and copied into owned memory. With engine.OpenMMap the file is
-// mapped read-only and the nested shard engines' arenas become
-// borrowed slices over the mapping — open time is O(1) in container
-// size and the kernel pages vectors in on demand. All of Load's
-// validation runs either way; a corrupt file fails here, never as a
-// fault at query time. A mapped index's Close releases the mapping
-// (searches after Close fail with engine.ErrIndexClosed), and the
-// mapping outlives compaction: rebuilt engines keep vector views into
-// it, so only Close unmaps.
+// OpenFile opens the index file at path in the given mode: a sharded
+// container, or any registered engine's own Save output, which is
+// adopted as a one-shard index (see adopt). With engine.OpenHeap the
+// file is read and copied into owned memory. With engine.OpenMMap it
+// is mapped read-only and the built engines' arenas become borrowed
+// slices over the mapping — decoding is O(1) in arena bytes (the id
+// maps are still built, O(n) in ids) and the kernel pages vectors in
+// on demand. All of the loaders' validation runs either way; a
+// corrupt file fails here, never as a fault at query time. A mapped
+// index's Close releases the mapping (searches after Close fail with
+// engine.ErrIndexClosed), and the mapping outlives compaction:
+// rebuilt engines keep vector views into it, so only Close unmaps.
 func OpenFile(path string, mode engine.OpenMode) (*Index, error) {
 	if mode == engine.OpenMMap {
 		m, err := mmapio.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		s, err := Load(binio.NewSource(m.Data()))
+		s, err := open(binio.NewSource(m.Data()))
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -413,5 +414,60 @@ func OpenFile(path string, mode engine.OpenMode) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	return open(f)
+}
+
+// open dispatches on the leading magic bytes: a container loads as
+// itself, anything else goes to the engine registry.
+func open(r io.Reader) (*Index, error) {
+	magic, r, err := engine.PeekMagic(r)
+	if err != nil {
+		return nil, err
+	}
+	if magic == shardMagic {
+		return Load(r)
+	}
+	e, err := engine.LoadAny(r)
+	if err != nil {
+		return nil, err
+	}
+	return adopt(e)
+}
+
+// adopt serves an engine loaded from its own file as the degenerate
+// sharded index — one shard, global id == engine id, empty update
+// buffers — so it takes inserts, deletes, compaction and SaveFile
+// (which writes a container) like any other. Compactions rebuild with
+// what the file persists of its build configuration: a GPH index's
+// resolved options, a τ-bounded baseline's threshold; everything else
+// takes the engine's defaults. It assembles the state before the
+// index is visible to anyone, which is why it is a designated
+// snapshot writer.
+//
+//gph:snapshotwriter
+func adopt(e engine.Engine) (*Index, error) {
+	var opts core.Options
+	if ix, ok := e.(*core.Index); ok {
+		opts = ix.Options()
+	} else if reg, _ := engine.Lookup(e.Name()); reg.TauBounded {
+		opts.MaxTau = e.MaxTau()
+	}
+	s, err := NewEngine(e.Name(), 1, opts)
+	if err != nil {
+		return nil, err
+	}
+	n := e.Len()
+	sh := &state{built: e, builtIDs: make([]int32, n), builtPos: make(map[int32]int32, n), dead: map[int32]bool{}}
+	for id := int32(0); int(id) < n; id++ {
+		sh.builtIDs[id] = id
+		sh.builtPos[id] = id
+		s.owner[id] = 0
+	}
+	s.dims.Store(int32(e.Dims()))
+	s.nextID = int32(n)
+	s.live.Store(int64(n))
+	//gphlint:ignore epochpair adopt publishes the first snapshot before the index is reachable
+	s.shards[0].Store(sh)
+	s.calibratePlanner()
+	return s, nil
 }

@@ -192,6 +192,21 @@ func TestLoadCorrupt(t *testing.T) {
 			}
 		}
 	}
+	// OpenFile dispatches on the magic before any loader runs: a tag
+	// that is neither the container's nor a registered engine's fails
+	// at open in both modes.
+	bad := append([]byte(nil), good...)
+	bad[0] ^= 0xff
+	path := filepath.Join(t.TempDir(), "badmagic.idx")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []engine.OpenMode{engine.OpenHeap, engine.OpenMMap} {
+		if s, err := OpenFile(path, mode); err == nil {
+			s.Close()
+			t.Fatalf("%v open accepted an unknown magic", mode)
+		}
+	}
 }
 
 // mappedIndex saves a dirty container to disk and reopens it over a
@@ -303,28 +318,191 @@ func TestMappedSearchRacesCloseAndCompact(t *testing.T) {
 	}
 }
 
-// TestMappedTruncatedContainer: cutting the container file at assorted
-// lengths must fail at open (or first search) with a clean error.
+// TestMappedTruncatedContainer: cutting an index file — a container,
+// or an engine file OpenFile would adopt — at assorted lengths must
+// fail at open (or, mapped, at the first search) with a clean error.
+// A heap open validates everything before it returns.
 func TestMappedTruncatedContainer(t *testing.T) {
 	s := dirtyIndex(t)
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	queries := dataset.PerturbQueries(dataset.UQVideoLike(500, 17), 2, 4, 3)
-	for _, keep := range []int{0, 8, len(full) / 3, len(full) / 2, len(full) - 2} {
-		path := filepath.Join(t.TempDir(), "cut.idx")
-		if err := os.WriteFile(path, full[:keep], 0o644); err != nil {
+	files := map[string][]byte{"container": buf.Bytes()}
+	for _, name := range []string{"gph", "mih"} {
+		_, path := engineFile(t, name)
+		full, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := OpenFile(path, engine.OpenMMap)
-		if err != nil {
-			continue
+		files[name] = full
+	}
+	queries := dataset.PerturbQueries(dataset.UQVideoLike(500, 17), 2, 4, 3)
+	for name, full := range files {
+		for _, keep := range []int{0, 8, len(full) / 3, len(full) / 2, len(full) - 2} {
+			path := filepath.Join(t.TempDir(), "cut.idx")
+			if err := os.WriteFile(path, full[:keep], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if h, err := OpenFile(path, engine.OpenHeap); err == nil {
+				h.Close()
+				t.Errorf("%s truncated to %d/%d bytes: heap open succeeded", name, keep, len(full))
+			}
+			m, err := OpenFile(path, engine.OpenMMap)
+			if err != nil {
+				continue
+			}
+			if _, err := m.Search(queries[0], 5); err == nil {
+				t.Errorf("%s truncated to %d/%d bytes: open and search both succeeded", name, keep, len(full))
+			}
+			m.Close()
 		}
-		if _, err := m.Search(queries[0], 5); err == nil {
-			t.Errorf("truncated to %d/%d bytes: open and search both succeeded", keep, len(full))
+	}
+}
+
+// engineFile builds the named engine over the persist fixtures'
+// collection and writes its own Save output — not a container — to a
+// file.
+func engineFile(t *testing.T, name string) (engine.Engine, string) {
+	t.Helper()
+	ds := dataset.UQVideoLike(500, 17)
+	e, err := engine.Build(name, ds.Vectors, engine.BuildOptions{NumPartitions: 4, MaxTau: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name+".idx")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return e, path
+}
+
+// TestOpenFileAdoptsEngineFile: an engine's own file opened through
+// OpenFile is the degenerate sharded index — one shard, global id ==
+// engine id, empty buffers. In heap and mmap mode alike it answers
+// exactly as the engine does, takes the whole update lifecycle
+// (insert → delete → compact → SaveFile, which writes a container
+// that reopens), and a mapped one fails cleanly after Close.
+func TestOpenFileAdoptsEngineFile(t *testing.T) {
+	queries := dataset.PerturbQueries(dataset.UQVideoLike(500, 17), 6, 4, 3)
+	for _, name := range []string{"gph", "hmsearch"} {
+		bare, path := engineFile(t, name)
+		for _, mode := range []engine.OpenMode{engine.OpenHeap, engine.OpenMMap} {
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				s, err := OpenFile(path, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if s.Engine() != name || s.NumShards() != 1 || s.Len() != bare.Len() || s.Dims() != bare.Dims() {
+					t.Fatalf("adopted %s: %d shards, %d×%d; engine is %d×%d",
+						s.Engine(), s.NumShards(), s.Len(), s.Dims(), bare.Len(), bare.Dims())
+				}
+				if mode == engine.OpenMMap && s.MappedBytes() == 0 {
+					t.Fatal("mmap open reports no mapping")
+				}
+				if st := s.ShardStats()[0]; st.Indexed != bare.Len() || st.Delta != 0 || st.Tombstones != 0 {
+					t.Fatalf("adopted shard not clean: %+v", st)
+				}
+				for _, q := range queries {
+					for _, tau := range []int{0, 8, 16} {
+						want, err := bare.Search(q, tau)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := s.Search(q, tau)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("tau=%d: adopted %v, engine %v", tau, got, want)
+						}
+					}
+					wantNN, err := bare.SearchKNN(q, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotNN, err := s.SearchKNN(q, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(gotNN, wantNN) {
+						t.Fatalf("kNN: adopted %v, engine %v", gotNN, wantNN)
+					}
+				}
+				if v, ok := s.Vector(3); !ok || !v.Equal(bare.Vector(3)) {
+					t.Fatal("Vector(3) differs from the engine's")
+				}
+				// A τ-bounded engine keeps its bound through adoption, for
+				// queries now and for the compaction rebuild below.
+				if name == "hmsearch" {
+					if _, err := s.Search(queries[0], 17); !errors.Is(err, engine.ErrTauExceedsBuild) {
+						t.Fatalf("tau beyond the adopted bound: %v", err)
+					}
+				}
+
+				// The update lifecycle. ids continue after the engine's.
+				extra := queries[0]
+				id, err := s.Insert(extra)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int(id) != bare.Len() {
+					t.Fatalf("first insert got id %d, want %d", id, bare.Len())
+				}
+				if err := s.Delete(3); err != nil {
+					t.Fatal(err)
+				}
+				check := func(s *Index, stage string) {
+					t.Helper()
+					got, err := s.Search(extra, 0)
+					if err != nil {
+						t.Fatalf("%s: %v", stage, err)
+					}
+					if !slices.Contains(got, id) {
+						t.Fatalf("%s: inserted id %d missing from %v", stage, id, got)
+					}
+					got, err = s.Search(bare.Vector(3), 0)
+					if err != nil {
+						t.Fatalf("%s: %v", stage, err)
+					}
+					if slices.Contains(got, 3) {
+						t.Fatalf("%s: deleted id 3 still answered", stage)
+					}
+				}
+				check(s, "buffered")
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if st := s.ShardStats()[0]; st.Indexed != bare.Len() || st.Delta != 0 || st.Tombstones != 0 {
+					t.Fatalf("compaction left %+v", st)
+				}
+				check(s, "compacted")
+				snap := filepath.Join(t.TempDir(), "snap.idx")
+				if err := s.SaveFile(snap); err != nil {
+					t.Fatal(err)
+				}
+				re, err := OpenFile(snap, mode)
+				if err != nil {
+					t.Fatalf("reopening the checkpoint as a container: %v", err)
+				}
+				defer re.Close()
+				if re.Engine() != name || re.Len() != bare.Len() {
+					t.Fatalf("reopened %s with %d vectors", re.Engine(), re.Len())
+				}
+				check(re, "reopened")
+
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Search(extra, 0); mode == engine.OpenMMap && !errors.Is(err, engine.ErrIndexClosed) {
+					t.Fatalf("search after closing a mapped index: %v, want ErrIndexClosed", err)
+				}
+			})
 		}
-		m.Close()
 	}
 }

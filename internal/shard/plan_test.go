@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"gph/internal/bitvec"
 	"gph/internal/core"
 	"gph/internal/dataset"
+	"gph/internal/engine"
 	"gph/internal/plan"
 )
 
@@ -23,7 +26,8 @@ func planOpts() core.Options {
 // sharded layer: with adaptive routing and the cache enabled, every
 // workload bucket's results are byte-equal to the linear-scan oracle —
 // on the cold pass (planner-routed) and the warm pass (cache hit)
-// alike.
+// alike, for range queries and for kNN — and SearchStats says which
+// pass was which.
 func TestPlannerConformance(t *testing.T) {
 	ds := dataset.UQVideoLike(1200, 3)
 	s, err := Build(ds.Vectors, 4, planOpts())
@@ -40,7 +44,7 @@ func TestPlannerConformance(t *testing.T) {
 		for qi, q := range queries {
 			want := bruteRange(live, q, tau)
 			for pass := 0; pass < 2; pass++ {
-				got, err := s.Search(q, tau)
+				got, st, err := s.SearchStats(q, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -48,15 +52,79 @@ func TestPlannerConformance(t *testing.T) {
 					t.Fatalf("tau=%d query=%d pass=%d: got %d ids, want %d (planned path diverged from oracle)",
 						tau, qi, pass, len(got), len(want))
 				}
+				if st.CacheHit != (pass == 1) || st.Results != len(want) || st.Candidates < len(want) {
+					t.Fatalf("tau=%d query=%d pass=%d: stats %+v for %d results", tau, qi, pass, st, len(want))
+				}
 			}
+		}
+	}
+	// kNN through the cache: ids and distances both re-materialize.
+	for qi, q := range queries {
+		want := bruteKNN(live, q, 7)
+		for pass := 0; pass < 2; pass++ {
+			got, err := s.SearchKNN(q, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("kNN query=%d pass=%d: got %v, want %v", qi, pass, got, want)
+			}
+		}
+	}
+	// Out-of-contract queries fail identically on every pass: only
+	// valid queries are ever stored, so a hit cannot bypass validation.
+	for pass := 0; pass < 2; pass++ {
+		if _, err := s.Search(bitvec.New(s.Dims()+1), 3); !errors.Is(err, engine.ErrDimMismatch) {
+			t.Errorf("pass %d: wrong-dims error = %v", pass, err)
+		}
+		if _, err := s.Search(queries[0], -1); !errors.Is(err, engine.ErrNegativeTau) {
+			t.Errorf("pass %d: negative-tau error = %v", pass, err)
 		}
 	}
 	ps, ok := s.PlanStats()
 	if !ok {
 		t.Fatal("PlanStats not ok with planner configured")
 	}
-	if ps.Cache.Hits == 0 {
-		t.Error("second passes produced no cache hits")
+	if wantHits := int64(3*len(queries) + len(queries)); ps.Cache.Hits != wantHits || ps.Cache.Misses == 0 {
+		t.Errorf("cache counters %+v, want %d hits (every second pass) and some misses", ps.Cache, wantHits)
+	}
+
+	// Planning and caching both off: nothing to report; unknown policies
+	// are rejected.
+	if err := s.ConfigurePlan("off", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.PlanStats(); ok {
+		t.Error("PlanStats ok with planner off and no cache")
+	}
+	if err := s.ConfigurePlan("bogus", 0); err == nil {
+		t.Error("ConfigurePlan accepted an unknown mode")
+	}
+}
+
+// TestCachedHitDoesNotAllocate pins the repeated-query fast path: a
+// Search answered by the result cache returns the cached slice itself.
+func TestCachedHitDoesNotAllocate(t *testing.T) {
+	ds := dataset.UQVideoLike(300, 3)
+	s, err := BuildEngine("linscan", ds.Vectors, 1, planOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	q := dataset.PerturbQueries(ds, 1, 4, 4)[0]
+	if _, err := s.Search(q, 8); err != nil { // fill
+		t.Fatal(err)
+	}
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		out, err := s.Search(q, 8)
+		if err != nil {
+			panic(err)
+		}
+		sink += len(out)
+	})
+	if allocs != 0 {
+		t.Errorf("cached hit allocates %v times per op, want 0", allocs)
 	}
 }
 
@@ -77,7 +145,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 
 	// Ground truth via the uncached path — Search would fill the real
 	// entry first, and Put keeps the incumbent on a duplicate key.
-	honest, err := s.searchUncached(q, tau)
+	honest, err := s.searchUncached(q, tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

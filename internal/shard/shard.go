@@ -8,7 +8,10 @@
 // linearly scanned at query time, deletes are tombstoned) and folded
 // into the built indexes by compaction. Each shard is a complete
 // index over its slice of the collection, so for exact engines
-// sharded answers match a single index over the same live set.
+// sharded answers match a single index over the same live set — and
+// S = 1 with empty buffers is that single index: the degenerate case,
+// which is how an engine's own file is served (OpenFile adopts it) and
+// why nothing above the engines needs a second, unsharded path.
 //
 // Each shard's state is an immutable snapshot published through an
 // atomic pointer: searches load the current epoch and never take a
@@ -343,8 +346,9 @@ func (s *Index) SetAutoCompact(threshold int) {
 // Build constructs a sharded GPH index over data, assigning global
 // ids 0..len(data)-1. Vectors are routed to shards by a content hash,
 // and the per-shard builds fan out over a worker pool bounded by
-// opts.BuildParallelism (each inner build runs serially, so the
-// result is deterministic for every parallelism setting).
+// opts.BuildParallelism, which the concurrent builds divide among
+// themselves (see innerOpts); the result is identical at every
+// parallelism setting.
 func Build(data []bitvec.Vector, numShards int, opts core.Options) (*Index, error) {
 	return BuildEngine(core.EngineName, data, numShards, opts)
 }
@@ -393,7 +397,7 @@ func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts co
 			local[j] = data[gid]
 			sh.builtPos[gid] = int32(j)
 		}
-		built, err := s.buildInner(local)
+		built, err := s.buildInner(local, numShards)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -411,24 +415,32 @@ func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts co
 	return s, nil
 }
 
-// innerOpts is the per-shard build configuration: the caller's
-// options with inner parallelism pinned to 1, because the shard-level
-// pool already owns the cores.
-func (s *Index) innerOpts() core.Options {
+// innerOpts is the build configuration of one shard in a round of
+// builds ≥ 1 shard builds: core.ForEach runs min(P, builds) of them at
+// once, and they divide the BuildParallelism pool P between them, so
+// a single build (S = 1, or a compaction with one dirty shard) keeps
+// the whole pool instead of running serially. core.Build is
+// byte-identical at every parallelism, so the split changes
+// wall-clock time only.
+func (s *Index) innerOpts(builds int) core.Options {
 	o := s.opts
-	o.BuildParallelism = 1
+	p := o.BuildParallelism
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	o.BuildParallelism = p / min(p, builds)
 	return o
 }
 
-// buildInner constructs one shard's engine over its local vectors.
-// GPH shards use the full core.Options (Refine, Learned, Workload…);
-// other engines receive the engine-independent subset through the
-// registry.
-func (s *Index) buildInner(local []bitvec.Vector) (engine.Engine, error) {
+// buildInner constructs one shard's engine over its local vectors, as
+// one of builds concurrent shard builds. GPH shards use the full
+// core.Options (Refine, Learned, Workload…); other engines receive
+// the engine-independent subset through the registry.
+func (s *Index) buildInner(local []bitvec.Vector, builds int) (engine.Engine, error) {
+	o := s.innerOpts(builds)
 	if s.engine == core.EngineName {
-		return core.Build(local, s.innerOpts())
+		return core.Build(local, o)
 	}
-	o := s.innerOpts()
 	return engine.Build(s.engine, local, engine.BuildOptions{
 		NumPartitions:    o.NumPartitions,
 		MaxTau:           o.MaxTau,
@@ -699,19 +711,20 @@ func (s *Index) CompactionStatus() CompactionStatus {
 	return st
 }
 
-// maybeAutoCompact triggers a background compaction when the shard
-// that just absorbed an update has crossed the configured buffer
-// threshold (Options.AutoCompactDelta; 0 disables the policy).
-func (s *Index) maybeAutoCompact(si int32) {
+// needsAutoCompact reports whether a shard snapshot's pending updates
+// have reached the configured buffer threshold
+// (Options.AutoCompactDelta; 0 disables the policy).
+func (s *Index) needsAutoCompact(sh *state) bool {
 	threshold := int(s.autoCompact.Load())
-	if threshold <= 0 {
-		return
+	return threshold > 0 && len(sh.delta)+len(sh.dead) >= threshold
+}
+
+// maybeAutoCompact triggers a background compaction when the shard
+// that just absorbed an update has crossed the buffer threshold.
+func (s *Index) maybeAutoCompact(si int32) {
+	if s.needsAutoCompact(s.shards[si].Load()) {
+		s.startBackgroundCompact()
 	}
-	sh := s.shards[si].Load()
-	if len(sh.delta)+len(sh.dead) < threshold {
-		return
-	}
-	s.startBackgroundCompact()
 }
 
 // startBackgroundCompact spawns one background compaction run,
@@ -730,10 +743,24 @@ func (s *Index) startBackgroundCompact() bool {
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		defer s.compactPending.Store(false)
 		// Errors are recorded in CompactionStatus.LastError; the index
 		// keeps serving from the pre-compaction snapshots either way.
-		_ = s.Compact()
+		err := s.Compact()
+		s.compactPending.Store(false)
+		// Updates that raced the run found compactPending set and did
+		// not trigger, and the run folded only what it captured at its
+		// start: if that left a shard at or over the threshold and no
+		// further update arrives, nothing else would ever fold it. A
+		// failed run is not retried here — the next update re-triggers.
+		if err != nil {
+			return
+		}
+		for i := range s.shards {
+			if s.needsAutoCompact(s.shards[i].Load()) {
+				s.startBackgroundCompact()
+				return
+			}
+		}
 	}()
 	return true
 }
@@ -796,7 +823,7 @@ func (s *Index) compactLocked() error {
 			rb.pos[gid] = int32(j)
 		}
 		if len(vecs) > 0 {
-			built, err := s.buildInner(vecs)
+			built, err := s.buildInner(vecs, len(caps))
 			if err != nil {
 				return fmt.Errorf("shard %d: compact: %w", caps[ci].i, err)
 			}
@@ -911,6 +938,33 @@ func (s *Index) fanOut(tasks []func()) {
 //
 //gph:hotpath
 func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
+	return s.search(q, tau, nil)
+}
+
+// SearchStats is Search with the work accounted: every populated
+// shard's engine.Stats summed over the count fields and phase nanos
+// (so the nanos are work done, not wall time, when shards ran
+// concurrently), plus one candidate per delta entry scanned. Scanned
+// reports that some shard was answered by the planner's verified
+// scan (that shard contributes its whole arena as candidates);
+// CacheHit that the result cache answered, in which case only the
+// result count is known and Candidates repeats it. Thresholds is left
+// empty — shards allocate independently.
+func (s *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *engine.Stats, error) {
+	st := &engine.Stats{}
+	ids, err := s.search(q, tau, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.Results = len(ids)
+	return ids, st, nil
+}
+
+// search is the cached pipeline behind Search and SearchStats; a nil
+// st asks for no accounting.
+//
+//gph:hotpath
+func (s *Index) search(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
 	var key plan.Key
 	var e1 uint64
 	if s.cache != nil {
@@ -923,10 +977,14 @@ func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 		e1 = s.epoch.Load()
 		key = plan.Key{Hash: plan.HashWords(q.Words(), uint64(q.Dims())), Epoch: e1, Tau: int32(tau), K: -1, Eng: s.engID}
 		if ids, _, ok := s.cache.Get(key); ok {
+			if st != nil {
+				st.CacheHit = true
+				st.Candidates = len(ids)
+			}
 			return ids, nil
 		}
 	}
-	out, err := s.searchUncached(q, tau)
+	out, err := s.searchUncached(q, tau, st)
 	if s.cache != nil && err == nil && s.epoch.Load() == e1 {
 		s.cache.Put(key, out, nil)
 	}
@@ -938,11 +996,11 @@ func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 // — so the per-query pipeline stays defer-free.
 //
 //gph:hotpath
-func (s *Index) searchUncached(q bitvec.Vector, tau int) ([]int32, error) {
+func (s *Index) searchUncached(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
 	if err := s.acquireMapping(); err != nil {
 		return nil, err
 	}
-	out, err := s.searchFanOut(q, tau)
+	out, err := s.searchFanOut(q, tau, st)
 	s.releaseMapping()
 	return out, err
 }
@@ -951,7 +1009,7 @@ func (s *Index) searchUncached(q bitvec.Vector, tau int) ([]int32, error) {
 // caller holds the mapping reference.
 //
 //gph:hotpath
-func (s *Index) searchFanOut(q bitvec.Vector, tau int) ([]int32, error) {
+func (s *Index) searchFanOut(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
 	// Snapshots load before validation: an insert publishes its shard
 	// state after storing the adopted dimensionality, so any state
 	// these snapshots contain is covered by the dims value validate
@@ -964,6 +1022,11 @@ func (s *Index) searchFanOut(q bitvec.Vector, tau int) ([]int32, error) {
 	tasks := make([]func(), 0, len(states))
 	perShard := make([][]int32, len(states))
 	errs := make([]error, len(states))
+	// Shards run concurrently, so each accounts into its own Stats.
+	var perStats []engine.Stats
+	if st != nil {
+		perStats = make([]engine.Stats, len(states))
+	}
 	for i, sh := range states {
 		if !sh.populated() {
 			continue
@@ -971,7 +1034,11 @@ func (s *Index) searchFanOut(q bitvec.Vector, tau int) ([]int32, error) {
 		i, sh := i, sh
 		//gphlint:ignore hotpath one task closure per populated shard, bounded by shard count
 		tasks = append(tasks, func() {
-			perShard[i], errs[i] = sh.search(q, tau, s.planner)
+			var shSt *engine.Stats
+			if perStats != nil {
+				shSt = &perStats[i]
+			}
+			perShard[i], errs[i] = sh.search(q, tau, s.planner, shSt)
 		})
 	}
 	s.fanOut(tasks)
@@ -987,7 +1054,26 @@ func (s *Index) searchFanOut(q bitvec.Vector, tau int) ([]int32, error) {
 		out = append(out, ids...)
 	}
 	slices.Sort(out)
+	for i := range perStats {
+		addStats(st, &perStats[i])
+	}
 	return out, nil
+}
+
+// addStats sums one shard's accounting into the query's.
+func addStats(sum, sh *engine.Stats) {
+	sum.AllocNanos += sh.AllocNanos
+	sum.ProbeNanos += sh.ProbeNanos
+	sum.VerifyNanos += sh.VerifyNanos
+	sum.EstimatedCN += sh.EstimatedCN
+	sum.AllocRounds += sh.AllocRounds
+	sum.CNScans += sh.CNScans
+	sum.Scanned = sum.Scanned || sh.Scanned
+	sum.Signatures += sh.Signatures
+	sum.KeyScans += sh.KeyScans
+	sum.KeysScanned += sh.KeysScanned
+	sum.SumPostings += sh.SumPostings
+	sum.Candidates += sh.Candidates
 }
 
 // search answers one shard's share of a range query: built-index
@@ -996,19 +1082,30 @@ func (s *Index) searchFanOut(q bitvec.Vector, tau int) ([]int32, error) {
 // The planner routes between the engine's own Search and a verified
 // scan of its packed arena (plan.RouteScan is only ever answered for
 // exact engine.Scannable engines, so both routes return the same id
-// set — the scan just wins at high tau and small shards).
-func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner) ([]int32, error) {
+// set — the scan just wins at high tau and small shards). A non-nil
+// st receives the shard's accounting.
+func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner, st *engine.Stats) ([]int32, error) {
 	var out []int32
 	if sh.built != nil {
 		var local []int32
-		if pl.Route(sh.built, q, tau) == plan.RouteScan {
+		var err error
+		switch {
+		case pl.Route(sh.built, q, tau) == plan.RouteScan:
 			local = sh.built.(engine.Scannable).Codes().AppendWithin(q, tau, nil)
-		} else {
-			var err error
-			local, err = sh.built.Search(q, tau)
-			if err != nil {
-				return nil, err
+			if st != nil {
+				st.Scanned = true
+				st.Candidates = sh.built.Len()
 			}
+		case st != nil:
+			var built *engine.Stats
+			if local, built, err = sh.built.SearchStats(q, tau); err == nil {
+				*st = *built
+			}
+		default:
+			local, err = sh.built.Search(q, tau)
+		}
+		if err != nil {
+			return nil, err
 		}
 		out = make([]int32, 0, len(local))
 		for _, lid := range local {
@@ -1022,6 +1119,9 @@ func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner) ([]int32, er
 		if q.HammingWithin(e.vec, tau) {
 			out = append(out, e.id)
 		}
+	}
+	if st != nil {
+		st.Candidates += len(sh.delta)
 	}
 	return out, nil
 }
