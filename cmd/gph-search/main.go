@@ -89,9 +89,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gph-search: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: %d results in %v (candidates=%d, thresholds=%v, alloc_rounds=%d, cn_scans=%d, signatures=%d, key_scans=%d, keys_scanned=%d)\n",
+		route := "index"
+		if stats.Scanned {
+			route = "scan"
+		}
+		fmt.Printf("%s: %d results in %v (candidates=%d, thresholds=%v, alloc_rounds=%d, cn_scans=%d, route=%s plan=%d scan=%d, signatures=%d, key_scans=%d, keys_scanned=%d)\n",
 			label, len(ids), time.Since(start).Round(time.Microsecond),
 			stats.Candidates, stats.Thresholds, stats.AllocRounds, stats.CNScans,
+			route, stats.PlanCost, stats.ScanCost,
 			stats.Signatures, stats.KeyScans, stats.KeysScanned)
 		for i, id := range ids {
 			if i == 10 {

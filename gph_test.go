@@ -59,7 +59,7 @@ func TestPublicVectors(t *testing.T) {
 }
 
 func TestPublicSaveLoad(t *testing.T) {
-	ds := datagen.SIFTLike(500, 2)
+	ds := datagen.SIFTLike(4000, 2)
 	index, err := gph.Build(ds.Vectors, gph.Options{NumPartitions: 4, Seed: 2, MaxTau: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package alloc implements the paper's online threshold allocation:
-// the query-processing cost model (§IV-A, Eq. 1) and the dynamic
-// programming allocator of Algorithm 1, which distributes integer
-// thresholds T[i] ∈ [−1, τ] across m partitions subject to the general
-// pigeonhole constraint ‖T‖₁ = τ − m + 1 while minimizing the
-// estimated candidate count Σ CN(qᵢ, T[i]).
+// the dynamic programming allocator of Algorithm 1, which distributes
+// integer thresholds T[i] ∈ [−1, τ] across m partitions subject to the
+// general pigeonhole constraint ‖T‖₁ = τ − m + 1 while minimizing the
+// estimated candidate count Σ CN(qᵢ, T[i]). (Eq. 1's coefficient on
+// that count, c_access + α·c_verify, is query-independent and so not
+// the DP's business; internal/core applies it where it prices a plan.)
 //
 // The package is pure: it consumes candidate-number tables and knows
 // nothing about vectors or indexes, which keeps it trivially testable
@@ -20,27 +21,6 @@ import (
 // Infeasible is the internal "+∞" cost; exported only through
 // documented behaviour (Allocate never returns it).
 const infeasible = math.MaxInt64 / 4
-
-// CostModel carries the constants of Eq. 1. The DP minimizes Σ CN
-// directly (the coefficient is query-independent, §IV-B); the model
-// exists to convert candidate counts into comparable cost estimates
-// for reporting and for the workload-level partitioning objective.
-type CostModel struct {
-	CAccess float64 // cost of touching one posting entry
-	CVerify float64 // cost of one full-vector verification
-	Alpha   float64 // measured |S_cand| / Σ|I_s| ratio (Fig. 2(b))
-}
-
-// DefaultCostModel mirrors the paper's observation that verification
-// costs a small multiple of a posting access and that α ∈ [0.69, 0.98]
-// on the evaluated datasets.
-func DefaultCostModel() CostModel { return CostModel{CAccess: 1, CVerify: 4, Alpha: 0.85} }
-
-// QueryCost converts a total candidate-generation count into the
-// estimated query processing cost of Eq. 1.
-func (cm CostModel) QueryCost(sumCN int64) float64 {
-	return float64(sumCN) * (cm.CAccess + cm.Alpha*cm.CVerify)
-}
 
 // Table holds per-partition candidate-number estimates: Table[i][e+1]
 // estimates CN(qᵢ, e) for e ∈ [−1, maxTau]. Entry [0] (e = −1) must be

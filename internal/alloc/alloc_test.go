@@ -261,16 +261,6 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
-func TestCostModel(t *testing.T) {
-	cm := DefaultCostModel()
-	if cm.QueryCost(0) != 0 {
-		t.Fatal("zero candidates must cost zero")
-	}
-	if cm.QueryCost(100) <= cm.QueryCost(10) {
-		t.Fatal("cost not increasing")
-	}
-}
-
 func TestAllocatePanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -10,22 +10,47 @@ import (
 	"gph/internal/invindex"
 )
 
-// scanElemsPerProbe prices one slot-table probe (step to the next
-// signature of the ball, hash it, read the slot and the entry behind
-// it) in units of one key-scan step (load the next key, XOR, popcount,
-// compare). It is a measurement, not a tunable — DESIGN.md §1 has the
-// numbers and the sweep — and both users of a Hamming ball read it
-// through probeBeatsScan.
-const scanElemsPerProbe = 8
+// The price list. Everything a query can spend time on is priced in one
+// unit, the key-scan step: load the next key of a partition's arena,
+// XOR, popcount, compare (1.3–1.6 ns). The prices are measurements of
+// this code on one machine's clock, not tunables — BenchmarkPlanPrices
+// prints each of them in this unit and DESIGN.md §1 ("What a plan
+// costs") keeps the table — and every decision that weighs one way of
+// answering against another reads them from here: probe or scan a
+// partition (probeBeatsScan), and run the index or scan the collection
+// (allocate).
+const (
+	// scanElemsPerProbe prices one slot-table probe: step to the next
+	// signature of the ball, hash it, read the slot and the entry behind
+	// it.
+	scanElemsPerProbe = 8
+	// candidatePrice prices one posting of a generated candidate list:
+	// decoded into the dedup bitmap and, if new, fetched from the packed
+	// arena and verified. It is Eq. 1's c_access + α·c_verify.
+	candidatePrice = 9
+	// dpCellPrice prices one run of the allocation DP, per cell of the
+	// m × (τ + 2) table it runs over: cost rows, the greedy incumbent and
+	// the bounded recurrence all walk the table, and a round measures
+	// 5–8 ns a cell from 24 cells to 500.
+	dpCellPrice = 6
+)
+
+// ScanCost prices answering a query by the verified scan: one step of
+// verify.Codes.AppendWithin per row of the packed arena, a row being
+// (dims+63)/64 words — (2 + words)/3 key-scan steps each. It is what
+// allocate weighs every plan against, and, as engine.CostEstimator's
+// other half, what a planner can hold EstimateSearchCost's answer to.
+func (ix *Index) ScanCost() int64 {
+	return int64(ix.count) * int64(2+(ix.dims+63)/64) / 3
+}
 
 // probeBeatsScan is the one rule for getting at the keys of a
 // partition that lie in a Hamming ball: enumerate the ball and probe
 // for each member, when the ball is small against the keys the
 // partition holds, else pass over the keys and keep those inside it.
-// Allocation asks it before summing posting lengths over a ball
-// (extendRow) and candidate generation before collecting the posting
-// lists themselves (gather); the per-element work differs between the
-// two, the ratio of a probe to a scan step does not.
+// It is asked once per partition and radius, when a scratch prices its
+// partitions (priceGeneration); allocation and candidate generation
+// read the answer there.
 func probeBeatsScan(ball uint64, keys int) bool {
 	return ball <= uint64(keys/scanElemsPerProbe)
 }
@@ -45,7 +70,7 @@ func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
 		q.ProjectInto(dimsI, s.projs[i])
 		s.known[i] = -1
 	}
-	s.rounds, s.scans = 0, 0
+	s.rounds, s.scans, s.cnProbes, s.cnKeys = 0, 0, 0, 0
 }
 
 // carveProjections sizes a new scratch for this index's partitioning:
@@ -67,20 +92,74 @@ func (ix *Index) carveProjections(s *searchScratch) {
 	s.table = make(alloc.Table, m)
 	s.known = make([]int, m)
 	s.widths = ix.parts.Widths()
+	s.gen = make([][]int64, m)
+	for i, w := range s.widths {
+		s.gen[i] = priceGeneration(w, ix.inv[i].NumKeys(), &s.dp)
+	}
+}
+
+// priceGeneration prices getting at the keys of one partition — w bits
+// wide, holding the given number of distinct keys — that lie within e of
+// a query's projection, for every e: scanElemsPerProbe a signature of
+// ball(w, e) while probing the ball beats scanning the keys, one step a
+// key from there on. The row holds the probed radii's prices and ends
+// with the scan's, which every larger radius shares (genPrice). It is a
+// function of (w, keys) alone, so a scratch computes it once.
+func priceGeneration(w, keys int, dp *alloc.Scratch) []int64 {
+	var row []int64
+	for e := 0; e <= w; e++ {
+		ball, ok := dp.BallSize(w, e)
+		if !ok || !probeBeatsScan(ball, keys) {
+			break
+		}
+		row = append(row, int64(ball)*scanElemsPerProbe)
+	}
+	return append(row, int64(keys))
+}
+
+// genPrice returns what collecting from partition i whatever lies
+// within e ≥ 0 of the query's projection costs, in key-scan steps, and
+// how: by probing the ball, or by a pass over the partition's keys.
+// Posting lengths (extendRow) and posting lists (generate) are collected
+// at the same price and by the same choice.
+func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
+	row := s.gen[i]
+	if scan := len(row) - 1; e >= scan {
+		return row[scan], false
+	}
+	return row[e], true
 }
 
 // allocate runs the threshold-allocation phase (Algorithm 1) into the
-// pooled scratch, lazily and exactly. s.table[i][e+1] holds CN(qᵢ, e)
-// exactly for e ≤ s.known[i] and the monotone lower bound
-// CN(qᵢ, s.known[i]) beyond it. Every row starts at its cheapest exact
-// prefix — e = 0, one posting-length probe — the DP runs on that
-// table, and only the cells it picked are made exact (extendRow)
-// before it runs again. A vector the DP picks entirely on exact cells
-// is optimal for the true table: its cost there equals its cost here,
-// and no vector costs less there than here. The DP breaks ties by a
-// fixed order on vectors, so it is also the very vector the DP would
-// return on the fully estimated table (EstimateTable) — objective,
-// SumCN, fallback and budget included.
+// pooled scratch, lazily and exactly, and prices the plan it is about to
+// return against scanning the collection instead. s.table[i][e+1] holds
+// CN(qᵢ, e) exactly for e ≤ s.known[i] and from the partition width on,
+// and the monotone lower bound CN(qᵢ, s.known[i]) between. Every row
+// starts at its cheapest exact prefix — e = 0, one posting-length probe
+// — the DP runs on that table, and only the cells it picked are made
+// exact (extendRow) before it runs again. A vector the DP picks
+// entirely on exact cells is optimal for the true table: its cost there
+// equals its cost here, and no vector costs less there than here. The
+// DP breaks ties by a fixed order on vectors, so it is also the very
+// vector the DP would return on the fully estimated table
+// (EstimateTable) — objective, SumCN, fallback and budget included.
+//
+// The scan guard sits inside that loop. Each round's vector is priced
+// as it stands — generation exactly, the candidates of a lower-bound
+// cell optimistically — and so is allocation itself: the bill holds
+// every DP round and every row refinement so far, and the refinement
+// this round's vector asks for. Once bill + plan exceeds ScanCost the
+// loop stops without spending more and the query is scanned. Until then
+// the bill alone is below the scan's price, and a plan that settles
+// costs no more than what the bill has left of it — so no query spends
+// more than twice the scan's price on priced work, however the rounds
+// go. The second result is that verdict as one number, in key-scan
+// steps: the plan's price when the loop settled on it, and otherwise
+// something above ScanCost (what the guard saw when it stopped the
+// loop; alloc.FallbackCost when no vector fits the enumeration budget),
+// the Result then being whatever the DP last proposed — not a plan, and
+// not necessarily on exact cells. Round-robin allocations are not
+// priced (0).
 //
 // Estimators that cannot extend a row radius by radius (sub-partition,
 // learned) hand over whole rows up front and the loop settles in its
@@ -88,17 +167,17 @@ func (ix *Index) carveProjections(s *searchScratch) {
 // outlive the call — CN(qᵢ, e) does not depend on τ, so SearchGrow's
 // later calls, same q and a larger tau, start from what the earlier
 // radii learned. Shared by gather and by EstimateSearchCost, which
-// exposes the objective to the query planner without running the
-// search. Result.Thresholds is backed by the scratch.
+// exposes the price to the query planner without running the search.
+// Result.Thresholds is backed by the scratch.
 //
 //gph:hotpath
-func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Result {
+func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
 	if s.q.Dims() == 0 {
 		ix.bindQuery(q, s)
 	}
 	m := ix.parts.NumParts()
 	if ix.opts.Allocator == AllocRR {
-		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}
+		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}, 0
 	}
 	for i := 0; i < m; i++ {
 		if !ix.exactRows() {
@@ -107,24 +186,50 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) alloc.Resu
 			}
 			continue
 		}
-		s.fitRow(i, tau)
+		ix.fitRow(i, tau, s)
 		if !ix.cnExact(i, 0, s) {
 			ix.extendRow(i, 0, tau, s)
 		}
 	}
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
+	scan, round := ix.ScanCost(), dpCellPrice*int64(m*(tau+2))
+	var bill int64
 	for {
+		bill += round
+		if bill > scan {
+			return alloc.Result{}, bill
+		}
 		s.rounds++
 		res := alloc.AllocateScratch(s.table, params, &s.dp)
-		settled := true
+		if res.Fallback {
+			return res, alloc.FallbackCost
+		}
+		// One pass prices the vector — generation per partition plus
+		// candidatePrice for each posting it is estimated to collect — and
+		// what making it exact would take: a cell that is still a lower
+		// bound puts its generation price on the bill as well.
+		settled, price := true, candidatePrice*res.SumCN
 		for i, e := range res.Thresholds {
+			if e < 0 {
+				continue
+			}
+			steps, _ := s.genPrice(i, e)
+			price += steps
 			if !ix.cnExact(i, e, s) {
-				ix.extendRow(i, e, tau, s)
+				bill += steps
 				settled = false
 			}
 		}
+		if bill+price > scan {
+			return res, bill + price
+		}
 		if settled {
-			return res
+			return res, price
+		}
+		for i, e := range res.Thresholds {
+			if !ix.cnExact(i, e, s) {
+				ix.extendRow(i, e, tau, s)
+			}
 		}
 	}
 }
@@ -172,18 +277,16 @@ func scanRow(inv *invindex.Frozen, proj []uint64, hist, out []int64) []int64 {
 }
 
 // cnExact reports whether s.table[i] holds CN(qᵢ, e) itself rather
-// than a lower bound. Past the partition width an exact row is
-// constant (the ball is the whole space), so knowing it through the
-// width is knowing all of it.
+// than a lower bound. From the partition width on an exact row needs no
+// looking up: the ball is the whole space and holds every vector.
 func (ix *Index) cnExact(i, e int, s *searchScratch) bool {
-	k := s.known[i]
-	return e <= k || (k >= len(ix.parts.Parts[i]) && ix.exactRows())
+	return e <= s.known[i] || (e >= s.widths[i] && ix.exactRows())
 }
 
-// fitRow sizes row i for thresholds up to tau: exact entries are kept
-// (they live in the backing array, which may be longer than the row a
-// smaller τ used) and the rest carry the lower bound.
-func (s *searchScratch) fitRow(i, tau int) {
+// fitRow sizes exact row i for thresholds up to tau: exact entries are
+// kept (they live in the backing array, which may be longer than the
+// row a smaller τ used) and the rest are bounded.
+func (ix *Index) fitRow(i, tau int, s *searchScratch) {
 	row, k, n := s.table[i], s.known[i], tau+2
 	if cap(row) < n {
 		grown := make([]int64, n, 2*n)
@@ -192,18 +295,39 @@ func (s *searchScratch) fitRow(i, tau int) {
 	}
 	row = row[:n]
 	row[0] = 0 // e = −1: negative thresholds generate no candidates
-	for j := k + 2; j < n; j++ {
-		row[j] = row[k+1]
-	}
 	s.table[i] = row
+	ix.boundTail(i, s)
+}
+
+// boundTail fills exact row i past its known radius with what is known
+// without looking: the last exact CN, a lower bound because CN grows
+// with the radius, and from the partition width on CN itself — the ball
+// is the whole space and holds the whole collection. A histogrammed row
+// is known through its width, which may lie past the radius the row is
+// fitted to: it has no tail, and no cell at from−1 to read. (Two plain
+// loops: the second rarely has anything to do, and clamping the first to
+// stop where it starts cost a selective query 2 % of its time.)
+func (ix *Index) boundTail(i int, s *searchScratch) {
+	row, from := s.table[i], s.known[i]+2
+	if from > len(row) {
+		return
+	}
+	bound := row[from-1]
+	for j := from; j < len(row); j++ {
+		row[j] = bound
+	}
+	for j := max(s.widths[i]+1, from); j < len(row); j++ {
+		row[j] = int64(ix.count)
+	}
 }
 
 // extendRow makes row i exact through radius e (≤ tau, the radius the
 // row is currently fitted to), by whichever is cheaper: summing
 // posting lengths over the radius-e ball of the query's projection, or
 // one histogram scan of the partition's frozen keys and posting counts,
-// which yields every radius at once — probeBeatsScan decides.
-// Estimators other than the exact one have only the whole-row form.
+// which yields every radius at once — genPrice says which, and what it
+// costs. Estimators other than the exact one have only the whole-row
+// form.
 func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 	if !ix.exactRows() {
 		s.table[i] = ix.ests[i].CNAll(s.q, tau)
@@ -212,7 +336,8 @@ func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 		return
 	}
 	w, inv := s.widths[i], ix.inv[i]
-	if ball, ok := s.dp.BallSize(w, e); ok && probeBeatsScan(ball, inv.NumKeys()) {
+	if steps, probe := s.genPrice(i, e); probe {
+		s.cnProbes += int(steps / scanElemsPerProbe)
 		if cap(s.shell) < e+1 {
 			s.shell = make([]int64, e+1, 2*(e+1))
 		}
@@ -234,10 +359,8 @@ func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 			cum += c
 			row[d+1] = cum
 		}
-		for j := e + 2; j < len(row); j++ {
-			row[j] = cum
-		}
 		s.known[i] = e
+		ix.boundTail(i, s)
 		return
 	}
 	// One scan yields the whole histogram; keep all of it (through the
@@ -252,6 +375,7 @@ func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 	s.table[i] = row[:tau+2]
 	s.known[i] = n - 2
 	s.scans++
+	s.cnKeys += inv.NumKeys()
 }
 
 // sumShell consumes one enumerated signature of the ball extendRow is

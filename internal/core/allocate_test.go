@@ -14,15 +14,62 @@ import (
 	"gph/internal/mmapio"
 )
 
-// lazyAllocate runs the query path's allocation and copies the
-// threshold vector out of the scratch.
-func lazyAllocate(ix *Index, q bitvec.Vector, tau int) (res alloc.Result, rounds, scans int) {
+// lazyAllocation is what one call of the query path's allocation left
+// behind, read before the scratch went back to the pool.
+type lazyAllocation struct {
+	alloc.Result       // Thresholds copied out of the scratch
+	price        int64 // allocate's verdict; above ix.ScanCost() means scan
+	rounds       int
+	scans        int
+	// settled says every cell of Thresholds was exact when allocate
+	// returned: false on a query the guard stopped mid-refinement.
+	settled bool
+	// bill is what allocation had charged itself when it returned a
+	// verdict to scan: the price less the plan's share of it.
+	bill int64
+}
+
+// lazyAllocate runs the query path's allocation.
+func lazyAllocate(ix *Index, q bitvec.Vector, tau int) lazyAllocation {
 	s := ix.getScratch()
-	res = ix.allocate(q, tau, s)
-	res.Thresholds = slices.Clone(res.Thresholds)
-	rounds, scans = s.rounds, s.scans
+	res, price := ix.allocate(q, tau, s)
+	got := lazyAllocation{Result: res, price: price, rounds: s.rounds, scans: s.scans, settled: res.Thresholds != nil}
+	for i, e := range res.Thresholds {
+		got.settled = got.settled && ix.cnExact(i, e, s)
+	}
+	if price > ix.ScanCost() && !res.Fallback {
+		got.bill = price - s.planPrice(res.Thresholds, res.SumCN)
+	}
+	got.Thresholds = slices.Clone(res.Thresholds)
 	ix.putScratch(s)
-	return res, rounds, scans
+	return got
+}
+
+// planPrice prices running the threshold vector T the way DESIGN.md §1
+// states it, apart from allocate's own pass: generation per partition
+// plus candidatePrice for each of the sumCN postings T is estimated to
+// collect.
+func (s *searchScratch) planPrice(T []int, sumCN int64) int64 {
+	price := candidatePrice * sumCN
+	for i, e := range T {
+		if e >= 0 {
+			steps, _ := s.genPrice(i, e)
+			price += steps
+		}
+	}
+	return price
+}
+
+// eagerAllocate is the reference: the DP over the fully estimated
+// table, and the price of its vector on that table.
+func eagerAllocate(ix *Index, q bitvec.Vector, tau int) (alloc.Result, int64) {
+	params := alloc.Params{Tau: tau, Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
+	want := alloc.Allocate(ix.EstimateTable(q, tau), params)
+	s := ix.getScratch()
+	ix.bindQuery(q, s)
+	price := s.planPrice(want.Thresholds, want.SumCN)
+	ix.putScratch(s)
+	return want, price
 }
 
 // openModes returns ix as built, as loaded from its saved bytes into
@@ -58,30 +105,42 @@ func openModes(t *testing.T, ix *Index) map[string]*Index {
 }
 
 // TestLazyAllocateMatchesEager is the exactness property of the lazy
-// allocation: on the fully estimated table (EstimateTable, every cell
-// of every row) the DP returns the very result the query path reaches
-// by refining only the cells it picks — thresholds, objective, SumCN,
-// budget and fallback — for skewed and unskewed corpora, stored and
-// perturbed queries, every way of opening an index, and every τ from 0
-// until the scan guard has taken over.
+// allocation: whenever the loop settles, it settles on the very result
+// the DP returns on the fully estimated table (EstimateTable, every cell
+// of every row), reached by refining only the cells it picks —
+// thresholds, objective, SumCN, budget and fallback — for skewed and
+// unskewed corpora, stored and perturbed queries, every way of opening
+// an index, and every τ from 0 until the scan guard has taken over.
 func TestLazyAllocateMatchesEager(t *testing.T) {
 	corpora := map[string]*dataset.Dataset{
-		"uqvideo": dataset.UQVideoLike(1200, 11),
-		"sift":    dataset.SIFTLike(1200, 12),
+		"uqvideo": dataset.UQVideoLike(6000, 11),
+		"sift":    dataset.SIFTLike(6000, 12),
 	}
 	for name, ds := range corpora {
 		built := buildSmall(t, ds.Vectors, Options{Seed: 5})
 		queries := append([]bitvec.Vector{ds.Vectors[0], ds.Vectors[17], ds.Vectors[600]},
 			dataset.PerturbQueries(ds, 5, 6, 21)...)
 		for mode, ix := range openModes(t, built) {
-			params := alloc.Params{Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
-			scanCost := int64(ix.count) * 4
 			guarded, lazyRows := 0, 0
 			for tau := 0; tau < ix.dims && guarded < 3*len(queries); tau++ {
-				params.Tau = tau
 				for qi, q := range queries {
-					got, rounds, scans := lazyAllocate(ix, q, tau)
-					want := alloc.Allocate(ix.EstimateTable(q, tau), params)
+					got := lazyAllocate(ix, q, tau)
+					if got.rounds < 1 || got.scans > len(ix.ests) {
+						t.Fatalf("%s/%s tau=%d query %d: %d rounds, %d scans over %d partitions", name, mode, tau, qi, got.rounds, got.scans, len(ix.ests))
+					}
+					if got.scans < len(ix.ests) {
+						lazyRows++
+					}
+					if got.price > ix.ScanCost() {
+						guarded++
+					}
+					if !got.settled {
+						if got.price <= ix.ScanCost() {
+							t.Fatalf("%s/%s tau=%d query %d: an unsettled plan %+v was let through", name, mode, tau, qi, got)
+						}
+						continue
+					}
+					want, _ := eagerAllocate(ix, q, tau)
 					if got.Objective != want.Objective || got.SumCN != want.SumCN ||
 						got.Fallback != want.Fallback || got.EffectiveBudget != want.EffectiveBudget ||
 						!slices.Equal(got.Thresholds, want.Thresholds) {
@@ -91,15 +150,6 @@ func TestLazyAllocateMatchesEager(t *testing.T) {
 						if err := alloc.CheckVector(got.Thresholds, tau); err != nil {
 							t.Fatalf("%s/%s tau=%d query %d: %v", name, mode, tau, qi, err)
 						}
-					}
-					if rounds < 1 || scans > len(ix.ests) {
-						t.Fatalf("%s/%s tau=%d query %d: %d rounds, %d scans over %d partitions", name, mode, tau, qi, rounds, scans, len(ix.ests))
-					}
-					if scans < len(ix.ests) {
-						lazyRows++
-					}
-					if got.Fallback || got.Objective > scanCost {
-						guarded++
 					}
 				}
 			}
@@ -113,24 +163,126 @@ func TestLazyAllocateMatchesEager(t *testing.T) {
 	}
 }
 
+// TestEarlyScanAgreesWithSettledPlan holds the scan guard's place inside
+// the loop to what it replaced, a guard consulted once the loop had
+// settled. The DP ranks vectors by its own objective, not by plan price,
+// so that a round's optimistic price bounds the settled plan's from
+// below is measured here, not proved: whenever the guard stops a loop
+// that has not settled, the vector it would have settled on (the eager
+// DP's), priced on the true table, plus the bill at the stop — a floor
+// on what settling would have cost — still exceeds the scan's price; and
+// whenever the query is not scanned, its thresholds are the eager DP's.
+func TestEarlyScanAgreesWithSettledPlan(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		taus []int
+	}{
+		{"sift", dataset.SIFTLike(20000, 12), []int{2, 4, 6, 8, 10, 11, 12, 13, 14, 15, 16, 18, 20, 24, 32, 48}},
+		{"uqvideo", dataset.UQVideoLike(20000, 11), []int{2, 4, 8, 12, 16, 18, 20, 22, 24, 26, 28, 30, 32, 36, 40, 48}},
+	} {
+		ix := buildSmall(t, c.ds.Vectors, Options{Seed: 5})
+		queries := append(dataset.PerturbQueries(c.ds, 20, 4, 31), dataset.PerturbQueries(c.ds, 20, 12, 32)...)
+		index, early, atSettlement := 0, 0, 0
+		for _, tau := range c.taus {
+			for qi, q := range queries {
+				got := lazyAllocate(ix, q, tau)
+				want, eagerPrice := eagerAllocate(ix, q, tau)
+				switch {
+				case got.price <= ix.ScanCost():
+					index++
+					if !slices.Equal(got.Thresholds, want.Thresholds) {
+						t.Fatalf("%s tau=%d query %d: ran %v, the eager DP allocates %v", c.name, tau, qi, got.Thresholds, want.Thresholds)
+					}
+				case got.settled:
+					atSettlement++
+				default:
+					early++
+					if floor := got.bill + eagerPrice; floor <= ix.ScanCost() {
+						t.Errorf("%s tau=%d query %d: scanned in round %d at %d against a scan of %d, but settling on %v would have cost %d + %d = %d",
+							c.name, tau, qi, got.rounds, got.price, ix.ScanCost(), want.Thresholds, got.bill, eagerPrice, floor)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d queries ran the index on the eager thresholds, %d were scanned before settling and %d on settling", c.name, index, early, atSettlement)
+		if index == 0 || early == 0 {
+			t.Fatalf("%s: the sweep should cross the guard: %d index, %d early scans", c.name, index, early)
+		}
+	}
+}
+
+// TestQueryWorkIsBounded: the guard's promise, read off the counters a
+// query reports. Whatever τ asks for, the work the price list covers —
+// DP rounds, the probes and histogram passes that refined CN rows, and
+// then either the plan (signatures probed, keys scanned, postings
+// decoded and verified) or the scan — comes to at most twice the scan's
+// price, on top of the m row starts that precede the first round.
+func TestQueryWorkIsBounded(t *testing.T) {
+	wideDS, wideIx := wideCorpus()
+	dupDS, dupIx := dupKeyCorpus()
+	uqvideo, sift := dataset.UQVideoLike(6000, 11), dataset.SIFTLike(6000, 12)
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		ix   *Index
+	}{
+		{"uqvideo", uqvideo, buildSmall(t, uqvideo.Vectors, Options{Seed: 5})},
+		{"sift", sift, buildSmall(t, sift.Vectors, Options{Seed: 5})},
+		{"pubchem", wideDS, wideIx},
+		{"dupkeys", dupDS, dupIx},
+	} {
+		ix := c.ix
+		s := ix.getScratch()
+		ix.bindQuery(c.ds.Vectors[0], s)
+		var starts int64
+		for i := range s.widths {
+			steps, _ := s.genPrice(i, 0)
+			starts += steps
+		}
+		ix.putScratch(s)
+		m, dearest := int64(ix.parts.NumParts()), 0.0
+		for _, q := range append(dataset.PerturbQueries(c.ds, 3, 6, 21), c.ds.Vectors[17]) {
+			for tau := 0; tau < ix.dims; tau++ {
+				_, st, err := ix.SearchStats(q, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				work := dpCellPrice*m*int64(tau+2)*int64(st.AllocRounds) + scanElemsPerProbe*int64(st.CNProbes) + int64(st.CNKeys)
+				if st.Scanned {
+					work += st.ScanCost
+				} else {
+					work += scanElemsPerProbe*int64(st.Signatures) + int64(st.KeysScanned) + candidatePrice*st.SumPostings
+				}
+				if work > 2*st.ScanCost+starts {
+					t.Fatalf("%s tau=%d: priced work %d against a scan of %d and %d of row starts: %+v", c.name, tau, work, st.ScanCost, starts, *st)
+				}
+				dearest = max(dearest, float64(work-starts)/float64(st.ScanCost))
+			}
+		}
+		t.Logf("%s: the dearest query cost %.2f scans", c.name, dearest)
+	}
+}
+
 // TestWholeRowEstimatorsSettleInOneRound: estimators that cannot
 // extend a row radius by radius hand over whole rows, so the lazy loop
 // is the eager DP for them — one round, every row estimated in full,
 // and the same result as the DP over EstimateTable.
 func TestWholeRowEstimatorsSettleInOneRound(t *testing.T) {
-	data := testData(t, 400, 31)
+	data := testData(t, 3000, 31)
 	for _, est := range []EstimatorKind{EstimatorSubPartition, EstimatorForest} {
 		ix := buildSmall(t, data, Options{NumPartitions: 4, Estimator: est, Seed: 2})
-		params := alloc.Params{Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
 		for _, tau := range []int{0, 3, 7, 12} {
-			params.Tau = tau
-			got, rounds, scans := lazyAllocate(ix, data[9], tau)
-			if rounds != 1 || scans != len(ix.ests) {
-				t.Fatalf("%v tau=%d: %d rounds, %d full rows; want 1 and %d", est, tau, rounds, scans, len(ix.ests))
+			got := lazyAllocate(ix, data[9], tau)
+			if got.rounds != 1 || got.scans != len(ix.ests) || !got.settled {
+				t.Fatalf("%v tau=%d: %d rounds, %d full rows, settled=%v; want 1, %d and true", est, tau, got.rounds, got.scans, got.settled, len(ix.ests))
 			}
-			want := alloc.Allocate(ix.EstimateTable(data[9], tau), params)
+			want, price := eagerAllocate(ix, data[9], tau)
 			if got.Objective != want.Objective || !slices.Equal(got.Thresholds, want.Thresholds) {
 				t.Fatalf("%v tau=%d: lazy %+v, eager %+v", est, tau, got, want)
+			}
+			if got.price <= ix.ScanCost() && got.price != price {
+				t.Fatalf("%v tau=%d: priced at %d, the eager vector at %d", est, tau, got.price, price)
 			}
 		}
 	}
@@ -138,17 +290,22 @@ func TestWholeRowEstimatorsSettleInOneRound(t *testing.T) {
 
 // TestSearchSteadyStateAllocs pins the query path's allocations: after
 // warm-up a Search allocates its result slice and nothing else — no
-// stats, no threshold vector, no per-round closure, no width slice.
+// stats, no threshold vector, no per-round closure, no width slice, and
+// on the scan route no id buffer of its own.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random")
 	}
-	ds := dataset.UQVideoLike(1200, 11)
+	ds := dataset.UQVideoLike(6000, 11)
 	ix := buildSmall(t, ds.Vectors, Options{Seed: 5})
-	for _, tau := range []int{4, 12} {
+	for _, tau := range []int{4, 12, 40} {
 		q := ds.Vectors[3]
-		if _, err := ix.Search(q, tau); err != nil {
+		_, st, err := ix.SearchStats(q, tau)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if st.Scanned != (tau == 40) {
+			t.Fatalf("tau=%d: the sweep should run the index twice, then scan: %+v", tau, *st)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := ix.Search(q, tau); err != nil {
@@ -163,26 +320,64 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 
 // TestSearchGrowKeepsRows: CN rows do not depend on τ, so a kNN that
 // grows through several radii estimates each partition in full at most
-// once for the whole call.
+// once for the whole call, and a row histogrammed at one radius serves
+// every radius after it — those narrower than the partition included,
+// where the row as fitted is shorter than what is known of it. On
+// dupKeyCorpus the histogram passes come at radius 4 over 64-bit
+// partitions with radii 8 and 16 still to go; on wideCorpus, at the last
+// radius and over the one narrow partition. The call's allocations are
+// replayed on one scratch, the way SearchGrow holds it, to see them
+// radius by radius: they settle on the eager DP's thresholds, and never
+// histogram a partition twice.
 func TestSearchGrowKeepsRows(t *testing.T) {
-	ds := dataset.SIFTLike(1200, 12)
-	ix := buildSmall(t, ds.Vectors, Options{Seed: 5})
-	grew, scanned := false, false
-	for _, q := range dataset.PerturbQueries(ds, 8, 10, 3) {
-		got, gs, err := ix.SearchGrow(q, 5)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		corpus func() (*dataset.Dataset, *Index)
+		k      int
+		early  bool // a partition wider than the next radius is histogrammed before the last one
+	}{
+		{"dupkeys", dupKeyCorpus, 5, true},
+		{"pubchem", wideCorpus, 1, false},
+	} {
+		ds, ix := c.corpus()
+		grew, early := false, false
+		for qi, q := range dataset.PerturbQueries(ds, 8, 12, 3) {
+			got, gs, err := ix.SearchGrow(q, c.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := linearKNN(ds.Vectors, q, c.k); !slices.Equal(got, want) {
+				t.Fatalf("%s query %d: kNN %v, linear scan %v", c.name, qi, got, want)
+			}
+			if gs.Scanned {
+				continue
+			}
+			s, afresh := ix.getScratch(), 0
+			for tau := 1; tau <= gs.FinalTau; tau *= 2 {
+				res, price := ix.allocate(q, tau, s)
+				if want, _ := eagerAllocate(ix, q, tau); price > ix.ScanCost() || !slices.Equal(res.Thresholds, want.Thresholds) {
+					t.Fatalf("%s query %d tau=%d: rows kept from smaller radii allocate %v at %d, the eager DP %v", c.name, qi, tau, res.Thresholds, price, want.Thresholds)
+				}
+				histogrammed := 0
+				for i, w := range s.widths {
+					if s.known[i] >= w {
+						histogrammed++
+						early = early || (tau < gs.FinalTau && w > 2*tau)
+					}
+				}
+				if s.scans != histogrammed {
+					t.Fatalf("%s query %d tau=%d: %d full row estimations, %d partitions known in full", c.name, qi, tau, s.scans, histogrammed)
+				}
+				afresh += lazyAllocate(ix, q, tau).scans
+			}
+			if s.scans != gs.CNScans || afresh < s.scans {
+				t.Fatalf("%s query %d: %d radii took %d full row estimations, their replay %d, and each radius on its own %d in all", c.name, qi, gs.Radii, gs.CNScans, s.scans, afresh)
+			}
+			ix.putScratch(s)
+			grew = grew || (gs.Radii >= 3 && gs.CNScans > 0)
 		}
-		if want := linearKNN(ds.Vectors, q, 5); !slices.Equal(got, want) {
-			t.Fatalf("kNN %v, linear scan %v", got, want)
+		if !grew || early != c.early {
+			t.Fatalf("%s: some query should grow through three radii of the index with a full row estimation (%v), before the last of them on a partition wider than the next: %v (%v)", c.name, grew, c.early, early)
 		}
-		if gs.CNScans > len(ix.ests) {
-			t.Fatalf("%d radii took %d full row estimations over %d partitions", gs.Radii, gs.CNScans, len(ix.ests))
-		}
-		grew = grew || gs.Radii >= 3
-		scanned = scanned || (gs.Radii >= 3 && gs.CNScans > 0)
-	}
-	if !grew || !scanned {
-		t.Fatalf("no query grew through three radii with a full row estimation (grew=%v, scanned=%v)", grew, scanned)
 	}
 }

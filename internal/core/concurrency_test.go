@@ -44,7 +44,7 @@ func TestBuildParallelismIdentical(t *testing.T) {
 // TestConcurrentSearch hammers one index from many goroutines; under
 // -race it exercises the scratch pool for aliasing between queries.
 func TestConcurrentSearch(t *testing.T) {
-	data := testData(t, 500, 22)
+	data := testData(t, 5000, 22)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	queries := dataset.PerturbQueries(
 		&dataset.Dataset{Name: "t", Dims: 64, Vectors: data}, 16, 3, 23)
@@ -90,7 +90,7 @@ func TestConcurrentSearch(t *testing.T) {
 // TestSearchBatchPartialFailure: one bad query among many must not
 // panic, abort the batch, or lose sibling results.
 func TestSearchBatchPartialFailure(t *testing.T) {
-	data := testData(t, 300, 24)
+	data := testData(t, 4000, 24)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	queries := []bitvec.Vector{
 		data[0],
@@ -124,14 +124,14 @@ func TestSearchBatchPartialFailure(t *testing.T) {
 // populate — signatures probed or keys scanned, whichever it chose —
 // and its time is reported as ProbeNanos.
 func TestSearchStatsFusedProbe(t *testing.T) {
-	data := testData(t, 500, 25)
+	data := testData(t, 4000, 25)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	_, st, err := ix.SearchStats(data[3], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Scanned {
-		t.Skip("query fell back to scan; probe counters not exercised")
+		t.Fatalf("a stored vector at tau=4 over %d rows was answered by scan: %+v", len(data), *st)
 	}
 	if st.Signatures+st.KeysScanned < 1 {
 		t.Fatal("neither signatures nor scanned keys recorded")

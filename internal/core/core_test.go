@@ -61,7 +61,7 @@ func TestSearchRejectsBadQueries(t *testing.T) {
 // TestSearchMatchesOracle is the central correctness property: for
 // every configuration, GPH returns exactly the linear-scan result set.
 func TestSearchMatchesOracle(t *testing.T) {
-	data := testData(t, 800, 2)
+	data := testData(t, 5000, 2)
 	oracle, err := linscan.New(data)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 // TestSearchLearnedEstimator exercises the learned-estimator path
 // (slower to build, so a single config).
 func TestSearchLearnedEstimator(t *testing.T) {
-	data := testData(t, 400, 5)
+	data := testData(t, 3000, 5)
 	oracle, _ := linscan.New(data)
 	ix := buildSmall(t, data, Options{
 		NumPartitions: 3, Seed: 1, Estimator: EstimatorForest, MaxTau: 8,
@@ -130,7 +130,7 @@ func TestSearchTauCoversSpace(t *testing.T) {
 }
 
 func TestSearchStats(t *testing.T) {
-	data := testData(t, 500, 7)
+	data := testData(t, 4000, 7)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	_, st, err := ix.SearchStats(data[0], 4)
 	if err != nil {
@@ -171,7 +171,7 @@ type mismatchError struct{ got, want int }
 func (e *mismatchError) Error() string { return "threshold sum mismatch" }
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
-	data := testData(t, 600, 8)
+	data := testData(t, 4000, 8)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	queries := dataset.PerturbQueries(&dataset.Dataset{Name: "t", Dims: 64, Vectors: data}, 12, 3, 9)
 	batch, err := ix.SearchBatch(queries, 6, 4)
@@ -196,7 +196,7 @@ func TestSearchBatchPropagatesError(t *testing.T) {
 }
 
 func TestExplicitWorkload(t *testing.T) {
-	data := testData(t, 300, 10)
+	data := testData(t, 3000, 10)
 	wl := partition.SurrogateWorkload(data, 8, []int{4}, 1)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1, Workload: &wl})
 	if _, err := ix.Search(data[0], 4); err != nil {
@@ -230,7 +230,7 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestPersistRoundTrip(t *testing.T) {
-	data := testData(t, 300, 12)
+	data := testData(t, 4000, 12)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
@@ -352,7 +352,7 @@ func TestLoadCorrupt(t *testing.T) {
 func TestCandidateCompleteness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 100 + rng.Intn(200)
+		n := 2000 + rng.Intn(2000)
 		data := dataset.Synthetic(n, 32, 0.25, seed).Vectors
 		oracle, _ := linscan.New(data)
 		ix, err := Build(data, Options{
@@ -406,7 +406,7 @@ func equalIDs(a, b []int32) bool {
 }
 
 func TestSearchKNN(t *testing.T) {
-	data := testData(t, 500, 20)
+	data := testData(t, 4000, 20)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	q := data[17].Clone()
 	q.Flip(3)

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"gph/internal/binio"
@@ -45,20 +47,82 @@ func openShifted(t *testing.T, ix *Index) *Index {
 	return shifted
 }
 
+// wideCorpus is a corpus on which an index plan that scans a partition's
+// keys still beats scanning the collection, as priced by allocate: rows
+// of fourteen words make the scan dear, and eight partitions over 881
+// skewed dimensions leave seven wider than a word and one narrow, its
+// few hundred keys cheap to pass over.
+var wideCorpus = sync.OnceValues(func() (*dataset.Dataset, *Index) {
+	ds := dataset.PubChemLike(6000, 11)
+	ix, err := Build(ds.Vectors, Options{Seed: 5, NumPartitions: 8, SampleSize: 200, WorkloadSize: 10, MaxTau: 12})
+	if err != nil {
+		panic(err)
+	}
+	return ds, ix
+})
+
+// dupKeyCorpus is the other corpus on which a plan with a key scan in it
+// gets past the scan guard — this one at small radii, on partitions
+// wider than every radius that follows. Rows of four words in four
+// 64-bit partitions (original order, no refinement); 60 prototypes, each
+// row a prototype that shows, in every partition, one of four fixed
+// variants of it a few bits apart. A partition holds 240 distinct keys
+// for 6000 rows, so any ball past the point is dearer to probe than the
+// keys are to pass over, and a row's hundred prototype-mates lie within
+// a few dozen bits of it: a kNN grows through radii 1, 2, 4, 8, 16 on
+// the index, histogramming and scanning keys from radius 4 on.
+var dupKeyCorpus = sync.OnceValues(func() (*dataset.Dataset, *Index) {
+	const prototypes, variants, parts, rows = 60, 4, 4, 6000
+	rng := rand.New(rand.NewSource(7))
+	var keys [prototypes][parts][variants]uint64
+	for p := range keys {
+		for i := range keys[p] {
+			proto := rng.Uint64()
+			for v := range keys[p][i] {
+				keys[p][i][v] = proto
+				for f := 0; f < 2*v; f++ {
+					keys[p][i][v] ^= 1 << rng.Intn(64)
+				}
+			}
+		}
+	}
+	ds := &dataset.Dataset{Name: "dupkeys", Dims: 64 * parts, Vectors: make([]bitvec.Vector, rows)}
+	for id := range ds.Vectors {
+		words := make([]uint64, parts)
+		for i := range words {
+			words[i] = keys[id%prototypes][i][rng.Intn(variants)]
+		}
+		ds.Vectors[id] = bitvec.FromWords(ds.Dims, words)
+	}
+	ix, err := Build(ds.Vectors, Options{Seed: 5, NumPartitions: parts, Init: InitOriginal, NoRefine: true, SampleSize: 200, WorkloadSize: 10, MaxTau: 12})
+	if err != nil {
+		panic(err)
+	}
+	return ds, ix
+})
+
 // TestGatherPathsAgree: the two ways generate has of collecting a
 // partition's candidates are one function. For every partition and
 // every threshold up to where the ball stops being enumerable, probing
 // the ball and scanning the keys gather the same ids and decode the
 // same number of postings — on skewed and unskewed corpora, and on an
 // index as built, loaded into the heap, and borrowed from a mapping at
-// either alignment. It also holds generate to using both.
+// either alignment. It also holds generate to using both, on the corpus
+// where a plan with a key scan in it gets past the scan guard.
 func TestGatherPathsAgree(t *testing.T) {
-	corpora := map[string]*dataset.Dataset{
-		"uqvideo": dataset.UQVideoLike(1200, 11),
-		"sift":    dataset.SIFTLike(1200, 12),
-	}
-	for name, ds := range corpora {
-		built := buildSmall(t, ds.Vectors, Options{Seed: 5})
+	wideDS, wideIx := wideCorpus()
+	uqvideo, sift := dataset.UQVideoLike(1200, 11), dataset.SIFTLike(1200, 12)
+	for _, c := range []struct {
+		name     string
+		ds       *dataset.Dataset
+		built    *Index
+		keyScans bool // a plan with a key scan in it gets past the guard here
+	}{
+		{"uqvideo", uqvideo, buildSmall(t, uqvideo.Vectors, Options{Seed: 5}), false},
+		{"sift", sift, buildSmall(t, sift.Vectors, Options{Seed: 5}), false},
+		{"pubchem", wideDS, wideIx, true},
+	} {
+		name, ds, built := c.name, c.ds, c.built
 		modes := openModes(t, built)
 		modes["mapped+1"] = openShifted(t, built)
 		queries := append([]bitvec.Vector{ds.Vectors[0], ds.Vectors[600]}, dataset.PerturbQueries(ds, 3, 6, 21)...)
@@ -106,7 +170,7 @@ func TestGatherPathsAgree(t *testing.T) {
 					t.Fatalf("%s/%s tau=%d: %d key scans compared %d keys", name, mode, tau, st.KeyScans, st.KeysScanned)
 				}
 			}
-			if sigs == 0 || keys == 0 {
+			if sigs == 0 || (keys == 0 && c.keyScans) {
 				t.Fatalf("%s/%s: searches probed %d signatures and scanned %d keys; the rule should choose both", name, mode, sigs, keys)
 			}
 		}
@@ -140,8 +204,7 @@ func drainScratches(t *testing.T, ix *Index, after string) int {
 // way in, so every way out must leave it all zero — however the
 // candidates were reordered, compacted or abandoned on the way.
 func TestScratchComesBackClean(t *testing.T) {
-	ds := dataset.SIFTLike(1200, 12)
-	ix := buildSmall(t, ds.Vectors, Options{Seed: 5})
+	ds, ix := wideCorpus()
 	q := dataset.PerturbQueries(ds, 1, 6, 21)[0]
 	steps := []struct {
 		name string
@@ -149,9 +212,9 @@ func TestScratchComesBackClean(t *testing.T) {
 	}{
 		{"Search, few candidates", func() error { _, err := ix.Search(q, 2); return err }},
 		{"Search, more candidates than bitmap words", func() error {
-			_, st, err := ix.SearchStats(q, 14)
+			_, st, err := ix.SearchStats(q, 16)
 			if err == nil && (st.Scanned || st.Candidates <= (ix.count+63)/64 || st.KeyScans == 0) {
-				t.Fatalf("tau=14 should gather many candidates through a key scan: %+v", *st)
+				t.Fatalf("tau=16 should gather many candidates through a key scan: %+v", *st)
 			}
 			return err
 		}},
@@ -163,7 +226,7 @@ func TestScratchComesBackClean(t *testing.T) {
 			return err
 		}},
 		{"SearchIter drained", func() error {
-			for _, err := range ix.SearchIter(q, 14) {
+			for _, err := range ix.SearchIter(q, 16) {
 				if err != nil {
 					return err
 				}
@@ -171,13 +234,19 @@ func TestScratchComesBackClean(t *testing.T) {
 			return nil
 		}},
 		{"SearchIter stopped early", func() error {
-			for _, err := range ix.SearchIter(ds.Vectors[7], 14) {
+			for _, err := range ix.SearchIter(ds.Vectors[7], 16) {
 				return err
 			}
 			t.Fatal("a stored vector found nothing")
 			return nil
 		}},
-		{"SearchGrow", func() error { _, _, err := ix.SearchGrow(q, 5); return err }},
+		{"SearchGrow", func() error {
+			_, gs, err := ix.SearchGrow(q, 1)
+			if err == nil && gs.Scanned {
+				t.Fatalf("k = 1 should end on the index: %+v", gs)
+			}
+			return err
+		}},
 		{"SearchGrow ending in a scan", func() error {
 			_, gs, err := ix.SearchGrow(q, ix.count)
 			if err == nil && !gs.Scanned {
@@ -226,34 +295,47 @@ func TestScratchComesBackClean(t *testing.T) {
 
 // TestGrowStatsMirrorKeyScans: a kNN that grows through radii reports
 // the key scans of all its rounds — what a Search at each of those
-// radii reports, summed.
+// radii reports, summed — whether the scans come at the last radius
+// (wideCorpus) or from the third of five on (dupKeyCorpus).
 func TestGrowStatsMirrorKeyScans(t *testing.T) {
-	// Four partitions over 256 skewed dimensions leave one a few bits
-	// wide: a handful of keys, scanned at every radius.
-	ds := dataset.UQVideoLike(1200, 11)
-	ix := buildSmall(t, ds.Vectors, Options{Seed: 5, NumPartitions: 4})
-	scans := 0
-	for _, q := range dataset.PerturbQueries(ds, 4, 10, 3) {
-		_, gs, err := ix.SearchGrow(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want engine.GrowStats
-		for tau := 1; tau <= gs.FinalTau; tau *= 2 {
-			_, st, err := ix.SearchStats(q, tau)
+	for _, c := range []struct {
+		name   string
+		corpus func() (*dataset.Dataset, *Index)
+		k      int
+		spread bool // some kNN scans keys at more than one of its radii
+	}{
+		{"pubchem", wideCorpus, 1, false},
+		{"dupkeys", dupKeyCorpus, 5, true},
+	} {
+		ds, ix := c.corpus()
+		scans, spread := 0, false
+		for _, q := range dataset.PerturbQueries(ds, 8, 12, 3) {
+			_, gs, err := ix.SearchGrow(q, c.k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.KeyScans += st.KeyScans
-			want.KeysScanned += st.KeysScanned
+			var want engine.GrowStats
+			radii := 0
+			for tau := 1; tau <= gs.FinalTau; tau *= 2 {
+				_, st, err := ix.SearchStats(q, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.KeyScans += st.KeyScans
+				want.KeysScanned += st.KeysScanned
+				if st.KeyScans > 0 {
+					radii++
+				}
+			}
+			if gs.KeyScans != want.KeyScans || gs.KeysScanned != want.KeysScanned {
+				t.Fatalf("%s: kNN through %d radii reports %d key scans over %d keys; its radii searched one by one, %d over %d",
+					c.name, gs.Radii, gs.KeyScans, gs.KeysScanned, want.KeyScans, want.KeysScanned)
+			}
+			scans += gs.KeyScans
+			spread = spread || radii > 1
 		}
-		if gs.KeyScans != want.KeyScans || gs.KeysScanned != want.KeysScanned {
-			t.Fatalf("kNN through %d radii reports %d key scans over %d keys; its radii searched one by one, %d over %d",
-				gs.Radii, gs.KeyScans, gs.KeysScanned, want.KeyScans, want.KeysScanned)
+		if scans == 0 || spread != c.spread {
+			t.Fatalf("%s: growing kNNs scanned keys %d times, at several radii of one call: %v, want %v", c.name, scans, spread, c.spread)
 		}
-		scans += gs.KeyScans
-	}
-	if scans == 0 {
-		t.Fatal("no growing kNN scanned a partition's keys")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // with the full-sort ground truth for every k, including k larger
 // than any radius round can satisfy without degenerating to a scan.
 func TestSearchGrowMatchesLinearScan(t *testing.T) {
-	ix, data := knnTestIndex(t, 300, 11)
+	ix, data := knnTestIndex(t, 4000, 11)
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {
 		q := data[rng.Intn(len(data))].Clone()
@@ -71,7 +71,7 @@ func TestSearchGrowEdgeCases(t *testing.T) {
 // path for engines that implement GrowSearcher and still produce the
 // exact answer.
 func TestGrowKNNDelegates(t *testing.T) {
-	ix, data := knnTestIndex(t, 200, 17)
+	ix, data := knnTestIndex(t, 4000, 17)
 	if _, ok := engine.Engine(ix).(engine.GrowSearcher); !ok {
 		t.Fatal("core.Index does not implement engine.GrowSearcher")
 	}

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"gph/internal/bitvec"
+	"gph/internal/dataset"
 )
 
 // knnTestIndex builds a small index over random 64-dim vectors.
@@ -51,7 +53,7 @@ func linearKNN(data []bitvec.Vector, q bitvec.Vector, k int) []Neighbor {
 // TestKNNMatchesLinearScan: SearchKNN must agree with a linear scan
 // on random data for a sweep of k and query positions.
 func TestKNNMatchesLinearScan(t *testing.T) {
-	ix, data := knnTestIndex(t, 300, 5)
+	ix, data := knnTestIndex(t, 4000, 5)
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 8; trial++ {
 		q := data[rng.Intn(len(data))].Clone()
@@ -112,6 +114,39 @@ func TestKNNTiesAtKth(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pos %d: got %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestKNNByScanSelects: the scan route's kNN counts the distances, finds
+// the one the k-th neighbour lies at, keeps what is nearer and the
+// lowest ids at it, and sorts only those — the prefix of the full sort
+// the linear scan makes, for k = 1, for every cut that falls inside a
+// run of equal distances (sixteen dimensions leave 500 rows at most
+// seventeen distances to share), for k = n, and, through SearchGrow,
+// which clamps it, for k > n.
+func TestKNNByScanSelects(t *testing.T) {
+	ds := dataset.Synthetic(500, 16, 0.3, 41)
+	data := ds.Vectors
+	ix := buildSmall(t, data, Options{NumPartitions: 2, Seed: 1})
+	tiesAtCut := 0
+	for _, q := range append(dataset.PerturbQueries(ds, 4, 3, 5), data[0], bitvec.New(16)) {
+		all := linearKNN(data, q, len(data))
+		for _, k := range []int{1, 2, 7, 60, 250, len(data) - 1, len(data)} {
+			got := ix.knnByScan(q, k)
+			if !slices.Equal(got, all[:k]) {
+				t.Fatalf("k=%d: selection %v, full sort %v", k, got, all[:k])
+			}
+			if k < len(all) && all[k].Distance == all[k-1].Distance {
+				tiesAtCut++
+			}
+		}
+		got, gs, err := ix.SearchGrow(q, len(data)+50)
+		if err != nil || !gs.Scanned || !slices.Equal(got, all) {
+			t.Fatalf("k > n: err=%v, stats %+v, %d neighbours of %d", err, gs, len(got), len(all))
+		}
+	}
+	if tiesAtCut == 0 {
+		t.Fatal("no cut fell inside a run of equal distances")
 	}
 }
 

@@ -5,16 +5,20 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gph/internal/binio"
+	"gph/internal/bitvec"
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
 // testdata/index-gphix05.bin (120 vectors × 48 dims, NumPartitions 4,
 // MaxTau 16, Seed 7, exact estimator) loads into the heap and borrowed
-// in place, answers like a linear scan over its own vectors, and is
-// what today's writer produces from either, byte for byte.
+// in place, answers like a linear scan over its own vectors, generates
+// candidates that miss none of those answers (Search scans at 120 rows,
+// so the index is asked apart: indexCandidates), and is what today's
+// writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix05.bin"))
 	if err != nil {
@@ -58,9 +62,37 @@ func TestCurrentFixtureBytes(t *testing.T) {
 				if !equalIDs(got, oracle) {
 					t.Fatalf("%s tau=%d query %d: fixture answers %v, linear scan %v", name, tau, qi, got, oracle)
 				}
+				cands := indexCandidates(t, ix, q, tau)
+				for _, id := range oracle {
+					if _, ok := slices.BinarySearch(cands, id); !ok {
+						t.Fatalf("%s tau=%d query %d: the index generates %v, which misses %d of %v", name, tau, qi, cands, id, oracle)
+					}
+				}
 			}
 		}
 	}
+}
+
+// indexCandidates is what the index generates for a range query when it
+// is asked whatever the scan guard makes of it — the eager DP's
+// thresholds handed to generate — sorted: a fixture is too small for the
+// guard to let any plan through. Verification is not the index's, and
+// not repeated here.
+func indexCandidates(t *testing.T, ix *Index, q bitvec.Vector, tau int) []int32 {
+	t.Helper()
+	want, _ := eagerAllocate(ix, q, tau)
+	if want.Fallback {
+		t.Fatalf("tau=%d: no threshold vector fits the enumeration budget", tau)
+	}
+	s := ix.getScratch()
+	ix.bindQuery(q, s)
+	if err := ix.generate(want.Thresholds, want.EffectiveBudget, s); err != nil {
+		t.Fatal(err)
+	}
+	out := slices.Clone(s.cand.IDs)
+	ix.putScratch(s)
+	slices.Sort(out)
+	return out
 }
 
 // keyArenaOffset finds partition p's key arena in ix's saved bytes.

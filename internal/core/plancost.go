@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gph/internal/alloc"
 	"gph/internal/bitvec"
 	"gph/internal/engine"
 	"gph/internal/verify"
@@ -17,22 +16,19 @@ func (ix *Index) Codes() *verify.Codes { return ix.codes }
 
 // EstimateSearchCost implements engine.CostEstimator: it runs only
 // phase 1 of the pipeline (the lazy threshold allocation of
-// allocate.go) and returns the allocation objective in the cost units
-// of Eq. 1 — posting accesses, with verification priced at 4 units
-// per candidate. A Fallback allocation (no valid plan under the enum
-// budget) reports alloc.FallbackCost, which prices the index path out
-// of any comparison, as it should: the engine itself would scan.
-// ok=false means no prediction exists (round-robin allocator or an
-// out-of-contract query). When the planner then routes to the index
-// path the allocation runs again inside the search — an accepted
-// double cost that keeps the estimate side-effect-free and the planner
-// stateless. What it doubles is measured, not assumed: benchmark/'s
-// traced run puts core.alloc_us at 4.6 µs of a 6.4 µs query on
-// lib_selective (one posting-length probe per partition and one DP
-// round) and at 111 µs of 870 µs on lib_wide (two rounds, three of
-// five partitions scanned). Before allocation was lazy it was 98 % of
-// the former (701 µs), the opposite of the paper's Fig. 2(a) premise
-// that allocation is a negligible share.
+// allocate.go, scan guard included) and returns the verdict the search
+// itself would act on, in key-scan steps — the price of the plan
+// allocation settled on (generation per partition plus candidatePrice a
+// posting), or something above ScanCost when the guard stopped the loop
+// or no vector fits the enumeration budget (alloc.FallbackCost), which
+// prices the index path out of any comparison, as it should: the engine
+// itself would scan. ok=false means no prediction exists (round-robin
+// allocator or an out-of-contract query). When the planner then routes
+// to the index path the allocation runs again inside the search — an
+// accepted double cost that keeps the estimate side-effect-free and the
+// planner stateless, and a bounded one: allocation stops once its own
+// work and the plan's price together pass ScanCost, so neither call
+// spends more than a scan on it (DESIGN.md §1, "What a plan costs").
 //
 //gph:hotpath
 func (ix *Index) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {
@@ -48,12 +44,9 @@ func (ix *Index) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {
 		return 0, false
 	}
 	s := ix.getScratch()
-	res := ix.allocate(q, tau, s)
+	_, price := ix.allocate(q, tau, s)
 	ix.putScratch(s)
-	if res.Fallback {
-		return alloc.FallbackCost, true
-	}
-	return res.Objective, true
+	return price, true
 }
 
 // SearchGrow implements engine.GrowSearcher: kNN by incremental
@@ -155,23 +148,36 @@ func (ix *Index) SearchGrow(q bitvec.Vector, k int) ([]engine.Neighbor, engine.G
 	return out, gs, nil
 }
 
-// knnByScan answers kNN by direct selection over the full distance
+// knnByScan answers kNN (0 < k ≤ n) by selection over the full distance
 // profile of the packed arena — the scan route's kNN, shared by
-// SearchGrow's fallback paths.
+// SearchGrow's fallback paths. Distances are integers in [0, dims], so
+// counting them finds the distance the k-th neighbour lies at; every
+// row nearer than that is kept, the rows at it in id order until k are,
+// and only those k are sorted.
 func (ix *Index) knnByScan(q bitvec.Vector, k int) []engine.Neighbor {
-	n := ix.count
-	dst := make([]int32, n)
-	if n > 0 {
-		ix.codes.DistancesSeqInto(q, 0, dst)
+	dst := make([]int32, ix.count)
+	ix.codes.DistancesSeqInto(q, 0, dst)
+	hist := make([]int, ix.dims+1)
+	for _, d := range dst {
+		hist[d]++
 	}
-	out := make([]engine.Neighbor, n)
-	for i, d := range dst {
-		out[i] = engine.Neighbor{ID: int32(i), Distance: int(d)}
+	cut, nearer := 0, 0
+	for nearer+hist[cut] < k {
+		nearer += hist[cut]
+		cut++
+	}
+	ties := k - nearer
+	out := make([]engine.Neighbor, 0, k)
+	for id, d := range dst {
+		if int(d) > cut || (int(d) == cut && ties == 0) {
+			continue
+		}
+		if int(d) == cut {
+			ties--
+		}
+		out = append(out, engine.Neighbor{ID: int32(id), Distance: int(d)})
 	}
 	sortNeighbors(out)
-	if len(out) > k {
-		out = out[:k]
-	}
 	return out
 }
 

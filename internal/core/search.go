@@ -35,6 +35,7 @@ type searchScratch struct {
 	q      bitvec.Vector
 	projs  []bitvec.Vector
 	widths []int
+	gen    [][]int64 // per partition, the price of collecting a ball (priceGeneration)
 	table  alloc.Table
 	known  []int
 	dp     alloc.Scratch // reused DP grids and the ball-size memo
@@ -43,6 +44,9 @@ type searchScratch struct {
 	center bitvec.Vector // centre of the ball being probed
 	rounds int           // DP runs
 	scans  int           // rows estimated in full
+	// What refining rows took: posting-length probes, and keys passed
+	// over by the histogram scans.
+	cnProbes, cnKeys int
 
 	// What candidate generation did, summed over the gather calls on
 	// this scratch (SearchGrow makes one per radius).
@@ -105,7 +109,7 @@ func (ix *Index) probeBall(i, t int, s *searchScratch) {
 // scanKeys collects the same candidates from the other side: one pass
 // over partition i's key arena, keeping every key within t of the
 // query's projection. Both are {ids whose projection lies within t of
-// qᵢ}; which one runs is probeBeatsScan's call.
+// qᵢ}; which one runs is genPrice's call.
 //
 //gph:hotpath
 func (ix *Index) scanKeys(i, t int, s *searchScratch) {
@@ -202,27 +206,26 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 		ix.putScratch(s)
 		return nil, nil, err
 	}
-	if scanned {
-		start := time.Now()
-		out := ix.codes.AppendWithin(q, tau, make([]int32, 0, 64))
-		stats.VerifyNanos = time.Since(start).Nanoseconds()
-		stats.Candidates = ix.count
-		stats.Results = len(out)
-		stats.Scanned = true
-		report := reportStats(&stats, wantStats)
-		ix.putScratch(s)
-		return out, report, nil
-	}
 
-	// Phase 4: batch verification on the packed arena, in place over
-	// the pooled candidate slice; survivors are sorted and copied into
-	// an exact-size result the caller owns. The bitmap is handed back
-	// clean first: FilterWithin compacts the ids it would be cleaned by.
+	// Phase 4: verification on the packed arena, into or in place over
+	// the pooled candidate slice; survivors are copied into an exact-size
+	// result the caller owns. A scan passes over every row and appends
+	// the matches in id order. Generated candidates are verified where
+	// they lie and sorted, the bitmap handed back clean first:
+	// FilterWithin compacts the ids it would be cleaned by.
 	start := time.Now()
-	cands := s.cand.IDs
-	s.cand.Reset()
-	results := ix.codes.FilterWithin(q, tau, cands)
-	slices.Sort(results)
+	var results []int32
+	if scanned {
+		results = ix.codes.AppendWithin(q, tau, s.cand.IDs)
+		s.cand.IDs = results[:0] // the pool keeps the buffer; no bit was set
+		stats.Candidates = ix.count
+		stats.Scanned = true
+	} else {
+		cands := s.cand.IDs
+		s.cand.Reset()
+		results = ix.codes.FilterWithin(q, tau, cands)
+		slices.Sort(results)
+	}
 	out := make([]int32, len(results))
 	copy(out, results)
 	stats.VerifyNanos = time.Since(start).Nanoseconds()
@@ -247,34 +250,35 @@ func reportStats(stats *Stats, want bool) *Stats {
 }
 
 // gather runs phases 1–3 of the pipeline into s: threshold allocation
-// (Algorithm 1) over estimated CNs, the scan-guard decision, and
-// candidate generation (generate), which fills s.cand with
-// deduplicated candidate ids. It reports scanned=true (with no candidates
-// generated) when every valid allocation costs more than verifying
-// the whole collection. stats.Thresholds aliases the scratch. Shared
-// by Search, SearchIter and SearchGrow, which calls it once per radius
-// on one scratch.
+// (Algorithm 1) over estimated CNs with the scan guard inside it
+// (allocate), and candidate generation (generate), which fills s.cand
+// with deduplicated candidate ids. It reports scanned=true (with no
+// candidates generated) when allocation priced the index above
+// verifying the whole collection; stats then carries no thresholds —
+// the vector the guard stopped at was never going to run, and may hold a
+// ball nobody would enumerate. stats.Thresholds aliases the scratch.
+// Shared by Search, SearchIter and SearchGrow, which calls it once per
+// radius on one scratch.
 //
 //gph:hotpath
 func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats) (scanned bool, err error) {
 	// Phase 1: threshold allocation. The RR baseline skips estimation
 	// entirely — that is the point of the comparison in Fig. 3.
 	start := time.Now()
-	res := ix.allocate(q, tau, s)
+	res, price := ix.allocate(q, tau, s)
 	stats.AllocNanos = time.Since(start).Nanoseconds()
-	stats.Thresholds = res.Thresholds
-	stats.EstimatedCN = res.SumCN
+	stats.PlanCost, stats.ScanCost = price, ix.ScanCost()
 	stats.AllocRounds = s.rounds
 	stats.CNScans = s.scans
-
-	// Scan guard: when every valid allocation costs more than verifying
-	// the whole collection (tiny collections or τ near the index's
-	// useful range), the honest plan is a scan. The cost units match
-	// Eq. 1 with verification ≈ 4 posting accesses.
-	scanCost := int64(ix.count) * 4
-	if res.Fallback || (res.Thresholds != nil && ix.opts.Allocator == AllocDP && res.Objective > scanCost) {
+	stats.CNProbes = s.cnProbes
+	stats.CNKeys = s.cnKeys
+	if price > stats.ScanCost {
+		stats.Thresholds, stats.EstimatedCN = nil, 0
 		return true, nil
 	}
+	stats.Thresholds = res.Thresholds
+	stats.EstimatedCN = res.SumCN
+
 	start = time.Now()
 	err = ix.generate(res.Thresholds, res.EffectiveBudget, s)
 	stats.ProbeNanos = time.Since(start).Nanoseconds()
@@ -288,13 +292,13 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 
 // generate is phases 2+3 fused, candidate generation: per partition,
 // collect into s.cand the ids whose projection lies within the
-// threshold of the query's, by whichever costs less — the signature
-// ball probed against the slot table, or one pass over the partition's
-// keys. Nothing is materialized per signature or per matching key (no
-// key string, no posting slice), which is what makes the loop
-// allocation-free. budget (0 for unlimited: RR and unbudgeted configs)
-// caps a ball that is enumerated; a pass over the keys costs the same
-// whatever the ball holds.
+// threshold of the query's, by whichever costs less (genPrice) — the
+// signature ball probed against the slot table, or one pass over the
+// partition's keys. Nothing is materialized per signature or per
+// matching key (no key string, no posting slice), which is what makes
+// the loop allocation-free. budget (0 for unlimited: RR and unbudgeted
+// configs) caps a ball that is enumerated; a pass over the keys costs
+// the same whatever the ball holds.
 //
 //gph:hotpath
 func (ix *Index) generate(thresholds []int, budget int64, s *searchScratch) error {
@@ -302,12 +306,12 @@ func (ix *Index) generate(thresholds []int, budget int64, s *searchScratch) erro
 		if ti < 0 {
 			continue
 		}
-		ball, ok := s.dp.BallSize(s.widths[i], ti)
-		if !ok || !probeBeatsScan(ball, ix.inv[i].NumKeys()) {
+		steps, probe := s.genPrice(i, ti)
+		if !probe {
 			ix.scanKeys(i, ti, s)
 			continue
 		}
-		if budget > 0 && ball > uint64(budget) {
+		if budget > 0 && steps/scanElemsPerProbe > budget {
 			return fmt.Errorf("core: partition %d with threshold %d: %w", i, ti, hamming.ErrEnumerationBudget)
 		}
 		ix.probeBall(i, ti, s)

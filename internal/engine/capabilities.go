@@ -25,15 +25,18 @@ type Scannable interface {
 }
 
 // CostEstimator is implemented by engines that can predict a query's
-// execution cost before running it. GPH implements it with the
-// threshold-allocation DP over candest estimates: the returned cost is
-// the allocation objective in the units of Eq. 1 (posting accesses,
-// with verification ≈ 4 units per candidate). ok=false means the
-// engine has no prediction for this query (e.g. the round-robin
-// allocator, or an out-of-contract tau) and the planner should fall
-// back to its calibrated crossover heuristic.
+// execution cost before running it, in units of their own choosing.
+// GPH implements it with the threshold-allocation DP over candest
+// estimates and prices the plan the DP settles on in key-scan steps.
+// ok=false means the engine has no prediction for this query (e.g. the
+// round-robin allocator, or an out-of-contract tau) and the planner
+// should fall back to its calibrated crossover heuristic. ScanCost is
+// the price, in the same units, the engine puts on a verified scan of
+// its whole collection — what its own scan guard compares a plan with,
+// so an estimate above it says the engine itself would scan.
 type CostEstimator interface {
 	EstimateSearchCost(q bitvec.Vector, tau int) (cost int64, ok bool)
+	ScanCost() int64
 }
 
 // GrowStats accounts one progressive-radius kNN query: how many radius

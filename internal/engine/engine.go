@@ -35,17 +35,30 @@ type Stats struct {
 	ProbeNanos  int64
 	VerifyNanos int64
 
-	Thresholds  []int // allocated threshold vector T (GPH and PartAlloc)
+	// Thresholds is the allocated threshold vector T the query ran (GPH
+	// and PartAlloc); empty when it was answered by scan.
+	Thresholds  []int
 	EstimatedCN int64 // allocation objective term Σ CN(qᵢ, T[i])
-	// AllocRounds and CNScans say what the allocation took (GPH only):
-	// how often the DP ran before its answer sat entirely on exact CN
-	// cells, and how many partitions had their CN row estimated in full
-	// (a scan of the partition's distinct projections, or a whole-row
-	// estimator) rather than by posting-length probes. One round and no
-	// scans is the cheap case.
+	// AllocRounds, CNScans, CNProbes and CNKeys say what the allocation
+	// took (GPH only): how often the DP ran before its answer sat
+	// entirely on exact CN cells or the scan guard stopped it, how many
+	// partitions had their CN row estimated in full (a scan of the
+	// partition's distinct projections, or a whole-row estimator) rather
+	// than by posting-length probes, how many such probes there were, and
+	// how many keys those scans passed over. One round, one probe a
+	// partition and no scans is the cheap case.
 	AllocRounds int
 	CNScans     int
-	Scanned     bool // query answered by verified scan (plan cost ≥ scan cost)
+	CNProbes    int
+	CNKeys      int
+	// PlanCost and ScanCost are the two prices GPH's scan guard compared,
+	// in key-scan steps: the index plan's (when Scanned, what the guard
+	// saw as it tripped, allocation's own work so far included) and a
+	// verified scan's of the whole collection. Scanned says the latter
+	// was lower and the query was answered that way.
+	PlanCost int64
+	ScanCost int64
+	Scanned  bool
 	// Candidate generation is three counts with three unit costs.
 	// Signatures are the signatures enumerated and probed; GPH answers a
 	// partition whose ball outgrows its keys by one pass over the

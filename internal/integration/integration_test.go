@@ -168,7 +168,7 @@ func TestGPHBeatsBasicPigeonholeOnSkew(t *testing.T) {
 // TestParallelBatchUnderRace exercises concurrent searches (run with
 // -race in CI) across all index types that support shared reads.
 func TestParallelBatchUnderRace(t *testing.T) {
-	ds := dataset.UQVideoLike(1200, 9)
+	ds := dataset.UQVideoLike(6000, 9)
 	ix, err := core.Build(ds.Vectors, core.Options{
 		NumPartitions: 6, MaxTau: 16, Seed: 1, SampleSize: 200, WorkloadSize: 8,
 	})
@@ -179,7 +179,7 @@ func TestParallelBatchUnderRace(t *testing.T) {
 	for i := range queries {
 		queries[i] = ds.Vectors[i*7]
 	}
-	res, err := ix.SearchBatch(queries, 12, 4)
+	res, err := ix.SearchBatch(queries, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ type Planner struct {
 
 	// Cost coefficients, stored as float64 bits for lock-free reads.
 	scanNanosPerRowBits   atomic.Uint64 // verified scan, per row
-	indexNanosPerUnitBits atomic.Uint64 // per cost-model unit (Eq. 1)
+	indexNanosPerUnitBits atomic.Uint64 // per unit of the engine's cost estimate
 	estimateNanosBits     atomic.Uint64 // one EstimateSearchCost call (the DP)
 	crossoverTau          atomic.Int32  // non-cost-model engines; 0 = never scan
 
@@ -259,9 +259,10 @@ func (p *Planner) Calibrate(e engine.Engine) {
 		p.estimateNanosBits.Store(math.Float64bits(estNanos))
 
 		// Fit nanoseconds per cost-model unit as the median of
-		// (measured − intercept)/predicted over the probes. The fallback
-		// (scan rate / 4) reproduces the engine's own internal scan
-		// guard, which prices verification at 4 cost units per row.
+		// (measured − intercept)/predicted over the probes. Without a
+		// usable probe the unit is the one at which the engine's own
+		// price for a scan of the collection comes to the scan just
+		// measured.
 		var ratios []float64
 		for _, q := range qs {
 			cost, ok := ce.EstimateSearchCost(q, tau)
@@ -276,7 +277,7 @@ func (p *Planner) Calibrate(e engine.Engine) {
 				ratios = append(ratios, net/float64(cost))
 			}
 		}
-		unit := scanPerRow / 4
+		unit := scanPerRow * float64(n) / float64(ce.ScanCost())
 		if len(ratios) > 0 {
 			sort.Float64s(ratios)
 			unit = ratios[len(ratios)/2]

@@ -1068,6 +1068,10 @@ func addStats(sum, sh *engine.Stats) {
 	sum.EstimatedCN += sh.EstimatedCN
 	sum.AllocRounds += sh.AllocRounds
 	sum.CNScans += sh.CNScans
+	sum.CNProbes += sh.CNProbes
+	sum.CNKeys += sh.CNKeys
+	sum.PlanCost += sh.PlanCost
+	sum.ScanCost += sh.ScanCost
 	sum.Scanned = sum.Scanned || sh.Scanned
 	sum.Signatures += sh.Signatures
 	sum.KeyScans += sh.KeyScans
