@@ -36,9 +36,8 @@ type Config struct {
 	// Verbose adds per-query progress.
 	Verbose bool
 	// JSONPath, when set, is where experiments with machine-readable
-	// output ("fig6", "fig7", "mixed", "verify", "open" —
-	// e.g. "verify" → BENCH_verify.json, "open" → BENCH_open.json)
-	// write their report; empty disables the artifact.
+	// output ("fig6", "fig7", "mixed", "open" — e.g. "open" →
+	// BENCH_open.json) write their report; empty disables the artifact.
 	JSONPath string
 }
 
@@ -92,7 +91,6 @@ func Experiments() []Experiment {
 		{"ablation", "Ablation: each GPH design choice removed in turn", (*Runner).Ablation},
 		{"sharded", "Sharded vs single-index GPH: build, fan-out query, agreement", (*Runner).Sharded},
 		{"mixed", "Mixed update-heavy workload: search p50/p99 during background compaction", (*Runner).Mixed},
-		{"verify", "Verification kernels: batch vs scalar throughput, first-result latency, allocs/op", (*Runner).Verify},
 		{"open", "Index open: heap load vs mmap — cold-open time, RSS under load, cold/warm p99", (*Runner).Open},
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 18 {
-		t.Fatalf("expected 18 experiments, have %d", len(ids))
+	if len(ids) != 17 {
+		t.Fatalf("expected 17 experiments, have %d", len(ids))
 	}
 	seen := map[string]bool{}
 	for _, id := range ids {

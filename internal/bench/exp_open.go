@@ -194,12 +194,10 @@ func (r *Runner) openOnce(path string, mode engine.OpenMode, c *cachedDataset, t
 	for round := 0; round < rounds; round++ {
 		for _, q := range c.queries {
 			start := time.Now()
-			ids, err := e.Search(q, tau)
-			if err != nil {
+			if _, err := e.Search(q, tau); err != nil {
 				return 0, 0, 0, 0, nil, err
 			}
 			warm = append(warm, time.Since(start))
-			benchSink += int32(len(ids))
 		}
 	}
 	rssAfter := mmapio.ProcessResidentBytes()

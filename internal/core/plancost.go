@@ -86,7 +86,7 @@ func (ix *Index) SearchGrow(q bitvec.Vector, k int) ([]engine.Neighbor, engine.G
 	for {
 		gs.Radii++
 		gs.FinalTau = tau
-		scanned, err := ix.gather(q, tau, s, &stats)
+		scanned, err := ix.gather(q, tau, s, &stats, false)
 		gs.CNScans, gs.KeyScans, gs.KeysScanned = stats.CNScans, stats.KeyScans, stats.KeysScanned
 		if err != nil {
 			ix.putScratch(s)

@@ -201,7 +201,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	// (not deferred: this function is the hot path, and defer adds
 	// per-call overhead the benchmarks would charge to every query).
 	s := ix.getScratch()
-	scanned, err := ix.gather(q, tau, s, &stats)
+	scanned, err := ix.gather(q, tau, s, &stats, wantStats)
 	if err != nil {
 		ix.putScratch(s)
 		return nil, nil, err
@@ -212,8 +212,13 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	// result the caller owns. A scan passes over every row and appends
 	// the matches in id order. Generated candidates are verified where
 	// they lie and sorted, the bitmap handed back clean first:
-	// FilterWithin compacts the ids it would be cleaned by.
-	start := time.Now()
+	// FilterWithin compacts the ids it would be cleaned by. The clock is
+	// read only for a caller that asked for stats: a time.Now/Since pair
+	// is a tenth of a microsecond, and a selective query is three.
+	var start time.Time
+	if wantStats {
+		start = time.Now()
+	}
 	var results []int32
 	if scanned {
 		results = ix.codes.AppendWithin(q, tau, s.cand.IDs)
@@ -228,7 +233,9 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	}
 	out := make([]int32, len(results))
 	copy(out, results)
-	stats.VerifyNanos = time.Since(start).Nanoseconds()
+	if wantStats {
+		stats.VerifyNanos = time.Since(start).Nanoseconds()
+	}
 	stats.Results = len(out)
 	report := reportStats(&stats, wantStats)
 	ix.putScratch(s)
@@ -258,15 +265,22 @@ func reportStats(stats *Stats, want bool) *Stats {
 // the vector the guard stopped at was never going to run, and may hold a
 // ball nobody would enumerate. stats.Thresholds aliases the scratch.
 // Shared by Search, SearchIter and SearchGrow, which calls it once per
-// radius on one scratch.
+// radius on one scratch. timed says whether the caller will read
+// stats.AllocNanos and stats.ProbeNanos; the clock is not read for one
+// that will not.
 //
 //gph:hotpath
-func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats) (scanned bool, err error) {
+func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats, timed bool) (scanned bool, err error) {
 	// Phase 1: threshold allocation. The RR baseline skips estimation
 	// entirely — that is the point of the comparison in Fig. 3.
-	start := time.Now()
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	res, price := ix.allocate(q, tau, s)
-	stats.AllocNanos = time.Since(start).Nanoseconds()
+	if timed {
+		stats.AllocNanos = time.Since(start).Nanoseconds()
+	}
 	stats.PlanCost, stats.ScanCost = price, ix.ScanCost()
 	stats.AllocRounds = s.rounds
 	stats.CNScans = s.scans
@@ -279,9 +293,13 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 	stats.Thresholds = res.Thresholds
 	stats.EstimatedCN = res.SumCN
 
-	start = time.Now()
+	if timed {
+		start = time.Now()
+	}
 	err = ix.generate(res.Thresholds, res.EffectiveBudget, s)
-	stats.ProbeNanos = time.Since(start).Nanoseconds()
+	if timed {
+		stats.ProbeNanos = time.Since(start).Nanoseconds()
+	}
 	stats.Signatures = s.sigs
 	stats.KeyScans = s.keyScans
 	stats.KeysScanned = s.keysScanned
@@ -343,7 +361,7 @@ func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor,
 		}
 		s := ix.getScratch()
 		var stats Stats
-		scanned, err := ix.gather(q, tau, s, &stats)
+		scanned, err := ix.gather(q, tau, s, &stats, false)
 		if err != nil {
 			ix.putScratch(s)
 			yield(engine.Neighbor{}, err)

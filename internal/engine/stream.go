@@ -75,23 +75,18 @@ func StreamVerified(codes *verify.Codes, q bitvec.Vector, tau int, cands []int32
 }
 
 // StreamScan is the streaming form of a verified full scan (linscan,
-// scan-guard fallbacks): sequential BlockSize batches over the packed
-// arena, yielding matches in ascending id order. Reports false when
-// the consumer stopped early.
+// scan-guard fallbacks): the arena is scanned a BlockSize range at a
+// time by the same kernel a drained scan uses
+// (verify.Codes.AppendWithinRange), and only the rows it keeps have
+// their distance taken. Matches are yielded in ascending id order;
+// reports false when the consumer stopped early.
 func StreamScan(codes *verify.Codes, q bitvec.Vector, tau int, yield func(Neighbor, error) bool) bool {
-	var dist [verify.BlockSize]int32
+	var hits [verify.BlockSize]int32
 	n := codes.Len()
 	for base := 0; base < n; base += verify.BlockSize {
-		m := n - base
-		if m > verify.BlockSize {
-			m = verify.BlockSize
-		}
-		codes.DistancesSeqInto(q, base, dist[:m])
-		for j := 0; j < m; j++ {
-			if int(dist[j]) <= tau {
-				if !yield(Neighbor{ID: int32(base + j), Distance: int(dist[j])}, nil) {
-					return false
-				}
+		for _, id := range codes.AppendWithinRange(q, tau, base, min(base+verify.BlockSize, n), hits[:0]) {
+			if !yield(Neighbor{ID: id, Distance: codes.Distance(q, id)}, nil) {
+				return false
 			}
 		}
 	}

@@ -13,7 +13,12 @@
 // boundaries for every batch size and block offset.
 //
 // The word-at-a-time path (Distance) is the reference implementation;
-// the batch entry points call the unrolled loops of portable.go.
+// the batch entry points call the unrolled loops of portable.go. The
+// sequential scan (AppendWithin, AppendWithinRange) alone has a second
+// implementation, an AVX-512 VPOPCNTDQ kernel for rows of 1, 2 and 4
+// words (within_amd64.go, within_amd64.s), chosen by what CPUID
+// reports and by nothing else; the portable scan is its test reference
+// and the only path on every other CPU, platform and width.
 package verify
 
 import (
@@ -28,6 +33,12 @@ import (
 // dispatch and keep the unrolled loops fed, small enough that a block
 // of distances fits in a stack buffer.
 const BlockSize = 256
+
+// chunkRows is how many rows one call into a vector kernel covers
+// (scanKernel): a 512-byte hit bitmap on the stack, and — assembly
+// cannot be preempted — at most a microsecond or two during which a GC
+// stop waits on the scanning goroutine, however large the arena.
+const chunkRows = 4096
 
 // Codes is an immutable packed copy of a vector collection: all
 // vectors' words in one contiguous arena, row-major, so batch
@@ -127,16 +138,40 @@ func (c *Codes) FilterWithin(q bitvec.Vector, tau int, ids []int32) []int32 {
 //
 //gph:hotpath
 func (c *Codes) AppendWithin(q bitvec.Vector, tau int, dst []int32) []int32 {
+	return c.AppendWithinRange(q, tau, 0, c.n, dst)
+}
+
+// AppendWithinRange is AppendWithin over rows [lo, hi), which must lie
+// within [0, Len()]: a streamed scan takes it a block at a time. Rows
+// of 1, 2 and 4 words go through the vector kernel where the CPU has
+// one (scanKernel); every other width and platform through the
+// portable loops, which are also the reference the kernel is tested
+// against.
+//
+//gph:hotpath
+func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32) []int32 {
 	if tau < 0 {
 		return dst
 	}
 	if tau >= c.dims {
-		for id := 0; id < c.n; id++ {
+		for id := lo; id < hi; id++ {
 			dst = append(dst, int32(id))
 		}
 		return dst
 	}
-	return scanPortable(c, q.Words(), tau, dst)
+	qw, rows := q.Words(), c.words[lo*c.w:hi*c.w]
+	if kernelMissing == "" && (c.w == 1 || c.w == 2 || c.w == 4) {
+		return scanKernel(rows, c.w, qw, tau, lo, dst)
+	}
+	// scanPortable numbers the rows it is handed from zero.
+	first := len(dst)
+	dst = scanPortable(&Codes{n: hi - lo, dims: c.dims, w: c.w, words: rows}, qw, tau, dst)
+	if lo != 0 {
+		for i := first; i < len(dst); i++ {
+			dst[i] += int32(lo)
+		}
+	}
+	return dst
 }
 
 // DistancesInto writes the Hamming distance between q and ids[j] into

@@ -1,0 +1,97 @@
+package verify
+
+import "math/bits"
+
+// The within-τ kernels of within_amd64.s. One primitive at three row
+// widths (w = 1, 2, 4 words): for each of groups groups of eight
+// consecutive rows starting at rows, store at out the byte whose bit k
+// says row 8g+k lies within Hamming distance tau of the w query words
+// at q — XOR against the query replicated across a zmm, VPOPCNTQ, an
+// even/odd permute-and-add that leaves eight row distances in row
+// order, an unsigned compare with tau, one mask byte. Exactly
+// groups·8·w words are read (at any 8-byte alignment) and groups bytes
+// written, ascending, so the bytes are little-endian bits of the
+// []uint64 the driver reads; groups = 0 touches nothing. Leaf functions
+// without preemption points: the caller bounds groups.
+
+//go:noescape
+func withinBits1(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
+
+//go:noescape
+func withinBits2(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
+
+//go:noescape
+func withinBits4(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// kernelMissing names the first thing this CPU or OS lacks of what the
+// kernels execute, or is empty when scanKernel can run. Read once at
+// package init; nothing else selects the kernel (DESIGN.md §12).
+var kernelMissing = missingFeature()
+
+func missingFeature() string {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return "CPUID leaf 7"
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 {
+		return "OSXSAVE"
+	}
+	// XCR0 bits 1–2 (SSE, AVX) and 5–7 (opmask, zmm0–15 high halves,
+	// zmm16–31): the OS saves every register the kernels touch.
+	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
+		return "OS support for AVX-512 state (XCR0)"
+	}
+	_, ebx, ecx, _ := cpuid(7, 0)
+	switch {
+	case ebx&(1<<16) == 0:
+		return "AVX512F"
+	case ebx&(1<<17) == 0:
+		return "AVX512DQ" // KMOVB to memory
+	case ecx&(1<<14) == 0:
+		return "AVX512_VPOPCNTDQ"
+	}
+	return ""
+}
+
+// scanKernel appends base+i for every row i of words (rows of w ∈
+// {1, 2, 4} words) within tau of qw, ascending: the kernels answer
+// whole groups of eight rows a chunk at a time, the bitmap is read back
+// with TrailingZeros64, and the n mod 8 tail goes through distWithin.
+// Callers have resolved 0 ≤ tau < dims and checked kernelMissing.
+//
+//gph:hotpath
+func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) []int32 {
+	n := len(words) / w
+	whole := n &^ 7
+	q := &qw[:w][0] // the kernels read w query words
+	var hits [chunkRows / 64]uint64
+	for lo := 0; lo < whole; lo += chunkRows {
+		groups := min(whole-lo, chunkRows) / 8
+		// The kernel writes groups bytes; only the last word they reach
+		// can be left holding bits of the chunk before.
+		hits[(groups-1)/8] = 0
+		rows := &words[lo*w]
+		switch w {
+		case 1:
+			withinBits1(rows, groups, q, uint64(tau), &hits[0])
+		case 2:
+			withinBits2(rows, groups, q, uint64(tau), &hits[0])
+		case 4:
+			withinBits4(rows, groups, q, uint64(tau), &hits[0])
+		}
+		for i, m := range hits[:(groups+7)/8] {
+			for ; m != 0; m &= m - 1 {
+				dst = append(dst, int32(base+lo+i*64+bits.TrailingZeros64(m)))
+			}
+		}
+	}
+	for id := whole; id < n; id++ {
+		if distWithin(words[id*w:(id+1)*w], qw, tau) {
+			dst = append(dst, int32(base+id))
+		}
+	}
+	return dst
+}
