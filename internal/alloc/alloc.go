@@ -14,6 +14,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gph/internal/hamming"
 )
@@ -110,6 +111,14 @@ type Scratch struct {
 	maxE       []int
 	sufMax     []int
 	thresholds []int
+	// The signature term of the cost rows and each row's feasible prefix
+	// (sigRows), with the inputs they were computed from — its own copy of
+	// the widths, the budget of the attempt, the weight resolved: they
+	// depend on nothing else, and a caller's next allocation rarely
+	// changes any.
+	sig     grid[int64]
+	sigMaxE []int
+	sigFor  Params
 	// balls memoizes cumulative Hamming-ball sizes by partition width
 	// (balls[w][e] = Σ_{j≤e} C(w, j), cut where it overflows): a pure
 	// function of w, so entries never go stale, and steady-state
@@ -251,37 +260,142 @@ const FallbackCost = 1 << 40
 
 //gph:hotpath
 func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
-	m := len(cn)
-	tau := p.Tau
-	target := tau - m + 1
-
-	// cost[i][e+1] is the DP weight CN(qᵢ, e) + SigWeight·ball(widthᵢ, e)
-	// for e ∈ [−1, maxE[i]], maxE[i] being the largest threshold whose
-	// ball fits the budget; the DP never looks beyond it.
-	weight := p.sigWeight()
-	cost := s.cost.reshape(m, tau+2)
-	maxE := ints(&s.maxE, m)
-	for i := range cost {
-		maxE[i] = costRowInto(cost[i], cn[i], s.ballSizes(p.Widths[i]), p.Widths[i], tau, enumBudget, weight)
-	}
+	m, tau := len(cn), p.Tau
+	cost, maxE := s.costRows(cn, p, enumBudget)
 
 	// An incumbent: the cost of one feasible vector, found greedily. No
 	// cell and no partial sum above it can be part of an optimum (CN
-	// estimates are non-negative), so it caps every loop below. On the
-	// selective queries the index exists for, it cuts each row to one or
+	// estimates are non-negative), so every row is cut at it. On the
+	// selective queries the index exists for, that leaves each row one or
 	// two thresholds.
 	T := ints(&s.thresholds, m)
 	bound, ok := greedy(cost, maxE, T, tau+1)
 	if !ok {
 		return Result{}, false
 	}
+	cut(cost, maxE, bound)
+
+	// Where the increments of every row that is left never decrease, the
+	// incumbent is the answer, tie-break included. Greedy took the tau + 1
+	// cheapest increments of all rows together (a row's come in order, so
+	// any set of cheapest ones is a prefix of each row, and cutting cells
+	// greedy never reached changed none of its choices). A vector costs the
+	// sum of the increments it takes, so a cheapest vector takes every
+	// increment below the dearest value v greedy paid and fills up with
+	// increments of exactly v — all cheapest vectors differ only in which
+	// rows those come from. The recurrence's fixed order — smallest T[m−1],
+	// then smallest T[m−2], … — takes them from the lowest rows first, each
+	// row's run of v whole before the next row's; greedy, breaking ties by
+	// the lowest row, took the same ones. Otherwise the recurrence decides.
+	objective := bound
+	if !convex(cost, maxE) {
+		objective = s.recurrence(cost, maxE, bound, tau, T)
+	}
+	return Result{Thresholds: T, SumCN: SumCN(cn, T, tau), Objective: objective}, true
+}
+
+// costRows fills the DP's weights: cost[i][e+1] = CN(qᵢ, e) +
+// SigWeight·ball(widthᵢ, e) for e ∈ [−1, maxE[i]], maxE[i] being the
+// largest threshold whose ball fits uint64 and the enumeration budget and
+// whose weight stays below the +∞ sentinel; cells beyond it are left
+// unwritten and the DP never looks there. Both slices are the scratch's.
+func (s *Scratch) costRows(cn Table, p Params, enumBudget int64) (cost [][]int64, maxE []int) {
+	m := len(cn)
+	sig, sigMaxE := s.sigRows(p, enumBudget)
+	cost = s.cost.reshape(m, p.Tau+2)
+	maxE = ints(&s.maxE, m)
+	for i, row := range cost {
+		maxE[i] = sigMaxE[i]
+		cnRow, sigRow := cn[i][:maxE[i]+2], sig[i][:maxE[i]+2]
+		row = row[:len(cnRow)]
+		row[0] = 0 // e = −1 enumerates nothing and admits no candidates
+		for e := 1; e < len(row); e++ {
+			row[e] = min(cnRow[e]+sigRow[e], infeasible-1)
+		}
+	}
+	return cost, maxE
+}
+
+// sigRows returns the signature term of the cost rows — sig[i][e+1] =
+// SigWeight·ball(widthᵢ, e), rounded down — and each row's feasible
+// prefix (costRows). They are a function of the widths, τ, the budget and
+// the weight, so they are recomputed only when one of those differs, by
+// value, from the call before: a query's rounds share all four, and
+// partition refinement and a kNN query's growing radius, which reuse one
+// Scratch across partitionings and radii, change them under it.
+func (s *Scratch) sigRows(p Params, enumBudget int64) (sig [][]int64, maxE []int) {
+	m, weight := len(p.Widths), p.sigWeight()
+	if k := &s.sigFor; k.Tau != p.Tau || k.EnumBudget != enumBudget || k.SigWeight != weight || !slices.Equal(k.Widths, p.Widths) {
+		*k = Params{Tau: p.Tau, Widths: append(k.Widths[:0], p.Widths...), EnumBudget: enumBudget, SigWeight: weight}
+		sig, maxE = s.sig.reshape(m, p.Tau+2), ints(&s.sigMaxE, m)
+		for i, w := range p.Widths {
+			maxE[i] = sigRowInto(sig[i], s.ballSizes(w), w, p.Tau, enumBudget, weight)
+		}
+	}
+	return s.sig.rows, s.sigMaxE[:m]
+}
+
+// sigRowInto computes, for one partition of the given width, the
+// signature term of each threshold e ∈ [−1, tau] into row[e+1]: the
+// weighted Hamming-ball size (balls is Scratch.ballSizes(width)). It
+// returns the largest feasible threshold — the last one whose ball fits
+// uint64 and the enumeration budget and whose weight stays below the +∞
+// sentinel. Ball sizes grow with the radius, so feasibility is a prefix;
+// cells beyond it are left unwritten.
+func sigRowInto(row []int64, balls []uint64, width, tau int, enumBudget int64, weight float64) int {
+	row[0] = 0
+	for e := 0; e <= tau; e++ {
+		if e >= len(balls) && len(balls) <= width {
+			return e - 1 // ball(width, e) overflows
+		}
+		total := balls[min(e, width)] // past the width the ball is the whole space
+		if enumBudget > 0 && total > uint64(enumBudget) {
+			return e - 1
+		}
+		sig := int64(weight * float64(total))
+		if sig < 0 || sig >= infeasible {
+			return e - 1
+		}
+		row[e+1] = sig
+	}
+	return tau
+}
+
+// cut lowers every row's last threshold maxE[i] to the last one whose
+// cell does not exceed bound.
+func cut(cost [][]int64, maxE []int, bound int64) {
+	for i, row := range cost {
+		for maxE[i] >= 0 && row[maxE[i]+1] > bound {
+			maxE[i]--
+		}
+	}
+}
+
+// convex reports whether the increments of every row, up to its cut,
+// never decrease.
+func convex(cost [][]int64, maxE []int) bool {
+	for i, row := range cost {
+		row = row[:maxE[i]+2]
+		for e := 2; e < len(row); e++ {
+			if row[e]-row[e-1] < row[e-1]-row[e-2] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// recurrence runs Algorithm 1's dynamic program over the cost rows cut
+// at the incumbent bound, writes the cheapest vector — among equally
+// cheap ones the smallest in (T[m−1], T[m−2], …, T[0]) order — into T and
+// returns its cost.
+func (s *Scratch) recurrence(cost [][]int64, maxE []int, bound int64, tau int, T []int) int64 {
+	m := len(cost)
+	target := tau - m + 1
 	// sufMax[i] = Σ_{j≥i} maxE[j]: what partitions i.. can still add.
 	sufMax := ints(&s.sufMax, m+1)
 	sufMax[m] = 0
 	for i := m - 1; i >= 0; i-- {
-		for maxE[i] >= 0 && cost[i][maxE[i]+1] > bound {
-			maxE[i]--
-		}
 		sufMax[i] = sufMax[i+1] + maxE[i]
 	}
 
@@ -321,34 +435,7 @@ func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 		T[i] = e
 		t -= e
 	}
-	return Result{Thresholds: T, SumCN: SumCN(cn, T, tau), Objective: opt[m-1][target+off]}, true
-}
-
-// costRowInto computes, for one partition of the given width, the DP
-// weight of each threshold e ∈ [−1, tau] into row[e+1]: the CN
-// estimate plus the weighted Hamming-ball size (the signature term;
-// balls is Scratch.ballSizes(width)). It returns the largest feasible
-// threshold — the last one whose ball fits uint64 and the enumeration
-// budget and whose weight stays below the +∞ sentinel. Ball sizes grow
-// with the radius, so feasibility is a prefix; cells beyond it are
-// left unwritten.
-func costRowInto(row, cnRow []int64, balls []uint64, width, tau int, enumBudget int64, weight float64) int {
-	row[0] = 0 // e = −1 enumerates nothing and admits no candidates
-	for e := 0; e <= tau; e++ {
-		if e >= len(balls) && len(balls) <= width {
-			return e - 1 // ball(width, e) overflows
-		}
-		total := balls[min(e, width)] // past the width the ball is the whole space
-		if enumBudget > 0 && total > uint64(enumBudget) {
-			return e - 1
-		}
-		sig := int64(weight * float64(total))
-		if sig < 0 || sig >= infeasible {
-			return e - 1
-		}
-		row[e+1] = min(cnRow[e+1]+sig, infeasible-1)
-	}
-	return tau
+	return opt[m-1][target+off]
 }
 
 // greedy builds one feasible threshold vector into T — every entry

@@ -180,3 +180,130 @@ func TestLazyRefinementSettlesOnOptimum(t *testing.T) {
 		t.Fatal("every case revealed its whole table; the lazy path was not exercised")
 	}
 }
+
+// recurrenceAllocate is AllocateScratch with the convex exit taken out:
+// the same cost rows, incumbent, cut and budget escalation, and the
+// recurrence deciding every time. exit reports whether allocate would
+// have left through the exit instead, on the attempt that decided.
+func recurrenceAllocate(cn Table, p Params, s *Scratch) (res Result, exit bool) {
+	solve := func(budget int64) (Result, bool) {
+		cost, maxE := s.costRows(cn, p, budget)
+		T := make([]int, len(cn))
+		bound, ok := greedy(cost, maxE, T, p.Tau+1)
+		if !ok {
+			return Result{}, false
+		}
+		cut(cost, maxE, bound)
+		exit = convex(cost, maxE)
+		objective := s.recurrence(cost, maxE, bound, p.Tau, T)
+		return Result{Thresholds: T, SumCN: SumCN(cn, T, p.Tau), Objective: objective, EffectiveBudget: budget}, true
+	}
+	if p.EnumBudget <= 0 {
+		res, _ = solve(0)
+		return res, exit
+	}
+	budget := p.EnumBudget
+	for attempt := 0; attempt < 3; attempt++ {
+		if res, ok := solve(budget); ok {
+			return res, exit
+		}
+		budget *= 16
+	}
+	return Result{Fallback: true, SumCN: FallbackCost, Objective: FallbackCost}, false
+}
+
+// TestConvexExitIsTheRecurrence: where the rows cut at the incumbent are
+// convex, allocate returns the incumbent without running the recurrence,
+// and that is the recurrence's answer — vector, tie-break, objective,
+// budget and fallback — on tables built to tie: increments drawn from a
+// handful of values, in runs, most rows sorted into convexity and some
+// left as drawn, with and without the signature term (whose own
+// increments turn concave past half a width), under no budget, budgets
+// that bite and budgets that escalate. The exit has to fire on most cases
+// and stay shut on some, or the comparison says nothing.
+func TestConvexExitIsTheRecurrence(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var s, ref Scratch
+	const cases = 120000
+	exits, escalations := 0, 0
+	for n := 0; n < cases; n++ {
+		m, tau := 1+r.Intn(6), r.Intn(10)
+		cn := make(Table, m)
+		for i := range cn {
+			incs := make([]int64, tau+1)
+			for e := range incs {
+				if e > 0 && r.Intn(2) == 0 {
+					incs[e] = incs[e-1] // a run
+				} else {
+					incs[e] = int64(r.Intn(4) * r.Intn(12))
+				}
+			}
+			if r.Intn(4) != 0 {
+				slices.Sort(incs)
+			}
+			row := make([]int64, tau+2)
+			for e, inc := range incs {
+				row[e+1] = row[e] + inc
+			}
+			cn[i] = row
+		}
+		p := Params{Tau: tau, Widths: make([]int, m), EnumBudget: []int64{0, 0, 1, 5, 40, 1 << 18}[r.Intn(6)]}
+		for i := range p.Widths {
+			p.Widths[i] = 1 + r.Intn(12)
+		}
+		if r.Intn(2) == 0 {
+			p.SigWeight = -1
+		}
+		got := AllocateScratch(cn, p, &s)
+		want, exit := recurrenceAllocate(cn, p, &ref)
+		if !sameResult(got, want) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v, exit=%v):\n table %v\n allocate   %+v\n recurrence %+v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, exit, cn, got, want)
+		}
+		if exit {
+			exits++
+		}
+		if !got.Fallback && got.EffectiveBudget > p.EnumBudget {
+			escalations++
+		}
+	}
+	t.Logf("the exit fired on %d of %d cases; %d escalated their budget", exits, cases, escalations)
+	if exits < cases/2 || exits > cases*9/10 || escalations < cases/100 {
+		t.Fatalf("the exit fired on %d of %d cases and %d escalated; want it on more than half, off on a tenth, and a hundredth escalating",
+			exits, cases, escalations)
+	}
+}
+
+// TestScratchAcrossWidthsAndTaus: a Scratch keeps the signature rows of
+// the call before, so one Scratch taken through calls that change one of
+// the things those rows depend on at a time — a width, τ, the budget, the
+// weight — has to answer each like a fresh one. Partition refinement
+// (new widths per candidate move) and kNN's growing radius (new τ per
+// round) are the callers that do this to theirs.
+func TestScratchAcrossWidthsAndTaus(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	var shared Scratch
+	_, p := randomCase(r)
+	for n := 0; n < 20000; n++ {
+		switch r.Intn(5) {
+		case 0:
+			p.Widths = slices.Clone(p.Widths) // a caller's own slice, changed between calls
+			p.Widths[r.Intn(len(p.Widths))] = 1 + r.Intn(9)
+		case 1:
+			p.Tau = r.Intn(8)
+		case 2:
+			p.EnumBudget = []int64{0, 1, 3, 12, 200, 1 << 18}[r.Intn(6)]
+		case 3:
+			p.SigWeight = []float64{-1, 0, 0.5, 3}[r.Intn(4)]
+		case 4:
+			_, p = randomCase(r) // everything at once, the partition count too
+		}
+		cn := randomTable(r, len(p.Widths), p.Tau)
+		var fresh Scratch
+		got := AllocateScratch(cn, p, &shared)
+		if want := AllocateScratch(cn, p, &fresh); !sameResult(got, want) {
+			t.Fatalf("call %d (tau=%d widths=%v budget=%d weight=%v):\n table %v\n shared scratch %+v\n fresh scratch  %+v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, cn, got, want)
+		}
+	}
+}

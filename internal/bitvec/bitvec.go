@@ -312,19 +312,41 @@ func (v Vector) Project(dims []int) Vector {
 
 // ProjectInto writes the projection of v onto dims into dst, reusing
 // dst's storage. dst must have exactly len(dims) dimensions. It is the
-// allocation-free variant of Project used on query hot paths.
+// allocation-free variant of Project used on query hot paths: each word
+// of dst is built in a register (gather) and stored once — or-ing bit
+// after bit into memory makes every bit wait on the store before it.
+//
+//gph:hotpath
 func (v Vector) ProjectInto(dims []int, dst Vector) {
 	if dst.n != len(dims) {
 		panic(fmt.Sprintf("bitvec: ProjectInto dst has %d dims, want %d", dst.n, len(dims)))
 	}
-	out, src := dst.words, v.words
-	clear(out)
-	for j, d := range dims {
+	for k := range dst.words {
+		dst.words[k] = v.gather(dims[WordBits*k : min(WordBits*(k+1), len(dims))])
+	}
+}
+
+// gather packs the bits of v at dims (at most a word of them) into a
+// word, dims[0] lowest: highest bit first, the word shifted up under
+// each next one. Its own function, so the loop's five live values stay
+// in registers; and the bit is tested, not shifted down — a test takes
+// its position in any register, a variable shift only in CX.
+//
+//gph:hotpath
+func (v Vector) gather(dims []int) uint64 {
+	var acc uint64
+	for j := len(dims) - 1; j >= 0; j-- {
+		d := dims[j]
 		if uint(d) >= uint(v.n) {
 			v.check(d) // panics; kept out of line so the loop stays branch-light
 		}
-		out[j>>6] |= (src[d>>6] >> (uint(d) & 63) & 1) << (uint(j) & 63)
+		var bit uint64
+		if v.words[d>>6]&(1<<(uint(d)&63)) != 0 {
+			bit = 1
+		}
+		acc = acc<<1 | bit
 	}
+	return acc
 }
 
 // Key returns the packed words as a string usable as a map key. Two

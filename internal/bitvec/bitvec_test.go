@@ -210,20 +210,90 @@ func TestProjectionDistanceSum(t *testing.T) {
 	}
 }
 
+// TestProjectInto holds ProjectInto to a per-bit reference — Bit and Set,
+// nothing shared with its word-at-a-time loop — for dims in no order and
+// landing in the same source word again and again, at the widths where
+// the output's word count changes, over sources of less than a word, of
+// whole words and of a ragged tail; dst starts dirty, so every word must
+// be written. A wrong-sized dst and an out-of-range dim still panic.
 func TestProjectInto(t *testing.T) {
-	v := MustFromString("10110")
-	dims := []int{4, 0, 2}
-	dst := New(3)
-	v.ProjectInto(dims, dst)
-	if !dst.Equal(v.Project(dims)) {
-		t.Fatalf("ProjectInto %s != Project %s", dst, v.Project(dims))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ProjectInto with wrong dst dims did not panic")
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{37, 256, 881} {
+		v := randVec(rng, n)
+		for _, w := range []int{1, 63, 64, 65, 128, 130} {
+			for _, shape := range []string{"unsorted", "one word", "repeated"} {
+				dims := make([]int, w)
+				for j := range dims {
+					switch shape {
+					case "unsorted":
+						dims[j] = rng.Intn(n)
+					case "one word": // every dim from the source's last word
+						dims[j] = (n-1)/64*64 + rng.Intn((n-1)%64+1)
+					case "repeated": // three dims, over and over
+						dims[j] = (j % 3) * (n - 1) / 2
+					}
+				}
+				want := New(w)
+				for j, d := range dims {
+					if v.Bit(d) == 1 {
+						want.Set(j)
+					}
+				}
+				dst := New(w)
+				for j := 0; j < w; j++ {
+					dst.Set(j)
+				}
+				v.ProjectInto(dims, dst)
+				if !dst.Equal(want) {
+					t.Fatalf("n=%d w=%d %s dims: ProjectInto %s, bit by bit %s", n, w, shape, dst, want)
+				}
+				if err := dst.CheckTail(); err != nil {
+					t.Fatalf("n=%d w=%d %s dims: %v", n, w, shape, err)
+				}
+			}
 		}
-	}()
-	v.ProjectInto(dims, New(4))
+	}
+	v := MustFromString("10110")
+	for name, call := range map[string]func(){
+		"a dst of the wrong width": func() { v.ProjectInto([]int{4, 0, 2}, New(4)) },
+		"a dim past the source":    func() { v.ProjectInto([]int{4, 5, 2}, New(3)) },
+		"a negative dim":           func() { v.ProjectInto([]int{4, -1, 2}, New(3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ProjectInto with %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// BenchmarkProjectInto projects one 256-d vector onto ten partitions of
+// 20–28 scattered dimensions — the shape of a lib_selective query's
+// bindQuery — and reports ns a query and ns a bit.
+func BenchmarkProjectInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 256
+	v := randVec(rng, n)
+	perm := rng.Perm(n)
+	var parts [][]int
+	var dsts []Vector
+	for _, w := range []int{28, 24, 26, 25, 27, 24, 26, 28, 22, 26} {
+		parts = append(parts, perm[:w])
+		dsts = append(dsts, New(w))
+		perm = perm[w:]
+	}
+	b.ResetTimer()
+	for range b.N {
+		for i, dims := range parts {
+			v.ProjectInto(dims, dsts[i])
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns, "ns/query")
+	b.ReportMetric(ns/n, "ns/bit")
 }
 
 func TestKeyUniqueness(t *testing.T) {

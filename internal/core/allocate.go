@@ -12,7 +12,7 @@ import (
 
 // The price list. Everything a query can spend time on is priced in one
 // unit, the key-scan step: load the next key of a partition's arena,
-// XOR, popcount, compare (1.3–1.6 ns). The prices are measurements of
+// XOR, popcount, compare (1.10–1.25 ns). The prices are measurements of
 // this code on one machine's clock, not tunables — BenchmarkPlanPrices
 // prints each of them in this unit and DESIGN.md §1 ("What a plan
 // costs") keeps the table — and every decision that weighs one way of
@@ -69,6 +69,7 @@ func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
 	for i, dimsI := range ix.parts.Parts {
 		q.ProjectInto(dimsI, s.projs[i])
 		s.known[i] = -1
+		s.starts[i] = noStart
 	}
 	s.rounds, s.scans, s.cnProbes, s.cnKeys = 0, 0, 0, 0
 }
@@ -93,10 +94,21 @@ func (ix *Index) carveProjections(s *searchScratch) {
 	s.known = make([]int, m)
 	s.widths = ix.parts.Widths()
 	s.gen = make([][]int64, m)
+	s.startInv = make([]*invindex.Frozen, m)
+	s.startWords = make([]uint64, m)
+	s.startCounts = make([]uint32, m)
+	s.starts = make([]int32, m)
 	for i, w := range s.widths {
 		s.gen[i] = priceGeneration(w, ix.inv[i].NumKeys(), &s.dp)
+		if _, probe := s.genPrice(i, 0); probe && w >= 1 && w <= 64 {
+			s.startInv[i] = ix.inv[i]
+		}
 	}
 }
+
+// noStart marks a partition whose projection startRows has not looked
+// up for the bound query (searchScratch.starts).
+const noStart = -2
 
 // priceGeneration prices getting at the keys of one partition — w bits
 // wide, holding the given number of distinct keys — that lie within e of
@@ -179,16 +191,13 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Res
 	if ix.opts.Allocator == AllocRR {
 		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}, 0
 	}
-	for i := 0; i < m; i++ {
-		if !ix.exactRows() {
+	if ix.exactRows() {
+		ix.startRows(tau, s)
+	} else {
+		for i := 0; i < m; i++ {
 			if s.known[i] < tau {
 				ix.extendRow(i, tau, tau, s)
 			}
-			continue
-		}
-		ix.fitRow(i, tau, s)
-		if !ix.cnExact(i, 0, s) {
-			ix.extendRow(i, 0, tau, s)
 		}
 	}
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
@@ -231,6 +240,47 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Res
 				ix.extendRow(i, e, tau, s)
 			}
 		}
+	}
+}
+
+// startRows fits every exact row to thresholds up to tau and makes the
+// rows a freshly bound query has not looked at exact at e = 0: CN(qᵢ, 0)
+// is the posting count of the one key equal to the projection. Where
+// that key is a word the partition would probe for (startInv), the
+// lookups of all partitions are issued side by side
+// (invindex.LookupWords) and the entries they found are kept with the
+// binding — generate collects a partition allocated T[i] = 0 from its
+// entry instead of hashing and probing for the same key again. Each
+// counts as the one posting-length probe it is. Every other row starts
+// through extendRow.
+//
+//gph:hotpath
+func (ix *Index) startRows(tau int, s *searchScratch) {
+	fresh := false
+	for i := range s.table {
+		ix.fitRow(i, tau, s)
+		if s.startInv[i] != nil && s.known[i] < 0 {
+			s.startWords[i] = s.projs[i].Words()[0]
+			fresh = true
+			continue // its tail is bounded below, from the cell found
+		}
+		ix.boundTail(i, s)
+	}
+	if fresh {
+		invindex.LookupWords(s.startInv, s.startWords, s.starts, s.startCounts)
+	}
+	for i := range s.table {
+		if ix.cnExact(i, 0, s) {
+			continue
+		}
+		if s.startInv[i] == nil {
+			ix.extendRow(i, 0, tau, s)
+			continue
+		}
+		s.table[i][1] = int64(s.startCounts[i])
+		s.known[i] = 0
+		s.cnProbes++
+		ix.boundTail(i, s)
 	}
 }
 
@@ -285,7 +335,7 @@ func (ix *Index) cnExact(i, e int, s *searchScratch) bool {
 
 // fitRow sizes exact row i for thresholds up to tau: exact entries are
 // kept (they live in the backing array, which may be longer than the
-// row a smaller τ used) and the rest are bounded.
+// row a smaller τ used); bounding the rest (boundTail) is the caller's.
 func (ix *Index) fitRow(i, tau int, s *searchScratch) {
 	row, k, n := s.table[i], s.known[i], tau+2
 	if cap(row) < n {
@@ -296,7 +346,6 @@ func (ix *Index) fitRow(i, tau int, s *searchScratch) {
 	row = row[:n]
 	row[0] = 0 // e = −1: negative thresholds generate no candidates
 	s.table[i] = row
-	ix.boundTail(i, s)
 }
 
 // boundTail fills exact row i past its known radius with what is known

@@ -127,17 +127,47 @@ func TestGatherPathsAgree(t *testing.T) {
 		modes["mapped+1"] = openShifted(t, built)
 		queries := append([]bitvec.Vector{ds.Vectors[0], ds.Vectors[600]}, dataset.PerturbQueries(ds, 3, 6, 21)...)
 		for mode, ix := range modes {
-			probed, scanned := ix.getScratch(), ix.getScratch()
+			probed, scanned, kept := ix.getScratch(), ix.getScratch(), ix.getScratch()
+			staged, unstaged := 0, 0
 			for _, q := range queries {
 				ix.bindQuery(q, probed)
 				ix.bindQuery(q, scanned)
+				ix.bindQuery(q, kept)
+				ix.startRows(4, kept)
 				for i, w := range ix.parts.Widths() {
 					for ti := 0; ti <= w+1; ti++ {
 						if ball, ok := hamming.BallSize(w, ti); !ok || ball > 1<<14 {
 							break
 						}
 						ix.probeBall(i, ti, probed)
+						scannedBefore := scanned.sumPost
 						ix.scanKeys(i, ti, scanned)
+						if ti == 0 {
+							// A third way, for the point ball alone: from the entry
+							// the row start found and kept. Same ids in the same
+							// order as the probe, counted as the one signature it
+							// is; and the row's first cell is what both decoded.
+							only := slices.Repeat([]int{-1}, len(ix.parts.Parts))
+							only[i] = 0
+							sigs, sumPost := kept.sigs, kept.sumPost
+							if err := ix.generate(only, 0, kept); err != nil {
+								t.Fatal(err)
+							}
+							if kept.starts[i] != noStart {
+								staged++
+								if !slices.Equal(kept.cand.IDs, probed.cand.IDs) || kept.sigs != sigs+1 {
+									t.Fatalf("%s/%s partition %d (width %d): the kept entry gathered %v as %d signatures, the probe %v",
+										name, mode, i, w, kept.cand.IDs, kept.sigs-sigs, probed.cand.IDs)
+								}
+							} else if w > 0 {
+								unstaged++
+							}
+							if got, want := kept.sumPost-sumPost, scanned.sumPost-scannedBefore; got != want || (w > 0 && kept.table[i][1] != got) {
+								t.Fatalf("%s/%s partition %d (width %d): generate decoded %d postings for T = 0, the row starts at %d, the scan decoded %d",
+									name, mode, i, w, got, kept.table[i][1], want)
+							}
+							kept.cand.Reset()
+						}
 						if probed.sumPost != scanned.sumPost {
 							t.Fatalf("%s/%s partition %d (width %d) threshold %d: probes decoded %d postings, the scan %d",
 								name, mode, i, w, ti, probed.sumPost, scanned.sumPost)
@@ -156,8 +186,15 @@ func TestGatherPathsAgree(t *testing.T) {
 			if probed.sigs == 0 || scanned.keysScanned == 0 {
 				t.Fatalf("%s/%s: %d signatures probed, %d keys scanned", name, mode, probed.sigs, scanned.keysScanned)
 			}
+			// Partitions wider than a word (and those of a handful of keys)
+			// start their rows through extendRow and are probed by
+			// enumeration; the corpus with key scans has the wide ones.
+			if staged == 0 || (unstaged == 0 && c.keyScans) {
+				t.Fatalf("%s/%s: %d row starts were staged and kept, %d were not", name, mode, staged, unstaged)
+			}
 			ix.putScratch(probed)
 			ix.putScratch(scanned)
+			ix.putScratch(kept)
 
 			sigs, keys := 0, 0
 			for tau := 0; tau <= 20; tau++ {

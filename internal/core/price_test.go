@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"gph/internal/alloc"
+	"gph/internal/bitvec"
 	"gph/internal/dataset"
 )
 
@@ -49,6 +53,7 @@ func BenchmarkPlanPrices(b *testing.B) {
 			b.Fatal(err)
 		}
 		queries := dataset.PerturbQueries(c.ds, 64, 4, 7)
+		params := alloc.Params{Tau: c.tau, Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
 		s := ix.getScratch()
 		ix.bindQuery(queries[0], s)
 		// The widest partition is the one whose balls are probed, the
@@ -113,7 +118,6 @@ func BenchmarkPlanPrices(b *testing.B) {
 			report(b, ix.count)
 		})
 		b.Run(c.name+"/dp-cell", func(b *testing.B) {
-			params := alloc.Params{Tau: c.tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
 			tables := make([]alloc.Table, len(queries))
 			for i, q := range queries {
 				tables[i] = ix.EstimateTable(q, c.tau)
@@ -127,5 +131,85 @@ func BenchmarkPlanPrices(b *testing.B) {
 			report(b, len(tables)*len(s.widths)*(c.tau+2))
 		})
 		ix.putScratch(s)
+
+		// Where a query's time goes before verification, stage by stage.
+		// Every stage runs behind the stages a query runs before it, so it
+		// meets the caches as it would there, and only it is timed.
+		for _, stage := range []struct {
+			name string
+			run  func(b *testing.B, q bitvec.Vector, s *searchScratch) time.Duration // < 0: the query has no such stage
+		}{
+			{"bind", func(_ *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
+				t0 := time.Now()
+				ix.bindQuery(q, s)
+				return time.Since(t0)
+			}},
+			{"row-starts", func(_ *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
+				ix.bindQuery(q, s)
+				t0 := time.Now()
+				ix.startRows(c.tau, s)
+				return time.Since(t0)
+			}},
+			{"dp-round", func(_ *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
+				ix.bindQuery(q, s)
+				ix.startRows(c.tau, s)
+				t0 := time.Now()
+				alloc.AllocateScratch(s.table, params, &s.dp)
+				return time.Since(t0)
+			}},
+			{"generate", func(b *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
+				res, price := ix.allocate(q, c.tau, s)
+				if price > ix.ScanCost() {
+					return -1 // scanned: nothing is generated
+				}
+				t0 := time.Now()
+				if err := ix.generate(res.Thresholds, res.EffectiveBudget, s); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(t0)
+			}},
+		} {
+			b.Run(c.name+"/"+stage.name, func(b *testing.B) {
+				reportStage(b, len(queries), func(i int) time.Duration {
+					s := ix.getScratch()
+					d := stage.run(b, queries[i], s)
+					ix.putScratch(s)
+					return d
+				})
+			})
+		}
 	}
+}
+
+// reportStage reports what one stage of a query costs, in ns a query, the
+// way benchmark/ keeps a latency: b.N passes over the queries, the best
+// reading of each query kept — what the stage costs when nothing
+// interrupts it — and the median query reported, less the clock's own
+// best reading. Queries that do not have the stage (a negative duration)
+// are left out; if none has it, so is the line.
+func reportStage(b *testing.B, queries int, run func(query int) time.Duration) {
+	clock := time.Duration(math.MaxInt64)
+	for range 1000 {
+		t0 := time.Now()
+		if d := time.Since(t0); d < clock {
+			clock = d
+		}
+	}
+	best := make([]time.Duration, queries)
+	for i := range best {
+		best[i] = -1
+	}
+	for range b.N {
+		for i := range best {
+			if d := run(i); d >= 0 && (best[i] < 0 || d < best[i]) {
+				best[i] = d
+			}
+		}
+	}
+	best = slices.DeleteFunc(best, func(d time.Duration) bool { return d < 0 })
+	if len(best) == 0 {
+		b.Skip("no query has this stage")
+	}
+	slices.Sort(best)
+	b.ReportMetric(float64((best[len(best)/2] - clock).Nanoseconds()), "ns/query")
 }

@@ -33,24 +33,34 @@ type searchScratch struct {
 	// projection onto each partition, the lazily refined CN table with
 	// each row's exact radius, and what refining it took.
 	q      bitvec.Vector
-	projs  []bitvec.Vector
+	projs  []bitvec.Vector // views over one word arena (carveProjections)
 	widths []int
-	gen    [][]int64 // per partition, the price of collecting a ball (priceGeneration)
-	table  alloc.Table
-	known  []int
-	dp     alloc.Scratch // reused DP grids and the ball-size memo
+	gen    [][]int64     // per partition, the price of collecting a ball (priceGeneration)
+	table  alloc.Table   // table[i][e+1]: CN(qᵢ, e), exact through known[i], a lower bound past it
+	known  []int         // −1 for a row not started
+	dp     alloc.Scratch // reused DP grids, the ball-size memo and the cost rows' signature term
 	hist   []int64       // distance histogram of a scanned partition's keys
 	shell  []int64       // posting-length sums by distance, per probed ball
-	center bitvec.Vector // centre of the ball being probed
+	center bitvec.Vector // centre of the ball being summed (sumShell)
 	rounds int           // DP runs
 	scans  int           // rows estimated in full
+
+	// Row starts (startRows): per partition, the frozen index of one whose
+	// e = 0 cell is a one-word lookup (nil for the others), the word looked
+	// up, and what the lookup found — the entry number (−1 for none,
+	// noStart before the lookup), kept for generate, and its posting count.
+	startInv    []*invindex.Frozen
+	startWords  []uint64
+	starts      []int32
+	startCounts []uint32
+
 	// What refining rows took: posting-length probes, and keys passed
 	// over by the histogram scans.
 	cnProbes, cnKeys int
 
 	// What candidate generation did, summed over the gather calls on
 	// this scratch (SearchGrow makes one per radius).
-	sigs        int   // signatures enumerated and probed
+	sigs        int   // signatures probed, or collected from a kept row-start entry
 	keyScans    int   // partitions answered by a key-arena pass
 	keysScanned int   // keys compared in those passes
 	sumPost     int64 // postings decoded
@@ -58,7 +68,7 @@ type searchScratch struct {
 	// Enumeration callbacks for partitions wider than a word: probeFn
 	// and shellFn are bound once per scratch (a method value allocates
 	// on every binding, so rebinding per partition would defeat the
-	// pool).
+	// pool); inv is the partition they are probing.
 	inv     *invindex.Frozen
 	probeFn func(bitvec.Vector) bool
 	shellFn func(bitvec.Vector) bool
@@ -84,8 +94,10 @@ func (s *searchScratch) probe(v bitvec.Vector) bool {
 // bits — every default build — is walked and probed as a word; wider
 // (and empty) ones go through the vector enumerator and its callback.
 // extendRow makes the same split, and both start the walk in place: a
-// helper handing the 96-byte walk back costs a tenth of a selective
-// query, which is nine such probes and little else.
+// helper handing the 96-byte walk back measured 0.3 µs over the nine
+// balls of a selective query. (Those nine are point balls, which
+// generate now collects from the entries startRows kept; what comes
+// here is every ball of radius ≥ 1, and a point ball with no kept entry.)
 //
 //gph:hotpath
 func (ix *Index) probeBall(i, t int, s *searchScratch) {
@@ -331,6 +343,13 @@ func (ix *Index) generate(thresholds []int, budget int64, s *searchScratch) erro
 		}
 		if budget > 0 && steps/scanElemsPerProbe > budget {
 			return fmt.Errorf("core: partition %d with threshold %d: %w", i, ti, hamming.ErrEnumerationBudget)
+		}
+		if ti == 0 && s.starts[i] != noStart {
+			// The ball is the projection itself, and allocation kept the
+			// entry it found it under: one signature, probed already.
+			s.sumPost += int64(ix.inv[i].CollectEntry(int(s.starts[i]), &s.cand))
+			s.sigs++
+			continue
 		}
 		ix.probeBall(i, ti, s)
 	}

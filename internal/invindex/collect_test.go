@@ -263,6 +263,85 @@ func TestLookupFormsAgree(t *testing.T) {
 	if New().Freeze().lookupWord(7) >= 0 {
 		t.Fatal("empty index found a word key")
 	}
+	// The staged batch is the word lookup, position by position: over
+	// indexes of every kind at once — one-word keys at half load, its keys
+	// picked so that most sit behind another key's slot (the sequential
+	// keys of TestSlotChainsShort), long posting lists, mixed widths, no
+	// keys at all, and positions without an index — probed for held and
+	// absent keys, many more positions than a query has partitions.
+	chained := make([]uint64, 1<<12)
+	for i := range chained {
+		chained[i] = uint64(i)
+	}
+	cf := freezeWords(chained)
+	var displaced []uint64
+	for _, k := range chained {
+		if e := cf.slots[hashWord(k)&uint64(len(cf.slots)-1)]; binary.LittleEndian.Uint64(cf.key(int(e))) != k {
+			displaced = append(displaced, k)
+		}
+	}
+	if len(displaced) < 100 {
+		t.Fatalf("only %d of %d sequential keys sit behind another key's slot", len(displaced), len(chained))
+	}
+	lf, lvecs := projectionIndex(rng, 300, 13, true)
+	var fs []*Frozen
+	var words []uint64
+	for i := range 40 {
+		fs = append(fs, f, f, cf, cf, lf, lf, vf, vf, New().Freeze(), nil)
+		words = append(words, keys[i], rng.Uint64(), displaced[i], uint64(len(chained)+i), lvecs[i].Words()[0], 1<<13|uint64(i),
+			sigs[i].Words()[0], rng.Uint64(), keys[i], keys[i])
+	}
+	const untouched = -7
+	entries, counts := make([]int32, len(fs)), make([]uint32, len(fs))
+	for i := range entries {
+		entries[i], counts[i] = untouched, untouched&0xff
+	}
+	LookupWords(fs, words, entries, counts)
+	found := 0
+	for i, bf := range fs {
+		if bf == nil {
+			if entries[i] != untouched || counts[i] != untouched&0xff {
+				t.Fatalf("position %d has no index and was written: entry %d, count %d", i, entries[i], counts[i])
+			}
+			continue
+		}
+		e := bf.lookupWord(words[i])
+		if int(entries[i]) != e || int(counts[i]) != bf.count(e) || int(counts[i]) != bf.PostingLenWord(words[i]) {
+			t.Fatalf("position %d, key %#x: batch found entry %d with %d postings, the word lookup entry %d with %d",
+				i, words[i], entries[i], counts[i], e, bf.count(e))
+		}
+		if e >= 0 {
+			found++
+		}
+		// Collecting from the entry is collecting from the key: the same
+		// ids in the same order, the same bits, the same length reported —
+		// into a set that already holds some of them.
+		byEntry := IDSet{Seen: make([]uint64, (1<<12)/64)}
+		byWord := IDSet{Seen: make([]uint64, (1<<12)/64)}
+		for _, set := range []*IDSet{&byEntry, &byWord} {
+			set.Seen[0], set.IDs = 0b1010, append(set.IDs, 1, 3)
+		}
+		if n, want := bf.CollectEntry(int(entries[i]), &byEntry), bf.CollectWord(words[i], &byWord); n != want ||
+			!slices.Equal(byEntry.IDs, byWord.IDs) || !slices.Equal(byEntry.Seen, byWord.Seen) {
+			t.Fatalf("position %d, key %#x: by entry %d postings into %v, by word %d into %v", i, words[i], n, byEntry.IDs, want, byWord.IDs)
+		}
+	}
+	if found != 4*40 {
+		t.Fatalf("%d of %d lookups found a key; four in ten probe for one that is held", found, len(fs))
+	}
+	set := IDSet{Seen: make([]uint64, (1<<12)/64)}
+	if allocs := testing.AllocsPerRun(20, func() {
+		LookupWords(fs, words, entries, counts)
+		for i, bf := range fs {
+			if bf != nil {
+				bf.CollectEntry(int(entries[i]), &set)
+			}
+		}
+		set.Reset()
+	}); allocs != 0 {
+		t.Fatalf("a staged lookup and its collects allocate %v times", allocs)
+	}
+
 	// Tails shorter than a word and keys of several words hash by the
 	// same rule whatever the form.
 	for _, key := range []string{"", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "a\x00", "a\x00\x00"} {

@@ -295,6 +295,49 @@ func (f *Frozen) lookupWord(w uint64) int {
 	}
 }
 
+// LookupWords is lookupWord for a batch, one index a position: entries[i]
+// receives the number of the entry fs[i] holds the 8-byte little-endian
+// key words[i] under, −1 when it holds none, and counts[i] that entry's
+// posting count, 0 for none. A lookup is a chain of dependent loads —
+// slot, key, count — and most of them miss the cache when every position
+// reads another index, so the batch runs in stages: every hash and slot
+// read, then every key compare, then every count, a stage's loads in
+// flight side by side instead of one chain waiting behind another. A
+// position whose first slot holds some other key, or whose index does
+// not keep one-word keys, walks on alone through lookupWord. A nil
+// fs[i] is skipped, entries[i] and counts[i] left as they were.
+//
+//gph:hotpath
+func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32) {
+	words, entries, counts = words[:len(fs)], entries[:len(fs)], counts[:len(fs)]
+	for i, f := range fs {
+		if f == nil {
+			continue
+		}
+		if f.keyLen != 8 {
+			entries[i] = int32(f.lookupWord(words[i]))
+			continue
+		}
+		f.ensureSlots()
+		entries[i] = f.slots[hashWord(words[i])&uint64(len(f.slots)-1)]
+	}
+	for i, f := range fs {
+		if f == nil || f.keyLen != 8 {
+			continue
+		}
+		// The arena is read as lookupWord reads it, through
+		// encoding/binary: a borrowed mapping need not be 8-aligned.
+		if e := entries[i]; e >= 0 && binary.LittleEndian.Uint64(f.keyArena[8*int(e):]) != words[i] {
+			entries[i] = int32(f.lookupWord(words[i]))
+		}
+	}
+	for i, f := range fs {
+		if f != nil {
+			counts[i] = uint32(f.count(int(entries[i])))
+		}
+	}
+}
+
 // NumKeys returns the number of distinct keys (the map form's
 // DistinctKeys).
 func (f *Frozen) NumKeys() int { return len(f.counts) }
@@ -470,9 +513,12 @@ func (f *Frozen) collect(e int, seen []uint64, ids []int32) []int32 {
 	return ids
 }
 
-// collectKey is collect for a lookup's result: it returns the length
-// of the list, 0 for e = −1.
-func (f *Frozen) collectKey(e int, set *IDSet) int {
+// CollectEntry is collect for a lookup's result — an entry number as
+// LookupWords reports it, or −1: it adds the entry's posting list to set
+// and returns the length of the list, 0 for e = −1.
+//
+//gph:hotpath
+func (f *Frozen) CollectEntry(e int, set *IDSet) int {
 	if e >= 0 {
 		set.IDs = f.collect(e, set.Seen, set.IDs)
 	}
@@ -484,7 +530,7 @@ func (f *Frozen) collectKey(e int, set *IDSet) int {
 //
 //gph:hotpath
 func (f *Frozen) CollectBytes(key []byte, set *IDSet) int {
-	return f.collectKey(f.lookupBytes(key), set)
+	return f.CollectEntry(f.lookupBytes(key), set)
 }
 
 // CollectWord is CollectBytes for the 8-byte little-endian key holding
@@ -492,7 +538,7 @@ func (f *Frozen) CollectBytes(key []byte, set *IDSet) int {
 //
 //gph:hotpath
 func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
-	return f.collectKey(f.lookupWord(w), set)
+	return f.CollectEntry(f.lookupWord(w), set)
 }
 
 // CollectWithin adds to set the posting list of every key within
