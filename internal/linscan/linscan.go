@@ -74,13 +74,13 @@ func (s *Scanner) Vector(id int32) bitvec.Vector { return s.data[id] }
 // the scanner already searches over (shared storage — do not modify).
 func (s *Scanner) Codes() *verify.Codes { return s.codes }
 
-// SizeBytes reports resident size: the packed vectors (a scan keeps no
-// derived structures).
+// SizeBytes reports resident size: the packed vectors plus, once a
+// search has built it, their word-0 column (verify.Codes.SketchBytes).
 func (s *Scanner) SizeBytes() int64 {
 	if len(s.data) == 0 {
 		return 0
 	}
-	return int64(len(s.data)) * int64(8*len(s.data[0].Words()))
+	return s.codes.SizeBytes() + s.codes.SketchBytes()
 }
 
 // Search returns ids of all vectors within distance tau of q, in

@@ -43,3 +43,32 @@ func TestScannerErrors(t *testing.T) {
 		t.Fatal("mixed dims accepted")
 	}
 }
+
+// TestSizeBytesCountsTheColumn: a scanner's resident size is its arena
+// until the first search, and the arena plus whatever word-0 column that
+// search built after it (8 bytes a vector where verify has its kernels
+// and rows are wider than a word; nothing elsewhere).
+func TestSizeBytesCountsTheColumn(t *testing.T) {
+	data := make([]bitvec.Vector, 100)
+	for i := range data {
+		data[i] = bitvec.New(128)
+		data[i].Set(i)
+	}
+	s, err := New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.SizeBytes(); got != 100*16 {
+		t.Fatalf("SizeBytes %d before any search, want the arena's %d", got, 100*16)
+	}
+	if _, err := s.Search(data[0], 3); err != nil {
+		t.Fatal(err)
+	}
+	column := s.Codes().SketchBytes()
+	if column != 0 && column != 100*8 {
+		t.Fatalf("SketchBytes %d after a search, want 0 or %d", column, 100*8)
+	}
+	if got := s.SizeBytes(); got != 100*16+column {
+		t.Fatalf("SizeBytes %d after a search, want arena + column = %d", got, 100*16+column)
+	}
+}

@@ -251,7 +251,10 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 		return nil, nil, err
 	}
 	if scanned {
-		out := ix.codes.AppendWithin(q, tau, make([]int32, 0, 64))
+		// Into the pooled posting buffer, then an exact-size result.
+		s.post = ix.codes.AppendWithin(q, tau, s.post[:0])
+		out := make([]int32, len(s.post))
+		copy(out, s.post)
 		ix.putScratch(s)
 		if !wantStats {
 			return out, nil, nil

@@ -1080,6 +1080,10 @@ func addStats(sum, sh *engine.Stats) {
 	sum.Candidates += sh.Candidates
 }
 
+// scanBufs pools the scan route's local-id buffers: search maps them to
+// global ids into a slice of its own, so a buffer never leaves it.
+var scanBufs = sync.Pool{New: func() any { return new([]int32) }}
+
 // search answers one shard's share of a range query: built-index
 // results mapped to global ids with tombstones dropped, then the
 // delta scan. builtIDs is ascending, so the mapped ids stay sorted.
@@ -1092,10 +1096,13 @@ func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner, st *engine.S
 	var out []int32
 	if sh.built != nil {
 		var local []int32
+		var scanBuf *[]int32
 		var err error
 		switch {
 		case pl.Route(sh.built, q, tau) == plan.RouteScan:
-			local = sh.built.(engine.Scannable).Codes().AppendWithin(q, tau, nil)
+			scanBuf = scanBufs.Get().(*[]int32)
+			*scanBuf = sh.built.(engine.Scannable).Codes().AppendWithin(q, tau, (*scanBuf)[:0])
+			local = *scanBuf
 			if st != nil {
 				st.Scanned = true
 				st.Candidates = sh.built.Len()
@@ -1117,6 +1124,9 @@ func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner, st *engine.S
 			if !sh.dead[gid] {
 				out = append(out, gid)
 			}
+		}
+		if scanBuf != nil {
+			scanBufs.Put(scanBuf)
 		}
 	}
 	for _, e := range sh.delta {

@@ -15,15 +15,20 @@
 // The word-at-a-time path (Distance) is the reference implementation;
 // the batch entry points call the unrolled loops of portable.go. The
 // sequential scan (AppendWithin, AppendWithinRange) alone has a second
-// implementation, an AVX-512 VPOPCNTDQ kernel for rows of 1, 2 and 4
-// words (within_amd64.go, within_amd64.s), chosen by what CPUID
-// reports and by nothing else; the portable scan is its test reference
-// and the only path on every other CPU, platform and width.
+// implementation on AVX-512 VPOPCNTDQ kernels (within_amd64.go,
+// within_amd64.s), chosen by what CPUID reports and by nothing else:
+// the w = 1 kernel over one-word rows, and for wider rows of any width
+// over a contiguous copy of their word 0 (a partial distance above tau
+// already says no), survivors finished by distWithin; where survivors
+// are dense, the w = 2 and w = 4 row kernels or the portable loops. The
+// portable scan is the reference, and the only path on any other CPU.
 package verify
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"gph/internal/bitvec"
 )
@@ -40,6 +45,26 @@ const BlockSize = 256
 // stop waits on the scanning goroutine, however large the arena.
 const chunkRows = 4096
 
+// What scanColumn's hand-off costs, as BenchmarkScanKernels measures it
+// (its "w=…/τ=…/row" and "/column" lines) — prices, not tunables.
+const (
+	// probeRows is the first chunk of a call and the first after a
+	// back-off: a dense query wastes a 4 KB column pass per back-off, not
+	// a chunk's 32 ("τ=dense": column within 3 % of row at every width).
+	probeRows = 512
+
+	// denseOneIn: a chunk with more than one word-0 survivor in this
+	// many rows goes to the row path. A gathered distWithin is 7–9 ns a
+	// survivor (≈ 28 from DRAM) and the column pass 0.12 ns a row, so at
+	// one in 64 the two stages cost the w = 2 row kernel's 0.25 ns a row
+	// ("τ=threshold", one in 110: column 0.17 ns a row at every width).
+	denseOneIn = 64
+
+	// backoffChunks chunks after a dense one go to the row path unasked:
+	// density belongs to (q, τ) far more than to a place in the arena.
+	backoffChunks = 8
+)
+
 // Codes is an immutable packed copy of a vector collection: all
 // vectors' words in one contiguous arena, row-major, so batch
 // verification streams through memory instead of chasing one slice
@@ -49,6 +74,14 @@ type Codes struct {
 	dims  int
 	w     int // words per vector
 	words []uint64
+
+	// sketch[i] is words[i*w]: the word-0 column scanColumn reads first.
+	// Derived state, never persisted, built by the first scan that wants
+	// it. sketchReady's release-store publishes sketch to the
+	// acquire-load in ensureSketch; sketchMu serializes the one build.
+	sketch      []uint64
+	sketchReady atomic.Bool
+	sketchMu    sync.Mutex
 }
 
 // Pack copies data into a fresh arena. All vectors must share one
@@ -100,6 +133,38 @@ func (c *Codes) Dims() int { return c.dims }
 // SizeBytes returns the arena size in bytes.
 func (c *Codes) SizeBytes() int64 { return int64(len(c.words)) * 8 }
 
+// SketchBytes returns the heap bytes of the word-0 column: 0 until a
+// scan has built it, 8 a row after, over a borrowed (mapped) arena too.
+func (c *Codes) SketchBytes() int64 {
+	if !c.sketchReady.Load() {
+		return 0
+	}
+	return int64(len(c.sketch)) * 8
+}
+
+// ensureSketch returns the word-0 column, built on the first call.
+//
+//gph:hotpath
+func (c *Codes) ensureSketch() []uint64 {
+	if !c.sketchReady.Load() {
+		c.buildSketchOnce()
+	}
+	return c.sketch
+}
+
+// buildSketchOnce: concurrent first scans serialize and all but one find it ready.
+func (c *Codes) buildSketchOnce() {
+	c.sketchMu.Lock()
+	if !c.sketchReady.Load() {
+		c.sketch = make([]uint64, c.n)
+		for i := range c.sketch {
+			c.sketch[i] = c.words[i*c.w]
+		}
+		c.sketchReady.Store(true)
+	}
+	c.sketchMu.Unlock()
+}
+
 // Distance returns the Hamming distance between q and row id, one
 // word at a time with no unrolling or early abort. It is the kernels'
 // reference implementation: the differential tests assert every batch
@@ -142,11 +207,10 @@ func (c *Codes) AppendWithin(q bitvec.Vector, tau int, dst []int32) []int32 {
 }
 
 // AppendWithinRange is AppendWithin over rows [lo, hi), which must lie
-// within [0, Len()]: a streamed scan takes it a block at a time. Rows
-// of 1, 2 and 4 words go through the vector kernel where the CPU has
-// one (scanKernel); every other width and platform through the
-// portable loops, which are also the reference the kernel is tested
-// against.
+// within [0, Len()]: a streamed scan takes it a block at a time. Where
+// the CPU has the kernels, rows of two words or more go through the
+// word-0 column (scanColumn); one-word rows, and everything on every
+// other CPU and platform, take the row path (scanRows).
 //
 //gph:hotpath
 func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32) []int32 {
@@ -159,7 +223,20 @@ func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32)
 		}
 		return dst
 	}
-	qw, rows := q.Words(), c.words[lo*c.w:hi*c.w]
+	if kernelMissing == "" && c.w >= 2 {
+		dst, _ = c.scanColumn(q.Words(), tau, lo, hi, dst)
+		return dst
+	}
+	return c.scanRows(q.Words(), tau, lo, hi, dst)
+}
+
+// scanRows answers rows [lo, hi) on the row-major arena alone: the row
+// kernel for 1, 2 and 4 words where the CPU has one, the portable loops
+// (the reference) everywhere else. Callers have resolved 0 ≤ tau < dims.
+//
+//gph:hotpath
+func (c *Codes) scanRows(qw []uint64, tau, lo, hi int, dst []int32) []int32 {
+	rows := c.words[lo*c.w : hi*c.w]
 	if kernelMissing == "" && (c.w == 1 || c.w == 2 || c.w == 4) {
 		return scanKernel(rows, c.w, qw, tau, lo, dst)
 	}

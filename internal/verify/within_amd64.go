@@ -13,9 +13,15 @@ import "math/bits"
 // written, ascending, so the bytes are little-endian bits of the
 // []uint64 the driver reads; groups = 0 touches nothing. Leaf functions
 // without preemption points: the caller bounds groups.
+//
+// withinBits1 is the inner loop of every scan (scanColumn), so it takes
+// four groups an iteration and leaves the 0–3 over to withinBits1x1.
 
 //go:noescape
 func withinBits1(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
+
+//go:noescape
+func withinBits1x1(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
 
 //go:noescape
 func withinBits2(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
@@ -94,4 +100,56 @@ func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) 
 		}
 	}
 	return dst
+}
+
+// scanColumn appends the ids of rows [lo, hi) of c within tau of qw,
+// ascending, reading word 0 of every row first: a partial distance above
+// tau rules a row out, so stage 1 is withinBits1 over c's word-0 column —
+// 8 bytes a row whatever c.w — and stage 2 finishes each survivor on the
+// row arena with distWithin. A chunk whose survivors are dense goes to
+// scanRows instead, with the backoffChunks after it; the second result
+// is how many rows went that way (tests assert the hand-off ran; callers
+// drop it). Callers have resolved 0 ≤ tau < dims and kernelMissing; c.w ≥ 2.
+//
+//gph:hotpath
+func (c *Codes) scanColumn(qw []uint64, tau, lo, hi int, dst []int32) ([]int32, int) {
+	sketch, w, q := c.ensureSketch(), c.w, &qw[0]
+	whole := lo + (hi-lo)&^7
+	var hits [chunkRows / 64]uint64
+	byRows := 0
+	for at, rows := lo, probeRows; at < whole; {
+		end := min(at+rows, whole)
+		groups := (end - at) / 8
+		// The kernel writes groups bytes; only the last word they reach
+		// can be left holding bits of the chunk before.
+		hits[(groups-1)/8] = 0
+		withinBits1(&sketch[at], groups, q, uint64(tau), &hits[0])
+		bitmap, survivors := hits[:(groups+7)/8], 0
+		for _, m := range bitmap {
+			survivors += bits.OnesCount64(m)
+		}
+		if survivors*denseOneIn > end-at {
+			end = min(end+backoffChunks*chunkRows, whole)
+			dst = c.scanRows(qw, tau, at, end, dst)
+			byRows += end - at
+			rows = probeRows // the verdict past the back-off is unknown again
+		} else {
+			for i, m := range bitmap {
+				for ; m != 0; m &= m - 1 {
+					id := at + i*64 + bits.TrailingZeros64(m)
+					if distWithin(c.words[id*w:(id+1)*w], qw, tau) {
+						dst = append(dst, int32(id))
+					}
+				}
+			}
+			rows = chunkRows
+		}
+		at = end
+	}
+	for id := whole; id < hi; id++ {
+		if distWithin(c.words[id*w:(id+1)*w], qw, tau) {
+			dst = append(dst, int32(id))
+		}
+	}
+	return dst, byRows
 }

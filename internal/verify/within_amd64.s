@@ -46,7 +46,55 @@ GLOBL odds<>(SB), RODATA|NOPTR, $64
 	VPADDQ    t, a, a
 
 // func withinBits1(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
+// Four groups an iteration; the 0–3 left over go to withinBits1x1 through
+// the argument slots (both frames are empty: the jump is a tail call).
 TEXT ·withinBits1(SB), NOSPLIT, $0-40
+	MOVQ groups+8(FP), CX
+	CMPQ CX, $4
+	JB   tail1
+	MOVQ rows+0(FP), SI
+	MOVQ q+16(FP), AX
+	MOVQ out+32(FP), DI
+	VPBROADCASTQ (AX), Z2
+	VPBROADCASTQ tau+24(FP), Z3
+
+loop1:
+	VPXORQ   (SI), Z2, Z6
+	VPXORQ   64(SI), Z2, Z7
+	VPXORQ   128(SI), Z2, Z8
+	VPXORQ   192(SI), Z2, Z9
+	VPOPCNTQ Z6, Z6
+	VPOPCNTQ Z7, Z7
+	VPOPCNTQ Z8, Z8
+	VPOPCNTQ Z9, Z9
+	VPCMPUQ  $2, Z3, Z6, K2 // Z6 ≤ Z3
+	VPCMPUQ  $2, Z3, Z7, K3
+	VPCMPUQ  $2, Z3, Z8, K4
+	VPCMPUQ  $2, Z3, Z9, K5
+	KMOVB    K2, (DI)
+	KMOVB    K3, 1(DI)
+	KMOVB    K4, 2(DI)
+	KMOVB    K5, 3(DI)
+	ADDQ     $256, SI
+	ADDQ     $4, DI
+	SUBQ     $4, CX
+	CMPQ     CX, $4
+	JAE      loop1
+	VZEROUPPER
+	TESTQ CX, CX
+	JZ    whole1
+	MOVQ SI, rows+0(FP)
+	MOVQ CX, groups+8(FP)
+	MOVQ DI, out+32(FP)
+
+tail1:
+	JMP  ·withinBits1x1(SB)
+
+whole1:
+	RET
+
+// func withinBits1x1(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
+TEXT ·withinBits1x1(SB), NOSPLIT, $0-40
 	MOVQ  groups+8(FP), CX
 	TESTQ CX, CX
 	JZ    done1
@@ -56,15 +104,15 @@ TEXT ·withinBits1(SB), NOSPLIT, $0-40
 	VPBROADCASTQ (AX), Z2
 	VPBROADCASTQ tau+24(FP), Z3
 
-loop1:
+loop1x1:
 	VPXORQ   (SI), Z2, Z6
 	VPOPCNTQ Z6, Z6
-	VPCMPUQ  $2, Z3, Z6, K2 // Z6 ≤ Z3
+	VPCMPUQ  $2, Z3, Z6, K2
 	KMOVB    K2, (DI)
 	ADDQ     $64, SI
 	INCQ     DI
 	DECQ     CX
-	JNZ      loop1
+	JNZ      loop1x1
 	VZEROUPPER
 
 done1:

@@ -2,11 +2,15 @@
 
 package verify
 
-// kernelMissing is never empty here: the only within-τ kernel is the
-// amd64 one (within_amd64.go), so AppendWithinRange always takes the
-// portable loops and the compiler drops the scanKernel call.
+// kernelMissing is never empty here: the only within-τ kernels are amd64's
+// (within_amd64.go), so AppendWithinRange always takes the portable loops,
+// the scanKernel and scanColumn calls compile away, and no column is built.
 const kernelMissing = "a within-τ kernel for this GOARCH"
 
 func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) []int32 {
+	panic("verify: no " + kernelMissing)
+}
+
+func (c *Codes) scanColumn(qw []uint64, tau, lo, hi int, dst []int32) ([]int32, int) {
 	panic("verify: no " + kernelMissing)
 }

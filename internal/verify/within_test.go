@@ -9,26 +9,47 @@ import (
 	"gph/internal/bitvec"
 )
 
-// The tests of this file hold the two arms of AppendWithin against each
+// The tests of this file hold the arms of AppendWithin against each
 // other and against per-row Distance in one binary: scanPortable, which
-// the compiler checked, and scanKernel, which nothing did. On a host
-// without the kernel the second arm is skipped with the missing feature
-// named, so a CI log says when the assembly went untested.
+// the compiler checked, and the two drivers over the assembly, which
+// nothing did — scanKernel on the row arena and scanColumn on the
+// word-0 column. On a host without the kernels those arms are skipped
+// with the missing feature named, so a CI log says when the assembly
+// went untested.
 
 // scanArm is a full scan of c: ids within tau of qw appended to dst.
 type scanArm func(c *Codes, qw []uint64, tau int, dst []int32) []int32
 
-// eachArm runs body against the portable loops and the kernel driver.
+// scanByColumn is the column path as AppendWithinRange dispatches it
+// (one-word rows have no column and go to the row kernel), with how many
+// rows the hand-off sent to the row path.
+func scanByColumn(c *Codes, qw []uint64, tau, lo, hi int, dst []int32) ([]int32, int) {
+	if c.w == 1 {
+		return scanKernel(c.words[lo:hi], 1, qw, tau, lo, dst), hi - lo
+	}
+	return c.scanColumn(qw, tau, lo, hi, dst)
+}
+
+// eachArm runs body against the portable loops, the row-kernel driver
+// and the column driver.
 func eachArm(t *testing.T, body func(t *testing.T, scan scanArm)) {
 	t.Run("portable", func(t *testing.T) { body(t, scanPortable) })
-	t.Run("kernel", func(t *testing.T) {
-		if kernelMissing != "" {
-			t.Skipf("kernel arm NOT exercised: this host lacks %s", kernelMissing)
-		}
-		body(t, func(c *Codes, qw []uint64, tau int, dst []int32) []int32 {
+	for name, scan := range map[string]scanArm{
+		"kernel": func(c *Codes, qw []uint64, tau int, dst []int32) []int32 {
 			return scanKernel(c.words, c.w, qw, tau, 0, dst)
+		},
+		"column": func(c *Codes, qw []uint64, tau int, dst []int32) []int32 {
+			dst, _ = scanByColumn(c, qw, tau, 0, c.n, dst)
+			return dst
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if kernelMissing != "" {
+				t.Skipf("%s arm NOT exercised: this host lacks %s", name, kernelMissing)
+			}
+			body(t, scan)
 		})
-	})
+	}
 }
 
 // kernelDims lists, per kernel width, a full-word dimensionality and
@@ -81,7 +102,7 @@ func wantWithin(c *Codes, q bitvec.Vector, tau int) []int32 {
 // scan with absolute ids.
 func TestKernelDispatch(t *testing.T) {
 	if kernelMissing == "" {
-		t.Log("AppendWithin: rows of 1, 2 and 4 words take the AVX-512 VPOPCNTDQ kernel; other widths are portable")
+		t.Log("AppendWithin: AVX-512 VPOPCNTDQ kernels. One-word rows take the w = 1 kernel; every wider row takes it over the word-0 column, survivors finished on the row arena; dense chunks go to the w = 2 and w = 4 row kernels, to the portable loops at other widths")
 	} else {
 		t.Logf("AppendWithin: portable loops only, kernel NOT exercised: this host lacks %s", kernelMissing)
 	}
@@ -111,6 +132,116 @@ func TestKernelDispatch(t *testing.T) {
 				if got := c.AppendWithinRange(q, tc.tau, r[0], r[1], nil); !equalIDs(got, tc.want) {
 					t.Fatalf("dims=%d tau=%d range %v: got %v want %v", dims, tc.tau, r, got, tc.want)
 				}
+			}
+		}
+	}
+}
+
+// mixed builds n rows for the column path's tests, each one of two
+// kinds: where close(i), a near-copy of q at distance tau or tau+1 — it
+// survives stage 1 and the answer hangs on one bit — and elsewhere q
+// with word 0 complemented, 64 apart in the one word stage 1 reads: a
+// certain non-survivor at any tau < 64. Survivor density is close's to
+// choose, row by row.
+func mixed(t testing.TB, rng *rand.Rand, q bitvec.Vector, n, tau int, close func(i int) bool) *Codes {
+	c := near(t, rng, q, n, func(int) int { return tau + rng.Intn(2) })
+	for i := 0; i < n; i++ {
+		if !close(i) {
+			copy(c.words[i*c.w:(i+1)*c.w], q.Words())
+			c.words[i*c.w] ^= ^uint64(0)
+		}
+	}
+	return c
+}
+
+// TestColumnScanDifferential: AppendWithinRange ≡ scanPortable id for
+// id at every width that takes the column (w = 2 … 14, kernel widths or
+// not), for every n mod 8, over ranges that start and end off a group,
+// off the 512-row probe and off a chunk (and on StreamScan's 256-row
+// blocks), with tau swept from no survivor, across the density
+// threshold (uniform random rows: one survivor in 110 at tau = 22, one
+// in 60 at 23), to everything — over random rows salted with near-copies
+// of q, so survivors both pass and fail stage 2.
+func TestColumnScanDifferential(t *testing.T) {
+	if kernelMissing != "" {
+		t.Skipf("column path NOT exercised: this host lacks %s", kernelMissing)
+	}
+	rng := rand.New(rand.NewSource(61))
+	for _, dims := range []int{65, 128, 192, 256, 320, 881} {
+		q := randVector(rng, dims, 0.5)
+		for n := probeRows + 2*chunkRows + 296; n < probeRows+2*chunkRows+304; n++ {
+			data := make([]bitvec.Vector, n)
+			for i := range data {
+				if data[i] = randVector(rng, dims, 0.5); i%97 == 0 {
+					data[i] = q.Clone()
+					for j, d := 0, rng.Intn(40); j < d; j++ {
+						data[i].Flip(rng.Intn(dims))
+					}
+				}
+			}
+			c := Pack(data)
+			for _, tau := range []int{0, 12, 20, 22, 23, 24, 28, 32, 40, 63, 64, dims / 2, dims - 1, dims} {
+				full := scanPortable(c, q.Words(), tau, nil)
+				for _, r := range [][2]int{
+					{0, n}, {1, n}, {3, n - 5}, {4, 4}, {n - 9, n}, {n - 7, n},
+					{256, 512}, {256, 768}, {5, 5 + probeRows}, {probeRows, probeRows + chunkRows},
+					{7, 7 + probeRows + chunkRows + 13}, {probeRows - 8, probeRows + chunkRows + 8},
+				} {
+					var want []int32
+					for _, id := range full {
+						if int(id) >= r[0] && int(id) < r[1] {
+							want = append(want, id)
+						}
+					}
+					if got := c.AppendWithinRange(q, tau, r[0], r[1], nil); !equalIDs(got, want) {
+						t.Fatalf("dims=%d n=%d tau=%d range %v: got %d ids %v, want %d %v", dims, n, tau, r, len(got), head(got), len(want), head(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestColumnHandOff flips the density mid-arena in each direction and
+// asserts, by the rows the driver says it sent to the row path, that
+// each part of the hand-off ran — and with it that the dense part was
+// not answered survivor by survivor, which would pass every other test
+// at a tenth of the speed. Sparse then dense: the probe and two chunks
+// stay on the column, the chunk holding the flip backs off, the probe
+// after the back-off backs off again. Dense then sparse: the probe
+// backs off over eight chunks unasked (all but 2 000 of their rows
+// sparse: asked, they would have stayed on the column), the next probe
+// finds sparse rows and the column takes the rest.
+func TestColumnHandOff(t *testing.T) {
+	if kernelMissing != "" {
+		t.Skipf("column path NOT exercised: this host lacks %s", kernelMissing)
+	}
+	const (
+		tau  = 20
+		flip = probeRows + 2*chunkRows + 1000
+		n    = probeRows + (backoffChunks+4)*chunkRows + 5
+	)
+	rng := rand.New(rand.NewSource(67))
+	for _, dims := range []int{128, 192, 256, 881} {
+		q := randVector(rng, dims, 0.5)
+		for _, tc := range []struct {
+			name   string
+			close  func(i int) bool
+			byRows int
+		}{
+			{"sparse", func(int) bool { return false }, 0},
+			{"dense", func(int) bool { return true }, n &^ 7},
+			{"sparse then dense", func(i int) bool { return i >= flip }, n&^7 - (probeRows + 2*chunkRows)},
+			{"dense then sparse", func(i int) bool { return i < 2000 }, probeRows + backoffChunks*chunkRows},
+		} {
+			c := mixed(t, rng, q, n, tau, tc.close)
+			want := scanPortable(c, q.Words(), tau, nil)
+			got, byRows := c.scanColumn(q.Words(), tau, 0, n, nil)
+			if !equalIDs(got, want) {
+				t.Fatalf("dims=%d, %s: got %d ids %v, want %d %v", dims, tc.name, len(got), head(got), len(want), head(want))
+			}
+			if byRows != tc.byRows {
+				t.Fatalf("dims=%d, %s: %d rows answered by the row path, want %d", dims, tc.name, byRows, tc.byRows)
 			}
 		}
 	}
@@ -204,6 +335,22 @@ func TestScanStaleBits(t *testing.T) {
 					}
 				}
 			}
+			// The column driver's chunks, kept sparse so it stays on the
+			// column: one hit at the top bit of each bitmap word of a full
+			// chunk, then a chunk too short to overwrite those words. A bit
+			// left standing names a row past the arena. (mixed wants a tau
+			// below 64.)
+			for _, last := range []int{8, 24, 72, 520, 13} {
+				const tau = 16
+				var want []int32
+				c := mixed(t, rng, q, probeRows+chunkRows+last, tau-1, func(i int) bool { return i >= probeRows && i < probeRows+chunkRows && i%64 == 63 })
+				for id := probeRows + 63; id < probeRows+chunkRows; id += 64 {
+					want = append(want, int32(id))
+				}
+				if got := scan(c, q.Words(), tau, nil); !equalIDs(got, want) {
+					t.Fatalf("dims=%d last=%d: one hit a bitmap word: got %d ids %v, want %d %v", dims, last, len(got), head(got), len(want), head(want))
+				}
+			}
 			// Hits in the last group of a full chunk only, then a shorter chunk.
 			c := near(t, rng, q, chunkRows+40, func(i int) int {
 				if i >= chunkRows-8 && i < chunkRows {
@@ -247,11 +394,12 @@ func TestScanUnalignedArena(t *testing.T) {
 }
 
 // TestScanAllocatesNothing: with a destination that already has room,
-// a scan — kernel, portable, whole or a range — allocates nothing (the
-// hit bitmap and the portable arm's row view stay on the stack).
+// a scan — kernel, column, portable, whole or a range — allocates
+// nothing once the first has built the column (AllocsPerRun's warm-up
+// call): the hit bitmap and the row path's row view stay on the stack.
 func TestScanAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, dims := range []int{64, 128, 256, 881} {
+	for _, dims := range []int{64, 128, 192, 256, 881} {
 		q := randVector(rng, dims, 0.5)
 		tau := dims / 3
 		c := near(t, rng, q, chunkRows+100, func(int) int { return tau + rng.Intn(2) })
@@ -267,16 +415,26 @@ func TestScanAllocatesNothing(t *testing.T) {
 	}
 }
 
+// maxFuzzRows is how far fuzzCollection stretches an input: past the
+// column path's probe, a back-off and the probe after it, with chunks to
+// spare.
+const maxFuzzRows = probeRows + (backoffChunks+3)*chunkRows
+
 // fuzzCollection decodes fuzz bytes into a collection and a query:
-// byte 0 picks the row width (1–5 words: the three kernel widths and
-// both generic shapes), byte 1 how much of the last word is used, byte
-// 2 the threshold, then the query words and as many whole rows as the
-// rest holds. Tail bits are masked off, as every constructor does.
+// byte 0 mod 5 picks the row width (1–5 words: the three kernel widths
+// and both generic shapes), byte 1 how much of the last word is used,
+// byte 2 the threshold, then the query words and as many whole rows as
+// the rest holds. Tail bits are masked off, as every constructor does.
+// Byte 0 / 5 stretches the collection so that a seed of a few dozen
+// rows reaches every state of the column driver: the first half of the
+// rows, then the second, each repeated 1 + 16·(byte 0 / 5) times (to
+// maxFuzzRows in all at most) — how dense each half is, and so where
+// the driver flips, is the input's to say.
 func fuzzCollection(data []byte) (c *Codes, q bitvec.Vector, tau int, ok bool) {
 	if len(data) < 3 {
 		return nil, bitvec.Vector{}, 0, false
 	}
-	w := 1 + int(data[0])%5
+	w, reps := 1+int(data[0])%5, 1+16*(int(data[0])/5)
 	dims := 64*(w-1) + 1 + int(data[1])%64
 	tau = int(data[2]) % (dims + 1)
 	data = data[3:]
@@ -292,7 +450,17 @@ func fuzzCollection(data []byte) (c *Codes, q bitvec.Vector, tau int, ok bool) {
 		bitvec.FromWords(dims, words[i*w:(i+1)*w]) // masks the tail in place
 	}
 	q = bitvec.FromWords(dims, words[:w])
-	c, err := Wrap(n, dims, words[w:(n+1)*w])
+	rows := words[w : (n+1)*w]
+	if reps = min(reps, maxFuzzRows/max(n, 1)); reps > 1 {
+		stretched := make([]uint64, 0, reps*len(rows))
+		for _, half := range [][]uint64{rows[:n/2*w], rows[n/2*w:]} {
+			for r := 0; r < reps; r++ {
+				stretched = append(stretched, half...)
+			}
+		}
+		rows, n = stretched, reps*n
+	}
+	c, err := Wrap(n, dims, rows)
 	return c, q, tau, err == nil
 }
 
@@ -315,20 +483,20 @@ func FuzzAppendWithin(f *testing.F) {
 	})
 }
 
-// BenchmarkScanKernels reports what a scanned row costs by width, for
-// the portable loops and for whatever AppendWithin dispatches to on
-// this host (the same thing at w = 14, and everywhere without the
-// kernel), over an L2-resident arena of 20 000 rows that match nothing
-// — plus a copy of the w = 2 arena, the roof the GB/s read against.
+// BenchmarkScanKernels prints the prices the column path's constants
+// cite (within_amd64.go), over an L2-resident arena of 20 000 uniform
+// random rows that match nothing: per width, ns a row and arena GB/s
+// (arena bytes over time, so the column path reads above the copy roof
+// when it skips the arena) at a sparse, a threshold and a dense τ — the
+// word-0 survivors are 0.004 %, 0.9 % (one in 64 is 1.6 %) and 54 % of
+// the rows — for the row path and the column path, through the
+// unexported drivers; the portable loops where the row path is not
+// them (it is at w = 3 and 14, and everywhere without the kernels); and
+// a copy of the w = 2 arena, the roof the row path's GB/s read against. BenchmarkScanKernelsColumn (amd64) is stage 1 alone.
 func BenchmarkScanKernels(b *testing.B) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(47))
-	report := func(b *testing.B, rowBytes int) {
-		perRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / n
-		b.ReportMetric(perRow, "ns/row")
-		b.ReportMetric(float64(rowBytes)/perRow, "GB/s")
-	}
-	for _, w := range []int{1, 2, 4, 14} {
+	for _, w := range []int{1, 2, 3, 4, 14} {
 		dims := 64 * w
 		q := randVector(rng, dims, 0.5)
 		words := make([]uint64, n*w)
@@ -339,25 +507,41 @@ func BenchmarkScanKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tau, dst := dims/4, make([]int32, 0, n)
-		b.Run(fmt.Sprintf("w=%d/portable", w), func(b *testing.B) {
-			for b.Loop() {
-				dst = scanPortable(c, q.Words(), tau, dst[:0])
+		dst := make([]int32, 0, n)
+		run := func(name string, scan func()) {
+			b.Run(fmt.Sprintf("w=%d/%s", w, name), func(b *testing.B) {
+				for b.Loop() {
+					scan()
+				}
+				reportScan(b, n, 8*w)
+			})
+		}
+		for i, tau := range []int{16, 22, 32} {
+			name := "τ=" + []string{"sparse", "threshold", "dense"}[i]
+			if i == 0 && kernelMissing == "" && (w == 1 || w == 2 || w == 4) {
+				run(name+"/portable", func() { dst = scanPortable(c, q.Words(), tau, dst[:0]) })
 			}
-			report(b, 8*w)
-		})
-		b.Run(fmt.Sprintf("w=%d/dispatched", w), func(b *testing.B) {
-			for b.Loop() {
-				dst = c.AppendWithin(q, tau, dst[:0])
+			if i == 0 || w > 1 {
+				run(name+"/row", func() { dst = c.scanRows(q.Words(), tau, 0, n, dst[:0]) })
 			}
-			report(b, 8*w)
-		})
+			if kernelMissing == "" && w > 1 {
+				run(name+"/column", func() { dst, _ = c.scanColumn(q.Words(), tau, 0, n, dst[:0]) })
+			}
+		}
 	}
 	src, dst := make([]uint64, 2*n), make([]uint64, 2*n)
 	b.Run("copy-320KB", func(b *testing.B) {
 		for b.Loop() {
 			copy(dst, src)
 		}
-		report(b, 16)
+		reportScan(b, n, 16)
 	})
+}
+
+// reportScan adds ns a row and GB/s to a benchmark whose iteration is
+// one pass over n rows of rowBytes bytes.
+func reportScan(b *testing.B, n, rowBytes int) {
+	perRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(n)
+	b.ReportMetric(perRow, "ns/row")
+	b.ReportMetric(float64(rowBytes)/perRow, "GB/s")
 }
