@@ -13,6 +13,11 @@
 // -engine selects any registered backend (gph by default); -index
 // loads a previously saved index of any engine, dispatching on the
 // file's magic bytes.
+//
+// A range query prints route=scan|index plan=… scan=…, the prices gph's
+// guard compared in key-scan steps (scan= at this -tau). alloc_rounds=0
+// route=scan is the free verdict: the index's shape and -tau price every
+// plan above the scan, and the query was not bound, probed or allocated.
 package main
 
 import (

@@ -14,6 +14,7 @@ import (
 
 	"gph"
 	"gph/datagen"
+	"gph/internal/engine/enginetest"
 )
 
 // testOpts keeps test builds fast: small partitioning sample and
@@ -24,7 +25,13 @@ var testOpts = gph.Options{NumPartitions: 6, MaxTau: 16, Seed: 1, SampleSize: 20
 // over the given number of shards; 1 is the default-flags server.
 func testServer(t *testing.T, shards int) *server {
 	t.Helper()
-	index, err := gph.BuildSharded(datagen.UQVideoLike(800, 1).Vectors, shards, testOpts)
+	return serverOver(t, datagen.UQVideoLike(800, 1).Vectors, shards)
+}
+
+// serverOver serves data from a gph index built over shards shards.
+func serverOver(t *testing.T, data []gph.Vector, shards int) *server {
+	t.Helper()
+	index, err := gph.BuildSharded(data, shards, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,25 +218,36 @@ func TestSearchBatchBodyTooLarge(t *testing.T) {
 // index, not a second path — the same query answered over one shard
 // and over three returns the same ids and distances, and on a cache
 // miss "candidates" is what the engines verified, not the result
-// count: at S = 1 exactly the bare engine's own SearchStats count.
+// count: at S = 1 exactly the bare engine's own SearchStats count. The
+// count is an index plan's — 5 000 rows a shard at τ = 0 — because a
+// scanned shard's is its row count whatever the layers above it do. (The
+// 800 rows every other test here serves are scanned at every τ; a hundred
+// are scanned without a query being bound on any host, which is said
+// once, here.)
 func TestShardedSearchMatchesSingle(t *testing.T) {
-	data := datagen.UQVideoLike(800, 1).Vectors
+	data := datagen.UQVideoLike(15000, 1).Vectors
 	bare, err := gph.Build(data, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := data[7]
-	wantIDs, wantStats, err := bare.SearchStats(q, 8)
+	wantIDs, wantStats, err := bare.SearchStats(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	small := serverOver(t, data[:100], 1)
+	if err := small.index.ConfigurePlan("index", 0); err != nil {
+		t.Fatal(err)
+	}
+	enginetest.FreeScan(t, small.index, q, 8)
 	for _, shards := range []int{1, 3} {
-		s := testServer(t, shards)
+		s := serverOver(t, data, shards)
 		if err := s.index.ConfigurePlan("index", 0); err != nil { // same route as the bare engine, nothing cached
 			t.Fatal(err)
 		}
+		enginetest.OnIndex(t, s.index, q, 0)
 		rec := httptest.NewRecorder()
-		s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=8", nil))
+		s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=0", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("S=%d: status %d: %s", shards, rec.Code, rec.Body.String())
 		}

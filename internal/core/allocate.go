@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"gph/internal/alloc"
@@ -35,13 +36,82 @@ const (
 	dpCellPrice = 6
 )
 
-// ScanCost prices answering a query by the verified scan: one step of
-// verify.Codes.AppendWithin per row of the packed arena, a row being
-// (dims+63)/64 words — (2 + words)/3 key-scan steps each. It is what
-// allocate weighs every plan against, and, as engine.CostEstimator's
-// other half, what a planner can hold EstimateSearchCost's answer to.
-func (ix *Index) ScanCost() int64 {
-	return int64(ix.count) * int64(2+(ix.dims+63)/64) / 3
+// ScanCost prices answering a query at threshold tau by the verified
+// scan, as verify.Codes prices the path AppendWithin will take: the bytes
+// read — the word-0 column where tau leaves few survivors, the rows where
+// it does not — over the bytes a step moves. It is what allocate weighs
+// every plan against, and, as engine.CostEstimator's other half, what a
+// planner can hold EstimateSearchCost's answer to.
+func (ix *Index) ScanCost(tau int) int64 { return ix.pricesThrough(tau).scan[tau] }
+
+// planPrices is what an index's shape — widths, key counts, n — says of
+// its plans' prices before any query is bound. Derived state: computed by
+// the first query, grown as far in τ as queries ask (growPrices).
+type planPrices struct {
+	gen  [][]int64 // per partition, priceGeneration's row
+	scan []int64   // scan[τ]: verify.Codes.ScanSteps
+	// start prices what precedes the first DP round: binding the query, a
+	// step a dimension (BenchmarkPlanPrices' "bind": 120–160 ns at 128
+	// dimensions, 290–340 at 256), and the m row starts.
+	start int64
+	// floor[τ] is the cheapest any threshold vector can be at τ on any CN
+	// table: min over ‖T‖₁ = τ − m + 1, Tᵢ ≥ −1, of Σᵢ genPrice(i, Tᵢ) +
+	// candidatePrice · n · [Tᵢ ≥ wᵢ] — the whole space holds the whole
+	// collection (whatever a learned row estimates there), any other CN is
+	// at least 0. Non-decreasing in τ.
+	floor []int64
+}
+
+// pricesThrough returns the plan prices with floor[tau], scan[tau] filled.
+func (ix *Index) pricesThrough(tau int) *planPrices {
+	if p := ix.prices.Load(); p != nil && tau < len(p.floor) {
+		return p
+	}
+	return ix.growPrices(tau)
+}
+
+// growPrices computes the plan prices through tau, or twice as far as last
+// time: a knapsack over units u = Σ(Tᵢ + 1) = τ + 1, a partition at a time,
+// whose last row holds every smaller τ's floor as well.
+func (ix *Index) growPrices(tau int) *planPrices {
+	ix.pricesMu.Lock()
+	p := ix.prices.Load()
+	if p == nil || tau >= len(p.floor) {
+		units := tau + 2
+		if p != nil {
+			units = max(units, 2*len(p.floor))
+		}
+		full := candidatePrice * int64(ix.count)
+		var dp alloc.Scratch
+		p = &planPrices{gen: make([][]int64, len(ix.inv)), start: int64(ix.dims)}
+		best, next := make([]int64, units), make([]int64, units)
+		for u := 1; u < units; u++ {
+			best[u] = math.MaxInt64 / 2
+		}
+		for i, w := range ix.parts.Widths() {
+			row := priceGeneration(w, ix.inv[i].NumKeys(), &dp)
+			p.gen[i] = row
+			p.start += row[0]
+			for u := range next {
+				next[u] = best[u] // Tᵢ = −1 generates nothing
+				for t := 0; t < u; t++ {
+					price := best[u-t-1] + row[min(t, len(row)-1)]
+					if t >= w {
+						price += full
+					}
+					next[u] = min(next[u], price)
+				}
+			}
+			best, next = next, best
+		}
+		p.floor, p.scan = best[1:], make([]int64, units-1)
+		for at := range p.scan {
+			p.scan[at] = ix.codes.ScanSteps(at)
+		}
+		ix.prices.Store(p)
+	}
+	ix.pricesMu.Unlock()
+	return p
 }
 
 // probeBeatsScan is the one rule for getting at the keys of a
@@ -71,7 +141,6 @@ func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
 		s.known[i] = -1
 		s.starts[i] = noStart
 	}
-	s.rounds, s.scans, s.cnProbes, s.cnKeys = 0, 0, 0, 0
 }
 
 // carveProjections sizes a new scratch for this index's partitioning:
@@ -93,13 +162,12 @@ func (ix *Index) carveProjections(s *searchScratch) {
 	s.table = make(alloc.Table, m)
 	s.known = make([]int, m)
 	s.widths = ix.parts.Widths()
-	s.gen = make([][]int64, m)
+	s.gen = ix.pricesThrough(0).gen
 	s.startInv = make([]*invindex.Frozen, m)
 	s.startWords = make([]uint64, m)
 	s.startCounts = make([]uint32, m)
 	s.starts = make([]int32, m)
 	for i, w := range s.widths {
-		s.gen[i] = priceGeneration(w, ix.inv[i].NumKeys(), &s.dp)
 		if _, probe := s.genPrice(i, 0); probe && w >= 1 && w <= 64 {
 			s.startInv[i] = ix.inv[i]
 		}
@@ -116,7 +184,7 @@ const noStart = -2
 // ball(w, e) while probing the ball beats scanning the keys, one step a
 // key from there on. The row holds the probed radii's prices and ends
 // with the scan's, which every larger radius shares (genPrice). It is a
-// function of (w, keys) alone, so a scratch computes it once.
+// function of (w, keys) alone, so an index computes it once (growPrices).
 func priceGeneration(w, keys int, dp *alloc.Scratch) []int64 {
 	var row []int64
 	for e := 0; e <= w; e++ {
@@ -142,7 +210,7 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 	return row[e], true
 }
 
-// allocate runs the threshold-allocation phase (Algorithm 1) into the
+// allocateLoop runs the threshold-allocation phase (Algorithm 1) into the
 // pooled scratch, lazily and exactly, and prices the plan it is about to
 // return against scanning the collection instead. s.table[i][e+1] holds
 // CN(qᵢ, e) exactly for e ≤ s.known[i] and from the partition width on,
@@ -159,8 +227,9 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 // The scan guard sits inside that loop. Each round's vector is priced
 // as it stands — generation exactly, the candidates of a lower-bound
 // cell optimistically — and so is allocation itself: the bill holds
-// every DP round and every row refinement so far, and the refinement
-// this round's vector asks for. Once bill + plan exceeds ScanCost the
+// binding the query and its row starts (planPrices.start), every DP
+// round and every row refinement so far, and the refinement this round's
+// vector asks for. Once bill + plan exceeds ScanCost the
 // loop stops without spending more and the query is scanned. Until then
 // the bill alone is below the scan's price, and a plan that settles
 // costs no more than what the bill has left of it — so no query spends
@@ -178,12 +247,10 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 // first round. The first call on a scratch binds it to q; rows then
 // outlive the call — CN(qᵢ, e) does not depend on τ, so SearchGrow's
 // later calls, same q and a larger tau, start from what the earlier
-// radii learned. Shared by gather and by EstimateSearchCost, which
-// exposes the price to the query planner without running the search.
-// Result.Thresholds is backed by the scratch.
+// radii learned. Result.Thresholds is backed by the scratch.
 //
 //gph:hotpath
-func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
+func (ix *Index) allocateLoop(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
 	if s.q.Dims() == 0 {
 		ix.bindQuery(q, s)
 	}
@@ -201,8 +268,8 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Res
 		}
 	}
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
-	scan, round := ix.ScanCost(), dpCellPrice*int64(m*(tau+2))
-	var bill int64
+	p, round := ix.pricesThrough(tau), ix.roundPrice(tau)
+	scan, bill := p.scan[tau], p.start
 	for {
 		bill += round
 		if bill > scan {
@@ -241,6 +308,30 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Res
 			}
 		}
 	}
+}
+
+// roundPrice prices one run of the allocation DP at threshold tau.
+func (ix *Index) roundPrice(tau int) int64 {
+	return dpCellPrice * int64(ix.parts.NumParts()*(tau+2))
+}
+
+// allocate is the query path's allocation, shared by gather and by
+// EstimateSearchCost (the price without the search): allocateLoop, entered
+// only where it could say anything but "scan". Its bill opens at start +
+// round and no vector it can propose is priced below floor[τ], so where
+// those three pass the scan's price round one's verdict is known from the
+// index's shape and τ alone and is returned before the query is bound: no
+// projection, no probe, no DP, no counter moved.
+//
+//gph:hotpath
+func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
+	if ix.opts.Allocator != AllocRR {
+		p := ix.pricesThrough(tau)
+		if price := p.start + ix.roundPrice(tau) + p.floor[tau]; price > p.scan[tau] {
+			return alloc.Result{}, price
+		}
+	}
+	return ix.allocateLoop(q, tau, s)
 }
 
 // startRows fits every exact row to thresholds up to tau and makes the

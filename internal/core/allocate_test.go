@@ -18,7 +18,7 @@ import (
 // behind, read before the scratch went back to the pool.
 type lazyAllocation struct {
 	alloc.Result       // Thresholds copied out of the scratch
-	price        int64 // allocate's verdict; above ix.ScanCost() means scan
+	price        int64 // allocate's verdict; above ix.ScanCost(tau) means scan
 	rounds       int
 	scans        int
 	// settled says every cell of Thresholds was exact when allocate
@@ -29,15 +29,17 @@ type lazyAllocation struct {
 	bill int64
 }
 
-// lazyAllocate runs the query path's allocation.
+// lazyAllocate runs the query path's allocation loop, entered whatever
+// the plan floor says of τ (TestFreeVerdictIsTheLoops holds allocate's
+// early exit to it).
 func lazyAllocate(ix *Index, q bitvec.Vector, tau int) lazyAllocation {
 	s := ix.getScratch()
-	res, price := ix.allocate(q, tau, s)
+	res, price := ix.allocateLoop(q, tau, s)
 	got := lazyAllocation{Result: res, price: price, rounds: s.rounds, scans: s.scans, settled: res.Thresholds != nil}
 	for i, e := range res.Thresholds {
 		got.settled = got.settled && ix.cnExact(i, e, s)
 	}
-	if price > ix.ScanCost() && !res.Fallback {
+	if price > ix.ScanCost(tau) && !res.Fallback {
 		got.bill = price - s.planPrice(res.Thresholds, res.SumCN)
 	}
 	got.Thresholds = slices.Clone(res.Thresholds)
@@ -113,8 +115,8 @@ func openModes(t *testing.T, ix *Index) map[string]*Index {
 // an index, and every τ from 0 until the scan guard has taken over.
 func TestLazyAllocateMatchesEager(t *testing.T) {
 	corpora := map[string]*dataset.Dataset{
-		"uqvideo": dataset.UQVideoLike(6000, 11),
-		"sift":    dataset.SIFTLike(6000, 12),
+		"uqvideo": dataset.UQVideoLike(20000, 11),
+		"sift":    dataset.SIFTLike(20000, 12),
 	}
 	for name, ds := range corpora {
 		built := buildSmall(t, ds.Vectors, Options{Seed: 5})
@@ -131,11 +133,11 @@ func TestLazyAllocateMatchesEager(t *testing.T) {
 					if got.scans < len(ix.ests) {
 						lazyRows++
 					}
-					if got.price > ix.ScanCost() {
+					if got.price > ix.ScanCost(tau) {
 						guarded++
 					}
 					if !got.settled {
-						if got.price <= ix.ScanCost() {
+						if got.price <= ix.ScanCost(tau) {
 							t.Fatalf("%s/%s tau=%d query %d: an unsettled plan %+v was let through", name, mode, tau, qi, got)
 						}
 						continue
@@ -189,7 +191,7 @@ func TestEarlyScanAgreesWithSettledPlan(t *testing.T) {
 				got := lazyAllocate(ix, q, tau)
 				want, eagerPrice := eagerAllocate(ix, q, tau)
 				switch {
-				case got.price <= ix.ScanCost():
+				case got.price <= ix.ScanCost(tau):
 					index++
 					if !slices.Equal(got.Thresholds, want.Thresholds) {
 						t.Fatalf("%s tau=%d query %d: ran %v, the eager DP allocates %v", c.name, tau, qi, got.Thresholds, want.Thresholds)
@@ -198,9 +200,9 @@ func TestEarlyScanAgreesWithSettledPlan(t *testing.T) {
 					atSettlement++
 				default:
 					early++
-					if floor := got.bill + eagerPrice; floor <= ix.ScanCost() {
+					if floor := got.bill + eagerPrice; floor <= ix.ScanCost(tau) {
 						t.Errorf("%s tau=%d query %d: scanned in round %d at %d against a scan of %d, but settling on %v would have cost %d + %d = %d",
-							c.name, tau, qi, got.rounds, got.price, ix.ScanCost(), want.Thresholds, got.bill, eagerPrice, floor)
+							c.name, tau, qi, got.rounds, got.price, ix.ScanCost(tau), want.Thresholds, got.bill, eagerPrice, floor)
 					}
 				}
 			}
@@ -214,14 +216,15 @@ func TestEarlyScanAgreesWithSettledPlan(t *testing.T) {
 
 // TestQueryWorkIsBounded: the guard's promise, read off the counters a
 // query reports. Whatever τ asks for, the work the price list covers —
-// DP rounds, the probes and histogram passes that refined CN rows, and
-// then either the plan (signatures probed, keys scanned, postings
-// decoded and verified) or the scan — comes to at most twice the scan's
-// price, on top of the m row starts that precede the first round.
+// binding the query, the probes and histogram passes that started and
+// refined its CN rows, DP rounds, and then either the plan (signatures
+// probed, keys scanned, postings decoded and verified) or the scan —
+// comes to at most twice the scan's price at that τ; a query the plan
+// floor answers is not bound and pays the scan alone.
 func TestQueryWorkIsBounded(t *testing.T) {
 	wideDS, wideIx := wideCorpus()
 	dupDS, dupIx := dupKeyCorpus()
-	uqvideo, sift := dataset.UQVideoLike(6000, 11), dataset.SIFTLike(6000, 12)
+	uqvideo, sift := dataset.UQVideoLike(20000, 11), dataset.SIFTLike(20000, 12)
 	for _, c := range []struct {
 		name string
 		ds   *dataset.Dataset
@@ -233,43 +236,50 @@ func TestQueryWorkIsBounded(t *testing.T) {
 		{"dupkeys", dupDS, dupIx},
 	} {
 		ix := c.ix
-		s := ix.getScratch()
-		ix.bindQuery(c.ds.Vectors[0], s)
-		var starts int64
-		for i := range s.widths {
-			steps, _ := s.genPrice(i, 0)
-			starts += steps
-		}
-		ix.putScratch(s)
-		m, dearest := int64(ix.parts.NumParts()), 0.0
+		m, dearest, free, index := int64(ix.parts.NumParts()), 0.0, 0, 0
 		for _, q := range append(dataset.PerturbQueries(c.ds, 3, 6, 21), c.ds.Vectors[17]) {
 			for tau := 0; tau < ix.dims; tau++ {
 				_, st, err := ix.SearchStats(q, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if st.ScanCost != ix.ScanCost(tau) {
+					t.Fatalf("%s tau=%d: Stats.ScanCost %d, the scan's price at this tau %d", c.name, tau, st.ScanCost, ix.ScanCost(tau))
+				}
 				work := dpCellPrice*m*int64(tau+2)*int64(st.AllocRounds) + scanElemsPerProbe*int64(st.CNProbes) + int64(st.CNKeys)
+				if st.AllocRounds > 0 {
+					work += int64(ix.dims) // the query was bound
+				} else {
+					free++
+				}
 				if st.Scanned {
 					work += st.ScanCost
 				} else {
+					index++
 					work += scanElemsPerProbe*int64(st.Signatures) + int64(st.KeysScanned) + candidatePrice*st.SumPostings
 				}
-				if work > 2*st.ScanCost+starts {
-					t.Fatalf("%s tau=%d: priced work %d against a scan of %d and %d of row starts: %+v", c.name, tau, work, st.ScanCost, starts, *st)
+				if work > 2*st.ScanCost {
+					t.Fatalf("%s tau=%d: priced work %d against a scan of %d: %+v", c.name, tau, work, st.ScanCost, *st)
 				}
-				dearest = max(dearest, float64(work-starts)/float64(st.ScanCost))
+				dearest = max(dearest, float64(work)/float64(st.ScanCost))
 			}
 		}
-		t.Logf("%s: the dearest query cost %.2f scans", c.name, dearest)
+		t.Logf("%s: the dearest query cost %.2f scans; %d ran the index, %d were not bound", c.name, dearest, index, free)
+		// (dupkeys' dense scan is dear enough to leave every τ to the loop.)
+		if index == 0 || (free == 0) != (c.name == "dupkeys") {
+			t.Fatalf("%s: the sweep should cross the plan floor: %d queries ran the index, %d were not bound", c.name, index, free)
+		}
 	}
 }
 
 // TestWholeRowEstimatorsSettleInOneRound: estimators that cannot
 // extend a row radius by radius hand over whole rows, so the lazy loop
 // is the eager DP for them — one round, every row estimated in full,
-// and the same result as the DP over EstimateTable.
+// and the same result as the DP over EstimateTable. (One-word rows: a
+// scan is n/8 steps where the kernel runs, so 8 000 rows it takes for the
+// smaller τ to settle on a plan that runs.)
 func TestWholeRowEstimatorsSettleInOneRound(t *testing.T) {
-	data := testData(t, 3000, 31)
+	data := testData(t, 8000, 31)
 	for _, est := range []EstimatorKind{EstimatorSubPartition, EstimatorForest} {
 		ix := buildSmall(t, data, Options{NumPartitions: 4, Estimator: est, Seed: 2})
 		for _, tau := range []int{0, 3, 7, 12} {
@@ -277,11 +287,14 @@ func TestWholeRowEstimatorsSettleInOneRound(t *testing.T) {
 			if got.rounds != 1 || got.scans != len(ix.ests) || !got.settled {
 				t.Fatalf("%v tau=%d: %d rounds, %d full rows, settled=%v; want 1, %d and true", est, tau, got.rounds, got.scans, got.settled, len(ix.ests))
 			}
+			if tau <= 3 && got.price > ix.ScanCost(tau) {
+				t.Fatalf("%v tau=%d: priced at %d against a scan of %d; the fixture should run the index here", est, tau, got.price, ix.ScanCost(tau))
+			}
 			want, price := eagerAllocate(ix, data[9], tau)
 			if got.Objective != want.Objective || !slices.Equal(got.Thresholds, want.Thresholds) {
 				t.Fatalf("%v tau=%d: lazy %+v, eager %+v", est, tau, got, want)
 			}
-			if got.price <= ix.ScanCost() && got.price != price {
+			if got.price <= ix.ScanCost(tau) && got.price != price {
 				t.Fatalf("%v tau=%d: priced at %d, the eager vector at %d", est, tau, got.price, price)
 			}
 		}
@@ -296,9 +309,9 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random")
 	}
-	ds := dataset.UQVideoLike(6000, 11)
+	ds := dataset.UQVideoLike(20000, 11)
 	ix := buildSmall(t, ds.Vectors, Options{Seed: 5})
-	for _, tau := range []int{4, 12, 40} {
+	for _, tau := range []int{4, 8, 40} {
 		q := ds.Vectors[3]
 		_, st, err := ix.SearchStats(q, tau)
 		if err != nil {
@@ -355,7 +368,7 @@ func TestSearchGrowKeepsRows(t *testing.T) {
 			s, afresh := ix.getScratch(), 0
 			for tau := 1; tau <= gs.FinalTau; tau *= 2 {
 				res, price := ix.allocate(q, tau, s)
-				if want, _ := eagerAllocate(ix, q, tau); price > ix.ScanCost() || !slices.Equal(res.Thresholds, want.Thresholds) {
+				if want, _ := eagerAllocate(ix, q, tau); price > ix.ScanCost(tau) || !slices.Equal(res.Thresholds, want.Thresholds) {
 					t.Fatalf("%s query %d tau=%d: rows kept from smaller radii allocate %v at %d, the eager DP %v", c.name, qi, tau, res.Thresholds, price, want.Thresholds)
 				}
 				histogrammed := 0

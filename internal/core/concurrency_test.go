@@ -124,7 +124,7 @@ func TestSearchBatchPartialFailure(t *testing.T) {
 // populate — signatures probed or keys scanned, whichever it chose —
 // and its time is reported as ProbeNanos.
 func TestSearchStatsFusedProbe(t *testing.T) {
-	data := testData(t, 4000, 25)
+	data := testData(t, 16000, 25)
 	ix := buildSmall(t, data, Options{NumPartitions: 4, Seed: 1})
 	_, st, err := ix.SearchStats(data[3], 4)
 	if err != nil {

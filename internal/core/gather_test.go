@@ -49,11 +49,14 @@ func openShifted(t *testing.T, ix *Index) *Index {
 
 // wideCorpus is a corpus on which an index plan that scans a partition's
 // keys still beats scanning the collection, as priced by allocate: rows
-// of fourteen words make the scan dear, and eight partitions over 881
+// of fourteen words make a dense scan dear (no row kernel: the portable
+// price on every host, from τ = 6 on), and eight partitions over 881
 // skewed dimensions leave seven wider than a word and one narrow, its
-// few hundred keys cheap to pass over.
+// thousand keys cheap to pass over. 12 000 rows, so that the column scan
+// of the smallest radii (1 500 steps) costs more than binding the query
+// and a DP round (≈ 1 100–1 250) and a kNN starts on the index.
 var wideCorpus = sync.OnceValues(func() (*dataset.Dataset, *Index) {
-	ds := dataset.PubChemLike(6000, 11)
+	ds := dataset.PubChemLike(12000, 11)
 	ix, err := Build(ds.Vectors, Options{Seed: 5, NumPartitions: 8, SampleSize: 200, WorkloadSize: 10, MaxTau: 12})
 	if err != nil {
 		panic(err)
@@ -63,16 +66,19 @@ var wideCorpus = sync.OnceValues(func() (*dataset.Dataset, *Index) {
 
 // dupKeyCorpus is the other corpus on which a plan with a key scan in it
 // gets past the scan guard — this one at small radii, on partitions
-// wider than every radius that follows. Rows of four words in four
-// 64-bit partitions (original order, no refinement); 60 prototypes, each
-// row a prototype that shows, in every partition, one of four fixed
-// variants of it a few bits apart. A partition holds 240 distinct keys
-// for 6000 rows, so any ball past the point is dearer to probe than the
-// keys are to pass over, and a row's hundred prototype-mates lie within
-// a few dozen bits of it: a kNN grows through radii 1, 2, 4, 8, 16 on
-// the index, histogramming and scanning keys from radius 4 on.
+// wider than every radius that follows. Rows of three words in three
+// 64-bit partitions (original order, no refinement; three words have no
+// row kernel, so a dense scan is the portable loops' 10 000 steps on
+// every host, and with a row in 60 a near-copy of any other every τ past
+// 2 is dense); 60 prototypes, each row a prototype that shows, in every
+// partition, one of four fixed variants of it a few bits apart. A
+// partition holds 240 distinct keys for 6000 rows, so any ball past the
+// point is dearer to probe than the keys are to pass over, and a row's
+// hundred prototype-mates lie within a few dozen bits of it: a kNN grows
+// through radii 1, 2, 4, 8, 16 on the index, histogramming and scanning
+// keys from radius 4 on.
 var dupKeyCorpus = sync.OnceValues(func() (*dataset.Dataset, *Index) {
-	const prototypes, variants, parts, rows = 60, 4, 4, 6000
+	const prototypes, variants, parts, rows = 60, 4, 3, 6000
 	rng := rand.New(rand.NewSource(7))
 	var keys [prototypes][parts][variants]uint64
 	for p := range keys {
@@ -111,7 +117,8 @@ var dupKeyCorpus = sync.OnceValues(func() (*dataset.Dataset, *Index) {
 // where a plan with a key scan in it gets past the scan guard.
 func TestGatherPathsAgree(t *testing.T) {
 	wideDS, wideIx := wideCorpus()
-	uqvideo, sift := dataset.UQVideoLike(1200, 11), dataset.SIFTLike(1200, 12)
+	// 20 000 rows: the searches at the end must run the index at small τ.
+	uqvideo, sift := dataset.UQVideoLike(20000, 11), dataset.SIFTLike(20000, 12)
 	for _, c := range []struct {
 		name     string
 		ds       *dataset.Dataset

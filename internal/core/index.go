@@ -42,6 +42,10 @@ type Index struct {
 	//gph:scratch
 	scratch sync.Pool
 
+	// The index's plan prices (allocate.go), grown under pricesMu.
+	prices   atomic.Pointer[planPrices]
+	pricesMu sync.Mutex
+
 	// Deferred content validation for borrow-mode loads (an index
 	// opened over a file mapping): Load runs only structural checks and
 	// sets deepPending; the first query runs the arena-reading content

@@ -19,16 +19,18 @@ func (ix *Index) Codes() *verify.Codes { return ix.codes }
 // allocate.go, scan guard included) and returns the verdict the search
 // itself would act on, in key-scan steps — the price of the plan
 // allocation settled on (generation per partition plus candidatePrice a
-// posting), or something above ScanCost when the guard stopped the loop
-// or no vector fits the enumeration budget (alloc.FallbackCost), which
-// prices the index path out of any comparison, as it should: the engine
-// itself would scan. ok=false means no prediction exists (round-robin
+// posting), or something above ScanCost(tau) when the plan floor answered
+// before the query was bound, the guard stopped the loop, or no vector
+// fits the enumeration budget (alloc.FallbackCost), which prices the
+// index path out of any comparison, as it should: the engine itself
+// would scan. ok=false means no prediction exists (round-robin
 // allocator or an out-of-contract query). When the planner then routes
 // to the index path the allocation runs again inside the search — an
 // accepted double cost that keeps the estimate side-effect-free and the
 // planner stateless, and a bounded one: allocation stops once its own
 // work and the plan's price together pass ScanCost, so neither call
-// spends more than a scan on it (DESIGN.md §1, "What a plan costs").
+// spends more than a scan on it, and where the engine's verdict is free
+// so is the estimate (DESIGN.md §1, "What a plan costs").
 //
 //gph:hotpath
 func (ix *Index) EstimateSearchCost(q bitvec.Vector, tau int) (int64, bool) {

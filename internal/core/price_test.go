@@ -1,6 +1,8 @@
 package core
 
 import (
+	"flag"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
+	"gph/internal/verify"
 )
 
 // BenchmarkPlanPrices measures the price list of allocate.go on the
@@ -20,8 +23,11 @@ import (
 //	scanned-key        one key of a partition's arena compared (the unit)
 //	probed-signature   scanElemsPerProbe: one signature of a ball walked and looked up
 //	candidate          candidatePrice: one posting decoded into the candidate set, fetched and verified
-//	scanned-row        ScanCost, per row: verify.Codes.AppendWithin over the arena
+//	scan-sparse        ScanCost(τ)/n where τ leaves few word-0 survivors: AppendWithin reads the column
+//	scan-dense         ScanCost(τ)/n where it does not: AppendWithin reads the rows
+//	scan-…-1M          the same over 10⁶ rows (the corpus tiled 50 times), read from memory
 //	dp-cell            dpCellPrice: alloc.AllocateScratch, per cell of a query's CN table
+//	verdict-free       ns a query: EstimateSearchCost where the plan floor answers (allocate's early exit)
 //
 // probed-signature walks one ball of the widest partition again and
 // again, so the slots it reads stay in cache, which is the setting
@@ -110,13 +116,33 @@ func BenchmarkPlanPrices(b *testing.B) {
 			}
 			report(b, int(s.sumPost)/b.N)
 		})
-		b.Run(c.name+"/scanned-row", func(b *testing.B) {
-			var out []int32
-			for range b.N {
-				out = ix.codes.AppendWithin(queries[0], c.tau, out[:0])
-			}
-			report(b, ix.count)
-		})
+		// Either side of the hand-off the sample predicts (the largest τ at
+		// the sparse price), on the index's arena and on 50 copies of it.
+		dense := 0
+		for ix.ScanCost(dense+1) == ix.ScanCost(0) {
+			dense++
+		}
+		big, err := verify.Wrap(50*ix.count, ix.dims, slices.Repeat(slices.Concat(wordsOf(c.ds.Vectors)...), 50))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, scan := range []struct {
+			name  string
+			codes *verify.Codes
+			tau   int
+		}{
+			{"scan-sparse", ix.codes, dense - 6}, {"scan-dense", ix.codes, dense + 10},
+			{"scan-sparse-1M", big, dense - 6}, {"scan-dense-1M", big, dense + 10},
+		} {
+			b.Run(c.name+"/"+scan.name, func(b *testing.B) {
+				var out []int32
+				for range b.N {
+					out = scan.codes.AppendWithin(queries[0], scan.tau, out[:0])
+				}
+				report(b, scan.codes.Len())
+				b.ReportMetric(float64(scan.codes.ScanSteps(scan.tau))/float64(scan.codes.Len()), "priced-steps/item")
+			})
+		}
 		b.Run(c.name+"/dp-cell", func(b *testing.B) {
 			tables := make([]alloc.Table, len(queries))
 			for i, q := range queries {
@@ -131,6 +157,17 @@ func BenchmarkPlanPrices(b *testing.B) {
 			report(b, len(tables)*len(s.widths)*(c.tau+2))
 		})
 		ix.putScratch(s)
+		b.Run(c.name+"/verdict-free", func(b *testing.B) {
+			tau := freeFrom(ix)
+			for range b.N {
+				for _, q := range queries {
+					if price, ok := ix.EstimateSearchCost(q, tau); !ok || price <= ix.ScanCost(tau) {
+						b.Fatalf("tau=%d: priced at %d, %v", tau, price, ok)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/query")
+		})
 
 		// Where a query's time goes before verification, stage by stage.
 		// Every stage runs behind the stages a query runs before it, so it
@@ -159,7 +196,7 @@ func BenchmarkPlanPrices(b *testing.B) {
 			}},
 			{"generate", func(b *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
 				res, price := ix.allocate(q, c.tau, s)
-				if price > ix.ScanCost() {
+				if price > ix.ScanCost(c.tau) {
 					return -1 // scanned: nothing is generated
 				}
 				t0 := time.Now()
@@ -179,6 +216,74 @@ func BenchmarkPlanPrices(b *testing.B) {
 			})
 		}
 	}
+}
+
+// crossoverN sizes BenchmarkCrossover's corpora; DESIGN.md §1's table is
+// this benchmark at 20 000 and at 100 000 (-args -crossover-n 100000).
+var crossoverN = flag.Int("crossover-n", 20000, "rows of BenchmarkCrossover's corpora")
+
+// BenchmarkCrossover is the sweep DESIGN.md §1 ("Where the crossover
+// lands") tabulates: on the regression benchmark's two corpora, τ across
+// the guard's crossover, what a query costs by Search and by the scan it
+// is weighed against (AppendWithin over the same arena) — the median
+// query's best of b.N passes over 400 perturbed queries, the way
+// benchmark/ keeps a latency — and the share of queries Search scanned.
+// The file runs unchanged in the parent commit's tree, which is how the
+// table's parent column is made:
+//
+//	go test -run '^$' -bench Crossover -benchtime 200x ./internal/core [-args -crossover-n 100000]
+func BenchmarkCrossover(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		taus []int
+	}{
+		{"sift", dataset.SIFTLike(*crossoverN, 1), []int{6, 8, 9, 10, 12, 14, 16, 18, 24}},
+		{"uqvideo", dataset.UQVideoLike(*crossoverN, 1), []int{8, 12, 14, 16, 20, 22, 24, 28, 32, 36}},
+	} {
+		ix, err := Build(c.ds.Vectors, Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries := dataset.PerturbQueries(c.ds, 400, 4, 7)
+		var out []int32
+		for _, tau := range c.taus {
+			b.Run(fmt.Sprintf("%s/τ=%d/search", c.name, tau), func(b *testing.B) {
+				scanned := 0
+				for _, q := range queries {
+					if _, st, err := ix.SearchStats(q, tau); err != nil {
+						b.Fatal(err)
+					} else if st.Scanned {
+						scanned++
+					}
+				}
+				reportStage(b, len(queries), func(i int) time.Duration {
+					t0 := time.Now()
+					if _, err := ix.Search(queries[i], tau); err != nil {
+						b.Fatal(err)
+					}
+					return time.Since(t0)
+				})
+				b.ReportMetric(100*float64(scanned)/float64(len(queries)), "scanned-%")
+			})
+			b.Run(fmt.Sprintf("%s/τ=%d/scan", c.name, tau), func(b *testing.B) {
+				reportStage(b, len(queries), func(i int) time.Duration {
+					t0 := time.Now()
+					out = ix.codes.AppendWithin(queries[i], tau, out[:0])
+					return time.Since(t0)
+				})
+			})
+		}
+	}
+}
+
+// wordsOf returns the word slices of data, row by row.
+func wordsOf(data []bitvec.Vector) [][]uint64 {
+	out := make([][]uint64, len(data))
+	for i, v := range data {
+		out[i] = v.Words()
+	}
+	return out
 }
 
 // reportStage reports what one stage of a query costs, in ns a query, the

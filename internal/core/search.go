@@ -148,6 +148,7 @@ func (ix *Index) getScratch() *searchScratch {
 		s.cand.Seen = make([]uint64, words)
 	}
 	s.sigs, s.keyScans, s.keysScanned, s.sumPost = 0, 0, 0, 0
+	s.rounds, s.scans, s.cnProbes, s.cnKeys = 0, 0, 0, 0
 	return s
 }
 
@@ -293,7 +294,7 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 	if timed {
 		stats.AllocNanos = time.Since(start).Nanoseconds()
 	}
-	stats.PlanCost, stats.ScanCost = price, ix.ScanCost()
+	stats.PlanCost, stats.ScanCost = price, ix.ScanCost(tau)
 	stats.AllocRounds = s.rounds
 	stats.CNScans = s.scans
 	stats.CNProbes = s.cnProbes

@@ -137,10 +137,3 @@ func randVector(rng *rand.Rand, n int) bitvec.Vector {
 	}
 	return v
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

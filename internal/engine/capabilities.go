@@ -32,11 +32,12 @@ type Scannable interface {
 // round-robin allocator, or an out-of-contract tau) and the planner
 // should fall back to its calibrated crossover heuristic. ScanCost is
 // the price, in the same units, the engine puts on a verified scan of
-// its whole collection — what its own scan guard compares a plan with,
-// so an estimate above it says the engine itself would scan.
+// its whole collection at threshold tau — what its own scan guard
+// compares a plan with, so an estimate above it says the engine itself
+// would scan.
 type CostEstimator interface {
 	EstimateSearchCost(q bitvec.Vector, tau int) (cost int64, ok bool)
-	ScanCost() int64
+	ScanCost(tau int) int64
 }
 
 // GrowStats accounts one progressive-radius kNN query: how many radius

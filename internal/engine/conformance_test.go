@@ -14,6 +14,7 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
 	"gph/internal/engine"
+	"gph/internal/engine/enginetest"
 	"gph/internal/linscan"
 
 	// Register every engine implementation with the registry.
@@ -31,10 +32,13 @@ const (
 
 // confData builds the shared conformance fixture: a small synthetic
 // collection, a query set with planted near-duplicates, and the
-// linscan oracle.
+// linscan oracle. 6 000 rows, so that gph, which scans whatever a scan
+// answers sooner, runs its index at the smallest thresholds (one-word
+// rows: a scan is 750 key-scan steps where the kernel runs, 6 000 where
+// it does not; TestConformanceRangeSearch says which τ take which route).
 func confData(t *testing.T) ([]bitvec.Vector, []bitvec.Vector, *linscan.Scanner) {
 	t.Helper()
-	ds := dataset.Synthetic(300, confDims, 0.3, confSeed)
+	ds := dataset.Synthetic(6000, confDims, 0.3, confSeed)
 	queries := dataset.PerturbQueries(ds, 8, 3, confSeed+1)
 	// Exact-duplicate queries exercise tau=0 with non-empty results.
 	queries = append(queries, ds.Vectors[0], ds.Vectors[17])
@@ -97,6 +101,13 @@ func TestConformanceRangeSearch(t *testing.T) {
 			if e.Len() != len(data) || e.Dims() != confDims {
 				t.Fatalf("metadata: Len=%d Dims=%d, want %d/%d", e.Len(), e.Dims(), len(data), confDims)
 			}
+			if name == "gph" {
+				// The sweep below crosses gph's guard: index plans at the
+				// smallest τ, the scan from τ = 3 or 8 (by the scan's price on
+				// this host) on.
+				enginetest.OnIndex(t, e, queries[0], 0)
+				enginetest.OnIndex(t, e, queries[0], 1)
+			}
 			for _, q := range queries {
 				for _, tau := range taus {
 					want, err := oracle.Search(q, tau)
@@ -131,6 +142,9 @@ func TestConformanceSingleVector(t *testing.T) {
 	for _, name := range exactEngines() {
 		t.Run(name, func(t *testing.T) {
 			e := confBuild(t, name, single)
+			if name == "gph" {
+				enginetest.FreeScan(t, e, single[0], 0) // one row costs less than binding a query
+			}
 			got, err := e.Search(single[0], 0)
 			if err != nil || !slices.Equal(got, []int32{0}) {
 				t.Fatalf("self search: %v, %v", got, err)

@@ -46,7 +46,8 @@ type Stats struct {
 	// partition's distinct projections, or a whole-row estimator) rather
 	// than by posting-length probes, how many such probes there were, and
 	// how many keys those scans passed over. One round, one probe a
-	// partition and no scans is the cheap case.
+	// partition and no scans is the cheap case; all four zero with Scanned
+	// is the free verdict: the index's shape and τ alone said "scan".
 	AllocRounds int
 	CNScans     int
 	CNProbes    int
@@ -54,8 +55,8 @@ type Stats struct {
 	// PlanCost and ScanCost are the two prices GPH's scan guard compared,
 	// in key-scan steps: the index plan's (when Scanned, what the guard
 	// saw as it tripped, allocation's own work so far included) and a
-	// verified scan's of the whole collection. Scanned says the latter
-	// was lower and the query was answered that way.
+	// verified scan's of the whole collection at the query's τ. Scanned
+	// says the latter was lower and the query was answered that way.
 	PlanCost int64
 	ScanCost int64
 	Scanned  bool

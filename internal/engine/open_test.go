@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"gph/internal/engine"
+	"gph/internal/engine/enginetest"
 )
 
 // saveEngineFile builds the named engine over the conformance fixture
@@ -61,6 +62,12 @@ func TestOpenDifferential(t *testing.T) {
 			if mapped.Dims() != heap.Dims() || mapped.Len() != heap.Len() {
 				t.Fatalf("metadata: mmap %d×%d != heap %d×%d",
 					mapped.Len(), mapped.Dims(), heap.Len(), heap.Dims())
+			}
+			if info.Name == "gph" {
+				// The mapped index's own route: posting arenas read through
+				// the mapping, not the row arena alone.
+				enginetest.OnIndex(t, mapped, queries[0], 0)
+				enginetest.OnIndex(t, mapped, queries[0], 1)
 			}
 			maxTau := mapped.MaxTau()
 			for _, tau := range taus {

@@ -9,6 +9,7 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/core"
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 	"gph/internal/hmsearch"
 	"gph/internal/linscan"
 	"gph/internal/lsh"
@@ -42,12 +43,16 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		taus []int
 		m    int
 	}
+	// Sized so that gph answers each generator's smallest τ by its index
+	// (asserted below) and its largest by scan, whichever price the host's
+	// scan has; PubChem-like's 14-word rows have no row kernel, and from
+	// τ = 8 (a dense scan) 1 000 of them are dear enough on every host.
 	gens := []gen{
-		{"sift", dataset.SIFTLike(1500, 1), []int{2, 6, 10}, 4},
-		{"gist", dataset.GISTLike(1500, 2), []int{4, 10, 16}, 6},
-		{"pubchem", dataset.PubChemLike(1000, 3), []int{4, 12, 20}, 12},
-		{"fasttext", dataset.FastTextLike(1500, 4), []int{2, 6, 10}, 4},
-		{"uqvideo", dataset.UQVideoLike(1500, 5), []int{4, 12, 20}, 6},
+		{"sift", dataset.SIFTLike(4000, 1), []int{2, 6, 10}, 4},
+		{"gist", dataset.GISTLike(5000, 2), []int{2, 10, 16}, 6},
+		{"pubchem", dataset.PubChemLike(1000, 3), []int{8, 12, 20}, 12},
+		{"fasttext", dataset.FastTextLike(4000, 4), []int{2, 6, 10}, 4},
+		{"uqvideo", dataset.UQVideoLike(8000, 5), []int{2, 12, 20}, 6},
 	}
 	for _, g := range gens {
 		g := g
@@ -58,17 +63,26 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gphIx, err := core.Build(data, core.Options{
+			gphOpts := core.Options{
 				NumPartitions: g.m, MaxTau: g.taus[len(g.taus)-1],
 				Seed: 1, SampleSize: 300, WorkloadSize: 12,
-			})
+			}
+			gphIx, err := core.Build(data, gphOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The other end of gph's guard: a hundred rows cost less to scan
+			// than a query costs to bind, on any host.
+			tiny, err := core.Build(data[:100], gphOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enginetest.FreeScan(t, tiny, queries[0], g.taus[0])
 			mihIx, err := mih.Build(data, mih.Options{NumPartitions: g.m})
 			if err != nil {
 				t.Fatal(err)
 			}
+			enginetest.OnIndex(t, gphIx, queries[0], g.taus[0])
 			for _, tau := range g.taus {
 				hm, err := hmsearch.Build(data, tau, hmsearch.Options{})
 				if err != nil {
@@ -132,7 +146,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 // claim at test scale: on highly skewed data GPH generates
 // substantially fewer candidates than MIH with the same m.
 func TestGPHBeatsBasicPigeonholeOnSkew(t *testing.T) {
-	ds := dataset.PubChemLike(2000, 7)
+	ds := dataset.PubChemLike(4000, 7)
 	queries := dataset.PerturbQueries(ds, 10, 4, 8)
 	gphIx, err := core.Build(ds.Vectors, core.Options{
 		NumPartitions: 12, MaxTau: 16, Seed: 1, SampleSize: 300, WorkloadSize: 12,
@@ -145,8 +159,10 @@ func TestGPHBeatsBasicPigeonholeOnSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gphCand, mihCand int
-	tau := 12
+	tau := 10
 	for _, q := range queries {
+		// A scanned query's candidates are the collection: no comparison.
+		enginetest.OnIndex(t, gphIx, q, tau)
 		_, gs, err := gphIx.SearchStats(q, tau)
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +184,7 @@ func TestGPHBeatsBasicPigeonholeOnSkew(t *testing.T) {
 // TestParallelBatchUnderRace exercises concurrent searches (run with
 // -race in CI) across all index types that support shared reads.
 func TestParallelBatchUnderRace(t *testing.T) {
-	ds := dataset.UQVideoLike(6000, 9)
+	ds := dataset.UQVideoLike(10000, 9)
 	ix, err := core.Build(ds.Vectors, core.Options{
 		NumPartitions: 6, MaxTau: 16, Seed: 1, SampleSize: 200, WorkloadSize: 8,
 	})
@@ -179,7 +195,8 @@ func TestParallelBatchUnderRace(t *testing.T) {
 	for i := range queries {
 		queries[i] = ds.Vectors[i*7]
 	}
-	res, err := ix.SearchBatch(queries, 8, 4)
+	enginetest.OnIndex(t, ix, queries[0], 4)
+	res, err := ix.SearchBatch(queries, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,13 +152,6 @@ func (p *Planner) Route(e engine.Engine, q bitvec.Vector, tau int) Route {
 	if ce, ok := e.(engine.CostEstimator); ok {
 		scanNanos := float64(e.Len()) * math.Float64frombits(p.scanNanosPerRowBits.Load())
 		estNanos := math.Float64frombits(p.estimateNanosBits.Load())
-		// Prediction itself runs the allocation DP. When the whole scan
-		// is cheaper than predicting, the decision is already made —
-		// at small n the DP dominates both paths, and consulting it per
-		// query is exactly the overhead the planner exists to avoid.
-		if scanNanos <= estNanos {
-			return p.scanIfAble(e)
-		}
 		if cost, ok := ce.EstimateSearchCost(q, tau); ok {
 			// The index route re-runs the DP inside the search, so its
 			// predicted time carries the estimation cost as an intercept.
@@ -246,8 +239,7 @@ func (p *Planner) Calibrate(e engine.Engine) {
 	if ce, ok := e.(engine.CostEstimator); ok {
 		// The estimation intercept: what one EstimateSearchCost call (the
 		// allocation DP) costs. Route charges it to the index path — the
-		// search re-runs the DP — and skips prediction entirely when the
-		// scan undercuts it.
+		// search re-runs the DP.
 		var estSamples []float64
 		for _, q := range qs {
 			t0 := time.Now()
@@ -277,7 +269,7 @@ func (p *Planner) Calibrate(e engine.Engine) {
 				ratios = append(ratios, net/float64(cost))
 			}
 		}
-		unit := scanPerRow * float64(n) / float64(ce.ScanCost())
+		unit := scanPerRow * float64(n) / float64(ce.ScanCost(tau))
 		if len(ratios) > 0 {
 			sort.Float64s(ratios)
 			unit = ratios[len(ratios)/2]

@@ -10,7 +10,17 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/core"
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 )
+
+// indexOpts is testOpts with the sharded planner off, for tests that say
+// which route a shard's engine takes (enginetest.OnIndex): the adaptive
+// planner routes by a clock, gph's own guard by prices.
+func indexOpts() core.Options {
+	o := testOpts()
+	o.PlanMode = "off"
+	return o
+}
 
 // testOpts keeps per-shard builds fast: small partitioning sample and
 // surrogate workload, modest MaxTau.
@@ -66,16 +76,23 @@ func equalIDs(a, b []int32) bool {
 // the same data, a sharded search returns exactly the id set a single
 // core index returns, at every threshold, and kNN agrees too.
 func TestSearchEquivalence(t *testing.T) {
-	ds := dataset.UQVideoLike(1500, 7)
+	// 4 000 rows a shard: a shard's scan (500 key-scan steps by the kernel's
+	// price) is dearer than an index plan at τ ≤ 2, so both sides of the
+	// comparison merge index results there and scans past it.
+	ds := dataset.UQVideoLike(16000, 7)
 	single, err := core.Build(ds.Vectors, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Build(ds.Vectors, 4, testOpts())
+	sharded, err := Build(ds.Vectors, 4, indexOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := dataset.PerturbQueries(ds, 10, 4, 99)
+	for _, tau := range []int{0, 2} {
+		enginetest.OnIndex(t, single, queries[0], tau)
+		enginetest.OnIndex(t, sharded, queries[0], tau)
+	}
 	for _, tau := range []int{0, 2, 6, 12} {
 		for qi, q := range queries {
 			want, err := single.Search(q, tau)
@@ -118,11 +135,14 @@ func TestSearchEquivalence(t *testing.T) {
 // stage — the delta buffer and tombstones must be invisible to
 // callers.
 func TestUpdateEquivalence(t *testing.T) {
-	ds := dataset.SIFTLike(600, 3)
-	sharded, err := Build(ds.Vectors, 3, testOpts())
+	// 3 000 rows a shard, so that tombstones are filtered out of index
+	// results (τ = 1) as well as out of scans (τ = 8).
+	ds := dataset.SIFTLike(9000, 3)
+	sharded, err := Build(ds.Vectors, 3, indexOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	enginetest.OnIndex(t, sharded, ds.Vectors[0], 1)
 	live := map[int32]bitvec.Vector{}
 	for id, v := range ds.Vectors {
 		live[int32(id)] = v
@@ -136,7 +156,7 @@ func TestUpdateEquivalence(t *testing.T) {
 		if sharded.Len() != len(live) {
 			t.Fatalf("%s: Len %d, want %d", stage, sharded.Len(), len(live))
 		}
-		for _, tau := range []int{3, 8} {
+		for _, tau := range []int{1, 3, 8} {
 			for qi, q := range queries {
 				want := bruteRange(live, q, tau)
 				got, err := sharded.Search(q, tau)
@@ -288,6 +308,8 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := ds.Vectors[:12]
+	// 267 rows a shard cost less to scan than a DP round: no shard binds.
+	enginetest.FreeScan(t, s, queries[0], 12)
 	batch, err := s.SearchBatch(queries, 6, 0)
 	if err != nil {
 		t.Fatal(err)

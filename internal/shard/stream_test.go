@@ -8,6 +8,7 @@ import (
 	"gph/internal/core"
 	"gph/internal/dataset"
 	"gph/internal/engine"
+	"gph/internal/engine/enginetest"
 )
 
 // drainStream collects a sharded stream, failing on any error.
@@ -30,12 +31,15 @@ func drainStream(t *testing.T, s *Index, q bitvec.Vector, tau int) ([]int32, []i
 // tombstones, and after compaction — the streamed id sequence must
 // equal Search exactly at every stage, with true distances.
 func TestStreamMatchesSearch(t *testing.T) {
-	ds := dataset.SIFTLike(600, 3)
-	s, err := Build(ds.Vectors, 4, testOpts())
+	// 3 000 rows a shard: the merge is fed by streams of verified index
+	// candidates at τ ≤ 2 and by streamed scans past it.
+	ds := dataset.SIFTLike(12000, 3)
+	s, err := Build(ds.Vectors, 4, indexOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := dataset.PerturbQueries(ds, 6, 3, 55)
+	enginetest.OnIndex(t, s, queries[0], 2)
 	live := map[int32]bitvec.Vector{}
 	for id, v := range ds.Vectors {
 		live[int32(id)] = v

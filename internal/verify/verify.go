@@ -65,6 +65,21 @@ const (
 	backoffChunks = 8
 )
 
+// What a scan costs in internal/core's unit, the key-scan step (1.10–1.25
+// ns): bytes read over bytes a step moves, by BenchmarkScanKernels' lines.
+const (
+	// "w=2/τ=sparse/column" reads 8 B a row in 0.12–0.14 ns, "τ=dense/row"
+	// 16 B in 0.25–0.28 (w = 2) and 32 B in 0.55–0.58 (w = 4).
+	stepBytesCached = 64
+	// "column-8MB": 330–360 µs over n = 10⁶ (16 MB row arenas read alike).
+	stepBytesMemory = 27
+	// cachedBytes: a scan that reads more finds its bytes gone from L2.
+	cachedBytes = 1 << 20
+
+	// sparseThrough samples sampleQueries × sampleRows row pairs.
+	sampleQueries, sampleRows = 64, 256
+)
+
 // Codes is an immutable packed copy of a vector collection: all
 // vectors' words in one contiguous arena, row-major, so batch
 // verification streams through memory instead of chasing one slice
@@ -82,6 +97,10 @@ type Codes struct {
 	sketch      []uint64
 	sketchReady atomic.Bool
 	sketchMu    sync.Mutex
+
+	// sparse is sparseThrough's answer plus 2, 0 until the first call: a
+	// pure function of the arena, so racing first callers store one value.
+	sparse atomic.Int32
 }
 
 // Pack copies data into a fresh arena. All vectors must share one
@@ -228,6 +247,67 @@ func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32)
 		return dst
 	}
 	return c.scanRows(q.Words(), tau, lo, hi, dst)
+}
+
+// ScanSteps prices AppendWithin at threshold tau in key-scan steps, by
+// the path AppendWithinRange will take.
+func (c *Codes) ScanSteps(tau int) int64 {
+	through := -1
+	if kernelMissing == "" && c.w >= 2 {
+		through = c.sparseThrough()
+	}
+	return scanSteps(c.n, c.w, tau, through, kernelMissing == "")
+}
+
+// scanSteps is ScanSteps as a pure function of n rows of w words that
+// scanColumn keeps to the column through threshold through: with the
+// kernels a one-word or sparse scan reads 8 B a row and a dense one 8w B
+// where a row kernel exists; every other scan is scanPortable's, (2 + w)/3
+// steps a row (0.79 / 1.7 / 2.4 / 6 ns at w = 1 / 2 / 4 / 14).
+func scanSteps(n, w, tau, through int, kernel bool) int64 {
+	sparse := w == 1 || tau <= through
+	if !kernel || (!sparse && w != 2 && w != 4) {
+		return int64(n) * int64(2+w) / 3
+	}
+	read := int64(n) * 8
+	if !sparse {
+		read *= int64(w)
+	}
+	if read > cachedBytes {
+		return read / stepBytesMemory
+	}
+	return read / stepBytesCached
+}
+
+// sparseThrough returns the largest tau at which a scan of c is sparse by
+// scanColumn's own rule — at most one row in denseOneIn survives word 0 —
+// or −1, read off the word-0 distances of a fixed strided sample of row
+// pairs (stored rows are where queries come from). No clock is read: an
+// index routes a query the same way in every run.
+func (c *Codes) sparseThrough() int {
+	if v := c.sparse.Load(); v != 0 {
+		return int(v) - 2
+	}
+	var hist [bitvec.WordBits + 1]int
+	pairs := 0
+	qStep, rStep := (c.n+sampleQueries-1)/sampleQueries, (c.n+sampleRows-1)/sampleRows
+	for a := 0; a < c.n; a += qStep {
+		for b := rStep / 2; b < c.n; b += rStep {
+			if a != b {
+				hist[bits.OnesCount64(c.words[a*c.w]^c.words[b*c.w])]++
+				pairs++
+			}
+		}
+	}
+	through, within := -1, 0
+	for d := 0; d < bitvec.WordBits; d++ {
+		if within += hist[d]; within*denseOneIn > pairs {
+			break
+		}
+		through = d
+	}
+	c.sparse.Store(int32(through) + 2)
+	return through
 }
 
 // scanRows answers rows [lo, hi) on the row-major arena alone: the row

@@ -63,14 +63,15 @@ func TestWithinBitsWritesGroupsBytes(t *testing.T) {
 // w = 1 primitive over a 20 000-row word-0 column (160 KB), four groups
 // an iteration (withinBits1) against one (withinBits1x1, its remainder
 // loop and what every scan ran before the column made it the inner
-// loop), a chunk a call as the driver issues them.
+// loop), a chunk a call as the driver issues them; and over the column of
+// 10⁶ rows ("column-8MB"), which no cache holds between passes — the two
+// rates a scan is priced at (stepBytesCached, stepBytesMemory).
 func BenchmarkScanKernelsColumn(b *testing.B) {
 	if kernelMissing != "" {
 		b.Skipf("kernel NOT exercised: this host lacks %s", kernelMissing)
 	}
-	const n = 20000
 	rng := rand.New(rand.NewSource(59))
-	column := make([]uint64, n)
+	column := make([]uint64, 1000000)
 	for i := range column {
 		column[i] = rng.Uint64()
 	}
@@ -78,15 +79,16 @@ func BenchmarkScanKernelsColumn(b *testing.B) {
 	var hits [chunkRows / 64]uint64
 	for _, k := range []struct {
 		name   string
+		n      int
 		kernel func(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
-	}{{"unrolled-x4", withinBits1}, {"single-group", withinBits1x1}} {
+	}{{"unrolled-x4", 20000, withinBits1}, {"single-group", 20000, withinBits1x1}, {"column-8MB", len(column), withinBits1}} {
 		b.Run(k.name, func(b *testing.B) {
 			for b.Loop() {
-				for lo := 0; lo < n; lo += chunkRows {
-					k.kernel(&column[lo], min(n-lo, chunkRows)/8, &q, 16, &hits[0])
+				for lo := 0; lo < k.n; lo += chunkRows {
+					k.kernel(&column[lo], min(k.n-lo, chunkRows)/8, &q, 16, &hits[0])
 				}
 			}
-			reportScan(b, n, 8)
+			reportScan(b, k.n, 8)
 		})
 	}
 }
