@@ -55,11 +55,11 @@
 // no acknowledged write. -snapshot PATH bounds the log: POST /save
 // (and graceful shutdown) atomically checkpoints the index there and
 // truncates the WAL. -plan selects the per-query planner policy
-// (adaptive by default: each query routes between the built index and
-// a verified linear scan on calibrated cost) and -cache-size bounds
-// the result cache that answers repeated queries without
-// re-searching; planner decisions and cache counters surface in
-// /stats and /metrics. The server carries read/write timeouts, caps
+// (adaptive by default: gph and linscan decide scan-or-index themselves,
+// mih and hmsearch are scanned from a calibrated crossover tau) and
+// -cache-size bounds the result cache that answers repeated queries
+// without re-searching; planner decisions and cache counters surface
+// in /stats and /metrics. The server carries read/write timeouts, caps
 // POST batch sizes (-max-batch, oversize → 413), and shuts down
 // gracefully on SIGINT or SIGTERM, draining in-flight requests,
 // checkpointing and syncing the WAL.

@@ -154,7 +154,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE gph_plan_routed_total counter\n")
 		fmt.Fprintf(w, "gph_plan_routed_total{route=\"index\"} %d\n", ps.RoutedIndex)
 		fmt.Fprintf(w, "gph_plan_routed_total{route=\"scan\"} %d\n", ps.RoutedScan)
-		fmt.Fprintf(w, "# HELP gph_plan_calibrated Whether the planner's cost coefficients are calibrated.\n")
+		fmt.Fprintf(w, "# HELP gph_plan_calibrated Whether the planner has examined the serving engine (measured a crossover tau, or found it decides for itself).\n")
 		fmt.Fprintf(w, "# TYPE gph_plan_calibrated gauge\n")
 		fmt.Fprintf(w, "gph_plan_calibrated %d\n", boolGauge(ps.Calibrated))
 		fmt.Fprintf(w, "# HELP gph_cache_hits_total Result-cache hits.\n")

@@ -40,8 +40,7 @@ const (
 // scan, as verify.Codes prices the path AppendWithin will take: the bytes
 // read — the word-0 column where tau leaves few survivors, the rows where
 // it does not — over the bytes a step moves. It is what allocate weighs
-// every plan against, and, as engine.CostEstimator's other half, what a
-// planner can hold EstimateSearchCost's answer to.
+// every plan against.
 func (ix *Index) ScanCost(tau int) int64 { return ix.pricesThrough(tau).scan[tau] }
 
 // planPrices is what an index's shape — widths, key counts, n — says of
@@ -315,9 +314,8 @@ func (ix *Index) roundPrice(tau int) int64 {
 	return dpCellPrice * int64(ix.parts.NumParts()*(tau+2))
 }
 
-// allocate is the query path's allocation, shared by gather and by
-// EstimateSearchCost (the price without the search): allocateLoop, entered
-// only where it could say anything but "scan". Its bill opens at start +
+// allocate is the query path's allocation: allocateLoop, entered only
+// where it could say anything but "scan". Its bill opens at start +
 // round and no vector it can propose is priced below floor[τ], so where
 // those three pass the scan's price round one's verdict is known from the
 // index's shape and τ alone and is returned before the query is bound: no

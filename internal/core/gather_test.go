@@ -298,7 +298,6 @@ func TestScratchComesBackClean(t *testing.T) {
 			}
 			return err
 		}},
-		{"EstimateSearchCost", func() error { ix.EstimateSearchCost(q, 8); return nil }},
 		{"generate failing on its budget", func() error {
 			// The first partition is probed at its point — the stored
 			// vector's own bucket — then the first later one whose radius-1

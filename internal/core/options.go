@@ -173,7 +173,10 @@ type Options struct {
 	AutoCompactDelta int
 	// PlanMode selects the sharded layer's query-planner policy:
 	// "adaptive" (default, also the empty string), "index", "scan", or
-	// "off". Runtime-only — ignored by a single immutable Index and
+	// "off". "adaptive" leaves gph and linscan, which decide
+	// scan-or-index themselves, alone, and answers mih and hmsearch by a
+	// verified scan from a crossover tau measured at build, load and
+	// compaction. Runtime-only — ignored by a single immutable Index and
 	// not persisted in saved containers.
 	PlanMode string
 	// CacheBytes bounds the sharded layer's query-result cache; 0 (the

@@ -27,7 +27,7 @@ import (
 //	scan-dense         ScanCost(τ)/n where it does not: AppendWithin reads the rows
 //	scan-…-1M          the same over 10⁶ rows (the corpus tiled 50 times), read from memory
 //	dp-cell            dpCellPrice: alloc.AllocateScratch, per cell of a query's CN table
-//	verdict-free       ns a query: EstimateSearchCost where the plan floor answers (allocate's early exit)
+//	verdict-free       ns a query: allocate over a pooled scratch where the plan floor answers (its early exit)
 //
 // probed-signature walks one ball of the widest partition again and
 // again, so the slots it reads stay in cache, which is the setting
@@ -161,8 +161,11 @@ func BenchmarkPlanPrices(b *testing.B) {
 			tau := freeFrom(ix)
 			for range b.N {
 				for _, q := range queries {
-					if price, ok := ix.EstimateSearchCost(q, tau); !ok || price <= ix.ScanCost(tau) {
-						b.Fatalf("tau=%d: priced at %d, %v", tau, price, ok)
+					s := ix.getScratch()
+					_, price := ix.allocate(q, tau, s)
+					ix.putScratch(s)
+					if price <= ix.ScanCost(tau) {
+						b.Fatalf("tau=%d: priced at %d", tau, price)
 					}
 				}
 			}

@@ -17,10 +17,7 @@ import (
 // failure, never a fault, because Load's structural checks already
 // proved every access in-bounds.
 //
-// Every public query entry point calls this. EstimateSearchCost is
-// the one deliberate exception (it is a hot-path cost probe with no
-// error return): before the first search it reports "no prediction"
-// rather than trigger or race the validation pass.
+// Every public query entry point calls this.
 func (ix *Index) ensureValidated() error {
 	if !ix.deepPending {
 		return nil

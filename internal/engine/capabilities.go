@@ -6,38 +6,21 @@ import (
 )
 
 // This file defines the optional capability interfaces the query
-// planner (internal/plan) discovers by type assertion. They live here
-// — not in internal/plan — for the same reason Streamer does: engine
-// may import only substrate packages, and every implementation already
-// imports engine for the core contract, so capabilities advertised
-// here introduce no new edges in the package graph.
+// planner (internal/plan) and GrowKNN discover by type assertion. They
+// live here — not in internal/plan — for the same reason Streamer does:
+// engine may import only substrate packages, and every implementation
+// already imports engine for the core contract, so capabilities
+// advertised here introduce no new edges in the package graph.
 
 // Scannable is implemented by engines whose vectors live in a packed
-// verification arena (verify.Codes). The planner's linear-scan route
-// answers range and kNN queries straight off the arena, bypassing the
-// engine's own candidate generation — the always-available fallback
-// path that genuinely wins at high tau and small collections.
+// verification arena (verify.Codes). The planner's scan route answers a
+// range query straight off the arena, bypassing the engine's own
+// candidate generation.
 type Scannable interface {
 	// Codes returns the packed arena over the engine's vectors, row id
 	// == engine id. The arena is shared storage and must not be
 	// modified.
 	Codes() *verify.Codes
-}
-
-// CostEstimator is implemented by engines that can predict a query's
-// execution cost before running it, in units of their own choosing.
-// GPH implements it with the threshold-allocation DP over candest
-// estimates and prices the plan the DP settles on in key-scan steps.
-// ok=false means the engine has no prediction for this query (e.g. the
-// round-robin allocator, or an out-of-contract tau) and the planner
-// should fall back to its calibrated crossover heuristic. ScanCost is
-// the price, in the same units, the engine puts on a verified scan of
-// its whole collection at threshold tau — what its own scan guard
-// compares a plan with, so an estimate above it says the engine itself
-// would scan.
-type CostEstimator interface {
-	EstimateSearchCost(q bitvec.Vector, tau int) (cost int64, ok bool)
-	ScanCost(tau int) int64
 }
 
 // GrowStats accounts one progressive-radius kNN query: how many radius

@@ -73,7 +73,7 @@ type OpenedEngine interface {
 // returns, exactly as Load always has.
 //
 // The guard forwards the Engine contract plus streaming, not the
-// planner-facing capabilities (Scannable, CostEstimator, GrowSearcher):
+// planner-facing capabilities (Scannable, GrowSearcher):
 // the planner is only ever handed the raw engines inside the shard
 // layer's states, under that layer's own mapping bracket, and a packed
 // arena read outside any Acquire/Release bracket would race Close.

@@ -176,9 +176,10 @@ func Load(r io.Reader) (*Scanner, error) {
 
 func init() {
 	engine.Register(engine.Registration{
-		Name:  EngineName,
-		Exact: true,
-		Magic: scannerMagic,
+		Name:         EngineName,
+		Exact:        true,
+		SelfDeciding: true, // its index path is the scan
+		Magic:        scannerMagic,
 		Build: func(data []bitvec.Vector, _ engine.BuildOptions) (engine.Engine, error) {
 			return New(data)
 		},

@@ -1,9 +1,16 @@
 package plan
 
 import (
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"gph/internal/bitvec"
+	"gph/internal/dataset"
+	"gph/internal/engine"
+	"gph/internal/mih"
+	"gph/internal/verify"
 )
 
 func TestHashWords(t *testing.T) {
@@ -132,5 +139,74 @@ func TestCacheConcurrent(t *testing.T) {
 	st := c.Stats()
 	if st.Bytes < 0 || st.Entries < 0 {
 		t.Fatalf("accounting went negative: %+v", st)
+	}
+}
+
+// selfDeciding is a registered SelfDeciding engine with nothing behind
+// it: the Engine methods not defined below — Search*, Vector, SizeBytes,
+// Save — are the nil embedded interface's and panic when called, and so
+// does Codes.
+type selfDeciding struct{ engine.Engine }
+
+func (selfDeciding) Name() string         { return "plantest-self" }
+func (selfDeciding) Exact() bool          { return true }
+func (selfDeciding) Len() int             { return 1000 }
+func (selfDeciding) Dims() int            { return 64 }
+func (selfDeciding) MaxTau() int          { return 64 }
+func (selfDeciding) Codes() *verify.Codes { panic("the planner read a self-deciding engine's arena") }
+
+func init() {
+	engine.Register(engine.Registration{
+		Name:         selfDeciding{}.Name(),
+		Exact:        true,
+		SelfDeciding: true,
+		Magic:        "PLANTST1",
+		Load:         func(io.Reader) (engine.Engine, error) { return selfDeciding{}, nil },
+	})
+}
+
+// TestRouteNeverCallsTheEngine: an engine that decides scan-or-index
+// itself is neither timed by Calibrate nor asked anything by Route — the
+// adaptive answer is RouteIndex from one atomic load, with no allocation.
+func TestRouteNeverCallsTheEngine(t *testing.T) {
+	var e engine.Engine = selfDeciding{}
+	q := bitvec.New(e.Dims())
+	p := NewPlanner(ModeAdaptive)
+	p.Calibrate(e)
+	tau := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if p.Route(e, q, tau%e.Dims()) != RouteIndex {
+			t.Fatal("a self-deciding engine was routed to the planner's scan")
+		}
+		tau++
+	})
+	st := p.Stats()
+	if allocs != 0 || !st.Calibrated || st.RoutedScan != 0 || st.RoutedIndex < 1000 || st.ScanNanosPerRow != 0 || st.CrossoverTau != 0 {
+		t.Fatalf("%v allocs a Route, stats %+v", allocs, st)
+	}
+}
+
+// TestCalibrateIsRepeatable: the crossover probe reads each side warm and
+// at its fastest, so fresh planners over one engine agree. MIH over
+// sift-like data loses to the scan at the first probed radius by an order
+// of magnitude (mih.p50_us against linscan.p50_us on benchmark/'s
+// lib_wide, the same shape).
+func TestCalibrateIsRepeatable(t *testing.T) {
+	ds := dataset.SIFTLike(20000, 1)
+	e, err := engine.Build(mih.EngineName, ds.Vectors, engine.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first Stats
+	for i := range 5 {
+		p := NewPlanner(ModeAdaptive)
+		p.Calibrate(e)
+		st := p.Stats()
+		if i == 0 {
+			first = st
+		}
+		if !st.Calibrated || st.CrossoverTau <= 0 || st.CrossoverTau != first.CrossoverTau || st.ScanNanosPerRow <= 0 {
+			t.Fatalf("planner %d: %+v, the first planner's %+v", i, st, first)
+		}
 	}
 }

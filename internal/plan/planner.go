@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -15,11 +14,11 @@ import (
 type Mode uint8
 
 const (
-	// ModeAdaptive routes per query using calibrated cost coefficients
-	// (the default).
+	// ModeAdaptive (the default) leaves an engine that decides
+	// scan-or-index itself alone and routes the others by a calibrated
+	// crossover radius.
 	ModeAdaptive Mode = iota
-	// ModeIndex always takes the built index path (planner disabled at
-	// the routing level, counters still run).
+	// ModeIndex always takes the built index path.
 	ModeIndex
 	// ModeScan always takes the linear-scan path when the engine
 	// exposes one (debugging and calibration baseline).
@@ -68,21 +67,18 @@ const (
 	RouteScan
 )
 
-// Planner routes queries between the index path and the scan path.
-// Decisions read only atomics, so Route is safe on the lock-free
-// search hot path; the coefficients behind them come from Calibrate,
-// which runs off the hot path (at build, configure, and compact time).
-// A nil *Planner is a disabled planner: Route always answers
-// RouteIndex.
+// Planner routes queries of an engine that has no cost guard of its own
+// (MIH, HmSearch) to a verified scan of its arena from the crossover
+// radius Calibrate measured; an engine registered as SelfDeciding (GPH,
+// linscan) always gets RouteIndex. Route reads only atomics, so it is
+// safe on the lock-free search hot path; Calibrate runs off it (at
+// build, configure, load and compact time). A nil *Planner is a disabled
+// planner: Route always answers RouteIndex.
 type Planner struct {
-	mode       Mode
-	calibrated atomic.Bool
-
-	// Cost coefficients, stored as float64 bits for lock-free reads.
-	scanNanosPerRowBits   atomic.Uint64 // verified scan, per row
-	indexNanosPerUnitBits atomic.Uint64 // per unit of the engine's cost estimate
-	estimateNanosBits     atomic.Uint64 // one EstimateSearchCost call (the DP)
-	crossoverTau          atomic.Int32  // non-cost-model engines; 0 = never scan
+	mode                Mode
+	calibrated          atomic.Bool
+	scanNanosPerRowBits atomic.Uint64 // float64 bits: verified scan, per row
+	crossoverTau        atomic.Int32  // scan from this tau up; 0 = never scan
 
 	routedIndex atomic.Int64
 	routedScan  atomic.Int64
@@ -99,17 +95,16 @@ func NewPlanner(mode Mode) *Planner {
 
 // Stats is the planner's observable state, surfaced in /stats and
 // /metrics. Cache is filled by the owner (the planner does not hold
-// the cache).
+// the cache). Nothing is measured for a SelfDeciding engine:
+// ScanNanosPerRow and CrossoverTau stay 0.
 type Stats struct {
-	Mode              string     `json:"mode"`
-	Calibrated        bool       `json:"calibrated"`
-	RoutedIndex       int64      `json:"routed_index"`
-	RoutedScan        int64      `json:"routed_scan"`
-	ScanNanosPerRow   float64    `json:"scan_nanos_per_row"`
-	IndexNanosPerUnit float64    `json:"index_nanos_per_unit"`
-	EstimateNanos     float64    `json:"estimate_nanos"`
-	CrossoverTau      int32      `json:"crossover_tau"`
-	Cache             CacheStats `json:"cache"`
+	Mode            string     `json:"mode"`
+	Calibrated      bool       `json:"calibrated"`
+	RoutedIndex     int64      `json:"routed_index"`
+	RoutedScan      int64      `json:"routed_scan"`
+	ScanNanosPerRow float64    `json:"scan_nanos_per_row"`
+	CrossoverTau    int32      `json:"crossover_tau"`
+	Cache           CacheStats `json:"cache"`
 }
 
 // Stats snapshots the planner counters. Nil-safe: a disabled planner
@@ -119,23 +114,18 @@ func (p *Planner) Stats() Stats {
 		return Stats{Mode: ModeOff.String()}
 	}
 	return Stats{
-		Mode:              p.mode.String(),
-		Calibrated:        p.calibrated.Load(),
-		RoutedIndex:       p.routedIndex.Load(),
-		RoutedScan:        p.routedScan.Load(),
-		ScanNanosPerRow:   math.Float64frombits(p.scanNanosPerRowBits.Load()),
-		IndexNanosPerUnit: math.Float64frombits(p.indexNanosPerUnitBits.Load()),
-		EstimateNanos:     math.Float64frombits(p.estimateNanosBits.Load()),
-		CrossoverTau:      p.crossoverTau.Load(),
+		Mode:            p.mode.String(),
+		Calibrated:      p.calibrated.Load(),
+		RoutedIndex:     p.routedIndex.Load(),
+		RoutedScan:      p.routedScan.Load(),
+		ScanNanosPerRow: math.Float64frombits(p.scanNanosPerRowBits.Load()),
+		CrossoverTau:    p.crossoverTau.Load(),
 	}
 }
 
-// Route decides how to execute one query against e. The decision
-// reads only calibrated atomics plus (for cost-model engines) the
-// engine's own cost prediction; it takes no locks and performs no
-// allocations. Scan routing is offered only to exact engines with a
-// packed arena — for everything else, and before calibration, the
-// answer is RouteIndex.
+// Route decides how to execute one query against e: the mode, then one
+// load of the crossover radius, 0 ("never scan") until Calibrate finds
+// one. No locks, no allocations, and under ModeAdaptive no call on e.
 //
 //gph:hotpath
 func (p *Planner) Route(e engine.Engine, q bitvec.Vector, tau int) Route {
@@ -144,24 +134,6 @@ func (p *Planner) Route(e engine.Engine, q bitvec.Vector, tau int) Route {
 	}
 	if p.mode == ModeScan {
 		return p.scanIfAble(e)
-	}
-	if !p.calibrated.Load() {
-		p.routedIndex.Add(1)
-		return RouteIndex
-	}
-	if ce, ok := e.(engine.CostEstimator); ok {
-		scanNanos := float64(e.Len()) * math.Float64frombits(p.scanNanosPerRowBits.Load())
-		estNanos := math.Float64frombits(p.estimateNanosBits.Load())
-		if cost, ok := ce.EstimateSearchCost(q, tau); ok {
-			// The index route re-runs the DP inside the search, so its
-			// predicted time carries the estimation cost as an intercept.
-			indexNanos := estNanos + float64(cost)*math.Float64frombits(p.indexNanosPerUnitBits.Load())
-			if scanNanos < indexNanos {
-				return p.scanIfAble(e)
-			}
-		}
-		p.routedIndex.Add(1)
-		return RouteIndex
 	}
 	if ct := p.crossoverTau.Load(); ct > 0 && tau >= int(ct) {
 		return p.scanIfAble(e)
@@ -183,17 +155,21 @@ func (p *Planner) scanIfAble(e engine.Engine) Route {
 	return RouteIndex
 }
 
-// Calibrate measures e's cost coefficients with a tiny probe (a few
-// real rows as queries, ~1ms of wall time) and publishes them
-// atomically. For cost-model engines (engine.CostEstimator — GPH) it
-// fits nanoseconds-per-cost-unit so Route can compare the engine's
-// own per-query prediction against the measured scan rate; for other
-// scannable engines it probes doubling radii for the crossover tau
-// beyond which the scan wins. Runs off the hot path: call it after
-// build, configure, or compaction — never per query. Nil-safe, and a
-// no-op for engines without a packed arena (no scan route exists).
+// Calibrate finds the crossover radius of an exact engine with a packed
+// arena and no cost guard: probing doubling radii from dims/8 with a few
+// real rows as queries (real rows have realistic selectivity), the
+// smallest tau at which the engine's Search loses to a verified scan of
+// the arena, 0 if it never does. It publishes that and the scan rate at
+// the last radius probed. A SelfDeciding engine is not timed at all. Runs off
+// the hot path: call it after build, configure, load or compaction —
+// never per query. Nil-safe, and a no-op for engines without a packed
+// arena (no scan route exists).
 func (p *Planner) Calibrate(e engine.Engine) {
 	if p == nil || e == nil || e.Len() == 0 {
+		return
+	}
+	if reg, _ := engine.Lookup(e.Name()); reg.SelfDeciding {
+		p.calibrated.Store(true)
 		return
 	}
 	sc, ok := e.(engine.Scannable)
@@ -202,116 +178,48 @@ func (p *Planner) Calibrate(e engine.Engine) {
 	}
 	codes := sc.Codes()
 	n := codes.Len()
-
-	// Probe queries: a handful of real rows spread through the
-	// collection (real rows have realistic selectivity; synthetic
-	// random queries would not).
-	stride := n / 4
-	if stride < 1 {
-		stride = 1
-	}
 	var qs []bitvec.Vector
-	for i := 0; i < n && len(qs) < 4; i += stride {
+	for i := 0; i < n && len(qs) < 4; i += max(n/4, 1) {
 		qs = append(qs, e.Vector(int32(i)))
 	}
-	tau := e.Dims() / 8
-	if tau < 1 {
-		tau = 1
-	}
-	if mt := e.MaxTau(); tau > mt {
-		tau = mt
-	}
-
-	// Scan coefficient: nanoseconds per row of verified scan, over
-	// enough passes for a stable rate.
+	maxTau := min(e.MaxTau(), e.Dims())
 	buf := make([]int32, 0, n)
-	rows := 0
-	start := time.Now()
-	for time.Since(start) < time.Millisecond || rows == 0 {
-		for _, q := range qs {
-			buf = codes.AppendWithin(q, tau, buf[:0])
-			rows += n
-		}
-	}
-	scanPerRow := float64(time.Since(start).Nanoseconds()) / float64(rows)
-	p.scanNanosPerRowBits.Store(math.Float64bits(scanPerRow))
-
-	if ce, ok := e.(engine.CostEstimator); ok {
-		// The estimation intercept: what one EstimateSearchCost call (the
-		// allocation DP) costs. Route charges it to the index path — the
-		// search re-runs the DP.
-		var estSamples []float64
-		for _, q := range qs {
-			t0 := time.Now()
-			ce.EstimateSearchCost(q, tau)
-			estSamples = append(estSamples, float64(time.Since(t0).Nanoseconds()))
-		}
-		sort.Float64s(estSamples)
-		estNanos := estSamples[len(estSamples)/2]
-		p.estimateNanosBits.Store(math.Float64bits(estNanos))
-
-		// Fit nanoseconds per cost-model unit as the median of
-		// (measured − intercept)/predicted over the probes. Without a
-		// usable probe the unit is the one at which the engine's own
-		// price for a scan of the collection comes to the scan just
-		// measured.
-		var ratios []float64
-		for _, q := range qs {
-			cost, ok := ce.EstimateSearchCost(q, tau)
-			if !ok || cost <= 0 {
-				continue
-			}
-			t0 := time.Now()
-			if _, err := e.Search(q, tau); err != nil {
-				continue
-			}
-			if net := float64(time.Since(t0).Nanoseconds()) - estNanos; net > 0 {
-				ratios = append(ratios, net/float64(cost))
-			}
-		}
-		unit := scanPerRow * float64(n) / float64(ce.ScanCost(tau))
-		if len(ratios) > 0 {
-			sort.Float64s(ratios)
-			unit = ratios[len(ratios)/2]
-		}
-		p.indexNanosPerUnitBits.Store(math.Float64bits(unit))
-	} else {
-		// No per-query cost model: probe doubling radii for the
-		// smallest tau at which the index path loses to the scan.
-		// 0 means the index won at every probed radius (never scan).
-		maxTau := e.MaxTau()
-		if d := e.Dims(); d < maxTau {
-			maxTau = d
-		}
-		cross := int32(0)
-		scanNanos := scanPerRow * float64(n)
-		for t := tau; ; {
-			var indexNanos int64
-			failed := false
+	cross := 0
+	for t := min(max(e.Dims()/8, 1), maxTau); ; t = min(2*t, maxTau) {
+		scanNanos := fastestPass(func() {
 			for _, q := range qs {
-				t0 := time.Now()
+				buf = codes.AppendWithin(q, t, buf[:0])
+			}
+		})
+		p.scanNanosPerRowBits.Store(math.Float64bits(float64(scanNanos) / float64(len(qs)*n)))
+		var searchErr error
+		indexNanos := fastestPass(func() {
+			for _, q := range qs {
 				if _, err := e.Search(q, t); err != nil {
-					failed = true
-					break
+					searchErr = err
 				}
-				indexNanos += time.Since(t0).Nanoseconds()
 			}
-			if failed {
-				break
-			}
-			if float64(indexNanos)/float64(len(qs)) > scanNanos {
-				cross = int32(t)
-				break
-			}
-			if t >= maxTau {
-				break
-			}
-			t *= 2
-			if t > maxTau {
-				t = maxTau
-			}
+		})
+		if searchErr == nil && indexNanos > scanNanos {
+			cross = t
 		}
-		p.crossoverTau.Store(cross)
+		if searchErr != nil || cross > 0 || t >= maxTau {
+			break
+		}
 	}
+	p.crossoverTau.Store(int32(cross))
 	p.calibrated.Store(true)
+}
+
+// fastestPass runs pass once untimed (a cold arena is not what is being
+// measured), then returns the fastest of three timed runs in nanoseconds.
+func fastestPass(pass func()) int64 {
+	pass()
+	best := int64(math.MaxInt64)
+	for range 3 {
+		t0 := time.Now()
+		pass()
+		best = min(best, time.Since(t0).Nanoseconds())
+	}
+	return best
 }

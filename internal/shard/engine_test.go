@@ -61,9 +61,7 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 // matchesSingle is one (engine, shard count) cell of
 // TestShardedEngineMatchesSingle.
 func matchesSingle(t *testing.T, name string, data, queries []bitvec.Vector, single engine.Engine, numShards int) {
-	// (No sharded planner: it is gph's own guard that matchesSingle holds to
-	// a route below, and the planner's is a clock's.)
-	s, err := BuildEngine(name, data, numShards, core.Options{NumPartitions: 4, Seed: 1, PlanMode: "off"})
+	s, err := BuildEngine(name, data, numShards, core.Options{NumPartitions: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,12 @@ func (s *Index) ConfigurePlan(mode string, cacheBytes int64) error {
 	return nil
 }
 
-// calibratePlanner measures the planner's cost coefficients against
-// the first populated shard's built engine (shards are content-hash
-// balanced, so one shard's profile represents them all). Runs at
-// build, configure, load, and compaction time — never on the query
-// path. A no-op while no shard has a built engine: the uncalibrated
-// planner routes everything to the index path, which is the status
-// quo.
+// calibratePlanner calibrates the planner against the first populated
+// shard's built engine (shards are content-hash balanced, so one
+// shard's profile represents them all). Runs at build, configure,
+// load, and compaction time — never on the query path. A no-op while
+// no shard has a built engine: the uncalibrated planner routes
+// everything to the index path.
 func (s *Index) calibratePlanner() {
 	if s.planner == nil {
 		return

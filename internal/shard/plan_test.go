@@ -23,82 +23,174 @@ func planOpts() core.Options {
 }
 
 // TestPlannerConformance is the planner's exactness guarantee at the
-// sharded layer: with adaptive routing and the cache enabled, every
+// sharded layer, for every exact engine with a packed arena and under
+// each -plan mode. With adaptive routing and the cache enabled, every
 // workload bucket's results are byte-equal to the linear-scan oracle —
 // on the cold pass (planner-routed) and the warm pass (cache hit)
 // alike, for range queries and for kNN — and SearchStats says which
-// pass was which.
+// pass was which. An engine that decides scan-or-index itself (gph,
+// linscan) is never sent to the planner's scan, however often the
+// planner is calibrated afresh, and answers each query by the route its
+// bare shard engines choose; mih and hmsearch are, from their crossover
+// tau up. "index" and "scan" force their route whatever the engine.
 func TestPlannerConformance(t *testing.T) {
-	ds := dataset.UQVideoLike(1200, 3)
-	s, err := Build(ds.Vectors, 4, planOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	// 4 000 rows a shard: gph runs index plans at τ = 0 and scans at 32,
+	// so the verdicts compared below are of both kinds; 32 = dims/8 is
+	// also the first radius the crossover probe tries.
+	const numShards = 2
+	opts := planOpts()
+	opts.MaxTau = 32
+	ds := dataset.UQVideoLike(8000, 3)
 	live := make(map[int32]bitvec.Vector, len(ds.Vectors))
 	for i, v := range ds.Vectors {
 		live[int32(i)] = v
 	}
 	queries := dataset.PerturbQueries(ds, 8, 4, 17)
-	for _, tau := range []int{2, 8, 16} { // low / mid / high buckets
-		for qi, q := range queries {
-			want := bruteRange(live, q, tau)
-			for pass := 0; pass < 2; pass++ {
-				got, st, err := s.SearchStats(q, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalIDs(want, got) {
-					t.Fatalf("tau=%d query=%d pass=%d: got %d ids, want %d (planned path diverged from oracle)",
-						tau, qi, pass, len(got), len(want))
-				}
-				if st.CacheHit != (pass == 1) || st.Results != len(want) || st.Candidates < len(want) {
-					t.Fatalf("tau=%d query=%d pass=%d: stats %+v for %d results", tau, qi, pass, st, len(want))
-				}
-			}
+	taus := []int{0, 2, 32} // low / mid / high buckets
+	want := make(map[int][][]int32, len(taus))
+	for _, tau := range taus {
+		for _, q := range queries {
+			want[tau] = append(want[tau], bruteRange(live, q, tau))
 		}
 	}
-	// kNN through the cache: ids and distances both re-materialize.
-	for qi, q := range queries {
-		want := bruteKNN(live, q, 7)
-		for pass := 0; pass < 2; pass++ {
-			got, err := s.SearchKNN(q, 7)
+	for _, name := range []string{"gph", "mih", "hmsearch", "linscan"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := BuildEngine(name, ds.Vectors, numShards, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("kNN query=%d pass=%d: got %v, want %v", qi, pass, got, want)
-			}
-		}
-	}
-	// Out-of-contract queries fail identically on every pass: only
-	// valid queries are ever stored, so a hit cannot bypass validation.
-	for pass := 0; pass < 2; pass++ {
-		if _, err := s.Search(bitvec.New(s.Dims()+1), 3); !errors.Is(err, engine.ErrDimMismatch) {
-			t.Errorf("pass %d: wrong-dims error = %v", pass, err)
-		}
-		if _, err := s.Search(queries[0], -1); !errors.Is(err, engine.ErrNegativeTau) {
-			t.Errorf("pass %d: negative-tau error = %v", pass, err)
-		}
-	}
-	ps, ok := s.PlanStats()
-	if !ok {
-		t.Fatal("PlanStats not ok with planner configured")
-	}
-	if wantHits := int64(3*len(queries) + len(queries)); ps.Cache.Hits != wantHits || ps.Cache.Misses == 0 {
-		t.Errorf("cache counters %+v, want %d hits (every second pass) and some misses", ps.Cache, wantHits)
-	}
+			defer s.Close()
+			reg, _ := engine.Lookup(name)
 
-	// Planning and caching both off: nothing to report; unknown policies
-	// are rejected.
-	if err := s.ConfigurePlan("off", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.PlanStats(); ok {
-		t.Error("PlanStats ok with planner off and no cache")
-	}
-	if err := s.ConfigurePlan("bogus", 0); err == nil {
-		t.Error("ConfigurePlan accepted an unknown mode")
+			// Adaptive, cache on, the planner configured afresh each round.
+			for round := 0; round < 3; round++ {
+				if err := s.ConfigurePlan("adaptive", 1<<20); err != nil {
+					t.Fatal(err)
+				}
+				cold := int64(len(taus) * len(queries))
+				scans := 0
+				for _, tau := range taus {
+					for qi, q := range queries {
+						// The bare engines' verdict on the same shard data.
+						bare := false
+						for i := range s.shards {
+							_, st, err := s.shards[i].Load().built.SearchStats(q, tau)
+							if err != nil {
+								t.Fatal(err)
+							}
+							bare = bare || st.Scanned
+						}
+						for pass := 0; pass < 2; pass++ {
+							got, st, err := s.SearchStats(q, tau)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !equalIDs(want[tau][qi], got) {
+								t.Fatalf("tau=%d query=%d pass=%d: got %d ids, want %d (planned path diverged from oracle)",
+									tau, qi, pass, len(got), len(want[tau][qi]))
+							}
+							if st.CacheHit != (pass == 1) || st.Results != len(got) || st.Candidates < len(got) {
+								t.Fatalf("tau=%d query=%d pass=%d: stats %+v for %d results", tau, qi, pass, st, len(got))
+							}
+							if pass == 0 && reg.SelfDeciding && st.Scanned != bare {
+								t.Fatalf("tau=%d query=%d: scanned=%v through the planner, %v by the shard engines themselves", tau, qi, st.Scanned, bare)
+							}
+							if pass == 0 && st.Scanned {
+								scans++
+							}
+						}
+					}
+				}
+				// kNN through the cache: ids and distances both re-materialize.
+				// (A τ-bounded engine's kNN is best-effort within its bound.)
+				wantHits := cold
+				if !reg.TauBounded {
+					wantHits += int64(len(queries))
+					for qi, q := range queries {
+						wantNN := bruteKNN(live, q, 7)
+						for pass := 0; pass < 2; pass++ {
+							got, err := s.SearchKNN(q, 7)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(got, wantNN) {
+								t.Fatalf("kNN query=%d pass=%d: got %v, want %v", qi, pass, got, wantNN)
+							}
+						}
+					}
+				}
+				ps, ok := s.PlanStats()
+				if !ok || !ps.Calibrated {
+					t.Fatalf("round %d: PlanStats %+v, %v with the planner configured", round, ps, ok)
+				}
+				if ps.RoutedIndex+ps.RoutedScan != cold*numShards {
+					t.Errorf("round %d: %d + %d routes for %d cold queries over %d shards", round, ps.RoutedIndex, ps.RoutedScan, cold, numShards)
+				}
+				if reg.SelfDeciding && (ps.RoutedScan != 0 || ps.CrossoverTau != 0) {
+					t.Errorf("round %d: the planner second-guessed %s: %+v", round, name, ps)
+				}
+				if !reg.SelfDeciding && (ps.CrossoverTau <= 0 || ps.RoutedScan == 0) {
+					t.Errorf("round %d: %s has no cost guard and the planner never scanned for it: %+v", round, name, ps)
+				}
+				if name == "gph" && (scans == 0 || scans == int(cold)) {
+					t.Errorf("round %d: %d of %d gph queries scanned; the fixture should hold both verdicts", round, scans, cold)
+				}
+				if ps.Cache.Hits != wantHits || ps.Cache.Misses != wantHits {
+					t.Errorf("round %d: cache counters %+v, want %d hits (every second pass) and as many misses", round, ps.Cache, wantHits)
+				}
+				// Out-of-contract queries fail identically on every pass: only
+				// valid queries are ever stored, so a hit cannot bypass validation.
+				for pass := 0; pass < 2; pass++ {
+					if _, err := s.Search(bitvec.New(s.Dims()+1), 3); !errors.Is(err, engine.ErrDimMismatch) {
+						t.Errorf("pass %d: wrong-dims error = %v", pass, err)
+					}
+					if _, err := s.Search(queries[0], -1); !errors.Is(err, engine.ErrNegativeTau) {
+						t.Errorf("pass %d: negative-tau error = %v", pass, err)
+					}
+				}
+			}
+
+			// The fixed routes, cache off: "scan" is the planner's scan on
+			// every shard, "index" is the engine's own Search.
+			for _, mode := range []string{"index", "scan"} {
+				if err := s.ConfigurePlan(mode, 0); err != nil {
+					t.Fatal(err)
+				}
+				for _, tau := range taus {
+					for qi, q := range queries {
+						got, st, err := s.SearchStats(q, tau)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !equalIDs(want[tau][qi], got) {
+							t.Fatalf("-plan %s tau=%d query=%d: got %d ids, want %d", mode, tau, qi, len(got), len(want[tau][qi]))
+						}
+						if mode == "scan" && (!st.Scanned || st.Candidates != len(ds.Vectors)) {
+							t.Fatalf("-plan scan tau=%d query=%d: stats %+v", tau, qi, st)
+						}
+					}
+				}
+				ps, _ := s.PlanStats()
+				if wantScans := int64(len(taus) * len(queries) * numShards); mode == "scan" && (ps.RoutedScan != wantScans || ps.RoutedIndex != 0) {
+					t.Errorf("-plan scan: %+v, want %d scans", ps, wantScans)
+				}
+				if mode == "index" && ps.RoutedScan != 0 {
+					t.Errorf("-plan index: %+v", ps)
+				}
+			}
+
+			// Planning and caching both off: nothing to report; unknown
+			// policies are rejected.
+			if err := s.ConfigurePlan("off", 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.PlanStats(); ok {
+				t.Error("PlanStats ok with planner off and no cache")
+			}
+			if err := s.ConfigurePlan("bogus", 0); err == nil {
+				t.Error("ConfigurePlan accepted an unknown mode")
+			}
+		})
 	}
 }
 

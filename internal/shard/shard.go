@@ -860,8 +860,8 @@ func (s *Index) compactLocked() error {
 	}
 	s.mu.Unlock()
 	// The rebuilt engines may have very different cost profiles (delta
-	// buffers folded in, tombstones dropped): refresh the planner's
-	// coefficients against the new reality, still off the hot path.
+	// buffers folded in, tombstones dropped): recalibrate the planner
+	// against the new reality, still off the hot path.
 	s.calibratePlanner()
 	return nil
 }

@@ -13,15 +13,6 @@ import (
 	"gph/internal/engine/enginetest"
 )
 
-// indexOpts is testOpts with the sharded planner off, for tests that say
-// which route a shard's engine takes (enginetest.OnIndex): the adaptive
-// planner routes by a clock, gph's own guard by prices.
-func indexOpts() core.Options {
-	o := testOpts()
-	o.PlanMode = "off"
-	return o
-}
-
 // testOpts keeps per-shard builds fast: small partitioning sample and
 // surrogate workload, modest MaxTau.
 func testOpts() core.Options {
@@ -84,7 +75,7 @@ func TestSearchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Build(ds.Vectors, 4, indexOpts())
+	sharded, err := Build(ds.Vectors, 4, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +129,7 @@ func TestUpdateEquivalence(t *testing.T) {
 	// 3 000 rows a shard, so that tombstones are filtered out of index
 	// results (τ = 1) as well as out of scans (τ = 8).
 	ds := dataset.SIFTLike(9000, 3)
-	sharded, err := Build(ds.Vectors, 3, indexOpts())
+	sharded, err := Build(ds.Vectors, 3, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

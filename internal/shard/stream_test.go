@@ -34,7 +34,7 @@ func TestStreamMatchesSearch(t *testing.T) {
 	// 3 000 rows a shard: the merge is fed by streams of verified index
 	// candidates at τ ≤ 2 and by streamed scans past it.
 	ds := dataset.SIFTLike(12000, 3)
-	s, err := Build(ds.Vectors, 4, indexOpts())
+	s, err := Build(ds.Vectors, 4, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
