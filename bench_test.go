@@ -7,11 +7,18 @@ package gph_test
 
 import (
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"gph"
 	"gph/datagen"
 	"gph/internal/bench"
+	"gph/internal/binio"
+	"gph/internal/engine"
+	"gph/internal/mmapio"
 )
 
 // runExp benchmarks one harness experiment end to end.
@@ -108,5 +115,113 @@ func BenchmarkBatchSearch(b *testing.B) {
 		if _, err := index.SearchBatch(queries, 12, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpenFirstQuery says where a start goes: what benchmark/'s
+// setup_s times as one number — open the saved index, answer one query
+// — split into the five things it is made of, at the two lib workloads'
+// shapes and in both open modes. read_us is the file into one buffer, or
+// the mapping made; decode_us the in-place decode and the structural
+// tier; validate_us the content tier (which a mapped open leaves to its
+// first query: here it is asked for, so that it has a line of its own);
+// query_us the first query, stored vector 0 as in benchmark/lib.go,
+// asked a second time; slots_us what asking it first cost over that —
+// the derived state a first query builds: the slot tables, side by
+// side, and its scratch on a query that probes (uqvideo's), the scan's
+// word-0 column on one the scan answers (sift's, which builds no slot
+// table). Each is the best of b.N starts, as setup_s is the best of its
+// 51: the host's busy spells are longer than a start.
+func BenchmarkOpenFirstQuery(b *testing.B) {
+	for _, c := range []struct {
+		dataset string
+		tau     int
+	}{{"uqvideo", 8}, {"sift", 16}} {
+		b.Run(c.dataset, func(b *testing.B) {
+			ds, err := datagen.ByName(c.dataset, 20000, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			built, err := gph.BuildEngine("gph", ds.Vectors, gph.EngineOptions{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), c.dataset+".gph")
+			f, err := os.Create(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := built.Save(f); err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				b.Fatal(err)
+			}
+			probe := ds.Vectors[0]
+			want, err := built.Search(probe, c.tau)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, mode := range []gph.OpenMode{gph.OpenHeap, gph.OpenMMap} {
+				b.Run(mode.String(), func(b *testing.B) {
+					// Laps, in order; the fourth is the whole first query until
+					// the report takes the fifth, the same query again, off it.
+					phases := []string{"read_us", "decode_us", "validate_us", "slots_us", "query_us"}
+					best := make([]time.Duration, len(phases))
+					for i := 0; i < b.N; i++ {
+						var m *mmapio.Mapping
+						var data []byte
+						var took []time.Duration
+						mark := time.Now()
+						lap := func() {
+							now := time.Now()
+							took = append(took, now.Sub(mark))
+							mark = now
+						}
+						if mode == gph.OpenMMap {
+							if m, err = mmapio.Open(path); err != nil {
+								b.Fatal(err)
+							}
+							data = m.Data()
+						} else if data, err = os.ReadFile(path); err != nil {
+							b.Fatal(err)
+						}
+						lap()
+						e, err := engine.LoadAnyDeferred(binio.NewSource(data))
+						if err != nil {
+							b.Fatal(err)
+						}
+						lap()
+						if err := engine.Validate(e); err != nil {
+							b.Fatal(err)
+						}
+						lap()
+						ids, err := e.Search(probe, c.tau)
+						lap()
+						if _, err := e.Search(probe, c.tau); err != nil {
+							b.Fatal(err)
+						}
+						lap()
+						if err != nil || !slices.Equal(ids, want) {
+							b.Fatalf("first query: err=%v, %d ids, the built index finds %d", err, len(ids), len(want))
+						}
+						if m != nil {
+							if err := m.Close(); err != nil {
+								b.Fatal(err)
+							}
+						}
+						for p, d := range took {
+							if i == 0 || d < best[p] {
+								best[p] = d
+							}
+						}
+					}
+					best[3] = max(best[3]-best[4], 0)
+					for p, name := range phases {
+						b.ReportMetric(float64(best[p].Nanoseconds())/1e3, name)
+					}
+				})
+			}
+		})
 	}
 }

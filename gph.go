@@ -133,7 +133,8 @@ var ErrInvalidQuery = core.ErrInvalidQuery
 // callers must not mutate the vectors afterwards.
 func Build(data []Vector, opts Options) (*Index, error) { return core.Build(data, opts) }
 
-// Load reads an index previously written with Index.Save.
+// Load reads an index previously written with Index.Save, validated in
+// full before it returns.
 func Load(r io.Reader) (*Index, error) { return core.Load(r) }
 
 // TanimotoSearch returns the ids of indexed vectors whose Tanimoto
@@ -287,9 +288,10 @@ func BuildEngine(name string, data []Vector, opts EngineOptions) (Engine, error)
 func LoadAny(r io.Reader) (Engine, error) { return engine.LoadAny(r) }
 
 // OpenMode selects how OpenEngine and OpenShardedFile bring an index
-// file into memory: OpenHeap reads and copies it (the classic Load
-// path), OpenMMap maps it read-only so open time is O(1) in arena
-// bytes and the kernel pages data in on demand — see DESIGN.md §14.
+// file into memory: OpenHeap reads it into one owned buffer and
+// validates it in full before returning, OpenMMap maps it read-only so
+// open time is O(1) in arena bytes and the kernel pages data in on
+// demand — see DESIGN.md §14. Both decode the bytes in place.
 type OpenMode = engine.OpenMode
 
 // Open modes.
@@ -314,8 +316,11 @@ var ErrIndexClosed = engine.ErrIndexClosed
 // of being copied onto the heap: opening a multi-gigabyte index takes
 // milliseconds, resident memory stays proportional to the pages
 // queries actually touch, and N processes opening the same file share
-// one physical copy. Query results are identical in both modes; all
-// format validation runs before OpenEngine returns.
+// one physical copy. Query results are identical in both modes. A
+// truncated or structurally corrupt file fails OpenEngine in both;
+// corruption only a pass over every arena byte can find fails a heap
+// open, and a mapped open's first search (every search after it too) —
+// never a fault. DESIGN.md §6 has the table.
 func OpenEngine(path string, mode OpenMode) (OpenedEngine, error) {
 	return engine.Open(path, mode)
 }
@@ -328,7 +333,9 @@ func OpenEngine(path string, mode OpenMode) (OpenedEngine, error) {
 // built engine serves from the shared file mapping; updates,
 // compaction and checkpointing all work (compacted shards move to the
 // heap, and the mapping is released by Close, after which searches
-// fail with ErrIndexClosed). Attach a WAL afterwards with OpenWAL if
+// fail with ErrIndexClosed). What each mode has validated when it
+// returns is OpenEngine's: a corrupt snapshot fails a heap open, and a
+// mapped open's first search. Attach a WAL afterwards with OpenWAL if
 // durability is needed.
 func OpenShardedFile(path string, mode OpenMode) (*ShardedIndex, error) {
 	return shard.OpenFile(path, mode)

@@ -91,7 +91,7 @@ func Experiments() []Experiment {
 		{"ablation", "Ablation: each GPH design choice removed in turn", (*Runner).Ablation},
 		{"sharded", "Sharded vs single-index GPH: build, fan-out query, agreement", (*Runner).Sharded},
 		{"mixed", "Mixed update-heavy workload: search p50/p99 during background compaction", (*Runner).Mixed},
-		{"open", "Index open: heap load vs mmap — cold-open time, RSS under load, cold/warm p99", (*Runner).Open},
+		{"open", "Index open: heap vs mmap — cold open and ready (open + first query), RSS under load, cold/warm p99", (*Runner).Open},
 	}
 }
 

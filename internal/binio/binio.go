@@ -13,7 +13,11 @@
 // index over a mapping decodes headers but never materializes the
 // arenas. Borrowed slices are read-only (writing to a mapped page
 // faults) and share the source's lifetime; Borrowed reports which mode
-// a Reader is in so loaders can copy when they need ownership.
+// a Reader is in so loaders can copy when they need ownership. The index
+// loaders decode in borrow mode only — a reader that is not a Source is
+// read out into one first (SourceOf); the streaming mode serves the
+// small sequential formats (datasets, the baselines' own files read
+// from a plain stream).
 package binio
 
 import (
@@ -21,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"slices"
 	"unsafe"
@@ -181,6 +186,66 @@ type Source struct {
 
 // NewSource wraps data, which the returned Source borrows, not copies.
 func NewSource(data []byte) *Source { return &Source{data: data} }
+
+// SourceOf returns r as a Source for a loader that decodes in place.
+// A *Source comes back as it is. Any other reader is read to its end
+// into one buffer the loaded structures then alias — of the size r says
+// it has left where r can say (a regular file, a bytes.Reader or
+// Buffer), so a file costs its own bytes once, not an append's
+// doublings and their slack. The leading magicLen bytes are read and
+// shown to known first: a stream it does not know comes back as those
+// bytes alone, for the loader's own magic check to reject in its own
+// words, and the rest of it is never read. (A Reader over a plain stream
+// buffers ahead of what it decodes, so no caller could rely on where a
+// loader left r.)
+func SourceOf(r io.Reader, magicLen int, known func(magic string) bool) (*Source, error) {
+	if src, ok := r.(*Source); ok {
+		return src, nil
+	}
+	head := make([]byte, magicLen)
+	n, err := io.ReadFull(r, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("binio: reading stream: %w", err)
+	}
+	if head = head[:n]; !known(string(head)) {
+		return NewSource(head), nil
+	}
+	// os.ReadFile's loop: one spare byte, so a stream of the size it
+	// announced ends on a read that finds EOF and not on a regrowth.
+	data := append(make([]byte, 0, n+remaining(r)+1), head...)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return NewSource(data), nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("binio: reading stream: %w", err)
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
+// remaining is how many bytes r says it has left, 511 (a first buffer of
+// 512) when it cannot say.
+func remaining(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader
+		return r.Len()
+	case interface {
+		io.Seeker
+		Stat() (fs.FileInfo, error)
+	}: // *os.File
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			if at, err := r.Seek(0, io.SeekCurrent); err == nil && at <= fi.Size() {
+				return int(fi.Size() - at)
+			}
+		}
+	}
+	return 511
+}
 
 // Peek returns the next n bytes without consuming them; short regions
 // return what remains plus io.ErrUnexpectedEOF.

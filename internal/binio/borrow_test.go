@@ -2,7 +2,12 @@ package binio
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
+	"testing/iotest"
 )
 
 // encodeAll writes one value of every shape the persistence formats
@@ -207,4 +212,69 @@ func TestSourcePeekRead(t *testing.T) {
 	if _, err := s.Peek(2); err == nil {
 		t.Fatal("short Peek succeeded")
 	}
+}
+
+// TestSourceOf: a Source passes through; any other reader is read out
+// whole — into a buffer of its own size plus the spare byte when it can
+// say that size (a file from wherever it stands, a bytes.Reader), by
+// doubling when it cannot — and a stream with an unknown magic comes
+// back as that magic alone, the rest unread.
+func TestSourceOf(t *testing.T) {
+	const magic = "TEST01\n\n"
+	known := func(m string) bool { return m == magic }
+	body := append([]byte(magic), bytes.Repeat([]byte{0xAB}, 5000)...)
+
+	if src := NewSource(body); mustSource(t, src, known) != src {
+		t.Fatal("a Source did not come back as itself")
+	}
+
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, append([]byte("skip"), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(4, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{
+		"file":            f,
+		"bytes.Reader":    bytes.NewReader(body),
+		"unsized":         io.MultiReader(bytes.NewReader(body[:100]), bytes.NewReader(body[100:])),
+		"one byte a read": iotest.OneByteReader(bytes.NewReader(body)),
+	} {
+		src := mustSource(t, r, known)
+		if !bytes.Equal(src.data, body) {
+			t.Fatalf("%s: read out %d bytes, want the %d written", name, len(src.data), len(body))
+		}
+		if sized := name == "file" || name == "bytes.Reader"; sized && cap(src.data) != len(body)+1 {
+			t.Fatalf("%s: a %d-byte stream sits in a buffer of %d", name, len(body), cap(src.data))
+		}
+	}
+
+	rest := bytes.NewReader(append([]byte("BOGUS99\n"), body...))
+	if src := mustSource(t, rest, known); string(src.data) != "BOGUS99\n" || rest.Len() != len(body) {
+		t.Fatalf("unknown magic: got %q back and left %d of %d bytes unread", src.data, rest.Len(), len(body))
+	}
+	if src := mustSource(t, bytes.NewReader([]byte("TES")), known); string(src.data) != "TES" {
+		t.Fatalf("a stream shorter than a magic came back as %q", src.data)
+	}
+	if _, err := SourceOf(iotest.ErrReader(io.ErrClosedPipe), len(magic), known); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("a failing reader: %v", err)
+	}
+	if _, err := SourceOf(io.MultiReader(bytes.NewReader(body), iotest.ErrReader(io.ErrClosedPipe)), len(magic), known); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("a reader failing past its magic: %v", err)
+	}
+}
+
+func mustSource(t *testing.T, r io.Reader, known func(string) bool) *Source {
+	t.Helper()
+	src, err := SourceOf(r, 8, known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }

@@ -43,6 +43,6 @@ func init() {
 				BuildParallelism: opts.BuildParallelism,
 			})
 		},
-		Load: func(r io.Reader) (engine.Engine, error) { return Load(r) },
+		Load: func(r io.Reader) (engine.Engine, error) { return LoadDeferred(r) },
 	})
 }

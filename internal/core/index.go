@@ -23,10 +23,9 @@ type Index struct {
 	data  []bitvec.Vector
 	// arena is the contiguous row-major word storage the data views
 	// alias when the index was deserialized (nil for built indexes).
-	// Borrow-mode loads defer carving the per-vector views — O(count)
-	// header allocation that dominated open profiles — until the first
-	// query's validation pass; data stays nil until then and count
-	// carries the collection size.
+	// Load defers carving the per-vector views — O(count) header
+	// allocation that dominated open profiles — to the validation pass;
+	// data stays nil until then and count carries the collection size.
 	arena []uint64
 	codes *verify.Codes // packed row-major copy of data for batch verification
 	parts *partition.Partitioning
@@ -46,16 +45,22 @@ type Index struct {
 	prices   atomic.Pointer[planPrices]
 	pricesMu sync.Mutex
 
-	// Deferred content validation for borrow-mode loads (an index
-	// opened over a file mapping): Load runs only structural checks and
-	// sets deepPending; the first query runs the arena-reading content
-	// checks via ensureValidated. deepDone's release-store publishes
-	// deepErr to the acquire-load on the query path; deepMu serializes
-	// the single validation run. See validate.go.
+	// Content validation of a loaded index: Load runs only structural
+	// checks and sets deepPending; the arena-reading content checks run
+	// when the opener calls Validate (which clears deepPending, before
+	// the index is shared) or else on the first query, via
+	// ensureValidated. deepDone's release-store publishes deepErr to the
+	// acquire-load on the query path; deepMu serializes the single
+	// validation run. See validate.go.
 	deepPending bool
 	deepDone    atomic.Bool
 	deepMu      sync.Mutex
 	deepErr     error
+
+	// slotsOnce builds the partitions' slot tables — derived state a
+	// loaded index makes on first use — side by side (warmSlots). Cold,
+	// so it sits behind the fields a query reads.
+	slotsOnce sync.Once
 }
 
 // BuildStats records where index construction time went; Table IV
@@ -285,8 +290,8 @@ func (ix *Index) Len() int { return ix.count }
 // Vector returns the indexed vector with the given id. The returned
 // vector shares storage with the index and must not be modified.
 func (ix *Index) Vector(id int32) bitvec.Vector {
-	// A borrow-mode load defers both content validation and the data
-	// view carve to the first access; handing out a view before then
+	// A load whose opener left validation to the first query has not
+	// carved the data views either; handing out a view before then
 	// could expose an unvalidated vector. The error (if any) still
 	// surfaces on every query path; here the accessor just guarantees
 	// the views exist.

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"gph/internal/binio"
-	"gph/internal/bitvec"
 	"gph/internal/candest"
 	"gph/internal/invindex"
 	"gph/internal/partition"
@@ -93,9 +92,9 @@ func (ix *Index) saveOptions(bw *binio.Writer) {
 	bw.Int64(ix.opts.Seed)
 }
 
-// Load reads an index written by Save. The posting arenas are adopted
-// directly from the stream, so loading is O(bytes), and O(metadata)
-// over a mapping, where the aligned sections alias without copying.
+// Load reads an index written by Save. There is one decode: over the
+// bytes in place (binio.Source), every payload aliased from the lengths
+// the head records, nothing copied — O(head) however large the arenas.
 // The exact estimator needs nothing rebuilt; sub-partition estimators
 // are rebuilt from the persisted vectors and learned estimators are
 // retrained with the persisted seed, reproducing the original model.
@@ -105,16 +104,32 @@ func (ix *Index) saveOptions(bw *binio.Writer) {
 // everything needed to make every later arena access in-bounds, at
 // O(metadata) cost. The content tier (offset monotonicity, varint
 // framing, posting-id ranges, key order, key and vector tail bits)
-// reads every arena byte, so its timing depends on the reader: a
-// streaming load has already paid to copy every byte and validates
-// eagerly before Load returns, while a borrow-mode load (binio.Source
-// over a file mapping) defers it to the first query — see
-// ensureValidated — so open time stays flat in index size and the
-// validation pass doubles as page warm-up. Either way corruption
-// surfaces as a clean error, never a fault: at Load for streams, at the
-// first search for mappings.
+// reads every arena byte, and Load runs it before it returns: a corrupt
+// file fails here, whatever r is. An opener that wants that pass later —
+// a mapped open, so open time stays flat in index size and the pass
+// doubles as page warm-up; a container, to fan it out over its shards —
+// calls LoadDeferred. Either way corruption surfaces as a clean error,
+// never a fault.
 func Load(r io.Reader) (*Index, error) {
-	br := binio.NewReader(r)
+	ix, err := LoadDeferred(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.Validate(); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// LoadDeferred is Load with the content tier left pending: it runs when
+// the caller says (Validate, before the index is shared) or else on the
+// first query, whose error every later query repeats.
+func LoadDeferred(r io.Reader) (*Index, error) {
+	src, err := binio.SourceOf(r, len(indexMagic), func(m string) bool { return m == indexMagic })
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	br := binio.NewReader(src)
 	br.Magic(indexMagic)
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -189,37 +204,25 @@ func readOptions(br *binio.Reader, dims, numParts int) (Options, error) {
 	return opts.withDefaults(dims), nil
 }
 
-// readVectorArena reads the contiguous row-major word arena and, in
-// eager (streaming) mode, carves checked per-vector views. In borrow
-// mode the views stay uncarved: the view headers alone are O(count)
+// readVectorArena aliases the contiguous row-major word arena. The
+// per-vector views stay uncarved: the view headers alone are O(count)
 // heap (they dominated open profiles), and the checked constructor
 // would read every vector's tail word — faulting the whole arena in
-// at open. The first query's validation pass carves unchecked views
-// and checks the tails; until then data is nil and every accessor
-// goes through ensureValidated. Tail bits beyond dims are a
-// validation error rather than masked in place — the writer masks
-// them, so set tail bits mean corruption, and masking would write to
-// what may be a read-only mapped page.
+// at open. The validation pass carves unchecked views and checks the
+// tails; until then data is nil and every accessor goes through
+// ensureValidated. Tail bits beyond dims are a validation error rather
+// than masked in place — the writer masks them, so set tail bits mean
+// corruption, and masking would write to what may be a read-only
+// mapped page.
 //
 //gph:borrow
-func readVectorArena(br *binio.Reader, dims, count int) (arena []uint64, data []bitvec.Vector, err error) {
+func readVectorArena(br *binio.Reader, dims, count int) ([]uint64, error) {
 	words := (dims + 63) / 64
-	arena = br.Uint64Raw(count*words, "vector arena")
+	arena := br.Uint64Raw(count*words, "vector arena")
 	if err := br.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: reading vector arena: %w", err)
+		return nil, fmt.Errorf("core: reading vector arena: %w", err)
 	}
-	if br.Borrowed() {
-		return arena, nil, nil
-	}
-	data = make([]bitvec.Vector, count)
-	for i := range data {
-		v, err := bitvec.FromWordsShared(dims, arena[i*words:(i+1)*words])
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: vector %d corrupt: %w", i, err)
-		}
-		data[i] = v
-	}
-	return arena, data, nil
+	return arena, nil
 }
 
 // checkPartitionShape is the structural tier's per-partition check,
@@ -242,19 +245,16 @@ func checkPartitionShape(inv *invindex.Frozen, dimsI []int, p, count int) error 
 // posting arenas decode cleanly, and no key carries a bit beyond the
 // partition's width.
 func validatePartition(inv *invindex.Frozen, dimsI []int, p int) error {
-	if err := inv.Validate(); err != nil {
-		return fmt.Errorf("core: partition %d postings: %w", p, err)
-	}
-	if err := inv.CheckKeyWidth(len(dimsI)); err != nil {
+	if err := inv.ValidateWidth(len(dimsI)); err != nil {
 		return fmt.Errorf("core: partition %d postings: %w", p, err)
 	}
 	return nil
 }
 
 // loadCompact reads the head-then-payload layout: all scalars and
-// lengths first, then the raw aligned payloads in the same order. A
-// borrow-mode reader parses the head with a handful of page faults and
-// aliases every payload untouched.
+// lengths first, then the raw aligned payloads in the same order — the
+// head parsed with a handful of page faults, every payload aliased
+// untouched. The index it returns has its content tier pending.
 func loadCompact(br *binio.Reader) (*Index, error) {
 	dims, count, err := readCollectionHeader(br)
 	if err != nil {
@@ -279,16 +279,15 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 	}
 
 	br.Align8()
-	arena, data, err := readVectorArena(br, dims, count)
+	arena, err := readVectorArena(br, dims, count)
 	if err != nil {
 		return nil, err
 	}
-	deferred := br.Borrowed()
 	codes, err := verify.Wrap(count, dims, arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ix := &Index{dims: dims, count: count, data: data, arena: arena, codes: codes, parts: parts, opts: opts, deepPending: deferred}
+	ix := &Index{dims: dims, count: count, arena: arena, codes: codes, parts: parts, opts: opts, deepPending: true}
 	ix.inv = make([]*invindex.Frozen, numParts)
 	for i := range headers {
 		inv, err := headers[i].ReadPayload(br)
@@ -297,11 +296,6 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 		}
 		if err := checkPartitionShape(inv, parts.Parts[i], i, count); err != nil {
 			return nil, err
-		}
-		if !deferred {
-			if err := validatePartition(inv, parts.Parts[i], i); err != nil {
-				return nil, err
-			}
 		}
 		ix.inv[i] = inv
 	}
@@ -316,9 +310,9 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 
 // rebuildEstimators reconstructs the estimators, whose state the format
 // does not carry. The exact one is a view of the partition's frozen
-// index; the others read every vector, so a borrow-mode load
-// materializes its deferred views first — deferral buys nothing on a
-// path that walks the whole collection anyway.
+// index; the others read every vector, so the load materializes its
+// deferred views first — deferral buys nothing on a path that walks
+// the whole collection anyway.
 func (ix *Index) rebuildEstimators() error {
 	if ix.opts.Estimator != EstimatorExact {
 		ix.materializeData()

@@ -115,10 +115,10 @@ func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 // checked on the estimator's copy is checked on them. A key with a bit
 // beyond its partition's width — which leaves key order, lengths and
 // posting framing intact — and posting counts that do not sum to the
-// collection size are rejected when a stream is loaded and by the first
-// query on a borrowed file, estimates made before that staying in
-// bounds; a posting total that is not the collection size is rejected
-// at open either way.
+// collection size are rejected by Load, from a stream or from bytes in
+// place alike, and by the first query on a deferred load, estimates
+// made before that staying in bounds; a posting total that is not the
+// collection size is rejected at open either way.
 func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	data := testData(t, 100, 14)
 	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
@@ -139,16 +139,19 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		if _, err := Load(bytes.NewReader(hostile)); err == nil {
 			t.Fatalf("%s: accepted from a stream", name)
 		}
-		borrowed, err := Load(binio.NewSource(hostile))
+		if _, err := Load(binio.NewSource(hostile)); err == nil {
+			t.Fatalf("%s: accepted from bytes in place", name)
+		}
+		borrowed, err := LoadDeferred(binio.NewSource(hostile))
 		if err != nil {
-			t.Fatalf("%s: borrow-mode open read the arenas: %v", name, err)
+			t.Fatalf("%s: a deferred load read the arenas: %v", name, err)
 		}
 		for _, est := range borrowed.ests { // the histogram kernel, before any validation
 			_ = est.CNAll(data[3], 70)
 		}
 		_ = borrowed.EstimateTable(data[3], 70)
 		if _, err := borrowed.Search(data[3], 4); err == nil {
-			t.Fatalf("%s: accepted by the first query on a borrowed file", name)
+			t.Fatalf("%s: accepted by the first query on a deferred load", name)
 		}
 	}
 

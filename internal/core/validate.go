@@ -6,16 +6,29 @@ import (
 	"gph/internal/bitvec"
 )
 
-// ensureValidated runs the deferred content tier of load validation —
-// posting-list varint framing and id ranges, key order, key and vector
-// tail bits — exactly once, before the first
-// query of an index whose Load deferred it (borrow-mode loads over a
-// file mapping; see Load). The pass reads every arena byte, so over a
-// mapping it doubles as page warm-up: the first query pays the major
-// faults a heap load would have paid at open. Corruption surfaces
-// here as a sticky error every subsequent query repeats — a clean
-// failure, never a fault, because Load's structural checks already
-// proved every access in-bounds.
+// Validate runs the content tier of load validation now — posting-list
+// varint framing and id ranges, key order, key and vector tail bits —
+// for the opener of a loaded index to call before it shares the index
+// with anyone: a heap open does, and leaves Open with an index that
+// pays per query what a built one pays. Not for an index other
+// goroutines already search; their first query validates (see
+// ensureValidated), and a failed verdict stays with the index either
+// way.
+func (ix *Index) Validate() error {
+	err := ix.ensureValidated()
+	if err == nil {
+		ix.deepPending = false
+	}
+	return err
+}
+
+// ensureValidated runs the content tier exactly once, before the first
+// query of a loaded index whose opener left it pending (a mapped open;
+// see Load). The pass reads every arena byte, so over a mapping it
+// doubles as page warm-up: the first query pays the major faults a heap
+// open paid at open. Corruption surfaces here as a sticky error every
+// subsequent query repeats — a clean failure, never a fault, because
+// Load's structural checks already proved every access in-bounds.
 //
 // Every public query entry point calls this.
 func (ix *Index) ensureValidated() error {
@@ -46,9 +59,9 @@ func (ix *Index) runDeepValidation() {
 func (ix *Index) deepValidate() error {
 	return ForEach(0, len(ix.inv)+1, func(i int) error {
 		if i == 0 {
-			// Carve the per-vector views a borrow-mode Load deferred (no
-			// other worker reads ix.data, and queries serialize on deepMu
-			// until deepDone's release-store publishes the views).
+			// Carve the per-vector views Load deferred (no other worker
+			// reads ix.data, and queries serialize on deepMu until
+			// deepDone's release-store publishes the views).
 			ix.materializeData()
 			for id, v := range ix.data {
 				if err := v.CheckTail(); err != nil {
@@ -62,10 +75,9 @@ func (ix *Index) deepValidate() error {
 }
 
 // materializeData carves the per-vector views out of the word arena a
-// deserializing Load retained. Built indexes and eager (streaming)
-// loads arrive with data already populated; only borrow-mode loads
-// defer the carve, because the view headers alone are O(count) heap —
-// they dominated cold-open profiles.
+// Load retained. Built indexes arrive with data populated; a load
+// defers the carve to its validation pass, because the view headers
+// alone are O(count) heap — they dominated cold-open profiles.
 func (ix *Index) materializeData() {
 	if ix.data != nil {
 		return

@@ -23,6 +23,16 @@ type Scannable interface {
 	Codes() *verify.Codes
 }
 
+// Validator is implemented by engines whose loader can return before
+// every check has run: GPH's leaves the content tier, which reads every
+// arena byte, pending (the other engines' loaders finish their checking
+// before they return). Validate runs what is pending now, for the
+// opener to call before it shares the engine; left uncalled, the
+// engine's first query runs it. The verdict is sticky either way.
+type Validator interface {
+	Validate() error
+}
+
 // GrowStats accounts one progressive-radius kNN query: how many radius
 // rounds ran, the final radius, and how many distinct candidates were
 // distance-ranked. Engines with an incremental grower fill it; the

@@ -23,8 +23,8 @@ var ErrIndexClosed = errors.New("engine: index closed")
 type OpenMode int
 
 const (
-	// OpenHeap reads and copies the file into owned heap buffers — the
-	// Load path that existed before mmap support; open time and RSS
+	// OpenHeap reads the file into one owned heap buffer and decodes it
+	// in place, validated in full before Open returns; open time and RSS
 	// scale with index size.
 	OpenHeap OpenMode = iota
 	// OpenMMap maps the file read-only and serves the index's arenas
@@ -60,17 +60,19 @@ type OpenedEngine interface {
 }
 
 // Open loads the engine index at path in the given mode, dispatching
-// on the file's magic like LoadAny. In OpenMMap mode the decoder runs
-// in borrow mode over the mapping, so the index's bulk arenas alias
-// the file's pages and open time stays flat in index size: structural
-// validation (magics, headers, offset monotonicity and arena spans —
-// everything needed to make later accesses in-bounds) runs before
-// Open returns, while the arena-reading content checks run on the
-// first query, where they double as page warm-up. Truncated or
-// structurally corrupt files fail here; content corruption fails the
-// first search with a sticky validation error. Neither ever faults.
-// Heap opens stream every byte anyway and validate fully before Open
-// returns, exactly as Load always has.
+// on the file's magic like LoadAny. Both modes run the one decode, in
+// place over the file's bytes — a read-only mapping, or one heap buffer
+// the file was read into — so the index's bulk arenas alias those bytes.
+// Structural validation (magics, headers, arena and array lengths —
+// everything needed to make later accesses in-bounds) runs before Open
+// returns in both; truncated or structurally corrupt files fail here.
+// The arena-reading content checks are the same function in both modes
+// and differ in when: a heap open has paid to read every byte and runs
+// them before it returns, so content corruption fails Open; a mapped
+// open leaves them to the first query, where they double as page
+// warm-up and open time stays flat in index size, so content corruption
+// fails the first search with a sticky validation error. Neither ever
+// faults.
 //
 // The guard forwards the Engine contract plus streaming, not the
 // planner-facing capabilities (Scannable, GrowSearcher):
@@ -93,7 +95,7 @@ func Open(path string, mode OpenMode) (OpenedEngine, error) {
 		// Both calls are best-effort: a platform that cannot advise
 		// still opens correctly, just colder.
 		_ = m.Advise(mmapio.AdviseRandom)
-		e, err := LoadAny(binio.NewSource(m.Data()))
+		e, err := LoadAnyDeferred(binio.NewSource(m.Data()))
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -101,12 +103,13 @@ func Open(path string, mode OpenMode) (OpenedEngine, error) {
 		_ = m.Advise(mmapio.AdviseNormal)
 		return wrapOpened(e, m), nil
 	}
-	f, err := os.Open(path)
+	// One read into one buffer of the file's size, decoded where it
+	// lies: the arenas alias the buffer as they would a mapping.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	e, err := LoadAny(f)
+	e, err := LoadAny(binio.NewSource(data))
 	if err != nil {
 		return nil, err
 	}

@@ -1,19 +1,24 @@
 // Open-path conformance: every registered engine must serve byte-equal
 // results from a memory-mapped open and a heap open of the same file,
 // report the same exact SizeBytes either way, fail cleanly (never
-// fault) on truncated or corrupted files, and turn searches racing
-// Close into engine.ErrIndexClosed instead of unmapped-page reads.
+// fault) on truncated or corrupted files — a heap open and a reader
+// load at open, a mapped open by its first search — and turn searches
+// racing Close into engine.ErrIndexClosed instead of unmapped-page
+// reads.
 package engine_test
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/engine/enginetest"
 )
@@ -137,43 +142,186 @@ func TestOpenTruncated(t *testing.T) {
 	}
 }
 
-// TestOpenCorrupted flips one byte at offsets spread through every
-// engine's file. The contract is clean failure: open or search may
-// reject the file (most flips hit a checked structure), and a flip in
-// unchecked vector payload may legitimately change results — but
-// nothing may panic or fault.
+// TestOpenCorrupted is where corruption surfaces, per opener and mode:
+// one byte flipped at offsets spread through every engine's file, and
+// the file cut short at a few lengths, each damaged copy taken through
+// Open in both modes and through LoadAny from a plain reader. Nothing
+// may panic or fault. A heap open and a reader load have read every
+// byte and reject at open exactly the files a mapped open rejects by its
+// first search (at Open: the structural tier; at the search: what it
+// leaves for then, GPH's content tier). A flip nobody rejects sits in
+// unchecked vector payload and may legitimately change results — the
+// same results in both modes.
 func TestOpenCorrupted(t *testing.T) {
+	_, queries, _ := confData(t)
 	for _, info := range engine.Infos() {
 		t.Run(info.Name, func(t *testing.T) {
-			path := saveEngineFile(t, info.Name)
-			full, err := os.ReadFile(path)
+			full, err := os.ReadFile(saveEngineFile(t, info.Name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, queries, _ := confData(t)
-			for i := 0; i < 16; i++ {
-				off := (len(full) - 1) * i / 15
-				bad := slices.Clone(full)
-				bad[off] ^= 0x55
-				corrupt := filepath.Join(t.TempDir(), "bad.idx")
-				if err := os.WriteFile(corrupt, bad, 0o644); err != nil {
+			// Sixteen flips through every engine's file; GPH, the engine
+			// whose loader leaves work for later, gets a finer sweep on top.
+			damaged := map[string][]byte{}
+			flip := func(count int) {
+				for i := 0; i < count; i++ {
+					off := (len(full) - 1) * i / (count - 1)
+					bad := slices.Clone(full)
+					bad[off] ^= 0x55
+					damaged[fmt.Sprintf("flip at offset %d", off)] = bad
+				}
+			}
+			flip(16)
+			if info.Name == "gph" {
+				flip(64)
+			}
+			for _, keep := range []int{0, 4, 8, 9, len(full) / 4, len(full) / 2, len(full) - 1} {
+				damaged[fmt.Sprintf("cut to %d of %d bytes", keep, len(full))] = full[:keep]
+			}
+			path := filepath.Join(t.TempDir(), "bad.idx")
+			atSearch := 0
+			for what, bad := range damaged {
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							t.Errorf("flip at offset %d: panic: %v", off, r)
+							t.Errorf("%s: panic: %v", what, r)
 						}
 					}()
-					e, err := engine.Open(corrupt, engine.OpenMMap)
-					if err != nil {
-						return // rejected at open
+					heap, heapErr := engine.Open(path, engine.OpenHeap)
+					// LSH redraws its tables on every load, 0.2 s each: it
+					// skips the third.
+					readerErr := heapErr
+					if info.Name != "lsh" {
+						_, readerErr = engine.LoadAny(bytes.NewReader(bad))
 					}
-					defer e.Close()
-					_, _ = e.Search(queries[0], 3) // error or changed results: both clean
+					if (heapErr != nil) != (readerErr != nil) {
+						t.Errorf("%s: heap open says %v, a reader load %v", what, heapErr, readerErr)
+					}
+					mapped, mapErr := engine.Open(path, engine.OpenMMap)
+					if mapErr == nil {
+						defer mapped.Close()
+						if _, mapErr = mapped.Search(queries[0], 3); mapErr != nil {
+							atSearch++
+						}
+					}
+					if (heapErr != nil) != (mapErr != nil) {
+						t.Errorf("%s: heap open says %v, a mapped open and its first search %v", what, heapErr, mapErr)
+					}
+					if heapErr != nil || mapErr != nil {
+						return
+					}
+					for _, q := range queries[:4] {
+						for _, tau := range []int{0, 1, 3} {
+							want, werr := heap.Search(q, tau)
+							got, gerr := mapped.Search(q, tau)
+							if (werr != nil) != (gerr != nil) || !slices.Equal(got, want) {
+								t.Errorf("%s, tau=%d: heap answers %v (%v), mmap %v (%v)", what, tau, want, werr, got, gerr)
+							}
+						}
+					}
 				}()
 			}
+			if info.Name == "gph" && atSearch == 0 {
+				t.Error("no damaged gph file got past a mapped Open to fail its first search: the sweep misses the content tier")
+			}
 		})
+	}
+}
+
+// TestFirstQueriesRace: eight goroutines' first searches on one freshly
+// opened index, at thresholds that run the index. On a mapped open they
+// race the content tier (one runs it, seven wait) and then the slot
+// warm-up; on a heap open, validated before Open returned, the warm-up
+// alone. All eight answer as the oracle does. Run under -race.
+func TestFirstQueriesRace(t *testing.T) {
+	path := saveEngineFile(t, "gph")
+	_, queries, oracle := confData(t)
+	for _, mode := range []engine.OpenMode{engine.OpenHeap, engine.OpenMMap} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e, err := engine.Open(path, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					q, tau := queries[g%len(queries)], g%2
+					want, err := oracle.Search(q, tau)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					<-start
+					got, st, err := e.SearchStats(q, tau)
+					if err != nil || !slices.Equal(got, want) {
+						t.Errorf("goroutine %d, tau=%d: got %v (%v), the oracle has %v", g, tau, got, err, want)
+					} else if st.Scanned {
+						t.Errorf("goroutine %d, tau=%d: answered by the scan, which probes nothing", g, tau)
+					}
+				}(g)
+			}
+			close(start)
+			wg.Wait()
+		})
+	}
+}
+
+// TestHeapOpenReadsOnce pins the copy: a heap open, and a load from a
+// reader that can say its size (a file, a bytes.Reader), allocates the
+// file's bytes once — one buffer the arenas alias — plus the per-vector
+// views its validation carves (32 B each). An io.ReadAll's doublings, or
+// a second copy of the arenas, does not fit under 1.1 × the file + 64 B
+// a vector, on a file of more than 36 B a vector: 256-d rows are 32.
+func TestHeapOpenReadsOnce(t *testing.T) {
+	ds := dataset.UQVideoLike(3000, confSeed)
+	built, err := engine.Build("gph", ds.Vectors, engine.BuildOptions{Seed: confSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gph.idx")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, n := int64(buf.Len()), int64(len(ds.Vectors))
+	for _, c := range []struct {
+		name string
+		load func() (engine.Engine, error)
+	}{
+		{"Open(heap)", func() (engine.Engine, error) { return engine.Open(path, engine.OpenHeap) }},
+		{"LoadAny(*os.File)", func() (engine.Engine, error) { return engine.LoadAny(f) }},
+		{"LoadAny(*bytes.Reader)", func() (engine.Engine, error) { return engine.LoadAny(bytes.NewReader(buf.Bytes())) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, err := c.load()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if e.Len() != len(ds.Vectors) {
+			t.Fatalf("%s: loaded %d vectors of %d", c.name, e.Len(), len(ds.Vectors))
+		}
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		if limit := size*11/10 + 64*n; got > limit || 2*size+32*n <= limit {
+			t.Errorf("%s of a %d-byte file over %d vectors allocated %d bytes; limit %d, two copies would be %d",
+				c.name, size, n, got, limit, 2*size+32*n)
+		}
 	}
 }
 

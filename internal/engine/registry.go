@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -83,6 +82,15 @@ func Lookup(name string) (Registration, bool) {
 	return reg, ok
 }
 
+// lookupMagic returns the registration whose serialized form leads
+// with magic.
+func lookupMagic(magic string) (Registration, bool) {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	reg, ok := byMagic[magic]
+	return reg, ok
+}
+
 // Info summarizes a registered engine for listings.
 type Info struct {
 	Name  string
@@ -124,47 +132,67 @@ func Build(name string, data []bitvec.Vector, opts BuildOptions) (Engine, error)
 	return reg.Build(data, opts.WithDefaults())
 }
 
-// PeekMagic returns r's leading MagicLen bytes without consuming them,
-// together with the reader to continue from. A *binio.Source (the
-// zero-copy open path hands one over a file mapping) is returned
-// itself, so a codec reading from it stays in borrow mode; any other
-// reader comes back buffered.
-func PeekMagic(r io.Reader) (string, io.Reader, error) {
-	var (
-		magic []byte
-		err   error
-	)
-	if src, ok := r.(*binio.Source); ok {
-		magic, err = src.Peek(MagicLen)
-	} else {
-		br := bufio.NewReader(r)
-		magic, err = br.Peek(MagicLen)
-		r = br
-	}
+// PeekMagic returns src's leading MagicLen bytes without consuming
+// them, so the loader they select still finds its magic in front.
+func PeekMagic(src *binio.Source) (string, error) {
+	magic, err := src.Peek(MagicLen)
 	if err != nil {
-		return "", nil, fmt.Errorf("engine: reading magic: %w", err)
+		return "", fmt.Errorf("engine: reading magic: %w", err)
 	}
-	return string(magic), r, nil
+	return string(magic), nil
+}
+
+// Validate runs, now, whatever checks e's loader left pending (e's
+// Validator capability; an engine without it left none). It is the
+// opener's call, made before the engine is shared; a failed verdict is
+// sticky.
+func Validate(e Engine) error {
+	if v, ok := e.(Validator); ok {
+		return v.Validate()
+	}
+	return nil
 }
 
 // LoadAny restores an engine from r by peeking the leading magic bytes
 // and dispatching to the matching registered loader. It accepts any
-// format a registered engine's Save produces. When r is a
-// *binio.Source, the source itself is passed through to the loader, so
-// binio.NewReader inside the engine codec stays in borrow mode and the
-// loaded structures alias the mapping instead of copying it.
+// format a registered engine's Save produces, decodes it in place — a
+// reader that is not a *binio.Source is read out into one buffer first,
+// and the loaded structures alias the bytes instead of copying them —
+// and returns the engine validated in full, whatever r is. An opener
+// that wants the checks a loader can leave pending (Validator) run
+// later calls LoadAnyDeferred.
 func LoadAny(r io.Reader) (Engine, error) {
-	magic, r, err := PeekMagic(r)
+	e, err := LoadAnyDeferred(r)
 	if err != nil {
 		return nil, err
 	}
-	regMu.RLock()
-	reg, ok := byMagic[magic]
-	regMu.RUnlock()
+	if err := Validate(e); err != nil {
+		return nil, fmt.Errorf("engine: loading %s index: %w", e.Name(), err)
+	}
+	return e, nil
+}
+
+// LoadAnyDeferred is LoadAny that leaves a Validator's pending checks
+// pending: they run when the caller calls Validate (a container does,
+// over all its shards side by side) or on the engine's first query (a
+// mapped open's, where they double as page warm-up).
+func LoadAnyDeferred(r io.Reader) (Engine, error) {
+	src, err := binio.SourceOf(r, MagicLen, func(magic string) bool {
+		_, ok := lookupMagic(magic)
+		return ok
+	})
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	magic, err := PeekMagic(src)
+	if err != nil {
+		return nil, err
+	}
+	reg, ok := lookupMagic(magic)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown index format %q", magic)
 	}
-	e, err := reg.Load(r)
+	e, err := reg.Load(src)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s index: %w", reg.Name, err)
 	}

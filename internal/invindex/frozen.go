@@ -194,6 +194,12 @@ func (f *Frozen) ensureSlots() {
 	}
 }
 
+// WarmSlots builds the probe table now if no probe has yet, for a
+// caller that has several indexes' tables to build and hands each to
+// a worker of its own instead of letting a query build them one behind
+// another.
+func (f *Frozen) WarmSlots() { f.ensureSlots() }
+
 // buildSlotsOnce builds the slot table exactly once; concurrent first
 // probes serialize on slotsMu and all but one find the table ready.
 func (f *Frozen) buildSlotsOnce() {
@@ -217,7 +223,14 @@ func (f *Frozen) buildSlots() {
 	}
 	mask := uint64(size - 1)
 	for e := 0; e < n; e++ {
-		h := hashKey(f.key(e)) & mask
+		var h uint64
+		if f.keyLen == 8 {
+			// One-word keys — every default build — hash as lookupWord
+			// hashes them, without the byte loop.
+			h = hashWord(binary.LittleEndian.Uint64(f.keyArena[8*e:])) & mask
+		} else {
+			h = hashKey(f.key(e)) & mask
+		}
 		for f.slots[h] >= 0 {
 			h = (h + 1) & mask
 		}
@@ -900,12 +913,20 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // faults the pages in, which is why ReadPayload leaves it to the
 // caller's first query rather than open. Idempotent and safe for
 // concurrent use; every call returns the first run's verdict.
-func (f *Frozen) Validate() error {
-	f.deepOnce.Do(func() { f.deepErr = f.validateContent() })
+func (f *Frozen) Validate() error { return f.ValidateWidth(-1) }
+
+// ValidateWidth is Validate for an index whose keys are the packed form
+// of a width-bit projection: ⌈width/64⌉ little-endian words with no bit
+// set at or beyond width, checked in the pass that already holds the
+// key. A probe never asks for such a bit and a key scan counts it like
+// any other, so a key carrying one would make the two disagree. The
+// first run's width is the one checked; an index has one.
+func (f *Frozen) ValidateWidth(width int) error {
+	f.deepOnce.Do(func() { f.deepErr = f.validateContent(width) })
 	return f.deepErr
 }
 
-func (f *Frozen) validateContent() error {
+func (f *Frozen) validateContent(width int) error {
 	numKeys := f.NumKeys()
 	// Offset spans, monotonicity and the count total come first: until
 	// they hold, no entry may be sliced out of the arenas (a corrupted
@@ -934,6 +955,38 @@ func (f *Frozen) validateContent() error {
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
 	}
+	// Per entry: its key against the one before, its key's width, its
+	// list. A key of the wrong width is reported only once every entry's
+	// order and list have passed, as when the width check was a pass of
+	// its own after them: what a corrupt file is rejected for does not
+	// depend on which loop found it.
+	var widthErr error
+	if f.keyLen == 8 {
+		// One-word keys, every default build. Byte-lexicographic order,
+		// what bytes.Compare computes, is the order of the keys read as
+		// big-endian words; the bits of the little-endian word the key
+		// packs are those bytes reversed.
+		var stray uint64 // the bits a width-bit projection leaves clear
+		if width > 0 && width%64 != 0 {
+			stray = ^uint64(0) << uint(width%64)
+		}
+		oneWord := (width+63)/64 == 1
+		var prev uint64
+		for e := 0; e < numKeys; e++ {
+			k := binary.BigEndian.Uint64(f.keyArena[8*e:])
+			if e > 0 && prev >= k {
+				return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
+			}
+			prev = k
+			if width >= 0 && widthErr == nil && (!oneWord || bits.ReverseBytes64(k)&stray != 0) {
+				widthErr = f.checkKeyWidth(e, width)
+			}
+			if err := f.checkList(e); err != nil {
+				return err
+			}
+		}
+		return widthErr
+	}
 	prevKey := []byte(nil)
 	for e := 0; e < numKeys; e++ {
 		k := f.key(e)
@@ -941,13 +994,39 @@ func (f *Frozen) validateContent() error {
 			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
 		}
 		prevKey = k
-		n, err := validateList(f.postArena[f.postOffs[e]:f.postOffs[e+1]], f.maxID)
-		if err != nil {
-			return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+		if width >= 0 && widthErr == nil {
+			widthErr = f.checkKeyWidth(e, width)
 		}
-		if n != int(f.counts[e]) {
-			return fmt.Errorf("invindex: frozen entry %d decodes %d postings, count says %d", e, n, f.counts[e])
+		if err := f.checkList(e); err != nil {
+			return err
 		}
+	}
+	return widthErr
+}
+
+// checkList decodes entry e's posting list: framing, id range, and the
+// decoded count against the counts array.
+func (f *Frozen) checkList(e int) error {
+	n, err := validateList(f.postArena[f.postOffs[e]:f.postOffs[e+1]], f.maxID)
+	if err != nil {
+		return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+	}
+	if n != int(f.counts[e]) {
+		return fmt.Errorf("invindex: frozen entry %d decodes %d postings, count says %d", e, n, f.counts[e])
+	}
+	return nil
+}
+
+// checkKeyWidth verifies that key e is the packed form of a width-bit
+// projection (ValidateWidth).
+func (f *Frozen) checkKeyWidth(e, width int) error {
+	words, tail := (width+63)/64, uint(width%64)
+	key := f.key(e)
+	if len(key) != 8*words {
+		return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, 8*words)
+	}
+	if tail != 0 && binary.LittleEndian.Uint64(key[len(key)-8:])>>tail != 0 {
+		return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
 	}
 	return nil
 }
@@ -982,26 +1061,6 @@ func validateList(b []byte, maxID int32) (int, error) {
 		n++
 	}
 	return n, nil
-}
-
-// CheckKeyWidth verifies that every key is the packed form of a
-// width-bit projection: ⌈width/64⌉ little-endian words with no bit set
-// at or beyond width. A probe never asks for such a bit and a key scan
-// counts it like any other, so a key carrying one would make the two
-// disagree. It reads every key, so it belongs to the content tier, after
-// Validate has proved the offsets.
-func (f *Frozen) CheckKeyWidth(width int) error {
-	words, tail := (width+63)/64, uint(width%64)
-	for e := range f.counts {
-		key := f.key(e)
-		if len(key) != 8*words {
-			return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, 8*words)
-		}
-		if tail != 0 && binary.LittleEndian.Uint64(key[len(key)-8:])>>tail != 0 {
-			return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
-		}
-	}
-	return nil
 }
 
 // ArenaBreakdown reports the byte size of each backing component

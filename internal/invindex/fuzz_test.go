@@ -45,7 +45,8 @@ func frozenBytes(f *Frozen) []byte {
 }
 
 // FuzzReadFrozen hammers the frozen-postings decoder with corrupt
-// bytes: it must never panic, and any input it accepts must be a
+// bytes: it must never panic, its content tier must give the verdict
+// the reference gives, and any input it accepts must be a
 // self-consistent index — ids in range, delta lists nondecreasing,
 // every key findable, counts honest — whose canonical
 // re-serialization round-trips byte-identically.
@@ -73,7 +74,19 @@ func FuzzReadFrozen(f *testing.F) {
 	}
 	f.Add(frozenBytes(stray.Freeze()), int32(3))
 
+	// What the content tier's one-word fast path could get wrong and a
+	// byte-at-a-time loop would not (validate_test.go).
+	for _, s := range fastPathSeeds() {
+		f.Add(s.data, s.maxID)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
+		// The content tier against its reference, keys judged at no width
+		// and at one the input picks (a seed's own among them: 8, 13, 16
+		// and 64 are id bounds above).
+		sameVerdict(t, data, maxID, -1, "fuzz input")
+		sameVerdict(t, data, maxID, int(uint32(maxID)%72), "fuzz input")
+
 		fr, err := ReadFrozen(binio.NewReader(bytes.NewReader(data)), maxID)
 		if err != nil {
 			return

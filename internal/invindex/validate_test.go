@@ -1,0 +1,310 @@
+package invindex
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"gph/internal/binio"
+)
+
+// The reference: the content tier as it ran before the one-word fast
+// path — every key compared with bytes.Compare, every list walked, and
+// the key widths checked in a pass of their own behind both. The fast
+// path keeps every check; these keep it honest about that.
+
+func refValidate(f *Frozen, width int) error {
+	numKeys := f.NumKeys()
+	if f.keyLen == 0 && len(f.keyOffs) > 0 && (f.keyOffs[0] != 0 || f.keyOffs[numKeys] != uint32(len(f.keyArena))) {
+		return fmt.Errorf("invindex: frozen key offsets do not span the arena")
+	}
+	if len(f.postOffs) > 0 && (f.postOffs[0] != 0 || f.postOffs[numKeys] != uint32(len(f.postArena))) {
+		return fmt.Errorf("invindex: frozen offsets do not span the arenas")
+	}
+	var total int64
+	for e := 0; e < numKeys; e++ {
+		if f.keyLen == 0 && f.keyOffs[e] > f.keyOffs[e+1] {
+			return fmt.Errorf("invindex: frozen key offsets not monotone at entry %d", e)
+		}
+		if f.postOffs[e] > f.postOffs[e+1] {
+			return fmt.Errorf("invindex: frozen offsets not monotone at entry %d", e)
+		}
+		total += int64(f.counts[e])
+	}
+	if total != f.postings {
+		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
+	}
+	prevKey := []byte(nil)
+	for e := 0; e < numKeys; e++ {
+		k := f.key(e)
+		if prevKey != nil && bytes.Compare(prevKey, k) >= 0 {
+			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
+		}
+		prevKey = k
+		n, err := refValidateList(f.postArena[f.postOffs[e]:f.postOffs[e+1]], f.maxID)
+		if err != nil {
+			return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+		}
+		if n != int(f.counts[e]) {
+			return fmt.Errorf("invindex: frozen entry %d decodes %d postings, count says %d", e, n, f.counts[e])
+		}
+	}
+	if width < 0 {
+		return nil
+	}
+	words, tail := (width+63)/64, uint(width%64)
+	for e := range f.counts {
+		key := f.key(e)
+		if len(key) != 8*words {
+			return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, 8*words)
+		}
+		if tail != 0 && binary.LittleEndian.Uint64(key[len(key)-8:])>>tail != 0 {
+			return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
+		}
+	}
+	return nil
+}
+
+func refValidateList(b []byte, maxID int32) (int, error) {
+	var prev int64
+	n := 0
+	for i := 0; i < len(b); {
+		var v uint64
+		var shift uint
+		for {
+			if i >= len(b) {
+				return 0, fmt.Errorf("truncated varint")
+			}
+			c := b[i]
+			i++
+			v |= uint64(c&0x7f) << shift
+			if c < 0x80 {
+				break
+			}
+			shift += 7
+			if shift > 28 {
+				return 0, fmt.Errorf("varint overflows 32 bits")
+			}
+		}
+		prev += int64(v)
+		if prev >= int64(maxID) {
+			return 0, fmt.Errorf("posting id %d outside [0,%d)", prev, maxID)
+		}
+		n++
+	}
+	return n, nil
+}
+
+// readUnvalidated parses a serialized section in place, content tier
+// not run: nil when the structural tier already rejects the bytes.
+func readUnvalidated(data []byte, maxID int32) *Frozen {
+	br := binio.NewReader(binio.NewSource(data))
+	h, err := ReadFrozenHeader(br, maxID)
+	if err != nil {
+		return nil
+	}
+	f, err := h.ReadPayload(br)
+	if err != nil {
+		return nil
+	}
+	return f
+}
+
+// sameVerdict holds the content tier to the reference on one section:
+// the same error — check, entry and all — or none from either.
+func sameVerdict(t testing.TB, data []byte, maxID int32, width int, what string) {
+	t.Helper()
+	f := readUnvalidated(data, maxID)
+	if f == nil {
+		return
+	}
+	got, want := f.validateContent(width), refValidate(f, width)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s, width %d:\n  content tier: %v\n  reference:    %v", what, width, got, want)
+	}
+}
+
+// wordKey is the 8-byte little-endian key holding w.
+func wordKey(w uint64) string {
+	var k [8]byte
+	binary.LittleEndian.PutUint64(k[:], w)
+	return string(k[:])
+}
+
+// handFrozen serializes a section made by hand — keys in the order
+// given, each with its posting bytes and the count it claims — so a test
+// can hold exactly the corruption it means to.
+func handFrozen(keys []string, lists [][]byte, counts []uint32) []byte {
+	f := &Frozen{keyLen: len(keys[0]), postOffs: []uint32{0}}
+	for i, k := range keys {
+		f.keyArena = append(f.keyArena, k...)
+		f.postArena = append(f.postArena, lists[i]...)
+		f.postOffs = append(f.postOffs, uint32(len(f.postArena)))
+		f.counts = append(f.counts, counts[i])
+		f.postings += int64(counts[i])
+	}
+	return frozenBytes(f)
+}
+
+// fastPathSeeds are the sections the one-word fast path could get wrong
+// and a byte-at-a-time loop would not, each with the id bound and the
+// key width it is judged at; FuzzReadFrozen starts from them.
+func fastPathSeeds() []struct {
+	name  string
+	data  []byte
+	maxID int32
+	width int
+} {
+	one := func(keys []string, lists [][]byte) []byte {
+		counts := make([]uint32, len(keys))
+		for i := range counts {
+			counts[i] = 1
+		}
+		return handFrozen(keys, lists, counts)
+	}
+	id := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	return []struct {
+		name  string
+		data  []byte
+		maxID int32
+		width int
+	}{
+		{"a multi-byte varint ending a list", handFrozen([]string{wordKey(1)}, [][]byte{append(id(0), id(300)...)}, []uint32{2}), 301, 8},
+		{"a list cut inside its last varint", one([]string{wordKey(1)}, [][]byte{{0xac}}), 301, 8},
+		// Five bytes carry 35 bits: past 32 the value fails the id range, and
+		// a sixth byte is what the framing check is for.
+		{"a 5-byte varint overflowing 32 bits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x7f}}), math.MaxInt32, 8},
+		{"a 6-byte varint", one([]string{wordKey(1)}, [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x00}}), math.MaxInt32, 8},
+		{"a 5-byte varint that fits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x06}}), math.MaxInt32, 8},
+		{"id = maxID", one([]string{wordKey(1)}, [][]byte{id(40)}), 40, 8},
+		{"id = maxID − 1", one([]string{wordKey(1)}, [][]byte{id(39)}), 40, 8},
+		{"a count one over its list", handFrozen([]string{wordKey(1)}, [][]byte{id(3)}, []uint32{2}), 40, 8},
+		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, [][]byte{id(0), id(1)}), 2, 8},
+		// Byte 7 is the big end of the little-endian word and the last
+		// byte bytes.Compare reaches; byte 0 the other way round. A compare
+		// of the words as the key scans load them orders these backwards.
+		{"keys differing only in byte 7, ascending", one([]string{wordKey(1), wordKey(1 | 1<<56)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 7, descending", one([]string{wordKey(1 | 1<<56), wordKey(1)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 0, ascending", one([]string{wordKey(1 << 56), wordKey(1 | 1<<56)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 0, descending", one([]string{wordKey(1 | 1<<56), wordKey(1 << 56)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"ascending by byte, descending as words", one([]string{wordKey(0x0100), wordKey(0x0001)}, [][]byte{id(0), id(1)}), 2, 16},
+		{"ascending as words, descending by byte", one([]string{wordKey(0x0001), wordKey(0x0100)}, [][]byte{id(0), id(1)}), 2, 16},
+		{"a key bit at the partition width", one([]string{wordKey(1 << 13)}, [][]byte{id(0)}), 1, 13},
+		{"a key bit just inside the partition width", one([]string{wordKey(1 << 12)}, [][]byte{id(0)}), 1, 13},
+		{"a key bit at the width behind a bad list", one([]string{wordKey(1 << 13), wordKey(1<<13 | 1<<8)}, [][]byte{id(0), {0x80}}), 2, 13},
+		{"one-word keys judged as two-word projections", one([]string{wordKey(1)}, [][]byte{id(0)}), 1, 70},
+	}
+}
+
+// TestFastPathsRejectWhatTheReferenceRejects: the seeds above, each
+// check's verdict spelled out, then the same verdict from both sides.
+func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
+	wantErr := map[string]string{
+		"a list cut inside its last varint":            "entry 0: truncated varint",
+		"a 5-byte varint overflowing 32 bits":          "entry 0: posting id 34359738367 outside [0,2147483647)",
+		"a 6-byte varint":                              "entry 0: varint overflows 32 bits",
+		"id = maxID":                                   "entry 0: posting id 40 outside [0,40)",
+		"a count one over its list":                    "entry 0 decodes 1 postings, count says 2",
+		"equal adjacent keys":                          "not strictly sorted at entry 1",
+		"keys differing only in byte 7, descending":    "not strictly sorted at entry 1",
+		"keys differing only in byte 0, descending":    "not strictly sorted at entry 1",
+		"ascending as words, descending by byte":       "not strictly sorted at entry 1",
+		"a key bit at the partition width":             "key 0 has bits set beyond dimension 13",
+		"a key bit at the width behind a bad list":     "entry 1: truncated varint",
+		"one-word keys judged as two-word projections": "key 0 is 8 bytes, a 70-bit projection packs to 16",
+	}
+	for _, s := range fastPathSeeds() {
+		f := readUnvalidated(s.data, s.maxID)
+		if f == nil {
+			t.Fatalf("%s: the structural tier rejects the seed", s.name)
+		}
+		err := f.validateContent(s.width)
+		if want, bad := wantErr[s.name]; bad != (err != nil) || (bad && !strings.Contains(err.Error(), want)) {
+			t.Errorf("%s: got %v, want %q", s.name, err, want)
+		}
+		sameVerdict(t, s.data, s.maxID, s.width, s.name)
+		sameVerdict(t, s.data, s.maxID, -1, s.name)
+	}
+}
+
+// TestValidateRejectsOffsetsAndTotals: the checks that come before any
+// entry is sliced — offsets spanning the arenas and monotone, counts
+// summing to the header's total — each still reject.
+func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
+	ix, _ := randomIndex(t, 6, 30, 9, false)
+	for _, c := range []struct {
+		name   string
+		break_ func(f *Frozen)
+		want   string
+	}{
+		{"first offset", func(f *Frozen) { f.postOffs[0] = 1 }, "do not span"},
+		{"last offset", func(f *Frozen) { f.postOffs[len(f.postOffs)-1]-- }, "do not span"},
+		{"offsets out of order", func(f *Frozen) { f.postOffs[3], f.postOffs[4] = f.postOffs[4]+1, f.postOffs[3] }, "not monotone at entry 3"},
+		{"counts against the total", func(f *Frozen) { f.postings++ }, "counts sum to"},
+	} {
+		f := readUnvalidated(frozenBytes(ix.Freeze()), 30)
+		// The section was decoded in place, over bytes this test owns.
+		c.break_(f)
+		err := f.validateContent(9)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+		if ref := refValidate(f, 9); fmt.Sprint(ref) != fmt.Sprint(err) {
+			t.Errorf("%s: content tier %v, reference %v", c.name, err, ref)
+		}
+	}
+}
+
+// TestValidateMatchesReferenceUnderMutation is the differential: every
+// single-byte mutation of small sections — one-word keys narrow and full
+// width, two-word keys, mixed-width deletion variants — and 10⁴ random
+// ones get the reference's verdict, down to the first failing entry.
+func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
+	type section struct {
+		name  string
+		data  []byte
+		maxID int32
+		width int
+	}
+	var sections []section
+	for _, c := range []struct {
+		n, w     int
+		variants bool
+	}{{40, 8, false}, {25, 64, false}, {20, 70, false}, {12, 9, true}} {
+		ix, _ := randomIndex(t, int64(c.w), c.n, c.w, c.variants)
+		sections = append(sections, section{fmt.Sprintf("n=%d w=%d variants=%v", c.n, c.w, c.variants), frozenBytes(ix.Freeze()), int32(c.n), c.w})
+	}
+	for _, s := range fastPathSeeds() {
+		sections = append(sections, section{s.name, s.data, s.maxID, s.width})
+	}
+	check := func(s section, bad []byte, what string) {
+		for _, width := range []int{-1, s.width, s.width - 1} {
+			sameVerdict(t, bad, s.maxID, width, s.name+": "+what)
+		}
+	}
+	for _, s := range sections {
+		for off := range s.data {
+			for _, x := range []byte{0x01, 0x80, 0xff} {
+				bad := bytes.Clone(s.data)
+				bad[off] ^= x
+				check(s, bad, fmt.Sprintf("byte %d ^ %#x", off, x))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 10000; i++ {
+		s := sections[rng.Intn(len(sections))]
+		bad := bytes.Clone(s.data)
+		what := ""
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			off, b := rng.Intn(len(bad)), byte(rng.Intn(256))
+			bad[off] = b
+			what += fmt.Sprintf(" byte %d = %#x", off, b)
+		}
+		check(s, bad, what)
+	}
+}

@@ -240,13 +240,49 @@ func sortedIDs(set map[int32]bool) []int32 {
 // Load reads a sharded index written by Save, validating the id
 // mappings against the nested per-shard indexes (every global id
 // unique and below the id counter, tombstones subset of the built
-// ids, delta dimensionality consistent). It assembles each shard's
-// state before the index is visible to anyone, which is why it is a
-// designated snapshot writer.
+// ids, delta dimensionality consistent). The container is decoded in
+// place — a reader that is not a *binio.Source is read out into one
+// buffer first — every shard's engine aliases its blob, and every shard
+// is validated in full before Load returns, whatever r is (OpenFile's
+// mapped mode is the one opener that leaves that to the first query).
+func Load(r io.Reader) (*Index, error) {
+	src, err := binio.SourceOf(r, len(shardMagic), func(m string) bool { return m == shardMagic })
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	return validated(loadDeferred(src))
+}
+
+// validated finishes a load for an opener that has read every byte:
+// the checks the shards' engines' loaders left pending (the content
+// tier of a GPH shard) run now, shards side by side, each fanning out
+// over its own partitions, before the index is shared.
+func validated(s *Index, err error) (*Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	err = core.ForEach(0, len(s.shards), func(i int) error {
+		if built := s.shards[i].Load().built; built != nil {
+			if err := engine.Validate(built); err != nil {
+				return fmt.Errorf("shard: loading shard %d index: %w", i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// loadDeferred is Load over the bytes in place, the shard engines'
+// pending checks left pending. It assembles each shard's state before
+// the index is visible to anyone, which is why it is a designated
+// snapshot writer.
 //
 //gph:snapshotwriter
-func Load(r io.Reader) (*Index, error) {
-	br := binio.NewReader(r)
+func loadDeferred(src *binio.Source) (*Index, error) {
+	br := binio.NewReader(src)
 	br.Magic(shardMagic)
 	dims := br.Int()
 	numShards := br.Int()
@@ -317,12 +353,11 @@ func Load(r io.Reader) (*Index, error) {
 			if err := br.Err(); err != nil {
 				return nil, fmt.Errorf("shard: reading shard %d index blob: %w", i, err)
 			}
-			// The blob is handed to the nested loader as a Source, so the
-			// engine codec runs in borrow mode: over a mapped container
-			// the shard engines' arenas alias the mapping, and over a
-			// stream load they alias the already-owned blob copy — either
-			// way the nested load adds no second copy.
-			built, err := engine.LoadAny(binio.NewSource(blob))
+			// The blob is a view of the container's bytes, handed to the
+			// nested loader as a Source: the shard engines' arenas alias
+			// the mapping or the buffer the container was read into, and
+			// the nested load adds no copy.
+			built, err := engine.LoadAnyDeferred(binio.NewSource(blob))
 			if err != nil {
 				return nil, fmt.Errorf("shard: loading shard %d index: %w", i, err)
 			}
@@ -385,16 +420,19 @@ func Load(r io.Reader) (*Index, error) {
 
 // OpenFile opens the index file at path in the given mode: a sharded
 // container, or any registered engine's own Save output, which is
-// adopted as a one-shard index (see adopt). With engine.OpenHeap the
-// file is read and copied into owned memory. With engine.OpenMMap it
+// adopted as a one-shard index (see adopt). Both modes decode the file
+// in place. With engine.OpenHeap it is read into one owned buffer and
+// every loader's validation, content tier included, runs before
+// OpenFile returns: a corrupt file fails here. With engine.OpenMMap it
 // is mapped read-only and the built engines' arenas become borrowed
 // slices over the mapping — decoding is O(1) in arena bytes (the id
-// maps are still built, O(n) in ids) and the kernel pages vectors in
-// on demand. All of the loaders' validation runs either way; a
-// corrupt file fails here, never as a fault at query time. A mapped
-// index's Close releases the mapping (searches after Close fail with
-// engine.ErrIndexClosed), and the mapping outlives compaction:
-// rebuilt engines keep vector views into it, so only Close unmaps.
+// maps are still built, O(n) in ids), the kernel pages vectors in on
+// demand, and the checks that read every arena byte (a GPH shard's
+// content tier) wait for that shard's first query, which fails with a
+// sticky error if they do; nothing ever faults. A mapped index's Close
+// releases the mapping (searches after Close fail with
+// engine.ErrIndexClosed), and the mapping outlives compaction: rebuilt
+// engines keep vector views into it, so only Close unmaps.
 func OpenFile(path string, mode engine.OpenMode) (*Index, error) {
 	if mode == engine.OpenMMap {
 		m, err := mmapio.Open(path)
@@ -409,25 +447,25 @@ func OpenFile(path string, mode engine.OpenMode) (*Index, error) {
 		s.mapping = m
 		return s, nil
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return open(f)
+	return validated(open(binio.NewSource(data)))
 }
 
 // open dispatches on the leading magic bytes: a container loads as
-// itself, anything else goes to the engine registry.
-func open(r io.Reader) (*Index, error) {
-	magic, r, err := engine.PeekMagic(r)
+// itself, anything else goes to the engine registry. The engines'
+// pending checks stay pending; OpenFile's mode says when they run.
+func open(src *binio.Source) (*Index, error) {
+	magic, err := engine.PeekMagic(src)
 	if err != nil {
 		return nil, err
 	}
 	if magic == shardMagic {
-		return Load(r)
+		return loadDeferred(src)
 	}
-	e, err := engine.LoadAny(r)
+	e, err := engine.LoadAnyDeferred(src)
 	if err != nil {
 		return nil, err
 	}

@@ -209,6 +209,69 @@ func TestLoadCorrupt(t *testing.T) {
 	}
 }
 
+// TestWhereContainerCorruptionSurfaces: a corrupt snapshot must not
+// start a healthy-looking server. One byte flipped at 301 offsets through
+// the back three quarters of a two-shard gph container (the blobs'
+// arenas, where a flip passes every structural check), each copy opened
+// from a reader, in heap mode and mapped. A reader load and a heap open
+// reject at open exactly the files a mapped open rejects by its first
+// search — which fans out to both shards and so runs both content tiers
+// — and on a heap-opened container no search is left to fail. A flip
+// nobody rejects sits in vector payload; it is answered alike in both
+// modes.
+func TestWhereContainerCorruptionSurfaces(t *testing.T) {
+	ds := dataset.UQVideoLike(2000, 17)
+	built, err := Build(ds.Vectors, 2, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good, probe := buf.Bytes(), ds.Vectors[0]
+	path := filepath.Join(t.TempDir(), "bad.idx")
+	var atHeapOpen, atMapOpen, atMapSearch, accepted int
+	for off := len(good) / 4; off < len(good); off += len(good) / 400 {
+		bad := slices.Clone(good)
+		bad[off] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, readerErr := Load(bytes.NewReader(bad))
+		heap, heapErr := OpenFile(path, engine.OpenHeap)
+		if (heapErr != nil) != (readerErr != nil) {
+			t.Errorf("flip at %d: heap open says %v, a reader load %v", off, heapErr, readerErr)
+		}
+		var want []int32
+		if heapErr != nil {
+			atHeapOpen++
+		} else if want, err = heap.Search(probe, 4); err != nil {
+			t.Errorf("flip at %d: a heap-opened container failed its first search: %v", off, err)
+		}
+		mapped, mapErr := OpenFile(path, engine.OpenMMap)
+		switch {
+		case mapErr != nil:
+			atMapOpen++
+		default:
+			var got []int32
+			if got, mapErr = mapped.Search(probe, 4); mapErr != nil {
+				atMapSearch++
+			} else if accepted++; heapErr == nil && !slices.Equal(got, want) {
+				t.Errorf("flip at %d: heap answers %v, mmap %v", off, want, got)
+			}
+			mapped.Close()
+		}
+		if (heapErr != nil) != (mapErr != nil) {
+			t.Errorf("flip at %d: heap open says %v, a mapped open and its first search %v", off, heapErr, mapErr)
+		}
+	}
+	t.Logf("heap: %d rejected at open; mmap: %d at open, %d at the first search; %d accepted", atHeapOpen, atMapOpen, atMapSearch, accepted)
+	if atMapSearch == 0 || accepted == 0 {
+		t.Error("the sweep should reach both the content tier and unchecked vector payload")
+	}
+}
+
 // mappedIndex saves a dirty container to disk and reopens it over a
 // file mapping.
 func mappedIndex(t *testing.T) *Index {
