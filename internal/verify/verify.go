@@ -50,14 +50,18 @@ const chunkRows = 4096
 const (
 	// probeRows is the first chunk of a call and the first after a
 	// back-off: a dense query wastes a 4 KB column pass per back-off, not
-	// a chunk's 32 ("τ=dense": column within 3 % of row at every width).
+	// a chunk's 32 — a pass whose every block takes withinBits1's hit path,
+	// 0.13 ns a row ("every-block-hits") where a block without a hit costs
+	// 0.085 ("τ=dense": column within 2 % of row at every width).
 	probeRows = 512
 
 	// denseOneIn: a chunk with more than one word-0 survivor in this
 	// many rows goes to the row path. A gathered distWithin is 7–9 ns a
-	// survivor (≈ 28 from DRAM) and the column pass 0.12 ns a row, so at
-	// one in 64 the two stages cost the w = 2 row kernel's 0.25 ns a row
-	// ("τ=threshold", one in 110: column 0.17 ns a row at every width).
+	// survivor (≈ 28 from DRAM) and the column pass 0.085 ns a row, so at
+	// one in 64 the two stages cost 0.19–0.23 ns a row against the w = 2
+	// row kernel's 0.26 ("τ=threshold", one in 110: column 0.15 ns a row at
+	// every width). Break-even in cache is nearer one in 47, from DRAM one
+	// in 80; 64 sits between.
 	denseOneIn = 64
 
 	// backoffChunks chunks after a dense one go to the row path unasked:
@@ -68,8 +72,11 @@ const (
 // What a scan costs in internal/core's unit, the key-scan step (1.10–1.25
 // ns): bytes read over bytes a step moves, by BenchmarkScanKernels' lines.
 const (
-	// "w=2/τ=sparse/column" reads 8 B a row in 0.12–0.14 ns, "τ=dense/row"
-	// 16 B in 0.25–0.28 (w = 2) and 32 B in 0.55–0.58 (w = 4).
+	// "τ=dense/row" reads 16 B a row in 0.25–0.28 ns (w = 2) and 32 B in
+	// 0.55–0.58 (w = 4): 64 B a step. "w=2/τ=sparse/column" reads 8 B a row
+	// in 0.085 ns, ≈ 110 B a step: a sparse scan is priced a half above
+	// what it costs, and which queries a second constant would move to the
+	// scan is ROADMAP 2(b)'s to judge.
 	stepBytesCached = 64
 	// "column-8MB": 330–360 µs over n = 10⁶ (16 MB row arenas read alike).
 	stepBytesMemory = 27

@@ -137,6 +137,51 @@ func TestKernelDispatch(t *testing.T) {
 	}
 }
 
+// TestScanRangeOutsideTheArena: a range outside [0, Len()] is the caller's
+// bug, and every arm answers it the way a slice expression does — the
+// column, whose kernel would otherwise read past it unchecked, like the
+// row kernel and the portable loops (w = 3 has no row kernel on any host),
+// and AppendWithinRange whichever of them it dispatches to.
+func TestScanRangeOutsideTheArena(t *testing.T) {
+	const n = 100
+	rng := rand.New(rand.NewSource(79))
+	byRows := func(c *Codes, q bitvec.Vector, tau, lo, hi int) { c.scanRows(q.Words(), tau, lo, hi, nil) }
+	byDispatch := func(c *Codes, q bitvec.Vector, tau, lo, hi int) { c.AppendWithinRange(q, tau, lo, hi, nil) }
+	for _, arm := range []struct {
+		name     string
+		dims     int
+		assembly bool
+		scan     func(c *Codes, q bitvec.Vector, tau, lo, hi int)
+	}{
+		{"portable", 192, false, byRows},
+		{"kernel", 64, true, byRows},
+		{"column", 128, true, func(c *Codes, q bitvec.Vector, tau, lo, hi int) { c.scanColumn(q.Words(), tau, lo, hi, nil) }},
+		{"AppendWithinRange/w=1", 64, false, byDispatch},
+		{"AppendWithinRange/w=2", 128, false, byDispatch},
+		{"AppendWithinRange/w=3", 192, false, byDispatch},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			if arm.assembly && kernelMissing != "" {
+				t.Skipf("kernel NOT exercised: this host lacks %s", kernelMissing)
+			}
+			q := randVector(rng, arm.dims, 0.5)
+			c := near(t, rng, q, n, func(int) int { return arm.dims / 2 })
+			for _, r := range [][2]int{{-1, 8}, {-8, n}, {0, n + 1}, {n - 16, n + 8}, {n + 8, n + 16}, {50, 40}, {n, 0}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("rows [%d, %d) of %d: no panic", r[0], r[1], n)
+						}
+					}()
+					arm.scan(c, q, arm.dims/4, r[0], r[1])
+				}()
+			}
+			arm.scan(c, q, arm.dims/4, 0, n)
+			arm.scan(c, q, arm.dims/4, n, n)
+		})
+	}
+}
+
 // mixed builds n rows for the column path's tests, each one of two
 // kinds: where close(i), a near-copy of q at distance tau or tau+1 — it
 // survives stage 1 and the answer hangs on one bit — and elsewhere q
@@ -211,7 +256,9 @@ func TestColumnScanDifferential(t *testing.T) {
 // after the back-off backs off again. Dense then sparse: the probe
 // backs off over eight chunks unasked (all but 2 000 of their rows
 // sparse: asked, they would have stayed on the column), the next probe
-// finds sparse rows and the column takes the rest.
+// finds sparse rows and the column takes the rest. The row counts are
+// those of the driver that counted survivors off the bitmap: the kernel's
+// returned count is the same number.
 func TestColumnHandOff(t *testing.T) {
 	if kernelMissing != "" {
 		t.Skipf("column path NOT exercised: this host lacks %s", kernelMissing)
@@ -337,18 +384,52 @@ func TestScanStaleBits(t *testing.T) {
 			}
 			// The column driver's chunks, kept sparse so it stays on the
 			// column: one hit at the top bit of each bitmap word of a full
-			// chunk, then a chunk too short to overwrite those words. A bit
-			// left standing names a row past the arena. (mixed wants a tau
-			// below 64.)
+			// chunk, then a chunk too short to overwrite those words — at
+			// once, or after a chunk without a hit, which the driver passes
+			// without reading its bitmap, and then with one hit in the short
+			// chunk's final group, the word the clear protects. A bit left
+			// standing names a row past the arena. (mixed wants a tau below
+			// 64.)
 			for _, last := range []int{8, 24, 72, 520, 13} {
-				const tau = 16
+				for _, gap := range []int{0, chunkRows} {
+					const tau = 16
+					n := probeRows + chunkRows + gap + last
+					final := -1
+					if gap > 0 {
+						final = n&^7 - 1
+					}
+					var want []int32
+					c := mixed(t, rng, q, n, tau-1, func(i int) bool {
+						return i >= probeRows && i < probeRows+chunkRows && i%64 == 63 || i == final
+					})
+					for id := probeRows + 63; id < probeRows+chunkRows; id += 64 {
+						want = append(want, int32(id))
+					}
+					if final >= 0 {
+						want = append(want, int32(final))
+					}
+					if got := scan(c, q.Words(), tau, nil); !equalIDs(got, want) {
+						t.Fatalf("dims=%d last=%d gap=%d: one hit a bitmap word: got %d ids %v, want %d %v", dims, last, gap, len(got), head(got), len(want), head(want))
+					}
+				}
+			}
+			// A chunk of hits, a chunk without one, then a short chunk whose
+			// one hit is the last row of its final group.
+			for _, last := range []int{8, 24, 72, 520, 13} {
+				final := 2*chunkRows + last&^7 - 1
+				c := near(t, rng, q, 2*chunkRows+last, func(i int) int {
+					if i < chunkRows || i == final {
+						return tau
+					}
+					return tau + 1
+				})
 				var want []int32
-				c := mixed(t, rng, q, probeRows+chunkRows+last, tau-1, func(i int) bool { return i >= probeRows && i < probeRows+chunkRows && i%64 == 63 })
-				for id := probeRows + 63; id < probeRows+chunkRows; id += 64 {
+				for id := 0; id < chunkRows; id++ {
 					want = append(want, int32(id))
 				}
+				want = append(want, int32(final))
 				if got := scan(c, q.Words(), tau, nil); !equalIDs(got, want) {
-					t.Fatalf("dims=%d last=%d: one hit a bitmap word: got %d ids %v, want %d %v", dims, last, len(got), head(got), len(want), head(want))
+					t.Fatalf("dims=%d last=%d: hits, none, one in the final group: got %d ids, want %d", dims, last, len(got), len(want))
 				}
 			}
 			// Hits in the last group of a full chunk only, then a shorter chunk.
