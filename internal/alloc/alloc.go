@@ -25,8 +25,12 @@ const infeasible = math.MaxInt64 / 4
 
 // Table holds per-partition candidate-number estimates: Table[i][e+1]
 // estimates CN(qᵢ, e) for e ∈ [−1, maxTau]. Entry [0] (e = −1) must be
-// 0; values must be non-decreasing in e for the DP's optimality
-// argument to carry to the brute-force definition.
+// 0 and values must be non-decreasing in e. Allocate rests on that twice:
+// its optimality argument carries to the brute-force definition only for
+// such rows, and allocate cuts a row at the incumbent by stepping up from
+// the greedy vector to the first cell above it, which is where the row
+// ends only if no later cell comes back down. Validate checks both; every
+// estimator's rows pass it (core's TestEstimatorRowsAreMonotone).
 type Table [][]int64
 
 // Validate checks structural invariants of the table for maxTau.
@@ -108,6 +112,7 @@ type Scratch struct {
 	cost       grid[int64]
 	opt        grid[int64]
 	path       grid[int16]
+	cell, inc  []int64
 	maxE       []int
 	sufMax     []int
 	thresholds []int
@@ -150,9 +155,9 @@ func (g *grid[T]) reshape(rows, cols int) [][]T {
 	return g.rows
 }
 
-func ints(buf *[]int, n int) []int {
+func sized[T int | int64](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -258,22 +263,80 @@ func AllocateScratch(cn Table, p Params, s *Scratch) Result {
 // across a workload cannot overflow.
 const FallbackCost = 1 << 40
 
+// exhausted is the next increment of a row at its last threshold (sigRows).
+const exhausted = math.MaxInt64
+
+// costCell is the DP's weight of threshold e ≥ 0 on one row, CN(qᵢ, e) +
+// SigWeight·ball(widthᵢ, e), kept below the +∞ sentinel; e = −1 weighs 0.
+func costCell(cn, sig []int64, e int) int64 { return min(cn[e+1]+sig[e+1], infeasible-1) }
+
+// increment returns what moving a row from threshold e, whose cost cell is
+// from, to e + 1 adds, or exhausted.
+func increment(cn, sig []int64, e, maxE int, from int64) int64 {
+	if e >= maxE {
+		return exhausted
+	}
+	return costCell(cn, sig, e+1) - from
+}
+
+// allocate is one attempt under one budget. It makes a cost cell when a
+// row is advanced to it; only the recurrence asks for them as a grid.
+//
 //gph:hotpath
 func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 	m, tau := len(cn), p.Tau
-	cost, maxE := s.costRows(cn, p, enumBudget)
-
-	// An incumbent: the cost of one feasible vector, found greedily. No
-	// cell and no partial sum above it can be part of an optimum (CN
-	// estimates are non-negative), so every row is cut at it. On the
-	// selective queries the index exists for, that leaves each row one or
-	// two thresholds.
-	T := ints(&s.thresholds, m)
-	bound, ok := greedy(cost, maxE, T, tau+1)
-	if !ok {
-		return Result{}, false
+	sig, maxE := s.sigRows(p, enumBudget)
+	T, cut := sized(&s.thresholds, m), sized(&s.maxE, m)
+	cell, inc := sized(&s.cell, m), sized(&s.inc, m) // row i's cell at T[i], and the increment to the next
+	for i := range T {
+		T[i], cell[i] = -1, 0
+		inc[i] = increment(cn[i], sig[i], -1, maxE[i], 0)
 	}
-	cut(cost, maxE, bound)
+
+	// An incumbent: the cost of one feasible vector, found greedily — the
+	// cheapest next increment of any row, ties to the lowest, tau + 1 times —
+	// or none, exactly when no feasible vector exists (Σ maxE < target).
+	// Every row's increments never decrease through T[i] exactly when the
+	// ones greedy takes never do: a smaller one can only be the next of the
+	// row just advanced, every other row's having lost to it already.
+	var bound, last int64
+	lastRow, convex := 0, true
+	for steps := tau + 1; steps > 0; steps-- {
+		best, least := 0, inc[0]
+		for i, d := range inc[1:] {
+			if d < least {
+				best, least = i+1, d
+			}
+		}
+		if least == exhausted {
+			return Result{}, false
+		}
+		convex = convex && least >= last
+		bound, last, lastRow = bound+least, least, best
+		T[best]++
+		cell[best] += least
+		inc[best] = increment(cn[best], sig[best], T[best], maxE[best], cell[best])
+	}
+
+	// No cell and no partial sum above the incumbent can be part of an
+	// optimum (CN estimates are non-negative), so every row is cut at it: up
+	// from T[i], whose cell is below it, to the first cell above it — rows
+	// never decrease (Table), so no later cell is below it either. That
+	// leaves a selective query's rows one or two thresholds. The same steps
+	// finish the convexity check; of the increments waiting in inc only the
+	// last-advanced row's can be below the one taken before it (as above).
+	for i, e := range T {
+		at, d, before := cell[i], inc[i], int64(0)
+		if i == lastRow {
+			before = last
+		}
+		for d != exhausted && at+d <= bound {
+			convex = convex && d >= before
+			e, at, before = e+1, at+d, d
+			d = increment(cn[i], sig[i], e, maxE[i], at)
+		}
+		cut[i] = e
+	}
 
 	// Where the increments of every row that is left never decrease, the
 	// incumbent is the answer, tie-break included. Greedy took the tau + 1
@@ -286,39 +349,25 @@ func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 	// rows those come from. The recurrence's fixed order — smallest T[m−1],
 	// then smallest T[m−2], … — takes them from the lowest rows first, each
 	// row's run of v whole before the next row's; greedy, breaking ties by
-	// the lowest row, took the same ones. Otherwise the recurrence decides.
+	// the lowest row, took the same ones. Otherwise the recurrence decides,
+	// on the cost rows through their cuts; it never looks past them.
 	objective := bound
-	if !convex(cost, maxE) {
-		objective = s.recurrence(cost, maxE, bound, tau, T)
+	if !convex {
+		cost := s.cost.reshape(m, tau+2)
+		for i, row := range cost {
+			row[0] = 0
+			for e := 0; e <= cut[i]; e++ {
+				row[e+1] = costCell(cn[i], sig[i], e)
+			}
+		}
+		objective = s.recurrence(cost, cut, bound, tau, T)
 	}
 	return Result{Thresholds: T, SumCN: SumCN(cn, T, tau), Objective: objective}, true
 }
 
-// costRows fills the DP's weights: cost[i][e+1] = CN(qᵢ, e) +
-// SigWeight·ball(widthᵢ, e) for e ∈ [−1, maxE[i]], maxE[i] being the
-// largest threshold whose ball fits uint64 and the enumeration budget and
-// whose weight stays below the +∞ sentinel; cells beyond it are left
-// unwritten and the DP never looks there. Both slices are the scratch's.
-func (s *Scratch) costRows(cn Table, p Params, enumBudget int64) (cost [][]int64, maxE []int) {
-	m := len(cn)
-	sig, sigMaxE := s.sigRows(p, enumBudget)
-	cost = s.cost.reshape(m, p.Tau+2)
-	maxE = ints(&s.maxE, m)
-	for i, row := range cost {
-		maxE[i] = sigMaxE[i]
-		cnRow, sigRow := cn[i][:maxE[i]+2], sig[i][:maxE[i]+2]
-		row = row[:len(cnRow)]
-		row[0] = 0 // e = −1 enumerates nothing and admits no candidates
-		for e := 1; e < len(row); e++ {
-			row[e] = min(cnRow[e]+sigRow[e], infeasible-1)
-		}
-	}
-	return cost, maxE
-}
-
 // sigRows returns the signature term of the cost rows — sig[i][e+1] =
 // SigWeight·ball(widthᵢ, e), rounded down — and each row's feasible
-// prefix (costRows). They are a function of the widths, τ, the budget and
+// prefix (sigRowInto). They are a function of the widths, τ, the budget and
 // the weight, so they are recomputed only when one of those differs, by
 // value, from the call before: a query's rounds share all four, and
 // partition refinement and a kNN query's growing radius, which reuse one
@@ -327,7 +376,7 @@ func (s *Scratch) sigRows(p Params, enumBudget int64) (sig [][]int64, maxE []int
 	m, weight := len(p.Widths), p.sigWeight()
 	if k := &s.sigFor; k.Tau != p.Tau || k.EnumBudget != enumBudget || k.SigWeight != weight || !slices.Equal(k.Widths, p.Widths) {
 		*k = Params{Tau: p.Tau, Widths: append(k.Widths[:0], p.Widths...), EnumBudget: enumBudget, SigWeight: weight}
-		sig, maxE = s.sig.reshape(m, p.Tau+2), ints(&s.sigMaxE, m)
+		sig, maxE = s.sig.reshape(m, p.Tau+2), sized(&s.sigMaxE, m)
 		for i, w := range p.Widths {
 			maxE[i] = sigRowInto(sig[i], s.ballSizes(w), w, p.Tau, enumBudget, weight)
 		}
@@ -361,30 +410,6 @@ func sigRowInto(row []int64, balls []uint64, width, tau int, enumBudget int64, w
 	return tau
 }
 
-// cut lowers every row's last threshold maxE[i] to the last one whose
-// cell does not exceed bound.
-func cut(cost [][]int64, maxE []int, bound int64) {
-	for i, row := range cost {
-		for maxE[i] >= 0 && row[maxE[i]+1] > bound {
-			maxE[i]--
-		}
-	}
-}
-
-// convex reports whether the increments of every row, up to its cut,
-// never decrease.
-func convex(cost [][]int64, maxE []int) bool {
-	for i, row := range cost {
-		row = row[:maxE[i]+2]
-		for e := 2; e < len(row); e++ {
-			if row[e]-row[e-1] < row[e-1]-row[e-2] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // recurrence runs Algorithm 1's dynamic program over the cost rows cut
 // at the incumbent bound, writes the cheapest vector — among equally
 // cheap ones the smallest in (T[m−1], T[m−2], …, T[0]) order — into T and
@@ -393,7 +418,7 @@ func (s *Scratch) recurrence(cost [][]int64, maxE []int, bound int64, tau int, T
 	m := len(cost)
 	target := tau - m + 1
 	// sufMax[i] = Σ_{j≥i} maxE[j]: what partitions i.. can still add.
-	sufMax := ints(&s.sufMax, m+1)
+	sufMax := sized(&s.sufMax, m+1)
 	sufMax[m] = 0
 	for i := m - 1; i >= 0; i-- {
 		sufMax[i] = sufMax[i+1] + maxE[i]
@@ -436,34 +461,6 @@ func (s *Scratch) recurrence(cost [][]int64, maxE []int, bound int64, tau int, T
 		t -= e
 	}
 	return opt[m-1][target+off]
-}
-
-// greedy builds one feasible threshold vector into T — every entry
-// starts at −1 and the cheapest next increment is taken steps times —
-// and returns its cost. It fails exactly when no feasible vector
-// exists (Σ maxE < target).
-func greedy(cost [][]int64, maxE, T []int, steps int) (int64, bool) {
-	for i := range T {
-		T[i] = -1
-	}
-	var total int64
-	for ; steps > 0; steps-- {
-		best, bestInc := -1, int64(0)
-		for i, e := range T {
-			if e >= maxE[i] {
-				continue
-			}
-			if inc := cost[i][e+2] - cost[i][e+1]; best < 0 || inc < bestInc {
-				best, bestInc = i, inc
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		T[best]++
-		total += bestInc
-	}
-	return total, true
 }
 
 // RoundRobin is the baseline allocator of §VII-C: thresholds start at

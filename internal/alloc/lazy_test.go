@@ -181,11 +181,14 @@ func TestLazyRefinementSettlesOnOptimum(t *testing.T) {
 	}
 }
 
-// recurrenceAllocate is AllocateScratch with the convex exit taken out:
-// the same cost rows, incumbent, cut and budget escalation, and the
-// recurrence deciding every time. exit reports whether allocate would
-// have left through the exit instead, on the attempt that decided.
-func recurrenceAllocate(cn Table, p Params, s *Scratch) (res Result, exit bool) {
+// eagerAllocate is the reference allocate is held to: the round as it ran
+// while it filled every cost cell first — all m × (τ + 2) of them, then the
+// greedy incumbent over the grid, every row cut from the top down, a
+// convexity pass over what is left — under the same budget escalation. With
+// takeExit false the recurrence decides every time. exit reports whether
+// the rows of the attempt that decided were convex; s.maxE is left holding
+// that attempt's cuts.
+func eagerAllocate(cn Table, p Params, s *Scratch, takeExit bool) (res Result, exit bool) {
 	solve := func(budget int64) (Result, bool) {
 		cost, maxE := s.costRows(cn, p, budget)
 		T := make([]int, len(cn))
@@ -195,7 +198,10 @@ func recurrenceAllocate(cn Table, p Params, s *Scratch) (res Result, exit bool) 
 		}
 		cut(cost, maxE, bound)
 		exit = convex(cost, maxE)
-		objective := s.recurrence(cost, maxE, bound, p.Tau, T)
+		objective := bound
+		if !exit || !takeExit {
+			objective = s.recurrence(cost, maxE, bound, p.Tau, T)
+		}
 		return Result{Thresholds: T, SumCN: SumCN(cn, T, p.Tau), Objective: objective, EffectiveBudget: budget}, true
 	}
 	if p.EnumBudget <= 0 {
@@ -212,50 +218,130 @@ func recurrenceAllocate(cn Table, p Params, s *Scratch) (res Result, exit bool) 
 	return Result{Fallback: true, SumCN: FallbackCost, Objective: FallbackCost}, false
 }
 
+// costRows fills the reference's weights: cost[i][e+1] = CN(qᵢ, e) +
+// SigWeight·ball(widthᵢ, e) for e ∈ [−1, maxE[i]], maxE[i] being the
+// largest threshold whose ball fits uint64 and the enumeration budget and
+// whose weight stays below the +∞ sentinel; cells beyond it are left
+// unwritten. Both slices are the scratch's.
+func (s *Scratch) costRows(cn Table, p Params, enumBudget int64) (cost [][]int64, maxE []int) {
+	m := len(cn)
+	sig, sigMaxE := s.sigRows(p, enumBudget)
+	cost = s.cost.reshape(m, p.Tau+2)
+	maxE = sized(&s.maxE, m)
+	for i, row := range cost {
+		maxE[i] = sigMaxE[i]
+		cnRow, sigRow := cn[i][:maxE[i]+2], sig[i][:maxE[i]+2]
+		row = row[:len(cnRow)]
+		row[0] = 0 // e = −1 enumerates nothing and admits no candidates
+		for e := 1; e < len(row); e++ {
+			row[e] = min(cnRow[e]+sigRow[e], infeasible-1)
+		}
+	}
+	return cost, maxE
+}
+
+// greedy builds one feasible threshold vector into T — every entry
+// starts at −1 and the cheapest next increment is taken steps times —
+// and returns its cost. It fails exactly when no feasible vector
+// exists (Σ maxE < target).
+func greedy(cost [][]int64, maxE, T []int, steps int) (int64, bool) {
+	for i := range T {
+		T[i] = -1
+	}
+	var total int64
+	for ; steps > 0; steps-- {
+		best, bestInc := -1, int64(0)
+		for i, e := range T {
+			if e >= maxE[i] {
+				continue
+			}
+			if inc := cost[i][e+2] - cost[i][e+1]; best < 0 || inc < bestInc {
+				best, bestInc = i, inc
+			}
+		}
+		if best < 0 {
+			return 0, false
+		}
+		T[best]++
+		total += bestInc
+	}
+	return total, true
+}
+
+// cut lowers every row's last threshold maxE[i] to the last one whose
+// cell does not exceed bound.
+func cut(cost [][]int64, maxE []int, bound int64) {
+	for i, row := range cost {
+		for maxE[i] >= 0 && row[maxE[i]+1] > bound {
+			maxE[i]--
+		}
+	}
+}
+
+// convex reports whether the increments of every row, up to its cut,
+// never decrease.
+func convex(cost [][]int64, maxE []int) bool {
+	for i, row := range cost {
+		row = row[:maxE[i]+2]
+		for e := 2; e < len(row); e++ {
+			if row[e]-row[e-1] < row[e-1]-row[e-2] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tiedCase draws an allocation problem built to tie and to sit on both
+// sides of the convex exit: increments drawn from a handful of values, in
+// runs, most rows sorted into convexity and some left as drawn, with and
+// without the signature term (whose own increments turn concave past half
+// a width), under no budget, budgets that bite and budgets that escalate.
+func tiedCase(r *rand.Rand) (Table, Params) {
+	m, tau := 1+r.Intn(6), r.Intn(10)
+	cn := make(Table, m)
+	for i := range cn {
+		incs := make([]int64, tau+1)
+		for e := range incs {
+			if e > 0 && r.Intn(2) == 0 {
+				incs[e] = incs[e-1] // a run
+			} else {
+				incs[e] = int64(r.Intn(4) * r.Intn(12))
+			}
+		}
+		if r.Intn(4) != 0 {
+			slices.Sort(incs)
+		}
+		row := make([]int64, tau+2)
+		for e, inc := range incs {
+			row[e+1] = row[e] + inc
+		}
+		cn[i] = row
+	}
+	p := Params{Tau: tau, Widths: make([]int, m), EnumBudget: []int64{0, 0, 1, 5, 40, 1 << 18}[r.Intn(6)]}
+	for i := range p.Widths {
+		p.Widths[i] = 1 + r.Intn(12)
+	}
+	if r.Intn(2) == 0 {
+		p.SigWeight = -1
+	}
+	return cn, p
+}
+
 // TestConvexExitIsTheRecurrence: where the rows cut at the incumbent are
 // convex, allocate returns the incumbent without running the recurrence,
 // and that is the recurrence's answer — vector, tie-break, objective,
-// budget and fallback — on tables built to tie: increments drawn from a
-// handful of values, in runs, most rows sorted into convexity and some
-// left as drawn, with and without the signature term (whose own
-// increments turn concave past half a width), under no budget, budgets
-// that bite and budgets that escalate. The exit has to fire on most cases
-// and stay shut on some, or the comparison says nothing.
+// budget and fallback — on tables built to tie (tiedCase). The exit has to
+// fire on most cases and stay shut on some, or the comparison says nothing.
 func TestConvexExitIsTheRecurrence(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	var s, ref Scratch
 	const cases = 120000
 	exits, escalations := 0, 0
 	for n := 0; n < cases; n++ {
-		m, tau := 1+r.Intn(6), r.Intn(10)
-		cn := make(Table, m)
-		for i := range cn {
-			incs := make([]int64, tau+1)
-			for e := range incs {
-				if e > 0 && r.Intn(2) == 0 {
-					incs[e] = incs[e-1] // a run
-				} else {
-					incs[e] = int64(r.Intn(4) * r.Intn(12))
-				}
-			}
-			if r.Intn(4) != 0 {
-				slices.Sort(incs)
-			}
-			row := make([]int64, tau+2)
-			for e, inc := range incs {
-				row[e+1] = row[e] + inc
-			}
-			cn[i] = row
-		}
-		p := Params{Tau: tau, Widths: make([]int, m), EnumBudget: []int64{0, 0, 1, 5, 40, 1 << 18}[r.Intn(6)]}
-		for i := range p.Widths {
-			p.Widths[i] = 1 + r.Intn(12)
-		}
-		if r.Intn(2) == 0 {
-			p.SigWeight = -1
-		}
+		cn, p := tiedCase(r)
 		got := AllocateScratch(cn, p, &s)
-		want, exit := recurrenceAllocate(cn, p, &ref)
+		want, exit := eagerAllocate(cn, p, &ref, false)
 		if !sameResult(got, want) {
 			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v, exit=%v):\n table %v\n allocate   %+v\n recurrence %+v",
 				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, exit, cn, got, want)

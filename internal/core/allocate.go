@@ -30,9 +30,11 @@ const (
 	// arena and verified. It is Eq. 1's c_access + α·c_verify.
 	candidatePrice = 9
 	// dpCellPrice prices one run of the allocation DP, per cell of the
-	// m × (τ + 2) table it runs over: cost rows, the greedy incumbent and
-	// the bounded recurrence all walk the table, and a round measures
-	// 5–8 ns a cell from 24 cells to 500.
+	// m × (τ + 2) table it is handed, as measured on a round that walked
+	// all of it: 5–8 ns a cell from 24 cells to 500. A round makes only the
+	// cells it takes (≈ 2.3 ns a cell of the table where its convex exit
+	// fires); the price stays where the routes were fitted to it
+	// (DESIGN.md §1).
 	dpCellPrice = 6
 )
 

@@ -394,3 +394,81 @@ func TestSearchGrowKeepsRows(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimatorRowsAreMonotone pins what alloc.allocate's upward cut rests
+// on (alloc.Table): every row the query path hands the DP — whatever the
+// estimator, however far refinement has got — starts at 0 and never
+// decreases. For the exact estimator that is each state a row passes
+// through: started at e = 0 with its lower-bound tail, n from the width on,
+// extended by summing a probed ball and by a histogram pass, refitted to a
+// larger τ by the same binding (as SearchGrow does) and bound afresh at
+// every τ; for the sub-partition and learned estimators, the whole rows
+// CNAll returns. Five generators, τ from 0 to a quarter of the dimensions.
+func TestEstimatorRowsAreMonotone(t *testing.T) {
+	for _, ds := range []*dataset.Dataset{
+		dataset.SIFTLike(3000, 1), dataset.GISTLike(3000, 2), dataset.PubChemLike(3000, 3),
+		dataset.FastTextLike(3000, 4), dataset.UQVideoLike(3000, 5),
+	} {
+		queries := append([]bitvec.Vector{ds.Vectors[3]}, dataset.PerturbQueries(ds, 3, 5, 9)...)
+		for _, est := range []EstimatorKind{EstimatorExact, EstimatorSubPartition, EstimatorForest} {
+			ix := buildSmall(t, ds.Vectors, Options{Estimator: est, Seed: 4})
+			params := alloc.Params{Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
+			taus := []int{0, 1, 2, 3, 5, 8, 12, 16, 24, 40, ix.dims / 8, ix.dims / 4}
+			slices.Sort(taus)
+			probed, histogrammed := 0, 0
+			check := func(s *searchScratch, tau int, state string) {
+				t.Helper()
+				if err := s.table.Validate(tau); err != nil {
+					t.Fatalf("%s/%v tau=%d, %s: %v\n%v", ds.Name, est, tau, state, err, s.table)
+				}
+			}
+			for _, q := range queries {
+				for _, rebind := range []bool{false, true} {
+					s := ix.getScratch()
+					for _, tau := range taus {
+						if rebind {
+							ix.putScratch(s)
+							s = ix.getScratch()
+						}
+						if s.q.Dims() == 0 {
+							ix.bindQuery(q, s)
+						}
+						if !ix.exactRows() {
+							for i := range s.table {
+								ix.extendRow(i, tau, tau, s)
+							}
+							check(s, tau, "whole rows")
+							continue
+						}
+						ix.startRows(tau, s)
+						check(s, tau, "after startRows")
+						params.Tau = tau
+						for settled := false; !settled; {
+							res := alloc.AllocateScratch(s.table, params, &s.dp)
+							settled = true
+							for i, e := range res.Thresholds {
+								if ix.cnExact(i, e, s) {
+									continue
+								}
+								settled = false
+								_, probe := s.genPrice(i, e)
+								ix.extendRow(i, e, tau, s)
+								if probe {
+									probed++
+									check(s, tau, "after a probed extension")
+								} else {
+									histogrammed++
+									check(s, tau, "after a histogram")
+								}
+							}
+						}
+					}
+					ix.putScratch(s)
+				}
+			}
+			if ix.exactRows() && (probed == 0 || histogrammed == 0) {
+				t.Fatalf("%s: %d rows extended by probing and %d by histogram; want both", ds.Name, probed, histogrammed)
+			}
+		}
+	}
+}

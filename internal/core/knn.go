@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gph/internal/bitvec"
 	"gph/internal/engine"
@@ -157,10 +158,7 @@ func (ix *Index) knnByScan(q bitvec.Vector, k int) []engine.Neighbor {
 }
 
 func sortNeighbors(out []engine.Neighbor) {
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
-		}
-		return out[a].ID < out[b].ID
+	slices.SortFunc(out, func(a, b engine.Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID, b.ID))
 	})
 }
