@@ -36,7 +36,6 @@ func BenchmarkExpFig1Skewness(b *testing.B)       { runExp(b, "fig1") }
 func BenchmarkExpFig2aDecomposition(b *testing.B) { runExp(b, "fig2a") }
 func BenchmarkExpFig2bCandVsSum(b *testing.B)     { runExp(b, "fig2b") }
 func BenchmarkExpFig3Allocation(b *testing.B)     { runExp(b, "fig3") }
-func BenchmarkExpTable3Estimators(b *testing.B)   { runExp(b, "table3") }
 func BenchmarkExpFig4Partitioning(b *testing.B)   { runExp(b, "fig4") }
 func BenchmarkExpFig5PartitionCount(b *testing.B) { runExp(b, "fig5") }
 func BenchmarkExpFig6IndexSize(b *testing.B)      { runExp(b, "fig6") }

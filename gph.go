@@ -86,8 +86,9 @@ func Hamming(a, b Vector) int { return a.Hamming(b) }
 type Index = core.Index
 
 // Options configures Build; the zero value selects the paper's
-// defaults (greedy entropy partitioning with refinement, exact
-// candidate-number estimation, m ≈ n/24).
+// defaults (greedy entropy partitioning with refinement, m ≈ n/24).
+// Candidate numbers are read exactly from the index; there is no
+// estimator to choose.
 type Options = core.Options
 
 // Neighbor is one k-nearest-neighbours result: a vector id and its
@@ -110,18 +111,6 @@ const (
 	InitRandom   = core.InitRandom   // random shuffle
 	InitOS       = core.InitOS       // HmSearch frequency dealing
 	InitDD       = core.InitDD       // data-driven correlation spreading
-)
-
-// EstimatorKind selects the candidate-number estimator.
-type EstimatorKind = core.EstimatorKind
-
-// Candidate-number estimators (§IV-C / Table III of the paper).
-const (
-	EstimatorExact        = core.EstimatorExact
-	EstimatorSubPartition = core.EstimatorSubPartition
-	EstimatorKRR          = core.EstimatorKRR
-	EstimatorForest       = core.EstimatorForest
-	EstimatorMLP          = core.EstimatorMLP
 )
 
 // ErrInvalidQuery marks search errors caused by the caller's query

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table
 // and figure of the GPH paper's evaluation (§VII) on the repository's
 // synthetic stand-ins for the paper's datasets. Each experiment is
-// addressable by id ("fig7", "table3", …) from cmd/gph-bench and from
+// addressable by id ("fig7", "table4", …) from cmd/gph-bench and from
 // the testing.B wrappers in bench_test.go; EXPERIMENTS.md records the
 // measured outputs against the paper's reported shapes.
 package bench
@@ -79,7 +79,6 @@ func Experiments() []Experiment {
 		{"fig2a", "Fig. 2(a): query time decomposition", (*Runner).Fig2a},
 		{"fig2b", "Fig. 2(b): sum of postings vs candidate size (alpha)", (*Runner).Fig2b},
 		{"fig3", "Fig. 3: threshold allocation DP vs RR", (*Runner).Fig3},
-		{"table3", "Table III: CN estimators (error %% / prediction time)", (*Runner).Table3},
 		{"fig4", "Fig. 4: partitioning methods and initializations", (*Runner).Fig4},
 		{"fig5", "Fig. 5: effect of partition count m", (*Runner).Fig5},
 		{"fig6", "Fig. 6: index sizes", (*Runner).Fig6},

@@ -9,7 +9,7 @@ import (
 // Ablation isolates the contribution of each GPH design choice the
 // paper motivates (DESIGN.md §4): the full configuration against
 // variants with one ingredient removed or replaced — refinement off,
-// round-robin allocation, and each CN estimator. Columns are average
+// random initialization, round-robin allocation. Columns are average
 // query times; the full configuration should win or tie everywhere,
 // with the gaps widening on skewed data.
 func (r *Runner) Ablation() error {
@@ -25,7 +25,6 @@ func (r *Runner) Ablation() error {
 			return o
 		}},
 		{"RR-alloc", func(o core.Options) core.Options { o.Allocator = core.AllocRR; return o }},
-		{"SP-est", func(o core.Options) core.Options { o.Estimator = core.EstimatorSubPartition; return o }},
 	}
 	for _, name := range []string{"gist", "pubchem"} {
 		c := r.load(name)

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"gph/internal/alloc"
-	"gph/internal/candest"
 	"gph/internal/core"
 )
 
@@ -75,99 +73,4 @@ func timeSearch(ix *core.Index, c *cachedDataset, tau int) (avgNanos int64, resu
 		results += int64(len(ids))
 	}
 	return time.Since(start).Nanoseconds() / int64(len(c.queries)), results, nil
-}
-
-// Table3 reproduces Table III: relative error and prediction time of
-// the CN estimators (SP and the learned models) against the exact
-// method, on the GIST-like dataset. The paper's shape: SVM and DNN
-// errors are small (≲2%), RF is several times worse, and DNN
-// predictions are an order of magnitude slower than SVM's.
-func (r *Runner) Table3() error {
-	c := r.load("gist")
-	ix, err := r.buildGPH(c, 0)
-	if err != nil {
-		return err
-	}
-	parts := ix.Partitioning()
-	data := c.data.Vectors
-	taus := []int{16, 32, 48, 64}
-	maxTau := 64
-
-	exacts := make([]*candest.Exact, parts.NumParts())
-	sps := make([]*candest.SubPartition, parts.NumParts())
-	for i, dims := range parts.Parts {
-		exacts[i] = candest.NewExact(data, dims)
-		sps[i] = candest.NewSubPartition(data, dims, 2)
-	}
-	models := []candest.ModelKind{candest.ModelKRR, candest.ModelForest, candest.ModelMLP}
-	learned := make(map[candest.ModelKind][]*candest.Learned)
-	for _, mk := range models {
-		ls := make([]*candest.Learned, parts.NumParts())
-		for i, dims := range parts.Parts {
-			l, err := candest.NewLearned(data, dims, maxTau, candest.LearnedConfig{
-				Model: mk, Seed: r.cfg.Seed + int64(i),
-			})
-			if err != nil {
-				return err
-			}
-			ls[i] = l
-		}
-		learned[mk] = ls
-	}
-
-	t := newTable(r.cfg.Out, "tau", "SP err/us", "SVM err/us", "RF err/us", "DNN err/us")
-	for _, tau := range taus {
-		// The paper evaluates the estimators at partition threshold
-		// τᵢ = τ (clamped to the partition width): errors shrink as τ
-		// grows because CN saturates toward N, and SP's prediction cost
-		// grows with τ while the learned models stay flat.
-		levels := make([]int, parts.NumParts())
-		for p, dims := range parts.Parts {
-			levels[p] = tau
-			if levels[p] > len(dims) {
-				levels[p] = len(dims)
-			}
-		}
-		wants := make([][]int64, len(c.queries))
-		for qi, q := range c.queries {
-			wants[qi] = make([]int64, parts.NumParts())
-			for p, ex := range exacts {
-				wants[qi][p] = ex.CNAll(q, maxTau)[levels[p]+1]
-			}
-		}
-		cells := []interface{}{tau}
-		eval := func(predict func(p, qi int) int64) string {
-			var sumErr float64
-			var count int
-			start := time.Now()
-			for qi := range c.queries {
-				for p := range exacts {
-					got := predict(p, qi)
-					if want := wants[qi][p]; want > 0 {
-						sumErr += math.Abs(float64(got)-float64(want)) / float64(want)
-						count++
-					}
-				}
-			}
-			elapsed := time.Since(start)
-			preds := len(c.queries) * len(exacts)
-			if preds == 0 || count == 0 {
-				return "n/a"
-			}
-			us := float64(elapsed.Microseconds()) / float64(preds)
-			return fmt.Sprintf("%.2f%%/%.2f", 100*sumErr/float64(count), us)
-		}
-		cells = append(cells, eval(func(p, qi int) int64 {
-			return sps[p].CNAll(c.queries[qi], maxTau)[levels[p]+1]
-		}))
-		for _, mk := range models {
-			ls := learned[mk]
-			cells = append(cells, eval(func(p, qi int) int64 {
-				return ls[p].Predict(c.queries[qi], levels[p])
-			}))
-		}
-		t.row(cells...)
-	}
-	t.flush()
-	return nil
 }

@@ -42,7 +42,7 @@ func osArrangement(data []bitvec.Vector, m int, seed int64) *partition.Partition
 }
 
 // gphSystem builds GPH with the harness defaults: greedy init +
-// refinement, exact estimator, paper-recommended m. buildPar bounds
+// refinement, paper-recommended m. buildPar bounds
 // the build worker pool (≤ 0 selects GOMAXPROCS).
 func gphSystem(m, maxTau, buildPar int) system {
 	return system{name: "GPH", build: func(data []bitvec.Vector, _ int, seed int64) (engine.Engine, error) {

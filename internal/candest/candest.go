@@ -1,10 +1,13 @@
-// Package candest estimates per-partition candidate numbers
-// CN(qᵢ, τᵢ) — the quantity the paper's threshold-allocation DP
-// consumes (§IV-C). Three estimators are provided, mirroring the
-// paper: Exact (a distance histogram over the partition's distinct
-// projections), SubPartition (independence composition over
-// sub-partitions), and Learned (regression over the query bits, with
-// selectable model for the Table III comparison).
+// Package candest computes per-partition candidate numbers CN(qᵢ, τᵢ)
+// — the quantity the paper's threshold-allocation DP consumes (§IV-C) —
+// exactly, from a distance histogram over a partition's distinct
+// projections. It is the build-side kernel: partition refinement scores
+// moves with it over a data sample. A built index does not use it —
+// its estimates read the (key, posting count) pairs its frozen inverted
+// index already stores (invindex.Frozen.Histogram, which is tested
+// against Exact) — but shares Cumulate. The paper's sub-partition and
+// learned estimators are not here: they approximate a histogram that
+// this tree reads for free (DESIGN.md §4, "Table III, restated").
 package candest
 
 import (
@@ -15,22 +18,6 @@ import (
 	"gph/internal/bitvec"
 )
 
-// Estimator estimates candidate numbers for one partition of the
-// dimension space. Implementations are immutable after construction
-// and safe for concurrent use.
-type Estimator interface {
-	// CNAll returns estimates of CN(q, e) for e ∈ [−1, maxTau] as a
-	// slice indexed by e+1 (so [0] is always 0). q is the full query
-	// vector; the estimator projects it onto its own dimensions.
-	CNAll(q bitvec.Vector, maxTau int) []int64
-	// Dims returns the partition's dimension list (shared, read-only).
-	Dims() []int
-	// SizeBytes reports the estimator's resident size for index-size
-	// accounting (learned models make GPH's index larger than MIH's,
-	// as the paper notes for Fig. 6).
-	SizeBytes() int64
-}
-
 // Exact computes CN exactly from the multiset of distinct projections
 // of the data onto the partition. One pass over the distinct values
 // yields CN(q, e) for every e simultaneously — exactly the shape the
@@ -38,11 +25,7 @@ type Estimator interface {
 // the exact method is cheapest precisely where the paper's method
 // pays off.
 //
-// It is the build-side form: partition refinement, the sub-partition
-// and learned estimators and the experiments construct one over a
-// sample or a sub-partition. A built index holds no Exact — its exact
-// estimates read the (key, posting count) pairs its frozen inverted
-// index already stores (invindex.Frozen.Histogram).
+// Immutable after construction and safe for concurrent use.
 type Exact struct {
 	dims   []int
 	arena  []uint64 // len(counts) stripes of (len(dims)+63)/64 words, in sorted key order
@@ -86,10 +69,9 @@ func NewExact(data []bitvec.Vector, dims []int) *Exact {
 	return e
 }
 
-// Dims implements Estimator.
-func (e *Exact) Dims() []int { return e.dims }
-
-// CNAll implements Estimator. The returned slice is freshly allocated.
+// CNAll returns CN(q, e) for e ∈ [−1, maxTau] as a freshly allocated
+// slice indexed by e+1 (so [0] is always 0). q is the full query
+// vector; it is projected onto the partition's dimensions.
 func (e *Exact) CNAll(q bitvec.Vector, maxTau int) []int64 {
 	out := make([]int64, maxTau+2)
 	e.CNAllInto(q, out)
@@ -153,10 +135,4 @@ func (e *Exact) Histogram(q bitvec.Vector) []int64 {
 		}
 	}
 	return hist
-}
-
-// SizeBytes implements Estimator.
-func (e *Exact) SizeBytes() int64 {
-	words := int64((len(e.dims) + 63) / 64)
-	return int64(len(e.counts))*(words*8+4) + int64(len(e.dims))*8
 }

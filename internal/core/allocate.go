@@ -58,8 +58,7 @@ type planPrices struct {
 	// floor[τ] is the cheapest any threshold vector can be at τ on any CN
 	// table: min over ‖T‖₁ = τ − m + 1, Tᵢ ≥ −1, of Σᵢ genPrice(i, Tᵢ) +
 	// candidatePrice · n · [Tᵢ ≥ wᵢ] — the whole space holds the whole
-	// collection (whatever a learned row estimates there), any other CN is
-	// at least 0. Non-decreasing in τ.
+	// collection, any other CN is at least 0. Non-decreasing in τ.
 	floor []int64
 }
 
@@ -266,31 +265,20 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 // not necessarily on exact cells. Round-robin allocations are not
 // priced (0).
 //
-// Estimators that cannot extend a row radius by radius (sub-partition,
-// learned) hand over whole rows up front and the loop settles in its
-// first round. The first call on a scratch binds it to q; rows then
-// outlive the call — CN(qᵢ, e) does not depend on τ, so SearchGrow's
-// later calls, same q and a larger tau, start from what the earlier
-// radii learned. Result.Thresholds is backed by the scratch.
+// The first call on a scratch binds it to q; rows then outlive the call
+// — CN(qᵢ, e) does not depend on τ, so SearchGrow's later calls, same q
+// and a larger tau, start from what the earlier radii learned.
+// Result.Thresholds is backed by the scratch.
 //
 //gph:hotpath
 func (ix *Index) allocateLoop(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
 	if s.q.Dims() == 0 {
 		ix.bindQuery(q, s)
 	}
-	m := ix.parts.NumParts()
 	if ix.opts.Allocator == AllocRR {
-		return alloc.Result{Thresholds: alloc.RoundRobin(m, tau), SumCN: -1}, 0
+		return alloc.Result{Thresholds: alloc.RoundRobin(ix.parts.NumParts(), tau), SumCN: -1}, 0
 	}
-	if ix.exactRows() {
-		ix.startRows(tau, s)
-	} else {
-		for i := 0; i < m; i++ {
-			if s.known[i] < tau {
-				ix.extendRow(i, tau, tau, s)
-			}
-		}
-	}
+	ix.startRows(tau, s)
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
 	p, round := ix.pricesThrough(tau), ix.roundPrice(tau)
 	scan, bill := p.scan[tau], p.start
@@ -357,7 +345,7 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Res
 	return ix.allocateLoop(q, tau, s)
 }
 
-// startRows fits every exact row to thresholds up to tau and makes the
+// startRows fits every row to thresholds up to tau and makes the
 // rows a freshly bound query has not looked at exact at e = 0: CN(qᵢ, 0)
 // is the posting count of the one key equal to the projection. Where
 // that key is a word the partition would probe for (startInv), the
@@ -398,34 +386,6 @@ func (ix *Index) startRows(tau int, s *searchScratch) {
 	}
 }
 
-// exactRows reports whether the index estimates with the exact
-// estimator — the only kind whose rows extend radius by radius, because
-// its CN(qᵢ, e) is by construction the posting lengths summed over the
-// radius-e ball, read from the partition's own frozen index.
-func (ix *Index) exactRows() bool { return ix.opts.Estimator == EstimatorExact }
-
-// frozenExact is the exact estimator of a built index as a
-// candest.Estimator, for the eager callers (EstimateTable, SizeBytes):
-// CN(qᵢ, ·) from one histogram pass over the partition's frozen keys
-// and posting counts, the pass extendRow makes with pooled buffers. It
-// holds no per-key state of its own.
-type frozenExact struct {
-	inv  *invindex.Frozen
-	dims []int
-}
-
-func (e frozenExact) Dims() []int { return e.dims }
-
-// SizeBytes charges the two fields: the keys and counts are the frozen
-// index's, and the dimension list is the partitioning's.
-func (e frozenExact) SizeBytes() int64 { return 8 + 24 }
-
-func (e frozenExact) CNAll(q bitvec.Vector, maxTau int) []int64 {
-	out := make([]int64, maxTau+2)
-	scanRow(e.inv, q.Project(e.dims).Words(), nil, out)
-	return out
-}
-
 // scanRow fills out with the CN row of the projection proj — out[e+1] =
 // CN(proj, e) — from one histogram pass over inv's keys and posting
 // counts. hist is working memory, returned for reuse: a bin for every
@@ -441,13 +401,13 @@ func scanRow(inv *invindex.Frozen, proj []uint64, hist, out []int64) []int64 {
 }
 
 // cnExact reports whether s.table[i] holds CN(qᵢ, e) itself rather
-// than a lower bound. From the partition width on an exact row needs no
+// than a lower bound. From the partition width on a row needs no
 // looking up: the ball is the whole space and holds every vector.
 func (ix *Index) cnExact(i, e int, s *searchScratch) bool {
-	return e <= s.known[i] || (e >= s.widths[i] && ix.exactRows())
+	return e <= s.known[i] || e >= s.widths[i]
 }
 
-// fitRow sizes exact row i for thresholds up to tau: exact entries are
+// fitRow sizes row i for thresholds up to tau: exact entries are
 // kept (they live in the backing array, which may be longer than the
 // row a smaller τ used); bounding the rest (boundTail) is the caller's.
 func (ix *Index) fitRow(i, tau int, s *searchScratch) {
@@ -462,7 +422,7 @@ func (ix *Index) fitRow(i, tau int, s *searchScratch) {
 	s.table[i] = row
 }
 
-// boundTail fills exact row i past its known radius with what is known
+// boundTail fills row i past its known radius with what is known
 // without looking: the last exact CN, a lower bound because CN grows
 // with the radius, and from the partition width on CN itself — the ball
 // is the whole space and holds the whole collection. A histogrammed row
@@ -489,15 +449,8 @@ func (ix *Index) boundTail(i int, s *searchScratch) {
 // posting lengths over the radius-e ball of the query's projection, or
 // one histogram scan of the partition's frozen keys and posting counts,
 // which yields every radius at once — genPrice says which, and what it
-// costs. Estimators other than the exact one have only the whole-row
-// form.
+// costs.
 func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
-	if !ix.exactRows() {
-		s.table[i] = ix.ests[i].CNAll(s.q, tau)
-		s.known[i] = tau
-		s.scans++
-		return
-	}
 	w, inv := s.widths[i], ix.inv[i]
 	if steps, probe := s.genPrice(i, e); probe {
 		s.cnProbes += int(steps / scanElemsPerProbe)

@@ -127,10 +127,10 @@ func TestLazyAllocateMatchesEager(t *testing.T) {
 			for tau := 0; tau < ix.dims && guarded < 3*len(queries); tau++ {
 				for qi, q := range queries {
 					got := lazyAllocate(ix, q, tau)
-					if got.rounds < 1 || got.scans > len(ix.ests) {
-						t.Fatalf("%s/%s tau=%d query %d: %d rounds, %d scans over %d partitions", name, mode, tau, qi, got.rounds, got.scans, len(ix.ests))
+					if got.rounds < 1 || got.scans > len(ix.inv) {
+						t.Fatalf("%s/%s tau=%d query %d: %d rounds, %d scans over %d partitions", name, mode, tau, qi, got.rounds, got.scans, len(ix.inv))
 					}
-					if got.scans < len(ix.ests) {
+					if got.scans < len(ix.inv) {
 						lazyRows++
 					}
 					if got.price > ix.ScanCost(tau) {
@@ -272,35 +272,6 @@ func TestQueryWorkIsBounded(t *testing.T) {
 	}
 }
 
-// TestWholeRowEstimatorsSettleInOneRound: estimators that cannot
-// extend a row radius by radius hand over whole rows, so the lazy loop
-// is the eager DP for them — one round, every row estimated in full,
-// and the same result as the DP over EstimateTable. (One-word rows: a
-// scan is n/8 steps where the kernel runs, so 8 000 rows it takes for the
-// smaller τ to settle on a plan that runs.)
-func TestWholeRowEstimatorsSettleInOneRound(t *testing.T) {
-	data := testData(t, 8000, 31)
-	for _, est := range []EstimatorKind{EstimatorSubPartition, EstimatorForest} {
-		ix := buildSmall(t, data, Options{NumPartitions: 4, Estimator: est, Seed: 2})
-		for _, tau := range []int{0, 3, 7, 12} {
-			got := lazyAllocate(ix, data[9], tau)
-			if got.rounds != 1 || got.scans != len(ix.ests) || !got.settled {
-				t.Fatalf("%v tau=%d: %d rounds, %d full rows, settled=%v; want 1, %d and true", est, tau, got.rounds, got.scans, got.settled, len(ix.ests))
-			}
-			if tau <= 3 && got.price > ix.ScanCost(tau) {
-				t.Fatalf("%v tau=%d: priced at %d against a scan of %d; the fixture should run the index here", est, tau, got.price, ix.ScanCost(tau))
-			}
-			want, price := eagerAllocate(ix, data[9], tau)
-			if got.Objective != want.Objective || !slices.Equal(got.Thresholds, want.Thresholds) {
-				t.Fatalf("%v tau=%d: lazy %+v, eager %+v", est, tau, got, want)
-			}
-			if got.price <= ix.ScanCost(tau) && got.price != price {
-				t.Fatalf("%v tau=%d: priced at %d, the eager vector at %d", est, tau, got.price, price)
-			}
-		}
-	}
-}
-
 // TestSearchSteadyStateAllocs pins the query path's allocations: after
 // warm-up a Search allocates its result slice and nothing else — no
 // stats, no threshold vector, no per-round closure, no width slice, and
@@ -396,79 +367,69 @@ func TestSearchGrowKeepsRows(t *testing.T) {
 }
 
 // TestEstimatorRowsAreMonotone pins what alloc.allocate's upward cut rests
-// on (alloc.Table): every row the query path hands the DP — whatever the
-// estimator, however far refinement has got — starts at 0 and never
-// decreases. For the exact estimator that is each state a row passes
-// through: started at e = 0 with its lower-bound tail, n from the width on,
-// extended by summing a probed ball and by a histogram pass, refitted to a
-// larger τ by the same binding (as SearchGrow does) and bound afresh at
-// every τ; for the sub-partition and learned estimators, the whole rows
-// CNAll returns. Five generators, τ from 0 to a quarter of the dimensions.
+// on (alloc.Table): every row the query path hands the DP — however far
+// refinement has got — starts at 0 and never decreases. That is each state
+// a row passes through: started at e = 0 with its lower-bound tail, n from
+// the width on, extended by summing a probed ball and by a histogram pass,
+// refitted to a larger τ by the same binding (as SearchGrow does) and bound
+// afresh at every τ. Five generators, τ from 0 to a quarter of the
+// dimensions.
 func TestEstimatorRowsAreMonotone(t *testing.T) {
 	for _, ds := range []*dataset.Dataset{
 		dataset.SIFTLike(3000, 1), dataset.GISTLike(3000, 2), dataset.PubChemLike(3000, 3),
 		dataset.FastTextLike(3000, 4), dataset.UQVideoLike(3000, 5),
 	} {
 		queries := append([]bitvec.Vector{ds.Vectors[3]}, dataset.PerturbQueries(ds, 3, 5, 9)...)
-		for _, est := range []EstimatorKind{EstimatorExact, EstimatorSubPartition, EstimatorForest} {
-			ix := buildSmall(t, ds.Vectors, Options{Estimator: est, Seed: 4})
-			params := alloc.Params{Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
-			taus := []int{0, 1, 2, 3, 5, 8, 12, 16, 24, 40, ix.dims / 8, ix.dims / 4}
-			slices.Sort(taus)
-			probed, histogrammed := 0, 0
-			check := func(s *searchScratch, tau int, state string) {
-				t.Helper()
-				if err := s.table.Validate(tau); err != nil {
-					t.Fatalf("%s/%v tau=%d, %s: %v\n%v", ds.Name, est, tau, state, err, s.table)
-				}
+		ix := buildSmall(t, ds.Vectors, Options{Seed: 4})
+		params := alloc.Params{Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
+		taus := []int{0, 1, 2, 3, 5, 8, 12, 16, 24, 40, ix.dims / 8, ix.dims / 4}
+		slices.Sort(taus)
+		probed, histogrammed := 0, 0
+		check := func(s *searchScratch, tau int, state string) {
+			t.Helper()
+			if err := s.table.Validate(tau); err != nil {
+				t.Fatalf("%s tau=%d, %s: %v\n%v", ds.Name, tau, state, err, s.table)
 			}
-			for _, q := range queries {
-				for _, rebind := range []bool{false, true} {
-					s := ix.getScratch()
-					for _, tau := range taus {
-						if rebind {
-							ix.putScratch(s)
-							s = ix.getScratch()
-						}
-						if s.q.Dims() == 0 {
-							ix.bindQuery(q, s)
-						}
-						if !ix.exactRows() {
-							for i := range s.table {
-								ix.extendRow(i, tau, tau, s)
+		}
+		for _, q := range queries {
+			for _, rebind := range []bool{false, true} {
+				s := ix.getScratch()
+				for _, tau := range taus {
+					if rebind {
+						ix.putScratch(s)
+						s = ix.getScratch()
+					}
+					if s.q.Dims() == 0 {
+						ix.bindQuery(q, s)
+					}
+					ix.startRows(tau, s)
+					check(s, tau, "after startRows")
+					params.Tau = tau
+					for settled := false; !settled; {
+						res := alloc.AllocateScratch(s.table, params, &s.dp)
+						settled = true
+						for i, e := range res.Thresholds {
+							if ix.cnExact(i, e, s) {
+								continue
 							}
-							check(s, tau, "whole rows")
-							continue
-						}
-						ix.startRows(tau, s)
-						check(s, tau, "after startRows")
-						params.Tau = tau
-						for settled := false; !settled; {
-							res := alloc.AllocateScratch(s.table, params, &s.dp)
-							settled = true
-							for i, e := range res.Thresholds {
-								if ix.cnExact(i, e, s) {
-									continue
-								}
-								settled = false
-								_, probe := s.genPrice(i, e)
-								ix.extendRow(i, e, tau, s)
-								if probe {
-									probed++
-									check(s, tau, "after a probed extension")
-								} else {
-									histogrammed++
-									check(s, tau, "after a histogram")
-								}
+							settled = false
+							_, probe := s.genPrice(i, e)
+							ix.extendRow(i, e, tau, s)
+							if probe {
+								probed++
+								check(s, tau, "after a probed extension")
+							} else {
+								histogrammed++
+								check(s, tau, "after a histogram")
 							}
 						}
 					}
-					ix.putScratch(s)
 				}
+				ix.putScratch(s)
 			}
-			if ix.exactRows() && (probed == 0 || histogrammed == 0) {
-				t.Fatalf("%s: %d rows extended by probing and %d by histogram; want both", ds.Name, probed, histogrammed)
-			}
+		}
+		if probed == 0 || histogrammed == 0 {
+			t.Fatalf("%s: %d rows extended by probing and %d by histogram; want both", ds.Name, probed, histogrammed)
 		}
 	}
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 	"gph/internal/linscan"
 	"gph/internal/partition"
 )
@@ -74,7 +76,6 @@ func TestSearchMatchesOracle(t *testing.T) {
 		{NumPartitions: 4, Seed: 1, Init: InitRandom, NoRefine: true},
 		{NumPartitions: 4, Seed: 1, Init: InitOS, NoRefine: true},
 		{NumPartitions: 4, Seed: 1, Init: InitDD, NoRefine: true},
-		{NumPartitions: 6, Seed: 2, Estimator: EstimatorSubPartition},
 		{NumPartitions: 4, Seed: 3, Allocator: AllocRR, Init: InitRandom, NoRefine: true},
 		{NumPartitions: 4, Seed: 4, EnumBudget: 64}, // tiny budget forces escalation/scan paths
 	}
@@ -92,27 +93,6 @@ func TestSearchMatchesOracle(t *testing.T) {
 						ci, qi, tau, len(want), len(got))
 				}
 			}
-		}
-	}
-}
-
-// TestSearchLearnedEstimator exercises the learned-estimator path
-// (slower to build, so a single config).
-func TestSearchLearnedEstimator(t *testing.T) {
-	data := testData(t, 3000, 5)
-	oracle, _ := linscan.New(data)
-	ix := buildSmall(t, data, Options{
-		NumPartitions: 3, Seed: 1, Estimator: EstimatorForest, MaxTau: 8,
-	})
-	queries := dataset.PerturbQueries(&dataset.Dataset{Name: "t", Dims: 64, Vectors: data}, 5, 2, 7)
-	for _, q := range queries {
-		want, _ := oracle.Search(q, 6)
-		got, err := ix.Search(q, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalIDs(want, got) {
-			t.Fatalf("learned estimator lost results: want %d got %d", len(want), len(got))
 		}
 	}
 }
@@ -253,18 +233,20 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTripOptions guards against the GPHIX01 regression:
-// Init and Allocator were dropped by Save, so a round-tripped index
-// built with AllocRR silently answered queries with the DP allocator.
+// TestPersistRoundTripOptions: an option is carried by Save or declared
+// not carried, by construction. Every field of Options (nested Refine
+// included) is set non-zero and the built index round-tripped; the fields
+// Load does not hand back are exactly the list below — what only a build
+// reads, and what only the sharded layer does. A new field with no
+// decision fails here, the way GPHIX01 dropped Init and Allocator (a
+// round-tripped AllocRR index answered with the DP) and no format ever
+// carried the learned estimators' configuration.
 func TestPersistRoundTripOptions(t *testing.T) {
 	data := testData(t, 300, 12)
-	ix := buildSmall(t, data, Options{
-		NumPartitions: 4,
-		Seed:          1,
-		Init:          InitRandom,
-		Allocator:     AllocRR,
-		Estimator:     EstimatorSubPartition,
-	})
+	var opts Options
+	enginetest.SetNonZero(t, &opts)
+	opts.Workload = &partition.Workload{Queries: data[:2], Taus: []int{2, 3}}
+	ix := buildSmall(t, data, opts)
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -273,18 +255,13 @@ func TestPersistRoundTripOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := loaded.Options(), ix.Options()
-	if got.Init != want.Init {
-		t.Errorf("Init round-tripped as %v, want %v", got.Init, want.Init)
+	notCarried := []string{
+		"NoRefine", "Refine.MaxMoves", "Refine.MaxEvals", "Refine.TargetsPerDim", "Refine.BestImprovement",
+		"Refine.EnumBudget", "Refine.TotalRows", "Refine.Seed", "Workload", "WorkloadSize", "SampleSize",
+		"BuildParallelism", "WALPath", "AutoCompactDelta", "PlanMode", "CacheBytes",
 	}
-	if got.Allocator != want.Allocator {
-		t.Errorf("Allocator round-tripped as %v, want %v", got.Allocator, want.Allocator)
-	}
-	if got.Estimator != want.Estimator {
-		t.Errorf("Estimator round-tripped as %v, want %v", got.Estimator, want.Estimator)
-	}
-	if got.MaxTau != want.MaxTau || got.EnumBudget != want.EnumBudget || got.Seed != want.Seed {
-		t.Errorf("scalar options round-tripped as %+v, want %+v", got, want)
+	if lost := enginetest.FieldsThatDiffer(loaded.Options(), ix.Options()); !slices.Equal(lost, notCarried) {
+		t.Fatalf("options Load did not hand back:\n     %v\nwant %v\npersist a new field in saveOptions or declare it here", lost, notCarried)
 	}
 }
 
@@ -387,9 +364,6 @@ func TestKindStrings(t *testing.T) {
 	}
 	if AllocDP.String() != "DP" || AllocRR.String() != "RR" {
 		t.Fatal("AllocatorKind labels drifted")
-	}
-	if EstimatorExact.String() != "Exact" || EstimatorKRR.String() != "SVM" {
-		t.Fatal("EstimatorKind labels drifted")
 	}
 }
 

@@ -23,8 +23,8 @@ func (ix *Index) Name() string { return EngineName }
 func (ix *Index) Exact() bool { return true }
 
 // MaxTau returns the largest accepted query threshold. GPH's structure
-// does not depend on a build-time τ (Options.MaxTau only bounds
-// estimator training), so any threshold up to the dimensionality is
+// does not depend on a build-time τ (Options.MaxTau only sizes the
+// surrogate workload), so any threshold up to the dimensionality is
 // answerable.
 func (ix *Index) MaxTau() int { return ix.dims }
 

@@ -9,7 +9,6 @@ import (
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
-	"gph/internal/candest"
 	"gph/internal/invindex"
 	"gph/internal/partition"
 	"gph/internal/verify"
@@ -30,7 +29,6 @@ type Index struct {
 	codes *verify.Codes // packed row-major copy of data for batch verification
 	parts *partition.Partitioning
 	inv   []*invindex.Frozen
-	ests  []candest.Estimator
 	opts  Options
 	stats BuildStats
 
@@ -68,7 +66,10 @@ type Index struct {
 type BuildStats struct {
 	PartitionNanos int64 // initialization + Algorithm 2 refinement
 	IndexNanos     int64 // posting-list construction
-	EstimatorNanos int64 // CN estimator construction / training
+	// EstimatorNanos always reads 0: CN estimates are read from the
+	// frozen indexes, and nothing is built for them. The field stays
+	// because benchmark/ reports it as candest.build_s.
+	EstimatorNanos int64
 }
 
 // Build constructs a GPH index over data (which must be non-empty and
@@ -135,37 +136,15 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix.stats.IndexNanos = time.Since(start).Nanoseconds()
-
-	// Offline phase 3: candidate-number estimators, on the same pool.
-	// Learned estimators are seeded per partition (opts.Seed ^ i), so
-	// training is reproducible under any schedule. The default exact
-	// estimator is a view of the partition's frozen index and costs
-	// nothing to build.
-	start = time.Now()
-	ix.ests = make([]candest.Estimator, parts.NumParts())
-	err = ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
-		est, err := buildEstimator(data, ix.inv[i], parts.Parts[i], opts, int64(i))
-		if err != nil {
-			return err
-		}
-		ix.ests[i] = est
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ix.stats.EstimatorNanos = time.Since(start).Nanoseconds()
 	return ix, nil
 }
 
 // ForEach runs fn(0..n-1) on up to parallelism workers (≤ 0 selects
 // GOMAXPROCS) and returns the lowest-numbered recorded error. A
-// failure stops workers from starting further items — estimator
-// training can be expensive, so the failure path should not finish
-// the whole build first. Every started fn call completes before
-// ForEach returns, so callers may read the filled slices without
-// synchronization. It is the build-side worker pool shared by the
-// per-partition phases here and the per-shard builds in
+// failure stops workers from starting further items. Every started fn
+// call completes before ForEach returns, so callers may read the filled
+// slices without synchronization. It is the build-side worker pool
+// shared by the per-partition phase here and the per-shard builds in
 // internal/shard.
 func ForEach(parallelism, n int, fn func(i int) error) error {
 	if parallelism <= 0 {
@@ -258,29 +237,6 @@ func buildPartitioning(sample []bitvec.Vector, dims, totalRows int, opts Options
 	return p, nil
 }
 
-func buildEstimator(data []bitvec.Vector, inv *invindex.Frozen, dims []int, opts Options, salt int64) (candest.Estimator, error) {
-	switch opts.Estimator {
-	case EstimatorExact:
-		return frozenExact{inv: inv, dims: dims}, nil
-	case EstimatorSubPartition:
-		return candest.NewSubPartition(data, dims, opts.SubPartitions), nil
-	case EstimatorKRR, EstimatorForest, EstimatorMLP:
-		cfg := opts.Learned
-		cfg.Seed = opts.Seed ^ salt
-		switch opts.Estimator {
-		case EstimatorKRR:
-			cfg.Model = candest.ModelKRR
-		case EstimatorForest:
-			cfg.Model = candest.ModelForest
-		case EstimatorMLP:
-			cfg.Model = candest.ModelMLP
-		}
-		return candest.NewLearned(data, dims, opts.MaxTau, cfg)
-	default:
-		return nil, fmt.Errorf("core: unknown estimator kind %v", opts.Estimator)
-	}
-}
-
 // Dims returns the dimensionality of indexed vectors.
 func (ix *Index) Dims() int { return ix.dims }
 
@@ -319,7 +275,7 @@ func (ix *Index) Options() Options { return ix.opts }
 // their allocation (allocate.go) estimates only the cells the DP picks
 // and reaches the same result. It exists for the allocation
 // experiments (Fig. 3), which compare allocation policies under the
-// same cost model, for per-layer timing of the estimators
+// same cost model, for per-layer timing of the histogram pass
 // (benchmark/'s candest.cn_all_us), and as the reference the lazy
 // allocation is tested against.
 func (ix *Index) EstimateTable(q bitvec.Vector, tau int) alloc.Table {
@@ -328,25 +284,22 @@ func (ix *Index) EstimateTable(q bitvec.Vector, tau int) alloc.Table {
 	// estimate (estimates over the corrupt state are deterministic and
 	// in bounds); it surfaces properly on the query path.
 	_ = ix.ensureValidated()
-	table := make(alloc.Table, len(ix.ests))
-	for i, est := range ix.ests {
-		table[i] = est.CNAll(q, tau)
+	table := make(alloc.Table, len(ix.inv))
+	var hist []int64
+	for i, inv := range ix.inv {
+		table[i] = make([]int64, tau+2)
+		hist = scanRow(inv, q.Project(ix.parts.Parts[i]).Words(), hist, table[i])
 	}
 	return table
 }
 
 // SizeBytes reports the index's resident size: the frozen posting
-// arenas (exact, byte-for-byte accounting) plus estimator state — none
-// to speak of for the exact estimator, which reads those arenas.
-// (Learned estimators make GPH's index larger than MIH's, which
-// Fig. 6 shows.)
+// arenas, byte for byte. CN estimation reads those arenas and adds
+// nothing to them.
 func (ix *Index) SizeBytes() int64 {
 	var s int64
 	for _, inv := range ix.inv {
 		s += inv.SizeBytes()
-	}
-	for _, est := range ix.ests {
-		s += est.SizeBytes()
 	}
 	return s
 }

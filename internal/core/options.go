@@ -1,8 +1,8 @@
 // Package core implements GPH — the General Pigeonhole
 // principle-based algorithm for Hamming distance search (§VI of the
 // paper). An Index couples a cost-aware dimension partitioning
-// (offline, §V) with per-partition inverted indexes and
-// candidate-number estimators; queries run the online threshold
+// (offline, §V) with per-partition inverted indexes, which also answer
+// the candidate-number estimates; queries run the online threshold
 // allocation DP (§IV), enumerate per-partition signature balls, probe
 // the inverted indexes, and verify candidates.
 package core
@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"gph/internal/candest"
 	"gph/internal/partition"
 )
 
@@ -53,40 +52,6 @@ func (k InitKind) String() string {
 	}
 }
 
-// EstimatorKind selects the candidate-number estimator (§IV-C).
-type EstimatorKind int
-
-const (
-	// EstimatorExact uses the per-partition distance histogram.
-	EstimatorExact EstimatorKind = iota
-	// EstimatorSubPartition composes exact sub-partition histograms
-	// under an independence assumption ("SP").
-	EstimatorSubPartition
-	// EstimatorKRR, EstimatorForest and EstimatorMLP use learned
-	// regressors ("SVM", "RF", "DNN" in Table III).
-	EstimatorKRR
-	EstimatorForest
-	EstimatorMLP
-)
-
-// String implements fmt.Stringer with the paper's labels.
-func (k EstimatorKind) String() string {
-	switch k {
-	case EstimatorExact:
-		return "Exact"
-	case EstimatorSubPartition:
-		return "SP"
-	case EstimatorKRR:
-		return "SVM"
-	case EstimatorForest:
-		return "RF"
-	case EstimatorMLP:
-		return "DNN"
-	default:
-		return fmt.Sprintf("EstimatorKind(%d)", int(k))
-	}
-}
-
 // AllocatorKind selects the online threshold-allocation policy.
 type AllocatorKind int
 
@@ -112,8 +77,10 @@ func (k AllocatorKind) String() string {
 }
 
 // Options configures Build. The zero value selects the paper's
-// defaults: greedy entropy initialization with refinement, the exact
-// estimator, m ≈ n/24 partitions, and a sampled surrogate workload.
+// defaults: greedy entropy initialization with refinement, m ≈ n/24
+// partitions, and a sampled surrogate workload. There is one CN
+// estimator and no option for it: CN(qᵢ, e) is read exactly from the
+// partition's frozen keys and posting counts (allocate.go).
 type Options struct {
 	// NumPartitions is m; 0 selects max(2, n/24), the paper's §VII-D
 	// recommendation.
@@ -128,16 +95,9 @@ type Options struct {
 	// Allocator selects the threshold-allocation policy (default
 	// AllocDP, the paper's Algorithm 1).
 	Allocator AllocatorKind
-	// Estimator selects the CN estimator (default EstimatorExact).
-	Estimator EstimatorKind
-	// SubPartitions is mᵢ for EstimatorSubPartition (default 2).
-	SubPartitions int
-	// Learned tunes learned estimators (TrainN etc.).
-	Learned candest.LearnedConfig
 	// MaxTau is the largest query threshold the index is optimized
-	// for; it bounds learned-estimator training and the surrogate
-	// workload (default 64). Queries beyond MaxTau still answer
-	// correctly.
+	// for; it sizes the surrogate workload (default 64). Queries beyond
+	// MaxTau still answer correctly.
 	MaxTau int
 	// Workload drives the offline partitioning; nil samples a
 	// surrogate from the data (§V-B).
@@ -153,10 +113,9 @@ type Options struct {
 	// Seed makes every randomized choice reproducible.
 	Seed int64
 	// BuildParallelism bounds the worker pool that builds the
-	// per-partition inverted indexes and trains the estimators
-	// (offline phases 2 and 3); ≤ 0 selects GOMAXPROCS. The built
-	// index is identical for every setting — partitions are
-	// independent, so only wall-clock time changes.
+	// per-partition inverted indexes (offline phase 2); ≤ 0 selects
+	// GOMAXPROCS. The built index is identical for every setting —
+	// partitions are independent, so only wall-clock time changes.
 	BuildParallelism int
 	// WALPath names the write-ahead log file for durable sharded
 	// indexes: gph.OpenSharded replays and attaches it so every
@@ -194,9 +153,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.NumPartitions > n {
 		o.NumPartitions = n
-	}
-	if o.SubPartitions <= 0 {
-		o.SubPartitions = 2
 	}
 	if o.MaxTau <= 0 {
 		o.MaxTau = 64

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"gph/internal/binio"
-	"gph/internal/candest"
 	"gph/internal/invindex"
 	"gph/internal/partition"
 	"gph/internal/verify"
@@ -19,19 +18,16 @@ import (
 // word-sized ones, so a load over a page-aligned mapping aliases every
 // payload in place from lengths alone — an O(head) open. Each
 // partition's distinct projections and their multiplicities are held
-// once, as its frozen keys and posting counts, which is also what the
-// exact estimator reads. One generation is read: files with an older
-// tag are rejected by their magic (DESIGN.md §6 has what each bump
-// fixed).
-const indexMagic = "GPHIX05\n"
+// once, as its frozen keys and posting counts, which is also what CN
+// estimation reads. One generation is read: files with an older tag are
+// rejected by their magic (DESIGN.md §6 has what each bump fixed).
+const indexMagic = "GPHIX06\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,
-// in lexicographic key order, so output is byte-reproducible). The
-// default exact estimator reads those arenas and has no state of its
-// own, so such a Load is pure deserialization. Sub-partition estimators
-// are rebuilt on Load from the persisted data (cheap); learned
-// estimators are retrained, which Load documents.
+// in lexicographic key order, so output is byte-reproducible). Nothing
+// else is state: CN estimation reads those arenas, so a Load is pure
+// deserialization.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
@@ -85,8 +81,6 @@ func (ix *Index) saveArena(bw *binio.Writer) {
 func (ix *Index) saveOptions(bw *binio.Writer) {
 	bw.Int(int(ix.opts.Init))
 	bw.Int(int(ix.opts.Allocator))
-	bw.Int(int(ix.opts.Estimator))
-	bw.Int(ix.opts.SubPartitions)
 	bw.Int(ix.opts.MaxTau)
 	bw.Int64(ix.opts.EnumBudget)
 	bw.Int64(ix.opts.Seed)
@@ -94,10 +88,8 @@ func (ix *Index) saveOptions(bw *binio.Writer) {
 
 // Load reads an index written by Save. There is one decode: over the
 // bytes in place (binio.Source), every payload aliased from the lengths
-// the head records, nothing copied — O(head) however large the arenas.
-// The exact estimator needs nothing rebuilt; sub-partition estimators
-// are rebuilt from the persisted vectors and learned estimators are
-// retrained with the persisted seed, reproducing the original model.
+// the head records, nothing copied — O(head) however large the arenas,
+// and nothing rebuilt.
 //
 // Validation is two-tier. The structural tier always runs here:
 // magic, header sanity, arena and array lengths, posting totals —
@@ -183,8 +175,6 @@ func readOptions(br *binio.Reader, dims, numParts int) (Options, error) {
 		NumPartitions: numParts,
 		Init:          InitKind(br.Int()),
 		Allocator:     AllocatorKind(br.Int()),
-		Estimator:     EstimatorKind(br.Int()),
-		SubPartitions: br.Int(),
 		MaxTau:        br.Int(),
 		EnumBudget:    br.Int64(),
 		Seed:          br.Int64(),
@@ -197,9 +187,6 @@ func readOptions(br *binio.Reader, dims, numParts int) (Options, error) {
 	}
 	if opts.Allocator < AllocDP || opts.Allocator > AllocRR {
 		return opts, fmt.Errorf("core: persisted allocator kind %d unknown", int(opts.Allocator))
-	}
-	if opts.Estimator < EstimatorExact || opts.Estimator > EstimatorMLP {
-		return opts, fmt.Errorf("core: persisted estimator kind %d unknown", int(opts.Estimator))
 	}
 	return opts.withDefaults(dims), nil
 }
@@ -302,28 +289,5 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
-	if err := ix.rebuildEstimators(); err != nil {
-		return nil, err
-	}
 	return ix, nil
-}
-
-// rebuildEstimators reconstructs the estimators, whose state the format
-// does not carry. The exact one is a view of the partition's frozen
-// index; the others read every vector, so the load materializes its
-// deferred views first — deferral buys nothing on a path that walks
-// the whole collection anyway.
-func (ix *Index) rebuildEstimators() error {
-	if ix.opts.Estimator != EstimatorExact {
-		ix.materializeData()
-	}
-	ix.ests = make([]candest.Estimator, len(ix.inv))
-	for i, dimsI := range ix.parts.Parts {
-		est, err := buildEstimator(ix.data, ix.inv[i], dimsI, ix.opts, int64(i))
-		if err != nil {
-			return fmt.Errorf("core: rebuilding estimator %d: %w", i, err)
-		}
-		ix.ests[i] = est
-	}
-	return nil
 }

@@ -13,14 +13,13 @@ import (
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix05.bin (120 vectors × 48 dims, NumPartitions 4,
-// MaxTau 16, Seed 7, exact estimator) loads into the heap and borrowed
-// in place, answers like a linear scan over its own vectors, generates
+// testdata/index-gphix06.bin (120 vectors × 48 dims, NumPartitions 4,
+// MaxTau 16, Seed 7) loads into the heap and borrowed in place, answers like a linear scan over its own vectors, generates
 // candidates that miss none of those answers (Search scans at 120 rows,
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix05.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix06.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +110,7 @@ func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 }
 
 // TestLoadRejectsHostileKeysAndCounts: the keys and posting counts are
-// the only copy of what the exact estimator reads, so what used to be
-// checked on the estimator's copy is checked on them. A key with a bit
+// the only copy of what CN estimation reads, so they are checked. A key with a bit
 // beyond its partition's width — which leaves key order, lengths and
 // posting framing intact — and posting counts that do not sum to the
 // collection size are rejected by Load, from a stream or from bytes in
@@ -146,10 +144,7 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: a deferred load read the arenas: %v", name, err)
 		}
-		for _, est := range borrowed.ests { // the histogram kernel, before any validation
-			_ = est.CNAll(data[3], 70)
-		}
-		_ = borrowed.EstimateTable(data[3], 70)
+		_ = borrowed.EstimateTable(data[3], 70) // the histogram kernel, before any validation
 		if _, err := borrowed.Search(data[3], 4); err == nil {
 			t.Fatalf("%s: accepted by the first query on a deferred load", name)
 		}
@@ -157,12 +152,12 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 
 	// Partition 0's posting total: the second field of its frozen header,
 	// after magic, dims, count, partition count, the dimension lists and
-	// seven option fields.
+	// five option fields.
 	off := 4 * 8
 	for _, part := range ix.parts.Parts {
 		off += 8 + 8*len(part)
 	}
-	off += 7*8 + 8
+	off += 5*8 + 8
 	wrongTotal := bytes.Clone(raw)
 	wrongTotal[off] ^= 1
 	for name, src := range map[string]io.Reader{"stream": bytes.NewReader(wrongTotal), "borrowed": binio.NewSource(wrongTotal)} {
@@ -172,16 +167,16 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	}
 }
 
-// TestExactEstimatorAddsNoPerKeyState: for a default build the index is
-// its frozen arenas and a few words a partition — there is one copy of
-// each partition's keys.
+// TestExactEstimatorAddsNoPerKeyState: the index is its frozen arenas —
+// there is one copy of each partition's keys, and CN estimation adds
+// nothing to it.
 func TestExactEstimatorAddsNoPerKeyState(t *testing.T) {
 	ix := buildSmall(t, testData(t, 400, 3), Options{NumPartitions: 4, Seed: 2})
 	var arenas int64
 	for _, inv := range ix.inv {
 		arenas += inv.SizeBytes()
 	}
-	if extra := ix.SizeBytes() - arenas; extra < 0 || extra > 64*int64(len(ix.inv)) {
-		t.Fatalf("SizeBytes %d is %d past the frozen arenas' %d over %d partitions", ix.SizeBytes(), extra, arenas, len(ix.inv))
+	if ix.SizeBytes() != arenas {
+		t.Fatalf("SizeBytes %d, the frozen arenas' %d over %d partitions", ix.SizeBytes(), arenas, len(ix.inv))
 	}
 }

@@ -2,6 +2,8 @@
 // about the route a query took through an engine that guards itself (gph):
 // a hand-sized fixture pins a route by accident, and a test whose subject
 // is the index path passes as well on the scan route unless it says so.
+// fields.go walks an options struct field by field, for the tests that
+// hold each format to "every option is persisted or declared not carried".
 package enginetest
 
 import (

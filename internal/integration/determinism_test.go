@@ -2,7 +2,6 @@ package integration
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"gph"
@@ -12,8 +11,7 @@ import (
 // TestSeededBuildsAreByteIdentical pins build determinism end to end:
 // two builds from the same data and options must serialize to
 // byte-identical streams. Every random choice in the pipeline —
-// partitioning refinement and its sampled workload, the learned
-// estimators' initialisation (KRR, forest, MLP), LSH's hash draws —
+// partitioning refinement and its sampled workload, LSH's hash draws —
 // must come from the seeded generator carried in the options, never
 // from the process-global math/rand (which persistdet bans in
 // persistence code and this test bans everywhere it would reach the
@@ -28,26 +26,18 @@ func TestSeededBuildsAreByteIdentical(t *testing.T) {
 	build := func() map[string][]byte {
 		out := map[string][]byte{}
 
-		// The GPH core across every estimator the registry accepts:
-		// each learned estimator consumes the seed differently, so
-		// each gets its own determinism pin.
-		for _, est := range []gph.EstimatorKind{
-			gph.EstimatorExact, gph.EstimatorSubPartition, gph.EstimatorKRR,
-			gph.EstimatorForest, gph.EstimatorMLP,
-		} {
-			ix, err := gph.Build(ds.Vectors, gph.Options{
-				NumPartitions: 6, MaxTau: 12, Seed: 42,
-				SampleSize: 150, WorkloadSize: 8, Estimator: est,
-			})
-			if err != nil {
-				t.Fatalf("gph/%v: %v", est, err)
-			}
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
-				t.Fatalf("gph/%v save: %v", est, err)
-			}
-			out[fmt.Sprintf("gph/%v", est)] = buf.Bytes()
+		// The GPH core with the options only gph.Build takes.
+		ix, err := gph.Build(ds.Vectors, gph.Options{
+			NumPartitions: 6, MaxTau: 12, Seed: 42, SampleSize: 150, WorkloadSize: 8,
+		})
+		if err != nil {
+			t.Fatalf("gph: %v", err)
 		}
+		var core bytes.Buffer
+		if err := ix.Save(&core); err != nil {
+			t.Fatalf("gph save: %v", err)
+		}
+		out["gph"] = core.Bytes()
 
 		// Every other registered engine through the uniform contract.
 		for _, info := range gph.Engines() {

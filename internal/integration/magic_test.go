@@ -87,10 +87,10 @@ func TestPersistedMagicsDistinct(t *testing.T) {
 func TestSupersededMagicsRejected(t *testing.T) {
 	arbitrary := bytes.Repeat([]byte{0x00, 0x01, 0xFE, 0xFF, 0x30, 0x80, 0x7F, 0x08}, 64)
 	var superseded []string
-	for gen := 1; gen <= 4; gen++ { // the index is at generation 5
+	for gen := 1; gen <= 5; gen++ { // the index is at generation 6
 		superseded = append(superseded, fmt.Sprintf("GPHIX%02d\n", gen))
 	}
-	for gen := 1; gen <= 2; gen++ { // the shard container at 3
+	for gen := 1; gen <= 3; gen++ { // the shard container at 4
 		superseded = append(superseded, fmt.Sprintf("GPHSH%02d\n", gen))
 	}
 	for _, magic := range superseded {

@@ -11,6 +11,7 @@ import (
 
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
+	"gph/internal/engine"
 	"gph/internal/wal"
 )
 
@@ -504,5 +505,120 @@ func TestWALReplayMismatchRejected(t *testing.T) {
 	defer s.Close()
 	if _, err := s.OpenWAL(walPath); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("mismatched replay error: %v", err)
+	}
+}
+
+// TestBuiltIDsAscendAfterEveryTransition: state.pos is a binary search
+// over builtIDs, so every way a state comes to be — build, compaction
+// over deletes and inserts, a heap and a mapped reopen — leaves them
+// strictly ascending and every live id resolving to its own vector. The
+// two transitions that hand compaction an id older than its neighbours
+// are a delete rolled back on a WAL failure: of a buffered vector, put
+// back among newer inserts, and of a built one a compaction dropped
+// meanwhile, put back below built ids (replayed here as the rollback
+// writes it; the race itself is not staged).
+func TestBuiltIDsAscendAfterEveryTransition(t *testing.T) {
+	ds := dataset.UQVideoLike(420, 23)
+	s, err := BuildEngine("mih", ds.Vectors[:300], 3, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.OpenWAL(filepath.Join(t.TempDir(), "index.wal")); err != nil {
+		t.Fatal(err)
+	}
+	live := map[int32]bitvec.Vector{}
+	for id, v := range ds.Vectors[:300] {
+		live[int32(id)] = v
+	}
+	check := func(ix *Index, when string) {
+		t.Helper()
+		for i := range ix.shards {
+			ids := ix.shards[i].Load().builtIDs
+			for j := 1; j < len(ids); j++ {
+				if ids[j] <= ids[j-1] {
+					t.Fatalf("%s: shard %d holds id %d after %d", when, i, ids[j], ids[j-1])
+				}
+			}
+		}
+		if ix.Len() != len(live) {
+			t.Fatalf("%s: %d live vectors, want %d", when, ix.Len(), len(live))
+		}
+		for id, v := range live {
+			if got, ok := ix.Vector(id); !ok || !got.Equal(v) {
+				t.Fatalf("%s: id %d resolves to another vector (found=%v)", when, id, ok)
+			}
+		}
+	}
+	remove := func(ids ...int32) {
+		t.Helper()
+		for _, id := range ids {
+			if err := s.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, id)
+		}
+	}
+	check(s, "build")
+	for round := int32(0); round < 3; round++ {
+		for _, v := range ds.Vectors[300+40*round : 340+40*round] {
+			id, err := s.Insert(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[id] = v
+		}
+		remove(7+round, 150+round, 299-round, 305+40*round, 338+40*round) // built, folded and buffered ids
+		if round == 2 {
+			// The log fails from here on. A buffered vector's delete is
+			// rolled back behind newer inserts; a built vector round 0's
+			// compaction dropped comes back the way its rollback would
+			// have put it.
+			if err := s.wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(381); err == nil {
+				t.Fatal("a delete was acknowledged over a closed log")
+			}
+			s.mu.Lock()
+			si := s.route(ds.Vectors[7])
+			s.shards[si].Store(s.shards[si].Load().withInsert(deltaEntry{id: 7, vec: ds.Vectors[7]}))
+			s.owner[7] = si
+			s.live.Add(1)
+			s.mu.Unlock()
+			live[7] = ds.Vectors[7]
+			for i := range s.shards {
+				delta := s.shards[i].Load().delta
+				for j := 1; j < len(delta); j++ {
+					if delta[j].id <= delta[j-1].id {
+						t.Fatalf("shard %d buffers id %d after %d", i, delta[j].id, delta[j-1].id)
+					}
+				}
+			}
+		}
+		check(s, "updates")
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(s, "compaction")
+	}
+	path := filepath.Join(t.TempDir(), "container.idx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []engine.OpenMode{engine.OpenHeap, engine.OpenMMap} {
+		opened, err := OpenFile(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(opened, "reopen")
+		opened.Close()
 	}
 }

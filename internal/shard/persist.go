@@ -10,7 +10,6 @@ import (
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
-	"gph/internal/candest"
 	"gph/internal/core"
 	"gph/internal/engine"
 	"gph/internal/mmapio"
@@ -26,7 +25,7 @@ import (
 // sections alias the mapping instead of being copy-decoded. The nested
 // blobs follow whatever format their engine writes; a container holding
 // blobs of a superseded format fails at the nested load.
-const shardMagic = "GPHSH03\n"
+const shardMagic = "GPHSH04\n"
 
 // Save serializes the sharded index: the container header (dims,
 // shard count, id counter, engine name, raw build options), then per
@@ -46,8 +45,9 @@ const shardMagic = "GPHSH03\n"
 // Options.Workload (a pointer the container cannot capture;
 // post-Load compactions fall back to the surrogate workload),
 // BuildParallelism (wall-clock only; resets to GOMAXPROCS), and the
-// lifecycle fields WALPath and AutoCompactDelta (reattach and
-// reconfigure on open).
+// lifecycle fields WALPath, AutoCompactDelta, PlanMode and CacheBytes
+// (reattach and reconfigure on open). TestOptionsRoundTrip holds the
+// list: a new Options field is written here or named there.
 func (s *Index) Save(w io.Writer) error {
 	// Serializing the built engines reads their (possibly mapped)
 	// arenas.
@@ -166,15 +166,13 @@ func (s *Index) SaveFile(path string) error {
 }
 
 // writeOptions persists every Options field Compact needs to rebuild
-// shards faithfully (all scalars, including the nested Refine and
-// Learned configurations).
+// shards faithfully (all scalars, including the nested Refine
+// configuration).
 func writeOptions(bw *binio.Writer, o core.Options) {
 	bw.Int(o.NumPartitions)
 	bw.Int(int(o.Init))
 	bw.Int(boolToInt(o.NoRefine))
 	bw.Int(int(o.Allocator))
-	bw.Int(int(o.Estimator))
-	bw.Int(o.SubPartitions)
 	bw.Int(o.MaxTau)
 	bw.Int(o.WorkloadSize)
 	bw.Int(o.SampleSize)
@@ -187,10 +185,6 @@ func writeOptions(bw *binio.Writer, o core.Options) {
 	bw.Int64(o.Refine.EnumBudget)
 	bw.Int(o.Refine.TotalRows)
 	bw.Int64(o.Refine.Seed)
-	bw.Int(int(o.Learned.Model))
-	bw.Int(o.Learned.TrainN)
-	bw.Int(o.Learned.TauStride)
-	bw.Int64(o.Learned.Seed)
 }
 
 // readOptions reads what writeOptions wrote.
@@ -200,8 +194,6 @@ func readOptions(br *binio.Reader) core.Options {
 	o.Init = core.InitKind(br.Int())
 	o.NoRefine = br.Int() != 0
 	o.Allocator = core.AllocatorKind(br.Int())
-	o.Estimator = core.EstimatorKind(br.Int())
-	o.SubPartitions = br.Int()
 	o.MaxTau = br.Int()
 	o.WorkloadSize = br.Int()
 	o.SampleSize = br.Int()
@@ -214,10 +206,6 @@ func readOptions(br *binio.Reader) core.Options {
 	o.Refine.EnumBudget = br.Int64()
 	o.Refine.TotalRows = br.Int()
 	o.Refine.Seed = br.Int64()
-	o.Learned.Model = candest.ModelKind(br.Int())
-	o.Learned.TrainN = br.Int()
-	o.Learned.TauStride = br.Int()
-	o.Learned.Seed = br.Int64()
 	return o
 }
 
@@ -320,9 +308,6 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 	if opts.Allocator < core.AllocDP || opts.Allocator > core.AllocRR {
 		return nil, fmt.Errorf("shard: persisted allocator kind %d unknown", int(opts.Allocator))
 	}
-	if opts.Estimator < core.EstimatorExact || opts.Estimator > core.EstimatorMLP {
-		return nil, fmt.Errorf("shard: persisted estimator kind %d unknown", int(opts.Estimator))
-	}
 	s, err := NewEngine(engineName, numShards, opts)
 	if err != nil {
 		return nil, err
@@ -331,7 +316,7 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 	s.nextID = int32(nextID)
 	words := (dims + 63) / 64
 	for i := int32(0); i < int32(numShards); i++ {
-		sh := &state{builtPos: map[int32]int32{}, dead: map[int32]bool{}}
+		sh := &state{dead: map[int32]bool{}}
 		br.Align8()
 		sh.builtIDs = br.Int32s()
 		if err := br.Err(); err != nil {
@@ -341,10 +326,12 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 			if gid < 0 || int(gid) >= nextID {
 				return nil, fmt.Errorf("shard: shard %d references id %d outside [0,%d)", i, gid, nextID)
 			}
+			if j > 0 && gid <= sh.builtIDs[j-1] {
+				return nil, fmt.Errorf("shard: shard %d ids not strictly ascending at %d (%d after %d)", i, j, gid, sh.builtIDs[j-1])
+			}
 			if _, dup := s.owner[gid]; dup {
 				return nil, fmt.Errorf("shard: id %d appears in two shards", gid)
 			}
-			sh.builtPos[gid] = int32(j)
 			s.owner[gid] = i
 		}
 		if len(sh.builtIDs) > 0 {
@@ -374,7 +361,7 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 		}
 		br.Align8()
 		for _, gid := range br.Int32s() {
-			if _, ok := sh.builtPos[gid]; !ok {
+			if _, ok := sh.pos(gid); !ok {
 				return nil, fmt.Errorf("shard: shard %d tombstone %d not in built index", i, gid)
 			}
 			sh.dead[gid] = true
@@ -495,10 +482,9 @@ func adopt(e engine.Engine) (*Index, error) {
 		return nil, err
 	}
 	n := e.Len()
-	sh := &state{built: e, builtIDs: make([]int32, n), builtPos: make(map[int32]int32, n), dead: map[int32]bool{}}
+	sh := &state{built: e, builtIDs: make([]int32, n), dead: map[int32]bool{}}
 	for id := int32(0); int(id) < n; id++ {
 		sh.builtIDs[id] = id
-		sh.builtPos[id] = id
 		s.owner[id] = 0
 	}
 	s.dims.Store(int32(e.Dims()))

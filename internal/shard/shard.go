@@ -25,6 +25,7 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -61,17 +62,24 @@ type deltaEntry struct {
 //
 //gph:snapshot
 type state struct {
-	built    engine.Engine   // nil when the shard has no indexed vectors
-	builtIDs []int32         // local id → global id, strictly ascending
-	builtPos map[int32]int32 // global id → local id (inverse of builtIDs)
-	dead     map[int32]bool  // tombstoned global ids within built
-	delta    []deltaEntry    // unindexed inserts, ascending global id
+	built    engine.Engine  // nil when the shard has no indexed vectors
+	builtIDs []int32        // local id → global id, strictly ascending (pos searches it)
+	dead     map[int32]bool // tombstoned global ids within built
+	delta    []deltaEntry   // unindexed inserts, ascending global id
 
 	// epoch counts this shard's snapshot swaps: every successor state
 	// carries its predecessor's epoch plus one. Exported per shard in
 	// Stats for observability of snapshot churn; the result cache keys
 	// on the index-wide epoch counter, which the same swaps bump.
 	epoch uint64
+}
+
+// pos returns the local id of global id in the built engine — the
+// inverse of builtIDs, by binary search: every constructor of a state
+// (build, compaction, the loaders) leaves builtIDs strictly ascending.
+func (sh *state) pos(id int32) (int32, bool) {
+	j, ok := slices.BinarySearch(sh.builtIDs, id)
+	return int32(j), ok
 }
 
 // live returns the number of vectors the shard answers for.
@@ -98,12 +106,20 @@ func (sh *state) populated() bool {
 // entries (withoutDelta, the compaction swap) copies to a fresh
 // array, abandoning the old one before the chain could branch.
 // Amortized O(1), so an insert burst between compactions costs O(n)
-// total rather than the O(n²) a full copy per insert would.
+// total rather than the O(n²) a full copy per insert would. An id older
+// than the buffer's newest — only a rolled-back delete re-buffers one —
+// goes to its place in a fresh array: delta stays ascending, which is
+// what keeps compaction's merged builtIDs ascending.
 //
 //gph:snapshotwriter
 func (sh *state) withInsert(e deltaEntry) *state {
 	next := *sh
 	next.epoch = sh.epoch + 1
+	if n := len(sh.delta); n > 0 && sh.delta[n-1].id > e.id {
+		at, _ := slices.BinarySearchFunc(sh.delta, e.id, func(d deltaEntry, id int32) int { return cmp.Compare(d.id, id) })
+		next.delta = slices.Insert(slices.Clone(sh.delta), at, e)
+		return &next
+	}
 	next.delta = append(sh.delta, e)
 	return &next
 }
@@ -327,7 +343,7 @@ func NewEngine(engineName string, numShards int, opts core.Options) (*Index, err
 	if err := s.ConfigurePlan(opts.PlanMode, opts.CacheBytes); err != nil {
 		return nil, err
 	}
-	empty := &state{builtPos: map[int32]int32{}, dead: map[int32]bool{}}
+	empty := &state{dead: map[int32]bool{}}
 	for i := range s.shards {
 		//gphlint:ignore epochpair constructor publishes the empty snapshot before any reader exists
 		s.shards[i].Store(empty)
@@ -378,7 +394,7 @@ func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts co
 	s.dims.Store(int32(dims))
 	states := make([]*state, numShards)
 	for i := range states {
-		states[i] = &state{builtPos: map[int32]int32{}, dead: map[int32]bool{}}
+		states[i] = &state{dead: map[int32]bool{}}
 	}
 	for id, v := range data {
 		si := s.route(v)
@@ -395,7 +411,6 @@ func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts co
 		local := make([]bitvec.Vector, len(sh.builtIDs))
 		for j, gid := range sh.builtIDs {
 			local[j] = data[gid]
-			sh.builtPos[gid] = int32(j)
 		}
 		built, err := s.buildInner(local, numShards)
 		if err != nil {
@@ -514,7 +529,7 @@ func (s *Index) Vector(id int32) (bitvec.Vector, bool) {
 	}
 	defer s.releaseMapping()
 	sh := s.shards[si].Load()
-	if pos, ok := sh.builtPos[id]; ok && !sh.dead[id] {
+	if pos, ok := sh.pos(id); ok && !sh.dead[id] {
 		v := sh.built.Vector(pos)
 		if s.mapping != nil {
 			v = v.Clone()
@@ -578,7 +593,7 @@ func (s *Index) Insert(v bitvec.Vector) (int32, error) {
 			// it there instead of unbuffering it.
 			s.mu.Lock()
 			cur := s.shards[si].Load()
-			if _, folded := cur.builtPos[id]; folded {
+			if _, folded := cur.pos(id); folded {
 				s.shards[si].Store(cur.withDead(id))
 			} else {
 				next, _ := cur.withoutDelta(id)
@@ -615,7 +630,7 @@ func (s *Index) Delete(id int32) error {
 	}
 	sh := s.shards[si].Load()
 	var removed deltaEntry
-	if pos, ok := sh.builtPos[id]; ok && !sh.dead[id] {
+	if pos, ok := sh.pos(id); ok && !sh.dead[id] {
 		removed = deltaEntry{id: id, vec: sh.built.Vector(pos)}
 		s.shards[si].Store(sh.withDead(id))
 	} else {
@@ -647,7 +662,7 @@ func (s *Index) Delete(id int32) error {
 			// the vector captured above.
 			s.mu.Lock()
 			cur := s.shards[si].Load()
-			if _, held := cur.builtPos[id]; held {
+			if _, held := cur.pos(id); held {
 				s.shards[si].Store(cur.withoutDead(id))
 			} else {
 				s.shards[si].Store(cur.withInsert(removed))
@@ -799,29 +814,32 @@ func (s *Index) compactLocked() error {
 	type rebuilt struct {
 		built engine.Engine
 		ids   []int32
-		pos   map[int32]int32
 	}
 	results := make([]rebuilt, len(caps))
 	err := core.ForEach(s.opts.BuildParallelism, len(caps), func(ci int) error {
 		st := caps[ci].st
-		// Survivors keep their local order; delta ids are newer than
-		// every built id, so the merged id list stays ascending.
+		// Survivors and delta entries, both ascending, merged by id: the
+		// new builtIDs ascend (state.pos searches them). Delta ids are
+		// newer than every built id but for a rolled-back delete's, so the
+		// merge is all but always a concatenation.
 		ids := make([]int32, 0, st.live())
 		vecs := make([]bitvec.Vector, 0, st.live())
+		delta := st.delta
 		for j, gid := range st.builtIDs {
+			for ; len(delta) > 0 && delta[0].id < gid; delta = delta[1:] {
+				ids = append(ids, delta[0].id)
+				vecs = append(vecs, delta[0].vec)
+			}
 			if !st.dead[gid] {
 				ids = append(ids, gid)
 				vecs = append(vecs, st.built.Vector(int32(j)))
 			}
 		}
-		for _, e := range st.delta {
+		for _, e := range delta {
 			ids = append(ids, e.id)
 			vecs = append(vecs, e.vec)
 		}
-		rb := rebuilt{ids: ids, pos: make(map[int32]int32, len(ids))}
-		for j, gid := range ids {
-			rb.pos[gid] = int32(j)
-		}
+		rb := rebuilt{ids: ids}
 		if len(vecs) > 0 {
 			built, err := s.buildInner(vecs, len(caps))
 			if err != nil {
@@ -844,14 +862,14 @@ func (s *Index) compactLocked() error {
 	for ci, c := range caps {
 		rb := results[ci]
 		cur := s.shards[c.i].Load()
-		next := &state{built: rb.built, builtIDs: rb.ids, builtPos: rb.pos, dead: map[int32]bool{}, epoch: cur.epoch + 1}
+		next := &state{built: rb.built, builtIDs: rb.ids, dead: map[int32]bool{}, epoch: cur.epoch + 1}
 		for _, gid := range rb.ids {
 			if _, alive := s.owner[gid]; !alive {
 				next.dead[gid] = true
 			}
 		}
 		for _, e := range cur.delta {
-			if _, folded := rb.pos[e.id]; !folded {
+			if _, folded := next.pos(e.id); !folded {
 				next.delta = append(next.delta, e)
 			}
 		}
@@ -1408,7 +1426,7 @@ func (s *Index) applyRecord(r wal.Record) (applied bool, err error) {
 			return false, fmt.Errorf("delete %d: %w", r.ID, ErrNotFound)
 		}
 		sh := s.shards[si].Load()
-		if _, ok := sh.builtPos[r.ID]; ok && !sh.dead[r.ID] {
+		if _, ok := sh.pos(r.ID); ok && !sh.dead[r.ID] {
 			s.shards[si].Store(sh.withDead(r.ID))
 		} else {
 			next, _ := sh.withoutDelta(r.ID)
@@ -1430,7 +1448,7 @@ func (s *Index) applyRecord(r wal.Record) (applied bool, err error) {
 // it).
 func (s *Index) vectorInShard(si, id int32) (bitvec.Vector, bool) {
 	sh := s.shards[si].Load()
-	if pos, ok := sh.builtPos[id]; ok && !sh.dead[id] {
+	if pos, ok := sh.pos(id); ok && !sh.dead[id] {
 		return sh.built.Vector(pos), true
 	}
 	for _, e := range sh.delta {
