@@ -6,6 +6,7 @@
 package gph_test
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"gph/datagen"
 	"gph/internal/bench"
 	"gph/internal/binio"
+	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/mmapio"
 )
@@ -44,8 +46,6 @@ func BenchmarkExpFig7Comparison(b *testing.B)     { runExp(b, "fig7") }
 func BenchmarkExpFig8Dimensions(b *testing.B)     { runExp(b, "fig8ac") }
 func BenchmarkExpFig8dSkewness(b *testing.B)      { runExp(b, "fig8d") }
 func BenchmarkExpFig8efRobustness(b *testing.B)   { runExp(b, "fig8ef") }
-func BenchmarkExpSharded(b *testing.B)            { runExp(b, "sharded") }
-func BenchmarkExpMixed(b *testing.B)              { runExp(b, "mixed") }
 
 // --- micro-benchmarks ---
 
@@ -113,6 +113,64 @@ func BenchmarkBatchSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := index.SearchBatch(queries, 12, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBaselineGrid regenerates the "change" and "scan" columns of
+// DESIGN.md §13's table: MIH and HmSearch served through one shard, cache
+// off, built for τ ≤ 32, 50 perturbed queries a cell — ns a query under
+// each -plan mode, with what the engine's own guard did beside it: the
+// share of the cell's queries it abandoned to the scan after probing, and
+// the priced work (engine.ProbePrice a signature, CandidatePrice a
+// posting) a query spent on the index. A corpus and an index are built
+// when -bench selects their level; the table is the best of five of
+//
+//	go test -run '^$' -bench 'BaselineGrid/n=20000' -benchtime 250x -count 5 .
+func BenchmarkBaselineGrid(b *testing.B) {
+	for _, n := range []int{20000, 100000} {
+		for _, corpus := range []string{"sift", "uqvideo"} {
+			for _, eng := range []string{"mih", "hmsearch"} {
+				b.Run(fmt.Sprintf("n=%d/%s/%s", n, corpus, eng), func(b *testing.B) {
+					ds, err := dataset.ByName(corpus, n, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					queries := dataset.PerturbQueries(ds, 50, 4, 7)
+					s, err := gph.BuildShardedEngine(eng, ds.Vectors, 1, gph.Options{MaxTau: 32, Seed: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer s.Close()
+					for _, mode := range []string{"adaptive", "scan"} {
+						if err := s.ConfigurePlan(mode, 0); err != nil {
+							b.Fatal(err)
+						}
+						for _, tau := range []int{2, 4, 6, 8, 12, 16, 24, 32} {
+							var abandoned, spent float64
+							for _, q := range queries {
+								_, st, err := s.SearchStats(q, tau)
+								if err != nil {
+									b.Fatal(err)
+								}
+								if st.Scanned && st.Signatures > 0 {
+									abandoned++
+								}
+								spent += float64(engine.ProbePrice*int64(st.Signatures) + engine.CandidatePrice*st.SumPostings)
+							}
+							b.Run(fmt.Sprintf("%s/tau=%d", mode, tau), func(b *testing.B) {
+								for i := 0; i < b.N; i++ {
+									if _, err := s.Search(queries[i%len(queries)], tau); err != nil {
+										b.Fatal(err)
+									}
+								}
+								b.ReportMetric(abandoned/float64(len(queries)), "abandoned")
+								b.ReportMetric(spent/float64(len(queries)), "steps-spent")
+							})
+						}
+					}
+				})
+			}
 		}
 	}
 }

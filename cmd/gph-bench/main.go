@@ -23,7 +23,7 @@ func main() {
 		queries  = flag.Int("queries", 30, "queries per measurement point")
 		seed     = flag.Int64("seed", 42, "seed for data generation")
 		buildPar = flag.Int("build-parallelism", 0, "GPH index-build worker count (0 = GOMAXPROCS)")
-		jsonPath = flag.String("json", "", "write the machine-readable report here (experiments that emit one: fig6, fig7, mixed, open — e.g. -exp open → BENCH_open.json)")
+		jsonPath = flag.String("json", "", "write the machine-readable report here (experiments that emit one: fig6, fig7)")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()

@@ -55,11 +55,11 @@
 // no acknowledged write. -snapshot PATH bounds the log: POST /save
 // (and graceful shutdown) atomically checkpoints the index there and
 // truncates the WAL. -plan selects the per-query planner policy
-// (adaptive by default: gph and linscan decide scan-or-index themselves,
-// mih and hmsearch are scanned from a calibrated crossover tau) and
+// (adaptive by default: every exact engine decides scan-or-index itself;
+// scan forces a verified scan of the arena, for tests and debugging) and
 // -cache-size bounds the result cache that answers repeated queries
-// without re-searching; planner decisions and cache counters surface
-// in /stats and /metrics. The server carries read/write timeouts, caps
+// without re-searching; route and cache counters surface in /stats and
+// /metrics. The server carries read/write timeouts, caps
 // POST batch sizes (-max-batch, oversize → 413), and shuts down
 // gracefully on SIGINT or SIGTERM, draining in-flight requests,
 // checkpointing and syncing the WAL.
@@ -138,7 +138,7 @@ func main() {
 		walPath  = flag.String("wal", "", "write-ahead log path: replay on start, fsync every update")
 		autoComp = flag.Int("auto-compact", 0, "fold a shard automatically once it buffers this many pending updates; 0 = explicit /compact only")
 		snapPath = flag.String("snapshot", "", "snapshot path: loaded on start if present (instead of rebuilding from -data/-gen), written by POST /save and on graceful shutdown; checkpointing truncates the WAL")
-		planMode = flag.String("plan", "adaptive", "query-planner policy: adaptive|index|scan|off")
+		planMode = flag.String("plan", "adaptive", "query-planner policy: adaptive|scan (adaptive: the engine decides; scan: force a verified scan)")
 		cacheMB  = flag.Int("cache-size", 64, "result-cache budget in MiB; 0 disables caching")
 	)
 	flag.Parse()
@@ -304,9 +304,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"compaction":     s.index.CompactionStatus(),
 		"wal_bytes":      s.index.WALSizeBytes(),
 		"epoch":          s.index.Epoch(),
-	}
-	if ps, ok := s.index.PlanStats(); ok {
-		resp["planner"] = ps
+		"planner":        s.index.PlanStats(),
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

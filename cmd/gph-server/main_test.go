@@ -236,15 +236,9 @@ func TestShardedSearchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := serverOver(t, data[:100], 1)
-	if err := small.index.ConfigurePlan("index", 0); err != nil {
-		t.Fatal(err)
-	}
 	enginetest.FreeScan(t, small.index, q, 8)
 	for _, shards := range []int{1, 3} {
-		s := serverOver(t, data, shards)
-		if err := s.index.ConfigurePlan("index", 0); err != nil { // same route as the bare engine, nothing cached
-			t.Fatal(err)
-		}
+		s := serverOver(t, data, shards) // testOpts: the engines' own route, nothing cached
 		enginetest.OnIndex(t, s.index, q, 0)
 		rec := httptest.NewRecorder()
 		s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=0", nil))

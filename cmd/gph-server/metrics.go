@@ -146,36 +146,31 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE gph_resident_bytes gauge\n")
 	fmt.Fprintf(w, "gph_resident_bytes %d\n", mmapio.ProcessResidentBytes())
 
-	// Planner routing decisions and result-cache counters, read from
-	// the backend at scrape time like the other index gauges. Absent
-	// entirely when -plan off and -cache-size 0.
-	if ps, ok := s.index.PlanStats(); ok {
-		fmt.Fprintf(w, "# HELP gph_plan_routed_total Queries routed by the planner, by route.\n")
-		fmt.Fprintf(w, "# TYPE gph_plan_routed_total counter\n")
-		fmt.Fprintf(w, "gph_plan_routed_total{route=\"index\"} %d\n", ps.RoutedIndex)
-		fmt.Fprintf(w, "gph_plan_routed_total{route=\"scan\"} %d\n", ps.RoutedScan)
-		fmt.Fprintf(w, "# HELP gph_plan_calibrated Whether the planner has examined the serving engine (measured a crossover tau, or found it decides for itself).\n")
-		fmt.Fprintf(w, "# TYPE gph_plan_calibrated gauge\n")
-		fmt.Fprintf(w, "gph_plan_calibrated %d\n", boolGauge(ps.Calibrated))
-		fmt.Fprintf(w, "# HELP gph_cache_hits_total Result-cache hits.\n")
-		fmt.Fprintf(w, "# TYPE gph_cache_hits_total counter\n")
-		fmt.Fprintf(w, "gph_cache_hits_total %d\n", ps.Cache.Hits)
-		fmt.Fprintf(w, "# HELP gph_cache_misses_total Result-cache misses.\n")
-		fmt.Fprintf(w, "# TYPE gph_cache_misses_total counter\n")
-		fmt.Fprintf(w, "gph_cache_misses_total %d\n", ps.Cache.Misses)
-		fmt.Fprintf(w, "# HELP gph_cache_evictions_total Result-cache LRU evictions.\n")
-		fmt.Fprintf(w, "# TYPE gph_cache_evictions_total counter\n")
-		fmt.Fprintf(w, "gph_cache_evictions_total %d\n", ps.Cache.Evictions)
-		fmt.Fprintf(w, "# HELP gph_cache_entries Result-cache resident entries.\n")
-		fmt.Fprintf(w, "# TYPE gph_cache_entries gauge\n")
-		fmt.Fprintf(w, "gph_cache_entries %d\n", ps.Cache.Entries)
-		fmt.Fprintf(w, "# HELP gph_cache_bytes Result-cache resident bytes (budget gph_cache_bytes_max).\n")
-		fmt.Fprintf(w, "# TYPE gph_cache_bytes gauge\n")
-		fmt.Fprintf(w, "gph_cache_bytes %d\n", ps.Cache.Bytes)
-		fmt.Fprintf(w, "# HELP gph_cache_bytes_max Result-cache byte budget.\n")
-		fmt.Fprintf(w, "# TYPE gph_cache_bytes_max gauge\n")
-		fmt.Fprintf(w, "gph_cache_bytes_max %d\n", ps.Cache.MaxBytes)
-	}
+	// Planner route counts and result-cache counters, read from the
+	// backend at scrape time like the other index gauges.
+	ps := s.index.PlanStats()
+	fmt.Fprintf(w, "# HELP gph_plan_routed_total Queries routed by the planner, by route.\n")
+	fmt.Fprintf(w, "# TYPE gph_plan_routed_total counter\n")
+	fmt.Fprintf(w, "gph_plan_routed_total{route=\"index\"} %d\n", ps.RoutedIndex)
+	fmt.Fprintf(w, "gph_plan_routed_total{route=\"scan\"} %d\n", ps.RoutedScan)
+	fmt.Fprintf(w, "# HELP gph_cache_hits_total Result-cache hits.\n")
+	fmt.Fprintf(w, "# TYPE gph_cache_hits_total counter\n")
+	fmt.Fprintf(w, "gph_cache_hits_total %d\n", ps.Cache.Hits)
+	fmt.Fprintf(w, "# HELP gph_cache_misses_total Result-cache misses.\n")
+	fmt.Fprintf(w, "# TYPE gph_cache_misses_total counter\n")
+	fmt.Fprintf(w, "gph_cache_misses_total %d\n", ps.Cache.Misses)
+	fmt.Fprintf(w, "# HELP gph_cache_evictions_total Result-cache LRU evictions.\n")
+	fmt.Fprintf(w, "# TYPE gph_cache_evictions_total counter\n")
+	fmt.Fprintf(w, "gph_cache_evictions_total %d\n", ps.Cache.Evictions)
+	fmt.Fprintf(w, "# HELP gph_cache_entries Result-cache resident entries.\n")
+	fmt.Fprintf(w, "# TYPE gph_cache_entries gauge\n")
+	fmt.Fprintf(w, "gph_cache_entries %d\n", ps.Cache.Entries)
+	fmt.Fprintf(w, "# HELP gph_cache_bytes Result-cache resident bytes (budget gph_cache_bytes_max).\n")
+	fmt.Fprintf(w, "# TYPE gph_cache_bytes gauge\n")
+	fmt.Fprintf(w, "gph_cache_bytes %d\n", ps.Cache.Bytes)
+	fmt.Fprintf(w, "# HELP gph_cache_bytes_max Result-cache byte budget.\n")
+	fmt.Fprintf(w, "# TYPE gph_cache_bytes_max gauge\n")
+	fmt.Fprintf(w, "gph_cache_bytes_max %d\n", ps.Cache.MaxBytes)
 
 	fmt.Fprintf(w, "# HELP gph_shard_delta Unindexed inserts pending compaction, by shard.\n")
 	fmt.Fprintf(w, "# TYPE gph_shard_delta gauge\n")

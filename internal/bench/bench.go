@@ -36,8 +36,8 @@ type Config struct {
 	// Verbose adds per-query progress.
 	Verbose bool
 	// JSONPath, when set, is where experiments with machine-readable
-	// output ("fig6", "fig7", "mixed", "open" — e.g. "open" →
-	// BENCH_open.json) write their report; empty disables the artifact.
+	// output ("fig6", "fig7") write their report; empty disables the
+	// artifact.
 	JSONPath string
 }
 
@@ -88,9 +88,6 @@ func Experiments() []Experiment {
 		{"fig8d", "Fig. 8(d): varying skewness", (*Runner).Fig8d},
 		{"fig8ef", "Fig. 8(e-f): workload-mismatch robustness", (*Runner).Fig8ef},
 		{"ablation", "Ablation: each GPH design choice removed in turn", (*Runner).Ablation},
-		{"sharded", "Sharded vs single-index GPH: build, fan-out query, agreement", (*Runner).Sharded},
-		{"mixed", "Mixed update-heavy workload: search p50/p99 during background compaction", (*Runner).Mixed},
-		{"open", "Index open: heap vs mmap — cold open and ready (open + first query), RSS under load, cold/warm p99", (*Runner).Open},
 	}
 }
 

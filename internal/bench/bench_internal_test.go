@@ -8,8 +8,8 @@ import (
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 16 {
-		t.Fatalf("expected 16 experiments, have %d", len(ids))
+	if len(ids) != 13 {
+		t.Fatalf("expected 13 experiments, have %d", len(ids))
 	}
 	seen := map[string]bool{}
 	for _, id := range ids {
@@ -18,7 +18,7 @@ func TestExperimentRegistry(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	for _, want := range []string{"fig1", "fig7", "table4", "fig8ef", "sharded", "mixed"} {
+	for _, want := range []string{"fig1", "fig7", "table4", "fig8ef", "ablation"} {
 		if !seen[want] {
 			t.Fatalf("missing experiment %s", want)
 		}

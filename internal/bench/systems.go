@@ -86,16 +86,6 @@ func lshSystem() system {
 	}}
 }
 
-func allSystems(spec datasetSpec, maxTau, buildPar int) []system {
-	return []system{
-		gphSystem(spec.m, maxTau, buildPar),
-		mihSystem(spec.m),
-		hmSystem(),
-		paSystem(),
-		lshSystem(),
-	}
-}
-
 // measure runs all queries against an engine, returning the average
 // per-query wall time and summed accounting.
 func measure(e engine.Engine, queries []bitvec.Vector, tau int) (avgTime time.Duration, agg queryStats, err error) {

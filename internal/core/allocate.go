@@ -7,6 +7,7 @@ import (
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
 	"gph/internal/candest"
+	"gph/internal/engine"
 	"gph/internal/hamming"
 	"gph/internal/invindex"
 )
@@ -19,16 +20,10 @@ import (
 // costs") keeps the table — and every decision that weighs one way of
 // answering against another reads them from here: probe or scan a
 // partition (probeBeatsScan), and run the index or scan the collection
-// (allocate).
+// (allocate). The two index-side prices, a probed signature and a posting
+// of a generated candidate list, are engine.ProbePrice and
+// engine.CandidatePrice: MIH and HmSearch bill themselves by them too.
 const (
-	// scanElemsPerProbe prices one slot-table probe: step to the next
-	// signature of the ball, hash it, read the slot and the entry behind
-	// it.
-	scanElemsPerProbe = 8
-	// candidatePrice prices one posting of a generated candidate list:
-	// decoded into the dedup bitmap and, if new, fetched from the packed
-	// arena and verified. It is Eq. 1's c_access + α·c_verify.
-	candidatePrice = 9
 	// dpCellPrice prices one run of the allocation DP, per cell of the
 	// m × (τ + 2) table it is handed, as measured on a round that walked
 	// all of it: 5–8 ns a cell from 24 cells to 500. A round makes only the
@@ -57,7 +52,7 @@ type planPrices struct {
 	start int64
 	// floor[τ] is the cheapest any threshold vector can be at τ on any CN
 	// table: min over ‖T‖₁ = τ − m + 1, Tᵢ ≥ −1, of Σᵢ genPrice(i, Tᵢ) +
-	// candidatePrice · n · [Tᵢ ≥ wᵢ] — the whole space holds the whole
+	// engine.CandidatePrice · n · [Tᵢ ≥ wᵢ] — the whole space holds the whole
 	// collection, any other CN is at least 0. Non-decreasing in τ.
 	floor []int64
 }
@@ -81,7 +76,7 @@ func (ix *Index) growPrices(tau int) *planPrices {
 		if p != nil {
 			units = max(units, 2*len(p.floor))
 		}
-		full := candidatePrice * int64(ix.count)
+		full := engine.CandidatePrice * int64(ix.count)
 		var dp alloc.Scratch
 		p = &planPrices{gen: make([][]int64, len(ix.inv)), start: int64(ix.dims)}
 		best, next := make([]int64, units), make([]int64, units)
@@ -122,7 +117,7 @@ func (ix *Index) growPrices(tau int) *planPrices {
 // partitions (priceGeneration); allocation and candidate generation
 // read the answer there.
 func probeBeatsScan(ball uint64, keys int) bool {
-	return ball <= uint64(keys/scanElemsPerProbe)
+	return ball <= uint64(keys/engine.ProbePrice)
 }
 
 // bindQuery points a scratch fresh from the pool (s.q zero) at its
@@ -203,7 +198,7 @@ const noStart = -2
 
 // priceGeneration prices getting at the keys of one partition — w bits
 // wide, holding the given number of distinct keys — that lie within e of
-// a query's projection, for every e: scanElemsPerProbe a signature of
+// a query's projection, for every e: engine.ProbePrice a signature of
 // ball(w, e) while probing the ball beats scanning the keys, one step a
 // key from there on. The row holds the probed radii's prices and ends
 // with the scan's, which every larger radius shares (genPrice). It is a
@@ -215,7 +210,7 @@ func priceGeneration(w, keys int, dp *alloc.Scratch) []int64 {
 		if !ok || !probeBeatsScan(ball, keys) {
 			break
 		}
-		row = append(row, int64(ball)*scanElemsPerProbe)
+		row = append(row, int64(ball)*engine.ProbePrice)
 	}
 	return append(row, int64(keys))
 }
@@ -293,10 +288,10 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, s *searchScratch) (alloc
 			return res, alloc.FallbackCost
 		}
 		// One pass prices the vector — generation per partition plus
-		// candidatePrice for each posting it is estimated to collect — and
+		// engine.CandidatePrice for each posting it is estimated to collect — and
 		// what making it exact would take: a cell that is still a lower
 		// bound puts its generation price on the bill as well.
-		settled, price := true, candidatePrice*res.SumCN
+		settled, price := true, engine.CandidatePrice*res.SumCN
 		for i, e := range res.Thresholds {
 			if e < 0 {
 				continue
@@ -453,7 +448,7 @@ func (ix *Index) boundTail(i int, s *searchScratch) {
 func (ix *Index) extendRow(i, e, tau int, s *searchScratch) {
 	w, inv := s.widths[i], ix.inv[i]
 	if steps, probe := s.genPrice(i, e); probe {
-		s.cnProbes += int(steps / scanElemsPerProbe)
+		s.cnProbes += int(steps / engine.ProbePrice)
 		if cap(s.shell) < e+1 {
 			s.shell = make([]int64, e+1, 2*(e+1))
 		}

@@ -11,6 +11,7 @@ import (
 	"gph/internal/binio"
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
+	"gph/internal/engine"
 	"gph/internal/mmapio"
 )
 
@@ -49,10 +50,10 @@ func lazyAllocate(ix *Index, q bitvec.Vector, tau int) lazyAllocation {
 
 // planPrice prices running the threshold vector T the way DESIGN.md §1
 // states it, apart from allocate's own pass: generation per partition
-// plus candidatePrice for each of the sumCN postings T is estimated to
+// plus engine.CandidatePrice for each of the sumCN postings T is estimated to
 // collect.
 func (s *searchScratch) planPrice(T []int, sumCN int64) int64 {
-	price := candidatePrice * sumCN
+	price := engine.CandidatePrice * sumCN
 	for i, e := range T {
 		if e >= 0 {
 			steps, _ := s.genPrice(i, e)
@@ -246,7 +247,7 @@ func TestQueryWorkIsBounded(t *testing.T) {
 				if st.ScanCost != ix.ScanCost(tau) {
 					t.Fatalf("%s tau=%d: Stats.ScanCost %d, the scan's price at this tau %d", c.name, tau, st.ScanCost, ix.ScanCost(tau))
 				}
-				work := dpCellPrice*m*int64(tau+2)*int64(st.AllocRounds) + scanElemsPerProbe*int64(st.CNProbes) + int64(st.CNKeys)
+				work := dpCellPrice*m*int64(tau+2)*int64(st.AllocRounds) + engine.ProbePrice*int64(st.CNProbes) + int64(st.CNKeys)
 				if st.AllocRounds > 0 {
 					work += int64(ix.dims) // the query was bound
 				} else {
@@ -256,7 +257,7 @@ func TestQueryWorkIsBounded(t *testing.T) {
 					work += st.ScanCost
 				} else {
 					index++
-					work += scanElemsPerProbe*int64(st.Signatures) + int64(st.KeysScanned) + candidatePrice*st.SumPostings
+					work += engine.ProbePrice*int64(st.Signatures) + int64(st.KeysScanned) + engine.CandidatePrice*st.SumPostings
 				}
 				if work > 2*st.ScanCost {
 					t.Fatalf("%s tau=%d: priced work %d against a scan of %d: %+v", c.name, tau, work, st.ScanCost, *st)

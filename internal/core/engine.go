@@ -30,10 +30,9 @@ func (ix *Index) MaxTau() int { return ix.dims }
 
 func init() {
 	engine.Register(engine.Registration{
-		Name:         EngineName,
-		Exact:        true,
-		SelfDeciding: true, // the scan guard of allocate.go
-		Magic:        indexMagic,
+		Name:  EngineName,
+		Exact: true,
+		Magic: indexMagic,
 		Build: func(data []bitvec.Vector, opts engine.BuildOptions) (engine.Engine, error) {
 			return Build(data, Options{
 				NumPartitions:    opts.NumPartitions,

@@ -7,6 +7,7 @@ import (
 
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
+	"gph/internal/engine"
 )
 
 // freeVerdict reports whether allocate answers "scan" at tau from the
@@ -184,7 +185,7 @@ func TestPlanFloorIsTheCheapestVector(t *testing.T) {
 			}
 			steps, _ := s.genPrice(i, e)
 			if e >= s.widths[i] {
-				steps += candidatePrice * n
+				steps += engine.CandidatePrice * n
 			}
 			return steps
 		}

@@ -9,6 +9,7 @@ import (
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
+	"gph/internal/engine"
 	"gph/internal/invindex"
 	"gph/internal/partition"
 	"gph/internal/verify"
@@ -76,17 +77,12 @@ type BuildStats struct {
 // dimensionally uniform). The data slice is retained for verification;
 // callers must not mutate the vectors afterwards.
 func Build(data []bitvec.Vector, opts Options) (*Index, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data collection")
+	dims, err := engine.CheckBuild(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	dims := data[0].Dims()
 	if dims == 0 {
 		return nil, fmt.Errorf("core: zero-dimensional vectors")
-	}
-	for i, v := range data {
-		if v.Dims() != dims {
-			return nil, fmt.Errorf("core: vector %d has %d dims, want %d", i, v.Dims(), dims)
-		}
 	}
 	opts = opts.withDefaults(dims)
 

@@ -131,12 +131,11 @@ type Options struct {
 	// immutable Index and not persisted in saved containers.
 	AutoCompactDelta int
 	// PlanMode selects the sharded layer's query-planner policy:
-	// "adaptive" (default, also the empty string), "index", "scan", or
-	// "off". "adaptive" leaves gph and linscan, which decide
-	// scan-or-index themselves, alone, and answers mih and hmsearch by a
-	// verified scan from a crossover tau measured at build, load and
-	// compaction. Runtime-only — ignored by a single immutable Index and
-	// not persisted in saved containers.
+	// "adaptive" (default, also the empty string) leaves every query to
+	// the shard engines, each of which weighs its index against a scan
+	// of its arena itself; "scan" forces that scan (tests, debugging).
+	// Anything else is an error. Runtime-only — ignored by a single
+	// immutable Index and not persisted in saved containers.
 	PlanMode string
 	// CacheBytes bounds the sharded layer's query-result cache; 0 (the
 	// default) disables caching. Runtime-only — ignored by a single

@@ -21,8 +21,8 @@ import (
 // constants are written in:
 //
 //	scanned-key        one key of a partition's arena compared (the unit)
-//	probed-signature   scanElemsPerProbe: one signature of a ball walked and looked up
-//	candidate          candidatePrice: one posting decoded into the candidate set, fetched and verified
+//	probed-signature   engine.ProbePrice: one signature of a ball walked and looked up
+//	candidate          engine.CandidatePrice: one posting decoded into the candidate set, fetched and verified
 //	scan-sparse        ScanCost(τ)/n where τ leaves few word-0 survivors: AppendWithin reads the column
 //	scan-dense         ScanCost(τ)/n where it does not: AppendWithin reads the rows
 //	scan-…-1M          the same over 10⁶ rows (the corpus tiled 50 times), read from memory

@@ -342,7 +342,7 @@ func (ix *Index) generate(thresholds []int, budget int64, s *searchScratch) erro
 			ix.scanKeys(i, ti, s)
 			continue
 		}
-		if budget > 0 && steps/scanElemsPerProbe > budget {
+		if budget > 0 && steps/engine.ProbePrice > budget {
 			return fmt.Errorf("core: partition %d with threshold %d: %w", i, ti, hamming.ErrEnumerationBudget)
 		}
 		if ti == 0 && s.starts[i] != noStart {

@@ -334,6 +334,39 @@ func TestConformanceErrors(t *testing.T) {
 	}
 }
 
+// TestConformanceBuildRejections: a collection no engine can be built
+// over is refused by every engine's constructor with an error a caller
+// can match — its sentinel, and through it ErrInvalidQuery — under the
+// engine's own package prefix.
+func TestConformanceBuildRejections(t *testing.T) {
+	data, _, _ := confData(t)
+	mixed := append(slices.Clone(data[:8]), bitvec.New(confDims+1))
+	for _, info := range engine.Infos() {
+		reg, _ := engine.Lookup(info.Name)
+		for _, c := range []struct {
+			what     string
+			data     []bitvec.Vector
+			maxTau   int
+			sentinel error
+			applies  bool
+		}{
+			{"empty collection", nil, confDims, engine.ErrInvalidQuery, true},
+			{"mixed dims", mixed, confDims, engine.ErrDimMismatch, true},
+			// Past WithDefaults, which engine.Build would apply: the
+			// constructors' own check.
+			{"negative build τ", data[:8], -1, engine.ErrTauExceedsBuild, reg.TauBounded},
+		} {
+			if !c.applies {
+				continue
+			}
+			_, err := reg.Build(c.data, engine.BuildOptions{MaxTau: c.maxTau, Seed: confSeed})
+			if !errors.Is(err, c.sentinel) || !errors.Is(err, engine.ErrInvalidQuery) {
+				t.Errorf("%s, %s: error %v, want one wrapping %v", info.Name, c.what, err, c.sentinel)
+			}
+		}
+	}
+}
+
 // TestTauBoundedEngines pins ErrTauExceedsBuild on the τ-bounded
 // engines built with a small MaxTau.
 func TestTauBoundedEngines(t *testing.T) {

@@ -19,7 +19,7 @@ func eachLeaf(v reflect.Value, prefix string, fn func(path string, f reflect.Val
 }
 
 // SetNonZero sets every leaf field of the struct p points to, nested
-// structs included, to a non-zero value: 1, true, "index" (a plan mode,
+// structs included, to a non-zero value: 1, true, "scan" (a plan mode,
 // and as good a path as any), a pointer to a zero value. A kind it has no
 // value for fails t, so a new field of a new kind is not skipped.
 func SetNonZero(t testing.TB, p any) {
@@ -31,7 +31,7 @@ func SetNonZero(t testing.TB, p any) {
 		case reflect.Bool:
 			f.SetBool(true)
 		case reflect.String:
-			f.SetString("index")
+			f.SetString("scan")
 		case reflect.Pointer:
 			f.Set(reflect.New(f.Type().Elem()))
 		default:

@@ -1,5 +1,6 @@
 // Package enginetest holds the assertions tests in several packages make
-// about the route a query took through an engine that guards itself (gph):
+// about the route a query took through an engine that guards itself (gph,
+// and by engine.Budget MIH and HmSearch):
 // a hand-sized fixture pins a route by accident, and a test whose subject
 // is the index path passes as well on the scan route unless it says so.
 // fields.go walks an options struct field by field, for the tests that
@@ -7,6 +8,7 @@
 package enginetest
 
 import (
+	"slices"
 	"testing"
 
 	"gph/internal/bitvec"
@@ -25,17 +27,65 @@ func OnIndex(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 	t.Helper()
 	if _, st, err := e.SearchStats(q, tau); err != nil {
 		t.Fatal(err)
-	} else if st.Scanned || st.AllocRounds == 0 {
+	} else if st.Scanned || st.AllocRounds+st.Signatures == 0 {
 		t.Fatalf("tau=%d: the fixture should run the index here, and the query was scanned: %+v", tau, *st)
 	}
 }
 
-// FreeScan fails t unless e scans for (q, tau) without binding the query.
+// FreeScan fails t unless e scans for (q, tau) without binding the query
+// or probing anything.
 func FreeScan(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 	t.Helper()
 	if _, st, err := e.SearchStats(q, tau); err != nil {
 		t.Fatal(err)
-	} else if !st.Scanned || st.AllocRounds != 0 || st.CNProbes != 0 || st.CNScans != 0 {
+	} else if !st.Scanned || st.AllocRounds != 0 || st.CNProbes != 0 || st.CNScans != 0 || st.Signatures != 0 || st.SumPostings != 0 {
 		t.Fatalf("tau=%d: the verdict should be free here: %+v", tau, *st)
 	}
+}
+
+// BudgetHolds sweeps an engine that guards itself with engine.Budget
+// (MIH, HmSearch) over queries × τ ∈ [0, maxTau] and holds it to the
+// budget's promise by the counters a query reports: the index's priced
+// work — ProbePrice a signature, CandidatePrice a posting — is at most
+// the scan's price at that τ where the index answered, and at most that
+// plus the overdrawing charge (longest postings: the engine's longest
+// list where it bills a list at a time, 1 where it bills a posting)
+// where the scan answered after all. Every answer equals the scan's.
+// Which cell takes which route follows the host's scan price, so the
+// log names the arm and the counts and nothing asserts them.
+func BudgetHolds(t testing.TB, name string, e engine.Engine, queries []bitvec.Vector, maxTau, longest int) {
+	t.Helper()
+	codes := e.(engine.Scannable).Codes()
+	arm := "kernel"
+	if codes.ScanSteps(0) == int64(e.Len()*(2+(e.Dims()+63)/64)/3) {
+		arm = "portable (the kernel price NOT exercised)"
+	}
+	var index, refused, abandoned int
+	for _, q := range queries {
+		for tau := 0; tau <= maxTau; tau++ {
+			got, st, err := e.SearchStats(q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := codes.AppendWithin(q, tau, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s tau=%d: %d ids, the scan finds %d: %+v", name, tau, len(got), len(want), *st)
+			}
+			limit := codes.ScanSteps(tau)
+			spent := engine.ProbePrice*int64(st.Signatures) + engine.CandidatePrice*st.SumPostings
+			switch {
+			case !st.Scanned:
+				index++
+			case spent == 0:
+				refused++
+			default:
+				abandoned++
+				limit += engine.CandidatePrice * int64(longest)
+			}
+			if spent > limit || st.Results != len(got) || (st.Scanned && st.Candidates != e.Len()) {
+				t.Fatalf("%s tau=%d: priced work %d against a limit of %d: %+v", name, tau, spent, limit, *st)
+			}
+		}
+	}
+	t.Logf("%s: price arm %s: %d queries ran the index, %d were refused before binding, %d abandoned to the scan",
+		name, arm, index, refused, abandoned)
 }

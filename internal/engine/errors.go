@@ -27,6 +27,34 @@ var ErrNegativeTau = fmt.Errorf("negative threshold: %w", ErrInvalidQuery)
 // errors.Is.
 var ErrTauExceedsBuild = fmt.Errorf("threshold exceeds build threshold: %w", ErrInvalidQuery)
 
+// CheckBuild validates what every engine's constructor requires of its
+// collection — at least one vector, one dimensionality — and returns
+// that dimensionality. The errors wrap ErrInvalidQuery (a mixed
+// collection's through ErrDimMismatch), so a rejected build classifies
+// like a rejected query. An engine built for one τ checks that with
+// CheckBuildTau.
+func CheckBuild(data []bitvec.Vector) (dims int, err error) {
+	if len(data) == 0 {
+		return 0, fmt.Errorf("empty data collection: %w", ErrInvalidQuery)
+	}
+	dims = data[0].Dims()
+	for i, v := range data {
+		if v.Dims() != dims {
+			return 0, fmt.Errorf("vector %d has %d dims, want %d: %w", i, v.Dims(), dims, ErrDimMismatch)
+		}
+	}
+	return dims, nil
+}
+
+// CheckBuildTau validates the τ a τ-bounded engine is built for; the
+// error wraps ErrTauExceedsBuild: under a negative bound no query fits.
+func CheckBuildTau(tau int) error {
+	if tau < 0 {
+		return fmt.Errorf("build τ=%d is negative: %w", tau, ErrTauExceedsBuild)
+	}
+	return nil
+}
+
 // CheckQuery validates the query contract shared by every engine:
 // matching dimensionality and a non-negative threshold. The returned
 // errors wrap ErrDimMismatch / ErrNegativeTau (and transitively

@@ -28,10 +28,6 @@ type Registration struct {
 	// Dims(); layers that defer building (the shard layer's delta
 	// buffers) use it to enforce the bound before an instance exists.
 	TauBounded bool
-	// SelfDeciding reports that the engine's Search chooses between its
-	// index and a verified scan of its arena itself, so the query
-	// planner (internal/plan) leaves every query on the index path.
-	SelfDeciding bool
 	// Magic is the MagicLen-byte tag that leads the engine's
 	// serialized form; LoadAny dispatches on it.
 	Magic string

@@ -10,6 +10,11 @@
 // and does not change the asymptotic candidate behaviour the paper's
 // comparison exercises. The index implements the full engine contract
 // (kNN, batch, persistence) with MaxTau bounded by the build-time τ.
+//
+// A query stops at the scan's price itself, on GPH's price list
+// (engine.Budget): its m + dims probes are billed in closed form against
+// what a scan of the packed arena costs at τ, the postings as they are
+// decoded, and a query that overdraws that price is answered by the scan.
 package hmsearch
 
 import (
@@ -79,17 +84,12 @@ func NumPartitions(dims, tau int) int {
 
 // Build constructs the index for queries at threshold tau.
 func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("hmsearch: empty data collection")
+	dims, err := engine.CheckBuild(data)
+	if err == nil {
+		err = engine.CheckBuildTau(tau)
 	}
-	if tau < 0 {
-		return nil, fmt.Errorf("hmsearch: threshold %d: %w", tau, engine.ErrNegativeTau)
-	}
-	dims := data[0].Dims()
-	for i, v := range data {
-		if v.Dims() != dims {
-			return nil, fmt.Errorf("hmsearch: vector %d has %d dims, want %d: %w", i, v.Dims(), dims, engine.ErrDimMismatch)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("hmsearch: %w", err)
 	}
 	m := NumPartitions(dims, tau)
 	parts := opts.Arrangement
@@ -152,8 +152,9 @@ func (ix *Index) MaxTau() int { return ix.tau }
 func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
 
 // Codes implements engine.Scannable: the packed verification arena
-// over the indexed vectors (shared storage — do not modify). The
-// query planner's linear-scan route reads it directly.
+// over the indexed vectors (shared storage — do not modify): what
+// Search scans when the index would cost more, and what a forced scan
+// (-plan scan) reads directly.
 func (ix *Index) Codes() *verify.Codes { return ix.codes }
 
 // SizeBytes reports posting-list memory including deletion variants —
@@ -173,18 +174,24 @@ type searchScratch struct {
 	col     engine.Collector
 	proj    bitvec.Vector
 	r1      invindex.Radius1Scratch
+	bill    engine.Budget
 	sumPost int64
 	// collectFn is the radius-1 callback bound once per scratch (a
 	// method value allocates on every binding).
-	collectFn func(id int32)
+	collectFn func(id int32) bool
 }
 
-// collect merges one posting into the deduplicated candidate set.
+// collect bills one posting and merges it into the deduplicated
+// candidate set — or ends the probing, when it overdrew the budget.
 //
 //gph:hotpath
-func (s *searchScratch) collect(id int32) {
+func (s *searchScratch) collect(id int32) bool {
 	s.sumPost++
+	if !s.bill.Postings(1) {
+		return false
+	}
 	s.col.Collect(id)
+	return true
 }
 
 // getScratch hands a pooled scratch to the caller, who owes it
@@ -210,54 +217,95 @@ func (ix *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 	return ids, err
 }
 
-// SearchStats is Search with candidate accounting.
+// SearchStats is Search with candidate accounting: what the index was
+// billed for, and Scanned when the scan answered after all.
 func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) {
 	return ix.search(q, tau, true)
 }
 
-// search is HmSearch's per-query hot path: probe each partition's
-// frozen index at radius 1 via deletion variants, then verify. The
-// scratch goes back to the pool explicitly (not deferred — defer adds
-// per-call overhead on the hot path).
+// checkQuery is the query contract: CheckQuery's, within the build τ.
+func (ix *Index) checkQuery(q bitvec.Vector, tau int) error {
+	err := engine.CheckQuery(q, ix.dims, tau)
+	if err == nil {
+		err = engine.CheckTauBound(tau, ix.tau)
+	}
+	if err != nil {
+		return fmt.Errorf("hmsearch: %w", err)
+	}
+	return nil
+}
+
+// search is HmSearch's per-query hot path: gather candidates from the
+// deletion-variant indexes and verify them, or scan the arena where the
+// budget says that is cheaper. The scratch goes back to the pool
+// explicitly (not deferred — defer adds per-call overhead on the hot
+// path).
 //
 //gph:hotpath
 func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Stats, error) {
-	if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
-		return nil, nil, fmt.Errorf("hmsearch: %w", err)
+	if err := ix.checkQuery(q, tau); err != nil {
+		return nil, nil, err
 	}
-	if err := engine.CheckTauBound(tau, ix.tau); err != nil {
-		return nil, nil, fmt.Errorf("hmsearch: %w", err)
+	st := Stats{Scanned: true, Candidates: len(ix.data)}
+	var out []int32
+	if bill := ix.billProbes(tau); !bill.Spent() {
+		s := ix.getScratch()
+		if ix.gather(q, bill, s, &st) {
+			out = s.col.FinishVerifiedCodes(q, tau, ix.codes)
+		}
+		ix.scratch.Put(s)
 	}
-	s := ix.getScratch()
-	sigs := ix.gather(q, s)
-	candidates := s.col.Candidates()
-	out := s.col.FinishVerifiedCodes(q, tau, ix.codes)
-	sumPost := s.sumPost
-	ix.scratch.Put(s)
+	if st.Scanned {
+		out = ix.codes.AppendWithin(q, tau, nil)
+	}
 	if !wantStats {
 		return out, nil, nil
 	}
-	return out, &Stats{
-		Signatures:  sigs,
-		SumPostings: sumPost,
-		Candidates:  candidates,
-		Results:     len(out),
-	}, nil
+	report := st
+	report.Results = len(out)
+	return out, &report, nil
 }
 
-// gather probes each partition's frozen index at radius 1 via
-// deletion variants into s's collector, returning the signature
-// count. Shared by Search and SearchIter.
+// numProbes is what any query looks up: every partition's exact key and
+// one deletion variant a dimension.
+func (ix *Index) numProbes() int { return ix.parts.NumParts() + ix.dims }
+
+// billProbes opens a query's budget and bills it the query's probes.
+// Where they alone overdraw it the scan answers and the query has cost
+// nothing yet: no scratch taken, nothing projected.
 //
 //gph:hotpath
-func (ix *Index) gather(q bitvec.Vector, s *searchScratch) (sigs int) {
+func (ix *Index) billProbes(tau int) engine.Budget {
+	bill := engine.ScanBudget(ix.codes, tau)
+	bill.Probes(uint64(ix.numProbes()))
+	return bill
+}
+
+// gather probes each partition's frozen index at radius 1 via deletion
+// variants into s's collector, billing every decoded posting to what
+// billProbes left of the budget. It reports whether the index answers:
+// the posting that overdraws the budget ends the probing and leaves the
+// query to the scan. st receives what was billed (the probes in full)
+// and the verdict. Shared by Search, SearchIter and, through GrowKNN,
+// SearchKNN.
+//
+//gph:hotpath
+func (ix *Index) gather(q bitvec.Vector, bill engine.Budget, s *searchScratch, st *Stats) bool {
+	s.bill = bill
 	for i, dimsI := range ix.parts.Parts {
 		s.proj = s.proj.Resized(len(dimsI))
 		q.ProjectInto(dimsI, s.proj)
-		sigs += 1 + len(dimsI) // exact key + deletion variants
 		ix.inv[i].CollectRadius1Scratch(s.proj, &s.r1, s.collectFn)
+		if s.bill.Spent() {
+			break
+		}
 	}
-	return sigs
+	st.Signatures, st.SumPostings = ix.numProbes(), s.sumPost
+	if s.bill.Spent() {
+		return false
+	}
+	st.Scanned, st.Candidates = false, s.col.Candidates()
+	return true
 }
 
 // SearchIter implements engine.Streamer: candidates are gathered as
@@ -266,18 +314,21 @@ func (ix *Index) gather(q bitvec.Vector, s *searchScratch) (sigs int) {
 // returns; see engine.Streamer for the sequence contract.
 func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor, error] {
 	return func(yield func(engine.Neighbor, error) bool) {
-		if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
-			yield(engine.Neighbor{}, fmt.Errorf("hmsearch: %w", err))
+		if err := ix.checkQuery(q, tau); err != nil {
+			yield(engine.Neighbor{}, err)
 			return
 		}
-		if err := engine.CheckTauBound(tau, ix.tau); err != nil {
-			yield(engine.Neighbor{}, fmt.Errorf("hmsearch: %w", err))
-			return
+		st := Stats{Scanned: true}
+		if bill := ix.billProbes(tau); !bill.Spent() {
+			s := ix.getScratch()
+			if ix.gather(q, bill, s, &st) {
+				engine.StreamVerified(ix.codes, q, tau, s.col.CandidateIDs(), yield)
+			}
+			ix.scratch.Put(s)
 		}
-		s := ix.getScratch()
-		ix.gather(q, s)
-		engine.StreamVerified(ix.codes, q, tau, s.col.CandidateIDs(), yield)
-		ix.scratch.Put(s)
+		if st.Scanned {
+			engine.StreamScan(ix.codes, q, tau, yield)
+		}
 	}
 }
 

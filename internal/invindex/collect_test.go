@@ -399,8 +399,8 @@ func TestSlotChainsShort(t *testing.T) {
 	}
 }
 
-// BenchmarkFrozenProbeVsScan measures the unit costs scanElemsPerProbe
-// (internal/core) is derived from, on a partition shaped like
+// BenchmarkFrozenProbeVsScan measures the unit costs engine.ProbePrice
+// (internal/engine) is derived from, on a partition shaped like
 // lib_wide's: 20 000 near-distinct 36-bit keys. A probe is one
 // signature of a Hamming ball looked up by word (the ball walk
 // included); a scan step is one key of the arena compared (candidate

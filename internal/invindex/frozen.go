@@ -668,22 +668,25 @@ func histWords(keys []byte, counts []uint32, q uint64, hist []int64) {
 	}
 }
 
-// forEachPosting decodes entry e calling fn per id, materializing
-// nothing.
-func (f *Frozen) forEachPosting(e int, fn func(id int32)) {
+// forEachPosting decodes entry e calling fn per id until fn returns
+// false, materializing nothing; it reports whether fn never did.
+func (f *Frozen) forEachPosting(e int, fn func(id int32) bool) bool {
 	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
 	var prev int32
 	for i := 0; i < len(b); {
 		var v uint32
 		v, i = uvarint32(b, i)
 		prev += int32(v)
-		fn(prev)
+		if !fn(prev) {
+			return false
+		}
 	}
+	return true
 }
 
 // ForEachPosting calls fn for every id in key's posting list (no-op
-// when the key is absent), allocating nothing.
-func (f *Frozen) ForEachPosting(key string, fn func(id int32)) {
+// when the key is absent) until fn returns false, allocating nothing.
+func (f *Frozen) ForEachPosting(key string, fn func(id int32) bool) {
 	if e := f.lookupString(key); e >= 0 {
 		f.forEachPosting(e, fn)
 	}
@@ -711,20 +714,21 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 // CollectRadius1 gathers the ids of all indexed signatures within
 // Hamming distance 1 of sig, assuming the index was built with
 // AddWithDeletionVariants; see Index.CollectRadius1.
-func (f *Frozen) CollectRadius1(sig bitvec.Vector, fn func(id int32)) {
+func (f *Frozen) CollectRadius1(sig bitvec.Vector, fn func(id int32) bool) {
 	var s Radius1Scratch
 	f.CollectRadius1Scratch(sig, &s, fn)
 }
 
 // CollectRadius1Scratch is CollectRadius1 with caller-provided
 // scratch: variant keys build into the reused buffer, probe through
-// the allocation-free byte-key lookup, and decode straight into fn.
+// the allocation-free byte-key lookup, and decode straight into fn,
+// which ends the whole probe by returning false.
 //
 //gph:hotpath
-func (f *Frozen) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn func(id int32)) {
+func (f *Frozen) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn func(id int32) bool) {
 	s.keyBuf = sig.AppendKey(s.keyBuf[:0])
-	if e := f.lookupBytes(s.keyBuf); e >= 0 {
-		f.forEachPosting(e, fn)
+	if e := f.lookupBytes(s.keyBuf); e >= 0 && !f.forEachPosting(e, fn) {
+		return
 	}
 	s.masked = sig.CloneInto(s.masked)
 	for j := 0; j < sig.Dims(); j++ {
@@ -734,8 +738,8 @@ func (f *Frozen) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn 
 		}
 		s.keyBuf = append(s.keyBuf[:0], byte(j))
 		s.keyBuf = s.masked.AppendKey(s.keyBuf)
-		if e := f.lookupBytes(s.keyBuf); e >= 0 {
-			f.forEachPosting(e, fn)
+		if e := f.lookupBytes(s.keyBuf); e >= 0 && !f.forEachPosting(e, fn) {
+			return
 		}
 		if set {
 			s.masked.Set(j)

@@ -65,7 +65,7 @@ func TestFrozenMatchesMap(t *testing.T) {
 					t.Fatalf("AppendPostingsBytes %v != %v", viaBytes, want)
 				}
 				var viaFn []int32
-				f.ForEachPosting(key, func(id int32) { viaFn = append(viaFn, id) })
+				f.ForEachPosting(key, func(id int32) bool { viaFn = append(viaFn, id); return true })
 				if !equalIDs(viaFn, want) {
 					t.Fatalf("ForEachPosting %v != %v", viaFn, want)
 				}
@@ -97,26 +97,37 @@ func equalIDs(a, b []int32) bool {
 
 // TestFrozenRadius1MatchesMap checks the deletion-variant probe path:
 // the frozen CollectRadius1 visits exactly the ids the map form
-// visits (same multiset — duplicates across variant keys included).
+// visits (same multiset — duplicates across variant keys included), and
+// a callback that returns false is not called again, on either form.
 func TestFrozenRadius1MatchesMap(t *testing.T) {
 	ix, sigs := randomIndex(t, 11, 70, 8, true)
 	f := ix.Freeze()
 	for _, q := range sigs[:10] {
 		probe := q.Clone()
 		probe.Flip(2)
-		count := func(collect func(bitvec.Vector, func(int32))) map[int32]int {
-			m := map[int32]int{}
-			collect(probe, func(id int32) { m[id]++ })
-			return m
+		count := func(collect func(bitvec.Vector, func(int32) bool), stopAfter int) (map[int32]int, int) {
+			m, calls := map[int32]int{}, 0
+			collect(probe, func(id int32) bool { m[id]++; calls++; return calls != stopAfter })
+			return m, calls
 		}
-		want := count(ix.CollectRadius1)
-		got := count(f.CollectRadius1)
+		want, total := count(ix.CollectRadius1, 0)
+		got, _ := count(f.CollectRadius1, 0)
 		if len(got) != len(want) {
 			t.Fatalf("radius-1 visited %d ids, map %d", len(got), len(want))
 		}
 		for id, n := range want {
 			if got[id] != n {
 				t.Fatalf("id %d visited %d times, map %d", id, got[id], n)
+			}
+		}
+		for _, stopAfter := range []int{1, total / 2, total} {
+			if stopAfter == 0 {
+				continue
+			}
+			_, frozenCalls := count(f.CollectRadius1, stopAfter)
+			_, mapCalls := count(ix.CollectRadius1, stopAfter)
+			if frozenCalls != stopAfter || mapCalls != stopAfter {
+				t.Fatalf("a probe stopped at posting %d of %d went on to %d (frozen), %d (map)", stopAfter, total, frozenCalls, mapCalls)
 			}
 		}
 	}

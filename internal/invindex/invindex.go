@@ -115,8 +115,9 @@ func (ix *Index) AddWithDeletionVariants(sig bitvec.Vector, id int32) {
 // Hamming distance 1 of sig, assuming the index was built with
 // AddWithDeletionVariants. Results may contain duplicates (an id can
 // match several variant keys); callers dedupe via their candidate
-// bitmap exactly as they do for multi-partition hits.
-func (ix *Index) CollectRadius1(sig bitvec.Vector, fn func(id int32)) {
+// bitmap exactly as they do for multi-partition hits. fn ends the probe
+// by returning false.
+func (ix *Index) CollectRadius1(sig bitvec.Vector, fn func(id int32) bool) {
 	var s Radius1Scratch
 	ix.CollectRadius1Scratch(sig, &s, fn)
 }
@@ -134,10 +135,12 @@ type Radius1Scratch struct {
 // buffers: after warm-up it performs no allocations — variant keys are
 // built into the reused buffer and probed through the allocation-free
 // byte-key map lookup.
-func (ix *Index) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn func(id int32)) {
+func (ix *Index) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn func(id int32) bool) {
 	s.keyBuf = sig.AppendKey(s.keyBuf[:0])
 	for _, id := range ix.PostingsBytes(s.keyBuf) {
-		fn(id)
+		if !fn(id) {
+			return
+		}
 	}
 	s.masked = sig.CloneInto(s.masked)
 	for j := 0; j < sig.Dims(); j++ {
@@ -148,7 +151,9 @@ func (ix *Index) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn 
 		s.keyBuf = append(s.keyBuf[:0], byte(j))
 		s.keyBuf = s.masked.AppendKey(s.keyBuf)
 		for _, id := range ix.PostingsBytes(s.keyBuf) {
-			fn(id)
+			if !fn(id) {
+				return
+			}
 		}
 		if set {
 			s.masked.Set(j)

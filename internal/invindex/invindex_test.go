@@ -121,7 +121,7 @@ func TestCollectRadius1(t *testing.T) {
 	q := sigs[0].Clone()
 	q.Flip(3)
 	got := map[int32]bool{}
-	ix.CollectRadius1(q, func(id int32) { got[id] = true })
+	ix.CollectRadius1(q, func(id int32) bool { got[id] = true; return true })
 	for i, v := range sigs {
 		want := q.Hamming(v) <= 1
 		if got[int32(i)] != want {

@@ -38,14 +38,9 @@ type Scanner struct {
 
 // New builds a scanner over data.
 func New(data []bitvec.Vector) (*Scanner, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("linscan: empty data collection")
-	}
-	dims := data[0].Dims()
-	for i, v := range data {
-		if v.Dims() != dims {
-			return nil, fmt.Errorf("linscan: vector %d has %d dims, want %d", i, v.Dims(), dims)
-		}
+	dims, err := engine.CheckBuild(data)
+	if err != nil {
+		return nil, fmt.Errorf("linscan: %w", err)
 	}
 	return &Scanner{dims: dims, data: data, codes: verify.Pack(data)}, nil
 }
@@ -176,10 +171,9 @@ func Load(r io.Reader) (*Scanner, error) {
 
 func init() {
 	engine.Register(engine.Registration{
-		Name:         EngineName,
-		Exact:        true,
-		SelfDeciding: true, // its index path is the scan
-		Magic:        scannerMagic,
+		Name:  EngineName,
+		Exact: true,
+		Magic: scannerMagic,
 		Build: func(data []bitvec.Vector, _ engine.BuildOptions) (engine.Engine, error) {
 			return New(data)
 		},

@@ -92,19 +92,14 @@ const hashPrime = (1 << 31) - 1 // Mersenne prime for universal hashing
 // Hamming→Jaccard conversion uses the collection's mean popcount a:
 // H(x,q) ≤ τ implies J(x,q) ≥ (2a−τ)/(2a+τ) for |x| ≈ |q| ≈ a.
 func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("lsh: empty data collection")
+	dims, err := engine.CheckBuild(data)
+	if err == nil {
+		err = engine.CheckBuildTau(tau)
 	}
-	if tau < 0 {
-		return nil, fmt.Errorf("lsh: negative threshold %d", tau)
+	if err != nil {
+		return nil, fmt.Errorf("lsh: %w", err)
 	}
 	opts = opts.withDefaults()
-	dims := data[0].Dims()
-	for i, v := range data {
-		if v.Dims() != dims {
-			return nil, fmt.Errorf("lsh: vector %d has %d dims, want %d", i, v.Dims(), dims)
-		}
-	}
 	var popSum float64
 	for _, v := range data {
 		popSum += float64(v.PopCount())

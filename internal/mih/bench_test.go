@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 )
 
 // BenchmarkSearchStats measures the per-query cost of the MIH probe
@@ -27,10 +28,11 @@ func BenchmarkSearchStats(b *testing.B) {
 // TestScanGuardPerPartition pins the budget semantics: EnumBudget
 // caps each partition's ball individually, so a query whose per-
 // partition balls all fit must enumerate (not scan) even when their
-// sum exceeds the budget, and must scan once any single ball
-// overflows it.
+// sum exceeds the budget, and must scan — before it probes anything —
+// once any single ball overflows it. (20 000 rows, so that the scan's
+// price is not what stops either query.)
 func TestScanGuardPerPartition(t *testing.T) {
-	ds := dataset.Synthetic(200, 32, 0.3, 5)
+	ds := dataset.Synthetic(20000, 32, 0.3, 5)
 	build := func(budget int64) *Index {
 		ix, err := Build(ds.Vectors, Options{NumPartitions: 2, EnumBudget: budget})
 		if err != nil {
@@ -38,20 +40,8 @@ func TestScanGuardPerPartition(t *testing.T) {
 		}
 		return ix
 	}
-	// tau=9, m=2 → sub=4; ball(16, 4) = 2517 signatures per partition.
-	const perPartBall = 2517
-	_, st, err := build(perPartBall+1).SearchStats(ds.Vectors[0], 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Scanned {
-		t.Fatalf("scanned although every partition ball (%d) fits the budget", perPartBall)
-	}
-	_, st, err = build(perPartBall-1).SearchStats(ds.Vectors[0], 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Scanned {
-		t.Fatal("must fall back to scan when a partition ball exceeds the budget")
-	}
+	// tau=3, m=2 → sub=1; ball(16, 1) = 17 signatures per partition.
+	const perPartBall = 17
+	enginetest.OnIndex(t, build(perPartBall), ds.Vectors[0], 3)
+	enginetest.FreeScan(t, build(perPartBall-1), ds.Vectors[0], 3)
 }

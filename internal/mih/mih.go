@@ -5,12 +5,20 @@
 // within ⌊τ/m⌋ and probes a per-partition inverted index. The index
 // implements the full engine contract (kNN, batch, persistence), so it
 // can be served and sharded interchangeably with GPH.
+//
+// The paper states where that stops paying — an index is worth probing
+// while buckets probed plus candidates checked stay below n — and a
+// query here stops there itself, on GPH's price list (engine.Budget):
+// the balls are billed in closed form against what a scan of the packed
+// arena costs at τ, the postings as they are decoded, and a query that
+// overdraws the scan's price is answered by the scan.
 package mih
 
 import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"sync"
 
 	"gph/internal/binio"
@@ -70,14 +78,9 @@ type Stats = engine.Stats
 
 // Build constructs the index.
 func Build(data []bitvec.Vector, opts Options) (*Index, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("mih: empty data collection")
-	}
-	dims := data[0].Dims()
-	for i, v := range data {
-		if v.Dims() != dims {
-			return nil, fmt.Errorf("mih: vector %d has %d dims, want %d: %w", i, v.Dims(), dims, engine.ErrDimMismatch)
-		}
+	dims, err := engine.CheckBuild(data)
+	if err != nil {
+		return nil, fmt.Errorf("mih: %w", err)
 	}
 	m := opts.NumPartitions
 	if m == 0 {
@@ -150,8 +153,9 @@ func (ix *Index) MaxTau() int { return ix.dims }
 func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
 
 // Codes implements engine.Scannable: the packed verification arena
-// over the indexed vectors (shared storage — do not modify). The
-// query planner's linear-scan route reads it directly.
+// over the indexed vectors (shared storage — do not modify): what
+// Search scans when the index would cost more, and what a forced scan
+// (-plan scan) reads directly.
 func (ix *Index) Codes() *verify.Codes { return ix.codes }
 
 // SizeBytes reports posting-list memory — exact arena accounting on
@@ -177,14 +181,16 @@ type searchScratch struct {
 	// probe-loop state: probeFn is the enumeration callback bound once
 	// per scratch (a method value allocates on every binding).
 	inv     *invindex.Frozen
+	bill    engine.Budget
 	sigs    int
 	sumPost int64
 	probeFn func(bitvec.Vector) bool
 }
 
 // probe consumes one enumerated signature: build its packed key,
-// decode the matching posting list into the pooled scratch, and merge
-// it into the candidate set.
+// decode the matching posting list into the pooled scratch, bill it,
+// and merge it into the candidate set — or end the enumeration, when
+// the list overdrew the budget.
 //
 //gph:hotpath
 func (s *searchScratch) probe(v bitvec.Vector) bool {
@@ -192,6 +198,9 @@ func (s *searchScratch) probe(v bitvec.Vector) bool {
 	s.post = s.inv.AppendPostingsBytes(s.keyBuf, s.post[:0])
 	s.sigs++
 	s.sumPost += int64(len(s.post))
+	if !s.bill.Postings(len(s.post)) {
+		return false
+	}
 	for _, id := range s.post {
 		s.col.Collect(id)
 	}
@@ -229,14 +238,15 @@ func (ix *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 	return ids, err
 }
 
-// SearchStats is Search with candidate accounting.
+// SearchStats is Search with candidate accounting: what the index was
+// billed for, and Scanned when the scan answered after all.
 func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) {
 	return ix.search(q, tau, true)
 }
 
-// search is MIH's per-query hot path: enumerate each partition's
-// signature ball at radius ⌊τ/m⌋ and probe the frozen inverted
-// indexes. The scratch goes back to the pool explicitly on every exit
+// search is MIH's per-query hot path: gather candidates from the frozen
+// inverted indexes and verify them, or scan the arena where the budget
+// says that is cheaper. The scratch goes back to the pool explicitly
 // (not deferred — defer adds per-call overhead on the hot path).
 //
 //gph:hotpath
@@ -244,64 +254,76 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
 		return nil, nil, fmt.Errorf("mih: %w", err)
 	}
-	s := ix.getScratch()
-	scanned, err := ix.gather(q, tau, s)
-	if err != nil {
-		ix.putScratch(s)
-		return nil, nil, err
-	}
-	if scanned {
-		// Into the pooled posting buffer, then an exact-size result.
-		s.post = ix.codes.AppendWithin(q, tau, s.post[:0])
-		out := make([]int32, len(s.post))
-		copy(out, s.post)
-		ix.putScratch(s)
-		if !wantStats {
-			return out, nil, nil
+	st := Stats{Scanned: true, Candidates: len(ix.data)}
+	var out []int32
+	if bill := ix.billBalls(tau); !bill.Spent() {
+		s := ix.getScratch()
+		if ix.gather(q, tau, bill, s, &st) {
+			out = s.col.FinishVerifiedCodes(q, tau, ix.codes)
 		}
-		return out, &Stats{Candidates: len(ix.data), Results: len(out), Scanned: true}, nil
+		ix.putScratch(s)
 	}
-	candidates := s.col.Candidates()
-	out := s.col.FinishVerifiedCodes(q, tau, ix.codes)
-	sigs, sumPost := s.sigs, s.sumPost
-	ix.putScratch(s)
+	if st.Scanned {
+		out = ix.codes.AppendWithin(q, tau, nil)
+	}
 	if !wantStats {
 		return out, nil, nil
 	}
-	return out, &Stats{
-		Signatures:  sigs,
-		SumPostings: sumPost,
-		Candidates:  candidates,
-		Results:     len(out),
-	}, nil
+	report := st
+	report.Results = len(out)
+	return out, &report, nil
+}
+
+// billBalls opens a query's budget and bills it every partition's ball
+// at radius ⌊τ/m⌋, in closed form. Where that alone overdraws it, or a
+// ball outgrows the enumeration budget (e.g. during kNN range growth),
+// the scan answers and the query has cost nothing yet: no scratch
+// taken, nothing projected.
+//
+//gph:hotpath
+func (ix *Index) billBalls(tau int) engine.Budget {
+	bill := engine.ScanBudget(ix.codes, tau)
+	sub := tau / ix.parts.NumParts() // ⌊τ/m⌋, the basic pigeonhole threshold
+	for _, dimsI := range ix.parts.Parts {
+		size, ok := hamming.BallSize(len(dimsI), sub)
+		if !ok || size > uint64(ix.budget) {
+			size = math.MaxUint64
+		}
+		if !bill.Probes(size) {
+			break
+		}
+	}
+	return bill
 }
 
 // gather enumerates each partition's signature ball and probes the
-// frozen indexes into s's collector; it reports scanned=true (with no
-// candidates generated) when any partition's ball exceeds the
-// per-partition enumeration budget (τ/m beyond the index's useful
-// regime, e.g. during kNN range growth), where enumeration would fail
-// and the honest plan is a verified scan: still exact, never more
-// than O(n) work. Shared by Search and SearchIter.
+// frozen indexes into s's collector, billing every decoded posting to
+// what billBalls left of the budget. It reports whether the index
+// answers: the posting list that overdraws the budget ends the probing
+// and leaves the query to the scan, the index having cost at most the
+// scan's price plus that one list. st receives what was spent and the
+// verdict. Shared by Search, SearchIter and, through GrowKNN, SearchKNN.
 //
 //gph:hotpath
-func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch) (scanned bool, err error) {
-	m := ix.parts.NumParts()
-	sub := tau / m // ⌊τ/m⌋, the basic pigeonhole threshold
-	for _, dimsI := range ix.parts.Parts {
-		if size, ok := hamming.BallSize(len(dimsI), sub); !ok || size > uint64(ix.budget) {
-			return true, nil
-		}
-	}
+func (ix *Index) gather(q bitvec.Vector, tau int, bill engine.Budget, s *searchScratch, st *Stats) bool {
+	sub := tau / ix.parts.NumParts()
+	s.bill = bill
 	for i, dimsI := range ix.parts.Parts {
 		s.proj = s.proj.Resized(len(dimsI))
 		q.ProjectInto(dimsI, s.proj)
 		s.inv = ix.inv[i]
-		if err := s.enum.Enumerate(s.proj, sub, ix.budget, s.probeFn); err != nil {
-			return false, fmt.Errorf("mih: partition %d radius %d: %w", i, sub, err)
+		// Unbudgeted enumeration cannot fail.
+		_ = s.enum.Enumerate(s.proj, sub, 0, s.probeFn)
+		if s.bill.Spent() {
+			break
 		}
 	}
-	return false, nil
+	st.Signatures, st.SumPostings = s.sigs, s.sumPost
+	if s.bill.Spent() {
+		return false
+	}
+	st.Scanned, st.Candidates = false, s.col.Candidates()
+	return true
 }
 
 // SearchIter implements engine.Streamer: candidates are gathered as
@@ -314,20 +336,17 @@ func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor,
 			yield(engine.Neighbor{}, fmt.Errorf("mih: %w", err))
 			return
 		}
-		s := ix.getScratch()
-		scanned, err := ix.gather(q, tau, s)
-		if err != nil {
+		st := Stats{Scanned: true}
+		if bill := ix.billBalls(tau); !bill.Spent() {
+			s := ix.getScratch()
+			if ix.gather(q, tau, bill, s, &st) {
+				engine.StreamVerified(ix.codes, q, tau, s.col.CandidateIDs(), yield)
+			}
 			ix.putScratch(s)
-			yield(engine.Neighbor{}, err)
-			return
 		}
-		if scanned {
-			ix.putScratch(s)
+		if st.Scanned {
 			engine.StreamScan(ix.codes, q, tau, yield)
-			return
 		}
-		engine.StreamVerified(ix.codes, q, tau, s.col.CandidateIDs(), yield)
-		ix.putScratch(s)
 	}
 }
 

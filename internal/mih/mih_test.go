@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 	"gph/internal/linscan"
 	"gph/internal/partition"
 )
@@ -66,19 +67,22 @@ func TestSearchWithArrangement(t *testing.T) {
 }
 
 func TestStatsAndErrors(t *testing.T) {
-	ds := dataset.Synthetic(200, 32, 0.2, 5)
-	ix, _ := Build(ds.Vectors, Options{NumPartitions: 4})
+	// 20 000 rows: a scan costs 2 500 steps at least, two probes and their
+	// postings far less, so the stats read are the index's.
+	ds := dataset.Synthetic(20000, 32, 0.2, 5)
+	ix, _ := Build(ds.Vectors, Options{NumPartitions: 2})
 	if _, err := ix.Search(ds.Vectors[0], -1); err == nil {
 		t.Fatal("negative tau accepted")
 	}
-	_, st, err := ix.SearchStats(ds.Vectors[0], 3)
+	enginetest.OnIndex(t, ix, ds.Vectors[0], 1)
+	_, st, err := ix.SearchStats(ds.Vectors[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Results < 1 || st.Candidates < st.Results || st.Signatures < 1 {
+	if st.Results < 1 || st.Candidates < st.Results || st.Signatures != 2 || st.SumPostings < int64(st.Candidates) {
 		t.Fatalf("stats implausible: %+v", st)
 	}
-	if ix.SizeBytes() <= 0 || ix.Len() != 200 || ix.Dims() != 32 {
+	if ix.SizeBytes() <= 0 || ix.Len() != 20000 || ix.Dims() != 32 {
 		t.Fatal("accessors wrong")
 	}
 }

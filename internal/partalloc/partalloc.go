@@ -70,17 +70,12 @@ func NumPartitions(dims, tau int) int {
 
 // Build constructs the index for queries at threshold tau.
 func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("partalloc: empty data collection")
+	dims, err := engine.CheckBuild(data)
+	if err == nil {
+		err = engine.CheckBuildTau(tau)
 	}
-	if tau < 0 {
-		return nil, fmt.Errorf("partalloc: negative threshold %d", tau)
-	}
-	dims := data[0].Dims()
-	for i, v := range data {
-		if v.Dims() != dims {
-			return nil, fmt.Errorf("partalloc: vector %d has %d dims, want %d", i, v.Dims(), dims)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("partalloc: %w", err)
 	}
 	m := NumPartitions(dims, tau)
 	parts := opts.Arrangement
@@ -155,13 +150,14 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 
 	seen := make([]uint64, (len(ix.data)+63)/64)
 	cands := make([]int32, 0, 256)
-	collect := func(id int32) {
+	collect := func(id int32) bool {
 		stats.SumPostings++
 		w, b := id/64, uint(id)%64
 		if seen[w]>>b&1 == 0 {
 			seen[w] |= 1 << b
 			cands = append(cands, id)
 		}
+		return true
 	}
 	for i, ti := range T {
 		switch ti {

@@ -1,12 +1,11 @@
 // Package plan is the per-query planner and result cache. The planner
-// routes each query between the built index path and the
-// always-available linear-scan path over the verification arena, using
-// per-engine cost coefficients calibrated by a tiny one-time probe
-// (and, for GPH, the engine's own candidate-number cost model). The
-// cache is a bounded, sharded LRU keyed on (query hash, tau, k,
-// engine, snapshot epoch): the shard layer bumps the epoch on every
-// snapshot swap, so Insert/Delete/Compact invalidate stale entries
-// with zero coordination and no locks on the search hot path.
+// leaves each query to its engine, which weighs its index against a
+// linear scan of the verification arena itself, or forces that scan
+// when asked to, and counts which. The cache is a bounded, sharded LRU
+// keyed on (query hash, tau, k, engine, snapshot epoch): the shard
+// layer bumps the epoch on every snapshot swap, so Insert/Delete/Compact
+// invalidate stale entries with zero coordination and no locks on the
+// search hot path.
 package plan
 
 import "math/bits"

@@ -1,16 +1,14 @@
 package plan
 
 import (
-	"io"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"gph/internal/bitvec"
-	"gph/internal/dataset"
 	"gph/internal/engine"
-	"gph/internal/mih"
-	"gph/internal/verify"
 )
 
 func TestHashWords(t *testing.T) {
@@ -41,18 +39,24 @@ func TestHashWords(t *testing.T) {
 	}
 }
 
+// TestParseMode pins the -plan vocabulary: two words and the empty
+// string, and an error that names them for anything else — the two
+// retired spellings included.
 func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{
-		"": ModeAdaptive, "adaptive": ModeAdaptive,
-		"index": ModeIndex, "scan": ModeScan, "off": ModeOff,
-	} {
+	for s, want := range map[string]Mode{"": ModeAdaptive, "adaptive": ModeAdaptive, "scan": ModeScan} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
+		if s != "" && got.String() != s {
+			t.Errorf("Mode(%q).String() = %q", s, got.String())
+		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) succeeded")
+	for _, s := range []string{"index", "off", "bogus", "Adaptive"} {
+		_, err := ParseMode(s)
+		if err == nil || !strings.Contains(err.Error(), "adaptive|scan") || !strings.Contains(err.Error(), strconv.Quote(s)) {
+			t.Errorf("ParseMode(%q): error %v, want one naming the mode and adaptive|scan", s, err)
+		}
 	}
 }
 
@@ -142,71 +146,25 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
-// selfDeciding is a registered SelfDeciding engine with nothing behind
-// it: the Engine methods not defined below — Search*, Vector, SizeBytes,
-// Save — are the nil embedded interface's and panic when called, and so
-// does Codes.
-type selfDeciding struct{ engine.Engine }
+// untouchable is an engine with nothing behind it: every Engine method
+// is the nil embedded interface's and panics when called.
+type untouchable struct{ engine.Engine }
 
-func (selfDeciding) Name() string         { return "plantest-self" }
-func (selfDeciding) Exact() bool          { return true }
-func (selfDeciding) Len() int             { return 1000 }
-func (selfDeciding) Dims() int            { return 64 }
-func (selfDeciding) MaxTau() int          { return 64 }
-func (selfDeciding) Codes() *verify.Codes { panic("the planner read a self-deciding engine's arena") }
-
-func init() {
-	engine.Register(engine.Registration{
-		Name:         selfDeciding{}.Name(),
-		Exact:        true,
-		SelfDeciding: true,
-		Magic:        "PLANTST1",
-		Load:         func(io.Reader) (engine.Engine, error) { return selfDeciding{}, nil },
-	})
-}
-
-// TestRouteNeverCallsTheEngine: an engine that decides scan-or-index
-// itself is neither timed by Calibrate nor asked anything by Route — the
-// adaptive answer is RouteIndex from one atomic load, with no allocation.
+// TestRouteNeverCallsTheEngine: under ModeAdaptive Route asks the engine
+// nothing, whatever the engine: the answer is RouteIndex from the mode
+// and one atomic add, with no allocation.
 func TestRouteNeverCallsTheEngine(t *testing.T) {
-	var e engine.Engine = selfDeciding{}
-	q := bitvec.New(e.Dims())
+	var e engine.Engine = untouchable{}
+	q := bitvec.New(64)
 	p := NewPlanner(ModeAdaptive)
-	p.Calibrate(e)
 	tau := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if p.Route(e, q, tau%e.Dims()) != RouteIndex {
-			t.Fatal("a self-deciding engine was routed to the planner's scan")
+		if p.Route(e, q, tau%64) != RouteIndex {
+			t.Fatal("the adaptive planner routed a query to its scan")
 		}
 		tau++
 	})
-	st := p.Stats()
-	if allocs != 0 || !st.Calibrated || st.RoutedScan != 0 || st.RoutedIndex < 1000 || st.ScanNanosPerRow != 0 || st.CrossoverTau != 0 {
+	if st := p.Stats(); allocs != 0 || st.Mode != "adaptive" || st.RoutedScan != 0 || st.RoutedIndex < 1000 {
 		t.Fatalf("%v allocs a Route, stats %+v", allocs, st)
-	}
-}
-
-// TestCalibrateIsRepeatable: the crossover probe reads each side warm and
-// at its fastest, so fresh planners over one engine agree. MIH over
-// sift-like data loses to the scan at the first probed radius by an order
-// of magnitude (mih.p50_us against linscan.p50_us on benchmark/'s
-// lib_wide, the same shape).
-func TestCalibrateIsRepeatable(t *testing.T) {
-	ds := dataset.SIFTLike(20000, 1)
-	e, err := engine.Build(mih.EngineName, ds.Vectors, engine.BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first Stats
-	for i := range 5 {
-		p := NewPlanner(ModeAdaptive)
-		p.Calibrate(e)
-		st := p.Stats()
-		if i == 0 {
-			first = st
-		}
-		if !st.Calibrated || st.CrossoverTau <= 0 || st.CrossoverTau != first.CrossoverTau || st.ScanNanosPerRow <= 0 {
-			t.Fatalf("planner %d: %+v, the first planner's %+v", i, st, first)
-		}
 	}
 }

@@ -399,9 +399,6 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 		return nil, fmt.Errorf("shard: reading container: %w", err)
 	}
 	s.live.Store(int64(len(s.owner)))
-	// Loaded engines are fresh objects: calibrate the planner against
-	// them before the index serves traffic.
-	s.calibratePlanner()
 	return s, nil
 }
 
@@ -492,6 +489,5 @@ func adopt(e engine.Engine) (*Index, error) {
 	s.live.Store(int64(n))
 	//gphlint:ignore epochpair adopt publishes the first snapshot before the index is reachable
 	s.shards[0].Store(sh)
-	s.calibratePlanner()
 	return s, nil
 }

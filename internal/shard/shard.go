@@ -229,11 +229,10 @@ type Index struct {
 	//gph:epoch
 	epoch atomic.Uint64
 
-	// planner routes queries between the built index path and the
-	// verified-scan path; cache is the bounded LRU over query results.
-	// Both are fixed at construction (ConfigurePlan before serving) and
-	// read lock-free on the search hot path; either may be nil
-	// (disabled).
+	// planner forces the verified-scan route when asked to and counts
+	// routes; cache is the bounded LRU over query results. Both are
+	// fixed at construction (ConfigurePlan before serving) and read
+	// lock-free on the search hot path; cache may be nil (disabled).
 	planner *plan.Planner
 	cache   *plan.Cache
 	engID   uint8 // plan.EngineID(engine), baked into cache keys
@@ -426,7 +425,6 @@ func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts co
 		//gphlint:ignore epochpair build publishes the first real snapshots before the index is returned
 		s.shards[i].Store(states[i])
 	}
-	s.calibratePlanner()
 	return s, nil
 }
 
@@ -877,10 +875,6 @@ func (s *Index) compactLocked() error {
 		s.epoch.Add(1)
 	}
 	s.mu.Unlock()
-	// The rebuilt engines may have very different cost profiles (delta
-	// buffers folded in, tombstones dropped): recalibrate the planner
-	// against the new reality, still off the hot path.
-	s.calibratePlanner()
 	return nil
 }
 
@@ -963,8 +957,9 @@ func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 // shard's engine.Stats summed over the count fields and phase nanos
 // (so the nanos are work done, not wall time, when shards ran
 // concurrently), plus one candidate per delta entry scanned. Scanned
-// reports that some shard was answered by the planner's verified
-// scan (that shard contributes its whole arena as candidates);
+// reports that some shard was answered by a verified scan, its
+// engine's choice or the planner's forced one (that shard contributes
+// its whole arena as candidates);
 // CacheHit that the result cache answered, in which case only the
 // result count is known and Candidates repeats it. Thresholds is left
 // empty — shards allocate independently.
@@ -1098,18 +1093,18 @@ func addStats(sum, sh *engine.Stats) {
 	sum.Candidates += sh.Candidates
 }
 
-// scanBufs pools the scan route's local-id buffers: search maps them to
-// global ids into a slice of its own, so a buffer never leaves it.
+// scanBufs pools the forced-scan route's local-id buffers: search maps
+// them to global ids into a slice of its own, so a buffer never leaves it.
 var scanBufs = sync.Pool{New: func() any { return new([]int32) }}
 
 // search answers one shard's share of a range query: built-index
 // results mapped to global ids with tombstones dropped, then the
 // delta scan. builtIDs is ascending, so the mapped ids stay sorted.
-// The planner routes between the engine's own Search and a verified
-// scan of its packed arena (plan.RouteScan is only ever answered for
-// exact engine.Scannable engines, so both routes return the same id
-// set — the scan just wins at high tau and small shards). A non-nil
-// st receives the shard's accounting.
+// The engine's own Search answers — it weighs its index against a scan
+// itself — unless the planner forces the scan of its packed arena
+// (plan.RouteScan is only ever answered for exact engine.Scannable
+// engines, so both routes return the same id set). A non-nil st
+// receives the shard's accounting.
 func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner, st *engine.Stats) ([]int32, error) {
 	var out []int32
 	if sh.built != nil {
