@@ -20,14 +20,10 @@ import (
 type Index struct {
 	dims  int
 	count int
-	data  []bitvec.Vector
-	// arena is the contiguous row-major word storage the data views
-	// alias when the index was deserialized (nil for built indexes).
-	// Load defers carving the per-vector views — O(count) header
-	// allocation that dominated open profiles — to the validation pass;
-	// data stays nil until then and count carries the collection size.
-	arena []uint64
-	codes *verify.Codes // packed row-major copy of data for batch verification
+	// codes is the one copy of the indexed vectors, row-major: packed at
+	// Build, aliased in place by Load. The verification kernels scan it
+	// and Vector hands out views of its rows.
+	codes *verify.Codes
 	parts *partition.Partitioning
 	inv   []*invindex.Frozen
 	opts  Options
@@ -74,8 +70,8 @@ type BuildStats struct {
 }
 
 // Build constructs a GPH index over data (which must be non-empty and
-// dimensionally uniform). The data slice is retained for verification;
-// callers must not mutate the vectors afterwards.
+// dimensionally uniform). The vectors are copied into the index's own
+// arena; neither the slice nor the vectors are retained.
 func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	dims, err := engine.CheckBuild(data)
 	if err != nil {
@@ -86,7 +82,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	}
 	opts = opts.withDefaults(dims)
 
-	ix := &Index{dims: dims, count: len(data), data: data, codes: verify.Pack(data), opts: opts}
+	ix := &Index{dims: dims, count: len(data), codes: verify.Pack(data), opts: opts}
 
 	// Offline phase 1: dimension partitioning (§V).
 	start := time.Now()
@@ -110,22 +106,19 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	// Offline phase 2: per-partition inverted indexes. Partitions are
 	// independent, so construction fans out over a bounded worker
 	// pool; each partition is built whole by one worker, which keeps
-	// the result identical to a serial build. The build-time map is
-	// immediately frozen into the compact arena layout queries probe —
-	// the map never outlives its partition's build.
+	// the result identical to a serial build. A worker projects every
+	// vector into one array of words and freezes it straight into the
+	// compact arena layout queries probe, with no build-time map.
 	start = time.Now()
 	ix.inv = make([]*invindex.Frozen, parts.NumParts())
 	err = ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
 		dimsI := parts.Parts[i]
-		inv := invindex.New()
-		scratch := bitvec.New(len(dimsI))
-		var keyBuf []byte
+		w := (len(dimsI) + bitvec.WordBits - 1) / bitvec.WordBits
+		rows := make([]uint64, len(data)*w)
 		for id, v := range data {
-			v.ProjectInto(dimsI, scratch)
-			keyBuf = scratch.AppendKey(keyBuf[:0])
-			inv.Add(string(keyBuf), int32(id))
+			v.ProjectInto(dimsI, bitvec.FromWordsSharedUnchecked(len(dimsI), rows[id*w:(id+1)*w]))
 		}
-		ix.inv[i] = inv.Freeze()
+		ix.inv[i] = invindex.FreezeRows(len(data), w, rows)
 		return nil
 	})
 	if err != nil {
@@ -136,9 +129,11 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 }
 
 // ForEach runs fn(0..n-1) on up to parallelism workers (≤ 0 selects
-// GOMAXPROCS) and returns the lowest-numbered recorded error. A
-// failure stops workers from starting further items. Every started fn
-// call completes before ForEach returns, so callers may read the filled
+// GOMAXPROCS) and returns the lowest-numbered error. A failure stops
+// workers from starting items numbered above it, never one below: every
+// item before the first failing one runs, so which error comes back does
+// not depend on how the workers were scheduled. Every started fn call
+// completes before ForEach returns, so callers may read the filled
 // slices without synchronization. It is the build-side worker pool
 // shared by the per-partition phase here and the per-shard builds in
 // internal/shard.
@@ -160,19 +155,25 @@ func ForEach(parallelism, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)
-	var failed atomic.Bool
+	var firstFailed atomic.Int64 // the lowest item that failed so far, n for none
+	firstFailed.Store(int64(n))
 	var wg sync.WaitGroup
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1))
-				if i >= n || failed.Load() {
+				i := next.Add(1)
+				if i >= int64(n) || i > firstFailed.Load() {
 					return
 				}
-				if errs[i] = fn(i); errs[i] != nil {
-					failed.Store(true)
+				if errs[i] = fn(int(i)); errs[i] == nil {
+					continue
+				}
+				for f := firstFailed.Load(); i < f; f = firstFailed.Load() {
+					if firstFailed.CompareAndSwap(f, i) {
+						break
+					}
 				}
 			}
 		}()
@@ -239,16 +240,14 @@ func (ix *Index) Dims() int { return ix.dims }
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return ix.count }
 
-// Vector returns the indexed vector with the given id. The returned
-// vector shares storage with the index and must not be modified.
+// Vector returns the indexed vector with the given id: a view of its
+// row, which shares storage with the index and must not be modified.
 func (ix *Index) Vector(id int32) bitvec.Vector {
-	// A load whose opener left validation to the first query has not
-	// carved the data views either; handing out a view before then
-	// could expose an unvalidated vector. The error (if any) still
-	// surfaces on every query path; here the accessor just guarantees
-	// the views exist.
+	// A load whose opener left validation to the first query runs it
+	// first, as a query would: the rows are read after the pass that
+	// checks them. Its error (if any) surfaces on every query path.
 	_ = ix.ensureValidated()
-	return ix.data[id]
+	return ix.codes.Row(id)
 }
 
 // Codes implements engine.Scannable: the packed verification arena

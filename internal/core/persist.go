@@ -61,17 +61,8 @@ func (ix *Index) Save(w io.Writer) error {
 
 // saveArena writes the vector words, row-major, with no framing.
 func (ix *Index) saveArena(bw *binio.Writer) {
-	if ix.arena != nil {
-		// Deserialized indexes keep the contiguous word arena; writing
-		// it directly is byte-identical to walking the views (which a
-		// mapped index may not even have carved yet).
-		for _, word := range ix.arena {
-			bw.Uint64(word)
-		}
-		return
-	}
-	for _, v := range ix.data {
-		for _, word := range v.Words() {
+	for id := range ix.count {
+		for _, word := range ix.codes.Row(int32(id)).Words() {
 			bw.Uint64(word)
 		}
 	}
@@ -191,16 +182,12 @@ func readOptions(br *binio.Reader, dims, numParts int) (Options, error) {
 	return opts.withDefaults(dims), nil
 }
 
-// readVectorArena aliases the contiguous row-major word arena. The
-// per-vector views stay uncarved: the view headers alone are O(count)
-// heap (they dominated open profiles), and the checked constructor
-// would read every vector's tail word — faulting the whole arena in
-// at open. The validation pass carves unchecked views and checks the
-// tails; until then data is nil and every accessor goes through
-// ensureValidated. Tail bits beyond dims are a validation error rather
-// than masked in place — the writer masks them, so set tail bits mean
-// corruption, and masking would write to what may be a read-only
-// mapped page.
+// readVectorArena aliases the contiguous row-major word arena, reading
+// none of it: checking each row's tail word here would fault the whole
+// arena in at open. The validation pass checks the tails. Tail bits
+// beyond dims are a validation error rather than masked in place — the
+// writer masks them, so set tail bits mean corruption, and masking would
+// write to what may be a read-only mapped page.
 //
 //gph:borrow
 func readVectorArena(br *binio.Reader, dims, count int) ([]uint64, error) {
@@ -274,7 +261,7 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ix := &Index{dims: dims, count: count, arena: arena, codes: codes, parts: parts, opts: opts, deepPending: true}
+	ix := &Index{dims: dims, count: count, codes: codes, parts: parts, opts: opts, deepPending: true}
 	ix.inv = make([]*invindex.Frozen, numParts)
 	for i := range headers {
 		inv, err := headers[i].ReadPayload(br)

@@ -43,7 +43,7 @@ func (ix *Index) SearchTanimoto(q bitvec.Vector, t float64) ([]int32, error) {
 	}
 	out := ids[:0]
 	for _, id := range ids {
-		if tanimoto(q, ix.data[id]) >= t {
+		if tanimoto(q, ix.codes.Row(id)) >= t {
 			out = append(out, id)
 		}
 	}

@@ -59,33 +59,23 @@ func (ix *Index) runDeepValidation() {
 func (ix *Index) deepValidate() error {
 	return ForEach(0, len(ix.inv)+1, func(i int) error {
 		if i == 0 {
-			// Carve the per-vector views Load deferred (no other worker
-			// reads ix.data, and queries serialize on deepMu until
-			// deepDone's release-store publishes the views).
-			ix.materializeData()
-			for id, v := range ix.data {
-				if err := v.CheckTail(); err != nil {
-					return fmt.Errorf("core: vector %d corrupt: %w", id, err)
-				}
-			}
-			return nil
+			return ix.checkTails()
 		}
 		return validatePartition(ix.inv[i-1], ix.parts.Parts[i-1], i-1)
 	})
 }
 
-// materializeData carves the per-vector views out of the word arena a
-// Load retained. Built indexes arrive with data populated; a load
-// defers the carve to its validation pass, because the view headers
-// alone are O(count) heap — they dominated cold-open profiles.
-func (ix *Index) materializeData() {
-	if ix.data != nil {
-		return
+// checkTails rejects a row with bits set past dims, which every distance
+// to it would count. It reads the last word of each row, and nothing
+// when dims is a whole number of words: such a row has no bits past it.
+func (ix *Index) checkTails() error {
+	if ix.dims%bitvec.WordBits == 0 {
+		return nil
 	}
-	words := (ix.dims + 63) / 64
-	data := make([]bitvec.Vector, ix.count)
-	for i := range data {
-		data[i] = bitvec.FromWordsSharedUnchecked(ix.dims, ix.arena[i*words:(i+1)*words])
+	for id := range ix.count {
+		if err := ix.codes.Row(int32(id)).CheckTail(); err != nil {
+			return fmt.Errorf("core: vector %d corrupt: %w", id, err)
+		}
 	}
-	ix.data = data
+	return nil
 }

@@ -9,12 +9,14 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -179,7 +181,7 @@ func TestOpenCorrupted(t *testing.T) {
 				damaged[fmt.Sprintf("cut to %d of %d bytes", keep, len(full))] = full[:keep]
 			}
 			path := filepath.Join(t.TempDir(), "bad.idx")
-			atSearch := 0
+			atOpen, atSearch := 0, 0
 			for what, bad := range damaged {
 				if err := os.WriteFile(path, bad, 0o644); err != nil {
 					t.Fatal(err)
@@ -191,6 +193,9 @@ func TestOpenCorrupted(t *testing.T) {
 						}
 					}()
 					heap, heapErr := engine.Open(path, engine.OpenHeap)
+					if heapErr != nil {
+						atOpen++
+					}
 					// LSH redraws its tables on every load, 0.2 s each: it
 					// skips the third.
 					readerErr := heapErr
@@ -224,10 +229,82 @@ func TestOpenCorrupted(t *testing.T) {
 					}
 				}()
 			}
+			t.Logf("%d damaged files: %d rejected by a heap open, %d by a mapped open's first search", len(damaged), atOpen, atSearch)
 			if info.Name == "gph" && atSearch == 0 {
 				t.Error("no damaged gph file got past a mapped Open to fail its first search: the sweep misses the content tier")
 			}
 		})
+	}
+}
+
+// TestVectorTailCheck: a row's bits past the dimension are what the
+// content tier's vector check looks for. In a 70-dimension GPH index (two
+// words a row), bit 70 of row 37 set in the file is rejected by a heap
+// open, vector and tail word named, and by a mapped open's first search
+// and every search after it. Bit 69 is inside the dimension: flipping it
+// is a different row 37, accepted, and no other row's distances move.
+func TestVectorTailCheck(t *testing.T) {
+	const dims, row = 70, 37
+	ds := dataset.Synthetic(400, dims, 0.3, confSeed)
+	built, err := engine.Build("gph", ds.Vectors, engine.BuildOptions{NumPartitions: 3, MaxTau: 16, Seed: confSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := built.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var arena []byte
+	for id := range built.Len() {
+		for _, w := range built.Vector(int32(id)).Words() {
+			arena = binary.LittleEndian.AppendUint64(arena, w)
+		}
+	}
+	off := bytes.Index(saved.Bytes(), arena)
+	if off < 0 {
+		t.Fatal("the saved file does not hold the rows' words in order")
+	}
+	flipped := func(bit int) string {
+		bad := bytes.Clone(saved.Bytes())
+		bad[off+8*(2*row+1)+(bit-64)/8] ^= 1 << ((bit - 64) % 8) // the row's second word holds dims 64–127
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("bit%d.gph", bit))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	want := fmt.Sprintf("core: vector %d corrupt: bitvec: bits set beyond dimension %d (tail word ", row, dims)
+	path := flipped(70)
+	if _, err := engine.Open(path, engine.OpenHeap); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("heap open of bit 70 set: %v, want %q…", err, want)
+	}
+	mapped, err := engine.Open(path, engine.OpenMMap)
+	if err != nil {
+		t.Fatalf("mapped open of bit 70 set: %v (its content tier waits for the first search)", err)
+	}
+	defer mapped.Close()
+	var first error
+	for i, q := range ds.Vectors[:4] {
+		_, err := mapped.Search(q, 2)
+		if err == nil || !strings.Contains(err.Error(), want) || (i > 0 && err.Error() != first.Error()) {
+			t.Fatalf("mapped search %d of bit 70 set: %v, first search said %v", i, err, first)
+		}
+		first = err
+	}
+
+	heap, err := engine.Open(flipped(69), engine.OpenHeap)
+	if err != nil {
+		t.Fatalf("heap open of bit 69 flipped: %v", err)
+	}
+	defer heap.Close()
+	for _, q := range ds.Vectors[:8] {
+		for id := range heap.Len() {
+			got, was := q.Hamming(heap.Vector(int32(id))), q.Hamming(ds.Vectors[id])
+			if moved := got != was; moved != (id == row) || (moved && got-was != 1 && was-got != 1) {
+				t.Fatalf("row %d: distance %d, %d before bit 69 of row %d flipped", id, got, was, row)
+			}
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package invindex
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,22 +117,99 @@ func (ix *Index) Freeze() *Frozen {
 			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 			ids = sorted
 		}
-		prev := int32(0)
-		for _, id := range ids {
-			f.postArena = binary.AppendUvarint(f.postArena, uint64(uint32(id-prev)))
-			prev = id
-		}
-		if int64(len(f.keyArena)) >= arenaLimit || int64(len(f.postArena)) >= arenaLimit {
-			panic("invindex: arena exceeds 2 GiB; shard the collection instead")
-		}
-		if !uniform {
-			f.keyOffs = append(f.keyOffs, uint32(len(f.keyArena)))
-		}
-		f.postOffs = append(f.postOffs, uint32(len(f.postArena)))
-		f.counts = append(f.counts, uint32(len(ids)))
+		f.addList(ids)
 	}
 	f.buildSlotsOnce()
 	return f
+}
+
+// addList ends the entry whose key was just appended to the key arena:
+// it encodes ids, ascending, as the entry's posting list and records the
+// entry's offsets and count.
+func (f *Frozen) addList(ids []int32) {
+	prev := int32(0)
+	for _, id := range ids {
+		f.postArena = binary.AppendUvarint(f.postArena, uint64(uint32(id-prev)))
+		prev = id
+	}
+	if int64(len(f.keyArena)) >= arenaLimit || int64(len(f.postArena)) >= arenaLimit {
+		panic("invindex: arena exceeds 2 GiB; shard the collection instead")
+	}
+	if f.keyLen == 0 {
+		f.keyOffs = append(f.keyOffs, uint32(len(f.keyArena)))
+	}
+	f.postOffs = append(f.postOffs, uint32(len(f.postArena)))
+	f.counts = append(f.counts, uint32(len(ids)))
+}
+
+// FreezeRows returns what Freeze returns for an Index built by adding,
+// in id order, each id in [0, n) under the key of its row of rows: n
+// rows of w words, a row's key its words in little-endian bytes, as
+// bitvec.Vector.AppendKey packs them. It sorts the ids by key instead of
+// filling a map — the map's keys, buckets and one-id lists take
+// megabytes a partition, and a build runs one per worker.
+func FreezeRows(n, w int, rows []uint64) *Frozen {
+	if n == 0 || w == 0 {
+		ix := New()
+		for id := range n {
+			ix.Add("", int32(id))
+		}
+		return ix.Freeze()
+	}
+	if len(rows) != n*w {
+		panic(fmt.Sprintf("invindex: %d words for %d rows of %d", len(rows), n, w))
+	}
+	key := func(id int32) []uint64 { return rows[int(id)*w : (int(id)+1)*w] }
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := compareKeys(key(a), key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	distinct := 1
+	for j := 1; j < n; j++ {
+		if !slices.Equal(key(order[j]), key(order[j-1])) {
+			distinct++
+		}
+	}
+	f := &Frozen{
+		keyArena:  make([]byte, 0, 8*w*distinct),
+		keyLen:    8 * w,
+		postArena: make([]byte, 0, n+2*distinct),
+		postOffs:  make([]uint32, 1, distinct+1),
+		counts:    make([]uint32, 0, distinct),
+		postings:  int64(n),
+		maxID:     math.MaxInt32, // ids are valid by construction
+	}
+	for j := 0; j < n; {
+		k := key(order[j])
+		end := j + 1
+		for end < n && slices.Equal(key(order[end]), k) {
+			end++
+		}
+		for _, word := range k {
+			f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
+		}
+		f.addList(order[j:end])
+		j = end
+	}
+	f.buildSlotsOnce()
+	return f
+}
+
+// compareKeys orders two rows of key words as their little-endian bytes
+// order, which is the order of the words with their bytes reversed.
+func compareKeys(a, b []uint64) int {
+	for k, x := range a {
+		if x != b[k] {
+			return cmp.Compare(bits.ReverseBytes64(x), bits.ReverseBytes64(b[k]))
+		}
+	}
+	return 0
 }
 
 // hashMul is 2⁶⁴/φ rounded to odd, the usual multiplicative-hashing
@@ -216,26 +295,36 @@ func (f *Frozen) buildSlotsOnce() {
 // every entry by linear probing. Callers go through buildSlotsOnce.
 func (f *Frozen) buildSlots() {
 	n := f.NumKeys()
-	size := slotCount(n)
-	f.slots = make([]int32, size)
-	for i := range f.slots {
-		f.slots[i] = -1
+	slots := make([]int32, slotCount(n))
+	// Every slot −1: one stored, then the filled prefix copied over the
+	// rest, doubling — a memmove, where a store loop takes a store a slot.
+	slots[0] = -1
+	for done := 1; done < len(slots); done *= 2 {
+		copy(slots[done:], slots[:done])
 	}
-	mask := uint64(size - 1)
-	for e := 0; e < n; e++ {
-		var h uint64
-		if f.keyLen == 8 {
-			// One-word keys — every default build — hash as lookupWord
-			// hashes them, without the byte loop.
-			h = hashWord(binary.LittleEndian.Uint64(f.keyArena[8*e:])) & mask
-		} else {
-			h = hashKey(f.key(e)) & mask
+	mask := uint64(len(slots) - 1)
+	if f.keyLen == 8 {
+		// One-word keys — every default build — hash as lookupWord hashes
+		// them, without the byte loop.
+		keys := f.keyArena[:8*n]
+		for e := int32(0); len(keys) >= 8; e++ {
+			h := hashWord(binary.LittleEndian.Uint64(keys))
+			keys = keys[8:]
+			for slots[h&mask] >= 0 {
+				h++
+			}
+			slots[h&mask] = e
 		}
-		for f.slots[h] >= 0 {
-			h = (h + 1) & mask
+	} else {
+		for e := 0; e < n; e++ {
+			h := hashKey(f.key(e))
+			for slots[h&mask] >= 0 {
+				h++
+			}
+			slots[h&mask] = int32(e)
 		}
-		f.slots[h] = int32(e)
 	}
+	f.slots = slots
 }
 
 func (f *Frozen) key(e int) []byte {
@@ -964,33 +1053,23 @@ func (f *Frozen) validateContent(width int) error {
 	// order and list have passed, as when the width check was a pass of
 	// its own after them: what a corrupt file is rejected for does not
 	// depend on which loop found it.
-	var widthErr error
 	if f.keyLen == 8 {
-		// One-word keys, every default build. Byte-lexicographic order,
-		// what bytes.Compare computes, is the order of the keys read as
-		// big-endian words; the bits of the little-endian word the key
-		// packs are those bytes reversed.
-		var stray uint64 // the bits a width-bit projection leaves clear
-		if width > 0 && width%64 != 0 {
-			stray = ^uint64(0) << uint(width%64)
+		// One-word keys, every default build, in two straight passes: the
+		// keys up to the first out of order, then the lists before it. The
+		// verdict is the one the entry-by-entry loop below reaches.
+		disorder, wide := f.scanWordKeys(width)
+		if err := f.checkLists(disorder); err != nil {
+			return err
 		}
-		oneWord := (width+63)/64 == 1
-		var prev uint64
-		for e := 0; e < numKeys; e++ {
-			k := binary.BigEndian.Uint64(f.keyArena[8*e:])
-			if e > 0 && prev >= k {
-				return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
-			}
-			prev = k
-			if width >= 0 && widthErr == nil && (!oneWord || bits.ReverseBytes64(k)&stray != 0) {
-				widthErr = f.checkKeyWidth(e, width)
-			}
-			if err := f.checkList(e); err != nil {
-				return err
-			}
+		if disorder < numKeys {
+			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", disorder)
 		}
-		return widthErr
+		if wide >= 0 {
+			return f.checkKeyWidth(wide, width)
+		}
+		return nil
 	}
+	var widthErr error
 	prevKey := []byte(nil)
 	for e := 0; e < numKeys; e++ {
 		k := f.key(e)
@@ -1006,6 +1085,184 @@ func (f *Frozen) validateContent(width int) error {
 		}
 	}
 	return widthErr
+}
+
+// scanWordKeys is the key pass over one-word keys: it returns the first
+// entry whose key does not follow the one before (numKeys when every key
+// does), and the first entry before that whose key is not the packed
+// form of a width-bit projection (−1 for none, or when width < 0).
+// Byte-lexicographic order, what bytes.Compare computes, is the order of
+// the keys read as big-endian words.
+func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
+	numKeys := f.NumKeys()
+	disorder, wide = numKeys, -1
+	if numKeys == 0 {
+		return disorder, wide
+	}
+	if width >= 0 && (width+63)/64 != 1 {
+		wide = 0 // no one-word key is the packed form of such a projection
+	}
+	var stray uint64 // the bits a width-bit projection leaves clear, as the big-endian read holds them
+	if width > 0 && width%64 != 0 {
+		stray = bits.ReverseBytes64(^uint64(0) << uint(width%64))
+	}
+	keys := f.keyArena[:8*numKeys]
+	var prev uint64
+	for e := 0; e < numKeys; e++ {
+		k := binary.BigEndian.Uint64(keys[8*e:])
+		if e > 0 && prev >= k {
+			return e, wide
+		}
+		prev = k
+		if k&stray != 0 && wide < 0 {
+			wide = e
+		}
+	}
+	return disorder, wide
+}
+
+// checkLists is the list pass over entries [0, limit): each list is
+// judged from the words that hold it, and one the words cannot clear —
+// a corrupt list, or one whose word would reach past the arena's end —
+// goes to checkList, which walks it a byte at a time and says what is
+// wrong with it.
+func (f *Frozen) checkLists(limit int) error {
+	if limit == 0 {
+		return nil
+	}
+	arena, counts := f.postArena, f.counts[:limit]
+	ends := f.postOffs[1 : limit+1]
+	ends = ends[:len(counts)]
+	idLimit := uint64(max(f.maxID, 0))
+	single := oneVarintWords(idLimit)
+	lo := int(f.postOffs[0])
+	for e, c := range counts {
+		hi := int(ends[e])
+		n := uint(hi - lo)
+		ok := false
+		switch {
+		case n > 8:
+			ok = varintsOK(arena[lo:hi], c, idLimit)
+		case n == 0 || lo+8 > len(arena):
+			// No word to judge from: the byte loop decides.
+		case c == 1 && n <= 5: // one id, most lists of most partitions
+			ok = single[n&7].ok(binary.LittleEndian.Uint64(arena[lo:]))
+		default:
+			ok = varintWordOK(binary.LittleEndian.Uint64(arena[lo:]), n, c, idLimit)
+		}
+		lo = hi
+		if !ok {
+			if err := f.checkList(e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// contBits is the continuation bit of every byte of a word.
+const contBits = 0x8080808080808080
+
+// oneVarintWord judges a one-id list of n ≤ 5 bytes from the word at its
+// start: masked to keep, its continuation bits must be cont — bytes
+// 0..n−2 continue, byte n−1 ends the varint — and the word must be under
+// limit, which is idLimit written as such an n-byte varint. Two such
+// words order as their values do (the last byte carries the highest
+// payload, and the continuation bits agree), so the compare is the id
+// range; an idLimit that needs more than n bytes passes every word.
+type oneVarintWord struct{ keep, cont, limit uint64 }
+
+func (s *oneVarintWord) ok(w uint64) bool {
+	w &= s.keep
+	return w&contBits == s.cont && w < s.limit
+}
+
+// oneVarintWords returns the judges of one-id lists by length, 1 to 5.
+func oneVarintWords(idLimit uint64) (t [8]oneVarintWord) {
+	for n := uint(1); n <= 5; n++ {
+		s := &t[n]
+		s.keep = ^uint64(0) >> (64 - 8*n)
+		s.cont = contBits & (s.keep >> 8)
+		s.limit = ^uint64(0)
+		if idLimit < 1<<(7*n) {
+			s.limit = s.cont
+			for b := uint(0); b < n; b++ {
+				s.limit |= (idLimit >> (7 * b) & 0x7f) << (8 * b)
+			}
+		}
+	}
+	return t
+}
+
+// varintWordOK reports whether the n ∈ [1, 8] low bytes of w are a list
+// checkList accepts with count ids: count terminators, the last byte
+// one of them, no five continuation bytes in a row, and ids below
+// idLimit — the last id is the largest, and it is the sum of the list's
+// deltas. A false is only "not from this word": checkList decides.
+func varintWordOK(w uint64, n uint, count uint32, idLimit uint64) bool {
+	keep := ^uint64(0) >> ((64 - 8*n) & 63)
+	w &= keep
+	ends := (w & contBits) ^ (contBits & keep)
+	sum, runs := varintSum(w, 0)
+	return ends>>((8*n-1)&63) == 1 && bits.OnesCount64(ends) == int(count) && runs == 0 && sum < idLimit
+}
+
+// varintsOK is varintWordOK for a list of more than 8 bytes, walked a
+// word at a time. The bytes after the last whole word are read from the
+// word that ends the list, shifted down: no load leaves the list.
+func varintsOK(list []byte, count uint32, idLimit uint64) bool {
+	var sum, runs, cont uint64
+	ends := 0
+	b := list
+	for ; len(b) >= 8; b = b[8:] {
+		w := binary.LittleEndian.Uint64(b)
+		s, r := varintSum(w, cont)
+		cont = w & contBits
+		sum, runs, ends = sum+s, runs|r, ends+bits.OnesCount64(cont^contBits)
+	}
+	if t := uint(len(b)); t > 0 {
+		keep := ^uint64(0) >> (64 - 8*t)
+		w := binary.LittleEndian.Uint64(list[len(list)-8:]) >> (64 - 8*t)
+		s, r := varintSum(w, cont)
+		cont = w & contBits
+		sum, runs, ends = sum+s, runs|r, ends+bits.OnesCount64(cont^(contBits&keep))
+	}
+	return list[len(list)-1] < 0x80 && ends == int(count) && runs == 0 && sum < idLimit
+}
+
+// varintSum reads w as varint bytes that follow a word whose
+// continuation bits are prev. It returns the sum of the values the bytes
+// carry — a byte's payload counts 128^place, its place the number of
+// continuation bytes right before it, so a value split across two words
+// is summed in parts — and the continuation bytes of w that are the
+// fifth of a run, 0 for none. Places past four are never needed: a
+// fifth continuation byte fails the list whatever the sum.
+func varintSum(w, prev uint64) (sum, runs uint64) {
+	cont := w & contBits
+	at1 := cont<<8 | prev>>56 // bytes at place ≥ 1, flagged in their top bit
+	at2 := at1 & (cont<<16 | prev>>48)
+	at3 := at2 & (cont<<24 | prev>>40)
+	pay := w &^ contBits
+	// 128^p = 1 + 127·(1 + 128 + … + 128^(p−1)): a byte at place p counts
+	// once, then 127·128^(k−1) for each k ≤ p.
+	sum = byteSum(pay) + 127*byteSum(pay&low7(at1)) + 127*128*byteSum(pay&low7(at2))
+	if at3 != 0 {
+		// A delta of 2²¹ or more: a branch almost never taken below
+		// 2²¹ rows.
+		at4 := at3 & (cont<<32 | prev>>32)
+		sum += 127 * 128 * 128 * (byteSum(pay&low7(at3)) + 128*byteSum(pay&low7(at4)))
+		runs = at4 & cont
+	}
+	return sum, runs
+}
+
+// low7 widens a flag in a byte's top bit to the byte's seven low bits.
+func low7(flags uint64) uint64 { return flags - flags>>7 }
+
+// byteSum adds up the bytes of x, each below 128.
+func byteSum(x uint64) uint64 {
+	x = (x + x>>8) & 0x00ff00ff00ff00ff
+	return x * 0x0001000100010001 >> 48
 }
 
 // checkList decodes entry e's posting list: framing, id range, and the
@@ -1053,9 +1310,11 @@ func validateList(b []byte, maxID int32) (int, error) {
 			if c < 0x80 {
 				break
 			}
+			// Five bytes carry 35 bits, and a value past 32 of them fails
+			// the id range below: what is checked here is the length.
 			shift += 7
 			if shift > 28 {
-				return 0, fmt.Errorf("varint overflows 32 bits")
+				return 0, fmt.Errorf("varint longer than 5 bytes")
 			}
 		}
 		prev += int64(v)

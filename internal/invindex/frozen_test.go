@@ -271,6 +271,50 @@ func TestFrozenEmpty(t *testing.T) {
 	}
 }
 
+// TestFreezeRowsMatchesFreeze pins FreezeRows to the map build it
+// replaces: the same bytes written, the same size and the same slot
+// table, for rows of zero to three words. Keys are drawn from a small
+// pool, so lists of several ids occur, and words differ in their high
+// bytes as well as their low ones, so the little-endian byte order of a
+// key, not its word order, has to decide where it sorts.
+func TestFreezeRowsMatchesFreeze(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	word := func() uint64 {
+		switch rng.Intn(3) {
+		case 0:
+			return uint64(rng.Intn(4))
+		case 1:
+			return uint64(rng.Intn(4)) << 56
+		}
+		return rng.Uint64()
+	}
+	for _, w := range []int{0, 1, 2, 3} {
+		for _, n := range []int{0, 1, 7, 500} {
+			pool := make([][]uint64, 1+n/5)
+			for i := range pool {
+				pool[i] = make([]uint64, w)
+				for k := range pool[i] {
+					pool[i][k] = word()
+				}
+			}
+			rows := make([]uint64, 0, n*w)
+			ix := New()
+			for id := range n {
+				row := pool[rng.Intn(len(pool))]
+				rows = append(rows, row...)
+				ix.Add(bitvec.FromWordsSharedUnchecked(64*w, row).Key(), int32(id))
+			}
+			want, got := ix.Freeze(), FreezeRows(n, w, rows)
+			if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
+				t.Fatalf("w=%d n=%d: FreezeRows writes other bytes than Freeze", w, n)
+			}
+			if got.SizeBytes() != want.SizeBytes() || !equalIDs(got.slots, want.slots) {
+				t.Fatalf("w=%d n=%d: size %d vs %d, or the slot tables differ", w, n, got.SizeBytes(), want.SizeBytes())
+			}
+		}
+	}
+}
+
 // TestFreezeSortsUnsortedLists documents that Freeze normalizes
 // posting order: callers that insert out of order still get ascending
 // postings (delta encoding requires it).

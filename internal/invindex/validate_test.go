@@ -86,8 +86,8 @@ func refValidateList(b []byte, maxID int32) (int, error) {
 				break
 			}
 			shift += 7
-			if shift > 28 {
-				return 0, fmt.Errorf("varint overflows 32 bits")
+			if shift > 28 { // a sixth byte: 35 bits are in, the id range judges the value
+				return 0, fmt.Errorf("varint longer than 5 bytes")
 			}
 		}
 		prev += int64(v)
@@ -167,6 +167,13 @@ func fastPathSeeds() []struct {
 		return handFrozen(keys, lists, counts)
 	}
 	id := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	ids := func(deltas ...uint64) []byte {
+		var b []byte
+		for _, d := range deltas {
+			b = binary.AppendUvarint(b, d)
+		}
+		return b
+	}
 	return []struct {
 		name  string
 		data  []byte
@@ -197,6 +204,32 @@ func fastPathSeeds() []struct {
 		{"a key bit just inside the partition width", one([]string{wordKey(1 << 12)}, [][]byte{id(0)}), 1, 13},
 		{"a key bit at the width behind a bad list", one([]string{wordKey(1 << 13), wordKey(1<<13 | 1<<8)}, [][]byte{id(0), {0x80}}), 2, 13},
 		{"one-word keys judged as two-word projections", one([]string{wordKey(1)}, [][]byte{id(0)}), 1, 70},
+
+		// The list pass judges a list of up to 8 bytes from the word at its
+		// start, a longer one a word at a time, and a list whose word would
+		// cross the arena's end a byte at a time.
+		{"a one-id list in the arena's last 8 bytes", handFrozen([]string{wordKey(1), wordKey(2)},
+			[][]byte{id(300), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 400, 8},
+		{"a list whose window crosses the arena's end", handFrozen([]string{wordKey(1), wordKey(2)},
+			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 1), id(300)}, []uint32{8, 1}), 400, 8},
+		{"a several-id list of exactly 8 bytes", handFrozen([]string{wordKey(1)},
+			[][]byte{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611, 8},
+		{"a several-id list of 9 bytes", handFrozen([]string{wordKey(1)},
+			[][]byte{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616, 8},
+		{"a count of 1 over two varints", handFrozen([]string{wordKey(1), wordKey(2)},
+			[][]byte{ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 40, 8},
+		{"two ids summing to maxID − 1", handFrozen([]string{wordKey(1), wordKey(2)},
+			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301, 8},
+		{"two ids summing to maxID", handFrozen([]string{wordKey(1), wordKey(2)},
+			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300, 8},
+		{"a five-byte continuation run inside an 8-byte window", handFrozen([]string{wordKey(1), wordKey(2)},
+			[][]byte{{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, id(1)}, []uint32{2, 1}), math.MaxInt32, 8},
+		{"a five-byte continuation run across a long list's words", handFrozen([]string{wordKey(1)},
+			[][]byte{append(ids(1, 1, 1, 1, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{6}), math.MaxInt32, 8},
+		{"a varint split across a long list's words", handFrozen([]string{wordKey(1)},
+			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008, 8},
+		{"a varint split across a long list's words, last id = maxID", handFrozen([]string{wordKey(1)},
+			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007, 8},
 	}
 }
 
@@ -204,18 +237,23 @@ func fastPathSeeds() []struct {
 // check's verdict spelled out, then the same verdict from both sides.
 func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 	wantErr := map[string]string{
-		"a list cut inside its last varint":            "entry 0: truncated varint",
-		"a 5-byte varint overflowing 32 bits":          "entry 0: posting id 34359738367 outside [0,2147483647)",
-		"a 6-byte varint":                              "entry 0: varint overflows 32 bits",
-		"id = maxID":                                   "entry 0: posting id 40 outside [0,40)",
-		"a count one over its list":                    "entry 0 decodes 1 postings, count says 2",
-		"equal adjacent keys":                          "not strictly sorted at entry 1",
-		"keys differing only in byte 7, descending":    "not strictly sorted at entry 1",
-		"keys differing only in byte 0, descending":    "not strictly sorted at entry 1",
-		"ascending as words, descending by byte":       "not strictly sorted at entry 1",
-		"a key bit at the partition width":             "key 0 has bits set beyond dimension 13",
-		"a key bit at the width behind a bad list":     "entry 1: truncated varint",
-		"one-word keys judged as two-word projections": "key 0 is 8 bytes, a 70-bit projection packs to 16",
+		"a list cut inside its last varint":                          "entry 0: truncated varint",
+		"a 5-byte varint overflowing 32 bits":                        "entry 0: posting id 34359738367 outside [0,2147483647)",
+		"a 6-byte varint":                                            "entry 0: varint longer than 5 bytes",
+		"id = maxID":                                                 "entry 0: posting id 40 outside [0,40)",
+		"a count one over its list":                                  "entry 0 decodes 1 postings, count says 2",
+		"equal adjacent keys":                                        "not strictly sorted at entry 1",
+		"keys differing only in byte 7, descending":                  "not strictly sorted at entry 1",
+		"keys differing only in byte 0, descending":                  "not strictly sorted at entry 1",
+		"ascending as words, descending by byte":                     "not strictly sorted at entry 1",
+		"a key bit at the partition width":                           "key 0 has bits set beyond dimension 13",
+		"a key bit at the width behind a bad list":                   "entry 1: truncated varint",
+		"one-word keys judged as two-word projections":               "key 0 is 8 bytes, a 70-bit projection packs to 16",
+		"a count of 1 over two varints":                              "entry 0 decodes 2 postings, count says 1",
+		"two ids summing to maxID":                                   "entry 0: posting id 20300 outside [0,20300)",
+		"a five-byte continuation run inside an 8-byte window":       "entry 0: varint longer than 5 bytes",
+		"a five-byte continuation run across a long list's words":    "entry 0: varint longer than 5 bytes",
+		"a varint split across a long list's words, last id = maxID": "entry 0: posting id 20007 outside [0,20007)",
 	}
 	for _, s := range fastPathSeeds() {
 		f := readUnvalidated(s.data, s.maxID)
@@ -228,6 +266,65 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		}
 		sameVerdict(t, s.data, s.maxID, s.width, s.name)
 		sameVerdict(t, s.data, s.maxID, -1, s.name)
+	}
+}
+
+// TestListJudgesAgreeWithTheByteLoop holds the list pass's word judges
+// to the reference's byte loop on random lists — varints of every
+// length, continuation runs, stray bytes, up to four words long — at
+// counts and id bounds on both sides of the truth: a list a judge clears
+// is one the byte loop accepts with that count, and one the byte loop
+// accepts, the judge clears. A list of up to 8 bytes is judged with
+// random bytes after it in its word.
+func TestListJudgesAgreeWithTheByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 100000; i++ {
+		var list []byte
+		for len(list) == 0 || (len(list) < 30 && rng.Intn(4) > 0) {
+			switch rng.Intn(5) {
+			case 0:
+				list = append(list, byte(rng.Intn(256)))
+			case 1:
+				list = append(list, 0x80, 0x80, 0x80, 0x80)
+			default:
+				list = binary.AppendUvarint(list, uint64(rng.Int63n(1<<uint(1+rng.Intn(35)))))
+			}
+		}
+		var last int64
+		ids := 0
+		for b := list; len(b) > 0; ids++ {
+			v, k := binary.Uvarint(b)
+			if k <= 0 {
+				break
+			}
+			last, b = last+int64(v), b[k:]
+		}
+		word := binary.LittleEndian.Uint64(append(bytes.Clone(list), byte(rng.Intn(256)), 0xff, 0x80, 0, 0x7f, 0x80, 0x80, 0x80))
+		for _, maxID := range []int64{last, last + 1, rng.Int63n(1 << 31), math.MaxInt32, -1} {
+			if maxID > math.MaxInt32 {
+				continue
+			}
+			for _, count := range []int{ids - 1, ids, ids + 1} {
+				if count < 0 {
+					continue
+				}
+				idLimit := uint64(max(maxID, 0))
+				var cleared bool
+				switch n := uint(len(list)); {
+				case n > 8:
+					cleared = varintsOK(list, uint32(count), idLimit)
+				case count == 1 && n <= 5:
+					single := oneVarintWords(idLimit)
+					cleared = single[n].ok(word)
+				default:
+					cleared = varintWordOK(word, n, uint32(count), idLimit)
+				}
+				n, err := refValidateList(list, int32(maxID))
+				if accepted := err == nil && n == count; cleared != accepted {
+					t.Fatalf("list % x, count %d, maxID %d: judge clears it %v, byte loop says %d ids, %v", list, count, maxID, cleared, n, err)
+				}
+			}
+		}
 	}
 }
 

@@ -131,10 +131,10 @@ func Pack(data []bitvec.Vector) *Codes {
 
 // Wrap builds Codes over an existing row-major arena without copying:
 // words must hold exactly n rows of wordsFor(dims) words each, laid
-// out as Pack would write them. The zero-copy open path uses it to
-// share one (possibly mapped, read-only) arena between the index's
-// vector views and its verification kernels — every kernel only reads,
-// so a borrowed arena is safe. The arena is adopted as-is; callers
+// out as Pack would write them. The zero-copy open path uses it to make
+// one (possibly mapped, read-only) arena the index's only copy of its
+// vectors: the kernels scan it and Row hands out views of it — both only
+// read, so a borrowed arena is safe. The arena is adopted as-is; callers
 // must not mutate it afterwards.
 func Wrap(n, dims int, words []uint64) (*Codes, error) {
 	if n == 0 && len(words) == 0 {
@@ -152,6 +152,15 @@ func Wrap(n, dims int, words []uint64) (*Codes, error) {
 
 // Len returns the number of packed vectors.
 func (c *Codes) Len() int { return c.n }
+
+// Row returns row id as a vector viewing the arena: nothing is copied,
+// and the caller must not modify it. The view is made from lengths
+// alone, its tail word unread — over an arena that was not packed here,
+// a vector with bits set past Dims is its caller's to reject
+// (bitvec.Vector.CheckTail).
+func (c *Codes) Row(id int32) bitvec.Vector {
+	return bitvec.FromWordsSharedUnchecked(c.dims, c.words[int(id)*c.w:(int(id)+1)*c.w])
+}
 
 // Dims returns the dimensionality of the packed vectors.
 func (c *Codes) Dims() int { return c.dims }
