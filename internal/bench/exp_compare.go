@@ -33,12 +33,17 @@ type Fig6Point struct {
 	SizeBytes int64  `json:"size_bytes"`
 }
 
-// Fig6PersistPoint is one dataset's GPH index at rest: the saved file
-// and the time to load it back into the heap.
+// Fig6PersistPoint is one dataset's GPH index at rest: the saved file,
+// the time to load it back into the heap, and where the resident bytes
+// are, summed over the partitions (core.Index.ArenaBreakdown).
 type Fig6PersistPoint struct {
-	Dataset   string `json:"dataset"`
-	FileBytes int64  `json:"file_bytes"`
-	LoadNanos int64  `json:"load_nanos"`
+	Dataset     string `json:"dataset"`
+	FileBytes   int64  `json:"file_bytes"`
+	LoadNanos   int64  `json:"load_nanos"`
+	KeyBytes    int64  `json:"key_bytes"`
+	PostBytes   int64  `json:"posting_bytes"`
+	OffsetBytes int64  `json:"offset_count_bytes"`
+	SlotBytes   int64  `json:"slot_bytes"`
 }
 
 // Fig6 reproduces Fig. 6: index sizes of all algorithms across the
@@ -49,7 +54,8 @@ type Fig6PersistPoint struct {
 // CN estimation reads the frozen index and adds nothing) and both well
 // below HmSearch / PartAlloc (deletion variants) with LSH varying by
 // τ. A second table reports each dataset's GPH index at rest: saved
-// file and load time.
+// file, load time, and the resident index by component — keys, posting
+// lists, offsets and counts, slot tables.
 func (r *Runner) Fig6() error {
 	t := newTable(r.cfg.Out, "dataset", "tau", "GPH(MB)", "MIH(MB)", "HmSearch(MB)", "PartAlloc(MB)", "LSH(MB)")
 	rep := Fig6Report{Scale: r.cfg.Scale}
@@ -84,14 +90,15 @@ func (r *Runner) Fig6() error {
 		if err != nil {
 			return err
 		}
-		rep.Persist = append(rep.Persist, Fig6PersistPoint{Dataset: spec.name, FileBytes: fileBytes, LoadNanos: loadNanos})
+		keys, posts, offs, slots := gphIx.ArenaBreakdown()
+		rep.Persist = append(rep.Persist, Fig6PersistPoint{spec.name, fileBytes, loadNanos, keys, posts, offs, slots})
 	}
 	t.flush()
 
 	fmt.Fprintln(r.cfg.Out, "[GPH index at rest]")
-	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)")
+	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "offs+counts(MB)", "slots(MB)")
 	for _, p := range rep.Persist {
-		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos))
+		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos), mb(p.KeyBytes), mb(p.PostBytes), mb(p.OffsetBytes), mb(p.SlotBytes))
 	}
 	pt.flush()
 	return r.writeJSON(rep)

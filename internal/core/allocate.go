@@ -14,7 +14,11 @@ import (
 
 // The price list. Everything a query can spend time on is priced in one
 // unit, the key-scan step: load the next key of a partition's arena,
-// XOR, popcount, compare (1.10–1.25 ns). The prices are measurements of
+// mask it to its ⌈w/8⌉ bytes, XOR, popcount, compare (0.85–1.05 ns; the
+// list was fitted when keys were whole words and a step was 1.0–1.25,
+// and at the cheaper step a probe reads 8.0–8.5 steps where it read 6.5 and
+// a candidate 9.5 where it read 8.1: nearer the prices, and inside the
+// spread the table keeps). The prices are measurements of
 // this code on one machine's clock, not tunables — BenchmarkPlanPrices
 // prints each of them in this unit and DESIGN.md §1 ("What a plan
 // costs") keeps the table — and every decision that weighs one way of

@@ -118,7 +118,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 		for id, v := range data {
 			v.ProjectInto(dimsI, bitvec.FromWordsSharedUnchecked(len(dimsI), rows[id*w:(id+1)*w]))
 		}
-		ix.inv[i] = invindex.FreezeRows(len(data), w, rows)
+		ix.inv[i] = invindex.FreezeRows(len(data), len(dimsI), rows)
 		return nil
 	})
 	if err != nil {
@@ -297,4 +297,15 @@ func (ix *Index) SizeBytes() int64 {
 		s += inv.SizeBytes()
 	}
 	return s
+}
+
+// ArenaBreakdown is invindex.Frozen.ArenaBreakdown summed over the
+// partitions: where SizeBytes's bytes are, less each partition's fixed
+// struct overhead.
+func (ix *Index) ArenaBreakdown() (keyBytes, postBytes, offsetBytes, slotBytes int64) {
+	for _, inv := range ix.inv {
+		k, p, o, s := inv.ArenaBreakdown()
+		keyBytes, postBytes, offsetBytes, slotBytes = keyBytes+k, postBytes+p, offsetBytes+o, slotBytes+s
+	}
+	return keyBytes, postBytes, offsetBytes, slotBytes
 }

@@ -21,7 +21,7 @@ import (
 // once, as its frozen keys and posting counts, which is also what CN
 // estimation reads. One generation is read: files with an older tag are
 // rejected by their magic (DESIGN.md §6 has what each bump fixed).
-const indexMagic = "GPHIX06\n"
+const indexMagic = "GPHIX07\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,
@@ -208,7 +208,7 @@ func checkPartitionShape(inv *invindex.Frozen, dimsI []int, p, count int) error 
 	if inv.TotalPostings() != int64(count) {
 		return fmt.Errorf("core: partition %d holds %d postings for %d vectors", p, inv.TotalPostings(), count)
 	}
-	wantKeyLen := 8 * ((len(dimsI) + 63) / 64)
+	wantKeyLen := invindex.KeyLen(len(dimsI))
 	if minLen, maxLen := inv.KeyLenRange(); inv.NumKeys() > 0 && (minLen != wantKeyLen || maxLen != wantKeyLen) {
 		return fmt.Errorf("core: partition %d keys span %d..%d bytes, want %d", p, minLen, maxLen, wantKeyLen)
 	}

@@ -2,24 +2,29 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
+	"gph/internal/invindex"
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix06.bin (120 vectors × 48 dims, NumPartitions 4,
-// MaxTau 16, Seed 7) loads into the heap and borrowed in place, answers like a linear scan over its own vectors, generates
+// testdata/index-gphix07.bin (120 vectors × 48 dims in three partitions
+// of 15–17 bits, so keys of 2 and 3 bytes and their pads; MaxTau 16,
+// Seed 7) loads into the heap and borrowed in place, answers like a
+// linear scan over its own vectors, generates
 // candidates that miss none of those answers (Search scans at 120 rows,
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix06.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix07.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +117,13 @@ func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 // TestLoadRejectsHostileKeysAndCounts: the keys and posting counts are
 // the only copy of what CN estimation reads, so they are checked. A key with a bit
 // beyond its partition's width — which leaves key order, lengths and
-// posting framing intact — and posting counts that do not sum to the
-// collection size are rejected by Load, from a stream or from bytes in
-// place alike, and by the first query on a deferred load, estimates
-// made before that staying in bounds; a posting total that is not the
-// collection size is rejected at open either way.
+// posting framing intact — a nonzero byte in the pad after a key arena,
+// and posting counts that do not sum to the collection size are rejected
+// by Load, from a stream or from bytes in place alike, and by the first
+// query on a deferred load, estimates made before that staying in
+// bounds; a posting total that is not the collection size, and a key
+// arena whose recorded length leaves out the pad, are rejected at open
+// either way.
 func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	data := testData(t, 100, 14)
 	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
@@ -125,28 +132,43 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if w := len(ix.parts.Parts[0]); w == 0 || w > 56 {
-		t.Fatalf("partition 0 is %d bits wide; the test needs a spare high byte in its keys", w)
+	// A key's bytes hold its partition's bits and nothing past the next
+	// byte boundary: the first bit past the width lies in the key's last
+	// byte only where the width is not a whole number of bytes, and a key
+	// shorter than a word is followed by a pad.
+	p := slices.IndexFunc(ix.parts.Parts, func(dims []int) bool { return len(dims)%8 != 0 && len(dims) < 56 })
+	if p < 0 {
+		t.Fatal("no partition is narrower than 56 bits and a fraction of a byte wide; the test needs one")
 	}
+	w, inv := len(ix.parts.Parts[p]), ix.inv[p]
+	keyLen, keys := invindex.KeyLen(w), inv.NumKeys()
+	keysEnd := keyArenaOffset(t, ix, raw, p) + keyLen*keys
 
 	strayBit := bytes.Clone(raw)
-	strayBit[keyArenaOffset(t, ix, raw, 0)+7] |= 0x80 // first key, bit 63
+	strayBit[keysEnd-1] |= 1 << (w % 8) // the last key (raising it keeps the order), bit w
+	padByte := bytes.Clone(raw)
+	padByte[keysEnd+8-keyLen-1] = 1
 	wrongCount := bytes.Clone(raw)
 	wrongCount[len(raw)-4] ^= 1 // the file ends with the last partition's counts
-	for name, hostile := range map[string][]byte{"key bit beyond width": strayBit, "counts off by one": wrongCount} {
-		if _, err := Load(bytes.NewReader(hostile)); err == nil {
-			t.Fatalf("%s: accepted from a stream", name)
+	for _, c := range []struct{ name, hostile, want string }{
+		{"key bit beyond width", string(strayBit), "bits set beyond dimension"},
+		{"pad byte set", string(padByte), "pad byte"},
+		{"counts off by one", string(wrongCount), ""},
+	} {
+		name, hostile := c.name, []byte(c.hostile)
+		if _, err := Load(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: from a stream: %v", name, err)
 		}
-		if _, err := Load(binio.NewSource(hostile)); err == nil {
-			t.Fatalf("%s: accepted from bytes in place", name)
+		if _, err := Load(binio.NewSource(hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: from bytes in place: %v", name, err)
 		}
 		borrowed, err := LoadDeferred(binio.NewSource(hostile))
 		if err != nil {
 			t.Fatalf("%s: a deferred load read the arenas: %v", name, err)
 		}
 		_ = borrowed.EstimateTable(data[3], 70) // the histogram kernel, before any validation
-		if _, err := borrowed.Search(data[3], 4); err == nil {
-			t.Fatalf("%s: accepted by the first query on a deferred load", name)
+		if _, err := borrowed.Search(data[3], 4); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: the first query on a deferred load: %v", name, err)
 		}
 	}
 
@@ -160,9 +182,19 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	off += 5*8 + 8
 	wrongTotal := bytes.Clone(raw)
 	wrongTotal[off] ^= 1
-	for name, src := range map[string]io.Reader{"stream": bytes.NewReader(wrongTotal), "borrowed": binio.NewSource(wrongTotal)} {
-		if _, err := Load(src); err == nil {
-			t.Fatalf("posting total off by one accepted at open (%s)", name)
+	// Partition p's key arena length: the fourth field of its header, off
+	// by the pad it must count.
+	arenaLen := bytes.Clone(raw)
+	lenAt := off + 40*p + 16
+	binary.LittleEndian.PutUint64(arenaLen[lenAt:], binary.LittleEndian.Uint64(arenaLen[lenAt:])-uint64(8-keyLen))
+	for _, c := range []struct{ name, hostile, want string }{
+		{"posting total off by one", string(wrongTotal), "postings for"},
+		{"key arena length without its pad", string(arenaLen), "and the pad need"},
+	} {
+		for mode, src := range map[string]io.Reader{"stream": strings.NewReader(c.hostile), "borrowed": binio.NewSource([]byte(c.hostile))} {
+			if _, err := LoadDeferred(src); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s, %s: at open: %v", c.name, mode, err)
+			}
 		}
 	}
 }
@@ -178,5 +210,10 @@ func TestExactEstimatorAddsNoPerKeyState(t *testing.T) {
 	}
 	if ix.SizeBytes() != arenas {
 		t.Fatalf("SizeBytes %d, the frozen arenas' %d over %d partitions", ix.SizeBytes(), arenas, len(ix.inv))
+	}
+	// The breakdown fig6 reports is all of it but a fixed struct a partition.
+	k, p, o, s := ix.ArenaBreakdown()
+	if over, m := arenas-(k+p+o+s), int64(len(ix.inv)); over <= 0 || over%m != 0 || over/m > 256 {
+		t.Fatalf("the components sum to %d of %d bytes over %d partitions", k+p+o+s, arenas, m)
 	}
 }

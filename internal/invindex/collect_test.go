@@ -39,12 +39,15 @@ func freezeWords(keys []uint64) *Frozen {
 }
 
 // projectionIndex freezes the projections of n random vectors onto w
-// dimensions, the way a GPH partition is built, and returns them with
-// it. Skewed draws most bits zero, so few distinct keys carry long
-// posting lists; otherwise keys are near-distinct.
-func projectionIndex(rng *rand.Rand, n, w int, skewed bool) (*Frozen, []bitvec.Vector) {
+// dimensions and returns them with it: the way a GPH partition is built
+// when narrow — FreezeRows, KeyLen(w)-byte keys — and under their whole
+// words otherwise, as the map build of MIH keys them. Skewed draws most
+// bits zero, so few distinct keys carry long posting lists; otherwise
+// keys are near-distinct.
+func projectionIndex(rng *rand.Rand, n, w int, skewed, narrow bool) (*Frozen, []bitvec.Vector) {
 	ix := New()
 	data := make([]bitvec.Vector, n)
+	var rows []uint64
 	for id := range data {
 		v := bitvec.New(w)
 		for d := 0; d < w; d++ {
@@ -56,8 +59,19 @@ func projectionIndex(rng *rand.Rand, n, w int, skewed bool) (*Frozen, []bitvec.V
 		}
 		ix.Add(v.Key(), int32(id))
 		data[id] = v
+		rows = append(rows, v.Words()...)
+	}
+	if narrow {
+		return FreezeRows(n, w, rows), data
 	}
 	return ix.Freeze(), data
+}
+
+// keyWord is entry e's key of at most 8 bytes as one zero-extended word.
+func keyWord(f *Frozen, e int) uint64 {
+	var w [8]byte
+	copy(w[:], f.key(e))
+	return binary.LittleEndian.Uint64(w[:])
 }
 
 // checkHistogram holds the histogram kernel to its two references: the
@@ -86,18 +100,22 @@ func checkHistogram(t *testing.T, f *Frozen, data []bitvec.Vector, q bitvec.Vect
 // TestCollectPathsAgree is the property candidate generation rests on:
 // the ids gathered by one pass over the key arena are the ids gathered
 // by enumerating the ball and probing, and so is Σ postings — for
-// zero-width, one-word, striped and sub-word widths, skewed and
-// near-distinct key sets, and every radius from the point to past the
-// whole space. Allocation rests on the same keys read a third way: the
+// zero-width, one-word, striped and sub-word widths, keys as narrow as
+// the partition and keys of whole words, skewed and near-distinct key
+// sets, and every radius from the point to past the whole space. Allocation rests on the same keys read a third way: the
 // distance histogram's prefix sums are those Σ postings, and the
 // histogram is the exact estimator's and the data's own, for a perturbed
 // query and a stored one.
 func TestCollectPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range []int{0, 1, 13, 24, 63, 64, 65, 130} {
-		for _, skewed := range []bool{true, false} {
+		for _, c := range []struct{ skewed, narrow bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
 			const n = 300
-			f, data := projectionIndex(rng, n, w, skewed)
+			f, data := projectionIndex(rng, n, w, c.skewed, c.narrow)
+			keyLen := 8 * len(data[0].Words())
+			if c.narrow {
+				keyLen = KeyLen(w)
+			}
 			q := bitvec.New(w)
 			for d := 0; d < w; d++ {
 				q.SetBit(d, rng.Intn(2))
@@ -124,7 +142,7 @@ func TestCollectPathsAgree(t *testing.T) {
 				if r <= maxEnum {
 					var key []byte
 					_ = hamming.EnumerateBall(q, r, 0, func(v bitvec.Vector) bool {
-						key = v.AppendKey(key[:0])
+						key = v.AppendKey(key[:0])[:keyLen]
 						probeSum += int64(f.CollectBytes(key, &probed))
 						if w > 0 && w <= 64 {
 							wordSum += int64(f.CollectWord(v.Words()[0], &worded))
@@ -132,8 +150,8 @@ func TestCollectPathsAgree(t *testing.T) {
 						return true
 					})
 					if w > 0 && w <= 64 && (wordSum != probeSum || !slices.Equal(worded.IDs, probed.IDs)) {
-						t.Fatalf("w=%d skewed=%v r=%d: word probes decoded %d postings into %d ids, byte probes %d into %d",
-							w, skewed, r, wordSum, len(worded.IDs), probeSum, len(probed.IDs))
+						t.Fatalf("w=%d %+v r=%d: word probes decoded %d postings into %d ids, byte probes %d into %d",
+							w, c, r, wordSum, len(worded.IDs), probeSum, len(probed.IDs))
 					}
 				} else {
 					f.Range(func(key []byte, ids []int32) bool {
@@ -150,18 +168,18 @@ func TestCollectPathsAgree(t *testing.T) {
 					})
 				}
 				if scanSum != probeSum {
-					t.Fatalf("w=%d skewed=%v r=%d: scan decoded %d postings, probes %d", w, skewed, r, scanSum, probeSum)
+					t.Fatalf("w=%d %+v r=%d: scan decoded %d postings, probes %d", w, c, r, scanSum, probeSum)
 				}
 				if r < len(hist) {
 					cn += hist[r]
 				}
 				if cn != scanSum {
-					t.Fatalf("w=%d skewed=%v r=%d: the histogram sums to CN %d, the scan decoded %d postings", w, skewed, r, cn, scanSum)
+					t.Fatalf("w=%d %+v r=%d: the histogram sums to CN %d, the scan decoded %d postings", w, c, r, cn, scanSum)
 				}
 				slices.Sort(scanned.IDs)
 				slices.Sort(probed.IDs)
 				if !slices.Equal(scanned.IDs, probed.IDs) {
-					t.Fatalf("w=%d skewed=%v r=%d: scan gathered %d ids, probes %d", w, skewed, r, len(scanned.IDs), len(probed.IDs))
+					t.Fatalf("w=%d %+v r=%d: scan gathered %d ids, probes %d", w, c, r, len(scanned.IDs), len(probed.IDs))
 				}
 				if r >= w && len(scanned.IDs) != n {
 					t.Fatalf("w=%d r=%d: the whole space holds %d of %d ids", w, r, len(scanned.IDs), n)
@@ -177,10 +195,14 @@ func TestCollectPathsAgree(t *testing.T) {
 	}
 }
 
+// keyDistance is the distance between q and key read as len(q)
+// little-endian words, a short key zero-extended.
 func keyDistance(key []byte, q []uint64) int {
 	d := 0
 	for j, w := range q {
-		d += bits.OnesCount64(binary.LittleEndian.Uint64(key[8*j:]) ^ w)
+		var word [8]byte
+		copy(word[:], key[min(8*j, len(key)):])
+		d += bits.OnesCount64(binary.LittleEndian.Uint64(word[:]) ^ w)
 	}
 	return d
 }
@@ -214,44 +236,57 @@ func TestCollectWithinMixedWidths(t *testing.T) {
 
 // TestLookupFormsAgree: the word, byte and string lookups hash through
 // one function into one slot table, so they find the same entry for
-// every key held and none for keys that are not.
+// every key held and none for keys that are not — on keys of whole words
+// and on keys as narrow as their partition, where the hash is seeded by
+// the key's length and a word with a bit past the key's bytes is held
+// under no key.
 func TestLookupFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	keys := wordKeys(rng, 500, 40)
-	f := freezeWords(keys)
-	var b [8]byte
-	for id, k := range keys {
-		binary.LittleEndian.PutUint64(b[:], k)
-		e := f.lookupWord(k)
-		if e < 0 || e != f.lookupBytes(b[:]) || e != f.lookupString(string(b[:])) {
-			t.Fatalf("key %#x: word %d, bytes %d, string %d", k, e, f.lookupBytes(b[:]), f.lookupString(string(b[:])))
-		}
-		if ids := f.appendList(e, nil); len(ids) != 1 || ids[0] != int32(id) {
-			t.Fatalf("key %#x resolves to postings %v, want [%d]", k, ids, id)
-		}
-		if hashWord(k) != hashKey(b[:]) || hashWord(k) != hashKey(string(b[:])) {
-			t.Fatalf("key %#x hashes differently as a word, bytes and a string", k)
-		}
+	f, nf := freezeWords(keys), FreezeRows(len(keys), 40, keys)
+	if nf.keyLen != 5 {
+		t.Fatalf("40-bit keys take %d bytes", nf.keyLen)
 	}
 	held := make(map[uint64]bool, len(keys))
 	for _, k := range keys {
 		held[k] = true
 	}
-	for range 2000 {
-		k := rng.Uint64() >> uint(rng.Intn(64))
-		if held[k] {
-			continue
+	for _, f := range []*Frozen{f, nf} {
+		var b [8]byte
+		kl := f.keyLen
+		for id, k := range keys {
+			binary.LittleEndian.PutUint64(b[:], k)
+			key := b[:kl]
+			e := f.lookupWord(k)
+			if e < 0 || e != f.lookupBytes(key) || e != f.lookupString(string(key)) {
+				t.Fatalf("%d-byte key %#x: word %d, bytes %d, string %d", kl, k, e, f.lookupBytes(key), f.lookupString(string(key)))
+			}
+			if ids := f.appendList(e, nil); len(ids) != 1 || ids[0] != int32(id) {
+				t.Fatalf("%d-byte key %#x resolves to postings %v, want [%d]", kl, k, ids, id)
+			}
+			if hashWord(kl, k) != hashKey(key) || hashWord(kl, k) != hashKey(string(key)) {
+				t.Fatalf("%d-byte key %#x hashes differently as a word, bytes and a string", kl, k)
+			}
+			if f.lookupWord(k|1<<40) >= 0 || f.lookupWord(k|1<<63) >= 0 {
+				t.Fatalf("%d-byte key %#x found with a bit past the partition set", kl, k)
+			}
 		}
-		binary.LittleEndian.PutUint64(b[:], k)
-		if f.lookupWord(k) >= 0 || f.lookupBytes(b[:]) >= 0 || f.lookupString(string(b[:])) >= 0 {
-			t.Fatalf("absent key %#x found", k)
-		}
-		if f.PostingLenWord(k) != 0 {
-			t.Fatalf("absent key %#x has postings", k)
+		for range 2000 {
+			k := rng.Uint64() >> uint(rng.Intn(64))
+			if held[k] {
+				continue
+			}
+			binary.LittleEndian.PutUint64(b[:], k)
+			if f.lookupWord(k) >= 0 || (k < 1<<40 && (f.lookupBytes(b[:kl]) >= 0 || f.lookupString(string(b[:kl])) >= 0)) {
+				t.Fatalf("%d-byte keys: absent key %#x found", kl, k)
+			}
+			if f.PostingLenWord(k) != 0 {
+				t.Fatalf("%d-byte keys: absent key %#x has postings", kl, k)
+			}
 		}
 	}
-	// Where keys are not uniformly one word — a variant index, an empty
-	// one — the word lookup answers through the byte path.
+	// Where keys are not uniformly of one word or less — a variant index,
+	// an empty one — the word lookup answers through the byte path.
 	vix, sigs := randomIndex(t, 4, 40, 24, true)
 	vf := vix.Freeze()
 	for _, v := range sigs {
@@ -264,32 +299,38 @@ func TestLookupFormsAgree(t *testing.T) {
 		t.Fatal("empty index found a word key")
 	}
 	// The staged batch is the word lookup, position by position: over
-	// indexes of every kind at once — one-word keys at half load, its keys
-	// picked so that most sit behind another key's slot (the sequential
-	// keys of TestSlotChainsShort), long posting lists, mixed widths, no
-	// keys at all, and positions without an index — probed for held and
-	// absent keys, many more positions than a query has partitions.
+	// indexes of every kind at once — keys of whole words and narrow keys
+	// at half load, keys picked so that most sit behind another key's slot
+	// (the sequential keys of TestSlotChainsShort), long posting lists,
+	// mixed widths, no keys at all, and positions without an index —
+	// probed for held and absent keys, many more positions than a query has
+	// partitions.
 	chained := make([]uint64, 1<<12)
 	for i := range chained {
 		chained[i] = uint64(i)
 	}
-	cf := freezeWords(chained)
-	var displaced []uint64
-	for _, k := range chained {
-		if e := cf.slots[hashWord(k)&uint64(len(cf.slots)-1)]; binary.LittleEndian.Uint64(cf.key(int(e))) != k {
-			displaced = append(displaced, k)
+	cf, ncf := freezeWords(chained), FreezeRows(len(chained), 12, chained)
+	displaced := func(f *Frozen) []uint64 {
+		var out []uint64
+		for _, k := range chained {
+			if e := f.slots[hashWord(f.keyLen, k)&uint64(len(f.slots)-1)]; keyWord(f, int(e)) != k {
+				out = append(out, k)
+			}
 		}
+		if len(out) < 100 {
+			t.Fatalf("only %d of %d sequential %d-byte keys sit behind another key's slot", len(out), len(chained), f.keyLen)
+		}
+		return out
 	}
-	if len(displaced) < 100 {
-		t.Fatalf("only %d of %d sequential keys sit behind another key's slot", len(displaced), len(chained))
-	}
-	lf, lvecs := projectionIndex(rng, 300, 13, true)
+	cd, ncd := displaced(cf), displaced(ncf)
+	lf, lvecs := projectionIndex(rng, 300, 13, true, false)
+	nlf, nlvecs := projectionIndex(rng, 300, 13, true, true)
 	var fs []*Frozen
 	var words []uint64
 	for i := range 40 {
-		fs = append(fs, f, f, cf, cf, lf, lf, vf, vf, New().Freeze(), nil)
-		words = append(words, keys[i], rng.Uint64(), displaced[i], uint64(len(chained)+i), lvecs[i].Words()[0], 1<<13|uint64(i),
-			sigs[i].Words()[0], rng.Uint64(), keys[i], keys[i])
+		fs = append(fs, f, f, nf, nf, cf, cf, ncf, ncf, lf, lf, nlf, nlf, vf, vf, New().Freeze(), nil)
+		words = append(words, keys[i], rng.Uint64(), keys[i], keys[i]|1<<40, cd[i], uint64(len(chained)+i), ncd[i], uint64(len(chained)+i),
+			lvecs[i].Words()[0], 1<<13|uint64(i), nlvecs[i].Words()[0], 1<<13|uint64(i), sigs[i].Words()[0], rng.Uint64(), keys[i], keys[i])
 	}
 	const untouched = -7
 	entries, counts := make([]int32, len(fs)), make([]uint32, len(fs))
@@ -326,8 +367,8 @@ func TestLookupFormsAgree(t *testing.T) {
 			t.Fatalf("position %d, key %#x: by entry %d postings into %v, by word %d into %v", i, words[i], n, byEntry.IDs, want, byWord.IDs)
 		}
 	}
-	if found != 4*40 {
-		t.Fatalf("%d of %d lookups found a key; four in ten probe for one that is held", found, len(fs))
+	if found != 7*40 {
+		t.Fatalf("%d of %d lookups found a key; seven in sixteen probe for one that is held", found, len(fs))
 	}
 	set := IDSet{Seen: make([]uint64, (1<<12)/64)}
 	if allocs := testing.AllocsPerRun(20, func() {
@@ -361,47 +402,61 @@ func TestLookupFormsAgree(t *testing.T) {
 // bound linear probing itself allows: a mean of 1.5 slots at this load
 // whatever the hash, and a longest chain that grows with log n (an
 // ideal hash measures 15–31 here over seeds, so 16 is not a property
-// any hash has; 40 still catches clustering).
+// any hash has; 40 still catches clustering). Each set is held as whole
+// words and, where it fits one, in keys as narrow as its width: 2 bytes
+// at 12 and 13 bits, 3 at 20, 4 at 28.
 func TestSlotChainsShort(t *testing.T) {
 	const n = 1 << 12 // slotCount(n) = 2n: exactly 50 % load
 	sequential := make([]uint64, n)
 	lowBits := make([]uint64, n)
+	low13 := make([]uint64, n)
 	for i := range sequential {
 		sequential[i] = uint64(i)
-		lowBits[i] = 0xABCD_0000_0000_0000 | uint64(2*i) // n = 2¹² even values below 2¹³
+		low13[i] = uint64(2 * i) // n = 2¹² even values below 2¹³
+		lowBits[i] = 0xABCD_0000_0000_0000 | low13[i]
 	}
+	rng := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
 		name    string
 		keys    []uint64
+		width   int // the keys' width when held narrow; 0 for whole words only
 		longest int
 	}{
-		{"sequential", sequential, 16},
-		{"low 13 bits", lowBits, 16},
-		{"random", wordKeys(rand.New(rand.NewSource(5)), n, 64), 40},
+		{"sequential", sequential, 12, 16},
+		{"low 13 bits", lowBits, 0, 16},
+		{"low 13 bits", low13, 13, 16},
+		{"random", wordKeys(rng, n, 64), 0, 40},
+		{"random 20-bit", wordKeys(rng, n, 20), 20, 40},
+		{"random 28-bit", wordKeys(rng, n, 28), 28, 40},
 	} {
-		f := freezeWords(c.keys)
-		if len(f.slots) != 2*n {
-			t.Fatalf("%s: %d slots for %d keys", c.name, len(f.slots), n)
+		forms := []*Frozen{freezeWords(c.keys)}
+		if c.width > 0 {
+			forms = append(forms, FreezeRows(n, c.width, c.keys))
 		}
-		mask := uint64(len(f.slots) - 1)
-		longest, total := 0, 0
-		for _, k := range c.keys {
-			chain := 1
-			for h := hashWord(k) & mask; binary.LittleEndian.Uint64(f.key(int(f.slots[h]))) != k; h = (h + 1) & mask {
-				chain++
+		for _, f := range forms {
+			if len(f.slots) != 2*n {
+				t.Fatalf("%s: %d slots for %d keys", c.name, len(f.slots), n)
 			}
-			longest = max(longest, chain)
-			total += chain
-		}
-		if mean := float64(total) / n; longest > c.longest || mean > 1.75 {
-			t.Errorf("%s keys: longest probe chain %d slots (want ≤ %d), mean %.2f (want ≤ 1.75)", c.name, longest, c.longest, mean)
+			mask := uint64(len(f.slots) - 1)
+			longest, total := 0, 0
+			for _, k := range c.keys {
+				chain := 1
+				for h := hashWord(f.keyLen, k) & mask; keyWord(f, int(f.slots[h])) != k; h = (h + 1) & mask {
+					chain++
+				}
+				longest = max(longest, chain)
+				total += chain
+			}
+			if mean := float64(total) / n; longest > c.longest || mean > 1.75 {
+				t.Errorf("%s keys, %d bytes: longest probe chain %d slots (want ≤ %d), mean %.2f (want ≤ 1.75)", c.name, f.keyLen, longest, c.longest, mean)
+			}
 		}
 	}
 }
 
 // BenchmarkFrozenProbeVsScan measures the unit costs engine.ProbePrice
 // (internal/engine) is derived from, on a partition shaped like
-// lib_wide's: 20 000 near-distinct 36-bit keys. A probe is one
+// lib_wide's: 20 000 near-distinct 36-bit keys, 5 bytes each. A probe is one
 // signature of a Hamming ball looked up by word (the ball walk
 // included); a scan step is one key of the arena compared (candidate
 // generation) or added to the distance histogram (allocation); a posting
@@ -410,7 +465,7 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	const n, width = 20000, 36
 	rng := rand.New(rand.NewSource(1))
 	keys := wordKeys(rng, n, width)
-	f := freezeWords(keys)
+	f := FreezeRows(n, width, keys)
 	set := IDSet{Seen: make([]uint64, (n+63)/64)}
 	absent := wordKeys(rng, n, width)
 	for i, k := range absent {
@@ -442,7 +497,7 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 		for range b.N {
 			for _, k := range absent {
 				binary.LittleEndian.PutUint64(key[:], k)
-				sink += f.PostingLenBytes(key[:])
+				sink += f.PostingLenBytes(key[:f.keyLen])
 			}
 		}
 		perItem(b, n)
@@ -477,7 +532,7 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 		// The regime where decoding dominates, lib_wide's narrow
 		// partition: 20 000 ids over the 2¹³ keys of a 13-bit partition,
 		// a radius-7 ball that holds most of them.
-		dense, _ := projectionIndex(rng, n, 13, false)
+		dense, _ := projectionIndex(rng, n, 13, false, true)
 		q := []uint64{0x0A5A}
 		postings := dense.CollectWithin(q, 7, &set)
 		set.Reset()

@@ -85,7 +85,7 @@ const arenaLimit = binio.MaxSliceLen
 func (ix *Index) Freeze() *Frozen {
 	keys := ix.SortedKeys()
 	f := &Frozen{
-		keyArena: make([]byte, 0, ix.keyBytes),
+		keyArena: make([]byte, 0, ix.keyBytes+8),
 		postOffs: make([]uint32, 1, len(keys)+1),
 		counts:   make([]uint32, 0, len(keys)),
 		postings: ix.postings,
@@ -119,9 +119,42 @@ func (ix *Index) Freeze() *Frozen {
 		}
 		f.addList(ids)
 	}
+	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.keyLen, len(keys)))...)
 	f.buildSlotsOnce()
 	return f
 }
+
+// KeyLen returns the bytes the key of a width-bit projection takes:
+// ⌈width/8⌉ for a partition of at most 64 bits — the projection's word
+// without its zero high bytes — and its 8·⌈width/64⌉ bytes of whole
+// words beyond.
+func KeyLen(width int) int {
+	if width <= 64 {
+		return (width + 7) / 8
+	}
+	return 8 * ((width + 63) / 64)
+}
+
+// keyPad returns how many zero bytes end a uniform arena of n keys of
+// keyLen bytes: 8 − keyLen when keys are shorter than a word, so the
+// last key's 8-byte load stays in the arena, and none otherwise.
+func keyPad(keyLen, n int) int {
+	if keyLen > 0 && keyLen < 8 && n > 0 {
+		return 8 - keyLen
+	}
+	return 0
+}
+
+// wordKeys reports whether every key fits one word: 1 ≤ keyLen ≤ 8, the
+// keys of every partition of 1 to 64 bits. Such a key is read as the
+// 8-byte little-endian load at its start, masked with keyMask.
+func (f *Frozen) wordKeys() bool { return uint(f.keyLen-1) < 8 }
+
+// keyMask keeps the keyLen low bytes of a word: a one-word key's own
+// bytes out of the load at its start. The shift is taken mod 64, which
+// is exact for 1 ≤ keyLen ≤ 8 and spares the compiler's guard for
+// shifts past the word.
+func (f *Frozen) keyMask() uint64 { return ^uint64(0) >> ((64 - 8*uint(f.keyLen)) & 63) }
 
 // addList ends the entry whose key was just appended to the key arena:
 // it encodes ids, ascending, as the entry's posting list and records the
@@ -144,11 +177,13 @@ func (f *Frozen) addList(ids []int32) {
 
 // FreezeRows returns what Freeze returns for an Index built by adding,
 // in id order, each id in [0, n) under the key of its row of rows: n
-// rows of w words, a row's key its words in little-endian bytes, as
-// bitvec.Vector.AppendKey packs them. It sorts the ids by key instead of
-// filling a map — the map's keys, buckets and one-id lists take
-// megabytes a partition, and a build runs one per worker.
-func FreezeRows(n, w int, rows []uint64) *Frozen {
+// rows of ⌈width/64⌉ words holding a width-bit projection (no bit set
+// at or past width), a row's key its KeyLen(width) low bytes in
+// little-endian order. It sorts the ids by key instead of filling a map
+// — the map's keys, buckets and one-id lists take megabytes a
+// partition, and a build runs one per worker.
+func FreezeRows(n, width int, rows []uint64) *Frozen {
+	w := (width + 63) / 64
 	if n == 0 || w == 0 {
 		ix := New()
 		for id := range n {
@@ -176,9 +211,12 @@ func FreezeRows(n, w int, rows []uint64) *Frozen {
 			distinct++
 		}
 	}
+	keyLen := KeyLen(width)
 	f := &Frozen{
-		keyArena:  make([]byte, 0, 8*w*distinct),
-		keyLen:    8 * w,
+		// A key shorter than a word is written as its whole word and cut
+		// back: the last one's word ends where the pad does.
+		keyArena:  make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct)),
+		keyLen:    keyLen,
 		postArena: make([]byte, 0, n+2*distinct),
 		postOffs:  make([]uint32, 1, distinct+1),
 		counts:    make([]uint32, 0, distinct),
@@ -191,12 +229,15 @@ func FreezeRows(n, w int, rows []uint64) *Frozen {
 		for end < n && slices.Equal(key(order[end]), k) {
 			end++
 		}
+		start := len(f.keyArena)
 		for _, word := range k {
 			f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
 		}
+		f.keyArena = f.keyArena[:start+keyLen]
 		f.addList(order[j:end])
 		j = end
 	}
+	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
 	f.buildSlotsOnce()
 	return f
 }
@@ -228,8 +269,10 @@ func mix(h, w uint64) uint64 {
 	return hi ^ lo
 }
 
-// hashWord is hashKey of the 8-byte little-endian key holding w.
-func hashWord(w uint64) uint64 { return mix(8, w) }
+// hashWord is hashKey of the keyLen-byte little-endian key holding w,
+// for keyLen ≤ 8: the length seeds the hash and the key is its one
+// zero-extended word.
+func hashWord(keyLen int, w uint64) uint64 { return mix(uint64(keyLen), w) }
 
 // hashKey hashes a byte or string key a little-endian word at a time
 // (a shorter tail zero-extended), seeded with the length so a tail's
@@ -303,13 +346,16 @@ func (f *Frozen) buildSlots() {
 		copy(slots[done:], slots[:done])
 	}
 	mask := uint64(len(slots) - 1)
-	if f.keyLen == 8 {
-		// One-word keys — every default build — hash as lookupWord hashes
-		// them, without the byte loop.
-		keys := f.keyArena[:8*n]
+	if f.wordKeys() {
+		// Keys of one word or less — every default build — hash as
+		// lookupWord hashes them, without the byte loop. The arena's pad
+		// keeps the last key's load inside it, so its length alone ends
+		// the loop.
+		kl, keep := f.keyLen, f.keyMask()
+		keys := f.keyArena
 		for e := int32(0); len(keys) >= 8; e++ {
-			h := hashWord(binary.LittleEndian.Uint64(keys))
-			keys = keys[8:]
+			h := hashWord(kl, binary.LittleEndian.Uint64(keys)&keep)
+			keys = keys[kl:]
 			for slots[h&mask] >= 0 {
 				h++
 			}
@@ -374,40 +420,43 @@ func eqString(a []byte, b string) bool {
 	return true
 }
 
-// lookupWord is lookupBytes for the 8-byte little-endian key holding w
-// — the packed projection of a partition of at most 64 bits — without
-// the bytes: the word is hashed and compared as a word.
+// lookupWord is lookupBytes for the key holding w in its keyLen
+// little-endian bytes — the packed projection of a partition of at most
+// 64 bits — without the bytes: the word is hashed and compared as a
+// word. A w with a bit past the key's bytes is held under no key.
 func (f *Frozen) lookupWord(w uint64) int {
-	if f.keyLen != 8 {
-		// Mixed widths or no keys at all: the byte path knows both.
+	if !f.wordKeys() {
+		// Mixed widths, keys of several words or no keys at all: the byte
+		// path, with the 8-byte key, knows them all.
 		var key [8]byte
 		binary.LittleEndian.PutUint64(key[:], w)
 		return f.lookupBytes(key[:])
 	}
 	f.ensureSlots()
+	kl, keep := f.keyLen, f.keyMask()
 	mask := uint64(len(f.slots) - 1)
-	for h := hashWord(w) & mask; ; h = (h + 1) & mask {
+	for h := hashWord(kl, w) & mask; ; h = (h + 1) & mask {
 		e := f.slots[h]
 		if e < 0 {
 			return -1
 		}
-		if binary.LittleEndian.Uint64(f.keyArena[8*int(e):]) == w {
+		if binary.LittleEndian.Uint64(f.keyArena[kl*int(e):])&keep == w {
 			return int(e)
 		}
 	}
 }
 
 // LookupWords is lookupWord for a batch, one index a position: entries[i]
-// receives the number of the entry fs[i] holds the 8-byte little-endian
-// key words[i] under, −1 when it holds none, and counts[i] that entry's
-// posting count, 0 for none. A lookup is a chain of dependent loads —
-// slot, key, count — and most of them miss the cache when every position
-// reads another index, so the batch runs in stages: every hash and slot
-// read, then every key compare, then every count, a stage's loads in
-// flight side by side instead of one chain waiting behind another. A
-// position whose first slot holds some other key, or whose index does
-// not keep one-word keys, walks on alone through lookupWord. A nil
-// fs[i] is skipped, entries[i] and counts[i] left as they were.
+// receives the number of the entry fs[i] holds the key words[i] under,
+// −1 when it holds none, and counts[i] that entry's posting count, 0 for
+// none. A lookup is a chain of dependent loads — slot, key, count — and
+// most of them miss the cache when every position reads another index,
+// so the batch runs in stages: every hash and slot read, then every key
+// compare, then every count, a stage's loads in flight side by side
+// instead of one chain waiting behind another. A position whose first
+// slot holds some other key, or whose index does not keep keys of one
+// word or less, walks on alone through lookupWord. A nil fs[i] is
+// skipped, entries[i] and counts[i] left as they were.
 //
 //gph:hotpath
 func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32) {
@@ -416,20 +465,20 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 		if f == nil {
 			continue
 		}
-		if f.keyLen != 8 {
+		if !f.wordKeys() {
 			entries[i] = int32(f.lookupWord(words[i]))
 			continue
 		}
 		f.ensureSlots()
-		entries[i] = f.slots[hashWord(words[i])&uint64(len(f.slots)-1)]
+		entries[i] = f.slots[hashWord(f.keyLen, words[i])&uint64(len(f.slots)-1)]
 	}
 	for i, f := range fs {
-		if f == nil || f.keyLen != 8 {
+		if f == nil || !f.wordKeys() {
 			continue
 		}
 		// The arena is read as lookupWord reads it, through
 		// encoding/binary: a borrowed mapping need not be 8-aligned.
-		if e := entries[i]; e >= 0 && binary.LittleEndian.Uint64(f.keyArena[8*int(e):]) != words[i] {
+		if e := entries[i]; e >= 0 && binary.LittleEndian.Uint64(f.keyArena[f.keyLen*int(e):])&f.keyMask() != words[i] {
 			entries[i] = int32(f.lookupWord(words[i]))
 		}
 	}
@@ -491,8 +540,8 @@ func (f *Frozen) count(e int) int {
 //gph:hotpath
 func (f *Frozen) PostingLenBytes(key []byte) int { return f.count(f.lookupBytes(key)) }
 
-// PostingLenWord is PostingLenBytes for the 8-byte little-endian key
-// holding w.
+// PostingLenWord is PostingLenBytes for the key holding w, as
+// lookupWord reads it.
 //
 //gph:hotpath
 func (f *Frozen) PostingLenWord(w uint64) int { return f.count(f.lookupWord(w)) }
@@ -577,21 +626,46 @@ func (s *IDSet) Reset() {
 // the matches among them; the entry numbers fit a stack array.
 const scanBlock = 256
 
-// matchWords notes in hits which of a block's one-word keys (at most
-// scanBlock of them) lie within radius of q, and returns how many do.
-// The count advances by a conditional move, not a branch. Kept out of
-// line: inlined into CollectWithin the loop's four live values spill
-// to the stack and a key costs half as much again.
+// matchWords notes in hits which of a block's keys of kl ≤ 8 bytes (at
+// most scanBlock of them; block runs on to the last one's 8-byte load)
+// lie within radius of q, and returns how many do. The count advances
+// by a conditional move, not a branch. Kept out of line: inlined into
+// CollectWithin the loop's live values spill to the stack and a key
+// costs half as much again. Each key length gets its own copy of the
+// loop, the stride a constant in it: at a stride held in a register the
+// reslice keeps a bounds check and a key costs 1.6 ns, not 1.1
+// (BenchmarkFrozenProbeVsScan's scan-key, 5-byte keys).
 //
 //go:noinline
-func matchWords(block []byte, q uint64, radius int, hits *[scanBlock]int32) int {
+func matchWords(block []byte, kl int, keep, q uint64, radius int, hits *[scanBlock]int32) int {
+	switch kl {
+	case 1:
+		return matchStride(block, 1, keep, q, radius, hits)
+	case 2:
+		return matchStride(block, 2, keep, q, radius, hits)
+	case 3:
+		return matchStride(block, 3, keep, q, radius, hits)
+	case 4:
+		return matchStride(block, 4, keep, q, radius, hits)
+	case 5:
+		return matchStride(block, 5, keep, q, radius, hits)
+	case 6:
+		return matchStride(block, 6, keep, q, radius, hits)
+	case 7:
+		return matchStride(block, 7, keep, q, radius, hits)
+	}
+	return matchStride(block, 8, keep, q, radius, hits)
+}
+
+// matchStride is matchWords' loop, inlined into it once a key length.
+func matchStride(block []byte, kl int, keep, q uint64, radius int, hits *[scanBlock]int32) int {
 	k := uint(0)
 	for e := int32(0); len(block) >= 8; e++ {
 		hits[k%scanBlock] = e
-		if bits.OnesCount64(binary.LittleEndian.Uint64(block)^q) <= radius {
+		if bits.OnesCount64(binary.LittleEndian.Uint64(block)&keep^q) <= radius {
 			k++
 		}
-		block = block[8:]
+		block = block[kl:]
 	}
 	return int(k)
 }
@@ -635,8 +709,8 @@ func (f *Frozen) CollectBytes(key []byte, set *IDSet) int {
 	return f.CollectEntry(f.lookupBytes(key), set)
 }
 
-// CollectWord is CollectBytes for the 8-byte little-endian key holding
-// w.
+// CollectWord is CollectBytes for the key holding w, as lookupWord
+// reads it.
 //
 //gph:hotpath
 func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
@@ -645,11 +719,12 @@ func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
 
 // CollectWithin adds to set the posting list of every key within
 // Hamming distance radius of q — the key read as len(q) little-endian
-// words; keys of any other length match nothing — and returns the
-// summed length of those lists. It is the union CollectBytes builds
-// over the radius-ball of q, computed from the other side: one pass
-// over the key arena, whatever the ball holds, entries taken in arena
-// order so posting bytes are read front to back. Key bits the ball
+// words, a key of at most 8 bytes as one zero-extended word; keys of any
+// other length match nothing — and returns the summed length of those
+// lists. It is the union CollectBytes builds over the radius-ball of q,
+// computed from the other side: one pass over the key arena, whatever
+// the ball holds, entries taken in arena order so posting bytes are read
+// front to back. Key bits the ball
 // would never produce (beyond the partition width) count towards the
 // distance like any other.
 //
@@ -660,15 +735,17 @@ func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
 func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 	seen, ids := set.Seen, set.IDs
 	var sum int64
-	if f.keyLen == 8 && len(q) == 1 {
-		// Every default build: one word a key, one popcount an entry. Keys
+	if f.wordKeys() && len(q) == 1 {
+		// Every default build: one load a key, one popcount an entry. Keys
 		// are taken a block at a time: the matching entries of a block are
 		// noted without a branch — which keys match is the one thing about
 		// this loop no predictor can learn — and decoded after it.
+		kl, keep := f.keyLen, f.keyMask()
 		var hits [scanBlock]int32
 		for base := 0; base < len(f.counts); base += scanBlock {
-			block := f.keyArena[8*base : 8*min(base+scanBlock, len(f.counts))]
-			for _, e := range hits[:matchWords(block, q[0], radius, &hits)] {
+			end := min(base+scanBlock, len(f.counts))
+			block := f.keyArena[kl*base : kl*end+8-kl]
+			for _, e := range hits[:matchWords(block, kl, keep, q[0], radius, &hits)] {
 				e += int32(base)
 				ids = f.collect(int(e), seen, ids)
 				sum += int64(f.counts[e])
@@ -688,7 +765,7 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 
 // distance returns the Hamming distance between q and key e read as
 // len(q) little-endian words — the one way the key scans load a key
-// that is not known to be a single word. ok is false for a key of any
+// that is not known to fit a single word. ok is false for a key of any
 // other length, and for an entry whose offsets do not lie in the arena:
 // Histogram may run on an index whose deferred validation has not
 // passed.
@@ -723,8 +800,8 @@ func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 //
 //gph:hotpath
 func (f *Frozen) Histogram(q []uint64, hist []int64) {
-	if f.keyLen == 8 && len(q) == 1 {
-		histWords(f.keyArena, f.counts, q[0], hist)
+	if f.wordKeys() && len(q) == 1 {
+		histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts, q[0], hist)
 		return
 	}
 	for e, c := range f.counts {
@@ -734,26 +811,43 @@ func (f *Frozen) Histogram(q []uint64, hist []int64) {
 	}
 }
 
-// histWords is Histogram over one-word keys — every default build: one
-// popcount an entry. Four keys are loaded before their four counts are
-// added: advancing the two slices once for four keys is what brings a
-// key read through encoding/binary down to the cost of one read from a
-// []uint64 (1.25 against 1.2 ns; a key at a time it is 1.6).
-func histWords(keys []byte, counts []uint32, q uint64, hist []int64) {
-	for len(keys) >= 32 && len(counts) >= 4 {
-		x0 := binary.LittleEndian.Uint64(keys) ^ q
-		x1 := binary.LittleEndian.Uint64(keys[8:]) ^ q
-		x2 := binary.LittleEndian.Uint64(keys[16:]) ^ q
-		x3 := binary.LittleEndian.Uint64(keys[24:]) ^ q
-		hist[bits.OnesCount64(x0)] += int64(counts[0])
-		hist[bits.OnesCount64(x1)] += int64(counts[1])
-		hist[bits.OnesCount64(x2)] += int64(counts[2])
-		hist[bits.OnesCount64(x3)] += int64(counts[3])
-		keys, counts = keys[32:], counts[4:]
+// histWords is Histogram over keys of kl ≤ 8 bytes — every default
+// build: one load, mask and popcount an entry, the loop driven by the
+// counts. Like matchWords it keeps a copy of the loop a key length, the
+// stride a constant in each: at a stride held in a register a key costs
+// 1.6 ns, not 1.0 (histogram-key, 5-byte keys), and one key to an
+// iteration is then as fast as the four-key unroll whole-word keys had.
+//
+//go:noinline
+func histWords(keys []byte, kl int, keep uint64, counts []uint32, q uint64, hist []int64) {
+	switch kl {
+	case 1:
+		histStride(keys, 1, keep, counts, q, hist)
+	case 2:
+		histStride(keys, 2, keep, counts, q, hist)
+	case 3:
+		histStride(keys, 3, keep, counts, q, hist)
+	case 4:
+		histStride(keys, 4, keep, counts, q, hist)
+	case 5:
+		histStride(keys, 5, keep, counts, q, hist)
+	case 6:
+		histStride(keys, 6, keep, counts, q, hist)
+	case 7:
+		histStride(keys, 7, keep, counts, q, hist)
+	default:
+		histStride(keys, 8, keep, counts, q, hist)
 	}
-	for len(keys) >= 8 && len(counts) >= 1 {
-		hist[bits.OnesCount64(binary.LittleEndian.Uint64(keys)^q)] += int64(counts[0])
-		keys, counts = keys[8:], counts[1:]
+}
+
+// histStride is histWords' loop, inlined into it once a key length.
+func histStride(keys []byte, kl int, keep uint64, counts []uint32, q uint64, hist []int64) {
+	for _, c := range counts {
+		if len(keys) < 8 {
+			break
+		}
+		hist[bits.OnesCount64(binary.LittleEndian.Uint64(keys)&keep^q)] += int64(c)
+		keys = keys[kl:]
 	}
 }
 
@@ -960,9 +1054,9 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	if h.postArenaLen < 0 || int64(h.postArenaLen) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible posting arena length %d", h.postArenaLen)
 	}
-	if h.keyLen > 0 && h.keyArenaLen != h.keyLen*h.numKeys {
-		return h, fmt.Errorf("invindex: key arena holds %d bytes, %d keys × %d need %d",
-			h.keyArenaLen, h.numKeys, h.keyLen, h.keyLen*h.numKeys)
+	if want := h.keyLen*h.numKeys + keyPad(h.keyLen, h.numKeys); h.keyLen > 0 && h.keyArenaLen != want {
+		return h, fmt.Errorf("invindex: key arena holds %d bytes, %d keys × %d and the pad need %d",
+			h.keyArenaLen, h.numKeys, h.keyLen, want)
 	}
 	return h, nil
 }
@@ -1009,8 +1103,8 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 func (f *Frozen) Validate() error { return f.ValidateWidth(-1) }
 
 // ValidateWidth is Validate for an index whose keys are the packed form
-// of a width-bit projection: ⌈width/64⌉ little-endian words with no bit
-// set at or beyond width, checked in the pass that already holds the
+// of a width-bit projection: KeyLen(width) little-endian bytes with no
+// bit set at or beyond width, checked in the pass that already holds the
 // key. A probe never asks for such a bit and a key scan counts it like
 // any other, so a key carrying one would make the two disagree. The
 // first run's width is the one checked; an index has one.
@@ -1048,15 +1142,25 @@ func (f *Frozen) validateContent(width int) error {
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
 	}
+	if f.keyLen > 0 {
+		// The pad after keys shorter than a word (empty otherwise) is
+		// zero, as Freeze writes it: one file per index.
+		for i, b := range f.keyArena[f.keyLen*numKeys:] {
+			if b != 0 {
+				return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
+			}
+		}
+	}
 	// Per entry: its key against the one before, its key's width, its
 	// list. A key of the wrong width is reported only once every entry's
 	// order and list have passed, as when the width check was a pass of
 	// its own after them: what a corrupt file is rejected for does not
 	// depend on which loop found it.
-	if f.keyLen == 8 {
-		// One-word keys, every default build, in two straight passes: the
-		// keys up to the first out of order, then the lists before it. The
-		// verdict is the one the entry-by-entry loop below reaches.
+	if f.wordKeys() {
+		// Keys of one word or less, every default build, in two straight
+		// passes: the keys up to the first out of order, then the lists
+		// before it. The verdict is the one the entry-by-entry loop below
+		// reaches.
 		disorder, wide := f.scanWordKeys(width)
 		if err := f.checkLists(disorder); err != nil {
 			return err
@@ -1087,29 +1191,32 @@ func (f *Frozen) validateContent(width int) error {
 	return widthErr
 }
 
-// scanWordKeys is the key pass over one-word keys: it returns the first
-// entry whose key does not follow the one before (numKeys when every key
-// does), and the first entry before that whose key is not the packed
-// form of a width-bit projection (−1 for none, or when width < 0).
-// Byte-lexicographic order, what bytes.Compare computes, is the order of
-// the keys read as big-endian words.
+// scanWordKeys is the key pass over keys of kl ≤ 8 bytes: it returns
+// the first entry whose key does not follow the one before (numKeys
+// when every key does), and the first entry before that whose key is
+// not the packed form of a width-bit projection (−1 for none, or when
+// width < 0). Byte-lexicographic order, what bytes.Compare computes, is
+// the order of the keys read as big-endian words, each masked to its own
+// kl bytes — the high ones of that read.
 func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
 	numKeys := f.NumKeys()
 	disorder, wide = numKeys, -1
 	if numKeys == 0 {
 		return disorder, wide
 	}
-	if width >= 0 && (width+63)/64 != 1 {
-		wide = 0 // no one-word key is the packed form of such a projection
+	if width >= 0 && KeyLen(width) != f.keyLen {
+		wide = 0 // no key of this length is the packed form of such a projection
 	}
+	kl, keep := f.keyLen, bits.ReverseBytes64(f.keyMask())
 	var stray uint64 // the bits a width-bit projection leaves clear, as the big-endian read holds them
-	if width > 0 && width%64 != 0 {
-		stray = bits.ReverseBytes64(^uint64(0) << uint(width%64))
+	if width >= 0 {
+		stray = bits.ReverseBytes64(^uint64(0) << uint(width))
 	}
-	keys := f.keyArena[:8*numKeys]
+	keys := f.keyArena
 	var prev uint64
-	for e := 0; e < numKeys; e++ {
-		k := binary.BigEndian.Uint64(keys[8*e:])
+	for e := 0; len(keys) >= 8; e++ {
+		k := binary.BigEndian.Uint64(keys) & keep
+		keys = keys[kl:]
 		if e > 0 && prev >= k {
 			return e, wide
 		}
@@ -1281,12 +1388,15 @@ func (f *Frozen) checkList(e int) error {
 // checkKeyWidth verifies that key e is the packed form of a width-bit
 // projection (ValidateWidth).
 func (f *Frozen) checkKeyWidth(e, width int) error {
-	words, tail := (width+63)/64, uint(width%64)
 	key := f.key(e)
-	if len(key) != 8*words {
-		return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, 8*words)
+	if want := KeyLen(width); len(key) != want {
+		return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, want)
 	}
-	if tail != 0 && binary.LittleEndian.Uint64(key[len(key)-8:])>>tail != 0 {
+	var last uint64 // the key's last word, zero-extended
+	for i, b := range key[(len(key)-1)/8*8:] {
+		last |= uint64(b) << (8 * i)
+	}
+	if tail := uint(width % 64); tail != 0 && last>>tail != 0 {
 		return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
 	}
 	return nil
@@ -1327,8 +1437,9 @@ func validateList(b []byte, maxID int32) (int, error) {
 }
 
 // ArenaBreakdown reports the byte size of each backing component
-// (key arena, postings arena, offset+count arrays, slot table); the
-// size experiments use it to attribute the footprint.
+// (key arena with its pad, postings arena, offset+count arrays, slot
+// table): SizeBytes less the struct. The size experiment (gph-bench
+// -exp fig6) reports a GPH index's footprint by component from it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, offsetBytes, slotBytes int64) {
 	return int64(len(f.keyArena)), int64(len(f.postArena)),
 		4 * int64(len(f.keyOffs)+len(f.postOffs)+len(f.counts)), 4 * int64(slotCount(f.NumKeys()))

@@ -2,7 +2,10 @@ package invindex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gph/internal/binio"
@@ -271,46 +274,209 @@ func TestFrozenEmpty(t *testing.T) {
 	}
 }
 
-// TestFreezeRowsMatchesFreeze pins FreezeRows to the map build it
-// replaces: the same bytes written, the same size and the same slot
-// table, for rows of zero to three words. Keys are drawn from a small
-// pool, so lists of several ids occur, and words differ in their high
-// bytes as well as their low ones, so the little-endian byte order of a
-// key, not its word order, has to decide where it sorts.
-func TestFreezeRowsMatchesFreeze(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	word := func() uint64 {
-		switch rng.Intn(3) {
-		case 0:
-			return uint64(rng.Intn(4))
-		case 1:
-			return uint64(rng.Intn(4)) << 56
-		}
-		return rng.Uint64()
-	}
-	for _, w := range []int{0, 1, 2, 3} {
-		for _, n := range []int{0, 1, 7, 500} {
-			pool := make([][]uint64, 1+n/5)
-			for i := range pool {
-				pool[i] = make([]uint64, w)
-				for k := range pool[i] {
-					pool[i][k] = word()
+// randomRows returns n rows of width-bit projections as FreezeRows takes
+// them — ⌈width/64⌉ words a row, no bit at or past width — drawn from a
+// pool of n/5 + 1, so lists of several ids occur. Words differ in their
+// high bytes as well as their low ones, so the little-endian byte order
+// of a key, not its word order, has to decide where it sorts.
+func randomRows(rng *rand.Rand, n, width int) []uint64 {
+	w := (width + 63) / 64
+	pool := make([][]uint64, 1+n/5)
+	for i := range pool {
+		pool[i] = make([]uint64, w)
+		for k := range pool[i] {
+			var word uint64
+			switch rng.Intn(3) {
+			case 0:
+				word = uint64(rng.Intn(4))
+			case 1:
+				word = uint64(rng.Intn(4)) << 56
+			default:
+				word = rng.Uint64()
+			}
+			if k == w-1 && width%64 != 0 {
+				if word &= 1<<(width%64) - 1; word == 0 {
+					word = uint64(rng.Intn(2)) << (width%64 - 1)
 				}
 			}
-			rows := make([]uint64, 0, n*w)
+			pool[i][k] = word
+		}
+	}
+	rows := make([]uint64, 0, n*w)
+	for range n {
+		rows = append(rows, pool[rng.Intn(len(pool))]...)
+	}
+	return rows
+}
+
+// rowKey is row id's key as FreezeRows stores it: its words'
+// little-endian bytes, KeyLen(width) of them.
+func rowKey(rows []uint64, width int, id int) []byte {
+	w := (width + 63) / 64
+	var key []byte
+	for _, word := range rows[id*w : (id+1)*w] {
+		key = binary.LittleEndian.AppendUint64(key, word)
+	}
+	return key[:KeyLen(width)]
+}
+
+// TestFreezeRowsMatchesFreeze pins FreezeRows to the map build it
+// replaces, fed each row's KeyLen(width)-byte key: the same bytes
+// written, the same size and the same slot table, for widths from zero
+// to three words — keys of every length from 0 to 8 bytes, and of 16 and
+// 24.
+func TestFreezeRowsMatchesFreeze(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, width := range []int{0, 1, 5, 8, 9, 13, 20, 28, 36, 45, 56, 57, 63, 64, 65, 128, 130, 192} {
+		for _, n := range []int{0, 1, 7, 500} {
+			rows := randomRows(rng, n, width)
 			ix := New()
 			for id := range n {
-				row := pool[rng.Intn(len(pool))]
-				rows = append(rows, row...)
-				ix.Add(bitvec.FromWordsSharedUnchecked(64*w, row).Key(), int32(id))
+				ix.Add(string(rowKey(rows, width, id)), int32(id))
 			}
-			want, got := ix.Freeze(), FreezeRows(n, w, rows)
+			want, got := ix.Freeze(), FreezeRows(n, width, rows)
 			if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
-				t.Fatalf("w=%d n=%d: FreezeRows writes other bytes than Freeze", w, n)
+				t.Fatalf("width=%d n=%d: FreezeRows writes other bytes than Freeze", width, n)
 			}
 			if got.SizeBytes() != want.SizeBytes() || !equalIDs(got.slots, want.slots) {
-				t.Fatalf("w=%d n=%d: size %d vs %d, or the slot tables differ", w, n, got.SizeBytes(), want.SizeBytes())
+				t.Fatalf("width=%d n=%d: size %d vs %d, or the slot tables differ", width, n, got.SizeBytes(), want.SizeBytes())
 			}
+		}
+	}
+}
+
+// TestEveryKeyWidth: a partition of w ≤ 64 bits keeps ⌈w/8⌉-byte keys
+// and the zero pad after them, a wider one whole words; at every width
+// the lookups by word, by bytes, by string and in a batch find the same
+// entry, the key scan and the histogram agree with brute force over the
+// rows, the section round-trips through WriteTo and ReadFrozen, and
+// SizeBytes is the serialized arenas plus the slot table.
+func TestEveryKeyWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	widths := []int{65, 100, 128}
+	for w := 1; w <= 64; w++ {
+		widths = append(widths, w)
+	}
+	const n = 200
+	for _, width := range widths {
+		words := (width + 63) / 64
+		rows := randomRows(rng, n, width)
+		f := FreezeRows(n, width, rows)
+		keyLen := 8 * words
+		if width <= 64 {
+			keyLen = (width + 7) / 8
+		}
+		if f.keyLen != keyLen || KeyLen(width) != keyLen {
+			t.Fatalf("width %d: %d-byte keys (KeyLen %d), want %d", width, f.keyLen, KeyLen(width), keyLen)
+		}
+		pad := f.keyArena[keyLen*f.NumKeys():]
+		if want := max(0, 8-keyLen); len(pad) != want || !bytes.Equal(pad, make([]byte, want)) {
+			t.Fatalf("width %d: the keys are followed by % x, want %d zero bytes", width, pad, want)
+		}
+
+		// Lookups: every row's key, and keys no row has — one with a bit
+		// past the width, which a word lookup must not find under the key
+		// its low bytes spell.
+		var batch []*Frozen
+		var probes []uint64
+		for id := range n + 50 {
+			key := rowKey(rows, width, id%n)
+			if id >= n {
+				key[rng.Intn(len(key))] ^= byte(1) << rng.Intn(8)
+			}
+			e := f.lookupBytes(key)
+			if id < n && e < 0 {
+				t.Fatalf("width %d: row %d's key not found", width, id)
+			}
+			if s := f.lookupString(string(key)); s != e {
+				t.Fatalf("width %d: key % x: bytes find %d, string %d", width, key, e, s)
+			}
+			if e >= 0 && !slices.Contains(f.appendList(e, nil), int32(id%n)) && id < n {
+				t.Fatalf("width %d: row %d's key lists %v", width, id, f.appendList(e, nil))
+			}
+			if width > 64 {
+				continue
+			}
+			var word [8]byte
+			copy(word[:], key)
+			k := binary.LittleEndian.Uint64(word[:])
+			if got := f.lookupWord(k); got != e || hashWord(keyLen, k) != hashKey(key) {
+				t.Fatalf("width %d: key %#x: word lookup %d, byte lookup %d, or the hashes differ", width, k, got, e)
+			}
+			if width < 64 {
+				if got := f.lookupWord(k | 1<<width); got >= 0 {
+					t.Fatalf("width %d: key %#x with bit %d set found as entry %d", width, k, width, got)
+				}
+				probes = append(probes, k|1<<width)
+				batch = append(batch, f)
+			}
+			probes = append(probes, k)
+			batch = append(batch, f)
+		}
+		if width <= 64 {
+			entries, counts := make([]int32, len(batch)), make([]uint32, len(batch))
+			LookupWords(batch, probes, entries, counts)
+			for i, k := range probes {
+				if e := f.lookupWord(k); int(entries[i]) != e || int(counts[i]) != f.count(e) {
+					t.Fatalf("width %d: key %#x: batch entry %d count %d, word lookup %d count %d", width, k, entries[i], counts[i], e, f.count(e))
+				}
+			}
+		}
+
+		// The key scan and the histogram against the rows themselves.
+		q := make([]uint64, words)
+		copy(q, rows[rng.Intn(n)*words:])
+		q[0] ^= 1 << rng.Intn(min(width, 64))
+		dist := func(id int) int {
+			d := 0
+			for j := range q {
+				d += bits.OnesCount64(rows[id*words+j] ^ q[j])
+			}
+			return d
+		}
+		hist := make([]int64, 64*words+1)
+		f.Histogram(q, hist)
+		want := make([]int64, len(hist))
+		for id := range n {
+			want[dist(id)]++
+		}
+		if !slices.Equal(hist, want) {
+			t.Fatalf("width %d: histogram %v, the rows' distances %v", width, hist, want)
+		}
+		for _, radius := range []int{0, 1, 2, width / 2, width} {
+			set := IDSet{Seen: make([]uint64, (n+63)/64)}
+			sum := f.CollectWithin(q, radius, &set)
+			var ids []int32
+			for id := range n {
+				if dist(id) <= radius {
+					ids = append(ids, int32(id))
+				}
+			}
+			slices.Sort(set.IDs)
+			if sum != int64(len(ids)) || !slices.Equal(set.IDs, ids) {
+				t.Fatalf("width %d radius %d: the scan decoded %d postings into %v, the rows say %v", width, radius, sum, set.IDs, ids)
+			}
+		}
+
+		// The section, written and read back, is the same section.
+		raw := frozenBytes(f)
+		g, err := ReadFrozen(binio.NewReader(bytes.NewReader(raw)), n)
+		if err == nil {
+			// ReadFrozen validated at no width; the width check alone.
+			err = g.validateContent(width)
+		}
+		if err != nil {
+			t.Fatalf("width %d: the written section is rejected: %v", width, err)
+		}
+		if !bytes.Equal(frozenBytes(g), raw) || g.SizeBytes() != f.SizeBytes() {
+			t.Fatalf("width %d: the section read back writes other bytes, or sizes %d against %d", width, g.SizeBytes(), f.SizeBytes())
+		}
+		kb, pb, ob, sb := f.ArenaBreakdown()
+		align := func(x int64) int64 { return (x + 7) &^ 7 }
+		serialized := align(align(5*8+kb+pb)+4*int64(f.NumKeys()+1)) + 4*int64(f.NumKeys())
+		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+sb+frozenStructBytes || sb != 4*int64(len(f.slots)) {
+			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and slots %d",
+				width, len(raw), serialized, f.SizeBytes(), kb+pb+ob+sb+frozenStructBytes)
 		}
 	}
 }

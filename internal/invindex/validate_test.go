@@ -14,8 +14,8 @@ import (
 
 // The reference: the content tier as it ran before the one-word fast
 // path — every key compared with bytes.Compare, every list walked, and
-// the key widths checked in a pass of their own behind both. The fast
-// path keeps every check; these keep it honest about that.
+// the key widths checked a bit at a time in a pass of their own behind
+// both. The fast path keeps every check; these keep it honest about that.
 
 func refValidate(f *Frozen, width int) error {
 	numKeys := f.NumKeys()
@@ -38,6 +38,13 @@ func refValidate(f *Frozen, width int) error {
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
 	}
+	if f.keyLen > 0 {
+		for i, b := range f.keyArena[f.keyLen*numKeys:] {
+			if b != 0 {
+				return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
+			}
+		}
+	}
 	prevKey := []byte(nil)
 	for e := 0; e < numKeys; e++ {
 		k := f.key(e)
@@ -56,14 +63,19 @@ func refValidate(f *Frozen, width int) error {
 	if width < 0 {
 		return nil
 	}
-	words, tail := (width+63)/64, uint(width%64)
+	packed := (width + 7) / 8 // a partition of up to 64 bits keeps its bytes,
+	if width > 64 {
+		packed = 8 * ((width + 63) / 64) // a wider one whole words
+	}
 	for e := range f.counts {
 		key := f.key(e)
-		if len(key) != 8*words {
-			return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, 8*words)
+		if len(key) != packed {
+			return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, packed)
 		}
-		if tail != 0 && binary.LittleEndian.Uint64(key[len(key)-8:])>>tail != 0 {
-			return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
+		for bit := width; bit < 8*len(key); bit++ {
+			if key[bit/8]>>(bit%8)&1 != 0 {
+				return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
+			}
 		}
 	}
 	return nil
@@ -129,16 +141,25 @@ func sameVerdict(t testing.TB, data []byte, maxID int32, width int, what string)
 }
 
 // wordKey is the 8-byte little-endian key holding w.
-func wordKey(w uint64) string {
+func wordKey(w uint64) string { return narrowKey(w, 8) }
+
+// narrowKey is the n-byte little-endian key holding w.
+func narrowKey(w uint64, n int) string {
 	var k [8]byte
 	binary.LittleEndian.PutUint64(k[:], w)
-	return string(k[:])
+	return string(k[:n])
 }
 
 // handFrozen serializes a section made by hand — keys in the order
 // given, each with its posting bytes and the count it claims — so a test
-// can hold exactly the corruption it means to.
+// can hold exactly the corruption it means to. Keys shorter than a word
+// get the zero pad Freeze writes.
 func handFrozen(keys []string, lists [][]byte, counts []uint32) []byte {
+	return handFrozenPad(keys, lists, counts, make([]byte, keyPad(len(keys[0]), len(keys))))
+}
+
+// handFrozenPad is handFrozen with the bytes after the keys given.
+func handFrozenPad(keys []string, lists [][]byte, counts []uint32, pad []byte) []byte {
 	f := &Frozen{keyLen: len(keys[0]), postOffs: []uint32{0}}
 	for i, k := range keys {
 		f.keyArena = append(f.keyArena, k...)
@@ -147,6 +168,7 @@ func handFrozen(keys []string, lists [][]byte, counts []uint32) []byte {
 		f.counts = append(f.counts, counts[i])
 		f.postings += int64(counts[i])
 	}
+	f.keyArena = append(f.keyArena, pad...)
 	return frozenBytes(f)
 }
 
@@ -174,23 +196,23 @@ func fastPathSeeds() []struct {
 		}
 		return b
 	}
-	return []struct {
+	seeds := []struct {
 		name  string
 		data  []byte
 		maxID int32
 		width int
 	}{
-		{"a multi-byte varint ending a list", handFrozen([]string{wordKey(1)}, [][]byte{append(id(0), id(300)...)}, []uint32{2}), 301, 8},
-		{"a list cut inside its last varint", one([]string{wordKey(1)}, [][]byte{{0xac}}), 301, 8},
+		{"a multi-byte varint ending a list", handFrozen([]string{wordKey(1)}, [][]byte{append(id(0), id(300)...)}, []uint32{2}), 301, 64},
+		{"a list cut inside its last varint", one([]string{wordKey(1)}, [][]byte{{0xac}}), 301, 64},
 		// Five bytes carry 35 bits: past 32 the value fails the id range, and
 		// a sixth byte is what the framing check is for.
-		{"a 5-byte varint overflowing 32 bits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x7f}}), math.MaxInt32, 8},
-		{"a 6-byte varint", one([]string{wordKey(1)}, [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x00}}), math.MaxInt32, 8},
-		{"a 5-byte varint that fits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x06}}), math.MaxInt32, 8},
-		{"id = maxID", one([]string{wordKey(1)}, [][]byte{id(40)}), 40, 8},
-		{"id = maxID − 1", one([]string{wordKey(1)}, [][]byte{id(39)}), 40, 8},
-		{"a count one over its list", handFrozen([]string{wordKey(1)}, [][]byte{id(3)}, []uint32{2}), 40, 8},
-		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, [][]byte{id(0), id(1)}), 2, 8},
+		{"a 5-byte varint overflowing 32 bits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x7f}}), math.MaxInt32, 64},
+		{"a 6-byte varint", one([]string{wordKey(1)}, [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x00}}), math.MaxInt32, 64},
+		{"a 5-byte varint that fits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x06}}), math.MaxInt32, 64},
+		{"id = maxID", one([]string{wordKey(1)}, [][]byte{id(40)}), 40, 64},
+		{"id = maxID − 1", one([]string{wordKey(1)}, [][]byte{id(39)}), 40, 64},
+		{"a count one over its list", handFrozen([]string{wordKey(1)}, [][]byte{id(3)}, []uint32{2}), 40, 64},
+		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, [][]byte{id(0), id(1)}), 2, 64},
 		// Byte 7 is the big end of the little-endian word and the last
 		// byte bytes.Compare reaches; byte 0 the other way round. A compare
 		// of the words as the key scans load them orders these backwards.
@@ -198,39 +220,73 @@ func fastPathSeeds() []struct {
 		{"keys differing only in byte 7, descending", one([]string{wordKey(1 | 1<<56), wordKey(1)}, [][]byte{id(0), id(1)}), 2, 64},
 		{"keys differing only in byte 0, ascending", one([]string{wordKey(1 << 56), wordKey(1 | 1<<56)}, [][]byte{id(0), id(1)}), 2, 64},
 		{"keys differing only in byte 0, descending", one([]string{wordKey(1 | 1<<56), wordKey(1 << 56)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"ascending by byte, descending as words", one([]string{wordKey(0x0100), wordKey(0x0001)}, [][]byte{id(0), id(1)}), 2, 16},
-		{"ascending as words, descending by byte", one([]string{wordKey(0x0001), wordKey(0x0100)}, [][]byte{id(0), id(1)}), 2, 16},
-		{"a key bit at the partition width", one([]string{wordKey(1 << 13)}, [][]byte{id(0)}), 1, 13},
-		{"a key bit just inside the partition width", one([]string{wordKey(1 << 12)}, [][]byte{id(0)}), 1, 13},
-		{"a key bit at the width behind a bad list", one([]string{wordKey(1 << 13), wordKey(1<<13 | 1<<8)}, [][]byte{id(0), {0x80}}), 2, 13},
+		{"ascending by byte, descending as words", one([]string{wordKey(0x0100), wordKey(0x0001)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"ascending as words, descending by byte", one([]string{wordKey(0x0001), wordKey(0x0100)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"a key bit at the partition width", one([]string{wordKey(1 << 61)}, [][]byte{id(0)}), 1, 61},
+		{"a key bit just inside the partition width", one([]string{wordKey(1 << 60)}, [][]byte{id(0)}), 1, 61},
+		{"a key bit at the width behind a bad list", one([]string{wordKey(1 << 61), wordKey(1<<61 | 1<<8)}, [][]byte{id(0), {0x80}}), 2, 61},
 		{"one-word keys judged as two-word projections", one([]string{wordKey(1)}, [][]byte{id(0)}), 1, 70},
 
 		// The list pass judges a list of up to 8 bytes from the word at its
 		// start, a longer one a word at a time, and a list whose word would
 		// cross the arena's end a byte at a time.
 		{"a one-id list in the arena's last 8 bytes", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{id(300), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 400, 8},
+			[][]byte{id(300), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 400, 64},
 		{"a list whose window crosses the arena's end", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 1), id(300)}, []uint32{8, 1}), 400, 8},
+			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 1), id(300)}, []uint32{8, 1}), 400, 64},
 		{"a several-id list of exactly 8 bytes", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611, 8},
+			[][]byte{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611, 64},
 		{"a several-id list of 9 bytes", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616, 8},
+			[][]byte{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616, 64},
 		{"a count of 1 over two varints", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 40, 8},
+			[][]byte{ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 40, 64},
 		{"two ids summing to maxID − 1", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301, 8},
+			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301, 64},
 		{"two ids summing to maxID", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300, 8},
+			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300, 64},
 		{"a five-byte continuation run inside an 8-byte window", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, id(1)}, []uint32{2, 1}), math.MaxInt32, 8},
+			[][]byte{{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, id(1)}, []uint32{2, 1}), math.MaxInt32, 64},
 		{"a five-byte continuation run across a long list's words", handFrozen([]string{wordKey(1)},
-			[][]byte{append(ids(1, 1, 1, 1, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{6}), math.MaxInt32, 8},
+			[][]byte{append(ids(1, 1, 1, 1, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{6}), math.MaxInt32, 64},
 		{"a varint split across a long list's words", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008, 8},
+			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008, 64},
 		{"a varint split across a long list's words, last id = maxID", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007, 8},
+			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007, 64},
+
+		// Keys shorter than a word are loaded a word at a time too, the
+		// bytes past each key masked off: the next key's, or the pad's.
+		{"a key bit at the partition width, 2-byte keys", one([]string{narrowKey(1<<13, 2)}, [][]byte{id(0)}), 1, 13},
+		{"a key bit just inside the partition width, 2-byte keys", one([]string{narrowKey(1<<12, 2)}, [][]byte{id(0)}), 1, 13},
+		{"a key bit at the width of a partition of one byte", one([]string{narrowKey(1<<7, 1)}, [][]byte{id(0)}), 1, 7},
+		{"2-byte keys differing only in byte 1, descending", one([]string{narrowKey(1|1<<8, 2), narrowKey(1, 2)}, [][]byte{id(0), id(1)}), 2, 16},
+		{"2-byte keys ascending by byte, descending as words", one([]string{narrowKey(0x0100, 2), narrowKey(0x0001, 2)}, [][]byte{id(0), id(1)}), 2, 16},
+		// Unmasked, the first load reads 01 00 01 00 ff ff and the second
+		// 01 00 ff ff 00 00: ascending, where the keys are equal.
+		{"equal adjacent 2-byte keys before a larger one", one([]string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, [][]byte{id(0), id(1), id(2)}), 3, 16},
+		{"2-byte keys judged as a 40-bit projection", one([]string{narrowKey(1, 2)}, [][]byte{id(0)}), 1, 40},
+		{"5-byte keys judged as a 64-bit projection", one([]string{narrowKey(1, 5)}, [][]byte{id(0)}), 1, 64},
 	}
+	// Every key length shorter than a word, with its pad as Freeze writes
+	// it, with a pad byte set, and with no pad at all.
+	for kl := 1; kl < 8; kl++ {
+		keys := []string{narrowKey(1, kl), narrowKey(2, kl)}
+		lists := [][]byte{id(0), ids(1, 300)}
+		counts := []uint32{1, 2}
+		set := make([]byte, 8-kl)
+		set[len(set)-1] = 1
+		for _, p := range []struct {
+			what string
+			pad  []byte
+		}{{"pad intact", make([]byte, 8-kl)}, {"pad nonzero", set}, {"pad missing", nil}} {
+			seeds = append(seeds, struct {
+				name  string
+				data  []byte
+				maxID int32
+				width int
+			}{fmt.Sprintf("%d-byte keys, %s", kl, p.what), handFrozenPad(keys, lists, counts, p.pad), 302, 8*kl - 1})
+		}
+	}
+	return seeds
 }
 
 // TestFastPathsRejectWhatTheReferenceRejects: the seeds above, each
@@ -246,7 +302,7 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"keys differing only in byte 7, descending":                  "not strictly sorted at entry 1",
 		"keys differing only in byte 0, descending":                  "not strictly sorted at entry 1",
 		"ascending as words, descending by byte":                     "not strictly sorted at entry 1",
-		"a key bit at the partition width":                           "key 0 has bits set beyond dimension 13",
+		"a key bit at the partition width":                           "key 0 has bits set beyond dimension 61",
 		"a key bit at the width behind a bad list":                   "entry 1: truncated varint",
 		"one-word keys judged as two-word projections":               "key 0 is 8 bytes, a 70-bit projection packs to 16",
 		"a count of 1 over two varints":                              "entry 0 decodes 2 postings, count says 1",
@@ -254,9 +310,36 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"a five-byte continuation run inside an 8-byte window":       "entry 0: varint longer than 5 bytes",
 		"a five-byte continuation run across a long list's words":    "entry 0: varint longer than 5 bytes",
 		"a varint split across a long list's words, last id = maxID": "entry 0: posting id 20007 outside [0,20007)",
+		"a key bit at the partition width, 2-byte keys":              "key 0 has bits set beyond dimension 13",
+		"a key bit at the width of a partition of one byte":          "key 0 has bits set beyond dimension 7",
+		"2-byte keys differing only in byte 1, descending":           "not strictly sorted at entry 1",
+		"equal adjacent 2-byte keys before a larger one":             "not strictly sorted at entry 1",
+		"2-byte keys judged as a 40-bit projection":                  "key 0 is 2 bytes, a 40-bit projection packs to 5",
+		"5-byte keys judged as a 64-bit projection":                  "key 0 is 5 bytes, a 64-bit projection packs to 8",
 	}
-	for _, s := range fastPathSeeds() {
+	for kl := 1; kl < 8; kl++ {
+		wantErr[fmt.Sprintf("%d-byte keys, pad nonzero", kl)] = fmt.Sprintf("key arena pad byte %d is 0x1, not 0", 7-kl)
+	}
+	seeds := fastPathSeeds()
+	named := make(map[string]bool, len(seeds))
+	for _, s := range seeds {
+		named[s.name] = true
+	}
+	for name := range wantErr {
+		if !named[name] {
+			t.Errorf("wantErr names %q, which no seed is", name)
+		}
+	}
+	for _, s := range seeds {
 		f := readUnvalidated(s.data, s.maxID)
+		if strings.HasSuffix(s.name, "pad missing") {
+			// The header's key arena length counts the pad: the structural
+			// tier rejects a section without one before anything is read.
+			if _, err := ReadFrozen(binio.NewReader(bytes.NewReader(s.data)), s.maxID); f != nil || err == nil || !strings.Contains(err.Error(), "and the pad need") {
+				t.Errorf("%s: ReadFrozen says %v", s.name, err)
+			}
+			continue
+		}
 		if f == nil {
 			t.Fatalf("%s: the structural tier rejects the seed", s.name)
 		}
@@ -357,9 +440,10 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 }
 
 // TestValidateMatchesReferenceUnderMutation is the differential: every
-// single-byte mutation of small sections — one-word keys narrow and full
-// width, two-word keys, mixed-width deletion variants — and 10⁴ random
-// ones get the reference's verdict, down to the first failing entry.
+// single-byte mutation of small sections — keys of whole words narrow and
+// full width, keys of 1, 2, 3 and 5 bytes with their pads, two-word keys,
+// mixed-width deletion variants — and 10⁴ random ones get the reference's
+// verdict, down to the first failing entry.
 func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 	type section struct {
 		name  string
@@ -374,6 +458,11 @@ func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 	}{{40, 8, false}, {25, 64, false}, {20, 70, false}, {12, 9, true}} {
 		ix, _ := randomIndex(t, int64(c.w), c.n, c.w, c.variants)
 		sections = append(sections, section{fmt.Sprintf("n=%d w=%d variants=%v", c.n, c.w, c.variants), frozenBytes(ix.Freeze()), int32(c.n), c.w})
+	}
+	rng := rand.New(rand.NewSource(25))
+	for _, w := range []int{5, 13, 20, 36} {
+		const n = 20
+		sections = append(sections, section{fmt.Sprintf("n=%d w=%d narrow", n, w), frozenBytes(FreezeRows(n, w, randomRows(rng, n, w))), n, w})
 	}
 	for _, s := range fastPathSeeds() {
 		sections = append(sections, section{s.name, s.data, s.maxID, s.width})
@@ -392,7 +481,7 @@ func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(24))
+	rng = rand.New(rand.NewSource(24))
 	for i := 0; i < 10000; i++ {
 		s := sections[rng.Intn(len(sections))]
 		bad := bytes.Clone(s.data)

@@ -69,8 +69,13 @@ const (
 	backoffChunks = 8
 )
 
-// What a scan costs in internal/core's unit, the key-scan step (1.10–1.25
-// ns): bytes read over bytes a step moves, by BenchmarkScanKernels' lines.
+// What a scan costs in internal/core's unit, the key-scan step: bytes
+// read over bytes a step moves, by BenchmarkScanKernels' lines, fitted at
+// a step of 1.10–1.25 ns. The step is 0.85–1.05 ns on keys of ⌈w/8⌉
+// bytes, and there a dense row reads 0.19 steps against its 0.25 at
+// w = 2 and 0.57 against 0.5 at w = 4, a sparse one 0.08–0.12 against
+// 0.125 (BenchmarkPlanPrices): inside the spread the constants were
+// fitted over.
 const (
 	// "τ=dense/row" reads 16 B a row in 0.25–0.28 ns (w = 2) and 32 B in
 	// 0.55–0.58 (w = 4): 64 B a step. "w=2/τ=sparse/column" reads 8 B a row
