@@ -6,11 +6,17 @@
 package gph_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +120,80 @@ func BenchmarkBatchSearch(b *testing.B) {
 		if _, err := index.SearchBatch(queries, 12, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBaselineBuild measures what the baselines' inverted indexes
+// cost on the lib workloads' corpora (n = 20 000, built for τ = 16 on
+// the sift-like one and 8 on the uqvideo-like one): build_s and load_s
+// are the best of b.N — every baseline rebuilds its indexes on Load, so
+// a load pays the build again — index_mb is SizeBytes, and peak_rss_mb is
+// the process's resident high-water mark over the first build, from a
+// mark reset just before it (Linux; 0 where /proc/self/clear_refs is
+// refused).
+//
+//	go test -run '^$' -bench BaselineBuild -benchtime 5x .
+func BenchmarkBaselineBuild(b *testing.B) {
+	for _, c := range []struct {
+		corpus string
+		tau    int
+	}{{"sift", 16}, {"uqvideo", 8}} {
+		ds, err := datagen.ByName(c.corpus, 20000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range []string{"mih", "hmsearch", "partalloc", "lsh"} {
+			b.Run(c.corpus+"/"+name, func(b *testing.B) {
+				peakRSS := resetPeakRSS()
+				build, load, rss := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64), 0.0
+				var size int64
+				for i := 0; i < b.N; i++ {
+					start := time.Now()
+					e, err := gph.BuildEngine(name, ds.Vectors, gph.EngineOptions{Seed: 42, MaxTau: c.tau})
+					if err != nil {
+						b.Fatal(err)
+					}
+					build = min(build, time.Since(start))
+					if i == 0 {
+						rss = peakRSS()
+					}
+					var file bytes.Buffer
+					if err := e.Save(&file); err != nil {
+						b.Fatal(err)
+					}
+					start = time.Now()
+					if _, err := gph.LoadAny(&file); err != nil {
+						b.Fatal(err)
+					}
+					load, size = min(load, time.Since(start)), e.SizeBytes()
+				}
+				b.ReportMetric(build.Seconds(), "build_s")
+				b.ReportMetric(load.Seconds(), "load_s")
+				b.ReportMetric(float64(size)/(1<<20), "index_mb")
+				b.ReportMetric(rss, "peak_rss_mb")
+			})
+		}
+	}
+}
+
+// resetPeakRSS returns everything collected to the OS, resets the
+// process's resident high-water mark, and returns a function reading it
+// in MiB — 0 where the kernel offers neither.
+func resetPeakRSS() func() float64 {
+	runtime.GC()
+	debug.FreeOSMemory()
+	if os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) != nil {
+		return func() float64 { return 0 }
+	}
+	return func() float64 {
+		status, _ := os.ReadFile("/proc/self/status")
+		for _, line := range strings.Split(string(status), "\n") {
+			if kb, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+				n, _ := strconv.Atoi(strings.TrimSpace(strings.TrimSuffix(kb, "kB")))
+				return float64(n) / 1024
+			}
+		}
+		return 0
 	}
 }
 

@@ -54,6 +54,21 @@ func (t Table) Validate(maxTau int) error {
 	return nil
 }
 
+// Cumulate turns a distance histogram (hist[d] = vectors whose
+// projection lies at distance d) into a Table row: out[e+1] = CN(q, e),
+// the histogram's prefix sum, constant past its end; out[0], the e = −1
+// entry, is 0 — negative thresholds generate no candidates.
+func Cumulate(hist, out []int64) {
+	out[0] = 0
+	var cum int64
+	for ei := 1; ei < len(out); ei++ {
+		if d := ei - 1; d < len(hist) {
+			cum += hist[d]
+		}
+		out[ei] = cum
+	}
+}
+
 // Params carries the query-independent inputs of one allocation.
 type Params struct {
 	// Tau is the query threshold.

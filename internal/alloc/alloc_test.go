@@ -261,6 +261,29 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
+// TestCumulate: a histogram becomes a row Validate accepts — 0 at
+// e = −1, the prefix sums, constant once the histogram ends — for rows
+// from no threshold (maxTau = −1) to past the histogram's last bin.
+func TestCumulate(t *testing.T) {
+	hist := []int64{2, 0, 5, 1, 0, 3}
+	for _, maxTau := range []int{-1, 0, 1, 4, 5, 9} {
+		row := make([]int64, maxTau+2)
+		Cumulate(hist, row)
+		var cum int64
+		for e := 0; e <= maxTau; e++ {
+			if e < len(hist) {
+				cum += hist[e]
+			}
+			if row[e+1] != cum {
+				t.Fatalf("maxTau=%d: CN(%d) = %d, want %d", maxTau, e, row[e+1], cum)
+			}
+		}
+		if err := (Table{row}).Validate(maxTau); err != nil {
+			t.Fatalf("maxTau=%d: %v", maxTau, err)
+		}
+	}
+}
+
 func TestAllocatePanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -6,7 +6,6 @@ import (
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
-	"gph/internal/candest"
 	"gph/internal/engine"
 	"gph/internal/hamming"
 	"gph/internal/invindex"
@@ -395,7 +394,7 @@ func scanRow(inv *invindex.Frozen, proj []uint64, hist, out []int64) []int64 {
 	hist = slices.Grow(hist[:0], bins)[:bins]
 	clear(hist)
 	inv.Histogram(proj, hist)
-	candest.Cumulate(hist, out)
+	alloc.Cumulate(hist, out)
 	return hist
 }
 

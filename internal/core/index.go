@@ -113,12 +113,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	ix.inv = make([]*invindex.Frozen, parts.NumParts())
 	err = ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
 		dimsI := parts.Parts[i]
-		w := (len(dimsI) + bitvec.WordBits - 1) / bitvec.WordBits
-		rows := make([]uint64, len(data)*w)
-		for id, v := range data {
-			v.ProjectInto(dimsI, bitvec.FromWordsSharedUnchecked(len(dimsI), rows[id*w:(id+1)*w]))
-		}
-		ix.inv[i] = invindex.FreezeRows(len(data), len(dimsI), rows)
+		ix.inv[i] = invindex.FreezeRows(len(data), 1, len(dimsI), invindex.ProjectRows(data, dimsI))
 		return nil
 	})
 	if err != nil {

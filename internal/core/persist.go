@@ -208,9 +208,8 @@ func checkPartitionShape(inv *invindex.Frozen, dimsI []int, p, count int) error 
 	if inv.TotalPostings() != int64(count) {
 		return fmt.Errorf("core: partition %d holds %d postings for %d vectors", p, inv.TotalPostings(), count)
 	}
-	wantKeyLen := invindex.KeyLen(len(dimsI))
-	if minLen, maxLen := inv.KeyLenRange(); inv.NumKeys() > 0 && (minLen != wantKeyLen || maxLen != wantKeyLen) {
-		return fmt.Errorf("core: partition %d keys span %d..%d bytes, want %d", p, minLen, maxLen, wantKeyLen)
+	if want := invindex.KeyLen(len(dimsI)); inv.NumKeys() > 0 && inv.KeyLen() != want {
+		return fmt.Errorf("core: partition %d keys are %d bytes, want %d", p, inv.KeyLen(), want)
 	}
 	return nil
 }

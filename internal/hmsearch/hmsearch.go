@@ -116,13 +116,7 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 func buildInverted(data []bitvec.Vector, parts *partition.Partitioning) []*invindex.Frozen {
 	inv := make([]*invindex.Frozen, parts.NumParts())
 	for i, dimsI := range parts.Parts {
-		ii := invindex.New()
-		scratch := bitvec.New(len(dimsI))
-		for id, v := range data {
-			v.ProjectInto(dimsI, scratch)
-			ii.AddWithDeletionVariants(scratch, int32(id))
-		}
-		inv[i] = ii.Freeze()
+		inv[i] = invindex.FreezeVariants(len(data), len(dimsI), invindex.ProjectRows(data, dimsI))
 	}
 	return inv
 }
@@ -174,12 +168,20 @@ type searchScratch struct {
 	col     engine.Collector
 	proj    bitvec.Vector
 	r1      invindex.Radius1Scratch
+	inv     *invindex.Frozen // the partition being probed
 	bill    engine.Budget
 	sumPost int64
-	// collectFn is the radius-1 callback bound once per scratch (a
-	// method value allocates on every binding).
+	// visitFn and collectFn are the radius-1 callbacks, bound once per
+	// scratch (a method value allocates on every binding).
+	visitFn   func(e int) bool
 	collectFn func(id int32) bool
 }
+
+// visit decodes the posting list of one key of the radius-1 probe into
+// collect, and ends the probe where collect does.
+//
+//gph:hotpath
+func (s *searchScratch) visit(e int) bool { return s.inv.ForEachEntry(e, s.collectFn) }
 
 // collect bills one posting and merges it into the deduplicated
 // candidate set — or ends the probing, when it overdrew the budget.
@@ -203,7 +205,7 @@ func (ix *Index) getScratch() *searchScratch {
 	if s == nil {
 		s = &searchScratch{}
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
-		s.collectFn = s.collect
+		s.visitFn, s.collectFn = s.visit, s.collect
 	}
 	s.col.Reset(len(ix.data))
 	s.sumPost = 0
@@ -295,11 +297,13 @@ func (ix *Index) gather(q bitvec.Vector, bill engine.Budget, s *searchScratch, s
 	for i, dimsI := range ix.parts.Parts {
 		s.proj = s.proj.Resized(len(dimsI))
 		q.ProjectInto(dimsI, s.proj)
-		ix.inv[i].CollectRadius1Scratch(s.proj, &s.r1, s.collectFn)
+		s.inv = ix.inv[i]
+		s.inv.Radius1(s.proj.Words(), len(dimsI), &s.r1, s.visitFn)
 		if s.bill.Spent() {
 			break
 		}
 	}
+	s.inv = nil
 	st.Signatures, st.SumPostings = ix.numProbes(), s.sumPost
 	if s.bill.Spent() {
 		return false

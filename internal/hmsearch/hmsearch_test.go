@@ -3,7 +3,9 @@ package hmsearch
 import (
 	"testing"
 
+	"gph/internal/bitvec"
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 	"gph/internal/linscan"
 )
 
@@ -86,5 +88,54 @@ func TestIndexLargerThanPlainPostings(t *testing.T) {
 	}
 	if small.Len() != 300 {
 		t.Fatal("Len")
+	}
+}
+
+// TestVariantPositionsDoNotWrap: at 881 dimensions (PubChem's) and τ = 0
+// the one partition is 881 bits wide, and a deletion variant's key must
+// tell the dimension it deletes from that dimension plus 256. Kept in a
+// byte, the position wrapped: the variant of q deleting dimension 10 was
+// the variant of y deleting 266, and y — at distance 2, differing at
+// exactly those two — was a candidate, billed as a posting. The rest of
+// the collection is one far vector repeated: the scan's price is then
+// the dense one (every row's first word is the same) and, at this n,
+// above the query's 882 probes, so the index answers.
+func TestVariantPositionsDoNotWrap(t *testing.T) {
+	const dims, n = 881, 1450
+	q := bitvec.New(dims)
+	for d := 0; d < dims; d += 7 {
+		q.Set(d)
+	}
+	q.Set(10)
+	q.Clear(266)
+	y := q.Clone()
+	y.Flip(10)
+	y.Flip(266)
+	far := q.Clone()
+	for d := 0; d < dims; d += 2 {
+		far.Flip(d)
+	}
+	data := []bitvec.Vector{y}
+	for len(data) < n {
+		data = append(data, far)
+	}
+	ix, err := Build(data, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enginetest.OnIndex(t, ix, q, 0)
+	ids, st, err := ix.SearchStats(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 0 || st.Candidates != 0 || st.SumPostings != 0 {
+		t.Fatalf("y, at distance %d, is held under one of q's keys: %d results, %d candidates, %d postings",
+			q.Hamming(y), len(ids), st.Candidates, st.SumPostings)
+	}
+	// One flip from y, the variant deleting 10 holds it.
+	p := y.Clone()
+	p.Flip(10)
+	if _, st, err := ix.SearchStats(p, 0); err != nil || st.Scanned || st.Candidates != 1 {
+		t.Fatalf("a probe at distance 1 from y: %+v, %v", st, err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gph/internal/bitvec"
-	"gph/internal/candest"
 	"gph/internal/hamming"
 )
 
@@ -28,26 +27,16 @@ func wordKeys(rng *rand.Rand, n, width int) []uint64 {
 
 // freezeWords freezes an index holding one 8-byte key per word, key j
 // posting to id j.
-func freezeWords(keys []uint64) *Frozen {
-	ix := New()
-	var b [8]byte
-	for id, k := range keys {
-		binary.LittleEndian.PutUint64(b[:], k)
-		ix.Add(string(b[:]), int32(id))
-	}
-	return ix.Freeze()
-}
+func freezeWords(keys []uint64) *Frozen { return FreezeRows(len(keys), 1, 64, keys) }
 
 // projectionIndex freezes the projections of n random vectors onto w
-// dimensions and returns them with it: the way a GPH partition is built
-// when narrow — FreezeRows, KeyLen(w)-byte keys — and under their whole
-// words otherwise, as the map build of MIH keys them. Skewed draws most
-// bits zero, so few distinct keys carry long posting lists; otherwise
-// keys are near-distinct.
+// dimensions and returns them with it: in KeyLen(w)-byte keys when
+// narrow, as every build keys them, and otherwise under their whole
+// words, as builds did before keys were as wide as their partition.
+// Skewed draws most bits zero, so few distinct keys carry long posting
+// lists; otherwise keys are near-distinct.
 func projectionIndex(rng *rand.Rand, n, w int, skewed, narrow bool) (*Frozen, []bitvec.Vector) {
-	ix := New()
 	data := make([]bitvec.Vector, n)
-	var rows []uint64
 	for id := range data {
 		v := bitvec.New(w)
 		for d := 0; d < w; d++ {
@@ -57,14 +46,13 @@ func projectionIndex(rng *rand.Rand, n, w int, skewed, narrow bool) (*Frozen, []
 			}
 			v.SetBit(d, bit)
 		}
-		ix.Add(v.Key(), int32(id))
 		data[id] = v
-		rows = append(rows, v.Words()...)
 	}
-	if narrow {
-		return FreezeRows(n, w, rows), data
+	width := w
+	if !narrow {
+		width = 64 * ((w + 63) / 64)
 	}
-	return ix.Freeze(), data
+	return FreezeRows(n, 1, width, vectorRows(data)), data
 }
 
 // keyWord is entry e's key of at most 8 bytes as one zero-extended word.
@@ -75,24 +63,20 @@ func keyWord(f *Frozen, e int) uint64 {
 }
 
 // checkHistogram holds the histogram kernel to its two references: the
-// exact estimator built over the same vectors (what a built index used
-// to keep beside its frozen keys), and the distances themselves.
+// brute-force histogram of the keys the index was frozen from
+// (FuzzFreezeRows's oracle), and the distances of the vectors themselves.
 func checkHistogram(t *testing.T, f *Frozen, data []bitvec.Vector, q bitvec.Vector) []int64 {
 	t.Helper()
 	w := q.Dims()
 	hist := make([]int64, 64*len(q.Words())+1)
 	f.Histogram(q.Words(), hist)
-	dims := make([]int, w)
-	for d := range dims {
-		dims[d] = d
-	}
-	exact := candest.NewExact(data, dims).Histogram(q)
+	keys := bruteHistogram(len(data), 1, w, vectorRows(data), q.Words())
 	brute := make([]int64, len(hist))
 	for _, v := range data {
 		brute[v.Hamming(q)]++
 	}
-	if !slices.Equal(hist, brute) || !slices.Equal(hist[:w+1], exact) {
-		t.Fatalf("w=%d: frozen histogram %v, exact estimator %v, distances %v", w, hist, exact, brute)
+	if !slices.Equal(hist, brute) || !slices.Equal(hist, keys) {
+		t.Fatalf("w=%d: frozen histogram %v, the keys' %v, distances %v", w, hist, keys, brute)
 	}
 	return hist
 }
@@ -207,35 +191,32 @@ func keyDistance(key []byte, q []uint64) int {
 	return d
 }
 
-// TestCollectWithinMixedWidths: on a deletion-variant index, whose keys
-// mix widths, the scans match the keys that are len(q) words long and
-// no others, exactly as a byte probe would.
+// TestCollectWithinMixedWidths: keys and a query of different widths —
+// a one-word query against keys of two words, a two-word query against
+// keys of one — match nothing, in the scans as in a probe, and the
+// histogram counts nothing; the same keys at the query's own width match.
 func TestCollectWithinMixedWidths(t *testing.T) {
-	ix, sigs := randomIndex(t, 3, 60, 20, true)
-	f := ix.Freeze()
-	if minLen, maxLen := f.KeyLenRange(); minLen == maxLen {
-		t.Fatalf("variant index has uniform %d-byte keys", minLen)
-	}
-	q := sigs[0]
-	got := IDSet{Seen: make([]uint64, 1)}
-	f.CollectWithin(q.Words(), 3, &got)
-	var want []int32
-	for id, v := range sigs {
-		if v.Hamming(q) <= 3 {
-			want = append(want, int32(id))
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct{ width, queryWords int }{{100, 1}, {40, 2}, {8, 2}} {
+		const n = 60
+		rows := randomRows(rng, n, c.width)
+		f := FreezeRows(n, 1, c.width, rows)
+		q := make([]uint64, c.queryWords)
+		got := IDSet{Seen: make([]uint64, 1)}
+		hist := make([]int64, 64*len(q)+1)
+		f.Histogram(q, hist)
+		if sum := f.CollectWithin(q, 64*len(q), &got); sum != 0 || len(got.IDs) != 0 || slices.ContainsFunc(hist, func(c int64) bool { return c != 0 }) {
+			t.Fatalf("%d-bit keys, %d-word query: the scan matched %d postings, the histogram %v", c.width, c.queryWords, sum, hist)
+		}
+		own := make([]uint64, (c.width+63)/64)
+		if sum := f.CollectWithin(own, c.width, &got); sum != n {
+			t.Fatalf("%d-bit keys at their own width: the whole space holds %d of %d postings", c.width, sum, n)
 		}
 	}
-	slices.Sort(got.IDs)
-	if !slices.Equal(got.IDs, want) {
-		t.Fatalf("scan over mixed widths gathered %v, want %v", got.IDs, want)
-	}
-	// The histogram counts the same keys: the variants, a byte longer,
-	// contribute nothing.
-	checkHistogram(t, f, sigs, q)
 }
 
-// TestLookupFormsAgree: the word, byte and string lookups hash through
-// one function into one slot table, so they find the same entry for
+// TestLookupFormsAgree: the word and byte lookups hash through one
+// function into one slot table, so they find the same entry for
 // every key held and none for keys that are not — on keys of whole words
 // and on keys as narrow as their partition, where the hash is seeded by
 // the key's length and a word with a bit past the key's bytes is held
@@ -243,7 +224,7 @@ func TestCollectWithinMixedWidths(t *testing.T) {
 func TestLookupFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	keys := wordKeys(rng, 500, 40)
-	f, nf := freezeWords(keys), FreezeRows(len(keys), 40, keys)
+	f, nf := freezeWords(keys), FreezeRows(len(keys), 1, 40, keys)
 	if nf.keyLen != 5 {
 		t.Fatalf("40-bit keys take %d bytes", nf.keyLen)
 	}
@@ -258,14 +239,14 @@ func TestLookupFormsAgree(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[:], k)
 			key := b[:kl]
 			e := f.lookupWord(k)
-			if e < 0 || e != f.lookupBytes(key) || e != f.lookupString(string(key)) {
-				t.Fatalf("%d-byte key %#x: word %d, bytes %d, string %d", kl, k, e, f.lookupBytes(key), f.lookupString(string(key)))
+			if e < 0 || e != f.lookupBytes(key) {
+				t.Fatalf("%d-byte key %#x: word %d, bytes %d", kl, k, e, f.lookupBytes(key))
 			}
 			if ids := f.appendList(e, nil); len(ids) != 1 || ids[0] != int32(id) {
 				t.Fatalf("%d-byte key %#x resolves to postings %v, want [%d]", kl, k, ids, id)
 			}
-			if hashWord(kl, k) != hashKey(key) || hashWord(kl, k) != hashKey(string(key)) {
-				t.Fatalf("%d-byte key %#x hashes differently as a word, bytes and a string", kl, k)
+			if hashWord(kl, k) != hashKey(key) {
+				t.Fatalf("%d-byte key %#x hashes differently as a word and as bytes", kl, k)
 			}
 			if f.lookupWord(k|1<<40) >= 0 || f.lookupWord(k|1<<63) >= 0 {
 				t.Fatalf("%d-byte key %#x found with a bit past the partition set", kl, k)
@@ -277,7 +258,7 @@ func TestLookupFormsAgree(t *testing.T) {
 				continue
 			}
 			binary.LittleEndian.PutUint64(b[:], k)
-			if f.lookupWord(k) >= 0 || (k < 1<<40 && (f.lookupBytes(b[:kl]) >= 0 || f.lookupString(string(b[:kl])) >= 0)) {
+			if f.lookupWord(k) >= 0 || (k < 1<<40 && f.lookupBytes(b[:kl]) >= 0) {
 				t.Fatalf("%d-byte keys: absent key %#x found", kl, k)
 			}
 			if f.PostingLenWord(k) != 0 {
@@ -285,18 +266,19 @@ func TestLookupFormsAgree(t *testing.T) {
 			}
 		}
 	}
-	// Where keys are not uniformly of one word or less — a variant index,
-	// an empty one — the word lookup answers through the byte path.
-	vix, sigs := randomIndex(t, 4, 40, 24, true)
-	vf := vix.Freeze()
-	for _, v := range sigs {
-		key := v.AppendKey(nil)
-		if e := vf.lookupWord(v.Words()[0]); e < 0 || e != vf.lookupBytes(key) {
+	// A deletion-variant index lists each projection under its exact key,
+	// the projection itself: the word lookup finds it. Where keys are wider
+	// than a word, or of no width, it finds nothing.
+	vf, _, _, vrows := randomIndex(t, 4, 40, 24, true)
+	for id := range 40 {
+		key := rowKey(vrows, variantWidth(24), id*25)
+		if e := vf.lookupWord(vrows[id*25]); e < 0 || e != vf.lookupBytes(key) {
 			t.Fatalf("variant index: word lookup %d, byte lookup %d", e, vf.lookupBytes(key))
 		}
 	}
-	if New().Freeze().lookupWord(7) >= 0 {
-		t.Fatal("empty index found a word key")
+	wide := FreezeRows(1, 1, 100, []uint64{7, 0})
+	if New().Freeze().lookupWord(7) >= 0 || wide.lookupWord(7) >= 0 {
+		t.Fatal("an index without one-word keys found a word key")
 	}
 	// The staged batch is the word lookup, position by position: over
 	// indexes of every kind at once — keys of whole words and narrow keys
@@ -309,7 +291,7 @@ func TestLookupFormsAgree(t *testing.T) {
 	for i := range chained {
 		chained[i] = uint64(i)
 	}
-	cf, ncf := freezeWords(chained), FreezeRows(len(chained), 12, chained)
+	cf, ncf := freezeWords(chained), FreezeRows(len(chained), 1, 12, chained)
 	displaced := func(f *Frozen) []uint64 {
 		var out []uint64
 		for _, k := range chained {
@@ -330,7 +312,7 @@ func TestLookupFormsAgree(t *testing.T) {
 	for i := range 40 {
 		fs = append(fs, f, f, nf, nf, cf, cf, ncf, ncf, lf, lf, nlf, nlf, vf, vf, New().Freeze(), nil)
 		words = append(words, keys[i], rng.Uint64(), keys[i], keys[i]|1<<40, cd[i], uint64(len(chained)+i), ncd[i], uint64(len(chained)+i),
-			lvecs[i].Words()[0], 1<<13|uint64(i), nlvecs[i].Words()[0], 1<<13|uint64(i), sigs[i].Words()[0], rng.Uint64(), keys[i], keys[i])
+			lvecs[i].Words()[0], 1<<13|uint64(i), nlvecs[i].Words()[0], 1<<13|uint64(i), vrows[i*25], rng.Uint64(), keys[i], keys[i])
 	}
 	const untouched = -7
 	entries, counts := make([]int32, len(fs)), make([]uint32, len(fs))
@@ -383,14 +365,8 @@ func TestLookupFormsAgree(t *testing.T) {
 		t.Fatalf("a staged lookup and its collects allocate %v times", allocs)
 	}
 
-	// Tails shorter than a word and keys of several words hash by the
-	// same rule whatever the form.
-	for _, key := range []string{"", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "a\x00", "a\x00\x00"} {
-		if hashKey(key) != hashKey([]byte(key)) {
-			t.Fatalf("key %q hashes differently as bytes and as a string", key)
-		}
-	}
-	if hashKey("a") == hashKey("a\x00") || hashKey("a\x00") == hashKey("a\x00\x00") {
+	// A tail's zero bytes count.
+	if a, a0, a00 := hashKey([]byte("a")), hashKey([]byte("a\x00")), hashKey([]byte("a\x00\x00")); a == a0 || a0 == a00 {
 		t.Fatal("a tail's zero bytes do not count")
 	}
 }
@@ -431,7 +407,7 @@ func TestSlotChainsShort(t *testing.T) {
 	} {
 		forms := []*Frozen{freezeWords(c.keys)}
 		if c.width > 0 {
-			forms = append(forms, FreezeRows(n, c.width, c.keys))
+			forms = append(forms, FreezeRows(n, 1, c.width, c.keys))
 		}
 		for _, f := range forms {
 			if len(f.slots) != 2*n {
@@ -465,7 +441,7 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	const n, width = 20000, 36
 	rng := rand.New(rand.NewSource(1))
 	keys := wordKeys(rng, n, width)
-	f := FreezeRows(n, width, keys)
+	f := FreezeRows(n, 1, width, keys)
 	set := IDSet{Seen: make([]uint64, (n+63)/64)}
 	absent := wordKeys(rng, n, width)
 	for i, k := range absent {

@@ -2,13 +2,11 @@ package invindex
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,40 +14,33 @@ import (
 	"gph/internal/bitvec"
 )
 
-// Frozen is the immutable, compact form of an Index: the post-build
-// query substrate every filter-and-refine engine probes. Where the
-// map form pays Go-runtime overhead per key (map buckets, string and
-// slice headers) and 4 bytes per posting, the frozen form stores
+// Frozen is the immutable, compact form of an inverted index: the
+// query substrate every filter-and-refine engine probes, built by
+// FreezeRows. It stores
 //
-//   - every distinct key concatenated, in lexicographic order, in one
-//     byte arena (offsets are pure arithmetic when all keys share one
-//     width — the common case — and an explicit array otherwise);
+//   - every distinct key, each keyLen bytes, concatenated in
+//     lexicographic order in one byte arena: key e starts at e·keyLen,
+//     so keys need no offsets;
 //   - every posting list delta-varint encoded — ids are ascending, so
 //     gaps are small and most postings cost 1–2 bytes — in a second
 //     arena (offsets in postOffs, lengths in counts);
 //   - an open-addressed hash table of entry indexes for O(1) probes.
 //
-// Lookups are allocation-free (byte keys hash and compare against the
-// arena directly), SizeBytes is exact arithmetic over the backing
-// slices rather than an estimate, and the arenas serialize as-is, so
-// loading a persisted frozen index is O(bytes) slicing; the hash
-// table is derived state, rebuilt lazily on the first probe.
+// Lookups are allocation-free (keys hash and compare against the arena
+// directly), SizeBytes is exact arithmetic over the backing slices
+// rather than an estimate, and the arenas serialize as-is, so loading a
+// persisted frozen index is O(bytes) slicing; the hash table is derived
+// state, rebuilt lazily on the first probe.
 //
-// A Frozen is immutable after Freeze/ReadFrozen and safe for
+// A Frozen is immutable after FreezeRows/ReadFrozen and safe for
 // concurrent use (the lazy slot build and deferred validation are
 // internally synchronized).
 type Frozen struct {
-	keyArena []byte // distinct keys, concatenated in sorted order
-	// keyLen > 0 marks the uniform-width fast path: every key is
-	// keyLen bytes and key e starts at e*keyLen, so no per-key offset
-	// array exists at all. Plain signature indexes (one fixed packed
-	// width per partition) always take it; only deletion-variant
-	// indexes mix widths and fall back to keyOffs.
-	keyLen    int
-	keyOffs   []uint32 // variable widths only: key e = keyArena[keyOffs[e]:keyOffs[e+1]]
+	keyArena  []byte   // distinct keys, concatenated in sorted order, then the pad (keyPad)
+	keyLen    int      // bytes a key, KeyLen of the projection's width
 	postArena []byte   // delta-varint posting lists, in key order
 	postOffs  []uint32 // len = keys+1; list e = postArena[postOffs[e]:postOffs[e+1]]
-	counts    []uint32 // postings per key, so PostingLen needs no decode
+	counts    []uint32 // postings per key, so PostingLenBytes needs no decode
 	postings  int64    // total postings across all keys
 
 	// The slot table is derived state (one deterministic hashing pass
@@ -74,55 +65,8 @@ type Frozen struct {
 // arenaLimit bounds each arena to what persistence can read back
 // (binio caps decoded slice lengths at MaxSliceLen, which is also
 // comfortably within what the uint32 offsets address) — an arena
-// Freeze accepts must never produce a file ReadFrozen rejects.
+// FreezeRows accepts must never produce a file ReadFrozen rejects.
 const arenaLimit = binio.MaxSliceLen
-
-// Freeze converts the build-time map into its frozen form. Keys are
-// laid out in lexicographic order, so the result is deterministic
-// regardless of map iteration order; posting lists are sorted
-// ascending (build paths insert ids in ascending order already, so
-// this is normally a no-op pass) to maximize delta compression.
-func (ix *Index) Freeze() *Frozen {
-	keys := ix.SortedKeys()
-	f := &Frozen{
-		keyArena: make([]byte, 0, ix.keyBytes+8),
-		postOffs: make([]uint32, 1, len(keys)+1),
-		counts:   make([]uint32, 0, len(keys)),
-		postings: ix.postings,
-		maxID:    math.MaxInt32, // ids are valid by construction
-	}
-	// Uniform-width detection: one fixed key width means key offsets
-	// are pure arithmetic and the per-key offset array is dropped.
-	uniform := len(keys) > 0
-	for _, k := range keys {
-		if len(k) != len(keys[0]) || len(k) == 0 {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		f.keyLen = len(keys[0])
-	} else {
-		f.keyOffs = make([]uint32, 1, len(keys)+1)
-	}
-	// Most deltas fit one varint byte; reserve accordingly and let
-	// append grow the arena on the outliers.
-	f.postArena = make([]byte, 0, ix.postings+int64(len(keys))*2)
-	var sorted []int32
-	for _, k := range keys {
-		f.keyArena = append(f.keyArena, k...)
-		ids := ix.post[k]
-		if !sort.SliceIsSorted(ids, func(a, b int) bool { return ids[a] < ids[b] }) {
-			sorted = append(sorted[:0], ids...)
-			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-			ids = sorted
-		}
-		f.addList(ids)
-	}
-	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.keyLen, len(keys)))...)
-	f.buildSlotsOnce()
-	return f
-}
 
 // KeyLen returns the bytes the key of a width-bit projection takes:
 // ⌈width/8⌉ for a partition of at most 64 bits — the projection's word
@@ -135,7 +79,7 @@ func KeyLen(width int) int {
 	return 8 * ((width + 63) / 64)
 }
 
-// keyPad returns how many zero bytes end a uniform arena of n keys of
+// keyPad returns how many zero bytes end an arena of n keys of
 // keyLen bytes: 8 − keyLen when keys are shorter than a word, so the
 // last key's 8-byte load stays in the arena, and none otherwise.
 func keyPad(keyLen, n int) int {
@@ -168,65 +112,49 @@ func (f *Frozen) addList(ids []int32) {
 	if int64(len(f.keyArena)) >= arenaLimit || int64(len(f.postArena)) >= arenaLimit {
 		panic("invindex: arena exceeds 2 GiB; shard the collection instead")
 	}
-	if f.keyLen == 0 {
-		f.keyOffs = append(f.keyOffs, uint32(len(f.keyArena)))
-	}
 	f.postOffs = append(f.postOffs, uint32(len(f.postArena)))
 	f.counts = append(f.counts, uint32(len(ids)))
+	f.postings += int64(len(ids))
 }
 
-// FreezeRows returns what Freeze returns for an Index built by adding,
-// in id order, each id in [0, n) under the key of its row of rows: n
-// rows of ⌈width/64⌉ words holding a width-bit projection (no bit set
-// at or past width), a row's key its KeyLen(width) low bytes in
-// little-endian order. It sorts the ids by key instead of filling a map
-// — the map's keys, buckets and one-id lists take megabytes a
-// partition, and a build runs one per worker.
-func FreezeRows(n, width int, rows []uint64) *Frozen {
+// FreezeRows is the one builder of a Frozen. rows holds n·per keys of
+// ⌈width/64⌉ words, each a width-bit projection (no bit set at or past
+// width), and key k belongs to id k/per: GPH, MIH, LSH and partition
+// refinement freeze one key an id, the deletion-variant engines w + 1
+// (FreezeVariants). A key is stored as its KeyLen(width) low bytes in
+// little-endian order, and lists, ascending and once each, the ids that
+// have it. The keys are sorted in place of a map — a map's keys,
+// buckets and one-id lists take megabytes a partition, and a build runs
+// one per worker.
+func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	w := (width + 63) / 64
-	if n == 0 || w == 0 {
-		ix := New()
-		for id := range n {
-			ix.Add("", int32(id))
-		}
-		return ix.Freeze()
+	keys := n * per
+	if len(rows) != keys*w || keys > math.MaxInt32 {
+		panic(fmt.Sprintf("invindex: %d words for %d ids of %d keys of %d words", len(rows), n, per, w))
 	}
-	if len(rows) != n*w {
-		panic(fmt.Sprintf("invindex: %d words for %d rows of %d", len(rows), n, w))
-	}
-	key := func(id int32) []uint64 { return rows[int(id)*w : (int(id)+1)*w] }
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := compareKeys(key(a), key(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	distinct := 1
-	for j := 1; j < n; j++ {
+	keyLen := KeyLen(width)
+	key := func(k int32) []uint64 { return rows[int(k)*w : (int(k)+1)*w] }
+	order := sortKeys(keys, w, keyLen, rows)
+	distinct := min(keys, 1)
+	for j := 1; j < keys; j++ {
 		if !slices.Equal(key(order[j]), key(order[j-1])) {
 			distinct++
 		}
 	}
-	keyLen := KeyLen(width)
 	f := &Frozen{
 		// A key shorter than a word is written as its whole word and cut
 		// back: the last one's word ends where the pad does.
 		keyArena:  make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct)),
 		keyLen:    keyLen,
-		postArena: make([]byte, 0, n+2*distinct),
+		postArena: make([]byte, 0, keys+2*distinct),
 		postOffs:  make([]uint32, 1, distinct+1),
 		counts:    make([]uint32, 0, distinct),
-		postings:  int64(n),
 		maxID:     math.MaxInt32, // ids are valid by construction
 	}
-	for j := 0; j < n; {
+	for j := 0; j < keys; {
 		k := key(order[j])
 		end := j + 1
-		for end < n && slices.Equal(key(order[end]), k) {
+		for end < keys && slices.Equal(key(order[end]), k) {
 			end++
 		}
 		start := len(f.keyArena)
@@ -234,7 +162,15 @@ func FreezeRows(n, width int, rows []uint64) *Frozen {
 			f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
 		}
 		f.keyArena = f.keyArena[:start+keyLen]
-		f.addList(order[j:end])
+		// The run's keys become its ids where they lie: an id is written
+		// no later than its key is read.
+		ids := order[j:j]
+		for _, kk := range order[j:end] {
+			if id := kk / int32(per); len(ids) == 0 || ids[len(ids)-1] != id {
+				ids = append(ids, id)
+			}
+		}
+		f.addList(ids)
 		j = end
 	}
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
@@ -242,15 +178,48 @@ func FreezeRows(n, width int, rows []uint64) *Frozen {
 	return f
 }
 
-// compareKeys orders two rows of key words as their little-endian bytes
-// order, which is the order of the words with their bytes reversed.
-func compareKeys(a, b []uint64) int {
-	for k, x := range a {
-		if x != b[k] {
-			return cmp.Compare(bits.ReverseBytes64(x), bits.ReverseBytes64(b[k]))
-		}
+// ProjectRows returns the rows FreezeRows takes for data projected onto
+// dims: one key an id, ⌈len(dims)/64⌉ words each.
+func ProjectRows(data []bitvec.Vector, dims []int) []uint64 {
+	w := (len(dims) + bitvec.WordBits - 1) / bitvec.WordBits
+	rows := make([]uint64, len(data)*w)
+	for id, v := range data {
+		v.ProjectInto(dims, bitvec.FromWordsSharedUnchecked(len(dims), rows[id*w:(id+1)*w]))
 	}
-	return 0
+	return rows
+}
+
+// sortKeys returns the numbers of the keys in rows — keys of w words,
+// keyLen bytes each read little-endian — in the lexicographic order of
+// their bytes, ties in number order: k/per grows with k, so each key's
+// ids come out ascending. It is a least-significant-digit radix sort, a
+// byte a pass from a key's last byte to its first, each pass stable; a
+// pass that finds every key holding one value in its byte moves nothing.
+func sortKeys(keys, w, keyLen int, rows []uint64) []int32 {
+	order, next := make([]int32, keys), make([]int32, keys)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for b := keyLen - 1; b >= 0; b-- {
+		word, shift := b/8, 8*uint(b%8)
+		var start [257]int // start[v+1] counts the keys whose byte is v, then sums to where they go
+		for _, k := range order {
+			start[rows[int(k)*w+word]>>shift&0xff+1]++
+		}
+		if slices.Contains(start[1:], keys) {
+			continue
+		}
+		for v := 1; v < len(start); v++ {
+			start[v] += start[v-1]
+		}
+		for _, k := range order {
+			v := rows[int(k)*w+word] >> shift & 0xff
+			next[start[v]] = k
+			start[v]++
+		}
+		order, next = next, order
+	}
+	return order
 }
 
 // hashMul is 2⁶⁴/φ rounded to odd, the usual multiplicative-hashing
@@ -274,10 +243,9 @@ func mix(h, w uint64) uint64 {
 // zero-extended word.
 func hashWord(keyLen int, w uint64) uint64 { return mix(uint64(keyLen), w) }
 
-// hashKey hashes a byte or string key a little-endian word at a time
-// (a shorter tail zero-extended), seeded with the length so a tail's
-// zero bytes count.
-func hashKey[K string | []byte](key K) uint64 {
+// hashKey hashes a key a little-endian word at a time (a shorter tail
+// zero-extended), seeded with the length so a tail's zero bytes count.
+func hashKey(key []byte) uint64 {
 	h := uint64(len(key))
 	i := 0
 	for ; i+8 <= len(key); i += 8 {
@@ -373,12 +341,7 @@ func (f *Frozen) buildSlots() {
 	f.slots = slots
 }
 
-func (f *Frozen) key(e int) []byte {
-	if f.keyLen > 0 {
-		return f.keyArena[e*f.keyLen : (e+1)*f.keyLen]
-	}
-	return f.keyArena[f.keyOffs[e]:f.keyOffs[e+1]]
-}
+func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyLen] }
 
 // lookupBytes returns the entry index for key, or −1.
 func (f *Frozen) lookupBytes(key []byte) int {
@@ -395,42 +358,13 @@ func (f *Frozen) lookupBytes(key []byte) int {
 	}
 }
 
-// lookupString is lookupBytes for string keys, kept separate so
-// neither form converts (and therefore allocates).
-func (f *Frozen) lookupString(key string) int {
-	f.ensureSlots()
-	mask := uint64(len(f.slots) - 1)
-	for h := hashKey(key) & mask; ; h = (h + 1) & mask {
-		e := f.slots[h]
-		if e < 0 {
-			return -1
-		}
-		if k := f.key(int(e)); len(k) == len(key) && eqString(k, key) {
-			return int(e)
-		}
-	}
-}
-
-func eqString(a []byte, b string) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // lookupWord is lookupBytes for the key holding w in its keyLen
 // little-endian bytes — the packed projection of a partition of at most
 // 64 bits — without the bytes: the word is hashed and compared as a
 // word. A w with a bit past the key's bytes is held under no key.
 func (f *Frozen) lookupWord(w uint64) int {
 	if !f.wordKeys() {
-		// Mixed widths, keys of several words or no keys at all: the byte
-		// path, with the 8-byte key, knows them all.
-		var key [8]byte
-		binary.LittleEndian.PutUint64(key[:], w)
-		return f.lookupBytes(key[:])
+		return -1 // keys of several words, or of none
 	}
 	f.ensureSlots()
 	kl, keep := f.keyLen, f.keyMask()
@@ -444,6 +378,25 @@ func (f *Frozen) lookupWord(w uint64) int {
 			return int(e)
 		}
 	}
+}
+
+// LookupKey returns the entry the key held in the little-endian words key
+// is under, −1 for none — an entry number as CollectEntry, EntryLen and
+// ForEachEntry take it: a key of one word is looked up by the word, a
+// wider one by its bytes, written into *buf, which the caller keeps from
+// call to call.
+//
+//gph:hotpath
+func (f *Frozen) LookupKey(key []uint64, buf *[]byte) int {
+	if len(key) == 1 {
+		return f.lookupWord(key[0])
+	}
+	b := (*buf)[:0]
+	for _, word := range key {
+		b = binary.LittleEndian.AppendUint64(b, word)
+	}
+	*buf = b
+	return f.lookupBytes(b)
 }
 
 // LookupWords is lookupWord for a batch, one index a position: entries[i]
@@ -489,38 +442,15 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 	}
 }
 
-// NumKeys returns the number of distinct keys (the map form's
-// DistinctKeys).
+// NumKeys returns the number of distinct keys.
 func (f *Frozen) NumKeys() int { return len(f.counts) }
 
-// KeyLenRange returns the smallest and largest key length present
-// (0, 0 when the index is empty). Loaders use it to validate that a
-// deserialized index's keys match the partition's packed-key width.
-func (f *Frozen) KeyLenRange() (minLen, maxLen int) {
-	if f.NumKeys() == 0 {
-		return 0, 0
-	}
-	if f.keyLen > 0 {
-		return f.keyLen, f.keyLen
-	}
-	for e := 0; e < f.NumKeys(); e++ {
-		l := int(f.keyOffs[e+1] - f.keyOffs[e])
-		if e == 0 || l < minLen {
-			minLen = l
-		}
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	return minLen, maxLen
-}
+// KeyLen returns the bytes each key takes. Loaders check it against the
+// partition's packed-key width, KeyLen(width).
+func (f *Frozen) KeyLen() int { return f.keyLen }
 
 // TotalPostings returns the total number of (key, id) pairs.
 func (f *Frozen) TotalPostings() int64 { return f.postings }
-
-// PostingLen returns the length of key's posting list without
-// decoding it; this is the |I_s| term of the paper's cost model.
-func (f *Frozen) PostingLen(key string) int { return f.count(f.lookupString(key)) }
 
 // count returns the length of entry e's posting list, 0 for e = −1 (a
 // lookup that found nothing).
@@ -531,9 +461,10 @@ func (f *Frozen) count(e int) int {
 	return int(f.counts[e])
 }
 
-// PostingLenBytes is PostingLen for a packed byte key: one hash of the
-// key into the slot table and one read of the stored count, no
-// posting byte touched. GPH's threshold allocation sums it over a
+// PostingLenBytes returns the length of the posting list of the packed
+// byte key without decoding it — the |I_s| term of the paper's cost
+// model: one hash of the key into the slot table and one read of the
+// stored count, no posting byte touched. GPH's threshold allocation sums it over a
 // Hamming ball to get an exact candidate number — CN(qᵢ, e) is by
 // definition Σ |I_s| over the radius-e ball of qᵢ.
 //
@@ -558,17 +489,6 @@ func (f *Frozen) AppendPostingsBytes(key []byte, dst []int32) []int32 {
 		return dst
 	}
 	return f.appendList(e, dst)
-}
-
-// Postings returns the decoded posting list for key (nil when
-// absent). The slice is freshly allocated; hot paths use
-// AppendPostingsBytes instead.
-func (f *Frozen) Postings(key string) []int32 {
-	e := f.lookupString(key)
-	if e < 0 {
-		return nil
-	}
-	return f.appendList(e, make([]int32, 0, f.counts[e]))
 }
 
 // uvarint32 reads the LEB128 varint at b[i:] and returns it with the
@@ -765,19 +685,13 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 
 // distance returns the Hamming distance between q and key e read as
 // len(q) little-endian words — the one way the key scans load a key
-// that is not known to fit a single word. ok is false for a key of any
-// other length, and for an entry whose offsets do not lie in the arena:
-// Histogram may run on an index whose deferred validation has not
-// passed.
+// that is not known to fit a single word. ok is false for keys of any
+// other length.
 func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
-	lo, n := e*f.keyLen, f.keyLen
-	if f.keyLen == 0 {
-		lo, n = int(f.keyOffs[e]), int(f.keyOffs[e+1]-f.keyOffs[e])
-	}
-	if n != 8*len(q) || lo+n > len(f.keyArena) {
+	if f.keyLen != 8*len(q) {
 		return 0, false
 	}
-	key := f.keyArena[lo : lo+n]
+	key := f.key(e)
 	for j, w := range q {
 		d += bits.OnesCount64(binary.LittleEndian.Uint64(key[8*j:]) ^ w)
 	}
@@ -851,9 +765,14 @@ func histStride(keys []byte, kl int, keep uint64, counts []uint32, q uint64, his
 	}
 }
 
-// forEachPosting decodes entry e calling fn per id until fn returns
-// false, materializing nothing; it reports whether fn never did.
-func (f *Frozen) forEachPosting(e int, fn func(id int32) bool) bool {
+// ForEachEntry calls fn for every id of entry e's posting list — an
+// entry number as LookupWords and Radius1 report it; −1 lists nothing —
+// in ascending order until fn returns false, materializing nothing; it
+// reports whether fn never did.
+func (f *Frozen) ForEachEntry(e int, fn func(id int32) bool) bool {
+	if e < 0 {
+		return true
+	}
 	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
 	var prev int32
 	for i := 0; i < len(b); {
@@ -867,13 +786,8 @@ func (f *Frozen) forEachPosting(e int, fn func(id int32) bool) bool {
 	return true
 }
 
-// ForEachPosting calls fn for every id in key's posting list (no-op
-// when the key is absent) until fn returns false, allocating nothing.
-func (f *Frozen) ForEachPosting(key string, fn func(id int32) bool) {
-	if e := f.lookupString(key); e >= 0 {
-		f.forEachPosting(e, fn)
-	}
-}
+// EntryLen returns the length of entry e's posting list, 0 for e = −1.
+func (f *Frozen) EntryLen(e int) int { return f.count(e) }
 
 // Range calls fn for every (key, postings) pair in lexicographic key
 // order until fn returns false. Both arguments are backed by reused
@@ -894,46 +808,10 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 	}
 }
 
-// CollectRadius1 gathers the ids of all indexed signatures within
-// Hamming distance 1 of sig, assuming the index was built with
-// AddWithDeletionVariants; see Index.CollectRadius1.
-func (f *Frozen) CollectRadius1(sig bitvec.Vector, fn func(id int32) bool) {
-	var s Radius1Scratch
-	f.CollectRadius1Scratch(sig, &s, fn)
-}
-
-// CollectRadius1Scratch is CollectRadius1 with caller-provided
-// scratch: variant keys build into the reused buffer, probe through
-// the allocation-free byte-key lookup, and decode straight into fn,
-// which ends the whole probe by returning false.
-//
-//gph:hotpath
-func (f *Frozen) CollectRadius1Scratch(sig bitvec.Vector, s *Radius1Scratch, fn func(id int32) bool) {
-	s.keyBuf = sig.AppendKey(s.keyBuf[:0])
-	if e := f.lookupBytes(s.keyBuf); e >= 0 && !f.forEachPosting(e, fn) {
-		return
-	}
-	s.masked = sig.CloneInto(s.masked)
-	for j := 0; j < sig.Dims(); j++ {
-		set := sig.Bit(j) == 1
-		if set {
-			s.masked.Clear(j)
-		}
-		s.keyBuf = append(s.keyBuf[:0], byte(j))
-		s.keyBuf = s.masked.AppendKey(s.keyBuf)
-		if e := f.lookupBytes(s.keyBuf); e >= 0 && !f.forEachPosting(e, fn) {
-			return
-		}
-		if set {
-			s.masked.Set(j)
-		}
-	}
-}
-
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
-// Frozen struct itself: six slice headers (24 bytes each) plus the
+// Frozen struct itself: five slice headers (24 bytes each) plus the
 // key-length and postings fields.
-const frozenStructBytes = 6*24 + 16
+const frozenStructBytes = 5*24 + 16
 
 // SizeBytes reports the exact resident size of the frozen index: the
 // two arenas, the offset/count/slot arrays, and the struct header.
@@ -944,15 +822,15 @@ const frozenStructBytes = 6*24 + 16
 // yet, so heap- and mmap-opened copies of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
 	return int64(len(f.keyArena)) + int64(len(f.postArena)) +
-		4*int64(len(f.keyOffs)+len(f.postOffs)+len(f.counts)+slotCount(f.NumKeys())) +
+		4*int64(len(f.postOffs)+len(f.counts)+slotCount(f.NumKeys())) +
 		frozenStructBytes
 }
 
 // WriteTo serializes the frozen index as its arenas and offset
 // arrays, verbatim; the slot table is rebuilt on read (one hashing
-// pass) rather than stored, and uniform-width indexes persist the
-// single key length instead of an offset array. Output is
-// deterministic for a given logical index.
+// pass) rather than stored, and the keys need no offsets: they have one
+// length, which the header carries. Output is deterministic for a given
+// logical index.
 //
 // The section is split in two halves a container may separate: a
 // scalar header carrying every length a reader needs (offset and count
@@ -982,10 +860,6 @@ func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 // order FrozenHeader.ReadPayload consumes them.
 func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	bw.Bytes(f.keyArena)
-	if f.keyLen == 0 {
-		bw.Align8()
-		bw.Uint32sRaw(f.keyOffs)
-	}
 	bw.Bytes(f.postArena)
 	bw.Align8()
 	bw.Uint32sRaw(f.postOffs)
@@ -1054,7 +928,7 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	if h.postArenaLen < 0 || int64(h.postArenaLen) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible posting arena length %d", h.postArenaLen)
 	}
-	if want := h.keyLen*h.numKeys + keyPad(h.keyLen, h.numKeys); h.keyLen > 0 && h.keyArenaLen != want {
+	if want := h.keyLen*h.numKeys + keyPad(h.keyLen, h.numKeys); h.keyArenaLen != want {
 		return h, fmt.Errorf("invindex: key arena holds %d bytes, %d keys × %d and the pad need %d",
 			h.keyArenaLen, h.numKeys, h.keyLen, want)
 	}
@@ -1078,10 +952,6 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 	f := &Frozen{keyLen: h.keyLen, postings: h.postings, maxID: h.maxID}
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")
-	if h.keyLen == 0 {
-		br.Align8()
-		f.keyOffs = br.Uint32sRaw(h.numKeys+1, "frozen key offsets")
-	}
 	f.postArena = br.BytesRaw(h.postArenaLen, "frozen posting arena")
 	br.Align8()
 	f.postOffs = br.Uint32sRaw(h.numKeys+1, "frozen posting offsets")
@@ -1123,17 +993,11 @@ func (f *Frozen) validateContent(width int) error {
 	// ReadPayload avoids at open, so they live here
 	// with the other page-touching checks; the length checks at read
 	// time keep this walk itself in-bounds.
-	if f.keyLen == 0 && len(f.keyOffs) > 0 && (f.keyOffs[0] != 0 || f.keyOffs[numKeys] != uint32(len(f.keyArena))) {
-		return fmt.Errorf("invindex: frozen key offsets do not span the arena")
-	}
 	if len(f.postOffs) > 0 && (f.postOffs[0] != 0 || f.postOffs[numKeys] != uint32(len(f.postArena))) {
 		return fmt.Errorf("invindex: frozen offsets do not span the arenas")
 	}
 	var total int64
 	for e := 0; e < numKeys; e++ {
-		if f.keyLen == 0 && f.keyOffs[e] > f.keyOffs[e+1] {
-			return fmt.Errorf("invindex: frozen key offsets not monotone at entry %d", e)
-		}
 		if f.postOffs[e] > f.postOffs[e+1] {
 			return fmt.Errorf("invindex: frozen offsets not monotone at entry %d", e)
 		}
@@ -1142,13 +1006,11 @@ func (f *Frozen) validateContent(width int) error {
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
 	}
-	if f.keyLen > 0 {
-		// The pad after keys shorter than a word (empty otherwise) is
-		// zero, as Freeze writes it: one file per index.
-		for i, b := range f.keyArena[f.keyLen*numKeys:] {
-			if b != 0 {
-				return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
-			}
+	// The pad after keys shorter than a word (empty otherwise) is zero, as
+	// FreezeRows writes it: one file per index.
+	for i, b := range f.keyArena[f.keyLen*numKeys:] {
+		if b != 0 {
+			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
 		}
 	}
 	// Per entry: its key against the one before, its key's width, its
@@ -1174,13 +1036,10 @@ func (f *Frozen) validateContent(width int) error {
 		return nil
 	}
 	var widthErr error
-	prevKey := []byte(nil)
 	for e := 0; e < numKeys; e++ {
-		k := f.key(e)
-		if prevKey != nil && bytes.Compare(prevKey, k) >= 0 {
+		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
 			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
 		}
-		prevKey = k
 		if width >= 0 && widthErr == nil {
 			widthErr = f.checkKeyWidth(e, width)
 		}
@@ -1442,5 +1301,5 @@ func validateList(b []byte, maxID int32) (int, error) {
 // -exp fig6) reports a GPH index's footprint by component from it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, offsetBytes, slotBytes int64) {
 	return int64(len(f.keyArena)), int64(len(f.postArena)),
-		4 * int64(len(f.keyOffs)+len(f.postOffs)+len(f.counts)), 4 * int64(slotCount(f.NumKeys()))
+		4 * int64(len(f.postOffs)+len(f.counts)), 4 * int64(slotCount(f.NumKeys()))
 }

@@ -3,134 +3,147 @@ package invindex
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
 )
 
-// randomIndex builds a map index over n random w-dim signatures,
-// optionally with deletion variants, returning the index and the
-// signatures. Ids are inserted in ascending order, as every real
-// build path does.
-func randomIndex(t *testing.T, seed int64, n, w int, variants bool) (*Index, []bitvec.Vector) {
+// randomIndex freezes n random w-dim signatures, one key each or with
+// their deletion variants, and returns the index, its key width and its
+// rows: per keys an id of ⌈width/64⌉ words, as FreezeRows took them.
+func randomIndex(t *testing.T, seed int64, n, w int, variants bool) (f *Frozen, width, per int, rows []uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ix := New()
 	sigs := make([]bitvec.Vector, n)
 	for i := range sigs {
-		v := bitvec.New(w)
-		for d := 0; d < w; d++ {
-			if rng.Intn(2) == 1 {
-				v.Set(d)
-			}
-		}
-		sigs[i] = v
-		if variants {
-			ix.AddWithDeletionVariants(v, int32(i))
-		} else {
-			ix.Add(v.Key(), int32(i))
+		sigs[i] = randomVector(rng, w)
+	}
+	proj := vectorRows(sigs)
+	if !variants {
+		return FreezeRows(n, 1, w, proj), w, 1, proj
+	}
+	// The keys FreezeVariants freezes: each projection, then its variants.
+	width, per = variantWidth(w), w+1
+	pw, kw := (w+63)/64, (width+63)/64
+	rows = make([]uint64, n*per*kw)
+	for id := range n {
+		keys := rows[id*per*kw : (id+1)*per*kw]
+		copy(keys[:kw], proj[id*pw:(id+1)*pw])
+		for j := range w {
+			setVariant(keys[(j+1)*kw:(j+2)*kw], keys[:kw], w, j)
 		}
 	}
-	return ix, sigs
+	return FreezeVariants(n, w, proj), width, per, rows
 }
 
-// TestFrozenMatchesMap is the differential guarantee behind the
-// frozen rollout: for random builds — including deletion-variant
-// keys — the frozen index returns identical postings for every key
-// the map form holds, reports identical aggregate counts, and misses
-// keys the map misses.
+// refPostings is the map a build used to fill: each key of rows, as
+// FreezeRows stores it, to the ids that have it, ascending, once each.
+func refPostings(n, per, width int, rows []uint64) map[string][]int32 {
+	post := map[string][]int32{}
+	for k := range n * per {
+		key := string(rowKey(rows, width, k))
+		if ids := post[key]; len(ids) == 0 || ids[len(ids)-1] != int32(k/per) {
+			post[key] = append(ids, int32(k/per))
+		}
+	}
+	return post
+}
+
+// TestFrozenMatchesMap is the differential guarantee behind the frozen
+// layout: for random builds — including deletion-variant keys — the
+// frozen index returns, by every lookup form, the postings a map from
+// each key to its ids holds, reports the same counts, and misses keys the
+// map misses.
 func TestFrozenMatchesMap(t *testing.T) {
 	for _, variants := range []bool{false, true} {
 		for seed := int64(0); seed < 5; seed++ {
-			ix, _ := randomIndex(t, seed, 80, 6+int(seed), variants)
-			f := ix.Freeze()
-			if f.NumKeys() != ix.DistinctKeys() || f.TotalPostings() != ix.TotalPostings() {
+			f, width, per, rows := randomIndex(t, seed, 80, 6+int(seed), variants)
+			ref := refPostings(80, per, width, rows)
+			total := 0
+			for _, ids := range ref {
+				total += len(ids)
+			}
+			if f.NumKeys() != len(ref) || f.TotalPostings() != int64(total) {
 				t.Fatalf("variants=%v seed=%d: keys %d/%d postings %d/%d", variants, seed,
-					f.NumKeys(), ix.DistinctKeys(), f.TotalPostings(), ix.TotalPostings())
+					f.NumKeys(), len(ref), f.TotalPostings(), total)
 			}
-			seen := 0
-			ix.Range(func(key string, want []int32) bool {
-				seen++
-				got := f.Postings(key)
-				if !equalIDs(got, want) {
-					t.Fatalf("variants=%v seed=%d key %q: frozen %v, map %v", variants, seed, key, got, want)
-				}
-				if f.PostingLen(key) != len(want) || f.PostingLenBytes([]byte(key)) != len(want) {
-					t.Fatalf("PostingLen mismatch for %q", key)
-				}
-				var viaBytes []int32
-				viaBytes = f.AppendPostingsBytes([]byte(key), viaBytes)
-				if !equalIDs(viaBytes, want) {
-					t.Fatalf("AppendPostingsBytes %v != %v", viaBytes, want)
-				}
+			for key, want := range ref {
+				var word [8]byte
+				copy(word[:], key)
+				e := f.lookupWord(binary.LittleEndian.Uint64(word[:]))
 				var viaFn []int32
-				f.ForEachPosting(key, func(id int32) bool { viaFn = append(viaFn, id); return true })
-				if !equalIDs(viaFn, want) {
-					t.Fatalf("ForEachPosting %v != %v", viaFn, want)
+				f.ForEachEntry(e, func(id int32) bool { viaFn = append(viaFn, id); return true })
+				if got := f.AppendPostingsBytes([]byte(key), nil); !slices.Equal(got, want) || !slices.Equal(viaFn, want) {
+					t.Fatalf("variants=%v seed=%d key %q: frozen %v and %v, map %v", variants, seed, key, got, viaFn, want)
 				}
-				return true
-			})
-			if seen != f.NumKeys() {
-				t.Fatalf("map holds %d keys, frozen %d", seen, f.NumKeys())
+				if f.PostingLenBytes([]byte(key)) != len(want) || f.EntryLen(e) != len(want) {
+					t.Fatalf("posting length mismatch for %q", key)
+				}
 			}
-			missing := "no such key"
-			if f.Postings(missing) != nil || f.PostingLen(missing) != 0 ||
-				len(f.AppendPostingsBytes([]byte(missing), nil)) != 0 {
+			missing := []byte("no such key")
+			if f.PostingLenBytes(missing) != 0 || len(f.AppendPostingsBytes(missing, nil)) != 0 {
 				t.Fatal("frozen answered a key the map never held")
 			}
 		}
 	}
 }
 
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestFrozenRadius1MatchesMap checks the deletion-variant probe path:
-// the frozen CollectRadius1 visits exactly the ids the map form
-// visits (same multiset — duplicates across variant keys included), and
-// a callback that returns false is not called again, on either form.
+// Radius1 visits exactly the ids the map holds under the probe's w + 1
+// keys (same multiset — duplicates across variant keys included), and a
+// probe whose visitor returns false is not called again.
 func TestFrozenRadius1MatchesMap(t *testing.T) {
-	ix, sigs := randomIndex(t, 11, 70, 8, true)
-	f := ix.Freeze()
-	for _, q := range sigs[:10] {
-		probe := q.Clone()
-		probe.Flip(2)
-		count := func(collect func(bitvec.Vector, func(int32) bool), stopAfter int) (map[int32]int, int) {
-			m, calls := map[int32]int{}, 0
-			collect(probe, func(id int32) bool { m[id]++; calls++; return calls != stopAfter })
-			return m, calls
-		}
-		want, total := count(ix.CollectRadius1, 0)
-		got, _ := count(f.CollectRadius1, 0)
-		if len(got) != len(want) {
-			t.Fatalf("radius-1 visited %d ids, map %d", len(got), len(want))
-		}
-		for id, n := range want {
-			if got[id] != n {
-				t.Fatalf("id %d visited %d times, map %d", id, got[id], n)
+	for _, w := range []int{8, 61} {
+		f, width, per, rows := randomIndex(t, 11, 70, w, true)
+		ref := refPostings(70, per, width, rows)
+		kw := (width + 63) / 64
+		for id := range 10 {
+			// A probe one bit from a stored projection: its exact key with
+			// bit 2 flipped, and that key's variants.
+			q := slices.Clone(rows[id*per*kw : (id*per+1)*kw])
+			q[0] ^= 1 << 2
+			keys := slices.Clone(q)
+			for j := range w {
+				keys = append(keys, make([]uint64, kw)...)
+				setVariant(keys[len(keys)-kw:], q, w, j)
 			}
-		}
-		for _, stopAfter := range []int{1, total / 2, total} {
-			if stopAfter == 0 {
-				continue
+			want, total := map[int32]int{}, 0
+			for k := range w + 1 {
+				for _, id := range ref[string(rowKey(keys, width, k))] {
+					want[id]++
+					total++
+				}
 			}
-			_, frozenCalls := count(f.CollectRadius1, stopAfter)
-			_, mapCalls := count(ix.CollectRadius1, stopAfter)
-			if frozenCalls != stopAfter || mapCalls != stopAfter {
-				t.Fatalf("a probe stopped at posting %d of %d went on to %d (frozen), %d (map)", stopAfter, total, frozenCalls, mapCalls)
+			count := func(stopAfter int) (map[int32]int, int) {
+				m, calls := map[int32]int{}, 0
+				var s Radius1Scratch
+				f.Radius1(q, w, &s, func(e int) bool {
+					return f.ForEachEntry(e, func(id int32) bool { m[id]++; calls++; return calls != stopAfter })
+				})
+				return m, calls
+			}
+			if got, _ := count(0); len(got) != len(want) {
+				t.Fatalf("w=%d: radius-1 visited %d ids, map %d", w, len(got), len(want))
+			} else {
+				for id, n := range want {
+					if got[id] != n {
+						t.Fatalf("w=%d: id %d visited %d times, map %d", w, id, got[id], n)
+					}
+				}
+			}
+			for _, stopAfter := range []int{1, total / 2, total} {
+				if stopAfter == 0 {
+					continue
+				}
+				if _, calls := count(stopAfter); calls != stopAfter {
+					t.Fatalf("w=%d: a probe stopped at posting %d of %d went on to %d", w, stopAfter, total, calls)
+				}
 			}
 		}
 	}
@@ -140,8 +153,7 @@ func TestFrozenRadius1MatchesMap(t *testing.T) {
 // reproduces the postings, and re-serializing the loaded form is
 // byte-identical.
 func TestFrozenRoundTrip(t *testing.T) {
-	ix, _ := randomIndex(t, 3, 90, 9, true)
-	f := ix.Freeze()
+	f, width, per, rows := randomIndex(t, 3, 90, 9, true)
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
 	f.WriteTo(bw)
@@ -154,12 +166,11 @@ func TestFrozenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Range(func(key string, want []int32) bool {
-		if got := g.Postings(key); !equalIDs(got, want) {
+	for key, want := range refPostings(90, per, width, rows) {
+		if got := g.AppendPostingsBytes([]byte(key), nil); !slices.Equal(got, want) {
 			t.Fatalf("key %q: loaded %v, want %v", key, got, want)
 		}
-		return true
-	})
+	}
 
 	var again bytes.Buffer
 	bw = binio.NewWriter(&again)
@@ -176,18 +187,11 @@ func TestFrozenRoundTrip(t *testing.T) {
 // and broken framing; both must fail cleanly instead of producing an
 // index that panics at query time.
 func TestReadFrozenRejectsCorruption(t *testing.T) {
-	ix, _ := randomIndex(t, 4, 50, 7, false)
-	f := ix.Freeze()
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	f.WriteTo(bw)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrozen(binio.NewReader(bytes.NewReader(buf.Bytes())), 10); err == nil {
+	f, _, _, _ := randomIndex(t, 4, 50, 7, false)
+	raw := frozenBytes(f)
+	if _, err := ReadFrozen(binio.NewReader(bytes.NewReader(raw)), 10); err == nil {
 		t.Fatal("ReadFrozen accepted ids beyond maxID")
 	}
-	raw := buf.Bytes()
 	trunc := raw[:len(raw)-3]
 	if _, err := ReadFrozen(binio.NewReader(bytes.NewReader(trunc)), 50); err == nil {
 		t.Fatal("ReadFrozen accepted a truncated stream")
@@ -201,25 +205,19 @@ func TestReadFrozenRejectsCorruption(t *testing.T) {
 // of length prefixes and struct headers.
 func TestFrozenSizeBytesMatchesSerialized(t *testing.T) {
 	for _, variants := range []bool{false, true} {
-		ix, _ := randomIndex(t, 9, 300, 10, variants)
-		f := ix.Freeze()
-		var buf bytes.Buffer
-		bw := binio.NewWriter(&buf)
-		f.WriteTo(bw)
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		f, _, _, _ := randomIndex(t, 9, 300, 10, variants)
+		raw := frozenBytes(f)
 		// Resident-only parts: the slot table plus the fixed struct
 		// overhead. Serialized-only parts: at most eight 8-byte
 		// length/count prefixes. Everything else must match exactly.
 		bound := 4*int64(len(f.slots)) + frozenStructBytes + 8*8
-		diff := f.SizeBytes() - int64(buf.Len())
+		diff := f.SizeBytes() - int64(len(raw))
 		if diff < 0 {
 			diff = -diff
 		}
 		if diff > bound {
 			t.Fatalf("variants=%v: SizeBytes %d vs serialized %d differ by %d, bound %d",
-				variants, f.SizeBytes(), buf.Len(), diff, bound)
+				variants, f.SizeBytes(), len(raw), diff, bound)
 		}
 	}
 }
@@ -227,26 +225,17 @@ func TestFrozenSizeBytesMatchesSerialized(t *testing.T) {
 // TestFrozenSmallerThanMapEstimate asserts the point of the posting
 // layout on a postings-heavy (PubChem-like skewed) workload: dense
 // ascending lists delta-encode to about a byte per posting, well under
-// the 4 bytes the build-time map's []int32 lists spend.
+// the 4 bytes an []int32 list spends.
 func TestFrozenSmallerThanMapEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ix := New()
 	// Skewed: few distinct signatures, long posting lists — the regime
 	// where posting bytes dominate and delta-varint pays off most.
-	keys := make([]string, 8)
-	for i := range keys {
-		v := bitvec.New(16)
-		for d := 0; d < 16; d++ {
-			if rng.Intn(2) == 1 {
-				v.Set(d)
-			}
-		}
-		keys[i] = v.Key()
+	keys := wordKeys(rng, 8, 16)
+	rows := make([]uint64, 20000)
+	for id := range rows {
+		rows[id] = keys[rng.Intn(len(keys))]
 	}
-	for id := int32(0); id < 20000; id++ {
-		ix.Add(keys[rng.Intn(len(keys))], id)
-	}
-	f := ix.Freeze()
+	f := FreezeRows(len(rows), 1, 16, rows)
 	_, postBytes, _, _ := f.ArenaBreakdown()
 	if postBytes*2 > 4*f.TotalPostings() {
 		t.Fatalf("postings arena %d should be ≥2× under 4 B/posting (%d)", postBytes, 4*f.TotalPostings())
@@ -254,23 +243,18 @@ func TestFrozenSmallerThanMapEstimate(t *testing.T) {
 }
 
 // TestFrozenEmpty covers the zero-key edge: lookups miss, iteration
-// is empty, round-trip works.
+// is empty, round-trip works — keys of no width and of some.
 func TestFrozenEmpty(t *testing.T) {
-	f := New().Freeze()
-	if f.NumKeys() != 0 || f.TotalPostings() != 0 {
-		t.Fatal("empty freeze not empty")
-	}
-	if f.Postings("x") != nil || f.PostingLenBytes([]byte{0}) != 0 {
-		t.Fatal("empty frozen answered a key")
-	}
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	f.WriteTo(bw)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrozen(binio.NewReader(&buf), 1); err != nil {
-		t.Fatal(err)
+	for _, f := range []*Frozen{New().Freeze(), FreezeRows(0, 1, 13, nil), FreezeRows(0, 3, 130, nil)} {
+		if f.NumKeys() != 0 || f.TotalPostings() != 0 {
+			t.Fatal("empty freeze not empty")
+		}
+		if f.PostingLenBytes([]byte{0}) != 0 || f.PostingLenWord(0) != 0 {
+			t.Fatal("empty frozen answered a key")
+		}
+		if _, err := ReadFrozen(binio.NewReader(bytes.NewReader(frozenBytes(f))), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -309,37 +293,55 @@ func randomRows(rng *rand.Rand, n, width int) []uint64 {
 	return rows
 }
 
-// rowKey is row id's key as FreezeRows stores it: its words'
+// rowKey is key k of rows as FreezeRows stores it: its words'
 // little-endian bytes, KeyLen(width) of them.
-func rowKey(rows []uint64, width int, id int) []byte {
+func rowKey(rows []uint64, width int, k int) []byte {
 	w := (width + 63) / 64
 	var key []byte
-	for _, word := range rows[id*w : (id+1)*w] {
+	for _, word := range rows[k*w : (k+1)*w] {
 		key = binary.LittleEndian.AppendUint64(key, word)
 	}
 	return key[:KeyLen(width)]
 }
 
+// mapFreeze is the build FreezeRows replaced: every key filled into a
+// map of lists, the keys sorted as strings, each list sorted and laid
+// out behind its key.
+func mapFreeze(n, per, width int, rows []uint64) *Frozen {
+	post := refPostings(n, per, width, rows)
+	keys := make([]string, 0, len(post))
+	for k := range post {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	f := &Frozen{keyLen: KeyLen(width), postOffs: []uint32{0}, maxID: math.MaxInt32}
+	for _, k := range keys {
+		f.keyArena = append(f.keyArena, k...)
+		f.addList(post[k])
+	}
+	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.keyLen, len(keys)))...)
+	f.buildSlotsOnce()
+	return f
+}
+
 // TestFreezeRowsMatchesFreeze pins FreezeRows to the map build it
-// replaces, fed each row's KeyLen(width)-byte key: the same bytes
-// written, the same size and the same slot table, for widths from zero
-// to three words — keys of every length from 0 to 8 bytes, and of 16 and
-// 24.
+// replaces, fed each key's KeyLen(width) bytes: the same bytes written,
+// the same size and the same slot table, for widths from zero to three
+// words — keys of every length from 0 to 8 bytes, and of 16 and 24 — and
+// one, three or eleven keys an id.
 func TestFreezeRowsMatchesFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, width := range []int{0, 1, 5, 8, 9, 13, 20, 28, 36, 45, 56, 57, 63, 64, 65, 128, 130, 192} {
 		for _, n := range []int{0, 1, 7, 500} {
-			rows := randomRows(rng, n, width)
-			ix := New()
-			for id := range n {
-				ix.Add(string(rowKey(rows, width, id)), int32(id))
-			}
-			want, got := ix.Freeze(), FreezeRows(n, width, rows)
-			if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
-				t.Fatalf("width=%d n=%d: FreezeRows writes other bytes than Freeze", width, n)
-			}
-			if got.SizeBytes() != want.SizeBytes() || !equalIDs(got.slots, want.slots) {
-				t.Fatalf("width=%d n=%d: size %d vs %d, or the slot tables differ", width, n, got.SizeBytes(), want.SizeBytes())
+			for _, per := range []int{1, 3, 11} {
+				rows := randomRows(rng, n*per, width)
+				want, got := mapFreeze(n, per, width, rows), FreezeRows(n, per, width, rows)
+				if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
+					t.Fatalf("width=%d n=%d per=%d: FreezeRows writes other bytes than the map build", width, n, per)
+				}
+				if got.SizeBytes() != want.SizeBytes() || !slices.Equal(got.slots, want.slots) {
+					t.Fatalf("width=%d n=%d per=%d: size %d vs %d, or the slot tables differ", width, n, per, got.SizeBytes(), want.SizeBytes())
+				}
 			}
 		}
 	}
@@ -347,10 +349,10 @@ func TestFreezeRowsMatchesFreeze(t *testing.T) {
 
 // TestEveryKeyWidth: a partition of w ≤ 64 bits keeps ⌈w/8⌉-byte keys
 // and the zero pad after them, a wider one whole words; at every width
-// the lookups by word, by bytes, by string and in a batch find the same
-// entry, the key scan and the histogram agree with brute force over the
-// rows, the section round-trips through WriteTo and ReadFrozen, and
-// SizeBytes is the serialized arenas plus the slot table.
+// the lookups by word, by bytes and in a batch find the same entry, the
+// key scan and the histogram agree with brute force over the rows, the
+// section round-trips through WriteTo and ReadFrozen, and SizeBytes is
+// the serialized arenas plus the slot table.
 func TestEveryKeyWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	widths := []int{65, 100, 128}
@@ -361,7 +363,7 @@ func TestEveryKeyWidth(t *testing.T) {
 	for _, width := range widths {
 		words := (width + 63) / 64
 		rows := randomRows(rng, n, width)
-		f := FreezeRows(n, width, rows)
+		f := FreezeRows(n, 1, width, rows)
 		keyLen := 8 * words
 		if width <= 64 {
 			keyLen = (width + 7) / 8
@@ -387,9 +389,6 @@ func TestEveryKeyWidth(t *testing.T) {
 			e := f.lookupBytes(key)
 			if id < n && e < 0 {
 				t.Fatalf("width %d: row %d's key not found", width, id)
-			}
-			if s := f.lookupString(string(key)); s != e {
-				t.Fatalf("width %d: key % x: bytes find %d, string %d", width, key, e, s)
 			}
 			if e >= 0 && !slices.Contains(f.appendList(e, nil), int32(id%n)) && id < n {
 				t.Fatalf("width %d: row %d's key lists %v", width, id, f.appendList(e, nil))
@@ -436,11 +435,7 @@ func TestEveryKeyWidth(t *testing.T) {
 		}
 		hist := make([]int64, 64*words+1)
 		f.Histogram(q, hist)
-		want := make([]int64, len(hist))
-		for id := range n {
-			want[dist(id)]++
-		}
-		if !slices.Equal(hist, want) {
+		if want := bruteHistogram(n, 1, width, rows, q); !slices.Equal(hist, want) {
 			t.Fatalf("width %d: histogram %v, the rows' distances %v", width, hist, want)
 		}
 		for _, radius := range []int{0, 1, 2, width / 2, width} {
@@ -481,16 +476,22 @@ func TestEveryKeyWidth(t *testing.T) {
 	}
 }
 
-// TestFreezeSortsUnsortedLists documents that Freeze normalizes
-// posting order: callers that insert out of order still get ascending
-// postings (delta encoding requires it).
+// TestFreezeSortsUnsortedLists: each key lists its ids ascending and
+// once each, however the keys of the ids interleave and repeat.
 func TestFreezeSortsUnsortedLists(t *testing.T) {
-	ix := New()
-	ix.Add("k", 9)
-	ix.Add("k", 2)
-	ix.Add("k", 5)
-	got := ix.Freeze().Postings("k")
-	if !equalIDs(got, []int32{2, 5, 9}) {
-		t.Fatalf("postings %v, want sorted", got)
+	const k, x, y = 9, 2, 5
+	rows := []uint64{
+		k, x, k, // id 0 has k twice
+		y, k, x, // id 1
+		k, k, k, // id 2 has nothing else
+	}
+	f := FreezeRows(3, 3, 4, rows)
+	for key, want := range map[uint64][]int32{k: {0, 1, 2}, x: {0, 1}, y: {1}} {
+		if got := f.AppendPostingsBytes([]byte{byte(key)}, nil); !slices.Equal(got, want) {
+			t.Fatalf("key %d lists %v, want %v", key, got, want)
+		}
+	}
+	if f.TotalPostings() != 6 {
+		t.Fatalf("%d postings, want 6", f.TotalPostings())
 	}
 }

@@ -12,25 +12,19 @@ import (
 )
 
 // fuzzCorpusIndex serializes a small frozen index for the seed
-// corpus: n random w-dim signatures, uniform or deletion-variant
-// keys, written exactly as the persistence path writes them.
+// corpus: n random w-dim signatures, one key each or with their
+// deletion variants, written exactly as the persistence path writes
+// them.
 func fuzzCorpusIndex(seed int64, n, w int, variants bool) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	ix := New()
-	for i := 0; i < n; i++ {
-		v := bitvec.New(w)
-		for d := 0; d < w; d++ {
-			if rng.Intn(2) == 1 {
-				v.Set(d)
-			}
-		}
-		if variants {
-			ix.AddWithDeletionVariants(v, int32(i))
-		} else {
-			ix.Add(v.Key(), int32(i))
-		}
+	sigs := make([]bitvec.Vector, n)
+	for i := range sigs {
+		sigs[i] = randomVector(rng, w)
 	}
-	return frozenBytes(ix.Freeze())
+	if variants {
+		return frozenBytes(FreezeVariants(n, w, vectorRows(sigs)))
+	}
+	return frozenBytes(FreezeRows(n, 1, w, vectorRows(sigs)))
 }
 
 // frozenBytes serializes f exactly as the persistence path writes it.
@@ -68,7 +62,7 @@ func FuzzReadFrozen(f *testing.F) {
 	// 2 and 5 bytes and the pad after them.
 	rng := rand.New(rand.NewSource(6))
 	for _, width := range []int{3, 13, 36} {
-		f.Add(frozenBytes(FreezeRows(30, width, randomRows(rng, 30, width))), int32(30))
+		f.Add(frozenBytes(FreezeRows(30, 1, width, randomRows(rng, 30, width))), int32(30))
 	}
 
 	// Keys with bits beyond the 8 dimensions they stand for: a probe
@@ -149,17 +143,17 @@ func FuzzReadFrozen(f *testing.F) {
 }
 
 // checkKeyScan holds the key-scan kernels to Range on an accepted index
-// whose keys all have one length, of at most a word or a whole number of
-// words: at radius 0, 1 and the whole space around the first key,
-// CollectWithin gathers exactly the ids of the keys Range shows within
-// that distance, and counts their postings; Histogram counts the
-// postings Range shows at every distance.
+// whose keys take at most a word or a whole number of words: at radius
+// 0, 1 and the whole space around the first key, CollectWithin gathers
+// exactly the ids of the keys Range shows within that distance, and
+// counts their postings; Histogram counts the postings Range shows at
+// every distance.
 func checkKeyScan(t *testing.T, fr *Frozen) {
-	minLen, maxLen := fr.KeyLenRange()
-	if minLen != maxLen || minLen == 0 || (minLen > 8 && minLen%8 != 0) {
+	keyLen := fr.KeyLen()
+	if keyLen == 0 || (keyLen > 8 && keyLen%8 != 0) {
 		return
 	}
-	q := make([]uint64, (minLen+7)/8)
+	q := make([]uint64, (keyLen+7)/8)
 	maxSeen := int32(-1)
 	fr.Range(func(key []byte, ids []int32) bool {
 		if maxSeen < 0 {
@@ -184,7 +178,7 @@ func checkKeyScan(t *testing.T, fr *Frozen) {
 	if !slices.Equal(hist, wantHist) {
 		t.Fatalf("histogram %v, Range shows %v", hist, wantHist)
 	}
-	for _, radius := range []int{0, 1, 8 * minLen} {
+	for _, radius := range []int{0, 1, 8 * keyLen} {
 		want := map[int32]bool{}
 		var wantSum int64
 		fr.Range(func(key []byte, ids []int32) bool {
@@ -209,4 +203,85 @@ func checkKeyScan(t *testing.T, fr *Frozen) {
 			}
 		}
 	}
+}
+
+// bruteHistogram is Histogram's oracle: for every distance from q, the
+// postings of the keys in rows (n ids of per keys, width bits each)
+// that lie at that distance, each key read as len(q) words.
+func bruteHistogram(n, per, width int, rows, q []uint64) []int64 {
+	hist := make([]int64, 64*len(q)+1)
+	for key, ids := range refPostings(n, per, width, rows) {
+		hist[keyDistance([]byte(key), q)] += int64(len(ids))
+	}
+	return hist
+}
+
+// FuzzFreezeRows holds the one builder to brute force over (n, per,
+// width, rows): the index it freezes passes ValidateWidth(width), lists
+// under every key exactly the ids that have it, ascending and once each,
+// holds no other key, and gives the histogram the keys themselves give —
+// in memory and read back from its bytes. The rows are the input's bytes
+// read as words, round and round: a short input repeats keys, a long one
+// spreads them.
+func FuzzFreezeRows(f *testing.F) {
+	f.Add(uint8(5), uint8(1), uint16(13), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(30), uint8(4), uint16(64), []byte("a handful of key bytes, some of them repeated"))
+	f.Add(uint8(7), uint8(3), uint16(130), []byte{0xff})
+	f.Add(uint8(9), uint8(2), uint16(0), []byte{})
+	f.Add(uint8(40), uint8(9), uint16(61), bytes.Repeat([]byte{0, 1, 0x80}, 40))
+	f.Fuzz(func(t *testing.T, n8, per8 uint8, width16 uint16, data []byte) {
+		n, per, width := int(n8)%65, 1+int(per8)%8, int(width16)%200
+		words := (width + 63) / 64
+		rows := make([]uint64, n*per*words)
+		if len(data) > 0 {
+			for i := range rows {
+				var word [8]byte
+				for b := range word {
+					word[b] = data[(8*i+b)%len(data)]
+				}
+				rows[i] = binary.LittleEndian.Uint64(word[:])
+				if i%words == words-1 && width%64 != 0 {
+					rows[i] &= 1<<(width%64) - 1
+				}
+			}
+		}
+		fr := FreezeRows(n, per, width, rows)
+		if err := fr.ValidateWidth(width); err != nil {
+			t.Fatalf("n=%d per=%d width=%d: the frozen index fails its own width: %v", n, per, width, err)
+		}
+		read, err := ReadFrozen(binio.NewReader(bytes.NewReader(frozenBytes(fr))), int32(n))
+		if err != nil {
+			t.Fatalf("n=%d per=%d width=%d: the written index is rejected: %v", n, per, width, err)
+		}
+		ref := refPostings(n, per, width, rows)
+		q := make([]uint64, words)
+		if len(rows) > 0 {
+			copy(q, rows[len(rows)-words:])
+			q[0] ^= uint64(len(data))
+		}
+		want := bruteHistogram(n, per, width, rows, q)
+		for _, g := range []*Frozen{fr, read} {
+			keys := 0
+			g.Range(func(key []byte, ids []int32) bool {
+				if !slices.Equal(ids, ref[string(key)]) {
+					t.Fatalf("n=%d per=%d width=%d: key % x lists %v, the rows give %v", n, per, width, key, ids, ref[string(key)])
+				}
+				keys++
+				return true
+			})
+			if keys != len(ref) || g.NumKeys() != len(ref) {
+				t.Fatalf("n=%d per=%d width=%d: %d keys (Range shows %d), the rows have %d", n, per, width, g.NumKeys(), keys, len(ref))
+			}
+			for key, ids := range ref {
+				if got := g.AppendPostingsBytes([]byte(key), nil); !slices.Equal(got, ids) {
+					t.Fatalf("n=%d per=%d width=%d: key % x looked up lists %v, want %v", n, per, width, key, got, ids)
+				}
+			}
+			hist := make([]int64, len(want))
+			g.Histogram(q, hist)
+			if !slices.Equal(hist, want) {
+				t.Fatalf("n=%d per=%d width=%d: histogram %v, the rows give %v", n, per, width, hist, want)
+			}
+		}
+	})
 }

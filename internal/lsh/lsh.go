@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"gph/internal/binio"
@@ -124,20 +125,25 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 		ix.hb[i] = uint64(rng.Int63n(hashPrime))
 	}
 	ix.tables = make([]*invindex.Frozen, l)
-	sig := make([]byte, 4*opts.K)
+	words := ix.sigWords()
+	rows := make([]uint64, len(data)*words)
 	for ti := 0; ti < l; ti++ {
-		table := invindex.New()
 		for id, v := range data {
-			ix.signature(v, ti, sig)
-			table.Add(string(sig), int32(id))
+			ix.signature(v, ti, rows[id*words:(id+1)*words])
 		}
-		ix.tables[ti] = table.Freeze()
+		ix.tables[ti] = invindex.FreezeRows(len(data), 1, 32*opts.K, rows)
 	}
 	return ix, nil
 }
 
-// signature writes table ti's band signature of v into buf.
-func (ix *Index) signature(v bitvec.Vector, ti int, buf []byte) {
+// sigWords is the words a band signature takes: K 32-bit minhashes, two
+// a word.
+func (ix *Index) sigWords() int { return (ix.opts.K + 1) / 2 }
+
+// signature writes table ti's band signature of v into sig: minhash r in
+// bits [32·(r mod 2), 32·(r mod 2) + 32) of word r/2.
+func (ix *Index) signature(v bitvec.Vector, ti int, sig []uint64) {
+	clear(sig)
 	ones := v.OnesIndices()
 	for r := 0; r < ix.opts.K; r++ {
 		h := ix.ha[ti*ix.opts.K+r]
@@ -154,10 +160,7 @@ func (ix *Index) signature(v bitvec.Vector, ti int, buf []byte) {
 				minV = hv
 			}
 		}
-		buf[4*r] = byte(minV)
-		buf[4*r+1] = byte(minV >> 8)
-		buf[4*r+2] = byte(minV >> 16)
-		buf[4*r+3] = byte(minV >> 24)
+		sig[r/2] |= minV << (32 * (r % 2))
 	}
 }
 
@@ -205,9 +208,9 @@ func (ix *Index) SizeBytes() int64 {
 // on the Index so the steady-state probe path allocates nothing beyond
 // the returned result slice.
 type searchScratch struct {
-	col  engine.Collector
-	sig  []byte
-	post []int32
+	col    engine.Collector
+	sig    []uint64
+	keyBuf []byte
 }
 
 // getScratch hands a pooled scratch to the caller, who owes it
@@ -220,11 +223,7 @@ func (ix *Index) getScratch() *searchScratch {
 		s = &searchScratch{}
 	}
 	s.col.Reset(len(ix.data))
-	if cap(s.sig) < 4*ix.opts.K {
-		s.sig = make([]byte, 4*ix.opts.K)
-	} else {
-		s.sig = s.sig[:4*ix.opts.K]
-	}
+	s.sig = slices.Grow(s.sig[:0], ix.sigWords())[:ix.sigWords()]
 	return s
 }
 
@@ -256,11 +255,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	for ti, table := range ix.tables {
 		ix.signature(q, ti, s.sig)
 		sigs++
-		s.post = table.AppendPostingsBytes(s.sig, s.post[:0])
-		sumPost += int64(len(s.post))
-		for _, id := range s.post {
-			s.col.Collect(id)
-		}
+		sumPost += int64(table.CollectEntry(table.LookupKey(s.sig, &s.keyBuf), &s.col.Set))
 	}
 	candidates := s.col.Candidates()
 	out := s.col.FinishVerifiedCodes(q, tau, ix.codes)

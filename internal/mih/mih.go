@@ -118,15 +118,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 func buildInverted(data []bitvec.Vector, parts *partition.Partitioning) []*invindex.Frozen {
 	inv := make([]*invindex.Frozen, parts.NumParts())
 	for i, dimsI := range parts.Parts {
-		ii := invindex.New()
-		scratch := bitvec.New(len(dimsI))
-		var keyBuf []byte
-		for id, v := range data {
-			v.ProjectInto(dimsI, scratch)
-			keyBuf = scratch.AppendKey(keyBuf[:0])
-			ii.Add(string(keyBuf), int32(id))
-		}
-		inv[i] = ii.Freeze()
+		inv[i] = invindex.FreezeRows(len(data), 1, len(dimsI), invindex.ProjectRows(data, dimsI))
 	}
 	return inv
 }
@@ -174,7 +166,6 @@ func (ix *Index) SizeBytes() int64 {
 type searchScratch struct {
 	col    engine.Collector
 	keyBuf []byte
-	post   []int32
 	proj   bitvec.Vector
 	enum   hamming.Enumerator
 
@@ -187,24 +178,16 @@ type searchScratch struct {
 	probeFn func(bitvec.Vector) bool
 }
 
-// probe consumes one enumerated signature: build its packed key,
-// decode the matching posting list into the pooled scratch, bill it,
-// and merge it into the candidate set — or end the enumeration, when
+// probe consumes one enumerated signature: decode the posting list of
+// its key into the candidate set and bill it, ending the enumeration when
 // the list overdrew the budget.
 //
 //gph:hotpath
 func (s *searchScratch) probe(v bitvec.Vector) bool {
-	s.keyBuf = v.AppendKey(s.keyBuf[:0])
-	s.post = s.inv.AppendPostingsBytes(s.keyBuf, s.post[:0])
+	n := s.inv.CollectEntry(s.inv.LookupKey(v.Words(), &s.keyBuf), &s.col.Set)
 	s.sigs++
-	s.sumPost += int64(len(s.post))
-	if !s.bill.Postings(len(s.post)) {
-		return false
-	}
-	for _, id := range s.post {
-		s.col.Collect(id)
-	}
-	return true
+	s.sumPost += int64(n)
+	return s.bill.Postings(n)
 }
 
 // getScratch hands a pooled scratch to the caller, who owes it

@@ -98,13 +98,7 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 	}
 	ix.inv = make([]*invindex.Frozen, m)
 	for i, dimsI := range parts.Parts {
-		inv := invindex.New()
-		scratch := bitvec.New(len(dimsI))
-		for id, v := range data {
-			v.ProjectInto(dimsI, scratch)
-			inv.AddWithDeletionVariants(scratch, int32(id))
-		}
-		ix.inv[i] = inv.Freeze()
+		ix.inv[i] = invindex.FreezeVariants(len(data), len(dimsI), invindex.ProjectRows(data, dimsI))
 	}
 	return ix, nil
 }
@@ -145,7 +139,8 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 	for i, dimsI := range ix.parts.Parts {
 		projs[i] = q.Project(dimsI)
 	}
-	T := ix.allocate(projs, tau)
+	var r1 invindex.Radius1Scratch
+	T := ix.allocate(projs, tau, &r1)
 	stats.Thresholds = T
 
 	seen := make([]uint64, (len(ix.data)+63)/64)
@@ -160,16 +155,17 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 		return true
 	}
 	for i, ti := range T {
-		switch ti {
-		case -1:
-			// skipped
-		case 0:
-			stats.Signatures++
-			ix.inv[i].ForEachPosting(projs[i].Key(), collect)
-		case 1:
-			stats.Signatures += 1 + projs[i].Dims()
-			ix.inv[i].CollectRadius1(projs[i], collect)
+		if ti < 0 {
+			continue
 		}
+		// Radius1 looks the exact key up first: a threshold of 0 probes it
+		// alone, 1 every key.
+		inv := ix.inv[i]
+		inv.Radius1(projs[i].Words(), projs[i].Dims(), &r1, func(e int) bool {
+			stats.Signatures++
+			inv.ForEachEntry(e, collect)
+			return ti == 1
+		})
 	}
 	stats.Candidates = len(cands)
 	qp := qPop(projs)
@@ -203,21 +199,24 @@ func qPop(projs []bitvec.Vector) int {
 // −1 partitions). It greedily pairs the partitions with the largest
 // exact-probe savings (set to −1) against those with the smallest
 // radius-1 penalty (raised to 1).
-func (ix *Index) allocate(projs []bitvec.Vector, tau int) []int {
+func (ix *Index) allocate(projs []bitvec.Vector, tau int, r1 *invindex.Radius1Scratch) []int {
 	m := len(projs)
 	budget := tau - m + 1 // ≤ 0 by construction (m = buildTau+1 ≥ tau+1)
 	T := make([]int, m)
 	cost0 := make([]int64, m)
 	cost1 := make([]int64, m)
 	for i, proj := range projs {
-		inv := ix.inv[i]
-		c0 := int64(inv.PostingLen(proj.Key()))
-		c1 := c0
-		for j := 0; j < proj.Dims(); j++ {
-			c1 += int64(inv.PostingLen(invindex.DeletionVariantKey(proj, j)))
-		}
-		cost0[i] = c0
-		cost1[i] = c1
+		// Radius1 looks the exact key up first: its list is cost0, and
+		// with the variants' lists cost1.
+		exact := true
+		ix.inv[i].Radius1(proj.Words(), proj.Dims(), r1, func(e int) bool {
+			n := int64(ix.inv[i].EntryLen(e))
+			if exact {
+				cost0[i], exact = n, false
+			}
+			cost1[i] += n
+			return true
+		})
 	}
 	// Mandatory −1s: budget < 0 forces |budget| partitions down. Take
 	// the ones with the largest exact-probe cost.

@@ -237,6 +237,49 @@ func TestRefineNeverWorsens(t *testing.T) {
 	}
 }
 
+// TestRefinerCNMatchesNaive: the CN rows refinement scores moves with —
+// each partition's index over the sample, its histogram cumulated — are
+// the definition, CN(q, e) = the sample vectors whose projection lies
+// within e of q's, for every e from −1 to past the width: on partitions
+// of one word, of several, and of none, where every vector lies at 0.
+func TestRefinerCNMatchesNaive(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dims := 4 + rng.Intn(150)
+		sample := randData(rng, 50+rng.Intn(100), dims)
+		perm := rng.Perm(dims)
+		a := rng.Intn(dims)
+		b := a + rng.Intn(dims-a)
+		p := &Partitioning{Dims: dims, Parts: [][]int{perm[:a], perm[a:b], perm[b:]}}
+		wl := Workload{Taus: []int{dims + 3, 0, 5}}
+		for range wl.Taus {
+			wl.Queries = append(wl.Queries, sample[rng.Intn(len(sample))])
+		}
+		r := newRefiner(p, sample, wl, 0, 0)
+		for qi, q := range wl.Queries {
+			for i, part := range p.Parts {
+				qp := q.Project(part)
+				for e := -1; e <= r.maxTau; e++ {
+					var want int64
+					for _, v := range sample {
+						if e >= 0 && v.Project(part).Hamming(qp) <= e {
+							want++
+						}
+					}
+					if got := r.cn[qi][i][e+1]; got != want {
+						t.Errorf("seed=%d partition of %d dims, e=%d: CN %d, want %d", seed, len(part), e, got, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRefineBestImprovement(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	dims := 12

@@ -3,10 +3,11 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
-	"gph/internal/candest"
+	"gph/internal/invindex"
 )
 
 // Workload is the query workload Q of §V: (query, threshold) pairs.
@@ -65,8 +66,8 @@ func SurrogateWorkload(data []bitvec.Vector, size int, tauRange []int, seed int6
 type RefineConfig struct {
 	// MaxMoves caps accepted moves; 0 means 2·n.
 	MaxMoves int
-	// MaxEvals caps move *evaluations* (each one rebuilds two exact
-	// estimators over the sample), bounding build latency
+	// MaxEvals caps move *evaluations* (each one freezes the sample's
+	// projection onto the two partitions it changes), bounding build latency
 	// deterministically; 0 means 2500. BestImprovement ignores it.
 	MaxEvals int
 	// TargetsPerDim bounds, per first-improvement scan, how many target
@@ -195,9 +196,10 @@ func WorkloadCost(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudg
 	return r.totalCost()
 }
 
-// refiner caches per-partition exact estimators and per-(query,
-// partition) CN rows so that evaluating a move only recomputes the two
-// partitions it touches.
+// refiner caches each partition's inverted index over the sample — the
+// index a build freezes, so CN rows come from the histogram pass queries
+// use — and per-(query, partition) CN rows, so that evaluating a move
+// only recomputes the two partitions it touches.
 type refiner struct {
 	sample     []bitvec.Vector
 	wl         Workload
@@ -205,10 +207,11 @@ type refiner struct {
 	enumBudget int64
 	scale      float64 // full-collection rows per sample row
 	parts      [][]int
-	ests       []*candest.Exact
+	inv        []*invindex.Frozen
 	cn         [][][]int64   // [query][part] → CN row, scaled to full size
 	home       []int         // dimension → partition
 	dp         alloc.Scratch // reused DP grids: hill climbing allocates per candidate move otherwise
+	hist       []int64       // cnRow's distance histogram
 }
 
 func newRefiner(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudget int64, totalRows int) *refiner {
@@ -225,9 +228,9 @@ func newRefiner(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudget
 		parts:      p.Parts,
 		home:       make([]int, p.Dims),
 	}
-	r.ests = make([]*candest.Exact, len(r.parts))
+	r.inv = make([]*invindex.Frozen, len(r.parts))
 	for i, part := range r.parts {
-		r.ests[i] = candest.NewExact(sample, part)
+		r.inv[i] = r.freeze(part)
 		for _, d := range part {
 			r.home[d] = i
 		}
@@ -235,17 +238,29 @@ func newRefiner(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudget
 	r.cn = make([][][]int64, len(wl.Queries))
 	for qi, q := range wl.Queries {
 		r.cn[qi] = make([][]int64, len(r.parts))
-		for i := range r.parts {
-			row := r.ests[i].CNAll(q, r.maxTau)
-			r.rescale(row)
-			r.cn[qi][i] = row
+		for i, part := range r.parts {
+			r.cn[qi][i] = make([]int64, r.maxTau+2)
+			r.cnRow(r.inv[i], part, q, r.cn[qi][i])
 		}
 	}
 	return r
 }
 
-// rescale converts a sample CN row to full-collection scale in place.
-func (r *refiner) rescale(row []int64) {
+// freeze builds the inverted index of the sample projected onto part.
+func (r *refiner) freeze(part []int) *invindex.Frozen {
+	return invindex.FreezeRows(len(r.sample), 1, len(part), invindex.ProjectRows(r.sample, part))
+}
+
+// cnRow fills row with q's CN row on partition part, whose index over
+// the sample is inv — row[e+1] = CN(q, e) for e ∈ [−1, maxTau] — scaled
+// to the full collection.
+func (r *refiner) cnRow(inv *invindex.Frozen, part []int, q bitvec.Vector, row []int64) {
+	proj := q.Project(part).Words()
+	bins := 64*len(proj) + 1 // every distance the words can produce
+	r.hist = slices.Grow(r.hist[:0], bins)[:bins]
+	clear(r.hist)
+	inv.Histogram(proj, r.hist)
+	alloc.Cumulate(r.hist, row)
 	if r.scale == 1 {
 		return
 	}
@@ -291,8 +306,7 @@ func (r *refiner) totalCost() int64 {
 func (r *refiner) tryMove(d, i, j int) int64 {
 	newPi := without(r.parts[i], d)
 	newPj := append(append([]int(nil), r.parts[j]...), d)
-	estI := candest.NewExact(r.sample, newPi)
-	estJ := candest.NewExact(r.sample, newPj)
+	invI, invJ := r.freeze(newPi), r.freeze(newPj)
 
 	widths := r.widths()
 	widths[i] = len(newPi)
@@ -301,10 +315,8 @@ func (r *refiner) tryMove(d, i, j int) int64 {
 	rowI := make([]int64, r.maxTau+2)
 	rowJ := make([]int64, r.maxTau+2)
 	for qi, q := range r.wl.Queries {
-		estI.CNAllInto(q, rowI)
-		estJ.CNAllInto(q, rowJ)
-		r.rescale(rowI)
-		r.rescale(rowJ)
+		r.cnRow(invI, newPi, q, rowI)
+		r.cnRow(invJ, newPj, q, rowJ)
 		savedI, savedJ := r.cn[qi][i], r.cn[qi][j]
 		r.cn[qi][i], r.cn[qi][j] = rowI, rowJ
 		res := alloc.AllocateScratch(alloc.Table(r.cn[qi]), alloc.Params{
@@ -321,13 +333,12 @@ func (r *refiner) applyMove(d, i, j int) int64 {
 	r.parts[i] = without(r.parts[i], d)
 	r.parts[j] = append(r.parts[j], d)
 	r.home[d] = j
-	r.ests[i] = candest.NewExact(r.sample, r.parts[i])
-	r.ests[j] = candest.NewExact(r.sample, r.parts[j])
+	r.inv[i], r.inv[j] = r.freeze(r.parts[i]), r.freeze(r.parts[j])
 	for qi, q := range r.wl.Queries {
-		r.cn[qi][i] = r.ests[i].CNAll(q, r.maxTau)
-		r.cn[qi][j] = r.ests[j].CNAll(q, r.maxTau)
-		r.rescale(r.cn[qi][i])
-		r.rescale(r.cn[qi][j])
+		r.cn[qi][i] = make([]int64, r.maxTau+2)
+		r.cn[qi][j] = make([]int64, r.maxTau+2)
+		r.cnRow(r.inv[i], r.parts[i], q, r.cn[qi][i])
+		r.cnRow(r.inv[j], r.parts[j], q, r.cn[qi][j])
 	}
 	return r.totalCost()
 }
