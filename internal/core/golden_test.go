@@ -3,11 +3,32 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
 	"gph/internal/dataset"
 )
+
+// goldenCorpora are the seeded corpora the build goldens build from.
+var goldenCorpora = []struct {
+	name string
+	data func() *dataset.Dataset
+}{
+	{"sift-like", func() *dataset.Dataset { return dataset.SIFTLike(500, 3) }},
+	{"gist-like", func() *dataset.Dataset { return dataset.GISTLike(400, 4) }},
+	{"uqvideo-like", func() *dataset.Dataset { return dataset.UQVideoLike(500, 5) }},
+}
+
+// goldenBuild is the seeded GPH build of golden corpus i.
+func goldenBuild(t *testing.T, i int) *Index {
+	t.Helper()
+	ix, err := Build(goldenCorpora[i].data().Vectors, Options{MaxTau: 16, WorkloadSize: 12, SampleSize: 300, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
 
 // TestBuildBytesGolden pins what a fresh build writes: seeded GPH builds
 // over three small corpora — partitioning (greedy initialization and
@@ -17,27 +38,66 @@ import (
 // moves means every index built from now on differs from the ones built
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		data *dataset.Dataset
-		sha  string
-	}{
-		{"sift-like", dataset.SIFTLike(500, 3), "0c5c9190fe921a3cfe5872eba258c2222ae3f4b71e69ebadab7640740793cdd9"},
-		{"gist-like", dataset.GISTLike(400, 4), "6c51454b2dd332d56e832ac03bef29ed0d27a3a11ed7d870dfc52acec2611c02"},
-		{"uqvideo-like", dataset.UQVideoLike(500, 5), "5ae3c66af2f415ad699d8f8f5cc3f9778b7ffb6ebc3bab95b0e64c756c1a5d78"},
+	for i, sha := range []string{
+		"0c5c9190fe921a3cfe5872eba258c2222ae3f4b71e69ebadab7640740793cdd9",
+		"6c51454b2dd332d56e832ac03bef29ed0d27a3a11ed7d870dfc52acec2611c02",
+		"5ae3c66af2f415ad699d8f8f5cc3f9778b7ffb6ebc3bab95b0e64c756c1a5d78",
 	} {
-		ix, err := Build(c.data.Vectors, Options{MaxTau: 16, WorkloadSize: 12, SampleSize: 300, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
 		if err := ix.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != c.sha {
+		if got := hex.EncodeToString(sum[:]); got != sha {
 			t.Errorf("%s: a fresh build saves %d bytes hashing to %s, want %s (partition widths %v)",
-				c.name, buf.Len(), got, c.sha, ix.Partitioning().Widths())
+				goldenCorpora[i].name, buf.Len(), got, sha, ix.Partitioning().Widths())
+		}
+	}
+}
+
+// TestBuildContentGolden pins what the same builds index, whatever the
+// layout: each partition's keys and the ids listed under them, in key
+// order, hashed. A format change moves TestBuildBytesGolden's hashes and
+// must leave these; a change to what is indexed moves both. The sizes
+// are pinned beside them — SizeBytes and its components (key arena,
+// posting arena, per-entry arrays, slot tables) — so a layout change
+// says, component by component, what it saves.
+func TestBuildContentGolden(t *testing.T) {
+	type breakdown struct{ keys, posts, entries, slots int64 }
+	for i, want := range []struct {
+		sha  string
+		size int64
+		breakdown
+	}{
+		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 40268, breakdown{8238, 3350, 13800, 14336}},
+		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 72366, breakdown{17901, 5897, 20584, 26624}},
+		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 63947, breakdown{20066, 6585, 16480, 19456}},
+	} {
+		ix := goldenBuild(t, i)
+		h := sha256.New()
+		var frame [8]byte
+		for _, inv := range ix.inv {
+			h.Write(binary.LittleEndian.AppendUint64(frame[:0], uint64(inv.NumKeys())))
+			inv.Range(func(key []byte, ids []int32) bool {
+				h.Write(key)
+				h.Write(binary.LittleEndian.AppendUint32(frame[:0], uint32(len(ids))))
+				for _, id := range ids {
+					h.Write(binary.LittleEndian.AppendUint32(frame[:0], uint32(id)))
+				}
+				return true
+			})
+		}
+		got := struct {
+			sha  string
+			size int64
+			breakdown
+		}{sha: hex.EncodeToString(h.Sum(nil)), size: ix.SizeBytes()}
+		got.keys, got.posts, got.entries, got.slots = ix.ArenaBreakdown()
+		if got != want {
+			t.Errorf("%s: content %s, %d bytes (keys %d, posts %d, entries %d, slots %d); want %s, %d (%d, %d, %d, %d)",
+				goldenCorpora[i].name, got.sha, got.size, got.keys, got.posts, got.entries, got.slots,
+				want.sha, want.size, want.keys, want.posts, want.entries, want.slots)
 		}
 	}
 }
