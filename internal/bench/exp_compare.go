@@ -37,13 +37,13 @@ type Fig6Point struct {
 // the time to load it back into the heap, and where the resident bytes
 // are, summed over the partitions (core.Index.ArenaBreakdown).
 type Fig6PersistPoint struct {
-	Dataset     string `json:"dataset"`
-	FileBytes   int64  `json:"file_bytes"`
-	LoadNanos   int64  `json:"load_nanos"`
-	KeyBytes    int64  `json:"key_bytes"`
-	PostBytes   int64  `json:"posting_bytes"`
-	OffsetBytes int64  `json:"offset_count_bytes"`
-	SlotBytes   int64  `json:"slot_bytes"`
+	Dataset    string `json:"dataset"`
+	FileBytes  int64  `json:"file_bytes"`
+	LoadNanos  int64  `json:"load_nanos"`
+	KeyBytes   int64  `json:"key_bytes"`
+	PostBytes  int64  `json:"posting_bytes"`
+	EntryBytes int64  `json:"ref_count_bytes"`
+	SlotBytes  int64  `json:"slot_bytes"`
 }
 
 // Fig6 reproduces Fig. 6: index sizes of all algorithms across the
@@ -55,7 +55,7 @@ type Fig6PersistPoint struct {
 // below HmSearch / PartAlloc (deletion variants) with LSH varying by
 // τ. A second table reports each dataset's GPH index at rest: saved
 // file, load time, and the resident index by component — keys, posting
-// lists, offsets and counts, slot tables.
+// lists, refs and counts, slot tables.
 func (r *Runner) Fig6() error {
 	t := newTable(r.cfg.Out, "dataset", "tau", "GPH(MB)", "MIH(MB)", "HmSearch(MB)", "PartAlloc(MB)", "LSH(MB)")
 	rep := Fig6Report{Scale: r.cfg.Scale}
@@ -90,15 +90,15 @@ func (r *Runner) Fig6() error {
 		if err != nil {
 			return err
 		}
-		keys, posts, offs, slots := gphIx.ArenaBreakdown()
-		rep.Persist = append(rep.Persist, Fig6PersistPoint{spec.name, fileBytes, loadNanos, keys, posts, offs, slots})
+		keys, posts, entries, slots := gphIx.ArenaBreakdown()
+		rep.Persist = append(rep.Persist, Fig6PersistPoint{spec.name, fileBytes, loadNanos, keys, posts, entries, slots})
 	}
 	t.flush()
 
 	fmt.Fprintln(r.cfg.Out, "[GPH index at rest]")
-	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "offs+counts(MB)", "slots(MB)")
+	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "refs+counts(MB)", "slots(MB)")
 	for _, p := range rep.Persist {
-		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos), mb(p.KeyBytes), mb(p.PostBytes), mb(p.OffsetBytes), mb(p.SlotBytes))
+		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos), mb(p.KeyBytes), mb(p.PostBytes), mb(p.EntryBytes), mb(p.SlotBytes))
 	}
 	pt.flush()
 	return r.writeJSON(rep)

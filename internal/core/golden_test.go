@@ -39,9 +39,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"0c5c9190fe921a3cfe5872eba258c2222ae3f4b71e69ebadab7640740793cdd9",
-		"6c51454b2dd332d56e832ac03bef29ed0d27a3a11ed7d870dfc52acec2611c02",
-		"5ae3c66af2f415ad699d8f8f5cc3f9778b7ffb6ebc3bab95b0e64c756c1a5d78",
+		"b32531da9886859b143044d6a8234ad0c27e161f7f5f5c0a8d59b1d038493594",
+		"6eba00cd40a9ccc79744b9c431de7ef978cb339932fac378407cded8e9955d6f",
+		"4948940f6fe84df1a4a40147279a8c55b45a05070e3ad5e0dd7eaa656c5a5e89",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -70,9 +70,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 40268, breakdown{8238, 3350, 13800, 14336}},
-		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 72366, breakdown{17901, 5897, 20584, 26624}},
-		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 63947, breakdown{20066, 6585, 16480, 19456}},
+		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 37511, breakdown{8238, 609, 13784, 14336}},
+		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 69160, breakdown{17901, 2731, 20544, 26624}},
+		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 60986, breakdown{20066, 3664, 16440, 19456}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()

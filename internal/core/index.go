@@ -297,10 +297,10 @@ func (ix *Index) SizeBytes() int64 {
 // ArenaBreakdown is invindex.Frozen.ArenaBreakdown summed over the
 // partitions: where SizeBytes's bytes are, less each partition's fixed
 // struct overhead.
-func (ix *Index) ArenaBreakdown() (keyBytes, postBytes, offsetBytes, slotBytes int64) {
+func (ix *Index) ArenaBreakdown() (keyBytes, postBytes, entryBytes, slotBytes int64) {
 	for _, inv := range ix.inv {
-		k, p, o, s := inv.ArenaBreakdown()
-		keyBytes, postBytes, offsetBytes, slotBytes = keyBytes+k, postBytes+p, offsetBytes+o, slotBytes+s
+		k, p, e, s := inv.ArenaBreakdown()
+		keyBytes, postBytes, entryBytes, slotBytes = keyBytes+k, postBytes+p, entryBytes+e, slotBytes+s
 	}
-	return keyBytes, postBytes, offsetBytes, slotBytes
+	return keyBytes, postBytes, entryBytes, slotBytes
 }

@@ -12,7 +12,7 @@ import (
 
 // indexMagic identifies the index container format; bump the digit on
 // incompatible changes. The layout is head-then-payload for borrow-mode
-// opening: every array length lives in the head (posting offsets and
+// opening: every array length lives in the head (posting refs and
 // counts derived from the key count, arena byte lengths recorded),
 // payloads follow raw with 8-byte alignment padding before the
 // word-sized ones, so a load over a page-aligned mapping aliases every
@@ -21,7 +21,7 @@ import (
 // once, as its frozen keys and posting counts, which is also what CN
 // estimation reads. One generation is read: files with an older tag are
 // rejected by their magic (DESIGN.md §6 has what each bump fixed).
-const indexMagic = "GPHIX07\n"
+const indexMagic = "GPHIX08\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,
@@ -85,7 +85,7 @@ func (ix *Index) saveOptions(bw *binio.Writer) {
 // Validation is two-tier. The structural tier always runs here:
 // magic, header sanity, arena and array lengths, posting totals —
 // everything needed to make every later arena access in-bounds, at
-// O(metadata) cost. The content tier (offset monotonicity, varint
+// O(metadata) cost. The content tier (the posting lists' chain, varint
 // framing, posting-id ranges, key order, key and vector tail bits)
 // reads every arena byte, and Load runs it before it returns: a corrupt
 // file fails here, whatever r is. An opener that wants that pass later —

@@ -16,7 +16,7 @@ import (
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix07.bin (120 vectors × 48 dims in three partitions
+// testdata/index-gphix08.bin (120 vectors × 48 dims in three partitions
 // of 15–17 bits, so keys of 2 and 3 bytes and their pads; MaxTau 16,
 // Seed 7) loads into the heap and borrowed in place, answers like a
 // linear scan over its own vectors, generates
@@ -24,7 +24,7 @@ import (
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix07.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix08.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}

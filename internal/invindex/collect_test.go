@@ -436,7 +436,10 @@ func TestSlotChainsShort(t *testing.T) {
 // signature of a Hamming ball looked up by word (the ball walk
 // included); a scan step is one key of the arena compared (candidate
 // generation) or added to the distance histogram (allocation); a posting
-// is one id decoded into the candidate set, the same on either path.
+// is one id decoded into the candidate set, the same on either path —
+// from a key the scan matched (decode-posting), or from a probe's hit on
+// a key with one id (collect-singleton) or with two or three
+// (collect-list), entries taken in no order the arenas have.
 func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	const n, width = 20000, 36
 	rng := rand.New(rand.NewSource(1))
@@ -518,6 +521,39 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 			set.Reset()
 		}
 		perItem(b, int(postings))
+	})
+	// collect times CollectEntry over every entry of g, shuffled, that
+	// keep admits: ns a posting.
+	collect := func(b *testing.B, g *Frozen, keep func(count int) bool) {
+		var entries []int
+		postings := 0
+		for _, e := range rng.Perm(g.NumKeys()) {
+			if keep(g.EntryLen(e)) {
+				entries = append(entries, e)
+				postings += g.EntryLen(e)
+			}
+		}
+		b.ResetTimer()
+		for range b.N {
+			for _, e := range entries {
+				sink += g.CollectEntry(e, &set)
+			}
+			set.Reset()
+		}
+		perItem(b, postings)
+	}
+	b.Run("collect-singleton", func(b *testing.B) {
+		collect(b, f, func(count int) bool { return count == 1 })
+	})
+	b.Run("collect-list", func(b *testing.B) {
+		// The 20 000 ids two and three to a key: 8 000 keys, id i under key
+		// i mod 8 000.
+		pool := wordKeys(rng, n*2/5, width)
+		rows := make([]uint64, n)
+		for id := range rows {
+			rows[id] = pool[id%len(pool)]
+		}
+		collect(b, FreezeRows(n, 1, width, rows), func(count int) bool { return count > 1 })
 	})
 	_ = sink
 }

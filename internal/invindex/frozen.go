@@ -21,9 +21,12 @@ import (
 //   - every distinct key, each keyLen bytes, concatenated in
 //     lexicographic order in one byte arena: key e starts at e·keyLen,
 //     so keys need no offsets;
-//   - every posting list delta-varint encoded — ids are ascending, so
-//     gaps are small and most postings cost 1–2 bytes — in a second
-//     arena (offsets in postOffs, lengths in counts);
+//   - one ref and one count an entry: the ref of an entry with one id is
+//     the id itself, and that of an entry with more is where its list
+//     starts in a second arena — lists of two or more ids, delta-varint
+//     encoded (ids are ascending, so gaps are small and most postings
+//     cost 1–2 bytes), each decoded by its count and starting where the
+//     one before it ends;
 //   - an open-addressed hash table of entry indexes for O(1) probes.
 //
 // Lookups are allocation-free (keys hash and compare against the arena
@@ -38,9 +41,9 @@ import (
 type Frozen struct {
 	keyArena  []byte   // distinct keys, concatenated in sorted order, then the pad (keyPad)
 	keyLen    int      // bytes a key, KeyLen of the projection's width
-	postArena []byte   // delta-varint posting lists, in key order
-	postOffs  []uint32 // len = keys+1; list e = postArena[postOffs[e]:postOffs[e+1]]
-	counts    []uint32 // postings per key, so PostingLenBytes needs no decode
+	postArena []byte   // delta-varint lists of two or more ids, in key order
+	refs      []uint32 // one an entry: the id of a one-id entry, else where its list starts in postArena
+	counts    []uint32 // postings per key, never 0, so PostingLenBytes needs no decode
 	postings  int64    // total postings across all keys
 
 	// The slot table is derived state (one deterministic hashing pass
@@ -101,18 +104,23 @@ func (f *Frozen) wordKeys() bool { return uint(f.keyLen-1) < 8 }
 func (f *Frozen) keyMask() uint64 { return ^uint64(0) >> ((64 - 8*uint(f.keyLen)) & 63) }
 
 // addList ends the entry whose key was just appended to the key arena:
-// it encodes ids, ascending, as the entry's posting list and records the
-// entry's offsets and count.
+// it records the entry's ref and count, and encodes ids, ascending and
+// at least one, as the entry's list when there are two or more.
 func (f *Frozen) addList(ids []int32) {
-	prev := int32(0)
-	for _, id := range ids {
-		f.postArena = binary.AppendUvarint(f.postArena, uint64(uint32(id-prev)))
-		prev = id
+	ref := uint32(len(f.postArena))
+	if len(ids) == 1 {
+		ref = uint32(ids[0])
+	} else {
+		prev := int32(0)
+		for _, id := range ids {
+			f.postArena = binary.AppendUvarint(f.postArena, uint64(uint32(id-prev)))
+			prev = id
+		}
 	}
 	if int64(len(f.keyArena)) >= arenaLimit || int64(len(f.postArena)) >= arenaLimit {
 		panic("invindex: arena exceeds 2 GiB; shard the collection instead")
 	}
-	f.postOffs = append(f.postOffs, uint32(len(f.postArena)))
+	f.refs = append(f.refs, ref)
 	f.counts = append(f.counts, uint32(len(ids)))
 	f.postings += int64(len(ids))
 }
@@ -144,10 +152,12 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	f := &Frozen{
 		// A key shorter than a word is written as its whole word and cut
 		// back: the last one's word ends where the pad does.
-		keyArena:  make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct)),
-		keyLen:    keyLen,
-		postArena: make([]byte, 0, keys+2*distinct),
-		postOffs:  make([]uint32, 1, distinct+1),
+		keyArena: make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct)),
+		keyLen:   keyLen,
+		// A list of c ids repeats its key c − 1 times: 2(c − 1) ≥ c bytes
+		// holds it at a byte a gap.
+		postArena: make([]byte, 0, 2*(keys-distinct)),
+		refs:      make([]uint32, 0, distinct),
 		counts:    make([]uint32, 0, distinct),
 		maxID:     math.MaxInt32, // ids are valid by construction
 	}
@@ -505,17 +515,32 @@ func uvarint32(b []byte, i int) (v uint32, next int) {
 	}
 }
 
-// appendList decodes entry e's delta-varint list into dst.
+// first reads entry e up to its first id: it returns the entry's count
+// and that id — a one-id entry's ref — and, for a list, the list's bytes
+// from its start and where the varint after the first id begins.
+func (f *Frozen) first(e int) (n uint32, id int32, b []byte, i int) {
+	n, id = f.counts[e], int32(f.refs[e])
+	if n > 1 {
+		b = f.postArena[id:]
+		var v uint32
+		v, i = uvarint32(b, 0)
+		id = int32(v)
+	}
+	return n, id, b, i
+}
+
+// appendList appends entry e's ids to dst.
 func (f *Frozen) appendList(e int, dst []int32) []int32 {
-	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
-	var prev int32
-	for i := 0; i < len(b); {
+	n, id, b, i := f.first(e)
+	for {
+		dst = append(dst, id)
+		if n--; n == 0 {
+			return dst
+		}
 		var v uint32
 		v, i = uvarint32(b, i)
-		prev += int32(v)
-		dst = append(dst, prev)
+		id += int32(v)
 	}
-	return dst
 }
 
 // IDSet is a set of posting ids under construction — a query's
@@ -592,21 +617,22 @@ func matchStride(block []byte, kl int, keep, q uint64, radius int, hits *[scanBl
 
 // collect adds entry e's posting list to the set under construction
 // (its bitmap, and its ids as a slice that is returned extended): the
-// list is decoded like appendList decodes it, but only ids the bitmap
-// does not hold yet are kept, and they are marked.
+// ids are read like appendList reads them, but only ids the bitmap does
+// not hold yet are kept, and they are marked.
 func (f *Frozen) collect(e int, seen []uint64, ids []int32) []int32 {
-	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
-	var prev int32
-	for i := 0; i < len(b); {
+	n, id, b, i := f.first(e)
+	for {
+		if w, bit := id/64, uint(id)%64; seen[w]>>bit&1 == 0 {
+			seen[w] |= 1 << bit
+			ids = append(ids, id)
+		}
+		if n--; n == 0 {
+			return ids
+		}
 		var v uint32
 		v, i = uvarint32(b, i)
-		prev += int32(v)
-		if w, bit := prev/64, uint(prev)%64; seen[w]>>bit&1 == 0 {
-			seen[w] |= 1 << bit
-			ids = append(ids, prev)
-		}
+		id += int32(v)
 	}
-	return ids
 }
 
 // CollectEntry is collect for a lookup's result — an entry number as
@@ -773,17 +799,18 @@ func (f *Frozen) ForEachEntry(e int, fn func(id int32) bool) bool {
 	if e < 0 {
 		return true
 	}
-	b := f.postArena[f.postOffs[e]:f.postOffs[e+1]]
-	var prev int32
-	for i := 0; i < len(b); {
-		var v uint32
-		v, i = uvarint32(b, i)
-		prev += int32(v)
-		if !fn(prev) {
+	n, id, b, i := f.first(e)
+	for {
+		if !fn(id) {
 			return false
 		}
+		if n--; n == 0 {
+			return true
+		}
+		var v uint32
+		v, i = uvarint32(b, i)
+		id += int32(v)
 	}
-	return true
 }
 
 // EntryLen returns the length of entry e's posting list, 0 for e = −1.
@@ -814,7 +841,7 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 const frozenStructBytes = 5*24 + 16
 
 // SizeBytes reports the exact resident size of the frozen index: the
-// two arenas, the offset/count/slot arrays, and the struct header.
+// two arenas, the ref/count/slot arrays, and the struct header.
 // Every term is the length of a real backing array, so Fig. 6 reports a
 // property of the index rather than a guess. The
 // slot table is charged at its committed size (slotCount, a pure
@@ -822,18 +849,18 @@ const frozenStructBytes = 5*24 + 16
 // yet, so heap- and mmap-opened copies of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
 	return int64(len(f.keyArena)) + int64(len(f.postArena)) +
-		4*int64(len(f.postOffs)+len(f.counts)+slotCount(f.NumKeys())) +
+		4*int64(len(f.refs)+len(f.counts)+slotCount(f.NumKeys())) +
 		frozenStructBytes
 }
 
-// WriteTo serializes the frozen index as its arenas and offset
+// WriteTo serializes the frozen index as its arenas and per-entry
 // arrays, verbatim; the slot table is rebuilt on read (one hashing
 // pass) rather than stored, and the keys need no offsets: they have one
 // length, which the header carries. Output is deterministic for a given
 // logical index.
 //
 // The section is split in two halves a container may separate: a
-// scalar header carrying every length a reader needs (offset and count
+// scalar header carrying every length a reader needs (ref and count
 // lengths derived from the key count, arena byte lengths recorded), and
 // a raw payload with alignment padding before the word-sized arrays. A
 // borrow-mode reader aliases the whole payload from the header's
@@ -856,21 +883,21 @@ func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(len(f.postArena))
 }
 
-// WritePayloadTo writes the arenas and offset arrays raw, in the
+// WritePayloadTo writes the arenas and per-entry arrays raw, in the
 // order FrozenHeader.ReadPayload consumes them.
 func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	bw.Bytes(f.keyArena)
 	bw.Bytes(f.postArena)
 	bw.Align8()
-	bw.Uint32sRaw(f.postOffs)
+	bw.Uint32sRaw(f.refs)
 	bw.Align8()
 	bw.Uint32sRaw(f.counts)
 }
 
-// ReadFrozen reads an index written by WriteTo, validating structural
-// invariants (offset monotonicity, count totals) and the arena
-// contents (varint framing, that every decoded id lies in [0, maxID),
-// strict key order) before returning. The arenas are adopted directly
+// ReadFrozen reads an index written by WriteTo, validating the count
+// total and the contents (lists chained end to end over the arena,
+// varint framing, that every id lies in [0, maxID), strict key order)
+// before returning. The arenas are adopted directly
 // from the decoded buffers — loading is O(bytes) — and the slot table
 // is rebuilt lazily on the first probe.
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
@@ -942,11 +969,11 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 // page — arrays are aliased, alignment padding is skipped by offset —
 // and an index borrowed off a file mapping opens having touched header
 // bytes alone; a truncated file still fails here, at open, because the
-// binio reads are bounds-checked. Everything page-touching — offset
-// spans and monotonicity, count totals, varint framing, id ranges, key
-// order — is deferred to Validate, which callers MUST run before any
-// entry accessor (lookups, Range, posting decodes): until Validate
-// passes, a corrupted middle offset could make an entry slice panic.
+// binio reads are bounds-checked. Everything page-touching — count
+// totals, the lists' chain, varint framing, id ranges, key order — is
+// deferred to Validate, which callers MUST run before any entry accessor
+// (lookups, Range, posting decodes): until Validate passes, a corrupted
+// ref could make an entry slice panic.
 //
 //gph:borrow
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
@@ -954,7 +981,7 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")
 	f.postArena = br.BytesRaw(h.postArenaLen, "frozen posting arena")
 	br.Align8()
-	f.postOffs = br.Uint32sRaw(h.numKeys+1, "frozen posting offsets")
+	f.refs = br.Uint32sRaw(h.numKeys, "frozen posting refs")
 	br.Align8()
 	f.counts = br.Uint32sRaw(h.numKeys, "frozen posting counts")
 	if err := br.Err(); err != nil {
@@ -963,10 +990,12 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 	return f, nil
 }
 
-// Validate runs the deferred content half of loading: every posting
-// list decodes cleanly (varint framing, ids in [0, maxID), decoded
-// count matching the counts array) and keys are strictly sorted. It
-// reads both arenas end to end — over a mapping this is the pass that
+// Validate runs the deferred content half of loading: every entry has
+// an id — a one-id entry's ref in [0, maxID), every other's list
+// decoding cleanly by its count (varint framing, ids in [0, maxID)) from
+// where the list before it ends, the last ending the arena — and keys
+// are strictly sorted. It reads both arenas end to end — over a mapping
+// this is the pass that
 // faults the pages in, which is why ReadPayload leaves it to the
 // caller's first query rather than open. Idempotent and safe for
 // concurrent use; every call returns the first run's verdict.
@@ -985,23 +1014,13 @@ func (f *Frozen) ValidateWidth(width int) error {
 
 func (f *Frozen) validateContent(width int) error {
 	numKeys := f.NumKeys()
-	// Offset spans, monotonicity and the count total come first: until
-	// they hold, no entry may be sliced out of the arenas (a corrupted
-	// offset would index past an arena while earlier entries still
-	// look consistent — a panic, not a fault, but still not an error).
-	// These checks touch the offset pages, which is exactly what
-	// ReadPayload avoids at open, so they live here
-	// with the other page-touching checks; the length checks at read
-	// time keep this walk itself in-bounds.
-	if len(f.postOffs) > 0 && (f.postOffs[0] != 0 || f.postOffs[numKeys] != uint32(len(f.postArena))) {
-		return fmt.Errorf("invindex: frozen offsets do not span the arenas")
-	}
+	// The count total comes first; it touches the count pages, which is
+	// exactly what ReadPayload avoids at open, so it lives here with the
+	// other page-touching checks. The length checks at read time keep
+	// every walk below in bounds.
 	var total int64
-	for e := 0; e < numKeys; e++ {
-		if f.postOffs[e] > f.postOffs[e+1] {
-			return fmt.Errorf("invindex: frozen offsets not monotone at entry %d", e)
-		}
-		total += int64(f.counts[e])
+	for _, c := range f.counts {
+		total += int64(c)
 	}
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
@@ -1013,48 +1032,47 @@ func (f *Frozen) validateContent(width int) error {
 			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
 		}
 	}
-	// Per entry: its key against the one before, its key's width, its
-	// list. A key of the wrong width is reported only once every entry's
-	// order and list have passed, as when the width check was a pass of
-	// its own after them: what a corrupt file is rejected for does not
-	// depend on which loop found it.
-	if f.wordKeys() {
-		// Keys of one word or less, every default build, in two straight
-		// passes: the keys up to the first out of order, then the lists
-		// before it. The verdict is the one the entry-by-entry loop below
-		// reaches.
-		disorder, wide := f.scanWordKeys(width)
-		if err := f.checkLists(disorder); err != nil {
-			return err
-		}
-		if disorder < numKeys {
-			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", disorder)
-		}
-		if wide >= 0 {
-			return f.checkKeyWidth(wide, width)
-		}
-		return nil
+	// The keys up to the first out of order, then the postings before it:
+	// the verdict an entry-by-entry walk reaches — its key against the one
+	// before, then its postings — with a key of the wrong width reported
+	// only once every entry has passed, as when the width check was a pass
+	// of its own after them.
+	disorder, wide := f.scanKeys(width)
+	if err := f.checkLists(disorder); err != nil {
+		return err
 	}
-	var widthErr error
-	for e := 0; e < numKeys; e++ {
-		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
-			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
-		}
-		if width >= 0 && widthErr == nil {
-			widthErr = f.checkKeyWidth(e, width)
-		}
-		if err := f.checkList(e); err != nil {
-			return err
-		}
+	if disorder < numKeys {
+		return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", disorder)
 	}
-	return widthErr
+	if wide >= 0 {
+		return f.checkKeyWidth(wide, width)
+	}
+	return nil
 }
 
-// scanWordKeys is the key pass over keys of kl ≤ 8 bytes: it returns
-// the first entry whose key does not follow the one before (numKeys
-// when every key does), and the first entry before that whose key is
-// not the packed form of a width-bit projection (−1 for none, or when
-// width < 0). Byte-lexicographic order, what bytes.Compare computes, is
+// scanKeys is the key pass: it returns the first entry whose key does
+// not follow the one before (numKeys when every key does), and the first
+// entry before that whose key is not the packed form of a width-bit
+// projection (−1 for none, or when width < 0).
+func (f *Frozen) scanKeys(width int) (disorder, wide int) {
+	if f.wordKeys() {
+		return f.scanWordKeys(width)
+	}
+	numKeys := f.NumKeys()
+	disorder, wide = numKeys, -1
+	for e := 0; e < numKeys; e++ {
+		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
+			return e, wide
+		}
+		if width >= 0 && wide < 0 && f.checkKeyWidth(e, width) != nil {
+			wide = e
+		}
+	}
+	return disorder, wide
+}
+
+// scanWordKeys is scanKeys over keys of kl ≤ 8 bytes, a word a key.
+// Byte-lexicographic order, what bytes.Compare computes, is
 // the order of the keys read as big-endian words, each masked to its own
 // kl bytes — the high ones of that read.
 func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
@@ -1087,78 +1105,97 @@ func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
 	return disorder, wide
 }
 
-// checkLists is the list pass over entries [0, limit): each list is
-// judged from the words that hold it, and one the words cannot clear —
-// a corrupt list, or one whose word would reach past the arena's end —
-// goes to checkList, which walks it a byte at a time and says what is
-// wrong with it.
+// checkLists is the postings pass over entries [0, limit) and, when
+// that is every entry, the check that the lists end where the arena
+// does. An entry with no postings, or with one whose ref is not an id,
+// is found by one pass over the counts and refs that branches on
+// neither. The lists before the first such entry are each judged from
+// the words that hold them, up to the next list's ref; one the words
+// cannot clear — a corrupt list, one off the chain, or one whose word
+// would reach past the arena's end — goes to checkList, which walks it a
+// byte at a time and says what is wrong with it or where it ends.
 func (f *Frozen) checkLists(limit int) error {
-	if limit == 0 {
-		return nil
-	}
-	arena, counts := f.postArena, f.counts[:limit]
-	ends := f.postOffs[1 : limit+1]
-	ends = ends[:len(counts)]
+	counts := f.counts[:limit]
+	refs := f.refs[:len(counts)]
 	idLimit := uint64(max(f.maxID, 0))
-	single := oneVarintWords(idLimit)
-	lo := int(f.postOffs[0])
-	for e, c := range counts {
-		hi := int(ends[e])
-		n := uint(hi - lo)
-		ok := false
-		switch {
-		case n > 8:
-			ok = varintsOK(arena[lo:hi], c, idLimit)
-		case n == 0 || lo+8 > len(arena):
-			// No word to judge from: the byte loop decides.
-		case c == 1 && n <= 5: // one id, most lists of most partitions
-			ok = single[n&7].ok(binary.LittleEndian.Uint64(arena[lo:]))
-		default:
-			ok = varintWordOK(binary.LittleEndian.Uint64(arena[lo:]), n, c, idLimit)
+	bad := limit
+	if !entriesOK(counts, refs, idLimit) {
+		for e, c := range counts {
+			if c == 0 || c == 1 && uint64(refs[e]) >= idLimit {
+				bad = e
+				break
+			}
 		}
-		lo = hi
-		if !ok {
-			if err := f.checkList(e); err != nil {
+	}
+	pos, open := 0, -1 // where the next list starts; the list whose end is still to find
+	var err error
+	for e, c := range counts[:bad] {
+		if c < 2 {
+			continue
+		}
+		if open >= 0 {
+			if pos, err = f.judgeList(open, pos, int(refs[e]), idLimit); err != nil {
 				return err
 			}
 		}
+		open = e
+	}
+	if open >= 0 {
+		if pos, err = f.judgeList(open, pos, len(f.postArena), idLimit); err != nil {
+			return err
+		}
+	}
+	switch {
+	case bad < limit && counts[bad] == 0:
+		return fmt.Errorf("invindex: frozen entry %d has no postings", bad)
+	case bad < limit:
+		return fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", bad, refs[bad], f.maxID)
+	case limit == f.NumKeys() && pos != len(f.postArena):
+		return fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
 	return nil
 }
 
-// contBits is the continuation bit of every byte of a word.
-const contBits = 0x8080808080808080
-
-// oneVarintWord judges a one-id list of n ≤ 5 bytes from the word at its
-// start: masked to keep, its continuation bits must be cont — bytes
-// 0..n−2 continue, byte n−1 ends the varint — and the word must be under
-// limit, which is idLimit written as such an n-byte varint. Two such
-// words order as their values do (the last byte carries the highest
-// payload, and the continuation bits agree), so the compare is the id
-// range; an idLimit that needs more than n bytes passes every word.
-type oneVarintWord struct{ keep, cont, limit uint64 }
-
-func (s *oneVarintWord) ok(w uint64) bool {
-	w &= s.keep
-	return w&contBits == s.cont && w < s.limit
+// entriesOK reports whether every entry of counts has postings and every
+// one-id entry's ref is an id below idLimit, in a pass with no branch: a
+// one-id entry stands for its ref plus one, any other for 0, and the
+// largest of those must not pass idLimit.
+func entriesOK(counts, refs []uint32, idLimit uint64) bool {
+	refs = refs[:len(counts)]
+	least, top := uint32(1), uint64(0)
+	for e, c := range counts {
+		v := uint64(refs[e]) + 1
+		if c != 1 {
+			v = 0
+		}
+		top = max(top, v)
+		least = min(least, c)
+	}
+	return least > 0 && top <= idLimit
 }
 
-// oneVarintWords returns the judges of one-id lists by length, 1 to 5.
-func oneVarintWords(idLimit uint64) (t [8]oneVarintWord) {
-	for n := uint(1); n <= 5; n++ {
-		s := &t[n]
-		s.keep = ^uint64(0) >> (64 - 8*n)
-		s.cont = contBits & (s.keep >> 8)
-		s.limit = ^uint64(0)
-		if idLimit < 1<<(7*n) {
-			s.limit = s.cont
-			for b := uint(0); b < n; b++ {
-				s.limit |= (idLimit >> (7 * b) & 0x7f) << (8 * b)
-			}
+// judgeList checks the list of entry e, which must start at pos, from
+// the words that hold it when it ends at hi; it returns where the list
+// ends, from checkList when the words cannot clear it.
+func (f *Frozen) judgeList(e, pos, hi int, idLimit uint64) (int, error) {
+	arena, lo, c := f.postArena, int(f.refs[e]), f.counts[e]
+	ok := false
+	if lo == pos && lo < hi && hi <= len(arena) {
+		switch n := uint(hi - lo); {
+		case n > 8:
+			ok = varintsOK(arena[lo:hi], c, idLimit)
+		case lo+8 <= len(arena):
+			ok = varintWordOK(binary.LittleEndian.Uint64(arena[lo:]), n, c, idLimit)
 		}
 	}
-	return t
+	if ok {
+		return hi, nil
+	}
+	return f.checkList(e, pos)
 }
+
+// contBits is the continuation bit of every byte of a word.
+const contBits = 0x8080808080808080
 
 // varintWordOK reports whether the n ∈ [1, 8] low bytes of w are a list
 // checkList accepts with count ids: count terminators, the last byte
@@ -1231,17 +1268,18 @@ func byteSum(x uint64) uint64 {
 	return x * 0x0001000100010001 >> 48
 }
 
-// checkList decodes entry e's posting list: framing, id range, and the
-// decoded count against the counts array.
-func (f *Frozen) checkList(e int) error {
-	n, err := validateList(f.postArena[f.postOffs[e]:f.postOffs[e+1]], f.maxID)
+// checkList walks entry e's list a byte at a time: it must start at pos,
+// where the lists before it end, and hold its count of ids, framed and in
+// range. It returns where the list ends.
+func (f *Frozen) checkList(e, pos int) (int, error) {
+	if int(f.refs[e]) != pos {
+		return 0, fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, f.refs[e], pos)
+	}
+	end, err := validateList(f.postArena, pos, f.counts[e], f.maxID)
 	if err != nil {
-		return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+		return 0, fmt.Errorf("invindex: frozen entry %d: %w", e, err)
 	}
-	if n != int(f.counts[e]) {
-		return fmt.Errorf("invindex: frozen entry %d decodes %d postings, count says %d", e, n, f.counts[e])
-	}
-	return nil
+	return end, nil
 }
 
 // checkKeyWidth verifies that key e is the packed form of a width-bit
@@ -1261,12 +1299,12 @@ func (f *Frozen) checkKeyWidth(e, width int) error {
 	return nil
 }
 
-// validateList walks one delta-varint list, checking framing and that
-// every id lies in [0, maxID); it returns the decoded count.
-func validateList(b []byte, maxID int32) (int, error) {
+// validateList walks the count delta-varints at b[i:], checking framing
+// and that every id lies in [0, maxID); it returns the index of the byte
+// after the last.
+func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 	var prev int64
-	n := 0
-	for i := 0; i < len(b); {
+	for ; count > 0; count-- {
 		var v uint64
 		var shift uint
 		for {
@@ -1290,16 +1328,15 @@ func validateList(b []byte, maxID int32) (int, error) {
 		if prev >= int64(maxID) {
 			return 0, fmt.Errorf("posting id %d outside [0,%d)", prev, maxID)
 		}
-		n++
 	}
-	return n, nil
+	return i, nil
 }
 
 // ArenaBreakdown reports the byte size of each backing component
-// (key arena with its pad, postings arena, offset+count arrays, slot
+// (key arena with its pad, postings arena, ref+count arrays, slot
 // table): SizeBytes less the struct. The size experiment (gph-bench
 // -exp fig6) reports a GPH index's footprint by component from it.
-func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, offsetBytes, slotBytes int64) {
+func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, slotBytes int64) {
 	return int64(len(f.keyArena)), int64(len(f.postArena)),
-		4 * int64(len(f.postOffs)+len(f.counts)), 4 * int64(slotCount(f.NumKeys()))
+		4 * int64(len(f.refs)+len(f.counts)), 4 * int64(slotCount(f.NumKeys()))
 }

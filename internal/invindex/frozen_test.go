@@ -314,7 +314,7 @@ func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	f := &Frozen{keyLen: KeyLen(width), postOffs: []uint32{0}, maxID: math.MaxInt32}
+	f := &Frozen{keyLen: KeyLen(width), maxID: math.MaxInt32}
 	for _, k := range keys {
 		f.keyArena = append(f.keyArena, k...)
 		f.addList(post[k])
@@ -468,7 +468,7 @@ func TestEveryKeyWidth(t *testing.T) {
 		}
 		kb, pb, ob, sb := f.ArenaBreakdown()
 		align := func(x int64) int64 { return (x + 7) &^ 7 }
-		serialized := align(align(5*8+kb+pb)+4*int64(f.NumKeys()+1)) + 4*int64(f.NumKeys())
+		serialized := align(align(5*8+kb+pb)+4*int64(f.NumKeys())) + 4*int64(f.NumKeys())
 		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+sb+frozenStructBytes || sb != 4*int64(len(f.slots)) {
 			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and slots %d",
 				width, len(raw), serialized, f.SizeBytes(), kb+pb+ob+sb+frozenStructBytes)

@@ -6,28 +6,25 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"gph/internal/binio"
 )
 
-// The reference: the content tier as it ran before the one-word fast
-// path — every key compared with bytes.Compare, every list walked, and
-// the key widths checked a bit at a time in a pass of their own behind
-// both. The fast path keeps every check; these keep it honest about that.
+// The reference: the content tier as an entry-by-entry walk — every key
+// compared with bytes.Compare, every entry's postings checked where the
+// walk reaches it, each list decoded a byte at a time from where the one
+// before it ended, and the key widths checked a bit at a time in a pass
+// of their own behind all of it. The fast paths keep every check; these
+// keep them honest about that.
 
 func refValidate(f *Frozen, width int) error {
 	numKeys := f.NumKeys()
-	if len(f.postOffs) > 0 && (f.postOffs[0] != 0 || f.postOffs[numKeys] != uint32(len(f.postArena))) {
-		return fmt.Errorf("invindex: frozen offsets do not span the arenas")
-	}
 	var total int64
-	for e := 0; e < numKeys; e++ {
-		if f.postOffs[e] > f.postOffs[e+1] {
-			return fmt.Errorf("invindex: frozen offsets not monotone at entry %d", e)
-		}
-		total += int64(f.counts[e])
+	for _, c := range f.counts {
+		total += int64(c)
 	}
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
@@ -37,17 +34,30 @@ func refValidate(f *Frozen, width int) error {
 			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
 		}
 	}
+	pos := 0
 	for e := 0; e < numKeys; e++ {
 		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
 			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
 		}
-		n, err := refValidateList(f.postArena[f.postOffs[e]:f.postOffs[e+1]], f.maxID)
-		if err != nil {
-			return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+		switch c, ref := f.counts[e], f.refs[e]; {
+		case c == 0:
+			return fmt.Errorf("invindex: frozen entry %d has no postings", e)
+		case c == 1:
+			if int64(ref) >= int64(f.maxID) {
+				return fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", e, ref, f.maxID)
+			}
+		case int64(ref) != int64(pos):
+			return fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, ref, pos)
+		default:
+			n, err := refValidateList(f.postArena[pos:], int(c), f.maxID)
+			if err != nil {
+				return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+			}
+			pos += n
 		}
-		if n != int(f.counts[e]) {
-			return fmt.Errorf("invindex: frozen entry %d decodes %d postings, count says %d", e, n, f.counts[e])
-		}
+	}
+	if pos != len(f.postArena) {
+		return fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
 	if width < 0 {
 		return nil
@@ -70,10 +80,13 @@ func refValidate(f *Frozen, width int) error {
 	return nil
 }
 
-func refValidateList(b []byte, maxID int32) (int, error) {
+// refValidateList decodes count delta-varints from the front of b,
+// checking framing and that every id lies in [0, maxID); it returns the
+// bytes they take.
+func refValidateList(b []byte, count int, maxID int32) (int, error) {
 	var prev int64
-	n := 0
-	for i := 0; i < len(b); {
+	i := 0
+	for range count {
 		var v uint64
 		var shift uint
 		for {
@@ -95,9 +108,8 @@ func refValidateList(b []byte, maxID int32) (int, error) {
 		if prev >= int64(maxID) {
 			return 0, fmt.Errorf("posting id %d outside [0,%d)", prev, maxID)
 		}
-		n++
 	}
-	return n, nil
+	return i, nil
 }
 
 // readUnvalidated parses a serialized section in place, content tier
@@ -139,127 +151,184 @@ func narrowKey(w uint64, n int) string {
 	return string(k[:n])
 }
 
-// handFrozen serializes a section made by hand — keys in the order
-// given, each with its posting bytes and the count it claims — so a test
-// can hold exactly the corruption it means to. Keys shorter than a word
-// get the zero pad FreezeRows writes.
-func handFrozen(keys []string, lists [][]byte, counts []uint32) []byte {
-	return handFrozenPad(keys, lists, counts, make([]byte, keyPad(len(keys[0]), len(keys))))
+// post is one hand-made entry's postings as a section holds them: the
+// bytes of a list, which go to the arena and give the entry the ref
+// where they start, or, with no bytes, the ref itself — the id of a
+// one-id entry.
+type post struct {
+	ref  uint32
+	list []byte
 }
 
-// handFrozenPad is handFrozen with the bytes after the keys given.
-func handFrozenPad(keys []string, lists [][]byte, counts []uint32, pad []byte) []byte {
-	f := &Frozen{keyLen: len(keys[0]), postOffs: []uint32{0}}
+// handSection makes a section by hand — keys in the order given, each
+// with its postings and the count it claims, then pad — so a test can
+// hold exactly the corruption it means to, a ref or the arena changed
+// before the section is written.
+func handSection(keys []string, posts []post, counts []uint32, pad []byte) *Frozen {
+	f := &Frozen{keyLen: len(keys[0])}
 	for i, k := range keys {
 		f.keyArena = append(f.keyArena, k...)
-		f.postArena = append(f.postArena, lists[i]...)
-		f.postOffs = append(f.postOffs, uint32(len(f.postArena)))
+		ref := posts[i].ref
+		if posts[i].list != nil {
+			ref = uint32(len(f.postArena))
+			f.postArena = append(f.postArena, posts[i].list...)
+		}
+		f.refs = append(f.refs, ref)
 		f.counts = append(f.counts, counts[i])
 		f.postings += int64(counts[i])
 	}
 	f.keyArena = append(f.keyArena, pad...)
-	return frozenBytes(f)
+	return f
 }
 
-// fastPathSeeds are the sections the one-word fast path could get wrong
-// and a byte-at-a-time loop would not, each with the id bound and the
-// key width it is judged at; FuzzReadFrozen starts from them.
+// handFrozen serializes handSection's section with the zero pad
+// FreezeRows writes after keys shorter than a word.
+func handFrozen(keys []string, posts []post, counts []uint32) []byte {
+	return handFrozenPad(keys, posts, counts, make([]byte, keyPad(len(keys[0]), len(keys))))
+}
+
+// handFrozenPad is handFrozen with the bytes after the keys given.
+func handFrozenPad(keys []string, posts []post, counts []uint32, pad []byte) []byte {
+	return frozenBytes(handSection(keys, posts, counts, pad))
+}
+
+// fastPathSeeds are the sections the fast paths could get wrong and an
+// entry-by-entry walk would not, each with the id bound and the key
+// width it is judged at; FuzzReadFrozen starts from them.
 func fastPathSeeds() []struct {
 	name  string
 	data  []byte
 	maxID int32
 	width int
 } {
-	one := func(keys []string, lists [][]byte) []byte {
+	one := func(keys []string, posts []post) []byte {
 		counts := make([]uint32, len(keys))
 		for i := range counts {
 			counts[i] = 1
 		}
-		return handFrozen(keys, lists, counts)
+		return handFrozen(keys, posts, counts)
 	}
-	id := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	ids := func(deltas ...uint64) []byte {
+	id := func(v uint32) post { return post{ref: v} }
+	ids := func(deltas ...uint64) post {
 		var b []byte
 		for _, d := range deltas {
 			b = binary.AppendUvarint(b, d)
 		}
-		return b
+		return post{list: b}
 	}
+	raw := func(b ...byte) post { return post{list: b} }
+	// edit writes a hand-made section after change has had its way with it.
+	edit := func(keys []string, posts []post, counts []uint32, change func(f *Frozen)) []byte {
+		f := handSection(keys, posts, counts, nil)
+		change(f)
+		return frozenBytes(f)
+	}
+	k1, k2, k3 := wordKey(1), wordKey(2), wordKey(3)
 	seeds := []struct {
 		name  string
 		data  []byte
 		maxID int32
 		width int
 	}{
-		{"a multi-byte varint ending a list", handFrozen([]string{wordKey(1)}, [][]byte{append(id(0), id(300)...)}, []uint32{2}), 301, 64},
-		{"a list cut inside its last varint", one([]string{wordKey(1)}, [][]byte{{0xac}}), 301, 64},
+		{"a multi-byte varint ending a list", handFrozen([]string{k1}, []post{ids(0, 300)}, []uint32{2}), 301, 64},
+		{"a list cut inside its last varint", handFrozen([]string{k1}, []post{raw(0x01, 0xac)}, []uint32{2}), 301, 64},
 		// Five bytes carry 35 bits: past 32 the value fails the id range, and
 		// a sixth byte is what the framing check is for.
-		{"a 5-byte varint overflowing 32 bits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x7f}}), math.MaxInt32, 64},
-		{"a 6-byte varint", one([]string{wordKey(1)}, [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x00}}), math.MaxInt32, 64},
-		{"a 5-byte varint that fits", one([]string{wordKey(1)}, [][]byte{{0xff, 0xff, 0xff, 0xff, 0x06}}), math.MaxInt32, 64},
-		{"id = maxID", one([]string{wordKey(1)}, [][]byte{id(40)}), 40, 64},
-		{"id = maxID − 1", one([]string{wordKey(1)}, [][]byte{id(39)}), 40, 64},
-		{"a count one over its list", handFrozen([]string{wordKey(1)}, [][]byte{id(3)}, []uint32{2}), 40, 64},
-		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, [][]byte{id(0), id(1)}), 2, 64},
+		{"a 5-byte varint overflowing 32 bits", handFrozen([]string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x7f)}, []uint32{2}), math.MaxInt32, 64},
+		{"a 6-byte varint", handFrozen([]string{k1}, []post{raw(0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{2}), math.MaxInt32, 64},
+		{"a 5-byte varint that fits", handFrozen([]string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x06)}, []uint32{2}), math.MaxInt32, 64},
+		{"a singleton ref = maxID", one([]string{k1}, []post{id(40)}), 40, 64},
+		{"a singleton ref = maxID − 1", one([]string{k1}, []post{id(39)}), 40, 64},
+		{"a singleton ref of 2³² − 1", one([]string{k1}, []post{id(math.MaxUint32)}), math.MaxInt32, 64},
+		{"a singleton ref against a negative maxID", one([]string{k1}, []post{id(0)}), -28, 64},
+		{"a count one over its list", handFrozen([]string{k1}, []post{ids(3, 1)}, []uint32{3}), 40, 64},
+		{"a count one under its list", handFrozen([]string{k1}, []post{ids(3, 1, 1)}, []uint32{2}), 40, 64},
+		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, []post{id(0), id(1)}), 2, 64},
 		// Byte 7 is the big end of the little-endian word and the last
 		// byte bytes.Compare reaches; byte 0 the other way round. A compare
 		// of the words as the key scans load them orders these backwards.
-		{"keys differing only in byte 7, ascending", one([]string{wordKey(1), wordKey(1 | 1<<56)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 7, descending", one([]string{wordKey(1 | 1<<56), wordKey(1)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 0, ascending", one([]string{wordKey(1 << 56), wordKey(1 | 1<<56)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 0, descending", one([]string{wordKey(1 | 1<<56), wordKey(1 << 56)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"ascending by byte, descending as words", one([]string{wordKey(0x0100), wordKey(0x0001)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"ascending as words, descending by byte", one([]string{wordKey(0x0001), wordKey(0x0100)}, [][]byte{id(0), id(1)}), 2, 64},
-		{"a key bit at the partition width", one([]string{wordKey(1 << 61)}, [][]byte{id(0)}), 1, 61},
-		{"a key bit just inside the partition width", one([]string{wordKey(1 << 60)}, [][]byte{id(0)}), 1, 61},
-		{"a key bit at the width behind a bad list", one([]string{wordKey(1 << 61), wordKey(1<<61 | 1<<8)}, [][]byte{id(0), {0x80}}), 2, 61},
-		{"one-word keys judged as two-word projections", one([]string{wordKey(1)}, [][]byte{id(0)}), 1, 70},
+		{"keys differing only in byte 7, ascending", one([]string{k1, wordKey(1 | 1<<56)}, []post{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 7, descending", one([]string{wordKey(1 | 1<<56), k1}, []post{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 0, ascending", one([]string{wordKey(1 << 56), wordKey(1 | 1<<56)}, []post{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 0, descending", one([]string{wordKey(1 | 1<<56), wordKey(1 << 56)}, []post{id(0), id(1)}), 2, 64},
+		{"ascending by byte, descending as words", one([]string{wordKey(0x0100), wordKey(0x0001)}, []post{id(0), id(1)}), 2, 64},
+		{"ascending as words, descending by byte", one([]string{wordKey(0x0001), wordKey(0x0100)}, []post{id(0), id(1)}), 2, 64},
+		{"a key bit at the partition width", one([]string{wordKey(1 << 61)}, []post{id(0)}), 1, 61},
+		{"a key bit just inside the partition width", one([]string{wordKey(1 << 60)}, []post{id(0)}), 1, 61},
+		{"a key bit at the width behind a bad list", handFrozen([]string{wordKey(1 << 61), wordKey(1<<61 | 1<<8)},
+			[]post{id(0), raw(0, 0x80)}, []uint32{1, 2}), 2, 61},
+		{"one-word keys judged as two-word projections", one([]string{k1}, []post{id(0)}), 1, 70},
 
 		// The list pass judges a list of up to 8 bytes from the word at its
 		// start, a longer one a word at a time, and a list whose word would
-		// cross the arena's end a byte at a time.
-		{"a one-id list in the arena's last 8 bytes", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{id(300), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 400, 64},
-		{"a list whose window crosses the arena's end", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 1), id(300)}, []uint32{8, 1}), 400, 64},
-		{"a several-id list of exactly 8 bytes", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611, 64},
-		{"a several-id list of 9 bytes", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616, 64},
-		{"a count of 1 over two varints", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{1, 6}), 40, 64},
-		{"two ids summing to maxID − 1", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301, 64},
-		{"two ids summing to maxID", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300, 64},
-		{"a five-byte continuation run inside an 8-byte window", handFrozen([]string{wordKey(1), wordKey(2)},
-			[][]byte{{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, id(1)}, []uint32{2, 1}), math.MaxInt32, 64},
-		{"a five-byte continuation run across a long list's words", handFrozen([]string{wordKey(1)},
-			[][]byte{append(ids(1, 1, 1, 1, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{6}), math.MaxInt32, 64},
-		{"a varint split across a long list's words", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008, 64},
-		{"a varint split across a long list's words, last id = maxID", handFrozen([]string{wordKey(1)},
-			[][]byte{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007, 64},
+		// cross the arena's end a byte at a time; a list ends where the next
+		// list's ref says.
+		{"a list in the arena's last 8 bytes", handFrozen([]string{k1, k2},
+			[]post{ids(300, 1), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 6}), 400, 64},
+		{"a list whose window crosses the arena's end", handFrozen([]string{k1, k2},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 1), ids(300, 1)}, []uint32{8, 2}), 400, 64},
+		{"a several-id list of exactly 8 bytes", handFrozen([]string{k1},
+			[]post{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611, 64},
+		{"a several-id list of 9 bytes", handFrozen([]string{k1},
+			[]post{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616, 64},
+		{"two ids summing to maxID − 1", handFrozen([]string{k1, k2},
+			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301, 64},
+		{"two ids summing to maxID", handFrozen([]string{k1, k2},
+			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300, 64},
+		{"a five-byte continuation run inside an 8-byte window", handFrozen([]string{k1, k2},
+			[]post{raw(0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), id(1)}, []uint32{2, 1}), math.MaxInt32, 64},
+		{"a five-byte continuation run across a long list's words", handFrozen([]string{k1},
+			[]post{{list: append(ids(1, 1, 1, 1, 1).list, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}}, []uint32{6}), math.MaxInt32, 64},
+		{"a varint split across a long list's words", handFrozen([]string{k1},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008, 64},
+		{"a varint split across a long list's words, last id = maxID", handFrozen([]string{k1},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007, 64},
+
+		// The chain: each list starts where the one before it ends, the
+		// first at the arena's start, and the last ends the arena. An entry
+		// has postings, and one whose count says one holds its id in its ref.
+		{"a list ref past the previous list's end", edit([]string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { f.refs[1]++ }), 10, 64},
+		{"a list ref before the previous list's end", edit([]string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { f.refs[1]-- }), 10, 64},
+		{"a first list not at the arena's start", edit([]string{k1, k2},
+			[]post{id(5), ids(1, 1)}, []uint32{1, 2}, func(f *Frozen) { f.postArena, f.refs[1] = append([]byte{7}, f.postArena...), 1 }), 10, 64},
+		{"a last list that stops short of the arena's end", edit([]string{k1, k2},
+			[]post{ids(1, 1), id(7)}, []uint32{2, 1}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10, 64},
+		{"singletons over an arena that is not empty", edit([]string{k1, k2},
+			[]post{id(0), id(1)}, []uint32{1, 1}, func(f *Frozen) { f.postArena = []byte{0} }), 10, 64},
+		{"an entry with count 0", handFrozen([]string{k1, k2, k3},
+			[]post{id(0), {}, id(2)}, []uint32{1, 0, 1}), 10, 64},
+		{"an entry with count 0 over a list", handFrozen([]string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1)}, []uint32{2, 0}), 10, 64},
+		{"a count-1 entry in the middle of the chain", handFrozen([]string{k1, k2, k3},
+			[]post{ids(1, 1), ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 1, 6}), 40, 64},
+		{"an entry with count 0 behind a bad list", handFrozen([]string{k1, k2},
+			[]post{raw(0, 0x80), {}}, []uint32{2, 0}), 10, 64},
+		{"a bad singleton behind a bad list", handFrozen([]string{k1, k2},
+			[]post{raw(0, 0x80), id(50)}, []uint32{2, 1}), 10, 64},
+		{"a bad list behind a bad singleton", handFrozen([]string{k1, k2},
+			[]post{id(50), raw(0, 0x80)}, []uint32{1, 2}), 10, 64},
+		{"a bad singleton behind a key out of order", one([]string{k2, k1}, []post{id(0), id(50)}), 10, 64},
 
 		// Keys shorter than a word are loaded a word at a time too, the
 		// bytes past each key masked off: the next key's, or the pad's.
-		{"a key bit at the partition width, 2-byte keys", one([]string{narrowKey(1<<13, 2)}, [][]byte{id(0)}), 1, 13},
-		{"a key bit just inside the partition width, 2-byte keys", one([]string{narrowKey(1<<12, 2)}, [][]byte{id(0)}), 1, 13},
-		{"a key bit at the width of a partition of one byte", one([]string{narrowKey(1<<7, 1)}, [][]byte{id(0)}), 1, 7},
-		{"2-byte keys differing only in byte 1, descending", one([]string{narrowKey(1|1<<8, 2), narrowKey(1, 2)}, [][]byte{id(0), id(1)}), 2, 16},
-		{"2-byte keys ascending by byte, descending as words", one([]string{narrowKey(0x0100, 2), narrowKey(0x0001, 2)}, [][]byte{id(0), id(1)}), 2, 16},
+		{"a key bit at the partition width, 2-byte keys", one([]string{narrowKey(1<<13, 2)}, []post{id(0)}), 1, 13},
+		{"a key bit just inside the partition width, 2-byte keys", one([]string{narrowKey(1<<12, 2)}, []post{id(0)}), 1, 13},
+		{"a key bit at the width of a partition of one byte", one([]string{narrowKey(1<<7, 1)}, []post{id(0)}), 1, 7},
+		{"2-byte keys differing only in byte 1, descending", one([]string{narrowKey(1|1<<8, 2), narrowKey(1, 2)}, []post{id(0), id(1)}), 2, 16},
+		{"2-byte keys ascending by byte, descending as words", one([]string{narrowKey(0x0100, 2), narrowKey(0x0001, 2)}, []post{id(0), id(1)}), 2, 16},
 		// Unmasked, the first load reads 01 00 01 00 ff ff and the second
 		// 01 00 ff ff 00 00: ascending, where the keys are equal.
-		{"equal adjacent 2-byte keys before a larger one", one([]string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, [][]byte{id(0), id(1), id(2)}), 3, 16},
-		{"2-byte keys judged as a 40-bit projection", one([]string{narrowKey(1, 2)}, [][]byte{id(0)}), 1, 40},
-		{"5-byte keys judged as a 64-bit projection", one([]string{narrowKey(1, 5)}, [][]byte{id(0)}), 1, 64},
+		{"equal adjacent 2-byte keys before a larger one", one([]string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, []post{id(0), id(1), id(2)}), 3, 16},
+		{"2-byte keys judged as a 40-bit projection", one([]string{narrowKey(1, 2)}, []post{id(0)}), 1, 40},
+		{"5-byte keys judged as a 64-bit projection", one([]string{narrowKey(1, 5)}, []post{id(0)}), 1, 64},
 	}
 	// Every key length shorter than a word, with its pad as FreezeRows
 	// writes it, with a pad byte set, and with no pad at all.
 	for kl := 1; kl < 8; kl++ {
 		keys := []string{narrowKey(1, kl), narrowKey(2, kl)}
-		lists := [][]byte{id(0), ids(1, 300)}
+		posts := []post{id(0), ids(1, 300)}
 		counts := []uint32{1, 2}
 		set := make([]byte, 8-kl)
 		set[len(set)-1] = 1
@@ -272,7 +341,7 @@ func fastPathSeeds() []struct {
 				data  []byte
 				maxID int32
 				width int
-			}{fmt.Sprintf("%d-byte keys, %s", kl, p.what), handFrozenPad(keys, lists, counts, p.pad), 302, 8*kl - 1})
+			}{fmt.Sprintf("%d-byte keys, %s", kl, p.what), handFrozenPad(keys, posts, counts, p.pad), 302, 8*kl - 1})
 		}
 	}
 	return seeds
@@ -285,8 +354,11 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"a list cut inside its last varint":                          "entry 0: truncated varint",
 		"a 5-byte varint overflowing 32 bits":                        "entry 0: posting id 34359738367 outside [0,2147483647)",
 		"a 6-byte varint":                                            "entry 0: varint longer than 5 bytes",
-		"id = maxID":                                                 "entry 0: posting id 40 outside [0,40)",
-		"a count one over its list":                                  "entry 0 decodes 1 postings, count says 2",
+		"a singleton ref = maxID":                                    "entry 0: posting id 40 outside [0,40)",
+		"a singleton ref of 2³² − 1":                                 "entry 0: posting id 4294967295 outside [0,2147483647)",
+		"a singleton ref against a negative maxID":                   "entry 0: posting id 0 outside [0,-28)",
+		"a count one over its list":                                  "entry 0: truncated varint",
+		"a count one under its list":                                 "lists end at byte 2 of the 3-byte posting arena",
 		"equal adjacent keys":                                        "not strictly sorted at entry 1",
 		"keys differing only in byte 7, descending":                  "not strictly sorted at entry 1",
 		"keys differing only in byte 0, descending":                  "not strictly sorted at entry 1",
@@ -294,11 +366,22 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"a key bit at the partition width":                           "key 0 has bits set beyond dimension 61",
 		"a key bit at the width behind a bad list":                   "entry 1: truncated varint",
 		"one-word keys judged as two-word projections":               "key 0 is 8 bytes, a 70-bit projection packs to 16",
-		"a count of 1 over two varints":                              "entry 0 decodes 2 postings, count says 1",
 		"two ids summing to maxID":                                   "entry 0: posting id 20300 outside [0,20300)",
 		"a five-byte continuation run inside an 8-byte window":       "entry 0: varint longer than 5 bytes",
 		"a five-byte continuation run across a long list's words":    "entry 0: varint longer than 5 bytes",
 		"a varint split across a long list's words, last id = maxID": "entry 0: posting id 20007 outside [0,20007)",
+		"a list ref past the previous list's end":                    "entry 1: list starts at byte 3, the lists before it end at 2",
+		"a list ref before the previous list's end":                  "entry 1: list starts at byte 1, the lists before it end at 2",
+		"a first list not at the arena's start":                      "entry 1: list starts at byte 1, the lists before it end at 0",
+		"a last list that stops short of the arena's end":            "lists end at byte 2 of the 3-byte posting arena",
+		"singletons over an arena that is not empty":                 "lists end at byte 0 of the 1-byte posting arena",
+		"an entry with count 0":                                      "entry 1 has no postings",
+		"an entry with count 0 over a list":                          "entry 1 has no postings",
+		"a count-1 entry in the middle of the chain":                 "entry 2: list starts at byte 4, the lists before it end at 2",
+		"an entry with count 0 behind a bad list":                    "entry 0: truncated varint",
+		"a bad singleton behind a bad list":                          "entry 0: truncated varint",
+		"a bad list behind a bad singleton":                          "entry 0: posting id 50 outside [0,10)",
+		"a bad singleton behind a key out of order":                  "not strictly sorted at entry 1",
 		"a key bit at the partition width, 2-byte keys":              "key 0 has bits set beyond dimension 13",
 		"a key bit at the width of a partition of one byte":          "key 0 has bits set beyond dimension 7",
 		"2-byte keys differing only in byte 1, descending":           "not strictly sorted at entry 1",
@@ -345,9 +428,9 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 // to the reference's byte loop on random lists — varints of every
 // length, continuation runs, stray bytes, up to four words long — at
 // counts and id bounds on both sides of the truth: a list a judge clears
-// is one the byte loop accepts with that count, and one the byte loop
-// accepts, the judge clears. A list of up to 8 bytes is judged with
-// random bytes after it in its word.
+// is one the byte loop decodes with that count to its last byte, and one
+// the byte loop so decodes, the judge clears. A list of up to 8 bytes is
+// judged with random bytes after it in its word.
 func TestListJudgesAgreeWithTheByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 100000; i++ {
@@ -382,38 +465,49 @@ func TestListJudgesAgreeWithTheByteLoop(t *testing.T) {
 				}
 				idLimit := uint64(max(maxID, 0))
 				var cleared bool
-				switch n := uint(len(list)); {
-				case n > 8:
+				if n := uint(len(list)); n > 8 {
 					cleared = varintsOK(list, uint32(count), idLimit)
-				case count == 1 && n <= 5:
-					single := oneVarintWords(idLimit)
-					cleared = single[n].ok(word)
-				default:
+				} else {
 					cleared = varintWordOK(word, n, uint32(count), idLimit)
 				}
-				n, err := refValidateList(list, int32(maxID))
-				if accepted := err == nil && n == count; cleared != accepted {
-					t.Fatalf("list % x, count %d, maxID %d: judge clears it %v, byte loop says %d ids, %v", list, count, maxID, cleared, n, err)
+				end, err := refValidateList(list, count, int32(maxID))
+				if accepted := err == nil && end == len(list); cleared != accepted {
+					t.Fatalf("list % x, count %d, maxID %d: judge clears it %v, byte loop ends at byte %d, %v", list, count, maxID, cleared, end, err)
 				}
 			}
 		}
 	}
 }
 
-// TestValidateRejectsOffsetsAndTotals: the checks that come before any
-// entry is sliced — offsets spanning the arenas and monotone, counts
-// summing to the header's total — each still reject.
+// TestValidateRejectsOffsetsAndTotals: the checks on a built index's refs
+// and counts — each list where the one before it ends, the last ending
+// the arena, every entry with postings and every one-id entry's ref an
+// id, the counts summing to the header's total — each still reject.
 func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
-	f, _, _, _ := randomIndex(t, 6, 30, 9, false)
+	// Ids i and i + 20 share a key below 10 and 20–29: ten lists and ten
+	// singletons.
+	rows := make([]uint64, 30)
+	for i := range rows {
+		rows[i] = uint64(i%20) * 25
+	}
+	f := FreezeRows(len(rows), 1, 9, rows)
+	lists := slices.IndexFunc(f.counts, func(c uint32) bool { return c > 1 })
+	single := slices.IndexFunc(f.counts, func(c uint32) bool { return c == 1 })
+	second := lists + 1 + slices.IndexFunc(f.counts[lists+1:], func(c uint32) bool { return c > 1 })
+	if lists < 0 || single < 0 || second <= lists {
+		t.Fatalf("counts %v: the test needs two lists and a singleton", f.counts)
+	}
 	raw := frozenBytes(f)
 	for _, c := range []struct {
 		name   string
 		break_ func(f *Frozen)
 		want   string
 	}{
-		{"first offset", func(f *Frozen) { f.postOffs[0] = 1 }, "do not span"},
-		{"last offset", func(f *Frozen) { f.postOffs[len(f.postOffs)-1]-- }, "do not span"},
-		{"offsets out of order", func(f *Frozen) { f.postOffs[3], f.postOffs[4] = f.postOffs[4]+1, f.postOffs[3] }, "not monotone at entry 3"},
+		{"the first list's ref", func(f *Frozen) { f.refs[lists] = 1 }, fmt.Sprintf("entry %d: list starts at byte 1, the lists before it end at 0", lists)},
+		{"a list ref off the chain", func(f *Frozen) { f.refs[second]++ }, fmt.Sprintf("entry %d: list starts at byte", second)},
+		{"the last list short of the arena's end", func(f *Frozen) { f.postArena = append(bytes.Clone(f.postArena), 0) }, "lists end at byte"},
+		{"a singleton's ref past the ids", func(f *Frozen) { f.refs[single] = 30 }, fmt.Sprintf("entry %d: posting id 30 outside [0,30)", single)},
+		{"a count of 0", func(f *Frozen) { f.counts[single], f.postings = 0, f.postings-1 }, fmt.Sprintf("entry %d has no postings", single)},
 		{"counts against the total", func(f *Frozen) { f.postings++ }, "counts sum to"},
 	} {
 		f := readUnvalidated(bytes.Clone(raw), 30)
