@@ -3,48 +3,60 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"gph"
 	"gph/datagen"
+	"gph/internal/engine"
 )
 
-// TestAlternateEngineClientErrors pins the 400-vs-500 edge for the
-// non-default engines: a query the caller got wrong (wrong
-// dimensionality, negative τ, τ beyond a τ-bounded engine's build
-// threshold) must answer 400 whatever -engine the server runs,
-// because every engine's validation errors wrap gph.ErrInvalidQuery.
-// This is the server-visible face of the errsentinel invariant.
+// TestAlternateEngineClientErrors pins the 400-vs-500 edge for every
+// engine: a query the caller got wrong (wrong dimensionality, negative
+// τ, k = 0, τ beyond a τ-bounded engine's build threshold) must answer
+// 400 on /search, /knn and /search/stream whatever -engine the server
+// runs, because every engine's validation errors wrap
+// gph.ErrInvalidQuery.
 func TestAlternateEngineClientErrors(t *testing.T) {
+	const maxTau = 8
 	ds := datagen.UQVideoLike(400, 1)
-	for _, name := range []string{"mih", "hmsearch"} {
-		eng, err := gph.BuildShardedEngine(name, ds.Vectors, 1, gph.Options{MaxTau: 8, Seed: 1})
+	for _, info := range gph.Engines() {
+		eng, err := gph.BuildShardedEngine(info.Name, ds.Vectors, 1, gph.Options{MaxTau: maxTau, Seed: 1})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", info.Name, err)
 		}
 		s := &server{index: eng}
-		cases := []struct {
-			url  string
-			want int
-		}{
-			{"/search?q=0101&tau=3", http.StatusBadRequest},                                     // wrong dimensionality
-			{"/search?q=" + strings.Repeat("0", eng.Dims()) + "&tau=-1", http.StatusBadRequest}, // negative τ
-			{"/search?q=" + strings.Repeat("0", eng.Dims()) + "&tau=2", http.StatusOK},
+		q := "q=" + strings.Repeat("0", eng.Dims())
+		// τ one past the build threshold: an engine whose structure
+		// depends on it refuses, as a client error; the others answer.
+		over := http.StatusOK
+		if reg, _ := engine.Lookup(info.Name); reg.TauBounded {
+			over = http.StatusBadRequest
 		}
-		if name == "hmsearch" {
-			// τ beyond the build threshold: the partitioning depends
-			// on it, so the engine refuses — as a client error.
-			cases = append(cases, struct {
-				url  string
-				want int
-			}{"/search?q=" + strings.Repeat("0", eng.Dims()) + "&tau=200", http.StatusBadRequest})
+		overTau := "&tau=" + strconv.Itoa(maxTau+1)
+		cases := []struct {
+			handle http.HandlerFunc
+			url    string
+			want   int
+		}{
+			{s.handleSearch, "/search?q=0101&tau=3", http.StatusBadRequest},
+			{s.handleSearch, "/search?" + q + "&tau=-1", http.StatusBadRequest},
+			{s.handleSearch, "/search?" + q + overTau, over},
+			{s.handleSearch, "/search?" + q + "&tau=2", http.StatusOK},
+			{s.handleKNN, "/knn?q=0101&k=3", http.StatusBadRequest},
+			{s.handleKNN, "/knn?" + q + "&k=0", http.StatusBadRequest},
+			{s.handleKNN, "/knn?" + q + "&k=3", http.StatusOK},
+			{s.handleSearchStream, "/search/stream?q=0101&tau=3", http.StatusBadRequest},
+			{s.handleSearchStream, "/search/stream?" + q + "&tau=-1", http.StatusBadRequest},
+			{s.handleSearchStream, "/search/stream?" + q + overTau, over},
+			{s.handleSearchStream, "/search/stream?" + q + "&tau=2", http.StatusOK},
 		}
 		for _, c := range cases {
 			rec := httptest.NewRecorder()
-			s.handleSearch(rec, httptest.NewRequest(http.MethodGet, c.url, nil))
+			c.handle(rec, httptest.NewRequest(http.MethodGet, c.url, nil))
 			if rec.Code != c.want {
-				t.Errorf("%s %s → %d, want %d (%s)", name, c.url, rec.Code, c.want, rec.Body.String())
+				t.Errorf("%s %s → %d, want %d (%s)", info.Name, c.url, rec.Code, c.want, rec.Body.String())
 			}
 		}
 	}

@@ -306,31 +306,73 @@ func TestConformanceSaveLoad(t *testing.T) {
 
 // TestConformanceErrors checks the unified query-validation contract:
 // every engine reports the shared sentinels, all wrapping
-// ErrInvalidQuery.
+// ErrInvalidQuery, from every query entry point — as built, and as
+// reopened from its file on the heap and mapped.
 func TestConformanceErrors(t *testing.T) {
 	data, _, _ := confData(t)
-	q := data[0]
 	for _, info := range engine.Infos() {
 		t.Run(info.Name, func(t *testing.T) {
+			reg, _ := engine.Lookup(info.Name)
 			e := confBuild(t, info.Name, data)
-			if _, err := e.Search(bitvec.New(confDims/2), 3); !errors.Is(err, engine.ErrDimMismatch) {
-				t.Fatalf("dim mismatch: %v", err)
-			}
-			if _, err := e.Search(q, -1); !errors.Is(err, engine.ErrNegativeTau) {
-				t.Fatalf("negative tau: %v", err)
-			}
-			if _, err := e.Search(q, -1); !errors.Is(err, engine.ErrInvalidQuery) {
-				t.Fatalf("sentinels must wrap ErrInvalidQuery: %v", err)
-			}
-			if _, err := e.SearchKNN(q, 0); !errors.Is(err, engine.ErrInvalidQuery) {
-				t.Fatalf("k=0: %v", err)
-			}
-			if e.MaxTau() < e.Dims() {
-				if _, err := e.Search(q, e.MaxTau()+1); !errors.Is(err, engine.ErrTauExceedsBuild) {
-					t.Fatalf("tau beyond MaxTau: %v", err)
+			checkQueryErrors(t, "built", e, data[0], reg.TauBounded)
+			path := writeEngineFile(t, e)
+			for _, mode := range []engine.OpenMode{engine.OpenHeap, engine.OpenMMap} {
+				opened, err := engine.Open(path, mode)
+				if err != nil {
+					t.Fatalf("%v open: %v", mode, err)
 				}
+				checkQueryErrors(t, mode.String(), opened, data[0], reg.TauBounded)
+				opened.Close()
 			}
 		})
+	}
+}
+
+// checkQueryErrors feeds every query entry point of e an input the
+// caller got wrong. Each must fail with an error wrapping the case's
+// sentinel and, through it, ErrInvalidQuery: that is what servers
+// answer with 400 rather than 500.
+func checkQueryErrors(t *testing.T, how string, e engine.Engine, q bitvec.Vector, tauBounded bool) {
+	t.Helper()
+	short := bitvec.New(e.Dims() / 2)
+	search := func(q bitvec.Vector, tau int) error { _, err := e.Search(q, tau); return err }
+	stats := func(q bitvec.Vector, tau int) error { _, _, err := e.SearchStats(q, tau); return err }
+	knn := func(q bitvec.Vector, k int) error { _, err := e.SearchKNN(q, k); return err }
+	batch := func(qs []bitvec.Vector, tau int) error { _, err := e.SearchBatch(qs, tau, 2); return err }
+	stream := func(q bitvec.Vector, tau int) error {
+		for _, err := range engine.Stream(e, q, tau) {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	type errCase struct {
+		what      string
+		want, err error
+	}
+	cases := []errCase{
+		{"Search, dim mismatch", engine.ErrDimMismatch, search(short, 3)},
+		{"Search, τ = -1", engine.ErrNegativeTau, search(q, -1)},
+		{"SearchStats, dim mismatch", engine.ErrDimMismatch, stats(short, 3)},
+		{"SearchStats, τ = -1", engine.ErrNegativeTau, stats(q, -1)},
+		{"SearchKNN, dim mismatch", engine.ErrDimMismatch, knn(short, 3)},
+		{"SearchKNN, k = 0", engine.ErrInvalidQuery, knn(q, 0)},
+		{"SearchBatch, one query's dim mismatch", engine.ErrDimMismatch, batch([]bitvec.Vector{q, short, q}, 3)},
+		{"SearchBatch, τ = -1", engine.ErrNegativeTau, batch([]bitvec.Vector{q, q}, -1)},
+		{"Stream, dim mismatch", engine.ErrDimMismatch, stream(short, 3)},
+	}
+	if tauBounded {
+		over := e.MaxTau() + 1
+		cases = append(cases,
+			errCase{"Search, τ = MaxTau+1", engine.ErrTauExceedsBuild, search(q, over)},
+			errCase{"SearchStats, τ = MaxTau+1", engine.ErrTauExceedsBuild, stats(q, over)},
+			errCase{"SearchBatch, τ = MaxTau+1", engine.ErrTauExceedsBuild, batch([]bitvec.Vector{q, q}, over)})
+	}
+	for _, c := range cases {
+		if !errors.Is(c.err, c.want) || !errors.Is(c.err, engine.ErrInvalidQuery) {
+			t.Errorf("%s, %s: error %v, want one wrapping %v", how, c.what, c.err, c.want)
+		}
 	}
 }
 

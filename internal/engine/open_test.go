@@ -30,12 +30,17 @@ import (
 func saveEngineFile(t *testing.T, name string) string {
 	t.Helper()
 	data, _, _ := confData(t)
-	e := confBuild(t, name, data)
+	return writeEngineFile(t, confBuild(t, name, data))
+}
+
+// writeEngineFile writes e's index to a file under t.TempDir().
+func writeEngineFile(t *testing.T, e engine.Engine) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
-		t.Fatalf("saving %s: %v", name, err)
+		t.Fatalf("saving %s: %v", e.Name(), err)
 	}
-	path := filepath.Join(t.TempDir(), name+".idx")
+	path := filepath.Join(t.TempDir(), e.Name()+".idx")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}

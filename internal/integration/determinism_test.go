@@ -13,10 +13,9 @@ import (
 // byte-identical streams. Every random choice in the pipeline —
 // partitioning refinement and its sampled workload, LSH's hash draws —
 // must come from the seeded generator carried in the options, never
-// from the process-global math/rand (which persistdet bans in
-// persistence code and this test bans everywhere it would reach the
-// serialized form). A break here means saved indexes stop being
-// reproducible artifacts.
+// from the process-global math/rand or the wall clock: this test bans
+// both everywhere they would reach the serialized form. A break here
+// means saved indexes stop being reproducible artifacts.
 func TestSeededBuildsAreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("build matrix skipped in -short mode")

@@ -227,12 +227,14 @@ func sortedIDs(set map[int32]bool) []int32 {
 
 // Load reads a sharded index written by Save, validating the id
 // mappings against the nested per-shard indexes (every global id
-// unique and below the id counter, tombstones subset of the built
-// ids, delta dimensionality consistent). The container is decoded in
-// place — a reader that is not a *binio.Source is read out into one
-// buffer first — every shard's engine aliases its blob, and every shard
-// is validated in full before Load returns, whatever r is (OpenFile's
-// mapped mode is the one opener that leaves that to the first query).
+// unique and below the id counter, ids and tombstones strictly
+// ascending within a shard as Save writes them, tombstones a subset of
+// the built ids, delta dimensionality consistent). The container is
+// decoded in place — a reader that is not a *binio.Source is read out
+// into one buffer first — every shard's engine aliases its blob, and
+// every shard is validated in full before Load returns, whatever r is
+// (OpenFile's mapped mode is the one opener that leaves that to the
+// first query).
 func Load(r io.Reader) (*Index, error) {
 	src, err := binio.SourceOf(r, len(shardMagic), func(m string) bool { return m == shardMagic })
 	if err != nil {
@@ -360,7 +362,11 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 			sh.built = built
 		}
 		br.Align8()
-		for _, gid := range br.Int32s() {
+		dead := br.Int32s()
+		for j, gid := range dead {
+			if j > 0 && gid <= dead[j-1] {
+				return nil, fmt.Errorf("shard: shard %d tombstones not strictly ascending at %d (%d after %d)", i, j, gid, dead[j-1])
+			}
 			if _, ok := sh.pos(gid); !ok {
 				return nil, fmt.Errorf("shard: shard %d tombstone %d not in built index", i, gid)
 			}

@@ -19,7 +19,9 @@ import (
 
 // dirtyIndex builds a sharded index carrying every kind of state the
 // container must persist: built shards, tombstones, and delta
-// entries.
+// entries. Shard 0 holds at least twelve tombstones, more than one map
+// group holds, so a Save that wrote them in map order instead of
+// sorted would fail Load's ascending check on practically every run.
 func dirtyIndex(t *testing.T) *Index {
 	t.Helper()
 	ds := dataset.UQVideoLike(500, 17)
@@ -32,7 +34,8 @@ func dirtyIndex(t *testing.T) *Index {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range []int32{3, 77, 200, 410, 455} {
+	built0 := s.shards[0].Load().builtIDs
+	for _, id := range append([]int32{3, 77, 200, 410, 455}, built0[len(built0)-12:]...) {
 		if err := s.Delete(id); err != nil {
 			t.Fatal(err)
 		}
@@ -150,47 +153,70 @@ func TestOptionsRoundTrip(t *testing.T) {
 
 // TestLoadRejectsDisorderedIDs: state.pos searches builtIDs, so the
 // loader holds a file to what every writer produces — ids strictly
-// ascending within a shard, and no id in two shards.
+// ascending within a shard, and no id in two shards. Tombstones are
+// held to the same order, so a file whose re-save would differ from it
+// does not load.
 func TestLoadRejectsDisorderedIDs(t *testing.T) {
 	s, err := BuildEngine("linscan", dataset.SIFTLike(60, 4).Vectors, 2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Three tombstones in shard 0, none of them a shard's first id.
+	built0 := s.shards[0].Load().builtIDs
+	for _, id := range built0[1:4] {
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// idsAt finds shard i's id array in the file: its int32s, little-endian.
-	idsAt := func(i int) int {
-		var enc []byte
-		for _, id := range s.shards[i].Load().builtIDs {
+	// arrayAt finds an id array in the file — its count, then its int32s,
+	// little-endian — and returns the offset of its first id.
+	arrayAt := func(ids []int32) int {
+		enc := binary.LittleEndian.AppendUint64(nil, uint64(len(ids)))
+		for _, id := range ids {
 			enc = binary.LittleEndian.AppendUint32(enc, uint32(id))
 		}
 		at := bytes.Index(raw, enc)
-		if len(enc) < 8 || at < 0 || bytes.Contains(raw[at+1:], enc) {
-			t.Fatalf("shard %d's %d-byte id array does not occur exactly once in the file", i, len(enc))
+		if at < 0 || bytes.Contains(raw[at+1:], enc) {
+			t.Fatalf("the %d-byte id array %v does not occur exactly once in the file", len(enc), ids)
 		}
-		return at
+		return at + 8
 	}
-	descending := bytes.Clone(raw)
-	at := idsAt(0)
-	copy(descending[at:], raw[at+4:at+8])
-	copy(descending[at+4:], raw[at:at+4])
+	// swapped exchanges the first two ids of an array; repeated writes
+	// its first id over its second.
+	swapped := func(at int) []byte {
+		out := bytes.Clone(raw)
+		copy(out[at:], raw[at+4:at+8])
+		copy(out[at+4:], raw[at:at+4])
+		return out
+	}
+	repeated := func(at int) []byte {
+		out := bytes.Clone(raw)
+		copy(out[at+4:], raw[at:at+4])
+		return out
+	}
 	// The shard whose first id is the larger takes the other's first id
 	// in its place: still ascending, and now in both.
-	lo, hi := idsAt(0), idsAt(1)
-	if s.shards[0].Load().builtIDs[0] > s.shards[1].Load().builtIDs[0] {
+	built1 := s.shards[1].Load().builtIDs
+	lo, hi := arrayAt(built0), arrayAt(built1)
+	if built0[0] > built1[0] {
 		lo, hi = hi, lo
 	}
 	twice := bytes.Clone(raw)
 	copy(twice[hi:hi+4], raw[lo:lo+4])
+	dead := arrayAt(built0[1:4])
 	for _, c := range []struct {
 		name, want string
 		raw        []byte
 	}{
-		{"descending ids", "not strictly ascending", descending},
+		{"descending ids", "ids not strictly ascending", swapped(arrayAt(built0))},
 		{"an id in two shards", "appears in two shards", twice},
+		{"descending tombstones", "tombstones not strictly ascending", swapped(dead)},
+		{"a tombstone twice", "tombstones not strictly ascending", repeated(dead)},
 	} {
 		path := filepath.Join(t.TempDir(), "container.idx")
 		if err := os.WriteFile(path, c.raw, 0o644); err != nil {

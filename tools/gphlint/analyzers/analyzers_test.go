@@ -28,44 +28,12 @@ func TestSnapshotSafetyClean(t *testing.T) {
 	testkit.Run(t, analyzers.SnapshotSafety, "gph/snapclean/internal/shard")
 }
 
-func TestErrSentinel(t *testing.T) {
-	testkit.Run(t, analyzers.ErrSentinel, "gph/errsent/a")
-}
-
-func TestErrSentinelClean(t *testing.T) {
-	testkit.Run(t, analyzers.ErrSentinel, "gph/errsent/clean")
-}
-
-func TestPersistDet(t *testing.T) {
-	testkit.Run(t, analyzers.PersistDet, "gph/persistdet/a")
-}
-
-func TestPersistDetWholePackageScope(t *testing.T) {
-	testkit.Run(t, analyzers.PersistDet, "gph/persistdet/invindex")
-}
-
-func TestPersistDetMmapioScope(t *testing.T) {
-	testkit.Run(t, analyzers.PersistDet, "gph/persistdet/mmapio")
-}
-
 func TestBorrowAlias(t *testing.T) {
 	testkit.Run(t, analyzers.BorrowAlias, "gph/borrow/a")
 }
 
 func TestBorrowAliasClean(t *testing.T) {
 	testkit.Run(t, analyzers.BorrowAlias, "gph/borrow/clean")
-}
-
-func TestDocCheckPublicPackage(t *testing.T) {
-	testkit.Run(t, analyzers.DocCheck, "gph")
-}
-
-func TestDocCheckMissingPackageComment(t *testing.T) {
-	testkit.Run(t, analyzers.DocCheck, "gph/doccheck/nopkgdoc")
-}
-
-func TestDocCheckClean(t *testing.T) {
-	testkit.Run(t, analyzers.DocCheck, "gph/doccheck/clean")
 }
 
 func TestLeakCheck(t *testing.T) {

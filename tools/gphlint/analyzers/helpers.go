@@ -1,22 +1,20 @@
-// Package analyzers holds gphlint's nine analyzers, each encoding one
-// of the repository's load-bearing invariants: hotpath
-// (allocation-free annotated query paths), borrowalias (zero-copy
-// arena borrows on the mapped open path), snapshotsafety (immutable
-// published shard snapshots), errsentinel (sentinel-wrapped query
-// validation errors), persistdet (deterministic persistence), doccheck
-// (the documentation gate), and — built on the internal/cfg +
-// internal/dataflow engine (DESIGN.md §15) — the three path-sensitive
-// pairing analyzers: leakcheck (resources released on every path),
-// epochpair (snapshot stores post-dominated by an epoch bump) and
-// lockorder (module-wide lock ordering and the
-// no-fsync-under-writer-lock rule). See DESIGN.md §11 for how to
-// suppress a finding.
+// Package analyzers holds gphlint's six analyzers, each encoding one
+// of the repository's load-bearing invariants that no test can check
+// on the running code: hotpath (allocation-free annotated query
+// paths), borrowalias (zero-copy arena borrows on the mapped open
+// path), snapshotsafety (immutable published shard snapshots), and —
+// built on the internal/cfg + internal/dataflow engine (DESIGN.md §15)
+// — the three path-sensitive pairing analyzers: leakcheck (resources
+// released on every path), epochpair (snapshot stores post-dominated
+// by an epoch bump) and lockorder (module-wide lock ordering and the
+// no-fsync-under-writer-lock rule). The documentation, determinism
+// and error-sentinel rules run as plain tests under go test. DESIGN.md
+// §11 names those tests and says how to suppress a finding.
 package analyzers
 
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 
@@ -29,9 +27,6 @@ func All() []*lint.Analyzer {
 		Hotpath,
 		BorrowAlias,
 		SnapshotSafety,
-		ErrSentinel,
-		PersistDet,
-		DocCheck,
 		LeakCheck,
 		EpochPair,
 		LockOrder,
@@ -127,17 +122,6 @@ func calleePkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// constString returns the compile-time string value of expr, if it
-// has one (string literals, named string constants, constant
-// concatenations).
-func constString(info *types.Info, expr ast.Expr) (string, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
 // isByteSlice reports whether t's underlying type is []byte.
 func isByteSlice(t types.Type) bool {
 	s, ok := t.Underlying().(*types.Slice)
@@ -159,15 +143,6 @@ func isString(t types.Type) bool {
 // letting test fixtures mirror those paths under shorter roots.
 func pkgPathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// sortCallNames is the set of standard-library calls persistdet
-// accepts as establishing a deterministic order after a map
-// iteration collected keys.
-var sortCallNames = map[string]bool{
-	"sort.Sort": true, "sort.Stable": true, "sort.Slice": true, "sort.SliceStable": true,
-	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
-	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
 // callFullName returns "pkgpath.Func" for static package-level

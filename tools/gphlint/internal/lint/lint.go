@@ -126,7 +126,7 @@ func (p *Pass) InModule() bool { return p.ModulePath != "" }
 // IsTestFile reports whether pos lies in a _test.go file. The
 // analyzers check production invariants only: go vet hands each
 // package to the tool with its test files compiled in, and test
-// fakes are free to break hot-path or sentinel rules.
+// fakes are free to break hot-path or snapshot rules.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f == nil || strings.HasSuffix(f.Name(), "_test.go")

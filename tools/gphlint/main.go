@@ -1,13 +1,12 @@
 // Command gphlint is the repository's custom static-analysis suite:
-// a go vet -vettool multichecker whose analyzers machine-check the
-// invariants the codebase is built on — allocation-free hot paths,
-// immutable published snapshots, sentinel-wrapped validation errors,
-// deterministic persistence, the documentation rules the old tools/doccheck enforced, and (since the
-// CFG/dataflow engine, DESIGN.md §15) the path-sensitive pairing
-// invariants: resource Acquire/Release on every path (leakcheck),
-// snapshot Store post-dominated by an epoch bump (epochpair), and
-// module-wide lock-acquisition ordering with the group-commit fsync
-// rule (lockorder).
+// a go vet -vettool multichecker whose six analyzers check what no
+// test can see on the running code: allocation-free hot paths,
+// zero-copy borrows, immutable published snapshots and (on the
+// CFG/dataflow engine, DESIGN.md §15) Acquire/Release on every path
+// (leakcheck), snapshot Store post-dominated by an epoch bump
+// (epochpair), and lock ordering with the group-commit fsync rule
+// (lockorder). Doc comments, byte-identical saves and sentinel-wrapped
+// query errors are plain tests under go test (DESIGN.md §11).
 //
 // Usage (CI runs exactly this):
 //
