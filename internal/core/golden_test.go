@@ -70,9 +70,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 37511, breakdown{8238, 609, 13784, 14336}},
-		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 69160, breakdown{17901, 2731, 20544, 26624}},
-		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 60986, breakdown{20066, 3664, 16440, 19456}},
+		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 30439, breakdown{8238, 609, 13784, 7168}},
+		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 56088, breakdown{17901, 2731, 20544, 13312}},
+		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 51498, breakdown{20066, 3664, 16440, 9728}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()

@@ -283,36 +283,38 @@ func TestLookupFormsAgree(t *testing.T) {
 	// The staged batch is the word lookup, position by position: over
 	// indexes of every kind at once — keys of whole words and narrow keys
 	// at half load, keys picked so that most sit behind another key's slot
-	// (the sequential keys of TestSlotChainsShort), long posting lists,
-	// mixed widths, no keys at all, and positions without an index —
-	// probed for held and absent keys, many more positions than a query has
-	// partitions.
-	chained := make([]uint64, 1<<12)
+	// (the sequential keys of TestSlotChainsShort) in tables of uint16 and
+	// of uint32 slots, long posting lists, mixed widths, no keys at all,
+	// and positions without an index — probed for held and absent keys,
+	// many more positions than a query has partitions.
+	chained := make([]uint64, 70000)
 	for i := range chained {
 		chained[i] = uint64(i)
 	}
-	cf, ncf := freezeWords(chained), FreezeRows(len(chained), 1, 12, chained)
+	cf, ncf := freezeWords(chained[:1<<12]), FreezeRows(1<<12, 1, 12, chained[:1<<12])
+	wcf := freezeWords(chained)
 	displaced := func(f *Frozen) []uint64 {
 		var out []uint64
-		for _, k := range chained {
-			if e := f.slots[hashWord(f.keyLen, k)&uint64(len(f.slots)-1)]; keyWord(f, int(e)) != k {
+		for _, k := range chained[:f.NumKeys()] {
+			if e := f.slotEntry(hashWord(f.keyLen, k)); keyWord(f, int(e)) != k {
 				out = append(out, k)
 			}
 		}
 		if len(out) < 100 {
-			t.Fatalf("only %d of %d sequential %d-byte keys sit behind another key's slot", len(out), len(chained), f.keyLen)
+			t.Fatalf("only %d of %d sequential %d-byte keys sit behind another key's slot", len(out), f.NumKeys(), f.keyLen)
 		}
 		return out
 	}
-	cd, ncd := displaced(cf), displaced(ncf)
+	cd, ncd, wcd := displaced(cf), displaced(ncf), displaced(wcf)
 	lf, lvecs := projectionIndex(rng, 300, 13, true, false)
 	nlf, nlvecs := projectionIndex(rng, 300, 13, true, true)
 	var fs []*Frozen
 	var words []uint64
 	for i := range 40 {
-		fs = append(fs, f, f, nf, nf, cf, cf, ncf, ncf, lf, lf, nlf, nlf, vf, vf, New().Freeze(), nil)
-		words = append(words, keys[i], rng.Uint64(), keys[i], keys[i]|1<<40, cd[i], uint64(len(chained)+i), ncd[i], uint64(len(chained)+i),
-			lvecs[i].Words()[0], 1<<13|uint64(i), nlvecs[i].Words()[0], 1<<13|uint64(i), vrows[i*25], rng.Uint64(), keys[i], keys[i])
+		fs = append(fs, f, f, nf, nf, cf, cf, ncf, ncf, wcf, wcf, lf, lf, nlf, nlf, vf, vf, New().Freeze(), nil)
+		words = append(words, keys[i], rng.Uint64(), keys[i], keys[i]|1<<40, cd[i], uint64(1<<12+i), ncd[i], uint64(1<<12+i),
+			wcd[i], uint64(len(chained)+i), lvecs[i].Words()[0], 1<<13|uint64(i), nlvecs[i].Words()[0], 1<<13|uint64(i),
+			vrows[i*25], rng.Uint64(), keys[i], keys[i])
 	}
 	const untouched = -7
 	entries, counts := make([]int32, len(fs)), make([]uint32, len(fs))
@@ -339,8 +341,8 @@ func TestLookupFormsAgree(t *testing.T) {
 		// Collecting from the entry is collecting from the key: the same
 		// ids in the same order, the same bits, the same length reported —
 		// into a set that already holds some of them.
-		byEntry := IDSet{Seen: make([]uint64, (1<<12)/64)}
-		byWord := IDSet{Seen: make([]uint64, (1<<12)/64)}
+		byEntry := IDSet{Seen: make([]uint64, (len(chained)+63)/64)}
+		byWord := IDSet{Seen: make([]uint64, (len(chained)+63)/64)}
 		for _, set := range []*IDSet{&byEntry, &byWord} {
 			set.Seen[0], set.IDs = 0b1010, append(set.IDs, 1, 3)
 		}
@@ -349,10 +351,10 @@ func TestLookupFormsAgree(t *testing.T) {
 			t.Fatalf("position %d, key %#x: by entry %d postings into %v, by word %d into %v", i, words[i], n, byEntry.IDs, want, byWord.IDs)
 		}
 	}
-	if found != 7*40 {
-		t.Fatalf("%d of %d lookups found a key; seven in sixteen probe for one that is held", found, len(fs))
+	if found != 8*40 {
+		t.Fatalf("%d of %d lookups found a key; eight in eighteen probe for one that is held", found, len(fs))
 	}
-	set := IDSet{Seen: make([]uint64, (1<<12)/64)}
+	set := IDSet{Seen: make([]uint64, (len(chained)+63)/64)}
 	if allocs := testing.AllocsPerRun(20, func() {
 		LookupWords(fs, words, entries, counts)
 		for i, bf := range fs {
@@ -373,58 +375,69 @@ func TestLookupFormsAgree(t *testing.T) {
 
 // TestSlotChainsShort: at the table's fullest, 50 % load, lookups stay
 // short for the key sets that break a hash indexed by its low bits —
-// sequential keys, and keys that vary only in their low 13 bits, as a
-// narrow partition's do: no chain beyond 16 slots. Random keys get the
-// bound linear probing itself allows: a mean of 1.5 slots at this load
-// whatever the hash, and a longest chain that grows with log n (an
-// ideal hash measures 15–31 here over seeds, so 16 is not a property
-// any hash has; 40 still catches clustering). Each set is held as whole
-// words and, where it fits one, in keys as narrow as its width: 2 bytes
-// at 12 and 13 bits, 3 at 20, 4 at 28.
+// sequential keys, and keys that vary only in their low bits, as a
+// narrow partition's do: a mean under 1.75 slots, and at 2¹² keys no
+// chain beyond 16 slots. Random keys get the bound linear probing itself
+// allows: a mean of 1.5 slots at this load whatever the hash, and a
+// longest chain that grows with log n (an ideal hash measures 15–31 at
+// 2¹² keys over seeds, so 16 is not a property any hash has; 40, and 60
+// at 2¹⁶, still catch clustering). At 2¹⁶ the structured sets' longest
+// chains are 82–96 slots against random keys' 24–39: the bound there,
+// 128, pins what the fold hash does, not what it should. Each set is
+// held as whole words and, where it fits one, in keys as narrow as its
+// width. 2¹² keys fill a table of uint16 slots and 2¹⁶ one of uint32: the
+// chains are walked through slotEntry at both widths.
 func TestSlotChainsShort(t *testing.T) {
-	const n = 1 << 12 // slotCount(n) = 2n: exactly 50 % load
-	sequential := make([]uint64, n)
-	lowBits := make([]uint64, n)
-	low13 := make([]uint64, n)
-	for i := range sequential {
-		sequential[i] = uint64(i)
-		low13[i] = uint64(2 * i) // n = 2¹² even values below 2¹³
-		lowBits[i] = 0xABCD_0000_0000_0000 | low13[i]
-	}
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
-		name    string
-		keys    []uint64
-		width   int // the keys' width when held narrow; 0 for whole words only
-		longest int
-	}{
-		{"sequential", sequential, 12, 16},
-		{"low 13 bits", lowBits, 0, 16},
-		{"low 13 bits", low13, 13, 16},
-		{"random", wordKeys(rng, n, 64), 0, 40},
-		{"random 20-bit", wordKeys(rng, n, 20), 20, 40},
-		{"random 28-bit", wordKeys(rng, n, 28), 28, 40},
-	} {
-		forms := []*Frozen{freezeWords(c.keys)}
-		if c.width > 0 {
-			forms = append(forms, FreezeRows(n, 1, c.width, c.keys))
+		n, structured, random int // the keys; the longest chain each kind of set may have
+	}{{1 << 12, 16, 40}, {1 << 16, 128, 60}} {
+		n := c.n // slotCount(n) = 2n: exactly 50 % load
+		sequential := make([]uint64, n)
+		lowBits := make([]uint64, n)
+		low := make([]uint64, n)
+		for i := range sequential {
+			sequential[i] = uint64(i)
+			low[i] = uint64(2 * i) // n even values below 2n
+			lowBits[i] = 0xABCD_0000_0000_0000 | low[i]
 		}
-		for _, f := range forms {
-			if len(f.slots) != 2*n {
-				t.Fatalf("%s: %d slots for %d keys", c.name, len(f.slots), n)
+		seqWidth := bits.Len(uint(n - 1))
+		for _, set := range []struct {
+			name    string
+			keys    []uint64
+			width   int // the keys' width when held narrow; 0 for whole words only
+			longest int
+		}{
+			{"sequential", sequential, seqWidth, c.structured},
+			{"low bits", lowBits, 0, c.structured},
+			{"low bits", low, seqWidth + 1, c.structured},
+			{"random", wordKeys(rng, n, 64), 0, c.random},
+			{"random 20-bit", wordKeys(rng, n, 20), 20, c.random},
+			{"random 28-bit", wordKeys(rng, n, 28), 28, c.random},
+		} {
+			forms := []*Frozen{freezeWords(set.keys)}
+			if set.width > 0 {
+				forms = append(forms, FreezeRows(n, 1, set.width, set.keys))
 			}
-			mask := uint64(len(f.slots) - 1)
-			longest, total := 0, 0
-			for _, k := range c.keys {
-				chain := 1
-				for h := hashWord(f.keyLen, k) & mask; keyWord(f, int(f.slots[h])) != k; h = (h + 1) & mask {
-					chain++
+			for _, f := range forms {
+				slots, slotWidth := slotTable(f)
+				if len(slots) != 2*n || slotWidth != slotTableBytes(n)/int64(2*n) {
+					t.Fatalf("%s: %d slots of %d bytes for %d keys", set.name, len(slots), slotWidth, n)
 				}
-				longest = max(longest, chain)
-				total += chain
-			}
-			if mean := float64(total) / n; longest > c.longest || mean > 1.75 {
-				t.Errorf("%s keys, %d bytes: longest probe chain %d slots (want ≤ %d), mean %.2f (want ≤ 1.75)", c.name, f.keyLen, longest, c.longest, mean)
+				mask := uint64(len(slots) - 1)
+				longest, total := 0, 0
+				for _, k := range set.keys {
+					chain := 1
+					for h := hashWord(f.keyLen, k) & mask; keyWord(f, int(f.slotEntry(h))) != k; h = (h + 1) & mask {
+						chain++
+					}
+					longest = max(longest, chain)
+					total += chain
+				}
+				if mean := float64(total) / float64(n); longest > set.longest || mean > 1.75 {
+					t.Errorf("%d %s keys, %d bytes: longest probe chain %d slots (want ≤ %d), mean %.2f (want ≤ 1.75)",
+						n, set.name, f.keyLen, longest, set.longest, mean)
+				}
 			}
 		}
 	}
@@ -439,38 +452,66 @@ func TestSlotChainsShort(t *testing.T) {
 // is one id decoded into the candidate set, the same on either path —
 // from a key the scan matched (decode-posting), or from a probe's hit on
 // a key with one id (collect-singleton) or with two or three
-// (collect-list), entries taken in no order the arenas have.
+// (collect-list), entries taken in no order the arenas have. The word
+// probes run again on 70 000 keys (the -70000 lines): past the 65 535 a
+// table of uint16 slots numbers, so that table's slots are uint32.
 func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	const n, width = 20000, 36
 	rng := rand.New(rand.NewSource(1))
 	keys := wordKeys(rng, n, width)
 	f := FreezeRows(n, 1, width, keys)
 	set := IDSet{Seen: make([]uint64, (n+63)/64)}
-	absent := wordKeys(rng, n, width)
-	for i, k := range absent {
-		absent[i] = k | 1<<width // a bit no held key has
+	absentFrom := func(keys []uint64) []uint64 {
+		absent := slices.Clone(keys)
+		for i, k := range absent {
+			absent[i] = k | 1<<width // a bit no held key has
+		}
+		return absent
 	}
+	absent := absentFrom(wordKeys(rng, n, width))
+	// The wide partition draws from a seed of its own: the draws of the
+	// runs below stay what they were.
+	wideKeys := wordKeys(rand.New(rand.NewSource(2)), 70000, width)
 	var sink int
 
 	perItem := func(b *testing.B, items int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(items), "ns/item")
 	}
-	b.Run("word-probe-hit", func(b *testing.B) {
-		for range b.N {
-			for _, k := range keys {
-				sink += f.PostingLenWord(k)
+	for _, p := range []struct {
+		suffix       string
+		f            *Frozen
+		keys, absent []uint64
+	}{
+		{"", f, keys, absent},
+		{"-70000", FreezeRows(len(wideKeys), 1, width, wideKeys), wideKeys, absentFrom(wideKeys[len(wideKeys)/2:])},
+	} {
+		b.Run("word-probe-hit"+p.suffix, func(b *testing.B) {
+			for range b.N {
+				for _, k := range p.keys {
+					sink += p.f.PostingLenWord(k)
+				}
 			}
-		}
-		perItem(b, n)
-	})
-	b.Run("word-probe-miss", func(b *testing.B) {
-		for range b.N {
-			for _, k := range absent {
-				sink += f.PostingLenWord(k)
+			perItem(b, len(p.keys))
+		})
+		b.Run("word-probe-miss"+p.suffix, func(b *testing.B) {
+			for range b.N {
+				for _, k := range p.absent {
+					sink += p.f.PostingLenWord(k)
+				}
 			}
-		}
-		perItem(b, n)
-	})
+			perItem(b, len(p.absent))
+		})
+		b.Run("ball-probe"+p.suffix, func(b *testing.B) {
+			size, _ := hamming.BallSize(width, 2)
+			for range b.N {
+				ball := hamming.NewWordBall(p.keys[0], width, 2)
+				for ok := true; ok; ok = ball.Next() {
+					sink += p.f.PostingLenWord(ball.Sig)
+				}
+			}
+			perItem(b, int(size))
+		})
+	}
 	b.Run("byte-probe-miss", func(b *testing.B) {
 		var key [8]byte
 		for range b.N {
@@ -480,16 +521,6 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 			}
 		}
 		perItem(b, n)
-	})
-	b.Run("ball-probe", func(b *testing.B) {
-		size, _ := hamming.BallSize(width, 2)
-		for range b.N {
-			ball := hamming.NewWordBall(keys[0], width, 2)
-			for ok := true; ok; ok = ball.Next() {
-				sink += f.PostingLenWord(ball.Sig)
-			}
-		}
-		perItem(b, int(size))
 	})
 	b.Run("scan-key", func(b *testing.B) {
 		q := []uint64{absent[0]}

@@ -27,7 +27,9 @@ import (
 //     encoded (ids are ascending, so gaps are small and most postings
 //     cost 1–2 bytes), each decoded by its count and starting where the
 //     one before it ends;
-//   - an open-addressed hash table of entry indexes for O(1) probes.
+//   - an open-addressed hash table of entry numbers for O(1) probes, its
+//     slots 16 bits wide when the index has at most 65 535 keys and 32
+//     otherwise.
 //
 // Lookups are allocation-free (keys hash and compare against the arena
 // directly), SizeBytes is exact arithmetic over the backing slices
@@ -50,9 +52,13 @@ type Frozen struct {
 	// over the key arena) and is built lazily on the first probe: an
 	// index opened over a file mapping must not fault every key page
 	// in at open time just to prepare for lookups it may never see.
-	// slotsReady's release-store publishes slots to the acquire-load in
-	// ensureSlots; slotsMu serializes the single build.
-	slots      []int32 // open-addressed table of entry indexes; −1 empty
+	// slotsReady's release-store publishes the table to the acquire-load
+	// in ensureSlots; slotsMu serializes the single build. The table is as
+	// wide as its entry numbers: a slot holds entry + 1, 0 for empty, in
+	// slots16 when the index has at most maxNarrowKeys keys and in slots32
+	// otherwise; the other field stays nil.
+	slots16    []uint16
+	slots32    []uint32
 	slotsReady atomic.Bool
 	slotsMu    sync.Mutex
 
@@ -284,6 +290,23 @@ func slotCount(n int) int {
 	return size
 }
 
+// slot is the type of a slot-table entry: entry + 1, 0 for an empty slot.
+type slot interface{ uint16 | uint32 }
+
+// maxNarrowKeys is the most keys a table of uint16 slots numbers: a slot
+// holds entry + 1 ≤ 65 535. The width is a function of the key count
+// alone, like slotCount, so SizeBytes knows it before the table is built.
+const maxNarrowKeys = math.MaxUint16
+
+// slotTableBytes returns the bytes of the slot table of an index of n keys:
+// slotCount(n) slots of 2 bytes up to maxNarrowKeys keys, of 4 beyond.
+func slotTableBytes(n int) int64 {
+	if n <= maxNarrowKeys {
+		return 2 * int64(slotCount(n))
+	}
+	return 4 * int64(slotCount(n))
+}
+
 // ensureSlots makes the probe table available, building it on the
 // first probe. The fast path is one acquire-load.
 //
@@ -312,17 +335,22 @@ func (f *Frozen) buildSlotsOnce() {
 	}
 }
 
-// buildSlots sizes the open-addressed table with slotCount and inserts
-// every entry by linear probing. Callers go through buildSlotsOnce.
+// buildSlots builds the table at the width the key count gives. Callers
+// go through buildSlotsOnce.
 func (f *Frozen) buildSlots() {
-	n := f.NumKeys()
-	slots := make([]int32, slotCount(n))
-	// Every slot −1: one stored, then the filled prefix copied over the
-	// rest, doubling — a memmove, where a store loop takes a store a slot.
-	slots[0] = -1
-	for done := 1; done < len(slots); done *= 2 {
-		copy(slots[done:], slots[:done])
+	if f.NumKeys() <= maxNarrowKeys {
+		f.slots16 = fillSlots[uint16](f)
+	} else {
+		f.slots32 = fillSlots[uint32](f)
 	}
+}
+
+// fillSlots returns f's open-addressed table in slots of type S: sized
+// with slotCount, every slot empty as make zeroes it, and every entry e
+// inserted as e + 1 by linear probing.
+func fillSlots[S slot](f *Frozen) []S {
+	n := f.NumKeys()
+	slots := make([]S, slotCount(n))
 	mask := uint64(len(slots) - 1)
 	if f.wordKeys() {
 		// Keys of one word or less — every default build — hash as
@@ -331,10 +359,10 @@ func (f *Frozen) buildSlots() {
 		// the loop.
 		kl, keep := f.keyLen, f.keyMask()
 		keys := f.keyArena
-		for e := int32(0); len(keys) >= 8; e++ {
+		for e := S(1); len(keys) >= 8; e++ {
 			h := hashWord(kl, binary.LittleEndian.Uint64(keys)&keep)
 			keys = keys[kl:]
-			for slots[h&mask] >= 0 {
+			for slots[h&mask] != 0 {
 				h++
 			}
 			slots[h&mask] = e
@@ -342,13 +370,27 @@ func (f *Frozen) buildSlots() {
 	} else {
 		for e := 0; e < n; e++ {
 			h := hashKey(f.key(e))
-			for slots[h&mask] >= 0 {
+			for slots[h&mask] != 0 {
 				h++
 			}
-			slots[h&mask] = int32(e)
+			slots[h&mask] = S(e + 1)
 		}
 	}
-	f.slots = slots
+	return slots
+}
+
+// slotEntry returns the entry slot h of the built table holds, h taken
+// modulo the table's size: −1 for an empty slot.
+func (f *Frozen) slotEntry(h uint64) int32 {
+	if s := f.slots16; s != nil {
+		return entryAt(s, h)
+	}
+	return entryAt(f.slots32, h)
+}
+
+// entryAt is slotEntry in a table of slots of type S.
+func entryAt[S slot](slots []S, h uint64) int32 {
+	return int32(slots[h&uint64(len(slots)-1)]) - 1
 }
 
 func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyLen] }
@@ -356,14 +398,20 @@ func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyL
 // lookupBytes returns the entry index for key, or −1.
 func (f *Frozen) lookupBytes(key []byte) int {
 	f.ensureSlots()
-	mask := uint64(len(f.slots) - 1)
-	for h := hashKey(key) & mask; ; h = (h + 1) & mask {
-		e := f.slots[h]
-		if e < 0 {
-			return -1
-		}
-		if bytes.Equal(f.key(int(e)), key) {
-			return int(e)
+	if s := f.slots16; s != nil {
+		return lookupBytesIn(s, f.keyArena, f.keyLen, key)
+	}
+	return lookupBytesIn(f.slots32, f.keyArena, f.keyLen, key)
+}
+
+// lookupBytesIn is lookupBytes in a table of slots of type S over the
+// arena keys of kl bytes.
+func lookupBytesIn[S slot](slots []S, keys []byte, kl int, key []byte) int {
+	mask := uint64(len(slots) - 1)
+	for h := hashKey(key); ; h++ {
+		s := int(slots[h&mask])
+		if s == 0 || bytes.Equal(keys[kl*(s-1):kl*s], key) {
+			return s - 1
 		}
 	}
 }
@@ -377,15 +425,23 @@ func (f *Frozen) lookupWord(w uint64) int {
 		return -1 // keys of several words, or of none
 	}
 	f.ensureSlots()
-	kl, keep := f.keyLen, f.keyMask()
-	mask := uint64(len(f.slots) - 1)
-	for h := hashWord(kl, w) & mask; ; h = (h + 1) & mask {
-		e := f.slots[h]
-		if e < 0 {
-			return -1
-		}
-		if binary.LittleEndian.Uint64(f.keyArena[kl*int(e):])&keep == w {
-			return int(e)
+	if s := f.slots16; s != nil {
+		return lookupWordIn(s, f.keyArena, f.keyLen, f.keyMask(), w)
+	}
+	return lookupWordIn(f.slots32, f.keyArena, f.keyLen, f.keyMask(), w)
+}
+
+// lookupWordIn is lookupWord in a table of slots of type S over the
+// arena keys of kl bytes, each read masked with keep. It is small enough
+// to inline into lookupWord: a probe makes one call, not two. The key is
+// read through an 8-byte slice: sliced to the arena's end, the loop runs
+// out of registers and spills on every compare.
+func lookupWordIn[S slot](slots []S, keys []byte, kl int, keep, w uint64) int {
+	mask := uint64(len(slots) - 1)
+	for h := hashWord(kl, w); ; h++ {
+		e := int(slots[h&mask]) - 1
+		if e < 0 || binary.LittleEndian.Uint64(keys[kl*e:kl*e+8])&keep == w {
+			return e
 		}
 	}
 }
@@ -433,7 +489,7 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 			continue
 		}
 		f.ensureSlots()
-		entries[i] = f.slots[hashWord(f.keyLen, words[i])&uint64(len(f.slots)-1)]
+		entries[i] = f.slotEntry(hashWord(f.keyLen, words[i]))
 	}
 	for i, f := range fs {
 		if f == nil || !f.wordKeys() {
@@ -836,20 +892,21 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 }
 
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
-// Frozen struct itself: five slice headers (24 bytes each) plus the
-// key-length and postings fields.
-const frozenStructBytes = 5*24 + 16
+// Frozen struct itself: six slice headers (24 bytes each) — the arenas,
+// the ref and count arrays, and both widths' slot tables, one of them
+// nil — plus the key-length and postings fields.
+const frozenStructBytes = 6*24 + 16
 
 // SizeBytes reports the exact resident size of the frozen index: the
 // two arenas, the ref/count/slot arrays, and the struct header.
 // Every term is the length of a real backing array, so Fig. 6 reports a
 // property of the index rather than a guess. The
-// slot table is charged at its committed size (slotCount, a pure
+// slot table is charged at its committed size (slotTableBytes, a pure
 // function of the key count) whether or not the lazy build has run
 // yet, so heap- and mmap-opened copies of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
 	return int64(len(f.keyArena)) + int64(len(f.postArena)) +
-		4*int64(len(f.refs)+len(f.counts)+slotCount(f.NumKeys())) +
+		4*int64(len(f.refs)+len(f.counts)) + slotTableBytes(f.NumKeys()) +
 		frozenStructBytes
 }
 
@@ -1338,5 +1395,5 @@ func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 // -exp fig6) reports a GPH index's footprint by component from it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, slotBytes int64) {
 	return int64(len(f.keyArena)), int64(len(f.postArena)),
-		4 * int64(len(f.refs)+len(f.counts)), 4 * int64(slotCount(f.NumKeys()))
+		4 * int64(len(f.refs)+len(f.counts)), slotTableBytes(f.NumKeys())
 }

@@ -210,7 +210,8 @@ func TestFrozenSizeBytesMatchesSerialized(t *testing.T) {
 		// Resident-only parts: the slot table plus the fixed struct
 		// overhead. Serialized-only parts: at most eight 8-byte
 		// length/count prefixes. Everything else must match exactly.
-		bound := 4*int64(len(f.slots)) + frozenStructBytes + 8*8
+		slots, slotWidth := slotTable(f)
+		bound := slotWidth*int64(len(slots)) + frozenStructBytes + 8*8
 		diff := f.SizeBytes() - int64(len(raw))
 		if diff < 0 {
 			diff = -diff
@@ -339,7 +340,9 @@ func TestFreezeRowsMatchesFreeze(t *testing.T) {
 				if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
 					t.Fatalf("width=%d n=%d per=%d: FreezeRows writes other bytes than the map build", width, n, per)
 				}
-				if got.SizeBytes() != want.SizeBytes() || !slices.Equal(got.slots, want.slots) {
+				gotSlots, gotWidth := slotTable(got)
+				wantSlots, wantWidth := slotTable(want)
+				if got.SizeBytes() != want.SizeBytes() || !slices.Equal(gotSlots, wantSlots) || gotWidth != wantWidth {
 					t.Fatalf("width=%d n=%d per=%d: size %d vs %d, or the slot tables differ", width, n, per, got.SizeBytes(), want.SizeBytes())
 				}
 			}
@@ -469,7 +472,8 @@ func TestEveryKeyWidth(t *testing.T) {
 		kb, pb, ob, sb := f.ArenaBreakdown()
 		align := func(x int64) int64 { return (x + 7) &^ 7 }
 		serialized := align(align(5*8+kb+pb)+4*int64(f.NumKeys())) + 4*int64(f.NumKeys())
-		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+sb+frozenStructBytes || sb != 4*int64(len(f.slots)) {
+		slots, slotWidth := slotTable(f)
+		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+sb+frozenStructBytes || sb != slotWidth*int64(len(slots)) {
 			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and slots %d",
 				width, len(raw), serialized, f.SizeBytes(), kb+pb+ob+sb+frozenStructBytes)
 		}
@@ -493,5 +497,111 @@ func TestFreezeSortsUnsortedLists(t *testing.T) {
 	}
 	if f.TotalPostings() != 6 {
 		t.Fatalf("%d postings, want 6", f.TotalPostings())
+	}
+}
+
+// slotTable returns f's slot table, built if no probe has built it yet,
+// each slot widened to uint32, and the bytes a slot of the table takes.
+// It fails the caller's test through a panic if both widths, or
+// neither, hold a table.
+func slotTable(f *Frozen) (slots []uint32, width int64) {
+	f.ensureSlots()
+	switch {
+	case f.slots16 != nil && f.slots32 == nil:
+		for _, s := range f.slots16 {
+			slots = append(slots, uint32(s))
+		}
+		return slots, 2
+	case f.slots32 != nil && f.slots16 == nil:
+		return slices.Clone(f.slots32), 4
+	}
+	panic("invindex: a frozen index holds a slot table of both widths or of none")
+}
+
+// TestSlotWidthBoundary: an index of 65 535 keys numbers its entries in
+// uint16 slots and one of 65 536 in uint32. At each width, keys of one
+// word and of two, every held key is found by every lookup form and
+// absent ones are not, the table rebuilt after a save and a load is the
+// table the build made, and SizeBytes charges the slots at their width.
+func TestSlotWidthBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, n := range []int{maxNarrowKeys, maxNarrowKeys + 1} {
+		wantWidth := int64(2)
+		if n > maxNarrowKeys {
+			wantWidth = 4
+		}
+		for _, width := range []int{36, 100} {
+			// Distinct first words make distinct keys; a second word, where
+			// there is one, is random.
+			first := wordKeys(rng, n, min(width, 64))
+			held := make(map[uint64]bool, n)
+			var rows []uint64
+			for _, k := range first {
+				held[k] = true
+				rows = append(rows, k)
+				if width > 64 {
+					rows = append(rows, rng.Uint64()&(1<<(width-64)-1))
+				}
+			}
+			f := FreezeRows(n, 1, width, rows)
+			slots, slotWidth := slotTable(f)
+			if f.NumKeys() != n || slotWidth != wantWidth || len(slots) != slotCount(n) {
+				t.Fatalf("%d keys of %d bits: %d distinct, %d slots of %d bytes; want %d of %d",
+					n, width, f.NumKeys(), len(slots), slotWidth, slotCount(n), wantWidth)
+			}
+			var probes []uint64
+			for id, k := range first {
+				e := f.lookupBytes(rowKey(rows, width, id))
+				if e < 0 || !slices.Equal(f.appendList(e, nil), []int32{int32(id)}) {
+					t.Fatalf("%d keys of %d bits: key %d found as entry %d", n, width, id, e)
+				}
+				if width <= 64 {
+					if got := f.lookupWord(k); got != e {
+						t.Fatalf("%d keys of %d bits: key %d by word %d, by bytes %d", n, width, id, got, e)
+					}
+					probes = append(probes, k, k|1<<width) // held, and absent: a bit past the width
+				}
+			}
+			for range 2000 {
+				k := rng.Uint64() & (^uint64(0) >> (64 - min(width, 64)))
+				if held[k] {
+					continue
+				}
+				key := binary.LittleEndian.AppendUint64(nil, k)
+				if width > 64 {
+					key = binary.LittleEndian.AppendUint64(key, rng.Uint64()&(1<<(width-64)-1))
+				}
+				if e := f.lookupBytes(key[:f.keyLen]); e >= 0 {
+					t.Fatalf("%d keys of %d bits: absent key % x found as entry %d", n, width, key, e)
+				}
+				if width <= 64 {
+					probes = append(probes, k)
+				}
+			}
+			batch := slices.Repeat([]*Frozen{f}, len(probes))
+			entries, counts := make([]int32, len(probes)), make([]uint32, len(probes))
+			LookupWords(batch, probes, entries, counts)
+			for i, k := range probes {
+				if e := f.lookupWord(k); int(entries[i]) != e || int(counts[i]) != f.count(e) || (e >= 0) != held[k] {
+					t.Fatalf("%d keys of %d bits: key %#x: batch entry %d count %d, word lookup %d, held %v",
+						n, width, k, entries[i], counts[i], e, held[k])
+				}
+			}
+
+			g, err := ReadFrozen(binio.NewReader(bytes.NewReader(frozenBytes(f))), int32(n))
+			if err != nil {
+				t.Fatalf("%d keys of %d bits: %v", n, width, err)
+			}
+			reread, rereadWidth := slotTable(g)
+			if !slices.Equal(reread, slots) || rereadWidth != slotWidth {
+				t.Fatalf("%d keys of %d bits: the table rebuilt after a load differs from the build's", n, width)
+			}
+			kb, pb, ob, sb := f.ArenaBreakdown()
+			want := int64(len(f.keyArena)+len(f.postArena)) + 4*int64(2*n) + slotWidth*int64(len(slots)) + frozenStructBytes
+			if f.SizeBytes() != want || g.SizeBytes() != want || kb+pb+ob+sb+frozenStructBytes != want {
+				t.Fatalf("%d keys of %d bits: SizeBytes %d, loaded %d, by component %d; want %d",
+					n, width, f.SizeBytes(), g.SizeBytes(), kb+pb+ob+sb+frozenStructBytes, want)
+			}
+		}
 	}
 }

@@ -226,8 +226,9 @@ func sortedIDs(set map[int32]bool) []int32 {
 }
 
 // Load reads a sharded index written by Save, validating the id
-// mappings against the nested per-shard indexes (every global id
-// unique and below the id counter, ids and tombstones strictly
+// mappings against the nested per-shard indexes (every global id below
+// the id counter and listed once across every shard's built ids and
+// delta buffer, tombstoned or not, ids and tombstones strictly
 // ascending within a shard as Save writes them, tombstones a subset of
 // the built ids, delta dimensionality consistent). The container is
 // decoded in place — a reader that is not a *binio.Source is read out
@@ -371,7 +372,6 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 				return nil, fmt.Errorf("shard: shard %d tombstone %d not in built index", i, gid)
 			}
 			sh.dead[gid] = true
-			delete(s.owner, gid)
 		}
 		deltaCount := br.Int()
 		if err := br.Err(); err != nil {
@@ -403,6 +403,14 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("shard: reading container: %w", err)
+	}
+	// Tombstoned ids leave owner only now: until every shard is read they
+	// stay in it, so no later shard's built ids or delta buffer can list
+	// one again.
+	for i := range s.shards {
+		for gid := range s.shards[i].Load().dead {
+			delete(s.owner, gid)
+		}
 	}
 	s.live.Store(int64(len(s.owner)))
 	return s, nil

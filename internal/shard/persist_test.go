@@ -151,28 +151,40 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsDisorderedIDs: state.pos searches builtIDs, so the
-// loader holds a file to what every writer produces — ids strictly
-// ascending within a shard, and no id in two shards. Tombstones are
-// held to the same order, so a file whose re-save would differ from it
-// does not load.
-func TestLoadRejectsDisorderedIDs(t *testing.T) {
+// disorderedFile is a container no writer produces, and what the
+// loader's error says about it.
+type disorderedFile struct {
+	name, want string
+	raw        []byte
+}
+
+// disorderedFiles saves a two-shard linscan index with three tombstones
+// in shard 0 and one insert in a delta buffer, and returns its bytes and
+// the files made from them that break the loader's id rules: ids out of
+// order within a shard, and an id listed twice — in two shards' built
+// ids, or a tombstoned id listed again as built or buffered.
+func disorderedFiles(tb testing.TB) (raw []byte, files []disorderedFile) {
 	s, err := BuildEngine("linscan", dataset.SIFTLike(60, 4).Vectors, 2, core.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Three tombstones in shard 0, none of them a shard's first id.
+	// Three tombstones in shard 0, none of them a shard's first id, and
+	// one insert, buffered in a shard's delta.
 	built0 := s.shards[0].Load().builtIDs
 	for _, id := range built0[1:4] {
 		if err := s.Delete(id); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+	inserted, err := s.Insert(dataset.SIFTLike(1, 5).Vectors[0])
+	if err != nil {
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	raw := buf.Bytes()
+	raw = buf.Bytes()
 	// arrayAt finds an id array in the file — its count, then its int32s,
 	// little-endian — and returns the offset of its first id.
 	arrayAt := func(ids []int32) int {
@@ -182,7 +194,7 @@ func TestLoadRejectsDisorderedIDs(t *testing.T) {
 		}
 		at := bytes.Index(raw, enc)
 		if at < 0 || bytes.Contains(raw[at+1:], enc) {
-			t.Fatalf("the %d-byte id array %v does not occur exactly once in the file", len(enc), ids)
+			tb.Fatalf("the %d-byte id array %v does not occur exactly once in the file", len(enc), ids)
 		}
 		return at + 8
 	}
@@ -209,15 +221,41 @@ func TestLoadRejectsDisorderedIDs(t *testing.T) {
 	twice := bytes.Clone(raw)
 	copy(twice[hi:hi+4], raw[lo:lo+4])
 	dead := arrayAt(built0[1:4])
-	for _, c := range []struct {
-		name, want string
-		raw        []byte
-	}{
+	// A tombstoned id listed again: built in shard 1 in place of the first
+	// id there above it (still ascending), and as the delta's id.
+	gone := binary.LittleEndian.AppendUint32(nil, uint32(built0[1]))
+	j, _ := slices.BinarySearch(built1, built0[1])
+	if j == len(built1) {
+		tb.Fatalf("no id of shard 1 lies above tombstone %d", built0[1])
+	}
+	rebuilt := bytes.Clone(raw)
+	copy(rebuilt[arrayAt(built1)+4*j:], gone)
+	delta := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 1), uint32(inserted))
+	at := bytes.Index(raw, delta)
+	if at < 0 || bytes.Contains(raw[at+1:], delta) {
+		tb.Fatalf("the delta of id %d does not occur exactly once in the file", inserted)
+	}
+	redelta := bytes.Clone(raw)
+	copy(redelta[at+8:], gone)
+	return raw, []disorderedFile{
 		{"descending ids", "ids not strictly ascending", swapped(arrayAt(built0))},
 		{"an id in two shards", "appears in two shards", twice},
 		{"descending tombstones", "tombstones not strictly ascending", swapped(dead)},
 		{"a tombstone twice", "tombstones not strictly ascending", repeated(dead)},
-	} {
+		{"a tombstoned id built in another shard", "appears in two shards", rebuilt},
+		{"a tombstoned id in a delta buffer", "appears twice", redelta},
+	}
+}
+
+// TestLoadRejectsDisorderedIDs: state.pos searches builtIDs, so the
+// loader holds a file to what every writer produces — ids strictly
+// ascending within a shard, and every id once across every shard's
+// built ids and delta buffer, tombstoned or not. Tombstones are held to
+// the same order, so a file whose re-save would differ from it does not
+// load. Every open mode says so.
+func TestLoadRejectsDisorderedIDs(t *testing.T) {
+	_, files := disorderedFiles(t)
+	for _, c := range files {
 		path := filepath.Join(t.TempDir(), "container.idx")
 		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -234,6 +272,55 @@ func TestLoadRejectsDisorderedIDs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLoadContainer mutates saved containers — a two-shard index with
+// tombstones and a delta buffer, and the files disorderedFiles makes
+// from it: Load either fails, or loads an index that lists every id once
+// across its shards' built ids and delta buffers and whose save is a
+// fixed point — saved, loaded and saved again, the same bytes.
+func FuzzLoadContainer(f *testing.F) {
+	raw, files := disorderedFiles(f)
+	f.Add(raw)
+	for _, c := range files {
+		f.Add(c.raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		seen := map[int32]bool{}
+		for i := range s.shards {
+			sh := s.shards[i].Load()
+			ids := slices.Clone(sh.builtIDs)
+			for _, e := range sh.delta {
+				ids = append(ids, e.id)
+			}
+			for _, id := range ids {
+				if seen[id] {
+					t.Fatalf("id %d listed twice; shard %d lists it", id, i)
+				}
+				seen[id] = true
+			}
+		}
+		var first, second bytes.Buffer
+		if err := s.Save(&first); err != nil {
+			t.Fatalf("a loaded container does not save: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved container does not load: %v", err)
+		}
+		defer again.Close()
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("a reloaded container does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save, load, save: %d bytes, then %d other ones", first.Len(), second.Len())
+		}
+	})
 }
 
 // TestEmptyRoundTrip: a never-built index (dims 0) must survive
