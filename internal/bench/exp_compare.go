@@ -42,7 +42,7 @@ type Fig6PersistPoint struct {
 	LoadNanos  int64  `json:"load_nanos"`
 	KeyBytes   int64  `json:"key_bytes"`
 	PostBytes  int64  `json:"posting_bytes"`
-	EntryBytes int64  `json:"ref_count_bytes"`
+	EntryBytes int64  `json:"entry_bytes"`
 	SlotBytes  int64  `json:"slot_bytes"`
 }
 
@@ -96,7 +96,7 @@ func (r *Runner) Fig6() error {
 	t.flush()
 
 	fmt.Fprintln(r.cfg.Out, "[GPH index at rest]")
-	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "refs+counts(MB)", "slots(MB)")
+	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "entries(MB)", "slots(MB)")
 	for _, p := range rep.Persist {
 		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos), mb(p.KeyBytes), mb(p.PostBytes), mb(p.EntryBytes), mb(p.SlotBytes))
 	}

@@ -39,9 +39,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"b32531da9886859b143044d6a8234ad0c27e161f7f5f5c0a8d59b1d038493594",
-		"6eba00cd40a9ccc79744b9c431de7ef978cb339932fac378407cded8e9955d6f",
-		"4948940f6fe84df1a4a40147279a8c55b45a05070e3ad5e0dd7eaa656c5a5e89",
+		"b4104007723b75686219d932a88fd2c8cc998b8ca0d15089c260592624050ddc",
+		"100e9204cfb1a25621916e6d3292505fa16f90095ac5127768bea09ee93667ab",
+		"db52cea0e75bfdbfce7fe5c556f41b0d855f30a17f65347a0069b7057a7f42ce",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -70,9 +70,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 30439, breakdown{8238, 609, 13784, 7168}},
-		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 56088, breakdown{17901, 2731, 20544, 13312}},
-		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 51498, breakdown{20066, 3664, 16440, 9728}},
+		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 21960, breakdown{8238, 609, 5177, 7168}},
+		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 43588, breakdown{17901, 2731, 7724, 13312}},
+		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 41563, breakdown{20066, 3664, 6185, 9728}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,11 +13,12 @@ import (
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
+	"gph/internal/engine"
 	"gph/internal/invindex"
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix08.bin (120 vectors × 48 dims in three partitions
+// testdata/index-gphix09.bin (120 vectors × 48 dims in three partitions
 // of 15–17 bits, so keys of 2 and 3 bytes and their pads; MaxTau 16,
 // Seed 7) loads into the heap and borrowed in place, answers like a
 // linear scan over its own vectors, generates
@@ -24,7 +26,7 @@ import (
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix08.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix09.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +184,10 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	off += 5*8 + 8
 	wrongTotal := bytes.Clone(raw)
 	wrongTotal[off] ^= 1
-	// Partition p's key arena length: the fourth field of its header, off
+	// Partition p's key arena length: the sixth field of its header, off
 	// by the pad it must count.
 	arenaLen := bytes.Clone(raw)
-	lenAt := off + 40*p + 16
+	lenAt := off + 56*p + 32
 	binary.LittleEndian.PutUint64(arenaLen[lenAt:], binary.LittleEndian.Uint64(arenaLen[lenAt:])-uint64(8-keyLen))
 	for _, c := range []struct{ name, hostile, want string }{
 		{"posting total off by one", string(wrongTotal), "postings for"},
@@ -195,6 +197,100 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 			if _, err := LoadDeferred(src); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s, %s: at open: %v", c.name, mode, err)
 			}
+		}
+	}
+}
+
+// TestLoadRejectsHostileEntryWidths: a partition's refs and counts are
+// as wide as their largest needs, so one index has one file. Refs a byte
+// wider, counts of four bytes that all fit one and a nonzero byte in the
+// pad after the refs are rejected by Load, from a stream and in place, and
+// by the first search of a mapped open; a ref or count width out of range
+// by all three at open. Each says what is wrong with the file. The
+// hostile widths are the last partition's, whose refs and counts end the
+// file.
+func TestLoadRejectsHostileEntryWidths(t *testing.T) {
+	data := testData(t, 100, 14)
+	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
+	raw := savedBytes(t, ix)
+	last := len(ix.parts.Parts) - 1
+	// The last partition's frozen header: after magic, dims, count,
+	// partition count, the dimension lists, five option fields and the
+	// headers before it, seven fields each; its ref and count widths are
+	// its fourth and fifth.
+	hdr := 4 * 8
+	for _, part := range ix.parts.Parts {
+		hdr += 8 + 8*len(part)
+	}
+	hdr += 5*8 + 7*8*last
+	field := func(b []byte, i int) int { return int(binary.LittleEndian.Uint64(b[hdr+8*i:])) }
+	n, refLen := field(raw, 0), field(raw, 3)
+	if field(raw, 4) != 1 || refLen > 2 {
+		t.Fatalf("the last partition's refs are %d bytes and its counts %d; the test needs at most 2 and 1", refLen, field(raw, 4))
+	}
+	refsAt := len(raw) - n - (refLen*n + 4 - refLen)
+	refs, counts := raw[refsAt:len(raw)-n], raw[len(raw)-n:]
+	// rewrite is raw with the last partition's widths set to rl and cl and
+	// its refs and counts written at them.
+	rewrite := func(rl, cl int) []byte {
+		b := bytes.Clone(raw[:refsAt])
+		binary.LittleEndian.PutUint64(b[hdr+24:], uint64(rl))
+		binary.LittleEndian.PutUint64(b[hdr+32:], uint64(cl))
+		for e := range n {
+			var ref [4]byte
+			copy(ref[:], refs[refLen*e:refLen*(e+1)])
+			b = append(b, ref[:rl]...)
+		}
+		b = append(b, make([]byte, 4-rl)...)
+		if cl == 1 {
+			return append(b, counts...)
+		}
+		b = append(b, make([]byte, -len(b)&7)...)
+		for _, c := range counts {
+			b = binary.LittleEndian.AppendUint32(b, uint32(c))
+		}
+		return b
+	}
+	header := func(i, v int) []byte {
+		b := bytes.Clone(raw)
+		binary.LittleEndian.PutUint64(b[hdr+8*i:], uint64(v))
+		return b
+	}
+	padSet := bytes.Clone(raw)
+	padSet[len(raw)-n-1] = 1
+	for _, c := range []struct {
+		name, want string
+		hostile    []byte
+		atOpen     bool
+	}{
+		{"refs a byte wider", fmt.Sprintf("refs are %d bytes wide", refLen+1), rewrite(refLen+1, 1), false},
+		{"4-byte counts that fit a byte", "counts are 4 bytes wide", rewrite(refLen, 4), false},
+		{"a nonzero ref pad byte", fmt.Sprintf("ref pad byte %d is 0x1, not 0", 3-refLen), padSet, false},
+		{"a ref length of 5", "implausible ref length 5", header(3, 5), true},
+		{"a count length of 2", "implausible count length 2", header(4, 2), true},
+	} {
+		if _, err := Load(bytes.NewReader(c.hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: from a stream: %v, want %q", c.name, err, c.want)
+		}
+		if _, err := Load(binio.NewSource(c.hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: in place: %v, want %q", c.name, err, c.want)
+		}
+		path := filepath.Join(t.TempDir(), "hostile.gph")
+		if err := os.WriteFile(path, c.hostile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := engine.Open(path, engine.OpenMMap)
+		if err == nil {
+			if c.atOpen {
+				t.Errorf("%s: a mapped open accepted the file", c.name)
+			}
+			_, err = mapped.Search(data[3], 4)
+			mapped.Close()
+		} else if !c.atOpen {
+			t.Errorf("%s: a mapped open read the payload: %v", c.name, err)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: a mapped open and its first search: %v, want %q", c.name, err, c.want)
 		}
 	}
 }

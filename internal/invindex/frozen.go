@@ -26,7 +26,9 @@ import (
 //     starts in a second arena — lists of two or more ids, delta-varint
 //     encoded (ids are ascending, so gaps are small and most postings
 //     cost 1–2 bytes), each decoded by its count and starting where the
-//     one before it ends;
+//     one before it ends. Each is as wide as its numbers: a ref takes the
+//     bytes the largest ref needs (refLen), a count one byte when every
+//     count of the index fits one and four otherwise;
 //   - an open-addressed hash table of entry numbers for O(1) probes, its
 //     slots 16 bits wide when the index has at most 65 535 keys and 32
 //     otherwise.
@@ -41,12 +43,19 @@ import (
 // concurrent use (the lazy slot build and deferred validation are
 // internally synchronized).
 type Frozen struct {
-	keyArena  []byte   // distinct keys, concatenated in sorted order, then the pad (keyPad)
-	keyLen    int      // bytes a key, KeyLen of the projection's width
-	postArena []byte   // delta-varint lists of two or more ids, in key order
-	refs      []uint32 // one an entry: the id of a one-id entry, else where its list starts in postArena
-	counts    []uint32 // postings per key, never 0, so PostingLenBytes needs no decode
-	postings  int64    // total postings across all keys
+	keyArena  []byte // distinct keys, concatenated in sorted order, then the pad (keyPad)
+	keyLen    int    // bytes a key, KeyLen of the projection's width
+	postArena []byte // delta-varint lists of two or more ids, in key order
+	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): the id of a one-id entry, else where its list starts in postArena
+	refLen    int    // bytes a ref, refLenFor the largest
+	postings  int64  // total postings across all keys
+
+	// Postings per key, never 0, so PostingLenBytes needs no decode: in
+	// counts8 when every count fits a byte and in counts32 otherwise, the
+	// other field nil. Counts have an array of their own, not a place
+	// beside each ref: the histogram loop reads them at a constant stride.
+	counts8  []uint8
+	counts32 []uint32
 
 	// The slot table is derived state (one deterministic hashing pass
 	// over the key arena) and is built lazily on the first probe: an
@@ -109,10 +118,27 @@ func (f *Frozen) wordKeys() bool { return uint(f.keyLen-1) < 8 }
 // shifts past the word.
 func (f *Frozen) keyMask() uint64 { return ^uint64(0) >> ((64 - 8*uint(f.keyLen)) & 63) }
 
+// refLenFor returns the bytes a ref takes in an index whose largest ref
+// is top: as many as top's significant bits fill, at least one.
+func refLenFor(top uint32) int { return max(1, (bits.Len32(top)+7)/8) }
+
+// refPad returns how many zero bytes end the refs of n entries of refLen
+// bytes: 4 − refLen when there is an entry, so the last ref's 4-byte load
+// stays in the array.
+func refPad(refLen, n int) int {
+	if n > 0 {
+		return 4 - refLen
+	}
+	return 0
+}
+
+// entryCount is the type of a stored posting count.
+type entryCount interface{ uint8 | uint32 }
+
 // addList ends the entry whose key was just appended to the key arena:
-// it records the entry's ref and count, and encodes ids, ascending and
-// at least one, as the entry's list when there are two or more.
-func (f *Frozen) addList(ids []int32) {
+// it encodes ids, ascending and at least one, as the entry's list when
+// there are two or more, and returns the entry's ref.
+func (f *Frozen) addList(ids []int32) uint32 {
 	ref := uint32(len(f.postArena))
 	if len(ids) == 1 {
 		ref = uint32(ids[0])
@@ -126,9 +152,42 @@ func (f *Frozen) addList(ids []int32) {
 	if int64(len(f.keyArena)) >= arenaLimit || int64(len(f.postArena)) >= arenaLimit {
 		panic("invindex: arena exceeds 2 GiB; shard the collection instead")
 	}
-	f.refs = append(f.refs, ref)
-	f.counts = append(f.counts, uint32(len(ids)))
 	f.postings += int64(len(ids))
+	return ref
+}
+
+// addCount appends an entry's count: to counts8 while every count fits a
+// byte, and from the first that does not to counts32, where the counts
+// before it move.
+func (f *Frozen) addCount(c int) {
+	if f.counts32 == nil && c <= math.MaxUint8 {
+		f.counts8 = append(f.counts8, uint8(c))
+		return
+	}
+	if f.counts32 == nil {
+		f.counts32 = make([]uint32, len(f.counts8), cap(f.counts8))
+		for e, c8 := range f.counts8 {
+			f.counts32[e] = uint32(c8)
+		}
+		f.counts8 = nil
+	}
+	f.counts32 = append(f.counts32, uint32(c))
+}
+
+// packRefs stores a build's refs, one an entry, in the bytes the largest
+// needs, then the pad.
+func (f *Frozen) packRefs(refs []uint32) {
+	top := uint32(0)
+	for _, r := range refs {
+		top = max(top, r)
+	}
+	rl := refLenFor(top)
+	f.refLen, f.refs = rl, make([]byte, rl*len(refs)+refPad(rl, len(refs)))
+	// Each 4-byte store writes the ref and zeroes the bytes after it — the
+	// next ref's, which its own store then writes, or the pad's.
+	for e, r := range refs {
+		binary.LittleEndian.PutUint32(f.refs[rl*e:], r)
+	}
 }
 
 // FreezeRows is the one builder of a Frozen. rows holds n·per keys of
@@ -163,10 +222,12 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 		// A list of c ids repeats its key c − 1 times: 2(c − 1) ≥ c bytes
 		// holds it at a byte a gap.
 		postArena: make([]byte, 0, 2*(keys-distinct)),
-		refs:      make([]uint32, 0, distinct),
-		counts:    make([]uint32, 0, distinct),
+		counts8:   make([]uint8, 0, distinct),
 		maxID:     math.MaxInt32, // ids are valid by construction
 	}
+	// Refs are gathered at full width and stored at the width they need
+	// once the largest is known.
+	refs := make([]uint32, 0, distinct)
 	for j := 0; j < keys; {
 		k := key(order[j])
 		end := j + 1
@@ -186,10 +247,12 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 				ids = append(ids, id)
 			}
 		}
-		f.addList(ids)
+		refs = append(refs, f.addList(ids))
+		f.addCount(len(ids))
 		j = end
 	}
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
+	f.packRefs(refs)
 	f.buildSlotsOnce()
 	return f
 }
@@ -509,7 +572,7 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 }
 
 // NumKeys returns the number of distinct keys.
-func (f *Frozen) NumKeys() int { return len(f.counts) }
+func (f *Frozen) NumKeys() int { return len(f.counts8) + len(f.counts32) }
 
 // KeyLen returns the bytes each key takes. Loaders check it against the
 // partition's packed-key width, KeyLen(width).
@@ -524,7 +587,32 @@ func (f *Frozen) count(e int) int {
 	if e < 0 {
 		return 0
 	}
-	return int(f.counts[e])
+	return int(f.countAt(e))
+}
+
+// countAt returns entry e's posting count from the array that holds it.
+func (f *Frozen) countAt(e int) uint32 {
+	if f.counts32 == nil {
+		return uint32(f.counts8[e])
+	}
+	return f.counts32[e]
+}
+
+// countLen returns the bytes a count takes: 4 when the counts are held in
+// counts32, else 1.
+func (f *Frozen) countLen() int {
+	if f.counts32 != nil {
+		return 4
+	}
+	return 1
+}
+
+// ref returns entry e's ref, read as a key is: the 4-byte little-endian
+// load at its start, masked to its refLen bytes. The pad keeps the last
+// ref's load inside the array.
+func (f *Frozen) ref(e int) uint32 {
+	rl := f.refLen
+	return binary.LittleEndian.Uint32(f.refs[rl*e:rl*e+4]) & (^uint32(0) >> ((32 - 8*uint(rl)) & 31))
 }
 
 // PostingLenBytes returns the length of the posting list of the packed
@@ -538,10 +626,21 @@ func (f *Frozen) count(e int) int {
 func (f *Frozen) PostingLenBytes(key []byte) int { return f.count(f.lookupBytes(key)) }
 
 // PostingLenWord is PostingLenBytes for the key holding w, as
-// lookupWord reads it.
+// lookupWord reads it. It is lookupWord with the count read in the same
+// call: too large to inline, count(lookupWord(w)) would be two calls a
+// probe.
 //
 //gph:hotpath
-func (f *Frozen) PostingLenWord(w uint64) int { return f.count(f.lookupWord(w)) }
+func (f *Frozen) PostingLenWord(w uint64) int {
+	if !f.wordKeys() {
+		return 0
+	}
+	f.ensureSlots()
+	if s := f.slots16; s != nil {
+		return f.count(lookupWordIn(s, f.keyArena, f.keyLen, f.keyMask(), w))
+	}
+	return f.count(lookupWordIn(f.slots32, f.keyArena, f.keyLen, f.keyMask(), w))
+}
 
 // AppendPostingsBytes decodes the posting list for the packed byte
 // key into dst and returns the extended slice (dst unchanged when the
@@ -575,7 +674,7 @@ func uvarint32(b []byte, i int) (v uint32, next int) {
 // and that id — a one-id entry's ref — and, for a list, the list's bytes
 // from its start and where the varint after the first id begins.
 func (f *Frozen) first(e int) (n uint32, id int32, b []byte, i int) {
-	n, id = f.counts[e], int32(f.refs[e])
+	n, id = f.countAt(e), int32(f.ref(e))
 	if n > 1 {
 		b = f.postArena[id:]
 		var v uint32
@@ -672,18 +771,30 @@ func matchStride(block []byte, kl int, keep, q uint64, radius int, hits *[scanBl
 }
 
 // collect adds entry e's posting list to the set under construction
-// (its bitmap, and its ids as a slice that is returned extended): the
-// ids are read like appendList reads them, but only ids the bitmap does
-// not hold yet are kept, and they are marked.
-func (f *Frozen) collect(e int, seen []uint64, ids []int32) []int32 {
-	n, id, b, i := f.first(e)
+// (its bitmap, and its ids as a slice that is returned extended) and
+// returns the list's length, so that no caller reads the count again:
+// the ids are read like appendList reads them, but only ids the bitmap
+// does not hold yet are kept, and they are marked. It starts the entry
+// as first does, written out: first is too large to inline, and a call
+// costs a hit on a one-id key about 1 ns (collect-singleton).
+func (f *Frozen) collect(e int, seen []uint64, ids []int32) ([]int32, int) {
+	n, id := f.countAt(e), int32(f.ref(e))
+	count := int(n)
+	var b []byte
+	i := 0
+	if n > 1 {
+		b = f.postArena[id:]
+		var v uint32
+		v, i = uvarint32(b, 0)
+		id = int32(v)
+	}
 	for {
 		if w, bit := id/64, uint(id)%64; seen[w]>>bit&1 == 0 {
 			seen[w] |= 1 << bit
 			ids = append(ids, id)
 		}
 		if n--; n == 0 {
-			return ids
+			return ids, count
 		}
 		var v uint32
 		v, i = uvarint32(b, i)
@@ -697,10 +808,12 @@ func (f *Frozen) collect(e int, seen []uint64, ids []int32) []int32 {
 //
 //gph:hotpath
 func (f *Frozen) CollectEntry(e int, set *IDSet) int {
-	if e >= 0 {
-		set.IDs = f.collect(e, set.Seen, set.IDs)
+	if e < 0 {
+		return 0
 	}
-	return f.count(e)
+	var n int
+	set.IDs, n = f.collect(e, set.Seen, set.IDs)
+	return n
 }
 
 // CollectBytes adds the posting list of the packed byte key to set and
@@ -744,20 +857,21 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 		// this loop no predictor can learn — and decoded after it.
 		kl, keep := f.keyLen, f.keyMask()
 		var hits [scanBlock]int32
-		for base := 0; base < len(f.counts); base += scanBlock {
-			end := min(base+scanBlock, len(f.counts))
+		for base, n := 0, f.NumKeys(); base < n; base += scanBlock {
+			end := min(base+scanBlock, n)
 			block := f.keyArena[kl*base : kl*end+8-kl]
 			for _, e := range hits[:matchWords(block, kl, keep, q[0], radius, &hits)] {
-				e += int32(base)
-				ids = f.collect(int(e), seen, ids)
-				sum += int64(f.counts[e])
+				var n int
+				ids, n = f.collect(base+int(e), seen, ids)
+				sum += int64(n)
 			}
 		}
 	} else {
-		for e := range f.counts {
+		for e := range f.NumKeys() {
 			if d, ok := f.distance(e, q); ok && d <= radius {
-				ids = f.collect(e, seen, ids)
-				sum += int64(f.counts[e])
+				var n int
+				ids, n = f.collect(e, seen, ids)
+				sum += int64(n)
 			}
 		}
 	}
@@ -797,25 +911,30 @@ func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 //gph:hotpath
 func (f *Frozen) Histogram(q []uint64, hist []int64) {
 	if f.wordKeys() && len(q) == 1 {
-		histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts, q[0], hist)
+		if f.counts32 == nil {
+			histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts8, q[0], hist)
+		} else {
+			histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts32, q[0], hist)
+		}
 		return
 	}
-	for e, c := range f.counts {
+	for e := range f.NumKeys() {
 		if d, ok := f.distance(e, q); ok {
-			hist[d] += int64(c)
+			hist[d] += int64(f.countAt(e))
 		}
 	}
 }
 
 // histWords is Histogram over keys of kl ≤ 8 bytes — every default
 // build: one load, mask and popcount an entry, the loop driven by the
-// counts. Like matchWords it keeps a copy of the loop a key length, the
-// stride a constant in each: at a stride held in a register a key costs
-// 1.6 ns, not 1.0 (histogram-key, 5-byte keys), and one key to an
-// iteration is then as fast as the four-key unroll whole-word keys had.
+// counts, one instance a count width. Like matchWords it keeps a copy of
+// the loop a key length, the stride a constant in each: at a stride held
+// in a register a key costs 1.6 ns, not 1.0 (histogram-key, 5-byte keys),
+// and one key to an iteration is then as fast as the four-key unroll
+// whole-word keys had.
 //
 //go:noinline
-func histWords(keys []byte, kl int, keep uint64, counts []uint32, q uint64, hist []int64) {
+func histWords[C entryCount](keys []byte, kl int, keep uint64, counts []C, q uint64, hist []int64) {
 	switch kl {
 	case 1:
 		histStride(keys, 1, keep, counts, q, hist)
@@ -837,7 +956,7 @@ func histWords(keys []byte, kl int, keep uint64, counts []uint32, q uint64, hist
 }
 
 // histStride is histWords' loop, inlined into it once a key length.
-func histStride(keys []byte, kl int, keep uint64, counts []uint32, q uint64, hist []int64) {
+func histStride[C entryCount](keys []byte, kl int, keep uint64, counts []C, q uint64, hist []int64) {
 	for _, c := range counts {
 		if len(keys) < 8 {
 			break
@@ -892,22 +1011,28 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 }
 
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
-// Frozen struct itself: six slice headers (24 bytes each) — the arenas,
-// the ref and count arrays, and both widths' slot tables, one of them
-// nil — plus the key-length and postings fields.
-const frozenStructBytes = 6*24 + 16
+// Frozen struct itself: seven slice headers (24 bytes each) — the arenas,
+// the refs, both widths' count arrays and both widths' slot tables, one of
+// each pair nil — plus the key-length, ref-length and postings fields.
+const frozenStructBytes = 7*24 + 24
 
 // SizeBytes reports the exact resident size of the frozen index: the
-// two arenas, the ref/count/slot arrays, and the struct header.
+// key and posting arenas, the per-entry refs and counts, the slot table,
+// and the struct header.
 // Every term is the length of a real backing array, so Fig. 6 reports a
 // property of the index rather than a guess. The
 // slot table is charged at its committed size (slotTableBytes, a pure
 // function of the key count) whether or not the lazy build has run
 // yet, so heap- and mmap-opened copies of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
-	return int64(len(f.keyArena)) + int64(len(f.postArena)) +
-		4*int64(len(f.refs)+len(f.counts)) + slotTableBytes(f.NumKeys()) +
-		frozenStructBytes
+	return int64(len(f.keyArena)) + int64(len(f.postArena)) + f.entryBytes() +
+		slotTableBytes(f.NumKeys()) + frozenStructBytes
+}
+
+// entryBytes returns the bytes of the per-entry arrays: the refs with
+// their pad, and the counts at their width.
+func (f *Frozen) entryBytes() int64 {
+	return int64(len(f.refs)) + int64(len(f.counts8)) + 4*int64(len(f.counts32))
 }
 
 // WriteTo serializes the frozen index as its arenas and per-entry
@@ -917,9 +1042,10 @@ func (f *Frozen) SizeBytes() int64 {
 // logical index.
 //
 // The section is split in two halves a container may separate: a
-// scalar header carrying every length a reader needs (ref and count
-// lengths derived from the key count, arena byte lengths recorded), and
-// a raw payload with alignment padding before the word-sized arrays. A
+// scalar header carrying every length a reader needs (the key, ref and
+// count widths, from which the per-entry arrays' lengths follow with the
+// key count, and the arena byte lengths), and a raw payload with
+// alignment padding before 4-byte counts, the one word-sized array. A
 // borrow-mode reader aliases the whole payload from the header's
 // lengths without reading a byte of it, so a container that groups all
 // its sections' headers together (as the GPH index does) opens a cold
@@ -930,33 +1056,41 @@ func (f *Frozen) WriteTo(bw *binio.Writer) {
 }
 
 // WriteHeaderTo writes the section's scalar header: key count,
-// posting total, key width, and both arena byte lengths — everything
-// ReadFrozenHeader needs to alias the payload without reading it.
+// posting total, key, ref and count widths, and both arena byte lengths
+// — everything ReadFrozenHeader needs to alias the payload without
+// reading it.
 func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(f.NumKeys())
 	bw.Int64(f.postings)
 	bw.Int(f.keyLen)
+	bw.Int(f.refLen)
+	bw.Int(f.countLen())
 	bw.Int(len(f.keyArena))
 	bw.Int(len(f.postArena))
 }
 
 // WritePayloadTo writes the arenas and per-entry arrays raw, in the
-// order FrozenHeader.ReadPayload consumes them.
+// order FrozenHeader.ReadPayload consumes them: the refs, bytes, right
+// after the posting arena; 4-byte counts after alignment padding, 1-byte
+// ones right after the refs.
 func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	bw.Bytes(f.keyArena)
 	bw.Bytes(f.postArena)
-	bw.Align8()
-	bw.Uint32sRaw(f.refs)
-	bw.Align8()
-	bw.Uint32sRaw(f.counts)
+	bw.Bytes(f.refs)
+	if f.counts32 != nil {
+		bw.Align8()
+		bw.Uint32sRaw(f.counts32)
+	} else {
+		bw.Bytes(f.counts8)
+	}
 }
 
 // ReadFrozen reads an index written by WriteTo, validating the count
 // total and the contents (lists chained end to end over the arena,
-// varint framing, that every id lies in [0, maxID), strict key order)
-// before returning. The arenas are adopted directly
-// from the decoded buffers — loading is O(bytes) — and the slot table
-// is rebuilt lazily on the first probe.
+// varint framing, that every id lies in [0, maxID), strict key order,
+// refs and counts no wider than their largest needs) before returning.
+// The arenas are adopted directly from the decoded buffers — loading is
+// O(bytes) — and the slot table is rebuilt lazily on the first probe.
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 	h, err := ReadFrozenHeader(br, maxID)
 	if err != nil {
@@ -976,6 +1110,7 @@ func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 // without reading them.
 type FrozenHeader struct {
 	numKeys, keyLen           int
+	refLen, countLen          int
 	postings                  int64
 	keyArenaLen, postArenaLen int
 	maxID                     int32
@@ -992,6 +1127,8 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	h.numKeys = br.Int()
 	h.postings = br.Int64()
 	h.keyLen = br.Int()
+	h.refLen = br.Int()
+	h.countLen = br.Int()
 	h.keyArenaLen = br.Int()
 	h.postArenaLen = br.Int()
 	if err := br.Err(); err != nil {
@@ -1005,6 +1142,15 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	}
 	if h.keyLen < 0 || (h.numKeys > 0 && int64(h.keyLen)*int64(h.numKeys) >= arenaLimit) {
 		return h, fmt.Errorf("invindex: implausible key length %d", h.keyLen)
+	}
+	if h.refLen < 1 || h.refLen > 4 {
+		return h, fmt.Errorf("invindex: implausible ref length %d", h.refLen)
+	}
+	if h.countLen != 1 && h.countLen != 4 {
+		return h, fmt.Errorf("invindex: implausible count length %d", h.countLen)
+	}
+	if h.numKeys == 0 && h.refLen+h.countLen != 2 {
+		return h, fmt.Errorf("invindex: an index of no keys has 1-byte refs and counts, not %d- and %d-byte ones", h.refLen, h.countLen)
 	}
 	if h.keyArenaLen < 0 || int64(h.keyArenaLen) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible key arena length %d", h.keyArenaLen)
@@ -1034,13 +1180,16 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 //
 //gph:borrow
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
-	f := &Frozen{keyLen: h.keyLen, postings: h.postings, maxID: h.maxID}
+	f := &Frozen{keyLen: h.keyLen, refLen: h.refLen, postings: h.postings, maxID: h.maxID}
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")
 	f.postArena = br.BytesRaw(h.postArenaLen, "frozen posting arena")
-	br.Align8()
-	f.refs = br.Uint32sRaw(h.numKeys, "frozen posting refs")
-	br.Align8()
-	f.counts = br.Uint32sRaw(h.numKeys, "frozen posting counts")
+	f.refs = br.BytesRaw(h.refLen*h.numKeys+refPad(h.refLen, h.numKeys), "frozen posting refs")
+	if h.countLen == 4 {
+		br.Align8()
+		f.counts32 = br.Uint32sRaw(h.numKeys, "frozen posting counts")
+	} else {
+		f.counts8 = br.BytesRaw(h.numKeys, "frozen posting counts")
+	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("invindex: reading frozen arenas: %w", err)
 	}
@@ -1050,8 +1199,10 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // Validate runs the deferred content half of loading: every entry has
 // an id — a one-id entry's ref in [0, maxID), every other's list
 // decoding cleanly by its count (varint framing, ids in [0, maxID)) from
-// where the list before it ends, the last ending the arena — and keys
-// are strictly sorted. It reads both arenas end to end — over a mapping
+// where the list before it ends, the last ending the arena — keys are
+// strictly sorted, the pads are zero, and refs and counts are no wider
+// than the largest of each needs, so one index has one file. It reads
+// both arenas end to end — over a mapping
 // this is the pass that
 // faults the pages in, which is why ReadPayload leaves it to the
 // caller's first query rather than open. Idempotent and safe for
@@ -1071,22 +1222,30 @@ func (f *Frozen) ValidateWidth(width int) error {
 
 func (f *Frozen) validateContent(width int) error {
 	numKeys := f.NumKeys()
-	// The count total comes first; it touches the count pages, which is
-	// exactly what ReadPayload avoids at open, so it lives here with the
-	// other page-touching checks. The length checks at read time keep
-	// every walk below in bounds.
-	var total int64
-	for _, c := range f.counts {
-		total += int64(c)
+	// One pass over the counts and refs comes first; it touches their
+	// pages, which is exactly what ReadPayload avoids at open, so it lives
+	// here with the other page-touching checks. The length checks at read
+	// time keep every walk below in bounds.
+	var ent entryScan
+	if f.counts32 == nil {
+		ent = scanEntries(f.counts8, f.refs, f.refLen)
+	} else {
+		ent = scanEntries(f.counts32, f.refs, f.refLen)
 	}
-	if total != f.postings {
-		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
+	if ent.total != f.postings {
+		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", ent.total, f.postings)
 	}
-	// The pad after keys shorter than a word (empty otherwise) is zero, as
-	// FreezeRows writes it: one file per index.
+	// The pads after keys shorter than a word and after refs shorter than
+	// four bytes (empty otherwise) are zero, as FreezeRows writes them: one
+	// file per index.
 	for i, b := range f.keyArena[f.keyLen*numKeys:] {
 		if b != 0 {
 			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
+		}
+	}
+	for i, b := range f.refs[f.refLen*numKeys:] {
+		if b != 0 {
+			return fmt.Errorf("invindex: ref pad byte %d is %#x, not 0", i, b)
 		}
 	}
 	// The keys up to the first out of order, then the postings before it:
@@ -1095,7 +1254,16 @@ func (f *Frozen) validateContent(width int) error {
 	// only once every entry has passed, as when the width check was a pass
 	// of its own after them.
 	disorder, wide := f.scanKeys(width)
-	if err := f.checkLists(disorder); err != nil {
+	idLimit := uint64(max(f.maxID, 0))
+	entriesOK := ent.least > 0 && ent.single <= idLimit
+	var lastList uint32
+	var err error
+	if f.counts32 == nil {
+		lastList, err = checkLists(f, f.counts8, disorder, entriesOK, idLimit)
+	} else {
+		lastList, err = checkLists(f, f.counts32, disorder, entriesOK, idLimit)
+	}
+	if err != nil {
 		return err
 	}
 	if disorder < numKeys {
@@ -1103,6 +1271,18 @@ func (f *Frozen) validateContent(width int) error {
 	}
 	if wide >= 0 {
 		return f.checkKeyWidth(wide, width)
+	}
+	// A number stored wider than it needs reads the same, so only the
+	// widths tell two files of one index apart. The largest ref is the
+	// largest one-id entry's or the last list's.
+	if f.counts32 != nil {
+		if most := slices.Max(f.counts32); most <= math.MaxUint8 {
+			return fmt.Errorf("invindex: counts are 4 bytes wide, and the largest, %d, fits one", most)
+		}
+	}
+	top := max(uint32(max(ent.single, 1)-1), lastList)
+	if want := refLenFor(top); f.refLen != want {
+		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, want)
 	}
 	return nil
 }
@@ -1162,80 +1342,109 @@ func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
 	return disorder, wide
 }
 
-// checkLists is the postings pass over entries [0, limit) and, when
-// that is every entry, the check that the lists end where the arena
-// does. An entry with no postings, or with one whose ref is not an id,
-// is found by one pass over the counts and refs that branches on
-// neither. The lists before the first such entry are each judged from
-// the words that hold them, up to the next list's ref; one the words
-// cannot clear — a corrupt list, one off the chain, or one whose word
-// would reach past the arena's end — goes to checkList, which walks it a
-// byte at a time and says what is wrong with it or where it ends.
-func (f *Frozen) checkLists(limit int) error {
-	counts := f.counts[:limit]
-	refs := f.refs[:len(counts)]
-	idLimit := uint64(max(f.maxID, 0))
+// checkLists is the postings pass over entries [0, limit) of f, whose
+// counts are counts, and, when that is every entry, the check that the
+// lists end where the arena does; it returns the last list's ref, 0 for
+// no list. entriesOK is scanEntries' verdict on every entry: each has
+// postings, and each one-id entry's ref is an id below idLimit. When it
+// is false, the first entry before limit that fails is found entry by
+// entry; there may be none. The lists before the first such entry are
+// each judged from the words that hold them, up to the next list's ref;
+// one the words cannot clear — a corrupt list, one off the chain, or one
+// whose word would reach past the arena's end — goes to checkList, which
+// walks it a byte at a time and says what is wrong with it or where it
+// ends.
+func checkLists[C entryCount](f *Frozen, counts []C, limit int, entriesOK bool, idLimit uint64) (lastList uint32, err error) {
+	counts = counts[:limit]
 	bad := limit
-	if !entriesOK(counts, refs, idLimit) {
+	if !entriesOK {
 		for e, c := range counts {
-			if c == 0 || c == 1 && uint64(refs[e]) >= idLimit {
+			if c == 0 || c == 1 && uint64(f.ref(e)) >= idLimit {
 				bad = e
 				break
 			}
 		}
 	}
-	pos, open := 0, -1 // where the next list starts; the list whose end is still to find
-	var err error
+	// Where the next list starts; the list whose end is still to find, its
+	// ref and its count.
+	pos, open, lo, n := 0, -1, 0, uint32(0)
 	for e, c := range counts[:bad] {
 		if c < 2 {
 			continue
 		}
+		ref := int(f.ref(e))
 		if open >= 0 {
-			if pos, err = f.judgeList(open, pos, int(refs[e]), idLimit); err != nil {
-				return err
+			if pos, err = f.judgeList(open, lo, n, pos, ref, idLimit); err != nil {
+				return 0, err
 			}
 		}
-		open = e
+		open, lo, n = e, ref, uint32(c)
 	}
 	if open >= 0 {
-		if pos, err = f.judgeList(open, pos, len(f.postArena), idLimit); err != nil {
-			return err
+		if pos, err = f.judgeList(open, lo, n, pos, len(f.postArena), idLimit); err != nil {
+			return 0, err
 		}
 	}
 	switch {
 	case bad < limit && counts[bad] == 0:
-		return fmt.Errorf("invindex: frozen entry %d has no postings", bad)
+		return 0, fmt.Errorf("invindex: frozen entry %d has no postings", bad)
 	case bad < limit:
-		return fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", bad, refs[bad], f.maxID)
+		return 0, fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", bad, f.ref(bad), f.maxID)
 	case limit == f.NumKeys() && pos != len(f.postArena):
-		return fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
+		return 0, fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
-	return nil
+	return uint32(lo), nil
 }
 
-// entriesOK reports whether every entry of counts has postings and every
-// one-id entry's ref is an id below idLimit, in a pass with no branch: a
-// one-id entry stands for its ref plus one, any other for 0, and the
-// largest of those must not pass idLimit.
-func entriesOK(counts, refs []uint32, idLimit uint64) bool {
-	refs = refs[:len(counts)]
-	least, top := uint32(1), uint64(0)
-	for e, c := range counts {
-		v := uint64(refs[e]) + 1
+// entryScan is what one pass over an index's counts and refs finds.
+type entryScan struct {
+	total  int64  // the counts' sum
+	least  uint32 // the smallest count, 1 for no entry
+	single uint64 // the largest one-id entry's ref plus one, 0 for none
+}
+
+// scanEntries is the pass over counts and refs — rl bytes a ref, then
+// the pad — with no branch: a one-id entry stands for its ref plus one in
+// single, any other for 0. Like histWords it keeps a copy of the loop a
+// ref length, the stride a constant in each.
+func scanEntries[C entryCount](counts []C, refs []byte, rl int) entryScan {
+	switch rl {
+	case 1:
+		return entriesStride(counts, refs, 1)
+	case 2:
+		return entriesStride(counts, refs, 2)
+	case 3:
+		return entriesStride(counts, refs, 3)
+	}
+	return entriesStride(counts, refs, 4)
+}
+
+// entriesStride is scanEntries' loop, inlined into it once a ref length.
+func entriesStride[C entryCount](counts []C, refs []byte, rl int) (s entryScan) {
+	mask := ^uint32(0) >> ((32 - 8*uint(rl)) & 31)
+	least := C(1)
+	for _, c := range counts {
+		if len(refs) < 4 {
+			break // never: the pad keeps the last ref's load inside the array
+		}
+		v := uint64(binary.LittleEndian.Uint32(refs)&mask) + 1
+		refs = refs[rl:]
 		if c != 1 {
 			v = 0
 		}
-		top = max(top, v)
-		least = min(least, c)
+		s.total += int64(c)
+		s.single, least = max(s.single, v), min(least, c)
 	}
-	return least > 0 && top <= idLimit
+	s.least = uint32(least)
+	return s
 }
 
-// judgeList checks the list of entry e, which must start at pos, from
-// the words that hold it when it ends at hi; it returns where the list
-// ends, from checkList when the words cannot clear it.
-func (f *Frozen) judgeList(e, pos, hi int, idLimit uint64) (int, error) {
-	arena, lo, c := f.postArena, int(f.refs[e]), f.counts[e]
+// judgeList checks the list of entry e, which holds c ids from lo, its
+// ref, and must start at pos, from the words that hold it when it ends at
+// hi; it returns where the list ends, from checkList when the words
+// cannot clear it.
+func (f *Frozen) judgeList(e, lo int, c uint32, pos, hi int, idLimit uint64) (int, error) {
+	arena := f.postArena
 	ok := false
 	if lo == pos && lo < hi && hi <= len(arena) {
 		switch n := uint(hi - lo); {
@@ -1329,10 +1538,10 @@ func byteSum(x uint64) uint64 {
 // where the lists before it end, and hold its count of ids, framed and in
 // range. It returns where the list ends.
 func (f *Frozen) checkList(e, pos int) (int, error) {
-	if int(f.refs[e]) != pos {
-		return 0, fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, f.refs[e], pos)
+	if int(f.ref(e)) != pos {
+		return 0, fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, f.ref(e), pos)
 	}
-	end, err := validateList(f.postArena, pos, f.counts[e], f.maxID)
+	end, err := validateList(f.postArena, pos, f.countAt(e), f.maxID)
 	if err != nil {
 		return 0, fmt.Errorf("invindex: frozen entry %d: %w", e, err)
 	}
@@ -1390,10 +1599,10 @@ func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 }
 
 // ArenaBreakdown reports the byte size of each backing component
-// (key arena with its pad, postings arena, ref+count arrays, slot
-// table): SizeBytes less the struct. The size experiment (gph-bench
-// -exp fig6) reports a GPH index's footprint by component from it.
+// (key arena with its pad, postings arena, entries — the refs with their
+// pad and the counts — and slot table): SizeBytes less the struct. The
+// size experiment (gph-bench -exp fig6) reports a GPH index's footprint
+// by component from it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, slotBytes int64) {
-	return int64(len(f.keyArena)), int64(len(f.postArena)),
-		4 * int64(len(f.refs)+len(f.counts)), slotTableBytes(f.NumKeys())
+	return int64(len(f.keyArena)), int64(len(f.postArena)), f.entryBytes(), slotTableBytes(f.NumKeys())
 }

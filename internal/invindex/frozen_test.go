@@ -316,11 +316,14 @@ func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 	}
 	sort.Strings(keys)
 	f := &Frozen{keyLen: KeyLen(width), maxID: math.MaxInt32}
+	var refs []uint32
 	for _, k := range keys {
 		f.keyArena = append(f.keyArena, k...)
-		f.addList(post[k])
+		refs = append(refs, f.addList(post[k]))
+		f.addCount(len(post[k]))
 	}
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.keyLen, len(keys)))...)
+	f.packRefs(refs)
 	f.buildSlotsOnce()
 	return f
 }
@@ -470,8 +473,12 @@ func TestEveryKeyWidth(t *testing.T) {
 			t.Fatalf("width %d: the section read back writes other bytes, or sizes %d against %d", width, g.SizeBytes(), f.SizeBytes())
 		}
 		kb, pb, ob, sb := f.ArenaBreakdown()
-		align := func(x int64) int64 { return (x + 7) &^ 7 }
-		serialized := align(align(5*8+kb+pb)+4*int64(f.NumKeys())) + 4*int64(f.NumKeys())
+		// Seven header fields, the arenas and the refs, then 1-byte counts
+		// or, 8-aligned, 4-byte ones.
+		serialized := 7*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
+		if f.counts32 != nil {
+			serialized = (serialized-int64(f.NumKeys())+7)&^7 + 4*int64(f.NumKeys())
+		}
 		slots, slotWidth := slotTable(f)
 		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+sb+frozenStructBytes || sb != slotWidth*int64(len(slots)) {
 			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and slots %d",
@@ -597,11 +604,175 @@ func TestSlotWidthBoundary(t *testing.T) {
 				t.Fatalf("%d keys of %d bits: the table rebuilt after a load differs from the build's", n, width)
 			}
 			kb, pb, ob, sb := f.ArenaBreakdown()
-			want := int64(len(f.keyArena)+len(f.postArena)) + 4*int64(2*n) + slotWidth*int64(len(slots)) + frozenStructBytes
+			// One-id keys: 2-byte refs (ids up to 65 535) and their pad,
+			// and 1-byte counts.
+			want := int64(len(f.keyArena)+len(f.postArena)) + int64(2*n+2+n) + slotWidth*int64(len(slots)) + frozenStructBytes
 			if f.SizeBytes() != want || g.SizeBytes() != want || kb+pb+ob+sb+frozenStructBytes != want {
 				t.Fatalf("%d keys of %d bits: SizeBytes %d, loaded %d, by component %d; want %d",
 					n, width, f.SizeBytes(), g.SizeBytes(), kb+pb+ob+sb+frozenStructBytes, want)
 			}
 		}
+	}
+}
+
+// TestEntryWidthBoundary: a count takes one byte while every count of the
+// index fits one and four past that, and a ref the bytes its largest
+// needs, at every byte boundary of the largest — a one-id entry's id, or,
+// with 256 ids under one key, the count itself. Counts at 255 and 256
+// and refs up to 65 536 are built by FreezeRows; refs at 2²⁴ − 1 and 2²⁴
+// are sections written by hand and read against a collection past 2²⁴
+// ids. Each is checked as built, read onto the heap and read in place.
+func TestEntryWidthBoundary(t *testing.T) {
+	distinct := func(n int) *Frozen { // n ids, a key each: the largest ref is n − 1
+		rows := make([]uint64, n)
+		for id := range rows {
+			rows[id] = uint64(id) * 3
+		}
+		return FreezeRows(n, 1, 20, rows)
+	}
+	shared := func(n, under int) *Frozen { // ids [0, under) under one key, the rest a key each
+		rows := make([]uint64, n)
+		for id := range rows {
+			rows[id] = uint64(max(id-under+1, 0))
+		}
+		return FreezeRows(n, 1, 9, rows)
+	}
+	id := func(v uint32) post { return post{ref: v} }
+	hand := func(last uint32) *Frozen {
+		keys := []string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)}
+		list := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1)
+		return handSection(keys, []post{{list: list}, id(7), id(last)}, []uint32{2, 1, 1}, make([]byte, 5))
+	}
+	for _, c := range []struct {
+		name             string
+		f                *Frozen
+		maxID            int32
+		refLen, countLen int
+	}{
+		{"255 ids under one key", shared(256, 255), 256, 1, 1},
+		{"256 ids under one key", shared(256, 256), 256, 1, 4},
+		{"largest ref 255", distinct(256), 256, 1, 1},
+		{"largest ref 256", distinct(257), 257, 2, 1},
+		{"largest ref 65 535", distinct(1 << 16), 1 << 16, 2, 1},
+		{"largest ref 65 536", distinct(1<<16 + 1), 1<<16 + 1, 3, 1},
+		{"largest ref 2²⁴ − 1", hand(1<<24 - 1), 1<<24 + 1, 3, 1},
+		{"largest ref 2²⁴", hand(1 << 24), 1<<24 + 1, 4, 1},
+	} {
+		f := c.f
+		f.maxID = c.maxID
+		raw := frozenBytes(f)
+		heap, err := ReadFrozen(binio.NewReader(bytes.NewReader(raw)), c.maxID)
+		if err != nil {
+			t.Fatalf("%s: read onto the heap: %v", c.name, err)
+		}
+		borrowed, err := ReadFrozen(binio.NewReader(binio.NewSource(raw)), c.maxID)
+		if err != nil {
+			t.Fatalf("%s: read in place: %v", c.name, err)
+		}
+		want := map[string][]int32{}
+		for e := range f.NumKeys() {
+			want[string(f.key(e))] = f.appendList(e, nil)
+		}
+		n := int64(f.NumKeys())
+		size := int64(len(f.keyArena)+len(f.postArena)) + int64(c.refLen)*n + int64(4-c.refLen) +
+			int64(c.countLen)*n + slotTableBytes(int(n)) + frozenStructBytes
+		for _, g := range []struct {
+			how string
+			f   *Frozen
+		}{{"built", f}, {"heap", heap}, {"borrowed", borrowed}} {
+			what := c.name + ", " + g.how
+			if g.f.refLen != c.refLen || g.f.countLen() != c.countLen {
+				t.Fatalf("%s: refs of %d bytes and counts of %d, want %d and %d", what, g.f.refLen, g.f.countLen(), c.refLen, c.countLen)
+			}
+			if g.f.SizeBytes() != size {
+				t.Fatalf("%s: SizeBytes %d, want %d", what, g.f.SizeBytes(), size)
+			}
+			if !bytes.Equal(frozenBytes(g.f), raw) {
+				t.Fatalf("%s: writes other bytes than it was read from", what)
+			}
+			checkEveryForm(t, what, g.f, want, c.maxID)
+		}
+	}
+}
+
+// checkEveryForm holds f to want, each key to its ids: by every lookup
+// form, by Range, and — around the first key — by Histogram and
+// CollectWithin; set is an id set over maxID ids.
+func checkEveryForm(t *testing.T, what string, f *Frozen, want map[string][]int32, maxID int32) {
+	t.Helper()
+	set := IDSet{Seen: make([]uint64, (maxID+63)/64)}
+	collected := func(n int) []int32 {
+		ids := slices.Clone(set.IDs)
+		set.Reset()
+		slices.Sort(ids)
+		if n != len(ids) {
+			return nil
+		}
+		return ids
+	}
+	var buf []byte
+	var words []uint64
+	var entries []int32
+	var batch []*Frozen
+	for key, ids := range want {
+		var word [8]byte
+		copy(word[:], key)
+		w := binary.LittleEndian.Uint64(word[:])
+		e := f.LookupKey([]uint64{w}, &buf)
+		var each []int32
+		f.ForEachEntry(e, func(id int32) bool { each = append(each, id); return true })
+		switch {
+		case e < 0 || f.lookupBytes([]byte(key)) != e:
+			t.Fatalf("%s: key % x found as entry %d, by its bytes as %d", what, key, e, f.lookupBytes([]byte(key)))
+		case !slices.Equal(f.AppendPostingsBytes([]byte(key), nil), ids) || !slices.Equal(each, ids):
+			t.Fatalf("%s: key % x lists %v and %v, want %v", what, key, f.AppendPostingsBytes([]byte(key), nil), each, ids)
+		case f.PostingLenBytes([]byte(key)) != len(ids) || f.PostingLenWord(w) != len(ids) || f.EntryLen(e) != len(ids):
+			t.Fatalf("%s: key % x counts %d, %d and %d postings, want %d", what, key, f.PostingLenBytes([]byte(key)), f.PostingLenWord(w), f.EntryLen(e), len(ids))
+		case !slices.Equal(collected(f.CollectEntry(e, &set)), ids),
+			!slices.Equal(collected(f.CollectBytes([]byte(key), &set)), ids),
+			!slices.Equal(collected(f.CollectWord(w, &set)), ids):
+			t.Fatalf("%s: key % x: a collect does not gather %v", what, key, ids)
+		}
+		words, entries, batch = append(words, w), append(entries, int32(e)), append(batch, f)
+	}
+	gotEntries, counts := make([]int32, len(batch)), make([]uint32, len(batch))
+	LookupWords(batch, words, gotEntries, counts)
+	for i, e := range entries {
+		if gotEntries[i] != e || int(counts[i]) != f.EntryLen(int(e)) {
+			t.Fatalf("%s: key %#x: batch entry %d count %d, want %d and %d", what, words[i], gotEntries[i], counts[i], e, f.EntryLen(int(e)))
+		}
+	}
+	ranged := 0
+	f.Range(func(key []byte, ids []int32) bool {
+		if !slices.Equal(ids, want[string(key)]) {
+			t.Fatalf("%s: Range lists %v under % x, want %v", what, ids, key, want[string(key)])
+		}
+		ranged++
+		return true
+	})
+	if ranged != len(want) {
+		t.Fatalf("%s: Range yields %d keys, want %d", what, ranged, len(want))
+	}
+	q := []uint64{words[0]}
+	wantHist := make([]int64, 65)
+	var within []int32
+	var wantSum int64
+	for key, ids := range want {
+		d := keyDistance([]byte(key), q)
+		wantHist[d] += int64(len(ids))
+		if d <= 3 {
+			within, wantSum = append(within, ids...), wantSum+int64(len(ids))
+		}
+	}
+	slices.Sort(within)
+	within = slices.Compact(within)
+	hist := make([]int64, 65)
+	f.Histogram(q, hist)
+	if !slices.Equal(hist, wantHist) {
+		t.Fatalf("%s: histogram %v, want %v", what, hist, wantHist)
+	}
+	sum := f.CollectWithin(q, 3, &set)
+	if got := collected(len(set.IDs)); !slices.Equal(got, within) || sum != wantSum {
+		t.Fatalf("%s: the radius-3 scan gathers %v (%d postings), want %v (%d)", what, got, sum, within, wantSum)
 	}
 }

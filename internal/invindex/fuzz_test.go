@@ -79,6 +79,11 @@ func FuzzReadFrozen(f *testing.F) {
 	for _, s := range fastPathSeeds() {
 		f.Add(s.data, s.maxID)
 	}
+	// Refs and counts wider than their numbers, a ref pad byte set, widths
+	// out of range.
+	for _, s := range entryWidthSeeds() {
+		f.Add(s.data, s.maxID)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
 		// The content tier against its reference, keys judged at no width

@@ -17,13 +17,15 @@ import (
 // compared with bytes.Compare, every entry's postings checked where the
 // walk reaches it, each list decoded a byte at a time from where the one
 // before it ended, and the key widths checked a bit at a time in a pass
-// of their own behind all of it. The fast paths keep every check; these
-// keep them honest about that.
+// of their own behind all of it, then the widths of the refs and counts,
+// each entry's read a byte at a time. The fast paths keep every check;
+// these keep them honest about that.
 
 func refValidate(f *Frozen, width int) error {
 	numKeys := f.NumKeys()
+	counts := entryCounts(f)
 	var total int64
-	for _, c := range f.counts {
+	for _, c := range counts {
 		total += int64(c)
 	}
 	if total != f.postings {
@@ -34,12 +36,23 @@ func refValidate(f *Frozen, width int) error {
 			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
 		}
 	}
+	for i, b := range f.refs[f.refLen*numKeys:] {
+		if b != 0 {
+			return fmt.Errorf("invindex: ref pad byte %d is %#x, not 0", i, b)
+		}
+	}
+	refs := make([]uint32, numKeys)
+	for e := range refs {
+		for i := f.refLen - 1; i >= 0; i-- {
+			refs[e] = refs[e]<<8 | uint32(f.refs[e*f.refLen+i])
+		}
+	}
 	pos := 0
 	for e := 0; e < numKeys; e++ {
 		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
 			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
 		}
-		switch c, ref := f.counts[e], f.refs[e]; {
+		switch c, ref := counts[e], refs[e]; {
 		case c == 0:
 			return fmt.Errorf("invindex: frozen entry %d has no postings", e)
 		case c == 1:
@@ -59,25 +72,62 @@ func refValidate(f *Frozen, width int) error {
 	if pos != len(f.postArena) {
 		return fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
-	if width < 0 {
-		return nil
-	}
-	packed := (width + 7) / 8 // a partition of up to 64 bits keeps its bytes,
-	if width > 64 {
-		packed = 8 * ((width + 63) / 64) // a wider one whole words
-	}
-	for e := range f.counts {
-		key := f.key(e)
-		if len(key) != packed {
-			return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, packed)
+	if width >= 0 {
+		packed := (width + 7) / 8 // a partition of up to 64 bits keeps its bytes,
+		if width > 64 {
+			packed = 8 * ((width + 63) / 64) // a wider one whole words
 		}
-		for bit := width; bit < 8*len(key); bit++ {
-			if key[bit/8]>>(bit%8)&1 != 0 {
-				return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
+		for e := range numKeys {
+			key := f.key(e)
+			if len(key) != packed {
+				return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, packed)
+			}
+			for bit := width; bit < 8*len(key); bit++ {
+				if key[bit/8]>>(bit%8)&1 != 0 {
+					return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
+				}
 			}
 		}
 	}
+	most, top := uint32(0), uint32(0)
+	for e := range numKeys {
+		most, top = max(most, counts[e]), max(top, refs[e])
+	}
+	if f.counts32 != nil && most < 256 {
+		return fmt.Errorf("invindex: counts are 4 bytes wide, and the largest, %d, fits one", most)
+	}
+	need := 1
+	for need < 4 && uint64(top) >= 1<<(8*need) {
+		need++
+	}
+	if f.refLen != need {
+		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, need)
+	}
 	return nil
+}
+
+// entryCounts returns f's posting counts, whatever their width.
+func entryCounts(f *Frozen) []uint32 {
+	counts := make([]uint32, f.NumKeys())
+	for e := range counts {
+		counts[e] = f.countAt(e)
+	}
+	return counts
+}
+
+// setRef writes v over entry e's ref, in the ref's refLen bytes.
+func setRef(f *Frozen, e int, v uint32) {
+	b := binary.LittleEndian.AppendUint32(nil, v)
+	copy(f.refs[e*f.refLen:(e+1)*f.refLen], b)
+}
+
+// setCount writes c over entry e's count, at the count's width.
+func setCount(f *Frozen, e int, c uint32) {
+	if f.counts32 != nil {
+		f.counts32[e] = c
+	} else {
+		f.counts8[e] = uint8(c)
+	}
 }
 
 // refValidateList decodes count delta-varints from the front of b,
@@ -166,18 +216,19 @@ type post struct {
 // before the section is written.
 func handSection(keys []string, posts []post, counts []uint32, pad []byte) *Frozen {
 	f := &Frozen{keyLen: len(keys[0])}
+	refs := make([]uint32, len(keys))
 	for i, k := range keys {
 		f.keyArena = append(f.keyArena, k...)
-		ref := posts[i].ref
+		refs[i] = posts[i].ref
 		if posts[i].list != nil {
-			ref = uint32(len(f.postArena))
+			refs[i] = uint32(len(f.postArena))
 			f.postArena = append(f.postArena, posts[i].list...)
 		}
-		f.refs = append(f.refs, ref)
-		f.counts = append(f.counts, counts[i])
+		f.addCount(int(counts[i]))
 		f.postings += int64(counts[i])
 	}
 	f.keyArena = append(f.keyArena, pad...)
+	f.packRefs(refs)
 	return f
 }
 
@@ -288,11 +339,11 @@ func fastPathSeeds() []struct {
 		// first at the arena's start, and the last ends the arena. An entry
 		// has postings, and one whose count says one holds its id in its ref.
 		{"a list ref past the previous list's end", edit([]string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { f.refs[1]++ }), 10, 64},
+			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)+1) }), 10, 64},
 		{"a list ref before the previous list's end", edit([]string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { f.refs[1]-- }), 10, 64},
+			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)-1) }), 10, 64},
 		{"a first list not at the arena's start", edit([]string{k1, k2},
-			[]post{id(5), ids(1, 1)}, []uint32{1, 2}, func(f *Frozen) { f.postArena, f.refs[1] = append([]byte{7}, f.postArena...), 1 }), 10, 64},
+			[]post{id(5), ids(1, 1)}, []uint32{1, 2}, func(f *Frozen) { f.postArena = append([]byte{7}, f.postArena...); setRef(f, 1, 1) }), 10, 64},
 		{"a last list that stops short of the arena's end", edit([]string{k1, k2},
 			[]post{ids(1, 1), id(7)}, []uint32{2, 1}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10, 64},
 		{"singletons over an arena that is not empty", edit([]string{k1, k2},
@@ -491,11 +542,12 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 		rows[i] = uint64(i%20) * 25
 	}
 	f := FreezeRows(len(rows), 1, 9, rows)
-	lists := slices.IndexFunc(f.counts, func(c uint32) bool { return c > 1 })
-	single := slices.IndexFunc(f.counts, func(c uint32) bool { return c == 1 })
-	second := lists + 1 + slices.IndexFunc(f.counts[lists+1:], func(c uint32) bool { return c > 1 })
+	counts := entryCounts(f)
+	lists := slices.IndexFunc(counts, func(c uint32) bool { return c > 1 })
+	single := slices.IndexFunc(counts, func(c uint32) bool { return c == 1 })
+	second := lists + 1 + slices.IndexFunc(counts[lists+1:], func(c uint32) bool { return c > 1 })
 	if lists < 0 || single < 0 || second <= lists {
-		t.Fatalf("counts %v: the test needs two lists and a singleton", f.counts)
+		t.Fatalf("counts %v: the test needs two lists and a singleton", counts)
 	}
 	raw := frozenBytes(f)
 	for _, c := range []struct {
@@ -503,11 +555,11 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 		break_ func(f *Frozen)
 		want   string
 	}{
-		{"the first list's ref", func(f *Frozen) { f.refs[lists] = 1 }, fmt.Sprintf("entry %d: list starts at byte 1, the lists before it end at 0", lists)},
-		{"a list ref off the chain", func(f *Frozen) { f.refs[second]++ }, fmt.Sprintf("entry %d: list starts at byte", second)},
+		{"the first list's ref", func(f *Frozen) { setRef(f, lists, 1) }, fmt.Sprintf("entry %d: list starts at byte 1, the lists before it end at 0", lists)},
+		{"a list ref off the chain", func(f *Frozen) { setRef(f, second, f.ref(second)+1) }, fmt.Sprintf("entry %d: list starts at byte", second)},
 		{"the last list short of the arena's end", func(f *Frozen) { f.postArena = append(bytes.Clone(f.postArena), 0) }, "lists end at byte"},
-		{"a singleton's ref past the ids", func(f *Frozen) { f.refs[single] = 30 }, fmt.Sprintf("entry %d: posting id 30 outside [0,30)", single)},
-		{"a count of 0", func(f *Frozen) { f.counts[single], f.postings = 0, f.postings-1 }, fmt.Sprintf("entry %d has no postings", single)},
+		{"a singleton's ref past the ids", func(f *Frozen) { setRef(f, single, 30) }, fmt.Sprintf("entry %d: posting id 30 outside [0,30)", single)},
+		{"a count of 0", func(f *Frozen) { setCount(f, single, 0); f.postings-- }, fmt.Sprintf("entry %d has no postings", single)},
 		{"counts against the total", func(f *Frozen) { f.postings++ }, "counts sum to"},
 	} {
 		f := readUnvalidated(bytes.Clone(raw), 30)
@@ -576,5 +628,86 @@ func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 			what += fmt.Sprintf(" byte %d = %#x", off, b)
 		}
 		check(s, bad, what)
+	}
+}
+
+// rewidth returns f with its refs stored refLen bytes wide and its counts
+// countLen, whatever the numbers need: a number too wide for its bytes
+// loses its high ones.
+func rewidth(f *Frozen, refLen, countLen int) *Frozen {
+	g := &Frozen{keyArena: f.keyArena, keyLen: f.keyLen, postArena: f.postArena, postings: f.postings, maxID: f.maxID, refLen: refLen}
+	n := f.NumKeys()
+	g.refs = make([]byte, refLen*n+refPad(refLen, n))
+	for e := range n {
+		copy(g.refs[refLen*e:refLen*(e+1)], binary.LittleEndian.AppendUint32(nil, f.ref(e)))
+	}
+	counts := entryCounts(f)
+	if countLen == 4 {
+		g.counts32 = counts
+	} else {
+		g.counts8 = make([]uint8, n)
+		for e, c := range counts {
+			g.counts8[e] = uint8(c)
+		}
+	}
+	return g
+}
+
+// entryWidthSeeds are sections whose per-entry arrays are not the widths
+// the numbers give: each with the id bound it is read against and what
+// reading it must say. The structural tier refuses a width out of range
+// from the header alone; the content tier the rest.
+func entryWidthSeeds() []struct {
+	name, want string
+	data       []byte
+	maxID      int32
+} {
+	rows := make([]uint64, 30) // ids i and i + 15 share key i: fifteen lists of two
+	for i := range rows {
+		rows[i] = uint64(i % 15)
+	}
+	f := FreezeRows(len(rows), 1, 8, rows) // refs of one byte, counts of one
+	f.maxID = 30
+	header := func(field int, v uint64) []byte { // the section with a header field overwritten
+		b := frozenBytes(f)
+		binary.LittleEndian.PutUint64(b[8*field:], v)
+		return b
+	}
+	padSet := frozenBytes(f)
+	padSet[len(padSet)-f.NumKeys()-1] = 1 // the refs' last pad byte, right before the counts
+	empty := frozenBytes(FreezeRows(0, 1, 8, nil))
+	binary.LittleEndian.PutUint64(empty[8*4:], 4)
+	return []struct {
+		name, want string
+		data       []byte
+		maxID      int32
+	}{
+		{"refs one byte wider than the largest needs", "refs are 2 bytes wide, and the largest, 28, needs 1", frozenBytes(rewidth(f, 2, 1)), 30},
+		{"refs of four bytes that fit one", "refs are 4 bytes wide, and the largest, 28, needs 1", frozenBytes(rewidth(f, 4, 1)), 30},
+		{"4-byte counts that fit a byte", "counts are 4 bytes wide, and the largest, 2, fits one", frozenBytes(rewidth(f, 1, 4)), 30},
+		{"a nonzero ref pad byte", "ref pad byte 2 is 0x1, not 0", padSet, 30},
+		{"a ref length of 0", "implausible ref length 0", header(3, 0), 30},
+		{"a ref length of 5", "implausible ref length 5", header(3, 5), 30},
+		{"a count length of 2", "implausible count length 2", header(4, 2), 30},
+		{"a count length of 0", "implausible count length 0", header(4, 0), 30},
+		{"4-byte counts in an index of no keys", "an index of no keys has 1-byte refs and counts, not 1- and 4-byte ones", empty, 1},
+	}
+}
+
+// TestHostileEntryWidths: a section whose refs or counts are wider than
+// their numbers need, whose ref pad is not zero, or whose header gives a
+// width out of range is refused — read from a stream and in place, each
+// with its own message, the content tier's verdict the reference's.
+func TestHostileEntryWidths(t *testing.T) {
+	for _, s := range entryWidthSeeds() {
+		for how, src := range map[string]func() *binio.Reader{
+			"stream":   func() *binio.Reader { return binio.NewReader(bytes.NewReader(s.data)) },
+			"in place": func() *binio.Reader { return binio.NewReader(binio.NewSource(s.data)) },
+		} {
+			if _, err := ReadFrozen(src(), s.maxID); err == nil || !strings.HasSuffix(err.Error(), s.want) {
+				t.Errorf("%s, %s: ReadFrozen says %v, want %q", s.name, how, err, s.want)
+			}
+		}
+		sameVerdict(t, s.data, s.maxID, 8, s.name)
 	}
 }

@@ -36,6 +36,11 @@ const EngineName = "lsh"
 // deterministically from the persisted seed on Load.
 const indexMagic = "GPHLH01\n"
 
+// maxTables is the largest MaxTables Build takes. Load rebuilds the
+// tables a file's options ask for, so without it a file of a few hundred
+// bytes could ask a loader for millions.
+const maxTables = 1 << 12
+
 // Options configures Build.
 type Options struct {
 	// K is the minhashes per band signature (paper: 3).
@@ -43,7 +48,7 @@ type Options struct {
 	// Recall is the target probability of retrieving a true result
 	// (paper: 0.95).
 	Recall float64
-	// MaxTables caps l to bound memory (default 256).
+	// MaxTables caps l to bound memory (default 256, at most maxTables).
 	MaxTables int
 	// Seed drives hash function generation.
 	Seed int64
@@ -101,6 +106,9 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("lsh: %w", err)
 	}
 	opts = opts.withDefaults()
+	if opts.MaxTables > maxTables {
+		return nil, fmt.Errorf("lsh: a cap of %d tables, more than %d", opts.MaxTables, maxTables)
+	}
 	var popSum float64
 	for _, v := range data {
 		popSum += float64(v.PopCount())

@@ -1,6 +1,10 @@
 package lsh
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 
 	"gph/internal/dataset"
@@ -111,5 +115,38 @@ func TestTableCountScalesWithTau(t *testing.T) {
 	}
 	if small.SizeBytes() <= 0 || small.Tau() != 2 || small.Len() != 500 {
 		t.Fatal("accessors")
+	}
+}
+
+// TestLoadRefusesTableCap: a file's options decide how many tables Load
+// rebuilds, so a cap past maxTables is refused — by Build and so by Load —
+// before a table is drawn: band size 10, recall 1 − 10⁻⁹ and τ = 20 on
+// 24-bit rows ask for millions, and a cap of 2²⁰ would let them through.
+func TestLoadRefusesTableCap(t *testing.T) {
+	ds := dataset.Synthetic(120, 24, 0.3, 5)
+	if _, err := Build(ds.Vectors, 3, Options{MaxTables: maxTables + 1}); err == nil {
+		t.Fatal("Build took a cap past maxTables")
+	}
+	ix, err := Build(ds.Vectors, 3, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// After the magic: τ, band size, recall, table cap.
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint64(b[8:], 20)
+	binary.LittleEndian.PutUint64(b[16:], 10)
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(1-1e-9))
+	binary.LittleEndian.PutUint64(b[32:], 1<<20)
+	if _, err := Load(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "tables, more than") {
+		t.Fatalf("a file capping tables at 2²⁰: %v", err)
+	}
+	binary.LittleEndian.PutUint64(b[32:], maxTables)
+	big, err := Load(bytes.NewReader(b))
+	if err != nil || len(big.tables) != maxTables {
+		t.Fatalf("a file capping tables at maxTables: %v", err)
 	}
 }
