@@ -263,12 +263,11 @@ func BenchmarkBaselineGrid(b *testing.B) {
 // tier; validate_us the content tier (which a mapped open leaves to its
 // first query: here it is asked for, so that it has a line of its own);
 // query_us the first query, stored vector 0 as in benchmark/lib.go,
-// asked a second time; slots_us what asking it first cost over that —
-// the derived state a first query builds: the slot tables, side by
-// side, and its scratch on a query that probes (uqvideo's), the scan's
-// word-0 column on one the scan answers (sift's, which builds no slot
-// table). Each is the best of b.N starts, as setup_s is the best of its
-// 51: the host's busy spells are longer than a start.
+// asked a second time; scratch_us what asking it first cost over that —
+// the derived state a first query builds: its scratch on a query that
+// probes (uqvideo's), the scan's word-0 column on one the scan answers
+// (sift's). Each is the best of b.N starts, as setup_s is the best of
+// its 51: the host's busy spells are longer than a start.
 func BenchmarkOpenFirstQuery(b *testing.B) {
 	for _, c := range []struct {
 		dataset string
@@ -303,7 +302,7 @@ func BenchmarkOpenFirstQuery(b *testing.B) {
 				b.Run(mode.String(), func(b *testing.B) {
 					// Laps, in order; the fourth is the whole first query until
 					// the report takes the fifth, the same query again, off it.
-					phases := []string{"read_us", "decode_us", "validate_us", "slots_us", "query_us"}
+					phases := []string{"read_us", "decode_us", "validate_us", "scratch_us", "query_us"}
 					best := make([]time.Duration, len(phases))
 					for i := 0; i < b.N; i++ {
 						var m *mmapio.Mapping

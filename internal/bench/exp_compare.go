@@ -43,7 +43,7 @@ type Fig6PersistPoint struct {
 	KeyBytes   int64  `json:"key_bytes"`
 	PostBytes  int64  `json:"posting_bytes"`
 	EntryBytes int64  `json:"entry_bytes"`
-	SlotBytes  int64  `json:"slot_bytes"`
+	DirBytes   int64  `json:"directory_bytes"`
 }
 
 // Fig6 reproduces Fig. 6: index sizes of all algorithms across the
@@ -55,7 +55,7 @@ type Fig6PersistPoint struct {
 // below HmSearch / PartAlloc (deletion variants) with LSH varying by
 // τ. A second table reports each dataset's GPH index at rest: saved
 // file, load time, and the resident index by component — keys, posting
-// lists, refs and counts, slot tables.
+// lists, refs and counts, bucket directories.
 func (r *Runner) Fig6() error {
 	t := newTable(r.cfg.Out, "dataset", "tau", "GPH(MB)", "MIH(MB)", "HmSearch(MB)", "PartAlloc(MB)", "LSH(MB)")
 	rep := Fig6Report{Scale: r.cfg.Scale}
@@ -90,15 +90,15 @@ func (r *Runner) Fig6() error {
 		if err != nil {
 			return err
 		}
-		keys, posts, entries, slots := gphIx.ArenaBreakdown()
-		rep.Persist = append(rep.Persist, Fig6PersistPoint{spec.name, fileBytes, loadNanos, keys, posts, entries, slots})
+		keys, posts, entries, dirs := gphIx.ArenaBreakdown()
+		rep.Persist = append(rep.Persist, Fig6PersistPoint{spec.name, fileBytes, loadNanos, keys, posts, entries, dirs})
 	}
 	t.flush()
 
 	fmt.Fprintln(r.cfg.Out, "[GPH index at rest]")
-	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "entries(MB)", "slots(MB)")
+	pt := newTable(r.cfg.Out, "dataset", "file(MB)", "load(ms)", "keys(MB)", "lists(MB)", "entries(MB)", "dir(MB)")
 	for _, p := range rep.Persist {
-		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos), mb(p.KeyBytes), mb(p.PostBytes), mb(p.EntryBytes), mb(p.SlotBytes))
+		pt.row(p.Dataset, mb(p.FileBytes), ms(p.LoadNanos), mb(p.KeyBytes), mb(p.PostBytes), mb(p.EntryBytes), mb(p.DirBytes))
 	}
 	pt.flush()
 	return r.writeJSON(rep)

@@ -143,11 +143,8 @@ func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
 
 // carveProjections sizes a new scratch for this index's partitioning:
 // one projection view per partition over a single word arena, and the
-// per-partition allocation state. Runs once per pooled scratch, and the
-// first one an index makes is where its slot tables get built: a query
-// has got past the free verdict and is about to probe.
+// per-partition allocation state. Runs once per pooled scratch.
 func (ix *Index) carveProjections(s *searchScratch) {
-	ix.warmSlots()
 	m := ix.parts.NumParts()
 	words := 0
 	for _, dimsI := range ix.parts.Parts {
@@ -173,26 +170,6 @@ func (ix *Index) carveProjections(s *searchScratch) {
 			s.startInv[i] = ix.inv[i]
 		}
 	}
-}
-
-// warmSlots builds every partition's slot table, a worker a partition.
-// The tables are derived state a loaded index does not carry — never
-// persisted, a third of the file again, and never built at open, which
-// would bill an index that is only ever scanned for probes it never
-// makes — and left to the probes that need them they would be built one
-// behind another inside the first query. The first scratch an index
-// makes calls this, racing first queries waiting on the one that got
-// here first. On a built index every table is there already.
-func (ix *Index) warmSlots() {
-	//gphlint:ignore hotpath once an index, on its first scratch: the cold path behind the Once's atomic load
-	ix.slotsOnce.Do(ix.buildSlotTables)
-}
-
-func (ix *Index) buildSlotTables() {
-	_ = ForEach(0, len(ix.inv), func(i int) error {
-		ix.inv[i].WarmSlots()
-		return nil
-	})
 }
 
 // noStart marks a partition whose projection startRows has not looked

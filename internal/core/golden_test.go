@@ -39,9 +39,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"b4104007723b75686219d932a88fd2c8cc998b8ca0d15089c260592624050ddc",
-		"100e9204cfb1a25621916e6d3292505fa16f90095ac5127768bea09ee93667ab",
-		"db52cea0e75bfdbfce7fe5c556f41b0d855f30a17f65347a0069b7057a7f42ce",
+		"41f862176f608b9683b27c29ee43fc84e818c003991d934b6d788098ad816836",
+		"b37c651a69f7f58412b3cf577b39f9743ab0f35aad18b43f2d26e31bce457488",
+		"ddaf464e8ea4f19f353bb6f0994b8bc9ca5e02d8380076c138c5354ef167a3aa",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -61,18 +61,18 @@ func TestBuildBytesGolden(t *testing.T) {
 // order, hashed. A format change moves TestBuildBytesGolden's hashes and
 // must leave these; a change to what is indexed moves both. The sizes
 // are pinned beside them — SizeBytes and its components (key arena,
-// posting arena, per-entry arrays, slot tables) — so a layout change
+// posting arena, per-entry arrays, bucket directories) — so a layout change
 // says, component by component, what it saves.
 func TestBuildContentGolden(t *testing.T) {
-	type breakdown struct{ keys, posts, entries, slots int64 }
+	type breakdown struct{ keys, posts, entries, dirs int64 }
 	for i, want := range []struct {
 		sha  string
 		size int64
 		breakdown
 	}{
-		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 21960, breakdown{8238, 609, 5177, 7168}},
-		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 43588, breakdown{17901, 2731, 7724, 13312}},
-		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 41563, breakdown{20066, 3664, 6185, 9728}},
+		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 16624, breakdown{8238, 609, 5177, 1800}},
+		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 33704, breakdown{17901, 2731, 7724, 3348}},
+		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 34367, breakdown{20066, 3664, 6185, 2452}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()
@@ -93,11 +93,11 @@ func TestBuildContentGolden(t *testing.T) {
 			size int64
 			breakdown
 		}{sha: hex.EncodeToString(h.Sum(nil)), size: ix.SizeBytes()}
-		got.keys, got.posts, got.entries, got.slots = ix.ArenaBreakdown()
+		got.keys, got.posts, got.entries, got.dirs = ix.ArenaBreakdown()
 		if got != want {
-			t.Errorf("%s: content %s, %d bytes (keys %d, posts %d, entries %d, slots %d); want %s, %d (%d, %d, %d, %d)",
-				goldenCorpora[i].name, got.sha, got.size, got.keys, got.posts, got.entries, got.slots,
-				want.sha, want.size, want.keys, want.posts, want.entries, want.slots)
+			t.Errorf("%s: content %s, %d bytes (keys %d, posts %d, entries %d, directories %d); want %s, %d (%d, %d, %d, %d)",
+				goldenCorpora[i].name, got.sha, got.size, got.keys, got.posts, got.entries, got.dirs,
+				want.sha, want.size, want.keys, want.posts, want.entries, want.dirs)
 		}
 	}
 }

@@ -51,11 +51,6 @@ type Index struct {
 	deepDone    atomic.Bool
 	deepMu      sync.Mutex
 	deepErr     error
-
-	// slotsOnce builds the partitions' slot tables — derived state a
-	// loaded index makes on first use — side by side (warmSlots). Cold,
-	// so it sits behind the fields a query reads.
-	slotsOnce sync.Once
 }
 
 // BuildStats records where index construction time went; Table IV
@@ -297,10 +292,10 @@ func (ix *Index) SizeBytes() int64 {
 // ArenaBreakdown is invindex.Frozen.ArenaBreakdown summed over the
 // partitions: where SizeBytes's bytes are, less each partition's fixed
 // struct overhead.
-func (ix *Index) ArenaBreakdown() (keyBytes, postBytes, entryBytes, slotBytes int64) {
+func (ix *Index) ArenaBreakdown() (keyBytes, postBytes, entryBytes, dirBytes int64) {
 	for _, inv := range ix.inv {
-		k, p, e, s := inv.ArenaBreakdown()
-		keyBytes, postBytes, entryBytes, slotBytes = keyBytes+k, postBytes+p, entryBytes+e, slotBytes+s
+		k, p, e, d := inv.ArenaBreakdown()
+		keyBytes, postBytes, entryBytes, dirBytes = keyBytes+k, postBytes+p, entryBytes+e, dirBytes+d
 	}
-	return keyBytes, postBytes, entryBytes, slotBytes
+	return keyBytes, postBytes, entryBytes, dirBytes
 }

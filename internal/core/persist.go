@@ -21,11 +21,11 @@ import (
 // once, as its frozen keys and posting counts, which is also what CN
 // estimation reads. One generation is read: files with an older tag are
 // rejected by their magic (DESIGN.md §6 has what each bump fixed).
-const indexMagic = "GPHIX09\n"
+const indexMagic = "GPHIX10\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,
-// in lexicographic key order, so output is byte-reproducible). Nothing
+// in (bucket, key) order, so output is byte-reproducible). Nothing
 // else is state: CN estimation reads those arenas, so a Load is pure
 // deserialization.
 func (ix *Index) Save(w io.Writer) error {

@@ -18,7 +18,7 @@ import (
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix09.bin (120 vectors × 48 dims in three partitions
+// testdata/index-gphix10.bin (120 vectors × 48 dims in three partitions
 // of 15–17 bits, so keys of 2 and 3 bytes and their pads; MaxTau 16,
 // Seed 7) loads into the heap and borrowed in place, answers like a
 // linear scan over its own vectors, generates
@@ -26,7 +26,7 @@ import (
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix09.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix10.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +101,42 @@ func indexCandidates(t *testing.T, ix *Index, q bitvec.Vector, tau int) []int32 
 	return out
 }
 
-// keyArenaOffset finds partition p's key arena in ix's saved bytes.
+// keyArenaOffset finds partition p's key arena in ix's saved bytes: the
+// payloads follow the head, 8-aligned, the vector words first, then each
+// partition's key arena, posting arena, refs and counts (4-byte counts
+// 8-aligned), their lengths in the partition's frozen header — after
+// magic, dims, count, partition count, the dimension lists and five
+// option fields, seven fields each: key count, posting total, key, ref
+// and count widths, arena lengths.
 func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 	t.Helper()
-	var arena []byte
+	hdr := 4 * 8
+	for _, part := range ix.parts.Parts {
+		hdr += 8 + 8*len(part)
+	}
+	hdr += 5 * 8
+	field := func(q, i int) int { return int(binary.LittleEndian.Uint64(raw[hdr+56*q+8*i:])) }
+	align := func(off int) int { return (off + 7) &^ 7 }
+	off := align(hdr+56*len(ix.inv)) + 8*ix.count*((ix.dims+63)/64)
+	for q := range p {
+		n, refLen, countLen := field(q, 0), field(q, 3), field(q, 4)
+		off += field(q, 5) + field(q, 6) + refLen*n + 4 - refLen
+		if countLen == 4 {
+			off = align(off)
+		}
+		off += countLen * n
+	}
+	// The arena holds the partition's keys, whatever their order.
+	var keys []string
 	ix.inv[p].Range(func(key []byte, _ []int32) bool {
-		arena = append(arena, key...)
+		keys = append(keys, string(key))
 		return true
 	})
-	off := bytes.Index(raw, arena)
-	if off < 0 || bytes.Contains(raw[off+1:], arena) {
-		t.Fatalf("partition %d's key arena does not occur exactly once in the file", p)
+	kl := ix.inv[p].KeyLen()
+	for e := range keys {
+		if _, ok := slices.BinarySearch(keys, string(raw[off+kl*e:off+kl*(e+1)])); !ok {
+			t.Fatalf("partition %d: the bytes at %d are not its key arena", p, off)
+		}
 	}
 	return off
 }
@@ -146,8 +171,14 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	keyLen, keys := invindex.KeyLen(w), inv.NumKeys()
 	keysEnd := keyArenaOffset(t, ix, raw, p) + keyLen*keys
 
-	strayBit := bytes.Clone(raw)
-	strayBit[keysEnd-1] |= 1 << (w % 8) // the last key (raising it keeps the order), bit w
+	// Bit w set in one row's key: frozen by the builder, so the keys stay
+	// in bucket order — an order error would be reported before the key's
+	// width — and saved as the partition.
+	rows := invindex.ProjectRows(data, ix.parts.Parts[p])
+	rows[len(rows)-1] |= 1 << w
+	ix.inv[p] = invindex.FreezeRows(len(data), 1, w, rows)
+	strayBit := savedBytes(t, ix)
+	ix.inv[p] = inv
 	padByte := bytes.Clone(raw)
 	padByte[keysEnd+8-keyLen-1] = 1
 	wrongCount := bytes.Clone(raw)

@@ -30,11 +30,11 @@ import (
 //	verdict-free       ns a query: allocate over a pooled scratch where the plan floor answers (its early exit)
 //
 // probed-signature walks one ball of the widest partition again and
-// again, so the slots it reads stay in cache, which is the setting
+// again, so the directory and keys it reads stay in cache, the setting
 // BenchmarkFrozenProbeVsScan (internal/invindex) measured the constant
 // in. probed-signature-spread is the same step as queries meet it: the
 // radius-1 ball of every partition for 64 queries in turn, most lookups
-// reading a slot no recent one touched. It is not on the price list; it
+// reading a bucket no recent one touched. It is not on the price list; it
 // is there so the distance between the two stays in sight.
 func BenchmarkPlanPrices(b *testing.B) {
 	var stepNs float64 // the corpus's scanned-key line, which runs first

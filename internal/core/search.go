@@ -90,7 +90,7 @@ func (s *searchScratch) probe(v bitvec.Vector) bool {
 
 // probeBall collects partition i's candidates at threshold t the
 // paper's way: enumerate ball(wᵢ, t) around the query's projection and
-// probe the slot table with every signature. A partition of 1 to 64
+// probe the partition's index with every signature. A partition of 1 to 64
 // bits — every default build — is walked and probed as a word; wider
 // (and empty) ones go through the vector enumerator and its callback.
 // extendRow makes the same split, and both start the walk in place: a
@@ -324,7 +324,7 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 // generate is phases 2+3 fused, candidate generation: per partition,
 // collect into s.cand the ids whose projection lies within the
 // threshold of the query's, by whichever costs less (genPrice) — the
-// signature ball probed against the slot table, or one pass over the
+// signature ball probed against the partition's index, or one pass over the
 // partition's keys. Nothing is materialized per signature or per
 // matching key (no key string, no posting slice), which is what makes
 // the loop allocation-free. budget (0 for unlimited: RR and unbudgeted

@@ -9,8 +9,9 @@ import "gph/internal/verify"
 // (a step of 0.85–1.05 ns) BenchmarkPlanPrices reads a probe at 8.0–8.5
 // steps and a candidate at 9.5.
 const (
-	// ProbePrice prices one slot-table probe: step to the next signature
-	// of the ball, hash it, read the slot and the entry behind it.
+	// ProbePrice prices one posting-index probe: step to the next
+	// signature of the ball, hash it, read its bucket's directory offsets
+	// and the keys between them.
 	ProbePrice = 8
 	// CandidatePrice prices one posting of a generated candidate list:
 	// decoded into the dedup bitmap and, if new, fetched from the packed
@@ -32,7 +33,7 @@ func ScanBudget(codes *verify.Codes, tau int) Budget {
 	return Budget{left: codes.ScanSteps(tau)}
 }
 
-// Probes charges n slot-table probes and reports whether the budget
+// Probes charges n posting-index probes and reports whether the budget
 // still holds; n may be a ball too large to enumerate.
 func (b *Budget) Probes(n uint64) bool {
 	if b.left < 0 || n > uint64(b.left)/ProbePrice {

@@ -315,9 +315,10 @@ func TestVectorTailCheck(t *testing.T) {
 
 // TestFirstQueriesRace: eight goroutines' first searches on one freshly
 // opened index, at thresholds that run the index. On a mapped open they
-// race the content tier (one runs it, seven wait) and then the slot
-// warm-up; on a heap open, validated before Open returned, the warm-up
-// alone. All eight answer as the oracle does. Run under -race.
+// race the content tier (one runs it and builds the bucket directories
+// every probe reads, seven wait); on a heap open, validated before Open
+// returned, they race their scratch. All eight answer as the oracle
+// does. Run under -race.
 func TestFirstQueriesRace(t *testing.T) {
 	path := saveEngineFile(t, "gph")
 	_, queries, oracle := confData(t)

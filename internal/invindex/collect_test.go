@@ -216,7 +216,7 @@ func TestCollectWithinMixedWidths(t *testing.T) {
 }
 
 // TestLookupFormsAgree: the word and byte lookups hash through one
-// function into one slot table, so they find the same entry for
+// function into one bucket directory, so they find the same entry for
 // every key held and none for keys that are not — on keys of whole words
 // and on keys as narrow as their partition, where the hash is seeded by
 // the key's length and a word with a bit past the key's bytes is held
@@ -281,10 +281,10 @@ func TestLookupFormsAgree(t *testing.T) {
 		t.Fatal("an index without one-word keys found a word key")
 	}
 	// The staged batch is the word lookup, position by position: over
-	// indexes of every kind at once — keys of whole words and narrow keys
-	// at half load, keys picked so that most sit behind another key's slot
-	// (the sequential keys of TestSlotChainsShort) in tables of uint16 and
-	// of uint32 slots, long posting lists, mixed widths, no keys at all,
+	// indexes of every kind at once — keys of whole words and narrow keys,
+	// keys picked so that each sits behind another key of its bucket (the
+	// sequential keys of TestBucketsShort) in directories of uint16 and of
+	// uint32 offsets, long posting lists, mixed widths, no keys at all,
 	// and positions without an index — probed for held and absent keys,
 	// many more positions than a query has partitions.
 	chained := make([]uint64, 70000)
@@ -296,12 +296,12 @@ func TestLookupFormsAgree(t *testing.T) {
 	displaced := func(f *Frozen) []uint64 {
 		var out []uint64
 		for _, k := range chained[:f.NumKeys()] {
-			if e := f.slotEntry(hashWord(f.keyLen, k)); keyWord(f, int(e)) != k {
+			if lo, _ := f.span(hashWord(f.keyLen, k)); keyWord(f, int(lo)) != k {
 				out = append(out, k)
 			}
 		}
 		if len(out) < 100 {
-			t.Fatalf("only %d of %d sequential %d-byte keys sit behind another key's slot", len(out), f.NumKeys(), f.keyLen)
+			t.Fatalf("only %d of %d sequential %d-byte keys sit behind another key of their bucket", len(out), f.NumKeys(), f.keyLen)
 		}
 		return out
 	}
@@ -373,26 +373,18 @@ func TestLookupFormsAgree(t *testing.T) {
 	}
 }
 
-// TestSlotChainsShort: at the table's fullest, 50 % load, lookups stay
-// short for the key sets that break a hash indexed by its low bits —
-// sequential keys, and keys that vary only in their low bits, as a
-// narrow partition's do: a mean under 1.75 slots, and at 2¹² keys no
-// chain beyond 16 slots. Random keys get the bound linear probing itself
-// allows: a mean of 1.5 slots at this load whatever the hash, and a
-// longest chain that grows with log n (an ideal hash measures 15–31 at
-// 2¹² keys over seeds, so 16 is not a property any hash has; 40, and 60
-// at 2¹⁶, still catch clustering). At 2¹⁶ the structured sets' longest
-// chains are 82–96 slots against random keys' 24–39: the bound there,
-// 128, pins what the fold hash does, not what it should. Each set is
-// held as whole words and, where it fits one, in keys as narrow as its
-// width. 2¹² keys fill a table of uint16 slots and 2¹⁶ one of uint32: the
-// chains are walked through slotEntry at both widths.
-func TestSlotChainsShort(t *testing.T) {
+// TestBucketsShort: a probe compares a word against the keys of one
+// bucket, and at 2^b buckets for between 2^b and 2^(b+1) keys they are
+// short for every key set: the ones that break a hash read in its low
+// bits — sequential keys, keys that vary only in their low bits, as a
+// narrow partition's do — and random 20-, 28- and 64-bit keys, at 2¹²
+// keys (uint16 offsets) and at 2¹⁶ and 2²⁰ (uint32). No bucket holds more
+// than 16 keys, and a hit compares at most 3.25 keys on average: the
+// keys before it in its bucket and itself. Each set is held as whole
+// words and, where it fits one, in keys as narrow as its width.
+func TestBucketsShort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, c := range []struct {
-		n, structured, random int // the keys; the longest chain each kind of set may have
-	}{{1 << 12, 16, 40}, {1 << 16, 128, 60}} {
-		n := c.n // slotCount(n) = 2n: exactly 50 % load
+	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
 		sequential := make([]uint64, n)
 		lowBits := make([]uint64, n)
 		low := make([]uint64, n)
@@ -403,40 +395,38 @@ func TestSlotChainsShort(t *testing.T) {
 		}
 		seqWidth := bits.Len(uint(n - 1))
 		for _, set := range []struct {
-			name    string
-			keys    []uint64
-			width   int // the keys' width when held narrow; 0 for whole words only
-			longest int
+			name  string
+			keys  []uint64
+			width int // the keys' width when held narrow; 0 for whole words only
 		}{
-			{"sequential", sequential, seqWidth, c.structured},
-			{"low bits", lowBits, 0, c.structured},
-			{"low bits", low, seqWidth + 1, c.structured},
-			{"random", wordKeys(rng, n, 64), 0, c.random},
-			{"random 20-bit", wordKeys(rng, n, 20), 20, c.random},
-			{"random 28-bit", wordKeys(rng, n, 28), 28, c.random},
+			{"sequential", sequential, seqWidth},
+			{"low bits", lowBits, 0},
+			{"low bits", low, seqWidth + 1},
+			{"random", wordKeys(rng, n, 64), 0},
+			{"random 20-bit", wordKeys(rng, n, 20), 20},
+			{"random 28-bit", wordKeys(rng, n, 28), 28},
 		} {
 			forms := []*Frozen{freezeWords(set.keys)}
 			if set.width > 0 {
 				forms = append(forms, FreezeRows(n, 1, set.width, set.keys))
 			}
 			for _, f := range forms {
-				slots, slotWidth := slotTable(f)
-				if len(slots) != 2*n || slotWidth != slotTableBytes(n)/int64(2*n) {
-					t.Fatalf("%s: %d slots of %d bytes for %d keys", set.name, len(slots), slotWidth, n)
+				if _, width := dirTable(f); width != int64(2+2*min(n>>16, 1)) {
+					t.Fatalf("%d %s keys: %d-byte offsets", n, set.name, width)
 				}
-				mask := uint64(len(slots) - 1)
-				longest, total := 0, 0
+				longest, compared := 0, 0
 				for _, k := range set.keys {
-					chain := 1
-					for h := hashWord(f.keyLen, k) & mask; keyWord(f, int(f.slotEntry(h))) != k; h = (h + 1) & mask {
-						chain++
+					lo, hi := f.span(hashWord(f.keyLen, k))
+					e := f.lookupWord(k)
+					if e < int(lo) || e >= int(hi) || keyWord(f, e) != k {
+						t.Fatalf("%d %s keys: key %#x found as entry %d, its bucket holds %d to %d", n, set.name, k, e, lo, hi)
 					}
-					longest = max(longest, chain)
-					total += chain
+					longest = max(longest, int(hi-lo))
+					compared += e - int(lo) + 1
 				}
-				if mean := float64(total) / float64(n); longest > set.longest || mean > 1.75 {
-					t.Errorf("%d %s keys, %d bytes: longest probe chain %d slots (want ≤ %d), mean %.2f (want ≤ 1.75)",
-						n, set.name, f.keyLen, longest, set.longest, mean)
+				if mean := float64(compared) / float64(n); longest > 16 || mean > 3.25 {
+					t.Errorf("%d %s keys, %d bytes: longest bucket %d keys (want ≤ 16), a hit compares %.2f on average (want ≤ 3.25)",
+						n, set.name, f.keyLen, longest, mean)
 				}
 			}
 		}
@@ -453,8 +443,9 @@ func TestSlotChainsShort(t *testing.T) {
 // from a key the scan matched (decode-posting), or from a probe's hit on
 // a key with one id (collect-singleton) or with two or three
 // (collect-list), entries taken in no order the arenas have. The word
-// probes run again on 70 000 keys (the -70000 lines): past the 65 535 a
-// table of uint16 slots numbers, so that table's slots are uint32.
+// probes run again on 70 000 keys (the -70000 lines: past the 65 535 a
+// directory of uint16 offsets reaches, so its offsets are uint32) and on
+// 10⁶ (the -1000000 lines: a directory and an arena far out of cache).
 func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	const n, width = 20000, 36
 	rng := rand.New(rand.NewSource(1))
@@ -472,6 +463,7 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	// The wide partition draws from a seed of its own: the draws of the
 	// runs below stay what they were.
 	wideKeys := wordKeys(rand.New(rand.NewSource(2)), 70000, width)
+	millionKeys := wordKeys(rand.New(rand.NewSource(3)), 1000000, width)
 	var sink int
 
 	perItem := func(b *testing.B, items int) {
@@ -484,6 +476,7 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	}{
 		{"", f, keys, absent},
 		{"-70000", FreezeRows(len(wideKeys), 1, width, wideKeys), wideKeys, absentFrom(wideKeys[len(wideKeys)/2:])},
+		{"-1000000", FreezeRows(len(millionKeys), 1, width, millionKeys), millionKeys, absentFrom(millionKeys[len(millionKeys)/2:])},
 	} {
 		b.Run("word-probe-hit"+p.suffix, func(b *testing.B) {
 			for range b.N {

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
@@ -18,9 +17,10 @@ import (
 // query substrate every filter-and-refine engine probes, built by
 // FreezeRows. It stores
 //
-//   - every distinct key, each keyLen bytes, concatenated in
-//     lexicographic order in one byte arena: key e starts at e·keyLen,
-//     so keys need no offsets;
+//   - every distinct key, each keyLen bytes, concatenated in one byte
+//     arena: key e starts at e·keyLen, so keys need no offsets. The keys
+//     are grouped by hash bucket — the top bits of their hash, buckets in
+//     ascending order — and lie in lexicographic order inside a bucket;
 //   - one ref and one count an entry: the ref of an entry with one id is
 //     the id itself, and that of an entry with more is where its list
 //     starts in a second arena — lists of two or more ids, delta-varint
@@ -29,23 +29,24 @@ import (
 //     one before it ends. Each is as wide as its numbers: a ref takes the
 //     bytes the largest ref needs (refLen), a count one byte when every
 //     count of the index fits one and four otherwise;
-//   - an open-addressed hash table of entry numbers for O(1) probes, its
-//     slots 16 bits wide when the index has at most 65 535 keys and 32
-//     otherwise.
+//   - a directory of where each bucket's entries start, so a probe is
+//     one hash, two adjacent directory reads and a compare over the
+//     bucket's one or two keys. Its offsets are 16 bits wide when the
+//     index has at most 65 535 keys and 32 otherwise.
 //
 // Lookups are allocation-free (keys hash and compare against the arena
 // directly), SizeBytes is exact arithmetic over the backing slices
 // rather than an estimate, and the arenas serialize as-is, so loading a
-// persisted frozen index is O(bytes) slicing; the hash table is derived
-// state, rebuilt lazily on the first probe.
+// persisted frozen index is O(bytes) slicing; the directory is not
+// written, and the content tier's key pass, which hashes every key to
+// check its bucket, rebuilds it.
 //
 // A Frozen is immutable after FreezeRows/ReadFrozen and safe for
-// concurrent use (the lazy slot build and deferred validation are
-// internally synchronized).
+// concurrent use (deferred validation is internally synchronized).
 type Frozen struct {
-	keyArena  []byte // distinct keys, concatenated in sorted order, then the pad (keyPad)
+	keyArena  []byte // distinct keys, concatenated in (bucket, key) order, then the pad (keyPad)
 	keyLen    int    // bytes a key, KeyLen of the projection's width
-	postArena []byte // delta-varint lists of two or more ids, in key order
+	postArena []byte // delta-varint lists of two or more ids, in entry order
 	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): the id of a one-id entry, else where its list starts in postArena
 	refLen    int    // bytes a ref, refLenFor the largest
 	postings  int64  // total postings across all keys
@@ -57,19 +58,16 @@ type Frozen struct {
 	counts8  []uint8
 	counts32 []uint32
 
-	// The slot table is derived state (one deterministic hashing pass
-	// over the key arena) and is built lazily on the first probe: an
-	// index opened over a file mapping must not fault every key page
-	// in at open time just to prepare for lookups it may never see.
-	// slotsReady's release-store publishes the table to the acquire-load
-	// in ensureSlots; slotsMu serializes the single build. The table is as
-	// wide as its entry numbers: a slot holds entry + 1, 0 for empty, in
-	// slots16 when the index has at most maxNarrowKeys keys and in slots32
-	// otherwise; the other field stays nil.
-	slots16    []uint16
-	slots32    []uint32
-	slotsReady atomic.Bool
-	slotsMu    sync.Mutex
+	// The bucket directory: the entries of bucket b, the keys whose hash
+	// is b in its top bits, are dir[b] up to dir[b+1]. It has
+	// 2^bucketBits(n) + 1 offsets for n keys, in dir16 when n is at most
+	// maxNarrowKeys and in dir32 otherwise, the other field nil; dirShift
+	// is what bucket shifts a hash by to find its bucket.
+	// FreezeRows sets it; a read index gets it from Validate, which every
+	// lookup waits for.
+	dir16    []uint16
+	dir32    []uint32
+	dirShift uint
 
 	// Deferred content validation (see ReadPayload): maxID is
 	// the id bound Validate checks postings against, and deepOnce/
@@ -198,7 +196,8 @@ func (f *Frozen) packRefs(refs []uint32) {
 // little-endian order, and lists, ascending and once each, the ids that
 // have it. The keys are sorted in place of a map — a map's keys,
 // buckets and one-id lists take megabytes a partition, and a build runs
-// one per worker.
+// one per worker — and the distinct keys then grouped by bucket, a
+// counting sort whose start array is the directory.
 func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	w := (width + 63) / 64
 	keys := n * per
@@ -208,12 +207,16 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	keyLen := KeyLen(width)
 	key := func(k int32) []uint64 { return rows[int(k)*w : (int(k)+1)*w] }
 	order := sortKeys(keys, w, keyLen, rows)
-	distinct := min(keys, 1)
-	for j := 1; j < keys; j++ {
-		if !slices.Equal(key(order[j]), key(order[j-1])) {
-			distinct++
+	// runs[r] is where the r-th distinct key's run of equal keys starts in
+	// order, runs[distinct] the end.
+	var runs []int32
+	for j := range keys {
+		if j == 0 || !slices.Equal(key(order[j]), key(order[j-1])) {
+			runs = append(runs, int32(j))
 		}
 	}
+	distinct := len(runs)
+	runs = append(runs, int32(keys))
 	f := &Frozen{
 		// A key shorter than a word is written as its whole word and cut
 		// back: the last one's word ends where the pad does.
@@ -223,19 +226,34 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 		// holds it at a byte a gap.
 		postArena: make([]byte, 0, 2*(keys-distinct)),
 		counts8:   make([]uint8, 0, distinct),
+		dirShift:  dirShift(distinct),
 		maxID:     math.MaxInt32, // ids are valid by construction
+	}
+	// One stable counting pass puts the runs in bucket order, each bucket's
+	// runs staying in key order: dir counts each bucket's keys, then sums to
+	// where they start.
+	dir := make([]uint32, 1<<bucketBits(distinct)+1)
+	buckets := make([]uint32, distinct)
+	for r, j := range runs[:distinct] {
+		buckets[r] = uint32(bucket(hashWords(keyLen, key(order[j])), f.dirShift))
+		dir[buckets[r]+1]++
+	}
+	for b := 1; b < len(dir); b++ {
+		dir[b] += dir[b-1]
+	}
+	byBucket := make([]int32, distinct)
+	next := slices.Clone(dir)
+	for r, b := range buckets {
+		byBucket[next[b]] = int32(r)
+		next[b]++
 	}
 	// Refs are gathered at full width and stored at the width they need
 	// once the largest is known.
 	refs := make([]uint32, 0, distinct)
-	for j := 0; j < keys; {
-		k := key(order[j])
-		end := j + 1
-		for end < keys && slices.Equal(key(order[end]), k) {
-			end++
-		}
+	for _, r := range byBucket {
+		j, end := runs[r], runs[r+1]
 		start := len(f.keyArena)
-		for _, word := range k {
+		for _, word := range key(order[j]) {
 			f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
 		}
 		f.keyArena = f.keyArena[:start+keyLen]
@@ -249,11 +267,10 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 		}
 		refs = append(refs, f.addList(ids))
 		f.addCount(len(ids))
-		j = end
 	}
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
 	f.packRefs(refs)
-	f.buildSlotsOnce()
+	f.dir16, f.dir32 = narrowDir(dir, distinct)
 	return f
 }
 
@@ -307,11 +324,13 @@ const hashMul = 0x9E3779B97F4A7C15
 
 // mix folds one 8-byte key word into the running hash: one 64×64→128
 // multiply, the halves xored. Keys are packed projections whose entropy
-// sits in their low bits and the slot table is indexed by the hash's
-// low bits; the high half of the product is where the multiply mixes
-// every input bit, and the fold brings it down. The hash is
-// deterministic, so the slot table (derived state, never persisted) is
-// rebuilt identically on load.
+// sits in their low bits, and a key's bucket is the hash's top bits; the
+// multiply spreads every input bit over the high half of the product,
+// and the fold mixes both halves into every bit of the hash.
+//
+// The hash is part of the file format: a saved index stores its keys in
+// the order of their buckets, so an edit to mix, hashWord or hashKey
+// makes every saved index fail validation. TestHashIsFormat pins it.
 func mix(h, w uint64) uint64 {
 	hi, lo := bits.Mul64(h^w, hashMul)
 	return hi ^ lo
@@ -342,141 +361,78 @@ func hashKey(key []byte) uint64 {
 	return h
 }
 
-// slotCount returns the slot-table size for n keys: the next power of
-// two holding them at ≤ 50% load. It is a pure function of the key
-// count so SizeBytes can account for the table before it is built.
-func slotCount(n int) int {
-	size := 2
-	for size < 2*n {
-		size *= 2
+// hashWords is hashKey of the keyLen-byte key held in the little-endian
+// words key: one word for keyLen ≤ 8, keyLen/8 otherwise.
+func hashWords(keyLen int, key []uint64) uint64 {
+	h := uint64(keyLen)
+	for _, w := range key {
+		h = mix(h, w)
 	}
-	return size
+	return h
 }
 
-// slot is the type of a slot-table entry: entry + 1, 0 for an empty slot.
-type slot interface{ uint16 | uint32 }
+// bucketBits returns b for an index of n keys: 2^b buckets, the power
+// of two in [n/2, n), so a bucket holds one or two keys on average, and
+// one bucket for n ≤ 2. It is a function of the key count alone, so a
+// read index has the directory its build had.
+func bucketBits(n int) int {
+	if n <= 2 {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - 1
+}
 
-// maxNarrowKeys is the most keys a table of uint16 slots numbers: a slot
-// holds entry + 1 ≤ 65 535. The width is a function of the key count
-// alone, like slotCount, so SizeBytes knows it before the table is built.
+// dirShift returns what bucket shifts a hash by in an index of n keys:
+// 63 − bucketBits(n).
+func dirShift(n int) uint { return 63 - uint(bucketBits(n)) }
+
+// bucket returns the bucket of hash h in an index whose dirShift is
+// shift: the top 63 − shift bits of h, none for one bucket. Both shifts
+// are below 64, so neither needs the guard a shift by 64 would.
+func bucket(h uint64, shift uint) uint64 { return h >> 1 >> (shift & 63) }
+
+// maxNarrowKeys is the most keys a directory of uint16 offsets reaches:
+// the last offset is the key count.
 const maxNarrowKeys = math.MaxUint16
 
-// slotTableBytes returns the bytes of the slot table of an index of n keys:
-// slotCount(n) slots of 2 bytes up to maxNarrowKeys keys, of 4 beyond.
-func slotTableBytes(n int) int64 {
+// dirOffset is the type of a directory offset.
+type dirOffset interface{ uint16 | uint32 }
+
+// narrowDir returns the directory dir of an index of n keys at its
+// width: in the first result for n ≤ maxNarrowKeys, the second beyond.
+func narrowDir(dir []uint32, n int) ([]uint16, []uint32) {
+	if n > maxNarrowKeys {
+		return nil, dir
+	}
+	d := make([]uint16, len(dir))
+	for b, o := range dir {
+		d[b] = uint16(o)
+	}
+	return d, nil
+}
+
+// directoryBytes returns the bytes of the directory of an index of n keys:
+// 2^bucketBits(n) + 1 offsets of 2 bytes up to maxNarrowKeys keys, of 4
+// beyond.
+func directoryBytes(n int) int64 {
+	offsets := int64(1)<<bucketBits(n) + 1
 	if n <= maxNarrowKeys {
-		return 2 * int64(slotCount(n))
+		return 2 * offsets
 	}
-	return 4 * int64(slotCount(n))
-}
-
-// ensureSlots makes the probe table available, building it on the
-// first probe. The fast path is one acquire-load.
-//
-//gph:hotpath
-func (f *Frozen) ensureSlots() {
-	if !f.slotsReady.Load() {
-		f.buildSlotsOnce()
-	}
-}
-
-// WarmSlots builds the probe table now if no probe has yet, for a
-// caller that has several indexes' tables to build and hands each to
-// a worker of its own instead of letting a query build them one behind
-// another.
-func (f *Frozen) WarmSlots() { f.ensureSlots() }
-
-// buildSlotsOnce builds the slot table exactly once; concurrent first
-// probes serialize on slotsMu and all but one find the table ready.
-func (f *Frozen) buildSlotsOnce() {
-	f.slotsMu.Lock()
-	//gphlint:ignore hotpath one-time cold path behind the slotsReady fast path
-	defer f.slotsMu.Unlock()
-	if !f.slotsReady.Load() {
-		f.buildSlots()
-		f.slotsReady.Store(true)
-	}
-}
-
-// buildSlots builds the table at the width the key count gives. Callers
-// go through buildSlotsOnce.
-func (f *Frozen) buildSlots() {
-	if f.NumKeys() <= maxNarrowKeys {
-		f.slots16 = fillSlots[uint16](f)
-	} else {
-		f.slots32 = fillSlots[uint32](f)
-	}
-}
-
-// fillSlots returns f's open-addressed table in slots of type S: sized
-// with slotCount, every slot empty as make zeroes it, and every entry e
-// inserted as e + 1 by linear probing.
-func fillSlots[S slot](f *Frozen) []S {
-	n := f.NumKeys()
-	slots := make([]S, slotCount(n))
-	mask := uint64(len(slots) - 1)
-	if f.wordKeys() {
-		// Keys of one word or less — every default build — hash as
-		// lookupWord hashes them, without the byte loop. The arena's pad
-		// keeps the last key's load inside it, so its length alone ends
-		// the loop.
-		kl, keep := f.keyLen, f.keyMask()
-		keys := f.keyArena
-		for e := S(1); len(keys) >= 8; e++ {
-			h := hashWord(kl, binary.LittleEndian.Uint64(keys)&keep)
-			keys = keys[kl:]
-			for slots[h&mask] != 0 {
-				h++
-			}
-			slots[h&mask] = e
-		}
-	} else {
-		for e := 0; e < n; e++ {
-			h := hashKey(f.key(e))
-			for slots[h&mask] != 0 {
-				h++
-			}
-			slots[h&mask] = S(e + 1)
-		}
-	}
-	return slots
-}
-
-// slotEntry returns the entry slot h of the built table holds, h taken
-// modulo the table's size: −1 for an empty slot.
-func (f *Frozen) slotEntry(h uint64) int32 {
-	if s := f.slots16; s != nil {
-		return entryAt(s, h)
-	}
-	return entryAt(f.slots32, h)
-}
-
-// entryAt is slotEntry in a table of slots of type S.
-func entryAt[S slot](slots []S, h uint64) int32 {
-	return int32(slots[h&uint64(len(slots)-1)]) - 1
+	return 4 * offsets
 }
 
 func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyLen] }
 
 // lookupBytes returns the entry index for key, or −1.
 func (f *Frozen) lookupBytes(key []byte) int {
-	f.ensureSlots()
-	if s := f.slots16; s != nil {
-		return lookupBytesIn(s, f.keyArena, f.keyLen, key)
-	}
-	return lookupBytesIn(f.slots32, f.keyArena, f.keyLen, key)
-}
-
-// lookupBytesIn is lookupBytes in a table of slots of type S over the
-// arena keys of kl bytes.
-func lookupBytesIn[S slot](slots []S, keys []byte, kl int, key []byte) int {
-	mask := uint64(len(slots) - 1)
-	for h := hashKey(key); ; h++ {
-		s := int(slots[h&mask])
-		if s == 0 || bytes.Equal(keys[kl*(s-1):kl*s], key) {
-			return s - 1
+	lo, hi := f.span(hashKey(key))
+	for e := lo; e < hi; e++ {
+		if bytes.Equal(f.key(e), key) {
+			return e
 		}
 	}
+	return -1
 }
 
 // lookupWord is lookupBytes for the key holding w in its keyLen
@@ -484,29 +440,64 @@ func lookupBytesIn[S slot](slots []S, keys []byte, kl int, key []byte) int {
 // 64 bits — without the bytes: the word is hashed and compared as a
 // word. A w with a bit past the key's bytes is held under no key.
 func (f *Frozen) lookupWord(w uint64) int {
-	if !f.wordKeys() {
-		return -1 // keys of several words, or of none
-	}
-	f.ensureSlots()
-	if s := f.slots16; s != nil {
-		return lookupWordIn(s, f.keyArena, f.keyLen, f.keyMask(), w)
-	}
-	return lookupWordIn(f.slots32, f.keyArena, f.keyLen, f.keyMask(), w)
+	e, _ := f.probeWord(w)
+	return e
 }
 
-// lookupWordIn is lookupWord in a table of slots of type S over the
-// arena keys of kl bytes, each read masked with keep. It is small enough
-// to inline into lookupWord: a probe makes one call, not two. The key is
-// read through an 8-byte slice: sliced to the arena's end, the loop runs
-// out of registers and spills on every compare.
-func lookupWordIn[S slot](slots []S, keys []byte, kl int, keep, w uint64) int {
-	mask := uint64(len(slots) - 1)
-	for h := hashWord(kl, w); ; h++ {
-		e := int(slots[h&mask]) - 1
-		if e < 0 || binary.LittleEndian.Uint64(keys[kl*e:kl*e+8])&keep == w {
+// probeWord is lookupWord with the entry's count, 0 for none: the call
+// a probe makes, lookupWord and PostingLenWord inlined around it.
+func (f *Frozen) probeWord(w uint64) (e, count int) {
+	if !f.wordKeys() || len(f.keyArena) == 0 {
+		return -1, 0 // keys of several words, or of none, or no keys
+	}
+	lo, hi := f.span(hashWord(f.keyLen, w))
+	e = f.inBucket(lo, hi, w)
+	return e, f.count(e)
+}
+
+// inBucket returns the entry among lo up to hi, a bucket of an index of
+// keys of one word or less, at least one of them, whose key is w, or −1.
+// It compares the bucket's first two keys without a branch, which
+// settles a bucket of one or two keys, most of them: whether a probe
+// hits its bucket's first key is a coin toss no predictor learns. A key
+// outside the bucket cannot be w, which hashes into it, so the compares
+// need not know where the bucket ends; the reads stop at the arena's
+// last key. A longer bucket's rest is walked by walkBucket.
+func (f *Frozen) inBucket(lo, hi int, w uint64) int {
+	kl, keep, last := f.keyLen, f.keyMask(), f.NumKeys()-1
+	e0, e1 := min(lo, last), min(lo+1, last)
+	e := -1
+	if binary.LittleEndian.Uint64(f.keyArena[kl*e1:])&keep == w {
+		e = e1
+	}
+	if binary.LittleEndian.Uint64(f.keyArena[kl*e0:])&keep == w {
+		e = e0
+	}
+	if hi-lo > 2 && e < 0 {
+		e = f.walkBucket(lo+2, hi, w)
+	}
+	return e
+}
+
+// span returns the entries of the bucket hash h falls in: from lo up to
+// hi.
+func (f *Frozen) span(h uint64) (lo, hi int) {
+	b := bucket(h, f.dirShift)
+	if d := f.dir16; d != nil {
+		return int(d[b]), int(d[b+1])
+	}
+	return int(f.dir32[b]), int(f.dir32[b+1])
+}
+
+// walkBucket is inBucket over the entries from lo up to hi, a key at a
+// time.
+func (f *Frozen) walkBucket(lo, hi int, w uint64) int {
+	for e := lo; e < hi; e++ {
+		if binary.LittleEndian.Uint64(f.keyArena[f.keyLen*e:])&f.keyMask() == w {
 			return e
 		}
 	}
+	return -1
 }
 
 // LookupKey returns the entry the key held in the little-endian words key
@@ -531,37 +522,32 @@ func (f *Frozen) LookupKey(key []uint64, buf *[]byte) int {
 // LookupWords is lookupWord for a batch, one index a position: entries[i]
 // receives the number of the entry fs[i] holds the key words[i] under,
 // −1 when it holds none, and counts[i] that entry's posting count, 0 for
-// none. A lookup is a chain of dependent loads — slot, key, count — and
-// most of them miss the cache when every position reads another index,
-// so the batch runs in stages: every hash and slot read, then every key
-// compare, then every count, a stage's loads in flight side by side
-// instead of one chain waiting behind another. A position whose first
-// slot holds some other key, or whose index does not keep keys of one
-// word or less, walks on alone through lookupWord. A nil fs[i] is
-// skipped, entries[i] and counts[i] left as they were.
+// none. A lookup is a chain of dependent loads — directory, keys, count —
+// and most of them miss the cache when every position reads another
+// index, so the batch runs in stages: every hash and directory read
+// (counts[i] holding where the bucket ends until the last stage), then
+// every bucket's keys, then every count, a stage's loads in flight side
+// by side instead of one chain waiting behind another. A position whose
+// index does not keep keys of one word or less, or keeps none, is looked
+// up alone in the first stage. A nil fs[i] is skipped, entries[i] and
+// counts[i] left as they were.
 //
 //gph:hotpath
 func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32) {
 	words, entries, counts = words[:len(fs)], entries[:len(fs)], counts[:len(fs)]
 	for i, f := range fs {
-		if f == nil {
-			continue
+		switch {
+		case f == nil:
+		case !f.wordKeys() || len(f.keyArena) == 0:
+			entries[i], counts[i] = -1, 0
+		default:
+			lo, hi := f.span(hashWord(f.keyLen, words[i]))
+			entries[i], counts[i] = int32(lo), uint32(hi)
 		}
-		if !f.wordKeys() {
-			entries[i] = int32(f.lookupWord(words[i]))
-			continue
-		}
-		f.ensureSlots()
-		entries[i] = f.slotEntry(hashWord(f.keyLen, words[i]))
 	}
 	for i, f := range fs {
-		if f == nil || !f.wordKeys() {
-			continue
-		}
-		// The arena is read as lookupWord reads it, through
-		// encoding/binary: a borrowed mapping need not be 8-aligned.
-		if e := entries[i]; e >= 0 && binary.LittleEndian.Uint64(f.keyArena[f.keyLen*int(e):])&f.keyMask() != words[i] {
-			entries[i] = int32(f.lookupWord(words[i]))
+		if f != nil && entries[i] >= 0 {
+			entries[i] = int32(f.inBucket(int(entries[i]), int(counts[i]), words[i]))
 		}
 	}
 	for i, f := range fs {
@@ -617,7 +603,7 @@ func (f *Frozen) ref(e int) uint32 {
 
 // PostingLenBytes returns the length of the posting list of the packed
 // byte key without decoding it — the |I_s| term of the paper's cost
-// model: one hash of the key into the slot table and one read of the
+// model: one hash of the key, a walk of its bucket and one read of the
 // stored count, no posting byte touched. GPH's threshold allocation sums it over a
 // Hamming ball to get an exact candidate number — CN(qᵢ, e) is by
 // definition Σ |I_s| over the radius-e ball of qᵢ.
@@ -626,20 +612,12 @@ func (f *Frozen) ref(e int) uint32 {
 func (f *Frozen) PostingLenBytes(key []byte) int { return f.count(f.lookupBytes(key)) }
 
 // PostingLenWord is PostingLenBytes for the key holding w, as
-// lookupWord reads it. It is lookupWord with the count read in the same
-// call: too large to inline, count(lookupWord(w)) would be two calls a
-// probe.
+// lookupWord reads it: probeWord's count, one call a probe.
 //
 //gph:hotpath
 func (f *Frozen) PostingLenWord(w uint64) int {
-	if !f.wordKeys() {
-		return 0
-	}
-	f.ensureSlots()
-	if s := f.slots16; s != nil {
-		return f.count(lookupWordIn(s, f.keyArena, f.keyLen, f.keyMask(), w))
-	}
-	return f.count(lookupWordIn(f.slots32, f.keyArena, f.keyLen, f.keyMask(), w))
+	_, n := f.probeWord(w)
+	return n
 }
 
 // AppendPostingsBytes decodes the posting list for the packed byte
@@ -996,13 +974,20 @@ func (f *Frozen) EntryLen(e int) int { return f.count(e) }
 // buffers owned by the iteration — callers must copy what they keep.
 // On an index whose deferred validation (see ReadPayload) fails, Range
 // panics with that error rather than iterate corrupt arenas: iterating
-// nothing would let a caller silently serialize an empty index.
+// nothing would let a caller silently serialize an empty index. The
+// arena holds the keys in bucket order, so Range sorts the entry
+// numbers first: it is for tests and tools, not queries.
 func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 	if err := f.Validate(); err != nil {
 		panic(err)
 	}
+	order := make([]int, f.NumKeys())
+	for e := range order {
+		order[e] = e
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(f.key(a), f.key(b)) })
 	var ids []int32
-	for e := 0; e < f.NumKeys(); e++ {
+	for _, e := range order {
 		ids = f.appendList(e, ids[:0])
 		if !fn(f.key(e), ids) {
 			return
@@ -1012,21 +997,22 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
 // Frozen struct itself: seven slice headers (24 bytes each) — the arenas,
-// the refs, both widths' count arrays and both widths' slot tables, one of
-// each pair nil — plus the key-length, ref-length and postings fields.
-const frozenStructBytes = 7*24 + 24
+// the refs, both widths' count arrays and both widths' directories, one
+// of each pair nil — plus the key-length, ref-length, postings and
+// directory-shift fields.
+const frozenStructBytes = 7*24 + 32
 
 // SizeBytes reports the exact resident size of the frozen index: the
-// key and posting arenas, the per-entry refs and counts, the slot table,
-// and the struct header.
+// key and posting arenas, the per-entry refs and counts, the bucket
+// directory, and the struct header.
 // Every term is the length of a real backing array, so Fig. 6 reports a
-// property of the index rather than a guess. The
-// slot table is charged at its committed size (slotTableBytes, a pure
-// function of the key count) whether or not the lazy build has run
-// yet, so heap- and mmap-opened copies of one index always agree.
+// property of the index rather than a guess. The directory is charged at
+// its size (directoryBytes, a function of the key count) whether or not a
+// deferred validation has built it yet, so heap- and mmap-opened copies
+// of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
 	return int64(len(f.keyArena)) + int64(len(f.postArena)) + f.entryBytes() +
-		slotTableBytes(f.NumKeys()) + frozenStructBytes
+		directoryBytes(f.NumKeys()) + frozenStructBytes
 }
 
 // entryBytes returns the bytes of the per-entry arrays: the refs with
@@ -1036,10 +1022,10 @@ func (f *Frozen) entryBytes() int64 {
 }
 
 // WriteTo serializes the frozen index as its arenas and per-entry
-// arrays, verbatim; the slot table is rebuilt on read (one hashing
-// pass) rather than stored, and the keys need no offsets: they have one
-// length, which the header carries. Output is deterministic for a given
-// logical index.
+// arrays, verbatim; the directory is rebuilt on read (by Validate's key
+// pass, which hashes every key anyway) rather than stored, and the keys
+// need no offsets: they have one length, which the header carries.
+// Output is deterministic for a given logical index.
 //
 // The section is split in two halves a container may separate: a
 // scalar header carrying every length a reader needs (the key, ref and
@@ -1087,10 +1073,10 @@ func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 
 // ReadFrozen reads an index written by WriteTo, validating the count
 // total and the contents (lists chained end to end over the arena,
-// varint framing, that every id lies in [0, maxID), strict key order,
-// refs and counts no wider than their largest needs) before returning.
-// The arenas are adopted directly from the decoded buffers — loading is
-// O(bytes) — and the slot table is rebuilt lazily on the first probe.
+// varint framing, that every id lies in [0, maxID), strict (bucket, key)
+// order, refs and counts no wider than their largest needs) before
+// returning. The arenas are adopted directly from the decoded buffers —
+// loading is O(bytes) — and the directory is built by that validation.
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 	h, err := ReadFrozenHeader(br, maxID)
 	if err != nil {
@@ -1200,12 +1186,13 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // an id — a one-id entry's ref in [0, maxID), every other's list
 // decoding cleanly by its count (varint framing, ids in [0, maxID)) from
 // where the list before it ends, the last ending the arena — keys are
-// strictly sorted, the pads are zero, and refs and counts are no wider
-// than the largest of each needs, so one index has one file. It reads
-// both arenas end to end — over a mapping
-// this is the pass that
-// faults the pages in, which is why ReadPayload leaves it to the
-// caller's first query rather than open. Idempotent and safe for
+// grouped by bucket in ascending bucket order and strictly sorted inside
+// a bucket, the pads are zero, and refs and counts are no wider than the
+// largest of each needs, so one index has one file. It reads both arenas
+// end to end — over a mapping this is the pass that faults the pages in,
+// which is why ReadPayload leaves it to the caller's first query rather
+// than open — and a read index's directory comes out of its key pass: no
+// lookup may run before Validate has passed. Idempotent and safe for
 // concurrent use; every call returns the first run's verdict.
 func (f *Frozen) Validate() error { return f.ValidateWidth(-1) }
 
@@ -1252,8 +1239,17 @@ func (f *Frozen) validateContent(width int) error {
 	// the verdict an entry-by-entry walk reaches — its key against the one
 	// before, then its postings — with a key of the wrong width reported
 	// only once every entry has passed, as when the width check was a pass
-	// of its own after them.
-	disorder, wide := f.scanKeys(width)
+	// of its own after them. The key pass writes the directory as it goes.
+	var dir16 []uint16
+	var dir32 []uint32
+	var disorder, wide int
+	if offsets := 1<<bucketBits(numKeys) + 1; numKeys <= maxNarrowKeys {
+		dir16 = make([]uint16, offsets)
+		disorder, wide = scanKeys(f, width, dir16)
+	} else {
+		dir32 = make([]uint32, offsets)
+		disorder, wide = scanKeys(f, width, dir32)
+	}
 	idLimit := uint64(max(f.maxID, 0))
 	entriesOK := ent.least > 0 && ent.single <= idLimit
 	var lastList uint32
@@ -1267,7 +1263,7 @@ func (f *Frozen) validateContent(width int) error {
 		return err
 	}
 	if disorder < numKeys {
-		return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", disorder)
+		return f.orderError(disorder)
 	}
 	if wide >= 0 {
 		return f.checkKeyWidth(wide, width)
@@ -1284,23 +1280,71 @@ func (f *Frozen) validateContent(width int) error {
 	if want := refLenFor(top); f.refLen != want {
 		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, want)
 	}
+	// A built index has its directory, and lookups may be reading it.
+	if f.dir16 == nil && f.dir32 == nil {
+		f.dir16, f.dir32, f.dirShift = dir16, dir32, dirShift(numKeys)
+	}
 	return nil
 }
 
-// scanKeys is the key pass: it returns the first entry whose key does
-// not follow the one before (numKeys when every key does), and the first
-// entry before that whose key is not the packed form of a width-bit
-// projection (−1 for none, or when width < 0).
-func (f *Frozen) scanKeys(width int) (disorder, wide int) {
-	if f.wordKeys() {
-		return f.scanWordKeys(width)
+// orderError says how entry e, the first whose key does not follow the
+// one before it, breaks the (bucket, key) order: a key not above the one
+// before it in their bucket; every key in plain lexicographic order,
+// not grouped by bucket (a section of the format before buckets); or a
+// key in a bucket below the one before it.
+func (f *Frozen) orderError(e int) error {
+	shift := dirShift(f.NumKeys())
+	b, prev := bucket(hashKey(f.key(e)), shift), bucket(hashKey(f.key(e-1)), shift)
+	if b == prev {
+		return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d, in bucket %d", e, b)
 	}
+	for i := 1; i < f.NumKeys(); i++ {
+		if bytes.Compare(f.key(i-1), f.key(i)) >= 0 {
+			return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, behind a key of bucket %d", e, b, prev)
+		}
+	}
+	return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not grouped by hash bucket")
+}
+
+// scanKeys is the key pass: it returns the first entry whose key does
+// not follow the one before in (bucket, key) order (numKeys when every
+// key does), and the first entry before that whose key is not the packed
+// form of a width-bit projection (−1 for none, or when width < 0). When
+// every key follows, dir, 2^bucketBits(numKeys) + 1 offsets, is left
+// holding where each bucket starts: each key writes its entry number
+// plus one at its bucket plus one — the last key of a bucket writes where
+// the bucket ends — and a running maximum then carries those ends over
+// the buckets no key fell in.
+func scanKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide int) {
+	if f.wordKeys() {
+		disorder, wide = scanWordKeys(f, width, dir)
+	} else {
+		disorder, wide = scanByteKeys(f, width, dir)
+	}
+	// The maximum so far lives in a register: read back from the offset
+	// just written, it would wait on the store every step.
+	var end D
+	for b, o := range dir {
+		end = max(end, o)
+		dir[b] = end
+	}
+	return disorder, wide
+}
+
+// scanByteKeys is scanKeys' pass over keys wider than a word, or of no
+// length.
+func scanByteKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide int) {
 	numKeys := f.NumKeys()
 	disorder, wide = numKeys, -1
+	shift := dirShift(numKeys)
+	var prev uint64
 	for e := 0; e < numKeys; e++ {
-		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
+		b := bucket(hashKey(f.key(e)), shift)
+		if e > 0 && (b < prev || b == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0) {
 			return e, wide
 		}
+		dir[b+1] = D(e + 1)
+		prev = b
 		if width >= 0 && wide < 0 && f.checkKeyWidth(e, width) != nil {
 			wide = e
 		}
@@ -1308,35 +1352,40 @@ func (f *Frozen) scanKeys(width int) (disorder, wide int) {
 	return disorder, wide
 }
 
-// scanWordKeys is scanKeys over keys of kl ≤ 8 bytes, a word a key.
-// Byte-lexicographic order, what bytes.Compare computes, is
-// the order of the keys read as big-endian words, each masked to its own
-// kl bytes — the high ones of that read.
-func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
+// scanWordKeys is scanKeys' pass over keys of kl ≤ 8 bytes, a word a
+// key, hashed as lookupWord hashes them. Byte-lexicographic order, what
+// bytes.Compare computes, is the order of the keys' byte-reversed words.
+// The key widths are judged from the keys' bits ored together; only when
+// some key has a bit past the width is it found, in a second pass.
+func scanWordKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide int) {
 	numKeys := f.NumKeys()
 	disorder, wide = numKeys, -1
-	if numKeys == 0 {
-		return disorder, wide
-	}
-	if width >= 0 && KeyLen(width) != f.keyLen {
-		wide = 0 // no key of this length is the packed form of such a projection
-	}
-	kl, keep := f.keyLen, bits.ReverseBytes64(f.keyMask())
-	var stray uint64 // the bits a width-bit projection leaves clear, as the big-endian read holds them
-	if width >= 0 {
-		stray = bits.ReverseBytes64(^uint64(0) << uint(width))
-	}
-	keys := f.keyArena
-	var prev uint64
-	for e := 0; len(keys) >= 8; e++ {
-		k := binary.BigEndian.Uint64(keys) & keep
-		keys = keys[kl:]
-		if e > 0 && prev >= k {
-			return e, wide
+	kl, keep, shift := f.keyLen, f.keyMask(), dirShift(numKeys)
+	arena := f.keyArena
+	var seen, prevKey, prevBucket uint64
+	// The arena's pad keeps the last key's load inside it.
+	for e := 0; e < numKeys; e++ {
+		w := binary.LittleEndian.Uint64(arena[e*kl:]) & keep
+		seen |= w
+		b, k := bucket(hashWord(kl, w), shift), bits.ReverseBytes64(w)
+		// (prevBucket, prevKey) − (b, k) borrows when the pair is below.
+		_, borrow := bits.Sub64(prevKey, k, 0)
+		if _, borrow = bits.Sub64(prevBucket, b, borrow); borrow == 0 && e > 0 {
+			disorder = e
+			break
 		}
-		prev = k
-		if k&stray != 0 && wide < 0 {
-			wide = e
+		dir[b+1] = D(e + 1)
+		prevKey, prevBucket = k, b
+	}
+	switch {
+	case width < 0 || numKeys == 0:
+	case KeyLen(width) != kl:
+		wide = 0 // no key of this length is the packed form of such a projection
+	case seen>>uint(width) != 0:
+		for e := range disorder {
+			if binary.LittleEndian.Uint64(arena[kl*e:])&keep>>uint(width) != 0 {
+				return disorder, e
+			}
 		}
 	}
 	return disorder, wide
@@ -1600,9 +1649,9 @@ func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 
 // ArenaBreakdown reports the byte size of each backing component
 // (key arena with its pad, postings arena, entries — the refs with their
-// pad and the counts — and slot table): SizeBytes less the struct. The
-// size experiment (gph-bench -exp fig6) reports a GPH index's footprint
-// by component from it.
-func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, slotBytes int64) {
-	return int64(len(f.keyArena)), int64(len(f.postArena)), f.entryBytes(), slotTableBytes(f.NumKeys())
+// pad and the counts — and bucket directory): SizeBytes less the struct.
+// The size experiment (gph-bench -exp fig6) reports a GPH index's
+// footprint by component from it.
+func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, dirBytes int64) {
+	return int64(len(f.keyArena)), int64(len(f.postArena)), f.entryBytes(), directoryBytes(f.NumKeys())
 }

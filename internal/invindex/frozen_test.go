@@ -201,17 +201,17 @@ func TestReadFrozenRejectsCorruption(t *testing.T) {
 // TestFrozenSizeBytesMatchesSerialized is the honesty bound behind
 // Fig. 6: the exact resident accounting must agree with the
 // serialized footprint up to the parts that are deliberately not
-// persisted — the slot table (rebuilt on load) and a small constant
-// of length prefixes and struct headers.
+// persisted — the bucket directory (rebuilt on load) and a small
+// constant of length prefixes and struct headers.
 func TestFrozenSizeBytesMatchesSerialized(t *testing.T) {
 	for _, variants := range []bool{false, true} {
 		f, _, _, _ := randomIndex(t, 9, 300, 10, variants)
 		raw := frozenBytes(f)
-		// Resident-only parts: the slot table plus the fixed struct
+		// Resident-only parts: the directory plus the fixed struct
 		// overhead. Serialized-only parts: at most eight 8-byte
 		// length/count prefixes. Everything else must match exactly.
-		slots, slotWidth := slotTable(f)
-		bound := slotWidth*int64(len(slots)) + frozenStructBytes + 8*8
+		dir, dirWidth := dirTable(f)
+		bound := dirWidth*int64(len(dir)) + frozenStructBytes + 8*8
 		diff := f.SizeBytes() - int64(len(raw))
 		if diff < 0 {
 			diff = -diff
@@ -306,31 +306,50 @@ func rowKey(rows []uint64, width int, k int) []byte {
 }
 
 // mapFreeze is the build FreezeRows replaced: every key filled into a
-// map of lists, the keys sorted as strings, each list sorted and laid
-// out behind its key.
+// map of lists, the keys sorted by bucket and as strings in a bucket,
+// each list sorted and laid out behind its key, and the directory made by
+// the content tier's key pass.
 func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 	post := refPostings(n, per, width, rows)
 	keys := make([]string, 0, len(post))
 	for k := range post {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	f := &Frozen{keyLen: KeyLen(width), maxID: math.MaxInt32}
+	f := layOut(KeyLen(width), bucketOrder(keys), post)
+	if err := f.Validate(); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// layOut lays out the keys of post, each keyLen bytes, in the order
+// given, each with its ids, as FreezeRows lays out an entry; the section
+// has no directory, which Validate gives it if the order is right.
+func layOut(keyLen int, keys []string, post map[string][]int32) *Frozen {
+	f := &Frozen{keyLen: keyLen, maxID: math.MaxInt32}
 	var refs []uint32
 	for _, k := range keys {
 		f.keyArena = append(f.keyArena, k...)
 		refs = append(refs, f.addList(post[k]))
 		f.addCount(len(post[k]))
 	}
-	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.keyLen, len(keys)))...)
+	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, len(keys)))...)
 	f.packRefs(refs)
-	f.buildSlotsOnce()
 	return f
+}
+
+// bucketOrder returns keys, all of one length and distinct, in the order
+// a frozen index holds them: by bucket, then lexicographically.
+func bucketOrder(keys []string) []string {
+	sort.Strings(keys)
+	of := func(k string) uint64 { return bucket(hashKey([]byte(k)), dirShift(len(keys))) }
+	sort.SliceStable(keys, func(i, j int) bool { return of(keys[i]) < of(keys[j]) })
+	return keys
 }
 
 // TestFreezeRowsMatchesFreeze pins FreezeRows to the map build it
 // replaces, fed each key's KeyLen(width) bytes: the same bytes written,
-// the same size and the same slot table, for widths from zero to three
+// the same size and the same directory, for widths from zero to three
 // words — keys of every length from 0 to 8 bytes, and of 16 and 24 — and
 // one, three or eleven keys an id.
 func TestFreezeRowsMatchesFreeze(t *testing.T) {
@@ -343,10 +362,10 @@ func TestFreezeRowsMatchesFreeze(t *testing.T) {
 				if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
 					t.Fatalf("width=%d n=%d per=%d: FreezeRows writes other bytes than the map build", width, n, per)
 				}
-				gotSlots, gotWidth := slotTable(got)
-				wantSlots, wantWidth := slotTable(want)
-				if got.SizeBytes() != want.SizeBytes() || !slices.Equal(gotSlots, wantSlots) || gotWidth != wantWidth {
-					t.Fatalf("width=%d n=%d per=%d: size %d vs %d, or the slot tables differ", width, n, per, got.SizeBytes(), want.SizeBytes())
+				gotDir, gotWidth := dirTable(got)
+				wantDir, wantWidth := dirTable(want)
+				if got.SizeBytes() != want.SizeBytes() || !slices.Equal(gotDir, wantDir) || gotWidth != wantWidth || got.dirShift != want.dirShift {
+					t.Fatalf("width=%d n=%d per=%d: size %d vs %d, or the directories differ", width, n, per, got.SizeBytes(), want.SizeBytes())
 				}
 			}
 		}
@@ -358,7 +377,7 @@ func TestFreezeRowsMatchesFreeze(t *testing.T) {
 // the lookups by word, by bytes and in a batch find the same entry, the
 // key scan and the histogram agree with brute force over the rows, the
 // section round-trips through WriteTo and ReadFrozen, and SizeBytes is
-// the serialized arenas plus the slot table.
+// the serialized arenas plus the directory.
 func TestEveryKeyWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	widths := []int{65, 100, 128}
@@ -472,17 +491,17 @@ func TestEveryKeyWidth(t *testing.T) {
 		if !bytes.Equal(frozenBytes(g), raw) || g.SizeBytes() != f.SizeBytes() {
 			t.Fatalf("width %d: the section read back writes other bytes, or sizes %d against %d", width, g.SizeBytes(), f.SizeBytes())
 		}
-		kb, pb, ob, sb := f.ArenaBreakdown()
+		kb, pb, ob, db := f.ArenaBreakdown()
 		// Seven header fields, the arenas and the refs, then 1-byte counts
 		// or, 8-aligned, 4-byte ones.
 		serialized := 7*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
 		if f.counts32 != nil {
 			serialized = (serialized-int64(f.NumKeys())+7)&^7 + 4*int64(f.NumKeys())
 		}
-		slots, slotWidth := slotTable(f)
-		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+sb+frozenStructBytes || sb != slotWidth*int64(len(slots)) {
-			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and slots %d",
-				width, len(raw), serialized, f.SizeBytes(), kb+pb+ob+sb+frozenStructBytes)
+		dir, dirWidth := dirTable(f)
+		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+db+frozenStructBytes || db != dirWidth*int64(len(dir)) {
+			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and directory %d",
+				width, len(raw), serialized, f.SizeBytes(), kb+pb+ob+db+frozenStructBytes)
 		}
 	}
 }
@@ -507,30 +526,90 @@ func TestFreezeSortsUnsortedLists(t *testing.T) {
 	}
 }
 
-// slotTable returns f's slot table, built if no probe has built it yet,
-// each slot widened to uint32, and the bytes a slot of the table takes.
-// It fails the caller's test through a panic if both widths, or
-// neither, hold a table.
-func slotTable(f *Frozen) (slots []uint32, width int64) {
-	f.ensureSlots()
-	switch {
-	case f.slots16 != nil && f.slots32 == nil:
-		for _, s := range f.slots16 {
-			slots = append(slots, uint32(s))
+// TestHashIsFormat pins the key hash, which is part of the file format:
+// a saved section holds its keys grouped by bucket, the top bits of this
+// hash, so an edit to mix, hashWord or hashKey would leave every saved
+// index failing validation. A key of 1–8 bytes hashes to the same value
+// as its word, and a key of whole words as its words, so every lookup
+// form and the build land a key in one bucket at every key count.
+func TestHashIsFormat(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		hash uint64
+	}{
+		{1, 0xe3779b97f4a7c159},
+		{2, 0x1c48abac5701ea80},
+		{3, 0xbe058dc98ff91961},
+		{4, 0xde7bc3eb8be3a1cb},
+		{5, 0x83ff7d1f90eabaad},
+		{6, 0x0c1677696d4b4620},
+		{7, 0x1be80596435ba6ac},
+		{8, 0x4a1f787873048f42},
+		{16, 0xb82b0c5839014f9c},
+	} {
+		key := make([]byte, c.n)
+		for i := range key {
+			key[i] = byte(0x11 * (i + 1))
 		}
-		return slots, 2
-	case f.slots32 != nil && f.slots16 == nil:
-		return slices.Clone(f.slots32), 4
+		if h := hashKey(key); h != c.hash {
+			t.Errorf("%d-byte key % x hashes to %#016x, the format says %#016x", c.n, key, h, c.hash)
+		}
+		var words []uint64
+		for i := 0; i < c.n; i += 8 {
+			var w [8]byte
+			copy(w[:], key[i:])
+			words = append(words, binary.LittleEndian.Uint64(w[:]))
+		}
+		asWord := hashWords(c.n, words)
+		if c.n <= 8 && hashWord(c.n, words[0]) != asWord {
+			t.Errorf("%d-byte key: hashWord %#016x, hashWords %#016x", c.n, hashWord(c.n, words[0]), asWord)
+		}
+		for keys := 0; keys <= 1<<24; keys = 2*keys + 1 {
+			if shift := dirShift(keys); bucket(asWord, shift) != bucket(hashKey(key), shift) {
+				t.Errorf("%d-byte key at %d keys: bucket %d as words, %d as bytes", c.n, keys, bucket(asWord, shift), bucket(hashKey(key), shift))
+			}
+		}
 	}
-	panic("invindex: a frozen index holds a slot table of both widths or of none")
 }
 
-// TestSlotWidthBoundary: an index of 65 535 keys numbers its entries in
-// uint16 slots and one of 65 536 in uint32. At each width, keys of one
-// word and of two, every held key is found by every lookup form and
-// absent ones are not, the table rebuilt after a save and a load is the
-// table the build made, and SizeBytes charges the slots at their width.
-func TestSlotWidthBoundary(t *testing.T) {
+// dirTable returns f's directory, each offset widened to uint32, and the
+// bytes an offset takes, after checking that it is the directory of f's
+// keys: 2^bucketBits(n) + 1 offsets from 0 to n, and the keys of each
+// bucket, and no others, hash to it. It fails the caller's test through
+// a panic if both widths, or neither, hold a directory.
+func dirTable(f *Frozen) (dir []uint32, width int64) {
+	switch {
+	case f.dir16 != nil && f.dir32 == nil:
+		for _, o := range f.dir16 {
+			dir = append(dir, uint32(o))
+		}
+		width = 2
+	case f.dir32 != nil && f.dir16 == nil:
+		dir, width = slices.Clone(f.dir32), 4
+	default:
+		panic("invindex: a frozen index holds a directory of both widths or of none")
+	}
+	n := f.NumKeys()
+	if len(dir) != 1<<bucketBits(n)+1 || dir[0] != 0 || int(dir[len(dir)-1]) != n || f.dirShift != dirShift(n) {
+		panic("invindex: a directory of the wrong size or ends")
+	}
+	for b := range len(dir) - 1 {
+		for e := dir[b]; e < dir[b+1]; e++ {
+			if bucket(hashKey(f.key(int(e))), f.dirShift) != uint64(b) {
+				panic("invindex: a key in a bucket its hash does not name")
+			}
+		}
+	}
+	return dir, width
+}
+
+// TestDirectoryWidthBoundary: an index of 65 535 keys keeps its
+// directory in uint16 offsets and one of 65 536 in uint32. At each width,
+// keys of one word and of two, every held key is found by every lookup
+// form and absent ones are not, the directory rebuilt after a save and a
+// load is the one the build made, and SizeBytes charges the offsets at
+// their width.
+func TestDirectoryWidthBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, n := range []int{maxNarrowKeys, maxNarrowKeys + 1} {
 		wantWidth := int64(2)
@@ -551,10 +630,10 @@ func TestSlotWidthBoundary(t *testing.T) {
 				}
 			}
 			f := FreezeRows(n, 1, width, rows)
-			slots, slotWidth := slotTable(f)
-			if f.NumKeys() != n || slotWidth != wantWidth || len(slots) != slotCount(n) {
-				t.Fatalf("%d keys of %d bits: %d distinct, %d slots of %d bytes; want %d of %d",
-					n, width, f.NumKeys(), len(slots), slotWidth, slotCount(n), wantWidth)
+			dir, dirWidth := dirTable(f)
+			if f.NumKeys() != n || dirWidth != wantWidth || len(dir) != 1<<15+1 {
+				t.Fatalf("%d keys of %d bits: %d distinct, %d offsets of %d bytes; want %d of %d",
+					n, width, f.NumKeys(), len(dir), dirWidth, 1<<15+1, wantWidth)
 			}
 			var probes []uint64
 			for id, k := range first {
@@ -599,17 +678,17 @@ func TestSlotWidthBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d keys of %d bits: %v", n, width, err)
 			}
-			reread, rereadWidth := slotTable(g)
-			if !slices.Equal(reread, slots) || rereadWidth != slotWidth {
-				t.Fatalf("%d keys of %d bits: the table rebuilt after a load differs from the build's", n, width)
+			reread, rereadWidth := dirTable(g)
+			if !slices.Equal(reread, dir) || rereadWidth != dirWidth {
+				t.Fatalf("%d keys of %d bits: the directory rebuilt after a load differs from the build's", n, width)
 			}
-			kb, pb, ob, sb := f.ArenaBreakdown()
+			kb, pb, ob, db := f.ArenaBreakdown()
 			// One-id keys: 2-byte refs (ids up to 65 535) and their pad,
 			// and 1-byte counts.
-			want := int64(len(f.keyArena)+len(f.postArena)) + int64(2*n+2+n) + slotWidth*int64(len(slots)) + frozenStructBytes
-			if f.SizeBytes() != want || g.SizeBytes() != want || kb+pb+ob+sb+frozenStructBytes != want {
+			want := int64(len(f.keyArena)+len(f.postArena)) + int64(2*n+2+n) + dirWidth*int64(len(dir)) + frozenStructBytes
+			if f.SizeBytes() != want || g.SizeBytes() != want || kb+pb+ob+db+frozenStructBytes != want {
 				t.Fatalf("%d keys of %d bits: SizeBytes %d, loaded %d, by component %d; want %d",
-					n, width, f.SizeBytes(), g.SizeBytes(), kb+pb+ob+sb+frozenStructBytes, want)
+					n, width, f.SizeBytes(), g.SizeBytes(), kb+pb+ob+db+frozenStructBytes, want)
 			}
 		}
 	}
@@ -639,7 +718,7 @@ func TestEntryWidthBoundary(t *testing.T) {
 	}
 	id := func(v uint32) post { return post{ref: v} }
 	hand := func(last uint32) *Frozen {
-		keys := []string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)}
+		keys := bucketOrder([]string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
 		list := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1)
 		return handSection(keys, []post{{list: list}, id(7), id(last)}, []uint32{2, 1, 1}, make([]byte, 5))
 	}
@@ -660,6 +739,9 @@ func TestEntryWidthBoundary(t *testing.T) {
 	} {
 		f := c.f
 		f.maxID = c.maxID
+		if err := f.Validate(); err != nil { // which gives the hand-made section its directory
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		raw := frozenBytes(f)
 		heap, err := ReadFrozen(binio.NewReader(bytes.NewReader(raw)), c.maxID)
 		if err != nil {
@@ -675,7 +757,7 @@ func TestEntryWidthBoundary(t *testing.T) {
 		}
 		n := int64(f.NumKeys())
 		size := int64(len(f.keyArena)+len(f.postArena)) + int64(c.refLen)*n + int64(4-c.refLen) +
-			int64(c.countLen)*n + slotTableBytes(int(n)) + frozenStructBytes
+			int64(c.countLen)*n + directoryBytes(int(n)) + frozenStructBytes
 		for _, g := range []struct {
 			how string
 			f   *Frozen

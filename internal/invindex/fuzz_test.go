@@ -84,6 +84,11 @@ func FuzzReadFrozen(f *testing.F) {
 	for _, s := range entryWidthSeeds() {
 		f.Add(s.data, s.maxID)
 	}
+	// Keys in plain lexicographic order, a key in the wrong bucket, two
+	// keys of a bucket swapped.
+	for _, s := range bucketOrderSeeds() {
+		f.Add(s.data, s.maxID)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
 		// The content tier against its reference, keys judged at no width

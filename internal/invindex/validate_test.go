@@ -13,8 +13,9 @@ import (
 	"gph/internal/binio"
 )
 
-// The reference: the content tier as an entry-by-entry walk — every key
-// compared with bytes.Compare, every entry's postings checked where the
+// The reference: the content tier as an entry-by-entry walk — every key's
+// bucket compared with the one before it and, in one bucket, the keys
+// with bytes.Compare, every entry's postings checked where the
 // walk reaches it, each list decoded a byte at a time from where the one
 // before it ended, and the key widths checked a bit at a time in a pass
 // of their own behind all of it, then the widths of the refs and counts,
@@ -49,8 +50,10 @@ func refValidate(f *Frozen, width int) error {
 	}
 	pos := 0
 	for e := 0; e < numKeys; e++ {
-		if e > 0 && bytes.Compare(f.key(e-1), f.key(e)) >= 0 {
-			return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d", e)
+		if e > 0 {
+			if err := refOrder(f, e); err != nil {
+				return err
+			}
 		}
 		switch c, ref := counts[e], refs[e]; {
 		case c == 0:
@@ -104,6 +107,40 @@ func refValidate(f *Frozen, width int) error {
 		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, need)
 	}
 	return nil
+}
+
+// refBucket is the bucket of f's key e: the top b bits of its hash, 2^b
+// the largest power of two below the key count, 0 for two keys or fewer.
+func refBucket(f *Frozen, e int) uint64 {
+	b := 0
+	for 2<<b < f.NumKeys() {
+		b++
+	}
+	if b == 0 {
+		return 0
+	}
+	return hashKey(f.key(e)) >> (64 - b)
+}
+
+// refOrder judges key e against key e − 1: a bucket below the one before,
+// or a key not above the one before in one bucket, is out of order; a
+// section whose keys are all in plain lexicographic order says so.
+func refOrder(f *Frozen, e int) error {
+	b, prev := refBucket(f, e), refBucket(f, e-1)
+	switch {
+	case b == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0:
+		return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d, in bucket %d", e, b)
+	case b >= prev:
+		return nil
+	}
+	var keys [][]byte
+	for i := range f.NumKeys() {
+		keys = append(keys, f.key(i))
+	}
+	if slices.IsSortedFunc(keys, bytes.Compare) && len(slices.CompactFunc(keys, bytes.Equal)) == f.NumKeys() {
+		return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not grouped by hash bucket")
+	}
+	return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, behind a key of bucket %d", e, b, prev)
 }
 
 // entryCounts returns f's posting counts, whatever their width.
@@ -275,6 +312,8 @@ func fastPathSeeds() []struct {
 		return frozenBytes(f)
 	}
 	k1, k2, k3 := wordKey(1), wordKey(2), wordKey(3)
+	// Three keys take two buckets: in bucket order, they are these.
+	three := bucketOrder([]string{k1, k2, k3})
 	seeds := []struct {
 		name  string
 		data  []byte
@@ -348,11 +387,11 @@ func fastPathSeeds() []struct {
 			[]post{ids(1, 1), id(7)}, []uint32{2, 1}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10, 64},
 		{"singletons over an arena that is not empty", edit([]string{k1, k2},
 			[]post{id(0), id(1)}, []uint32{1, 1}, func(f *Frozen) { f.postArena = []byte{0} }), 10, 64},
-		{"an entry with count 0", handFrozen([]string{k1, k2, k3},
+		{"an entry with count 0", handFrozen(three,
 			[]post{id(0), {}, id(2)}, []uint32{1, 0, 1}), 10, 64},
 		{"an entry with count 0 over a list", handFrozen([]string{k1, k2},
 			[]post{ids(1, 1), ids(1, 1)}, []uint32{2, 0}), 10, 64},
-		{"a count-1 entry in the middle of the chain", handFrozen([]string{k1, k2, k3},
+		{"a count-1 entry in the middle of the chain", handFrozen(three,
 			[]post{ids(1, 1), ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 1, 6}), 40, 64},
 		{"an entry with count 0 behind a bad list", handFrozen([]string{k1, k2},
 			[]post{raw(0, 0x80), {}}, []uint32{2, 0}), 10, 64},
@@ -709,5 +748,76 @@ func TestHostileEntryWidths(t *testing.T) {
 			}
 		}
 		sameVerdict(t, s.data, s.maxID, 8, s.name)
+	}
+}
+
+// bucketOrderSeeds are sections whose keys are not in (bucket, key)
+// order, each with the id bound it is read against and what reading it
+// must say: a section in plain lexicographic order, as the format before
+// buckets wrote it; a key moved behind the first key of the next bucket
+// that has one; and the first two keys of a bucket swapped.
+func bucketOrderSeeds() []struct {
+	name, want string
+	data       []byte
+	maxID      int32
+} {
+	rows := make([]uint64, 40) // ids i and i + 30 share key 7i mod 210: 30 keys, ten lists of two
+	for i := range rows {
+		rows[i] = uint64(i%30) * 7
+	}
+	f := FreezeRows(len(rows), 1, 13, rows)
+	post := map[string][]int32{}
+	var keys []string // in bucket order
+	for e := range f.NumKeys() {
+		keys = append(keys, string(f.key(e)))
+		post[keys[e]] = f.appendList(e, nil)
+	}
+	dir, _ := dirTable(f)
+	section := func(order []string) []byte { return frozenBytes(layOut(f.keyLen, order, post)) }
+	// The first bucket of two keys or more, the first holding a key, and
+	// the next after that holding one.
+	wide, from, to := -1, -1, -1
+	for b := range len(dir) - 1 {
+		held := dir[b+1] - dir[b]
+		if held >= 2 && wide < 0 {
+			wide = b
+		}
+		if held > 0 && from >= 0 && to < 0 {
+			to = b
+		}
+		if held > 0 && from < 0 {
+			from = b
+		}
+	}
+	moved := slices.Clone(keys)
+	moved = slices.Insert(slices.Delete(moved, int(dir[from]), int(dir[from])+1), int(dir[to]), keys[dir[from]])
+	swapped := slices.Clone(keys)
+	swapped[dir[wide]], swapped[dir[wide]+1] = swapped[dir[wide]+1], swapped[dir[wide]]
+	return []struct {
+		name, want string
+		data       []byte
+		maxID      int32
+	}{
+		{"keys in plain lexicographic order", "frozen keys are in plain lexicographic order, not grouped by hash bucket", section(slices.Sorted(slices.Values(keys))), 40},
+		{"a key moved into the next bucket", fmt.Sprintf("frozen key %d hashes to bucket %d, behind a key of bucket %d", dir[to], from, to), section(moved), 40},
+		{"two keys of a bucket out of order", fmt.Sprintf("frozen keys not strictly sorted at entry %d, in bucket %d", dir[wide]+1, wide), section(swapped), 40},
+	}
+}
+
+// TestHostileBucketOrder: a section whose keys are not grouped by bucket
+// in ascending order, or not sorted inside a bucket, is refused — read
+// from a stream and in place, each with its own message, the content
+// tier's verdict the reference's.
+func TestHostileBucketOrder(t *testing.T) {
+	for _, s := range bucketOrderSeeds() {
+		for how, src := range map[string]func() *binio.Reader{
+			"stream":   func() *binio.Reader { return binio.NewReader(bytes.NewReader(s.data)) },
+			"in place": func() *binio.Reader { return binio.NewReader(binio.NewSource(s.data)) },
+		} {
+			if _, err := ReadFrozen(src(), s.maxID); err == nil || !strings.HasSuffix(err.Error(), s.want) {
+				t.Errorf("%s, %s: ReadFrozen says %v, want %q", s.name, how, err, s.want)
+			}
+		}
+		sameVerdict(t, s.data, s.maxID, 13, s.name)
 	}
 }

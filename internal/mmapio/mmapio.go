@@ -182,7 +182,7 @@ const (
 	// AdviseNormal resets to the kernel's default readahead policy.
 	AdviseNormal Advice = iota
 	// AdviseRandom disables readahead — right for hash-probe access
-	// (frozen-index slot lookups land on scattered pages).
+	// (frozen-index bucket lookups land on scattered pages).
 	AdviseRandom
 	// AdviseSequential aggressively reads ahead — right for full scans
 	// over the packed codes arena.

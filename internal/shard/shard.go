@@ -551,7 +551,7 @@ func (s *Index) Vector(id int32) (bitvec.Vector, bool) {
 // callers must not mutate it afterwards.
 func (s *Index) Insert(v bitvec.Vector) (int32, error) {
 	if v.Dims() == 0 {
-		return 0, fmt.Errorf("shard: cannot insert zero-dimensional vector")
+		return 0, fmt.Errorf("shard: cannot insert zero-dimensional vector: %w", engine.ErrInvalidQuery)
 	}
 	s.mu.Lock()
 	if d := s.dims.Load(); d == 0 {
