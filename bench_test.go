@@ -264,9 +264,9 @@ func BenchmarkBaselineGrid(b *testing.B) {
 // first query: here it is asked for, so that it has a line of its own);
 // query_us the first query, stored vector 0 as in benchmark/lib.go,
 // asked a second time; scratch_us what asking it first cost over that —
-// the derived state a first query builds: its scratch on a query that
-// probes (uqvideo's), the scan's word-0 column on one the scan answers
-// (sift's). Each is the best of b.N starts, as setup_s is the best of
+// the derived state a first query builds: the bucket directories and its
+// scratch on a query that probes (uqvideo's), the scan's word-0 column on
+// one the scan answers (sift's). Each is the best of b.N starts, as setup_s is the best of
 // its 51: the host's busy spells are longer than a start.
 func BenchmarkOpenFirstQuery(b *testing.B) {
 	for _, c := range []struct {

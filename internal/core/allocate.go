@@ -143,8 +143,11 @@ func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
 
 // carveProjections sizes a new scratch for this index's partitioning:
 // one projection view per partition over a single word arena, and the
-// per-partition allocation state. Runs once per pooled scratch.
+// per-partition allocation state. Runs once per pooled scratch, and the
+// first one an index makes is where its bucket directories get built: a
+// query has got past the free verdict and is about to probe.
 func (ix *Index) carveProjections(s *searchScratch) {
+	ix.warmDirs()
 	m := ix.parts.NumParts()
 	words := 0
 	for _, dimsI := range ix.parts.Parts {
@@ -170,6 +173,26 @@ func (ix *Index) carveProjections(s *searchScratch) {
 			s.startInv[i] = ix.inv[i]
 		}
 	}
+}
+
+// warmDirs builds every partition's bucket directory, a worker a
+// partition. The directories are derived state a loaded index does not
+// carry — never persisted, and never built at open, which would bill an
+// index that is only ever scanned for probes it never makes — and left
+// to the probes that need them they would be built one behind another
+// inside the first query. The first scratch an index makes calls this,
+// racing first queries waiting on the one that got here first. On a
+// built index every directory is there already.
+func (ix *Index) warmDirs() {
+	//gphlint:ignore hotpath once an index, on its first scratch: the cold path behind the Once's atomic load
+	ix.dirsOnce.Do(ix.buildDirs)
+}
+
+func (ix *Index) buildDirs() {
+	_ = ForEach(0, len(ix.inv), func(i int) error {
+		ix.inv[i].BuildDir()
+		return nil
+	})
 }
 
 // noStart marks a partition whose projection startRows has not looked

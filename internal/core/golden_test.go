@@ -39,9 +39,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"41f862176f608b9683b27c29ee43fc84e818c003991d934b6d788098ad816836",
-		"b37c651a69f7f58412b3cf577b39f9743ab0f35aad18b43f2d26e31bce457488",
-		"ddaf464e8ea4f19f353bb6f0994b8bc9ca5e02d8380076c138c5354ef167a3aa",
+		"9969782912cec83c8326f38ad2420ab5211e6f9e7def5dcf70a8316898bf6483",
+		"f917477cece7aafc8caa2cde8f12f2c84e5375ae89f2bb628563e225465fea38",
+		"3a6acd318aee9ca9092cb3735f8374c8e5370a4c302306e067ee41d4e9515c58",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer

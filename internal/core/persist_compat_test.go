@@ -102,41 +102,20 @@ func indexCandidates(t *testing.T, ix *Index, q bitvec.Vector, tau int) []int32 
 }
 
 // keyArenaOffset finds partition p's key arena in ix's saved bytes: the
-// payloads follow the head, 8-aligned, the vector words first, then each
-// partition's key arena, posting arena, refs and counts (4-byte counts
-// 8-aligned), their lengths in the partition's frozen header — after
-// magic, dims, count, partition count, the dimension lists and five
-// option fields, seven fields each: key count, posting total, key, ref
-// and count widths, arena lengths.
+// bytes the partition's payload starts with, which occur once in the file.
 func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 	t.Helper()
-	hdr := 4 * 8
-	for _, part := range ix.parts.Parts {
-		hdr += 8 + 8*len(part)
+	var buf bytes.Buffer
+	bw := binio.NewWriter(&buf)
+	ix.inv[p].WritePayloadTo(bw)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	hdr += 5 * 8
-	field := func(q, i int) int { return int(binary.LittleEndian.Uint64(raw[hdr+56*q+8*i:])) }
-	align := func(off int) int { return (off + 7) &^ 7 }
-	off := align(hdr+56*len(ix.inv)) + 8*ix.count*((ix.dims+63)/64)
-	for q := range p {
-		n, refLen, countLen := field(q, 0), field(q, 3), field(q, 4)
-		off += field(q, 5) + field(q, 6) + refLen*n + 4 - refLen
-		if countLen == 4 {
-			off = align(off)
-		}
-		off += countLen * n
-	}
-	// The arena holds the partition's keys, whatever their order.
-	var keys []string
-	ix.inv[p].Range(func(key []byte, _ []int32) bool {
-		keys = append(keys, string(key))
-		return true
-	})
-	kl := ix.inv[p].KeyLen()
-	for e := range keys {
-		if _, ok := slices.BinarySearch(keys, string(raw[off+kl*e:off+kl*(e+1)])); !ok {
-			t.Fatalf("partition %d: the bytes at %d are not its key arena", p, off)
-		}
+	keyBytes, _, _, _ := ix.inv[p].ArenaBreakdown()
+	arena := buf.Bytes()[:keyBytes]
+	off := bytes.Index(raw, arena)
+	if off < 0 || bytes.Contains(raw[off+1:], arena) {
+		t.Fatalf("partition %d's key arena does not occur exactly once in the file", p)
 	}
 	return off
 }
@@ -172,7 +151,7 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	keysEnd := keyArenaOffset(t, ix, raw, p) + keyLen*keys
 
 	// Bit w set in one row's key: frozen by the builder, so the keys stay
-	// in bucket order — an order error would be reported before the key's
+	// in hash order — an order error would be reported before the key's
 	// width — and saved as the partition.
 	rows := invindex.ProjectRows(data, ix.parts.Parts[p])
 	rows[len(rows)-1] |= 1 << w

@@ -2,12 +2,14 @@ package invindex
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
@@ -19,8 +21,10 @@ import (
 //
 //   - every distinct key, each keyLen bytes, concatenated in one byte
 //     arena: key e starts at e·keyLen, so keys need no offsets. The keys
-//     are grouped by hash bucket — the top bits of their hash, buckets in
-//     ascending order — and lie in lexicographic order inside a bucket;
+//     are in the order of their hash (hashKey), which for keys of one
+//     word or less is one-to-one, and of their bytes where two hashes
+//     tie; a key's bucket is the top bits of its hash, so the keys of a
+//     bucket lie together and the buckets ascend;
 //   - one ref and one count an entry: the ref of an entry with one id is
 //     the id itself, and that of an entry with more is where its list
 //     starts in a second arena — lists of two or more ids, delta-varint
@@ -38,13 +42,14 @@ import (
 // directly), SizeBytes is exact arithmetic over the backing slices
 // rather than an estimate, and the arenas serialize as-is, so loading a
 // persisted frozen index is O(bytes) slicing; the directory is not
-// written, and the content tier's key pass, which hashes every key to
-// check its bucket, rebuilds it.
+// written, and a read index builds it at its first lookup (BuildDir), so
+// an index that is only ever scanned never pays for it.
 //
 // A Frozen is immutable after FreezeRows/ReadFrozen and safe for
-// concurrent use (deferred validation is internally synchronized).
+// concurrent use (deferred validation and the directory's build are
+// internally synchronized).
 type Frozen struct {
-	keyArena  []byte // distinct keys, concatenated in (bucket, key) order, then the pad (keyPad)
+	keyArena  []byte // distinct keys, concatenated in hash order, then the pad (keyPad)
 	keyLen    int    // bytes a key, KeyLen of the projection's width
 	postArena []byte // delta-varint lists of two or more ids, in entry order
 	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): the id of a one-id entry, else where its list starts in postArena
@@ -62,12 +67,15 @@ type Frozen struct {
 	// is b in its top bits, are dir[b] up to dir[b+1]. It has
 	// 2^bucketBits(n) + 1 offsets for n keys, in dir16 when n is at most
 	// maxNarrowKeys and in dir32 otherwise, the other field nil; dirShift
-	// is what bucket shifts a hash by to find its bucket.
-	// FreezeRows sets it; a read index gets it from Validate, which every
-	// lookup waits for.
+	// is what bucket shifts a hash by to find its bucket. FreezeRows
+	// builds it; a read index builds it at its first lookup (BuildDir),
+	// and dirReady's release-store publishes it to the acquire-load
+	// there; dirMu serializes the one build.
 	dir16    []uint16
 	dir32    []uint32
 	dirShift uint
+	dirReady atomic.Bool
+	dirMu    sync.Mutex
 
 	// Deferred content validation (see ReadPayload): maxID is
 	// the id bound Validate checks postings against, and deepOnce/
@@ -196,8 +204,7 @@ func (f *Frozen) packRefs(refs []uint32) {
 // little-endian order, and lists, ascending and once each, the ids that
 // have it. The keys are sorted in place of a map — a map's keys,
 // buckets and one-id lists take megabytes a partition, and a build runs
-// one per worker — and the distinct keys then grouped by bucket, a
-// counting sort whose start array is the directory.
+// one per worker — and the distinct keys then put in hash order.
 func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	w := (width + 63) / 64
 	keys := n * per
@@ -208,14 +215,21 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	key := func(k int32) []uint64 { return rows[int(k)*w : (int(k)+1)*w] }
 	order := sortKeys(keys, w, keyLen, rows)
 	// runs[r] is where the r-th distinct key's run of equal keys starts in
-	// order, runs[distinct] the end.
-	var runs []int32
+	// order, runs[distinct] the end; counted first, so the array is made
+	// once at its size.
+	newRun := func(j int) bool { return j == 0 || !slices.Equal(key(order[j]), key(order[j-1])) }
+	distinct := 0
 	for j := range keys {
-		if j == 0 || !slices.Equal(key(order[j]), key(order[j-1])) {
+		if newRun(j) {
+			distinct++
+		}
+	}
+	runs := make([]int32, 0, distinct+1)
+	for j := range keys {
+		if newRun(j) {
 			runs = append(runs, int32(j))
 		}
 	}
-	distinct := len(runs)
 	runs = append(runs, int32(keys))
 	f := &Frozen{
 		// A key shorter than a word is written as its whole word and cut
@@ -226,31 +240,41 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 		// holds it at a byte a gap.
 		postArena: make([]byte, 0, 2*(keys-distinct)),
 		counts8:   make([]uint8, 0, distinct),
-		dirShift:  dirShift(distinct),
 		maxID:     math.MaxInt32, // ids are valid by construction
 	}
-	// One stable counting pass puts the runs in bucket order, each bucket's
-	// runs staying in key order: dir counts each bucket's keys, then sums to
-	// where they start.
-	dir := make([]uint32, 1<<bucketBits(distinct)+1)
-	buckets := make([]uint32, distinct)
-	for r, j := range runs[:distinct] {
-		buckets[r] = uint32(bucket(hashWords(keyLen, key(order[j])), f.dirShift))
-		dir[buckets[r]+1]++
+	// The runs are in lexicographic key order. One stable counting pass
+	// puts them in bucket order, and each bucket's few are then sorted by
+	// hash, stably, so the bytes break a tie (keys of several words). A
+	// run's hash is taken again where it is needed rather than kept: the
+	// build's peak is its arrays, and a hash is one multiply a word.
+	shift := dirShift(distinct)
+	hashOf := func(r int32) uint64 { return hashWords(keyLen, key(order[runs[r]])) }
+	next := make([]int32, 1<<bucketBits(distinct)+1) // next[b+1] counts bucket b's runs, then sums to where they go
+	for r := range int32(distinct) {
+		next[bucket(hashOf(r), shift)+1]++
 	}
-	for b := 1; b < len(dir); b++ {
-		dir[b] += dir[b-1]
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
 	}
-	byBucket := make([]int32, distinct)
-	next := slices.Clone(dir)
-	for r, b := range buckets {
-		byBucket[next[b]] = int32(r)
+	byHash := make([]int32, distinct)
+	for r := range int32(distinct) {
+		b := bucket(hashOf(r), shift)
+		byHash[next[b]] = r
 		next[b]++
+	}
+	for lo, hi := 0, 0; lo < distinct; lo = hi {
+		hi = int(next[bucket(hashOf(byHash[lo]), shift)]) // where lo's bucket ends
+		switch in := byHash[lo:hi]; {
+		case len(in) == 2 && hashOf(in[1]) < hashOf(in[0]):
+			in[0], in[1] = in[1], in[0]
+		case len(in) > 2:
+			slices.SortStableFunc(in, func(a, b int32) int { return cmp.Compare(hashOf(a), hashOf(b)) })
+		}
 	}
 	// Refs are gathered at full width and stored at the width they need
 	// once the largest is known.
 	refs := make([]uint32, 0, distinct)
-	for _, r := range byBucket {
+	for _, r := range byHash {
 		j, end := runs[r], runs[r+1]
 		start := len(f.keyArena)
 		for _, word := range key(order[j]) {
@@ -270,7 +294,7 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	}
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
 	f.packRefs(refs)
-	f.dir16, f.dir32 = narrowDir(dir, distinct)
+	f.buildDir()
 	return f
 }
 
@@ -322,19 +346,17 @@ func sortKeys(keys, w, keyLen int, rows []uint64) []int32 {
 // constant.
 const hashMul = 0x9E3779B97F4A7C15
 
-// mix folds one 8-byte key word into the running hash: one 64×64→128
-// multiply, the halves xored. Keys are packed projections whose entropy
+// mix folds one 8-byte key word into the running hash: an xor, then a
+// multiply by hashMul mod 2⁶⁴. Keys are packed projections whose entropy
 // sits in their low bits, and a key's bucket is the hash's top bits; the
-// multiply spreads every input bit over the high half of the product,
-// and the fold mixes both halves into every bit of the hash.
+// multiply carries every input bit up into them. It is one-to-one in w,
+// so two keys of one word or less never share a hash, and the key pass
+// checks their order with one compare a key.
 //
 // The hash is part of the file format: a saved index stores its keys in
-// the order of their buckets, so an edit to mix, hashWord or hashKey
+// the order of their hashes, so an edit to mix, hashWord or hashKey
 // makes every saved index fail validation. TestHashIsFormat pins it.
-func mix(h, w uint64) uint64 {
-	hi, lo := bits.Mul64(h^w, hashMul)
-	return hi ^ lo
-}
+func mix(h, w uint64) uint64 { return (h ^ w) * hashMul }
 
 // hashWord is hashKey of the keyLen-byte little-endian key holding w,
 // for keyLen ≤ 8: the length seeds the hash and the key is its one
@@ -398,19 +420,6 @@ const maxNarrowKeys = math.MaxUint16
 // dirOffset is the type of a directory offset.
 type dirOffset interface{ uint16 | uint32 }
 
-// narrowDir returns the directory dir of an index of n keys at its
-// width: in the first result for n ≤ maxNarrowKeys, the second beyond.
-func narrowDir(dir []uint32, n int) ([]uint16, []uint32) {
-	if n > maxNarrowKeys {
-		return nil, dir
-	}
-	d := make([]uint16, len(dir))
-	for b, o := range dir {
-		d[b] = uint16(o)
-	}
-	return d, nil
-}
-
 // directoryBytes returns the bytes of the directory of an index of n keys:
 // 2^bucketBits(n) + 1 offsets of 2 bytes up to maxNarrowKeys keys, of 4
 // beyond.
@@ -426,6 +435,7 @@ func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyL
 
 // lookupBytes returns the entry index for key, or −1.
 func (f *Frozen) lookupBytes(key []byte) int {
+	f.BuildDir()
 	lo, hi := f.span(hashKey(key))
 	for e := lo; e < hi; e++ {
 		if bytes.Equal(f.key(e), key) {
@@ -450,6 +460,7 @@ func (f *Frozen) probeWord(w uint64) (e, count int) {
 	if !f.wordKeys() || len(f.keyArena) == 0 {
 		return -1, 0 // keys of several words, or of none, or no keys
 	}
+	f.BuildDir()
 	lo, hi := f.span(hashWord(f.keyLen, w))
 	e = f.inBucket(lo, hi, w)
 	return e, f.count(e)
@@ -480,13 +491,74 @@ func (f *Frozen) inBucket(lo, hi int, w uint64) int {
 }
 
 // span returns the entries of the bucket hash h falls in: from lo up to
-// hi.
+// hi. The directory must be built: every lookup calls BuildDir first,
+// and a read index's first lookup builds it there.
 func (f *Frozen) span(h uint64) (lo, hi int) {
 	b := bucket(h, f.dirShift)
 	if d := f.dir16; d != nil {
 		return int(d[b]), int(d[b+1])
 	}
 	return int(f.dir32[b]), int(f.dir32[b+1])
+}
+
+// BuildDir builds the directory now, if no lookup has: for a caller that
+// builds the directories of many indexes side by side before their
+// first lookups would build them one behind another.
+func (f *Frozen) BuildDir() {
+	if !f.dirReady.Load() {
+		f.buildDir()
+	}
+}
+
+// buildDir builds the directory exactly once; concurrent first lookups
+// serialize on dirMu and all but one find it built. It reads the keys'
+// hashes and nothing else, so it waits for no verdict: over keys out of
+// hash order it builds a directory whose buckets still lie inside the
+// arena, and a lookup through it finds what it finds.
+func (f *Frozen) buildDir() {
+	f.dirMu.Lock()
+	//gphlint:ignore hotpath one-time cold path behind the dirReady fast path
+	defer f.dirMu.Unlock()
+	if f.dirReady.Load() {
+		return
+	}
+	n := f.NumKeys()
+	f.dirShift = dirShift(n)
+	if offsets := 1<<bucketBits(n) + 1; n <= maxNarrowKeys {
+		f.dir16 = fillDir(f, make([]uint16, offsets))
+	} else {
+		f.dir32 = fillDir(f, make([]uint32, offsets))
+	}
+	f.dirReady.Store(true)
+}
+
+// fillDir fills dir, 2^bucketBits(n) + 1 zero offsets for f's n keys,
+// with where each bucket starts, and returns it: each key writes its
+// entry number plus one at its bucket plus one — in hash order the last
+// key of a bucket writes where the bucket ends — and a running maximum
+// then carries those ends over the buckets no key fell in.
+func fillDir[D dirOffset](f *Frozen, dir []D) []D {
+	n, shift := f.NumKeys(), f.dirShift
+	if f.wordKeys() {
+		kl, keep := f.keyLen, f.keyMask()
+		// The arena's pad keeps the last key's load inside it.
+		for e := range n {
+			w := binary.LittleEndian.Uint64(f.keyArena[e*kl:]) & keep
+			dir[bucket(hashWord(kl, w), shift)+1] = D(e + 1)
+		}
+	} else {
+		for e := range n {
+			dir[bucket(hashKey(f.key(e)), shift)+1] = D(e + 1)
+		}
+	}
+	// The maximum so far lives in a register: read back from the offset
+	// just written, it would wait on the store every step.
+	var end D
+	for b, o := range dir {
+		end = max(end, o)
+		dir[b] = end
+	}
+	return dir
 }
 
 // walkBucket is inBucket over the entries from lo up to hi, a key at a
@@ -541,6 +613,7 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 		case !f.wordKeys() || len(f.keyArena) == 0:
 			entries[i], counts[i] = -1, 0
 		default:
+			f.BuildDir()
 			lo, hi := f.span(hashWord(f.keyLen, words[i]))
 			entries[i], counts[i] = int32(lo), uint32(hi)
 		}
@@ -975,8 +1048,8 @@ func (f *Frozen) EntryLen(e int) int { return f.count(e) }
 // On an index whose deferred validation (see ReadPayload) fails, Range
 // panics with that error rather than iterate corrupt arenas: iterating
 // nothing would let a caller silently serialize an empty index. The
-// arena holds the keys in bucket order, so Range sorts the entry
-// numbers first: it is for tests and tools, not queries.
+// arena holds the keys in hash order, so Range sorts the entry numbers
+// first: it is for tests and tools, not queries.
 func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 	if err := f.Validate(); err != nil {
 		panic(err)
@@ -1022,9 +1095,9 @@ func (f *Frozen) entryBytes() int64 {
 }
 
 // WriteTo serializes the frozen index as its arenas and per-entry
-// arrays, verbatim; the directory is rebuilt on read (by Validate's key
-// pass, which hashes every key anyway) rather than stored, and the keys
-// need no offsets: they have one length, which the header carries.
+// arrays, verbatim; the directory is rebuilt after a read (by the first
+// lookup) rather than stored, and the keys need no offsets: they have
+// one length, which the header carries.
 // Output is deterministic for a given logical index.
 //
 // The section is split in two halves a container may separate: a
@@ -1073,10 +1146,10 @@ func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 
 // ReadFrozen reads an index written by WriteTo, validating the count
 // total and the contents (lists chained end to end over the arena,
-// varint framing, that every id lies in [0, maxID), strict (bucket, key)
-// order, refs and counts no wider than their largest needs) before
-// returning. The arenas are adopted directly from the decoded buffers —
-// loading is O(bytes) — and the directory is built by that validation.
+// varint framing, that every id lies in [0, maxID), strict hash order,
+// refs and counts no wider than their largest needs) before returning.
+// The arenas are adopted directly from the decoded buffers — loading is
+// O(bytes) — and the directory is built by the first lookup.
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 	h, err := ReadFrozenHeader(br, maxID)
 	if err != nil {
@@ -1185,14 +1258,14 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // Validate runs the deferred content half of loading: every entry has
 // an id — a one-id entry's ref in [0, maxID), every other's list
 // decoding cleanly by its count (varint framing, ids in [0, maxID)) from
-// where the list before it ends, the last ending the arena — keys are
-// grouped by bucket in ascending bucket order and strictly sorted inside
-// a bucket, the pads are zero, and refs and counts are no wider than the
-// largest of each needs, so one index has one file. It reads both arenas
-// end to end — over a mapping this is the pass that faults the pages in,
-// which is why ReadPayload leaves it to the caller's first query rather
-// than open — and a read index's directory comes out of its key pass: no
-// lookup may run before Validate has passed. Idempotent and safe for
+// where the list before it ends, the last ending the arena — keys
+// strictly ascend in hash order (bytes breaking a tie), the pads are
+// zero, and refs and counts are no wider than the largest of each
+// needs, so one index has one file. It reads both arenas end to end —
+// over a mapping this is the pass that faults the pages in, which is why
+// ReadPayload leaves it to the caller's first query rather than open.
+// It builds no directory: the first lookup does, so an index that is
+// only ever scanned never pays for one. Idempotent and safe for
 // concurrent use; every call returns the first run's verdict.
 func (f *Frozen) Validate() error { return f.ValidateWidth(-1) }
 
@@ -1239,24 +1312,22 @@ func (f *Frozen) validateContent(width int) error {
 	// the verdict an entry-by-entry walk reaches — its key against the one
 	// before, then its postings — with a key of the wrong width reported
 	// only once every entry has passed, as when the width check was a pass
-	// of its own after them. The key pass writes the directory as it goes.
-	var dir16 []uint16
-	var dir32 []uint32
-	var disorder, wide int
-	if offsets := 1<<bucketBits(numKeys) + 1; numKeys <= maxNarrowKeys {
-		dir16 = make([]uint16, offsets)
-		disorder, wide = scanKeys(f, width, dir16)
-	} else {
-		dir32 = make([]uint32, offsets)
-		disorder, wide = scanKeys(f, width, dir32)
-	}
+	// of its own after them.
+	disorder, wide := f.scanKeys(width)
 	idLimit := uint64(max(f.maxID, 0))
 	entriesOK := ent.least > 0 && ent.single <= idLimit
 	var lastList uint32
 	var err error
-	if f.counts32 == nil {
+	switch {
+	case entriesOK && ent.total == int64(numKeys):
+		// Every entry holds one id — n counts of at least one sum to n — so
+		// there is no list to walk, and the arena must be empty.
+		if disorder == numKeys && len(f.postArena) != 0 {
+			err = fmt.Errorf("invindex: frozen lists end at byte 0 of the %d-byte posting arena", len(f.postArena))
+		}
+	case f.counts32 == nil:
 		lastList, err = checkLists(f, f.counts8, disorder, entriesOK, idLimit)
-	} else {
+	default:
 		lastList, err = checkLists(f, f.counts32, disorder, entriesOK, idLimit)
 	}
 	if err != nil {
@@ -1280,71 +1351,46 @@ func (f *Frozen) validateContent(width int) error {
 	if want := refLenFor(top); f.refLen != want {
 		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, want)
 	}
-	// A built index has its directory, and lookups may be reading it.
-	if f.dir16 == nil && f.dir32 == nil {
-		f.dir16, f.dir32, f.dirShift = dir16, dir32, dirShift(numKeys)
-	}
 	return nil
 }
 
 // orderError says how entry e, the first whose key does not follow the
-// one before it, breaks the (bucket, key) order: a key not above the one
-// before it in their bucket; every key in plain lexicographic order,
-// not grouped by bucket (a section of the format before buckets); or a
-// key in a bucket below the one before it.
+// one before it in hash order, breaks it: a key not above the one before
+// it in their bucket; every key in plain lexicographic order, not in
+// hash order (a section of the format before buckets); or a key in a
+// bucket below the one before it.
 func (f *Frozen) orderError(e int) error {
 	shift := dirShift(f.NumKeys())
 	b, prev := bucket(hashKey(f.key(e)), shift), bucket(hashKey(f.key(e-1)), shift)
 	if b == prev {
-		return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d, in bucket %d", e, b)
+		return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
 	}
 	for i := 1; i < f.NumKeys(); i++ {
 		if bytes.Compare(f.key(i-1), f.key(i)) >= 0 {
 			return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, behind a key of bucket %d", e, b, prev)
 		}
 	}
-	return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not grouped by hash bucket")
+	return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not in hash order")
 }
 
 // scanKeys is the key pass: it returns the first entry whose key does
-// not follow the one before in (bucket, key) order (numKeys when every
-// key does), and the first entry before that whose key is not the packed
-// form of a width-bit projection (−1 for none, or when width < 0). When
-// every key follows, dir, 2^bucketBits(numKeys) + 1 offsets, is left
-// holding where each bucket starts: each key writes its entry number
-// plus one at its bucket plus one — the last key of a bucket writes where
-// the bucket ends — and a running maximum then carries those ends over
-// the buckets no key fell in.
-func scanKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide int) {
+// not follow the one before in hash order, bytes breaking a tie (numKeys
+// when every key does), and the first entry before that whose key is not
+// the packed form of a width-bit projection (−1 for none, or when
+// width < 0).
+func (f *Frozen) scanKeys(width int) (disorder, wide int) {
 	if f.wordKeys() {
-		disorder, wide = scanWordKeys(f, width, dir)
-	} else {
-		disorder, wide = scanByteKeys(f, width, dir)
+		return f.scanWordKeys(width)
 	}
-	// The maximum so far lives in a register: read back from the offset
-	// just written, it would wait on the store every step.
-	var end D
-	for b, o := range dir {
-		end = max(end, o)
-		dir[b] = end
-	}
-	return disorder, wide
-}
-
-// scanByteKeys is scanKeys' pass over keys wider than a word, or of no
-// length.
-func scanByteKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide int) {
 	numKeys := f.NumKeys()
 	disorder, wide = numKeys, -1
-	shift := dirShift(numKeys)
 	var prev uint64
 	for e := 0; e < numKeys; e++ {
-		b := bucket(hashKey(f.key(e)), shift)
-		if e > 0 && (b < prev || b == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0) {
+		h := hashKey(f.key(e))
+		if e > 0 && (h < prev || h == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0) {
 			return e, wide
 		}
-		dir[b+1] = D(e + 1)
-		prev = b
+		prev = h
 		if width >= 0 && wide < 0 && f.checkKeyWidth(e, width) != nil {
 			wide = e
 		}
@@ -1352,30 +1398,27 @@ func scanByteKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide in
 	return disorder, wide
 }
 
-// scanWordKeys is scanKeys' pass over keys of kl ≤ 8 bytes, a word a
-// key, hashed as lookupWord hashes them. Byte-lexicographic order, what
-// bytes.Compare computes, is the order of the keys' byte-reversed words.
-// The key widths are judged from the keys' bits ored together; only when
-// some key has a bit past the width is it found, in a second pass.
-func scanWordKeys[D dirOffset](f *Frozen, width int, dir []D) (disorder, wide int) {
+// scanWordKeys is scanKeys over keys of kl ≤ 8 bytes, a word a key,
+// hashed as lookupWord hashes them. No two such keys share a hash, so
+// they are in order when their hashes strictly ascend: one compare a
+// key. The key widths are judged from the keys' bits ored together; only
+// when some key has a bit past the width is it found, in a second pass.
+func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
 	numKeys := f.NumKeys()
 	disorder, wide = numKeys, -1
-	kl, keep, shift := f.keyLen, f.keyMask(), dirShift(numKeys)
+	kl, keep := f.keyLen, f.keyMask()
 	arena := f.keyArena
-	var seen, prevKey, prevBucket uint64
+	var seen, prev uint64
 	// The arena's pad keeps the last key's load inside it.
 	for e := 0; e < numKeys; e++ {
 		w := binary.LittleEndian.Uint64(arena[e*kl:]) & keep
-		seen |= w
-		b, k := bucket(hashWord(kl, w), shift), bits.ReverseBytes64(w)
-		// (prevBucket, prevKey) − (b, k) borrows when the pair is below.
-		_, borrow := bits.Sub64(prevKey, k, 0)
-		if _, borrow = bits.Sub64(prevBucket, b, borrow); borrow == 0 && e > 0 {
+		h := hashWord(kl, w)
+		if h <= prev && e > 0 {
 			disorder = e
 			break
 		}
-		dir[b+1] = D(e + 1)
-		prevKey, prevBucket = k, b
+		seen |= w
+		prev = h
 	}
 	switch {
 	case width < 0 || numKeys == 0:

@@ -306,16 +306,16 @@ func rowKey(rows []uint64, width int, k int) []byte {
 }
 
 // mapFreeze is the build FreezeRows replaced: every key filled into a
-// map of lists, the keys sorted by bucket and as strings in a bucket,
-// each list sorted and laid out behind its key, and the directory made by
-// the content tier's key pass.
+// map of lists, the keys sorted by hash and as strings where two hashes
+// tie, each list sorted and laid out behind its key, and the section
+// passed by the content tier.
 func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 	post := refPostings(n, per, width, rows)
 	keys := make([]string, 0, len(post))
 	for k := range post {
 		keys = append(keys, k)
 	}
-	f := layOut(KeyLen(width), bucketOrder(keys), post)
+	f := layOut(KeyLen(width), hashOrder(keys), post)
 	if err := f.Validate(); err != nil {
 		panic(err)
 	}
@@ -324,7 +324,7 @@ func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 
 // layOut lays out the keys of post, each keyLen bytes, in the order
 // given, each with its ids, as FreezeRows lays out an entry; the section
-// has no directory, which Validate gives it if the order is right.
+// has no directory until its first lookup builds one.
 func layOut(keyLen int, keys []string, post map[string][]int32) *Frozen {
 	f := &Frozen{keyLen: keyLen, maxID: math.MaxInt32}
 	var refs []uint32
@@ -338,11 +338,11 @@ func layOut(keyLen int, keys []string, post map[string][]int32) *Frozen {
 	return f
 }
 
-// bucketOrder returns keys, all of one length and distinct, in the order
-// a frozen index holds them: by bucket, then lexicographically.
-func bucketOrder(keys []string) []string {
+// hashOrder returns keys, all of one length and distinct, in the order
+// a frozen index holds them: by hash, then lexicographically.
+func hashOrder(keys []string) []string {
 	sort.Strings(keys)
-	of := func(k string) uint64 { return bucket(hashKey([]byte(k)), dirShift(len(keys))) }
+	of := func(k string) uint64 { return hashKey([]byte(k)) }
 	sort.SliceStable(keys, func(i, j int) bool { return of(keys[i]) < of(keys[j]) })
 	return keys
 }
@@ -527,9 +527,9 @@ func TestFreezeSortsUnsortedLists(t *testing.T) {
 }
 
 // TestHashIsFormat pins the key hash, which is part of the file format:
-// a saved section holds its keys grouped by bucket, the top bits of this
-// hash, so an edit to mix, hashWord or hashKey would leave every saved
-// index failing validation. A key of 1–8 bytes hashes to the same value
+// a saved section holds its keys in the order of this hash, whose top
+// bits are a key's bucket, so an edit to mix, hashWord or hashKey would
+// leave every saved index failing validation. A key of 1–8 bytes hashes to the same value
 // as its word, and a key of whole words as its words, so every lookup
 // form and the build land a key in one bucket at every key count.
 func TestHashIsFormat(t *testing.T) {
@@ -537,15 +537,15 @@ func TestHashIsFormat(t *testing.T) {
 		n    int
 		hash uint64
 	}{
-		{1, 0xe3779b97f4a7c159},
-		{2, 0x1c48abac5701ea80},
-		{3, 0xbe058dc98ff91961},
-		{4, 0xde7bc3eb8be3a1cb},
-		{5, 0x83ff7d1f90eabaad},
-		{6, 0x0c1677696d4b4620},
-		{7, 0x1be80596435ba6ac},
-		{8, 0x4a1f787873048f42},
-		{16, 0xb82b0c5839014f9c},
+		{1, 0xe3779b97f4a7c150},
+		{2, 0x1c48abac5701ff8f},
+		{3, 0xbe058dc98fe6837a},
+		{4, 0xde7bc3eba1c5f7b9},
+		{5, 0x83ff7d2b227b7ba4},
+		{6, 0x0c164857a05aefe3},
+		{7, 0x1ba1ce9e211073ce},
+		{8, 0x1e483bca9eefe80d},
+		{16, 0x9bca3819b09a377c},
 	} {
 		key := make([]byte, c.n)
 		for i := range key {
@@ -578,6 +578,7 @@ func TestHashIsFormat(t *testing.T) {
 // bucket, and no others, hash to it. It fails the caller's test through
 // a panic if both widths, or neither, hold a directory.
 func dirTable(f *Frozen) (dir []uint32, width int64) {
+	f.BuildDir()
 	switch {
 	case f.dir16 != nil && f.dir32 == nil:
 		for _, o := range f.dir16 {
@@ -718,7 +719,7 @@ func TestEntryWidthBoundary(t *testing.T) {
 	}
 	id := func(v uint32) post { return post{ref: v} }
 	hand := func(last uint32) *Frozen {
-		keys := bucketOrder([]string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
+		keys := hashOrder([]string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
 		list := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1)
 		return handSection(keys, []post{{list: list}, id(7), id(last)}, []uint32{2, 1, 1}, make([]byte, 5))
 	}

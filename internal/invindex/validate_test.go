@@ -14,7 +14,7 @@ import (
 )
 
 // The reference: the content tier as an entry-by-entry walk — every key's
-// bucket compared with the one before it and, in one bucket, the keys
+// hash compared with the one before it and, where the two tie, the keys
 // with bytes.Compare, every entry's postings checked where the
 // walk reaches it, each list decoded a byte at a time from where the one
 // before it ended, and the key widths checked a bit at a time in a pass
@@ -122,23 +122,25 @@ func refBucket(f *Frozen, e int) uint64 {
 	return hashKey(f.key(e)) >> (64 - b)
 }
 
-// refOrder judges key e against key e − 1: a bucket below the one before,
-// or a key not above the one before in one bucket, is out of order; a
-// section whose keys are all in plain lexicographic order says so.
+// refOrder judges key e against key e − 1: a hash below the one before,
+// or an equal one with a key not above the one before, is out of order —
+// in the bucket before's, or in a bucket below it; a section whose keys
+// are all in plain lexicographic order says so.
 func refOrder(f *Frozen, e int) error {
-	b, prev := refBucket(f, e), refBucket(f, e-1)
-	switch {
-	case b == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0:
-		return fmt.Errorf("invindex: frozen keys not strictly sorted at entry %d, in bucket %d", e, b)
-	case b >= prev:
+	h, prevH := hashKey(f.key(e)), hashKey(f.key(e-1))
+	if h > prevH || h == prevH && bytes.Compare(f.key(e-1), f.key(e)) < 0 {
 		return nil
+	}
+	b, prev := refBucket(f, e), refBucket(f, e-1)
+	if b == prev {
+		return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
 	}
 	var keys [][]byte
 	for i := range f.NumKeys() {
 		keys = append(keys, f.key(i))
 	}
 	if slices.IsSortedFunc(keys, bytes.Compare) && len(slices.CompactFunc(keys, bytes.Equal)) == f.NumKeys() {
-		return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not grouped by hash bucket")
+		return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not in hash order")
 	}
 	return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, behind a key of bucket %d", e, b, prev)
 }
@@ -311,9 +313,18 @@ func fastPathSeeds() []struct {
 		change(f)
 		return frozenBytes(f)
 	}
-	k1, k2, k3 := wordKey(1), wordKey(2), wordKey(3)
-	// Three keys take two buckets: in bucket order, they are these.
-	three := bucketOrder([]string{k1, k2, k3})
+	// Two keys in hash order, and three, which take two buckets.
+	pair := hashOrder([]string{wordKey(1), wordKey(2)})
+	k1, k2 := pair[0], pair[1]
+	three := hashOrder([]string{wordKey(1), wordKey(2), wordKey(3)})
+	// inOrder is keys, two, in hash order, or against it.
+	inOrder := func(against bool, keys ...string) []string {
+		keys = hashOrder(keys)
+		if against {
+			slices.Reverse(keys)
+		}
+		return keys
+	}
 	seeds := []struct {
 		name  string
 		data  []byte
@@ -334,18 +345,15 @@ func fastPathSeeds() []struct {
 		{"a count one over its list", handFrozen([]string{k1}, []post{ids(3, 1)}, []uint32{3}), 40, 64},
 		{"a count one under its list", handFrozen([]string{k1}, []post{ids(3, 1, 1)}, []uint32{2}), 40, 64},
 		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, []post{id(0), id(1)}), 2, 64},
-		// Byte 7 is the big end of the little-endian word and the last
-		// byte bytes.Compare reaches; byte 0 the other way round. A compare
-		// of the words as the key scans load them orders these backwards.
-		{"keys differing only in byte 7, ascending", one([]string{k1, wordKey(1 | 1<<56)}, []post{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 7, descending", one([]string{wordKey(1 | 1<<56), k1}, []post{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 0, ascending", one([]string{wordKey(1 << 56), wordKey(1 | 1<<56)}, []post{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 0, descending", one([]string{wordKey(1 | 1<<56), wordKey(1 << 56)}, []post{id(0), id(1)}), 2, 64},
-		{"ascending by byte, descending as words", one([]string{wordKey(0x0100), wordKey(0x0001)}, []post{id(0), id(1)}), 2, 64},
-		{"ascending as words, descending by byte", one([]string{wordKey(0x0001), wordKey(0x0100)}, []post{id(0), id(1)}), 2, 64},
+		// Byte 7 is the big end of the little-endian word the key scans
+		// hash, byte 0 the little end.
+		{"keys differing only in byte 7, in hash order", one(inOrder(false, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 7, against hash order", one(inOrder(true, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 0, in hash order", one(inOrder(false, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
+		{"keys differing only in byte 0, against hash order", one(inOrder(true, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
 		{"a key bit at the partition width", one([]string{wordKey(1 << 61)}, []post{id(0)}), 1, 61},
 		{"a key bit just inside the partition width", one([]string{wordKey(1 << 60)}, []post{id(0)}), 1, 61},
-		{"a key bit at the width behind a bad list", handFrozen([]string{wordKey(1 << 61), wordKey(1<<61 | 1<<8)},
+		{"a key bit at the width behind a bad list", handFrozen(inOrder(false, wordKey(1<<61), wordKey(1<<61|1<<8)),
 			[]post{id(0), raw(0, 0x80)}, []uint32{1, 2}), 2, 61},
 		{"one-word keys judged as two-word projections", one([]string{k1}, []post{id(0)}), 1, 70},
 
@@ -406,10 +414,9 @@ func fastPathSeeds() []struct {
 		{"a key bit at the partition width, 2-byte keys", one([]string{narrowKey(1<<13, 2)}, []post{id(0)}), 1, 13},
 		{"a key bit just inside the partition width, 2-byte keys", one([]string{narrowKey(1<<12, 2)}, []post{id(0)}), 1, 13},
 		{"a key bit at the width of a partition of one byte", one([]string{narrowKey(1<<7, 1)}, []post{id(0)}), 1, 7},
-		{"2-byte keys differing only in byte 1, descending", one([]string{narrowKey(1|1<<8, 2), narrowKey(1, 2)}, []post{id(0), id(1)}), 2, 16},
-		{"2-byte keys ascending by byte, descending as words", one([]string{narrowKey(0x0100, 2), narrowKey(0x0001, 2)}, []post{id(0), id(1)}), 2, 16},
+		{"2-byte keys differing only in byte 1, against hash order", one(inOrder(true, narrowKey(1|1<<8, 2), narrowKey(1, 2)), []post{id(0), id(1)}), 2, 16},
 		// Unmasked, the first load reads 01 00 01 00 ff ff and the second
-		// 01 00 ff ff 00 00: ascending, where the keys are equal.
+		// 01 00 ff ff 00 00: two words, where the keys are equal.
 		{"equal adjacent 2-byte keys before a larger one", one([]string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, []post{id(0), id(1), id(2)}), 3, 16},
 		{"2-byte keys judged as a 40-bit projection", one([]string{narrowKey(1, 2)}, []post{id(0)}), 1, 40},
 		{"5-byte keys judged as a 64-bit projection", one([]string{narrowKey(1, 5)}, []post{id(0)}), 1, 64},
@@ -417,7 +424,7 @@ func fastPathSeeds() []struct {
 	// Every key length shorter than a word, with its pad as FreezeRows
 	// writes it, with a pad byte set, and with no pad at all.
 	for kl := 1; kl < 8; kl++ {
-		keys := []string{narrowKey(1, kl), narrowKey(2, kl)}
+		keys := hashOrder([]string{narrowKey(1, kl), narrowKey(2, kl)})
 		posts := []post{id(0), ids(1, 300)}
 		counts := []uint32{1, 2}
 		set := make([]byte, 8-kl)
@@ -449,10 +456,9 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"a singleton ref against a negative maxID":                   "entry 0: posting id 0 outside [0,-28)",
 		"a count one over its list":                                  "entry 0: truncated varint",
 		"a count one under its list":                                 "lists end at byte 2 of the 3-byte posting arena",
-		"equal adjacent keys":                                        "not strictly sorted at entry 1",
-		"keys differing only in byte 7, descending":                  "not strictly sorted at entry 1",
-		"keys differing only in byte 0, descending":                  "not strictly sorted at entry 1",
-		"ascending as words, descending by byte":                     "not strictly sorted at entry 1",
+		"equal adjacent keys":                                        "not in strict hash order at entry 1",
+		"keys differing only in byte 7, against hash order":          "not in strict hash order at entry 1",
+		"keys differing only in byte 0, against hash order":          "not in strict hash order at entry 1",
 		"a key bit at the partition width":                           "key 0 has bits set beyond dimension 61",
 		"a key bit at the width behind a bad list":                   "entry 1: truncated varint",
 		"one-word keys judged as two-word projections":               "key 0 is 8 bytes, a 70-bit projection packs to 16",
@@ -471,11 +477,11 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"an entry with count 0 behind a bad list":                    "entry 0: truncated varint",
 		"a bad singleton behind a bad list":                          "entry 0: truncated varint",
 		"a bad list behind a bad singleton":                          "entry 0: posting id 50 outside [0,10)",
-		"a bad singleton behind a key out of order":                  "not strictly sorted at entry 1",
+		"a bad singleton behind a key out of order":                  "not in strict hash order at entry 1",
 		"a key bit at the partition width, 2-byte keys":              "key 0 has bits set beyond dimension 13",
 		"a key bit at the width of a partition of one byte":          "key 0 has bits set beyond dimension 7",
-		"2-byte keys differing only in byte 1, descending":           "not strictly sorted at entry 1",
-		"equal adjacent 2-byte keys before a larger one":             "not strictly sorted at entry 1",
+		"2-byte keys differing only in byte 1, against hash order":   "not in strict hash order at entry 1",
+		"equal adjacent 2-byte keys before a larger one":             "not in strict hash order at entry 1",
 		"2-byte keys judged as a 40-bit projection":                  "key 0 is 2 bytes, a 40-bit projection packs to 5",
 		"5-byte keys judged as a 64-bit projection":                  "key 0 is 5 bytes, a 64-bit projection packs to 8",
 	}
@@ -751,11 +757,11 @@ func TestHostileEntryWidths(t *testing.T) {
 	}
 }
 
-// bucketOrderSeeds are sections whose keys are not in (bucket, key)
-// order, each with the id bound it is read against and what reading it
-// must say: a section in plain lexicographic order, as the format before
-// buckets wrote it; a key moved behind the first key of the next bucket
-// that has one; and the first two keys of a bucket swapped.
+// bucketOrderSeeds are sections whose keys are not in hash order, each
+// with the id bound it is read against and what reading it must say: a
+// section in plain lexicographic order, as the format before buckets
+// wrote it; a key moved behind the first key of the next bucket that has
+// one; and the first two keys of a bucket swapped.
 func bucketOrderSeeds() []struct {
 	name, want string
 	data       []byte
@@ -767,7 +773,7 @@ func bucketOrderSeeds() []struct {
 	}
 	f := FreezeRows(len(rows), 1, 13, rows)
 	post := map[string][]int32{}
-	var keys []string // in bucket order
+	var keys []string // in hash order
 	for e := range f.NumKeys() {
 		keys = append(keys, string(f.key(e)))
 		post[keys[e]] = f.appendList(e, nil)
@@ -798,14 +804,66 @@ func bucketOrderSeeds() []struct {
 		data       []byte
 		maxID      int32
 	}{
-		{"keys in plain lexicographic order", "frozen keys are in plain lexicographic order, not grouped by hash bucket", section(slices.Sorted(slices.Values(keys))), 40},
+		{"keys in plain lexicographic order", "frozen keys are in plain lexicographic order, not in hash order", section(slices.Sorted(slices.Values(keys))), 40},
 		{"a key moved into the next bucket", fmt.Sprintf("frozen key %d hashes to bucket %d, behind a key of bucket %d", dir[to], from, to), section(moved), 40},
-		{"two keys of a bucket out of order", fmt.Sprintf("frozen keys not strictly sorted at entry %d, in bucket %d", dir[wide]+1, wide), section(swapped), 40},
+		{"two keys of a bucket out of order", fmt.Sprintf("frozen keys not in strict hash order at entry %d, in bucket %d", dir[wide]+1, wide), section(swapped), 40},
 	}
 }
 
-// TestHostileBucketOrder: a section whose keys are not grouped by bucket
-// in ascending order, or not sorted inside a bucket, is refused — read
+// TestLookupsBeforeValidate: a section read without its content tier
+// builds its directory at its first lookup, whatever Validate would say.
+// Every lookup form — PostingLenWord, PostingLenBytes, LookupKey,
+// LookupWords and CollectWord — answers a read copy of a built index as
+// the build does before Validate has run, and, over the sections whose
+// keys are out of hash order, stays inside the arenas: a key may go
+// unfound, and nothing panics.
+func TestLookupsBeforeValidate(t *testing.T) {
+	rows := make([]uint64, 300)
+	for i := range rows {
+		rows[i] = uint64(i%97) * 0x9e37
+	}
+	built := FreezeRows(len(rows), 1, 30, rows)
+	sections := [][]byte{frozenBytes(built)}
+	for _, s := range bucketOrderSeeds() {
+		sections = append(sections, s.data)
+	}
+	for i, data := range sections {
+		f := readUnvalidated(data, math.MaxInt32)
+		if f == nil {
+			t.Fatalf("section %d: the structural tier rejects it", i)
+		}
+		var words []uint64
+		for e := range f.NumKeys() {
+			var w [8]byte
+			copy(w[:], f.key(e))
+			words = append(words, binary.LittleEndian.Uint64(w[:]))
+		}
+		words = append(words, f.keyMask()) // every key bit set: held by no section
+		fs := slices.Repeat([]*Frozen{f}, len(words))
+		entries, counts := make([]int32, len(words)), make([]uint32, len(words))
+		LookupWords(fs, words, entries, counts)
+		var buf []byte
+		for j, w := range words {
+			key := binary.LittleEndian.AppendUint64(nil, w)[:f.KeyLen()]
+			e, n := f.LookupKey([]uint64{w}, &buf), f.PostingLenWord(w)
+			if int(entries[j]) != e || int(counts[j]) != n || f.PostingLenBytes(key) != n {
+				t.Fatalf("section %d, key %#x: LookupWords %d/%d, LookupKey %d, PostingLenWord %d, PostingLenBytes %d",
+					i, w, entries[j], counts[j], e, n, f.PostingLenBytes(key))
+			}
+			set := IDSet{Seen: make([]uint64, 8)}
+			if got := f.CollectWord(w, &set); got != n {
+				t.Fatalf("section %d, key %#x: CollectWord decodes %d postings, PostingLenWord counts %d", i, w, got, n)
+			}
+			if i == 0 && n != built.PostingLenWord(w) {
+				t.Fatalf("key %#x: %d postings read back before Validate, %d built", w, n, built.PostingLenWord(w))
+			}
+		}
+	}
+}
+
+// TestHostileBucketOrder: a section whose keys are not in hash order —
+// not grouped by bucket in ascending order, or not sorted inside a
+// bucket — is refused: read
 // from a stream and in place, each with its own message, the content
 // tier's verdict the reference's.
 func TestHostileBucketOrder(t *testing.T) {
