@@ -399,13 +399,18 @@ func (v Vector) String() string {
 // OnesIndices returns the sorted list of dimensions set to 1; used by
 // the set-based (Jaccard/MinHash) views of a vector.
 func (v Vector) OnesIndices() []int {
-	out := make([]int, 0, 8)
+	return v.AppendOnes(make([]int, 0, 8))
+}
+
+// AppendOnes appends the dimensions set to 1, ascending, to dst and
+// returns the extended slice.
+func (v Vector) AppendOnes(dst []int) []int {
 	for wi, w := range v.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			out = append(out, wi*WordBits+b)
+			dst = append(dst, wi*WordBits+b)
 			w &= w - 1
 		}
 	}
-	return out
+	return dst
 }

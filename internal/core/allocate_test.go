@@ -12,6 +12,7 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
 	"gph/internal/engine"
+	"gph/internal/engine/enginetest"
 	"gph/internal/mmapio"
 )
 
@@ -291,6 +292,9 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		}
 		if st.Scanned != (tau == 40) {
 			t.Fatalf("tau=%d: the sweep should run the index twice, then scan: %+v", tau, *st)
+		}
+		if !st.Scanned {
+			enginetest.ScratchReturned(t, ix, q, tau)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := ix.Search(q, tau); err != nil {

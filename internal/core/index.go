@@ -32,8 +32,6 @@ type Index struct {
 	// scratch pools per-query working memory (seen bitmap, key
 	// buffer, candidate and CN-table slices) so steady-state searches
 	// allocate almost nothing; see search.go.
-	//
-	//gph:scratch
 	scratch sync.Pool
 
 	// The index's plan prices (allocate.go), grown under pricesMu.

@@ -133,8 +133,6 @@ func (ix *Index) scanKeys(i, t int, s *searchScratch) {
 
 // getScratch hands a pooled scratch to the caller, who owes it
 // back to the pool on every path out.
-//
-//gph:transfer scratch
 func (ix *Index) getScratch() *searchScratch {
 	s, _ := ix.scratch.Get().(*searchScratch)
 	if s == nil {
@@ -154,8 +152,6 @@ func (ix *Index) getScratch() *searchScratch {
 
 // putScratch returns a scratch to the pool, its candidate set empty
 // and its bitmap all zero.
-//
-//gph:release scratch
 func (ix *Index) putScratch(s *searchScratch) {
 	s.cand.Reset() // a no-op for whoever had to reset before reordering the ids
 	s.inv = nil

@@ -20,6 +20,32 @@ type statsSearcher interface {
 	SearchStats(q bitvec.Vector, tau int) ([]int32, *engine.Stats, error)
 }
 
+// ScratchReturned fails t unless a warm Search of (q, tau), answered by
+// the index, allocates no more than a copy of its result does. An engine
+// that pools its per-query scratch and misses the Put on some path makes
+// every later query allocate a scratch afresh, which shows here. Skipped
+// under the race detector, where sync.Pool drops puts at random.
+func ScratchReturned(t *testing.T, e engine.Engine, q bitvec.Vector, tau int) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches at random")
+	}
+	OnIndex(t, e, q, tau)
+	ids, err := e.Search(q, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := testing.AllocsPerRun(20, func() { _ = slices.Clone(ids) })
+	search := testing.AllocsPerRun(20, func() {
+		if _, err := e.Search(q, tau); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if search > result {
+		t.Errorf("tau=%d: a warm query on the index allocates %v times, a copy of its %d results %v", tau, search, len(ids), result)
+	}
+}
+
 // OnIndex fails t unless e answers (q, tau) by an index plan — on every
 // shard, if e is sharded. Size fixtures so that this holds under the
 // scan's kernel price; it then holds under the portable one.

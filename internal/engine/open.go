@@ -137,8 +137,6 @@ type opened struct {
 
 // acquire opens a read section on the backing mapping; every nil
 // error must be paired with release.
-//
-//gph:acquire mapping
 func (o *opened) acquire() error {
 	if o.m != nil && !o.m.Acquire() {
 		return ErrIndexClosed
@@ -147,8 +145,6 @@ func (o *opened) acquire() error {
 }
 
 // release exits the read section acquire opened.
-//
-//gph:release mapping
 func (o *opened) release() {
 	if o.m != nil {
 		o.m.Release()

@@ -486,13 +486,13 @@ func TestColdCloseRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMappingRefsDrain is the runtime counterpart of gphlint's
-// leakcheck analyzer: it races every bracketed entry point — Search,
-// SearchKNN, streaming iteration with early stop, Vector's panic path
-// — against Close, then asserts the mapping's acquire count returns
-// to zero once all readers join. A non-zero count is a Release missed
-// on some path (most likely an error or early-return path that the
-// static pairing analysis also guards).
+// TestMappingRefsDrain races every bracketed entry point of a mapped
+// engine — Search, SearchKNN, streaming iteration with early stop,
+// Vector's panic path — against Close, then asserts the mapping's
+// acquire count returns to zero once all readers join. A non-zero count
+// is a Release missed on some path, most likely an error or early
+// return. FuzzShardLifecycle holds the sharded index to the same count
+// after every step.
 func TestMappingRefsDrain(t *testing.T) {
 	for _, info := range engine.Infos() {
 		t.Run(info.Name, func(t *testing.T) {

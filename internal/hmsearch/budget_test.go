@@ -90,6 +90,25 @@ func TestRefusedQueryIsFree(t *testing.T) {
 	}
 }
 
+// TestIndexQueryReturnsScratch: a query that ends on the index hands its
+// scratch back to the pool (enginetest.ScratchReturned).
+func TestIndexQueryReturnsScratch(t *testing.T) {
+	ds, ix := wideFixture()
+	for _, q := range dataset.PerturbQueries(ds, 6, 6, 21) {
+		for tau := 0; tau <= fixtureTau; tau++ {
+			_, st, err := ix.SearchStats(q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Scanned {
+				enginetest.ScratchReturned(t, ix, q, tau)
+				return
+			}
+		}
+	}
+	t.Fatal("the fixture should end a query on the index")
+}
+
 // TestStreamMatchesSearchOnEveryRoute: SearchIter drained is Search,
 // distances included, however the query ends — on the index, refused, or
 // abandoned mid-probe with candidates already collected.

@@ -61,8 +61,6 @@ type Index struct {
 	// scratch pools per-query working memory (seen bitmap, candidate
 	// slice, projection, radius-1 key buffers) so steady-state searches
 	// allocate only the returned result slice.
-	//
-	//gph:scratch
 	scratch sync.Pool
 }
 
@@ -198,8 +196,6 @@ func (s *searchScratch) collect(id int32) bool {
 
 // getScratch hands a pooled scratch to the caller, who owes it
 // back to the pool on every path out.
-//
-//gph:transfer scratch
 func (ix *Index) getScratch() *searchScratch {
 	s, _ := ix.scratch.Get().(*searchScratch)
 	if s == nil {

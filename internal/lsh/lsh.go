@@ -81,10 +81,8 @@ type Index struct {
 	jaccardT float64
 
 	// scratch pools per-query working memory (seen bitmap, candidate
-	// slice, signature buffer) so steady-state searches allocate only
-	// the returned result slice.
-	//
-	//gph:scratch
+	// slice, set dimensions, signature buffer) so steady-state searches
+	// allocate only the returned result slice.
 	scratch sync.Pool
 }
 
@@ -137,7 +135,7 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 	rows := make([]uint64, len(data)*words)
 	for ti := 0; ti < l; ti++ {
 		for id, v := range data {
-			ix.signature(v, ti, rows[id*words:(id+1)*words])
+			ix.signature(v.OnesIndices(), ti, rows[id*words:(id+1)*words])
 		}
 		ix.tables[ti] = invindex.FreezeRows(len(data), 1, 32*opts.K, rows)
 	}
@@ -148,11 +146,11 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 // a word.
 func (ix *Index) sigWords() int { return (ix.opts.K + 1) / 2 }
 
-// signature writes table ti's band signature of v into sig: minhash r in
-// bits [32·(r mod 2), 32·(r mod 2) + 32) of word r/2.
-func (ix *Index) signature(v bitvec.Vector, ti int, sig []uint64) {
+// signature writes table ti's band signature of the vector whose set
+// dimensions are ones into sig: minhash r in bits [32·(r mod 2),
+// 32·(r mod 2) + 32) of word r/2.
+func (ix *Index) signature(ones []int, ti int, sig []uint64) {
 	clear(sig)
-	ones := v.OnesIndices()
 	for r := 0; r < ix.opts.K; r++ {
 		h := ix.ha[ti*ix.opts.K+r]
 		b := ix.hb[ti*ix.opts.K+r]
@@ -217,14 +215,13 @@ func (ix *Index) SizeBytes() int64 {
 // the returned result slice.
 type searchScratch struct {
 	col    engine.Collector
+	ones   []int // the query's set dimensions, shared by every table
 	sig    []uint64
 	keyBuf []byte
 }
 
 // getScratch hands a pooled scratch to the caller, who owes it
 // back to the pool on every path out.
-//
-//gph:transfer scratch
 func (ix *Index) getScratch() *searchScratch {
 	s, _ := ix.scratch.Get().(*searchScratch)
 	if s == nil {
@@ -260,8 +257,9 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	defer ix.scratch.Put(s)
 	sigs := 0
 	var sumPost int64
+	s.ones = q.AppendOnes(s.ones[:0])
 	for ti, table := range ix.tables {
-		ix.signature(q, ti, s.sig)
+		ix.signature(s.ones, ti, s.sig)
 		sigs++
 		sumPost += int64(table.CollectEntry(table.LookupKey(s.sig, &s.keyBuf), &s.col.Set))
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gph/internal/dataset"
+	"gph/internal/engine/enginetest"
 	"gph/internal/linscan"
 )
 
@@ -41,6 +42,18 @@ func TestNoFalsePositives(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchReturnsScratch: a warm query allocates its result and
+// nothing more (enginetest.ScratchReturned); the query's set dimensions
+// are listed once into the scratch, not once a table.
+func TestSearchReturnsScratch(t *testing.T) {
+	ds := dataset.UQVideoLike(800, 2)
+	ix, err := Build(ds.Vectors, 12, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enginetest.ScratchReturned(t, ix, ds.Vectors[5], 12)
 }
 
 // TestRecallOnDesignRange: on clustered data at its design threshold

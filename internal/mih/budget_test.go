@@ -110,6 +110,13 @@ func TestRefusedQueryIsFree(t *testing.T) {
 	}
 }
 
+// TestIndexQueryReturnsScratch: a query that ends on the index hands its
+// scratch back to the pool (enginetest.ScratchReturned).
+func TestIndexQueryReturnsScratch(t *testing.T) {
+	_, ix, q, tauOf := routeFixture(t)
+	enginetest.ScratchReturned(t, ix, q, tauOf[onIndex])
+}
+
 // TestStreamMatchesSearchOnEveryRoute: SearchIter drained is Search,
 // distances included, however the query ends — on the index, refused, or
 // abandoned mid-ball with candidates already collected.

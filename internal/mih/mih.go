@@ -67,8 +67,6 @@ type Index struct {
 	// scratch pools per-query working memory (seen bitmap, key buffer,
 	// candidate slice, projection, enumerator) so steady-state searches
 	// allocate only the returned result slice.
-	//
-	//gph:scratch
 	scratch sync.Pool
 }
 
@@ -192,8 +190,6 @@ func (s *searchScratch) probe(v bitvec.Vector) bool {
 
 // getScratch hands a pooled scratch to the caller, who owes it
 // back to the pool on every path out.
-//
-//gph:transfer scratch
 func (ix *Index) getScratch() *searchScratch {
 	s, _ := ix.scratch.Get().(*searchScratch)
 	if s == nil {
@@ -208,8 +204,6 @@ func (ix *Index) getScratch() *searchScratch {
 }
 
 // putScratch returns a scratch to the pool.
-//
-//gph:release scratch
 func (ix *Index) putScratch(s *searchScratch) {
 	s.inv = nil
 	ix.scratch.Put(s)

@@ -131,7 +131,6 @@ func (s *Index) SaveFile(path string) error {
 	// Checkpoint atomicity: the writer lock must pin owner/nextID and
 	// every shard snapshot across the tmp write, rename and WAL reset,
 	// so the syncs below deliberately run inside the critical section.
-	//gphlint:ignore lockorder checkpoint atomicity pins index state across tmp sync, rename and wal reset
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("shard: checkpoint: %w", err)
@@ -147,7 +146,6 @@ func (s *Index) SaveFile(path string) error {
 	// the old snapshot while the truncation persisted — old snapshot +
 	// empty log loses every update since the previous checkpoint.
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		//gphlint:ignore lockorder checkpoint atomicity: directory entry durable before the log truncates
 		serr := dir.Sync()
 		dir.Close()
 		if serr != nil {
@@ -157,7 +155,6 @@ func (s *Index) SaveFile(path string) error {
 		return fmt.Errorf("shard: checkpoint: %w", err)
 	}
 	if s.wal != nil {
-		//gphlint:ignore lockorder checkpoint atomicity: wal truncation must not race a writer
 		if err := s.wal.Reset(); err != nil {
 			return fmt.Errorf("shard: checkpointing wal: %w", err)
 		}
@@ -398,7 +395,6 @@ func loadDeferred(src *binio.Source) (*Index, error) {
 			sh.delta = append(sh.delta, deltaEntry{id: gid, vec: bitvec.FromWords(dims, ws)})
 			s.owner[gid] = i
 		}
-		//gphlint:ignore epochpair load publishes the first snapshots before the index is reachable
 		s.shards[i].Store(sh)
 	}
 	if err := br.Err(); err != nil {
@@ -501,7 +497,6 @@ func adopt(e engine.Engine) (*Index, error) {
 	s.dims.Store(int32(e.Dims()))
 	s.nextID = int32(n)
 	s.live.Store(int64(n))
-	//gphlint:ignore epochpair adopt publishes the first snapshot before the index is reachable
 	s.shards[0].Store(sh)
 	return s, nil
 }

@@ -323,29 +323,6 @@ func FuzzLoadContainer(f *testing.F) {
 	})
 }
 
-// TestEmptyRoundTrip: a never-built index (dims 0) must survive
-// persistence.
-func TestEmptyRoundTrip(t *testing.T) {
-	s, err := New(4, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 0 || loaded.Dims() != 0 || loaded.NumShards() != 4 {
-		t.Fatalf("empty shape: %d/%d/%d", loaded.Len(), loaded.Dims(), loaded.NumShards())
-	}
-	if _, err := loaded.Insert(dataset.SIFTLike(1, 1).Vectors[0]); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLoadCorrupt: truncations and bit flips must fail cleanly, never
 // panic.
 func TestLoadCorrupt(t *testing.T) {
@@ -470,58 +447,6 @@ func mappedIndex(t *testing.T) *Index {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestMappedContainerDifferential: a container opened over a mapping
-// answers exactly like the same file loaded onto the heap, through
-// updates and compaction (the mapping outlives compaction — rebuilt
-// engines keep borrowed vector views into it).
-func TestMappedContainerDifferential(t *testing.T) {
-	s := dirtyIndex(t)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "container.idx")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	heap, err := OpenFile(path, engine.OpenHeap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenFile(path, engine.OpenMMap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	queries := dataset.PerturbQueries(dataset.UQVideoLike(500, 17), 6, 4, 3)
-	check := func(stage string) {
-		t.Helper()
-		for qi, q := range queries {
-			for _, tau := range []int{0, 8, 20} {
-				want, err := heap.Search(q, tau)
-				if err != nil {
-					t.Fatalf("%s: heap search: %v", stage, err)
-				}
-				got, err := mapped.Search(q, tau)
-				if err != nil {
-					t.Fatalf("%s: mapped search: %v", stage, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: q%d tau=%d: mapped %v != heap %v", stage, qi, tau, got, want)
-				}
-			}
-		}
-	}
-	check("fresh")
-	if err := mapped.Compact(); err != nil {
-		t.Fatalf("compacting mapped container: %v", err)
-	}
-	if err := heap.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("compacted")
 }
 
 // TestMappedSearchRacesCloseAndCompact drives searches on several

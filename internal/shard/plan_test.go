@@ -308,112 +308,6 @@ func TestCachedHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestCacheEpochInvalidation plants a deliberately poisoned cache
-// entry at the current epoch — proving lookups really serve it — then
-// shows one Insert's snapshot swap makes it unreachable: the next
-// search recomputes against the new live set instead of serving the
-// stale (now wrong) cached ids.
-func TestCacheEpochInvalidation(t *testing.T) {
-	ds := dataset.UQVideoLike(600, 5)
-	s, err := Build(ds.Vectors, 2, planOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	q := dataset.PerturbQueries(ds, 1, 4, 23)[0]
-	const tau = 8
-
-	// Ground truth via the uncached path — Search would fill the real
-	// entry first, and Put keeps the incumbent on a duplicate key.
-	honest, err := s.searchUncached(q, tau, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Poison the entry the next lookup will consult.
-	poisoned := []int32{-1, -2, -3}
-	key := plan.Key{
-		Hash:  plan.HashWords(q.Words(), uint64(q.Dims())),
-		Epoch: s.Epoch(), Tau: tau, K: -1, Eng: s.engID,
-	}
-	s.cache.Put(key, poisoned, nil)
-	got, err := s.Search(q, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalIDs(got, poisoned) {
-		t.Fatalf("planted entry not served: got %v — the epoch test proves nothing if lookups bypass the cache", got)
-	}
-
-	// One insert publishes a new snapshot and bumps the epoch; the
-	// stale entry must never be served again.
-	before := s.Epoch()
-	id, err := s.Insert(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch() <= before {
-		t.Fatalf("Insert did not bump the epoch (%d -> %d)", before, s.Epoch())
-	}
-	got, err = s.Search(q, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if equalIDs(got, poisoned) {
-		t.Fatal("pre-swap cached result served after the epoch bump")
-	}
-	want := append(append([]int32(nil), honest...), id)
-	if !equalIDs(got, want) {
-		t.Fatalf("post-swap search: got %v, want %v", got, want)
-	}
-}
-
-// TestEpochMonotonic pins the epoch contract: every snapshot-swapping
-// operation (Insert, Delete, Compact) strictly increases the
-// index-wide epoch and the owning shard's Stats().Epoch.
-func TestEpochMonotonic(t *testing.T) {
-	ds := dataset.UQVideoLike(400, 9)
-	s, err := Build(ds.Vectors, 2, planOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sum := func() uint64 {
-		var n uint64
-		for _, st := range s.ShardStats() {
-			n += st.Epoch
-		}
-		return n
-	}
-	last, lastSum := s.Epoch(), sum()
-	step := func(op string) {
-		if e := s.Epoch(); e <= last {
-			t.Fatalf("%s: index epoch not bumped (%d -> %d)", op, last, e)
-		} else {
-			last = e
-		}
-		if n := sum(); n <= lastSum {
-			t.Fatalf("%s: no shard epoch bumped (%d -> %d)", op, lastSum, n)
-		} else {
-			lastSum = n
-		}
-	}
-	if _, err := s.Insert(ds.Vectors[0]); err != nil {
-		t.Fatal(err)
-	}
-	step("Insert")
-	// Delete a built id (not the fresh delta insert) so the shard stays
-	// dirty and Compact below has real folding to do.
-	if err := s.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	step("Delete")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	step("Compact")
-}
-
 // TestCacheUnderConcurrentChurn races cached searches against
 // Insert/Delete/Compact and asserts every result matches the live set
 // at some moment of the query's execution window — i.e. concurrent

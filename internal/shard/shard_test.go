@@ -3,13 +3,18 @@ package shard
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gph/internal/bitvec"
 	"gph/internal/core"
 	"gph/internal/dataset"
+	"gph/internal/engine"
 	"gph/internal/engine/enginetest"
 )
 
@@ -121,110 +126,6 @@ func TestSearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestUpdateEquivalence mixes Insert, Delete and Compact and checks
-// that searches keep matching a linear scan of the live set at every
-// stage — the delta buffer and tombstones must be invisible to
-// callers.
-func TestUpdateEquivalence(t *testing.T) {
-	// 3 000 rows a shard, so that tombstones are filtered out of index
-	// results (τ = 1) as well as out of scans (τ = 8).
-	ds := dataset.SIFTLike(9000, 3)
-	sharded, err := Build(ds.Vectors, 3, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enginetest.OnIndex(t, sharded, ds.Vectors[0], 1)
-	live := map[int32]bitvec.Vector{}
-	for id, v := range ds.Vectors {
-		live[int32(id)] = v
-	}
-	rng := rand.New(rand.NewSource(11))
-	fresh := dataset.SIFTLike(200, 4)
-	queries := dataset.PerturbQueries(ds, 6, 3, 55)
-
-	check := func(stage string) {
-		t.Helper()
-		if sharded.Len() != len(live) {
-			t.Fatalf("%s: Len %d, want %d", stage, sharded.Len(), len(live))
-		}
-		for _, tau := range []int{1, 3, 8} {
-			for qi, q := range queries {
-				want := bruteRange(live, q, tau)
-				got, err := sharded.Search(q, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalIDs(want, got) {
-					t.Fatalf("%s tau=%d query %d: scan %v, sharded %v", stage, tau, qi, want, got)
-				}
-			}
-		}
-		for qi, q := range queries {
-			want := bruteKNN(live, q, 7)
-			got, err := sharded.SearchKNN(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) != len(got) {
-				t.Fatalf("%s query %d: scan %d neighbours, sharded %d", stage, qi, len(want), len(got))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s query %d neighbour %d: scan %v, sharded %v", stage, qi, i, want[i], got[i])
-				}
-			}
-		}
-	}
-
-	check("initial")
-	// Insert a batch, delete a mix of built and fresh ids.
-	for _, v := range fresh.Vectors {
-		id, err := sharded.Insert(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live[id] = v
-	}
-	check("after inserts")
-	ids := make([]int32, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for i := 0; i < 120; i++ {
-		id := ids[rng.Intn(len(ids))]
-		if _, ok := live[id]; !ok {
-			continue
-		}
-		if err := sharded.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		delete(live, id)
-	}
-	check("after deletes")
-	if err := sharded.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range sharded.ShardStats() {
-		if sh.Delta != 0 || sh.Tombstones != 0 {
-			t.Fatalf("compact left buffers: %+v", sh)
-		}
-	}
-	check("after compact")
-	// A second round exercises compact-of-compacted state.
-	for _, v := range fresh.Vectors[:40] {
-		id, err := sharded.Insert(v.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		live[id] = v
-	}
-	if err := sharded.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("after second compact")
-}
-
 // TestEmptyAndEdgeCases covers the empty sharded index (legal, unlike
 // an empty core index) and the query-contract errors.
 func TestEmptyAndEdgeCases(t *testing.T) {
@@ -330,16 +231,45 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchAndUpdate runs searches, inserts, deletes and
-// compactions from many goroutines; under -race this asserts the
-// locking discipline.
+// TestConcurrentSearchAndUpdate runs at once, over a mapped index with a
+// WAL attached: searches, logged inserts and deletes, explicit and async
+// compactions, SaveFile checkpoints, and a Close that lands midway. Under
+// -race this asserts the locking discipline; the watchdog turns a
+// deadlock (a lock taken twice, two taken in opposite orders) into a
+// failure that prints every goroutine's stack.
 func TestConcurrentSearchAndUpdate(t *testing.T) {
 	ds := dataset.SIFTLike(400, 9)
-	s, err := Build(ds.Vectors[:300], 2, testOpts())
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.gph")
+	built, err := Build(ds.Vectors[:300], 2, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	// No deferred Close: the workload closes the index, and after a hang
+	// a deferred Close would wait on the deadlocked lock.
+	s, err := OpenFile(path, engine.OpenMMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenWAL(filepath.Join(dir, "index.wal")); err != nil {
+		t.Fatal(err)
+	}
 	queries := dataset.PerturbQueries(ds, 4, 3, 13)
+	// ok reports whether an operation succeeded; it may fail only once
+	// Close has begun.
+	var closing atomic.Bool
+	ok := func(op string, err error) bool {
+		if err != nil && !closing.Load() {
+			t.Errorf("%s: %v", op, err)
+		}
+		return err == nil
+	}
+	halfway := make(chan struct{})
+	var once sync.Once
+	closeHalfway := func() { once.Do(func() { close(halfway) }) }
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -347,7 +277,7 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				for _, q := range queries {
-					if _, err := s.Search(q, 6); err != nil {
+					if _, err := s.Search(q, 6); err != nil && !errors.Is(err, engine.ErrIndexClosed) {
 						t.Error(err)
 						return
 					}
@@ -355,30 +285,49 @@ func TestConcurrentSearchAndUpdate(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
+		defer closeHalfway()
 		for i, v := range ds.Vectors[300:] {
+			if i == 50 {
+				closeHalfway()
+			}
 			id, err := s.Insert(v)
-			if err != nil {
-				t.Error(err)
+			if !ok("insert", err) || i%3 == 0 && !ok("delete", s.Delete(id)) || i%25 == 0 && !ok("compact", s.Compact()) {
 				return
-			}
-			if i%3 == 0 {
-				if err := s.Delete(id); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if i%25 == 0 {
-				if err := s.Compact(); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}
 	}()
-	wg.Wait()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			s.CompactAsync()
+			if !ok("checkpoint", s.SaveFile(filepath.Join(dir, "checkpoint.gph"))) {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-halfway
+		closing.Store(true)
+		ok("close", s.Close())
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("the workload hung for a minute; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	if refs := s.mapping.Refs(); refs != 0 {
+		t.Fatalf("the closed mapping holds %d references", refs)
+	}
 }
 
 // TestBoundedHeap cross-checks the kNN merge heap against a full

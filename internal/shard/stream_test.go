@@ -26,10 +26,13 @@ func drainStream(t *testing.T, s *Index, q bitvec.Vector, tau int) ([]int32, []i
 	return ids, dists
 }
 
-// TestStreamMatchesSearch pins the k-way merge against Search across
-// the full update lifecycle: built-only, with delta inserts, with
-// tombstones, and after compaction — the streamed id sequence must
-// equal Search exactly at every stage, with true distances.
+// TestStreamMatchesSearch pins the k-way merge against Search, and
+// Search against a scan of the live set, across the full update
+// lifecycle: built-only, with delta inserts, with tombstones, and after
+// compaction — the streamed id sequence must equal Search exactly at
+// every stage, with true distances. The shards are large enough that
+// small τ runs their index, so tombstones are filtered out of index
+// results as well as out of scans.
 func TestStreamMatchesSearch(t *testing.T) {
 	// 3 000 rows a shard: the merge is fed by streams of verified index
 	// candidates at τ ≤ 2 and by streamed scans past it.
@@ -51,6 +54,9 @@ func TestStreamMatchesSearch(t *testing.T) {
 				want, err := s.Search(q, tau)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if scan := bruteRange(live, q, tau); !equalIDs(want, scan) {
+					t.Fatalf("%s tau=%d query %d: Search %v, the scan %v", stage, tau, qi, want, scan)
 				}
 				got, dists := drainStream(t, s, q, tau)
 				if !equalIDs(got, want) {

@@ -35,39 +35,3 @@ func TestBorrowAlias(t *testing.T) {
 func TestBorrowAliasClean(t *testing.T) {
 	testkit.Run(t, analyzers.BorrowAlias, "gph/borrow/clean")
 }
-
-func TestLeakCheck(t *testing.T) {
-	testkit.Run(t, analyzers.LeakCheck, "gph/leak/a")
-}
-
-func TestLeakCheckClean(t *testing.T) {
-	testkit.Run(t, analyzers.LeakCheck, "gph/leak/clean")
-}
-
-func TestLeakCheckPrimitivePackage(t *testing.T) {
-	testkit.Run(t, analyzers.LeakCheck, "gph/leak/internal/mmapio")
-}
-
-func TestLeakCheckAnnotatedWrappers(t *testing.T) {
-	testkit.Run(t, analyzers.LeakCheck, "gph/leak/dep")
-}
-
-func TestEpochPair(t *testing.T) {
-	testkit.Run(t, analyzers.EpochPair, "gph/epair/internal/shard")
-}
-
-func TestEpochPairOutOfScope(t *testing.T) {
-	testkit.Run(t, analyzers.EpochPair, "gph/epair/notshard")
-}
-
-func TestLockOrder(t *testing.T) {
-	testkit.Run(t, analyzers.LockOrder, "gph/locks/a")
-}
-
-func TestLockOrderClean(t *testing.T) {
-	testkit.Run(t, analyzers.LockOrder, "gph/locks/clean")
-}
-
-func TestLockOrderCrossPackageCycle(t *testing.T) {
-	testkit.Run(t, analyzers.LockOrder, "gph/locks/cycle")
-}

@@ -1,15 +1,11 @@
-// Package analyzers holds gphlint's six analyzers, each encoding one
+// Package analyzers holds gphlint's three analyzers, each encoding one
 // of the repository's load-bearing invariants that no test can check
 // on the running code: hotpath (allocation-free annotated query
 // paths), borrowalias (zero-copy arena borrows on the mapped open
-// path), snapshotsafety (immutable published shard snapshots), and —
-// built on the internal/cfg + internal/dataflow engine (DESIGN.md §15)
-// — the three path-sensitive pairing analyzers: leakcheck (resources
-// released on every path), epochpair (snapshot stores post-dominated
-// by an epoch bump) and lockorder (module-wide lock ordering and the
-// no-fsync-under-writer-lock rule). The documentation, determinism
-// and error-sentinel rules run as plain tests under go test. DESIGN.md
-// §11 names those tests and says how to suppress a finding.
+// path) and snapshotsafety (immutable published shard snapshots). The
+// documentation, determinism, error-sentinel, resource-pairing, epoch
+// and lock rules run as tests under go test. DESIGN.md §11 names those
+// tests and says how to suppress a finding.
 package analyzers
 
 import (
@@ -27,9 +23,6 @@ func All() []*lint.Analyzer {
 		Hotpath,
 		BorrowAlias,
 		SnapshotSafety,
-		LeakCheck,
-		EpochPair,
-		LockOrder,
 	}
 }
 
@@ -143,19 +136,6 @@ func isString(t types.Type) bool {
 // letting test fixtures mirror those paths under shorter roots.
 func pkgPathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// callFullName returns "pkgpath.Func" for static package-level
-// calls, "" otherwise.
-func callFullName(info *types.Info, call *ast.CallExpr) string {
-	fn := staticCallee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return ""
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
 }
 
 // shortPos renders a stable "file:line" with the path's base name

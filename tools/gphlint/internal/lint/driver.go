@@ -94,7 +94,6 @@ type Unit struct {
 // can still see them.
 func RunAnalyzers(unit *Unit, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
 	sup := collectSuppressions(unit.Fset, unit.Files)
-	shared := map[string]any{}
 	var out []Diagnostic
 	for _, a := range analyzers {
 		a := a
@@ -120,14 +119,6 @@ func RunAnalyzers(unit *Unit, analyzers []*Analyzer, store *FactStore) ([]Diagno
 			},
 			Suppressed: func(pos token.Pos) bool {
 				return sup.suppressed(a.Name, unit.Fset.Position(pos))
-			},
-			Shared: func(key string, build func() any) any {
-				if v, ok := shared[key]; ok {
-					return v
-				}
-				v := build()
-				shared[key] = v
-				return v
 			},
 		}
 		if err := a.Run(pass); err != nil {

@@ -104,13 +104,6 @@ type Pass struct {
 	// so a suppressed finding does not leak into an exported fact and
 	// resurface in a downstream package.
 	Suppressed func(pos token.Pos) bool
-	// Shared memoizes a derived structure per compilation unit so
-	// analyzers that need the same expensive artifact (the
-	// control-flow graphs leakcheck, epochpair and lockorder all
-	// solve over) build it once instead of once per analyzer. The
-	// first caller's build result is returned to every later caller
-	// of the same key.
-	Shared func(key string, build func() any) any
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -146,29 +139,4 @@ func HasAnnotation(doc *ast.CommentGroup, marker string) bool {
 		}
 	}
 	return false
-}
-
-// AnnotationArg returns the first argument of a //gph:<marker> <arg>
-// annotation ("" with ok=true for a bare marker, ok=false when the
-// marker is absent). Resource-class annotations use it:
-// //gph:acquire mapping, //gph:release scratch, //gph:transfer
-// scratch.
-func AnnotationArg(doc *ast.CommentGroup, marker string) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == marker {
-			return "", true
-		}
-		if rest, ok := strings.CutPrefix(text, marker+" "); ok {
-			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				return "", true
-			}
-			return fields[0], true
-		}
-	}
-	return "", false
 }

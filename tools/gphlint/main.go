@@ -1,12 +1,10 @@
 // Command gphlint is the repository's custom static-analysis suite:
-// a go vet -vettool multichecker whose six analyzers check what no
+// a go vet -vettool multichecker whose three analyzers check what no
 // test can see on the running code: allocation-free hot paths,
-// zero-copy borrows, immutable published snapshots and (on the
-// CFG/dataflow engine, DESIGN.md §15) Acquire/Release on every path
-// (leakcheck), snapshot Store post-dominated by an epoch bump
-// (epochpair), and lock ordering with the group-commit fsync rule
-// (lockorder). Doc comments, byte-identical saves and sentinel-wrapped
-// query errors are plain tests under go test (DESIGN.md §11).
+// zero-copy borrows and immutable published snapshots. Doc comments,
+// byte-identical saves, sentinel-wrapped query errors, released
+// resources, epoch bumps and the group-commit fsync rule are plain
+// tests under go test (DESIGN.md §11).
 //
 // Usage (CI runs exactly this):
 //
