@@ -50,8 +50,11 @@ type planPrices struct {
 	gen  [][]int64 // per partition, priceGeneration's row
 	scan []int64   // scan[τ]: verify.Codes.ScanSteps
 	// start prices what precedes the first DP round: binding the query, a
-	// step a dimension (BenchmarkPlanPrices' "bind": 120–160 ns at 128
-	// dimensions, 290–340 at 256), and the m row starts.
+	// step a dimension, and the m row starts. A step a dimension is what
+	// the gather cost (BenchmarkPlanPrices' "bind": 120–160 ns at 128
+	// dimensions, 290–340 at 256); the PEXT arm binds in a fifth to a
+	// seventh of that, but the price stays where every route was fitted
+	// (ROADMAP 6(g)).
 	start int64
 	// floor[τ] is the cheapest any threshold vector can be at τ on any CN
 	// table: min over ‖T‖₁ = τ − m + 1, Tᵢ ≥ −1, of Σᵢ genPrice(i, Tᵢ) +
@@ -124,9 +127,9 @@ func probeBeatsScan(ball uint64, keys int) bool {
 }
 
 // bindQuery points a scratch fresh from the pool (s.q zero) at its
-// query: q is projected onto every partition once — allocation and the
-// probe loop both read the projections — and every CN row is
-// forgotten. The binding lasts until putScratch.
+// query: q is projected onto every partition at once, by the index's
+// projector — allocation and the probe loop both read the projections —
+// and every CN row is forgotten. The binding lasts until putScratch.
 //
 //gph:hotpath
 func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
@@ -134,32 +137,22 @@ func (ix *Index) bindQuery(q bitvec.Vector, s *searchScratch) {
 		ix.carveProjections(s)
 	}
 	s.q = q
-	for i, dimsI := range ix.parts.Parts {
-		q.ProjectInto(dimsI, s.projs[i])
+	ix.proj.Project(q, s.arena)
+	for i := range s.known {
 		s.known[i] = -1
 		s.starts[i] = noStart
 	}
 }
 
 // carveProjections sizes a new scratch for this index's partitioning:
-// one projection view per partition over a single word arena, and the
+// the projector's arena and a view of it per partition, and the
 // per-partition allocation state. Runs once per pooled scratch, and the
 // first one an index makes is where its bucket directories get built: a
 // query has got past the free verdict and is about to probe.
 func (ix *Index) carveProjections(s *searchScratch) {
 	ix.warmDirs()
 	m := ix.parts.NumParts()
-	words := 0
-	for _, dimsI := range ix.parts.Parts {
-		words += (len(dimsI) + 63) / 64
-	}
-	arena := make([]uint64, words)
-	s.projs = make([]bitvec.Vector, m)
-	for i, dimsI := range ix.parts.Parts {
-		n := (len(dimsI) + 63) / 64
-		s.projs[i] = bitvec.FromWordsSharedUnchecked(len(dimsI), arena[:n:n])
-		arena = arena[n:]
-	}
+	s.arena, s.projs = ix.proj.Views()
 	s.table = make(alloc.Table, m)
 	s.known = make([]int, m)
 	s.widths = ix.parts.Widths()

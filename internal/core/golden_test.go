@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"gph/internal/dataset"
@@ -39,9 +40,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"9969782912cec83c8326f38ad2420ab5211e6f9e7def5dcf70a8316898bf6483",
-		"f917477cece7aafc8caa2cde8f12f2c84e5375ae89f2bb628563e225465fea38",
-		"3a6acd318aee9ca9092cb3735f8374c8e5370a4c302306e067ee41d4e9515c58",
+		"7b74ad91fa1de66aa64598d94eb500bd0858443f46fcad6bbb84e2fab8be4a4f",
+		"db8468451128c59abc723b67266c0580d32a317332c4c780d4241ed51869bcf5",
+		"00034149770f632fa0f61da653f17d27c21d5da8309a411e0d6854ca70edb5c0",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -70,9 +71,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"5502ac42a82f06ad0006c42f00288b70131a25836bb9b549cbac1912aac2a360", 16624, breakdown{8238, 609, 5177, 1800}},
-		{"34a86aed903088662361e538483e1a6862a52f07748da7ab68a38c29b81a06f0", 33704, breakdown{17901, 2731, 7724, 3348}},
-		{"08caadcbdc62230409486cdd8f5f9c25b98b1f6a1372063682c630939a02065c", 34367, breakdown{20066, 3664, 6185, 2452}},
+		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 16624, breakdown{8238, 609, 5177, 1800}},
+		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 33704, breakdown{17901, 2731, 7724, 3348}},
+		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 34367, breakdown{20066, 3664, 6185, 2452}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()
@@ -98,6 +99,20 @@ func TestBuildContentGolden(t *testing.T) {
 			t.Errorf("%s: content %s, %d bytes (keys %d, posts %d, entries %d, directories %d); want %s, %d (%d, %d, %d, %d)",
 				goldenCorpora[i].name, got.sha, got.size, got.keys, got.posts, got.entries, got.dirs,
 				want.sha, want.size, want.keys, want.posts, want.entries, want.dirs)
+		}
+	}
+}
+
+// TestBuildDimsAscend: a build writes every partition's dims ascending,
+// whatever order refinement left them in, so that its projector may
+// extract them a vector word at a time (bitvec.Projector).
+func TestBuildDimsAscend(t *testing.T) {
+	for i := range goldenCorpora {
+		ix := goldenBuild(t, i)
+		for p, part := range ix.Partitioning().Parts {
+			if !slices.IsSorted(part) {
+				t.Errorf("%s: partition %d's dims %v do not ascend", goldenCorpora[i].name, p, part)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +26,7 @@ type Index struct {
 	// and Vector hands out views of its rows.
 	codes *verify.Codes
 	parts *partition.Partitioning
+	proj  *bitvec.Projector // binds a query to every partition at once
 	inv   []*invindex.Frozen
 	opts  Options
 	stats BuildStats
@@ -98,7 +100,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.parts = parts
+	ix.parts, ix.proj = parts, bitvec.NewProjector(dims, parts.Parts)
 	ix.stats.PartitionNanos = time.Since(start).Nanoseconds()
 
 	// Offline phase 2: per-partition inverted indexes. Partitions are
@@ -220,6 +222,12 @@ func buildPartitioning(sample []bitvec.Vector, dims, totalRows int, opts Options
 			cfg.TotalRows = totalRows
 		}
 		p, _ = partition.Refine(p, sample, wl, cfg)
+	}
+	// Each key is the same set of bits in any order, so the order is
+	// free: ascending, a partition's bits in one vector word are one
+	// PEXT's (bitvec.Projector).
+	for _, part := range p.Parts {
+		slices.Sort(part)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("core: partitioning invalid: %w", err)

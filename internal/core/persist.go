@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"gph/internal/binio"
+	"gph/internal/bitvec"
 	"gph/internal/invindex"
 	"gph/internal/partition"
 	"gph/internal/verify"
@@ -260,7 +261,7 @@ func loadCompact(br *binio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ix := &Index{dims: dims, count: count, codes: codes, parts: parts, opts: opts, deepPending: true}
+	ix := &Index{dims: dims, count: count, codes: codes, parts: parts, proj: bitvec.NewProjector(dims, parts.Parts), opts: opts, deepPending: true}
 	ix.inv = make([]*invindex.Frozen, numParts)
 	for i := range headers {
 		inv, err := headers[i].ReadPayload(br)

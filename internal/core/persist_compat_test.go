@@ -21,7 +21,8 @@ import (
 // testdata/index-gphix10.bin (120 vectors × 48 dims in three partitions
 // of 15–17 bits, so keys of 2 and 3 bytes and their pads; MaxTau 16,
 // Seed 7) loads into the heap and borrowed in place, answers like a
-// linear scan over its own vectors, generates
+// linear scan over its own vectors (binding them through the projector's
+// gather arm: its partitions' dims are in refinement's order), generates
 // candidates that miss none of those answers (Search scans at 120 rows,
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
@@ -44,6 +45,11 @@ func TestCurrentFixtureBytes(t *testing.T) {
 		}
 		if ix.Dims() != 48 || ix.Len() != 120 {
 			t.Fatalf("%s: fixture decoded as %d dims × %d vectors", name, ix.Dims(), ix.Len())
+		}
+		// Written before builds sorted each partition's dims, the fixture's
+		// do not ascend: it binds its queries through the gather.
+		if arm := ix.proj.Arm(); arm != "gather" || slices.IsSorted(ix.parts.Parts[0]) {
+			t.Fatalf("%s: fixture partition 0 %v projects on the %s arm, want unsorted dims and the gather", name, ix.parts.Parts[0], arm)
 		}
 		var buf bytes.Buffer
 		if err := ix.Save(&buf); err != nil {

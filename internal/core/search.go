@@ -33,7 +33,8 @@ type searchScratch struct {
 	// projection onto each partition, the lazily refined CN table with
 	// each row's exact radius, and what refining it took.
 	q      bitvec.Vector
-	projs  []bitvec.Vector // views over one word arena (carveProjections)
+	arena  []uint64        // what the index's projector writes (bindQuery)
+	projs  []bitvec.Vector // views over arena, a partition each
 	widths []int
 	gen    [][]int64     // per partition, the price of collecting a ball (priceGeneration)
 	table  alloc.Table   // table[i][e+1]: CN(qᵢ, e), exact through known[i], a lower bound past it

@@ -56,6 +56,7 @@ type Index struct {
 	data  []bitvec.Vector
 	codes *verify.Codes // packed row-major copy of data for batch verification
 	parts *partition.Partitioning
+	proj  *bitvec.Projector // binds a query to every partition at once
 	inv   []*invindex.Frozen
 
 	// scratch pools per-query working memory (seen bitmap, candidate
@@ -104,7 +105,7 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("hmsearch: arrangement covers %d dims, data has %d", parts.Dims, dims)
 	}
 	ix := &Index{dims: dims, tau: tau, data: data, codes: verify.Pack(data), parts: parts}
-	ix.inv = buildInverted(data, parts)
+	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
 	return ix, nil
 }
 
@@ -164,7 +165,8 @@ func (ix *Index) SizeBytes() int64 {
 // the returned result slice.
 type searchScratch struct {
 	col     engine.Collector
-	proj    bitvec.Vector
+	arena   []uint64        // what the index's projector writes (gather)
+	projs   []bitvec.Vector // views over arena, a partition each
 	r1      invindex.Radius1Scratch
 	inv     *invindex.Frozen // the partition being probed
 	bill    engine.Budget
@@ -200,6 +202,7 @@ func (ix *Index) getScratch() *searchScratch {
 	s, _ := ix.scratch.Get().(*searchScratch)
 	if s == nil {
 		s = &searchScratch{}
+		s.arena, s.projs = ix.proj.Views()
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
 		s.visitFn, s.collectFn = s.visit, s.collect
 	}
@@ -290,11 +293,10 @@ func (ix *Index) billProbes(tau int) engine.Budget {
 //gph:hotpath
 func (ix *Index) gather(q bitvec.Vector, bill engine.Budget, s *searchScratch, st *Stats) bool {
 	s.bill = bill
-	for i, dimsI := range ix.parts.Parts {
-		s.proj = s.proj.Resized(len(dimsI))
-		q.ProjectInto(dimsI, s.proj)
-		s.inv = ix.inv[i]
-		s.inv.Radius1(s.proj.Words(), len(dimsI), &s.r1, s.visitFn)
+	ix.proj.Project(q, s.arena)
+	for i, inv := range ix.inv {
+		s.inv = inv
+		inv.Radius1(s.projs[i].Words(), s.projs[i].Dims(), &s.r1, s.visitFn)
 		if s.bill.Spent() {
 			break
 		}
@@ -386,7 +388,7 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("hmsearch: arrangement has %d parts, τ=%d needs %d", parts.NumParts(), tau, NumPartitions(dims, tau))
 	}
 	ix := &Index{dims: dims, tau: tau, data: data, codes: codes, parts: parts}
-	ix.inv = buildInverted(data, parts)
+	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
 	return ix, nil
 }
 

@@ -540,12 +540,7 @@ func (f *Frozen) buildDir() {
 func fillDir[D dirOffset](f *Frozen, dir []D) []D {
 	n, shift := f.NumKeys(), f.dirShift
 	if f.wordKeys() {
-		kl, keep := f.keyLen, f.keyMask()
-		// The arena's pad keeps the last key's load inside it.
-		for e := range n {
-			w := binary.LittleEndian.Uint64(f.keyArena[e*kl:]) & keep
-			dir[bucket(hashWord(kl, w), shift)+1] = D(e + 1)
-		}
+		fillWords(f.keyArena, f.keyLen, n, f.keyMask(), shift, dir)
 	} else {
 		for e := range n {
 			dir[bucket(hashKey(f.key(e)), shift)+1] = D(e + 1)
@@ -559,6 +554,39 @@ func fillDir[D dirOffset](f *Frozen, dir []D) []D {
 		dir[b] = end
 	}
 	return dir
+}
+
+// fillWords is fillDir's pass over n keys of kl ≤ 8 bytes. Like
+// histWords it keeps a copy of the loop a key length, the stride and the
+// hash's seed constants in each.
+func fillWords[D dirOffset](keys []byte, kl, n int, keep uint64, shift uint, dir []D) {
+	switch kl {
+	case 1:
+		fillStride(keys, 1, n, keep, shift, dir)
+	case 2:
+		fillStride(keys, 2, n, keep, shift, dir)
+	case 3:
+		fillStride(keys, 3, n, keep, shift, dir)
+	case 4:
+		fillStride(keys, 4, n, keep, shift, dir)
+	case 5:
+		fillStride(keys, 5, n, keep, shift, dir)
+	case 6:
+		fillStride(keys, 6, n, keep, shift, dir)
+	case 7:
+		fillStride(keys, 7, n, keep, shift, dir)
+	default:
+		fillStride(keys, 8, n, keep, shift, dir)
+	}
+}
+
+// fillStride is fillWords' loop, inlined into it once a key length. The
+// arena's pad keeps the last key's load inside it.
+func fillStride[D dirOffset](keys []byte, kl, n int, keep uint64, shift uint, dir []D) {
+	for e := range n {
+		dir[bucket(hashWord(kl, binary.LittleEndian.Uint64(keys)&keep), shift)+1] = D(e + 1)
+		keys = keys[kl:]
+	}
 }
 
 // walkBucket is inBucket over the entries from lo up to hi, a key at a

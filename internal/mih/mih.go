@@ -61,6 +61,7 @@ type Index struct {
 	data   []bitvec.Vector
 	codes  *verify.Codes // packed row-major copy of data for batch verification
 	parts  *partition.Partitioning
+	proj   *bitvec.Projector // binds a query to every partition at once
 	inv    []*invindex.Frozen
 	budget int64
 
@@ -105,7 +106,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 		budget = 1 << 20
 	}
 	ix := &Index{dims: dims, data: data, codes: verify.Pack(data), parts: parts, budget: budget}
-	ix.inv = buildInverted(data, parts)
+	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
 	return ix, nil
 }
 
@@ -164,7 +165,8 @@ func (ix *Index) SizeBytes() int64 {
 type searchScratch struct {
 	col    engine.Collector
 	keyBuf []byte
-	proj   bitvec.Vector
+	arena  []uint64        // what the index's projector writes (gather)
+	projs  []bitvec.Vector // views over arena, a partition each
 	enum   hamming.Enumerator
 
 	// probe-loop state: probeFn is the enumeration callback bound once
@@ -194,6 +196,7 @@ func (ix *Index) getScratch() *searchScratch {
 	s, _ := ix.scratch.Get().(*searchScratch)
 	if s == nil {
 		s = &searchScratch{}
+		s.arena, s.projs = ix.proj.Views()
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
 		s.probeFn = s.probe
 	}
@@ -285,12 +288,11 @@ func (ix *Index) billBalls(tau int) engine.Budget {
 func (ix *Index) gather(q bitvec.Vector, tau int, bill engine.Budget, s *searchScratch, st *Stats) bool {
 	sub := tau / ix.parts.NumParts()
 	s.bill = bill
-	for i, dimsI := range ix.parts.Parts {
-		s.proj = s.proj.Resized(len(dimsI))
-		q.ProjectInto(dimsI, s.proj)
-		s.inv = ix.inv[i]
+	ix.proj.Project(q, s.arena)
+	for i, inv := range ix.inv {
+		s.inv = inv
 		// Unbudgeted enumeration cannot fail.
-		_ = s.enum.Enumerate(s.proj, sub, 0, s.probeFn)
+		_ = s.enum.Enumerate(s.projs[i], sub, 0, s.probeFn)
 		if s.bill.Spent() {
 			break
 		}
@@ -377,7 +379,7 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("mih: implausible enumeration budget %d", budget)
 	}
 	ix := &Index{dims: dims, data: data, codes: codes, parts: parts, budget: budget}
-	ix.inv = buildInverted(data, parts)
+	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
 	return ix, nil
 }
 

@@ -1,10 +1,12 @@
 package verify
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"testing"
 
+	"gph/internal/bitvec"
 	"gph/internal/dataset"
 )
 
@@ -119,5 +121,64 @@ func TestSparseThroughPredictsTheHandOff(t *testing.T) {
 		if through < measured-2 || through > measured+2 {
 			t.Fatalf("%s: the sample says sparse through tau=%d, scanColumn hands more than half the rows over past tau=%d", ds.Name, through, measured)
 		}
+	}
+}
+
+// sparseThroughReference is sparseThrough as first written: a pair at a
+// time, straight off the arena, into one histogram.
+func sparseThroughReference(c *Codes) int {
+	var hist [bitvec.WordBits + 1]int
+	pairs := 0
+	qStep, rStep := (c.n+sampleQueries-1)/sampleQueries, (c.n+sampleRows-1)/sampleRows
+	for a := 0; a < c.n; a += qStep {
+		for b := rStep / 2; b < c.n; b += rStep {
+			if a != b {
+				hist[bits.OnesCount64(c.words[a*c.w]^c.words[b*c.w])]++
+				pairs++
+			}
+		}
+	}
+	through, within := -1, 0
+	for d := 0; d < bitvec.WordBits; d++ {
+		if within += hist[d]; within*denseOneIn > pairs {
+			break
+		}
+		through = d
+	}
+	return through
+}
+
+// TestSparseThroughMatchesReference: sparseThrough answers what the
+// plain loop answers, on sift-, uqvideo- and pubchem-like arenas at sizes
+// where the sampled queries and rows coincide often, sometimes or never,
+// and where either sample is shorter than its quota.
+func TestSparseThroughMatchesReference(t *testing.T) {
+	for _, ds := range []*dataset.Dataset{dataset.SIFTLike(20000, 2), dataset.UQVideoLike(20000, 2), dataset.PubChemLike(20000, 2)} {
+		for _, n := range []int{1, 2, 3, 63, 64, 65, 255, 256, 257, 1000, 16384, 20000} {
+			c := Pack(ds.Vectors[:n])
+			if got, want := c.sparseThrough(), sparseThroughReference(c); got != want {
+				t.Errorf("%s n=%d: sparse through %d, the reference says %d", ds.Name, n, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkSparseThrough is what every index's first query pays for its
+// sampled pairs (ScanSteps), on the two lib corpora: sparseThrough
+// against sparseThroughReference.
+func BenchmarkSparseThrough(b *testing.B) {
+	for _, ds := range []*dataset.Dataset{dataset.SIFTLike(20000, 1), dataset.UQVideoLike(20000, 1)} {
+		c := Pack(ds.Vectors)
+		b.Run(ds.Name+"/sampled", func(b *testing.B) {
+			for range b.N {
+				c.sparse.Store(0)
+				c.sparseThrough()
+			}
+		})
+		b.Run(ds.Name+"/reference", func(b *testing.B) {
+			for range b.N {
+				sparseThroughReference(c)
+			}
+		})
 	}
 }

@@ -309,20 +309,40 @@ func (c *Codes) sparseThrough() int {
 	if v := c.sparse.Load(); v != 0 {
 		return int(v) - 2
 	}
-	var hist [bitvec.WordBits + 1]int
-	pairs := 0
+	// The sampled rows' words 0 are read out of the arena once, and the
+	// pairs counted into four histograms in turn: one histogram's
+	// increments of a distance would wait on each other's stores. A row
+	// is not paired with itself — its pair counted and taken out again.
+	var rows [sampleRows]uint64
+	var hist [4][bitvec.WordBits + 1]int32
 	qStep, rStep := (c.n+sampleQueries-1)/sampleQueries, (c.n+sampleRows-1)/sampleRows
+	nr := 0
+	for b := rStep / 2; b < c.n; b += rStep {
+		rows[nr] = c.words[b*c.w]
+		nr++
+	}
+	pairs, self := 0, int32(0)
 	for a := 0; a < c.n; a += qStep {
-		for b := rStep / 2; b < c.n; b += rStep {
-			if a != b {
-				hist[bits.OnesCount64(c.words[a*c.w]^c.words[b*c.w])]++
-				pairs++
-			}
+		q, r := c.words[a*c.w], rows[:nr]
+		for ; len(r) >= 4; r = r[4:] {
+			hist[0][bits.OnesCount64(q^r[0])]++
+			hist[1][bits.OnesCount64(q^r[1])]++
+			hist[2][bits.OnesCount64(q^r[2])]++
+			hist[3][bits.OnesCount64(q^r[3])]++
+		}
+		for _, row := range r {
+			hist[0][bits.OnesCount64(q^row)]++
+		}
+		pairs += nr
+		if a >= rStep/2 && (a-rStep/2)%rStep == 0 {
+			self++
 		}
 	}
+	pairs -= int(self)
+	hist[0][0] -= self
 	through, within := -1, 0
 	for d := 0; d < bitvec.WordBits; d++ {
-		if within += hist[d]; within*denseOneIn > pairs {
+		if within += int(hist[0][d] + hist[1][d] + hist[2][d] + hist[3][d]); within*denseOneIn > pairs {
 			break
 		}
 		through = d

@@ -1,6 +1,11 @@
 package verify
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+
+	"gph/internal/cpu"
+)
 
 // The within-τ kernels of within_amd64.s. One primitive at three row
 // widths (w = 1, 2, 4 words): for each of groups groups of eight
@@ -34,40 +39,41 @@ func withinBits2(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
 //go:noescape
 func withinBits4(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
 
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // kernelMissing names the first thing this CPU or OS lacks of what the
-// kernels execute, or is empty when scanKernel can run. Read once at
-// package init; nothing else selects the kernel (DESIGN.md §12).
-var kernelMissing = missingFeature()
+// kernels execute, or is empty when scanKernel can run: internal/cpu's
+// verdict, read once at package init; nothing else selects the kernel
+// (DESIGN.md §12).
+var kernelMissing = cpu.ScanKernelMissing
 
-func missingFeature() string {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return "CPUID leaf 7"
+// goKernels makes the drivers call withinBitsGo where they would call
+// the assembly, once a chunk: a switch only tests throw, with
+// kernelMissing cleared, so that the drivers' hand-off, bitmap clearing
+// and hit-count early-out run on a host without the kernels too.
+var goKernels bool
+
+// withinBitsGo is the Go reference of the four kernels, at row width w:
+// the same groups bytes written to out, ascending, and the bits it set
+// counted — what withinBits1 and withinBits1x1 return; withinBits2 and
+// withinBits4 count nothing.
+func withinBitsGo(w int, rows *uint64, groups int, q *uint64, tau uint64, out *uint64) int {
+	rs, qs := unsafe.Slice(rows, groups*8*w), unsafe.Slice(q, w)
+	bitmap := unsafe.Slice((*byte)(unsafe.Pointer(out)), groups)
+	hits := 0
+	for g := range bitmap {
+		var b byte
+		for k := range 8 {
+			d := 0
+			for j, word := range rs[(8*g+k)*w : (8*g+k+1)*w] {
+				d += bits.OnesCount64(word ^ qs[j])
+			}
+			if uint64(d) <= tau {
+				b |= 1 << k
+				hits++
+			}
+		}
+		bitmap[g] = b
 	}
-	switch _, _, ecx, _ := cpuid(1, 0); {
-	case ecx&(1<<27) == 0:
-		return "OSXSAVE"
-	case ecx&(1<<23) == 0:
-		return "POPCNT" // the hit count
-	}
-	// XCR0 bits 1–2 (SSE, AVX) and 5–7 (opmask, zmm0–15 high halves,
-	// zmm16–31): the OS saves every register the kernels touch.
-	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
-		return "OS support for AVX-512 state (XCR0)"
-	}
-	_, ebx, ecx, _ := cpuid(7, 0)
-	switch {
-	case ebx&(1<<16) == 0:
-		return "AVX512F"
-	case ebx&(1<<17) == 0:
-		return "AVX512DQ" // KMOVB to memory
-	case ecx&(1<<14) == 0:
-		return "AVX512_VPOPCNTDQ"
-	}
-	return ""
+	return hits
 }
 
 // scanKernel appends base+i for every row i of words (rows of w ∈
@@ -89,14 +95,18 @@ func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) 
 		// can be left holding bits of the chunk before.
 		hits[(groups-1)/8] = 0
 		rows := &words[lo*w]
-		switch w {
-		case 1:
+		switch {
+		case goKernels:
+			if withinBitsGo(w, rows, groups, q, uint64(tau), &hits[0]) == 0 {
+				continue
+			}
+		case w == 1:
 			if withinBits1(rows, groups, q, uint64(tau), &hits[0]) == 0 {
 				continue
 			}
-		case 2:
+		case w == 2:
 			withinBits2(rows, groups, q, uint64(tau), &hits[0])
-		case 4:
+		case w == 4:
 			withinBits4(rows, groups, q, uint64(tau), &hits[0])
 		}
 		for i, m := range hits[:(groups+7)/8] {
@@ -136,7 +146,12 @@ func (c *Codes) scanColumn(qw []uint64, tau, lo, hi int, dst []int32) ([]int32, 
 		// can be left holding bits of the chunk before.
 		hits[(groups-1)/8] = 0
 		col := sketch[at:end] // the words the kernel reads, bounds-checked
-		survivors := withinBits1(&col[0], groups, q, uint64(tau), &hits[0])
+		var survivors int
+		if goKernels {
+			survivors = withinBitsGo(1, &col[0], groups, q, uint64(tau), &hits[0])
+		} else {
+			survivors = withinBits1(&col[0], groups, q, uint64(tau), &hits[0])
+		}
 		rows = chunkRows
 		switch {
 		case survivors == 0: // almost every chunk of a selective scan: no bitmap to read

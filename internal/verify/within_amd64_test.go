@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +18,21 @@ func uncounted(kernel func(rows *uint64, groups int, q *uint64, tau uint64, out 
 		kernel(rows, groups, q, tau, out)
 		return -1
 	}
+}
+
+// goReference is withinBitsGo at row width w, in the primitive's shape.
+func goReference(w int) bitsKernel {
+	return func(rows *uint64, groups int, q *uint64, tau uint64, out *uint64) int {
+		return withinBitsGo(w, rows, groups, q, tau, out)
+	}
+}
+
+// selectGoKernels makes the drivers take the kernel paths on any host,
+// calling the kernels' Go reference, until the test ends.
+func selectGoKernels(t testing.TB) {
+	missing, was := kernelMissing, goKernels
+	kernelMissing, goKernels = "", true
+	t.Cleanup(func() { kernelMissing, goKernels = missing, was })
 }
 
 // groupCounts runs through every remainder of the w = 1 kernel's
@@ -34,11 +50,8 @@ func groupCounts() []int {
 // below the driver: groups bytes written, ascending from out, not one
 // more — the byte after them is the next chunk word the driver reads —
 // groups = 0 touches nothing, and a kernel that counts returns the bits
-// it set.
+// it set. The Go reference is held to the same contract at every width.
 func TestWithinBitsWritesGroupsBytes(t *testing.T) {
-	if kernelMissing != "" {
-		t.Skipf("kernel NOT exercised: this host lacks %s", kernelMissing)
-	}
 	for _, k := range []struct {
 		name   string
 		w      int
@@ -46,7 +59,12 @@ func TestWithinBitsWritesGroupsBytes(t *testing.T) {
 	}{
 		{"withinBits1", 1, withinBits1}, {"withinBits1x1", 1, withinBits1x1},
 		{"withinBits2", 2, uncounted(withinBits2)}, {"withinBits4", 4, uncounted(withinBits4)},
+		{"Go/w=1", 1, goReference(1)}, {"Go/w=2", 2, goReference(2)}, {"Go/w=4", 4, goReference(4)},
 	} {
+		if kernelMissing != "" && !strings.HasPrefix(k.name, "Go/") {
+			t.Logf("%s NOT exercised: this host lacks %s", k.name, kernelMissing)
+			continue
+		}
 		rows := make([]uint64, chunkRows*k.w) // all zero: every row is the query
 		q := make([]uint64, k.w)
 		for _, groups := range groupCounts() {
@@ -90,10 +108,14 @@ func TestWithinBitsWritesGroupsBytes(t *testing.T) {
 // row positions of the first and of the last whole block and in every
 // row of the 1–3-group remainder, over rows that lie past τ — all 64 bits
 // away at τ = 63, the largest count the VPMINUD tree has to carry — or,
-// in the last case, anywhere, so that blocks hold many hits.
+// in the last case, anywhere, so that blocks hold many hits. The Go
+// reference at w = 1 is held to the same loop.
 func TestWithinBits1CountsItsBitmap(t *testing.T) {
-	if kernelMissing != "" {
-		t.Skipf("kernel NOT exercised: this host lacks %s", kernelMissing)
+	kernels := map[string]bitsKernel{"Go/w=1": goReference(1)}
+	if kernelMissing == "" {
+		kernels["withinBits1"], kernels["withinBits1x1"] = withinBits1, withinBits1x1
+	} else {
+		t.Logf("withinBits1 and withinBits1x1 NOT exercised: this host lacks %s", kernelMissing)
 	}
 	rng := rand.New(rand.NewSource(73))
 	q := rng.Uint64()
@@ -137,7 +159,7 @@ func TestWithinBits1CountsItsBitmap(t *testing.T) {
 					}
 					want := bytes.Repeat([]byte{0xFF}, chunkRows/8+8)
 					wantHits := reference(rows, groups, tc.tau, want)
-					for name, kernel := range map[string]bitsKernel{"withinBits1": withinBits1, "withinBits1x1": withinBits1x1} {
+					for name, kernel := range kernels {
 						out := make([]uint64, len(want)/8)
 						for i := range out {
 							out[i] = ^uint64(0)

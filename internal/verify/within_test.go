@@ -31,7 +31,7 @@ func scanByColumn(c *Codes, qw []uint64, tau, lo, hi int, dst []int32) ([]int32,
 }
 
 // eachArm runs body against the portable loops, the row-kernel driver
-// and the column driver.
+// and the column driver, each driver on both kernels (eachKernel).
 func eachArm(t *testing.T, body func(t *testing.T, scan scanArm)) {
 	t.Run("portable", func(t *testing.T) { body(t, scanPortable) })
 	for name, scan := range map[string]scanArm{
@@ -43,13 +43,25 @@ func eachArm(t *testing.T, body func(t *testing.T, scan scanArm)) {
 			return dst
 		},
 	} {
-		t.Run(name, func(t *testing.T) {
-			if kernelMissing != "" {
-				t.Skipf("%s arm NOT exercised: this host lacks %s", name, kernelMissing)
-			}
-			body(t, scan)
-		})
+		t.Run(name, func(t *testing.T) { eachKernel(t, func(t *testing.T) { body(t, scan) }) })
 	}
+}
+
+// eachKernel runs body with the drivers on the assembly kernels, where
+// the host has them, and on their Go reference, which every amd64 host
+// runs: the drivers' hand-off, bitmap clearing and hit-count early-out
+// are tested on a host without AVX-512 VPOPCNTDQ as well.
+func eachKernel(t *testing.T, body func(t *testing.T)) {
+	t.Run("assembly", func(t *testing.T) {
+		if kernelMissing != "" {
+			t.Skipf("assembly NOT exercised: this host lacks %s", kernelMissing)
+		}
+		body(t)
+	})
+	t.Run("go", func(t *testing.T) {
+		selectGoKernels(t)
+		body(t)
+	})
 }
 
 // kernelDims lists, per kernel width, a full-word dimensionality and
@@ -162,7 +174,8 @@ func TestScanRangeOutsideTheArena(t *testing.T) {
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			if arm.assembly && kernelMissing != "" {
-				t.Skipf("kernel NOT exercised: this host lacks %s", kernelMissing)
+				selectGoKernels(t)
+				t.Logf("assembly NOT exercised: this host lacks %s; the drivers call the Go reference", kernelMissing)
 			}
 			q := randVector(rng, arm.dims, 0.5)
 			c := near(t, rng, q, n, func(int) int { return arm.dims / 2 })
@@ -208,9 +221,10 @@ func mixed(t testing.TB, rng *rand.Rand, q bitvec.Vector, n, tau int, close func
 // in 60 at 23), to everything — over random rows salted with near-copies
 // of q, so survivors both pass and fail stage 2.
 func TestColumnScanDifferential(t *testing.T) {
-	if kernelMissing != "" {
-		t.Skipf("column path NOT exercised: this host lacks %s", kernelMissing)
-	}
+	eachKernel(t, testColumnScanDifferential)
+}
+
+func testColumnScanDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, dims := range []int{65, 128, 192, 256, 320, 881} {
 		q := randVector(rng, dims, 0.5)
@@ -260,9 +274,10 @@ func TestColumnScanDifferential(t *testing.T) {
 // those of the driver that counted survivors off the bitmap: the kernel's
 // returned count is the same number.
 func TestColumnHandOff(t *testing.T) {
-	if kernelMissing != "" {
-		t.Skipf("column path NOT exercised: this host lacks %s", kernelMissing)
-	}
+	eachKernel(t, testColumnHandOff)
+}
+
+func testColumnHandOff(t *testing.T) {
 	const (
 		tau  = 20
 		flip = probeRows + 2*chunkRows + 1000
