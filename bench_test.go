@@ -7,6 +7,7 @@ package gph_test
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -255,6 +256,9 @@ func BenchmarkBaselineGrid(b *testing.B) {
 	}
 }
 
+// openN sizes BenchmarkOpenFirstQuery's corpora.
+var openN = flag.Int("open-n", 20000, "rows of BenchmarkOpenFirstQuery's corpora")
+
 // BenchmarkOpenFirstQuery says where a start goes: what benchmark/'s
 // setup_s times as one number — open the saved index, answer one query
 // — split into the five things it is made of, at the two lib workloads'
@@ -267,14 +271,17 @@ func BenchmarkBaselineGrid(b *testing.B) {
 // the derived state a first query builds: the bucket directories and its
 // scratch on a query that probes (uqvideo's), the scan's word-0 column on
 // one the scan answers (sift's). Each is the best of b.N starts, as setup_s is the best of
-// its 51: the host's busy spells are longer than a start.
+// its 51: the host's busy spells are longer than a start. -open-n sets the
+// corpora's rows (DESIGN.md §14's table is this benchmark at 2·10⁴, 2·10⁵ and 10⁶):
+//
+//	go test -run '^$' -bench OpenFirstQuery -benchtime 200x . [-args -open-n 200000]
 func BenchmarkOpenFirstQuery(b *testing.B) {
 	for _, c := range []struct {
 		dataset string
 		tau     int
 	}{{"uqvideo", 8}, {"sift", 16}} {
 		b.Run(c.dataset, func(b *testing.B) {
-			ds, err := datagen.ByName(c.dataset, 20000, 1)
+			ds, err := datagen.ByName(c.dataset, *openN, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -307,8 +307,6 @@ func (r *Reader) fail(err error) {
 // take consumes exactly n bytes from the borrow source and returns
 // them as a capacity-capped subslice, so an append by the caller can
 // never scribble past the borrowed region into the mapping.
-//
-//gph:borrow
 func (r *Reader) take(n int, what string) []byte {
 	if rem := r.src.Remaining(); rem < n {
 		r.fail(fmt.Errorf("binio: reading %s: need %d bytes, have %d: %w", what, n, rem, io.ErrUnexpectedEOF))
@@ -406,8 +404,6 @@ func (r *Reader) sliceLen(what string) int {
 // readBytes reads exactly n bytes. Borrow mode returns a view into the
 // source; streaming mode copies, growing the buffer as data arrives
 // (see allocChunk).
-//
-//gph:borrow
 func (r *Reader) readBytes(n int, what string) []byte {
 	if r.src != nil {
 		return r.take(n, what)
@@ -495,8 +491,6 @@ func aliasableAs(b []byte, align uintptr) bool {
 // Int32s reads a length-prefixed []int32. Borrow mode aliases the
 // source bytes in place when host endianness and alignment allow,
 // falling back to an owned copy.
-//
-//gph:borrow
 func (r *Reader) Int32s() []int32 {
 	n := r.sliceLen("int32 slice")
 	if r.err != nil {
@@ -513,7 +507,6 @@ func (r *Reader) Int32s() []int32 {
 		if aliasableAs(b, 4) {
 			return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
 		}
-		//gphlint:ignore borrowalias unaligned or big-endian source cannot alias; copy-decode is the documented fallback
 		out := make([]int32, n)
 		for i := range out {
 			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
@@ -590,8 +583,6 @@ func (r *Reader) Uint64Raw(n int, what string) []uint64 {
 // the caller's header records. Like Uint64Raw it is not capped at
 // MaxSliceLen; the caller has already bounded n. Borrow mode returns a
 // view without reading it, so none of the span's pages fault in.
-//
-//gph:borrow
 func (r *Reader) BytesRaw(n int, what string) []byte {
 	if r.err != nil {
 		return nil
@@ -606,8 +597,6 @@ func (r *Reader) BytesRaw(n int, what string) []byte {
 // Uint32sRaw reads n raw (unprefixed) uint32 values written by
 // Writer.Uint32sRaw. Borrow mode aliases when possible; streaming mode
 // bulk-reads in chunks and decodes.
-//
-//gph:borrow
 func (r *Reader) Uint32sRaw(n int, what string) []uint32 {
 	if r.err != nil {
 		return nil
@@ -624,7 +613,6 @@ func (r *Reader) Uint32sRaw(n int, what string) []uint32 {
 		if aliasableAs(b, 4) {
 			return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
 		}
-		//gphlint:ignore borrowalias unaligned or big-endian source cannot alias; copy-decode is the documented fallback
 		out := make([]uint32, n)
 		for i := range out {
 			out[i] = binary.LittleEndian.Uint32(b[4*i:])
@@ -651,8 +639,6 @@ func (r *Reader) Uint32sRaw(n int, what string) []uint32 {
 
 // uint64Body consumes 8*n source bytes and returns them as []uint64,
 // aliased in place when alignment and endianness allow.
-//
-//gph:borrow
 func (r *Reader) uint64Body(n int, what string) []uint64 {
 	b := r.take(8*n, what)
 	if r.err != nil || n == 0 {
@@ -661,7 +647,6 @@ func (r *Reader) uint64Body(n int, what string) []uint64 {
 	if aliasableAs(b, 8) {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
 	}
-	//gphlint:ignore borrowalias unaligned or big-endian source cannot alias; copy-decode is the documented fallback
 	out := make([]uint64, n)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(b[8*i:])

@@ -189,8 +189,6 @@ func readOptions(br *binio.Reader, dims, numParts int) (Options, error) {
 // beyond dims are a validation error rather than masked in place — the
 // writer masks them, so set tail bits mean corruption, and masking would
 // write to what may be a read-only mapped page.
-//
-//gph:borrow
 func readVectorArena(br *binio.Reader, dims, count int) ([]uint64, error) {
 	words := (dims + 63) / 64
 	arena := br.Uint64Raw(count*words, "vector arena")

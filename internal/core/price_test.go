@@ -28,6 +28,12 @@ import (
 //	scan-…-1M          the same over 10⁶ rows (the corpus tiled 50 times), read from memory
 //	dp-cell            dpCellPrice: alloc.AllocateScratch, per cell of a query's CN table
 //	verdict-free       ns a query: allocate over a pooled scratch where the plan floor answers (its early exit)
+//	query-cycled       ns a query: Search of the 64 queries in turn
+//	query-repeated     ns a query: Search of each query right after the same query
+//
+// The last two differ by what a query pays for the index bytes the
+// queries before it did not leave in cache: on uqvideo, the cache-miss
+// share of a selective query.
 //
 // probed-signature walks one ball of the widest partition again and
 // again, so the directory and keys it reads stay in cache, the setting
@@ -214,6 +220,22 @@ func BenchmarkPlanPrices(b *testing.B) {
 					s := ix.getScratch()
 					d := stage.run(b, queries[i], s)
 					ix.putScratch(s)
+					return d
+				})
+			})
+		}
+		for _, order := range []string{"query-cycled", "query-repeated"} {
+			b.Run(c.name+"/"+order, func(b *testing.B) {
+				reportStage(b, len(queries), func(i int) time.Duration {
+					if order == "query-repeated" {
+						_, _ = ix.Search(queries[i], c.tau) // the timed call checks the same query
+					}
+					t0 := time.Now()
+					_, err := ix.Search(queries[i], c.tau)
+					d := time.Since(t0)
+					if err != nil {
+						b.Fatal(err)
+					}
 					return d
 				})
 			})

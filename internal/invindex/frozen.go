@@ -1264,8 +1264,6 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 // deferred to Validate, which callers MUST run before any entry accessor
 // (lookups, Range, posting decodes): until Validate passes, a corrupted
 // ref could make an entry slice panic.
-//
-//gph:borrow
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 	f := &Frozen{keyLen: h.keyLen, refLen: h.refLen, postings: h.postings, maxID: h.maxID}
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")

@@ -85,8 +85,6 @@ func openHeap(path string) (*Mapping, error) {
 // Data returns the file's bytes. The slice aliases the mapping: it is
 // read-only (writes fault when mapped) and must not be used after the
 // last Release following Close.
-//
-//gph:borrow
 func (m *Mapping) Data() []byte { return m.data }
 
 // Len returns the mapped length in bytes.

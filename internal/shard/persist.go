@@ -267,8 +267,6 @@ func validated(s *Index, err error) (*Index, error) {
 // pending checks left pending. It assembles each shard's state before
 // the index is visible to anyone, which is why it is a designated
 // snapshot writer.
-//
-//gph:snapshotwriter
 func loadDeferred(src *binio.Source) (*Index, error) {
 	br := binio.NewReader(src)
 	br.Magic(shardMagic)
@@ -475,8 +473,6 @@ func open(src *binio.Source) (*Index, error) {
 // takes the engine's defaults. It assembles the state before the
 // index is visible to anyone, which is why it is a designated
 // snapshot writer.
-//
-//gph:snapshotwriter
 func adopt(e engine.Engine) (*Index, error) {
 	var opts core.Options
 	if ix, ok := e.(*core.Index); ok {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"gph/internal/core"
 	"gph/internal/dataset"
@@ -672,5 +676,112 @@ func TestOpenFileAdoptsEngineFile(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMappedOpenBorrows is the zero-copy gate of the mapped opens. Every
+// registered engine's file, and a container of two GPH shards, opened
+// over a mapping serves its vectors from the mapping's bytes. GPH's own
+// file opens in the same bytes at n and at 4n rows, and the container in
+// the same bytes but for its id → shard map: a decode that copied any
+// arena allocates in proportion to n. Either failure leaves every answer
+// right, so no other test would see it. (The baselines rebuild their
+// inverted indexes from the mapped vectors at open, so their opens grow
+// with n by design; the test logs by how much.)
+func TestMappedOpenBorrows(t *testing.T) {
+	const n = 1000
+	opts := core.Options{NumPartitions: 4, MaxTau: 8, Seed: 1}
+	save := func(t *testing.T, name string, rows int) string {
+		path := filepath.Join(t.TempDir(), "index")
+		data := dataset.SIFTLike(rows, 3).Vectors
+		if name == "container" {
+			s, err := Build(data, 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		e, err := engine.Build(name, data, engine.BuildOptions{NumPartitions: opts.NumPartitions, MaxTau: opts.MaxTau, Seed: opts.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// allocated is the least of three runs' bytes allocated: another
+	// goroutine may allocate during one.
+	allocated := func(t *testing.T, run func() io.Closer) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c := run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return least
+	}
+	for _, name := range append(engine.Names(), "container") {
+		t.Run(name, func(t *testing.T) {
+			var grew, owners [2]uint64
+			for i, rows := range []int{n, 4 * n} {
+				path := save(t, name, rows)
+				grew[i] = allocated(t, func() io.Closer {
+					var c io.Closer
+					var err error
+					if name == "container" {
+						c, err = OpenFile(path, engine.OpenMMap)
+					} else {
+						c, err = engine.Open(path, engine.OpenMMap)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c
+				})
+				if name == "container" { // its owner map, built as a load builds it
+					owners[i] = allocated(t, func() io.Closer {
+						owner := make(map[int32]int32)
+						for id := range int32(rows) {
+							owner[id] = id % 2
+						}
+						return io.NopCloser(nil)
+					})
+				}
+				s, err := OpenFile(path, engine.OpenMMap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mapped := s.mapping.Data()
+				base := uintptr(unsafe.Pointer(unsafe.SliceData(mapped)))
+				for i := range s.shards {
+					w := s.shards[i].Load().built.Vector(0).Words()
+					if uintptr(unsafe.Pointer(&w[0]))-base >= uintptr(len(mapped)) {
+						t.Errorf("%d rows: shard %d's vector 0 is not in the mapping: a copy", rows, i)
+					}
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allowed := 1024 + owners[1] - owners[0] + owners[1]/32
+			t.Logf("a mapped open allocates %d B at %d rows, %d B at %d (an id → shard map %d B, %d B)", grew[0], n, grew[1], 4*n, owners[0], owners[1])
+			if (name == core.EngineName || name == "container") && grew[1] > grew[0]+allowed {
+				t.Errorf("a mapped open allocates %d B at %d rows and %d B at %d, more than %d B more: it grows with n", grew[0], n, grew[1], 4*n, allowed)
+			}
+		})
 	}
 }

@@ -59,8 +59,6 @@ type deltaEntry struct {
 // writers never mutate it, they copy-on-write a successor — so a
 // search that loaded it reads a consistent shard for the query's
 // whole lifetime, concurrently with any writer or compaction.
-//
-//gph:snapshot
 type state struct {
 	built    engine.Engine  // nil when the shard has no indexed vectors
 	builtIDs []int32        // local id → global id, strictly ascending (pos searches it)
@@ -110,8 +108,6 @@ func (sh *state) populated() bool {
 // than the buffer's newest — only a rolled-back delete re-buffers one —
 // goes to its place in a fresh array: delta stays ascending, which is
 // what keeps compaction's merged builtIDs ascending.
-//
-//gph:snapshotwriter
 func (sh *state) withInsert(e deltaEntry) *state {
 	next := *sh
 	next.epoch = sh.epoch + 1
@@ -125,8 +121,6 @@ func (sh *state) withInsert(e deltaEntry) *state {
 }
 
 // withDead returns a successor state with id tombstoned.
-//
-//gph:snapshotwriter
 func (sh *state) withDead(id int32) *state {
 	next := *sh
 	next.epoch = sh.epoch + 1
@@ -140,8 +134,6 @@ func (sh *state) withDead(id int32) *state {
 
 // withoutDelta returns a successor state with the delta entry for id
 // removed, plus the removed entry (for WAL-failure rollback).
-//
-//gph:snapshotwriter
 func (sh *state) withoutDelta(id int32) (*state, deltaEntry) {
 	next := *sh
 	next.epoch = sh.epoch + 1
@@ -159,8 +151,6 @@ func (sh *state) withoutDelta(id int32) (*state, deltaEntry) {
 
 // withoutDead returns a successor state with id's tombstone removed
 // (WAL-failure rollback of a built-vector delete).
-//
-//gph:snapshotwriter
 func (sh *state) withoutDead(id int32) *state {
 	next := *sh
 	next.epoch = sh.epoch + 1
@@ -374,8 +364,6 @@ func Build(data []bitvec.Vector, numShards int, opts core.Options) (*Index, erro
 // BuildEngine is Build with an explicit registered engine name. It
 // assembles each shard's initial state before anything is published,
 // which is why it is a designated snapshot writer.
-//
-//gph:snapshotwriter
 func BuildEngine(engineName string, data []bitvec.Vector, numShards int, opts core.Options) (*Index, error) {
 	s, err := NewEngine(engineName, numShards, opts)
 	if err != nil {
@@ -786,8 +774,6 @@ func (s *Index) startBackgroundCompact() bool {
 // section, reconciling updates that raced the rebuild. The successor
 // states it fills in are unpublished until the final Store, which is
 // why it is a designated snapshot writer.
-//
-//gph:snapshotwriter
 func (s *Index) compactLocked() error {
 	// The rebuild reads every dirty shard's built vectors, and the
 	// rebuilt engines keep views into them — over a mapping those views

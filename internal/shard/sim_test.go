@@ -37,7 +37,11 @@ import (
 //   - a mapped index holds no mapping reference once quiescent;
 //   - the goroutine count is back at its baseline, so a stream whose
 //     iter.Pull2 stop never ran fails the step that broke it off;
-//   - no WAL fsync runs under the writer lock (checkedLog).
+//   - no WAL fsync runs under the writer lock (checkedLog);
+//   - every shard snapshot the run has met reads as it did when first
+//     met (built engine, built ids, tombstones, buffer and epoch), at every
+//     later step until the index is reopened: a published state is
+//     never written, by its successor's constructor or anyone else.
 //
 // The seeds run under go test; go test -fuzz FuzzShardLifecycle searches
 // further and shrinks a failing run to its shortest program.
@@ -127,6 +131,34 @@ type lifecycle struct {
 	goroutines int // baseline with no index open
 	emptyWAL   int64
 	step       string
+	published  map[*state]statePrint // every state met since the last reopen
+}
+
+// statePrint is what a published state held when a step first met it.
+type statePrint struct {
+	built engine.Engine
+	sum   uint64
+}
+
+// printState takes sh's fingerprint: its built engine's identity and a
+// hash of its built ids, tombstones (in any order), buffer and epoch.
+func printState(sh *state) statePrint {
+	mix := func(h, x uint64) uint64 { return (h ^ x) * 0x100000001b3 }
+	h, dead := mix(sh.epoch, uint64(len(sh.dead))), uint64(0)
+	for _, id := range sh.builtIDs {
+		h = mix(h, uint64(id))
+	}
+	for id := range sh.dead {
+		dead += mix(0xcbf29ce484222325, uint64(id))
+	}
+	h = mix(h, dead)
+	for _, e := range sh.delta {
+		h = mix(h, uint64(e.id))
+		for _, w := range e.vec.Words() {
+			h = mix(h, w)
+		}
+	}
+	return statePrint{sh.built, h}
 }
 
 func runLifecycle(t *testing.T, prog []byte) {
@@ -413,7 +445,7 @@ func (m *lifecycle) reopen(how byte) *Index {
 // the run's plan. Replay must apply exactly the updates acknowledged
 // since the last checkpoint, each publishing a snapshot.
 func (m *lifecycle) attach(s *Index) {
-	m.s = s
+	m.s, m.published = s, map[*state]statePrint{}
 	replayed, err := s.OpenWAL(m.wal)
 	if err != nil || replayed != m.unsaved || s.Epoch() < uint64(replayed) {
 		m.fatalf("replay applied %d records (%v), epoch %d; %d updates were acknowledged since the checkpoint", replayed, err, s.Epoch(), m.unsaved)
@@ -457,6 +489,9 @@ func (m *lifecycle) check(step int) {
 	// buffer an id older than built ones.
 	for i := range s.shards {
 		sh := s.shards[i].Load()
+		if _, ok := m.published[sh]; !ok {
+			m.published[sh] = printState(sh)
+		}
 		ids := slices.Clone(sh.builtIDs)
 		for _, e := range sh.delta {
 			ids = append(ids, e.id)
@@ -465,6 +500,11 @@ func (m *lifecycle) check(step int) {
 			if ids[j] <= ids[j-1] && j != len(sh.builtIDs) {
 				m.fatalf("shard %d holds id %d after %d (%d built)", i, ids[j], ids[j-1], len(sh.builtIDs))
 			}
+		}
+	}
+	for sh, want := range m.published {
+		if printState(sh) != want {
+			m.fatalf("a published snapshot of epoch %d changed: %d built ids, %d tombstones, %d buffered now", sh.epoch, len(sh.builtIDs), len(sh.dead), len(sh.delta))
 		}
 	}
 	for id, v := range m.live {
