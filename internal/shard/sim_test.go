@@ -161,7 +161,53 @@ func printState(sh *state) statePrint {
 	return statePrint{sh.built, h}
 }
 
-func runLifecycle(t *testing.T, prog []byte) {
+func runLifecycle(t *testing.T, prog []byte) { simulate(t, prog) }
+
+// TestPublishedSnapshotsImmutable holds every shard state that a run of
+// publishing steps meets to its first fingerprint until the run ends:
+// inserts, deletes of built and buffered ids, compactions and both
+// rollbacks of an update whose WAL fsync fails, with no reopen to
+// forget a state. It also checks that the fingerprint sees a write to
+// each part of a state.
+func TestPublishedSnapshotsImmutable(t *testing.T) {
+	st := &state{builtIDs: []int32{1, 3}, dead: map[int32]bool{}, delta: []deltaEntry{{5, lifecyclePool[0]}}, epoch: 2}
+	for _, write := range []func(){
+		func() { st.builtIDs[1] = 4 },
+		func() { st.dead[3] = true },
+		func() { st.delta = append(st.delta, deltaEntry{6, lifecyclePool[1]}) },
+		func() { st.delta[0].vec = lifecyclePool[2] },
+		func() { st.epoch++ },
+	} {
+		before := printState(st)
+		if write(); printState(st) == before {
+			t.Fatalf("a write to %+v leaves its fingerprint as it was", st)
+		}
+	}
+
+	steps := []byte{
+		0, 1, 0, 2, // insert twice
+		4, 0, // delete a built id
+		4, 1, // delete a buffered id
+		15, 1, // a refused insert, compacted under its fsync
+		15, 6, // a refused delete of a built id
+		11, 0, // compact
+	}
+	for hdr := byte(0); hdr < 6; hdr++ { // gph and mih over 1–3 shards
+		t.Run(fmt.Sprintf("%d", hdr), func(t *testing.T) {
+			prog := []byte{hdr, 2 | 8} // 96 vectors, the adaptive plan, the cache on
+			for range 8 {
+				prog = append(prog, steps...)
+			}
+			m := simulate(t, prog)
+			if inserts := 8 * 2; len(m.published) < inserts {
+				t.Fatalf("the run met %d shard states, fewer than its %d inserts published", len(m.published), inserts)
+			}
+		})
+	}
+}
+
+// simulate runs prog as FuzzShardLifecycle does and returns the run.
+func simulate(t *testing.T, prog []byte) *lifecycle {
 	var hdr [2]byte
 	copy(hdr[:], prog)
 	dir := t.TempDir()
@@ -207,6 +253,7 @@ func runLifecycle(t *testing.T, prog []byte) {
 	m.step = "close"
 	m.closeIndex()
 	m.checkGoroutines(m.goroutines)
+	return m
 }
 
 func (m *lifecycle) fatalf(format string, args ...any) {
