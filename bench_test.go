@@ -25,6 +25,7 @@ import (
 	"gph/datagen"
 	"gph/internal/bench"
 	"gph/internal/binio"
+	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/mmapio"
@@ -201,7 +202,8 @@ func resetPeakRSS() func() float64 {
 // BenchmarkBaselineGrid regenerates the "change" and "scan" columns of
 // DESIGN.md §13's table: MIH and HmSearch served through one shard, cache
 // off, built for τ ≤ 32, 50 perturbed queries a cell — ns a query under
-// each -plan mode, with what the engine's own guard did beside it: the
+// each route (the engine's own choice, and the index and the scan forced
+// by cpu.Force), with what the engine's own guard did beside it: the
 // share of the cell's queries it abandoned to the scan after probing, and
 // the priced work (engine.ProbePrice a signature, CandidatePrice a
 // posting) a query spent on the index. A corpus and an index are built
@@ -223,32 +225,32 @@ func BenchmarkBaselineGrid(b *testing.B) {
 						b.Fatal(err)
 					}
 					defer s.Close()
-					for _, mode := range []string{"adaptive", "scan"} {
-						if err := s.ConfigurePlan(mode, 0); err != nil {
-							b.Fatal(err)
-						}
-						for _, tau := range []int{2, 4, 6, 8, 12, 16, 24, 32} {
-							var abandoned, spent float64
-							for _, q := range queries {
-								_, st, err := s.SearchStats(q, tau)
-								if err != nil {
-									b.Fatal(err)
-								}
-								if st.Scanned && st.Signatures > 0 {
-									abandoned++
-								}
-								spent += float64(engine.ProbePrice*int64(st.Signatures) + engine.CandidatePrice*st.SumPostings)
-							}
-							b.Run(fmt.Sprintf("%s/tau=%d", mode, tau), func(b *testing.B) {
-								for i := 0; i < b.N; i++ {
-									if _, err := s.Search(queries[i%len(queries)], tau); err != nil {
+					for _, route := range []cpu.Route{cpu.RouteAdaptive, cpu.RouteIndex, cpu.RouteScan} {
+						func() {
+							defer cpu.Force(cpu.Setting{Route: route})()
+							for _, tau := range []int{2, 4, 6, 8, 12, 16, 24, 32} {
+								var abandoned, spent float64
+								for _, q := range queries {
+									_, st, err := s.SearchStats(q, tau)
+									if err != nil {
 										b.Fatal(err)
 									}
+									if st.Scanned && st.Signatures > 0 {
+										abandoned++
+									}
+									spent += float64(engine.ProbePrice*int64(st.Signatures) + engine.CandidatePrice*st.SumPostings)
 								}
-								b.ReportMetric(abandoned/float64(len(queries)), "abandoned")
-								b.ReportMetric(spent/float64(len(queries)), "steps-spent")
-							})
-						}
+								b.Run(fmt.Sprintf("%v/tau=%d", route, tau), func(b *testing.B) {
+									for i := 0; i < b.N; i++ {
+										if _, err := s.Search(queries[i%len(queries)], tau); err != nil {
+											b.Fatal(err)
+										}
+									}
+									b.ReportMetric(abandoned/float64(len(queries)), "abandoned")
+									b.ReportMetric(spent/float64(len(queries)), "steps-spent")
+								})
+							}
+						}()
 					}
 				})
 			}

@@ -54,11 +54,9 @@
 // response, and replayed over the index on restart — a kill -9 loses
 // no acknowledged write. -snapshot PATH bounds the log: POST /save
 // (and graceful shutdown) atomically checkpoints the index there and
-// truncates the WAL. -plan selects the per-query planner policy
-// (adaptive by default: every exact engine decides scan-or-index itself;
-// scan forces a verified scan of the arena, for tests and debugging) and
+// truncates the WAL. Every exact engine decides scan-or-index itself;
 // -cache-size bounds the result cache that answers repeated queries
-// without re-searching; route and cache counters surface in /stats and
+// without re-searching, and its counters surface in /stats and
 // /metrics. The server carries read/write timeouts, caps
 // POST batch sizes (-max-batch, oversize → 413), and shuts down
 // gracefully on SIGINT or SIGTERM, draining in-flight requests,
@@ -138,7 +136,6 @@ func main() {
 		walPath  = flag.String("wal", "", "write-ahead log path: replay on start, fsync every update")
 		autoComp = flag.Int("auto-compact", 0, "fold a shard automatically once it buffers this many pending updates; 0 = explicit /compact only")
 		snapPath = flag.String("snapshot", "", "snapshot path: loaded on start if present (instead of rebuilding from -data/-gen), written by POST /save and on graceful shutdown; checkpointing truncates the WAL")
-		planMode = flag.String("plan", "adaptive", "query-planner policy: adaptive|scan (adaptive: the engine decides; scan: force a verified scan)")
 		cacheMB  = flag.Int("cache-size", 64, "result-cache budget in MiB; 0 disables caching")
 	)
 	flag.Parse()
@@ -166,12 +163,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("gph-server: opening %s: %v", openPath, err)
 		}
-		// Lifecycle and planner/cache policy are runtime configuration,
-		// not persisted state: apply the flags to the opened index.
+		// Lifecycle and cache policy are runtime configuration, not
+		// persisted state: apply the flags to the opened index.
 		index.SetAutoCompact(*autoComp)
-		if err := index.ConfigurePlan(*planMode, cacheBytes); err != nil {
-			log.Fatalf("gph-server: %v", err)
-		}
+		_ = index.ConfigurePlan("", cacheBytes) // the empty mode is never refused
 		log.Printf("opened %s; -data/-gen ignored", openPath)
 	} else {
 		ds, derr := loadOrGenerate(*dataPath, *gen, *n, *seed)
@@ -180,8 +175,7 @@ func main() {
 		}
 		index, err = gph.BuildShardedEngine(*engName, ds.Vectors, *shards, gph.Options{
 			NumPartitions: *m, MaxTau: *maxTau, Seed: *seed, BuildParallelism: *buildPar,
-			AutoCompactDelta: *autoComp,
-			PlanMode:         *planMode, CacheBytes: cacheBytes,
+			AutoCompactDelta: *autoComp, CacheBytes: cacheBytes,
 		})
 		if err != nil {
 			log.Fatalf("gph-server: building index: %v", err)

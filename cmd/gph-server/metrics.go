@@ -146,13 +146,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE gph_resident_bytes gauge\n")
 	fmt.Fprintf(w, "gph_resident_bytes %d\n", mmapio.ProcessResidentBytes())
 
-	// Planner route counts and result-cache counters, read from the
-	// backend at scrape time like the other index gauges.
+	// Result-cache counters, read from the backend at scrape time like
+	// the other index gauges.
 	ps := s.index.PlanStats()
-	fmt.Fprintf(w, "# HELP gph_plan_routed_total Queries routed by the planner, by route.\n")
-	fmt.Fprintf(w, "# TYPE gph_plan_routed_total counter\n")
-	fmt.Fprintf(w, "gph_plan_routed_total{route=\"index\"} %d\n", ps.RoutedIndex)
-	fmt.Fprintf(w, "gph_plan_routed_total{route=\"scan\"} %d\n", ps.RoutedScan)
 	fmt.Fprintf(w, "# HELP gph_cache_hits_total Result-cache hits.\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_hits_total counter\n")
 	fmt.Fprintf(w, "gph_cache_hits_total %d\n", ps.Cache.Hits)

@@ -368,8 +368,7 @@ func NewShardedEngine(name string, numShards int, opts Options) (*ShardedIndex, 
 	return shard.NewEngine(name, numShards, opts)
 }
 
-// PlanStats reports a query planner's mode ("adaptive" or "scan"), its
-// route counters and the result cache's counters; the struct lives in
+// PlanStats reports the result cache's counters; the struct lives in
 // internal/plan. Obtain one from ShardedIndex.PlanStats.
 type PlanStats = plan.Stats
 

@@ -1,6 +1,7 @@
 package gph_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,7 +39,11 @@ import (
 // data `go list -export` names; test files are not checked.
 func TestHotPaths(t *testing.T) {
 	start := time.Now()
-	fns, ignores, annotations := loadHotPathSummaries(t)
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns, ignores, annotations := mod.fns, mod.ignores, mod.annotations
 	var roots []string
 	for _, q := range slices.Sorted(maps.Keys(fns)) {
 		if fns[q].root {
@@ -92,8 +98,34 @@ func TestHotPaths(t *testing.T) {
 		len(roots), len(from), len(fns), used, time.Since(start).Round(time.Millisecond))
 }
 
+// TestForceIsATestSeam holds cpu.Force — the switch that forces a
+// query's route, scan kernel and projector — to tests: every function
+// that calls it lies in a test file (not loaded here) or in a package
+// under internal/ that no non-test file imports, the test-support
+// packages such as enginetest. A program built from the module then
+// cannot reach it, and it stays a seam, not an option.
+func TestForceIsATestSeam(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const force = "gph/internal/cpu.Force"
+	for _, name := range slices.Sorted(maps.Keys(mod.fns)) {
+		fn := mod.fns[name]
+		if !slices.Contains(fn.callees, force) {
+			continue
+		}
+		if importers := mod.importers[fn.pkg]; len(importers) > 0 || !strings.HasPrefix(fn.pkg, "gph/internal/") {
+			t.Errorf("%s calls cpu.Force outside a test; its package is imported by %v", name, importers)
+		} else {
+			t.Logf("%s calls cpu.Force; no non-test file imports %s", name, fn.pkg)
+		}
+	}
+}
+
 // hotFn is what TestHotPaths records of one function declaration.
 type hotFn struct {
+	pkg     string
 	root    bool
 	viols   []hotViol
 	callees []string // the module functions it calls, by types.Func.FullName
@@ -109,24 +141,40 @@ type hotIgnore struct {
 	used      bool
 }
 
+// moduleSummary is the module's non-test code as the tests of this file
+// read it: each function declaration by qualified name, the
+// //gphlint:ignore comments, the number of //gph:hotpath comments, and
+// each module package's importers among the module's packages.
+type moduleSummary struct {
+	fns         map[string]*hotFn
+	ignores     []*hotIgnore
+	annotations int
+	importers   map[string][]string
+}
+
+// loadModule type-checks the module once for every test that reads it.
+var loadModule = sync.OnceValues(loadHotPathSummaries)
+
 // loadHotPathSummaries type-checks every package of the module and
-// summarizes each of its function declarations by qualified name. It
-// returns them with the //gphlint:ignore comments and the number of
-// //gph:hotpath comments met.
-func loadHotPathSummaries(t *testing.T) (map[string]*hotFn, []*hotIgnore, int) {
+// summarizes each of its function declarations by qualified name.
+func loadHotPathSummaries() (*moduleSummary, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-f",
-		"{{.ImportPath}}\t{{.Export}}\t{{.Standard}}\t{{.Dir}}\t{{join .GoFiles \"\\t\"}}", "./...")
+		"{{.ImportPath}}\t{{.Export}}\t{{.Standard}}\t{{.Dir}}\t{{join .Imports \" \"}}\t{{join .GoFiles \"\\t\"}}", "./...")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %v", err)
 	}
-	var module [][]string // import path, export data, standard, directory, files
+	var module [][]string // import path, export data, standard, directory, imports, files
 	exports := map[string]string{}
+	mod := &moduleSummary{fns: map[string]*hotFn{}, importers: map[string][]string{}}
 	for l := range strings.Lines(string(out)) {
 		p := strings.Split(strings.TrimSuffix(l, "\n"), "\t")
-		if exports[p[0]] = p[1]; p[2] == "false" && p[4] != "" { // a package of tests alone has nothing to check
+		if exports[p[0]] = p[1]; p[2] == "false" && p[5] != "" { // a package of tests alone has nothing to check
 			module = append(module, p)
+			for _, imp := range strings.Fields(p[4]) {
+				mod.importers[imp] = append(mod.importers[imp], p[0])
+			}
 		}
 	}
 	fset := token.NewFileSet()
@@ -135,18 +183,15 @@ func loadHotPathSummaries(t *testing.T) (map[string]*hotFn, []*hotIgnore, int) {
 	})
 	wd, err := os.Getwd()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	fns := map[string]*hotFn{}
-	var ignores []*hotIgnore
-	annotations := 0
 	for _, p := range module {
 		dir, _ := filepath.Rel(wd, p[3]) // both absolute, so no error; positions read from the module root
 		var files []*ast.File
-		for _, name := range p[4:] {
+		for _, name := range p[5:] {
 			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files = append(files, f)
 		}
@@ -158,7 +203,7 @@ func loadHotPathSummaries(t *testing.T) (map[string]*hotFn, []*hotIgnore, int) {
 		}
 		conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 		if _, err := conf.Check(p[0], fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", p[0], err)
+			return nil, fmt.Errorf("type-checking %s: %v", p[0], err)
 		}
 		// An ignore covers its own line and the next.
 		type line struct {
@@ -171,13 +216,13 @@ func loadHotPathSummaries(t *testing.T) (map[string]*hotFn, []*hotIgnore, int) {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 					if text == "gph:hotpath" {
-						annotations++
+						mod.annotations++
 					}
 					if rest, ok := strings.CutPrefix(text, "gphlint:ignore"); ok {
 						rule, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
 						ps := fset.Position(c.Pos())
 						ig := &hotIgnore{pos: ps.String(), rule: rule}
-						ignores = append(ignores, ig)
+						mod.ignores = append(mod.ignores, ig)
 						covers[line{ps.Filename, ps.Line}], covers[line{ps.Filename, ps.Line + 1}] = ig, ig
 					}
 				}
@@ -189,7 +234,7 @@ func loadHotPathSummaries(t *testing.T) (map[string]*hotFn, []*hotIgnore, int) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				fn := &hotFn{root: fd.Doc != nil && slices.ContainsFunc(fd.Doc.List, func(c *ast.Comment) bool {
+				fn := &hotFn{pkg: p[0], root: fd.Doc != nil && slices.ContainsFunc(fd.Doc.List, func(c *ast.Comment) bool {
 					return strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "gph:hotpath"
 				})}
 				fn.callees, fn.viols = summarizeHot(info, fd, func(pos token.Pos, what string) hotViol {
@@ -201,11 +246,11 @@ func loadHotPathSummaries(t *testing.T) (map[string]*hotFn, []*hotIgnore, int) {
 					}
 					return hotViol{ps.String(), what, suppressed}
 				})
-				fns[info.Defs[fd.Name].(*types.Func).FullName()] = fn
+				mod.fns[info.Defs[fd.Name].(*types.Func).FullName()] = fn
 			}
 		}
 	}
-	return fns, ignores, annotations
+	return mod, nil
 }
 
 // summarizeHot walks one function body, closures included, for the

@@ -1,6 +1,10 @@
 package bitvec
 
-import "fmt"
+import (
+	"fmt"
+
+	"gph/internal/cpu"
+)
 
 // Projector projects a vector onto every part of a partitioning at once,
 // into one arena of words: part i's projection is ⌈len(parts[i])/64⌉
@@ -82,11 +86,15 @@ func (p *Projector) Words() int { return p.words }
 
 // Arm names the arm Project takes on this CPU: "pext" or "gather".
 func (p *Projector) Arm() string {
-	if p.pieces != nil && pextMissing == "" {
+	if p.pieces != nil && pextOn() {
 		return "pext"
 	}
 	return "gather"
 }
+
+// pextOn reports whether the CPU runs PEXT at full speed and cpu.Force
+// has not put the gather in force.
+func pextOn() bool { return pextMissing == "" && cpu.Forced().Projector == cpu.ProjectorPEXT }
 
 // Views returns an arena for Project and each part's projection as a
 // vector viewing it — what a query keeps in its pooled scratch.
@@ -110,7 +118,7 @@ func (p *Projector) Project(v Vector, arena []uint64) {
 	if v.n != p.dims || len(arena) != p.words {
 		panic(fmt.Sprintf("bitvec: projecting %d dims into %d words, want %d and %d", v.n, len(arena), p.dims, p.words))
 	}
-	if len(p.pieces) > 0 && pextMissing == "" {
+	if len(p.pieces) > 0 && pextOn() {
 		pextProject(&v.words[0], &p.pieces[0], len(p.pieces), &arena[0])
 		return
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"gph/internal/cpu"
 )
 
 // eachProjectArm runs body on the arm this host takes and on the
@@ -17,7 +19,7 @@ func eachProjectArm(t *testing.T, body func(t *testing.T)) {
 		body(t)
 	})
 	t.Run("gather", func(t *testing.T) {
-		forceGather(t)
+		t.Cleanup(cpu.Force(cpu.Setting{Projector: cpu.ProjectorGather}))
 		body(t)
 	})
 }
@@ -121,7 +123,7 @@ func TestProjectorArm(t *testing.T) {
 	if got := shuffled.Arm(); got != "gather" {
 		t.Errorf("a part that does not ascend takes the %s arm, want gather", got)
 	}
-	forceGather(t)
+	t.Cleanup(cpu.Force(cpu.Setting{Projector: cpu.ProjectorGather}))
 	if got := ascending.Arm(); got != "gather" {
 		t.Errorf("forced: ascending parts take the %s arm, want gather", got)
 	}
@@ -217,7 +219,7 @@ func FuzzProject(f *testing.F) {
 		}
 		v := randVec(rng, n)
 		checkProjector(t, v, parts)
-		forceGather(t)
+		t.Cleanup(cpu.Force(cpu.Setting{Projector: cpu.ProjectorGather}))
 		checkProjector(t, v, parts)
 	})
 }
@@ -243,7 +245,7 @@ func BenchmarkProjector(b *testing.B) {
 	for _, arm := range []string{"pext", "gather"} {
 		b.Run(arm, func(b *testing.B) {
 			if arm == "gather" {
-				forceGather(b)
+				b.Cleanup(cpu.Force(cpu.Setting{Projector: cpu.ProjectorGather}))
 			} else if pextMissing != "" {
 				b.Skipf("PEXT arm NOT exercised: this host lacks %s", pextMissing)
 			}

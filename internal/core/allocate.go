@@ -40,15 +40,14 @@ const (
 // scan, as verify.Codes prices the path AppendWithin will take: the bytes
 // read — the word-0 column where tau leaves few survivors, the rows where
 // it does not — over the bytes a step moves. It is what allocate weighs
-// every plan against.
-func (ix *Index) ScanCost(tau int) int64 { return ix.pricesThrough(tau).scan[tau] }
+// every plan against, priced under the scan arm in force.
+func (ix *Index) ScanCost(tau int) int64 { return ix.codes.ScanSteps(tau) }
 
 // planPrices is what an index's shape — widths, key counts, n — says of
 // its plans' prices before any query is bound. Derived state: computed by
 // the first query, grown as far in τ as queries ask (growPrices).
 type planPrices struct {
-	gen  [][]int64 // per partition, priceGeneration's row
-	scan []int64   // scan[τ]: verify.Codes.ScanSteps
+	gen [][]int64 // per partition, priceGeneration's row
 	// start prices what precedes the first DP round: binding the query, a
 	// step a dimension, and the m row starts. A step a dimension is what
 	// the gather cost (BenchmarkPlanPrices' "bind": 120–160 ns at 128
@@ -63,7 +62,7 @@ type planPrices struct {
 	floor []int64
 }
 
-// pricesThrough returns the plan prices with floor[tau], scan[tau] filled.
+// pricesThrough returns the plan prices with floor[tau] filled.
 func (ix *Index) pricesThrough(tau int) *planPrices {
 	if p := ix.prices.Load(); p != nil && tau < len(p.floor) {
 		return p
@@ -105,10 +104,7 @@ func (ix *Index) growPrices(tau int) *planPrices {
 			}
 			best, next = next, best
 		}
-		p.floor, p.scan = best[1:], make([]int64, units-1)
-		for at := range p.scan {
-			p.scan[at] = ix.codes.ScanSteps(at)
-		}
+		p.floor = best[1:]
 		ix.prices.Store(p)
 	}
 	ix.pricesMu.Unlock()
@@ -243,14 +239,15 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 // cell optimistically — and so is allocation itself: the bill holds
 // binding the query and its row starts (planPrices.start), every DP
 // round and every row refinement so far, and the refinement this round's
-// vector asks for. Once bill + plan exceeds ScanCost the
-// loop stops without spending more and the query is scanned. Until then
+// vector asks for. Once bill + plan exceeds limit — ScanCost, unless
+// gather forced the index route — the loop stops without spending more
+// and the query is scanned. Until then
 // the bill alone is below the scan's price, and a plan that settles
 // costs no more than what the bill has left of it — so no query spends
 // more than twice the scan's price on priced work, however the rounds
 // go. The second result is that verdict as one number, in key-scan
 // steps: the plan's price when the loop settled on it, and otherwise
-// something above ScanCost (what the guard saw when it stopped the
+// something above limit (what the guard saw when it stopped the
 // loop; alloc.FallbackCost when no vector fits the enumeration budget),
 // the Result then being whatever the DP last proposed — not a plan, and
 // not necessarily on exact cells. Round-robin allocations are not
@@ -262,7 +259,7 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 // Result.Thresholds is backed by the scratch.
 //
 //gph:hotpath
-func (ix *Index) allocateLoop(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
+func (ix *Index) allocateLoop(q bitvec.Vector, tau int, limit int64, s *searchScratch) (alloc.Result, int64) {
 	if s.q.Dims() == 0 {
 		ix.bindQuery(q, s)
 	}
@@ -271,11 +268,10 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, s *searchScratch) (alloc
 	}
 	ix.startRows(tau, s)
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
-	p, round := ix.pricesThrough(tau), ix.roundPrice(tau)
-	scan, bill := p.scan[tau], p.start
+	bill, round := ix.pricesThrough(tau).start, ix.roundPrice(tau)
 	for {
 		bill += round
-		if bill > scan {
+		if bill > limit {
 			return alloc.Result{}, bill
 		}
 		s.rounds++
@@ -299,7 +295,7 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, s *searchScratch) (alloc
 				settled = false
 			}
 		}
-		if bill+price > scan {
+		if bill+price > limit {
 			return res, bill + price
 		}
 		if settled {
@@ -321,19 +317,19 @@ func (ix *Index) roundPrice(tau int) int64 {
 // allocate is the query path's allocation: allocateLoop, entered only
 // where it could say anything but "scan". Its bill opens at start +
 // round and no vector it can propose is priced below floor[τ], so where
-// those three pass the scan's price round one's verdict is known from the
+// those three pass limit round one's verdict is known from the
 // index's shape and τ alone and is returned before the query is bound: no
 // projection, no probe, no DP, no counter moved.
 //
 //gph:hotpath
-func (ix *Index) allocate(q bitvec.Vector, tau int, s *searchScratch) (alloc.Result, int64) {
+func (ix *Index) allocate(q bitvec.Vector, tau int, limit int64, s *searchScratch) (alloc.Result, int64) {
 	if ix.opts.Allocator != AllocRR {
 		p := ix.pricesThrough(tau)
-		if price := p.start + ix.roundPrice(tau) + p.floor[tau]; price > p.scan[tau] {
+		if price := p.start + ix.roundPrice(tau) + p.floor[tau]; price > limit {
 			return alloc.Result{}, price
 		}
 	}
-	return ix.allocateLoop(q, tau, s)
+	return ix.allocateLoop(q, tau, limit, s)
 }
 
 // startRows fits every row to thresholds up to tau and makes the

@@ -36,7 +36,7 @@ type lazyAllocation struct {
 // early exit to it).
 func lazyAllocate(ix *Index, q bitvec.Vector, tau int) lazyAllocation {
 	s := ix.getScratch()
-	res, price := ix.allocateLoop(q, tau, s)
+	res, price := ix.allocateLoop(q, tau, ix.ScanCost(tau), s)
 	got := lazyAllocation{Result: res, price: price, rounds: s.rounds, scans: s.scans, settled: res.Thresholds != nil}
 	for i, e := range res.Thresholds {
 		got.settled = got.settled && ix.cnExact(i, e, s)
@@ -343,7 +343,7 @@ func TestSearchGrowKeepsRows(t *testing.T) {
 			}
 			s, afresh := ix.getScratch(), 0
 			for tau := 1; tau <= gs.FinalTau; tau *= 2 {
-				res, price := ix.allocate(q, tau, s)
+				res, price := ix.allocate(q, tau, ix.ScanCost(tau), s)
 				if want, _ := eagerAllocate(ix, q, tau); price > ix.ScanCost(tau) || !slices.Equal(res.Thresholds, want.Thresholds) {
 					t.Fatalf("%s query %d tau=%d: rows kept from smaller radii allocate %v at %d, the eager DP %v", c.name, qi, tau, res.Thresholds, price, want.Thresholds)
 				}

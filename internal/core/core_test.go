@@ -258,7 +258,7 @@ func TestPersistRoundTripOptions(t *testing.T) {
 	notCarried := []string{
 		"NoRefine", "Refine.MaxMoves", "Refine.MaxEvals", "Refine.TargetsPerDim", "Refine.BestImprovement",
 		"Refine.EnumBudget", "Refine.TotalRows", "Refine.Seed", "Workload", "WorkloadSize", "SampleSize",
-		"BuildParallelism", "WALPath", "AutoCompactDelta", "PlanMode", "CacheBytes",
+		"BuildParallelism", "WALPath", "AutoCompactDelta", "CacheBytes",
 	}
 	if lost := enginetest.FieldsThatDiffer(loaded.Options(), ix.Options()); !slices.Equal(lost, notCarried) {
 		t.Fatalf("options Load did not hand back:\n     %v\nwant %v\npersist a new field in saveOptions or declare it here", lost, notCarried)

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/engine"
+	"gph/internal/verify"
 )
 
 // freeVerdict reports whether allocate answers "scan" at tau from the
@@ -231,9 +234,10 @@ func TestPlanFloorIsTheCheapestVector(t *testing.T) {
 // shapes stand (n = 20 000): lib_selective's queries (uqvideo-like, τ = 8)
 // run the index, lib_wide's (sift-like, τ = 16) are scanned — by the free
 // verdict where the scan is priced by the kernels, in the loop's first
-// round where it is priced by the portable loops. The log names the arm
-// and the τ each shape's verdict is free from (CI prints it beside the
-// scan kernel's).
+// round where it is priced by the portable loops. Both hold under the
+// host's arm and under the portable arm forced (cpu.Force). The log
+// names the arm and the τ each shape's verdict is free from (CI prints
+// it beside the scan kernel's).
 func TestLibShapesPinTheirRoute(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -248,25 +252,72 @@ func TestLibShapesPinTheirRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		from, arm := freeFrom(ix), "kernel"
-		if ix.ScanCost(c.tau) == int64(ix.count*(2+(ix.dims+63)/64)/3) {
-			arm = "portable (the kernel price NOT exercised)"
-		}
-		t.Logf("%s: price arm %s: a scan costs %d steps at tau=%d and %d at tau=%d; the verdict is free from tau=%d",
-			c.name, arm, ix.ScanCost(c.tau), c.tau, ix.ScanCost(ix.dims-1), ix.dims-1, from)
-		wantFree := !c.wantIndex && arm == "kernel"
-		if (c.tau >= from) != wantFree {
-			t.Fatalf("%s: tau=%d against a verdict free from %d", c.name, c.tau, from)
-		}
-		for qi, q := range dataset.PerturbQueries(c.ds, 100, 4, 7) {
-			_, st, err := ix.SearchStats(q, c.tau)
-			if err != nil {
-				t.Fatal(err)
+		for _, forced := range []cpu.Kernel{cpu.KernelAssembly, cpu.KernelPortable} {
+			restore := cpu.Force(cpu.Setting{Kernel: forced})
+			from, arm := freeFrom(ix), "kernel"
+			if ix.ScanCost(c.tau) == int64(ix.count*(2+(ix.dims+63)/64)/3) {
+				arm = "portable"
+				if forced != cpu.KernelPortable {
+					arm += " (the kernel price NOT exercised)"
+				}
 			}
-			if st.Scanned == c.wantIndex || (st.AllocRounds == 0) != wantFree {
-				t.Fatalf("%s query %d: %+v", c.name, qi, *st)
+			t.Logf("%s: price arm %s: a scan costs %d steps at tau=%d and %d at tau=%d; the verdict is free from tau=%d",
+				c.name, arm, ix.ScanCost(c.tau), c.tau, ix.ScanCost(ix.dims-1), ix.dims-1, from)
+			wantFree := !c.wantIndex && arm == "kernel"
+			if (c.tau >= from) != wantFree {
+				restore()
+				t.Fatalf("%s, %s arm: tau=%d against a verdict free from %d", c.name, arm, c.tau, from)
 			}
+			for qi, q := range dataset.PerturbQueries(c.ds, 100, 4, 7) {
+				_, st, err := ix.SearchStats(q, c.tau)
+				if err == nil && (st.Scanned == c.wantIndex || (st.AllocRounds == 0) != wantFree) {
+					err = fmt.Errorf("%+v", *st)
+				}
+				if err != nil {
+					restore()
+					t.Fatalf("%s, %s arm, query %d: %v", c.name, arm, qi, err)
+				}
+			}
+			restore()
 		}
+	}
+}
+
+// TestForcedArmPricesTheScan: under a forced scan arm, a query's
+// ScanCost is that arm's ScanSteps price — on an index that priced its
+// plans under the host's arm before the arm was forced too — and the
+// host's price is back once the arm is restored.
+func TestForcedArmPricesTheScan(t *testing.T) {
+	ds := dataset.SIFTLike(3000, 4) // two-word rows: the column and the portable loops price apart
+	ix := buildSmall(t, ds.Vectors, Options{Seed: 1})
+	q, tau := ds.Vectors[0], 12
+	price := func() int64 {
+		t.Helper()
+		_, st, err := ix.SearchStats(q, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ScanCost
+	}
+	host := price()
+	if ix.prices.Load() == nil {
+		t.Fatal("the first query priced no plans")
+	}
+	portable := int64(ix.count * (2 + (ix.dims+63)/64) / 3)
+	for _, k := range []cpu.Kernel{cpu.KernelAssembly, cpu.KernelGo, cpu.KernelPortable} {
+		restore := cpu.Force(cpu.Setting{Kernel: k})
+		got, want, arm := price(), ix.codes.ScanSteps(tau), verify.Arm()
+		restore()
+		if got != want {
+			t.Fatalf("arm %v: ScanCost %d, the arm's ScanSteps %d", arm, got, want)
+		}
+		if (got == portable) != (arm == cpu.KernelPortable) {
+			t.Fatalf("arm %v: ScanCost %d against the portable price %d", arm, got, portable)
+		}
+		t.Logf("forced arm %v runs as %v: ScanCost %d at tau=%d", k, arm, got, tau)
+	}
+	if got := price(); got != host {
+		t.Fatalf("restored: ScanCost %d, the host's %d", got, host)
 	}
 }
 

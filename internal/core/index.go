@@ -251,11 +251,6 @@ func (ix *Index) Vector(id int32) bitvec.Vector {
 	return ix.codes.Row(id)
 }
 
-// Codes implements engine.Scannable: the packed verification arena
-// over the indexed vectors, row id == engine id. Shared storage —
-// callers must not modify it.
-func (ix *Index) Codes() *verify.Codes { return ix.codes }
-
 // Partitioning exposes the (refined) partitioning for inspection.
 func (ix *Index) Partitioning() *partition.Partitioning { return ix.parts }
 

@@ -130,13 +130,6 @@ type Options struct {
 	// (compaction is explicit). Runtime-only — ignored by a single
 	// immutable Index and not persisted in saved containers.
 	AutoCompactDelta int
-	// PlanMode selects the sharded layer's query-planner policy:
-	// "adaptive" (default, also the empty string) leaves every query to
-	// the shard engines, each of which weighs its index against a scan
-	// of its arena itself; "scan" forces that scan (tests, debugging).
-	// Anything else is an error. Runtime-only — ignored by a single
-	// immutable Index and not persisted in saved containers.
-	PlanMode string
 	// CacheBytes bounds the sharded layer's query-result cache; 0 (the
 	// default) disables caching. Runtime-only — ignored by a single
 	// immutable Index and not persisted in saved containers.

@@ -10,6 +10,7 @@ import (
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/verify"
 )
@@ -168,7 +169,7 @@ func BenchmarkPlanPrices(b *testing.B) {
 			for range b.N {
 				for _, q := range queries {
 					s := ix.getScratch()
-					_, price := ix.allocate(q, tau, s)
+					_, price := ix.allocate(q, tau, ix.ScanCost(tau), s)
 					ix.putScratch(s)
 					if price <= ix.ScanCost(tau) {
 						b.Fatalf("tau=%d: priced at %d", tau, price)
@@ -204,7 +205,7 @@ func BenchmarkPlanPrices(b *testing.B) {
 				return time.Since(t0)
 			}},
 			{"generate", func(b *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
-				res, price := ix.allocate(q, c.tau, s)
+				res, price := ix.allocate(q, c.tau, ix.ScanCost(c.tau), s)
 				if price > ix.ScanCost(c.tau) {
 					return -1 // scanned: nothing is generated
 				}
@@ -249,12 +250,14 @@ var crossoverN = flag.Int("crossover-n", 20000, "rows of BenchmarkCrossover's co
 
 // BenchmarkCrossover is the sweep DESIGN.md §1 ("Where the crossover
 // lands") tabulates: on the regression benchmark's two corpora, τ across
-// the guard's crossover, what a query costs by Search and by the scan it
-// is weighed against (AppendWithin over the same arena) — the median
-// query's best of b.N passes over 400 perturbed queries, the way
-// benchmark/ keeps a latency — and the share of queries Search scanned.
-// The file runs unchanged in the parent commit's tree, which is how the
-// table's parent column is made:
+// the guard's crossover, what a query costs by Search on each route —
+// the index forced, the scan forced (cpu.Force) and the guard's own
+// choice — the median query's best of b.N passes over 400 perturbed
+// queries, the way benchmark/ keeps a latency, and the share of queries
+// each scanned. The search line's regret is Search ÷ min(index, scan):
+// 1 where the guard picked the faster route for the median query. Under
+// the forced index a query is scanned only where no plan fits the
+// enumeration budget.
 //
 //	go test -run '^$' -bench Crossover -benchtime 200x ./internal/core [-args -crossover-n 100000]
 func BenchmarkCrossover(b *testing.B) {
@@ -271,33 +274,36 @@ func BenchmarkCrossover(b *testing.B) {
 			b.Fatal(err)
 		}
 		queries := dataset.PerturbQueries(c.ds, 400, 4, 7)
-		var out []int32
 		for _, tau := range c.taus {
-			b.Run(fmt.Sprintf("%s/τ=%d/search", c.name, tau), func(b *testing.B) {
-				scanned := 0
-				for _, q := range queries {
-					if _, st, err := ix.SearchStats(q, tau); err != nil {
-						b.Fatal(err)
-					} else if st.Scanned {
-						scanned++
-					}
+			var median [3]float64 // ns a query by route, once its line has run
+			for _, route := range []cpu.Route{cpu.RouteIndex, cpu.RouteScan, cpu.RouteAdaptive} {
+				line := route.String()
+				if route == cpu.RouteAdaptive {
+					line = "search"
 				}
-				reportStage(b, len(queries), func(i int) time.Duration {
-					t0 := time.Now()
-					if _, err := ix.Search(queries[i], tau); err != nil {
-						b.Fatal(err)
+				b.Run(fmt.Sprintf("%s/τ=%d/%s", c.name, tau, line), func(b *testing.B) {
+					defer cpu.Force(cpu.Setting{Route: route})()
+					scanned := 0
+					for _, q := range queries {
+						if _, st, err := ix.SearchStats(q, tau); err != nil {
+							b.Fatal(err)
+						} else if st.Scanned {
+							scanned++
+						}
 					}
-					return time.Since(t0)
+					median[route] = reportStage(b, len(queries), func(i int) time.Duration {
+						t0 := time.Now()
+						if _, err := ix.Search(queries[i], tau); err != nil {
+							b.Fatal(err)
+						}
+						return time.Since(t0)
+					})
+					b.ReportMetric(100*float64(scanned)/float64(len(queries)), "scanned-%")
+					if best := min(median[cpu.RouteIndex], median[cpu.RouteScan]); route == cpu.RouteAdaptive && best > 0 {
+						b.ReportMetric(median[route]/best, "regret")
+					}
 				})
-				b.ReportMetric(100*float64(scanned)/float64(len(queries)), "scanned-%")
-			})
-			b.Run(fmt.Sprintf("%s/τ=%d/scan", c.name, tau), func(b *testing.B) {
-				reportStage(b, len(queries), func(i int) time.Duration {
-					t0 := time.Now()
-					out = ix.codes.AppendWithin(queries[i], tau, out[:0])
-					return time.Since(t0)
-				})
-			})
+			}
 		}
 	}
 }
@@ -315,9 +321,9 @@ func wordsOf(data []bitvec.Vector) [][]uint64 {
 // way benchmark/ keeps a latency: b.N passes over the queries, the best
 // reading of each query kept — what the stage costs when nothing
 // interrupts it — and the median query reported, less the clock's own
-// best reading. Queries that do not have the stage (a negative duration)
-// are left out; if none has it, so is the line.
-func reportStage(b *testing.B, queries int, run func(query int) time.Duration) {
+// best reading, which it also returns. Queries that do not have the stage
+// (a negative duration) are left out; if none has it, so is the line.
+func reportStage(b *testing.B, queries int, run func(query int) time.Duration) float64 {
 	clock := time.Duration(math.MaxInt64)
 	for range 1000 {
 		t0 := time.Now()
@@ -341,5 +347,7 @@ func reportStage(b *testing.B, queries int, run func(query int) time.Duration) {
 		b.Skip("no query has this stage")
 	}
 	slices.Sort(best)
-	b.ReportMetric(float64((best[len(best)/2] - clock).Nanoseconds()), "ns/query")
+	ns := float64((best[len(best)/2] - clock).Nanoseconds())
+	b.ReportMetric(ns, "ns/query")
+	return ns
 }

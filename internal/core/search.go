@@ -8,6 +8,7 @@ import (
 
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 	"gph/internal/engine"
 	"gph/internal/hamming"
 	"gph/internal/invindex"
@@ -197,13 +198,15 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	}
 	var stats Stats
 	if tau >= ix.dims {
-		// The ball covers the whole space; every vector matches.
+		// The ball covers the whole space; every vector matches, on any
+		// route.
 		out := make([]int32, ix.count)
 		for i := range out {
 			out[i] = int32(i)
 		}
 		stats.Results = len(out)
 		stats.Candidates = len(out)
+		stats.Scanned = true
 		return out, reportStats(&stats, wantStats), nil
 	}
 
@@ -273,7 +276,11 @@ func reportStats(stats *Stats, want bool) *Stats {
 // candidates generated) when allocation priced the index above
 // verifying the whole collection; stats then carries no thresholds —
 // the vector the guard stopped at was never going to run, and may hold a
-// ball nobody would enumerate. stats.Thresholds aliases the scratch.
+// ball nobody would enumerate. The guard reads the route cpu.Force put
+// in force, once: a forced scan is scanned before allocation starts,
+// and under a forced index the guard's limit is just below
+// alloc.FallbackCost, so that only a query no vector fits the
+// enumeration budget of is scanned. stats.Thresholds aliases the scratch.
 // Shared by Search, SearchIter and SearchGrow, which calls it once per
 // radius on one scratch. timed says whether the caller will read
 // stats.AllocNanos and stats.ProbeNanos; the clock is not read for one
@@ -283,20 +290,28 @@ func reportStats(stats *Stats, want bool) *Stats {
 func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats, timed bool) (scanned bool, err error) {
 	// Phase 1: threshold allocation. The RR baseline skips estimation
 	// entirely — that is the point of the comparison in Fig. 3.
+	stats.ScanCost = ix.ScanCost(tau)
+	limit := stats.ScanCost
+	switch cpu.Forced().Route {
+	case cpu.RouteScan:
+		return true, nil
+	case cpu.RouteIndex:
+		limit = alloc.FallbackCost - 1
+	}
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	res, price := ix.allocate(q, tau, s)
+	res, price := ix.allocate(q, tau, limit, s)
 	if timed {
 		stats.AllocNanos = time.Since(start).Nanoseconds()
 	}
-	stats.PlanCost, stats.ScanCost = price, ix.ScanCost(tau)
+	stats.PlanCost = price
 	stats.AllocRounds = s.rounds
 	stats.CNScans = s.scans
 	stats.CNProbes = s.cnProbes
 	stats.CNKeys = s.cnKeys
-	if price > stats.ScanCost {
+	if price > limit {
 		stats.Thresholds, stats.EstimatedCN = nil, 0
 		return true, nil
 	}

@@ -98,7 +98,7 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		codes := eager.Codes()
+		codes := eager.codes
 		for id := range eager.Len() {
 			q := eager.Vector(int32(id))
 			for _, tau := range []int{0, 2} {

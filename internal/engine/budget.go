@@ -1,6 +1,11 @@
 package engine
 
-import "gph/internal/verify"
+import (
+	"math"
+
+	"gph/internal/cpu"
+	"gph/internal/verify"
+)
 
 // The index side of the price list (DESIGN.md §1, "What a plan costs"),
 // in key-scan steps, the unit verify.Codes.ScanSteps prices the scan in.
@@ -28,8 +33,17 @@ const (
 // index routes a query the same way in every run.
 type Budget struct{ left int64 }
 
-// ScanBudget opens a budget at codes.ScanSteps(tau).
+// ScanBudget opens a budget at codes.ScanSteps(tau). It reads the route
+// cpu.Force put in force: a forced scan opens it overdrawn, and a forced
+// index opens it at the most a budget can hold, so that only a ball the
+// engine will not enumerate is refused.
 func ScanBudget(codes *verify.Codes, tau int) Budget {
+	switch cpu.Forced().Route {
+	case cpu.RouteScan:
+		return Budget{left: -1}
+	case cpu.RouteIndex:
+		return Budget{left: math.MaxInt64}
+	}
 	return Budget{left: codes.ScanSteps(tau)}
 }
 

@@ -1,29 +1,13 @@
 package engine
 
-import (
-	"gph/internal/bitvec"
-	"gph/internal/verify"
-)
+import "gph/internal/bitvec"
 
 // This file defines the optional capability interfaces the layers
-// above an engine (internal/plan's forced scan, GrowKNN) discover by
-// type assertion. They live here — not in internal/plan — for the same
-// reason Streamer does: engine may import only substrate packages, and
-// every implementation already imports engine for the core contract,
-// so capabilities advertised here introduce no new edges in the
-// package graph.
-
-// Scannable is implemented by engines whose vectors live in a packed
-// verification arena (verify.Codes). A forced scan (-plan scan) answers
-// a range query straight off the arena, bypassing the engine's own
-// candidate generation; in normal serving the engine scans it itself
-// when its index would cost more.
-type Scannable interface {
-	// Codes returns the packed arena over the engine's vectors, row id
-	// == engine id. The arena is shared storage and must not be
-	// modified.
-	Codes() *verify.Codes
-}
+// above an engine (the opener, GrowKNN) discover by type assertion.
+// They live here for the same reason Streamer does: engine may import
+// only substrate packages, and every implementation already imports
+// engine for the core contract, so capabilities advertised here
+// introduce no new edges in the package graph.
 
 // Validator is implemented by engines whose loader can return before
 // every check has run: GPH's leaves the content tier, which reads every

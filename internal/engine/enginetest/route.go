@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 	"gph/internal/engine"
+	"gph/internal/verify"
 )
 
 // statsSearcher is engine.Engine's and the sharded index's SearchStats.
@@ -21,15 +23,18 @@ type statsSearcher interface {
 }
 
 // ScratchReturned fails t unless a warm Search of (q, tau), answered by
-// the index, allocates no more than a copy of its result does. An engine
-// that pools its per-query scratch and misses the Put on some path makes
-// every later query allocate a scratch afresh, which shows here. Skipped
-// under the race detector, where sync.Pool drops puts at random.
+// the index — the route forced (cpu.Force), so any fixture reaches it
+// where the index can answer — allocates no more than a copy of its
+// result does. An engine that pools its per-query scratch and misses the
+// Put on some path makes every later query allocate a scratch afresh,
+// which shows here. Skipped under the race detector, where sync.Pool
+// drops puts at random.
 func ScratchReturned(t *testing.T, e engine.Engine, q bitvec.Vector, tau int) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random")
 	}
+	defer cpu.Force(cpu.Setting{Route: cpu.RouteIndex})()
 	OnIndex(t, e, q, tau)
 	ids, err := e.Search(q, tau)
 	if err != nil {
@@ -47,8 +52,9 @@ func ScratchReturned(t *testing.T, e engine.Engine, q bitvec.Vector, tau int) {
 }
 
 // OnIndex fails t unless e answers (q, tau) by an index plan — on every
-// shard, if e is sharded. Size fixtures so that this holds under the
-// scan's kernel price; it then holds under the portable one.
+// shard, if e is sharded. For a test whose subject is the guard's own
+// verdict, size the fixture so that this holds under the scan's kernel
+// price; it then holds under the portable one.
 func OnIndex(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 	t.Helper()
 	if _, st, err := e.SearchStats(q, tau); err != nil {
@@ -70,8 +76,9 @@ func FreeScan(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 }
 
 // BudgetHolds sweeps an engine that guards itself with engine.Budget
-// (MIH, HmSearch) over queries × τ ∈ [0, maxTau] and holds it to the
-// budget's promise by the counters a query reports: the index's priced
+// (MIH, HmSearch), whose packed arena is codes, over queries × τ ∈
+// [0, maxTau] and holds it to the budget's promise by the counters a
+// query reports: the index's priced
 // work — ProbePrice a signature, CandidatePrice a posting — is at most
 // the scan's price at that τ where the index answered, and at most that
 // plus the overdrawing charge (longest postings: the engine's longest
@@ -79,9 +86,8 @@ func FreeScan(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 // where the scan answered after all. Every answer equals the scan's.
 // Which cell takes which route follows the host's scan price, so the
 // log names the arm and the counts and nothing asserts them.
-func BudgetHolds(t testing.TB, name string, e engine.Engine, queries []bitvec.Vector, maxTau, longest int) {
+func BudgetHolds(t testing.TB, name string, e engine.Engine, codes *verify.Codes, queries []bitvec.Vector, maxTau, longest int) {
 	t.Helper()
-	codes := e.(engine.Scannable).Codes()
 	arm := "kernel"
 	if codes.ScanSteps(0) == int64(e.Len()*(2+(e.Dims()+63)/64)/3) {
 		arm = "portable (the kernel price NOT exercised)"

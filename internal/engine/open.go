@@ -74,11 +74,10 @@ type OpenedEngine interface {
 // fails the first search with a sticky validation error. Neither ever
 // faults.
 //
-// The guard forwards the Engine contract plus streaming, not the
-// planner-facing capabilities (Scannable, GrowSearcher):
-// the planner is only ever handed the raw engines inside the shard
-// layer's states, under that layer's own mapping bracket, and a packed
-// arena read outside any Acquire/Release bracket would race Close.
+// The guard forwards the Engine contract plus streaming, not
+// GrowSearcher: the shard layer hands the raw engines inside its states
+// only to calls under its own mapping bracket, and a packed arena read
+// outside any Acquire/Release bracket would race Close.
 // SearchKNN still reaches the inner engine's own grower.
 func Open(path string, mode OpenMode) (OpenedEngine, error) {
 	if mode == OpenMMap {

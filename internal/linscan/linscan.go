@@ -65,10 +65,6 @@ func (s *Scanner) MaxTau() int { return s.dims }
 // shares storage with the scanner and must not be modified.
 func (s *Scanner) Vector(id int32) bitvec.Vector { return s.data[id] }
 
-// Codes implements engine.Scannable: the packed verification arena
-// the scanner already searches over (shared storage — do not modify).
-func (s *Scanner) Codes() *verify.Codes { return s.codes }
-
 // SizeBytes reports resident size: the packed vectors plus, once a
 // search has built it, their word-0 column (verify.Codes.SketchBytes).
 func (s *Scanner) SizeBytes() int64 {

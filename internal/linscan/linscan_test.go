@@ -64,7 +64,7 @@ func TestSizeBytesCountsTheColumn(t *testing.T) {
 	if _, err := s.Search(data[0], 3); err != nil {
 		t.Fatal(err)
 	}
-	column := s.Codes().SketchBytes()
+	column := s.codes.SketchBytes()
 	if column != 0 && column != 100*8 {
 		t.Fatalf("SketchBytes %d after a search, want 0 or %d", column, 100*8)
 	}

@@ -38,7 +38,7 @@ func TestBaselineWorkIsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := append(dataset.PerturbQueries(ds, 3, 6, 21), ds.Vectors[17])
-			enginetest.BudgetHolds(t, fmt.Sprintf("%s n=%d", ds.Name, n), ix, queries, ix.MaxTau(), longestList(ix))
+			enginetest.BudgetHolds(t, fmt.Sprintf("%s n=%d", ds.Name, n), ix, ix.codes, queries, ix.MaxTau(), longestList(ix))
 		}
 	}
 }

@@ -143,12 +143,6 @@ func (ix *Index) MaxTau() int { return ix.dims }
 // shares storage with the index and must not be modified.
 func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
 
-// Codes implements engine.Scannable: the packed verification arena
-// over the indexed vectors (shared storage — do not modify): what
-// Search scans when the index would cost more, and what a forced scan
-// (-plan scan) reads directly.
-func (ix *Index) Codes() *verify.Codes { return ix.codes }
-
 // SizeBytes reports posting-list memory — exact arena accounting on
 // the frozen layout (Fig. 6).
 func (ix *Index) SizeBytes() int64 {

@@ -1,7 +1,7 @@
-// Package plan is the per-query planner and result cache. The planner
-// leaves each query to its engine, which weighs its index against a
-// linear scan of the verification arena itself, or forces that scan
-// when asked to, and counts which. The cache is a bounded, sharded LRU
+// Package plan is the result cache, and the planner shims the benchmark
+// still calls (planner.go): every query goes to its engine, which weighs
+// its index against a linear scan of the verification arena itself. The
+// cache is a bounded, sharded LRU
 // keyed on (query hash, tau, k, engine, snapshot epoch): the shard
 // layer bumps the epoch on every snapshot swap, so Insert/Delete/Compact
 // invalidate stale entries with zero coordination and no locks on the

@@ -2,8 +2,6 @@ package plan
 
 import (
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -36,27 +34,6 @@ func TestHashWords(t *testing.T) {
 	// Length is part of the hash: a trailing zero word must matter.
 	if HashWords([]uint64{1, 2}, 0) == HashWords([]uint64{1, 2, 0}, 0) {
 		t.Error("trailing zero word does not change the hash")
-	}
-}
-
-// TestParseMode pins the -plan vocabulary: two words and the empty
-// string, and an error that names them for anything else — the two
-// retired spellings included.
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": ModeAdaptive, "adaptive": ModeAdaptive, "scan": ModeScan} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
-		}
-		if s != "" && got.String() != s {
-			t.Errorf("Mode(%q).String() = %q", s, got.String())
-		}
-	}
-	for _, s := range []string{"index", "off", "bogus", "Adaptive"} {
-		_, err := ParseMode(s)
-		if err == nil || !strings.Contains(err.Error(), "adaptive|scan") || !strings.Contains(err.Error(), strconv.Quote(s)) {
-			t.Errorf("ParseMode(%q): error %v, want one naming the mode and adaptive|scan", s, err)
-		}
 	}
 }
 
@@ -150,21 +127,19 @@ func TestCacheConcurrent(t *testing.T) {
 // is the nil embedded interface's and panics when called.
 type untouchable struct{ engine.Engine }
 
-// TestRouteNeverCallsTheEngine: under ModeAdaptive Route asks the engine
-// nothing, whatever the engine: the answer is RouteIndex from the mode
-// and one atomic add, with no allocation.
+// TestRouteNeverCallsTheEngine: Route, the shim benchmark/layers.go
+// times, asks the engine nothing, whatever the engine, and allocates
+// nothing.
 func TestRouteNeverCallsTheEngine(t *testing.T) {
 	var e engine.Engine = untouchable{}
 	q := bitvec.New(64)
 	p := NewPlanner(ModeAdaptive)
 	tau := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if p.Route(e, q, tau%64) != RouteIndex {
-			t.Fatal("the adaptive planner routed a query to its scan")
-		}
+		p.Route(e, q, tau%64)
 		tau++
 	})
-	if st := p.Stats(); allocs != 0 || st.Mode != "adaptive" || st.RoutedScan != 0 || st.RoutedIndex < 1000 {
-		t.Fatalf("%v allocs a Route, stats %+v", allocs, st)
+	if allocs != 0 {
+		t.Fatalf("%v allocs a Route", allocs)
 	}
 }

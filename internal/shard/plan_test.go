@@ -13,39 +13,36 @@ import (
 	"gph/internal/binio"
 	"gph/internal/bitvec"
 	"gph/internal/core"
+	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/mih"
-	"gph/internal/plan"
 )
 
-// planOpts enables the planner and a result cache on top of the usual
-// fast test options.
+// planOpts enables a result cache on top of the usual fast test options.
 func planOpts() core.Options {
 	o := testOpts()
-	o.PlanMode = "adaptive"
 	o.CacheBytes = 1 << 20
 	return o
 }
 
-// TestPlannerConformance is exactness through the planner and the
-// cache at the sharded layer, for every exact engine with a packed arena
-// and under both -plan modes. With the cache enabled, every workload
-// bucket's results are byte-equal to the linear-scan oracle — on the
-// cold pass and the warm pass (cache hit) alike, for range queries and
-// for kNN — and SearchStats says which pass was which. Under "adaptive"
-// the planner decides nothing: each query is answered by the route its
-// bare shard engines choose, whatever the engine, and no query is
-// counted as the planner's scan. Under "scan" every shard is scanned.
+// TestPlannerConformance is exactness through the result cache at the
+// sharded layer, for every exact engine with a packed arena, on every
+// route cpu.Force can put in force: the engines' own choice, the index
+// and the scan. With the cache enabled, every workload bucket's results
+// are byte-equal to the linear-scan oracle — on the cold pass and the
+// warm pass (cache hit) alike, for range queries and for kNN — and
+// SearchStats says which pass was which. A cold query is scanned exactly
+// when the bare shard engines scan it under the same route: every query
+// under the forced scan, and under the forced index only what the index
+// cannot answer (linscan has no index; a ball no plan fits the
+// enumeration budget of), which the log counts.
 func TestPlannerConformance(t *testing.T) {
-	// 4 000 rows a shard: gph runs index plans at τ = 0 and scans at 32,
-	// so the verdicts compared below are of both kinds. What MIH and
-	// HmSearch choose follows the host's scan price, so it is logged,
-	// not asserted.
 	const numShards = 2
 	opts := planOpts()
 	opts.MaxTau = 32
-	ds := dataset.UQVideoLike(8000, 3)
+	opts.EnumBudget = 1 << 13 // keeps a forced index route's kNN growth small
+	ds := dataset.UQVideoLike(2000, 3)
 	live := make(map[int32]bitvec.Vector, len(ds.Vectors))
 	for i, v := range ds.Vectors {
 		live[int32(i)] = v
@@ -67,104 +64,88 @@ func TestPlannerConformance(t *testing.T) {
 			}
 			defer s.Close()
 			reg, _ := engine.Lookup(name)
-			for _, mode := range []string{"adaptive", "scan"} {
-				if err := s.ConfigurePlan(mode, 1<<20); err != nil {
-					t.Fatal(err)
-				}
-				scans := 0
-				for _, tau := range taus {
-					for qi, q := range queries {
-						// The bare engines' verdict on the same shard data.
-						bare := false
-						for i := range s.shards {
-							_, st, err := s.shards[i].Load().built.SearchStats(q, tau)
-							if err != nil {
-								t.Fatal(err)
+			for _, route := range []cpu.Route{cpu.RouteAdaptive, cpu.RouteIndex, cpu.RouteScan} {
+				t.Run(route.String(), func(t *testing.T) {
+					t.Cleanup(cpu.Force(cpu.Setting{Route: route}))
+					s.ConfigurePlan("adaptive", 1<<20) // a fresh cache
+					scans := 0
+					for _, tau := range taus {
+						for qi, q := range queries {
+							// The bare engines' verdict on the same shard data.
+							bare := false
+							for i := range s.shards {
+								_, st, err := s.shards[i].Load().built.SearchStats(q, tau)
+								if err != nil {
+									t.Fatal(err)
+								}
+								bare = bare || st.Scanned
 							}
-							bare = bare || st.Scanned
-						}
-						for pass := 0; pass < 2; pass++ {
-							got, st, err := s.SearchStats(q, tau)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !equalIDs(want[tau][qi], got) {
-								t.Fatalf("-plan %s tau=%d query=%d pass=%d: got %d ids, want %d (diverged from the oracle)",
-									mode, tau, qi, pass, len(got), len(want[tau][qi]))
-							}
-							if st.CacheHit != (pass == 1) || st.Results != len(got) || st.Candidates < len(got) {
-								t.Fatalf("-plan %s tau=%d query=%d pass=%d: stats %+v for %d results", mode, tau, qi, pass, st, len(got))
-							}
-							if pass == 1 {
-								continue
-							}
-							if wantScanned := bare || mode == "scan"; st.Scanned != wantScanned {
-								t.Fatalf("-plan %s tau=%d query=%d: scanned=%v through the planner, %v by the shard engines themselves", mode, tau, qi, st.Scanned, bare)
-							}
-							if mode == "scan" && st.Candidates != len(ds.Vectors) {
-								t.Fatalf("-plan scan tau=%d query=%d: stats %+v", tau, qi, st)
-							}
-							if st.Scanned {
-								scans++
+							for pass := 0; pass < 2; pass++ {
+								got, st, err := s.SearchStats(q, tau)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !equalIDs(want[tau][qi], got) {
+									t.Fatalf("route %s tau=%d query=%d pass=%d: got %d ids, want %d (diverged from the oracle)",
+										route, tau, qi, pass, len(got), len(want[tau][qi]))
+								}
+								if st.CacheHit != (pass == 1) || st.Results != len(got) || st.Candidates < len(got) {
+									t.Fatalf("route %s tau=%d query=%d pass=%d: stats %+v for %d results", route, tau, qi, pass, st, len(got))
+								}
+								if pass == 1 {
+									continue
+								}
+								if st.Scanned != bare || route == cpu.RouteScan && (!st.Scanned || st.Candidates != len(ds.Vectors)) {
+									t.Fatalf("route %s tau=%d query=%d: scanned=%v through the index, %v by the shard engines themselves: %+v", route, tau, qi, st.Scanned, bare, st)
+								}
+								if st.Scanned {
+									scans++
+								}
 							}
 						}
 					}
-				}
-				// kNN through the cache: ids and distances both re-materialize.
-				// (A τ-bounded engine's kNN is best-effort within its bound.)
-				wantHits := cold
-				if !reg.TauBounded {
-					wantHits += int64(len(queries))
-					for qi, q := range queries {
-						wantNN := bruteKNN(live, q, 7)
-						for pass := 0; pass < 2; pass++ {
-							got, err := s.SearchKNN(q, 7)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !slices.Equal(got, wantNN) {
-								t.Fatalf("-plan %s kNN query=%d pass=%d: got %v, want %v", mode, qi, pass, got, wantNN)
+					if route == cpu.RouteIndex && name != "linscan" && scans == int(cold) {
+						t.Errorf("route index: all %d cold %s queries scanned", cold, name)
+					}
+					t.Logf("%s under route %s: %d of %d cold queries scanned", name, route, scans, cold)
+					// kNN through the cache: ids and distances both re-materialize.
+					// (A τ-bounded engine's kNN is best-effort within its bound.)
+					wantHits := cold
+					if !reg.TauBounded {
+						wantHits += int64(len(queries))
+						for qi, q := range queries {
+							wantNN := bruteKNN(live, q, 7)
+							for pass := 0; pass < 2; pass++ {
+								got, err := s.SearchKNN(q, 7)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !slices.Equal(got, wantNN) {
+									t.Fatalf("route %s kNN query=%d pass=%d: got %v, want %v", route, qi, pass, got, wantNN)
+								}
 							}
 						}
 					}
-				}
-				ps := s.PlanStats()
-				wantRoutes := plan.Stats{Mode: mode, RoutedIndex: cold * numShards}
-				if mode == "scan" {
-					wantRoutes.RoutedIndex, wantRoutes.RoutedScan = 0, cold*numShards
-				}
-				if ps.Mode != mode || ps.RoutedIndex != wantRoutes.RoutedIndex || ps.RoutedScan != wantRoutes.RoutedScan {
-					t.Errorf("-plan %s: %+v, want the routes of %+v", mode, ps, wantRoutes)
-				}
-				if ps.Cache.Hits != wantHits || ps.Cache.Misses != wantHits {
-					t.Errorf("-plan %s: cache counters %+v, want %d hits (every second pass) and as many misses", mode, ps.Cache, wantHits)
-				}
-				if mode == "adaptive" {
-					t.Logf("%s under -plan adaptive: %d of %d cold queries scanned", name, scans, cold)
-					if name == "gph" && (scans == 0 || scans == int(cold)) {
-						t.Errorf("%d of %d gph queries scanned; the fixture should hold both verdicts", scans, cold)
+					if ps := s.PlanStats(); ps.Cache.Hits != wantHits || ps.Cache.Misses != wantHits {
+						t.Errorf("route %s: cache counters %+v, want %d hits (every second pass) and as many misses", route, ps.Cache, wantHits)
 					}
-				}
-				// Out-of-contract queries fail identically on every pass: only
-				// valid queries are ever stored, so a hit cannot bypass validation.
-				for pass := 0; pass < 2; pass++ {
-					if _, err := s.Search(bitvec.New(s.Dims()+1), 3); !errors.Is(err, engine.ErrDimMismatch) {
-						t.Errorf("pass %d: wrong-dims error = %v", pass, err)
+					// Out-of-contract queries fail identically on every pass: only
+					// valid queries are ever stored, so a hit cannot bypass validation.
+					for pass := 0; pass < 2; pass++ {
+						if _, err := s.Search(bitvec.New(s.Dims()+1), 3); !errors.Is(err, engine.ErrDimMismatch) {
+							t.Errorf("pass %d: wrong-dims error = %v", pass, err)
+						}
+						if _, err := s.Search(queries[0], -1); !errors.Is(err, engine.ErrNegativeTau) {
+							t.Errorf("pass %d: negative-tau error = %v", pass, err)
+						}
 					}
-					if _, err := s.Search(queries[0], -1); !errors.Is(err, engine.ErrNegativeTau) {
-						t.Errorf("pass %d: negative-tau error = %v", pass, err)
-					}
-				}
+				})
 			}
-			// The retired policies and unknown ones are rejected by name,
-			// and a rejected policy leaves the configured one in place.
-			for _, mode := range []string{"index", "off", "bogus"} {
-				if err := s.ConfigurePlan(mode, 0); err == nil || !strings.Contains(err.Error(), "adaptive|scan") {
-					t.Errorf("ConfigurePlan(%q) = %v, want an error naming adaptive|scan", mode, err)
+			// The retired policies and unknown ones are refused by name.
+			for _, mode := range []string{"scan", "index", "off", "bogus"} {
+				if err := s.ConfigurePlan(mode, 0); err == nil || !strings.Contains(err.Error(), "want adaptive") {
+					t.Errorf("ConfigurePlan(%q) = %v, want an error naming adaptive", mode, err)
 				}
-			}
-			if ps := s.PlanStats(); ps.Mode != "scan" {
-				t.Errorf("a rejected policy replaced the planner: %+v", ps)
 			}
 		})
 	}
@@ -248,10 +229,8 @@ func TestLifecycleRunsNoSearches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plan := range []string{"adaptive", "scan"} {
-			if err := loaded.ConfigurePlan(plan, 1<<20); err != nil {
-				t.Fatal(err)
-			}
+		if err := loaded.ConfigurePlan("adaptive", 1<<20); err != nil {
+			t.Fatal(err)
 		}
 		for _, v := range ds.Vectors[1000:] {
 			if _, err := loaded.Insert(v); err != nil {

@@ -215,13 +215,11 @@ type Index struct {
 	// LRU. Monotonic, never reset (no ABA).
 	epoch atomic.Uint64
 
-	// planner forces the verified-scan route when asked to and counts
-	// routes; cache is the bounded LRU over query results. Both are
-	// fixed at construction (ConfigurePlan before serving) and read
-	// lock-free on the search hot path; cache may be nil (disabled).
-	planner *plan.Planner
-	cache   *plan.Cache
-	engID   uint8 // plan.EngineID(engine), baked into cache keys
+	// cache is the bounded LRU over query results, fixed at
+	// construction (ConfigurePlan before serving) and read lock-free on
+	// the search hot path; nil when disabled.
+	cache *plan.Cache
+	engID uint8 // plan.EngineID(engine), baked into cache keys
 
 	// Compaction: compactMu serializes rebuild runs; pending
 	// deduplicates async/auto triggers; autoCompact is the buffer
@@ -333,9 +331,7 @@ func NewEngine(engineName string, numShards int, opts core.Options) (*Index, err
 		s.maxTau = engine.BuildOptions{MaxTau: opts.MaxTau}.WithDefaults().MaxTau
 	}
 	s.autoCompact.Store(int32(opts.AutoCompactDelta))
-	if err := s.ConfigurePlan(opts.PlanMode, opts.CacheBytes); err != nil {
-		return nil, err
-	}
+	_ = s.ConfigurePlan("", opts.CacheBytes) // the empty mode is never refused
 	empty := &state{dead: map[int32]bool{}}
 	for i := range s.shards {
 		s.shards[i].Store(empty)
@@ -945,9 +941,8 @@ func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 // shard's engine.Stats summed over the count fields and phase nanos
 // (so the nanos are work done, not wall time, when shards ran
 // concurrently), plus one candidate per delta entry scanned. Scanned
-// reports that some shard was answered by a verified scan, its
-// engine's choice or the planner's forced one (that shard contributes
-// its whole arena as candidates);
+// reports that some shard's engine answered by a verified scan (that
+// shard contributes its whole arena as candidates);
 // CacheHit that the result cache answered, in which case only the
 // result count is known and Candidates repeats it. Thresholds is left
 // empty — shards allocate independently.
@@ -1039,7 +1034,7 @@ func (s *Index) searchFanOut(q bitvec.Vector, tau int, st *engine.Stats) ([]int3
 			if perStats != nil {
 				shSt = &perStats[i]
 			}
-			perShard[i], errs[i] = sh.search(q, tau, s.planner, shSt)
+			perShard[i], errs[i] = sh.search(q, tau, shSt)
 		})
 	}
 	s.fanOut(tasks)
@@ -1081,39 +1076,22 @@ func addStats(sum, sh *engine.Stats) {
 	sum.Candidates += sh.Candidates
 }
 
-// scanBufs pools the forced-scan route's local-id buffers: search maps
-// them to global ids into a slice of its own, so a buffer never leaves it.
-var scanBufs = sync.Pool{New: func() any { return new([]int32) }}
-
 // search answers one shard's share of a range query: built-index
 // results mapped to global ids with tombstones dropped, then the
 // delta scan. builtIDs is ascending, so the mapped ids stay sorted.
 // The engine's own Search answers — it weighs its index against a scan
-// itself — unless the planner forces the scan of its packed arena
-// (plan.RouteScan is only ever answered for exact engine.Scannable
-// engines, so both routes return the same id set). A non-nil st
-// receives the shard's accounting.
-func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner, st *engine.Stats) ([]int32, error) {
+// itself. A non-nil st receives the shard's accounting.
+func (sh *state) search(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
 	var out []int32
 	if sh.built != nil {
 		var local []int32
-		var scanBuf *[]int32
 		var err error
-		switch {
-		case pl.Route(sh.built, q, tau) == plan.RouteScan:
-			scanBuf = scanBufs.Get().(*[]int32)
-			*scanBuf = sh.built.(engine.Scannable).Codes().AppendWithin(q, tau, (*scanBuf)[:0])
-			local = *scanBuf
-			if st != nil {
-				st.Scanned = true
-				st.Candidates = sh.built.Len()
-			}
-		case st != nil:
+		if st != nil {
 			var built *engine.Stats
 			if local, built, err = sh.built.SearchStats(q, tau); err == nil {
 				*st = *built
 			}
-		default:
+		} else {
 			local, err = sh.built.Search(q, tau)
 		}
 		if err != nil {
@@ -1125,9 +1103,6 @@ func (sh *state) search(q bitvec.Vector, tau int, pl *plan.Planner, st *engine.S
 			if !sh.dead[gid] {
 				out = append(out, gid)
 			}
-		}
-		if scanBuf != nil {
-			scanBufs.Put(scanBuf)
 		}
 	}
 	for _, e := range sh.delta {

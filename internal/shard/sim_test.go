@@ -3,16 +3,19 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gph/internal/bitvec"
 	"gph/internal/core"
+	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/wal"
@@ -20,16 +23,19 @@ import (
 
 // FuzzShardLifecycle is a seeded, deterministic simulation of the shard
 // lifecycle. Its first two bytes choose the engine, the shard count, the
-// starting collection, how the index is first opened and its plan; each
-// byte pair after them is one step: insert, delete of a built, a
-// buffered or a missing id, Search at several τ, SearchKNN, SearchBatch,
-// a stream broken off early, Compact, a SaveFile checkpoint reopened by
-// a heap Load or a mapping, a crash reopened from the checkpoint plus
-// WAL replay, a switch of planner route and result cache, and an update
-// whose WAL fsync fails. Auto-compaction is off, so a run is a function
-// of its bytes. After every step the index is held to a model of the
-// live set and the id counter:
-//   - every answer equals a linear scan of the live set;
+// starting collection, how the index is first opened and its result
+// cache; each byte pair after them is one step: insert, delete of a
+// built, a buffered or a missing id, Search at several τ, SearchKNN,
+// SearchBatch, a stream broken off early, Compact, a SaveFile checkpoint
+// reopened by a heap Load or a mapping, a crash reopened from the
+// checkpoint plus WAL replay, a switch of result cache, and an update
+// whose WAL fsync fails. Every search runs under a route, scan kernel and
+// projector drawn for it (cpu.Force) from a generator seeded by the first
+// two bytes. Auto-compaction is off, so a run is a function of its
+// bytes. After every step the index is held to a model of the live set
+// and the id counter:
+//   - every answer, under every drawn setting, equals a linear scan of
+//     the live set;
 //   - Len, Vector of every live id, and built and buffered ids ascending
 //     in every shard;
 //   - the epoch (index-wide and summed over the shards) rose on every
@@ -44,12 +50,65 @@ import (
 //     never written, by its successor's constructor or anyone else.
 //
 // The seeds run under go test; go test -fuzz FuzzShardLifecycle searches
-// further and shrinks a failing run to its shortest program.
+// further and shrinks a failing run to its shortest program. Run as
+// seeds, it logs which route each engine's own verdict took on the range
+// searches, by the setting in force, and fails unless the index answered
+// at least 30 % of them for each engine.
 func FuzzShardLifecycle(f *testing.F) {
-	for seed := int64(0); seed < 32; seed++ {
+	const seeds = 32
+	for seed := int64(0); seed < seeds; seed++ {
 		f.Add(lifecycleSeed(seed))
 	}
+	routeTally, tallied = map[string]map[cpu.Setting]routeCount{}, 0
 	f.Fuzz(runLifecycle)
+	if tallied == 0 {
+		return // fuzzing: the workers ran the programs
+	}
+	for _, name := range slices.Sorted(maps.Keys(routeTally)) {
+		share := logRoutes(f, name, routeTally[name])
+		if tallied == seeds && share < 0.3 {
+			f.Errorf("%s: the index answered %.0f %% of the seeds' searches, want at least 30 %%", name, 100*share)
+		}
+	}
+}
+
+// routeCount is how many shard-engine range searches the runs made under
+// one setting, and how many of them the engine answered by the scan.
+type routeCount struct{ searches, scanned int }
+
+// routeTally counts, by engine and setting, the searches of the runs
+// since FuzzShardLifecycle began; tallied is how many runs those were.
+var (
+	routeTally = map[string]map[cpu.Setting]routeCount{}
+	tallied    int
+)
+
+// logRoutes logs one engine's tally by route, scan kernel and projector
+// in force, as the index's share of each, and returns the index's share
+// of all its searches.
+func logRoutes(t testing.TB, name string, counts map[cpu.Setting]routeCount) float64 {
+	var routes, kernels, projectors [3]routeCount
+	var all routeCount
+	for set, c := range counts {
+		for _, sum := range []*routeCount{&routes[set.Route], &kernels[set.Kernel], &projectors[set.Projector], &all} {
+			sum.searches += c.searches
+			sum.scanned += c.scanned
+		}
+	}
+	line := func(sums []routeCount, name func(int) fmt.Stringer) string {
+		var parts []string
+		for i, c := range sums {
+			parts = append(parts, fmt.Sprintf("%v %d/%d", name(i), c.searches-c.scanned, c.searches))
+		}
+		return strings.Join(parts, ", ")
+	}
+	share := float64(all.searches-all.scanned) / float64(max(all.searches, 1))
+	t.Logf("%s: the index answered %d of %d searches (%.0f %%); by route forced: %s; by scan kernel: %s; by projector: %s",
+		name, all.searches-all.scanned, all.searches, 100*share,
+		line(routes[:], func(i int) fmt.Stringer { return cpu.Route(i) }),
+		line(kernels[:], func(i int) fmt.Stringer { return cpu.Kernel(i) }),
+		line(projectors[:2], func(i int) fmt.Stringer { return cpu.Projector(i) }))
+	return share
 }
 
 // lifecycleSeed is a 200-step program that opens with every operation
@@ -126,7 +185,8 @@ type lifecycle struct {
 	fresh      int  // next unused pool vector
 	unsaved    int  // acknowledged updates since the last checkpoint
 	rebuild    bool // no checkpoint since the start: a crash may rebuild from the base
-	plan       string
+	rng        *rand.Rand
+	setting    cpu.Setting // in force for the search under way
 	cache      int64
 	goroutines int // baseline with no index open
 	emptyWAL   int64
@@ -161,7 +221,10 @@ func printState(sh *state) statePrint {
 	return statePrint{sh.built, h}
 }
 
-func runLifecycle(t *testing.T, prog []byte) { simulate(t, prog) }
+func runLifecycle(t *testing.T, prog []byte) {
+	simulate(t, prog)
+	tallied++
+}
 
 // TestPublishedSnapshotsImmutable holds every shard state that a run of
 // publishing steps meets to its first fingerprint until the run ends:
@@ -194,7 +257,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 	}
 	for hdr := byte(0); hdr < 6; hdr++ { // gph and mih over 1–3 shards
 		t.Run(fmt.Sprintf("%d", hdr), func(t *testing.T) {
-			prog := []byte{hdr, 2 | 8} // 96 vectors, the adaptive plan, the cache on
+			prog := []byte{hdr, 2 | 8} // 96 vectors, the cache on
 			for range 8 {
 				prog = append(prog, steps...)
 			}
@@ -220,7 +283,7 @@ func simulate(t *testing.T, prog []byte) *lifecycle {
 		wal:        filepath.Join(dir, "index.wal"),
 		live:       map[int32]bitvec.Vector{},
 		rebuild:    true,
-		plan:       []string{"adaptive", "scan"}[hdr[1]>>2&1],
+		rng:        rand.New(rand.NewSource(int64(hdr[0])<<8 | int64(hdr[1]))),
 		cache:      int64(hdr[1]>>3&1) << 20,
 		goroutines: runtime.NumGoroutine(),
 	}
@@ -280,21 +343,24 @@ func (m *lifecycle) do(op, arg byte) bool {
 		return live
 	case 6, 7:
 		for _, tau := range []int{0, int(arg % 8), tau} {
-			got, err := s.Search(q, tau)
-			m.expect("search", q, tau, got, err)
+			m.search("search", q, tau)
 		}
 	case 8:
+		defer m.draw()()
 		k := []int{1, 3, 10, 1 << 20}[arg%4]
 		if got, err := s.SearchKNN(q, k); err != nil || !slices.Equal(got, bruteKNN(m.live, q, k)) {
-			m.fatalf("kNN k=%d: %v %v, the scan finds %v", k, got, err, bruteKNN(m.live, q, k))
+			m.fatalf("kNN k=%d (%+v): %v %v, the scan finds %v", k, m.setting, got, err, bruteKNN(m.live, q, k))
 		}
 	case 9:
+		defer m.draw()()
 		qs := lifecycleQueries[arg%4 : 4+arg%5]
 		got, err := s.SearchBatch(qs, tau, int(arg%3))
 		for i, q := range qs {
 			m.expect("batch", q, tau, got[i], err)
+			m.tally(q, tau)
 		}
 	case 10:
+		defer m.draw()()
 		m.stream(q, tau, int(arg%6))
 	case 11:
 		dirty := false
@@ -332,8 +398,8 @@ func (m *lifecycle) do(op, arg byte) bool {
 		m.closeIndex()
 		m.attach(m.reopen(arg))
 	case 14:
-		m.plan, m.cache = []string{"adaptive", "scan"}[arg&1], int64(arg>>1&1)<<20
-		if err := s.ConfigurePlan(m.plan, m.cache); err != nil {
+		m.cache = int64(arg&1) << 20
+		if err := s.ConfigurePlan("adaptive", m.cache); err != nil {
 			m.fatalf("%v", err)
 		}
 	case 15:
@@ -409,11 +475,63 @@ func (m *lifecycle) failedUpdate(arg byte) {
 	m.checkpoint(0)
 }
 
+var drawnRoutes = []cpu.Route{
+	cpu.RouteIndex, cpu.RouteIndex, cpu.RouteIndex, cpu.RouteIndex, cpu.RouteIndex,
+	cpu.RouteAdaptive, cpu.RouteAdaptive, cpu.RouteScan,
+}
+
+// draw puts in force a setting drawn for the next search: the index
+// route five times in eight, the engines' own choice twice and the scan
+// once, and any scan kernel and projector. The caller restores it.
+func (m *lifecycle) draw() (restore func()) {
+	m.setting = cpu.Setting{
+		Route:     drawnRoutes[m.rng.Intn(len(drawnRoutes))],
+		Kernel:    cpu.Kernel(m.rng.Intn(3)),
+		Projector: cpu.Projector(m.rng.Intn(2)),
+	}
+	return cpu.Force(m.setting)
+}
+
+// search runs one range search under a drawn setting, holds it to the
+// scan and tallies its route.
+func (m *lifecycle) search(what string, q bitvec.Vector, tau int) {
+	defer m.draw()()
+	got, err := m.s.Search(q, tau)
+	m.expect(what, q, tau, got, err)
+	m.tally(q, tau)
+}
+
+// tally counts the route each shard's built engine takes for (q, tau)
+// under the setting in force, by the engine's own Scanned verdict.
+func (m *lifecycle) tally(q bitvec.Vector, tau int) {
+	counts := routeTally[m.engine]
+	if counts == nil {
+		counts = map[cpu.Setting]routeCount{}
+		routeTally[m.engine] = counts
+	}
+	c := counts[m.setting]
+	for i := range m.s.shards {
+		sh := m.s.shards[i].Load()
+		if sh.built == nil {
+			continue
+		}
+		_, st, err := sh.built.SearchStats(q, tau)
+		if err != nil {
+			m.fatalf("shard %d tau=%d: %v", i, tau, err)
+		}
+		c.searches++
+		if st.Scanned {
+			c.scanned++
+		}
+	}
+	counts[m.setting] = c
+}
+
 // expect fails the run unless a range answer is the scan's.
 func (m *lifecycle) expect(what string, q bitvec.Vector, tau int, got []int32, err error) {
 	m.t.Helper()
 	if want := bruteRange(m.live, q, tau); err != nil || !slices.Equal(got, want) {
-		m.fatalf("%s tau=%d (%s, cache %d): %v %v, the scan finds %v", what, tau, m.plan, m.cache, got, err, want)
+		m.fatalf("%s tau=%d (%+v, cache %d): %v %v, the scan finds %v", what, tau, m.setting, m.cache, got, err, want)
 	}
 }
 
@@ -478,7 +596,9 @@ func (m *lifecycle) reopen(how byte) *Index {
 		if !m.rebuild {
 			return m.reopen(0)
 		}
-		opts := core.Options{NumPartitions: 4, MaxTau: 16, Seed: 1, SampleSize: 50, WorkloadSize: 2, NoRefine: true, Init: core.InitRandom}
+		// A small enumeration budget keeps a forced index route's balls
+		// small; a query whose ball passes it is scanned on that route.
+		opts := core.Options{NumPartitions: 4, MaxTau: 16, Seed: 1, SampleSize: 50, WorkloadSize: 2, NoRefine: true, Init: core.InitRandom, EnumBudget: 1 << 13}
 		s, err = BuildEngine(m.engine, lifecyclePool[:m.base], m.shards, opts)
 	}
 	if err != nil {
@@ -489,7 +609,7 @@ func (m *lifecycle) reopen(how byte) *Index {
 
 // attach replays the WAL onto s, wraps its log, starts its fan-out
 // workers (so the goroutine count has one expected value) and applies
-// the run's plan. Replay must apply exactly the updates acknowledged
+// the run's result cache. Replay must apply exactly the updates acknowledged
 // since the last checkpoint, each publishing a snapshot.
 func (m *lifecycle) attach(s *Index) {
 	m.s, m.published = s, map[*state]statePrint{}
@@ -500,7 +620,7 @@ func (m *lifecycle) attach(s *Index) {
 	m.log = &checkedLog{Log: s.wal.(*wal.Log), s: s, t: m.t}
 	s.wal = m.log
 	s.ensureWorkers()
-	if err := s.ConfigurePlan(m.plan, m.cache); err != nil {
+	if err := s.ConfigurePlan("adaptive", m.cache); err != nil {
 		m.fatalf("%v", err)
 	}
 	if s.Dims() != 0 && s.Dims() != lifecyclePool[0].Dims() || s.NumShards() != m.shards {
@@ -561,9 +681,7 @@ func (m *lifecycle) check(step int) {
 	}
 	// One probe a step from a small query set: with the cache on, a
 	// snapshot published without an epoch bump answers a repeat stale.
-	q, tau := lifecycleQueries[step%len(lifecycleQueries)], []int{2, 12, 48}[step%3]
-	got, err := s.Search(q, tau)
-	m.expect("probe", q, tau, got, err)
+	m.search("probe", lifecycleQueries[step%len(lifecycleQueries)], []int{2, 12, 48}[step%3])
 	if s.mapping != nil && s.mapping.Refs() != 0 {
 		m.fatalf("a quiescent mapped index holds %d mapping references", s.mapping.Refs())
 	}

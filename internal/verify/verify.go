@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 )
 
 // BlockSize is the number of candidates a streaming consumer should
@@ -247,10 +248,10 @@ func (c *Codes) AppendWithin(q bitvec.Vector, tau int, dst []int32) []int32 {
 }
 
 // AppendWithinRange is AppendWithin over rows [lo, hi), which must lie
-// within [0, Len()]: a streamed scan takes it a block at a time. Where
-// the CPU has the kernels, rows of two words or more go through the
-// word-0 column (scanColumn); one-word rows, and everything on every
-// other CPU and platform, take the row path (scanRows).
+// within [0, Len()]: a streamed scan takes it a block at a time. Under a
+// kernel Arm, rows of two words or more go through the word-0 column
+// (scanColumn); one-word rows, and everything under the portable Arm,
+// take the row path (scanRows).
 //
 //gph:hotpath
 func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32) []int32 {
@@ -263,7 +264,7 @@ func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32)
 		}
 		return dst
 	}
-	if kernelMissing == "" && c.w >= 2 {
+	if Arm() != cpu.KernelPortable && c.w >= 2 {
 		dst, _ = c.scanColumn(q.Words(), tau, lo, hi, dst)
 		return dst
 	}
@@ -271,13 +272,13 @@ func (c *Codes) AppendWithinRange(q bitvec.Vector, tau, lo, hi int, dst []int32)
 }
 
 // ScanSteps prices AppendWithin at threshold tau in key-scan steps, by
-// the path AppendWithinRange will take.
+// the path AppendWithinRange will take under the Arm in force.
 func (c *Codes) ScanSteps(tau int) int64 {
-	through := -1
-	if kernelMissing == "" && c.w >= 2 {
+	kernel, through := Arm() != cpu.KernelPortable, -1
+	if kernel && c.w >= 2 {
 		through = c.sparseThrough()
 	}
-	return scanSteps(c.n, c.w, tau, through, kernelMissing == "")
+	return scanSteps(c.n, c.w, tau, through, kernel)
 }
 
 // scanSteps is ScanSteps as a pure function of n rows of w words that
@@ -352,13 +353,13 @@ func (c *Codes) sparseThrough() int {
 }
 
 // scanRows answers rows [lo, hi) on the row-major arena alone: the row
-// kernel for 1, 2 and 4 words where the CPU has one, the portable loops
+// kernel for 1, 2 and 4 words under a kernel Arm, the portable loops
 // (the reference) everywhere else. Callers have resolved 0 ≤ tau < dims.
 //
 //gph:hotpath
 func (c *Codes) scanRows(qw []uint64, tau, lo, hi int, dst []int32) []int32 {
 	rows := c.words[lo*c.w : hi*c.w]
-	if kernelMissing == "" && (c.w == 1 || c.w == 2 || c.w == 4) {
+	if Arm() != cpu.KernelPortable && (c.w == 1 || c.w == 2 || c.w == 4) {
 		return scanKernel(rows, c.w, qw, tau, lo, dst)
 	}
 	// scanPortable numbers the rows it is handed from zero.

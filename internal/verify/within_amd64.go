@@ -45,11 +45,17 @@ func withinBits4(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
 // (DESIGN.md §12).
 var kernelMissing = cpu.ScanKernelMissing
 
-// goKernels makes the drivers call withinBitsGo where they would call
-// the assembly, once a chunk: a switch only tests throw, with
-// kernelMissing cleared, so that the drivers' hand-off, bitmap clearing
-// and hit-count early-out run on a host without the kernels too.
-var goKernels bool
+// Arm returns the scan arm in force: the one cpu.Force set, else the
+// assembly where kernelMissing is empty and the portable loops where it
+// is not. Under cpu.KernelGo the drivers call withinBitsGo where they
+// would call the assembly, so that their hand-off, bitmap clearing and
+// hit-count early-out run on a host without the kernels too.
+func Arm() cpu.Kernel {
+	if k := cpu.Forced().Kernel; k != cpu.KernelAssembly || kernelMissing == "" {
+		return k
+	}
+	return cpu.KernelPortable
+}
 
 // withinBitsGo is the Go reference of the four kernels, at row width w:
 // the same groups bytes written to out, ascending, and the bits it set
@@ -81,10 +87,14 @@ func withinBitsGo(w int, rows *uint64, groups int, q *uint64, tau uint64, out *u
 // whole groups of eight rows a chunk at a time, the bitmap is read back
 // with TrailingZeros64 — not at all where withinBits1 counted no hit —
 // and the n mod 8 tail goes through distWithin.
-// Callers have resolved 0 ≤ tau < dims and checked kernelMissing.
+// Callers have resolved 0 ≤ tau < dims and an Arm other than the
+// portable one.
 //
 //gph:hotpath
 func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) []int32 {
+	// The Go reference unless the assembly runs here, whatever the
+	// setting became since the caller read it.
+	ref := Arm() != cpu.KernelAssembly
 	n := len(words) / w
 	whole := n &^ 7
 	q := &qw[:w][0] // the kernels read w query words
@@ -96,7 +106,7 @@ func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) 
 		hits[(groups-1)/8] = 0
 		rows := &words[lo*w]
 		switch {
-		case goKernels:
+		case ref:
 			if withinBitsGo(w, rows, groups, q, uint64(tau), &hits[0]) == 0 {
 				continue
 			}
@@ -130,12 +140,15 @@ func scanKernel(words []uint64, w int, qw []uint64, tau, base int, dst []int32) 
 // row arena with distWithin. A chunk whose survivors are dense goes to
 // scanRows instead, with the backoffChunks after it; the second result
 // is how many rows went that way (tests assert the hand-off ran; callers
-// drop it). Callers have resolved 0 ≤ tau < dims and kernelMissing; c.w ≥ 2.
+// drop it). Callers have resolved 0 ≤ tau < dims and an Arm other than
+// the portable one; c.w ≥ 2.
 //
 //gph:hotpath
 func (c *Codes) scanColumn(qw []uint64, tau, lo, hi int, dst []int32) ([]int32, int) {
 	sketch, w, q := c.ensureSketch(), c.w, &qw[0]
 	_ = sketch[lo:hi] // a range outside [0, Len()] panics here, as scanRows' does
+	// As in scanKernel: the Go reference unless the assembly runs here.
+	ref := Arm() != cpu.KernelAssembly
 	whole := lo + (hi-lo)&^7
 	var hits [chunkRows / 64]uint64
 	byRows := 0
@@ -147,7 +160,7 @@ func (c *Codes) scanColumn(qw []uint64, tau, lo, hi int, dst []int32) ([]int32, 
 		hits[(groups-1)/8] = 0
 		col := sketch[at:end] // the words the kernel reads, bounds-checked
 		var survivors int
-		if goKernels {
+		if ref {
 			survivors = withinBitsGo(1, &col[0], groups, q, uint64(tau), &hits[0])
 		} else {
 			survivors = withinBits1(&col[0], groups, q, uint64(tau), &hits[0])

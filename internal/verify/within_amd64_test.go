@@ -27,14 +27,6 @@ func goReference(w int) bitsKernel {
 	}
 }
 
-// selectGoKernels makes the drivers take the kernel paths on any host,
-// calling the kernels' Go reference, until the test ends.
-func selectGoKernels(t testing.TB) {
-	missing, was := kernelMissing, goKernels
-	kernelMissing, goKernels = "", true
-	t.Cleanup(func() { kernelMissing, goKernels = missing, was })
-}
-
 // groupCounts runs through every remainder of the w = 1 kernel's
 // four-group loop several times over, and to a whole chunk and one group
 // short of it.

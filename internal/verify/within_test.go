@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 )
 
 // The tests of this file hold the arms of AppendWithin against each
@@ -59,9 +60,18 @@ func eachKernel(t *testing.T, body func(t *testing.T)) {
 		body(t)
 	})
 	t.Run("go", func(t *testing.T) {
-		selectGoKernels(t)
+		forceKernel(t, cpu.KernelGo)
 		body(t)
 	})
+}
+
+// forceKernel puts the scan arm k in force until t ends, and skips t
+// where this build cannot run k.
+func forceKernel(t testing.TB, k cpu.Kernel) {
+	t.Cleanup(cpu.Force(cpu.Setting{Kernel: k}))
+	if Arm() != k {
+		t.Skipf("scan arm %v NOT exercised: there is no %s", k, kernelMissing)
+	}
 }
 
 // kernelDims lists, per kernel width, a full-word dimensionality and
@@ -174,7 +184,7 @@ func TestScanRangeOutsideTheArena(t *testing.T) {
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			if arm.assembly && kernelMissing != "" {
-				selectGoKernels(t)
+				forceKernel(t, cpu.KernelGo)
 				t.Logf("assembly NOT exercised: this host lacks %s; the drivers call the Go reference", kernelMissing)
 			}
 			q := randVector(rng, arm.dims, 0.5)
