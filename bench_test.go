@@ -1,15 +1,12 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one BenchmarkExp* per artifact; see DESIGN.md §4) plus
-// micro-benchmarks of the hot kernels. The experiment benchmarks run
-// the harness at reduced scale so the full suite finishes on a laptop;
-// cmd/gph-bench runs the same experiments at full scale.
+// Micro-benchmarks of the public API's hot paths, the baselines' builds
+// and the open path. The paper's tables are cmd/gph-bench's reproduction
+// ledger (DESIGN.md §4), not benchmarks here.
 package gph_test
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -23,39 +20,12 @@ import (
 
 	"gph"
 	"gph/datagen"
-	"gph/internal/bench"
 	"gph/internal/binio"
 	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/mmapio"
 )
-
-// runExp benchmarks one harness experiment end to end.
-func runExp(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner(bench.Config{Scale: 0.05, Queries: 5, Out: io.Discard})
-		if err := r.Run(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExpFig1Skewness(b *testing.B)       { runExp(b, "fig1") }
-func BenchmarkExpFig2aDecomposition(b *testing.B) { runExp(b, "fig2a") }
-func BenchmarkExpFig2bCandVsSum(b *testing.B)     { runExp(b, "fig2b") }
-func BenchmarkExpFig3Allocation(b *testing.B)     { runExp(b, "fig3") }
-func BenchmarkExpFig4Partitioning(b *testing.B)   { runExp(b, "fig4") }
-func BenchmarkExpFig5PartitionCount(b *testing.B) { runExp(b, "fig5") }
-func BenchmarkExpFig6IndexSize(b *testing.B)      { runExp(b, "fig6") }
-func BenchmarkExpTable4BuildTime(b *testing.B)    { runExp(b, "table4") }
-func BenchmarkExpFig7Comparison(b *testing.B)     { runExp(b, "fig7") }
-func BenchmarkExpFig8Dimensions(b *testing.B)     { runExp(b, "fig8ac") }
-func BenchmarkExpFig8dSkewness(b *testing.B)      { runExp(b, "fig8d") }
-func BenchmarkExpFig8efRobustness(b *testing.B)   { runExp(b, "fig8ef") }
-
-// --- micro-benchmarks ---
 
 func BenchmarkHamming(b *testing.B) {
 	ds := datagen.GISTLike(2, 1)

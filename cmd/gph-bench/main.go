@@ -1,57 +1,33 @@
-// Command gph-bench regenerates the tables and figures of the GPH
-// paper's evaluation (§VII) on this repository's synthetic stand-ins.
+// Command gph-bench writes the reproduction ledger (internal/bench): for
+// each artifact of the GPH paper's evaluation (§VII) that this tree keeps,
+// the paper's claim, this tree's table and the verdict the table decides.
+// It takes no flags:
 //
-// Usage:
-//
-//	gph-bench -list
-//	gph-bench -exp fig7
-//	gph-bench -exp all -scale 0.5 -queries 20
+//	go run ./cmd/gph-bench > REPRODUCTION.md
 package main
 
 import (
-	"flag"
+	"bufio"
 	"fmt"
 	"os"
+	"runtime/debug"
 
 	"gph/internal/bench"
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "", "experiment id (see -list) or \"all\"")
-		scale    = flag.Float64("scale", 1.0, "dataset size multiplier")
-		queries  = flag.Int("queries", 30, "queries per measurement point")
-		seed     = flag.Int64("seed", 42, "seed for data generation")
-		buildPar = flag.Int("build-parallelism", 0, "GPH index-build worker count (0 = GOMAXPROCS)")
-		jsonPath = flag.String("json", "", "write the machine-readable report here (experiments that emit one: fig6, fig7)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-	)
-	flag.Parse()
-
-	if *list || *exp == "" {
-		fmt.Println("experiments:")
-		for _, e := range bench.Experiments() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
-		}
-		if *exp == "" && !*list {
-			os.Exit(2)
-		}
-		return
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: gph-bench > REPRODUCTION.md (it takes no flags)")
+		os.Exit(2)
 	}
-
-	r := bench.NewRunner(bench.Config{
-		Scale:            *scale,
-		Queries:          *queries,
-		Seed:             *seed,
-		BuildParallelism: *buildPar,
-		Out:              os.Stdout,
-		JSONPath:         *jsonPath,
-	})
-	var err error
-	if *exp == "all" {
-		err = r.RunAll()
-	} else {
-		err = r.Run(*exp)
+	// At n = 10⁶ the live heap nears 1 GiB, and the collector's default
+	// pacing would let the heap grow to twice that. The ledger must stay
+	// under 2 GiB on a shared host, so the collector works harder here.
+	debug.SetMemoryLimit(1536 << 20)
+	out := bufio.NewWriter(os.Stdout)
+	err := bench.Ledger(out, bench.Config{})
+	if err == nil {
+		err = out.Flush()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gph-bench: %v\n", err)

@@ -30,8 +30,8 @@
 //	e.Save(f)                       // restore with gph.LoadAny(f)
 //
 // Engines are interchangeable behind ShardedIndex, gph-server and
-// gph-search; see DESIGN.md §8 and cmd/gph-bench for the comparison
-// harness.
+// gph-search; see DESIGN.md §8, and REPRODUCTION.md (written by
+// cmd/gph-bench) for how they compare on the paper's claims.
 package gph
 
 import (

@@ -377,7 +377,7 @@ func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 		}
 		objective = s.recurrence(cost, cut, bound, tau, T)
 	}
-	return Result{Thresholds: T, SumCN: SumCN(cn, T, tau), Objective: objective}, true
+	return Result{Thresholds: T, SumCN: sumCN(cn, T, tau), Objective: objective}, true
 }
 
 // sigRows returns the signature term of the cost rows — sig[i][e+1] =
@@ -495,9 +495,9 @@ func RoundRobin(m, tau int) []int {
 	return T
 }
 
-// SumCN evaluates a threshold vector against a CN table; used to score
-// RoundRobin and in tests.
-func SumCN(cn Table, T []int, tau int) int64 {
+// sumCN evaluates a threshold vector against a CN table: the SumCN of
+// an allocation.
+func sumCN(cn Table, T []int, tau int) int64 {
 	var s int64
 	for i, e := range T {
 		if e < 0 {

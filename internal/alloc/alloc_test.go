@@ -74,7 +74,7 @@ func TestAllocateOptimal(t *testing.T) {
 			t.Errorf("invalid vector: %v", err)
 			return false
 		}
-		if got := SumCN(cn, res.Thresholds, tau); got != res.SumCN {
+		if got := sumCN(cn, res.Thresholds, tau); got != res.SumCN {
 			t.Errorf("SumCN mismatch: reported %d, recomputed %d", res.SumCN, got)
 			return false
 		}

@@ -294,14 +294,3 @@ func (ix *Index) SizeBytes() int64 {
 	}
 	return s
 }
-
-// ArenaBreakdown is invindex.Frozen.ArenaBreakdown summed over the
-// partitions: where SizeBytes's bytes are, less each partition's fixed
-// struct overhead.
-func (ix *Index) ArenaBreakdown() (keyBytes, postBytes, entryBytes, dirBytes int64) {
-	for _, inv := range ix.inv {
-		k, p, e, d := inv.ArenaBreakdown()
-		keyBytes, postBytes, entryBytes, dirBytes = keyBytes+k, postBytes+p, entryBytes+e, dirBytes+d
-	}
-	return keyBytes, postBytes, entryBytes, dirBytes
-}

@@ -324,7 +324,7 @@ func TestExactEstimatorAddsNoPerKeyState(t *testing.T) {
 		t.Fatalf("SizeBytes %d, the frozen arenas' %d over %d partitions", ix.SizeBytes(), arenas, len(ix.inv))
 	}
 	// The breakdown fig6 reports is all of it but a fixed struct a partition.
-	k, p, o, s := ix.ArenaBreakdown()
+	k, p, o, s := arenaBreakdown(ix)
 	if over, m := arenas-(k+p+o+s), int64(len(ix.inv)); over <= 0 || over%m != 0 || over/m > 256 {
 		t.Fatalf("the components sum to %d of %d bytes over %d partitions", k+p+o+s, arenas, m)
 	}

@@ -84,29 +84,6 @@ func (d *Dataset) Split(count int) (*Dataset, []bitvec.Vector) {
 	return &Dataset{Name: d.Name, Dims: d.Dims, Vectors: rest}, queries
 }
 
-// SampleDims returns a new dataset projected onto the first
-// ⌈fraction·Dims⌉ dimensions, the construction used by the paper's
-// varying-dimension experiment (Fig. 8(a–c)).
-func (d *Dataset) SampleDims(fraction float64) *Dataset {
-	if fraction <= 0 || fraction > 1 {
-		panic(fmt.Sprintf("dataset: SampleDims fraction %v out of range (0,1]", fraction))
-	}
-	keep := int(math.Ceil(fraction * float64(d.Dims)))
-	dims := make([]int, keep)
-	for i := range dims {
-		dims[i] = i
-	}
-	out := &Dataset{
-		Name:    fmt.Sprintf("%s-%d%%", d.Name, int(fraction*100)),
-		Dims:    keep,
-		Vectors: make([]bitvec.Vector, d.Len()),
-	}
-	for i, v := range d.Vectors {
-		out.Vectors[i] = v.Project(dims)
-	}
-	return out
-}
-
 // profile describes a generator: per-dimension probability of a 1 bit
 // plus correlated blocks implemented with shared latent bits.
 type profile struct {

@@ -122,21 +122,6 @@ func TestSplit(t *testing.T) {
 	ds.Split(1000)
 }
 
-func TestSampleDims(t *testing.T) {
-	ds := GISTLike(50, 1)
-	half := ds.SampleDims(0.5)
-	if half.Dims != 128 {
-		t.Fatalf("SampleDims(0.5) dims = %d", half.Dims)
-	}
-	for i, v := range half.Vectors {
-		for d := 0; d < half.Dims; d++ {
-			if v.Bit(d) != ds.Vectors[i].Bit(d) {
-				t.Fatal("SampleDims changed bit values")
-			}
-		}
-	}
-}
-
 func TestPerturbQueries(t *testing.T) {
 	ds := SIFTLike(200, 1)
 	qs := PerturbQueries(ds, 20, 3, 2)

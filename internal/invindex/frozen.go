@@ -1719,8 +1719,8 @@ func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 // ArenaBreakdown reports the byte size of each backing component
 // (key arena with its pad, postings arena, entries — the refs with their
 // pad and the counts — and bucket directory): SizeBytes less the struct.
-// The size experiment (gph-bench -exp fig6) reports a GPH index's
-// footprint by component from it.
+// internal/core's golden test pins a GPH index's footprint by component
+// with it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, dirBytes int64) {
 	return int64(len(f.keyArena)), int64(len(f.postArena)), f.entryBytes(), directoryBytes(f.NumKeys())
 }

@@ -77,7 +77,7 @@ type Index struct {
 	tables []*invindex.Frozen
 	// hash function parameters, one (a, b) pair per table per row
 	ha, hb []uint64
-	// jaccardT is the converted threshold; exposed for tests/EXPERIMENTS
+	// jaccardT is the converted threshold; JaccardThreshold exposes it
 	jaccardT float64
 
 	// scratch pools per-query working memory (seen bitmap, candidate
