@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gph/internal/bitvec"
@@ -237,20 +238,36 @@ func TestPlanFloorIsTheCheapestVector(t *testing.T) {
 // round where it is priced by the portable loops. Both hold under the
 // host's arm and under the portable arm forced (cpu.Force). The log
 // names the arm and the τ each shape's verdict is free from (CI prints
-// it beside the scan kernel's).
+// it beside the scan kernel's), and each partition's width and layout:
+// lib_wide keeps one partition, of 13 bits, in the bitmap layout, and
+// lib_selective none.
 func TestLibShapesPinTheirRoute(t *testing.T) {
 	for _, c := range []struct {
-		name      string
-		ds        *dataset.Dataset
-		tau       int
-		wantIndex bool
+		name       string
+		ds         *dataset.Dataset
+		tau        int
+		wantIndex  bool
+		wantBitmap []int // the widths of the partitions kept as bitmaps
 	}{
-		{"lib_selective", dataset.UQVideoLike(20000, 1), 8, true},
-		{"lib_wide", dataset.SIFTLike(20000, 1), 16, false},
+		{"lib_selective", dataset.UQVideoLike(20000, 1), 8, true, nil},
+		{"lib_wide", dataset.SIFTLike(20000, 1), 16, false, []int{13}},
 	} {
 		ix, err := Build(c.ds.Vectors, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		var layouts []string
+		var bitmaps []int
+		for i, w := range ix.parts.Widths() {
+			layout := "hash"
+			if ix.inv[i].Bitmap() {
+				layout, bitmaps = "bitmap", append(bitmaps, w)
+			}
+			layouts = append(layouts, fmt.Sprintf("%d bits %s", w, layout))
+		}
+		t.Logf("%s: partitions %s", c.name, strings.Join(layouts, ", "))
+		if !slices.Equal(bitmaps, c.wantBitmap) {
+			t.Fatalf("%s: bitmap partitions of %v bits, want %v", c.name, bitmaps, c.wantBitmap)
 		}
 		for _, forced := range []cpu.Kernel{cpu.KernelAssembly, cpu.KernelPortable} {
 			restore := cpu.Force(cpu.Setting{Kernel: forced})

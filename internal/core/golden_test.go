@@ -40,9 +40,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"7b74ad91fa1de66aa64598d94eb500bd0858443f46fcad6bbb84e2fab8be4a4f",
-		"db8468451128c59abc723b67266c0580d32a317332c4c780d4241ed51869bcf5",
-		"00034149770f632fa0f61da653f17d27c21d5da8309a411e0d6854ca70edb5c0",
+		"3d63f846fb90a8940e17ccbe8fa1897d15f773957abbabdba4148a923488a9ae",
+		"d5be65673ca270aec9d1cf21db218f68428eb64af6dff512ac3d636a65d06357",
+		"0f1c0f291980ea1efdf0aa02815381762eac0b96a855e453b48cc6fea8b5896b",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -61,9 +61,10 @@ func TestBuildBytesGolden(t *testing.T) {
 // layout: each partition's keys and the ids listed under them, in key
 // order, hashed. A format change moves TestBuildBytesGolden's hashes and
 // must leave these; a change to what is indexed moves both. The sizes
-// are pinned beside them — SizeBytes and its components (key arena,
-// posting arena, per-entry arrays, bucket directories) — so a layout change
-// says, component by component, what it saves.
+// are pinned beside them — SizeBytes and its components (key arena or
+// bitmap, posting arena, per-entry arrays, bucket directories or rank
+// arrays) — so a layout change says, component by component, what it
+// saves.
 func TestBuildContentGolden(t *testing.T) {
 	type breakdown struct{ keys, posts, entries, dirs int64 }
 	for i, want := range []struct {
@@ -71,9 +72,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 16624, breakdown{8238, 609, 5177, 1800}},
-		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 33704, breakdown{17901, 2731, 7724, 3348}},
-		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 34367, breakdown{20066, 3664, 6185, 2452}},
+		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 16176, breakdown{8040, 609, 5177, 1550}},
+		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 30341, breakdown{16288, 2731, 7724, 1598}},
+		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 32831, breakdown{19384, 3664, 6185, 1598}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()

@@ -22,7 +22,7 @@ import (
 // once, as its frozen keys and posting counts, which is also what CN
 // estimation reads. One generation is read: files with an older tag are
 // rejected by their magic (DESIGN.md §6 has what each bump fixed).
-const indexMagic = "GPHIX10\n"
+const indexMagic = "GPHIX11\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,

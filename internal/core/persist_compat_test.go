@@ -18,16 +18,18 @@ import (
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix10.bin (120 vectors × 48 dims in three partitions
-// of 15–17 bits, so keys of 2 and 3 bytes and their pads; MaxTau 16,
-// Seed 7) loads into the heap and borrowed in place, answers like a
+// testdata/index-gphix11.bin (120 vectors × 48 dims in four partitions:
+// of 17 and 16 bits in the hash layout, so keys of 3 and 2 bytes and
+// their pads, and of 7 and 8 bits in the bitmap layout, bitmaps of 8 and
+// 32 bytes; MaxTau 16, Seed 7) loads into the heap and borrowed in
+// place, answers like a
 // linear scan over its own vectors (binding them through the projector's
 // gather arm: its partitions' dims are in refinement's order), generates
 // candidates that miss none of those answers (Search scans at 120 rows,
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix10.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix11.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,13 @@ func TestCurrentFixtureBytes(t *testing.T) {
 		}
 		if ix.Dims() != 48 || ix.Len() != 120 {
 			t.Fatalf("%s: fixture decoded as %d dims × %d vectors", name, ix.Dims(), ix.Len())
+		}
+		var layouts []bool
+		for _, inv := range ix.inv {
+			layouts = append(layouts, inv.Bitmap())
+		}
+		if !slices.Equal(layouts, []bool{false, false, true, true}) {
+			t.Fatalf("%s: fixture partitions in the bitmap layout: %v, want the last two", name, layouts)
 		}
 		// Written before builds sorted each partition's dims, the fixture's
 		// do not ascend: it binds its queries through the gather.
@@ -135,7 +144,11 @@ func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 // query on a deferred load, estimates made before that staying in
 // bounds; a posting total that is not the collection size, and a key
 // arena whose recorded length leaves out the pad, are rejected at open
-// either way.
+// either way. Bitmap partitions are held to their widths as keys are: a
+// bitmap whose popcount is not its entry count, one as long as a wider
+// partition's, and one with a key in its pad fail a heap open and a
+// mapped open's first search, and every search after it, with the same
+// error.
 func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	data := testData(t, 100, 14)
 	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
@@ -203,7 +216,7 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	// Partition p's key arena length: the sixth field of its header, off
 	// by the pad it must count.
 	arenaLen := bytes.Clone(raw)
-	lenAt := off + 56*p + 32
+	lenAt := off + 64*p + 32
 	binary.LittleEndian.PutUint64(arenaLen[lenAt:], binary.LittleEndian.Uint64(arenaLen[lenAt:])-uint64(8-keyLen))
 	for _, c := range []struct{ name, hostile, want string }{
 		{"posting total off by one", string(wrongTotal), "postings for"},
@@ -213,6 +226,76 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 			if _, err := LoadDeferred(src); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s, %s: at open: %v", c.name, mode, err)
 			}
+		}
+	}
+
+	// Bitmap partitions, of 5 to 10 bits: a bitmap holding a key more than
+	// its partition's entries, one frozen at a width a bit wider than its
+	// partition's (the same key bytes, twice the bits), and one whose key
+	// with bit w set lands in the pad past a 5-bit bitmap's four bytes.
+	ix = buildSmall(t, data, Options{NumPartitions: 8, Seed: 1})
+	raw = savedBytes(t, ix)
+	widths := ix.parts.Widths()
+	widest, narrow, odd := 0, -1, -1
+	for i, w := range widths {
+		if !ix.inv[i].Bitmap() {
+			t.Fatalf("partition %d of %d bits is not a bitmap; the test needs every one to be", i, w)
+		}
+		if w > widths[widest] {
+			widest = i
+		}
+		if w < 6 {
+			narrow = i
+		} else if w%8 != 0 && w > 6 {
+			odd = i
+		}
+	}
+	if narrow < 0 || odd < 0 {
+		t.Fatalf("partition widths %v: the test needs one below 6 bits and one past 6 that is not a whole number of bytes", widths)
+	}
+	extraKey := bytes.Clone(raw)
+	at := keyArenaOffset(t, ix, raw, widest)
+	for extraKey[at] == 0xff {
+		at++
+	}
+	extraKey[at] |= ^extraKey[at] & -^extraKey[at] // its lowest clear bit
+	refreeze := func(p, width int, rows []uint64) []byte {
+		inv := ix.inv[p]
+		ix.inv[p] = invindex.FreezeRows(len(data), 1, width, rows)
+		defer func() { ix.inv[p] = inv }()
+		return savedBytes(t, ix)
+	}
+	wider := refreeze(odd, widths[odd]+1, invindex.ProjectRows(data, ix.parts.Parts[odd]))
+	rows = invindex.ProjectRows(data, ix.parts.Parts[narrow])
+	rows[len(rows)-1] |= 1 << widths[narrow]
+	padKey := refreeze(narrow, widths[narrow], rows)
+	for _, c := range []struct {
+		name, want string
+		hostile    []byte
+	}{
+		{"a bitmap key more than its entries", "the section", extraKey},
+		{"a bitmap a bit wider than its partition", fmt.Sprintf("a %d-bit partition's takes", widths[odd]), wider},
+		{"a bitmap pad byte set", "bitmap pad byte", padKey},
+	} {
+		if _, err := Load(bytes.NewReader(c.hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: a heap open: %v, want %q", c.name, err, c.want)
+		}
+		path := filepath.Join(t.TempDir(), "hostile.gph")
+		if err := os.WriteFile(path, c.hostile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.Open(path, engine.OpenHeap); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: engine.Open on the heap: %v, want %q", c.name, err, c.want)
+		}
+		mapped, err := engine.Open(path, engine.OpenMMap)
+		if err != nil {
+			t.Fatalf("%s: a mapped open read the payload: %v", c.name, err)
+		}
+		_, first := mapped.Search(data[3], 4)
+		_, second := mapped.Search(data[5], 2)
+		mapped.Close()
+		if first == nil || !strings.Contains(first.Error(), c.want) || fmt.Sprint(second) != fmt.Sprint(first) {
+			t.Fatalf("%s: a mapped open's first search says %v and its second %v, want %q twice", c.name, first, second, c.want)
 		}
 	}
 }
@@ -232,13 +315,13 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 	last := len(ix.parts.Parts) - 1
 	// The last partition's frozen header: after magic, dims, count,
 	// partition count, the dimension lists, five option fields and the
-	// headers before it, seven fields each; its ref and count widths are
+	// headers before it, eight fields each; its ref and count widths are
 	// its fourth and fifth.
 	hdr := 4 * 8
 	for _, part := range ix.parts.Parts {
 		hdr += 8 + 8*len(part)
 	}
-	hdr += 5*8 + 7*8*last
+	hdr += 5*8 + 8*8*last
 	field := func(b []byte, i int) int { return int(binary.LittleEndian.Uint64(b[hdr+8*i:])) }
 	n, refLen := field(raw, 0), field(raw, 3)
 	if field(raw, 4) != 1 || refLen > 2 {

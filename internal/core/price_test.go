@@ -12,6 +12,8 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/cpu"
 	"gph/internal/dataset"
+	"gph/internal/hamming"
+	"gph/internal/invindex"
 	"gph/internal/verify"
 )
 
@@ -23,6 +25,7 @@ import (
 //
 //	scanned-key        one key of a partition's arena compared (the unit)
 //	probed-signature   engine.ProbePrice: one signature of a ball walked and looked up
+//	probed-signature-bitmap  one signature of a ball walked and its posting count read by bit test and rank
 //	candidate          engine.CandidatePrice: one posting decoded into the candidate set, fetched and verified
 //	scan-sparse        ScanCost(τ)/n where τ leaves few word-0 survivors: AppendWithin reads the column
 //	scan-dense         ScanCost(τ)/n where it does not: AppendWithin reads the rows
@@ -42,7 +45,14 @@ import (
 // in. probed-signature-spread is the same step as queries meet it: the
 // radius-1 ball of every partition for 64 queries in turn, most lookups
 // reading a bucket no recent one touched. It is not on the price list; it
-// is there so the distance between the two stays in sight.
+// is there so the distance between the two stays in sight. Nor is
+// probed-signature-bitmap, the radius-2 ball of the partition a corpus
+// keeps as a bitmap, if it keeps one (sift-like's 13 bits), walked as
+// extendRow walks it: a posting count read a signature, no list decoded
+// — the partition holds most of its key space, so nearly every
+// signature is held, and decoding its lists would bury the probe. A
+// bitmap probe is billed at engine.ProbePrice like a hash probe; the
+// line is what a price of its own would be read from.
 func BenchmarkPlanPrices(b *testing.B) {
 	var stepNs float64 // the corpus's scanned-key line, which runs first
 	report := func(b *testing.B, items int) float64 {
@@ -96,6 +106,22 @@ func BenchmarkPlanPrices(b *testing.B) {
 			}
 			report(b, s.sigs/b.N)
 		})
+		if bm := slices.IndexFunc(ix.inv, (*invindex.Frozen).Bitmap); bm >= 0 {
+			b.Run(c.name+"/probed-signature-bitmap", func(b *testing.B) {
+				sigs, sum := 0, 0
+				for range b.N {
+					ball := hamming.NewWordBall(s.projs[bm].Words()[0], s.widths[bm], 2)
+					for ok := true; ok; ok = ball.Next() {
+						sum += ix.inv[bm].PostingLenWord(ball.Sig)
+						sigs++
+					}
+				}
+				report(b, sigs/b.N)
+				if sum == 0 {
+					b.Fatal("the ball holds no key")
+				}
+			})
+		}
 		b.Run(c.name+"/probed-signature-spread", func(b *testing.B) {
 			spread := ix.getScratch()
 			for range b.N {
@@ -305,6 +331,50 @@ func BenchmarkCrossover(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkIndexBytes reports where the index's bytes are on
+// BenchmarkCrossover's corpora at its size — key arenas and bitmaps,
+// posting arenas, entries (refs and counts), directories and rank
+// arrays, and SizeBytes — and logs each partition's width and layout:
+// the table of DESIGN.md §1 ("What a narrow partition costs"). A build
+// is the op.
+//
+//	go test -run '^$' -bench IndexBytes -benchtime 1x ./internal/core [-args -crossover-n 1000000]
+func BenchmarkIndexBytes(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+	}{
+		{"sift", dataset.SIFTLike(*crossoverN, 1)},
+		{"uqvideo", dataset.UQVideoLike(*crossoverN, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var ix *Index
+			for range b.N {
+				var err error
+				if ix, err = Build(c.ds.Vectors, Options{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var layouts []string
+			for i, w := range ix.parts.Widths() {
+				layout := "hash"
+				if ix.inv[i].Bitmap() {
+					layout = "bitmap"
+				}
+				layouts = append(layouts, fmt.Sprintf("%d %s", w, layout))
+			}
+			b.Logf("n=%d partitions: %v", ix.count, layouts)
+			keys, posts, entries, dirs := arenaBreakdown(ix)
+			for _, m := range []struct {
+				bytes int64
+				unit  string
+			}{{keys, "key-B"}, {posts, "post-B"}, {entries, "entry-B"}, {dirs, "dir-B"}, {ix.SizeBytes(), "index-B"}} {
+				b.ReportMetric(float64(m.bytes), m.unit)
+			}
+		})
 	}
 }
 

@@ -75,7 +75,7 @@ func TestValidateAllocatesNothingPerRow(t *testing.T) {
 // postings and rows disagree is accepted and the index follows its
 // postings.
 func FuzzLoadIndex(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "index-gphix10.bin"))
+	fixture, err := os.ReadFile(filepath.Join("testdata", "index-gphix11.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}

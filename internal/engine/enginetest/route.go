@@ -81,9 +81,9 @@ func FreeScan(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 // query reports: the index's priced
 // work — ProbePrice a signature, CandidatePrice a posting — is at most
 // the scan's price at that τ where the index answered, and at most that
-// plus the overdrawing charge (longest postings: the engine's longest
-// list where it bills a list at a time, 1 where it bills a posting)
-// where the scan answered after all. Every answer equals the scan's.
+// plus the overdrawing charge (longest postings: 0 where the engine bills
+// a list before it decodes it, as MIH does, 1 where it bills a posting,
+// as HmSearch does) where the scan answered after all. Every answer equals the scan's.
 // Which cell takes which route follows the host's scan price, so the
 // log names the arm and the counts and nothing asserts them.
 func BudgetHolds(t testing.TB, name string, e engine.Engine, codes *verify.Codes, queries []bitvec.Vector, maxTau, longest int) {

@@ -381,7 +381,8 @@ func TestLookupFormsAgree(t *testing.T) {
 // keys (uint16 offsets) and at 2¹⁶ and 2²⁰ (uint32). No bucket holds more
 // than 16 keys, and a hit compares at most 3.25 keys on average: the
 // keys before it in its bucket and itself. Each set is held as whole
-// words and, where it fits one, in keys as narrow as its width.
+// words and, where it fits one, in keys as narrow as its width — in the
+// hash layout, which a narrow set would otherwise not get.
 func TestBucketsShort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
@@ -408,7 +409,7 @@ func TestBucketsShort(t *testing.T) {
 		} {
 			forms := []*Frozen{freezeWords(set.keys)}
 			if set.width > 0 {
-				forms = append(forms, FreezeRows(n, 1, set.width, set.keys))
+				forms = append(forms, freezeRows(n, 1, set.width, set.keys, hashLayout))
 			}
 			for _, f := range forms {
 				if _, width := dirTable(f); width != int64(2+2*min(n>>16, 1)) {

@@ -19,12 +19,18 @@ import (
 // query substrate every filter-and-refine engine probes, built by
 // FreezeRows. It stores
 //
-//   - every distinct key, each keyLen bytes, concatenated in one byte
-//     arena: key e starts at e·keyLen, so keys need no offsets. The keys
-//     are in the order of their hash (hashKey), which for keys of one
-//     word or less is one-to-one, and of their bytes where two hashes
-//     tie; a key's bucket is the top bits of its hash, so the keys of a
-//     bucket lie together and the buckets ascend;
+//   - its keys in one of two layouts, whichever takes fewer bytes
+//     (FreezeRows decides). The hash layout keeps every distinct key,
+//     each keyLen bytes, concatenated in one byte arena: key e starts at
+//     e·keyLen, so keys need no offsets. The keys are in the order of
+//     their hash (hashKey), which for keys of one word or less is
+//     one-to-one, and of their bytes where two hashes tie; a key's bucket
+//     is the top bits of its hash, so the keys of a bucket lie together
+//     and the buckets ascend. The bitmap layout, for a partition of w ≤
+//     maxBitmapWidth bits, keeps instead one bit for each of the 2^w
+//     keys the partition can hold, set where it holds one (at least a
+//     word of them), and its entries in ascending key order: key k's
+//     entry is its rank, the number of keys below it;
 //   - one ref and one count an entry: the ref of an entry with one id is
 //     the id itself, and that of an entry with more is where its list
 //     starts in a second arena — lists of two or more ids, delta-varint
@@ -33,23 +39,28 @@ import (
 //     one before it ends. Each is as wide as its numbers: a ref takes the
 //     bytes the largest ref needs (refLen), a count one byte when every
 //     count of the index fits one and four otherwise;
-//   - a directory of where each bucket's entries start, so a probe is
-//     one hash, two adjacent directory reads and a compare over the
-//     bucket's one or two keys. Its offsets are 16 bits wide when the
-//     index has at most 65 535 keys and 32 otherwise.
+//   - derived state that finds a key's entry. In the hash layout it is a
+//     directory of where each bucket's entries start, so a probe is one
+//     hash, two adjacent directory reads and a compare over the bucket's
+//     one or two keys; its offsets are 16 bits wide when the index has
+//     at most 65 535 keys and 32 otherwise. In the bitmap layout it is a
+//     rank array, the keys below each 512-bit block of the bitmap, so a
+//     probe is a bit test, one rank read and the popcounts of the block's
+//     words before the key's (rankOf).
 //
 // Lookups are allocation-free (keys hash and compare against the arena
-// directly), SizeBytes is exact arithmetic over the backing slices
-// rather than an estimate, and the arenas serialize as-is, so loading a
-// persisted frozen index is O(bytes) slicing; the directory is not
-// written, and a read index builds it at its first lookup (BuildDir), so
-// an index that is only ever scanned never pays for it.
+// directly, or test their bit), SizeBytes is exact arithmetic over the
+// backing slices rather than an estimate, and the arenas serialize
+// as-is, so loading a persisted frozen index is O(bytes) slicing; the
+// directory or rank array is not written, and a read index builds it at
+// its first lookup (BuildDir), so an index that is only ever scanned
+// never pays for it.
 //
 // A Frozen is immutable after FreezeRows/ReadFrozen and safe for
 // concurrent use (deferred validation and the directory's build are
 // internally synchronized).
 type Frozen struct {
-	keyArena  []byte // distinct keys, concatenated in hash order, then the pad (keyPad)
+	keyArena  []byte // hash layout: distinct keys, concatenated in hash order, then the pad (keyPad); bitmap layout: the bitmap
 	keyLen    int    // bytes a key, KeyLen of the projection's width
 	postArena []byte // delta-varint lists of two or more ids, in entry order
 	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): the id of a one-id entry, else where its list starts in postArena
@@ -67,13 +78,15 @@ type Frozen struct {
 	// is b in its top bits, are dir[b] up to dir[b+1]. It has
 	// 2^bucketBits(n) + 1 offsets for n keys, in dir16 when n is at most
 	// maxNarrowKeys and in dir32 otherwise, the other field nil; dirShift
-	// is what bucket shifts a hash by to find its bucket. FreezeRows
+	// is what bucket shifts a hash by to find its bucket. In the bitmap
+	// layout dir32 is the rank array instead (rankLen). FreezeRows
 	// builds it; a read index builds it at its first lookup (BuildDir),
 	// and dirReady's release-store publishes it to the acquire-load
 	// there; dirMu serializes the one build.
 	dir16    []uint16
 	dir32    []uint32
 	dirShift uint
+	bitmap   bool // the bitmap layout: keyArena is the bitmap, dir32 its rank array
 	dirReady atomic.Bool
 	dirMu    sync.Mutex
 
@@ -204,8 +217,53 @@ func (f *Frozen) packRefs(refs []uint32) {
 // little-endian order, and lists, ascending and once each, the ids that
 // have it. The keys are sorted in place of a map — a map's keys,
 // buckets and one-id lists take megabytes a partition, and a build runs
-// one per worker — and the distinct keys then put in hash order.
+// one per worker — and the distinct keys then put in hash order, or
+// under a bitmap where that takes fewer bytes (useBitmap).
 func FreezeRows(n, per, width int, rows []uint64) *Frozen {
+	return freezeRows(n, per, width, rows, pickLayout)
+}
+
+// layoutChoice is how freezeRows lays out the keys: by their bytes
+// (pickLayout, what FreezeRows does), or one layout whatever its bytes,
+// for tests that hold the two to each other.
+type layoutChoice int
+
+const (
+	pickLayout layoutChoice = iota
+	hashLayout
+	bitmapLayout
+)
+
+// maxBitmapWidth is the widest partition the bitmap layout holds: its
+// 2^32 bits take 512 MiB, a quarter of what an arena may (arenaLimit).
+const maxBitmapWidth = 32
+
+// bitmapBytes returns the bytes of the bitmap of a width-bit key space,
+// width ≤ maxBitmapWidth: 2^width bits, at least a word of them, so every
+// read of the bitmap is a whole word.
+func bitmapBytes(width int) int { return max(8, 1<<width/8) }
+
+// rankLen returns the entries of the rank array of a bitmap of the given
+// bytes: one a 512-bit block, the keys below the block, and one past the
+// last, the key count.
+func rankLen(bitmapBytes int) int { return (bitmapBytes+63)/64 + 1 }
+
+// useBitmap reports whether the bitmap layout holds the distinct keys of
+// a width-bit partition in fewer bytes than the hash layout — the bitmap
+// and its rank array against the key arena and the directory — which is
+// the layout rule: bytes alone, so what a partition gets follows from its
+// width and key count.
+func useBitmap(width, distinct int) bool {
+	if width < 1 || width > maxBitmapWidth {
+		return false
+	}
+	bm := bitmapBytes(width)
+	kl := KeyLen(width)
+	return int64(bm)+4*int64(rankLen(bm)) < int64(kl*distinct+keyPad(kl, distinct))+directoryBytes(distinct)
+}
+
+// freezeRows is FreezeRows with the layout chosen by how.
+func freezeRows(n, per, width int, rows []uint64, how layoutChoice) *Frozen {
 	w := (width + 63) / 64
 	keys := n * per
 	if len(rows) != keys*w || keys > math.MaxInt32 {
@@ -232,23 +290,62 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 	}
 	runs = append(runs, int32(keys))
 	f := &Frozen{
-		// A key shorter than a word is written as its whole word and cut
-		// back: the last one's word ends where the pad does.
-		keyArena: make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct)),
-		keyLen:   keyLen,
+		keyLen: keyLen,
 		// A list of c ids repeats its key c − 1 times: 2(c − 1) ≥ c bytes
 		// holds it at a byte a gap.
 		postArena: make([]byte, 0, 2*(keys-distinct)),
 		counts8:   make([]uint8, 0, distinct),
 		maxID:     math.MaxInt32, // ids are valid by construction
 	}
-	// The runs are in lexicographic key order. One stable counting pass
-	// puts them in bucket order, and each bucket's few are then sorted by
-	// hash, stably, so the bytes break a tie (keys of several words). A
-	// run's hash is taken again where it is needed rather than kept: the
-	// build's peak is its arrays, and a hash is one multiply a word.
+	var entries []int32 // the runs in entry order
+	if how == bitmapLayout || how == pickLayout && useBitmap(width, distinct) {
+		entries = f.layBitmap(width, distinct, func(r int32) uint64 { return key(order[runs[r]])[0] })
+	} else {
+		// A key shorter than a word is written as its whole word and cut
+		// back: the last one's word ends where the pad does.
+		f.keyArena = make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct))
+		entries = hashRuns(distinct, func(r int32) uint64 { return hashWords(keyLen, key(order[runs[r]])) })
+	}
+	// Refs are gathered at full width and stored at the width they need
+	// once the largest is known.
+	refs := make([]uint32, 0, distinct)
+	for _, r := range entries {
+		j, end := runs[r], runs[r+1]
+		if !f.bitmap {
+			start := len(f.keyArena)
+			for _, word := range key(order[j]) {
+				f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
+			}
+			f.keyArena = f.keyArena[:start+keyLen]
+		}
+		// The run's keys become its ids where they lie: an id is written
+		// no later than its key is read.
+		ids := order[j:j]
+		for _, kk := range order[j:end] {
+			if id := kk / int32(per); len(ids) == 0 || ids[len(ids)-1] != id {
+				ids = append(ids, id)
+			}
+		}
+		refs = append(refs, f.addList(ids))
+		f.addCount(len(ids))
+	}
+	if !f.bitmap {
+		f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
+	}
+	f.packRefs(refs)
+	f.buildDir()
+	return f
+}
+
+// hashRuns returns the runs 0 up to distinct, which are in lexicographic
+// key order and whose hashes hashOf gives, in hash order. One stable
+// counting pass puts them in bucket order, and each bucket's few are then
+// sorted by hash, stably, so the bytes break a tie (keys of several
+// words). A run's hash is taken again where it is needed rather than
+// kept: the build's peak is its arrays, and a hash is one multiply a
+// word.
+func hashRuns(distinct int, hashOf func(r int32) uint64) []int32 {
 	shift := dirShift(distinct)
-	hashOf := func(r int32) uint64 { return hashWords(keyLen, key(order[runs[r]])) }
 	next := make([]int32, 1<<bucketBits(distinct)+1) // next[b+1] counts bucket b's runs, then sums to where they go
 	for r := range int32(distinct) {
 		next[bucket(hashOf(r), shift)+1]++
@@ -271,31 +368,25 @@ func FreezeRows(n, per, width int, rows []uint64) *Frozen {
 			slices.SortStableFunc(in, func(a, b int32) int { return cmp.Compare(hashOf(a), hashOf(b)) })
 		}
 	}
-	// Refs are gathered at full width and stored at the width they need
-	// once the largest is known.
-	refs := make([]uint32, 0, distinct)
-	for _, r := range byHash {
-		j, end := runs[r], runs[r+1]
-		start := len(f.keyArena)
-		for _, word := range key(order[j]) {
-			f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
-		}
-		f.keyArena = f.keyArena[:start+keyLen]
-		// The run's keys become its ids where they lie: an id is written
-		// no later than its key is read.
-		ids := order[j:j]
-		for _, kk := range order[j:end] {
-			if id := kk / int32(per); len(ids) == 0 || ids[len(ids)-1] != id {
-				ids = append(ids, id)
-			}
-		}
-		refs = append(refs, f.addList(ids))
-		f.addCount(len(ids))
+	return byHash
+}
+
+// layBitmap makes f's keys the bitmap of a width-bit key space holding
+// the keys of the runs 0 up to distinct, which keyOf gives, builds its
+// rank array, and returns the runs in entry order: ascending key, each
+// at its key's rank.
+func (f *Frozen) layBitmap(width, distinct int, keyOf func(r int32) uint64) []int32 {
+	f.bitmap, f.keyArena = true, make([]byte, bitmapBytes(width))
+	for r := range int32(distinct) {
+		k := keyOf(r)
+		f.keyArena[k/8] |= 1 << (k % 8)
 	}
-	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
-	f.packRefs(refs)
 	f.buildDir()
-	return f
+	byKey := make([]int32, distinct)
+	for r := range int32(distinct) {
+		byKey[f.rankOf(keyOf(r))] = r
+	}
+	return byKey
 }
 
 // ProjectRows returns the rows FreezeRows takes for data projected onto
@@ -435,6 +526,16 @@ func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyL
 
 // lookupBytes returns the entry index for key, or −1.
 func (f *Frozen) lookupBytes(key []byte) int {
+	if f.bitmap {
+		if len(key) != f.keyLen {
+			return -1
+		}
+		var w uint64
+		for i, b := range key {
+			w |= uint64(b) << (8 * i)
+		}
+		return f.bitmapEntry(w)
+	}
 	f.BuildDir()
 	lo, hi := f.span(hashKey(key))
 	for e := lo; e < hi; e++ {
@@ -457,6 +558,10 @@ func (f *Frozen) lookupWord(w uint64) int {
 // probeWord is lookupWord with the entry's count, 0 for none: the call
 // a probe makes, lookupWord and PostingLenWord inlined around it.
 func (f *Frozen) probeWord(w uint64) (e, count int) {
+	if f.bitmap {
+		e = f.bitmapEntry(w)
+		return e, f.count(e)
+	}
 	if !f.wordKeys() || len(f.keyArena) == 0 {
 		return -1, 0 // keys of several words, or of none, or no keys
 	}
@@ -524,12 +629,75 @@ func (f *Frozen) buildDir() {
 	}
 	n := f.NumKeys()
 	f.dirShift = dirShift(n)
-	if offsets := 1<<bucketBits(n) + 1; n <= maxNarrowKeys {
+	if offsets := 1<<bucketBits(n) + 1; f.bitmap {
+		f.dir32 = fillRank(f.keyArena, make([]uint32, rankLen(len(f.keyArena))))
+	} else if n <= maxNarrowKeys {
 		f.dir16 = fillDir(f, make([]uint16, offsets))
 	} else {
 		f.dir32 = fillDir(f, make([]uint32, offsets))
 	}
 	f.dirReady.Store(true)
+}
+
+// fillRank fills rank, rankLen(len(bm)) entries, with the keys of bitmap
+// bm below each 512-bit block, and the last with all of them, and returns
+// it.
+func fillRank(bm []byte, rank []uint32) []uint32 {
+	var below uint32
+	for b := range rank {
+		rank[b] = below
+		for i := 64 * b; i < min(64*(b+1), len(bm)); i += 8 {
+			below += uint32(bits.OnesCount64(binary.LittleEndian.Uint64(bm[i:])))
+		}
+	}
+	return rank
+}
+
+// rankOf returns the entry of key w in the bitmap layout, −1 when the
+// bitmap does not hold w: its rank, the keys below it. In a bitmap of
+// whole 512-bit blocks that is read off the half-block w lies in: in the
+// lower half, w's block's rank entry plus the half's keys below w; in the
+// upper half, the next block's rank entry less the half's keys at or
+// above w. Either way four words are counted, each masked to the bits on
+// w's side (all, some or none), and the half picks the words, masks, sign
+// and entry arithmetically: a branch on it, or a loop that stopped at
+// w's word, would mispredict on a probe in two. The rank array must be
+// built.
+func (f *Frozen) rankOf(w uint64) int {
+	bm := f.keyArena
+	if w >= 8*uint64(len(bm)) || bm[w/8]>>(w%8)&1 == 0 {
+		return -1
+	}
+	if len(bm) < 64 { // less than a block: its keys below w
+		e, below := 0, int(w)
+		for at := 0; at < len(bm); at += 8 {
+			e += popBelow(bm[at:at+8], below-8*at, 0)
+		}
+		return e
+	}
+	half := int(w / 256 % 2)
+	h := (*[32]byte)(bm[w/256*32:])
+	below, flip := int(w%256), -uint64(half) // flip turns "below w" into "at or above w"
+	n := popBelow(h[0:8], below, flip) + popBelow(h[8:16], below-64, flip) +
+		popBelow(h[16:24], below-128, flip) + popBelow(h[24:32], below-192, flip)
+	return int(f.dir32[int(w/512)+half]) + n*(1-2*half)
+}
+
+// popBelow returns the set bits of the little-endian word in b among its
+// lowest k — none for k ≤ 0, all 64 for k ≥ 64 — or, with flip all ones,
+// among the rest.
+func popBelow(b []byte, k int, flip uint64) int {
+	keep := ^uint64(0) >> (64 - uint(min(max(k, 0), 64)))
+	return bits.OnesCount64(binary.LittleEndian.Uint64(b) & (keep ^ flip))
+}
+
+// bitmapEntry is rankOf for a lookup: an entry past the last — a bitmap
+// holding more keys than the section has entries, which its deferred
+// validation has yet to reject — reads as the last, so no lookup leaves
+// the entry arrays.
+func (f *Frozen) bitmapEntry(w uint64) int {
+	f.BuildDir()
+	return min(f.rankOf(w), f.NumKeys()-1)
 }
 
 // fillDir fills dir, 2^bucketBits(n) + 1 zero offsets for f's n keys,
@@ -628,9 +796,10 @@ func (f *Frozen) LookupKey(key []uint64, buf *[]byte) int {
 // (counts[i] holding where the bucket ends until the last stage), then
 // every bucket's keys, then every count, a stage's loads in flight side
 // by side instead of one chain waiting behind another. A position whose
-// index does not keep keys of one word or less, or keeps none, is looked
-// up alone in the first stage. A nil fs[i] is skipped, entries[i] and
-// counts[i] left as they were.
+// index keeps a bitmap (its bit and rank read side by side) or does not
+// keep keys of one word or less, or keeps none, is looked up whole in
+// the first stage. A nil fs[i] is skipped, entries[i] and counts[i] left
+// as they were.
 //
 //gph:hotpath
 func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32) {
@@ -638,6 +807,8 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 	for i, f := range fs {
 		switch {
 		case f == nil:
+		case f.bitmap:
+			entries[i] = int32(f.bitmapEntry(words[i]))
 		case !f.wordKeys() || len(f.keyArena) == 0:
 			entries[i], counts[i] = -1, 0
 		default:
@@ -647,7 +818,7 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 		}
 	}
 	for i, f := range fs {
-		if f != nil && entries[i] >= 0 {
+		if f != nil && !f.bitmap && entries[i] >= 0 {
 			entries[i] = int32(f.inBucket(int(entries[i]), int(counts[i]), words[i]))
 		}
 	}
@@ -916,9 +1087,9 @@ func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
 // words, a key of at most 8 bytes as one zero-extended word; keys of any
 // other length match nothing — and returns the summed length of those
 // lists. It is the union CollectBytes builds over the radius-ball of q,
-// computed from the other side: one pass over the key arena, whatever
-// the ball holds, entries taken in arena order so posting bytes are read
-// front to back. Key bits the ball
+// computed from the other side: one pass over the key arena or the
+// bitmap, whatever the ball holds, entries taken in entry order so
+// posting bytes are read front to back. Key bits the ball
 // would never produce (beyond the partition width) count towards the
 // distance like any other.
 //
@@ -929,11 +1100,16 @@ func (f *Frozen) CollectWord(w uint64, set *IDSet) int {
 func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 	seen, ids := set.Seen, set.IDs
 	var sum int64
-	if f.wordKeys() && len(q) == 1 {
-		// Every default build: one load a key, one popcount an entry. Keys
-		// are taken a block at a time: the matching entries of a block are
-		// noted without a branch — which keys match is the one thing about
-		// this loop no predictor can learn — and decoded after it.
+	switch {
+	case f.bitmap:
+		if len(q) == 1 { // keys of one word match no query of another length
+			ids, sum = f.collectBitmap(q[0], radius, seen, ids)
+		}
+	case f.wordKeys() && len(q) == 1:
+		// Every hash-layout build: one load a key, one popcount an entry.
+		// Keys are taken a block at a time: the matching entries of a block
+		// are noted without a branch — which keys match is the one thing
+		// about this loop no predictor can learn — and decoded after it.
 		kl, keep := f.keyLen, f.keyMask()
 		var hits [scanBlock]int32
 		for base, n := 0, f.NumKeys(); base < n; base += scanBlock {
@@ -945,7 +1121,7 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 				sum += int64(n)
 			}
 		}
-	} else {
+	default:
 		for e := range f.NumKeys() {
 			if d, ok := f.distance(e, q); ok && d <= radius {
 				var n int
@@ -956,6 +1132,37 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 	}
 	set.IDs = ids
 	return sum
+}
+
+// collectBitmap is CollectWithin over a bitmap, a word — 64 keys, equal
+// but for their 6 low bits — at a time. A key k lies at distance
+// |k/64 ⊕ q/64| + |k%64 ⊕ q%64| from q: the first term is the word's, so
+// the keys of a word within radius are its set bits in the mask of low
+// bits within what the word's term leaves of the radius. The masks are
+// made once a call; an entry is the keys before its word plus the word's
+// keys below it.
+func (f *Frozen) collectBitmap(q uint64, radius int, seen []uint64, ids []int32) ([]int32, int64) {
+	var within [7]uint64 // within[r]: the j < 64 with |j ⊕ q%64| ≤ r
+	for j := range uint64(64) {
+		within[bits.OnesCount64(j^q%64)] |= 1 << j
+	}
+	for r := 1; r < len(within); r++ {
+		within[r] |= within[r-1]
+	}
+	var sum int64
+	bm, e := f.keyArena, 0
+	for at := 0; at+8 <= len(bm); at += 8 {
+		word := binary.LittleEndian.Uint64(bm[at:])
+		if r := radius - bits.OnesCount64(uint64(at/8)^q/64); r >= 0 {
+			for m := word & within[min(r, 6)]; m != 0; m &= m - 1 {
+				var n int
+				ids, n = f.collect(e+bits.OnesCount64(word&(m&-m-1)), seen, ids)
+				sum += int64(n)
+			}
+		}
+		e += bits.OnesCount64(word)
+	}
+	return ids, sum
 }
 
 // distance returns the Hamming distance between q and key e read as
@@ -976,11 +1183,12 @@ func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 // Histogram adds to hist[d] the posting count of every key at Hamming
 // distance d from q, keys loaded as CollectWithin loads them. Its prefix
 // sums are the exact candidate numbers CN(q, e) = Σ |I_s| over the
-// radius-e ball — every radius from one pass over the key arena, which
-// is what threshold allocation falls back to when the ball outgrows the
-// keys. hist must hold 64·len(q) + 1 entries, one for every distance
-// the words can produce, not just those up to the partition width: key
-// bits a deferred validation has yet to reject still index in bounds.
+// radius-e ball — every radius from one pass over the key arena or the
+// bitmap's set bits, which is what threshold allocation falls back to
+// when the ball outgrows the keys. hist must hold 64·len(q) + 1 entries,
+// one for every distance the words can produce, not just those up to
+// the partition width: key bits a deferred validation has yet to reject
+// still index in bounds.
 //
 // The loop is branch-free on purpose: skipping distances beyond a
 // threshold costs a data-dependent branch that mispredicts on every
@@ -989,6 +1197,16 @@ func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 //
 //gph:hotpath
 func (f *Frozen) Histogram(q []uint64, hist []int64) {
+	if f.bitmap {
+		switch {
+		case len(q) != 1: // keys of one word lie at no distance from a query of another length
+		case f.counts32 == nil:
+			histBitmap(f.keyArena, f.counts8, q[0], hist)
+		default:
+			histBitmap(f.keyArena, f.counts32, q[0], hist)
+		}
+		return
+	}
 	if f.wordKeys() && len(q) == 1 {
 		if f.counts32 == nil {
 			histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts8, q[0], hist)
@@ -1045,6 +1263,28 @@ func histStride[C entryCount](keys []byte, kl int, keep uint64, counts []C, q ui
 	}
 }
 
+// histBitmap is Histogram over bitmap bm, whose keys' counts are counts:
+// a key's distance is its word's term, shared by the word's 64 keys, and
+// its low bits'. It stops before a word whose keys would run past the
+// last count, however many keys a bitmap its deferred validation has yet
+// to reject holds.
+//
+//go:noinline
+func histBitmap[C entryCount](bm []byte, counts []C, q uint64, hist []int64) {
+	e := 0
+	for at := 0; at+8 <= len(bm); at += 8 {
+		word := binary.LittleEndian.Uint64(bm[at:])
+		if e+bits.OnesCount64(word) > len(counts) {
+			return
+		}
+		h := hist[bits.OnesCount64(uint64(at/8)^q/64):]
+		for ; word != 0; word &= word - 1 {
+			h[bits.OnesCount64(uint64(bits.TrailingZeros64(word))^q%64)] += int64(counts[e])
+			e++
+		}
+	}
+}
+
 // ForEachEntry calls fn for every id of entry e's posting list — an
 // entry number as LookupWords and Radius1 report it; −1 lists nothing —
 // in ascending order until fn returns false, materializing nothing; it
@@ -1077,43 +1317,74 @@ func (f *Frozen) EntryLen(e int) int { return f.count(e) }
 // panics with that error rather than iterate corrupt arenas: iterating
 // nothing would let a caller silently serialize an empty index. The
 // arena holds the keys in hash order, so Range sorts the entry numbers
-// first: it is for tests and tools, not queries.
+// first (a bitmap's are in ascending key order, which is not the order
+// of their little-endian bytes either): it is for tests and tools, not
+// queries.
 func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 	if err := f.Validate(); err != nil {
 		panic(err)
 	}
+	keys, kl := f.keyBytes(), f.keyLen
+	key := func(e int) []byte { return keys[e*kl : (e+1)*kl] }
 	order := make([]int, f.NumKeys())
 	for e := range order {
 		order[e] = e
 	}
-	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(f.key(a), f.key(b)) })
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(key(a), key(b)) })
 	var ids []int32
 	for _, e := range order {
 		ids = f.appendList(e, ids[:0])
-		if !fn(f.key(e), ids) {
+		if !fn(key(e), ids) {
 			return
 		}
 	}
+}
+
+// keyBytes returns the keys in entry order, keyLen bytes each: the hash
+// layout's arena, or the bitmap's set bits written out.
+func (f *Frozen) keyBytes() []byte {
+	if !f.bitmap {
+		return f.keyArena
+	}
+	keys := make([]byte, 0, f.keyLen*f.NumKeys()+8)
+	for at := 0; at+8 <= len(f.keyArena); at += 8 {
+		for word := binary.LittleEndian.Uint64(f.keyArena[at:]); word != 0; word &= word - 1 {
+			k := uint64(8*at + bits.TrailingZeros64(word))
+			keys = binary.LittleEndian.AppendUint64(keys, k)[:len(keys)+f.keyLen]
+		}
+	}
+	return keys
 }
 
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
 // Frozen struct itself: seven slice headers (24 bytes each) — the arenas,
 // the refs, both widths' count arrays and both widths' directories, one
 // of each pair nil — plus the key-length, ref-length, postings and
-// directory-shift fields.
+// directory-shift fields. The layout flag sits in padding the struct has
+// anyway.
 const frozenStructBytes = 7*24 + 32
 
 // SizeBytes reports the exact resident size of the frozen index: the
-// key and posting arenas, the per-entry refs and counts, the bucket
-// directory, and the struct header.
+// key and posting arenas (the bitmap in place of the keys), the
+// per-entry refs and counts, the bucket directory or rank array, and the
+// struct header.
 // Every term is the length of a real backing array, so Fig. 6 reports a
-// property of the index rather than a guess. The directory is charged at
-// its size (directoryBytes, a function of the key count) whether or not a
-// deferred validation has built it yet, so heap- and mmap-opened copies
-// of one index always agree.
+// property of the index rather than a guess. The directory or rank array
+// is charged at its size (dirBytes, a function of the key count or the
+// bitmap's length) whether or not a first lookup has built it yet, so
+// heap- and mmap-opened copies of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
 	return int64(len(f.keyArena)) + int64(len(f.postArena)) + f.entryBytes() +
-		directoryBytes(f.NumKeys()) + frozenStructBytes
+		f.dirBytes() + frozenStructBytes
+}
+
+// dirBytes returns the bytes of the derived state a lookup reads: the
+// rank array of a bitmap, or the directory of the keys.
+func (f *Frozen) dirBytes() int64 {
+	if f.bitmap {
+		return 4 * int64(rankLen(len(f.keyArena)))
+	}
+	return directoryBytes(f.NumKeys())
 }
 
 // entryBytes returns the bytes of the per-entry arrays: the refs with
@@ -1143,9 +1414,10 @@ func (f *Frozen) WriteTo(bw *binio.Writer) {
 }
 
 // WriteHeaderTo writes the section's scalar header: key count,
-// posting total, key, ref and count widths, and both arena byte lengths
-// — everything ReadFrozenHeader needs to alias the payload without
-// reading it.
+// posting total, key, ref and count widths, both arena byte lengths (the
+// key arena's the bitmap's in that layout) and the layout, 1 for the
+// bitmap and 0 for the hash — everything ReadFrozenHeader needs to alias
+// the payload without reading it.
 func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(f.NumKeys())
 	bw.Int64(f.postings)
@@ -1154,6 +1426,11 @@ func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(f.countLen())
 	bw.Int(len(f.keyArena))
 	bw.Int(len(f.postArena))
+	layout := 0
+	if f.bitmap {
+		layout = 1
+	}
+	bw.Int(layout)
 }
 
 // WritePayloadTo writes the arenas and per-entry arrays raw, in the
@@ -1174,8 +1451,9 @@ func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 
 // ReadFrozen reads an index written by WriteTo, validating the count
 // total and the contents (lists chained end to end over the arena,
-// varint framing, that every id lies in [0, maxID), strict hash order,
-// refs and counts no wider than their largest needs) before returning.
+// varint framing, that every id lies in [0, maxID), strict hash order or
+// a bitmap holding a key an entry, refs and counts no wider than their
+// largest needs) before returning.
 // The arenas are adopted directly from the decoded buffers — loading is
 // O(bytes) — and the directory is built by the first lookup.
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
@@ -1200,6 +1478,7 @@ type FrozenHeader struct {
 	refLen, countLen          int
 	postings                  int64
 	keyArenaLen, postArenaLen int
+	bitmap                    bool
 	maxID                     int32
 }
 
@@ -1218,6 +1497,8 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	h.countLen = br.Int()
 	h.keyArenaLen = br.Int()
 	h.postArenaLen = br.Int()
+	layout := br.Int()
+	h.bitmap = layout == 1
 	if err := br.Err(); err != nil {
 		return h, fmt.Errorf("invindex: reading frozen header: %w", err)
 	}
@@ -1245,11 +1526,32 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	if h.postArenaLen < 0 || int64(h.postArenaLen) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible posting arena length %d", h.postArenaLen)
 	}
+	switch {
+	case layout != 0 && layout != 1:
+		return h, fmt.Errorf("invindex: unknown key layout %d", layout)
+	case h.bitmap:
+		return h, h.checkBitmap()
+	}
 	if want := h.keyLen*h.numKeys + keyPad(h.keyLen, h.numKeys); h.keyArenaLen != want {
 		return h, fmt.Errorf("invindex: key arena holds %d bytes, %d keys × %d and the pad need %d",
 			h.keyArenaLen, h.numKeys, h.keyLen, want)
 	}
 	return h, nil
+}
+
+// checkBitmap is the structural check of a bitmap section: keys of one
+// word, and a bitmap as long as the bitmap of some width their bytes
+// hold — a power of two bytes, at least a word. Whether it is its
+// partition's width is the content tier's to say (ValidateWidth).
+func (h FrozenHeader) checkBitmap() error {
+	if h.keyLen < 1 || h.keyLen > 8 {
+		return fmt.Errorf("invindex: a bitmap of keys of %d bytes", h.keyLen)
+	}
+	n := h.keyArenaLen
+	if n < 8 || n&(n-1) != 0 || n > bitmapBytes(min(8*h.keyLen, maxBitmapWidth)) {
+		return fmt.Errorf("invindex: a bitmap of %d bytes, not the bitmap of a key space of %d-byte keys", n, h.keyLen)
+	}
+	return nil
 }
 
 // ReadPayload consumes the section's payload written by
@@ -1265,7 +1567,7 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 // (lookups, Range, posting decodes): until Validate passes, a corrupted
 // ref could make an entry slice panic.
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
-	f := &Frozen{keyLen: h.keyLen, refLen: h.refLen, postings: h.postings, maxID: h.maxID}
+	f := &Frozen{keyLen: h.keyLen, refLen: h.refLen, postings: h.postings, bitmap: h.bitmap, maxID: h.maxID}
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")
 	f.postArena = br.BytesRaw(h.postArenaLen, "frozen posting arena")
 	f.refs = br.BytesRaw(h.refLen*h.numKeys+refPad(h.refLen, h.numKeys), "frozen posting refs")
@@ -1285,8 +1587,9 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // an id — a one-id entry's ref in [0, maxID), every other's list
 // decoding cleanly by its count (varint framing, ids in [0, maxID)) from
 // where the list before it ends, the last ending the arena — keys
-// strictly ascend in hash order (bytes breaking a tie), the pads are
-// zero, and refs and counts are no wider than the largest of each
+// strictly ascend in hash order (bytes breaking a tie) or, in the bitmap
+// layout, the bitmap holds as many keys as there are entries, the pads
+// are zero, and refs and counts are no wider than the largest of each
 // needs, so one index has one file. It reads both arenas end to end —
 // over a mapping this is the pass that faults the pages in, which is why
 // ReadPayload leaves it to the caller's first query rather than open.
@@ -1299,8 +1602,11 @@ func (f *Frozen) Validate() error { return f.ValidateWidth(-1) }
 // of a width-bit projection: KeyLen(width) little-endian bytes with no
 // bit set at or beyond width, checked in the pass that already holds the
 // key. A probe never asks for such a bit and a key scan counts it like
-// any other, so a key carrying one would make the two disagree. The
-// first run's width is the one checked; an index has one.
+// any other, so a key carrying one would make the two disagree. A
+// bitmap must be the bitmap of that width — bitmapBytes(width), no key
+// at or past 2^width, so a pad past a bitmap narrower than a word is
+// zero — which is also what makes one index one file. The first run's
+// width is the one checked; an index has one.
 func (f *Frozen) ValidateWidth(width int) error {
 	f.deepOnce.Do(func() { f.deepErr = f.validateContent(width) })
 	return f.deepErr
@@ -1323,10 +1629,12 @@ func (f *Frozen) validateContent(width int) error {
 	}
 	// The pads after keys shorter than a word and after refs shorter than
 	// four bytes (empty otherwise) are zero, as FreezeRows writes them: one
-	// file per index.
-	for i, b := range f.keyArena[f.keyLen*numKeys:] {
-		if b != 0 {
-			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
+	// file per index. A bitmap's pad is its partition's to say.
+	if !f.bitmap {
+		for i, b := range f.keyArena[f.keyLen*numKeys:] {
+			if b != 0 {
+				return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
+			}
 		}
 	}
 	for i, b := range f.refs[f.refLen*numKeys:] {
@@ -1338,8 +1646,14 @@ func (f *Frozen) validateContent(width int) error {
 	// the verdict an entry-by-entry walk reaches — its key against the one
 	// before, then its postings — with a key of the wrong width reported
 	// only once every entry has passed, as when the width check was a pass
-	// of its own after them.
-	disorder, wide := f.scanKeys(width)
+	// of its own after them. A bitmap's keys are in order by construction,
+	// and it holds a key an entry.
+	disorder, wide := numKeys, -1
+	if !f.bitmap {
+		disorder, wide = f.scanKeys(width)
+	} else if keys := bitmapKeys(f.keyArena); keys != numKeys {
+		return fmt.Errorf("invindex: the bitmap holds %d keys, the section %d entries", keys, numKeys)
+	}
 	idLimit := uint64(max(f.maxID, 0))
 	entriesOK := ent.least > 0 && ent.single <= idLimit
 	var lastList uint32
@@ -1364,6 +1678,11 @@ func (f *Frozen) validateContent(width int) error {
 	}
 	if wide >= 0 {
 		return f.checkKeyWidth(wide, width)
+	}
+	if f.bitmap && width >= 0 {
+		if err := f.checkBitmapWidth(width); err != nil {
+			return err
+		}
 	}
 	// A number stored wider than it needs reads the same, so only the
 	// widths tell two files of one index apart. The largest ref is the
@@ -1666,6 +1985,40 @@ func (f *Frozen) checkList(e, pos int) (int, error) {
 	return end, nil
 }
 
+// bitmapKeys returns the keys bitmap bm holds, its set bits.
+func bitmapKeys(bm []byte) int {
+	keys := 0
+	for at := 0; at+8 <= len(bm); at += 8 {
+		keys += bits.OnesCount64(binary.LittleEndian.Uint64(bm[at:]))
+	}
+	return keys
+}
+
+// checkBitmapWidth verifies that the bitmap is that of a width-bit
+// partition (ValidateWidth): keys of KeyLen(width) bytes, 2^width bits
+// (bitmapBytes), and no key at or past 2^width — past its bits a bitmap
+// narrower than a word has only a zero pad.
+func (f *Frozen) checkBitmapWidth(width int) error {
+	if want := KeyLen(width); f.keyLen != want {
+		return fmt.Errorf("invindex: bitmap keys are %d bytes, a %d-bit projection packs to %d", f.keyLen, width, want)
+	}
+	if width > maxBitmapWidth || len(f.keyArena) != bitmapBytes(width) {
+		return fmt.Errorf("invindex: a bitmap of %d bytes, a %d-bit partition's takes %d", len(f.keyArena), width, bitmapBytes(min(width, maxBitmapWidth)))
+	}
+	if width >= 6 {
+		return nil
+	}
+	past := binary.LittleEndian.Uint64(f.keyArena) >> (1 << width)
+	if past == 0 {
+		return nil
+	}
+	k := 1<<width + bits.TrailingZeros64(past)
+	if held := (1<<width + 7) / 8; k/8 >= held {
+		return fmt.Errorf("invindex: bitmap pad byte %d is %#x, not 0", k/8-held, f.keyArena[k/8])
+	}
+	return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, width)
+}
+
 // checkKeyWidth verifies that key e is the packed form of a width-bit
 // projection (ValidateWidth).
 func (f *Frozen) checkKeyWidth(e, width int) error {
@@ -1716,11 +2069,15 @@ func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 	return i, nil
 }
 
-// ArenaBreakdown reports the byte size of each backing component
-// (key arena with its pad, postings arena, entries — the refs with their
-// pad and the counts — and bucket directory): SizeBytes less the struct.
-// internal/core's golden test pins a GPH index's footprint by component
-// with it.
+// ArenaBreakdown reports the byte size of each backing component (key
+// arena with its pad or bitmap, postings arena, entries — the refs with
+// their pad and the counts — and bucket directory or rank array):
+// SizeBytes less the struct. internal/core's golden test pins a GPH
+// index's footprint by component with it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, dirBytes int64) {
-	return int64(len(f.keyArena)), int64(len(f.postArena)), f.entryBytes(), directoryBytes(f.NumKeys())
+	return int64(len(f.keyArena)), int64(len(f.postArena)), f.entryBytes(), f.dirBytes()
 }
+
+// Bitmap reports whether the index keeps the bitmap layout: its keys as
+// the set bits of a bitmap of their space, not in a hash-ordered arena.
+func (f *Frozen) Bitmap() bool { return f.bitmap }

@@ -347,18 +347,19 @@ func hashOrder(keys []string) []string {
 	return keys
 }
 
-// TestFreezeRowsMatchesFreeze pins FreezeRows to the map build it
-// replaces, fed each key's KeyLen(width) bytes: the same bytes written,
-// the same size and the same directory, for widths from zero to three
-// words — keys of every length from 0 to 8 bytes, and of 16 and 24 — and
-// one, three or eleven keys an id.
+// TestFreezeRowsMatchesFreeze pins FreezeRows' hash layout to the map
+// build it replaces, fed each key's KeyLen(width) bytes: the same bytes
+// written, the same size and the same directory, for widths from zero to
+// three words — keys of every length from 0 to 8 bytes, and of 16 and 24
+// — and one, three or eleven keys an id. Where FreezeRows picks the
+// bitmap, TestBitmapLayoutAgrees holds it to the hash layout.
 func TestFreezeRowsMatchesFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, width := range []int{0, 1, 5, 8, 9, 13, 20, 28, 36, 45, 56, 57, 63, 64, 65, 128, 130, 192} {
 		for _, n := range []int{0, 1, 7, 500} {
 			for _, per := range []int{1, 3, 11} {
 				rows := randomRows(rng, n*per, width)
-				want, got := mapFreeze(n, per, width, rows), FreezeRows(n, per, width, rows)
+				want, got := mapFreeze(n, per, width, rows), freezeRows(n, per, width, rows, hashLayout)
 				if !bytes.Equal(frozenBytes(got), frozenBytes(want)) {
 					t.Fatalf("width=%d n=%d per=%d: FreezeRows writes other bytes than the map build", width, n, per)
 				}
@@ -396,9 +397,12 @@ func TestEveryKeyWidth(t *testing.T) {
 		if f.keyLen != keyLen || KeyLen(width) != keyLen {
 			t.Fatalf("width %d: %d-byte keys (KeyLen %d), want %d", width, f.keyLen, KeyLen(width), keyLen)
 		}
-		pad := f.keyArena[keyLen*f.NumKeys():]
-		if want := max(0, 8-keyLen); len(pad) != want || !bytes.Equal(pad, make([]byte, want)) {
-			t.Fatalf("width %d: the keys are followed by % x, want %d zero bytes", width, pad, want)
+		if f.bitmap {
+			if len(f.keyArena) != bitmapBytes(width) {
+				t.Fatalf("width %d: a bitmap of %d bytes, want %d", width, len(f.keyArena), bitmapBytes(width))
+			}
+		} else if pad := f.keyArena[keyLen*f.NumKeys():]; len(pad) != max(0, 8-keyLen) || !bytes.Equal(pad, make([]byte, len(pad))) {
+			t.Fatalf("width %d: the keys are followed by % x, want %d zero bytes", width, pad, max(0, 8-keyLen))
 		}
 
 		// Lookups: every row's key, and keys no row has — one with a bit
@@ -492,9 +496,9 @@ func TestEveryKeyWidth(t *testing.T) {
 			t.Fatalf("width %d: the section read back writes other bytes, or sizes %d against %d", width, g.SizeBytes(), f.SizeBytes())
 		}
 		kb, pb, ob, db := f.ArenaBreakdown()
-		// Seven header fields, the arenas and the refs, then 1-byte counts
+		// Eight header fields, the arenas and the refs, then 1-byte counts
 		// or, 8-aligned, 4-byte ones.
-		serialized := 7*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
+		serialized := 8*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
 		if f.counts32 != nil {
 			serialized = (serialized-int64(f.NumKeys())+7)&^7 + 4*int64(f.NumKeys())
 		}
@@ -575,10 +579,27 @@ func TestHashIsFormat(t *testing.T) {
 // dirTable returns f's directory, each offset widened to uint32, and the
 // bytes an offset takes, after checking that it is the directory of f's
 // keys: 2^bucketBits(n) + 1 offsets from 0 to n, and the keys of each
-// bucket, and no others, hash to it. It fails the caller's test through
-// a panic if both widths, or neither, hold a directory.
+// bucket, and no others, hash to it. Of a bitmap it returns the rank
+// array, 4-byte entries, after checking that entry b counts the set bits
+// below bit 512·b. It fails the caller's test through a panic if both
+// widths, or neither, hold a directory.
 func dirTable(f *Frozen) (dir []uint32, width int64) {
 	f.BuildDir()
+	if f.bitmap {
+		if f.dir16 != nil || len(f.dir32) != rankLen(len(f.keyArena)) {
+			panic("invindex: a bitmap's rank array of the wrong size")
+		}
+		for b, r := range f.dir32 {
+			below := 0
+			for k := range min(512*b, 8*len(f.keyArena)) {
+				below += int(f.keyArena[k/8] >> (k % 8) & 1)
+			}
+			if int(r) != below {
+				panic("invindex: a rank entry that does not count the keys below its block")
+			}
+		}
+		return slices.Clone(f.dir32), 4
+	}
 	switch {
 	case f.dir16 != nil && f.dir32 == nil:
 		for _, o := range f.dir16 {
@@ -753,12 +774,13 @@ func TestEntryWidthBoundary(t *testing.T) {
 			t.Fatalf("%s: read in place: %v", c.name, err)
 		}
 		want := map[string][]int32{}
+		keys := f.keyBytes()
 		for e := range f.NumKeys() {
-			want[string(f.key(e))] = f.appendList(e, nil)
+			want[string(keys[e*f.keyLen:(e+1)*f.keyLen])] = f.appendList(e, nil)
 		}
 		n := int64(f.NumKeys())
 		size := int64(len(f.keyArena)+len(f.postArena)) + int64(c.refLen)*n + int64(4-c.refLen) +
-			int64(c.countLen)*n + directoryBytes(int(n)) + frozenStructBytes
+			int64(c.countLen)*n + f.dirBytes() + frozenStructBytes
 		for _, g := range []struct {
 			how string
 			f   *Frozen

@@ -89,6 +89,15 @@ func FuzzReadFrozen(f *testing.F) {
 	for _, s := range bucketOrderSeeds() {
 		f.Add(s.data, s.maxID)
 	}
+	// Bitmaps: valid ones of 1 to 32 bytes, and ones holding a key more or
+	// fewer than their entries, one in the pad, of lengths no bitmap has,
+	// of a layout of neither kind.
+	for _, width := range []int{2, 6, 8} {
+		f.Add(frozenBytes(freezeRows(30, 1, width, randomRows(rng, 30, width), bitmapLayout)), int32(30))
+	}
+	for _, s := range bitmapSeeds() {
+		f.Add(s.data, s.maxID)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
 		// The content tier against its reference, keys judged at no width
@@ -230,9 +239,10 @@ func bruteHistogram(n, per, width int, rows, q []uint64) []int64 {
 // width, rows): the index it freezes passes ValidateWidth(width), lists
 // under every key exactly the ids that have it, ascending and once each,
 // holds no other key, and gives the histogram the keys themselves give —
-// in memory and read back from its bytes. The rows are the input's bytes
-// read as words, round and round: a short input repeats keys, a long one
-// spreads them.
+// in memory and read back from its bytes — and its keys take the fewer
+// bytes of the two layouts (keys or bitmap, and directory or rank array;
+// checked up to 20 bits). The rows are the input's bytes read as words,
+// round and round: a short input repeats keys, a long one spreads them.
 func FuzzFreezeRows(f *testing.F) {
 	f.Add(uint8(5), uint8(1), uint16(13), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(30), uint8(4), uint16(64), []byte("a handful of key bytes, some of them repeated"))
@@ -258,6 +268,20 @@ func FuzzFreezeRows(f *testing.F) {
 		fr := FreezeRows(n, per, width, rows)
 		if err := fr.ValidateWidth(width); err != nil {
 			t.Fatalf("n=%d per=%d width=%d: the frozen index fails its own width: %v", n, per, width, err)
+		}
+		if width >= 1 && width <= 20 {
+			other := hashLayout
+			if !fr.bitmap {
+				other = bitmapLayout
+			}
+			lookupBytes := func(f *Frozen) int64 {
+				keys, _, _, dir := f.ArenaBreakdown()
+				return keys + dir
+			}
+			got, alt := lookupBytes(fr), lookupBytes(freezeRows(n, per, width, rows, other))
+			if fr.bitmap && got >= alt || !fr.bitmap && got > alt {
+				t.Fatalf("n=%d per=%d width=%d: bitmap %v takes %d bytes to find a key, the other layout %d", n, per, width, fr.bitmap, got, alt)
+			}
 		}
 		read, err := ReadFrozen(binio.NewReader(bytes.NewReader(frozenBytes(fr))), int32(n))
 		if err != nil {

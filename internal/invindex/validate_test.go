@@ -19,8 +19,10 @@ import (
 // walk reaches it, each list decoded a byte at a time from where the one
 // before it ended, and the key widths checked a bit at a time in a pass
 // of their own behind all of it, then the widths of the refs and counts,
-// each entry's read a byte at a time. The fast paths keep every check;
-// these keep them honest about that.
+// each entry's read a byte at a time. A bitmap's keys are counted a bit
+// at a time before the walk, which has no order to check, and its width
+// and pad are checked a bit at a time where the keys' widths are. The
+// fast paths keep every check; these keep them honest about that.
 
 func refValidate(f *Frozen, width int) error {
 	numKeys := f.NumKeys()
@@ -32,14 +34,23 @@ func refValidate(f *Frozen, width int) error {
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
 	}
-	for i, b := range f.keyArena[f.keyLen*numKeys:] {
-		if b != 0 {
-			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
+	for i := f.keyLen * numKeys; i < len(f.keyArena) && !f.bitmap; i++ {
+		if b := f.keyArena[i]; b != 0 {
+			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i-f.keyLen*numKeys, b)
 		}
 	}
 	for i, b := range f.refs[f.refLen*numKeys:] {
 		if b != 0 {
 			return fmt.Errorf("invindex: ref pad byte %d is %#x, not 0", i, b)
+		}
+	}
+	if f.bitmap {
+		keys := 0
+		for k := range 8 * len(f.keyArena) {
+			keys += int(f.keyArena[k/8] >> (k % 8) & 1)
+		}
+		if keys != numKeys {
+			return fmt.Errorf("invindex: the bitmap holds %d keys, the section %d entries", keys, numKeys)
 		}
 	}
 	refs := make([]uint32, numKeys)
@@ -50,7 +61,7 @@ func refValidate(f *Frozen, width int) error {
 	}
 	pos := 0
 	for e := 0; e < numKeys; e++ {
-		if e > 0 {
+		if e > 0 && !f.bitmap {
 			if err := refOrder(f, e); err != nil {
 				return err
 			}
@@ -80,7 +91,14 @@ func refValidate(f *Frozen, width int) error {
 		if width > 64 {
 			packed = 8 * ((width + 63) / 64) // a wider one whole words
 		}
-		for e := range numKeys {
+		keys := numKeys
+		if f.bitmap {
+			if err := refBitmapWidth(f, width, packed); err != nil {
+				return err
+			}
+			keys = 0 // no key arena to walk
+		}
+		for e := range keys {
 			key := f.key(e)
 			if len(key) != packed {
 				return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, packed)
@@ -105,6 +123,35 @@ func refValidate(f *Frozen, width int) error {
 	}
 	if f.refLen != need {
 		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, need)
+	}
+	return nil
+}
+
+// refBitmapWidth is the reference's check that f's bitmap is that of a
+// width-bit partition whose keys pack to packed bytes: keys of that
+// length, a bitmap of 2^width bits, at least 64, and none set at or past
+// 2^width — in a whole byte past the bitmap's, a pad byte set.
+func refBitmapWidth(f *Frozen, width, packed int) error {
+	if f.keyLen != packed {
+		return fmt.Errorf("invindex: bitmap keys are %d bytes, a %d-bit projection packs to %d", f.keyLen, width, packed)
+	}
+	want := 8
+	if width > maxBitmapWidth {
+		want = 1 << maxBitmapWidth / 8
+	} else if width > 6 {
+		want = 1 << width / 8
+	}
+	if len(f.keyArena) != want || width > maxBitmapWidth {
+		return fmt.Errorf("invindex: a bitmap of %d bytes, a %d-bit partition's takes %d", len(f.keyArena), width, want)
+	}
+	for k := 1 << width; k < 8*len(f.keyArena); k++ {
+		if f.keyArena[k/8]>>(k%8)&1 == 0 {
+			continue
+		}
+		if held := (1<<width + 7) / 8; k/8 >= held {
+			return fmt.Errorf("invindex: bitmap pad byte %d is %#x, not 0", k/8-held, f.keyArena[k/8])
+		}
+		return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, width)
 	}
 	return nil
 }
@@ -754,6 +801,76 @@ func TestHostileEntryWidths(t *testing.T) {
 			}
 		}
 		sameVerdict(t, s.data, s.maxID, 8, s.name)
+	}
+}
+
+// bitmapSeeds are bitmap sections that are not the bitmap of their
+// entries' keys at their width, each with the id bound it is read
+// against, the width it is judged at and what reading it must say (at
+// open for a header the structural tier refuses): a key more than the
+// entries, a key fewer, a bitmap as long as another width's, a key moved
+// into the pad past a 3-bit bitmap's byte, a length no bitmap has, a
+// bitmap past what its keys' bytes can spell, and a layout of neither
+// kind.
+func bitmapSeeds() []struct {
+	name, want string
+	data       []byte
+	maxID      int32
+	width      int
+} {
+	section := func(width, keys int, edit func(b []byte)) []byte {
+		rows := make([]uint64, 30) // ids i, i + keys, … share key i
+		for i := range rows {
+			rows[i] = uint64(i % keys)
+		}
+		f := FreezeRows(len(rows), 1, width, rows)
+		if !f.bitmap {
+			panic("invindex: a seed section that is not a bitmap")
+		}
+		b := frozenBytes(f)
+		edit(b)
+		return b
+	}
+	const bm = 8 * 8 // the eight header fields, then the bitmap
+	header := func(field int, v uint64) func(b []byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[8*field:], v) }
+	}
+	keep := func([]byte) {}
+	return []struct {
+		name, want string
+		data       []byte
+		maxID      int32
+		width      int
+	}{
+		{"a key more than the entries", "the bitmap holds 16 keys, the section 15 entries", section(6, 15, func(b []byte) { b[bm+7] |= 0x80 }), 30, 6},
+		{"a key fewer than the entries", "the bitmap holds 14 keys, the section 15 entries", section(6, 15, func(b []byte) { b[bm] &^= 1 }), 30, 6},
+		{"a 6-bit bitmap judged at 7 bits", "a bitmap of 8 bytes, a 7-bit partition's takes 16", section(6, 15, keep), 30, 7},
+		{"a key moved into the pad", "bitmap pad byte 0 is 0x1, not 0", section(3, 5, func(b []byte) { b[bm] &^= 1 << 4; b[bm+1] = 1 }), 30, 3},
+		{"a bitmap of 24 bytes", "a bitmap of 24 bytes, not the bitmap of a key space of 1-byte keys", section(6, 15, header(5, 24)), 30, 6},
+		{"a bitmap of 512 bits of 1-byte keys", "a bitmap of 64 bytes, not the bitmap of a key space of 1-byte keys", section(6, 15, header(5, 64)), 30, 6},
+		{"a layout of 2", "unknown key layout 2", section(6, 15, header(7, 2)), 30, 6},
+	}
+}
+
+// TestHostileBitmaps: a bitmap section that does not hold its entries'
+// keys at its width is refused — read from a stream and in place, each
+// with its own message, the content tier's verdict the reference's — and
+// its valid form is accepted at its width.
+func TestHostileBitmaps(t *testing.T) {
+	for _, s := range bitmapSeeds() {
+		for how, src := range map[string]func() *binio.Reader{
+			"stream":   func() *binio.Reader { return binio.NewReader(bytes.NewReader(s.data)) },
+			"in place": func() *binio.Reader { return binio.NewReader(binio.NewSource(s.data)) },
+		} {
+			f, err := ReadFrozen(src(), s.maxID)
+			if err == nil {
+				err = f.validateContent(s.width)
+			}
+			if err == nil || !strings.HasSuffix(err.Error(), s.want) {
+				t.Errorf("%s, %s: reading it says %v, want %q", s.name, how, err, s.want)
+			}
+		}
+		sameVerdict(t, s.data, s.maxID, s.width, s.name)
 	}
 }
 

@@ -12,21 +12,10 @@ import (
 	"gph/internal/linscan"
 )
 
-// longestList is the longest posting list ix holds: the most one probe
-// can overdraw a budget by.
-func longestList(ix *Index) int {
-	longest := 0
-	for _, inv := range ix.inv {
-		inv.Range(func(_ []byte, ids []int32) bool {
-			longest = max(longest, len(ids))
-			return true
-		})
-	}
-	return longest
-}
-
 // TestBaselineWorkIsBounded: the guard's promise read off the counters,
 // on the five generators at two sizes and every τ (enginetest.BudgetHolds).
+// A list is billed before it is decoded, so no query overdraws the
+// budget, not even by the list that sends it to the scan.
 func TestBaselineWorkIsBounded(t *testing.T) {
 	for _, gen := range []func(n int, seed int64) *dataset.Dataset{
 		dataset.SIFTLike, dataset.GISTLike, dataset.PubChemLike, dataset.FastTextLike, dataset.UQVideoLike,
@@ -38,8 +27,34 @@ func TestBaselineWorkIsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := append(dataset.PerturbQueries(ds, 3, 6, 21), ds.Vectors[17])
-			enginetest.BudgetHolds(t, fmt.Sprintf("%s n=%d", ds.Name, n), ix, ix.codes, queries, ix.MaxTau(), longestList(ix))
+			enginetest.BudgetHolds(t, fmt.Sprintf("%s n=%d", ds.Name, n), ix, ix.codes, queries, ix.MaxTau(), 0)
 		}
+	}
+}
+
+// TestOverdrawingListIsNotDecoded: a query whose first posting list
+// alone overdraws the budget — every row one vector, so the query's
+// exact key lists them all — probes that one signature, decodes none of
+// its postings and is answered by the scan.
+func TestOverdrawingListIsNotDecoded(t *testing.T) {
+	ds := dataset.SIFTLike(5000, 3)
+	same := make([]bitvec.Vector, len(ds.Vectors))
+	for i := range same {
+		same[i] = ds.Vectors[0]
+	}
+	ix, err := Build(same, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := ix.inv[0].EntryLen(0); int64(list)*engine.CandidatePrice <= ix.codes.ScanSteps(0) {
+		t.Fatalf("a list of %d postings fits the scan's %d steps; the test needs one that does not", list, ix.codes.ScanSteps(0))
+	}
+	got, st, err := ix.SearchStats(same[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Scanned || st.Signatures != 1 || st.SumPostings != 0 || len(got) != len(same) {
+		t.Fatalf("want one signature probed, no posting decoded and every row scanned; got %d ids, %+v", len(got), *st)
 	}
 }
 

@@ -172,16 +172,20 @@ type searchScratch struct {
 	probeFn func(bitvec.Vector) bool
 }
 
-// probe consumes one enumerated signature: decode the posting list of
-// its key into the candidate set and bill it, ending the enumeration when
-// the list overdrew the budget.
+// probe consumes one enumerated signature: bill the posting list of its
+// key by its stored length and, if the budget still holds, decode it into
+// the candidate set; a list that would overdraw the budget ends the
+// enumeration undecoded.
 //
 //gph:hotpath
 func (s *searchScratch) probe(v bitvec.Vector) bool {
-	n := s.inv.CollectEntry(s.inv.LookupKey(v.Words(), &s.keyBuf), &s.col.Set)
+	e := s.inv.LookupKey(v.Words(), &s.keyBuf)
 	s.sigs++
-	s.sumPost += int64(n)
-	return s.bill.Postings(n)
+	if !s.bill.Postings(s.inv.EntryLen(e)) {
+		return false
+	}
+	s.sumPost += int64(s.inv.CollectEntry(e, &s.col.Set))
+	return true
 }
 
 // getScratch hands a pooled scratch to the caller, who owes it
@@ -271,12 +275,13 @@ func (ix *Index) billBalls(tau int) engine.Budget {
 }
 
 // gather enumerates each partition's signature ball and probes the
-// frozen indexes into s's collector, billing every decoded posting to
-// what billBalls left of the budget. It reports whether the index
-// answers: the posting list that overdraws the budget ends the probing
-// and leaves the query to the scan, the index having cost at most the
-// scan's price plus that one list. st receives what was spent and the
-// verdict. Shared by Search, SearchIter and, through GrowKNN, SearchKNN.
+// frozen indexes into s's collector, billing every posting list to what
+// billBalls left of the budget before it is decoded. It reports whether
+// the index answers: the posting list that would overdraw the budget
+// ends the probing undecoded and leaves the query to the scan, the index
+// having cost at most the scan's price. st receives what was spent — the
+// signatures probed and the postings decoded — and the verdict. Shared
+// by Search, SearchIter and, through GrowKNN, SearchKNN.
 //
 //gph:hotpath
 func (ix *Index) gather(q bitvec.Vector, tau int, bill engine.Budget, s *searchScratch, st *Stats) bool {
