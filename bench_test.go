@@ -240,10 +240,11 @@ var openN = flag.Int("open-n", 20000, "rows of BenchmarkOpenFirstQuery's corpora
 // first query: here it is asked for, so that it has a line of its own);
 // query_us the first query, stored vector 0 as in benchmark/lib.go,
 // asked a second time; scratch_us what asking it first cost over that —
-// the derived state a first query builds: the bucket directories and its
-// scratch on a query that probes (uqvideo's), the scan's word-0 column on
-// one the scan answers (sift's). Each is the best of b.N starts, as setup_s is the best of
-// its 51: the host's busy spells are longer than a start. -open-n sets the
+// what a first query makes for itself: its pooled scratch on a query that
+// probes (uqvideo's; the bucket directories are read with the file), the
+// scan's word-0 column on one the scan answers (sift's). Each is the best
+// of b.N starts, as setup_s is the best of its 51: the host's busy spells
+// are longer than a start. -open-n sets the
 // corpora's rows (DESIGN.md §14's table is this benchmark at 2·10⁴, 2·10⁵ and 10⁶):
 //
 //	go test -run '^$' -bench OpenFirstQuery -benchtime 200x . [-args -open-n 200000]

@@ -127,7 +127,7 @@ func (l *ledger) measure(e engine.Engine, queries []bitvec.Vector, tau int, trut
 			best[i] = min(best[i], time.Since(t0)-l.clock)
 		}
 		// After the timed runs, so that the stats' clocks do not count
-		// what a first query builds (a bucket directory, say).
+		// what a first query makes for itself (its scratch, say).
 		ids, st, err := e.SearchStats(q, tau)
 		if err != nil {
 			return c, nil, err

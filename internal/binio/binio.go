@@ -172,6 +172,21 @@ func (w *Writer) Uint32sRaw(vs []uint32) {
 	}
 }
 
+// Uint16sRaw is Uint32sRaw for a []uint16 payload.
+func (w *Writer) Uint16sRaw(vs []uint16) {
+	if w.err != nil {
+		return
+	}
+	var buf [2]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint16(buf[:], v)
+		if _, w.err = w.w.Write(buf[:]); w.err != nil {
+			return
+		}
+	}
+	w.n += 2 * int64(len(vs))
+}
+
 // Source is an in-memory byte region a Reader can borrow from: pass it
 // to NewReader and slice-valued reads return views into the region
 // instead of copies. The region is typically a read-only file mapping
@@ -598,32 +613,45 @@ func (r *Reader) BytesRaw(n int, what string) []byte {
 // Writer.Uint32sRaw. Borrow mode aliases when possible; streaming mode
 // bulk-reads in chunks and decodes.
 func (r *Reader) Uint32sRaw(n int, what string) []uint32 {
+	return rawInts(r, n, what, binary.LittleEndian.Uint32)
+}
+
+// Uint16sRaw reads n raw (unprefixed) uint16 values written by
+// Writer.Uint16sRaw, as Uint32sRaw reads its values.
+func (r *Reader) Uint16sRaw(n int, what string) []uint16 {
+	return rawInts(r, n, what, binary.LittleEndian.Uint16)
+}
+
+// rawInts is Uint32sRaw and Uint16sRaw: n little-endian values of T,
+// each decoded by get from its bytes where it cannot be aliased.
+func rawInts[T uint16 | uint32](r *Reader, n int, what string, get func([]byte) T) []T {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || n > math.MaxInt/4 {
+	size := int(unsafe.Sizeof(T(0)))
+	if n < 0 || n > math.MaxInt/size {
 		r.fail(fmt.Errorf("binio: invalid %s element count %d", what, n))
 		return nil
 	}
 	if r.src != nil {
-		b := r.take(4*n, what)
+		b := r.take(size*n, what)
 		if r.err != nil || n == 0 {
 			return nil
 		}
-		if aliasableAs(b, 4) {
-			return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
+		if aliasableAs(b, uintptr(size)) {
+			return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 		}
-		out := make([]uint32, n)
+		out := make([]T, n)
 		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(b[4*i:])
+			out[i] = get(b[size*i:])
 		}
 		return out
 	}
-	out := make([]uint32, 0, min(n, allocChunk/4))
-	chunk := make([]byte, min(4*n, allocChunk))
+	out := make([]T, 0, min(n, allocChunk/size))
+	chunk := make([]byte, min(size*n, allocChunk))
 	for len(out) < n {
-		m := min(n-len(out), allocChunk/4)
-		buf := chunk[:4*m]
+		m := min(n-len(out), allocChunk/size)
+		buf := chunk[:size*m]
 		if _, err := io.ReadFull(r.r, buf); err != nil {
 			r.fail(fmt.Errorf("binio: reading %s body: %w", what, err))
 			return nil
@@ -631,7 +659,7 @@ func (r *Reader) Uint32sRaw(n int, what string) []uint32 {
 		r.n += int64(len(buf))
 		out = slices.Grow(out, m)
 		for i := 0; i < m; i++ {
-			out = append(out, binary.LittleEndian.Uint32(buf[4*i:]))
+			out = append(out, get(buf[size*i:]))
 		}
 	}
 	return out

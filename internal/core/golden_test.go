@@ -40,9 +40,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"3d63f846fb90a8940e17ccbe8fa1897d15f773957abbabdba4148a923488a9ae",
-		"d5be65673ca270aec9d1cf21db218f68428eb64af6dff512ac3d636a65d06357",
-		"0f1c0f291980ea1efdf0aa02815381762eac0b96a855e453b48cc6fea8b5896b",
+		"4068615ba8e48b59e7f74243e4b656e0ed3a4547c5a5992e8686c208d715fd15",
+		"5345e6551872b929f35021db68cddbae24f8fcc6ab6ae66cc0044d6b2bc8c79e",
+		"7da7626669f3d107a51d786a5fca0a0763c7b65ffb5bace5adf0dc1cc73fd157",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -72,9 +72,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 16176, breakdown{8040, 609, 5177, 1550}},
-		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 30341, breakdown{16288, 2731, 7724, 1598}},
-		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 32831, breakdown{19384, 3664, 6185, 1598}},
+		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 14743, breakdown{6543, 609, 5177, 1550}},
+		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 30102, breakdown{15889, 2731, 7724, 1598}},
+		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 32531, breakdown{18924, 3664, 6185, 1598}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()

@@ -51,11 +51,6 @@ type Index struct {
 	deepDone    atomic.Bool
 	deepMu      sync.Mutex
 	deepErr     error
-
-	// dirsOnce builds the partitions' bucket directories — derived state
-	// a loaded index makes on first use — side by side (warmDirs). Cold,
-	// so it sits behind the fields a query reads.
-	dirsOnce sync.Once
 }
 
 // BuildStats records where index construction time went; Table IV

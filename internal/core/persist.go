@@ -22,7 +22,7 @@ import (
 // once, as its frozen keys and posting counts, which is also what CN
 // estimation reads. One generation is read: files with an older tag are
 // rejected by their magic (DESIGN.md §6 has what each bump fixed).
-const indexMagic = "GPHIX11\n"
+const indexMagic = "GPHIX12\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,
@@ -202,22 +202,22 @@ func readVectorArena(br *binio.Reader, dims, count int) ([]uint64, error) {
 // from header fields alone: every vector posts exactly once, so the
 // posting total is the collection size — with Frozen.Validate, which
 // ties the counts to that total, this is "counts sum to count" — and
-// the keys are as wide as the partition's packed projection.
+// the keys are as wide as the partition.
 func checkPartitionShape(inv *invindex.Frozen, dimsI []int, p, count int) error {
 	if inv.TotalPostings() != int64(count) {
 		return fmt.Errorf("core: partition %d holds %d postings for %d vectors", p, inv.TotalPostings(), count)
 	}
-	if want := invindex.KeyLen(len(dimsI)); inv.NumKeys() > 0 && inv.KeyLen() != want {
-		return fmt.Errorf("core: partition %d keys are %d bytes, want %d", p, inv.KeyLen(), want)
+	if inv.Width() != len(dimsI) {
+		return fmt.Errorf("core: partition %d holds keys of %d bits, the partition has %d", p, inv.Width(), len(dimsI))
 	}
 	return nil
 }
 
 // validatePartition is the content tier's per-partition check: the
-// posting arenas decode cleanly, and no key carries a bit beyond the
-// partition's width.
-func validatePartition(inv *invindex.Frozen, dimsI []int, p int) error {
-	if err := inv.ValidateWidth(len(dimsI)); err != nil {
+// posting arenas decode cleanly, and the keys are where lookups look for
+// them, none with a bit beyond the partition's width.
+func validatePartition(inv *invindex.Frozen, p int) error {
+	if err := inv.Validate(); err != nil {
 		return fmt.Errorf("core: partition %d postings: %w", p, err)
 	}
 	return nil

@@ -18,10 +18,11 @@ import (
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix11.bin (120 vectors × 48 dims in four partitions:
-// of 17 and 16 bits in the hash layout, so keys of 3 and 2 bytes and
-// their pads, and of 7 and 8 bits in the bitmap layout, bitmaps of 8 and
-// 32 bytes; MaxTau 16, Seed 7) loads into the heap and borrowed in
+// testdata/index-gphix12.bin (120 vectors × 48 dims in four partitions:
+// of 17 and 16 bits in the quotient layout, so remainders of 2 bytes and
+// their pads behind directories of 2-byte offsets, and of 7 and 8 bits in
+// the bitmap layout, bitmaps of 16 and 32 bytes; MaxTau 16, Seed 7) loads
+// into the heap and borrowed in
 // place, answers like a
 // linear scan over its own vectors (binding them through the projector's
 // gather arm: its partitions' dims are in refinement's order), generates
@@ -29,7 +30,7 @@ import (
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix11.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix12.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,72 +136,121 @@ func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 	return off
 }
 
-// TestLoadRejectsHostileKeysAndCounts: the keys and posting counts are
-// the only copy of what CN estimation reads, so they are checked. A key with a bit
-// beyond its partition's width — which leaves key order, lengths and
-// posting framing intact — a nonzero byte in the pad after a key arena,
-// and posting counts that do not sum to the collection size are rejected
-// by Load, from a stream or from bytes in place alike, and by the first
-// query on a deferred load, estimates made before that staying in
-// bounds; a posting total that is not the collection size, and a key
-// arena whose recorded length leaves out the pad, are rejected at open
-// either way. Bitmap partitions are held to their widths as keys are: a
-// bitmap whose popcount is not its entry count, one as long as a wider
-// partition's, and one with a key in its pad fail a heap open and a
-// mapped open's first search, and every search after it, with the same
-// error.
+// rejectsEverywhere holds a hostile file to its error, want: Load
+// refuses it from a stream and from bytes in place; engine.Open refuses
+// it on the heap; a mapped open accepts it, having read no payload, and
+// its first search and its second refuse it with the same error; and a
+// deferred load estimates on it, before any validation, without leaving
+// its arrays.
+func rejectsEverywhere(t *testing.T, name string, hostile []byte, want string, q bitvec.Vector) {
+	t.Helper()
+	if _, err := Load(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: from a stream: %v, want %q", name, err, want)
+	}
+	if _, err := Load(binio.NewSource(hostile)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: from bytes in place: %v, want %q", name, err, want)
+	}
+	deferred, err := LoadDeferred(binio.NewSource(hostile))
+	if err != nil {
+		t.Fatalf("%s: a deferred load read the arenas: %v", name, err)
+	}
+	_ = deferred.EstimateTable(q, 70) // the histogram kernel, before any validation
+	path := filepath.Join(t.TempDir(), "hostile.gph")
+	if err := os.WriteFile(path, hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Open(path, engine.OpenHeap); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: engine.Open on the heap: %v, want %q", name, err, want)
+	}
+	mapped, err := engine.Open(path, engine.OpenMMap)
+	if err != nil {
+		t.Fatalf("%s: a mapped open read the payload: %v", name, err)
+	}
+	_, first := mapped.Search(q, 4)
+	_, second := mapped.Search(q, 2)
+	mapped.Close()
+	if first == nil || !strings.Contains(first.Error(), want) || fmt.Sprint(second) != fmt.Sprint(first) {
+		t.Fatalf("%s: a mapped open's first search says %v and its second %v, want %q twice", name, first, second, want)
+	}
+}
+
+// TestLoadRejectsHostileKeysAndCounts: the stored keys, the directories
+// and rank arrays that find them, and the posting counts are the only
+// copy of what probes and CN estimation read, so they are checked. In a
+// partition of the quotient layout: a remainder bit at or past the
+// remainder's width, a nonzero byte in the pad after the remainders, a
+// directory that descends, one whose first offset is not 0 and one
+// whose last is not the key count, two equal remainders in one bucket,
+// and posting counts that do not sum to the collection size; in a bitmap
+// partition: a bitmap holding a key more than its entries, a rank entry
+// that does not count the keys below its block, and a key in the pad
+// past a bitmap narrower than a word. Each fails a heap open and a
+// mapped open's first search and every search after it with the same
+// error, estimates made before that staying in bounds
+// (rejectsEverywhere). A posting total that is not the collection size,
+// a key arena whose recorded length leaves out the pad, and a header
+// width that is not its partition's — a bitmap frozen a bit wider than
+// it — are rejected at open either way.
 func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	data := testData(t, 100, 14)
 	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
+	raw := savedBytes(t, ix)
+	// The last partition's directory ends the file; its remainders are
+	// found by their bytes.
+	last := len(ix.inv) - 1
+	inv := ix.inv[last]
+	keyBytes, _, _, dirBytes := inv.ArenaBreakdown()
+	n := inv.NumKeys()
+	if inv.Bitmap() || n > 65535 || keyBytes >= 8*int64(n) {
+		t.Fatalf("partition %d of %d bits: the test needs the quotient layout, remainders shorter than a word and 2-byte offsets", last, inv.Width())
 	}
-	raw := buf.Bytes()
-	// A key's bytes hold its partition's bits and nothing past the next
-	// byte boundary: the first bit past the width lies in the key's last
-	// byte only where the width is not a whole number of bytes, and a key
-	// shorter than a word is followed by a pad.
-	p := slices.IndexFunc(ix.parts.Parts, func(dims []int) bool { return len(dims)%8 != 0 && len(dims) < 56 })
-	if p < 0 {
-		t.Fatal("no partition is narrower than 56 bits and a fraction of a byte wide; the test needs one")
+	remLen := (int(keyBytes) - 8) / (n - 1) // n remainders and the pad to a word
+	keysAt, dirAt := keyArenaOffset(t, ix, raw, last), len(raw)-int(dirBytes)
+	dir := func(b []byte, i int) int { return int(binary.LittleEndian.Uint16(b[dirAt+2*i:])) }
+	setDir := func(b []byte, i, v int) { binary.LittleEndian.PutUint16(b[dirAt+2*i:], uint16(v)) }
+	buckets := int(dirBytes)/2 - 1
+	r := 1 // the remainder's bits: the width less the bucket's
+	for 1<<(inv.Width()-r) > buckets {
+		r++
 	}
-	w, inv := len(ix.parts.Parts[p]), ix.inv[p]
-	keyLen, keys := invindex.KeyLen(w), inv.NumKeys()
-	keysEnd := keyArenaOffset(t, ix, raw, p) + keyLen*keys
-
-	// Bit w set in one row's key: frozen by the builder, so the keys stay
-	// in hash order — an order error would be reported before the key's
-	// width — and saved as the partition.
-	rows := invindex.ProjectRows(data, ix.parts.Parts[p])
-	rows[len(rows)-1] |= 1 << w
-	ix.inv[p] = invindex.FreezeRows(len(data), 1, w, rows)
-	strayBit := savedBytes(t, ix)
-	ix.inv[p] = inv
-	padByte := bytes.Clone(raw)
-	padByte[keysEnd+8-keyLen-1] = 1
-	wrongCount := bytes.Clone(raw)
-	wrongCount[len(raw)-4] ^= 1 // the file ends with the last partition's counts
-	for _, c := range []struct{ name, hostile, want string }{
-		{"key bit beyond width", string(strayBit), "bits set beyond dimension"},
-		{"pad byte set", string(padByte), "pad byte"},
-		{"counts off by one", string(wrongCount), ""},
+	wide, step := -1, -1 // a bucket of two keys or more; an offset after one above 0
+	for b := range buckets {
+		if dir(raw, b+1)-dir(raw, b) >= 2 && wide < 0 {
+			wide = b
+		}
+		if b > 0 && dir(raw, b-1) > 0 && step < 0 {
+			step = b
+		}
+	}
+	edit := func(change func(b []byte)) []byte {
+		b := bytes.Clone(raw)
+		change(b)
+		return b
+	}
+	for _, c := range []struct {
+		name, want string
+		hostile    []byte
+	}{
+		{"a remainder bit at its width", "remainder has bits set at or past bit", edit(func(b []byte) { b[keysAt+remLen*3+r/8] |= 1 << (r % 8) })},
+		{"pad byte set", "key arena pad byte", edit(func(b []byte) { b[keysAt+int(keyBytes)-1] = 1 })},
+		{"a directory that descends", fmt.Sprintf("bucket directory offset %d is", step), edit(func(b []byte) { setDir(b, step, dir(b, step-1)-1) })},
+		{"a first offset that is not 0", "bucket directory offset 0 is 1, not 0", edit(func(b []byte) { setDir(b, 0, 1) })},
+		{"a last offset that is not the key count", fmt.Sprintf("bucket directory ends at %d, the section holds %d keys", n+1, n), edit(func(b []byte) { setDir(b, buckets, n+1) })},
+		{"two equal remainders in one bucket", "not in strict hash order", edit(func(b []byte) {
+			at := keysAt + remLen*dir(b, wide)
+			copy(b[at+remLen:at+2*remLen], b[at:at+remLen])
+		})},
+		{"counts off by one", "counts sum to", edit(func(b []byte) {
+			// The last count is the last nonzero byte before the directory's
+			// alignment padding.
+			at := dirAt - 1
+			for b[at] == 0 {
+				at--
+			}
+			b[at] ^= 1
+		})},
 	} {
-		name, hostile := c.name, []byte(c.hostile)
-		if _, err := Load(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: from a stream: %v", name, err)
-		}
-		if _, err := Load(binio.NewSource(hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: from bytes in place: %v", name, err)
-		}
-		borrowed, err := LoadDeferred(binio.NewSource(hostile))
-		if err != nil {
-			t.Fatalf("%s: a deferred load read the arenas: %v", name, err)
-		}
-		_ = borrowed.EstimateTable(data[3], 70) // the histogram kernel, before any validation
-		if _, err := borrowed.Search(data[3], 4); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: the first query on a deferred load: %v", name, err)
-		}
+		rejectsEverywhere(t, c.name, c.hostile, c.want, data[3])
 	}
 
 	// Partition 0's posting total: the second field of its frozen header,
@@ -213,11 +263,11 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	off += 5*8 + 8
 	wrongTotal := bytes.Clone(raw)
 	wrongTotal[off] ^= 1
-	// Partition p's key arena length: the sixth field of its header, off
-	// by the pad it must count.
+	// The last partition's key arena length: the seventh field of its
+	// header, off by the pad it must count.
 	arenaLen := bytes.Clone(raw)
-	lenAt := off + 64*p + 32
-	binary.LittleEndian.PutUint64(arenaLen[lenAt:], binary.LittleEndian.Uint64(arenaLen[lenAt:])-uint64(8-keyLen))
+	lenAt := off - 8 + 72*last + 48
+	binary.LittleEndian.PutUint64(arenaLen[lenAt:], binary.LittleEndian.Uint64(arenaLen[lenAt:])-uint64(8-remLen))
 	for _, c := range []struct{ name, hostile, want string }{
 		{"posting total off by one", string(wrongTotal), "postings for"},
 		{"key arena length without its pad", string(arenaLen), "and the pad need"},
@@ -230,9 +280,10 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	}
 
 	// Bitmap partitions, of 5 to 10 bits: a bitmap holding a key more than
-	// its partition's entries, one frozen at a width a bit wider than its
-	// partition's (the same key bytes, twice the bits), and one whose key
-	// with bit w set lands in the pad past a 5-bit bitmap's four bytes.
+	// its partition's entries, a first rank entry one over, one frozen at a
+	// width a bit wider than its partition's (the same key bytes, twice
+	// the bits), and one whose key with bit w set lands in the pad past a
+	// 5-bit bitmap's four bytes.
 	ix = buildSmall(t, data, Options{NumPartitions: 8, Seed: 1})
 	raw = savedBytes(t, ix)
 	widths := ix.parts.Widths()
@@ -259,6 +310,11 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		at++
 	}
 	extraKey[at] |= ^extraKey[at] & -^extraKey[at] // its lowest clear bit
+	// The last partition's rank array ends the file: entry 0 counts the
+	// keys below bit 0.
+	rankOver := bytes.Clone(raw)
+	_, _, _, rankBytes := ix.inv[len(widths)-1].ArenaBreakdown()
+	rankOver[len(raw)-int(rankBytes)]++
 	refreeze := func(p, width int, rows []uint64) []byte {
 		inv := ix.inv[p]
 		ix.inv[p] = invindex.FreezeRows(len(data), 1, width, rows)
@@ -266,7 +322,7 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		return savedBytes(t, ix)
 	}
 	wider := refreeze(odd, widths[odd]+1, invindex.ProjectRows(data, ix.parts.Parts[odd]))
-	rows = invindex.ProjectRows(data, ix.parts.Parts[narrow])
+	rows := invindex.ProjectRows(data, ix.parts.Parts[narrow])
 	rows[len(rows)-1] |= 1 << widths[narrow]
 	padKey := refreeze(narrow, widths[narrow], rows)
 	for _, c := range []struct {
@@ -274,28 +330,15 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		hostile    []byte
 	}{
 		{"a bitmap key more than its entries", "the section", extraKey},
-		{"a bitmap a bit wider than its partition", fmt.Sprintf("a %d-bit partition's takes", widths[odd]), wider},
+		{"a rank entry one over", "rank entry 0 is 1, the bitmap holds 0 keys below bit 0", rankOver},
 		{"a bitmap pad byte set", "bitmap pad byte", padKey},
 	} {
-		if _, err := Load(bytes.NewReader(c.hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: a heap open: %v, want %q", c.name, err, c.want)
-		}
-		path := filepath.Join(t.TempDir(), "hostile.gph")
-		if err := os.WriteFile(path, c.hostile, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := engine.Open(path, engine.OpenHeap); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: engine.Open on the heap: %v, want %q", c.name, err, c.want)
-		}
-		mapped, err := engine.Open(path, engine.OpenMMap)
-		if err != nil {
-			t.Fatalf("%s: a mapped open read the payload: %v", c.name, err)
-		}
-		_, first := mapped.Search(data[3], 4)
-		_, second := mapped.Search(data[5], 2)
-		mapped.Close()
-		if first == nil || !strings.Contains(first.Error(), c.want) || fmt.Sprint(second) != fmt.Sprint(first) {
-			t.Fatalf("%s: a mapped open's first search says %v and its second %v, want %q twice", c.name, first, second, c.want)
+		rejectsEverywhere(t, c.name, c.hostile, c.want, data[3])
+	}
+	for mode, src := range map[string]io.Reader{"stream": bytes.NewReader(wider), "borrowed": binio.NewSource(wider)} {
+		want := fmt.Sprintf("partition %d holds keys of %d bits, the partition has %d", odd, widths[odd]+1, widths[odd])
+		if _, err := LoadDeferred(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("a bitmap a bit wider than its partition, %s: at open: %v, want %q", mode, err, want)
 		}
 	}
 }
@@ -306,8 +349,7 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 // pad after the refs are rejected by Load, from a stream and in place, and
 // by the first search of a mapped open; a ref or count width out of range
 // by all three at open. Each says what is wrong with the file. The
-// hostile widths are the last partition's, whose refs and counts end the
-// file.
+// hostile widths are the last partition's, whose payload ends the file.
 func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 	data := testData(t, 100, 14)
 	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
@@ -315,26 +357,30 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 	last := len(ix.parts.Parts) - 1
 	// The last partition's frozen header: after magic, dims, count,
 	// partition count, the dimension lists, five option fields and the
-	// headers before it, eight fields each; its ref and count widths are
-	// its fourth and fifth.
+	// headers before it, nine fields each; its ref and count widths are
+	// its fifth and sixth.
 	hdr := 4 * 8
 	for _, part := range ix.parts.Parts {
 		hdr += 8 + 8*len(part)
 	}
-	hdr += 5*8 + 8*8*last
+	hdr += 5*8 + 9*8*last
 	field := func(b []byte, i int) int { return int(binary.LittleEndian.Uint64(b[hdr+8*i:])) }
-	n, refLen := field(raw, 0), field(raw, 3)
-	if field(raw, 4) != 1 || refLen > 2 {
-		t.Fatalf("the last partition's refs are %d bytes and its counts %d; the test needs at most 2 and 1", refLen, field(raw, 4))
+	n, refLen := field(raw, 0), field(raw, 4)
+	if field(raw, 5) != 1 || refLen > 2 {
+		t.Fatalf("the last partition's refs are %d bytes and its counts %d; the test needs at most 2 and 1", refLen, field(raw, 5))
 	}
-	refsAt := len(raw) - n - (refLen*n + 4 - refLen)
-	refs, counts := raw[refsAt:len(raw)-n], raw[len(raw)-n:]
+	// Its payload ends the file: the stored keys, the posting arena, the
+	// refs and their pad, the counts, alignment padding and the directory.
+	keyBytes, postBytes, _, dirBytes := ix.inv[last].ArenaBreakdown()
+	refsAt := keyArenaOffset(t, ix, raw, last) + int(keyBytes+postBytes)
+	refs, counts := raw[refsAt:refsAt+refLen*n], raw[refsAt+refLen*n+4-refLen:][:n]
+	dir := raw[len(raw)-int(dirBytes):]
 	// rewrite is raw with the last partition's widths set to rl and cl and
 	// its refs and counts written at them.
 	rewrite := func(rl, cl int) []byte {
 		b := bytes.Clone(raw[:refsAt])
-		binary.LittleEndian.PutUint64(b[hdr+24:], uint64(rl))
-		binary.LittleEndian.PutUint64(b[hdr+32:], uint64(cl))
+		binary.LittleEndian.PutUint64(b[hdr+32:], uint64(rl))
+		binary.LittleEndian.PutUint64(b[hdr+40:], uint64(cl))
 		for e := range n {
 			var ref [4]byte
 			copy(ref[:], refs[refLen*e:refLen*(e+1)])
@@ -342,13 +388,15 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 		}
 		b = append(b, make([]byte, 4-rl)...)
 		if cl == 1 {
-			return append(b, counts...)
+			b = append(b, counts...)
+		} else {
+			b = append(b, make([]byte, -len(b)&7)...)
+			for _, c := range counts {
+				b = binary.LittleEndian.AppendUint32(b, uint32(c))
+			}
 		}
 		b = append(b, make([]byte, -len(b)&7)...)
-		for _, c := range counts {
-			b = binary.LittleEndian.AppendUint32(b, uint32(c))
-		}
-		return b
+		return append(b, dir...)
 	}
 	header := func(i, v int) []byte {
 		b := bytes.Clone(raw)
@@ -356,7 +404,7 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 		return b
 	}
 	padSet := bytes.Clone(raw)
-	padSet[len(raw)-n-1] = 1
+	padSet[refsAt+refLen*n+3-refLen] = 1
 	for _, c := range []struct {
 		name, want string
 		hostile    []byte
@@ -365,8 +413,8 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 		{"refs a byte wider", fmt.Sprintf("refs are %d bytes wide", refLen+1), rewrite(refLen+1, 1), false},
 		{"4-byte counts that fit a byte", "counts are 4 bytes wide", rewrite(refLen, 4), false},
 		{"a nonzero ref pad byte", fmt.Sprintf("ref pad byte %d is 0x1, not 0", 3-refLen), padSet, false},
-		{"a ref length of 5", "implausible ref length 5", header(3, 5), true},
-		{"a count length of 2", "implausible count length 2", header(4, 2), true},
+		{"a ref length of 5", "implausible ref length 5", header(4, 5), true},
+		{"a count length of 2", "implausible count length 2", header(5, 2), true},
 	} {
 		if _, err := Load(bytes.NewReader(c.hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: from a stream: %v, want %q", c.name, err, c.want)

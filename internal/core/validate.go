@@ -61,7 +61,7 @@ func (ix *Index) deepValidate() error {
 		if i == 0 {
 			return ix.checkTails()
 		}
-		return validatePartition(ix.inv[i-1], ix.parts.Parts[i-1], i-1)
+		return validatePartition(ix.inv[i-1], i-1)
 	})
 }
 

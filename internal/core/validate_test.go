@@ -26,8 +26,8 @@ func savedBytes(t testing.TB, ix *Index) []byte {
 // TestValidateAllocatesNothingPerRow: at 64 and 128 dimensions — whole
 // words a row, so no tail to check — the content tier allocates as often,
 // and as many bytes give or take a page, at 20 000 rows as at 2 000: it
-// makes nothing per row, the bucket directories included, which the
-// first lookup builds.
+// makes nothing per row, and the bucket directories it judges were read
+// with the file.
 func TestValidateAllocatesNothingPerRow(t *testing.T) {
 	const runs = 4
 	for _, dims := range []int{64, 128} {
@@ -65,7 +65,7 @@ func TestValidateAllocatesNothingPerRow(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex hammers the whole GPHIX10 file: whatever the bytes, a
+// FuzzLoadIndex hammers the whole GPHIX12 file: whatever the bytes, a
 // deferred load then Validate, and an eager Load, never panic and agree
 // on the verdict to the message. An accepted index answers a search for
 // each of its own rows at τ ∈ {0, 2} with ids a brute-force pass over its
@@ -75,7 +75,7 @@ func TestValidateAllocatesNothingPerRow(t *testing.T) {
 // postings and rows disagree is accepted and the index follows its
 // postings.
 func FuzzLoadIndex(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "index-gphix11.bin"))
+	fixture, err := os.ReadFile(filepath.Join("testdata", "index-gphix12.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -315,9 +315,9 @@ func TestVectorTailCheck(t *testing.T) {
 
 // TestFirstQueriesRace: eight goroutines' first searches on one freshly
 // opened index, at thresholds that run the index. On a mapped open they
-// race the content tier (one runs it and builds the bucket directories
-// every probe reads, seven wait); on a heap open, validated before Open
-// returned, they race their scratch. All eight answer as the oracle
+// race the content tier (one runs it over the arrays every probe reads,
+// seven wait); on a heap open, validated before Open returned, they race
+// their scratch. All eight answer as the oracle
 // does. Run under -race.
 func TestFirstQueriesRace(t *testing.T) {
 	path := saveEngineFile(t, "gph")

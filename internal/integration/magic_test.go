@@ -87,7 +87,7 @@ func TestPersistedMagicsDistinct(t *testing.T) {
 func TestSupersededMagicsRejected(t *testing.T) {
 	arbitrary := bytes.Repeat([]byte{0x00, 0x01, 0xFE, 0xFF, 0x30, 0x80, 0x7F, 0x08}, 64)
 	var superseded []string
-	for gen := 1; gen <= 10; gen++ { // the index is at generation 11
+	for gen := 1; gen <= 11; gen++ { // the index is at generation 12
 		superseded = append(superseded, fmt.Sprintf("GPHIX%02d\n", gen))
 	}
 	for gen := 1; gen <= 3; gen++ { // the shard container at 4

@@ -55,11 +55,17 @@ func projectionIndex(rng *rand.Rand, n, w int, skewed, narrow bool) (*Frozen, []
 	return FreezeRows(n, 1, width, vectorRows(data)), data
 }
 
-// keyWord is entry e's key of at most 8 bytes as one zero-extended word.
-func keyWord(f *Frozen, e int) uint64 {
-	var w [8]byte
-	copy(w[:], f.key(e))
-	return binary.LittleEndian.Uint64(w[:])
+// keyWords returns f's keys of at most 8 bytes in entry order, each as
+// one zero-extended word, however f holds them.
+func keyWords(f *Frozen) []uint64 {
+	all := f.keyBytes()
+	words := make([]uint64, f.NumKeys())
+	for e := range words {
+		var w [8]byte
+		copy(w[:], all[e*f.keyLen:(e+1)*f.keyLen])
+		words[e] = binary.LittleEndian.Uint64(w[:])
+	}
+	return words
 }
 
 // checkHistogram holds the histogram kernel to its two references: the
@@ -215,12 +221,11 @@ func TestCollectWithinMixedWidths(t *testing.T) {
 	}
 }
 
-// TestLookupFormsAgree: the word and byte lookups hash through one
-// function into one bucket directory, so they find the same entry for
-// every key held and none for keys that are not — on keys of whole words
-// and on keys as narrow as their partition, where the hash is seeded by
-// the key's length and a word with a bit past the key's bytes is held
-// under no key.
+// TestLookupFormsAgree: the byte lookup of a key of at most 8 bytes is
+// the word lookup of the word its bytes spell, so the two find the same
+// entry for every key held and none for keys that are not — on keys of
+// whole words and on keys as narrow as their partition, where a word
+// with a bit past the partition's width is held under no key.
 func TestLookupFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	keys := wordKeys(rng, 500, 40)
@@ -244,9 +249,6 @@ func TestLookupFormsAgree(t *testing.T) {
 			}
 			if ids := f.appendList(e, nil); len(ids) != 1 || ids[0] != int32(id) {
 				t.Fatalf("%d-byte key %#x resolves to postings %v, want [%d]", kl, k, ids, id)
-			}
-			if hashWord(kl, k) != hashKey(key) {
-				t.Fatalf("%d-byte key %#x hashes differently as a word and as bytes", kl, k)
 			}
 			if f.lookupWord(k|1<<40) >= 0 || f.lookupWord(k|1<<63) >= 0 {
 				t.Fatalf("%d-byte key %#x found with a bit past the partition set", kl, k)
@@ -291,12 +293,13 @@ func TestLookupFormsAgree(t *testing.T) {
 	for i := range chained {
 		chained[i] = uint64(i)
 	}
-	cf, ncf := freezeWords(chained[:1<<12]), FreezeRows(1<<12, 1, 12, chained[:1<<12])
+	cf, ncf := freezeWords(chained[:1<<12]), freezeRows(1<<12, 1, 12, chained[:1<<12], hashLayout)
 	wcf := freezeWords(chained)
 	displaced := func(f *Frozen) []uint64 {
 		var out []uint64
+		held := keyWords(f)
 		for _, k := range chained[:f.NumKeys()] {
-			if lo, _ := f.span(hashWord(f.keyLen, k)); keyWord(f, int(lo)) != k {
+			if lo, _ := f.span(hashQuot(f.width, k)); held[lo] != k {
 				out = append(out, k)
 			}
 		}
@@ -416,10 +419,11 @@ func TestBucketsShort(t *testing.T) {
 					t.Fatalf("%d %s keys: %d-byte offsets", n, set.name, width)
 				}
 				longest, compared := 0, 0
+				held := keyWords(f)
 				for _, k := range set.keys {
-					lo, hi := f.span(hashWord(f.keyLen, k))
+					lo, hi := f.span(hashQuot(f.width, k))
 					e := f.lookupWord(k)
-					if e < int(lo) || e >= int(hi) || keyWord(f, e) != k {
+					if e < int(lo) || e >= int(hi) || held[e] != k {
 						t.Fatalf("%d %s keys: key %#x found as entry %d, its bucket holds %d to %d", n, set.name, k, e, lo, hi)
 					}
 					longest = max(longest, int(hi-lo))
@@ -436,7 +440,8 @@ func TestBucketsShort(t *testing.T) {
 
 // BenchmarkFrozenProbeVsScan measures the unit costs engine.ProbePrice
 // (internal/engine) is derived from, on a partition shaped like
-// lib_wide's: 20 000 near-distinct 36-bit keys, 5 bytes each. A probe is one
+// lib_wide's: 20 000 near-distinct 36-bit keys, 3 bytes of remainder
+// each. A probe is one
 // signature of a Hamming ball looked up by word (the ball walk
 // included); a scan step is one key of the arena compared (candidate
 // generation) or added to the distance histogram (allocation); a posting
@@ -453,14 +458,24 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	keys := wordKeys(rng, n, width)
 	f := FreezeRows(n, 1, width, keys)
 	set := IDSet{Seen: make([]uint64, (n+63)/64)}
-	absentFrom := func(keys []uint64) []uint64 {
-		absent := slices.Clone(keys)
-		for i, k := range absent {
-			absent[i] = k | 1<<width // a bit no held key has
+	// absentFrom returns, for each of keys, a key of the width that the
+	// index of held does not hold: it flips the key's top bits, one more
+	// until it misses, so a miss walks its bucket as a probe's does.
+	absentFrom := func(held, keys []uint64) []uint64 {
+		in := make(map[uint64]bool, len(held))
+		for _, k := range held {
+			in[k] = true
+		}
+		absent := make([]uint64, len(keys))
+		for i, k := range keys {
+			for bit := width - 1; in[k]; bit-- {
+				k ^= 1 << bit
+			}
+			absent[i] = k
 		}
 		return absent
 	}
-	absent := absentFrom(wordKeys(rng, n, width))
+	absent := absentFrom(keys, wordKeys(rng, n, width))
 	// The wide partition draws from a seed of its own: the draws of the
 	// runs below stay what they were.
 	wideKeys := wordKeys(rand.New(rand.NewSource(2)), 70000, width)
@@ -476,8 +491,8 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 		keys, absent []uint64
 	}{
 		{"", f, keys, absent},
-		{"-70000", FreezeRows(len(wideKeys), 1, width, wideKeys), wideKeys, absentFrom(wideKeys[len(wideKeys)/2:])},
-		{"-1000000", FreezeRows(len(millionKeys), 1, width, millionKeys), millionKeys, absentFrom(millionKeys[len(millionKeys)/2:])},
+		{"-70000", FreezeRows(len(wideKeys), 1, width, wideKeys), wideKeys, absentFrom(wideKeys, wideKeys[len(wideKeys)/2:])},
+		{"-1000000", FreezeRows(len(millionKeys), 1, width, millionKeys), millionKeys, absentFrom(millionKeys, millionKeys[len(millionKeys)/2:])},
 	} {
 		b.Run("word-probe-hit"+p.suffix, func(b *testing.B) {
 			for range b.N {

@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
@@ -19,18 +18,21 @@ import (
 // query substrate every filter-and-refine engine probes, built by
 // FreezeRows. It stores
 //
-//   - its keys in one of two layouts, whichever takes fewer bytes
-//     (FreezeRows decides). The hash layout keeps every distinct key,
-//     each keyLen bytes, concatenated in one byte arena: key e starts at
-//     e·keyLen, so keys need no offsets. The keys are in the order of
-//     their hash (hashKey), which for keys of one word or less is
-//     one-to-one, and of their bytes where two hashes tie; a key's bucket
-//     is the top bits of its hash, so the keys of a bucket lie together
-//     and the buckets ascend. The bitmap layout, for a partition of w ≤
-//     maxBitmapWidth bits, keeps instead one bit for each of the 2^w
-//     keys the partition can hold, set where it holds one (at least a
-//     word of them), and its entries in ascending key order: key k's
-//     entry is its rank, the number of keys below it;
+//   - its keys in one of three layouts (FreezeRows decides). The quotient
+//     layout, for a partition of 1 to 64 bits, hashes each distinct key by
+//     a bijection of its w bits (hashQuot), puts the keys in the order of
+//     their hashes and makes the hash's top bucketBits(n) bits a key's
+//     bucket; it stores only the r = w − bucketBits(n) low bits the bucket
+//     does not already say, the key's remainder, in ⌈r/8⌉ bytes (remLen),
+//     concatenated in one arena, so a bucket's remainders strictly ascend
+//     and a key is the inverse hash of its bucket and remainder. Keys wider
+//     than a word, and keys of no bits, keep their bytes instead, keyLen
+//     each, in the order of hashKey (bytes breaking a tie, and the bucket
+//     the hash's top bits). The bitmap layout, for a partition of w ≤
+//     maxBitmapWidth bits, keeps one bit for each of the 2^w keys the
+//     partition can hold, set where it holds one (at least a word of
+//     them), and its entries in ascending key order: key k's entry is its
+//     rank, the number of keys below it;
 //   - one ref and one count an entry: the ref of an entry with one id is
 //     the id itself, and that of an entry with more is where its list
 //     starts in a second arena — lists of two or more ids, delta-varint
@@ -39,29 +41,30 @@ import (
 //     one before it ends. Each is as wide as its numbers: a ref takes the
 //     bytes the largest ref needs (refLen), a count one byte when every
 //     count of the index fits one and four otherwise;
-//   - derived state that finds a key's entry. In the hash layout it is a
-//     directory of where each bucket's entries start, so a probe is one
-//     hash, two adjacent directory reads and a compare over the bucket's
-//     one or two keys; its offsets are 16 bits wide when the index has
-//     at most 65 535 keys and 32 otherwise. In the bitmap layout it is a
-//     rank array, the keys below each 512-bit block of the bitmap, so a
-//     probe is a bit test, one rank read and the popcounts of the block's
-//     words before the key's (rankOf).
+//   - what finds a key's entry, written with the section like the rest.
+//     In the hashed layouts it is a directory of where each bucket's
+//     entries start, so a probe is one hash, two adjacent directory reads
+//     and a compare over the bucket's one or two stored keys; its offsets
+//     are 16 bits wide when the index has at most 65 535 keys and 32
+//     otherwise. In the bitmap layout it is a rank array, the keys below
+//     each 512-bit block of the bitmap, so a probe is a bit test, one rank
+//     read and the popcounts of the block's words before the key's
+//     (rankOf).
 //
 // Lookups are allocation-free (keys hash and compare against the arena
 // directly, or test their bit), SizeBytes is exact arithmetic over the
-// backing slices rather than an estimate, and the arenas serialize
-// as-is, so loading a persisted frozen index is O(bytes) slicing; the
-// directory or rank array is not written, and a read index builds it at
-// its first lookup (BuildDir), so an index that is only ever scanned
-// never pays for it.
+// backing slices rather than an estimate, and every array serializes
+// as-is, so loading a persisted frozen index is O(bytes) slicing, and
+// nothing is derived after it: the directory or rank array cannot be
+// recomputed from remainders, so it is read with the rest.
 //
 // A Frozen is immutable after FreezeRows/ReadFrozen and safe for
-// concurrent use (deferred validation and the directory's build are
-// internally synchronized).
+// concurrent use (deferred validation is internally synchronized).
 type Frozen struct {
-	keyArena  []byte // hash layout: distinct keys, concatenated in hash order, then the pad (keyPad); bitmap layout: the bitmap
-	keyLen    int    // bytes a key, KeyLen of the projection's width
+	keyArena  []byte // quotient layout: remainders, remLen bytes each, in hash order, then the pad (keyPad); byte layout: keys, keyLen bytes each; bitmap layout: the bitmap
+	keyLen    int    // bytes a key takes written out, KeyLen of width
+	remLen    int    // bytes a stored key takes: its remainder's in the quotient layout, keyLen in the byte layout
+	width     int    // bits a key holds: its partition's width, which the section header carries
 	postArena []byte // delta-varint lists of two or more ids, in entry order
 	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): the id of a one-id entry, else where its list starts in postArena
 	refLen    int    // bytes a ref, refLenFor the largest
@@ -78,17 +81,13 @@ type Frozen struct {
 	// is b in its top bits, are dir[b] up to dir[b+1]. It has
 	// 2^bucketBits(n) + 1 offsets for n keys, in dir16 when n is at most
 	// maxNarrowKeys and in dir32 otherwise, the other field nil; dirShift
-	// is what bucket shifts a hash by to find its bucket. In the bitmap
-	// layout dir32 is the rank array instead (rankLen). FreezeRows
-	// builds it; a read index builds it at its first lookup (BuildDir),
-	// and dirReady's release-store publishes it to the acquire-load
-	// there; dirMu serializes the one build.
+	// is what bucket shifts a hash by to find its bucket, which in the
+	// quotient layout is the remainder's bits less one. In the bitmap
+	// layout dir32 is the rank array instead (rankLen).
 	dir16    []uint16
 	dir32    []uint32
 	dirShift uint
 	bitmap   bool // the bitmap layout: keyArena is the bitmap, dir32 its rank array
-	dirReady atomic.Bool
-	dirMu    sync.Mutex
 
 	// Deferred content validation (see ReadPayload): maxID is
 	// the id bound Validate checks postings against, and deepOnce/
@@ -126,16 +125,26 @@ func keyPad(keyLen, n int) int {
 	return 0
 }
 
-// wordKeys reports whether every key fits one word: 1 ≤ keyLen ≤ 8, the
-// keys of every partition of 1 to 64 bits. Such a key is read as the
-// 8-byte little-endian load at its start, masked with keyMask.
-func (f *Frozen) wordKeys() bool { return uint(f.keyLen-1) < 8 }
+// quotientWidth reports whether a partition of width bits keeps its
+// hashed keys in the quotient layout: 1 to 64 bits, a key one word.
+func quotientWidth(width int) bool { return uint(width-1) < 64 }
 
-// keyMask keeps the keyLen low bytes of a word: a one-word key's own
-// bytes out of the load at its start. The shift is taken mod 64, which
-// is exact for 1 ≤ keyLen ≤ 8 and spares the compiler's guard for
-// shifts past the word.
-func (f *Frozen) keyMask() uint64 { return ^uint64(0) >> ((64 - 8*uint(f.keyLen)) & 63) }
+// quotient reports whether f keeps the quotient layout.
+func (f *Frozen) quotient() bool { return !f.bitmap && quotientWidth(f.width) }
+
+// wordMask keeps the low width bits of a word, width 1 to 64. The shift
+// is taken mod 64, which is exact there and spares the compiler's guard
+// for shifts past the word.
+func wordMask(width int) uint64 { return ^uint64(0) >> ((64 - width) & 63) }
+
+// remMask keeps a quotient-layout key's remainder bits: the dirShift + 1
+// low bits of its hash.
+func (f *Frozen) remMask() uint64 { return ^uint64(0) >> ((63 - f.dirShift) & 63) }
+
+// remBytes returns the bytes the remainder of a width-bit key takes in a
+// quotient-layout index of n keys: ⌈r/8⌉ of its r = width − bucketBits(n)
+// bits, at least one of them, since n ≤ 2^width.
+func remBytes(width, n int) int { return (width - bucketBits(n) + 7) / 8 }
 
 // refLenFor returns the bytes a ref takes in an index whose largest ref
 // is top: as many as top's significant bits fill, at least one.
@@ -249,17 +258,17 @@ func bitmapBytes(width int) int { return max(8, 1<<width/8) }
 func rankLen(bitmapBytes int) int { return (bitmapBytes+63)/64 + 1 }
 
 // useBitmap reports whether the bitmap layout holds the distinct keys of
-// a width-bit partition in fewer bytes than the hash layout — the bitmap
-// and its rank array against the key arena and the directory — which is
-// the layout rule: bytes alone, so what a partition gets follows from its
-// width and key count.
+// a width-bit partition in fewer bytes than the hashed layout — the
+// bitmap and its rank array against the stored keys and the directory —
+// which is the layout rule: bytes alone, so what a partition gets follows
+// from its width and key count.
 func useBitmap(width, distinct int) bool {
 	if width < 1 || width > maxBitmapWidth {
 		return false
 	}
 	bm := bitmapBytes(width)
-	kl := KeyLen(width)
-	return int64(bm)+4*int64(rankLen(bm)) < int64(kl*distinct+keyPad(kl, distinct))+directoryBytes(distinct)
+	rl := remBytes(width, distinct)
+	return int64(bm)+4*int64(rankLen(bm)) < int64(rl*distinct+keyPad(rl, distinct))+directoryBytes(distinct)
 }
 
 // freezeRows is FreezeRows with the layout chosen by how.
@@ -291,32 +300,51 @@ func freezeRows(n, per, width int, rows []uint64, how layoutChoice) *Frozen {
 	runs = append(runs, int32(keys))
 	f := &Frozen{
 		keyLen: keyLen,
+		width:  width,
 		// A list of c ids repeats its key c − 1 times: 2(c − 1) ≥ c bytes
 		// holds it at a byte a gap.
 		postArena: make([]byte, 0, 2*(keys-distinct)),
 		counts8:   make([]uint8, 0, distinct),
 		maxID:     math.MaxInt32, // ids are valid by construction
 	}
-	var entries []int32 // the runs in entry order
-	if how == bitmapLayout || how == pickLayout && useBitmap(width, distinct) {
-		entries = f.layBitmap(width, distinct, func(r int32) uint64 { return key(order[runs[r]])[0] })
-	} else {
-		// A key shorter than a word is written as its whole word and cut
-		// back: the last one's word ends where the pad does.
-		f.keyArena = make([]byte, 0, keyLen*distinct+keyPad(keyLen, distinct))
-		entries = hashRuns(distinct, func(r int32) uint64 { return hashWords(keyLen, key(order[runs[r]])) })
+	runKey := func(r int32) []uint64 { return key(order[runs[r]]) }
+	var hashOf func(r int32) uint64 // a run's hash, in a hashed layout
+	var entries []int32             // the runs in entry order
+	switch {
+	case how == bitmapLayout || how == pickLayout && useBitmap(width, distinct):
+		entries = f.layBitmap(width, distinct, func(r int32) uint64 { return runKey(r)[0] })
+	case quotientWidth(width):
+		f.remLen, f.dirShift = remBytes(width, distinct), uint(width-1-bucketBits(distinct))
+		hashOf = func(r int32) uint64 { return hashQuot(width, runKey(r)[0]) }
+	default:
+		f.remLen, f.dirShift = keyLen, dirShift(distinct)
+		hashOf = func(r int32) uint64 { return hashWords(keyLen, runKey(r)) }
+	}
+	var dir []uint32
+	if !f.bitmap {
+		// A stored key shorter than a word is written as its whole word and
+		// cut back: the last one's word ends where the pad does.
+		f.keyArena = make([]byte, 0, f.remLen*distinct+keyPad(f.remLen, distinct))
+		entries = hashRuns(distinct, f.dirShift, hashOf)
+		dir = make([]uint32, 1<<bucketBits(distinct)+1)
 	}
 	// Refs are gathered at full width and stored at the width they need
 	// once the largest is known.
 	refs := make([]uint32, 0, distinct)
-	for _, r := range entries {
+	for e, r := range entries {
 		j, end := runs[r], runs[r+1]
 		if !f.bitmap {
-			start := len(f.keyArena)
-			for _, word := range key(order[j]) {
-				f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
+			h, start := hashOf(r), len(f.keyArena)
+			// In hash order the last key of a bucket writes where it ends.
+			dir[bucket(h, f.dirShift)+1] = uint32(e + 1)
+			if f.quotient() {
+				f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, h&f.remMask())
+			} else {
+				for _, word := range runKey(r) {
+					f.keyArena = binary.LittleEndian.AppendUint64(f.keyArena, word)
+				}
 			}
-			f.keyArena = f.keyArena[:start+keyLen]
+			f.keyArena = f.keyArena[:start+f.remLen]
 		}
 		// The run's keys become its ids where they lie: an id is written
 		// no later than its key is read.
@@ -330,22 +358,41 @@ func freezeRows(n, per, width int, rows []uint64, how layoutChoice) *Frozen {
 		f.addCount(len(ids))
 	}
 	if !f.bitmap {
-		f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, distinct))...)
+		f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, distinct))...)
+		f.setDir(dir)
 	}
 	f.packRefs(refs)
-	f.buildDir()
 	return f
 }
 
+// setDir keeps the directory whose offset b + 1 holds where bucket b
+// ends, 0 for a bucket no key fell in, at the width the key count asks
+// for: a running maximum carries each end over the empty buckets after
+// it.
+func (f *Frozen) setDir(ends []uint32) {
+	var end uint32
+	for b, o := range ends {
+		end = max(end, o)
+		ends[b] = end
+	}
+	if f.NumKeys() > maxNarrowKeys {
+		f.dir32 = ends
+		return
+	}
+	f.dir16 = make([]uint16, len(ends))
+	for b, o := range ends {
+		f.dir16[b] = uint16(o)
+	}
+}
+
 // hashRuns returns the runs 0 up to distinct, which are in lexicographic
-// key order and whose hashes hashOf gives, in hash order. One stable
-// counting pass puts them in bucket order, and each bucket's few are then
-// sorted by hash, stably, so the bytes break a tie (keys of several
-// words). A run's hash is taken again where it is needed rather than
-// kept: the build's peak is its arrays, and a hash is one multiply a
-// word.
-func hashRuns(distinct int, hashOf func(r int32) uint64) []int32 {
-	shift := dirShift(distinct)
+// key order and whose hashes hashOf gives, in hash order; shift is what
+// bucket shifts a hash by. One stable counting pass puts them in bucket
+// order, and each bucket's few are then sorted by hash, stably, so the
+// bytes break a tie (keys of several words). A run's hash is taken again
+// where it is needed rather than kept: the build's peak is its arrays,
+// and a hash is one multiply a word.
+func hashRuns(distinct int, shift uint, hashOf func(r int32) uint64) []int32 {
 	next := make([]int32, 1<<bucketBits(distinct)+1) // next[b+1] counts bucket b's runs, then sums to where they go
 	for r := range int32(distinct) {
 		next[bucket(hashOf(r), shift)+1]++
@@ -381,7 +428,7 @@ func (f *Frozen) layBitmap(width, distinct int, keyOf func(r int32) uint64) []in
 		k := keyOf(r)
 		f.keyArena[k/8] |= 1 << (k % 8)
 	}
-	f.buildDir()
+	f.dir32 = fillRank(f.keyArena, make([]uint32, rankLen(len(f.keyArena))))
 	byKey := make([]int32, distinct)
 	for r := range int32(distinct) {
 		byKey[f.rankOf(keyOf(r))] = r
@@ -434,25 +481,32 @@ func sortKeys(keys, w, keyLen int, rows []uint64) []int32 {
 }
 
 // hashMul is 2⁶⁴/φ rounded to odd, the usual multiplicative-hashing
-// constant.
-const hashMul = 0x9E3779B97F4A7C15
+// constant, and hashInv its inverse mod 2⁶⁴: odd, so it has one, and
+// hashMul·hashInv ≡ 1 mod 2^w for every w ≤ 64 as well.
+const (
+	hashMul = 0x9E3779B97F4A7C15
+	hashInv = 0xF1DE83E19937733D
+)
 
-// mix folds one 8-byte key word into the running hash: an xor, then a
-// multiply by hashMul mod 2⁶⁴. Keys are packed projections whose entropy
-// sits in their low bits, and a key's bucket is the hash's top bits; the
-// multiply carries every input bit up into them. It is one-to-one in w,
-// so two keys of one word or less never share a hash, and the key pass
-// checks their order with one compare a key.
+// hashQuot is the quotient layout's hash of a width-bit key x: x·hashMul
+// mod 2^width, a bijection of the width-bit words — the key whose hash
+// is h is h·hashInv mod 2^width. A product's bit j depends on the key's
+// bits up to j, so its top bits, a key's bucket, depend on all of them,
+// and keys whose entropy sits in their low bits spread over the buckets.
 //
-// The hash is part of the file format: a saved index stores its keys in
-// the order of their hashes, so an edit to mix, hashWord or hashKey
-// makes every saved index fail validation. TestHashIsFormat pins it.
-func mix(h, w uint64) uint64 { return (h ^ w) * hashMul }
+// The hash is part of the file format: a saved index stores each key as
+// its hash's bucket and remainder, so an edit to hashQuot or its
+// constants makes every saved index hold other keys. TestHashIsFormat
+// pins it.
+func hashQuot(width int, x uint64) uint64 { return x * hashMul & wordMask(width) }
 
-// hashWord is hashKey of the keyLen-byte little-endian key holding w,
-// for keyLen ≤ 8: the length seeds the hash and the key is its one
-// zero-extended word.
-func hashWord(keyLen int, w uint64) uint64 { return mix(uint64(keyLen), w) }
+// mix folds one 8-byte key word into the running hash of a key of the
+// byte layout: an xor, then a multiply by hashMul mod 2⁶⁴. Keys are
+// packed projections whose entropy sits in their low bits, and a key's
+// bucket is the hash's top bits; the multiply carries every input bit up
+// into them. Like hashQuot it is part of the file format: a saved index
+// of keys wider than a word holds them in the order of their hashes.
+func mix(h, w uint64) uint64 { return (h ^ w) * hashMul }
 
 // hashKey hashes a key a little-endian word at a time (a shorter tail
 // zero-extended), seeded with the length so a tail's zero bytes count.
@@ -495,13 +549,15 @@ func bucketBits(n int) int {
 	return bits.Len(uint(n-1)) - 1
 }
 
-// dirShift returns what bucket shifts a hash by in an index of n keys:
-// 63 − bucketBits(n).
+// dirShift returns what bucket shifts a 64-bit hash (hashKey's) by in an
+// index of n keys: 63 − bucketBits(n). A quotient-layout hash has the
+// key's width in bits, w, and is shifted by w − 1 − bucketBits(n).
 func dirShift(n int) uint { return 63 - uint(bucketBits(n)) }
 
 // bucket returns the bucket of hash h in an index whose dirShift is
-// shift: the top 63 − shift bits of h, none for one bucket. Both shifts
-// are below 64, so neither needs the guard a shift by 64 would.
+// shift: the bits of h above its lowest shift + 1, none for one bucket.
+// Both shifts are below 64, so neither needs the guard a shift by 64
+// would.
 func bucket(h uint64, shift uint) uint64 { return h >> 1 >> (shift & 63) }
 
 // maxNarrowKeys is the most keys a directory of uint16 offsets reaches:
@@ -522,11 +578,13 @@ func directoryBytes(n int) int64 {
 	return 4 * offsets
 }
 
+// key returns key e of an index of the byte layout.
 func (f *Frozen) key(e int) []byte { return f.keyArena[e*f.keyLen : (e+1)*f.keyLen] }
 
-// lookupBytes returns the entry index for key, or −1.
+// lookupBytes returns the entry index for key, or −1: a key of one word
+// is looked up as the word, a wider one by hashing and comparing bytes.
 func (f *Frozen) lookupBytes(key []byte) int {
-	if f.bitmap {
+	if f.bitmap || f.quotient() {
 		if len(key) != f.keyLen {
 			return -1
 		}
@@ -534,11 +592,10 @@ func (f *Frozen) lookupBytes(key []byte) int {
 		for i, b := range key {
 			w |= uint64(b) << (8 * i)
 		}
-		return f.bitmapEntry(w)
+		return f.lookupWord(w)
 	}
-	f.BuildDir()
 	lo, hi := f.span(hashKey(key))
-	for e := lo; e < hi; e++ {
+	for e := lo; e < min(hi, f.NumKeys()); e++ {
 		if bytes.Equal(f.key(e), key) {
 			return e
 		}
@@ -548,8 +605,9 @@ func (f *Frozen) lookupBytes(key []byte) int {
 
 // lookupWord is lookupBytes for the key holding w in its keyLen
 // little-endian bytes — the packed projection of a partition of at most
-// 64 bits — without the bytes: the word is hashed and compared as a
-// word. A w with a bit past the key's bytes is held under no key.
+// 64 bits — without the bytes: the word is hashed, and its remainder
+// compared, as a word. A w with a bit at or past the width is held under
+// no key.
 func (f *Frozen) lookupWord(w uint64) int {
 	e, _ := f.probeWord(w)
 	return e
@@ -562,81 +620,64 @@ func (f *Frozen) probeWord(w uint64) (e, count int) {
 		e = f.bitmapEntry(w)
 		return e, f.count(e)
 	}
-	if !f.wordKeys() || len(f.keyArena) == 0 {
-		return -1, 0 // keys of several words, or of none, or no keys
+	if !f.quotient() || f.NumKeys() == 0 || w > wordMask(f.width) {
+		return -1, 0 // keys of several words, or of none, or no keys, or a key past the width
 	}
-	f.BuildDir()
-	lo, hi := f.span(hashWord(f.keyLen, w))
-	e = f.inBucket(lo, hi, w)
+	h := hashQuot(f.width, w)
+	lo, hi := f.span(h)
+	e = f.inBucket(lo, hi, h&f.remMask())
 	return e, f.count(e)
 }
 
-// inBucket returns the entry among lo up to hi, a bucket of an index of
-// keys of one word or less, at least one of them, whose key is w, or −1.
-// It compares the bucket's first two keys without a branch, which
-// settles a bucket of one or two keys, most of them: whether a probe
-// hits its bucket's first key is a coin toss no predictor learns. A key
-// outside the bucket cannot be w, which hashes into it, so the compares
-// need not know where the bucket ends; the reads stop at the arena's
-// last key. A longer bucket's rest is walked by walkBucket.
-func (f *Frozen) inBucket(lo, hi int, w uint64) int {
-	kl, keep, last := f.keyLen, f.keyMask(), f.NumKeys()-1
+// inBucket returns the entry among lo up to hi, a bucket of a
+// quotient-layout index of at least one key, whose remainder is rem, or
+// −1. It compares the bucket's first two remainders without a branch,
+// which settles a bucket of one or two keys, most of them: whether a
+// probe hits its bucket's first key is a coin toss no predictor learns.
+// A remainder outside the bucket may equal rem and still be another key,
+// so each compare is held to the bucket's end; the reads stop at the
+// arena's last key. A longer bucket's rest is walked by walkBucket.
+func (f *Frozen) inBucket(lo, hi int, rem uint64) int {
+	rl, keep, last := f.remLen, f.remMask(), f.NumKeys()-1
 	e0, e1 := min(lo, last), min(lo+1, last)
+	// Nonzero where the entry is not rem's or lies past the bucket: the
+	// sign of hi − lo − 1 − i, spread over the word.
+	miss0 := binary.LittleEndian.Uint64(f.keyArena[rl*e0:])&keep ^ rem | uint64((hi-lo-1)>>63)
+	miss1 := binary.LittleEndian.Uint64(f.keyArena[rl*e1:])&keep ^ rem | uint64((hi-lo-2)>>63)
 	e := -1
-	if binary.LittleEndian.Uint64(f.keyArena[kl*e1:])&keep == w {
+	if miss1 == 0 {
 		e = e1
 	}
-	if binary.LittleEndian.Uint64(f.keyArena[kl*e0:])&keep == w {
+	if miss0 == 0 {
 		e = e0
 	}
 	if hi-lo > 2 && e < 0 {
-		e = f.walkBucket(lo+2, hi, w)
+		e = f.walkBucket(lo+2, min(hi, last+1), rem)
 	}
 	return e
 }
 
+// walkBucket is inBucket over the entries from lo up to hi, a key at a
+// time.
+func (f *Frozen) walkBucket(lo, hi int, rem uint64) int {
+	for e := lo; e < hi; e++ {
+		if binary.LittleEndian.Uint64(f.keyArena[f.remLen*e:])&f.remMask() == rem {
+			return e
+		}
+	}
+	return -1
+}
+
 // span returns the entries of the bucket hash h falls in: from lo up to
-// hi. The directory must be built: every lookup calls BuildDir first,
-// and a read index's first lookup builds it there.
+// hi, as the directory gives them. Before the content tier has judged a
+// read directory they may lie anywhere; every reader of a span bounds it
+// by the key count.
 func (f *Frozen) span(h uint64) (lo, hi int) {
 	b := bucket(h, f.dirShift)
 	if d := f.dir16; d != nil {
 		return int(d[b]), int(d[b+1])
 	}
 	return int(f.dir32[b]), int(f.dir32[b+1])
-}
-
-// BuildDir builds the directory now, if no lookup has: for a caller that
-// builds the directories of many indexes side by side before their
-// first lookups would build them one behind another.
-func (f *Frozen) BuildDir() {
-	if !f.dirReady.Load() {
-		f.buildDir()
-	}
-}
-
-// buildDir builds the directory exactly once; concurrent first lookups
-// serialize on dirMu and all but one find it built. It reads the keys'
-// hashes and nothing else, so it waits for no verdict: over keys out of
-// hash order it builds a directory whose buckets still lie inside the
-// arena, and a lookup through it finds what it finds.
-func (f *Frozen) buildDir() {
-	f.dirMu.Lock()
-	//gphlint:ignore hotpath one-time cold path behind the dirReady fast path
-	defer f.dirMu.Unlock()
-	if f.dirReady.Load() {
-		return
-	}
-	n := f.NumKeys()
-	f.dirShift = dirShift(n)
-	if offsets := 1<<bucketBits(n) + 1; f.bitmap {
-		f.dir32 = fillRank(f.keyArena, make([]uint32, rankLen(len(f.keyArena))))
-	} else if n <= maxNarrowKeys {
-		f.dir16 = fillDir(f, make([]uint16, offsets))
-	} else {
-		f.dir32 = fillDir(f, make([]uint32, offsets))
-	}
-	f.dirReady.Store(true)
 }
 
 // fillRank fills rank, rankLen(len(bm)) entries, with the keys of bitmap
@@ -646,11 +687,19 @@ func fillRank(bm []byte, rank []uint32) []uint32 {
 	var below uint32
 	for b := range rank {
 		rank[b] = below
-		for i := 64 * b; i < min(64*(b+1), len(bm)); i += 8 {
-			below += uint32(bits.OnesCount64(binary.LittleEndian.Uint64(bm[i:])))
-		}
+		below += blockKeys(bm, b)
 	}
 	return rank
+}
+
+// blockKeys returns the keys bitmap bm holds in its 512-bit block b, none
+// past its end.
+func blockKeys(bm []byte, b int) uint32 {
+	var keys uint32
+	for i := 64 * b; i < min(64*(b+1), len(bm)); i += 8 {
+		keys += uint32(bits.OnesCount64(binary.LittleEndian.Uint64(bm[i:])))
+	}
+	return keys
 }
 
 // rankOf returns the entry of key w in the bitmap layout, −1 when the
@@ -661,8 +710,7 @@ func fillRank(bm []byte, rank []uint32) []uint32 {
 // above w. Either way four words are counted, each masked to the bits on
 // w's side (all, some or none), and the half picks the words, masks, sign
 // and entry arithmetically: a branch on it, or a loop that stopped at
-// w's word, would mispredict on a probe in two. The rank array must be
-// built.
+// w's word, would mispredict on a probe in two.
 func (f *Frozen) rankOf(w uint64) int {
 	bm := f.keyArena
 	if w >= 8*uint64(len(bm)) || bm[w/8]>>(w%8)&1 == 0 {
@@ -691,81 +739,11 @@ func popBelow(b []byte, k int, flip uint64) int {
 	return bits.OnesCount64(binary.LittleEndian.Uint64(b) & (keep ^ flip))
 }
 
-// bitmapEntry is rankOf for a lookup: an entry past the last — a bitmap
-// holding more keys than the section has entries, which its deferred
-// validation has yet to reject — reads as the last, so no lookup leaves
-// the entry arrays.
+// bitmapEntry is rankOf for a lookup: an entry outside the entries — a
+// bitmap or rank array its deferred validation has yet to reject — reads
+// as the last or as none, so no lookup leaves the entry arrays.
 func (f *Frozen) bitmapEntry(w uint64) int {
-	f.BuildDir()
-	return min(f.rankOf(w), f.NumKeys()-1)
-}
-
-// fillDir fills dir, 2^bucketBits(n) + 1 zero offsets for f's n keys,
-// with where each bucket starts, and returns it: each key writes its
-// entry number plus one at its bucket plus one — in hash order the last
-// key of a bucket writes where the bucket ends — and a running maximum
-// then carries those ends over the buckets no key fell in.
-func fillDir[D dirOffset](f *Frozen, dir []D) []D {
-	n, shift := f.NumKeys(), f.dirShift
-	if f.wordKeys() {
-		fillWords(f.keyArena, f.keyLen, n, f.keyMask(), shift, dir)
-	} else {
-		for e := range n {
-			dir[bucket(hashKey(f.key(e)), shift)+1] = D(e + 1)
-		}
-	}
-	// The maximum so far lives in a register: read back from the offset
-	// just written, it would wait on the store every step.
-	var end D
-	for b, o := range dir {
-		end = max(end, o)
-		dir[b] = end
-	}
-	return dir
-}
-
-// fillWords is fillDir's pass over n keys of kl ≤ 8 bytes. Like
-// histWords it keeps a copy of the loop a key length, the stride and the
-// hash's seed constants in each.
-func fillWords[D dirOffset](keys []byte, kl, n int, keep uint64, shift uint, dir []D) {
-	switch kl {
-	case 1:
-		fillStride(keys, 1, n, keep, shift, dir)
-	case 2:
-		fillStride(keys, 2, n, keep, shift, dir)
-	case 3:
-		fillStride(keys, 3, n, keep, shift, dir)
-	case 4:
-		fillStride(keys, 4, n, keep, shift, dir)
-	case 5:
-		fillStride(keys, 5, n, keep, shift, dir)
-	case 6:
-		fillStride(keys, 6, n, keep, shift, dir)
-	case 7:
-		fillStride(keys, 7, n, keep, shift, dir)
-	default:
-		fillStride(keys, 8, n, keep, shift, dir)
-	}
-}
-
-// fillStride is fillWords' loop, inlined into it once a key length. The
-// arena's pad keeps the last key's load inside it.
-func fillStride[D dirOffset](keys []byte, kl, n int, keep uint64, shift uint, dir []D) {
-	for e := range n {
-		dir[bucket(hashWord(kl, binary.LittleEndian.Uint64(keys)&keep), shift)+1] = D(e + 1)
-		keys = keys[kl:]
-	}
-}
-
-// walkBucket is inBucket over the entries from lo up to hi, a key at a
-// time.
-func (f *Frozen) walkBucket(lo, hi int, w uint64) int {
-	for e := lo; e < hi; e++ {
-		if binary.LittleEndian.Uint64(f.keyArena[f.keyLen*e:])&f.keyMask() == w {
-			return e
-		}
-	}
-	return -1
+	return max(min(f.rankOf(w), f.NumKeys()-1), -1)
 }
 
 // LookupKey returns the entry the key held in the little-endian words key
@@ -790,16 +768,16 @@ func (f *Frozen) LookupKey(key []uint64, buf *[]byte) int {
 // LookupWords is lookupWord for a batch, one index a position: entries[i]
 // receives the number of the entry fs[i] holds the key words[i] under,
 // −1 when it holds none, and counts[i] that entry's posting count, 0 for
-// none. A lookup is a chain of dependent loads — directory, keys, count —
-// and most of them miss the cache when every position reads another
-// index, so the batch runs in stages: every hash and directory read
-// (counts[i] holding where the bucket ends until the last stage), then
-// every bucket's keys, then every count, a stage's loads in flight side
-// by side instead of one chain waiting behind another. A position whose
-// index keeps a bitmap (its bit and rank read side by side) or does not
-// keep keys of one word or less, or keeps none, is looked up whole in
-// the first stage. A nil fs[i] is skipped, entries[i] and counts[i] left
-// as they were.
+// none. A lookup is a chain of dependent loads — directory, remainders,
+// count — and most of them miss the cache when every position reads
+// another index, so the batch runs in stages: every hash and directory
+// read (counts[i] holding where the bucket ends until the last stage),
+// then every bucket's remainders, then every count, a stage's loads in
+// flight side by side instead of one chain waiting behind another. A
+// position whose index keeps a bitmap (its bit and rank read side by
+// side) or does not keep the quotient layout, or keeps no key, or whose
+// word has a bit past the width, is looked up whole in the first stage. A
+// nil fs[i] is skipped, entries[i] and counts[i] left as they were.
 //
 //gph:hotpath
 func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32) {
@@ -809,17 +787,17 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 		case f == nil:
 		case f.bitmap:
 			entries[i] = int32(f.bitmapEntry(words[i]))
-		case !f.wordKeys() || len(f.keyArena) == 0:
+		case !f.quotient() || f.NumKeys() == 0 || words[i] > wordMask(f.width):
 			entries[i], counts[i] = -1, 0
 		default:
-			f.BuildDir()
-			lo, hi := f.span(hashWord(f.keyLen, words[i]))
-			entries[i], counts[i] = int32(lo), uint32(hi)
+			lo, hi := f.span(hashQuot(f.width, words[i]))
+			entries[i], counts[i] = int32(min(lo, f.NumKeys())), uint32(hi)
 		}
 	}
 	for i, f := range fs {
 		if f != nil && !f.bitmap && entries[i] >= 0 {
-			entries[i] = int32(f.inBucket(int(entries[i]), int(counts[i]), words[i]))
+			rem := hashQuot(f.width, words[i]) & f.remMask()
+			entries[i] = int32(f.inBucket(int(entries[i]), int(counts[i]), rem))
 		}
 	}
 	for i, f := range fs {
@@ -832,9 +810,12 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 // NumKeys returns the number of distinct keys.
 func (f *Frozen) NumKeys() int { return len(f.counts8) + len(f.counts32) }
 
-// KeyLen returns the bytes each key takes. Loaders check it against the
-// partition's packed-key width, KeyLen(width).
+// KeyLen returns the bytes each key takes written out: KeyLen(Width()).
 func (f *Frozen) KeyLen() int { return f.keyLen }
+
+// Width returns the bits each key holds, as the section header carries
+// them. Loaders check it against the partition's width.
+func (f *Frozen) Width() int { return f.width }
 
 // TotalPostings returns the total number of (key, id) pairs.
 func (f *Frozen) TotalPostings() int64 { return f.postings }
@@ -972,50 +953,121 @@ func (s *IDSet) Reset() {
 	s.IDs = s.IDs[:0]
 }
 
-// scanBlock is how many keys CollectWithin compares before it decodes
-// the matches among them; the entry numbers fit a stack array.
+// scanBlock is how many keys a key scan recovers before it compares
+// them, and CollectWithin compares before it decodes the matches among
+// them; the keys, marks and entry numbers fit stack arrays.
 const scanBlock = 256
 
-// matchWords notes in hits which of a block's keys of kl ≤ 8 bytes (at
-// most scanBlock of them; block runs on to the last one's 8-byte load)
-// lie within radius of q, and returns how many do. The count advances
-// by a conditional move, not a branch. Kept out of line: inlined into
-// CollectWithin the loop's live values spill to the stack and a key
-// costs half as much again. Each key length gets its own copy of the
-// loop, the stride a constant in it: at a stride held in a register the
-// reslice keeps a bounds check and a key costs 1.6 ns, not 1.1
-// (BenchmarkFrozenProbeVsScan's scan-key, 5-byte keys).
-//
-//go:noinline
-func matchWords(block []byte, kl int, keep, q uint64, radius int, hits *[scanBlock]int32) int {
-	switch kl {
-	case 1:
-		return matchStride(block, 1, keep, q, radius, hits)
-	case 2:
-		return matchStride(block, 2, keep, q, radius, hits)
-	case 3:
-		return matchStride(block, 3, keep, q, radius, hits)
-	case 4:
-		return matchStride(block, 4, keep, q, radius, hits)
-	case 5:
-		return matchStride(block, 5, keep, q, radius, hits)
-	case 6:
-		return matchStride(block, 6, keep, q, radius, hits)
-	case 7:
-		return matchStride(block, 7, keep, q, radius, hits)
-	}
-	return matchStride(block, 8, keep, q, radius, hits)
+// keyPass carries a pass over a quotient-layout index's keys, a block
+// of entries at a time in entry order, from one block to the next. A
+// key is recovered from its hash, its bucket over its remainder, and an
+// entry's bucket comes from the directory without a branch a bucket: a
+// bucket's length is a coin toss no predictor learns, so a loop over
+// each bucket's entries would mispredict at most of their ends. Instead
+// every bucket that starts inside the block adds one bucket, in place
+// over the remainder, at the entry it starts at (scatter), and a running
+// sum over the block carries it to the entries after.
+type keyPass struct {
+	marks  [scanBlock]uint64
+	starts int    // the bucket starts scattered so far: the next is bucket starts + 1's
+	high   uint64 // the bucket of the block's entry before, in place over the remainder
 }
 
-// matchStride is matchWords' loop, inlined into it once a key length.
-func matchStride(block []byte, kl int, keep, q uint64, radius int, hits *[scanBlock]int32) int {
+// scatter marks the buckets that start in f's entries from base up to
+// end, at most scanBlock of them, the block right after the one it marked
+// before (the first from entry 0), and returns f's remainders from base's
+// on, up to the last one's 8-byte load. Over a directory the content tier
+// has yet to judge every write stays in bounds, wherever it lands.
+func (f *Frozen) scatter(p *keyPass, base, end int) []byte {
+	clear(p.marks[:end-base])
+	step := uint64(1) << 1 << (f.dirShift & 63) // one bucket, above the remainder; 0 where there is one bucket
+	if d := f.dir16; d != nil {
+		p.starts = scatterStarts(d, p.starts, base, end, step, &p.marks)
+	} else {
+		p.starts = scatterStarts(f.dir32, p.starts, base, end, step, &p.marks)
+	}
+	return f.keyArena[f.remLen*base : f.remLen*end+8-f.remLen]
+}
+
+// scatterStarts is scatter over a directory of D offsets.
+func scatterStarts[D dirOffset](dir []D, starts, base, end int, step uint64, marks *[scanBlock]uint64) int {
+	b := starts + 1
+	for ; b < len(dir); b++ {
+		at := int(dir[b])
+		if at >= end {
+			break
+		}
+		marks[uint(at-base)%scanBlock] += step
+	}
+	return b - 1
+}
+
+// keyBlock returns the keys of f's entries from base up to end, as
+// scatter takes a block: each the inverse hash of its bucket over its
+// remainder.
+func (f *Frozen) keyBlock(p *keyPass, base, end int, keys *[scanBlock]uint64) []uint64 {
+	rems, out := f.scatter(p, base, end), keys[:end-base]
+	keep, wmask := f.remMask(), wordMask(f.width)
+	switch f.remLen {
+	case 1:
+		p.high = decodeStride[[1]byte](rems, keep, wmask, p.high, &p.marks, out)
+	case 2:
+		p.high = decodeStride[[2]byte](rems, keep, wmask, p.high, &p.marks, out)
+	case 3:
+		p.high = decodeStride[[3]byte](rems, keep, wmask, p.high, &p.marks, out)
+	case 4:
+		p.high = decodeStride[[4]byte](rems, keep, wmask, p.high, &p.marks, out)
+	case 5:
+		p.high = decodeStride[[5]byte](rems, keep, wmask, p.high, &p.marks, out)
+	case 6:
+		p.high = decodeStride[[6]byte](rems, keep, wmask, p.high, &p.marks, out)
+	case 7:
+		p.high = decodeStride[[7]byte](rems, keep, wmask, p.high, &p.marks, out)
+	default:
+		p.high = decodeStride[[8]byte](rems, keep, wmask, p.high, &p.marks, out)
+	}
+	return out
+}
+
+// remStride is the stride of a pass over a quotient-layout index's
+// remainders: an array as long as a remainder, so that each remainder
+// length gets its own copy of a loop, the stride a constant in it — at a
+// stride held in a register the reslice keeps a bounds check.
+type remStride interface {
+	[1]byte | [2]byte | [3]byte | [4]byte | [5]byte | [6]byte | [7]byte | [8]byte
+}
+
+// decodeStride is keyBlock's loop over remainders of len(R) bytes: high,
+// the bucket of the entry before, grows by each entry's mark, and the
+// entry's key is the inverse hash of high over its remainder. It returns
+// the bucket of the block's last entry.
+func decodeStride[R remStride](rems []byte, keep, wmask, high uint64, marks *[scanBlock]uint64, keys []uint64) uint64 {
+	var stride R
+	for j := range keys {
+		if len(rems) < 8 {
+			break // never: scatter's slice ends at the last remainder's load
+		}
+		high += marks[uint(j)%scanBlock]
+		keys[j] = (high | binary.LittleEndian.Uint64(rems)&keep) * hashInv & wmask
+		rems = rems[len(stride):]
+	}
+	return high
+}
+
+// matchKeys notes in hits which of a block's keys lie within radius of q,
+// and returns how many do. The count advances by a conditional move, not
+// a branch: which keys match is the one thing about the loop no
+// predictor can learn. Kept out of line: inlined into CollectWithin the
+// loop's live values spill to the stack.
+//
+//go:noinline
+func matchKeys(keys []uint64, q uint64, radius int, hits *[scanBlock]int32) int {
 	k := uint(0)
-	for e := int32(0); len(block) >= 8; e++ {
-		hits[k%scanBlock] = e
-		if bits.OnesCount64(binary.LittleEndian.Uint64(block)&keep^q) <= radius {
+	for j, key := range keys {
+		hits[k%scanBlock] = int32(j)
+		if bits.OnesCount64(key^q) <= radius {
 			k++
 		}
-		block = block[kl:]
 	}
 	return int(k)
 }
@@ -1101,24 +1153,23 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 	seen, ids := set.Seen, set.IDs
 	var sum int64
 	switch {
+	case len(q) != 1 && (f.bitmap || f.quotient()):
+		// Keys of one word match no query of another length.
 	case f.bitmap:
-		if len(q) == 1 { // keys of one word match no query of another length
-			ids, sum = f.collectBitmap(q[0], radius, seen, ids)
-		}
-	case f.wordKeys() && len(q) == 1:
-		// Every hash-layout build: one load a key, one popcount an entry.
-		// Keys are taken a block at a time: the matching entries of a block
-		// are noted without a branch — which keys match is the one thing
-		// about this loop no predictor can learn — and decoded after it.
-		kl, keep := f.keyLen, f.keyMask()
+		ids, sum = f.collectBitmap(q[0], radius, seen, ids)
+	case f.quotient():
+		// Every hashed build of a partition of up to 64 bits: the keys are
+		// recovered a block at a time, then compared, one popcount an entry;
+		// the matching entries of a block are noted without a branch and
+		// decoded after it.
+		var p keyPass
+		var keys [scanBlock]uint64
 		var hits [scanBlock]int32
 		for base, n := 0, f.NumKeys(); base < n; base += scanBlock {
-			end := min(base+scanBlock, n)
-			block := f.keyArena[kl*base : kl*end+8-kl]
-			for _, e := range hits[:matchWords(block, kl, keep, q[0], radius, &hits)] {
-				var n int
-				ids, n = f.collect(base+int(e), seen, ids)
-				sum += int64(n)
+			for _, j := range hits[:matchKeys(f.keyBlock(&p, base, min(base+scanBlock, n), &keys), q[0], radius, &hits)] {
+				var c int
+				ids, c = f.collect(base+int(j), seen, ids)
+				sum += int64(c)
 			}
 		}
 	default:
@@ -1165,10 +1216,9 @@ func (f *Frozen) collectBitmap(q uint64, radius int, seen []uint64, ids []int32)
 	return ids, sum
 }
 
-// distance returns the Hamming distance between q and key e read as
-// len(q) little-endian words — the one way the key scans load a key
-// that is not known to fit a single word. ok is false for keys of any
-// other length.
+// distance returns the Hamming distance between q and key e of the byte
+// layout read as len(q) little-endian words — the one way the key scans
+// load a key wider than a word. ok is false for keys of any other length.
 func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 	if f.keyLen != 8*len(q) {
 		return 0, false
@@ -1183,12 +1233,11 @@ func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 // Histogram adds to hist[d] the posting count of every key at Hamming
 // distance d from q, keys loaded as CollectWithin loads them. Its prefix
 // sums are the exact candidate numbers CN(q, e) = Σ |I_s| over the
-// radius-e ball — every radius from one pass over the key arena or the
+// radius-e ball — every radius from one pass over the keys or the
 // bitmap's set bits, which is what threshold allocation falls back to
 // when the ball outgrows the keys. hist must hold 64·len(q) + 1 entries,
-// one for every distance the words can produce, not just those up to
-// the partition width: key bits a deferred validation has yet to reject
-// still index in bounds.
+// one for every distance the words can produce, not just those up to the
+// partition width.
 //
 // The loop is branch-free on purpose: skipping distances beyond a
 // threshold costs a data-dependent branch that mispredicts on every
@@ -1197,69 +1246,45 @@ func (f *Frozen) distance(e int, q []uint64) (d int, ok bool) {
 //
 //gph:hotpath
 func (f *Frozen) Histogram(q []uint64, hist []int64) {
-	if f.bitmap {
-		switch {
-		case len(q) != 1: // keys of one word lie at no distance from a query of another length
-		case f.counts32 == nil:
-			histBitmap(f.keyArena, f.counts8, q[0], hist)
-		default:
-			histBitmap(f.keyArena, f.counts32, q[0], hist)
-		}
-		return
-	}
-	if f.wordKeys() && len(q) == 1 {
-		if f.counts32 == nil {
-			histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts8, q[0], hist)
-		} else {
-			histWords(f.keyArena, f.keyLen, f.keyMask(), f.counts32, q[0], hist)
-		}
-		return
-	}
-	for e := range f.NumKeys() {
-		if d, ok := f.distance(e, q); ok {
-			hist[d] += int64(f.countAt(e))
+	switch {
+	case len(q) != 1 && (f.bitmap || f.quotient()):
+		// Keys of one word lie at no distance from a query of another length.
+	case f.bitmap && f.counts32 == nil:
+		histBitmap(f.keyArena, f.counts8, q[0], hist)
+	case f.bitmap:
+		histBitmap(f.keyArena, f.counts32, q[0], hist)
+	case f.quotient() && f.counts32 == nil:
+		histQuotient(f, f.counts8, q[0], hist)
+	case f.quotient():
+		histQuotient(f, f.counts32, q[0], hist)
+	default:
+		for e := range f.NumKeys() {
+			if d, ok := f.distance(e, q); ok {
+				hist[d] += int64(f.countAt(e))
+			}
 		}
 	}
 }
 
-// histWords is Histogram over keys of kl ≤ 8 bytes — every default
-// build: one load, mask and popcount an entry, the loop driven by the
-// counts, one instance a count width. Like matchWords it keeps a copy of
-// the loop a key length, the stride a constant in each: at a stride held
-// in a register a key costs 1.6 ns, not 1.0 (histogram-key, 5-byte keys),
-// and one key to an iteration is then as fast as the four-key unroll
-// whole-word keys had.
+// histQuotient is Histogram over a quotient-layout index whose counts
+// are counts, a block of keys at a time (keyBlock).
+func histQuotient[C entryCount](f *Frozen, counts []C, q uint64, hist []int64) {
+	var p keyPass
+	var keys [scanBlock]uint64
+	for base := 0; base < len(counts); base += scanBlock {
+		end := min(base+scanBlock, len(counts))
+		histKeys(f.keyBlock(&p, base, end, &keys), counts[base:end], q, hist)
+	}
+}
+
+// histKeys is histQuotient's loop over a block's keys and their counts:
+// one load, popcount and add an entry, one instance a count width.
 //
 //go:noinline
-func histWords[C entryCount](keys []byte, kl int, keep uint64, counts []C, q uint64, hist []int64) {
-	switch kl {
-	case 1:
-		histStride(keys, 1, keep, counts, q, hist)
-	case 2:
-		histStride(keys, 2, keep, counts, q, hist)
-	case 3:
-		histStride(keys, 3, keep, counts, q, hist)
-	case 4:
-		histStride(keys, 4, keep, counts, q, hist)
-	case 5:
-		histStride(keys, 5, keep, counts, q, hist)
-	case 6:
-		histStride(keys, 6, keep, counts, q, hist)
-	case 7:
-		histStride(keys, 7, keep, counts, q, hist)
-	default:
-		histStride(keys, 8, keep, counts, q, hist)
-	}
-}
-
-// histStride is histWords' loop, inlined into it once a key length.
-func histStride[C entryCount](keys []byte, kl int, keep uint64, counts []C, q uint64, hist []int64) {
-	for _, c := range counts {
-		if len(keys) < 8 {
-			break
-		}
-		hist[bits.OnesCount64(binary.LittleEndian.Uint64(keys)&keep^q)] += int64(c)
-		keys = keys[kl:]
+func histKeys[C entryCount](keys []uint64, counts []C, q uint64, hist []int64) {
+	keys, hist = keys[:len(counts)], hist[:65]
+	for j, c := range counts {
+		hist[bits.OnesCount64(keys[j]^q)] += int64(c)
 	}
 }
 
@@ -1340,17 +1365,28 @@ func (f *Frozen) Range(fn func(key []byte, ids []int32) bool) {
 	}
 }
 
-// keyBytes returns the keys in entry order, keyLen bytes each: the hash
-// layout's arena, or the bitmap's set bits written out.
+// keyBytes returns the keys in entry order, keyLen bytes each: the byte
+// layout's arena, the quotient layout's keys recovered from their
+// buckets and remainders, or the bitmap's set bits, written out.
 func (f *Frozen) keyBytes() []byte {
-	if !f.bitmap {
+	if !f.bitmap && !f.quotient() {
 		return f.keyArena
 	}
 	keys := make([]byte, 0, f.keyLen*f.NumKeys()+8)
+	add := func(k uint64) { keys = binary.LittleEndian.AppendUint64(keys, k)[:len(keys)+f.keyLen] }
+	if f.quotient() {
+		var p keyPass
+		var block [scanBlock]uint64
+		for base, n := 0, f.NumKeys(); base < n; base += scanBlock {
+			for _, k := range f.keyBlock(&p, base, min(base+scanBlock, n), &block) {
+				add(k)
+			}
+		}
+		return keys
+	}
 	for at := 0; at+8 <= len(f.keyArena); at += 8 {
 		for word := binary.LittleEndian.Uint64(f.keyArena[at:]); word != 0; word &= word - 1 {
-			k := uint64(8*at + bits.TrailingZeros64(word))
-			keys = binary.LittleEndian.AppendUint64(keys, k)[:len(keys)+f.keyLen]
+			add(uint64(8*at + bits.TrailingZeros64(word)))
 		}
 	}
 	return keys
@@ -1359,27 +1395,25 @@ func (f *Frozen) keyBytes() []byte {
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
 // Frozen struct itself: seven slice headers (24 bytes each) — the arenas,
 // the refs, both widths' count arrays and both widths' directories, one
-// of each pair nil — plus the key-length, ref-length, postings and
-// directory-shift fields. The layout flag sits in padding the struct has
-// anyway.
-const frozenStructBytes = 7*24 + 32
+// of each pair nil — plus the key-length, stored-key-length, width,
+// ref-length, postings and directory-shift fields. The layout flag sits
+// in padding the struct has anyway.
+const frozenStructBytes = 7*24 + 48
 
 // SizeBytes reports the exact resident size of the frozen index: the
-// key and posting arenas (the bitmap in place of the keys), the
+// stored keys and posting arenas (the bitmap in place of the keys), the
 // per-entry refs and counts, the bucket directory or rank array, and the
 // struct header.
 // Every term is the length of a real backing array, so Fig. 6 reports a
-// property of the index rather than a guess. The directory or rank array
-// is charged at its size (dirBytes, a function of the key count or the
-// bitmap's length) whether or not a first lookup has built it yet, so
-// heap- and mmap-opened copies of one index always agree.
+// property of the index rather than a guess, and heap- and mmap-opened
+// copies of one index always agree.
 func (f *Frozen) SizeBytes() int64 {
 	return int64(len(f.keyArena)) + int64(len(f.postArena)) + f.entryBytes() +
 		f.dirBytes() + frozenStructBytes
 }
 
-// dirBytes returns the bytes of the derived state a lookup reads: the
-// rank array of a bitmap, or the directory of the keys.
+// dirBytes returns the bytes of what a lookup reads to find an entry:
+// the rank array of a bitmap, or the directory of the keys.
 func (f *Frozen) dirBytes() int64 {
 	if f.bitmap {
 		return 4 * int64(rankLen(len(f.keyArena)))
@@ -1393,34 +1427,36 @@ func (f *Frozen) entryBytes() int64 {
 	return int64(len(f.refs)) + int64(len(f.counts8)) + 4*int64(len(f.counts32))
 }
 
-// WriteTo serializes the frozen index as its arenas and per-entry
-// arrays, verbatim; the directory is rebuilt after a read (by the first
-// lookup) rather than stored, and the keys need no offsets: they have
-// one length, which the header carries.
+// WriteTo serializes the frozen index as its arrays, verbatim: the
+// stored keys need no offsets, since they have one length, which follows
+// from the header's width and key count, and the directory or rank array
+// is written beside them.
 // Output is deterministic for a given logical index.
 //
 // The section is split in two halves a container may separate: a
-// scalar header carrying every length a reader needs (the key, ref and
-// count widths, from which the per-entry arrays' lengths follow with the
-// key count, and the arena byte lengths), and a raw payload with
-// alignment padding before 4-byte counts, the one word-sized array. A
-// borrow-mode reader aliases the whole payload from the header's
-// lengths without reading a byte of it, so a container that groups all
-// its sections' headers together (as the GPH index does) opens a cold
-// mapping by faulting the header pages alone.
+// scalar header carrying every length a reader needs (the width, key,
+// ref and count widths, from which the per-entry arrays' and the
+// directory's lengths follow with the key count, and the arena byte
+// lengths), and a raw payload with alignment padding before 4-byte
+// counts and before the directory. A borrow-mode reader aliases the
+// whole payload from the header's lengths without reading a byte of it,
+// so a container that groups all its sections' headers together (as the
+// GPH index does) opens a cold mapping by faulting the header pages
+// alone.
 func (f *Frozen) WriteTo(bw *binio.Writer) {
 	f.WriteHeaderTo(bw)
 	f.WritePayloadTo(bw)
 }
 
 // WriteHeaderTo writes the section's scalar header: key count,
-// posting total, key, ref and count widths, both arena byte lengths (the
-// key arena's the bitmap's in that layout) and the layout, 1 for the
-// bitmap and 0 for the hash — everything ReadFrozenHeader needs to alias
-// the payload without reading it.
+// posting total, width in bits, key, ref and count widths, both arena
+// byte lengths (the key arena's the bitmap's in that layout) and the
+// layout, 1 for the bitmap and 0 for the hash — everything
+// ReadFrozenHeader needs to alias the payload without reading it.
 func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(f.NumKeys())
 	bw.Int64(f.postings)
+	bw.Int(f.width)
 	bw.Int(f.keyLen)
 	bw.Int(f.refLen)
 	bw.Int(f.countLen())
@@ -1436,7 +1472,8 @@ func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 // WritePayloadTo writes the arenas and per-entry arrays raw, in the
 // order FrozenHeader.ReadPayload consumes them: the refs, bytes, right
 // after the posting arena; 4-byte counts after alignment padding, 1-byte
-// ones right after the refs.
+// ones right after the refs; then, after alignment padding, the
+// directory or rank array.
 func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	bw.Bytes(f.keyArena)
 	bw.Bytes(f.postArena)
@@ -1447,15 +1484,21 @@ func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	} else {
 		bw.Bytes(f.counts8)
 	}
+	bw.Align8()
+	if f.dir16 != nil {
+		bw.Uint16sRaw(f.dir16)
+	} else {
+		bw.Uint32sRaw(f.dir32)
+	}
 }
 
 // ReadFrozen reads an index written by WriteTo, validating the count
 // total and the contents (lists chained end to end over the arena,
-// varint framing, that every id lies in [0, maxID), strict hash order or
-// a bitmap holding a key an entry, refs and counts no wider than their
-// largest needs) before returning.
-// The arenas are adopted directly from the decoded buffers — loading is
-// O(bytes) — and the directory is built by the first lookup.
+// varint framing, that every id lies in [0, maxID), the directory and
+// the keys' order in it or the bitmap and its rank array, refs and counts
+// no wider than their largest needs) before returning.
+// The arrays are adopted directly from the decoded buffers — loading is
+// O(bytes).
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 	h, err := ReadFrozenHeader(br, maxID)
 	if err != nil {
@@ -1471,16 +1514,21 @@ func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 	return f, nil
 }
 
-// FrozenHeader is the parsed scalar header of one section: everything ReadPayload needs to alias the payload arrays
-// without reading them.
+// FrozenHeader is the parsed scalar header of one section: everything
+// ReadPayload needs to alias the payload arrays without reading them.
 type FrozenHeader struct {
-	numKeys, keyLen           int
+	numKeys, keyLen, width    int
 	refLen, countLen          int
 	postings                  int64
 	keyArenaLen, postArenaLen int
 	bitmap                    bool
 	maxID                     int32
 }
+
+// maxWidth bounds the width a section header may give: wider than any
+// key a partition, a deletion variant or a band signature of a
+// collection this repository reads packs to.
+const maxWidth = 1 << 24
 
 // ReadFrozenHeader parses and sanity-checks one section's scalar
 // header as written by WriteHeaderTo. A container may place the
@@ -1492,6 +1540,7 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	h := FrozenHeader{maxID: maxID}
 	h.numKeys = br.Int()
 	h.postings = br.Int64()
+	h.width = br.Int()
 	h.keyLen = br.Int()
 	h.refLen = br.Int()
 	h.countLen = br.Int()
@@ -1508,8 +1557,17 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	if h.postings < 0 {
 		return h, fmt.Errorf("invindex: negative posting count %d", h.postings)
 	}
-	if h.keyLen < 0 || (h.numKeys > 0 && int64(h.keyLen)*int64(h.numKeys) >= arenaLimit) {
+	if h.width < 0 || h.width > maxWidth {
+		return h, fmt.Errorf("invindex: implausible key width %d", h.width)
+	}
+	if want := KeyLen(h.width); h.keyLen != want {
+		return h, fmt.Errorf("invindex: keys of %d bytes in a section of %d-bit keys, which pack to %d", h.keyLen, h.width, want)
+	}
+	if h.numKeys > 0 && int64(h.keyLen)*int64(h.numKeys) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible key length %d", h.keyLen)
+	}
+	if quotientWidth(h.width) && h.numKeys > 1<<min(h.width, 62) {
+		return h, fmt.Errorf("invindex: %d keys of %d bits", h.numKeys, h.width)
 	}
 	if h.refLen < 1 || h.refLen > 4 {
 		return h, fmt.Errorf("invindex: implausible ref length %d", h.refLen)
@@ -1529,29 +1587,27 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	switch {
 	case layout != 0 && layout != 1:
 		return h, fmt.Errorf("invindex: unknown key layout %d", layout)
+	case h.bitmap && (h.width < 1 || h.width > maxBitmapWidth):
+		return h, fmt.Errorf("invindex: a bitmap of %d-bit keys", h.width)
+	case h.bitmap && h.keyArenaLen != bitmapBytes(h.width):
+		return h, fmt.Errorf("invindex: a bitmap of %d bytes, a %d-bit partition's takes %d", h.keyArenaLen, h.width, bitmapBytes(h.width))
 	case h.bitmap:
-		return h, h.checkBitmap()
+		return h, nil
 	}
-	if want := h.keyLen*h.numKeys + keyPad(h.keyLen, h.numKeys); h.keyArenaLen != want {
+	if rl := h.remLen(); h.keyArenaLen != rl*h.numKeys+keyPad(rl, h.numKeys) {
 		return h, fmt.Errorf("invindex: key arena holds %d bytes, %d keys × %d and the pad need %d",
-			h.keyArenaLen, h.numKeys, h.keyLen, want)
+			h.keyArenaLen, h.numKeys, rl, rl*h.numKeys+keyPad(rl, h.numKeys))
 	}
 	return h, nil
 }
 
-// checkBitmap is the structural check of a bitmap section: keys of one
-// word, and a bitmap as long as the bitmap of some width their bytes
-// hold — a power of two bytes, at least a word. Whether it is its
-// partition's width is the content tier's to say (ValidateWidth).
-func (h FrozenHeader) checkBitmap() error {
-	if h.keyLen < 1 || h.keyLen > 8 {
-		return fmt.Errorf("invindex: a bitmap of keys of %d bytes", h.keyLen)
+// remLen is the bytes a stored key of a hashed section takes: a
+// remainder's in the quotient layout, the key's own otherwise.
+func (h FrozenHeader) remLen() int {
+	if quotientWidth(h.width) {
+		return remBytes(h.width, h.numKeys)
 	}
-	n := h.keyArenaLen
-	if n < 8 || n&(n-1) != 0 || n > bitmapBytes(min(8*h.keyLen, maxBitmapWidth)) {
-		return fmt.Errorf("invindex: a bitmap of %d bytes, not the bitmap of a key space of %d-byte keys", n, h.keyLen)
-	}
-	return nil
+	return h.keyLen
 }
 
 // ReadPayload consumes the section's payload written by
@@ -1562,12 +1618,12 @@ func (h FrozenHeader) checkBitmap() error {
 // and an index borrowed off a file mapping opens having touched header
 // bytes alone; a truncated file still fails here, at open, because the
 // binio reads are bounds-checked. Everything page-touching — count
-// totals, the lists' chain, varint framing, id ranges, key order — is
-// deferred to Validate, which callers MUST run before any entry accessor
-// (lookups, Range, posting decodes): until Validate passes, a corrupted
-// ref could make an entry slice panic.
+// totals, the lists' chain, varint framing, id ranges, the directory and
+// key order, the rank array — is deferred to Validate, which callers
+// MUST run before trusting an answer: until Validate passes, every
+// accessor stays in bounds, but a lookup finds what it finds.
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
-	f := &Frozen{keyLen: h.keyLen, refLen: h.refLen, postings: h.postings, bitmap: h.bitmap, maxID: h.maxID}
+	f := &Frozen{keyLen: h.keyLen, width: h.width, refLen: h.refLen, postings: h.postings, bitmap: h.bitmap, maxID: h.maxID}
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")
 	f.postArena = br.BytesRaw(h.postArenaLen, "frozen posting arena")
 	f.refs = br.BytesRaw(h.refLen*h.numKeys+refPad(h.refLen, h.numKeys), "frozen posting refs")
@@ -1577,8 +1633,24 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 	} else {
 		f.counts8 = br.BytesRaw(h.numKeys, "frozen posting counts")
 	}
+	br.Align8()
+	switch offsets := 1<<bucketBits(h.numKeys) + 1; {
+	case h.bitmap:
+		f.dir32 = br.Uint32sRaw(rankLen(h.keyArenaLen), "frozen rank array")
+	case h.numKeys <= maxNarrowKeys:
+		f.dir16 = br.Uint16sRaw(offsets, "frozen bucket directory")
+	default:
+		f.dir32 = br.Uint32sRaw(offsets, "frozen bucket directory")
+	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("invindex: reading frozen arenas: %w", err)
+	}
+	if !h.bitmap {
+		f.remLen = h.remLen()
+		f.dirShift = dirShift(h.numKeys)
+		if f.quotient() {
+			f.dirShift = uint(h.width - 1 - bucketBits(h.numKeys))
+		}
 	}
 	return f, nil
 }
@@ -1586,33 +1658,20 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 // Validate runs the deferred content half of loading: every entry has
 // an id — a one-id entry's ref in [0, maxID), every other's list
 // decoding cleanly by its count (varint framing, ids in [0, maxID)) from
-// where the list before it ends, the last ending the arena — keys
-// strictly ascend in hash order (bytes breaking a tie) or, in the bitmap
-// layout, the bitmap holds as many keys as there are entries, the pads
+// where the list before it ends, the last ending the arena — the pads
 // are zero, and refs and counts are no wider than the largest of each
-// needs, so one index has one file. It reads both arenas end to end —
-// over a mapping this is the pass that faults the pages in, which is why
+// needs, so one index has one file; and the keys are where the lookups
+// look for them (checkKeys). It reads every array end to end — over a
+// mapping this is the pass that faults the pages in, which is why
 // ReadPayload leaves it to the caller's first query rather than open.
-// It builds no directory: the first lookup does, so an index that is
-// only ever scanned never pays for one. Idempotent and safe for
-// concurrent use; every call returns the first run's verdict.
-func (f *Frozen) Validate() error { return f.ValidateWidth(-1) }
-
-// ValidateWidth is Validate for an index whose keys are the packed form
-// of a width-bit projection: KeyLen(width) little-endian bytes with no
-// bit set at or beyond width, checked in the pass that already holds the
-// key. A probe never asks for such a bit and a key scan counts it like
-// any other, so a key carrying one would make the two disagree. A
-// bitmap must be the bitmap of that width — bitmapBytes(width), no key
-// at or past 2^width, so a pad past a bitmap narrower than a word is
-// zero — which is also what makes one index one file. The first run's
-// width is the one checked; an index has one.
-func (f *Frozen) ValidateWidth(width int) error {
-	f.deepOnce.Do(func() { f.deepErr = f.validateContent(width) })
+// Idempotent and safe for concurrent use; every call returns the first
+// run's verdict.
+func (f *Frozen) Validate() error {
+	f.deepOnce.Do(func() { f.deepErr = f.validateContent() })
 	return f.deepErr
 }
 
-func (f *Frozen) validateContent(width int) error {
+func (f *Frozen) validateContent() error {
 	numKeys := f.NumKeys()
 	// One pass over the counts and refs comes first; it touches their
 	// pages, which is exactly what ReadPayload avoids at open, so it lives
@@ -1627,11 +1686,12 @@ func (f *Frozen) validateContent(width int) error {
 	if ent.total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", ent.total, f.postings)
 	}
-	// The pads after keys shorter than a word and after refs shorter than
-	// four bytes (empty otherwise) are zero, as FreezeRows writes them: one
-	// file per index. A bitmap's pad is its partition's to say.
+	// The pads after stored keys shorter than a word and after refs
+	// shorter than four bytes (empty otherwise) are zero, as FreezeRows
+	// writes them: one file per index. A bitmap's pad is checkKeys' to
+	// judge.
 	if !f.bitmap {
-		for i, b := range f.keyArena[f.keyLen*numKeys:] {
+		for i, b := range f.keyArena[f.remLen*numKeys:] {
 			if b != 0 {
 				return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
 			}
@@ -1642,17 +1702,8 @@ func (f *Frozen) validateContent(width int) error {
 			return fmt.Errorf("invindex: ref pad byte %d is %#x, not 0", i, b)
 		}
 	}
-	// The keys up to the first out of order, then the postings before it:
-	// the verdict an entry-by-entry walk reaches — its key against the one
-	// before, then its postings — with a key of the wrong width reported
-	// only once every entry has passed, as when the width check was a pass
-	// of its own after them. A bitmap's keys are in order by construction,
-	// and it holds a key an entry.
-	disorder, wide := numKeys, -1
-	if !f.bitmap {
-		disorder, wide = f.scanKeys(width)
-	} else if keys := bitmapKeys(f.keyArena); keys != numKeys {
-		return fmt.Errorf("invindex: the bitmap holds %d keys, the section %d entries", keys, numKeys)
+	if err := f.checkKeys(); err != nil {
+		return err
 	}
 	idLimit := uint64(max(f.maxID, 0))
 	entriesOK := ent.least > 0 && ent.single <= idLimit
@@ -1662,27 +1713,16 @@ func (f *Frozen) validateContent(width int) error {
 	case entriesOK && ent.total == int64(numKeys):
 		// Every entry holds one id — n counts of at least one sum to n — so
 		// there is no list to walk, and the arena must be empty.
-		if disorder == numKeys && len(f.postArena) != 0 {
+		if len(f.postArena) != 0 {
 			err = fmt.Errorf("invindex: frozen lists end at byte 0 of the %d-byte posting arena", len(f.postArena))
 		}
 	case f.counts32 == nil:
-		lastList, err = checkLists(f, f.counts8, disorder, entriesOK, idLimit)
+		lastList, err = checkLists(f, f.counts8, entriesOK, idLimit)
 	default:
-		lastList, err = checkLists(f, f.counts32, disorder, entriesOK, idLimit)
+		lastList, err = checkLists(f, f.counts32, entriesOK, idLimit)
 	}
 	if err != nil {
 		return err
-	}
-	if disorder < numKeys {
-		return f.orderError(disorder)
-	}
-	if wide >= 0 {
-		return f.checkKeyWidth(wide, width)
-	}
-	if f.bitmap && width >= 0 {
-		if err := f.checkBitmapWidth(width); err != nil {
-			return err
-		}
 	}
 	// A number stored wider than it needs reads the same, so only the
 	// widths tell two files of one index apart. The largest ref is the
@@ -1699,100 +1739,212 @@ func (f *Frozen) validateContent(width int) error {
 	return nil
 }
 
-// orderError says how entry e, the first whose key does not follow the
-// one before it in hash order, breaks it: a key not above the one before
-// it in their bucket; every key in plain lexicographic order, not in
-// hash order (a section of the format before buckets); or a key in a
-// bucket below the one before it.
-func (f *Frozen) orderError(e int) error {
-	shift := dirShift(f.NumKeys())
-	b, prev := bucket(hashKey(f.key(e)), shift), bucket(hashKey(f.key(e-1)), shift)
-	if b == prev {
-		return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
+// checkKeys is the content tier's judge of the keys: what a lookup reads
+// to find an entry agrees with what a key scan reads. A bitmap holds a
+// key an entry, within its width, under a rank array that counts its
+// keys. A hashed section's directory starts at 0, ascends and ends at
+// the key count; in the quotient layout each remainder has no bit at or
+// past the remainder's width and the remainders of a bucket strictly
+// ascend, so every key is one and lies where its hash says; in the byte
+// layout each key hashes into the bucket the directory puts it in, the
+// keys of a bucket strictly ascend in hash order, bytes breaking a tie,
+// and no key has a bit past the width.
+func (f *Frozen) checkKeys() error {
+	if f.bitmap {
+		return f.checkBitmap()
 	}
-	for i := 1; i < f.NumKeys(); i++ {
-		if bytes.Compare(f.key(i-1), f.key(i)) >= 0 {
-			return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, behind a key of bucket %d", e, b, prev)
-		}
-	}
-	return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not in hash order")
-}
-
-// scanKeys is the key pass: it returns the first entry whose key does
-// not follow the one before in hash order, bytes breaking a tie (numKeys
-// when every key does), and the first entry before that whose key is not
-// the packed form of a width-bit projection (−1 for none, or when
-// width < 0).
-func (f *Frozen) scanKeys(width int) (disorder, wide int) {
-	if f.wordKeys() {
-		return f.scanWordKeys(width)
-	}
-	numKeys := f.NumKeys()
-	disorder, wide = numKeys, -1
-	var prev uint64
-	for e := 0; e < numKeys; e++ {
-		h := hashKey(f.key(e))
-		if e > 0 && (h < prev || h == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0) {
-			return e, wide
-		}
-		prev = h
-		if width >= 0 && wide < 0 && f.checkKeyWidth(e, width) != nil {
-			wide = e
-		}
-	}
-	return disorder, wide
-}
-
-// scanWordKeys is scanKeys over keys of kl ≤ 8 bytes, a word a key,
-// hashed as lookupWord hashes them. No two such keys share a hash, so
-// they are in order when their hashes strictly ascend: one compare a
-// key. The key widths are judged from the keys' bits ored together; only
-// when some key has a bit past the width is it found, in a second pass.
-func (f *Frozen) scanWordKeys(width int) (disorder, wide int) {
-	numKeys := f.NumKeys()
-	disorder, wide = numKeys, -1
-	kl, keep := f.keyLen, f.keyMask()
-	arena := f.keyArena
-	var seen, prev uint64
-	// The arena's pad keeps the last key's load inside it.
-	for e := 0; e < numKeys; e++ {
-		w := binary.LittleEndian.Uint64(arena[e*kl:]) & keep
-		h := hashWord(kl, w)
-		if h <= prev && e > 0 {
-			disorder = e
-			break
-		}
-		seen |= w
-		prev = h
+	var err error
+	if f.dir16 != nil {
+		err = checkDir(f.dir16, f.NumKeys())
+	} else {
+		err = checkDir(f.dir32, f.NumKeys())
 	}
 	switch {
-	case width < 0 || numKeys == 0:
-	case KeyLen(width) != kl:
-		wide = 0 // no key of this length is the packed form of such a projection
-	case seen>>uint(width) != 0:
-		for e := range disorder {
-			if binary.LittleEndian.Uint64(arena[kl*e:])&keep>>uint(width) != 0 {
-				return disorder, e
+	case err != nil:
+		return err
+	case f.quotient():
+		return f.checkRemainders()
+	}
+	return f.checkByteKeys()
+}
+
+// checkDir judges a directory of n keys: 0 first, ascending, n last.
+func checkDir[D dirOffset](dir []D, n int) error {
+	if dir[0] != 0 {
+		return fmt.Errorf("invindex: bucket directory offset 0 is %d, not 0", dir[0])
+	}
+	for b := 1; b < len(dir); b++ {
+		if dir[b] < dir[b-1] {
+			return fmt.Errorf("invindex: bucket directory offset %d is %d, below offset %d's %d", b, dir[b], b-1, dir[b-1])
+		}
+	}
+	if last := int(dir[len(dir)-1]); last != n {
+		return fmt.Errorf("invindex: bucket directory ends at %d, the section holds %d keys", last, n)
+	}
+	return nil
+}
+
+// checkRemainders is checkKeys' pass over the quotient layout's stored
+// keys, under a directory checkDir has passed: no remainder bit at or
+// past the remainder's width, judged from the remainders' bytes ored
+// together, then the hashes — bucket over remainder, recovered a block
+// at a time as the key scans recover them (keyPass) — strictly
+// ascending, which, with every remainder below its width, is each
+// bucket's remainders strictly ascending: every stored key is one key
+// and lies where its hash says.
+func (f *Frozen) checkRemainders() error {
+	n, rl, keep := f.NumKeys(), f.remLen, f.remMask()
+	var p keyPass
+	var seen, prev uint64
+	disorder, bucketOf := n, uint64(0)
+	for base := 0; base < n; base += scanBlock {
+		end := min(base+scanBlock, n)
+		rems, high, before := f.scatter(&p, base, end), p.high, prev
+		var bad int
+		bad, p.high, prev, seen = orderRems(rems, rl, keep, p.high, prev, &p.marks, seen)
+		// Entry 0 follows no key: its hash against 0 is no descent.
+		if bad > 0 && disorder == n {
+			for j := range end - base {
+				high += p.marks[j]
+				h := high | binary.LittleEndian.Uint64(rems[rl*j:])&keep
+				if h <= before && base+j > 0 && disorder == n {
+					disorder, bucketOf = base+j, h>>(f.dirShift+1)
+				}
+				before = h
 			}
 		}
 	}
-	return disorder, wide
+	if seen&^keep != 0 {
+		for e := range n {
+			if binary.LittleEndian.Uint64(f.keyArena[rl*e:])&^keep<<(64-8*uint(rl)) != 0 {
+				return fmt.Errorf("invindex: key %d's remainder has bits set at or past bit %d", e, f.dirShift+1)
+			}
+		}
+	}
+	if disorder < n {
+		return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", disorder, bucketOf)
+	}
+	return nil
 }
 
-// checkLists is the postings pass over entries [0, limit) of f, whose
-// counts are counts, and, when that is every entry, the check that the
-// lists end where the arena does; it returns the last list's ref, 0 for
-// no list. entriesOK is scanEntries' verdict on every entry: each has
-// postings, and each one-id entry's ref is an id below idLimit. When it
-// is false, the first entry before limit that fails is found entry by
-// entry; there may be none. The lists before the first such entry are
-// each judged from the words that hold them, up to the next list's ref;
-// one the words cannot clear — a corrupt list, one off the chain, or one
-// whose word would reach past the arena's end — goes to checkList, which
-// walks it a byte at a time and says what is wrong with it or where it
-// ends.
-func checkLists[C entryCount](f *Frozen, counts []C, limit int, entriesOK bool, idLimit uint64) (lastList uint32, err error) {
-	counts = counts[:limit]
+// orderRems is checkRemainders' loop over a block's remainders of rl
+// bytes, rems as scatter returns them: it returns how many of the block's
+// hashes are not above the one before (the first against prev, the hash
+// before the block), the last entry's bucket and hash, and seen with the
+// remainders' bytes ored in. Kept out of line with a copy a remainder
+// length, as matchRems is.
+//
+//go:noinline
+func orderRems(rems []byte, rl int, keep, high, prev uint64, marks *[scanBlock]uint64, seen uint64) (int, uint64, uint64, uint64) {
+	switch rl {
+	case 1:
+		return orderStride[[1]byte](rems, keep, high, prev, marks, seen)
+	case 2:
+		return orderStride[[2]byte](rems, keep, high, prev, marks, seen)
+	case 3:
+		return orderStride[[3]byte](rems, keep, high, prev, marks, seen)
+	case 4:
+		return orderStride[[4]byte](rems, keep, high, prev, marks, seen)
+	case 5:
+		return orderStride[[5]byte](rems, keep, high, prev, marks, seen)
+	case 6:
+		return orderStride[[6]byte](rems, keep, high, prev, marks, seen)
+	case 7:
+		return orderStride[[7]byte](rems, keep, high, prev, marks, seen)
+	}
+	return orderStride[[8]byte](rems, keep, high, prev, marks, seen)
+}
+
+// orderStride is orderRems' loop over remainders of len(R) bytes.
+func orderStride[R remStride](rems []byte, keep, high, prev uint64, marks *[scanBlock]uint64, seen uint64) (int, uint64, uint64, uint64) {
+	var stride R
+	bytesMask := ^uint64(0) >> (64 - 8*uint(len(stride)))
+	bad := 0
+	for j := uint(0); len(rems) >= 8; j++ {
+		high += marks[j%scanBlock]
+		r := binary.LittleEndian.Uint64(rems) & bytesMask
+		seen |= r
+		h := high | r&keep
+		if h <= prev {
+			bad++
+		}
+		prev = h
+		rems = rems[len(stride):]
+	}
+	return bad, high, prev, seen
+}
+
+// checkByteKeys is checkKeys' pass over the byte layout's keys, under a
+// directory checkDir has passed, bucket by bucket.
+func (f *Frozen) checkByteKeys() error {
+	for b := range 1 << bucketBits(f.NumKeys()) {
+		lo, hi := f.span(uint64(b) << 1 << f.dirShift)
+		var prev uint64
+		for e := lo; e < hi; e++ {
+			h := hashKey(f.key(e))
+			if got := bucket(h, f.dirShift); got != uint64(b) {
+				return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, the directory puts it in bucket %d", e, got, b)
+			}
+			if e > lo && (h < prev || h == prev && bytes.Compare(f.key(e-1), f.key(e)) >= 0) {
+				return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
+			}
+			prev = h
+		}
+	}
+	// A partition wider than a word keeps whole words: the last one's bits
+	// past the width are zero. A key of no bits has none to check.
+	if tail := f.width % 64; tail != 0 && f.keyLen > 0 {
+		for e := range f.NumKeys() {
+			if binary.LittleEndian.Uint64(f.key(e)[f.keyLen-8:])>>tail != 0 {
+				return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, f.width)
+			}
+		}
+	}
+	return nil
+}
+
+// checkBitmap is checkKeys for the bitmap layout: as many keys as
+// entries, the rank array counting them, and no key past the width — in
+// a bitmap narrower than a word, nothing past 2^width bits but a zero
+// pad.
+func (f *Frozen) checkBitmap() error {
+	bm, rank := f.keyArena, f.dir32
+	if keys := bitmapKeys(bm); keys != f.NumKeys() {
+		return fmt.Errorf("invindex: the bitmap holds %d keys, the section %d entries", keys, f.NumKeys())
+	}
+	var below uint32
+	for b, r := range rank {
+		if r != below {
+			return fmt.Errorf("invindex: rank entry %d is %d, the bitmap holds %d keys below bit %d", b, r, below, 512*b)
+		}
+		below += blockKeys(bm, b)
+	}
+	if f.width >= 6 {
+		return nil
+	}
+	past := binary.LittleEndian.Uint64(bm) >> (1 << f.width)
+	if past == 0 {
+		return nil
+	}
+	k := 1<<f.width + bits.TrailingZeros64(past)
+	if held := (1<<f.width + 7) / 8; k/8 >= held {
+		return fmt.Errorf("invindex: bitmap pad byte %d is %#x, not 0", k/8-held, bm[k/8])
+	}
+	return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, f.width)
+}
+
+// checkLists is the postings pass over the entries of f, whose counts
+// are counts, and the check that the lists end where the arena does; it
+// returns the last list's ref, 0 for no list. entriesOK is scanEntries'
+// verdict on every entry: each has postings, and each one-id entry's ref
+// is an id below idLimit. When it is false, the first entry that fails
+// is found entry by entry. The lists before it are each judged from the
+// words that hold them, up to the next list's ref; one the words cannot
+// clear — a corrupt list, one off the chain, or one whose word would
+// reach past the arena's end — goes to checkList, which walks it a byte
+// at a time and says what is wrong with it or where it ends.
+func checkLists[C entryCount](f *Frozen, counts []C, entriesOK bool, idLimit uint64) (lastList uint32, err error) {
+	limit := len(counts)
 	bad := limit
 	if !entriesOK {
 		for e, c := range counts {
@@ -1827,7 +1979,7 @@ func checkLists[C entryCount](f *Frozen, counts []C, limit int, entriesOK bool, 
 		return 0, fmt.Errorf("invindex: frozen entry %d has no postings", bad)
 	case bad < limit:
 		return 0, fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", bad, f.ref(bad), f.maxID)
-	case limit == f.NumKeys() && pos != len(f.postArena):
+	case pos != len(f.postArena):
 		return 0, fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
 	return uint32(lo), nil
@@ -1992,48 +2144,6 @@ func bitmapKeys(bm []byte) int {
 		keys += bits.OnesCount64(binary.LittleEndian.Uint64(bm[at:]))
 	}
 	return keys
-}
-
-// checkBitmapWidth verifies that the bitmap is that of a width-bit
-// partition (ValidateWidth): keys of KeyLen(width) bytes, 2^width bits
-// (bitmapBytes), and no key at or past 2^width — past its bits a bitmap
-// narrower than a word has only a zero pad.
-func (f *Frozen) checkBitmapWidth(width int) error {
-	if want := KeyLen(width); f.keyLen != want {
-		return fmt.Errorf("invindex: bitmap keys are %d bytes, a %d-bit projection packs to %d", f.keyLen, width, want)
-	}
-	if width > maxBitmapWidth || len(f.keyArena) != bitmapBytes(width) {
-		return fmt.Errorf("invindex: a bitmap of %d bytes, a %d-bit partition's takes %d", len(f.keyArena), width, bitmapBytes(min(width, maxBitmapWidth)))
-	}
-	if width >= 6 {
-		return nil
-	}
-	past := binary.LittleEndian.Uint64(f.keyArena) >> (1 << width)
-	if past == 0 {
-		return nil
-	}
-	k := 1<<width + bits.TrailingZeros64(past)
-	if held := (1<<width + 7) / 8; k/8 >= held {
-		return fmt.Errorf("invindex: bitmap pad byte %d is %#x, not 0", k/8-held, f.keyArena[k/8])
-	}
-	return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, width)
-}
-
-// checkKeyWidth verifies that key e is the packed form of a width-bit
-// projection (ValidateWidth).
-func (f *Frozen) checkKeyWidth(e, width int) error {
-	key := f.key(e)
-	if want := KeyLen(width); len(key) != want {
-		return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, want)
-	}
-	var last uint64 // the key's last word, zero-extended
-	for i, b := range key[(len(key)-1)/8*8:] {
-		last |= uint64(b) << (8 * i)
-	}
-	if tail := uint(width % 64); tail != 0 && last>>tail != 0 {
-		return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
-	}
-	return nil
 }
 
 // validateList walks the count delta-varints at b[i:], checking framing

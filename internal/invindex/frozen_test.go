@@ -200,25 +200,17 @@ func TestReadFrozenRejectsCorruption(t *testing.T) {
 
 // TestFrozenSizeBytesMatchesSerialized is the honesty bound behind
 // Fig. 6: the exact resident accounting must agree with the
-// serialized footprint up to the parts that are deliberately not
-// persisted — the bucket directory (rebuilt on load) and a small
-// constant of length prefixes and struct headers.
+// serialized footprint — every array, the directory included, is
+// written — up to the struct on one side and the header's nine fields
+// and at most two alignment paddings on the other.
 func TestFrozenSizeBytesMatchesSerialized(t *testing.T) {
 	for _, variants := range []bool{false, true} {
 		f, _, _, _ := randomIndex(t, 9, 300, 10, variants)
 		raw := frozenBytes(f)
-		// Resident-only parts: the directory plus the fixed struct
-		// overhead. Serialized-only parts: at most eight 8-byte
-		// length/count prefixes. Everything else must match exactly.
-		dir, dirWidth := dirTable(f)
-		bound := dirWidth*int64(len(dir)) + frozenStructBytes + 8*8
-		diff := f.SizeBytes() - int64(len(raw))
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > bound {
-			t.Fatalf("variants=%v: SizeBytes %d vs serialized %d differ by %d, bound %d",
-				variants, f.SizeBytes(), len(raw), diff, bound)
+		resident, written := f.SizeBytes()-frozenStructBytes, int64(len(raw))-9*8
+		if written < resident || written > resident+2*7 {
+			t.Fatalf("variants=%v: SizeBytes %d less the struct, %d written less the header: more apart than the padding",
+				variants, resident, written)
 		}
 	}
 }
@@ -315,35 +307,61 @@ func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 	for k := range post {
 		keys = append(keys, k)
 	}
-	f := layOut(KeyLen(width), hashOrder(keys), post)
+	f := layOut(width, hashOrder(width, keys), post)
 	if err := f.Validate(); err != nil {
 		panic(err)
 	}
 	return f
 }
 
-// layOut lays out the keys of post, each keyLen bytes, in the order
-// given, each with its ids, as FreezeRows lays out an entry; the section
-// has no directory until its first lookup builds one.
-func layOut(keyLen int, keys []string, post map[string][]int32) *Frozen {
-	f := &Frozen{keyLen: keyLen, maxID: math.MaxInt32}
-	var refs []uint32
-	for _, k := range keys {
-		f.keyArena = append(f.keyArena, k...)
-		refs = append(refs, f.addList(post[k]))
-		f.addCount(len(post[k]))
+// layOut lays out the keys of post, width-bit keys given as their
+// bytes, in the order given, each with its ids, as FreezeRows lays out
+// an entry.
+func layOut(width int, keys []string, lists map[string][]int32) *Frozen {
+	posts := make([]post, len(keys))
+	counts := make([]uint32, len(keys))
+	for e, k := range keys {
+		ids := lists[k]
+		counts[e] = uint32(len(ids))
+		posts[e] = post{ref: uint32(ids[0])}
+		if len(ids) > 1 {
+			prev := int32(0)
+			posts[e].ref, posts[e].list = 0, []byte{}
+			for _, id := range ids {
+				posts[e].list = binary.AppendUvarint(posts[e].list, uint64(id-prev))
+				prev = id
+			}
+		}
 	}
-	f.keyArena = append(f.keyArena, make([]byte, keyPad(keyLen, len(keys)))...)
-	f.packRefs(refs)
+	f := handSection(width, keys, posts, counts, nil)
+	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, len(keys)))...)
+	f.maxID = math.MaxInt32
 	return f
 }
 
-// hashOrder returns keys, all of one length and distinct, in the order
-// a frozen index holds them: by hash, then lexicographically.
-func hashOrder(keys []string) []string {
+// wordOf is the key of at most 8 bytes as its zero-extended word.
+func wordOf(key string) uint64 {
+	var w [8]byte
+	copy(w[:], key)
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// orderHash is the hash a section of width-bit keys orders key by: the
+// quotient layout's of its word for 1 to 64 bits, hashKey's of its bytes
+// otherwise.
+func orderHash(width int, key string) uint64 {
+	if quotientWidth(width) {
+		return hashQuot(width, wordOf(key))
+	}
+	return hashKey([]byte(key))
+}
+
+// hashOrder returns keys, width-bit keys all of one length and distinct,
+// in the order a frozen index holds them: by hash, then
+// lexicographically.
+func hashOrder(width int, keys []string) []string {
 	sort.Strings(keys)
-	of := func(k string) uint64 { return hashKey([]byte(k)) }
-	sort.SliceStable(keys, func(i, j int) bool { return of(keys[i]) < of(keys[j]) })
+	sort.SliceStable(keys, func(i, j int) bool { return orderHash(width, keys[i]) < orderHash(width, keys[j]) })
 	return keys
 }
 
@@ -373,8 +391,9 @@ func TestFreezeRowsMatchesFreeze(t *testing.T) {
 	}
 }
 
-// TestEveryKeyWidth: a partition of w ≤ 64 bits keeps ⌈w/8⌉-byte keys
-// and the zero pad after them, a wider one whole words; at every width
+// TestEveryKeyWidth: a partition of w ≤ 64 bits keeps the ⌈r/8⌉ bytes
+// of each key's remainder, r = w less its bucket's bits, and the zero pad
+// after them, a wider one whole words; at every width
 // the lookups by word, by bytes and in a batch find the same entry, the
 // key scan and the histogram agree with brute force over the rows, the
 // section round-trips through WriteTo and ReadFrozen, and SizeBytes is
@@ -401,8 +420,10 @@ func TestEveryKeyWidth(t *testing.T) {
 			if len(f.keyArena) != bitmapBytes(width) {
 				t.Fatalf("width %d: a bitmap of %d bytes, want %d", width, len(f.keyArena), bitmapBytes(width))
 			}
-		} else if pad := f.keyArena[keyLen*f.NumKeys():]; len(pad) != max(0, 8-keyLen) || !bytes.Equal(pad, make([]byte, len(pad))) {
-			t.Fatalf("width %d: the keys are followed by % x, want %d zero bytes", width, pad, max(0, 8-keyLen))
+		} else if stored := f.remLen; width <= 64 && stored != (width-bucketBits(f.NumKeys())+7)/8 || width > 64 && stored != keyLen {
+			t.Fatalf("width %d: keys of %d distinct stored in %d bytes", width, f.NumKeys(), stored)
+		} else if pad := f.keyArena[stored*f.NumKeys():]; len(pad) != max(0, 8-stored) || !bytes.Equal(pad, make([]byte, len(pad))) {
+			t.Fatalf("width %d: the keys are followed by % x, want %d zero bytes", width, pad, max(0, 8-stored))
 		}
 
 		// Lookups: every row's key, and keys no row has — one with a bit
@@ -428,8 +449,8 @@ func TestEveryKeyWidth(t *testing.T) {
 			var word [8]byte
 			copy(word[:], key)
 			k := binary.LittleEndian.Uint64(word[:])
-			if got := f.lookupWord(k); got != e || hashWord(keyLen, k) != hashKey(key) {
-				t.Fatalf("width %d: key %#x: word lookup %d, byte lookup %d, or the hashes differ", width, k, got, e)
+			if got := f.lookupWord(k); got != e {
+				t.Fatalf("width %d: key %#x: word lookup %d, byte lookup %d", width, k, got, e)
 			}
 			if width < 64 {
 				if got := f.lookupWord(k | 1<<width); got >= 0 {
@@ -485,10 +506,6 @@ func TestEveryKeyWidth(t *testing.T) {
 		// The section, written and read back, is the same section.
 		raw := frozenBytes(f)
 		g, err := ReadFrozen(binio.NewReader(bytes.NewReader(raw)), n)
-		if err == nil {
-			// ReadFrozen validated at no width; the width check alone.
-			err = g.validateContent(width)
-		}
 		if err != nil {
 			t.Fatalf("width %d: the written section is rejected: %v", width, err)
 		}
@@ -496,12 +513,13 @@ func TestEveryKeyWidth(t *testing.T) {
 			t.Fatalf("width %d: the section read back writes other bytes, or sizes %d against %d", width, g.SizeBytes(), f.SizeBytes())
 		}
 		kb, pb, ob, db := f.ArenaBreakdown()
-		// Eight header fields, the arenas and the refs, then 1-byte counts
-		// or, 8-aligned, 4-byte ones.
-		serialized := 8*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
+		// Nine header fields, the arenas and the refs, then 1-byte counts
+		// or, 8-aligned, 4-byte ones, then, 8-aligned, the directory.
+		serialized := 9*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
 		if f.counts32 != nil {
 			serialized = (serialized-int64(f.NumKeys())+7)&^7 + 4*int64(f.NumKeys())
 		}
+		serialized = (serialized+7)&^7 + db
 		dir, dirWidth := dirTable(f)
 		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+db+frozenStructBytes || db != dirWidth*int64(len(dir)) {
 			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and directory %d",
@@ -530,25 +548,37 @@ func TestFreezeSortsUnsortedLists(t *testing.T) {
 	}
 }
 
-// TestHashIsFormat pins the key hash, which is part of the file format:
-// a saved section holds its keys in the order of this hash, whose top
-// bits are a key's bucket, so an edit to mix, hashWord or hashKey would
-// leave every saved index failing validation. A key of 1–8 bytes hashes to the same value
-// as its word, and a key of whole words as its words, so every lookup
-// form and the build land a key in one bucket at every key count.
+// TestHashIsFormat pins the key hashes, which are part of the file
+// format: a quotient-layout section stores each key as its hash's bucket
+// and remainder, and a byte-layout section holds its keys in the order
+// of theirs, so an edit to hashQuot, its constants, mix or hashKey would
+// leave every saved index holding other keys or failing validation.
+// hashInv inverts hashMul mod 2⁶⁴, so unhashQuot inverts hashQuot at
+// every width.
 func TestHashIsFormat(t *testing.T) {
+	mul, inv := uint64(hashMul), uint64(hashInv)
+	if mul != 0x9E3779B97F4A7C15 || inv != 0xF1DE83E19937733D || mul*inv != 1 {
+		t.Fatalf("hashMul %#x, hashInv %#x: the format's are 0x9e3779b97f4a7c15 and 0xf1de83e19937733d, each the other's inverse", uint64(hashMul), uint64(hashInv))
+	}
+	for _, c := range []struct {
+		width  int
+		key, h uint64
+	}{
+		{1, 1, 0x1},
+		{13, 0x1abc, 0x16c},
+		{20, 0xfffff, 0x583eb},
+		{36, 0x123456789, 0xb6771da3d},
+		{64, 0x0123456789abcdef, 0x0c93a7b79aeda89b},
+	} {
+		if h := hashQuot(c.width, c.key); h != c.h || unhashQuot(c.width, h) != c.key {
+			t.Errorf("%d-bit key %#x hashes to %#x and back to %#x; the format says %#x", c.width, c.key, h, unhashQuot(c.width, h), c.h)
+		}
+	}
 	for _, c := range []struct {
 		n    int
 		hash uint64
 	}{
-		{1, 0xe3779b97f4a7c150},
-		{2, 0x1c48abac5701ff8f},
-		{3, 0xbe058dc98fe6837a},
-		{4, 0xde7bc3eba1c5f7b9},
-		{5, 0x83ff7d2b227b7ba4},
-		{6, 0x0c164857a05aefe3},
-		{7, 0x1ba1ce9e211073ce},
-		{8, 0x1e483bca9eefe80d},
+		{9, 0x3528deeae19ecaf5},
 		{16, 0x9bca3819b09a377c},
 	} {
 		key := make([]byte, c.n)
@@ -558,19 +588,35 @@ func TestHashIsFormat(t *testing.T) {
 		if h := hashKey(key); h != c.hash {
 			t.Errorf("%d-byte key % x hashes to %#016x, the format says %#016x", c.n, key, h, c.hash)
 		}
-		var words []uint64
-		for i := 0; i < c.n; i += 8 {
-			var w [8]byte
-			copy(w[:], key[i:])
-			words = append(words, binary.LittleEndian.Uint64(w[:]))
+	}
+}
+
+// unhashQuot returns the width-bit key whose hashQuot is h, as the key
+// scans recover it (decodeStride).
+func unhashQuot(width int, h uint64) uint64 { return h * hashInv & wordMask(width) }
+
+// TestHashIsOneToOne: the quotient layout's hash is a bijection of the
+// w-bit words at every width w from 1 to 64 — each key and only it
+// hashes to its hash, which unhashQuot turns back into it — exhaustively
+// up to 16 bits, and above at 0, at 2^w − 1 and at random keys.
+func TestHashIsOneToOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for w := 1; w <= 64; w++ {
+		mask := wordMask(w)
+		if w <= 16 {
+			seen := make([]bool, 1<<w)
+			for x := range uint64(1) << w {
+				h := hashQuot(w, x)
+				if h > mask || seen[h] || unhashQuot(w, h) != x {
+					t.Fatalf("%d bits: key %#x hashes to %#x, taken before or not turned back", w, x, h)
+				}
+				seen[h] = true
+			}
+			continue
 		}
-		asWord := hashWords(c.n, words)
-		if c.n <= 8 && hashWord(c.n, words[0]) != asWord {
-			t.Errorf("%d-byte key: hashWord %#016x, hashWords %#016x", c.n, hashWord(c.n, words[0]), asWord)
-		}
-		for keys := 0; keys <= 1<<24; keys = 2*keys + 1 {
-			if shift := dirShift(keys); bucket(asWord, shift) != bucket(hashKey(key), shift) {
-				t.Errorf("%d-byte key at %d keys: bucket %d as words, %d as bytes", c.n, keys, bucket(asWord, shift), bucket(hashKey(key), shift))
+		for _, x := range append([]uint64{0, mask}, rng.Uint64()&mask, rng.Uint64()&mask, rng.Uint64()&mask) {
+			if h := hashQuot(w, x); h > mask || unhashQuot(w, h) != x {
+				t.Fatalf("%d bits: key %#x hashes to %#x, which turns back into %#x", w, x, h, unhashQuot(w, h))
 			}
 		}
 	}
@@ -584,7 +630,6 @@ func TestHashIsFormat(t *testing.T) {
 // below bit 512·b. It fails the caller's test through a panic if both
 // widths, or neither, hold a directory.
 func dirTable(f *Frozen) (dir []uint32, width int64) {
-	f.BuildDir()
 	if f.bitmap {
 		if f.dir16 != nil || len(f.dir32) != rankLen(len(f.keyArena)) {
 			panic("invindex: a bitmap's rank array of the wrong size")
@@ -612,12 +657,18 @@ func dirTable(f *Frozen) (dir []uint32, width int64) {
 		panic("invindex: a frozen index holds a directory of both widths or of none")
 	}
 	n := f.NumKeys()
-	if len(dir) != 1<<bucketBits(n)+1 || dir[0] != 0 || int(dir[len(dir)-1]) != n || f.dirShift != dirShift(n) {
+	if len(dir) != 1<<bucketBits(n)+1 || dir[0] != 0 || int(dir[len(dir)-1]) != n {
 		panic("invindex: a directory of the wrong size or ends")
 	}
+	keys := f.keyBytes()
 	for b := range len(dir) - 1 {
 		for e := dir[b]; e < dir[b+1]; e++ {
-			if bucket(hashKey(f.key(int(e))), f.dirShift) != uint64(b) {
+			key := string(keys[int(e)*f.keyLen : int(e+1)*f.keyLen])
+			h, shift := hashKey([]byte(key)), dirShift(n)
+			if quotientWidth(f.width) {
+				h, shift = hashQuot(f.width, wordOf(key)), uint(f.width-1-bucketBits(n))
+			}
+			if bucket(h, shift) != uint64(b) || shift != f.dirShift {
 				panic("invindex: a key in a bucket its hash does not name")
 			}
 		}
@@ -740,9 +791,9 @@ func TestEntryWidthBoundary(t *testing.T) {
 	}
 	id := func(v uint32) post { return post{ref: v} }
 	hand := func(last uint32) *Frozen {
-		keys := hashOrder([]string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
+		keys := hashOrder(24, []string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
 		list := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1)
-		return handSection(keys, []post{{list: list}, id(7), id(last)}, []uint32{2, 1, 1}, make([]byte, 5))
+		return handSection(24, keys, []post{{list: list}, id(7), id(last)}, []uint32{2, 1, 1}, make([]byte, 5))
 	}
 	for _, c := range []struct {
 		name             string
@@ -761,7 +812,7 @@ func TestEntryWidthBoundary(t *testing.T) {
 	} {
 		f := c.f
 		f.maxID = c.maxID
-		if err := f.Validate(); err != nil { // which gives the hand-made section its directory
+		if err := f.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		raw := frozenBytes(f)

@@ -65,9 +65,8 @@ func FuzzReadFrozen(f *testing.F) {
 		f.Add(frozenBytes(FreezeRows(30, 1, width, randomRows(rng, 30, width))), int32(30))
 	}
 
-	// Keys with bits beyond the 8 dimensions they stand for: a probe
-	// never asks for them, the key scan meets them and must count their
-	// bits like any others.
+	// Keys of 64 bits, some with their top bit set: remainders of a whole
+	// word.
 	stray := New()
 	for id, key := range []string{"\x05\x00\x00\x00\x00\x00\x00\x00", "\x05\x00\x00\x00\x00\x00\x00\x80", "\x07\xff\xff\xff\xff\xff\xff\xff"} {
 		stray.Add(key, int32(id))
@@ -84,14 +83,15 @@ func FuzzReadFrozen(f *testing.F) {
 	for _, s := range entryWidthSeeds() {
 		f.Add(s.data, s.maxID)
 	}
-	// Keys in plain lexicographic order, a key in the wrong bucket, two
-	// keys of a bucket swapped.
-	for _, s := range bucketOrderSeeds() {
+	// Directories that descend, start past 0 or end off the key count; a
+	// remainder bit past its width; two equal remainders in one bucket; a
+	// header width that is not the keys'.
+	for _, s := range hostileSeeds() {
 		f.Add(s.data, s.maxID)
 	}
 	// Bitmaps: valid ones of 1 to 32 bytes, and ones holding a key more or
-	// fewer than their entries, one in the pad, of lengths no bitmap has,
-	// of a layout of neither kind.
+	// fewer than their entries, one in the pad, a wrong rank entry, of
+	// lengths no bitmap of their width has, of a layout of neither kind.
 	for _, width := range []int{2, 6, 8} {
 		f.Add(frozenBytes(freezeRows(30, 1, width, randomRows(rng, 30, width), bitmapLayout)), int32(30))
 	}
@@ -100,11 +100,8 @@ func FuzzReadFrozen(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
-		// The content tier against its reference, keys judged at no width
-		// and at one the input picks (a seed's own among them: 8, 13, 16
-		// and 64 are id bounds above).
-		sameVerdict(t, data, maxID, -1, "fuzz input")
-		sameVerdict(t, data, maxID, int(uint32(maxID)%72), "fuzz input")
+		// The content tier against its reference.
+		sameVerdict(t, data, maxID, "fuzz input")
 
 		fr, err := ReadFrozen(binio.NewReader(bytes.NewReader(data)), maxID)
 		if err != nil {
@@ -236,9 +233,11 @@ func bruteHistogram(n, per, width int, rows, q []uint64) []int64 {
 }
 
 // FuzzFreezeRows holds the one builder to brute force over (n, per,
-// width, rows): the index it freezes passes ValidateWidth(width), lists
-// under every key exactly the ids that have it, ascending and once each,
-// holds no other key, and gives the histogram the keys themselves give —
+// width, rows): the index it freezes is of width bits and passes its
+// content tier, every key recovered from what it stores is one the rows
+// hold and is found where it lies, it lists under every key exactly the
+// ids that have it, ascending and once each, holds no other key, and
+// gives the histogram the keys themselves give —
 // in memory and read back from its bytes — and its keys take the fewer
 // bytes of the two layouts (keys or bitmap, and directory or rank array;
 // checked up to 20 bits). The rows are the input's bytes read as words,
@@ -266,8 +265,18 @@ func FuzzFreezeRows(f *testing.F) {
 			}
 		}
 		fr := FreezeRows(n, per, width, rows)
-		if err := fr.ValidateWidth(width); err != nil {
-			t.Fatalf("n=%d per=%d width=%d: the frozen index fails its own width: %v", n, per, width, err)
+		if err := fr.Validate(); err != nil || fr.Width() != width {
+			t.Fatalf("n=%d per=%d width=%d: the frozen index of %d bits fails its content tier: %v", n, per, width, fr.Width(), err)
+		}
+		// Every key recovered from what the index stores is a key the rows
+		// hold, and is found where it lies.
+		ref := refPostings(n, per, width, rows)
+		keys := fr.keyBytes()
+		for e := range fr.NumKeys() {
+			key := keys[e*fr.keyLen : (e+1)*fr.keyLen]
+			if _, ok := ref[string(key)]; !ok || fr.lookupBytes(key) != e {
+				t.Fatalf("n=%d per=%d width=%d: entry %d holds key % x, which the rows hold %v, found as entry %d", n, per, width, e, key, ok, fr.lookupBytes(key))
+			}
 		}
 		if width >= 1 && width <= 20 {
 			other := hashLayout
@@ -287,7 +296,6 @@ func FuzzFreezeRows(f *testing.F) {
 		if err != nil {
 			t.Fatalf("n=%d per=%d width=%d: the written index is rejected: %v", n, per, width, err)
 		}
-		ref := refPostings(n, per, width, rows)
 		q := make([]uint64, words)
 		if len(rows) > 0 {
 			copy(q, rows[len(rows)-words:])

@@ -13,18 +13,21 @@ import (
 	"gph/internal/binio"
 )
 
-// The reference: the content tier as an entry-by-entry walk — every key's
-// hash compared with the one before it and, where the two tie, the keys
-// with bytes.Compare, every entry's postings checked where the
-// walk reaches it, each list decoded a byte at a time from where the one
-// before it ended, and the key widths checked a bit at a time in a pass
-// of their own behind all of it, then the widths of the refs and counts,
-// each entry's read a byte at a time. A bitmap's keys are counted a bit
-// at a time before the walk, which has no order to check, and its width
-// and pad are checked a bit at a time where the keys' widths are. The
-// fast paths keep every check; these keep them honest about that.
+// The reference: the content tier as an entry-by-entry walk — the
+// counts summed, the pads read a byte at a time, then the keys: a
+// bitmap's counted a bit at a time, its rank entries against those
+// counts and its bits past the width; a hashed section's directory
+// offset by offset, then, in the quotient layout, every remainder's bits
+// past its width a bit at a time and every key's bucket, read off the
+// directory, and remainder against the one before it, or, in the byte
+// layout, every key's hash against the bucket the directory puts it in
+// and against the key before it in its bucket, then the bits past the
+// width a bit at a time. Then every entry's postings, each list decoded
+// a byte at a time from where the one before it ended, then the widths
+// of the refs and counts, each entry's read a byte at a time. The fast
+// paths keep every check; this keeps them honest about that.
 
-func refValidate(f *Frozen, width int) error {
+func refValidate(f *Frozen) error {
 	numKeys := f.NumKeys()
 	counts := entryCounts(f)
 	var total int64
@@ -34,9 +37,9 @@ func refValidate(f *Frozen, width int) error {
 	if total != f.postings {
 		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
 	}
-	for i := f.keyLen * numKeys; i < len(f.keyArena) && !f.bitmap; i++ {
+	for i := f.remLen * numKeys; i < len(f.keyArena) && !f.bitmap; i++ {
 		if b := f.keyArena[i]; b != 0 {
-			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i-f.keyLen*numKeys, b)
+			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i-f.remLen*numKeys, b)
 		}
 	}
 	for i, b := range f.refs[f.refLen*numKeys:] {
@@ -44,14 +47,8 @@ func refValidate(f *Frozen, width int) error {
 			return fmt.Errorf("invindex: ref pad byte %d is %#x, not 0", i, b)
 		}
 	}
-	if f.bitmap {
-		keys := 0
-		for k := range 8 * len(f.keyArena) {
-			keys += int(f.keyArena[k/8] >> (k % 8) & 1)
-		}
-		if keys != numKeys {
-			return fmt.Errorf("invindex: the bitmap holds %d keys, the section %d entries", keys, numKeys)
-		}
+	if err := refKeys(f); err != nil {
+		return err
 	}
 	refs := make([]uint32, numKeys)
 	for e := range refs {
@@ -61,11 +58,6 @@ func refValidate(f *Frozen, width int) error {
 	}
 	pos := 0
 	for e := 0; e < numKeys; e++ {
-		if e > 0 && !f.bitmap {
-			if err := refOrder(f, e); err != nil {
-				return err
-			}
-		}
 		switch c, ref := counts[e], refs[e]; {
 		case c == 0:
 			return fmt.Errorf("invindex: frozen entry %d has no postings", e)
@@ -86,30 +78,6 @@ func refValidate(f *Frozen, width int) error {
 	if pos != len(f.postArena) {
 		return fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
-	if width >= 0 {
-		packed := (width + 7) / 8 // a partition of up to 64 bits keeps its bytes,
-		if width > 64 {
-			packed = 8 * ((width + 63) / 64) // a wider one whole words
-		}
-		keys := numKeys
-		if f.bitmap {
-			if err := refBitmapWidth(f, width, packed); err != nil {
-				return err
-			}
-			keys = 0 // no key arena to walk
-		}
-		for e := range keys {
-			key := f.key(e)
-			if len(key) != packed {
-				return fmt.Errorf("invindex: key %d is %d bytes, a %d-bit projection packs to %d", e, len(key), width, packed)
-			}
-			for bit := width; bit < 8*len(key); bit++ {
-				if key[bit/8]>>(bit%8)&1 != 0 {
-					return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, width)
-				}
-			}
-		}
-	}
 	most, top := uint32(0), uint32(0)
 	for e := range numKeys {
 		most, top = max(most, counts[e]), max(top, refs[e])
@@ -127,69 +95,130 @@ func refValidate(f *Frozen, width int) error {
 	return nil
 }
 
-// refBitmapWidth is the reference's check that f's bitmap is that of a
-// width-bit partition whose keys pack to packed bytes: keys of that
-// length, a bitmap of 2^width bits, at least 64, and none set at or past
-// 2^width — in a whole byte past the bitmap's, a pad byte set.
-func refBitmapWidth(f *Frozen, width, packed int) error {
-	if f.keyLen != packed {
-		return fmt.Errorf("invindex: bitmap keys are %d bytes, a %d-bit projection packs to %d", f.keyLen, width, packed)
+// refBits returns b's bits from bit lo up to bit hi, bit i of b being
+// bit i%8 of byte i/8, as a little-endian word.
+func refBits(b []byte, lo, hi int) uint64 {
+	var v uint64
+	for i := hi - 1; i >= lo; i-- {
+		v = v<<1 | uint64(b[i/8]>>(i%8)&1)
 	}
-	want := 8
-	if width > maxBitmapWidth {
-		want = 1 << maxBitmapWidth / 8
-	} else if width > 6 {
-		want = 1 << width / 8
+	return v
+}
+
+// refKeys is the reference's judge of the keys.
+func refKeys(f *Frozen) error {
+	if f.bitmap {
+		return refBitmap(f)
 	}
-	if len(f.keyArena) != want || width > maxBitmapWidth {
-		return fmt.Errorf("invindex: a bitmap of %d bytes, a %d-bit partition's takes %d", len(f.keyArena), width, want)
+	n := f.NumKeys()
+	var dir []int
+	for _, o := range f.dir16 {
+		dir = append(dir, int(o))
 	}
-	for k := 1 << width; k < 8*len(f.keyArena); k++ {
-		if f.keyArena[k/8]>>(k%8)&1 == 0 {
-			continue
+	for _, o := range f.dir32 {
+		dir = append(dir, int(o))
+	}
+	if dir[0] != 0 {
+		return fmt.Errorf("invindex: bucket directory offset 0 is %d, not 0", dir[0])
+	}
+	for b := 1; b < len(dir); b++ {
+		if dir[b] < dir[b-1] {
+			return fmt.Errorf("invindex: bucket directory offset %d is %d, below offset %d's %d", b, dir[b], b-1, dir[b-1])
 		}
-		if held := (1<<width + 7) / 8; k/8 >= held {
-			return fmt.Errorf("invindex: bitmap pad byte %d is %#x, not 0", k/8-held, f.keyArena[k/8])
+	}
+	if dir[len(dir)-1] != n {
+		return fmt.Errorf("invindex: bucket directory ends at %d, the section holds %d keys", dir[len(dir)-1], n)
+	}
+	k := 0 // 2^k buckets: the largest power of two below the key count, one for two keys or fewer
+	for 2<<k < n {
+		k++
+	}
+	// bucketOf is the bucket the directory puts entry e in.
+	bucketOf := func(e int) int {
+		b := 0
+		for dir[b+1] <= e {
+			b++
 		}
-		return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, width)
+		return b
+	}
+	if f.width >= 1 && f.width <= 64 {
+		r, rl := f.width-k, f.remLen
+		for e := range n {
+			for bit := r; bit < 8*rl; bit++ {
+				if f.keyArena[rl*e+bit/8]>>(bit%8)&1 != 0 {
+					return fmt.Errorf("invindex: key %d's remainder has bits set at or past bit %d", e, r)
+				}
+			}
+		}
+		for e := 1; e < n; e++ {
+			b, prev := bucketOf(e), bucketOf(e-1)
+			rem, prevRem := refBits(f.keyArena[rl*e:], 0, r), refBits(f.keyArena[rl*(e-1):], 0, r)
+			if b < prev || b == prev && rem <= prevRem {
+				return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
+			}
+		}
+		return nil
+	}
+	kl := f.keyLen
+	key := func(e int) []byte { return f.keyArena[kl*e : kl*(e+1)] }
+	for e := range n {
+		b := bucketOf(e)
+		h := hashKey(key(e))
+		got := 0
+		if k > 0 {
+			got = int(h >> (64 - k))
+		}
+		if got != b {
+			return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, the directory puts it in bucket %d", e, got, b)
+		}
+		if e > dir[b] {
+			prev := hashKey(key(e - 1))
+			if h < prev || h == prev && bytes.Compare(key(e-1), key(e)) >= 0 {
+				return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
+			}
+		}
+	}
+	for e := range n {
+		for bit := f.width; bit < 8*kl; bit++ {
+			if key(e)[bit/8]>>(bit%8)&1 != 0 {
+				return fmt.Errorf("invindex: key %d has bits set beyond dimension %d", e, f.width)
+			}
+		}
 	}
 	return nil
 }
 
-// refBucket is the bucket of f's key e: the top b bits of its hash, 2^b
-// the largest power of two below the key count, 0 for two keys or fewer.
-func refBucket(f *Frozen, e int) uint64 {
-	b := 0
-	for 2<<b < f.NumKeys() {
-		b++
+// refBitmap is the reference's judge of a bitmap: a key an entry, each
+// rank entry the keys below its 512-bit block, and none set at or past
+// 2^width — in a whole byte past the bitmap's, a pad byte set.
+func refBitmap(f *Frozen) error {
+	bm := f.keyArena
+	keys := 0
+	for k := range 8 * len(bm) {
+		keys += int(bm[k/8] >> (k % 8) & 1)
 	}
-	if b == 0 {
-		return 0
+	if keys != f.NumKeys() {
+		return fmt.Errorf("invindex: the bitmap holds %d keys, the section %d entries", keys, f.NumKeys())
 	}
-	return hashKey(f.key(e)) >> (64 - b)
-}
-
-// refOrder judges key e against key e − 1: a hash below the one before,
-// or an equal one with a key not above the one before, is out of order —
-// in the bucket before's, or in a bucket below it; a section whose keys
-// are all in plain lexicographic order says so.
-func refOrder(f *Frozen, e int) error {
-	h, prevH := hashKey(f.key(e)), hashKey(f.key(e-1))
-	if h > prevH || h == prevH && bytes.Compare(f.key(e-1), f.key(e)) < 0 {
-		return nil
+	for b, r := range f.dir32 {
+		below := 0
+		for k := range min(512*b, 8*len(bm)) {
+			below += int(bm[k/8] >> (k % 8) & 1)
+		}
+		if int(r) != below {
+			return fmt.Errorf("invindex: rank entry %d is %d, the bitmap holds %d keys below bit %d", b, r, below, 512*b)
+		}
 	}
-	b, prev := refBucket(f, e), refBucket(f, e-1)
-	if b == prev {
-		return fmt.Errorf("invindex: frozen keys not in strict hash order at entry %d, in bucket %d", e, b)
+	for k := 1 << f.width; k < 8*len(bm); k++ {
+		if bm[k/8]>>(k%8)&1 == 0 {
+			continue
+		}
+		if held := (1<<f.width + 7) / 8; k/8 >= held {
+			return fmt.Errorf("invindex: bitmap pad byte %d is %#x, not 0", k/8-held, bm[k/8])
+		}
+		return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, f.width)
 	}
-	var keys [][]byte
-	for i := range f.NumKeys() {
-		keys = append(keys, f.key(i))
-	}
-	if slices.IsSortedFunc(keys, bytes.Compare) && len(slices.CompactFunc(keys, bytes.Equal)) == f.NumKeys() {
-		return fmt.Errorf("invindex: frozen keys are in plain lexicographic order, not in hash order")
-	}
-	return fmt.Errorf("invindex: frozen key %d hashes to bucket %d, behind a key of bucket %d", e, b, prev)
+	return nil
 }
 
 // entryCounts returns f's posting counts, whatever their width.
@@ -265,15 +294,15 @@ func readUnvalidated(data []byte, maxID int32) *Frozen {
 
 // sameVerdict holds the content tier to the reference on one section:
 // the same error — check, entry and all — or none from either.
-func sameVerdict(t testing.TB, data []byte, maxID int32, width int, what string) {
+func sameVerdict(t testing.TB, data []byte, maxID int32, what string) {
 	t.Helper()
 	f := readUnvalidated(data, maxID)
 	if f == nil {
 		return
 	}
-	got, want := f.validateContent(width), refValidate(f, width)
+	got, want := f.validateContent(), refValidate(f)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%s, width %d:\n  content tier: %v\n  reference:    %v", what, width, got, want)
+		t.Fatalf("%s:\n  content tier: %v\n  reference:    %v", what, got, want)
 	}
 }
 
@@ -296,54 +325,67 @@ type post struct {
 	list []byte
 }
 
-// handSection makes a section by hand — keys in the order given, each
-// with its postings and the count it claims, then pad — so a test can
-// hold exactly the corruption it means to, a ref or the arena changed
-// before the section is written.
-func handSection(keys []string, posts []post, counts []uint32, pad []byte) *Frozen {
-	f := &Frozen{keyLen: len(keys[0])}
-	refs := make([]uint32, len(keys))
-	for i, k := range keys {
-		f.keyArena = append(f.keyArena, k...)
-		refs[i] = posts[i].ref
-		if posts[i].list != nil {
-			refs[i] = uint32(len(f.postArena))
-			f.postArena = append(f.postArena, posts[i].list...)
+// handSection makes a section of width-bit keys by hand — keys in the
+// order given, each with its postings and the count it claims, the
+// directory the order gives, then pad — so a test can hold exactly the
+// corruption it means to, a ref or the arena changed before the section
+// is written.
+func handSection(width int, keys []string, posts []post, counts []uint32, pad []byte) *Frozen {
+	n := len(keys)
+	f := &Frozen{keyLen: KeyLen(width), width: width, remLen: KeyLen(width), dirShift: dirShift(n)}
+	if quotientWidth(width) {
+		f.remLen, f.dirShift = remBytes(width, n), uint(width-1-bucketBits(n))
+	}
+	ends := make([]uint32, 1<<bucketBits(n)+1)
+	refs := make([]uint32, n)
+	for e, k := range keys {
+		h := orderHash(width, k)
+		ends[bucket(h, f.dirShift)+1] = uint32(e + 1)
+		if quotientWidth(width) {
+			k = string(binary.LittleEndian.AppendUint64(nil, h&f.remMask())[:f.remLen])
 		}
-		f.addCount(int(counts[i]))
-		f.postings += int64(counts[i])
+		f.keyArena = append(f.keyArena, k...)
+		refs[e] = posts[e].ref
+		if posts[e].list != nil {
+			refs[e] = uint32(len(f.postArena))
+			f.postArena = append(f.postArena, posts[e].list...)
+		}
+		f.addCount(int(counts[e]))
+		f.postings += int64(counts[e])
 	}
 	f.keyArena = append(f.keyArena, pad...)
 	f.packRefs(refs)
+	f.setDir(ends)
 	return f
 }
 
 // handFrozen serializes handSection's section with the zero pad
-// FreezeRows writes after keys shorter than a word.
-func handFrozen(keys []string, posts []post, counts []uint32) []byte {
-	return handFrozenPad(keys, posts, counts, make([]byte, keyPad(len(keys[0]), len(keys))))
+// FreezeRows writes after stored keys shorter than a word.
+func handFrozen(width int, keys []string, posts []post, counts []uint32) []byte {
+	f := handSection(width, keys, posts, counts, nil)
+	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, len(keys)))...)
+	return frozenBytes(f)
 }
 
 // handFrozenPad is handFrozen with the bytes after the keys given.
-func handFrozenPad(keys []string, posts []post, counts []uint32, pad []byte) []byte {
-	return frozenBytes(handSection(keys, posts, counts, pad))
+func handFrozenPad(width int, keys []string, posts []post, counts []uint32, pad []byte) []byte {
+	return frozenBytes(handSection(width, keys, posts, counts, pad))
 }
 
 // fastPathSeeds are the sections the fast paths could get wrong and an
-// entry-by-entry walk would not, each with the id bound and the key
-// width it is judged at; FuzzReadFrozen starts from them.
+// entry-by-entry walk would not, each with the id bound it is judged
+// at; FuzzReadFrozen starts from them.
 func fastPathSeeds() []struct {
 	name  string
 	data  []byte
 	maxID int32
-	width int
 } {
-	one := func(keys []string, posts []post) []byte {
+	one := func(width int, keys []string, posts []post) []byte {
 		counts := make([]uint32, len(keys))
 		for i := range counts {
 			counts[i] = 1
 		}
-		return handFrozen(keys, posts, counts)
+		return handFrozen(width, keys, posts, counts)
 	}
 	id := func(v uint32) post { return post{ref: v} }
 	ids := func(deltas ...uint64) post {
@@ -355,18 +397,23 @@ func fastPathSeeds() []struct {
 	}
 	raw := func(b ...byte) post { return post{list: b} }
 	// edit writes a hand-made section after change has had its way with it.
-	edit := func(keys []string, posts []post, counts []uint32, change func(f *Frozen)) []byte {
-		f := handSection(keys, posts, counts, nil)
+	edit := func(width int, keys []string, posts []post, counts []uint32, change func(f *Frozen)) []byte {
+		f := handSection(width, keys, posts, counts, nil)
+		f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, len(keys)))...)
 		change(f)
 		return frozenBytes(f)
 	}
-	// Two keys in hash order, and three, which take two buckets.
-	pair := hashOrder([]string{wordKey(1), wordKey(2)})
+	// remBit sets bit of entry e's stored remainder.
+	remBit := func(e, bit int) func(f *Frozen) {
+		return func(f *Frozen) { f.keyArena[f.remLen*e+bit/8] |= 1 << (bit % 8) }
+	}
+	// Two 64-bit keys in hash order, and three, which take two buckets.
+	pair := hashOrder(64, []string{wordKey(1), wordKey(2)})
 	k1, k2 := pair[0], pair[1]
-	three := hashOrder([]string{wordKey(1), wordKey(2), wordKey(3)})
-	// inOrder is keys, two, in hash order, or against it.
-	inOrder := func(against bool, keys ...string) []string {
-		keys = hashOrder(keys)
+	three := hashOrder(64, []string{wordKey(1), wordKey(2), wordKey(3)})
+	// inOrder is keys, two width-bit keys, in hash order, or against it.
+	inOrder := func(width int, against bool, keys ...string) []string {
+		keys = hashOrder(width, keys)
 		if against {
 			slices.Reverse(keys)
 		}
@@ -376,116 +423,119 @@ func fastPathSeeds() []struct {
 		name  string
 		data  []byte
 		maxID int32
-		width int
 	}{
-		{"a multi-byte varint ending a list", handFrozen([]string{k1}, []post{ids(0, 300)}, []uint32{2}), 301, 64},
-		{"a list cut inside its last varint", handFrozen([]string{k1}, []post{raw(0x01, 0xac)}, []uint32{2}), 301, 64},
+		{"a multi-byte varint ending a list", handFrozen(64, []string{k1}, []post{ids(0, 300)}, []uint32{2}), 301},
+		{"a list cut inside its last varint", handFrozen(64, []string{k1}, []post{raw(0x01, 0xac)}, []uint32{2}), 301},
 		// Five bytes carry 35 bits: past 32 the value fails the id range, and
 		// a sixth byte is what the framing check is for.
-		{"a 5-byte varint overflowing 32 bits", handFrozen([]string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x7f)}, []uint32{2}), math.MaxInt32, 64},
-		{"a 6-byte varint", handFrozen([]string{k1}, []post{raw(0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{2}), math.MaxInt32, 64},
-		{"a 5-byte varint that fits", handFrozen([]string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x06)}, []uint32{2}), math.MaxInt32, 64},
-		{"a singleton ref = maxID", one([]string{k1}, []post{id(40)}), 40, 64},
-		{"a singleton ref = maxID − 1", one([]string{k1}, []post{id(39)}), 40, 64},
-		{"a singleton ref of 2³² − 1", one([]string{k1}, []post{id(math.MaxUint32)}), math.MaxInt32, 64},
-		{"a singleton ref against a negative maxID", one([]string{k1}, []post{id(0)}), -28, 64},
-		{"a count one over its list", handFrozen([]string{k1}, []post{ids(3, 1)}, []uint32{3}), 40, 64},
-		{"a count one under its list", handFrozen([]string{k1}, []post{ids(3, 1, 1)}, []uint32{2}), 40, 64},
-		{"equal adjacent keys", one([]string{wordKey(5), wordKey(5)}, []post{id(0), id(1)}), 2, 64},
-		// Byte 7 is the big end of the little-endian word the key scans
-		// hash, byte 0 the little end.
-		{"keys differing only in byte 7, in hash order", one(inOrder(false, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 7, against hash order", one(inOrder(true, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 0, in hash order", one(inOrder(false, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
-		{"keys differing only in byte 0, against hash order", one(inOrder(true, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2, 64},
-		{"a key bit at the partition width", one([]string{wordKey(1 << 61)}, []post{id(0)}), 1, 61},
-		{"a key bit just inside the partition width", one([]string{wordKey(1 << 60)}, []post{id(0)}), 1, 61},
-		{"a key bit at the width behind a bad list", handFrozen(inOrder(false, wordKey(1<<61), wordKey(1<<61|1<<8)),
-			[]post{id(0), raw(0, 0x80)}, []uint32{1, 2}), 2, 61},
-		{"one-word keys judged as two-word projections", one([]string{k1}, []post{id(0)}), 1, 70},
+		{"a 5-byte varint overflowing 32 bits", handFrozen(64, []string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x7f)}, []uint32{2}), math.MaxInt32},
+		{"a 6-byte varint", handFrozen(64, []string{k1}, []post{raw(0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{2}), math.MaxInt32},
+		{"a 5-byte varint that fits", handFrozen(64, []string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x06)}, []uint32{2}), math.MaxInt32},
+		{"a singleton ref = maxID", one(64, []string{k1}, []post{id(40)}), 40},
+		{"a singleton ref = maxID − 1", one(64, []string{k1}, []post{id(39)}), 40},
+		{"a singleton ref of 2³² − 1", one(64, []string{k1}, []post{id(math.MaxUint32)}), math.MaxInt32},
+		{"a singleton ref against a negative maxID", one(64, []string{k1}, []post{id(0)}), -28},
+		{"a count one over its list", handFrozen(64, []string{k1}, []post{ids(3, 1)}, []uint32{3}), 40},
+		{"a count one under its list", handFrozen(64, []string{k1}, []post{ids(3, 1, 1)}, []uint32{2}), 40},
+		// Two keys take one bucket: equal keys are equal remainders in it.
+		{"equal adjacent keys", one(64, []string{wordKey(5), wordKey(5)}, []post{id(0), id(1)}), 2},
+		// Byte 7 is the big end of the little-endian word a key is, byte 0
+		// the little end.
+		{"keys differing only in byte 7, in hash order", one(64, inOrder(64, false, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 7, against hash order", one(64, inOrder(64, true, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 0, in hash order", one(64, inOrder(64, false, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 0, against hash order", one(64, inOrder(64, true, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		// One key takes one bucket: its remainder is all its 61 bits.
+		{"a remainder bit at the partition width", edit(61, []string{wordKey(1 << 60)}, []post{id(0)}, []uint32{1}, remBit(0, 61)), 1},
+		{"a remainder bit at the top of the word", edit(61, []string{wordKey(1 << 60)}, []post{id(0)}, []uint32{1}, remBit(0, 63)), 1},
+		{"a key bit just inside the partition width", one(61, []string{wordKey(1 << 60)}, []post{id(0)}), 1},
+		{"a remainder bit at the width before a bad list", edit(61, inOrder(61, false, wordKey(1<<60), wordKey(1<<60|1<<8)),
+			[]post{id(0), raw(0, 0x80)}, []uint32{1, 2}, remBit(1, 61)), 2},
 
 		// The list pass judges a list of up to 8 bytes from the word at its
 		// start, a longer one a word at a time, and a list whose word would
 		// cross the arena's end a byte at a time; a list ends where the next
 		// list's ref says.
-		{"a list in the arena's last 8 bytes", handFrozen([]string{k1, k2},
-			[]post{ids(300, 1), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 6}), 400, 64},
-		{"a list whose window crosses the arena's end", handFrozen([]string{k1, k2},
-			[]post{ids(1, 1, 1, 1, 1, 1, 1, 1), ids(300, 1)}, []uint32{8, 2}), 400, 64},
-		{"a several-id list of exactly 8 bytes", handFrozen([]string{k1},
-			[]post{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611, 64},
-		{"a several-id list of 9 bytes", handFrozen([]string{k1},
-			[]post{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616, 64},
-		{"two ids summing to maxID − 1", handFrozen([]string{k1, k2},
-			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301, 64},
-		{"two ids summing to maxID", handFrozen([]string{k1, k2},
-			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300, 64},
-		{"a five-byte continuation run inside an 8-byte window", handFrozen([]string{k1, k2},
-			[]post{raw(0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), id(1)}, []uint32{2, 1}), math.MaxInt32, 64},
-		{"a five-byte continuation run across a long list's words", handFrozen([]string{k1},
-			[]post{{list: append(ids(1, 1, 1, 1, 1).list, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}}, []uint32{6}), math.MaxInt32, 64},
-		{"a varint split across a long list's words", handFrozen([]string{k1},
-			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008, 64},
-		{"a varint split across a long list's words, last id = maxID", handFrozen([]string{k1},
-			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007, 64},
+		{"a list in the arena's last 8 bytes", handFrozen(64, []string{k1, k2},
+			[]post{ids(300, 1), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 6}), 400},
+		{"a list whose window crosses the arena's end", handFrozen(64, []string{k1, k2},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 1), ids(300, 1)}, []uint32{8, 2}), 400},
+		{"a several-id list of exactly 8 bytes", handFrozen(64, []string{k1},
+			[]post{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611},
+		{"a several-id list of 9 bytes", handFrozen(64, []string{k1},
+			[]post{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616},
+		{"two ids summing to maxID − 1", handFrozen(64, []string{k1, k2},
+			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301},
+		{"two ids summing to maxID", handFrozen(64, []string{k1, k2},
+			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300},
+		{"a five-byte continuation run inside an 8-byte window", handFrozen(64, []string{k1, k2},
+			[]post{raw(0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), id(1)}, []uint32{2, 1}), math.MaxInt32},
+		{"a five-byte continuation run across a long list's words", handFrozen(64, []string{k1},
+			[]post{{list: append(ids(1, 1, 1, 1, 1).list, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}}, []uint32{6}), math.MaxInt32},
+		{"a varint split across a long list's words", handFrozen(64, []string{k1},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008},
+		{"a varint split across a long list's words, last id = maxID", handFrozen(64, []string{k1},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007},
 
 		// The chain: each list starts where the one before it ends, the
 		// first at the arena's start, and the last ends the arena. An entry
 		// has postings, and one whose count says one holds its id in its ref.
-		{"a list ref past the previous list's end", edit([]string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)+1) }), 10, 64},
-		{"a list ref before the previous list's end", edit([]string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)-1) }), 10, 64},
-		{"a first list not at the arena's start", edit([]string{k1, k2},
-			[]post{id(5), ids(1, 1)}, []uint32{1, 2}, func(f *Frozen) { f.postArena = append([]byte{7}, f.postArena...); setRef(f, 1, 1) }), 10, 64},
-		{"a last list that stops short of the arena's end", edit([]string{k1, k2},
-			[]post{ids(1, 1), id(7)}, []uint32{2, 1}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10, 64},
-		{"singletons over an arena that is not empty", edit([]string{k1, k2},
-			[]post{id(0), id(1)}, []uint32{1, 1}, func(f *Frozen) { f.postArena = []byte{0} }), 10, 64},
-		{"an entry with count 0", handFrozen(three,
-			[]post{id(0), {}, id(2)}, []uint32{1, 0, 1}), 10, 64},
-		{"an entry with count 0 over a list", handFrozen([]string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1)}, []uint32{2, 0}), 10, 64},
-		{"a count-1 entry in the middle of the chain", handFrozen(three,
-			[]post{ids(1, 1), ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 1, 6}), 40, 64},
-		{"an entry with count 0 behind a bad list", handFrozen([]string{k1, k2},
-			[]post{raw(0, 0x80), {}}, []uint32{2, 0}), 10, 64},
-		{"a bad singleton behind a bad list", handFrozen([]string{k1, k2},
-			[]post{raw(0, 0x80), id(50)}, []uint32{2, 1}), 10, 64},
-		{"a bad list behind a bad singleton", handFrozen([]string{k1, k2},
-			[]post{id(50), raw(0, 0x80)}, []uint32{1, 2}), 10, 64},
-		{"a bad singleton behind a key out of order", one([]string{k2, k1}, []post{id(0), id(50)}), 10, 64},
+		{"a list ref past the previous list's end", edit(64, []string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)+1) }), 10},
+		{"a list ref before the previous list's end", edit(64, []string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)-1) }), 10},
+		{"a first list not at the arena's start", edit(64, []string{k1, k2},
+			[]post{id(5), ids(1, 1)}, []uint32{1, 2}, func(f *Frozen) { f.postArena = append([]byte{7}, f.postArena...); setRef(f, 1, 1) }), 10},
+		{"a last list that stops short of the arena's end", edit(64, []string{k1, k2},
+			[]post{ids(1, 1), id(7)}, []uint32{2, 1}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10},
+		{"singletons over an arena that is not empty", edit(64, []string{k1, k2},
+			[]post{id(0), id(1)}, []uint32{1, 1}, func(f *Frozen) { f.postArena = []byte{0} }), 10},
+		{"an entry with count 0", handFrozen(64, three,
+			[]post{id(0), {}, id(2)}, []uint32{1, 0, 1}), 10},
+		{"an entry with count 0 over a list", handFrozen(64, []string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1)}, []uint32{2, 0}), 10},
+		{"a count-1 entry in the middle of the chain", handFrozen(64, three,
+			[]post{ids(1, 1), ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 1, 6}), 40},
+		{"an entry with count 0 behind a bad list", handFrozen(64, []string{k1, k2},
+			[]post{raw(0, 0x80), {}}, []uint32{2, 0}), 10},
+		{"a bad singleton behind a bad list", handFrozen(64, []string{k1, k2},
+			[]post{raw(0, 0x80), id(50)}, []uint32{2, 1}), 10},
+		{"a bad list behind a bad singleton", handFrozen(64, []string{k1, k2},
+			[]post{id(50), raw(0, 0x80)}, []uint32{1, 2}), 10},
+		{"a bad singleton behind a key out of order", one(64, []string{k2, k1}, []post{id(0), id(50)}), 10},
 
-		// Keys shorter than a word are loaded a word at a time too, the
-		// bytes past each key masked off: the next key's, or the pad's.
-		{"a key bit at the partition width, 2-byte keys", one([]string{narrowKey(1<<13, 2)}, []post{id(0)}), 1, 13},
-		{"a key bit just inside the partition width, 2-byte keys", one([]string{narrowKey(1<<12, 2)}, []post{id(0)}), 1, 13},
-		{"a key bit at the width of a partition of one byte", one([]string{narrowKey(1<<7, 1)}, []post{id(0)}), 1, 7},
-		{"2-byte keys differing only in byte 1, against hash order", one(inOrder(true, narrowKey(1|1<<8, 2), narrowKey(1, 2)), []post{id(0), id(1)}), 2, 16},
+		// Remainders shorter than a word are loaded a word at a time too, the
+		// bytes past each masked off: the next remainder's, or the pad's.
+		{"a remainder bit at the partition width, 2-byte keys", edit(13, []string{narrowKey(1<<12, 2)}, []post{id(0)}, []uint32{1}, remBit(0, 13)), 1},
+		{"a key bit just inside the partition width, 2-byte keys", one(13, []string{narrowKey(1<<12, 2)}, []post{id(0)}), 1},
+		{"a remainder bit at the width of a partition of one byte", edit(7, []string{narrowKey(1<<6, 1)}, []post{id(0)}, []uint32{1}, remBit(0, 7)), 1},
+		{"2-byte keys differing only in byte 1, against hash order", one(16, inOrder(16, true, narrowKey(1|1<<8, 2), narrowKey(1, 2)), []post{id(0), id(1)}), 2},
 		// Unmasked, the first load reads 01 00 01 00 ff ff and the second
-		// 01 00 ff ff 00 00: two words, where the keys are equal.
-		{"equal adjacent 2-byte keys before a larger one", one([]string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, []post{id(0), id(1), id(2)}), 3, 16},
-		{"2-byte keys judged as a 40-bit projection", one([]string{narrowKey(1, 2)}, []post{id(0)}), 1, 40},
-		{"5-byte keys judged as a 64-bit projection", one([]string{narrowKey(1, 5)}, []post{id(0)}), 1, 64},
+		// 01 00 ff ff 00 00: two words, where the remainders are equal.
+		{"equal adjacent 2-byte keys before a larger one", one(16, []string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, []post{id(0), id(1), id(2)}), 3},
+		// A key wider than a word keeps its bytes: its bits past the width,
+		// its bucket and its order are the byte layout's.
+		{"a key bit past a 70-bit width", edit(70, []string{string(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1), 1<<6))},
+			[]post{id(0)}, []uint32{1}, func(f *Frozen) {}), 1},
 	}
-	// Every key length shorter than a word, with its pad as FreezeRows
-	// writes it, with a pad byte set, and with no pad at all.
-	for kl := 1; kl < 8; kl++ {
-		keys := hashOrder([]string{narrowKey(1, kl), narrowKey(2, kl)})
+	// Every remainder length shorter than a word, with its pad as
+	// FreezeRows writes it, with a pad byte set, and with no pad at all.
+	for rl := 1; rl < 8; rl++ {
+		width := 8*rl - 1 // two keys take one bucket: the remainder is the key
+		keys := hashOrder(width, []string{narrowKey(1, rl), narrowKey(2, rl)})
 		posts := []post{id(0), ids(1, 300)}
 		counts := []uint32{1, 2}
-		set := make([]byte, 8-kl)
+		set := make([]byte, 8-rl)
 		set[len(set)-1] = 1
 		for _, p := range []struct {
 			what string
 			pad  []byte
-		}{{"pad intact", make([]byte, 8-kl)}, {"pad nonzero", set}, {"pad missing", nil}} {
+		}{{"pad intact", make([]byte, 8-rl)}, {"pad nonzero", set}, {"pad missing", nil}} {
 			seeds = append(seeds, struct {
 				name  string
 				data  []byte
 				maxID int32
-				width int
-			}{fmt.Sprintf("%d-byte keys, %s", kl, p.what), handFrozenPad(keys, posts, counts, p.pad), 302, 8*kl - 1})
+			}{fmt.Sprintf("%d-byte remainders, %s", rl, p.what), handFrozenPad(width, keys, posts, counts, p.pad), 302})
 		}
 	}
 	return seeds
@@ -506,9 +556,9 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"equal adjacent keys":                                        "not in strict hash order at entry 1",
 		"keys differing only in byte 7, against hash order":          "not in strict hash order at entry 1",
 		"keys differing only in byte 0, against hash order":          "not in strict hash order at entry 1",
-		"a key bit at the partition width":                           "key 0 has bits set beyond dimension 61",
-		"a key bit at the width behind a bad list":                   "entry 1: truncated varint",
-		"one-word keys judged as two-word projections":               "key 0 is 8 bytes, a 70-bit projection packs to 16",
+		"a remainder bit at the partition width":                     "key 0's remainder has bits set at or past bit 61",
+		"a remainder bit at the top of the word":                     "key 0's remainder has bits set at or past bit 61",
+		"a remainder bit at the width before a bad list":             "key 1's remainder has bits set at or past bit 61",
 		"two ids summing to maxID":                                   "entry 0: posting id 20300 outside [0,20300)",
 		"a five-byte continuation run inside an 8-byte window":       "entry 0: varint longer than 5 bytes",
 		"a five-byte continuation run across a long list's words":    "entry 0: varint longer than 5 bytes",
@@ -525,15 +575,14 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		"a bad singleton behind a bad list":                          "entry 0: truncated varint",
 		"a bad list behind a bad singleton":                          "entry 0: posting id 50 outside [0,10)",
 		"a bad singleton behind a key out of order":                  "not in strict hash order at entry 1",
-		"a key bit at the partition width, 2-byte keys":              "key 0 has bits set beyond dimension 13",
-		"a key bit at the width of a partition of one byte":          "key 0 has bits set beyond dimension 7",
+		"a remainder bit at the partition width, 2-byte keys":        "key 0's remainder has bits set at or past bit 13",
+		"a remainder bit at the width of a partition of one byte":    "key 0's remainder has bits set at or past bit 7",
 		"2-byte keys differing only in byte 1, against hash order":   "not in strict hash order at entry 1",
 		"equal adjacent 2-byte keys before a larger one":             "not in strict hash order at entry 1",
-		"2-byte keys judged as a 40-bit projection":                  "key 0 is 2 bytes, a 40-bit projection packs to 5",
-		"5-byte keys judged as a 64-bit projection":                  "key 0 is 5 bytes, a 64-bit projection packs to 8",
+		"a key bit past a 70-bit width":                              "key 0 has bits set beyond dimension 70",
 	}
-	for kl := 1; kl < 8; kl++ {
-		wantErr[fmt.Sprintf("%d-byte keys, pad nonzero", kl)] = fmt.Sprintf("key arena pad byte %d is 0x1, not 0", 7-kl)
+	for rl := 1; rl < 8; rl++ {
+		wantErr[fmt.Sprintf("%d-byte remainders, pad nonzero", rl)] = fmt.Sprintf("key arena pad byte %d is 0x1, not 0", 7-rl)
 	}
 	seeds := fastPathSeeds()
 	named := make(map[string]bool, len(seeds))
@@ -558,12 +607,11 @@ func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 		if f == nil {
 			t.Fatalf("%s: the structural tier rejects the seed", s.name)
 		}
-		err := f.validateContent(s.width)
+		err := f.validateContent()
 		if want, bad := wantErr[s.name]; bad != (err != nil) || (bad && !strings.Contains(err.Error(), want)) {
 			t.Errorf("%s: got %v, want %q", s.name, err, want)
 		}
-		sameVerdict(t, s.data, s.maxID, s.width, s.name)
-		sameVerdict(t, s.data, s.maxID, -1, s.name)
+		sameVerdict(t, s.data, s.maxID, s.name)
 	}
 }
 
@@ -657,11 +705,11 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 		f := readUnvalidated(bytes.Clone(raw), 30)
 		// The section was decoded in place, over bytes this test owns.
 		c.break_(f)
-		err := f.validateContent(9)
+		err := f.validateContent()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
 		}
-		if ref := refValidate(f, 9); fmt.Sprint(ref) != fmt.Sprint(err) {
+		if ref := refValidate(f); fmt.Sprint(ref) != fmt.Sprint(err) {
 			t.Errorf("%s: content tier %v, reference %v", c.name, err, ref)
 		}
 	}
@@ -669,36 +717,34 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 
 // TestValidateMatchesReferenceUnderMutation is the differential: every
 // single-byte mutation of small sections — keys of whole words narrow and
-// full width, keys of 1, 2, 3 and 5 bytes with their pads, two-word keys,
-// deletion variants — and 10⁴ random ones get the reference's verdict,
-// down to the first failing entry.
+// full width, remainders of 1, 2, 3 and 5 bytes with their pads, bitmaps
+// with their rank arrays, two-word keys, deletion variants, directories
+// of one and of several buckets — and 10⁴ random ones get the
+// reference's verdict, down to the first failing entry.
 func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 	type section struct {
 		name  string
 		data  []byte
 		maxID int32
-		width int
 	}
 	var sections []section
 	for _, c := range []struct {
 		n, w     int
 		variants bool
 	}{{40, 8, false}, {25, 64, false}, {20, 70, false}, {12, 9, true}} {
-		f, width, _, _ := randomIndex(t, int64(c.w), c.n, c.w, c.variants)
-		sections = append(sections, section{fmt.Sprintf("n=%d w=%d variants=%v", c.n, c.w, c.variants), frozenBytes(f), int32(c.n), width})
+		f, _, _, _ := randomIndex(t, int64(c.w), c.n, c.w, c.variants)
+		sections = append(sections, section{fmt.Sprintf("n=%d w=%d variants=%v", c.n, c.w, c.variants), frozenBytes(f), int32(c.n)})
 	}
 	rng := rand.New(rand.NewSource(25))
 	for _, w := range []int{5, 13, 20, 36} {
 		const n = 20
-		sections = append(sections, section{fmt.Sprintf("n=%d w=%d narrow", n, w), frozenBytes(FreezeRows(n, 1, w, randomRows(rng, n, w))), n, w})
+		sections = append(sections, section{fmt.Sprintf("n=%d w=%d narrow", n, w), frozenBytes(FreezeRows(n, 1, w, randomRows(rng, n, w))), n})
 	}
 	for _, s := range fastPathSeeds() {
-		sections = append(sections, section{s.name, s.data, s.maxID, s.width})
+		sections = append(sections, section{s.name, s.data, s.maxID})
 	}
 	check := func(s section, bad []byte, what string) {
-		for _, width := range []int{-1, s.width, s.width - 1} {
-			sameVerdict(t, bad, s.maxID, width, s.name+": "+what)
-		}
+		sameVerdict(t, bad, s.maxID, s.name+": "+what)
 	}
 	for _, s := range sections {
 		for off := range s.data {
@@ -727,7 +773,8 @@ func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 // countLen, whatever the numbers need: a number too wide for its bytes
 // loses its high ones.
 func rewidth(f *Frozen, refLen, countLen int) *Frozen {
-	g := &Frozen{keyArena: f.keyArena, keyLen: f.keyLen, postArena: f.postArena, postings: f.postings, maxID: f.maxID, refLen: refLen}
+	g := &Frozen{keyArena: f.keyArena, keyLen: f.keyLen, remLen: f.remLen, width: f.width, postArena: f.postArena, postings: f.postings,
+		maxID: f.maxID, refLen: refLen, dir16: f.dir16, dir32: f.dir32, dirShift: f.dirShift, bitmap: f.bitmap}
 	n := f.NumKeys()
 	g.refs = make([]byte, refLen*n+refPad(refLen, n))
 	for e := range n {
@@ -758,7 +805,7 @@ func entryWidthSeeds() []struct {
 	for i := range rows {
 		rows[i] = uint64(i % 15)
 	}
-	f := FreezeRows(len(rows), 1, 8, rows) // refs of one byte, counts of one
+	f := FreezeRows(len(rows), 1, 20, rows) // refs of one byte, counts of one
 	f.maxID = 30
 	header := func(field int, v uint64) []byte { // the section with a header field overwritten
 		b := frozenBytes(f)
@@ -766,9 +813,9 @@ func entryWidthSeeds() []struct {
 		return b
 	}
 	padSet := frozenBytes(f)
-	padSet[len(padSet)-f.NumKeys()-1] = 1 // the refs' last pad byte, right before the counts
+	padSet[9*8+len(f.keyArena)+len(f.postArena)+len(f.refs)-1] = 1 // the refs' last pad byte, after nine header fields and the arenas
 	empty := frozenBytes(FreezeRows(0, 1, 8, nil))
-	binary.LittleEndian.PutUint64(empty[8*4:], 4)
+	binary.LittleEndian.PutUint64(empty[8*5:], 4)
 	return []struct {
 		name, want string
 		data       []byte
@@ -778,10 +825,10 @@ func entryWidthSeeds() []struct {
 		{"refs of four bytes that fit one", "refs are 4 bytes wide, and the largest, 28, needs 1", frozenBytes(rewidth(f, 4, 1)), 30},
 		{"4-byte counts that fit a byte", "counts are 4 bytes wide, and the largest, 2, fits one", frozenBytes(rewidth(f, 1, 4)), 30},
 		{"a nonzero ref pad byte", "ref pad byte 2 is 0x1, not 0", padSet, 30},
-		{"a ref length of 0", "implausible ref length 0", header(3, 0), 30},
-		{"a ref length of 5", "implausible ref length 5", header(3, 5), 30},
-		{"a count length of 2", "implausible count length 2", header(4, 2), 30},
-		{"a count length of 0", "implausible count length 0", header(4, 0), 30},
+		{"a ref length of 0", "implausible ref length 0", header(4, 0), 30},
+		{"a ref length of 5", "implausible ref length 5", header(4, 5), 30},
+		{"a count length of 2", "implausible count length 2", header(5, 2), 30},
+		{"a count length of 0", "implausible count length 0", header(5, 0), 30},
 		{"4-byte counts in an index of no keys", "an index of no keys has 1-byte refs and counts, not 1- and 4-byte ones", empty, 1},
 	}
 }
@@ -800,86 +847,81 @@ func TestHostileEntryWidths(t *testing.T) {
 				t.Errorf("%s, %s: ReadFrozen says %v, want %q", s.name, how, err, s.want)
 			}
 		}
-		sameVerdict(t, s.data, s.maxID, 8, s.name)
+		sameVerdict(t, s.data, s.maxID, s.name)
 	}
 }
 
 // bitmapSeeds are bitmap sections that are not the bitmap of their
 // entries' keys at their width, each with the id bound it is read
-// against, the width it is judged at and what reading it must say (at
-// open for a header the structural tier refuses): a key more than the
-// entries, a key fewer, a bitmap as long as another width's, a key moved
-// into the pad past a 3-bit bitmap's byte, a length no bitmap has, a
-// bitmap past what its keys' bytes can spell, and a layout of neither
+// against and what reading it must say (at open for a header the
+// structural tier refuses): a key more than the entries, a key fewer, a
+// header width of another bitmap's, a key moved into the pad past a 3-bit
+// bitmap's byte, a rank entry that does not count the keys below its
+// block, lengths no bitmap of the width has, and a layout of neither
 // kind.
 func bitmapSeeds() []struct {
 	name, want string
 	data       []byte
 	maxID      int32
-	width      int
 } {
 	section := func(width, keys int, edit func(b []byte)) []byte {
-		rows := make([]uint64, 30) // ids i, i + keys, … share key i
+		rows := make([]uint64, 30) // ids i, i + keys, … share key i·⌊2^width/keys⌋, under a bitmap
 		for i := range rows {
-			rows[i] = uint64(i % keys)
+			rows[i] = uint64(i%keys) * uint64(max(1, (1<<width)/keys))
 		}
-		f := FreezeRows(len(rows), 1, width, rows)
-		if !f.bitmap {
-			panic("invindex: a seed section that is not a bitmap")
-		}
-		b := frozenBytes(f)
+		b := frozenBytes(freezeRows(len(rows), 1, width, rows, bitmapLayout))
 		edit(b)
 		return b
 	}
-	const bm = 8 * 8 // the eight header fields, then the bitmap
+	const bm = 9 * 8 // the nine header fields, then the bitmap
 	header := func(field int, v uint64) func(b []byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint64(b[8*field:], v) }
 	}
-	keep := func([]byte) {}
+	// The rank array of a 10-bit bitmap of 128 bytes, three entries, ends
+	// the section. Entry 1 counts the keys below bit 512.
+	rank := func(b []byte) []byte { return b[len(b)-4*3:] }
 	return []struct {
 		name, want string
 		data       []byte
 		maxID      int32
-		width      int
 	}{
-		{"a key more than the entries", "the bitmap holds 16 keys, the section 15 entries", section(6, 15, func(b []byte) { b[bm+7] |= 0x80 }), 30, 6},
-		{"a key fewer than the entries", "the bitmap holds 14 keys, the section 15 entries", section(6, 15, func(b []byte) { b[bm] &^= 1 }), 30, 6},
-		{"a 6-bit bitmap judged at 7 bits", "a bitmap of 8 bytes, a 7-bit partition's takes 16", section(6, 15, keep), 30, 7},
-		{"a key moved into the pad", "bitmap pad byte 0 is 0x1, not 0", section(3, 5, func(b []byte) { b[bm] &^= 1 << 4; b[bm+1] = 1 }), 30, 3},
-		{"a bitmap of 24 bytes", "a bitmap of 24 bytes, not the bitmap of a key space of 1-byte keys", section(6, 15, header(5, 24)), 30, 6},
-		{"a bitmap of 512 bits of 1-byte keys", "a bitmap of 64 bytes, not the bitmap of a key space of 1-byte keys", section(6, 15, header(5, 64)), 30, 6},
-		{"a layout of 2", "unknown key layout 2", section(6, 15, header(7, 2)), 30, 6},
+		{"a key more than the entries", "the bitmap holds 16 keys, the section 15 entries", section(6, 15, func(b []byte) { b[bm+7] |= 0x80 }), 30},
+		{"a key fewer than the entries", "the bitmap holds 14 keys, the section 15 entries", section(6, 15, func(b []byte) { b[bm] &^= 1 }), 30},
+		{"a 6-bit bitmap under a header of 7 bits", "a bitmap of 8 bytes, a 7-bit partition's takes 16", section(6, 15, header(2, 7)), 30},
+		{"a key moved into the pad", "bitmap pad byte 0 is 0x1, not 0", section(3, 5, func(b []byte) { b[bm] &^= 1 << 4; b[bm+1] = 1 }), 30},
+		{"a rank entry one over", "rank entry 1 is 9, the bitmap holds 8 keys below bit 512", section(10, 15, func(b []byte) { rank(b)[4]++ }), 30},
+		{"a bitmap of 24 bytes", "a bitmap of 24 bytes, a 6-bit partition's takes 8", section(6, 15, header(6, 24)), 30},
+		{"a bitmap of 512 bits of 6-bit keys", "a bitmap of 64 bytes, a 6-bit partition's takes 8", section(6, 15, header(6, 64)), 30},
+		{"a layout of 2", "unknown key layout 2", section(6, 15, header(8, 2)), 30},
 	}
 }
 
 // TestHostileBitmaps: a bitmap section that does not hold its entries'
 // keys at its width is refused — read from a stream and in place, each
-// with its own message, the content tier's verdict the reference's — and
-// its valid form is accepted at its width.
+// with its own message, the content tier's verdict the reference's.
 func TestHostileBitmaps(t *testing.T) {
 	for _, s := range bitmapSeeds() {
 		for how, src := range map[string]func() *binio.Reader{
 			"stream":   func() *binio.Reader { return binio.NewReader(bytes.NewReader(s.data)) },
 			"in place": func() *binio.Reader { return binio.NewReader(binio.NewSource(s.data)) },
 		} {
-			f, err := ReadFrozen(src(), s.maxID)
-			if err == nil {
-				err = f.validateContent(s.width)
-			}
-			if err == nil || !strings.HasSuffix(err.Error(), s.want) {
+			if _, err := ReadFrozen(src(), s.maxID); err == nil || !strings.HasSuffix(err.Error(), s.want) {
 				t.Errorf("%s, %s: reading it says %v, want %q", s.name, how, err, s.want)
 			}
 		}
-		sameVerdict(t, s.data, s.maxID, s.width, s.name)
+		sameVerdict(t, s.data, s.maxID, s.name)
 	}
 }
 
-// bucketOrderSeeds are sections whose keys are not in hash order, each
-// with the id bound it is read against and what reading it must say: a
-// section in plain lexicographic order, as the format before buckets
-// wrote it; a key moved behind the first key of the next bucket that has
-// one; and the first two keys of a bucket swapped.
-func bucketOrderSeeds() []struct {
+// hostileSeeds are hashed sections whose directory or stored keys do not
+// find the keys where the lookups look for them, each with the id bound
+// it is read against and what reading it must say: a directory that
+// descends, one whose first offset is not 0 and one whose last is not
+// the key count; a remainder with a bit at or past the remainder's
+// width; two equal remainders in one bucket; and a header width whose
+// keys pack to other bytes than the section's, which the structural tier
+// refuses at open.
+func hostileSeeds() []struct {
 	name, want string
 	data       []byte
 	maxID      int32
@@ -888,52 +930,59 @@ func bucketOrderSeeds() []struct {
 	for i := range rows {
 		rows[i] = uint64(i%30) * 7
 	}
-	f := FreezeRows(len(rows), 1, 13, rows)
-	post := map[string][]int32{}
-	var keys []string // in hash order
-	for e := range f.NumKeys() {
-		keys = append(keys, string(f.key(e)))
-		post[keys[e]] = f.appendList(e, nil)
+	built := FreezeRows(len(rows), 1, 13, rows)
+	if built.bitmap || built.dir16 == nil || built.remLen != 2 {
+		panic("invindex: the hostile seeds want 13-bit keys in the quotient layout, 2-byte remainders")
 	}
-	dir, _ := dirTable(f)
-	section := func(order []string) []byte { return frozenBytes(layOut(f.keyLen, order, post)) }
-	// The first bucket of two keys or more, the first holding a key, and
-	// the next after that holding one.
-	wide, from, to := -1, -1, -1
+	dir := built.dir16
+	// The first bucket of two keys or more, and the first offset after one
+	// above 0, which can be taken below it.
+	wide, step := -1, -1
 	for b := range len(dir) - 1 {
-		held := dir[b+1] - dir[b]
-		if held >= 2 && wide < 0 {
+		if dir[b+1]-dir[b] >= 2 && wide < 0 {
 			wide = b
 		}
-		if held > 0 && from >= 0 && to < 0 {
-			to = b
-		}
-		if held > 0 && from < 0 {
-			from = b
+		if b > 0 && dir[b-1] > 0 && step < 0 {
+			step = b
 		}
 	}
-	moved := slices.Clone(keys)
-	moved = slices.Insert(slices.Delete(moved, int(dir[from]), int(dir[from])+1), int(dir[to]), keys[dir[from]])
-	swapped := slices.Clone(keys)
-	swapped[dir[wide]], swapped[dir[wide]+1] = swapped[dir[wide]+1], swapped[dir[wide]]
+	section := func(edit func(f *Frozen)) []byte {
+		f := readUnvalidated(frozenBytes(built), 40)
+		f.dir16 = slices.Clone(f.dir16)
+		f.keyArena = slices.Clone(f.keyArena)
+		edit(f)
+		return frozenBytes(f)
+	}
+	r := 13 - bucketBits(30)
+	width := frozenBytes(built)
+	binary.LittleEndian.PutUint64(width[2*8:], 17) // 17-bit keys pack to 3 bytes
 	return []struct {
 		name, want string
 		data       []byte
 		maxID      int32
 	}{
-		{"keys in plain lexicographic order", "frozen keys are in plain lexicographic order, not in hash order", section(slices.Sorted(slices.Values(keys))), 40},
-		{"a key moved into the next bucket", fmt.Sprintf("frozen key %d hashes to bucket %d, behind a key of bucket %d", dir[to], from, to), section(moved), 40},
-		{"two keys of a bucket out of order", fmt.Sprintf("frozen keys not in strict hash order at entry %d, in bucket %d", dir[wide]+1, wide), section(swapped), 40},
+		{"a directory that descends", fmt.Sprintf("bucket directory offset %d is %d, below offset %d's %d", step, dir[step-1]-1, step-1, dir[step-1]),
+			section(func(f *Frozen) { f.dir16[step] = dir[step-1] - 1 }), 40},
+		{"a first offset that is not 0", "bucket directory offset 0 is 1, not 0", section(func(f *Frozen) { f.dir16[0] = 1 }), 40},
+		{"a last offset that is not the key count", "bucket directory ends at 31, the section holds 30 keys",
+			section(func(f *Frozen) { f.dir16[len(dir)-1] = 31 }), 40},
+		{"a remainder bit at its width", fmt.Sprintf("key 5's remainder has bits set at or past bit %d", r),
+			section(func(f *Frozen) { f.keyArena[2*5+r/8] |= 1 << (r % 8) }), 40},
+		{"two equal remainders in one bucket", fmt.Sprintf("frozen keys not in strict hash order at entry %d, in bucket %d", dir[wide]+1, wide),
+			section(func(f *Frozen) { copy(f.keyArena[2*(dir[wide]+1):], f.keyArena[2*dir[wide]:2*dir[wide]+2]) }), 40},
+		{"a header width whose keys pack to other bytes", "keys of 2 bytes in a section of 17-bit keys, which pack to 3", width, 40},
 	}
 }
 
 // TestLookupsBeforeValidate: a section read without its content tier
-// builds its directory at its first lookup, whatever Validate would say.
-// Every lookup form — PostingLenWord, PostingLenBytes, LookupKey,
-// LookupWords and CollectWord — answers a read copy of a built index as
-// the build does before Validate has run, and, over the sections whose
-// keys are out of hash order, stays inside the arenas: a key may go
-// unfound, and nothing panics.
+// answers every lookup from the arrays it was read with, whatever
+// Validate would say. Every lookup form — PostingLenWord,
+// PostingLenBytes, LookupKey, LookupWords and CollectWord — answers a
+// read copy of a built index as the build does before Validate has run,
+// and, over the hostile sections the structural tier lets through, stays
+// inside the arrays, as the histogram does (threshold allocation may
+// estimate before the content tier has run): a key may go unfound, or
+// found under another's entry, and nothing panics.
 func TestLookupsBeforeValidate(t *testing.T) {
 	rows := make([]uint64, 300)
 	for i := range rows {
@@ -941,21 +990,16 @@ func TestLookupsBeforeValidate(t *testing.T) {
 	}
 	built := FreezeRows(len(rows), 1, 30, rows)
 	sections := [][]byte{frozenBytes(built)}
-	for _, s := range bucketOrderSeeds() {
+	for _, s := range append(hostileSeeds(), bitmapSeeds()...) {
 		sections = append(sections, s.data)
 	}
 	for i, data := range sections {
 		f := readUnvalidated(data, math.MaxInt32)
 		if f == nil {
-			t.Fatalf("section %d: the structural tier rejects it", i)
+			continue // refused at open
 		}
-		var words []uint64
-		for e := range f.NumKeys() {
-			var w [8]byte
-			copy(w[:], f.key(e))
-			words = append(words, binary.LittleEndian.Uint64(w[:]))
-		}
-		words = append(words, f.keyMask()) // every key bit set: held by no section
+		words := keyWords(f)
+		words = append(words, wordMask(f.width), 1<<f.width) // every key bit set, and a bit past the width
 		fs := slices.Repeat([]*Frozen{f}, len(words))
 		entries, counts := make([]int32, len(words)), make([]uint32, len(words))
 		LookupWords(fs, words, entries, counts)
@@ -963,7 +1007,7 @@ func TestLookupsBeforeValidate(t *testing.T) {
 		for j, w := range words {
 			key := binary.LittleEndian.AppendUint64(nil, w)[:f.KeyLen()]
 			e, n := f.LookupKey([]uint64{w}, &buf), f.PostingLenWord(w)
-			if int(entries[j]) != e || int(counts[j]) != n || f.PostingLenBytes(key) != n {
+			if int(entries[j]) != e || int(counts[j]) != n || f.PostingLenBytes(key) != n && w>>f.width == 0 {
 				t.Fatalf("section %d, key %#x: LookupWords %d/%d, LookupKey %d, PostingLenWord %d, PostingLenBytes %d",
 					i, w, entries[j], counts[j], e, n, f.PostingLenBytes(key))
 			}
@@ -975,16 +1019,17 @@ func TestLookupsBeforeValidate(t *testing.T) {
 				t.Fatalf("key %#x: %d postings read back before Validate, %d built", w, n, built.PostingLenWord(w))
 			}
 		}
+		hist := make([]int64, 65)
+		f.Histogram([]uint64{words[0]}, hist)
 	}
 }
 
-// TestHostileBucketOrder: a section whose keys are not in hash order —
-// not grouped by bucket in ascending order, or not sorted inside a
-// bucket — is refused: read
-// from a stream and in place, each with its own message, the content
-// tier's verdict the reference's.
-func TestHostileBucketOrder(t *testing.T) {
-	for _, s := range bucketOrderSeeds() {
+// TestHostileSections: a hashed section whose directory or stored keys
+// would send a lookup where the key is not is refused — read from a
+// stream and in place, each with its own message, the content tier's
+// verdict the reference's.
+func TestHostileSections(t *testing.T) {
+	for _, s := range hostileSeeds() {
 		for how, src := range map[string]func() *binio.Reader{
 			"stream":   func() *binio.Reader { return binio.NewReader(bytes.NewReader(s.data)) },
 			"in place": func() *binio.Reader { return binio.NewReader(binio.NewSource(s.data)) },
@@ -993,6 +1038,6 @@ func TestHostileBucketOrder(t *testing.T) {
 				t.Errorf("%s, %s: ReadFrozen says %v, want %q", s.name, how, err, s.want)
 			}
 		}
-		sameVerdict(t, s.data, s.maxID, 13, s.name)
+		sameVerdict(t, s.data, s.maxID, s.name)
 	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -66,8 +67,8 @@ func SurrogateWorkload(data []bitvec.Vector, size int, tauRange []int, seed int6
 type RefineConfig struct {
 	// MaxMoves caps accepted moves; 0 means 2·n.
 	MaxMoves int
-	// MaxEvals caps move *evaluations* (each one freezes the sample's
-	// projection onto the two partitions it changes), bounding build latency
+	// MaxEvals caps move *evaluations* (each one projects the sample onto
+	// the two partitions it changes), bounding build latency
 	// deterministically; 0 means 2500. BestImprovement ignores it.
 	MaxEvals int
 	// TargetsPerDim bounds, per first-improvement scan, how many target
@@ -196,10 +197,10 @@ func WorkloadCost(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudg
 	return r.totalCost()
 }
 
-// refiner caches each partition's inverted index over the sample — the
-// index a build freezes, so CN rows come from the histogram pass queries
-// use — and per-(query, partition) CN rows, so that evaluating a move
-// only recomputes the two partitions it touches.
+// refiner caches each partition's projection of the sample — CN(q, e)
+// over the sample is the number of its rows within e of q's projection,
+// one histogram pass over them — and per-(query, partition) CN rows, so
+// that evaluating a move only recomputes the two partitions it touches.
 type refiner struct {
 	sample     []bitvec.Vector
 	wl         Workload
@@ -207,7 +208,7 @@ type refiner struct {
 	enumBudget int64
 	scale      float64 // full-collection rows per sample row
 	parts      [][]int
-	inv        []*invindex.Frozen
+	rows       [][]uint64    // each partition's sample projection, ProjectRows' words
 	cn         [][][]int64   // [query][part] → CN row, scaled to full size
 	home       []int         // dimension → partition
 	dp         alloc.Scratch // reused DP grids: hill climbing allocates per candidate move otherwise
@@ -228,9 +229,9 @@ func newRefiner(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudget
 		parts:      p.Parts,
 		home:       make([]int, p.Dims),
 	}
-	r.inv = make([]*invindex.Frozen, len(r.parts))
+	r.rows = make([][]uint64, len(r.parts))
 	for i, part := range r.parts {
-		r.inv[i] = r.freeze(part)
+		r.rows[i] = r.project(part)
 		for _, d := range part {
 			r.home[d] = i
 		}
@@ -240,32 +241,52 @@ func newRefiner(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudget
 		r.cn[qi] = make([][]int64, len(r.parts))
 		for i, part := range r.parts {
 			r.cn[qi][i] = make([]int64, r.maxTau+2)
-			r.cnRow(r.inv[i], part, q, r.cn[qi][i])
+			r.cnRow(r.rows[i], part, q, r.cn[qi][i])
 		}
 	}
 	return r
 }
 
-// freeze builds the inverted index of the sample projected onto part.
-func (r *refiner) freeze(part []int) *invindex.Frozen {
-	return invindex.FreezeRows(len(r.sample), 1, len(part), invindex.ProjectRows(r.sample, part))
-}
+// project returns the sample projected onto part, ⌈len(part)/64⌉ words
+// a row.
+func (r *refiner) project(part []int) []uint64 { return invindex.ProjectRows(r.sample, part) }
 
-// cnRow fills row with q's CN row on partition part, whose index over
-// the sample is inv — row[e+1] = CN(q, e) for e ∈ [−1, maxTau] — scaled
-// to the full collection.
-func (r *refiner) cnRow(inv *invindex.Frozen, part []int, q bitvec.Vector, row []int64) {
+// cnRow fills row with q's CN row on partition part, onto which the
+// sample projects to rows — row[e+1] = CN(q, e) for e ∈ [−1, maxTau] —
+// scaled to the full collection.
+func (r *refiner) cnRow(rows []uint64, part []int, q bitvec.Vector, row []int64) {
 	proj := q.Project(part).Words()
 	bins := 64*len(proj) + 1 // every distance the words can produce
 	r.hist = slices.Grow(r.hist[:0], bins)[:bins]
 	clear(r.hist)
-	inv.Histogram(proj, r.hist)
+	histRows(rows, proj, len(r.sample), r.hist)
 	alloc.Cumulate(r.hist, row)
 	if r.scale == 1 {
 		return
 	}
 	for i, v := range row {
 		row[i] = int64(float64(v)*r.scale + 0.5)
+	}
+}
+
+// histRows adds to hist[d] the n rows of rows, len(q) words each, that
+// lie at Hamming distance d from q: a row of no words at distance 0.
+func histRows(rows, q []uint64, n int, hist []int64) {
+	switch len(q) {
+	case 0:
+		hist[0] += int64(n)
+	case 1:
+		for _, w := range rows {
+			hist[bits.OnesCount64(w^q[0])]++
+		}
+	default:
+		for at := 0; at < len(rows); at += len(q) {
+			d := 0
+			for j, w := range q {
+				d += bits.OnesCount64(rows[at+j] ^ w)
+			}
+			hist[d]++
+		}
 	}
 }
 
@@ -306,7 +327,7 @@ func (r *refiner) totalCost() int64 {
 func (r *refiner) tryMove(d, i, j int) int64 {
 	newPi := without(r.parts[i], d)
 	newPj := append(append([]int(nil), r.parts[j]...), d)
-	invI, invJ := r.freeze(newPi), r.freeze(newPj)
+	rowsI, rowsJ := r.project(newPi), r.project(newPj)
 
 	widths := r.widths()
 	widths[i] = len(newPi)
@@ -315,8 +336,8 @@ func (r *refiner) tryMove(d, i, j int) int64 {
 	rowI := make([]int64, r.maxTau+2)
 	rowJ := make([]int64, r.maxTau+2)
 	for qi, q := range r.wl.Queries {
-		r.cnRow(invI, newPi, q, rowI)
-		r.cnRow(invJ, newPj, q, rowJ)
+		r.cnRow(rowsI, newPi, q, rowI)
+		r.cnRow(rowsJ, newPj, q, rowJ)
 		savedI, savedJ := r.cn[qi][i], r.cn[qi][j]
 		r.cn[qi][i], r.cn[qi][j] = rowI, rowJ
 		res := alloc.AllocateScratch(alloc.Table(r.cn[qi]), alloc.Params{
@@ -333,12 +354,12 @@ func (r *refiner) applyMove(d, i, j int) int64 {
 	r.parts[i] = without(r.parts[i], d)
 	r.parts[j] = append(r.parts[j], d)
 	r.home[d] = j
-	r.inv[i], r.inv[j] = r.freeze(r.parts[i]), r.freeze(r.parts[j])
+	r.rows[i], r.rows[j] = r.project(r.parts[i]), r.project(r.parts[j])
 	for qi, q := range r.wl.Queries {
 		r.cn[qi][i] = make([]int64, r.maxTau+2)
 		r.cn[qi][j] = make([]int64, r.maxTau+2)
-		r.cnRow(r.inv[i], r.parts[i], q, r.cn[qi][i])
-		r.cnRow(r.inv[j], r.parts[j], q, r.cn[qi][j])
+		r.cnRow(r.rows[i], r.parts[i], q, r.cn[qi][i])
+		r.cnRow(r.rows[j], r.parts[j], q, r.cn[qi][j])
 	}
 	return r.totalCost()
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -679,13 +680,31 @@ func TestOpenFileAdoptsEngineFile(t *testing.T) {
 	}
 }
 
+// lookupArrays returns where the directory or rank array of each of a
+// GPH index's partitions starts: what a lookup reads to find a key's
+// entry, written with the index and read, like its arenas, in place.
+func lookupArrays(ix *core.Index) []uintptr {
+	var at []uintptr
+	inv := reflect.ValueOf(ix).Elem().FieldByName("inv")
+	for p := range inv.Len() {
+		f := inv.Index(p).Elem()
+		for _, name := range []string{"dir16", "dir32"} {
+			if dir := f.FieldByName(name); dir.Len() > 0 {
+				at = append(at, dir.Pointer())
+			}
+		}
+	}
+	return at
+}
+
 // TestMappedOpenBorrows is the zero-copy gate of the mapped opens. Every
 // registered engine's file, and a container of two GPH shards, opened
 // over a mapping serves its vectors from the mapping's bytes. GPH's own
 // file opens in the same bytes at n and at 4n rows, and the container in
 // the same bytes but for its id → shard map: a decode that copied any
-// arena allocates in proportion to n. Either failure leaves every answer
-// right, so no other test would see it. (The baselines rebuild their
+// arena allocates in proportion to n; and its vectors, and each
+// partition's bucket directory or rank array, lie in the mapping. Either
+// failure leaves every answer right, so no other test would see it. (The baselines rebuild their
 // inverted indexes from the mapped vectors at open, so their opens grow
 // with n by design; the test logs by how much.)
 func TestMappedOpenBorrows(t *testing.T) {
@@ -768,9 +787,17 @@ func TestMappedOpenBorrows(t *testing.T) {
 				mapped := s.mapping.Data()
 				base := uintptr(unsafe.Pointer(unsafe.SliceData(mapped)))
 				for i := range s.shards {
-					w := s.shards[i].Load().built.Vector(0).Words()
+					built := s.shards[i].Load().built
+					w := built.Vector(0).Words()
 					if uintptr(unsafe.Pointer(&w[0]))-base >= uintptr(len(mapped)) {
 						t.Errorf("%d rows: shard %d's vector 0 is not in the mapping: a copy", rows, i)
+					}
+					if ix, ok := built.(*core.Index); ok {
+						for _, at := range lookupArrays(ix) {
+							if at-base >= uintptr(len(mapped)) {
+								t.Errorf("%d rows: shard %d has a bucket directory or rank array that is not in the mapping: a copy", rows, i)
+							}
+						}
 					}
 				}
 				if err := s.Close(); err != nil {
