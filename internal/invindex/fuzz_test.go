@@ -98,6 +98,11 @@ func FuzzReadFrozen(f *testing.F) {
 	for _, s := range bitmapSeeds() {
 		f.Add(s.data, s.maxID)
 	}
+	// Keys out of order inside a bucket, in both layouts, and a key in a
+	// bucket its hash does not name.
+	for _, s := range bucketOrderSeeds() {
+		f.Add(s.data, s.maxID)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, maxID int32) {
 		// The content tier against its reference.

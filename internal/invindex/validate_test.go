@@ -1041,3 +1041,104 @@ func TestHostileSections(t *testing.T) {
 		sameVerdict(t, s.data, s.maxID, s.name)
 	}
 }
+
+// bucketOrderSeeds are sections whose keys are not in hash order, each
+// with the id bound it is read against and what reading it must say: in
+// the quotient layout (13-bit keys), the remainders of a bucket's first
+// two keys swapped; in the byte layout (70-bit keys), a key moved
+// behind the first key of the next bucket that has one, and a bucket's
+// first two keys swapped. The directory is the build's in each.
+func bucketOrderSeeds() []struct {
+	name, want string
+	data       []byte
+	maxID      int32
+} {
+	// ids i and i + 30 share key i: 30 keys, ten lists of two; the
+	// 70-bit keys hold 7i in their low word and i in their high bits.
+	narrow, wideRows := make([]uint64, 40), make([]uint64, 80)
+	for i := range narrow {
+		narrow[i] = uint64(i%30) * 7
+		wideRows[2*i], wideRows[2*i+1] = uint64(i%30)*7, uint64(i%30)
+	}
+	quot, byKeys := FreezeRows(len(narrow), 1, 13, narrow), FreezeRows(len(narrow), 1, 70, wideRows)
+	if quot.bitmap || !quot.quotient() || byKeys.quotient() || byKeys.keyLen != 16 {
+		panic("invindex: the bucket order seeds want 13-bit keys in the quotient layout and 70-bit keys in the byte layout")
+	}
+	// The first bucket of two keys or more, the first holding a key, and
+	// the next after that holding one.
+	buckets := func(f *Frozen) (wide, from, to int) {
+		dir, _ := dirTable(f)
+		wide, from, to = -1, -1, -1
+		for b := range len(dir) - 1 {
+			held := dir[b+1] - dir[b]
+			if held >= 2 && wide < 0 {
+				wide = b
+			}
+			if held > 0 && from >= 0 && to < 0 {
+				to = b
+			}
+			if held > 0 && from < 0 {
+				from = b
+			}
+		}
+		return wide, from, to
+	}
+	// section is f's bytes with its stored keys, each n bytes, put in the
+	// order order gives: entry e holds the key entry order(e) held.
+	section := func(f *Frozen, n int, order func(keys [][]byte) [][]byte) []byte {
+		g := readUnvalidated(frozenBytes(f), 40)
+		var keys [][]byte
+		for e := range g.NumKeys() {
+			keys = append(keys, slices.Clone(g.keyArena[n*e:n*(e+1)]))
+		}
+		g.keyArena = slices.Clone(g.keyArena)
+		copy(g.keyArena, slices.Concat(order(keys)...))
+		return frozenBytes(g)
+	}
+	swap := func(e int) func(keys [][]byte) [][]byte {
+		return func(keys [][]byte) [][]byte {
+			keys[e], keys[e+1] = keys[e+1], keys[e]
+			return keys
+		}
+	}
+	qDir, _ := dirTable(quot)
+	qWide, _, _ := buckets(quot)
+	bDir, _ := dirTable(byKeys)
+	bWide, from, to := buckets(byKeys)
+	moved := func(keys [][]byte) [][]byte {
+		k := keys[bDir[from]]
+		return slices.Insert(slices.Delete(keys, int(bDir[from]), int(bDir[from])+1), int(bDir[to]), k)
+	}
+	return []struct {
+		name, want string
+		data       []byte
+		maxID      int32
+	}{
+		{"two remainders of a bucket out of order", fmt.Sprintf("frozen keys not in strict hash order at entry %d, in bucket %d", qDir[qWide]+1, qWide),
+			section(quot, quot.remLen, swap(int(qDir[qWide]))), 40},
+		// The keys behind the moved one each step back an entry, so the
+		// first key of bucket to ends bucket from, the moved key behind it.
+		{"a key moved into the next bucket", fmt.Sprintf("frozen key %d hashes to bucket %d, the directory puts it in bucket %d", bDir[to]-1, to, from),
+			section(byKeys, 16, moved), 40},
+		{"two keys of a bucket out of order", fmt.Sprintf("frozen keys not in strict hash order at entry %d, in bucket %d", bDir[bWide]+1, bWide),
+			section(byKeys, 16, swap(int(bDir[bWide]))), 40},
+	}
+}
+
+// TestHostileBucketOrder: a section whose keys are not in hash order —
+// not in the bucket the directory puts them in, or not in order inside
+// a bucket — is refused: read from a stream and in place, each with its
+// own message, the content tier's verdict the reference's.
+func TestHostileBucketOrder(t *testing.T) {
+	for _, s := range bucketOrderSeeds() {
+		for how, src := range map[string]func() *binio.Reader{
+			"stream":   func() *binio.Reader { return binio.NewReader(bytes.NewReader(s.data)) },
+			"in place": func() *binio.Reader { return binio.NewReader(binio.NewSource(s.data)) },
+		} {
+			if _, err := ReadFrozen(src(), s.maxID); err == nil || !strings.HasSuffix(err.Error(), s.want) {
+				t.Errorf("%s, %s: ReadFrozen says %v, want %q", s.name, how, err, s.want)
+			}
+		}
+		sameVerdict(t, s.data, s.maxID, s.name)
+	}
+}
