@@ -118,8 +118,7 @@ const (
 // internal failure; match with errors.Is.
 var ErrInvalidQuery = core.ErrInvalidQuery
 
-// Build constructs a GPH index over data. The slice is retained;
-// callers must not mutate the vectors afterwards.
+// Build constructs a GPH index over a packed copy of data.
 func Build(data []Vector, opts Options) (*Index, error) { return core.Build(data, opts) }
 
 // Load reads an index previously written with Index.Save, validated in
@@ -171,8 +170,7 @@ var ErrNotFound = shard.ErrNotFound
 // BuildSharded constructs a ShardedIndex over data with numShards
 // hash-partitioned shards, assigning global ids 0..len(data)-1. The
 // per-shard builds run on a worker pool bounded by
-// opts.BuildParallelism. The slice is retained; callers must not
-// mutate the vectors afterwards.
+// opts.BuildParallelism. Every shard keeps a packed copy of its rows.
 func BuildSharded(data []Vector, numShards int, opts Options) (*ShardedIndex, error) {
 	return shard.Build(data, numShards, opts)
 }
@@ -265,8 +263,7 @@ var (
 func Engines() []EngineInfo { return engine.Infos() }
 
 // BuildEngine constructs the named engine ("gph", "mih", "hmsearch",
-// "partalloc", "linscan", "lsh") over data. The slice is retained;
-// callers must not mutate the vectors afterwards.
+// "partalloc", "linscan", "lsh") over a packed copy of data.
 func BuildEngine(name string, data []Vector, opts EngineOptions) (Engine, error) {
 	return engine.Build(name, data, opts)
 }

@@ -59,31 +59,13 @@ func FromWords(n int, words []uint64) Vector {
 	return v
 }
 
-// FromWordsShared builds an n-dimensional vector over words without
-// writing to them — unlike FromWords it validates instead of masking,
-// so it is safe over read-only storage (a PROT_READ file mapping,
-// where maskTail's defensive write would fault). A wrong word count or
-// set bits at positions ≥ n return an error; persisted vectors are
-// written pre-masked, so a failure here means the file is corrupt.
-func FromWordsShared(n int, words []uint64) (Vector, error) {
-	if n < 0 || len(words) != wordsFor(n) {
-		return Vector{}, fmt.Errorf("bitvec: %d words for %d dims, want %d", len(words), n, wordsFor(n))
-	}
-	if n%WordBits != 0 && len(words) > 0 {
-		if tail := words[len(words)-1] &^ ((uint64(1) << uint(n%WordBits)) - 1); tail != 0 {
-			return Vector{}, fmt.Errorf("bitvec: bits set beyond dimension %d (tail word %#x)", n, words[len(words)-1])
-		}
-	}
-	return Vector{n: n, words: words}, nil
-}
-
-// FromWordsSharedUnchecked is FromWordsShared without the tail-bit
-// read: it builds the view from length arithmetic alone, touching no
-// word. Deferred-validation loaders use it to carve millions of views
-// out of a file mapping without faulting every page in at open time;
-// they must call CheckTail on each view (or otherwise prove the
-// invariant) before trusting distance results. A wrong word count is
-// a programming error, not corruption, and panics.
+// FromWordsSharedUnchecked builds an n-dimensional vector over words
+// without writing to them or reading them: the view is made from length
+// arithmetic alone, so it is safe over read-only storage (a PROT_READ
+// file mapping, where FromWords' tail mask would fault) and carving
+// millions of views faults no page in. Bits at positions ≥ n are the
+// caller's to prove zero (CheckTail) before it trusts a distance. A
+// wrong word count is a programming error, not corruption, and panics.
 func FromWordsSharedUnchecked(n int, words []uint64) Vector {
 	if len(words) != wordsFor(n) {
 		panic(fmt.Sprintf("bitvec: %d words for %d dims, want %d", len(words), n, wordsFor(n)))
@@ -93,9 +75,7 @@ func FromWordsSharedUnchecked(n int, words []uint64) Vector {
 
 // CheckTail validates the invariant every constructor except
 // FromWordsSharedUnchecked establishes: bits at positions ≥ n are
-// zero. It is the deferred half of FromWordsShared's validation —
-// run it before the first distance computation over an unchecked view
-// (set tail bits would be counted by Hamming).
+// zero (set tail bits would be counted by Hamming).
 func (v Vector) CheckTail() error {
 	if v.n%WordBits != 0 && len(v.words) > 0 {
 		if tail := v.words[len(v.words)-1] &^ ((uint64(1) << uint(v.n%WordBits)) - 1); tail != 0 {

@@ -234,10 +234,10 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 // TestPersistRoundTripOptions: an option is carried by Save or declared
-// not carried, by construction. Every field of Options (nested Refine
-// included) is set non-zero and the built index round-tripped; the fields
-// Load does not hand back are exactly the list below — what only a build
-// reads, and what only the sharded layer does. A new field with no
+// not carried, by construction. Every field of Options is set non-zero
+// and the built index round-tripped; the fields Load does not hand back
+// are exactly the list below — what only a build reads, and what only
+// the sharded layer does. A new field with no
 // decision fails here, the way GPHIX01 dropped Init and Allocator (a
 // round-tripped AllocRR index answered with the DP) and no format ever
 // carried the learned estimators' configuration.
@@ -256,9 +256,8 @@ func TestPersistRoundTripOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	notCarried := []string{
-		"NoRefine", "Refine.MaxMoves", "Refine.MaxEvals", "Refine.TargetsPerDim", "Refine.BestImprovement",
-		"Refine.EnumBudget", "Refine.TotalRows", "Refine.Seed", "Workload", "WorkloadSize", "SampleSize",
-		"BuildParallelism", "WALPath", "AutoCompactDelta", "CacheBytes",
+		"NoRefine", "Workload", "WorkloadSize", "SampleSize", "BuildParallelism", "WALPath",
+		"AutoCompactDelta", "CacheBytes",
 	}
 	if lost := enginetest.FieldsThatDiffer(loaded.Options(), ix.Options()); !slices.Equal(lost, notCarried) {
 		t.Fatalf("options Load did not hand back:\n     %v\nwant %v\npersist a new field in saveOptions or declare it here", lost, notCarried)

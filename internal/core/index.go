@@ -108,7 +108,7 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	ix.inv = make([]*invindex.Frozen, parts.NumParts())
 	err = ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
 		dimsI := parts.Parts[i]
-		ix.inv[i] = invindex.FreezeRows(len(data), 1, len(dimsI), invindex.ProjectRows(data, dimsI))
+		ix.inv[i] = invindex.FreezeRows(ix.count, 1, len(dimsI), invindex.ProjectRows(ix.codes, dimsI))
 		return nil
 	})
 	if err != nil {
@@ -206,16 +206,7 @@ func buildPartitioning(sample []bitvec.Vector, dims, totalRows int, opts Options
 		return nil, fmt.Errorf("core: unknown init kind %v", opts.Init)
 	}
 	if !opts.NoRefine {
-		cfg := opts.Refine
-		if cfg.EnumBudget == 0 {
-			cfg.EnumBudget = opts.EnumBudget
-		}
-		if cfg.Seed == 0 {
-			cfg.Seed = opts.Seed
-		}
-		if cfg.TotalRows == 0 {
-			cfg.TotalRows = totalRows
-		}
+		cfg := partition.RefineConfig{EnumBudget: opts.EnumBudget, TotalRows: totalRows, Seed: opts.Seed}
 		p, _ = partition.Refine(p, sample, wl, cfg)
 	}
 	// Each key is the same set of bits in any order, so the order is

@@ -90,8 +90,6 @@ type Options struct {
 	// NoRefine disables Algorithm 2 hill climbing (the rearrangement
 	// baselines OR/OS/DD/RS are complete methods without it).
 	NoRefine bool
-	// Refine tunes Algorithm 2 when refinement is enabled.
-	Refine partition.RefineConfig
 	// Allocator selects the threshold-allocation policy (default
 	// AllocDP, the paper's Algorithm 1).
 	Allocator AllocatorKind

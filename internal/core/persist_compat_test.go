@@ -321,8 +321,8 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 		defer func() { ix.inv[p] = inv }()
 		return savedBytes(t, ix)
 	}
-	wider := refreeze(odd, widths[odd]+1, invindex.ProjectRows(data, ix.parts.Parts[odd]))
-	rows := invindex.ProjectRows(data, ix.parts.Parts[narrow])
+	wider := refreeze(odd, widths[odd]+1, invindex.ProjectRows(ix.codes, ix.parts.Parts[odd]))
+	rows := invindex.ProjectRows(ix.codes, ix.parts.Parts[narrow])
 	rows[len(rows)-1] |= 1 << widths[narrow]
 	padKey := refreeze(narrow, widths[narrow], rows)
 	for _, c := range []struct {

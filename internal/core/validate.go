@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"gph/internal/bitvec"
-)
+import "fmt"
 
 // Validate runs the content tier of load validation now — posting-list
 // varint framing and id ranges, key order, key and vector tail bits —
@@ -59,23 +55,11 @@ func (ix *Index) runDeepValidation() {
 func (ix *Index) deepValidate() error {
 	return ForEach(0, len(ix.inv)+1, func(i int) error {
 		if i == 0 {
-			return ix.checkTails()
+			if err := ix.codes.CheckTails(); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			return nil
 		}
 		return validatePartition(ix.inv[i-1], i-1)
 	})
-}
-
-// checkTails rejects a row with bits set past dims, which every distance
-// to it would count. It reads the last word of each row, and nothing
-// when dims is a whole number of words: such a row has no bits past it.
-func (ix *Index) checkTails() error {
-	if ix.dims%bitvec.WordBits == 0 {
-		return nil
-	}
-	for id := range ix.count {
-		if err := ix.codes.Row(int32(id)).CheckTail(); err != nil {
-			return fmt.Errorf("core: vector %d corrupt: %w", id, err)
-		}
-	}
-	return nil
 }

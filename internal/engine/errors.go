@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gph/internal/bitvec"
+	"gph/internal/partition"
 )
 
 // ErrInvalidQuery marks search errors caused by the caller's query
@@ -51,6 +52,19 @@ func CheckBuild(data []bitvec.Vector) (dims int, err error) {
 func CheckBuildTau(tau int) error {
 	if tau < 0 {
 		return fmt.Errorf("build τ=%d is negative: %w", tau, ErrTauExceedsBuild)
+	}
+	return nil
+}
+
+// CheckArrangement validates the arrangement a partition-based engine
+// is built under, for rows of dims dimensions: every dimension covered
+// exactly once.
+func CheckArrangement(parts *partition.Partitioning, dims int) error {
+	if err := parts.Validate(); err != nil {
+		return fmt.Errorf("invalid arrangement: %w", err)
+	}
+	if parts.Dims != dims {
+		return fmt.Errorf("arrangement covers %d dims, the rows have %d", parts.Dims, dims)
 	}
 	return nil
 }

@@ -4,78 +4,59 @@ import (
 	"fmt"
 
 	"gph/internal/binio"
-	"gph/internal/bitvec"
 	"gph/internal/partition"
 	"gph/internal/verify"
 )
 
 // The persistence helpers below are the shared halves of every
-// baseline engine's Save/Load: the vector collection and (for
-// partition-based engines) the dimension arrangement. Each engine's
-// own codec writes its magic and scalar options around them and
-// rebuilds its derived structures (inverted indexes, hash tables)
-// deterministically on load, which keeps the baseline formats small —
-// only GPH persists posting lists, because only GPH's structures are
-// expensive to rebuild.
+// baseline engine's Save/Load: the rows and (for partition-based
+// engines) the dimension arrangement. Each engine's own codec writes
+// its magic and scalar options around them and rebuilds its derived
+// structures (inverted indexes, hash tables) deterministically on load,
+// which keeps the baseline formats small — only GPH persists posting
+// lists, because only GPH's structures are expensive to rebuild.
 
-// WriteVectors writes dims, the collection size and every vector's
-// packed words.
-func WriteVectors(bw *binio.Writer, dims int, data []bitvec.Vector) {
-	bw.Int(dims)
-	bw.Int(len(data))
-	for _, v := range data {
-		for _, word := range v.Words() {
+// WriteCodes writes dims, the collection size and every row's packed
+// words: the bytes ReadCodes reads.
+func WriteCodes(bw *binio.Writer, codes *verify.Codes) {
+	bw.Int(codes.Dims())
+	bw.Int(codes.Len())
+	for id := range codes.Len() {
+		for _, word := range codes.Row(int32(id)).Words() {
 			bw.Uint64(word)
 		}
 	}
 }
 
-// ReadVectors reads a collection written by WriteVectors, validating
-// the header bounds before allocating.
-func ReadVectors(br *binio.Reader) (int, []bitvec.Vector, error) {
-	dims, data, _, err := ReadVectorsArena(br)
-	return dims, data, err
-}
-
-// ReadVectorsArena reads a collection written by WriteVectors as one
-// contiguous row-major arena: the returned vectors are views into it,
-// and the returned Codes wraps the same words, so engines that keep
-// both a []bitvec.Vector and a packed arena share a single copy — or
-// zero copies when br borrows from a file mapping. The arena is
-// read-only in borrow mode; every consumer of these vectors must treat
-// the words as immutable (they already must — Words is documented
-// read-only). Tail bits beyond dims are a validation error, not
-// something to mask: masking would write to mapped pages.
-func ReadVectorsArena(br *binio.Reader) (int, []bitvec.Vector, *verify.Codes, error) {
+// ReadCodes reads rows written by WriteCodes, validating the header
+// bounds before allocating. The rows are one row-major arena wrapped as
+// it was read — borrowed, when br borrows from a file mapping — and
+// nothing is made a row. Tail bits beyond dims are refused, not masked:
+// masking would write to mapped pages.
+func ReadCodes(br *binio.Reader) (*verify.Codes, error) {
 	dims := br.Int()
 	count := br.Int()
 	if err := br.Err(); err != nil {
-		return 0, nil, nil, fmt.Errorf("reading vector header: %w", err)
+		return nil, fmt.Errorf("reading vector header: %w", err)
 	}
 	if dims <= 0 || dims > 1<<20 {
-		return 0, nil, nil, fmt.Errorf("implausible dimension count %d", dims)
+		return nil, fmt.Errorf("implausible dimension count %d", dims)
 	}
 	if count <= 0 || count > binio.MaxSliceLen {
-		return 0, nil, nil, fmt.Errorf("implausible vector count %d", count)
+		return nil, fmt.Errorf("implausible vector count %d", count)
 	}
-	words := (dims + 63) / 64
-	arena := br.Uint64Raw(count*words, "vector arena")
+	arena := br.Uint64Raw(count*((dims+63)/64), "vector arena")
 	if err := br.Err(); err != nil {
-		return 0, nil, nil, fmt.Errorf("reading vector arena: %w", err)
-	}
-	data := make([]bitvec.Vector, count)
-	for i := range data {
-		v, err := bitvec.FromWordsShared(dims, arena[i*words:(i+1)*words])
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("vector %d corrupt: %w", i, err)
-		}
-		data[i] = v
+		return nil, fmt.Errorf("reading vector arena: %w", err)
 	}
 	codes, err := verify.Wrap(count, dims, arena)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
-	return dims, data, codes, nil
+	if err := codes.CheckTails(); err != nil {
+		return nil, err
+	}
+	return codes, nil
 }
 
 // WritePartitioning writes a dimension arrangement.
@@ -87,8 +68,8 @@ func WritePartitioning(bw *binio.Writer, p *partition.Partitioning) {
 	}
 }
 
-// ReadPartitioning reads an arrangement written by WritePartitioning
-// and validates it (every dimension covered exactly once).
+// ReadPartitioning reads an arrangement written by WritePartitioning.
+// The engine it is read for validates it (CheckArrangement).
 func ReadPartitioning(br *binio.Reader) (*partition.Partitioning, error) {
 	dims := br.Int()
 	numParts := br.Int()
@@ -107,9 +88,6 @@ func ReadPartitioning(br *binio.Reader) (*partition.Partitioning, error) {
 	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("reading partitioning: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("persisted partitioning corrupt: %w", err)
 	}
 	return p, nil
 }

@@ -122,7 +122,7 @@ func TestStreamMatchesSearchOnEveryRoute(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if d := q.Hamming(ix.data[nb.ID]); d != nb.Distance || d > tau {
+					if d := q.Hamming(ix.Vector(nb.ID)); d != nb.Distance || d > tau {
 						t.Fatalf("%s tau=%d: id %d streamed at distance %d, is at %d", ds.Name, tau, nb.ID, nb.Distance, d)
 					}
 					got = append(got, nb.ID)

@@ -51,10 +51,8 @@ type Options struct {
 
 // Index is an immutable HmSearch index built for a specific τ.
 type Index struct {
-	dims  int
 	tau   int
-	data  []bitvec.Vector
-	codes *verify.Codes // packed row-major copy of data for batch verification
+	codes *verify.Codes // the rows, the one copy of them
 	parts *partition.Partitioning
 	proj  *bitvec.Projector // binds a query to every partition at once
 	inv   []*invindex.Frozen
@@ -81,53 +79,50 @@ func NumPartitions(dims, tau int) int {
 	return m
 }
 
-// Build constructs the index for queries at threshold tau.
+// Build constructs the index over a packed copy of data for queries at
+// threshold tau.
 func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 	dims, err := engine.CheckBuild(data)
-	if err == nil {
-		err = engine.CheckBuildTau(tau)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("hmsearch: %w", err)
 	}
-	m := NumPartitions(dims, tau)
 	parts := opts.Arrangement
 	if parts == nil {
-		parts = partition.EquiWidth(dims, m)
+		parts = partition.EquiWidth(dims, NumPartitions(dims, tau))
 	}
-	if parts.NumParts() != m {
-		return nil, fmt.Errorf("hmsearch: arrangement has %d parts, τ=%d needs %d", parts.NumParts(), tau, m)
-	}
-	if err := parts.Validate(); err != nil {
-		return nil, fmt.Errorf("hmsearch: invalid arrangement: %w", err)
-	}
-	if parts.Dims != dims {
-		return nil, fmt.Errorf("hmsearch: arrangement covers %d dims, data has %d", parts.Dims, dims)
-	}
-	ix := &Index{dims: dims, tau: tau, data: data, codes: verify.Pack(data), parts: parts}
-	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
-	return ix, nil
+	return newIndex(verify.Pack(data), tau, parts)
 }
 
-// buildInverted constructs the per-partition deletion-variant
-// indexes, frozen into the compact arena layout; shared by Build and
-// Load.
-func buildInverted(data []bitvec.Vector, parts *partition.Partitioning) []*invindex.Frozen {
-	inv := make([]*invindex.Frozen, parts.NumParts())
-	for i, dimsI := range parts.Parts {
-		inv[i] = invindex.FreezeVariants(len(data), len(dimsI), invindex.ProjectRows(data, dimsI))
+// newIndex builds the index over codes, which it keeps, for threshold
+// tau under arrangement parts: the per-partition deletion-variant
+// indexes, frozen into the compact arena layout. Build and Load both
+// end here.
+func newIndex(codes *verify.Codes, tau int, parts *partition.Partitioning) (*Index, error) {
+	if err := engine.CheckBuildTau(tau); err != nil {
+		return nil, fmt.Errorf("hmsearch: %w", err)
 	}
-	return inv
+	if m := NumPartitions(codes.Dims(), tau); parts.NumParts() != m {
+		return nil, fmt.Errorf("hmsearch: arrangement has %d parts, τ=%d needs %d", parts.NumParts(), tau, m)
+	}
+	if err := engine.CheckArrangement(parts, codes.Dims()); err != nil {
+		return nil, fmt.Errorf("hmsearch: %w", err)
+	}
+	ix := &Index{tau: tau, codes: codes, parts: parts, proj: bitvec.NewProjector(codes.Dims(), parts.Parts)}
+	ix.inv = make([]*invindex.Frozen, parts.NumParts())
+	for i, dimsI := range parts.Parts {
+		ix.inv[i] = invindex.FreezeVariants(codes.Len(), len(dimsI), invindex.ProjectRows(codes, dimsI))
+	}
+	return ix, nil
 }
 
 // Tau returns the threshold the index was built for.
 func (ix *Index) Tau() int { return ix.tau }
 
 // Len returns the collection size.
-func (ix *Index) Len() int { return len(ix.data) }
+func (ix *Index) Len() int { return ix.codes.Len() }
 
 // Dims returns the dimensionality.
-func (ix *Index) Dims() int { return ix.dims }
+func (ix *Index) Dims() int { return ix.codes.Dims() }
 
 // Name returns the registry name "hmsearch".
 func (ix *Index) Name() string { return EngineName }
@@ -142,7 +137,7 @@ func (ix *Index) MaxTau() int { return ix.tau }
 
 // Vector returns the indexed vector with id ∈ [0, Len()). The vector
 // shares storage with the index and must not be modified.
-func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
+func (ix *Index) Vector(id int32) bitvec.Vector { return ix.codes.Row(id) }
 
 // SizeBytes reports posting-list memory including deletion variants —
 // exact arena accounting on the frozen layout (Fig. 6).
@@ -200,7 +195,7 @@ func (ix *Index) getScratch() *searchScratch {
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
 		s.visitFn, s.collectFn = s.visit, s.collect
 	}
-	s.col.Reset(len(ix.data))
+	s.col.Reset(ix.Len())
 	s.sumPost = 0
 	return s
 }
@@ -220,7 +215,7 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 
 // checkQuery is the query contract: CheckQuery's, within the build τ.
 func (ix *Index) checkQuery(q bitvec.Vector, tau int) error {
-	err := engine.CheckQuery(q, ix.dims, tau)
+	err := engine.CheckQuery(q, ix.Dims(), tau)
 	if err == nil {
 		err = engine.CheckTauBound(tau, ix.tau)
 	}
@@ -241,7 +236,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 	if err := ix.checkQuery(q, tau); err != nil {
 		return nil, nil, err
 	}
-	st := Stats{Scanned: true, Candidates: len(ix.data)}
+	st := Stats{Scanned: true, Candidates: ix.Len()}
 	var out []int32
 	if bill := ix.billProbes(tau); !bill.Spent() {
 		s := ix.getScratch()
@@ -263,7 +258,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 
 // numProbes is what any query looks up: every partition's exact key and
 // one deletion variant a dimension.
-func (ix *Index) numProbes() int { return ix.parts.NumParts() + ix.dims }
+func (ix *Index) numProbes() int { return ix.parts.NumParts() + ix.Dims() }
 
 // billProbes opens a query's budget and bills it the query's probes.
 // Where they alone overdraw it the scan answers and the query has cost
@@ -344,19 +339,20 @@ func (ix *Index) SearchBatch(queries []bitvec.Vector, tau int, parallelism int) 
 }
 
 // Save serializes the index: magic, build threshold, arrangement and
-// the raw collection. Load rebuilds the deletion-variant indexes,
+// the rows. Load rebuilds the deletion-variant indexes,
 // which keeps the persisted form far smaller than the resident one.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
 	bw.Int(ix.tau)
 	engine.WritePartitioning(bw, ix.parts)
-	engine.WriteVectors(bw, ix.dims, ix.data)
+	engine.WriteCodes(bw, ix.codes)
 	return bw.Flush()
 }
 
 // Load reads an index written by Save, rebuilding the deletion-variant
-// inverted indexes from the persisted collection.
+// inverted indexes from the persisted rows, which it keeps where they
+// were read.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
 	br.Magic(indexMagic)
@@ -368,22 +364,11 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hmsearch: %w", err)
 	}
-	dims, data, codes, err := engine.ReadVectorsArena(br)
+	codes, err := engine.ReadCodes(br)
 	if err != nil {
 		return nil, fmt.Errorf("hmsearch: %w", err)
 	}
-	if tau < 0 || tau > 1<<20 {
-		return nil, fmt.Errorf("hmsearch: implausible build threshold %d", tau)
-	}
-	if parts.Dims != dims {
-		return nil, fmt.Errorf("hmsearch: arrangement covers %d dims, vectors have %d", parts.Dims, dims)
-	}
-	if parts.NumParts() != NumPartitions(dims, tau) {
-		return nil, fmt.Errorf("hmsearch: arrangement has %d parts, τ=%d needs %d", parts.NumParts(), tau, NumPartitions(dims, tau))
-	}
-	ix := &Index{dims: dims, tau: tau, data: data, codes: codes, parts: parts}
-	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
-	return ix, nil
+	return newIndex(codes, tau, parts)
 }
 
 func init() {

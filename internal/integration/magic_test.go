@@ -90,7 +90,7 @@ func TestSupersededMagicsRejected(t *testing.T) {
 	for gen := 1; gen <= 11; gen++ { // the index is at generation 12
 		superseded = append(superseded, fmt.Sprintf("GPHIX%02d\n", gen))
 	}
-	for gen := 1; gen <= 3; gen++ { // the shard container at 4
+	for gen := 1; gen <= 4; gen++ { // the shard container at 5
 		superseded = append(superseded, fmt.Sprintf("GPHSH%02d\n", gen))
 	}
 	for _, magic := range superseded {

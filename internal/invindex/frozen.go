@@ -12,6 +12,7 @@ import (
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
+	"gph/internal/verify"
 )
 
 // Frozen is the immutable, compact form of an inverted index: the
@@ -436,13 +437,13 @@ func (f *Frozen) layBitmap(width, distinct int, keyOf func(r int32) uint64) []in
 	return byKey
 }
 
-// ProjectRows returns the rows FreezeRows takes for data projected onto
-// dims: one key an id, ⌈len(dims)/64⌉ words each.
-func ProjectRows(data []bitvec.Vector, dims []int) []uint64 {
+// ProjectRows returns the rows FreezeRows takes for codes' rows
+// projected onto dims: one key an id, ⌈len(dims)/64⌉ words each.
+func ProjectRows(codes *verify.Codes, dims []int) []uint64 {
 	w := (len(dims) + bitvec.WordBits - 1) / bitvec.WordBits
-	rows := make([]uint64, len(data)*w)
-	for id, v := range data {
-		v.ProjectInto(dims, bitvec.FromWordsSharedUnchecked(len(dims), rows[id*w:(id+1)*w]))
+	rows := make([]uint64, codes.Len()*w)
+	for id := range codes.Len() {
+		codes.Row(int32(id)).ProjectInto(dims, bitvec.FromWordsSharedUnchecked(len(dims), rows[id*w:(id+1)*w]))
 	}
 	return rows
 }
@@ -1191,7 +1192,9 @@ func (f *Frozen) CollectWithin(q []uint64, radius int, set *IDSet) int64 {
 // the keys of a word within radius are its set bits in the mask of low
 // bits within what the word's term leaves of the radius. The masks are
 // made once a call; an entry is the keys before its word plus the word's
-// keys below it.
+// keys below it. Like histBitmap it stops before a word whose keys would
+// run past the last entry, which only a section the content tier would
+// refuse has.
 func (f *Frozen) collectBitmap(q uint64, radius int, seen []uint64, ids []int32) ([]int32, int64) {
 	var within [7]uint64 // within[r]: the j < 64 with |j ⊕ q%64| ≤ r
 	for j := range uint64(64) {
@@ -1204,6 +1207,9 @@ func (f *Frozen) collectBitmap(q uint64, radius int, seen []uint64, ids []int32)
 	bm, e := f.keyArena, 0
 	for at := 0; at+8 <= len(bm); at += 8 {
 		word := binary.LittleEndian.Uint64(bm[at:])
+		if e+bits.OnesCount64(word) > f.NumKeys() {
+			break
+		}
 		if r := radius - bits.OnesCount64(uint64(at/8)^q/64); r >= 0 {
 			for m := word & within[min(r, 6)]; m != 0; m &= m - 1 {
 				var n int

@@ -6,6 +6,7 @@ import (
 	"gph/internal/core"
 	"gph/internal/dataset"
 	"gph/internal/invindex"
+	"gph/internal/verify"
 )
 
 // TestLibShapesSpreadTheirKeys holds the quotient layout's hash to the
@@ -26,6 +27,7 @@ func TestLibShapesSpreadTheirKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		codes := verify.Pack(c.ds.Vectors)
 		var largest, priorLargest int
 		var past, priorPast float64
 		keys := 0
@@ -33,12 +35,12 @@ func TestLibShapesSpreadTheirKeys(t *testing.T) {
 			if len(part) > 64 {
 				continue
 			}
-			f := invindex.FreezeRows(ix.Len(), 1, len(part), invindex.ProjectRows(c.ds.Vectors, part))
+			f := invindex.FreezeRows(ix.Len(), 1, len(part), invindex.ProjectRows(codes, part))
 			if f.Bitmap() {
 				continue
 			}
 			distinct := map[uint64]bool{}
-			for _, x := range invindex.ProjectRows(c.ds.Vectors, part) {
+			for _, x := range invindex.ProjectRows(codes, part) {
 				distinct[x] = true
 			}
 			held := make([]uint64, 0, len(distinct))

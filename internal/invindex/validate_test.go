@@ -913,6 +913,30 @@ func TestHostileBitmaps(t *testing.T) {
 	}
 }
 
+// TestCollectBitmapBeforeValidate: CollectWithin over a bitmap read
+// without its content tier stays inside the entry arrays. The bitmap of
+// bitmapSeeds' "a key more than the entries" holds one key past the last
+// entry; a scan at every radius collects at most every posting the
+// section holds, and does not panic.
+func TestCollectBitmapBeforeValidate(t *testing.T) {
+	seeds := bitmapSeeds()
+	if seeds[0].name != "a key more than the entries" {
+		t.Fatalf("bitmapSeeds starts with %q", seeds[0].name)
+	}
+	f := readUnvalidated(seeds[0].data, seeds[0].maxID)
+	if f == nil {
+		t.Fatal("the structural tier refused the section: the test needs it read")
+	}
+	for q := range uint64(1) << f.Width() {
+		for radius := range f.Width() + 1 {
+			set := IDSet{Seen: make([]uint64, 1)}
+			if sum := f.CollectWithin([]uint64{q}, radius, &set); sum > f.TotalPostings() {
+				t.Fatalf("q=%#x radius %d: %d postings collected, the section holds %d", q, radius, sum, f.TotalPostings())
+			}
+		}
+	}
+}
+
 // hostileSeeds are hashed sections whose directory or stored keys do not
 // find the keys where the lookups look for them, each with the id bound
 // it is read against and what reading it must say: a directory that

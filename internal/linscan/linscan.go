@@ -31,25 +31,22 @@ const scannerMagic = "GPHLN01\n"
 
 // Scanner answers Hamming distance searches by exhaustive scan.
 type Scanner struct {
-	dims  int
-	data  []bitvec.Vector
-	codes *verify.Codes // packed row-major copy of data for batch verification
+	codes *verify.Codes // the rows, the one copy of them
 }
 
-// New builds a scanner over data.
+// New builds a scanner over a packed copy of data.
 func New(data []bitvec.Vector) (*Scanner, error) {
-	dims, err := engine.CheckBuild(data)
-	if err != nil {
+	if _, err := engine.CheckBuild(data); err != nil {
 		return nil, fmt.Errorf("linscan: %w", err)
 	}
-	return &Scanner{dims: dims, data: data, codes: verify.Pack(data)}, nil
+	return &Scanner{codes: verify.Pack(data)}, nil
 }
 
 // Len returns the collection size.
-func (s *Scanner) Len() int { return len(s.data) }
+func (s *Scanner) Len() int { return s.codes.Len() }
 
 // Dims returns the dimensionality.
-func (s *Scanner) Dims() int { return s.dims }
+func (s *Scanner) Dims() int { return s.codes.Dims() }
 
 // Name returns the registry name "linscan".
 func (s *Scanner) Name() string { return EngineName }
@@ -59,20 +56,15 @@ func (s *Scanner) Exact() bool { return true }
 
 // MaxTau returns the largest accepted threshold; a scan has no
 // build-time bound, so any threshold up to the dimensionality works.
-func (s *Scanner) MaxTau() int { return s.dims }
+func (s *Scanner) MaxTau() int { return s.Dims() }
 
 // Vector returns the indexed vector with id ∈ [0, Len()). The vector
 // shares storage with the scanner and must not be modified.
-func (s *Scanner) Vector(id int32) bitvec.Vector { return s.data[id] }
+func (s *Scanner) Vector(id int32) bitvec.Vector { return s.codes.Row(id) }
 
 // SizeBytes reports resident size: the packed vectors plus, once a
 // search has built it, their word-0 column (verify.Codes.SketchBytes).
-func (s *Scanner) SizeBytes() int64 {
-	if len(s.data) == 0 {
-		return 0
-	}
-	return s.codes.SizeBytes() + s.codes.SketchBytes()
-}
+func (s *Scanner) SizeBytes() int64 { return s.codes.SizeBytes() + s.codes.SketchBytes() }
 
 // Search returns ids of all vectors within distance tau of q, in
 // ascending id order.
@@ -88,14 +80,14 @@ func (s *Scanner) SearchStats(q bitvec.Vector, tau int) ([]int32, *engine.Stats,
 }
 
 func (s *Scanner) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *engine.Stats, error) {
-	if err := engine.CheckQuery(q, s.dims, tau); err != nil {
+	if err := engine.CheckQuery(q, s.Dims(), tau); err != nil {
 		return nil, nil, fmt.Errorf("linscan: %w", err)
 	}
 	out := s.codes.AppendWithin(q, tau, nil)
 	if !wantStats {
 		return out, nil, nil
 	}
-	return out, &engine.Stats{Candidates: len(s.data), Results: len(out), Scanned: true}, nil
+	return out, &engine.Stats{Candidates: s.Len(), Results: len(out), Scanned: true}, nil
 }
 
 // SearchIter implements engine.Streamer: the scan streams matches in
@@ -103,7 +95,7 @@ func (s *Scanner) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *en
 // the stream yields exactly the ids Search returns.
 func (s *Scanner) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor, error] {
 	return func(yield func(engine.Neighbor, error) bool) {
-		if err := engine.CheckQuery(q, s.dims, tau); err != nil {
+		if err := engine.CheckQuery(q, s.Dims(), tau); err != nil {
 			yield(engine.Neighbor{}, fmt.Errorf("linscan: %w", err))
 			return
 		}
@@ -116,15 +108,14 @@ func (s *Scanner) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor
 // id. Being independent of the range-growing reduction the other
 // engines share, it doubles as the kNN oracle in conformance tests.
 func (s *Scanner) SearchKNN(q bitvec.Vector, k int) ([]engine.Neighbor, error) {
-	if err := engine.CheckKNN(q, s.dims, k); err != nil {
+	if err := engine.CheckKNN(q, s.Dims(), k); err != nil {
 		return nil, fmt.Errorf("linscan: %w", err)
 	}
-	if k > len(s.data) {
-		k = len(s.data)
-	}
-	all := make([]engine.Neighbor, len(s.data))
-	for id, v := range s.data {
-		all[id] = engine.Neighbor{ID: int32(id), Distance: q.Hamming(v)}
+	dist := make([]int32, s.Len())
+	s.codes.DistancesSeqInto(q, 0, dist)
+	all := make([]engine.Neighbor, len(dist))
+	for id, d := range dist {
+		all[id] = engine.Neighbor{ID: int32(id), Distance: int(d)}
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].Distance != all[b].Distance {
@@ -132,7 +123,7 @@ func (s *Scanner) SearchKNN(q bitvec.Vector, k int) ([]engine.Neighbor, error) {
 		}
 		return all[a].ID < all[b].ID
 	})
-	return all[:k], nil
+	return all[:min(k, len(all))], nil
 }
 
 // SearchBatch answers many queries concurrently; see
@@ -147,7 +138,7 @@ func (s *Scanner) SearchBatch(queries []bitvec.Vector, tau int, parallelism int)
 func (s *Scanner) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(scannerMagic)
-	engine.WriteVectors(bw, s.dims, s.data)
+	engine.WriteCodes(bw, s.codes)
 	return bw.Flush()
 }
 
@@ -158,11 +149,11 @@ func Load(r io.Reader) (*Scanner, error) {
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("linscan: %w", err)
 	}
-	dims, data, codes, err := engine.ReadVectorsArena(br)
+	codes, err := engine.ReadCodes(br)
 	if err != nil {
 		return nil, fmt.Errorf("linscan: %w", err)
 	}
-	return &Scanner{dims: dims, data: data, codes: codes}, nil
+	return &Scanner{codes: codes}, nil
 }
 
 func init() {

@@ -69,10 +69,8 @@ func (o Options) withDefaults() Options {
 
 // Index is an immutable MinHash LSH index built for a specific τ.
 type Index struct {
-	dims   int
 	tau    int
-	data   []bitvec.Vector
-	codes  *verify.Codes // packed row-major copy of data for batch verification
+	codes  *verify.Codes // the rows, the one copy of them
 	opts   Options
 	tables []*invindex.Frozen
 	// hash function parameters, one (a, b) pair per table per row
@@ -92,26 +90,42 @@ type Stats = engine.Stats
 
 const hashPrime = (1 << 31) - 1 // Mersenne prime for universal hashing
 
-// Build constructs the index for queries at threshold tau. The
-// Hamming→Jaccard conversion uses the collection's mean popcount a:
-// H(x,q) ≤ τ implies J(x,q) ≥ (2a−τ)/(2a+τ) for |x| ≈ |q| ≈ a.
+// Build constructs the index over a packed copy of data for queries at
+// threshold tau.
 func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
-	dims, err := engine.CheckBuild(data)
-	if err == nil {
-		err = engine.CheckBuildTau(tau)
-	}
-	if err != nil {
+	if _, err := engine.CheckBuild(data); err != nil {
 		return nil, fmt.Errorf("lsh: %w", err)
 	}
-	opts = opts.withDefaults()
+	return newIndex(verify.Pack(data), tau, opts.withDefaults())
+}
+
+// newIndex builds the index over codes, which it keeps, for threshold
+// tau under resolved options opts: the hash functions, drawn from
+// opts.Seed, and the tables. Build and Load both end here. The
+// Hamming→Jaccard conversion uses the collection's mean popcount a:
+// H(x,q) ≤ τ implies J(x,q) ≥ (2a−τ)/(2a+τ) for |x| ≈ |q| ≈ a.
+func newIndex(codes *verify.Codes, tau int, opts Options) (*Index, error) {
+	if err := engine.CheckBuildTau(tau); err != nil {
+		return nil, fmt.Errorf("lsh: %w", err)
+	}
+	if opts.K <= 0 || opts.K > 64 {
+		return nil, fmt.Errorf("lsh: implausible band size %d", opts.K)
+	}
+	if !(opts.Recall > 0 && opts.Recall < 1) {
+		return nil, fmt.Errorf("lsh: implausible recall %v", opts.Recall)
+	}
+	if opts.MaxTables <= 0 {
+		return nil, fmt.Errorf("lsh: implausible table cap %d", opts.MaxTables)
+	}
 	if opts.MaxTables > maxTables {
 		return nil, fmt.Errorf("lsh: a cap of %d tables, more than %d", opts.MaxTables, maxTables)
 	}
+	n := codes.Len()
 	var popSum float64
-	for _, v := range data {
-		popSum += float64(v.PopCount())
+	for id := range n {
+		popSum += float64(codes.Row(int32(id)).PopCount())
 	}
-	a := popSum / float64(len(data))
+	a := popSum / float64(n)
 	t := (2*a - float64(tau)) / (2*a + float64(tau))
 	t = math.Max(0.05, math.Min(0.95, t))
 	l := int(math.Ceil(math.Log(1-opts.Recall) / math.Log(1-math.Pow(t, float64(opts.K)))))
@@ -122,7 +136,7 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 		l = opts.MaxTables
 	}
 
-	ix := &Index{dims: dims, tau: tau, data: data, codes: verify.Pack(data), opts: opts, jaccardT: t}
+	ix := &Index{tau: tau, codes: codes, opts: opts, jaccardT: t}
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x15a4))
 	ix.ha = make([]uint64, l*opts.K)
 	ix.hb = make([]uint64, l*opts.K)
@@ -132,12 +146,14 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 	}
 	ix.tables = make([]*invindex.Frozen, l)
 	words := ix.sigWords()
-	rows := make([]uint64, len(data)*words)
+	rows := make([]uint64, n*words)
+	var ones []int
 	for ti := 0; ti < l; ti++ {
-		for id, v := range data {
-			ix.signature(v.OnesIndices(), ti, rows[id*words:(id+1)*words])
+		for id := range n {
+			ones = codes.Row(int32(id)).AppendOnes(ones[:0])
+			ix.signature(ones, ti, rows[id*words:(id+1)*words])
 		}
-		ix.tables[ti] = invindex.FreezeRows(len(data), 1, 32*opts.K, rows)
+		ix.tables[ti] = invindex.FreezeRows(n, 1, 32*opts.K, rows)
 	}
 	return ix, nil
 }
@@ -158,7 +174,7 @@ func (ix *Index) signature(ones []int, ti int, sig []uint64) {
 		if len(ones) == 0 {
 			// Empty set: hash the sentinel element n so empty vectors
 			// collide with each other, not with everything.
-			minV = (h*uint64(ix.dims) + b) % hashPrime
+			minV = (h*uint64(ix.Dims()) + b) % hashPrime
 		}
 		for _, e := range ones {
 			hv := (h*uint64(e) + b) % hashPrime
@@ -174,7 +190,7 @@ func (ix *Index) signature(ones []int, ti int, sig []uint64) {
 func (ix *Index) Tau() int { return ix.tau }
 
 // Dims returns the dimensionality.
-func (ix *Index) Dims() int { return ix.dims }
+func (ix *Index) Dims() int { return ix.codes.Dims() }
 
 // Name returns the registry name "lsh".
 func (ix *Index) Name() string { return EngineName }
@@ -189,7 +205,7 @@ func (ix *Index) MaxTau() int { return ix.tau }
 
 // Vector returns the indexed vector with id ∈ [0, Len()). The vector
 // shares storage with the index and must not be modified.
-func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
+func (ix *Index) Vector(id int32) bitvec.Vector { return ix.codes.Row(id) }
 
 // Tables returns l, the number of hash tables.
 func (ix *Index) Tables() int { return len(ix.tables) }
@@ -198,7 +214,7 @@ func (ix *Index) Tables() int { return len(ix.tables) }
 func (ix *Index) JaccardThreshold() float64 { return ix.jaccardT }
 
 // Len returns the collection size.
-func (ix *Index) Len() int { return len(ix.data) }
+func (ix *Index) Len() int { return ix.codes.Len() }
 
 // SizeBytes reports hash-table memory — exact arena accounting on the
 // frozen layout (Fig. 6).
@@ -227,7 +243,7 @@ func (ix *Index) getScratch() *searchScratch {
 	if s == nil {
 		s = &searchScratch{}
 	}
-	s.col.Reset(len(ix.data))
+	s.col.Reset(ix.Len())
 	s.sig = slices.Grow(s.sig[:0], ix.sigWords())[:ix.sigWords()]
 	return s
 }
@@ -247,7 +263,7 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 }
 
 func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Stats, error) {
-	if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
+	if err := engine.CheckQuery(q, ix.Dims(), tau); err != nil {
 		return nil, nil, fmt.Errorf("lsh: %w", err)
 	}
 	if err := engine.CheckTauBound(tau, ix.tau); err != nil {
@@ -293,7 +309,7 @@ func (ix *Index) SearchBatch(queries []bitvec.Vector, tau int, parallelism int) 
 }
 
 // Save serializes the index: magic, build threshold, the resolved
-// options and the raw collection. Load rebuilds the hash tables from
+// options and the rows. Load rebuilds the hash tables from
 // the persisted seed, reproducing the original tables exactly.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
@@ -303,13 +319,14 @@ func (ix *Index) Save(w io.Writer) error {
 	bw.Uint64(math.Float64bits(ix.opts.Recall))
 	bw.Int(ix.opts.MaxTables)
 	bw.Int64(ix.opts.Seed)
-	engine.WriteVectors(bw, ix.dims, ix.data)
+	engine.WriteCodes(bw, ix.codes)
 	return bw.Flush()
 }
 
-// Load reads an index written by Save. Construction is deterministic
-// given the persisted options, so the rebuilt tables match the
-// original index.
+// Load reads an index written by Save and rebuilds it over the
+// persisted rows, which it keeps where they were read. Construction is
+// deterministic given the persisted options, so the rebuilt tables
+// match the original index.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
 	br.Magic(indexMagic)
@@ -322,17 +339,11 @@ func Load(r io.Reader) (*Index, error) {
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("lsh: %w", err)
 	}
-	if tau < 0 || tau > 1<<20 {
-		return nil, fmt.Errorf("lsh: implausible build threshold %d", tau)
-	}
-	if opts.K <= 0 || opts.K > 64 {
-		return nil, fmt.Errorf("lsh: implausible band size %d", opts.K)
-	}
-	_, data, err := engine.ReadVectors(br)
+	codes, err := engine.ReadCodes(br)
 	if err != nil {
 		return nil, fmt.Errorf("lsh: %w", err)
 	}
-	return Build(data, tau, opts)
+	return newIndex(codes, tau, opts)
 }
 
 func init() {

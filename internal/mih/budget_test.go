@@ -77,7 +77,7 @@ func routeFixture(t *testing.T) (ds *dataset.Dataset, ix *Index, q bitvec.Vector
 	}
 	q = dataset.PerturbQueries(ds, 3, 6, 21)[0]
 	tauOf = [3]int{-1, -1, -1}
-	for tau := 0; tau < ix.dims; tau++ {
+	for tau := 0; tau < ix.Dims(); tau++ {
 		_, st, err := ix.SearchStats(q, tau)
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +104,8 @@ func routeFixture(t *testing.T) (ds *dataset.Dataset, ix *Index, q bitvec.Vector
 // (the pool of an index that has answered nothing else stays empty) and
 // allocates what the scan's result slice does, nothing more.
 func TestRefusedQueryIsFree(t *testing.T) {
-	_, probed, q, tauOf := routeFixture(t)
-	ix, err := Build(probed.data, Options{}) // one that has never probed
+	ds, _, q, tauOf := routeFixture(t)
+	ix, err := Build(ds.Vectors, Options{}) // one that has never probed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStreamMatchesSearchOnEveryRoute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := q.Hamming(ix.data[nb.ID]); d != nb.Distance || d > tau {
+			if d := q.Hamming(ix.Vector(nb.ID)); d != nb.Distance || d > tau {
 				t.Fatalf("route %d tau=%d: id %d streamed at distance %d, is at %d", route, tau, nb.ID, nb.Distance, d)
 			}
 			got = append(got, nb.ID)

@@ -57,9 +57,7 @@ type Options struct {
 
 // Index is an immutable MIH index.
 type Index struct {
-	dims   int
-	data   []bitvec.Vector
-	codes  *verify.Codes // packed row-major copy of data for batch verification
+	codes  *verify.Codes // the rows, the one copy of them
 	parts  *partition.Partitioning
 	proj   *bitvec.Projector // binds a query to every partition at once
 	inv    []*invindex.Frozen
@@ -75,7 +73,7 @@ type Index struct {
 // candidate-accounting subset.
 type Stats = engine.Stats
 
-// Build constructs the index.
+// Build constructs the index over a packed copy of data.
 func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	dims, err := engine.CheckBuild(data)
 	if err != nil {
@@ -95,38 +93,38 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	if parts == nil {
 		parts = partition.EquiWidth(dims, m)
 	}
-	if err := parts.Validate(); err != nil {
-		return nil, fmt.Errorf("mih: invalid arrangement: %w", err)
-	}
-	if parts.Dims != dims {
-		return nil, fmt.Errorf("mih: arrangement covers %d dims, data has %d", parts.Dims, dims)
-	}
 	budget := opts.EnumBudget
 	if budget == 0 {
 		budget = 1 << 20
 	}
-	ix := &Index{dims: dims, data: data, codes: verify.Pack(data), parts: parts, budget: budget}
-	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
+	return newIndex(verify.Pack(data), parts, budget)
+}
+
+// newIndex builds the index over codes, which it keeps, under
+// arrangement parts and enumeration budget budget: the per-partition
+// inverted indexes, frozen into the compact arena layout. Build and
+// Load both end here; Load rebuilds the indexes from the persisted
+// rows instead of serializing posting lists.
+func newIndex(codes *verify.Codes, parts *partition.Partitioning, budget int64) (*Index, error) {
+	if err := engine.CheckArrangement(parts, codes.Dims()); err != nil {
+		return nil, fmt.Errorf("mih: %w", err)
+	}
+	if budget <= 0 {
+		return nil, fmt.Errorf("mih: implausible enumeration budget %d", budget)
+	}
+	ix := &Index{codes: codes, parts: parts, budget: budget, proj: bitvec.NewProjector(codes.Dims(), parts.Parts)}
+	ix.inv = make([]*invindex.Frozen, parts.NumParts())
+	for i, dimsI := range parts.Parts {
+		ix.inv[i] = invindex.FreezeRows(codes.Len(), 1, len(dimsI), invindex.ProjectRows(codes, dimsI))
+	}
 	return ix, nil
 }
 
-// buildInverted constructs the per-partition inverted indexes, frozen
-// into the compact arena layout; it is shared by Build and Load
-// (which rebuilds them from the persisted collection instead of
-// serializing posting lists).
-func buildInverted(data []bitvec.Vector, parts *partition.Partitioning) []*invindex.Frozen {
-	inv := make([]*invindex.Frozen, parts.NumParts())
-	for i, dimsI := range parts.Parts {
-		inv[i] = invindex.FreezeRows(len(data), 1, len(dimsI), invindex.ProjectRows(data, dimsI))
-	}
-	return inv
-}
-
 // Dims returns the dimensionality.
-func (ix *Index) Dims() int { return ix.dims }
+func (ix *Index) Dims() int { return ix.codes.Dims() }
 
 // Len returns the collection size.
-func (ix *Index) Len() int { return len(ix.data) }
+func (ix *Index) Len() int { return ix.codes.Len() }
 
 // Name returns the registry name "mih".
 func (ix *Index) Name() string { return EngineName }
@@ -137,11 +135,11 @@ func (ix *Index) Exact() bool { return true }
 // MaxTau returns the largest accepted threshold; MIH's structure does
 // not depend on a build-time τ, so any threshold up to the
 // dimensionality is answerable.
-func (ix *Index) MaxTau() int { return ix.dims }
+func (ix *Index) MaxTau() int { return ix.Dims() }
 
 // Vector returns the indexed vector with id ∈ [0, Len()). The vector
 // shares storage with the index and must not be modified.
-func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
+func (ix *Index) Vector(id int32) bitvec.Vector { return ix.codes.Row(id) }
 
 // SizeBytes reports posting-list memory — exact arena accounting on
 // the frozen layout (Fig. 6).
@@ -198,7 +196,7 @@ func (ix *Index) getScratch() *searchScratch {
 		//gphlint:ignore hotpath one-time binding on pool miss; rebinding per query would allocate
 		s.probeFn = s.probe
 	}
-	s.col.Reset(len(ix.data))
+	s.col.Reset(ix.Len())
 	s.sigs = 0
 	s.sumPost = 0
 	return s
@@ -229,10 +227,10 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 //
 //gph:hotpath
 func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Stats, error) {
-	if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
+	if err := engine.CheckQuery(q, ix.Dims(), tau); err != nil {
 		return nil, nil, fmt.Errorf("mih: %w", err)
 	}
-	st := Stats{Scanned: true, Candidates: len(ix.data)}
+	st := Stats{Scanned: true, Candidates: ix.Len()}
 	var out []int32
 	if bill := ix.billBalls(tau); !bill.Spent() {
 		s := ix.getScratch()
@@ -310,7 +308,7 @@ func (ix *Index) gather(q bitvec.Vector, tau int, bill engine.Budget, s *searchS
 // returns; see engine.Streamer for the sequence contract.
 func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor, error] {
 	return func(yield func(engine.Neighbor, error) bool) {
-		if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
+		if err := engine.CheckQuery(q, ix.Dims(), tau); err != nil {
 			yield(engine.Neighbor{}, fmt.Errorf("mih: %w", err))
 			return
 		}
@@ -343,19 +341,20 @@ func (ix *Index) SearchBatch(queries []bitvec.Vector, tau int, parallelism int) 
 }
 
 // Save serializes the index: magic, enumeration budget, arrangement
-// and the raw collection. Load rebuilds the inverted indexes, which is
-// cheap relative to serializing every posting list.
+// and the rows. Load rebuilds the inverted indexes, which is cheap
+// relative to serializing every posting list.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
 	bw.Int64(ix.budget)
 	engine.WritePartitioning(bw, ix.parts)
-	engine.WriteVectors(bw, ix.dims, ix.data)
+	engine.WriteCodes(bw, ix.codes)
 	return bw.Flush()
 }
 
 // Load reads an index written by Save, rebuilding the per-partition
-// inverted indexes from the persisted collection.
+// inverted indexes from the persisted rows, which it keeps where they
+// were read.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
 	br.Magic(indexMagic)
@@ -367,19 +366,11 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mih: %w", err)
 	}
-	dims, data, codes, err := engine.ReadVectorsArena(br)
+	codes, err := engine.ReadCodes(br)
 	if err != nil {
 		return nil, fmt.Errorf("mih: %w", err)
 	}
-	if parts.Dims != dims {
-		return nil, fmt.Errorf("mih: arrangement covers %d dims, vectors have %d", parts.Dims, dims)
-	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("mih: implausible enumeration budget %d", budget)
-	}
-	ix := &Index{dims: dims, data: data, codes: codes, parts: parts, budget: budget}
-	ix.inv, ix.proj = buildInverted(data, parts), bitvec.NewProjector(dims, parts.Parts)
-	return ix, nil
+	return newIndex(codes, parts, budget)
 }
 
 func init() {

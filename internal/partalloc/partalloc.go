@@ -23,6 +23,7 @@ import (
 	"gph/internal/engine"
 	"gph/internal/invindex"
 	"gph/internal/partition"
+	"gph/internal/verify"
 )
 
 // Index implements the engine contract.
@@ -44,10 +45,9 @@ type Options struct {
 
 // Index is an immutable PartAlloc index built for a specific τ.
 type Index struct {
-	dims  int
 	tau   int
-	data  []bitvec.Vector
-	pops  []int32 // popcount per data vector, for the positional filter
+	codes *verify.Codes // the rows, the one copy of them
+	pops  []int32       // popcount per row, for the positional filter
 	parts *partition.Partitioning
 	inv   []*invindex.Frozen
 }
@@ -68,37 +68,41 @@ func NumPartitions(dims, tau int) int {
 	return m
 }
 
-// Build constructs the index for queries at threshold tau.
+// Build constructs the index over a packed copy of data for queries at
+// threshold tau.
 func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 	dims, err := engine.CheckBuild(data)
-	if err == nil {
-		err = engine.CheckBuildTau(tau)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("partalloc: %w", err)
 	}
-	m := NumPartitions(dims, tau)
 	parts := opts.Arrangement
 	if parts == nil {
-		parts = partition.EquiWidth(dims, m)
+		parts = partition.EquiWidth(dims, NumPartitions(dims, tau))
 	}
-	if parts.NumParts() != m {
+	return newIndex(verify.Pack(data), tau, parts)
+}
+
+// newIndex builds the index over codes, which it keeps, for threshold
+// tau under arrangement parts: the per-partition deletion-variant
+// indexes and the popcount filter. Build and Load both end here.
+func newIndex(codes *verify.Codes, tau int, parts *partition.Partitioning) (*Index, error) {
+	if err := engine.CheckBuildTau(tau); err != nil {
+		return nil, fmt.Errorf("partalloc: %w", err)
+	}
+	if m := NumPartitions(codes.Dims(), tau); parts.NumParts() != m {
 		return nil, fmt.Errorf("partalloc: arrangement has %d parts, τ=%d needs %d", parts.NumParts(), tau, m)
 	}
-	if err := parts.Validate(); err != nil {
-		return nil, fmt.Errorf("partalloc: invalid arrangement: %w", err)
+	if err := engine.CheckArrangement(parts, codes.Dims()); err != nil {
+		return nil, fmt.Errorf("partalloc: %w", err)
 	}
-	if parts.Dims != dims {
-		return nil, fmt.Errorf("partalloc: arrangement covers %d dims, data has %d", parts.Dims, dims)
+	ix := &Index{tau: tau, codes: codes, parts: parts}
+	ix.pops = make([]int32, codes.Len())
+	for id := range ix.pops {
+		ix.pops[id] = int32(codes.Row(int32(id)).PopCount())
 	}
-	ix := &Index{dims: dims, tau: tau, data: data, parts: parts}
-	ix.pops = make([]int32, len(data))
-	for id, v := range data {
-		ix.pops[id] = int32(v.PopCount())
-	}
-	ix.inv = make([]*invindex.Frozen, m)
+	ix.inv = make([]*invindex.Frozen, parts.NumParts())
 	for i, dimsI := range parts.Parts {
-		ix.inv[i] = invindex.FreezeVariants(len(data), len(dimsI), invindex.ProjectRows(data, dimsI))
+		ix.inv[i] = invindex.FreezeVariants(codes.Len(), len(dimsI), invindex.ProjectRows(codes, dimsI))
 	}
 	return ix, nil
 }
@@ -107,7 +111,7 @@ func Build(data []bitvec.Vector, tau int, opts Options) (*Index, error) {
 func (ix *Index) Tau() int { return ix.tau }
 
 // Len returns the collection size.
-func (ix *Index) Len() int { return len(ix.data) }
+func (ix *Index) Len() int { return ix.codes.Len() }
 
 // SizeBytes reports posting-list memory including deletion variants —
 // exact arena accounting on the frozen layout (Fig. 6).
@@ -127,7 +131,7 @@ func (ix *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 
 // SearchStats is Search with candidate accounting.
 func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) {
-	if err := engine.CheckQuery(q, ix.dims, tau); err != nil {
+	if err := engine.CheckQuery(q, ix.Dims(), tau); err != nil {
 		return nil, nil, fmt.Errorf("partalloc: %w", err)
 	}
 	if err := engine.CheckTauBound(tau, ix.tau); err != nil {
@@ -143,7 +147,7 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 	T := ix.allocate(projs, tau, &r1)
 	stats.Thresholds = T
 
-	seen := make([]uint64, (len(ix.data)+63)/64)
+	seen := make([]uint64, (ix.Len()+63)/64)
 	cands := make([]int32, 0, 256)
 	collect := func(id int32) bool {
 		stats.SumPostings++
@@ -172,14 +176,11 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 	results := cands[:0]
 	for _, id := range cands {
 		// Positional filter: H(x, q) ≥ |pop(x) − pop(q)|.
-		d := int(ix.pops[id]) - qp
-		if d > tau || d < -tau {
-			continue
-		}
-		if q.HammingWithin(ix.data[id], tau) {
+		if d := int(ix.pops[id]) - qp; d <= tau && d >= -tau {
 			results = append(results, id)
 		}
 	}
+	results = ix.codes.FilterWithin(q, tau, results)
 	slices.Sort(results)
 	stats.Results = len(results)
 	return results, stats, nil
@@ -259,7 +260,7 @@ func (ix *Index) allocate(projs []bitvec.Vector, tau int, r1 *invindex.Radius1Sc
 }
 
 // Dims returns the dimensionality.
-func (ix *Index) Dims() int { return ix.dims }
+func (ix *Index) Dims() int { return ix.codes.Dims() }
 
 // Name returns the registry name "partalloc".
 func (ix *Index) Name() string { return EngineName }
@@ -274,7 +275,7 @@ func (ix *Index) MaxTau() int { return ix.tau }
 
 // Vector returns the indexed vector with id ∈ [0, Len()). The vector
 // shares storage with the index and must not be modified.
-func (ix *Index) Vector(id int32) bitvec.Vector { return ix.data[id] }
+func (ix *Index) Vector(id int32) bitvec.Vector { return ix.codes.Row(id) }
 
 // SearchKNN returns the k nearest neighbours of q by progressive range
 // expansion capped at the build threshold; past MaxTau the answer is
@@ -292,20 +293,21 @@ func (ix *Index) SearchBatch(queries []bitvec.Vector, tau int, parallelism int) 
 }
 
 // Save serializes the index: magic, build threshold, arrangement and
-// the raw collection. Load rebuilds the deletion-variant indexes and
+// the rows. Load rebuilds the deletion-variant indexes and
 // the popcount filter.
 func (ix *Index) Save(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.Magic(indexMagic)
 	bw.Int(ix.tau)
 	engine.WritePartitioning(bw, ix.parts)
-	engine.WriteVectors(bw, ix.dims, ix.data)
+	engine.WriteCodes(bw, ix.codes)
 	return bw.Flush()
 }
 
-// Load reads an index written by Save. Construction is deterministic
-// given the persisted arrangement, so the rebuilt index matches the
-// original.
+// Load reads an index written by Save and rebuilds it over the
+// persisted rows, which it keeps where they were read. Construction is
+// deterministic given the persisted arrangement, so the rebuilt index
+// matches the original.
 func Load(r io.Reader) (*Index, error) {
 	br := binio.NewReader(r)
 	br.Magic(indexMagic)
@@ -313,18 +315,15 @@ func Load(r io.Reader) (*Index, error) {
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("partalloc: %w", err)
 	}
-	if tau < 0 || tau > 1<<20 {
-		return nil, fmt.Errorf("partalloc: implausible build threshold %d", tau)
-	}
 	parts, err := engine.ReadPartitioning(br)
 	if err != nil {
 		return nil, fmt.Errorf("partalloc: %w", err)
 	}
-	_, data, err := engine.ReadVectors(br)
+	codes, err := engine.ReadCodes(br)
 	if err != nil {
 		return nil, fmt.Errorf("partalloc: %w", err)
 	}
-	return Build(data, tau, Options{Arrangement: parts})
+	return newIndex(codes, tau, parts)
 }
 
 func init() {

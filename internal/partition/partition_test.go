@@ -280,23 +280,6 @@ func TestRefinerCNMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestRefineBestImprovement(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	dims := 12
-	data := randData(rng, 150, dims)
-	sample := SampleRows(data, 100, 1)
-	wl := SurrogateWorkload(data, 8, []int{2}, 2)
-	init := EquiWidth(dims, 3)
-	before := WorkloadCost(init, sample, wl, 0)
-	refined, after := Refine(init, sample, wl, RefineConfig{BestImprovement: true, MaxMoves: 6})
-	if err := refined.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if after > before {
-		t.Fatalf("best-improvement worsened cost: %d -> %d", before, after)
-	}
-}
-
 func TestDropEmpty(t *testing.T) {
 	p := &Partitioning{Dims: 3, Parts: [][]int{{0, 1, 2}, {}}}
 	p.DropEmpty()

@@ -9,6 +9,7 @@ import (
 	"gph/internal/alloc"
 	"gph/internal/bitvec"
 	"gph/internal/invindex"
+	"gph/internal/verify"
 )
 
 // Workload is the query workload Q of §V: (query, threshold) pairs.
@@ -63,26 +64,8 @@ func SurrogateWorkload(data []bitvec.Vector, size int, tauRange []int, seed int6
 	return w
 }
 
-// RefineConfig controls Algorithm 2.
+// RefineConfig is what Algorithm 2 takes from the index it refines for.
 type RefineConfig struct {
-	// MaxMoves caps accepted moves; 0 means 2·n.
-	MaxMoves int
-	// MaxEvals caps move *evaluations* (each one projects the sample onto
-	// the two partitions it changes), bounding build latency
-	// deterministically; 0 means 2500. BestImprovement ignores it.
-	MaxEvals int
-	// TargetsPerDim bounds, per first-improvement scan, how many target
-	// partitions are tried for each dimension (0 means min(3, m−1));
-	// targets are re-randomized every pass, so the reachable move set
-	// is unchanged, only the order of exploration.
-	TargetsPerDim int
-	// BestImprovement selects the paper's literal Algorithm 2 (evaluate
-	// every (dimension, target) move each round and apply the best).
-	// The default first-improvement strategy accepts the first
-	// cost-reducing move per scan, converging to the same local optima
-	// class with far fewer evaluations — the scale adaptation DESIGN.md
-	// documents.
-	BestImprovement bool
 	// EnumBudget forwards to the allocation DP (see alloc.Allocate).
 	EnumBudget int64
 	// TotalRows is the full collection size the sample stands in for;
@@ -95,6 +78,24 @@ type RefineConfig struct {
 	Seed int64
 }
 
+// How far Algorithm 2 climbs. The paper's literal form evaluates every
+// (dimension, target) move each round and applies the best; Refine
+// accepts the first cost-reducing move of a scan instead, which reaches
+// the same class of local optima with far fewer evaluations.
+const (
+	// maxMovesPerDim · dims caps accepted moves.
+	maxMovesPerDim = 2
+	// maxEvals caps move evaluations (each one projects the sample onto
+	// the two partitions it changes), bounding build latency
+	// deterministically.
+	maxEvals = 2500
+	// targetsPerDim bounds, per scan, how many target partitions are
+	// tried for each dimension (at most m − 1); targets are re-randomized
+	// every pass, so the reachable move set is unchanged, only the order
+	// of exploration.
+	targetsPerDim = 3
+)
+
 // Refine runs Algorithm 2: starting from p, it moves single dimensions
 // between partitions while the workload cost (Σ per-query DP-allocated
 // candidate estimates over the sample) strictly decreases. It returns
@@ -105,83 +106,46 @@ func Refine(p *Partitioning, sample []bitvec.Vector, wl Workload, cfg RefineConf
 		panic(err)
 	}
 	r := newRefiner(p.Clone(), sample, wl, cfg.EnumBudget, cfg.TotalRows)
-	maxMoves := cfg.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = 2 * p.Dims
-	}
-	maxEvals := cfg.MaxEvals
-	if maxEvals <= 0 {
-		maxEvals = 2500
-	}
-	targets := cfg.TargetsPerDim
-	if targets <= 0 {
-		targets = 3
-	}
-	if targets > len(p.Parts)-1 {
-		targets = len(p.Parts) - 1
-	}
+	maxMoves := maxMovesPerDim * p.Dims
+	targets := min(targetsPerDim, len(p.Parts)-1)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x2ef1))
 
 	cur := r.totalCost()
 	moves, evals := 0, 0
 	for moves < maxMoves {
 		improved := false
-		if cfg.BestImprovement {
-			bestCost, bestD, bestI, bestJ := cur, -1, -1, -1
-			for i := range r.parts {
-				for _, d := range append([]int(nil), r.parts[i]...) {
-					for j := range r.parts {
-						if j == i {
-							continue
-						}
-						if c := r.tryMove(d, i, j); c < bestCost {
-							bestCost, bestD, bestI, bestJ = c, d, i, j
-						}
-					}
-				}
+		dims := rng.Perm(p.Dims)
+	scan:
+		for _, d := range dims {
+			i := r.partOf(d)
+			if len(r.parts[i]) == 1 && r.singleton(i) {
+				continue // moving the only dim of the only non-empty part is pointless
 			}
-			if bestD >= 0 {
-				cur = r.applyMove(bestD, bestI, bestJ)
-				moves++
-				improved = true
-			}
-		} else {
-			dims := rng.Perm(p.Dims)
-		scan:
-			for _, d := range dims {
-				i := r.partOf(d)
-				if len(r.parts[i]) == 1 && r.singleton(i) {
-					continue // moving the only dim of the only non-empty part is pointless
+			tried := 0
+			for _, j := range rng.Perm(len(r.parts)) {
+				if j == i {
+					continue
 				}
-				tried := 0
-				for _, j := range rng.Perm(len(r.parts)) {
-					if j == i {
-						continue
-					}
-					if tried >= targets || evals >= maxEvals {
-						break
-					}
-					tried++
-					evals++
-					if c := r.tryMove(d, i, j); c < cur {
-						cur = r.applyMove(d, i, j)
-						moves++
-						improved = true
-						if moves >= maxMoves {
-							break scan
-						}
-						break // d has moved; re-deriving i is a fresh scan's job
-					}
+				if tried >= targets || evals >= maxEvals {
+					break
 				}
-				if evals >= maxEvals {
-					break scan
+				tried++
+				evals++
+				if c := r.tryMove(d, i, j); c < cur {
+					cur = r.applyMove(d, i, j)
+					moves++
+					improved = true
+					if moves >= maxMoves {
+						break scan
+					}
+					break // d has moved; re-deriving i is a fresh scan's job
 				}
 			}
 			if evals >= maxEvals {
-				break
+				break scan
 			}
 		}
-		if !improved {
+		if evals >= maxEvals || !improved {
 			break
 		}
 	}
@@ -202,7 +166,7 @@ func WorkloadCost(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudg
 // one histogram pass over them — and per-(query, partition) CN rows, so
 // that evaluating a move only recomputes the two partitions it touches.
 type refiner struct {
-	sample     []bitvec.Vector
+	sample     *verify.Codes // packed once: every move projects it
 	wl         Workload
 	maxTau     int
 	enumBudget int64
@@ -221,7 +185,7 @@ func newRefiner(p *Partitioning, sample []bitvec.Vector, wl Workload, enumBudget
 		scale = float64(totalRows) / float64(len(sample))
 	}
 	r := &refiner{
-		sample:     sample,
+		sample:     verify.Pack(sample),
 		wl:         wl,
 		maxTau:     wl.MaxTau(),
 		enumBudget: enumBudget,
@@ -259,7 +223,7 @@ func (r *refiner) cnRow(rows []uint64, part []int, q bitvec.Vector, row []int64)
 	bins := 64*len(proj) + 1 // every distance the words can produce
 	r.hist = slices.Grow(r.hist[:0], bins)[:bins]
 	clear(r.hist)
-	histRows(rows, proj, len(r.sample), r.hist)
+	histRows(rows, proj, r.sample.Len(), r.hist)
 	alloc.Cumulate(r.hist, row)
 	if r.scale == 1 {
 		return

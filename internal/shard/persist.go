@@ -25,7 +25,7 @@ import (
 // sections alias the mapping instead of being copy-decoded. The nested
 // blobs follow whatever format their engine writes; a container holding
 // blobs of a superseded format fails at the nested load.
-const shardMagic = "GPHSH04\n"
+const shardMagic = "GPHSH05\n"
 
 // Save serializes the sharded index: the container header (dims,
 // shard count, id counter, engine name, raw build options), then per
@@ -163,8 +163,7 @@ func (s *Index) SaveFile(path string) error {
 }
 
 // writeOptions persists every Options field Compact needs to rebuild
-// shards faithfully (all scalars, including the nested Refine
-// configuration).
+// shards faithfully.
 func writeOptions(bw *binio.Writer, o core.Options) {
 	bw.Int(o.NumPartitions)
 	bw.Int(int(o.Init))
@@ -175,13 +174,6 @@ func writeOptions(bw *binio.Writer, o core.Options) {
 	bw.Int(o.SampleSize)
 	bw.Int64(o.EnumBudget)
 	bw.Int64(o.Seed)
-	bw.Int(o.Refine.MaxMoves)
-	bw.Int(o.Refine.MaxEvals)
-	bw.Int(o.Refine.TargetsPerDim)
-	bw.Int(boolToInt(o.Refine.BestImprovement))
-	bw.Int64(o.Refine.EnumBudget)
-	bw.Int(o.Refine.TotalRows)
-	bw.Int64(o.Refine.Seed)
 }
 
 // readOptions reads what writeOptions wrote.
@@ -196,13 +188,6 @@ func readOptions(br *binio.Reader) core.Options {
 	o.SampleSize = br.Int()
 	o.EnumBudget = br.Int64()
 	o.Seed = br.Int64()
-	o.Refine.MaxMoves = br.Int()
-	o.Refine.MaxEvals = br.Int()
-	o.Refine.TargetsPerDim = br.Int()
-	o.Refine.BestImprovement = br.Int() != 0
-	o.Refine.EnumBudget = br.Int64()
-	o.Refine.TotalRows = br.Int()
-	o.Refine.Seed = br.Int64()
 	return o
 }
 

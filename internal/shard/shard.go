@@ -241,9 +241,10 @@ type Index struct {
 	bg         sync.WaitGroup // background auto/async compactions
 
 	// mapping backs a container opened with OpenFile in mmap mode: the
-	// nested shard engines' arenas are borrowed slices over it, as are
-	// the vector views any rebuilt (compacted) engine carries — so the
-	// mapping lives until Close, not until the first compaction.
+	// nested shard engines' arenas are borrowed slices over it. A
+	// compacted shard's engine keeps its own copy of its rows, but the
+	// shards not yet compacted still read the mapping, so it lives until
+	// Close, not until the first compaction.
 	// Operations that read index storage bracket themselves with
 	// acquireMapping/releaseMapping; Close fails new operations cleanly
 	// and unmaps once in-flight ones drain. nil for built or
@@ -771,11 +772,11 @@ func (s *Index) startBackgroundCompact() bool {
 // states it fills in are unpublished until the final Store, which is
 // why it is a designated snapshot writer.
 func (s *Index) compactLocked() error {
-	// The rebuild reads every dirty shard's built vectors, and the
-	// rebuilt engines keep views into them — over a mapping those views
-	// alias mapped pages, so the whole run brackets the mapping (which
-	// stays attached afterwards: it lives until Index.Close, not until
-	// the first compaction).
+	// The rebuild reads every dirty shard's built vectors, which over a
+	// mapping alias mapped pages, so the whole run brackets the mapping.
+	// The rebuilt engines pack what they read into arenas of their own
+	// and keep no view of it; the mapping stays attached for the shards
+	// that still read it, until Index.Close.
 	if err := s.acquireMapping(); err != nil {
 		return fmt.Errorf("compact: %w", err)
 	}

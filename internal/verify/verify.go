@@ -162,10 +162,25 @@ func (c *Codes) Len() int { return c.n }
 // Row returns row id as a vector viewing the arena: nothing is copied,
 // and the caller must not modify it. The view is made from lengths
 // alone, its tail word unread — over an arena that was not packed here,
-// a vector with bits set past Dims is its caller's to reject
-// (bitvec.Vector.CheckTail).
+// rows with bits set past Dims are its caller's to reject (CheckTails).
 func (c *Codes) Row(id int32) bitvec.Vector {
 	return bitvec.FromWordsSharedUnchecked(c.dims, c.words[int(id)*c.w:(int(id)+1)*c.w])
+}
+
+// CheckTails returns an error naming the first row with bits set past
+// Dims, which every distance to it would count: a wrapped arena (Wrap)
+// is trusted only after it. It reads the last word of each row, and
+// nothing when Dims is a whole number of words.
+func (c *Codes) CheckTails() error {
+	if c.dims%bitvec.WordBits == 0 {
+		return nil
+	}
+	for id := range c.n {
+		if err := c.Row(int32(id)).CheckTail(); err != nil {
+			return fmt.Errorf("vector %d corrupt: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // Dims returns the dimensionality of the packed vectors.
