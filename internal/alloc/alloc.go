@@ -131,6 +131,9 @@ type Scratch struct {
 	maxE       []int
 	sufMax     []int
 	thresholds []int
+	// The rows selectFirst sets apart, and their keys.
+	apart     []int
+	apartKeys []int64
 	// The signature term of the cost rows and each row's feasible prefix
 	// (sigRows), with the inputs they were computed from — its own copy of
 	// the widths, the budget of the attempt, the weight resolved: they
@@ -307,6 +310,14 @@ func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 		T[i], cell[i] = -1, 0
 		inc[i] = increment(cn[i], sig[i], -1, maxE[i], 0)
 	}
+	if tau < m { // every threshold −1 or 0: most often a selection
+		if bound, ok := s.selectFirst(cn, sig, maxE, inc, T, tau); ok {
+			return Result{Thresholds: T, SumCN: sumCN(cn, T, tau), Objective: bound}, true
+		}
+		for i := range T {
+			T[i] = -1
+		}
+	}
 
 	// An incumbent: the cost of one feasible vector, found greedily — the
 	// cheapest next increment of any row, ties to the lowest, tau + 1 times —
@@ -378,6 +389,81 @@ func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 		objective = s.recurrence(cost, cut, bound, tau, T)
 	}
 	return Result{Thresholds: T, SumCN: sumCN(cn, T, tau), Objective: objective}, true
+}
+
+// selectFirst answers a round with τ < m by selection where that is the
+// round's answer. Every threshold is then −1 or 0, and the τ + 1 rows at 0
+// take their first increment, first[i] — their cost cell at e = 0. It puts
+// at 0 the rows whose first increments are the τ + 1 cheapest, ties to the
+// lower row, into T (all −1 on entry) and returns their sum B. It reports
+// false, T half written, when some first increment is exhausted or some
+// row's second increment (its cell at e = 1 less its cell at e = 0,
+// exhausted for none) is not above B. Otherwise its answer is greedy's,
+// the cut's and the convex exit's: every increment greedy can be offered
+// after a first one is a second one, above B and so above each first
+// increment it takes (cells are ≥ 0), so greedy takes these τ + 1, in
+// ascending order — no decrease — ties to the lower row; B is the
+// incumbent, and every row's cell at e = 1, its second increment or more,
+// is above it, so each row is cut at e ≤ 0 without passing a decrease. It
+// reads no cell past e = 1.
+func (s *Scratch) selectFirst(cn Table, sig [][]int64, maxE []int, first []int64, T []int, tau int) (int64, bool) {
+	m := len(first)
+	// Every first increment is at least the signature term at e = 0, which
+	// is the weight on every row (its ball is 1), so B is at least τ + 1
+	// weights: a second increment no larger refuses before anything is
+	// selected — a narrow partition's row, flat past e = 0, on every query.
+	// (Refusing is never wrong, only slower, so the product may wrap.)
+	floor := int64(tau+1) * int64(s.sigFor.SigWeight)
+	var all int64
+	second := int64(exhausted)
+	for i, f := range first {
+		if f == exhausted {
+			return 0, false
+		}
+		d := increment(cn[i], sig[i], 0, maxE[i], f)
+		if d <= floor {
+			return 0, false
+		}
+		all += f // may wrap where a dropped row's cell is vast; all − dropped does not
+		second = min(second, d)
+	}
+	// The k rows of the smaller side are set apart, a pass over the rows
+	// keeping the k least keys in order: the τ + 1 cheapest, keyed by their
+	// first increment and met in row order, or the m − τ − 1 dearest, keyed
+	// by its negation and met in reverse — ties to the row met first, which
+	// a strict compare keeps. k = 1, lib_selective's one dropped row, is one
+	// running extreme.
+	k, sign, from, step, apart := tau+1, int64(1), 0, 1, 0
+	bound := int64(0)
+	if drop := m - tau - 1; drop < k {
+		k, sign, from, step, apart = drop, -1, m-1, -1, -1
+		bound = all
+		for i := range T {
+			T[i] = 0
+		}
+	}
+	keys, rows := sized(&s.apartKeys, k), sized(&s.apart, k)
+	n := 0
+	for i := from; k > 0 && i >= 0 && i < m; i += step {
+		key := sign * first[i]
+		if n == k {
+			if key >= keys[k-1] {
+				continue
+			}
+			n--
+		}
+		j := n
+		for ; j > 0 && keys[j-1] > key; j-- {
+			keys[j], rows[j] = keys[j-1], rows[j-1]
+		}
+		keys[j], rows[j] = key, i
+		n++
+	}
+	for j, i := range rows {
+		T[i] = apart
+		bound += keys[j]
+	}
+	return bound, second > bound
 }
 
 // sigRows returns the signature term of the cost rows — sig[i][e+1] =

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -391,5 +393,181 @@ func TestScratchAcrossWidthsAndTaus(t *testing.T) {
 			t.Fatalf("call %d (tau=%d widths=%v budget=%d weight=%v):\n table %v\n shared scratch %+v\n fresh scratch  %+v",
 				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, cn, got, want)
 		}
+	}
+}
+
+// selected is AllocateScratch, also reporting whether the selection
+// answered (selectFirst): every other way through a round writes each row's
+// cut into s.maxE, and the selection writes none.
+func selected(cn Table, p Params, s *Scratch) (Result, bool) {
+	cuts := sized(&s.maxE, len(cn))
+	for i := range cuts {
+		cuts[i] = math.MinInt
+	}
+	res := AllocateScratch(cn, p, s)
+	return res, !res.Fallback && !slices.ContainsFunc(cuts, func(c int) bool { return c != math.MinInt })
+}
+
+// selectiveCase draws an allocation problem with τ < m around the
+// selection's edges: first increments from a few small values, so that the
+// (τ + 1)-th cheapest often ties with the next across the drop boundary,
+// with the signature term off on most cases (a cell is then its CN) and on
+// the rest; rows past e = 0 as drawn, monotone. On most cases one row's
+// second increment is then set to B − 1, B or B + 1, B being the sum of
+// the τ + 1 cheapest first increments. Budgets bite — a budget below a
+// row's radius-1 ball leaves that row e = 0 alone — but cannot escalate:
+// e = 0's ball is 1, so τ + 1 ≤ m rows always fit.
+func selectiveCase(r *rand.Rand) (Table, Params) {
+	m := 1 + r.Intn(8)
+	tau := r.Intn(m)
+	p := Params{Tau: tau, Widths: make([]int, m), EnumBudget: []int64{0, 0, 1, 5, 40, 1 << 18}[r.Intn(6)]}
+	for i := range p.Widths {
+		p.Widths[i] = 1 + r.Intn(12)
+	}
+	if r.Intn(4) != 0 {
+		p.SigWeight = -1
+	}
+	cn := make(Table, m)
+	for i := range cn {
+		row := make([]int64, tau+2)
+		row[1] = int64(r.Intn(4) * r.Intn(3))
+		for e := 2; e < len(row); e++ {
+			row[e] = row[e-1] + int64(r.Intn(4)*r.Intn(12))
+		}
+		cn[i] = row
+	}
+	if r.Intn(4) == 0 {
+		return cn, p
+	}
+	_, second, B := selectionEdges(cn, p)
+	j := r.Intn(m)
+	want := B + int64(r.Intn(3)) - 1
+	// The cells' signature part is fixed, so the row's CN at e = 1 moves by
+	// what its second increment has to, and the rest of the row with it.
+	if second[j] == exhausted || want < second[j]-(cn[j][2]-cn[j][1]) {
+		return cn, p
+	}
+	for e := 2; e < len(cn[j]); e++ {
+		cn[j][e] += want - second[j]
+	}
+	return cn, p
+}
+
+// selectionEdges returns, for a table with τ < m, each row's first and
+// second increment of cost (exhausted where a row has none) and B, the sum
+// of the τ + 1 cheapest first increments, ties to the lower row.
+func selectionEdges(cn Table, p Params) (first, second []int64, B int64) {
+	var s Scratch
+	sig, maxE := s.sigRows(p, max(p.EnumBudget, 0))
+	m := len(cn)
+	first, second = make([]int64, m), make([]int64, m)
+	order := make([]int, m)
+	for i := range cn {
+		first[i] = increment(cn[i], sig[i], -1, maxE[i], 0)
+		second[i] = increment(cn[i], sig[i], 0, maxE[i], first[i])
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(first[a], first[b]) })
+	for _, i := range order[:p.Tau+1] {
+		B += first[i]
+	}
+	return first, second, B
+}
+
+// TestSelectionIsTheRecurrence: a round with τ < m that the selection
+// answers returns what the recurrence returns — vector, tie-break,
+// objective, SumCN, budget — on tables built around its edges
+// (selectiveCase), against the eager reference with the recurrence deciding
+// every time and, where few enough vectors exist, against enumeration. It
+// has to fire on a stated share of cases and stay shut on another, and the
+// cases have to cover first increments tied across the drop boundary, a
+// second increment equal to B (where it must not fire) and one equal to
+// B + 1, and budgets that leave rows no second increment.
+func TestSelectionIsTheRecurrence(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	var s, ref Scratch
+	const cases = 60000
+	fired, tied, atB, aboveB, budgeted := 0, 0, 0, 0, 0
+	for n := 0; n < cases; n++ {
+		cn, p := selectiveCase(r)
+		got, sel := selected(cn, p, &s)
+		want, _ := eagerAllocate(cn, p, &ref, false)
+		if !sameResult(got, want) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v, selected=%v):\n table %v\n allocate   %+v\n recurrence %+v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, sel, cn, got, want)
+		}
+		if vectors := math.Pow(float64(p.Tau+2), float64(len(cn))); vectors <= 1<<12 {
+			if want := bruteAllocate(cn, p); !sameResult(got, want) {
+				t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v, selected=%v):\n table %v\n allocate    %+v\n enumeration %+v",
+					n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, sel, cn, got, want)
+			}
+		}
+		if got.EffectiveBudget != max(p.EnumBudget, 0) {
+			t.Fatalf("case %d: budget %d escalated to %d with τ < m", n, p.EnumBudget, got.EffectiveBudget)
+		}
+		first, second, B := selectionEdges(cn, p)
+		least := slices.Min(second)
+		if sel != (least > B) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v): selected=%v, with B=%d and least second increment %d:\n table %v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, sel, B, least, cn)
+		}
+		if sorted := slices.Sorted(slices.Values(first)); p.Tau+1 < len(first) && sorted[p.Tau] == sorted[p.Tau+1] {
+			tied++
+		}
+		switch {
+		case least == B:
+			atB++
+		case least == B+1:
+			aboveB++
+		}
+		if sel {
+			fired++
+			if p.Tau > 0 && slices.Contains(second, exhausted) {
+				budgeted++ // at τ = 0 no row has a second increment anyway
+			}
+		}
+	}
+	t.Logf("the selection answered %d of %d cases: %d tied across the drop boundary, %d had a second increment of B and %d of B + 1, %d selections left rows no second increment",
+		fired, cases, tied, atB, aboveB, budgeted)
+	if fired < cases/4 || fired > cases*9/10 || tied < cases/10 || atB < cases/50 || aboveB < cases/50 || budgeted < cases/50 {
+		t.Fatalf("the selection answered %d of %d cases (%d tied, %d at B, %d at B + 1, %d budgeted); want it on a quarter to nine tenths, and each edge on a fiftieth (ties a tenth)",
+			fired, cases, tied, atB, aboveB, budgeted)
+	}
+}
+
+// TestSelectionReadsNoCellPastOne: a round the selection answers reads no
+// CN cell past e = 1. Every cell from e = 2 on is overwritten, with a value
+// below every real one and with one above, either of which turns greedy or
+// the cut if read, and the Result — and that the selection gave it — has to
+// be the clean table's.
+func TestSelectionReadsNoCellPastOne(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	var s Scratch
+	const cases = 20000
+	answered, poisoned := 0, 0
+	for n := 0; n < cases; n++ {
+		cn, p := selectiveCase(r)
+		want, sel := selected(cn, p, &s)
+		if !sel {
+			continue
+		}
+		answered++
+		for _, poison := range []int64{math.MinInt64, math.MaxInt64} {
+			dirty := make(Table, len(cn))
+			for i, row := range cn {
+				dirty[i] = slices.Clone(row)
+				for e := 2; e <= p.Tau; e++ {
+					dirty[i][e+1] = poison
+					poisoned++
+				}
+			}
+			if got, again := selected(dirty, p, &s); !again || !sameResult(got, want) {
+				t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v), cells past e = 1 set to %d: selected %v\n table %v\n dirty %+v\n clean %+v",
+					n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, poison, again, cn, got, want)
+			}
+		}
+	}
+	if answered < cases/4 || poisoned < cases {
+		t.Fatalf("%d cases answered by the selection, %d cells poisoned; want more of each", answered, poisoned)
 	}
 }

@@ -32,7 +32,8 @@ func flatRows(tau int, at0 ...int64) Table {
 // allocation each, the tables of its rounds in order, taken from indexes
 // built over datagen's corpora at n = 20 000 (Options{Seed: 1}, the first
 // perturbed query) — partition widths and the enumeration budget as built,
-// CN rows as the query path had them when it called AllocateScratch.
+// CN rows as the query path had them when it called AllocateScratch — and
+// one line of many queries' first rounds.
 var roundCases = func() []roundCase {
 	uqvideo := []int{28, 28, 27, 22, 28, 27, 27, 20, 22, 27}
 	sift := []int{36, 34, 13, 45}
@@ -41,6 +42,10 @@ var roundCases = func() []roundCase {
 		// flat past it.
 		{"selective-round-one", Params{Tau: 8, Widths: uqvideo, EnumBudget: 1 << 18}, true,
 			[]Table{flatRows(8, 1, 14, 1, 1, 0, 1, 14, 1, 1, 0)}},
+		// Round one of 400 selective queries in turn, so no branch predictor
+		// learns one table: generated (selectiveRoundOnes), not taken.
+		{"selective-cycled", Params{Tau: 8, Widths: uqvideo, EnumBudget: 1 << 18}, true,
+			selectiveRoundOnes(rand.New(rand.NewSource(47)), 400, len(uqvideo), 8)},
 		// The same query's fully estimated table (core.EstimateTable), which
 		// is what the regression benchmark's alloc.dp_us hands the round.
 		{"selective-full-table", Params{Tau: 8, Widths: uqvideo, EnumBudget: 1 << 18}, true, []Table{{
@@ -74,6 +79,33 @@ var roundCases = func() []roundCase {
 		}}},
 	}
 }()
+
+// selectiveRoundOnes draws count round-one tables of m rows at τ = tau,
+// each row exact at e = 0 and flat past it, whose CN(qᵢ, 0) follow those of
+// 400 perturbed uqvideo-like queries at n = 20 000: 28 % of rows 0, 37 % 1,
+// 9 % 2, 3 % 3–9 and the rest 10–25.
+func selectiveRoundOnes(r *rand.Rand, count, m, tau int) []Table {
+	tables := make([]Table, count)
+	at0 := make([]int64, m)
+	for k := range tables {
+		for i := range at0 {
+			switch u := r.Intn(100); {
+			case u < 28:
+				at0[i] = 0
+			case u < 65:
+				at0[i] = 1
+			case u < 74:
+				at0[i] = 2
+			case u < 77:
+				at0[i] = int64(3 + r.Intn(7))
+			default:
+				at0[i] = int64(10 + r.Intn(16))
+			}
+		}
+		tables[k] = flatRows(tau, at0...)
+	}
+	return tables
+}
 
 type roundCase struct {
 	name   string
@@ -215,6 +247,19 @@ func FuzzAllocate(f *testing.F) {
 		{3, 0, 5, 0, 3, 3, 3, 3, 9, 2, 6},                        // τ = 0: one row of four gets e = 0
 		{0, 9, 0, sigOff, 15, 9, 6, run, 3, 127, 2, run, run, 1}, // m = 1
 		{2, 6, 0, sigOff, 9, 9, 9, 5, 1, run, 40, 2, run, run, 5, 1, run, 40, 2, run, run, 3, run, 9}, // falling increments: the recurrence
+		// The selection's edges (τ < m). B = 0 + 5, the τ + 1 = 2 cheapest
+		// first increments; row 0's second increment is B, so greedy takes it
+		// before row 1's 5 and the selection must not answer; at B + 1 it does.
+		{2, 1, 0, sigOff, 3, 3, 3, 0, 5, 5, 6, 7, 6},
+		{2, 1, 0, sigOff, 3, 3, 3, 0, 6, 5, 6, 7, 6},
+		{3, 1, 0, sigOff, 2, 2, 2, 2, 2, 9, 1, 9, 2, 9, 2, 9}, // first increments 2 1 2 2: rows 1 and 0 kept, the tie broken across the drop
+		{3, 1, 0, sigOff, 2, 2, 2, 2, 1, 9, 1, 9, 0, 9, 5, 9}, // 1 1 0 5: rows 2 and 0 kept, row 1 lost to the tie
+		// The round-one selective shape at τ = 4 < m = 6, the signature term on:
+		// row 5 dropped (14, ties to the higher row), every second increment 8w.
+		{5, 4, 5, 0, 26, 26, 25, 20, 26, 18,
+			1, 0, run, run, run, 14, 0, run, run, run, 1, 0, run, run, run,
+			0, 0, run, run, run, 1, 0, run, run, run, 14, 0, run, run, run},
+		{2, 0, 1, 0, 4, 4, 4, 3, 1, 1}, // τ = 0 under budget 1: one row of three, ties to row 1
 	} {
 		f.Add(seed)
 	}

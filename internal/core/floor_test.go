@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"gph/internal/alloc"
 	"gph/internal/bitvec"
 	"gph/internal/cpu"
 	"gph/internal/dataset"
@@ -297,6 +299,80 @@ func TestLibShapesPinTheirRoute(t *testing.T) {
 			}
 			restore()
 		}
+	}
+}
+
+// TestSelectiveRoundOnesAreSelections pins alloc's selection — a round with
+// τ < m answered from the e = 0 cells, without greedy's sweeps — to
+// lib_selective's shape (uqvideo-like, n = 20 000, τ = 8 < m = 10): the
+// round-one tables of 400 perturbed queries, as bindQuery and startRows
+// leave them, are allocated clean and with every CN cell past e = 1
+// overwritten, low and high. The selection reads nothing past e = 1, so a
+// table it answers gives the clean Result both times; at least 99 % must.
+// Greedy reads no further on most of these tables either, so each table is
+// also held to the selection's condition, restated here on the cost cells
+// (CN + the default signature weight times the ball): the second increment
+// of every row above B, the sum of the τ + 1 cheapest first ones. At least
+// 99 % must meet it too; alloc's TestSelectionIsTheRecurrence holds the
+// round to answering exactly those by selection. The log gives both shares
+// (CI prints them).
+func TestSelectiveRoundOnesAreSelections(t *testing.T) {
+	const tau, queries = 8, 400
+	ds := dataset.UQVideoLike(20000, 1)
+	ix, err := Build(ds.Vectors, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := ix.parts.NumParts(); tau >= m {
+		t.Fatalf("m = %d: tau = %d is no selective round", m, tau)
+	}
+	params := alloc.Params{Tau: tau, Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget}
+	var dp alloc.Scratch
+	same, meet := 0, 0
+	first, second := make([]int64, len(params.Widths)), make([]int64, len(params.Widths))
+	for _, q := range dataset.PerturbQueries(ds, queries, 4, 7) {
+		s := ix.getScratch()
+		ix.bindQuery(q, s)
+		ix.startRows(tau, s)
+		for i, row := range s.table {
+			ball, _ := dp.BallSize(params.Widths[i], 1)
+			first[i], second[i] = row[1]+alloc.DefaultSigWeight, math.MaxInt64
+			if params.EnumBudget <= 0 || ball <= uint64(params.EnumBudget) {
+				second[i] = row[2] + int64(alloc.DefaultSigWeight*float64(ball)) - first[i]
+			}
+		}
+		var B int64
+		for _, f := range slices.Sorted(slices.Values(first))[:tau+1] {
+			B += f
+		}
+		if slices.Min(second) > B {
+			meet++
+		}
+		want := alloc.AllocateScratch(s.table, params, &dp)
+		want.Thresholds = slices.Clone(want.Thresholds)
+		held := true
+		for _, poison := range []int64{math.MinInt64, math.MaxInt64} {
+			dirty := make(alloc.Table, len(s.table))
+			for i, row := range s.table {
+				dirty[i] = slices.Clone(row)
+				for e := 2; e <= tau; e++ {
+					dirty[i][e+1] = poison
+				}
+			}
+			got := alloc.AllocateScratch(dirty, params, &dp)
+			held = held && got.Objective == want.Objective && got.SumCN == want.SumCN && got.Fallback == want.Fallback &&
+				got.EffectiveBudget == want.EffectiveBudget && slices.Equal(got.Thresholds, want.Thresholds)
+		}
+		if held {
+			same++
+		}
+		ix.putScratch(s)
+	}
+	t.Logf("lib_selective: %d of %d round-one tables meet the selection's condition; %d give the same Result with every cell past e = 1 poisoned",
+		meet, queries, same)
+	if meet < queries*99/100 || same < queries*99/100 {
+		t.Fatalf("%d of %d round-one tables meet the selection's condition and %d read no cell past e = 1; want at least 99 %% of each",
+			meet, queries, same)
 	}
 }
 
