@@ -14,6 +14,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"gph/internal/hamming"
@@ -124,14 +125,17 @@ type Result struct {
 // time. The zero value is ready to use; a Scratch is not safe for
 // concurrent use.
 type Scratch struct {
-	cost       grid[int64]
-	opt        grid[int64]
-	path       grid[int16]
-	cell, inc  []int64
+	cost      grid[int64]
+	opt       grid[int64]
+	path      grid[int16]
+	cell, inc []int64
+	// The selection's input when a round hands it the table's cells
+	// (selectRows).
+	rows       []Start
 	maxE       []int
 	sufMax     []int
 	thresholds []int
-	// The rows selectFirst sets apart, and their keys.
+	// The rows selectRows sets apart, and their keys.
 	apart     []int
 	apartKeys []int64
 	// The signature term of the cost rows and each row's feasible prefix
@@ -173,7 +177,7 @@ func (g *grid[T]) reshape(rows, cols int) [][]T {
 	return g.rows
 }
 
-func sized[T int | int64](buf *[]T, n int) []T {
+func sized[T int | int64 | Start](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
 	}
@@ -246,6 +250,17 @@ func Allocate(cn Table, p Params) Result {
 // after warm-up. Result.Thresholds is backed by the Scratch and valid
 // until its next use — callers that retain it copy it.
 func AllocateScratch(cn Table, p Params, s *Scratch) Result {
+	return allocateScratch(cn, p, true, s)
+}
+
+// AllocateRefused is AllocateScratch for a round with τ < m whose
+// selection has refused already (Select, on cells equal to cn's at e ≤ 1):
+// the same Result, without asking the selection a second time.
+func AllocateRefused(cn Table, p Params, s *Scratch) Result {
+	return allocateScratch(cn, p, false, s)
+}
+
+func allocateScratch(cn Table, p Params, selection bool, s *Scratch) Result {
 	if len(cn) != len(p.Widths) {
 		panic(fmt.Sprintf("alloc: %d CN rows vs %d widths", len(cn), len(p.Widths)))
 	}
@@ -257,7 +272,7 @@ func AllocateScratch(cn Table, p Params, s *Scratch) Result {
 		panic(fmt.Sprintf("alloc: negative tau %d", p.Tau))
 	}
 	if p.EnumBudget <= 0 {
-		res, ok := allocate(cn, p, 0, s)
+		res, ok := allocate(cn, p, 0, selection, s)
 		if !ok {
 			// Unreachable: T = [−1, …, −1, tau] is always valid with no budget.
 			panic("alloc: no feasible allocation")
@@ -266,13 +281,77 @@ func AllocateScratch(cn Table, p Params, s *Scratch) Result {
 	}
 	budget := p.EnumBudget
 	for attempt := 0; attempt < 3; attempt++ {
-		if res, ok := allocate(cn, p, budget, s); ok {
+		if res, ok := allocate(cn, p, budget, selection, s); ok {
 			res.EffectiveBudget = budget
 			return res
 		}
 		budget *= 16
 	}
 	return Result{Fallback: true, SumCN: FallbackCost, Objective: FallbackCost}
+}
+
+// Heads is what a selection reads of the signature rows: each row's term
+// at e = 0 and at e = 1, −1 past the row's feasible prefix (sigRowInto). It
+// is a function of the widths, the budget and the weight; τ only cuts the
+// prefix, and a selection at τ = 0 reads no term at e = 1.
+type Heads [][2]int64
+
+// NewHeads returns the Heads of p's widths, budget and weight (p.Tau
+// aside), for a caller that runs many selections under them.
+func NewHeads(p Params) Heads {
+	var s Scratch
+	h := make(Heads, len(p.Widths))
+	for i, w := range p.Widths {
+		var row [3]int64
+		last := sigRowInto(row[:], s.ballSizes(w), w, 1, max(p.EnumBudget, 0), p.sigWeight())
+		h[i] = [2]int64{-1, -1}
+		for e := 0; e <= last; e++ {
+			h[i][e] = row[e+1]
+		}
+	}
+	return h
+}
+
+// A Start is what a selection reads of one row: its first increment — its
+// cost cell at e = 0 — its second — its cost cell at e = 1 less the first
+// — each exhausted past the row's feasible prefix, and its CN at e = 0.
+type Start struct{ First, Second, CN0 int64 }
+
+// Start returns row i's Start from its CN cells at e = 0 and 1, cn0 and
+// cn1; the second increment is exhausted at τ = 0 too.
+func (h Heads) Start(i int, cn0, cn1 int64, tau int) Start {
+	r := Start{First: exhausted, Second: exhausted, CN0: cn0}
+	if h[i][0] >= 0 {
+		r.First = cost(cn0, h[i][0])
+		if h[i][1] >= 0 && tau > 0 {
+			r.Second = cost(cn1, h[i][1]) - r.First
+		}
+	}
+	return r
+}
+
+// Select answers a round with τ < m by selection (selectRows) from each
+// row's Start alone — made from its cells at e = 0 and 1 by
+// NewHeads(p).Start, the cell at e = 1
+// exact or a lower bound that is also the cell of the table the round
+// would otherwise be run on — and reports false where the selection
+// refuses. The Result it answers is AllocateScratch's on any such table,
+// budget included: with τ < m the first attempt always fits (every ball
+// at e = 0 holds one signature). Thresholds is backed by the Scratch, as
+// there.
+//
+//gph:hotpath
+func Select(rows []Start, p Params, s *Scratch) (Result, bool) {
+	m := len(rows)
+	if m != len(p.Widths) || p.Tau >= m || p.Tau < 0 {
+		panic("alloc: a selection needs τ < m and a Start for every width")
+	}
+	T := sized(&s.thresholds, m)
+	bound, sum, ok := s.selectRows(rows, T, p.Tau)
+	if !ok {
+		return Result{}, false
+	}
+	return Result{Thresholds: T, SumCN: sum, Objective: bound, EffectiveBudget: max(p.EnumBudget, 0)}, true
 }
 
 // FallbackCost is the cost carried by a Fallback result. It exceeds
@@ -286,7 +365,10 @@ const exhausted = math.MaxInt64
 
 // costCell is the DP's weight of threshold e ≥ 0 on one row, CN(qᵢ, e) +
 // SigWeight·ball(widthᵢ, e), kept below the +∞ sentinel; e = −1 weighs 0.
-func costCell(cn, sig []int64, e int) int64 { return min(cn[e+1]+sig[e+1], infeasible-1) }
+func costCell(cn, sig []int64, e int) int64 { return cost(cn[e+1], sig[e+1]) }
+
+// cost is costCell on the cell's two terms.
+func cost(cn, sig int64) int64 { return min(cn+sig, infeasible-1) }
 
 // increment returns what moving a row from threshold e, whose cost cell is
 // from, to e + 1 adds, or exhausted.
@@ -301,22 +383,24 @@ func increment(cn, sig []int64, e, maxE int, from int64) int64 {
 // row is advanced to it; only the recurrence asks for them as a grid.
 //
 //gph:hotpath
-func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
+func allocate(cn Table, p Params, enumBudget int64, selection bool, s *Scratch) (Result, bool) {
 	m, tau := len(cn), p.Tau
 	sig, maxE := s.sigRows(p, enumBudget)
 	T, cut := sized(&s.thresholds, m), sized(&s.maxE, m)
+	if tau < m && selection { // every threshold −1 or 0: most often a selection
+		rows := sized(&s.rows, m)
+		for i, row := range cn {
+			first := increment(row, sig[i], -1, maxE[i], 0)
+			rows[i] = Start{First: first, Second: increment(row, sig[i], 0, maxE[i], first), CN0: row[1]}
+		}
+		if bound, sum, ok := s.selectRows(rows, T, tau); ok {
+			return Result{Thresholds: T, SumCN: sum, Objective: bound}, true
+		}
+	}
 	cell, inc := sized(&s.cell, m), sized(&s.inc, m) // row i's cell at T[i], and the increment to the next
 	for i := range T {
 		T[i], cell[i] = -1, 0
 		inc[i] = increment(cn[i], sig[i], -1, maxE[i], 0)
-	}
-	if tau < m { // every threshold −1 or 0: most often a selection
-		if bound, ok := s.selectFirst(cn, sig, maxE, inc, T, tau); ok {
-			return Result{Thresholds: T, SumCN: sumCN(cn, T, tau), Objective: bound}, true
-		}
-		for i := range T {
-			T[i] = -1
-		}
 	}
 
 	// An incumbent: the cost of one feasible vector, found greedily — the
@@ -391,61 +475,94 @@ func allocate(cn Table, p Params, enumBudget int64, s *Scratch) (Result, bool) {
 	return Result{Thresholds: T, SumCN: sumCN(cn, T, tau), Objective: objective}, true
 }
 
-// selectFirst answers a round with τ < m by selection where that is the
-// round's answer. Every threshold is then −1 or 0, and the τ + 1 rows at 0
-// take their first increment, first[i] — their cost cell at e = 0. It puts
-// at 0 the rows whose first increments are the τ + 1 cheapest, ties to the
-// lower row, into T (all −1 on entry) and returns their sum B. It reports
-// false, T half written, when some first increment is exhausted or some
-// row's second increment (its cell at e = 1 less its cell at e = 0,
-// exhausted for none) is not above B. Otherwise its answer is greedy's,
+// selectRows answers a round with τ < m by selection where that is the
+// round's answer, from each row's first increment — its cost cell at
+// e = 0 — its second — its cell at e = 1 less that, exhausted for none —
+// and its CN cell at e = 0. Every threshold is then −1 or 0, and the τ + 1
+// rows at 0 take their first increment. It writes into T the vector that
+// puts at 0 the rows whose first increments are the τ + 1 cheapest, ties to
+// the lower row, and returns their sum B and the sum of their CN cells. It
+// reports false, T unspecified, when some first increment is exhausted or
+// some second increment is not above B. Otherwise its answer is greedy's,
 // the cut's and the convex exit's: every increment greedy can be offered
 // after a first one is a second one, above B and so above each first
 // increment it takes (cells are ≥ 0), so greedy takes these τ + 1, in
 // ascending order — no decrease — ties to the lower row; B is the
 // incumbent, and every row's cell at e = 1, its second increment or more,
-// is above it, so each row is cut at e ≤ 0 without passing a decrease. It
-// reads no cell past e = 1.
-func (s *Scratch) selectFirst(cn Table, sig [][]int64, maxE []int, first []int64, T []int, tau int) (int64, bool) {
-	m := len(first)
-	// Every first increment is at least the signature term at e = 0, which
-	// is the weight on every row (its ball is 1), so B is at least τ + 1
-	// weights: a second increment no larger refuses before anything is
-	// selected — a narrow partition's row, flat past e = 0, on every query.
-	// (Refusing is never wrong, only slower, so the product may wrap.)
-	floor := int64(tau+1) * int64(s.sigFor.SigWeight)
-	var all int64
-	second := int64(exhausted)
-	for i, f := range first {
-		if f == exhausted {
-			return 0, false
-		}
-		d := increment(cn[i], sig[i], 0, maxE[i], f)
-		if d <= floor {
-			return 0, false
-		}
-		all += f // may wrap where a dropped row's cell is vast; all − dropped does not
-		second = min(second, d)
+// is above it, so each row is cut at e ≤ 0 without passing a decrease. Its
+// callers are the round itself, on the table's cells, and Select, on the
+// cells the caller has.
+func (s *Scratch) selectRows(rows []Start, T []int, tau int) (bound, sum int64, ok bool) {
+	all, allCN, least, leastSecond := sums(rows)
+	// B is at least τ + 1 times the least first increment, so a second
+	// increment no larger refuses before anything is selected: a narrow
+	// partition's row, flat past e = 0, or a row whose ball at e = 1 is
+	// weighed above the τ + 1 cheapest counts. A product past MaxInt64
+	// refuses too — B, summed without wrapping, is past every increment —
+	// and so does an exhausted first increment.
+	if hi, lo := bits.Mul64(uint64(tau+1), uint64(least)); hi != 0 || lo > math.MaxInt64 || leastSecond <= int64(lo) {
+		return 0, 0, false
 	}
-	// The k rows of the smaller side are set apart, a pass over the rows
-	// keeping the k least keys in order: the τ + 1 cheapest, keyed by their
-	// first increment and met in row order, or the m − τ − 1 dearest, keyed
-	// by its negation and met in reverse — ties to the row met first, which
-	// a strict compare keeps. k = 1, lib_selective's one dropped row, is one
-	// running extreme.
-	k, sign, from, step, apart := tau+1, int64(1), 0, 1, 0
-	bound := int64(0)
-	if drop := m - tau - 1; drop < k {
-		k, sign, from, step, apart = drop, -1, m-1, -1, -1
-		bound = all
-		for i := range T {
-			T[i] = 0
-		}
+	// The k rows of the smaller side are set apart: the τ + 1 cheapest, or
+	// the m − τ − 1 dearest, the others sharing one threshold.
+	k, sign, apart, rest := tau+1, int64(1), 0, -1
+	if drop := len(rows) - tau - 1; drop < k {
+		k, sign, apart, rest = drop, -1, -1, 0
+		bound, sum = all, allCN
 	}
-	keys, rows := sized(&s.apartKeys, k), sized(&s.apart, k)
-	n := 0
-	for i := from; k > 0 && i >= 0 && i < m; i += step {
-		key := sign * first[i]
+	for i := range T {
+		T[i] = rest
+	}
+	for _, i := range s.leastRows(rows, k, sign) {
+		T[i] = apart
+		bound += sign * rows[i].First
+		sum += sign * rows[i].CN0
+	}
+	return bound, sum, leastSecond > bound
+}
+
+// sums returns the sums of the first increments and of the CN cells, and
+// the least first increment and the least second one; the least first one
+// is exhausted where some row's is.
+func sums(rows []Start) (all, allCN, least, leastSecond int64) {
+	least, leastSecond = exhausted, exhausted
+	for _, r := range rows {
+		if r.First == exhausted {
+			return 0, 0, exhausted, 0
+		}
+		all += r.First // may wrap where a dropped row's cell is vast; all − dropped does not
+		allCN += r.CN0
+		least = min(least, r.First)
+		leastSecond = min(leastSecond, r.Second)
+	}
+	return all, allCN, least, leastSecond
+}
+
+// leastRows returns the k rows whose keys — their first increment times
+// sign — are least, met in row order, or in reverse where sign < 0: the
+// cheapest, ties to the lower row, or the dearest, ties to the higher. One
+// pass keeps them in order, ties to the row met first, which a strict
+// compare keeps; k = 1 — τ = 0, or lib_selective's one dropped row — is
+// one running extreme.
+func (s *Scratch) leastRows(starts []Start, k int, sign int64) []int {
+	m, rows := len(starts), sized(&s.apart, k)
+	from, step := 0, 1
+	if sign < 0 {
+		from, step = m-1, -1
+	}
+	if k == 1 {
+		best, row := int64(math.MaxInt64), from
+		for i := from; uint(i) < uint(m); i += step {
+			if key := sign * starts[i].First; key < best {
+				best, row = key, i
+			}
+		}
+		rows[0] = row
+		return rows
+	}
+	keys, n := sized(&s.apartKeys, k), 0
+	for i := from; k > 0 && uint(i) < uint(m); i += step {
+		key := sign * starts[i].First
 		if n == k {
 			if key >= keys[k-1] {
 				continue
@@ -459,11 +576,7 @@ func (s *Scratch) selectFirst(cn Table, sig [][]int64, maxE []int, first []int64
 		keys[j], rows[j] = key, i
 		n++
 	}
-	for j, i := range rows {
-		T[i] = apart
-		bound += keys[j]
-	}
-	return bound, second > bound
+	return rows
 }
 
 // sigRows returns the signature term of the cost rows — sig[i][e+1] =

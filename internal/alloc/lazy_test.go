@@ -397,7 +397,7 @@ func TestScratchAcrossWidthsAndTaus(t *testing.T) {
 }
 
 // selected is AllocateScratch, also reporting whether the selection
-// answered (selectFirst): every other way through a round writes each row's
+// answered (selectRows): every other way through a round writes each row's
 // cut into s.maxE, and the selection writes none.
 func selected(cn Table, p Params, s *Scratch) (Result, bool) {
 	cuts := sized(&s.maxE, len(cn))
@@ -474,6 +474,17 @@ func selectionEdges(cn Table, p Params) (first, second []int64, B int64) {
 	return first, second, B
 }
 
+// starts returns each row's Start, as Select takes them, made from its
+// cells at e = 0 and 1 by NewHeads(p); a row at τ = 0 has no cell at e = 1,
+// and none is read there.
+func starts(cn Table, p Params) []Start {
+	h, rows := NewHeads(p), make([]Start, len(cn))
+	for i, row := range cn {
+		rows[i] = h.Start(i, row[1], row[min(2, len(row)-1)], p.Tau)
+	}
+	return rows
+}
+
 // TestSelectionIsTheRecurrence: a round with τ < m that the selection
 // answers returns what the recurrence returns — vector, tie-break,
 // objective, SumCN, budget — on tables built around its edges
@@ -482,12 +493,18 @@ func selectionEdges(cn Table, p Params) (first, second []int64, B int64) {
 // has to fire on a stated share of cases and stay shut on another, and the
 // cases have to cover first increments tied across the drop boundary, a
 // second increment equal to B (where it must not fire) and one equal to
-// B + 1, and budgets that leave rows no second increment.
+// B + 1, and budgets that leave rows no second increment. Select, handed
+// only each row's Start made from its cells at e = 0 and 1, answers exactly where
+// the round's selection does, with the same Result; where it refuses,
+// AllocateRefused gives the round's Result without it. A refusal by the
+// bound — the least second increment at most τ + 1 times the least first
+// one, which B is at least — is one the selection would have made; the log
+// gives the share of refusals it makes.
 func TestSelectionIsTheRecurrence(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	var s, ref Scratch
+	var s, ref, single Scratch
 	const cases = 60000
-	fired, tied, atB, aboveB, budgeted := 0, 0, 0, 0, 0
+	fired, tied, atB, aboveB, budgeted, byBound := 0, 0, 0, 0, 0, 0
 	for n := 0; n < cases; n++ {
 		cn, p := selectiveCase(r)
 		got, sel := selected(cn, p, &s)
@@ -505,11 +522,22 @@ func TestSelectionIsTheRecurrence(t *testing.T) {
 		if got.EffectiveBudget != max(p.EnumBudget, 0) {
 			t.Fatalf("case %d: budget %d escalated to %d with τ < m", n, p.EnumBudget, got.EffectiveBudget)
 		}
+		if res, ok := Select(starts(cn, p), p, &single); ok != sel || (ok && !sameResult(res, got)) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v): the round selected=%v, Select on the heads %v\n table %v\n allocate %+v\n Select   %+v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, sel, ok, cn, got, res)
+		}
+		if res := AllocateRefused(cn, p, &single); !sel && !sameResult(res, got) {
+			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v): refused, and AllocateRefused gives %+v, the round %+v\n table %v",
+				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, res, got, cn)
+		}
 		first, second, B := selectionEdges(cn, p)
 		least := slices.Min(second)
 		if sel != (least > B) {
 			t.Fatalf("case %d (tau=%d widths=%v budget=%d weight=%v): selected=%v, with B=%d and least second increment %d:\n table %v",
 				n, p.Tau, p.Widths, p.EnumBudget, p.SigWeight, sel, B, least, cn)
+		}
+		if cheapest := slices.Min(first); cheapest != exhausted && least <= int64(p.Tau+1)*cheapest {
+			byBound++
 		}
 		if sorted := slices.Sorted(slices.Values(first)); p.Tau+1 < len(first) && sorted[p.Tau] == sorted[p.Tau+1] {
 			tied++
@@ -527,11 +555,11 @@ func TestSelectionIsTheRecurrence(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("the selection answered %d of %d cases: %d tied across the drop boundary, %d had a second increment of B and %d of B + 1, %d selections left rows no second increment",
-		fired, cases, tied, atB, aboveB, budgeted)
-	if fired < cases/4 || fired > cases*9/10 || tied < cases/10 || atB < cases/50 || aboveB < cases/50 || budgeted < cases/50 {
-		t.Fatalf("the selection answered %d of %d cases (%d tied, %d at B, %d at B + 1, %d budgeted); want it on a quarter to nine tenths, and each edge on a fiftieth (ties a tenth)",
-			fired, cases, tied, atB, aboveB, budgeted)
+	t.Logf("the selection answered %d of %d cases: %d tied across the drop boundary, %d had a second increment of B and %d of B + 1, %d selections left rows no second increment; the bound made %d of the %d refusals",
+		fired, cases, tied, atB, aboveB, budgeted, byBound, cases-fired)
+	if fired < cases/4 || fired > cases*9/10 || tied < cases/10 || atB < cases/50 || aboveB < cases/50 || budgeted < cases/50 || byBound < cases/50 {
+		t.Fatalf("the selection answered %d of %d cases (%d tied, %d at B, %d at B + 1, %d budgeted, %d refused by the bound); want it on a quarter to nine tenths, and each edge on a fiftieth (ties a tenth)",
+			fired, cases, tied, atB, aboveB, budgeted, byBound)
 	}
 }
 

@@ -233,7 +233,9 @@ func fuzzCase(data []byte) (Table, Params) {
 
 // FuzzAllocate holds AllocateScratch, on a Scratch that outlives the
 // inputs, to the eager reference on every input and to enumeration of every
-// feasible vector where there are few enough.
+// feasible vector where there are few enough; and where τ < m, Select on
+// the Starts made from each row's cells at e = 0 and 1, on a Scratch of its
+// own, to refusing or to the same Result.
 func FuzzAllocate(f *testing.F) {
 	const run, sigOff = 0x80, 1
 	for _, seed := range [][]byte{
@@ -263,7 +265,7 @@ func FuzzAllocate(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	var s, ref Scratch
+	var s, ref, sel Scratch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cn, p := fuzzCase(data)
 		if err := cn.Validate(p.Tau); err != nil {
@@ -273,6 +275,12 @@ func FuzzAllocate(f *testing.F) {
 		if want, exit := eagerAllocate(cn, p, &ref, true); !sameResult(got, want) {
 			t.Fatalf("tau=%d widths=%v budget=%d weight=%v, exit=%v:\n table %v\n allocate  %+v\n reference %+v",
 				p.Tau, p.Widths, p.EnumBudget, p.SigWeight, exit, cn, got, want)
+		}
+		if p.Tau < len(cn) {
+			if res, ok := Select(starts(cn, p), p, &sel); ok && !sameResult(res, got) {
+				t.Fatalf("tau=%d widths=%v budget=%d weight=%v:\n table %v\n allocate %+v\n Select   %+v",
+					p.Tau, p.Widths, p.EnumBudget, p.SigWeight, cn, got, res)
+			}
 		}
 		vectors := 1
 		for range cn {

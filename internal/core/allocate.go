@@ -55,6 +55,9 @@ type planPrices struct {
 	// seventh of that, but the price stays where every route was fitted
 	// (ROADMAP 6(g)).
 	start int64
+	// heads is what a selection reads of the DP's signature rows: they
+	// depend on the widths, the enumeration budget and the weight alone.
+	heads alloc.Heads
 	// floor[τ] is the cheapest any threshold vector can be at τ on any CN
 	// table: min over ‖T‖₁ = τ − m + 1, Tᵢ ≥ −1, of Σᵢ genPrice(i, Tᵢ) +
 	// engine.CandidatePrice · n · [Tᵢ ≥ wᵢ] — the whole space holds the whole
@@ -83,7 +86,8 @@ func (ix *Index) growPrices(tau int) *planPrices {
 		}
 		full := engine.CandidatePrice * int64(ix.count)
 		var dp alloc.Scratch
-		p = &planPrices{gen: make([][]int64, len(ix.inv)), start: int64(ix.dims)}
+		p = &planPrices{gen: make([][]int64, len(ix.inv)), start: int64(ix.dims),
+			heads: alloc.NewHeads(alloc.Params{Widths: ix.parts.Widths(), EnumBudget: ix.opts.EnumBudget})}
 		best, next := make([]int64, units), make([]int64, units)
 		for u := 1; u < units; u++ {
 			best[u] = math.MaxInt64 / 2
@@ -154,6 +158,7 @@ func (ix *Index) carveProjections(s *searchScratch) {
 	s.startWords = make([]uint64, m)
 	s.startCounts = make([]uint32, m)
 	s.starts = make([]int32, m)
+	s.rows = make([]alloc.Start, m)
 	for i, w := range s.widths {
 		if _, probe := s.genPrice(i, 0); probe && w >= 1 && w <= 64 {
 			s.startInv[i] = ix.inv[i]
@@ -199,17 +204,23 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 
 // allocateLoop runs the threshold-allocation phase (Algorithm 1) into the
 // pooled scratch, lazily and exactly, and prices the plan it is about to
-// return against scanning the collection instead. s.table[i][e+1] holds
+// return against scanning the collection instead. Every row starts at its
+// cheapest exact prefix — e = 0, one posting-length probe (startRows).
+// Where τ < m, every threshold is −1 or 0 and round one is first asked as
+// a selection, from the increments the starts give each row — its cells
+// at e = 0 and 1 (startIncrements, alloc.Select): where it answers, the
+// vector is settled on exact cells and no table is built. Otherwise the
+// rows are fitted into the table (fitRows) — s.table[i][e+1] holds
 // CN(qᵢ, e) exactly for e ≤ s.known[i] and from the partition width on,
-// and the monotone lower bound CN(qᵢ, s.known[i]) between. Every row
-// starts at its cheapest exact prefix — e = 0, one posting-length probe
-// — the DP runs on that table, and only the cells it picked are made
-// exact (extendRow) before it runs again. A vector the DP picks
-// entirely on exact cells is optimal for the true table: its cost there
-// equals its cost here, and no vector costs less there than here. The
-// DP breaks ties by a fixed order on vectors, so it is also the very
-// vector the DP would return on the fully estimated table
-// (EstimateTable) — objective, SumCN, fallback and budget included.
+// and the monotone lower bound CN(qᵢ, s.known[i]) between — the DP runs on
+// it, and only the cells it picked are made exact (extendRow) before it
+// runs again. A vector the DP picks entirely on
+// exact cells is optimal for the true table: its cost there equals its
+// cost here, and no vector costs less there than here. The DP breaks ties
+// by a fixed order on vectors, so it is also the very vector the DP would
+// return on the fully estimated table (EstimateTable) — objective, SumCN,
+// fallback and budget included; the selection answers only where that is
+// the DP's vector, and is priced and billed as the round it is.
 //
 // The scan guard sits inside that loop. Each round's vector is priced
 // as it stands — generation exactly, the candidates of a lower-bound
@@ -245,14 +256,31 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, limit int64, s *searchSc
 	}
 	ix.startRows(tau, s)
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
-	bill, round := ix.pricesThrough(tau).start, ix.roundPrice(tau)
+	prices := ix.pricesThrough(tau)
+	bill := prices.start + ix.roundPrice(tau)
+	if bill > limit {
+		return alloc.Result{}, bill
+	}
+	s.rounds++
+	if tau >= len(s.table) {
+		ix.fitRows(tau, s)
+		return ix.refine(alloc.AllocateScratch(s.table, params, &s.dp), params, bill, limit, s)
+	}
+	ix.startIncrements(tau, prices.heads, s)
+	if res, ok := alloc.Select(s.rows, params, &s.dp); ok {
+		return ix.refine(res, params, bill, limit, s) // on started rows: settled, or the guard's
+	}
+	ix.fitRows(tau, s)
+	return ix.refine(alloc.AllocateRefused(s.table, params, &s.dp), params, bill, limit, s)
+}
+
+// refine prices res, the vector of the round just billed (bill), and
+// settles on it, stops at the guard, or makes its cells exact and runs the
+// next round on the fitted table, until one of the first two.
+//
+//gph:hotpath
+func (ix *Index) refine(res alloc.Result, params alloc.Params, bill, limit int64, s *searchScratch) (alloc.Result, int64) {
 	for {
-		bill += round
-		if bill > limit {
-			return alloc.Result{}, bill
-		}
-		s.rounds++
-		res := alloc.AllocateScratch(s.table, params, &s.dp)
 		if res.Fallback {
 			return res, alloc.FallbackCost
 		}
@@ -280,9 +308,14 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, limit int64, s *searchSc
 		}
 		for i, e := range res.Thresholds {
 			if !ix.cnExact(i, e, s) {
-				ix.extendRow(i, e, tau, s)
+				ix.extendRow(i, e, params.Tau, s)
 			}
 		}
+		if bill += ix.roundPrice(params.Tau); bill > limit {
+			return alloc.Result{}, bill
+		}
+		s.rounds++
+		res = alloc.AllocateScratch(s.table, params, &s.dp)
 	}
 }
 
@@ -309,44 +342,84 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, limit int64, s *searchScratc
 	return ix.allocateLoop(q, tau, limit, s)
 }
 
-// startRows fits every row to thresholds up to tau and makes the
-// rows a freshly bound query has not looked at exact at e = 0: CN(qᵢ, 0)
-// is the posting count of the one key equal to the projection. Where
-// that key is a word the partition would probe for (startInv), the
-// lookups of all partitions are issued side by side
-// (invindex.LookupWords) and the entries they found are kept with the
-// binding — generate collects a partition allocated T[i] = 0 from its
-// entry instead of hashing and probing for the same key again. Each
-// counts as the one posting-length probe it is. Every other row starts
-// through extendRow.
+// startRows makes every row the bound query has not started exact at
+// e = 0: CN(qᵢ, 0) is the posting count of the one key equal to the
+// projection. Where that key is a word the partition would probe for
+// (startInv), the lookups of all partitions are issued side by side
+// (invindex.LookupWords) and what they found is kept with the binding —
+// the count in startCounts, which is the row's e = 0 cell until fitRows
+// writes it into the table, and the entry in starts: generate collects a
+// partition allocated T[i] = 0 from its entry instead of hashing and
+// probing for the same key again. Each counts as the one posting-length
+// probe it is. Every other row is fitted to tau and starts through
+// extendRow.
 //
 //gph:hotpath
 func (ix *Index) startRows(tau int, s *searchScratch) {
 	fresh := false
-	for i := range s.table {
-		ix.fitRow(i, tau, s)
-		if s.startInv[i] != nil && s.known[i] < 0 {
+	for i, inv := range s.startInv {
+		if inv != nil && s.known[i] < 0 {
 			s.startWords[i] = s.projs[i].Words()[0]
 			fresh = true
-			continue // its tail is bounded below, from the cell found
 		}
-		ix.boundTail(i, s)
 	}
 	if fresh {
 		invindex.LookupWords(s.startInv, s.startWords, s.starts, s.startCounts)
 	}
-	for i := range s.table {
-		if ix.cnExact(i, 0, s) {
-			continue
-		}
-		if s.startInv[i] == nil {
+	for i, inv := range s.startInv {
+		switch {
+		case ix.cnExact(i, 0, s):
+		case inv != nil:
+			s.known[i] = 0
+			s.cnProbes++
+		default:
+			ix.fitRow(i, tau, s)
 			ix.extendRow(i, 0, tau, s)
-			continue
 		}
-		s.table[i][1] = int64(s.startCounts[i])
-		s.known[i] = 0
-		s.cnProbes++
+	}
+}
+
+// fitRows fits every started row into the table for thresholds up to
+// tau: sized (fitRow), a looked-up row's count written at e = 0, and the
+// tail past the known radius bounded (boundTail).
+//
+//gph:hotpath
+func (ix *Index) fitRows(tau int, s *searchScratch) {
+	for i, inv := range s.startInv {
+		ix.fitRow(i, tau, s)
+		if inv != nil {
+			s.table[i][1] = int64(s.startCounts[i])
+		}
 		ix.boundTail(i, s)
+	}
+}
+
+// startIncrements fills s.rows with what a selection reads of each started
+// row — its first and second increment and its CN at e = 0 (alloc.Start)
+// — from its CN at e = 0 and its cell at e = 1 as the table would hold it
+// once fitted: CN(qᵢ, 1) where the row knows it — from the width on it is
+// n — and otherwise its lower bound, CN(qᵢ, 0). The table is not touched.
+//
+//gph:hotpath
+func (ix *Index) startIncrements(tau int, h alloc.Heads, s *searchScratch) {
+	n := int64(ix.count)
+	for i, k := range s.known {
+		w, c0, c1 := s.widths[i], n, n
+		switch {
+		case w == 0:
+		case s.startInv[i] != nil:
+			c0 = int64(s.startCounts[i])
+		default:
+			c0 = s.table[i][1]
+		}
+		switch {
+		case w <= 1:
+		case k >= 1:
+			c1 = s.table[i][:k+2][2] // exact cells outlast a shorter fit
+		default:
+			c1 = c0
+		}
+		s.rows[i] = h.Start(i, c0, c1, tau)
 	}
 }
 

@@ -407,8 +407,8 @@ func TestEstimatorRowsAreMonotone(t *testing.T) {
 					if s.q.Dims() == 0 {
 						ix.bindQuery(q, s)
 					}
-					ix.startRows(tau, s)
-					check(s, tau, "after startRows")
+					ix.startTable(tau, s)
+					check(s, tau, "after startTable")
 					params.Tau = tau
 					for settled := false; !settled; {
 						res := alloc.AllocateScratch(s.table, params, &s.dp)

@@ -140,7 +140,7 @@ func TestGatherPathsAgree(t *testing.T) {
 				ix.bindQuery(q, probed)
 				ix.bindQuery(q, scanned)
 				ix.bindQuery(q, kept)
-				ix.startRows(4, kept)
+				ix.startTable(4, kept)
 				for i, w := range ix.parts.Widths() {
 					for ti := 0; ti <= w+1; ti++ {
 						if ball, ok := hamming.BallSize(w, ti); !ok || ball > 1<<14 {

@@ -32,6 +32,7 @@ import (
 //	scan-…-1M          the same over 10⁶ rows (the corpus tiled 50 times), read from memory
 //	dp-cell            dpCellPrice: alloc.AllocateScratch, per cell of a query's CN table
 //	verdict-free       ns a query: allocate over a pooled scratch where the plan floor answers (its early exit)
+//	allocate-selective ns a query: allocate from bind to verdict where τ < m (uqvideo's τ = 8), 400 queries in turn, a fresh binding each
 //	query-cycled       ns a query: Search of the 64 queries in turn
 //	query-repeated     ns a query: Search of each query right after the same query
 //
@@ -205,6 +206,23 @@ func BenchmarkPlanPrices(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/query")
 		})
 
+		if c.tau < ix.parts.NumParts() {
+			b.Run(c.name+"/allocate-selective", func(b *testing.B) {
+				many := dataset.PerturbQueries(c.ds, 400, 4, 7)
+				reportStage(b, len(many), func(i int) time.Duration {
+					s := ix.getScratch()
+					t0 := time.Now()
+					_, price := ix.allocate(many[i], c.tau, ix.ScanCost(c.tau), s)
+					d := time.Since(t0)
+					ix.putScratch(s)
+					if price > ix.ScanCost(c.tau) {
+						b.Fatalf("query %d: scanned at %d", i, price)
+					}
+					return d
+				})
+			})
+		}
+
 		// Where a query's time goes before verification, stage by stage.
 		// Every stage runs behind the stages a query runs before it, so it
 		// meets the caches as it would there, and only it is timed.
@@ -225,7 +243,7 @@ func BenchmarkPlanPrices(b *testing.B) {
 			}},
 			{"dp-round", func(_ *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
 				ix.bindQuery(q, s)
-				ix.startRows(c.tau, s)
+				ix.startTable(c.tau, s)
 				t0 := time.Now()
 				alloc.AllocateScratch(s.table, params, &s.dp)
 				return time.Since(t0)

@@ -38,8 +38,9 @@ type searchScratch struct {
 	projs  []bitvec.Vector // views over arena, a partition each
 	widths []int
 	gen    [][]int64     // per partition, the price of collecting a ball (priceGeneration)
-	table  alloc.Table   // table[i][e+1]: CN(qᵢ, e), exact through known[i], a lower bound past it
+	table  alloc.Table   // once fitted (fitRows), table[i][e+1]: CN(qᵢ, e), exact through known[i], a lower bound past it
 	known  []int         // −1 for a row not started
+	rows   []alloc.Start // each row as a selection reads it (startIncrements)
 	dp     alloc.Scratch // reused DP grids, the ball-size memo and the cost rows' signature term
 	hist   []int64       // distance histogram of a scanned partition's keys
 	shell  []int64       // posting-length sums by distance, per probed ball
