@@ -40,9 +40,9 @@ func goldenBuild(t *testing.T, i int) *Index {
 // before, which a change that only restructures the build must not do.
 func TestBuildBytesGolden(t *testing.T) {
 	for i, sha := range []string{
-		"4068615ba8e48b59e7f74243e4b656e0ed3a4547c5a5992e8686c208d715fd15",
-		"5345e6551872b929f35021db68cddbae24f8fcc6ab6ae66cc0044d6b2bc8c79e",
-		"7da7626669f3d107a51d786a5fca0a0763c7b65ffb5bace5adf0dc1cc73fd157",
+		"3ead5f680a0c13d2f5fbaf0a6fd8045c5d645df57b4979fe974e13e5de5c51aa",
+		"0ff1ef411fab0b8fa555eb6225af2d0f678c79973354ae5cb487ed23f52be070",
+		"28b43cafdf9354b5d6876c3cac3329f4d3dda94d3041054cbc3f94e3654f16b8",
 	} {
 		ix := goldenBuild(t, i)
 		var buf bytes.Buffer
@@ -72,9 +72,9 @@ func TestBuildContentGolden(t *testing.T) {
 		size int64
 		breakdown
 	}{
-		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 14743, breakdown{6543, 609, 5177, 1550}},
-		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 30102, breakdown{15889, 2731, 7724, 1598}},
-		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 32531, breakdown{18924, 3664, 6185, 1598}},
+		{"48c85d8006c46564c0fdef46c1440d78ace2e03dfd864b5912186e2c12ed55e4", 13174, breakdown{6543, 763, 3454, 1550}},
+		{"e95d80d2b4e2eefe058c2cec76a630c2a486d869b13ef7728ff5d84444522887", 28228, breakdown{15889, 3425, 5156, 1598}},
+		{"9c8d0eed7146841b1aefb24a68121407507f95ecf8e6d7c475c54827e15e855b", 30857, breakdown{18924, 4045, 4130, 1598}},
 	} {
 		ix := goldenBuild(t, i)
 		h := sha256.New()

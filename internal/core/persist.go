@@ -13,8 +13,8 @@ import (
 
 // indexMagic identifies the index container format; bump the digit on
 // incompatible changes. The layout is head-then-payload for borrow-mode
-// opening: every array length lives in the head (posting refs and
-// counts derived from the key count, arena byte lengths recorded),
+// opening: every array length lives in the head (posting refs derived
+// from the key count, arena byte lengths recorded),
 // payloads follow raw with 8-byte alignment padding before the
 // word-sized ones, so a load over a page-aligned mapping aliases every
 // payload in place from lengths alone — an O(head) open. Each
@@ -22,7 +22,7 @@ import (
 // once, as its frozen keys and posting counts, which is also what CN
 // estimation reads. One generation is read: files with an older tag are
 // rejected by their magic (DESIGN.md §6 has what each bump fixed).
-const indexMagic = "GPHIX12\n"
+const indexMagic = "GPHIX13\n"
 
 // Save serializes the index: data vectors, partitioning, resolved
 // options and each partition's frozen posting arenas (written verbatim,
@@ -201,7 +201,8 @@ func readVectorArena(br *binio.Reader, dims, count int) ([]uint64, error) {
 // checkPartitionShape is the structural tier's per-partition check,
 // from header fields alone: every vector posts exactly once, so the
 // posting total is the collection size — with Frozen.Validate, which
-// ties the counts to that total, this is "counts sum to count" — and
+// ties the lists' counts and the one-id entries to that total, this is
+// "counts sum to count" — and
 // the keys are as wide as the partition.
 func checkPartitionShape(inv *invindex.Frozen, dimsI []int, p, count int) error {
 	if inv.TotalPostings() != int64(count) {

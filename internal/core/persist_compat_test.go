@@ -18,7 +18,7 @@ import (
 )
 
 // TestCurrentFixtureBytes pins the on-disk format: the checked-in
-// testdata/index-gphix12.bin (120 vectors × 48 dims in four partitions:
+// testdata/index-gphix13.bin (120 vectors × 48 dims in four partitions:
 // of 17 and 16 bits in the quotient layout, so remainders of 2 bytes and
 // their pads behind directories of 2-byte offsets, and of 7 and 8 bits in
 // the bitmap layout, bitmaps of 16 and 32 bytes; MaxTau 16, Seed 7) loads
@@ -30,7 +30,7 @@ import (
 // so the index is asked apart: indexCandidates), and is what today's
 // writer produces from either, byte for byte.
 func TestCurrentFixtureBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix12.bin"))
+	want, err := os.ReadFile(filepath.Join("testdata", "index-gphix13.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func rejectsEverywhere(t *testing.T, name string, hostile []byte, want string, q
 // remainder's width, a nonzero byte in the pad after the remainders, a
 // directory that descends, one whose first offset is not 0 and one
 // whose last is not the key count, two equal remainders in one bucket,
-// and posting counts that do not sum to the collection size; in a bitmap
+// and a list head that claims one id more than its list holds; in a bitmap
 // partition: a bitmap holding a key more than its entries, a rank entry
 // that does not count the keys below its block, and a key in the pad
 // past a bitmap narrower than a word. Each fails a heap open and a
@@ -204,6 +204,14 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	if inv.Bitmap() || n > 65535 || keyBytes >= 8*int64(n) {
 		t.Fatalf("partition %d of %d bits: the test needs the quotient layout, remainders shorter than a word and 2-byte offsets", last, inv.Width())
 	}
+	// The first partition holding a list: its posting arena follows its
+	// stored keys, and leads with the list's head.
+	lists := slices.IndexFunc(ix.inv, func(inv *invindex.Frozen) bool { return inv.TotalPostings() > int64(inv.NumKeys()) })
+	if lists < 0 {
+		t.Fatal("no partition holds a list")
+	}
+	listKeys, _, _, _ := ix.inv[lists].ArenaBreakdown()
+	headAt := keyArenaOffset(t, ix, raw, lists) + int(listKeys)
 	remLen := (int(keyBytes) - 8) / (n - 1) // n remainders and the pad to a word
 	keysAt, dirAt := keyArenaOffset(t, ix, raw, last), len(raw)-int(dirBytes)
 	dir := func(b []byte, i int) int { return int(binary.LittleEndian.Uint16(b[dirAt+2*i:])) }
@@ -240,15 +248,7 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 			at := keysAt + remLen*dir(b, wide)
 			copy(b[at+remLen:at+2*remLen], b[at:at+remLen])
 		})},
-		{"counts off by one", "counts sum to", edit(func(b []byte) {
-			// The last count is the last nonzero byte before the directory's
-			// alignment padding.
-			at := dirAt - 1
-			for b[at] == 0 {
-				at--
-			}
-			b[at] ^= 1
-		})},
+		{"a list head one over", "postings: invindex: frozen entry", edit(func(b []byte) { b[headAt]++ })},
 	} {
 		rejectsEverywhere(t, c.name, c.hostile, c.want, data[3])
 	}
@@ -263,10 +263,10 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	off += 5*8 + 8
 	wrongTotal := bytes.Clone(raw)
 	wrongTotal[off] ^= 1
-	// The last partition's key arena length: the seventh field of its
+	// The last partition's key arena length: the sixth field of its
 	// header, off by the pad it must count.
 	arenaLen := bytes.Clone(raw)
-	lenAt := off - 8 + 72*last + 48
+	lenAt := off - 8 + 64*last + 40
 	binary.LittleEndian.PutUint64(arenaLen[lenAt:], binary.LittleEndian.Uint64(arenaLen[lenAt:])-uint64(8-remLen))
 	for _, c := range []struct{ name, hostile, want string }{
 		{"posting total off by one", string(wrongTotal), "postings for"},
@@ -343,13 +343,13 @@ func TestLoadRejectsHostileKeysAndCounts(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsHostileEntryWidths: a partition's refs and counts are
-// as wide as their largest needs, so one index has one file. Refs a byte
-// wider, counts of four bytes that all fit one and a nonzero byte in the
-// pad after the refs are rejected by Load, from a stream and in place, and
-// by the first search of a mapped open; a ref or count width out of range
-// by all three at open. Each says what is wrong with the file. The
-// hostile widths are the last partition's, whose payload ends the file.
+// TestLoadRejectsHostileEntryWidths: a partition's refs are as wide as
+// their largest needs, so one index has one file. Refs a byte wider and a
+// nonzero byte in the pad after the refs are rejected by Load, from a
+// stream and in place, and by the first search of a mapped open; a ref
+// width out of range by all three at open. Each says what is wrong with
+// the file. The hostile widths are the last partition's, whose payload
+// ends the file.
 func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 	data := testData(t, 100, 14)
 	ix := buildSmall(t, data, Options{NumPartitions: 3, Seed: 1})
@@ -357,44 +357,33 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 	last := len(ix.parts.Parts) - 1
 	// The last partition's frozen header: after magic, dims, count,
 	// partition count, the dimension lists, five option fields and the
-	// headers before it, nine fields each; its ref and count widths are
-	// its fifth and sixth.
+	// headers before it, eight fields each; its ref width is its fifth.
 	hdr := 4 * 8
 	for _, part := range ix.parts.Parts {
 		hdr += 8 + 8*len(part)
 	}
-	hdr += 5*8 + 9*8*last
+	hdr += 5*8 + 8*8*last
 	field := func(b []byte, i int) int { return int(binary.LittleEndian.Uint64(b[hdr+8*i:])) }
 	n, refLen := field(raw, 0), field(raw, 4)
-	if field(raw, 5) != 1 || refLen > 2 {
-		t.Fatalf("the last partition's refs are %d bytes and its counts %d; the test needs at most 2 and 1", refLen, field(raw, 5))
+	if refLen > 2 {
+		t.Fatalf("the last partition's refs are %d bytes; the test needs at most 2", refLen)
 	}
 	// Its payload ends the file: the stored keys, the posting arena, the
-	// refs and their pad, the counts, alignment padding and the directory.
+	// refs and their pad, alignment padding and the directory.
 	keyBytes, postBytes, _, dirBytes := ix.inv[last].ArenaBreakdown()
 	refsAt := keyArenaOffset(t, ix, raw, last) + int(keyBytes+postBytes)
-	refs, counts := raw[refsAt:refsAt+refLen*n], raw[refsAt+refLen*n+4-refLen:][:n]
+	refs := raw[refsAt : refsAt+refLen*n]
 	dir := raw[len(raw)-int(dirBytes):]
-	// rewrite is raw with the last partition's widths set to rl and cl and
-	// its refs and counts written at them.
-	rewrite := func(rl, cl int) []byte {
+	// rewrite is raw with the last partition's refs rl bytes wide.
+	rewrite := func(rl int) []byte {
 		b := bytes.Clone(raw[:refsAt])
 		binary.LittleEndian.PutUint64(b[hdr+32:], uint64(rl))
-		binary.LittleEndian.PutUint64(b[hdr+40:], uint64(cl))
 		for e := range n {
 			var ref [4]byte
 			copy(ref[:], refs[refLen*e:refLen*(e+1)])
 			b = append(b, ref[:rl]...)
 		}
 		b = append(b, make([]byte, 4-rl)...)
-		if cl == 1 {
-			b = append(b, counts...)
-		} else {
-			b = append(b, make([]byte, -len(b)&7)...)
-			for _, c := range counts {
-				b = binary.LittleEndian.AppendUint32(b, uint32(c))
-			}
-		}
 		b = append(b, make([]byte, -len(b)&7)...)
 		return append(b, dir...)
 	}
@@ -410,11 +399,11 @@ func TestLoadRejectsHostileEntryWidths(t *testing.T) {
 		hostile    []byte
 		atOpen     bool
 	}{
-		{"refs a byte wider", fmt.Sprintf("refs are %d bytes wide", refLen+1), rewrite(refLen+1, 1), false},
-		{"4-byte counts that fit a byte", "counts are 4 bytes wide", rewrite(refLen, 4), false},
+		{"refs a byte wider", fmt.Sprintf("refs are %d bytes wide", refLen+1), rewrite(refLen + 1), false},
+		{"refs of four bytes", "refs are 4 bytes wide", rewrite(4), false},
 		{"a nonzero ref pad byte", fmt.Sprintf("ref pad byte %d is 0x1, not 0", 3-refLen), padSet, false},
 		{"a ref length of 5", "implausible ref length 5", header(4, 5), true},
-		{"a count length of 2", "implausible count length 2", header(5, 2), true},
+		{"a ref length of 0", "implausible ref length 0", header(4, 0), true},
 	} {
 		if _, err := Load(bytes.NewReader(c.hostile)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: from a stream: %v, want %q", c.name, err, c.want)

@@ -26,6 +26,8 @@ import (
 //	scanned-key        one key of a partition's arena compared (the unit)
 //	probed-signature   engine.ProbePrice: one signature of a ball walked and looked up
 //	probed-signature-bitmap  one signature of a ball walked and its posting count read by bit test and rank
+//	histogram          one key of the widest partition in its CN row's histogram pass (scanRow), count read and binned
+//	histogram-bitmap   the same over the partition a corpus keeps as a bitmap, if it keeps one
 //	candidate          engine.CandidatePrice: one posting decoded into the candidate set, fetched and verified
 //	scan-sparse        ScanCost(τ)/n where τ leaves few word-0 survivors: AppendWithin reads the column
 //	scan-dense         ScanCost(τ)/n where it does not: AppendWithin reads the rows
@@ -122,6 +124,23 @@ func BenchmarkPlanPrices(b *testing.B) {
 					b.Fatal("the ball holds no key")
 				}
 			})
+		}
+		// The histogram pass extendRow's scan branch makes, a query's
+		// projection binned over every key of the partition: on the widest
+		// partition, and on the bitmap where there is one.
+		histPass := func(name string, i int) {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
+				var hist []int64
+				row := make([]int64, c.tau+2)
+				for range b.N {
+					hist = scanRow(ix.inv[i], s.projs[i].Words(), hist, row)
+				}
+				report(b, ix.inv[i].NumKeys())
+			})
+		}
+		histPass("histogram", wide)
+		if bm := slices.IndexFunc(ix.inv, (*invindex.Frozen).Bitmap); bm >= 0 {
+			histPass("histogram-bitmap", bm)
 		}
 		b.Run(c.name+"/probed-signature-spread", func(b *testing.B) {
 			spread := ix.getScratch()

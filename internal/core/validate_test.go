@@ -65,7 +65,7 @@ func TestValidateAllocatesNothingPerRow(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex hammers the whole GPHIX12 file: whatever the bytes, a
+// FuzzLoadIndex hammers the whole GPHIX13 file: whatever the bytes, a
 // deferred load then Validate, and an eager Load, never panic and agree
 // on the verdict to the message. An accepted index answers a search for
 // each of its own rows at τ ∈ {0, 2} with ids a brute-force pass over its
@@ -75,7 +75,7 @@ func TestValidateAllocatesNothingPerRow(t *testing.T) {
 // postings and rows disagree is accepted and the index follows its
 // postings.
 func FuzzLoadIndex(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "index-gphix12.bin"))
+	fixture, err := os.ReadFile(filepath.Join("testdata", "index-gphix13.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}

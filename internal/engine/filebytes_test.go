@@ -17,12 +17,12 @@ import (
 // write the same bytes: a file of one build loads in the other.
 func TestSaveBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"gph":       "245f221d12b344a16786d83aa4a8807789cb34dac791966aec0dbd2fb2bf6158",
-		"hmsearch":  "e07eeb99088b023b113de31cfa05ed1fe013ede02fe0b9ffd83083d90d53c150",
+		"gph":       "840aa0b16fa2c81c9faf1e7c1f8255038de601b4c8308e07c46d25c72fbe58db",
+		"hmsearch":  "c2f023fca1630c4ad0294df69434c4a0b4450fa4181ead823269ac6f55a0ba92",
 		"linscan":   "0ea00f2d58bdc4da854c7da098cd87083a242e192c6d52224d337b0c64e49ad0",
-		"lsh":       "9f5aff03cef90e9cf2eb4e58a7e9f51fa83e9b83a1ee3b7b114cb91650056d17",
-		"mih":       "de4d7ce023c0269a9e7e89251bf6d8f45562aa70aed7a8638b98071ef062b917",
-		"partalloc": "841c99ba4728055591933789a8b64e8d7a67309c4ea6805f13dd77c7d53a9e77",
+		"lsh":       "b1fda0b5b11423a322e6663407097211f36cd3309e7044133d5b41c18ab5d0d3",
+		"mih":       "17c997ca92030c860f3baa4623ee3b5c939551c8bbca5d8449baa614a5fe6cb4",
+		"partalloc": "0e2ef35a7091b3b2a937f2c15ef0c7e0f70a807332eb3f60f6274cac2734b558",
 	}
 	data := dataset.Synthetic(300, 70, 0.3, confSeed).Vectors
 	for _, name := range engine.Names() {

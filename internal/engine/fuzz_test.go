@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -30,6 +32,14 @@ func FuzzLoadAny(f *testing.F) {
 			f.Fatalf("building %s: %v", name, err)
 		}
 		f.Add(saved(f, e))
+		if name == "gph" {
+			for i, hostile := range hostileLists(f, saved(f, e)) {
+				if _, err := engine.LoadAny(bytes.NewReader(hostile)); err == nil {
+					f.Fatalf("hostile list %d: the file is accepted", i)
+				}
+				f.Add(hostile)
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := engine.LoadAny(bytes.NewReader(raw))
@@ -69,6 +79,101 @@ func FuzzLoadAny(f *testing.F) {
 			t.Fatalf("%s: a search for vector %d answers %v, a linear scan %v", e.Name(), len(vectors)/2, got, want)
 		}
 	})
+}
+
+// gphSection is where one partition's frozen section lies in a saved GPH
+// file: its posting arena, and its refs, refLen bytes an entry.
+type gphSection struct {
+	post, postLen, refs, refLen, keys int
+}
+
+// gphSections finds every partition's section in the GPH file raw by its
+// head: magic, dims, count, the partitions' dimension lists, five option
+// fields, then each section's eight header fields — key count, postings,
+// width, key length, ref length, key arena length, posting arena length,
+// layout — and, after the 8-aligned vector arena, each section's key
+// arena, posting arena, refs and their pad, and, 8-aligned, its
+// directory or rank array.
+func gphSections(raw []byte) []gphSection {
+	at := 8
+	word := func() int { at += 8; return int(binary.LittleEndian.Uint64(raw[at-8:])) }
+	dims, count, parts := word(), word(), word()
+	for range parts {
+		at += 8 * word()
+	}
+	at += 5 * 8
+	heads := make([][8]int, parts)
+	for p := range heads {
+		for j := range heads[p] {
+			heads[p][j] = word()
+		}
+	}
+	at = (at+7)&^7 + count*8*((dims+63)/64)
+	var out []gphSection
+	for _, h := range heads {
+		n, refLen, keyLen, postLen := h[0], h[4], h[5], h[6]
+		s := gphSection{post: at + keyLen, postLen: postLen, refs: at + keyLen + postLen, refLen: refLen, keys: n}
+		at = (s.refs + refLen*n + 4 - refLen + 7) &^ 7
+		switch {
+		case h[7] == 1:
+			at += 4 * ((keyLen+63)/64 + 1)
+		case n <= 2:
+			at += 2 * 2
+		case n <= 65535:
+			at += 2 * (1<<(bits.Len(uint(n-1))-1) + 1)
+		default:
+			at += 4 * (1<<(bits.Len(uint(n-1))-1) + 1)
+		}
+		out = append(out, s)
+	}
+	if at != len(raw) {
+		panic("engine: the GPH file's sections do not end it")
+	}
+	return out
+}
+
+// hostileLists are GPH files made from raw whose lists the content tier
+// refuses: a head that claims one id more than its bytes hold, a head of
+// five continuation bytes, the first list's ref moved into the one-id
+// range (below the collection size) and the last list ending short of
+// the arena, its head one id under.
+func hostileLists(t testing.TB, raw []byte) [][]byte {
+	count := int(binary.LittleEndian.Uint64(raw[16:]))
+	var out [][]byte
+	edit := func(change func(b []byte)) {
+		b := bytes.Clone(raw)
+		change(b)
+		out = append(out, b)
+	}
+	for _, s := range gphSections(raw) {
+		if s.postLen < 5 {
+			continue
+		}
+		ref := func(b []byte, e int) int {
+			var r [4]byte
+			copy(r[:], b[s.refs+s.refLen*e:s.refs+s.refLen*(e+1)])
+			return int(binary.LittleEndian.Uint32(r[:]))
+		}
+		first, last := -1, -1
+		for e := range s.keys {
+			if r := ref(raw, e); r == count {
+				first = e
+			} else if r > count && (last < 0 || r > ref(raw, last)) {
+				last = e
+			}
+		}
+		tail := s.post + ref(raw, last) - count
+		if first < 0 || last < 0 || raw[tail] == 0 || raw[tail] >= 0x80 {
+			continue
+		}
+		edit(func(b []byte) { b[s.post]++ })
+		edit(func(b []byte) { copy(b[s.post:], []byte{0x80, 0x80, 0x80, 0x80, 0x80}) })
+		edit(func(b []byte) { b[s.refs+s.refLen*first] = byte(count - 1) })
+		edit(func(b []byte) { b[tail]-- })
+		return out
+	}
+	t.Fatal("no partition holds a first and a last list whose head can be one under")
+	return nil
 }
 
 // saved is e's saved form.

@@ -40,7 +40,7 @@ const EngineName = "hmsearch"
 // indexMagic identifies the persisted form: build threshold,
 // arrangement and the raw collection; the deletion-variant inverted
 // indexes are rebuilt deterministically on Load.
-const indexMagic = "GPHHM01\n"
+const indexMagic = "GPHHM02\n"
 
 // Options configures Build.
 type Options struct {

@@ -87,8 +87,11 @@ func TestPersistedMagicsDistinct(t *testing.T) {
 func TestSupersededMagicsRejected(t *testing.T) {
 	arbitrary := bytes.Repeat([]byte{0x00, 0x01, 0xFE, 0xFF, 0x30, 0x80, 0x7F, 0x08}, 64)
 	var superseded []string
-	for gen := 1; gen <= 11; gen++ { // the index is at generation 12
+	for gen := 1; gen <= 12; gen++ { // the index is at generation 13
 		superseded = append(superseded, fmt.Sprintf("GPHIX%02d\n", gen))
+	}
+	for _, baseline := range []string{"GPHMH", "GPHHM", "GPHPA", "GPHLH"} { // the baselines at 2
+		superseded = append(superseded, baseline+"01\n")
 	}
 	for gen := 1; gen <= 4; gen++ { // the shard container at 5
 		superseded = append(superseded, fmt.Sprintf("GPHSH%02d\n", gen))

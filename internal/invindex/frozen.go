@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
@@ -34,14 +35,14 @@ import (
 //     partition can hold, set where it holds one (at least a word of
 //     them), and its entries in ascending key order: key k's entry is its
 //     rank, the number of keys below it;
-//   - one ref and one count an entry: the ref of an entry with one id is
-//     the id itself, and that of an entry with more is where its list
-//     starts in a second arena — lists of two or more ids, delta-varint
-//     encoded (ids are ascending, so gaps are small and most postings
-//     cost 1–2 bytes), each decoded by its count and starting where the
-//     one before it ends. Each is as wide as its numbers: a ref takes the
-//     bytes the largest ref needs (refLen), a count one byte when every
-//     count of the index fits one and four otherwise;
+//   - one ref an entry, which says both how many ids the entry lists and
+//     where they are: a ref below maxID, the id bound, is the id of an
+//     entry with one, and a ref of maxID + off is a list at byte off of a
+//     second arena — an entry of two or more ids, written as
+//     varint(count − 2), then its ids delta-varint encoded (ids are
+//     ascending, so gaps are small and most postings cost 1–2 bytes), each
+//     list starting where the one before it ends. A ref takes the bytes the
+//     largest needs (refLen); a count has no array of its own;
 //   - what finds a key's entry, written with the section like the rest.
 //     In the hashed layouts it is a directory of where each bucket's
 //     entries start, so a probe is one hash, two adjacent directory reads
@@ -66,17 +67,11 @@ type Frozen struct {
 	keyLen    int    // bytes a key takes written out, KeyLen of width
 	remLen    int    // bytes a stored key takes: its remainder's in the quotient layout, keyLen in the byte layout
 	width     int    // bits a key holds: its partition's width, which the section header carries
-	postArena []byte // delta-varint lists of two or more ids, in entry order
-	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): the id of a one-id entry, else where its list starts in postArena
+	postArena []byte // lists of two or more ids, in entry order: each varint(count − 2), then the ids delta-varint encoded
+	refs      []byte // refLen little-endian bytes an entry, then the pad (refPad): below maxID the id of a one-id entry, else maxID + where its list starts in postArena
 	refLen    int    // bytes a ref, refLenFor the largest
+	numKeys   int    // distinct keys, one entry each
 	postings  int64  // total postings across all keys
-
-	// Postings per key, never 0, so PostingLenBytes needs no decode: in
-	// counts8 when every count fits a byte and in counts32 otherwise, the
-	// other field nil. Counts have an array of their own, not a place
-	// beside each ref: the histogram loop reads them at a constant stride.
-	counts8  []uint8
-	counts32 []uint32
 
 	// The bucket directory: the entries of bucket b, the keys whose hash
 	// is b in its top bits, are dir[b] up to dir[b+1]. It has
@@ -90,10 +85,11 @@ type Frozen struct {
 	dirShift uint
 	bitmap   bool // the bitmap layout: keyArena is the bitmap, dir32 its rank array
 
-	// Deferred content validation (see ReadPayload): maxID is
-	// the id bound Validate checks postings against, and deepOnce/
-	// deepErr make Validate idempotent and safe under concurrent first
-	// queries.
+	// maxID is the id bound, the number of ids the index may list: a ref
+	// below it is an id, a ref from it a list, and Validate checks postings
+	// against it. A build sets it to its id count, a read to the bound its
+	// caller gives, which is never negative. deepOnce/deepErr make Validate
+	// (see ReadPayload) idempotent and safe under concurrent first queries.
 	maxID    int32
 	deepOnce sync.Once
 	deepErr  error
@@ -161,17 +157,15 @@ func refPad(refLen, n int) int {
 	return 0
 }
 
-// entryCount is the type of a stored posting count.
-type entryCount interface{ uint8 | uint32 }
-
 // addList ends the entry whose key was just appended to the key arena:
 // it encodes ids, ascending and at least one, as the entry's list when
-// there are two or more, and returns the entry's ref.
+// there are two or more — the count less two, then the ids — and returns
+// the entry's ref.
 func (f *Frozen) addList(ids []int32) uint32 {
-	ref := uint32(len(f.postArena))
-	if len(ids) == 1 {
-		ref = uint32(ids[0])
-	} else {
+	ref := uint32(ids[0])
+	if len(ids) > 1 {
+		ref = uint32(f.maxID) + uint32(len(f.postArena))
+		f.postArena = binary.AppendUvarint(f.postArena, uint64(len(ids)-2))
 		prev := int32(0)
 		for _, id := range ids {
 			f.postArena = binary.AppendUvarint(f.postArena, uint64(uint32(id-prev)))
@@ -183,24 +177,6 @@ func (f *Frozen) addList(ids []int32) uint32 {
 	}
 	f.postings += int64(len(ids))
 	return ref
-}
-
-// addCount appends an entry's count: to counts8 while every count fits a
-// byte, and from the first that does not to counts32, where the counts
-// before it move.
-func (f *Frozen) addCount(c int) {
-	if f.counts32 == nil && c <= math.MaxUint8 {
-		f.counts8 = append(f.counts8, uint8(c))
-		return
-	}
-	if f.counts32 == nil {
-		f.counts32 = make([]uint32, len(f.counts8), cap(f.counts8))
-		for e, c8 := range f.counts8 {
-			f.counts32[e] = uint32(c8)
-		}
-		f.counts8 = nil
-	}
-	f.counts32 = append(f.counts32, uint32(c))
 }
 
 // packRefs stores a build's refs, one an entry, in the bytes the largest
@@ -299,14 +275,20 @@ func freezeRows(n, per, width int, rows []uint64, how layoutChoice) *Frozen {
 		}
 	}
 	runs = append(runs, int32(keys))
+	shared := 0 // the runs of two keys or more
+	for r := range distinct {
+		if runs[r+1]-runs[r] > 1 {
+			shared++
+		}
+	}
 	f := &Frozen{
 		keyLen: keyLen,
 		width:  width,
-		// A list of c ids repeats its key c − 1 times: 2(c − 1) ≥ c bytes
-		// holds it at a byte a gap.
-		postArena: make([]byte, 0, 2*(keys-distinct)),
-		counts8:   make([]uint8, 0, distinct),
-		maxID:     math.MaxInt32, // ids are valid by construction
+		// A list of c ids repeats its key c − 1 times: 2(c − 1) + 1 ≥ c + 1
+		// bytes holds its head and its ids at a byte a gap.
+		postArena: make([]byte, 0, 2*(keys-distinct)+shared),
+		numKeys:   distinct,
+		maxID:     int32(n),
 	}
 	runKey := func(r int32) []uint64 { return key(order[runs[r]]) }
 	var hashOf func(r int32) uint64 // a run's hash, in a hashed layout
@@ -356,7 +338,6 @@ func freezeRows(n, per, width int, rows []uint64, how layoutChoice) *Frozen {
 			}
 		}
 		refs = append(refs, f.addList(ids))
-		f.addCount(len(ids))
 	}
 	if !f.bitmap {
 		f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, distinct))...)
@@ -617,17 +598,20 @@ func (f *Frozen) lookupWord(w uint64) int {
 // probeWord is lookupWord with the entry's count, 0 for none: the call
 // a probe makes, lookupWord and PostingLenWord inlined around it.
 func (f *Frozen) probeWord(w uint64) (e, count int) {
-	if f.bitmap {
+	switch {
+	case f.bitmap:
 		e = f.bitmapEntry(w)
-		return e, f.count(e)
-	}
-	if !f.quotient() || f.NumKeys() == 0 || w > wordMask(f.width) {
+	case !f.quotient() || f.numKeys == 0 || w > wordMask(f.width):
 		return -1, 0 // keys of several words, or of none, or no keys, or a key past the width
+	default:
+		h := hashQuot(f.width, w)
+		lo, hi := f.span(h)
+		e = f.inBucket(lo, hi, h&f.remMask())
 	}
-	h := hashQuot(f.width, w)
-	lo, hi := f.span(h)
-	e = f.inBucket(lo, hi, h&f.remMask())
-	return e, f.count(e)
+	if e < 0 {
+		return e, 0
+	}
+	return e, int(f.refCount(f.ref(e)))
 }
 
 // inBucket returns the entry among lo up to hi, a bucket of a
@@ -770,15 +754,17 @@ func (f *Frozen) LookupKey(key []uint64, buf *[]byte) int {
 // receives the number of the entry fs[i] holds the key words[i] under,
 // −1 when it holds none, and counts[i] that entry's posting count, 0 for
 // none. A lookup is a chain of dependent loads — directory, remainders,
-// count — and most of them miss the cache when every position reads
-// another index, so the batch runs in stages: every hash and directory
-// read (counts[i] holding where the bucket ends until the last stage),
-// then every bucket's remainders, then every count, a stage's loads in
-// flight side by side instead of one chain waiting behind another. A
-// position whose index keeps a bitmap (its bit and rank read side by
-// side) or does not keep the quotient layout, or keeps no key, or whose
-// word has a bit past the width, is looked up whole in the first stage. A
-// nil fs[i] is skipped, entries[i] and counts[i] left as they were.
+// ref, and a list's head — and most of them miss the cache when every
+// position reads another index, so the batch runs in stages: every hash
+// and directory read (counts[i] holding where the bucket ends until the
+// last stage), then every bucket's remainders, then every ref (counts[i]
+// holding it), then every list's head, a stage's loads in flight side by
+// side instead of one chain waiting behind another; a collect of a list
+// found here then finds its head in cache. A position whose index keeps a
+// bitmap (its bit and rank read side by side) or does not keep the
+// quotient layout, or keeps no key, or whose word has a bit past the
+// width, is looked up whole in the first stage. A nil fs[i] is skipped,
+// entries[i] and counts[i] left as they were.
 //
 //gph:hotpath
 func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32) {
@@ -788,11 +774,11 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 		case f == nil:
 		case f.bitmap:
 			entries[i] = int32(f.bitmapEntry(words[i]))
-		case !f.quotient() || f.NumKeys() == 0 || words[i] > wordMask(f.width):
-			entries[i], counts[i] = -1, 0
+		case !f.quotient() || f.numKeys == 0 || words[i] > wordMask(f.width):
+			entries[i] = -1
 		default:
 			lo, hi := f.span(hashQuot(f.width, words[i]))
-			entries[i], counts[i] = int32(min(lo, f.NumKeys())), uint32(hi)
+			entries[i], counts[i] = int32(min(lo, f.numKeys)), uint32(hi)
 		}
 	}
 	for i, f := range fs {
@@ -802,14 +788,23 @@ func LookupWords(fs []*Frozen, words []uint64, entries []int32, counts []uint32)
 		}
 	}
 	for i, f := range fs {
-		if f != nil {
-			counts[i] = uint32(f.count(int(entries[i])))
+		if f != nil && entries[i] >= 0 {
+			counts[i] = f.ref(int(entries[i]))
+		}
+	}
+	for i, f := range fs {
+		switch {
+		case f == nil:
+		case entries[i] < 0:
+			counts[i] = 0
+		default:
+			counts[i] = f.refCount(counts[i])
 		}
 	}
 }
 
 // NumKeys returns the number of distinct keys.
-func (f *Frozen) NumKeys() int { return len(f.counts8) + len(f.counts32) }
+func (f *Frozen) NumKeys() int { return f.numKeys }
 
 // KeyLen returns the bytes each key takes written out: KeyLen(Width()).
 func (f *Frozen) KeyLen() int { return f.keyLen }
@@ -827,24 +822,77 @@ func (f *Frozen) count(e int) int {
 	if e < 0 {
 		return 0
 	}
-	return int(f.countAt(e))
+	return int(f.refCount(f.ref(e)))
 }
 
-// countAt returns entry e's posting count from the array that holds it.
-func (f *Frozen) countAt(e int) uint32 {
-	if f.counts32 == nil {
-		return uint32(f.counts8[e])
+// refCount returns the posting count of the entry whose ref is r: 1 for
+// an id, and for a list its head plus two (listCount), read as flatCount
+// reads it.
+func (f *Frozen) refCount(r uint32) uint32 {
+	post := f.posts()
+	c, off, again := flatCount(r, int64(f.maxID), post)
+	if again {
+		c = listCount(post, int(off))
 	}
-	return f.counts32[e]
+	return c
 }
 
-// countLen returns the bytes a count takes: 4 when the counts are held in
-// counts32, else 1.
-func (f *Frozen) countLen() int {
-	if f.counts32 != nil {
-		return 4
+// flatCount reads the count of the entry whose ref is r without a branch
+// on the entry's kind — whether an entry is a list is a coin toss no
+// predictor learns where lists are common: every entry reads a byte of
+// post, a one-id entry the first, and keeps it, plus two, where it is a
+// list's head, its ref from split on. It returns the count so read, the
+// list's offset (0 for an id) and whether listCount must read the count
+// again: a head of several bytes, or a list ref past the arena in a
+// section yet to be judged. post holds a byte at least (posts).
+func flatCount(r uint32, split int64, post []byte) (c uint32, off uint, again bool) {
+	list := uint32((split - 1 - int64(r)) >> 63) // all ones for a list's ref
+	off = uint(r-uint32(split)) & uint(list)
+	head := uint32(post[min(off, uint(len(post)-1))]) & list
+	return head + 1 + list&1, off, head >= 0x80 || off >= uint(len(post))
+}
+
+// posts returns the posting arena as flatCount reads it: a byte of
+// zero where the section has no list.
+func (f *Frozen) posts() []byte {
+	if len(f.postArena) == 0 {
+		return noLists[:]
 	}
-	return 1
+	return f.postArena
+}
+
+// noLists is the posting arena of a section with no list, as flatCount
+// reads it.
+var noLists [1]byte
+
+// listCount returns the count of the list at byte off of posting arena
+// b: its head, varint(count − 2), plus two. A head of one byte, count <
+// 130, is read in line. Before the content tier has judged the section a
+// ref may point anywhere, so the read stays in the arena: off past it
+// reads as a list of two, a head that runs off its end as the bytes it
+// has.
+func listCount(b []byte, off int) uint32 {
+	if uint(off) >= uint(len(b)) {
+		return 2
+	}
+	if c := b[off]; c < 0x80 {
+		return uint32(c) + 2
+	}
+	return longHead(b, off) + 2
+}
+
+// longHead reads the varint at b[i:] as uvarint32 does, up to b's end.
+func longHead(b []byte, i int) uint32 {
+	var v uint32
+	for shift := uint(0); i < len(b) && shift < 32; shift += 7 {
+		c := b[i]
+		i++
+		v |= uint32(c&0x7f) << shift
+		if c < 0x80 {
+			break
+		}
+	}
+	return v
 }
 
 // ref returns entry e's ref, read as a key is: the 4-byte little-endian
@@ -857,8 +905,8 @@ func (f *Frozen) ref(e int) uint32 {
 
 // PostingLenBytes returns the length of the posting list of the packed
 // byte key without decoding it — the |I_s| term of the paper's cost
-// model: one hash of the key, a walk of its bucket and one read of the
-// stored count, no posting byte touched. GPH's threshold allocation sums it over a
+// model: one hash of the key, a walk of its bucket, one read of its ref
+// and, for a list, of its head, no id decoded. GPH's threshold allocation sums it over a
 // Hamming ball to get an exact candidate number — CN(qᵢ, e) is by
 // definition Σ |I_s| over the radius-e ball of qᵢ.
 //
@@ -903,17 +951,17 @@ func uvarint32(b []byte, i int) (v uint32, next int) {
 }
 
 // first reads entry e up to its first id: it returns the entry's count
-// and that id — a one-id entry's ref — and, for a list, the list's bytes
-// from its start and where the varint after the first id begins.
+// and that id — a one-id entry's ref — and, for a list, the posting arena
+// and where the varint after the first id begins in it.
 func (f *Frozen) first(e int) (n uint32, id int32, b []byte, i int) {
-	n, id = f.countAt(e), int32(f.ref(e))
-	if n > 1 {
-		b = f.postArena[id:]
-		var v uint32
-		v, i = uvarint32(b, 0)
-		id = int32(v)
+	r := f.ref(e)
+	if r < uint32(f.maxID) {
+		return 1, int32(r), nil, 0
 	}
-	return n, id, b, i
+	b = f.postArena
+	n, i = uvarint32(b, int(r-uint32(f.maxID)))
+	v, i := uvarint32(b, i)
+	return n + 2, int32(v), b, i
 }
 
 // appendList appends entry e's ids to dst.
@@ -1031,9 +1079,9 @@ func (f *Frozen) keyBlock(p *keyPass, base, end int, keys *[scanBlock]uint64) []
 }
 
 // remStride is the stride of a pass over a quotient-layout index's
-// remainders: an array as long as a remainder, so that each remainder
-// length gets its own copy of a loop, the stride a constant in it — at a
-// stride held in a register the reslice keeps a bounds check.
+// remainders, or over refs: an array as long as a remainder or a ref, so
+// that each length gets its own copy of a loop, the stride a constant in
+// it — at a stride held in a register the reslice keeps a bounds check.
 type remStride interface {
 	[1]byte | [2]byte | [3]byte | [4]byte | [5]byte | [6]byte | [7]byte | [8]byte
 }
@@ -1077,21 +1125,27 @@ func matchKeys(keys []uint64, q uint64, radius int, hits *[scanBlock]int32) int 
 // (its bitmap, and its ids as a slice that is returned extended) and
 // returns the list's length, so that no caller reads the count again:
 // the ids are read like appendList reads them, but only ids the bitmap
-// does not hold yet are kept, and they are marked. It starts the entry
-// as first does, written out: first is too large to inline, and a call
-// costs a hit on a one-id key about 1 ns (collect-singleton).
+// does not hold yet are kept, and they are marked. A one-id entry is its
+// ref, marked with no read of the posting arena; a list is read from its
+// head.
 func (f *Frozen) collect(e int, seen []uint64, ids []int32) ([]int32, int) {
-	n, id := f.countAt(e), int32(f.ref(e))
-	count := int(n)
-	var b []byte
-	i := 0
-	if n > 1 {
-		b = f.postArena[id:]
-		var v uint32
-		v, i = uvarint32(b, 0)
-		id = int32(v)
+	r := f.ref(e)
+	if r < uint32(f.maxID) {
+		if w, bit := r/64, r%64; seen[w]>>bit&1 == 0 {
+			seen[w] |= 1 << bit
+			ids = append(ids, int32(r))
+		}
+		return ids, 1
 	}
+	b := f.postArena
+	n, i := uvarint32(b, int(r-uint32(f.maxID)))
+	n += 2
+	count := int(n)
+	var id int32
 	for {
+		var v uint32
+		v, i = uvarint32(b, i)
+		id += int32(v)
 		if w, bit := id/64, uint(id)%64; seen[w]>>bit&1 == 0 {
 			seen[w] |= 1 << bit
 			ids = append(ids, id)
@@ -1099,9 +1153,6 @@ func (f *Frozen) collect(e int, seen []uint64, ids []int32) ([]int32, int) {
 		if n--; n == 0 {
 			return ids, count
 		}
-		var v uint32
-		v, i = uvarint32(b, i)
-		id += int32(v)
 	}
 }
 
@@ -1255,63 +1306,94 @@ func (f *Frozen) Histogram(q []uint64, hist []int64) {
 	switch {
 	case len(q) != 1 && (f.bitmap || f.quotient()):
 		// Keys of one word lie at no distance from a query of another length.
-	case f.bitmap && f.counts32 == nil:
-		histBitmap(f.keyArena, f.counts8, q[0], hist)
 	case f.bitmap:
-		histBitmap(f.keyArena, f.counts32, q[0], hist)
-	case f.quotient() && f.counts32 == nil:
-		histQuotient(f, f.counts8, q[0], hist)
+		switch f.refLen {
+		case 1:
+			histBitmap[[1]byte](f, q[0], hist)
+		case 2:
+			histBitmap[[2]byte](f, q[0], hist)
+		case 3:
+			histBitmap[[3]byte](f, q[0], hist)
+		default:
+			histBitmap[[4]byte](f, q[0], hist)
+		}
 	case f.quotient():
-		histQuotient(f, f.counts32, q[0], hist)
+		var p keyPass
+		var keys [scanBlock]uint64
+		for base := 0; base < f.numKeys; base += scanBlock {
+			end := min(base+scanBlock, f.numKeys)
+			block, refs := f.keyBlock(&p, base, end, &keys), f.refs[f.refLen*base:]
+			switch f.refLen {
+			case 1:
+				histQuotient[[1]byte](f, block, refs, q[0], hist)
+			case 2:
+				histQuotient[[2]byte](f, block, refs, q[0], hist)
+			case 3:
+				histQuotient[[3]byte](f, block, refs, q[0], hist)
+			default:
+				histQuotient[[4]byte](f, block, refs, q[0], hist)
+			}
+		}
 	default:
-		for e := range f.NumKeys() {
+		for e := range f.numKeys {
 			if d, ok := f.distance(e, q); ok {
-				hist[d] += int64(f.countAt(e))
+				hist[d] += int64(f.count(e))
 			}
 		}
 	}
 }
 
-// histQuotient is Histogram over a quotient-layout index whose counts
-// are counts, a block of keys at a time (keyBlock).
-func histQuotient[C entryCount](f *Frozen, counts []C, q uint64, hist []int64) {
-	var p keyPass
-	var keys [scanBlock]uint64
-	for base := 0; base < len(counts); base += scanBlock {
-		end := min(base+scanBlock, len(counts))
-		histKeys(f.keyBlock(&p, base, end, &keys), counts[base:end], q, hist)
-	}
-}
-
-// histKeys is histQuotient's loop over a block's keys and their counts:
-// one load, popcount and add an entry, one instance a count width.
+// histQuotient is Histogram's loop over a block of a quotient-layout
+// index's keys and their refs, of len(R) bytes each: a ref load, a count
+// read as flatCount reads it, a popcount and an add an entry.
 //
 //go:noinline
-func histKeys[C entryCount](keys []uint64, counts []C, q uint64, hist []int64) {
-	keys, hist = keys[:len(counts)], hist[:65]
-	for j, c := range counts {
-		hist[bits.OnesCount64(keys[j]^q)] += int64(c)
+func histQuotient[R remStride](f *Frozen, keys []uint64, refs []byte, q uint64, hist []int64) {
+	var stride R
+	mask, split, post := ^uint32(0)>>(32-8*len(stride)), int64(f.maxID), f.posts()
+	hist = hist[:65]
+	for _, key := range keys {
+		if len(refs) < 4 {
+			break // never: the pad keeps the last ref's load inside the array
+		}
+		r := binary.LittleEndian.Uint32(refs) & mask
+		refs = refs[len(stride):]
+		c, off, again := flatCount(r, split, post)
+		if again {
+			c = listCount(post, int(off))
+		}
+		hist[bits.OnesCount64(key^q)] += int64(c)
 	}
 }
 
-// histBitmap is Histogram over bitmap bm, whose keys' counts are counts:
+// histBitmap is Histogram over a bitmap whose refs are len(R) bytes each:
 // a key's distance is its word's term, shared by the word's 64 keys, and
-// its low bits'. It stops before a word whose keys would run past the
-// last count, however many keys a bitmap its deferred validation has yet
-// to reject holds.
+// its low bits'; its count is read as flatCount reads it. It stops
+// before a word whose keys would run past the last entry, however many
+// keys a bitmap its deferred validation has yet to reject holds.
 //
 //go:noinline
-func histBitmap[C entryCount](bm []byte, counts []C, q uint64, hist []int64) {
-	e := 0
+func histBitmap[R remStride](f *Frozen, q uint64, hist []int64) {
+	var stride R
+	mask, split, post := ^uint32(0)>>(32-8*len(stride)), int64(f.maxID), f.posts()
+	bm, refs, e := f.keyArena, f.refs, 0
 	for at := 0; at+8 <= len(bm); at += 8 {
 		word := binary.LittleEndian.Uint64(bm[at:])
-		if e+bits.OnesCount64(word) > len(counts) {
+		if e += bits.OnesCount64(word); e > f.numKeys {
 			return
 		}
 		h := hist[bits.OnesCount64(uint64(at/8)^q/64):]
 		for ; word != 0; word &= word - 1 {
-			h[bits.OnesCount64(uint64(bits.TrailingZeros64(word))^q%64)] += int64(counts[e])
-			e++
+			if len(refs) < 4 {
+				return // never: the pad keeps the last ref's load inside the array
+			}
+			r := binary.LittleEndian.Uint32(refs) & mask
+			refs = refs[len(stride):]
+			c, off, again := flatCount(r, split, post)
+			if again {
+				c = listCount(post, int(off))
+			}
+			h[bits.OnesCount64(uint64(bits.TrailingZeros64(word))^q%64)] += int64(c)
 		}
 	}
 }
@@ -1399,17 +1481,13 @@ func (f *Frozen) keyBytes() []byte {
 }
 
 // frozenStructBytes is the fixed overhead SizeBytes charges for the
-// Frozen struct itself: seven slice headers (24 bytes each) — the arenas,
-// the refs, both widths' count arrays and both widths' directories, one
-// of each pair nil — plus the key-length, stored-key-length, width,
-// ref-length, postings and directory-shift fields. The layout flag sits
-// in padding the struct has anyway.
-const frozenStructBytes = 7*24 + 48
+// Frozen struct itself, every field of it: the slice headers, the
+// scalars, the validation state.
+const frozenStructBytes = int64(unsafe.Sizeof(Frozen{}))
 
 // SizeBytes reports the exact resident size of the frozen index: the
 // stored keys and posting arenas (the bitmap in place of the keys), the
-// per-entry refs and counts, the bucket directory or rank array, and the
-// struct header.
+// per-entry refs, the bucket directory or rank array, and the struct.
 // Every term is the length of a real backing array, so Fig. 6 reports a
 // property of the index rather than a guess, and heap- and mmap-opened
 // copies of one index always agree.
@@ -1427,11 +1505,9 @@ func (f *Frozen) dirBytes() int64 {
 	return directoryBytes(f.NumKeys())
 }
 
-// entryBytes returns the bytes of the per-entry arrays: the refs with
-// their pad, and the counts at their width.
-func (f *Frozen) entryBytes() int64 {
-	return int64(len(f.refs)) + int64(len(f.counts8)) + 4*int64(len(f.counts32))
-}
+// entryBytes returns the bytes of the per-entry array: the refs with
+// their pad.
+func (f *Frozen) entryBytes() int64 { return int64(len(f.refs)) }
 
 // WriteTo serializes the frozen index as its arrays, verbatim: the
 // stored keys need no offsets, since they have one length, which follows
@@ -1440,11 +1516,10 @@ func (f *Frozen) entryBytes() int64 {
 // Output is deterministic for a given logical index.
 //
 // The section is split in two halves a container may separate: a
-// scalar header carrying every length a reader needs (the width, key,
-// ref and count widths, from which the per-entry arrays' and the
-// directory's lengths follow with the key count, and the arena byte
-// lengths), and a raw payload with alignment padding before 4-byte
-// counts and before the directory. A borrow-mode reader aliases the
+// scalar header carrying every length a reader needs (the width, key and
+// ref widths, from which the refs' and the directory's lengths follow
+// with the key count, and the arena byte lengths), and a raw payload
+// with alignment padding before the directory. A borrow-mode reader aliases the
 // whole payload from the header's lengths without reading a byte of it,
 // so a container that groups all its sections' headers together (as the
 // GPH index does) opens a cold mapping by faulting the header pages
@@ -1455,8 +1530,8 @@ func (f *Frozen) WriteTo(bw *binio.Writer) {
 }
 
 // WriteHeaderTo writes the section's scalar header: key count,
-// posting total, width in bits, key, ref and count widths, both arena
-// byte lengths (the key arena's the bitmap's in that layout) and the
+// posting total, width in bits, key and ref widths, both arena byte
+// lengths (the key arena's the bitmap's in that layout) and the
 // layout, 1 for the bitmap and 0 for the hash — everything
 // ReadFrozenHeader needs to alias the payload without reading it.
 func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
@@ -1465,7 +1540,6 @@ func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(f.width)
 	bw.Int(f.keyLen)
 	bw.Int(f.refLen)
-	bw.Int(f.countLen())
 	bw.Int(len(f.keyArena))
 	bw.Int(len(f.postArena))
 	layout := 0
@@ -1475,21 +1549,14 @@ func (f *Frozen) WriteHeaderTo(bw *binio.Writer) {
 	bw.Int(layout)
 }
 
-// WritePayloadTo writes the arenas and per-entry arrays raw, in the
-// order FrozenHeader.ReadPayload consumes them: the refs, bytes, right
-// after the posting arena; 4-byte counts after alignment padding, 1-byte
-// ones right after the refs; then, after alignment padding, the
-// directory or rank array.
+// WritePayloadTo writes the arenas and the refs raw, in the order
+// FrozenHeader.ReadPayload consumes them: the refs right after the
+// posting arena, then, after alignment padding, the directory or rank
+// array.
 func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	bw.Bytes(f.keyArena)
 	bw.Bytes(f.postArena)
 	bw.Bytes(f.refs)
-	if f.counts32 != nil {
-		bw.Align8()
-		bw.Uint32sRaw(f.counts32)
-	} else {
-		bw.Bytes(f.counts8)
-	}
 	bw.Align8()
 	if f.dir16 != nil {
 		bw.Uint16sRaw(f.dir16)
@@ -1498,11 +1565,11 @@ func (f *Frozen) WritePayloadTo(bw *binio.Writer) {
 	}
 }
 
-// ReadFrozen reads an index written by WriteTo, validating the count
-// total and the contents (lists chained end to end over the arena,
-// varint framing, that every id lies in [0, maxID), the directory and
-// the keys' order in it or the bitmap and its rank array, refs and counts
-// no wider than their largest needs) before returning.
+// ReadFrozen reads an index written by WriteTo, validating the contents
+// (lists chained end to end over the arena, varint framing, that every
+// id lies in [0, maxID), the posting total, the directory and the keys'
+// order in it or the bitmap and its rank array, refs no wider than their
+// largest needs) before returning.
 // The arrays are adopted directly from the decoded buffers — loading is
 // O(bytes).
 func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
@@ -1524,7 +1591,7 @@ func ReadFrozen(br *binio.Reader, maxID int32) (*Frozen, error) {
 // ReadPayload needs to alias the payload arrays without reading them.
 type FrozenHeader struct {
 	numKeys, keyLen, width    int
-	refLen, countLen          int
+	refLen                    int
 	postings                  int64
 	keyArenaLen, postArenaLen int
 	bitmap                    bool
@@ -1537,11 +1604,11 @@ type FrozenHeader struct {
 const maxWidth = 1 << 24
 
 // ReadFrozenHeader parses and sanity-checks one section's scalar
-// header as written by WriteHeaderTo. A container may place the
-// matching payload much later in the stream (the GPH index groups
-// every section's header before any payload, so a cold mapped open
-// faults only the contiguous header pages); attach it with
-// ReadPayload when the stream reaches it.
+// header as written by WriteHeaderTo, for a collection of maxID ids,
+// which may not be negative. A container may place the matching payload
+// much later in the stream (the GPH index groups every section's header
+// before any payload, so a cold mapped open faults only the contiguous
+// header pages); attach it with ReadPayload when the stream reaches it.
 func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	h := FrozenHeader{maxID: maxID}
 	h.numKeys = br.Int()
@@ -1549,13 +1616,15 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	h.width = br.Int()
 	h.keyLen = br.Int()
 	h.refLen = br.Int()
-	h.countLen = br.Int()
 	h.keyArenaLen = br.Int()
 	h.postArenaLen = br.Int()
 	layout := br.Int()
 	h.bitmap = layout == 1
 	if err := br.Err(); err != nil {
 		return h, fmt.Errorf("invindex: reading frozen header: %w", err)
+	}
+	if maxID < 0 {
+		return h, fmt.Errorf("invindex: a section read for %d ids", maxID)
 	}
 	if h.numKeys < 0 || h.numKeys > binio.MaxSliceLen {
 		return h, fmt.Errorf("invindex: implausible key count %d", h.numKeys)
@@ -1578,11 +1647,8 @@ func ReadFrozenHeader(br *binio.Reader, maxID int32) (FrozenHeader, error) {
 	if h.refLen < 1 || h.refLen > 4 {
 		return h, fmt.Errorf("invindex: implausible ref length %d", h.refLen)
 	}
-	if h.countLen != 1 && h.countLen != 4 {
-		return h, fmt.Errorf("invindex: implausible count length %d", h.countLen)
-	}
-	if h.numKeys == 0 && h.refLen+h.countLen != 2 {
-		return h, fmt.Errorf("invindex: an index of no keys has 1-byte refs and counts, not %d- and %d-byte ones", h.refLen, h.countLen)
+	if h.numKeys == 0 && h.refLen != 1 {
+		return h, fmt.Errorf("invindex: an index of no keys has 1-byte refs, not %d-byte ones", h.refLen)
 	}
 	if h.keyArenaLen < 0 || int64(h.keyArenaLen) >= arenaLimit {
 		return h, fmt.Errorf("invindex: implausible key arena length %d", h.keyArenaLen)
@@ -1627,18 +1693,13 @@ func (h FrozenHeader) remLen() int {
 // totals, the lists' chain, varint framing, id ranges, the directory and
 // key order, the rank array — is deferred to Validate, which callers
 // MUST run before trusting an answer: until Validate passes, every
-// accessor stays in bounds, but a lookup finds what it finds.
+// lookup, count and histogram stays in bounds, but a lookup finds what
+// it finds; a list is decoded only from a section Validate has passed.
 func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
-	f := &Frozen{keyLen: h.keyLen, width: h.width, refLen: h.refLen, postings: h.postings, bitmap: h.bitmap, maxID: h.maxID}
+	f := &Frozen{keyLen: h.keyLen, width: h.width, refLen: h.refLen, numKeys: h.numKeys, postings: h.postings, bitmap: h.bitmap, maxID: h.maxID}
 	f.keyArena = br.BytesRaw(h.keyArenaLen, "frozen key arena")
 	f.postArena = br.BytesRaw(h.postArenaLen, "frozen posting arena")
 	f.refs = br.BytesRaw(h.refLen*h.numKeys+refPad(h.refLen, h.numKeys), "frozen posting refs")
-	if h.countLen == 4 {
-		br.Align8()
-		f.counts32 = br.Uint32sRaw(h.numKeys, "frozen posting counts")
-	} else {
-		f.counts8 = br.BytesRaw(h.numKeys, "frozen posting counts")
-	}
 	br.Align8()
 	switch offsets := 1<<bucketBits(h.numKeys) + 1; {
 	case h.bitmap:
@@ -1661,49 +1722,37 @@ func (h FrozenHeader) ReadPayload(br *binio.Reader) (*Frozen, error) {
 	return f, nil
 }
 
-// Validate runs the deferred content half of loading: every entry has
-// an id — a one-id entry's ref in [0, maxID), every other's list
-// decoding cleanly by its count (varint framing, ids in [0, maxID)) from
-// where the list before it ends, the last ending the arena — the pads
-// are zero, and refs and counts are no wider than the largest of each
-// needs, so one index has one file; and the keys are where the lookups
-// look for them (checkKeys). It reads every array end to end — over a
-// mapping this is the pass that faults the pages in, which is why
-// ReadPayload leaves it to the caller's first query rather than open.
-// Idempotent and safe for concurrent use; every call returns the first
-// run's verdict.
+// Validate runs the deferred content half of loading: every list
+// decodes cleanly by its head's count (varint framing, ids in
+// [0, maxID)) from where the list before it ends, the first at the
+// arena's start and the last ending it; the entries hold the header's
+// posting total; the pads are zero, and refs are no wider than the
+// largest needs, so one index has one file; and the keys are where the
+// lookups look for them (checkKeys). A ref below maxID is an id by what
+// it is, so a one-id entry has nothing to judge. It reads every array end
+// to end — over a mapping this is the pass that faults the pages in,
+// which is why ReadPayload leaves it to the caller's first query rather
+// than open. Idempotent and safe for concurrent use; every call returns
+// the first run's verdict.
 func (f *Frozen) Validate() error {
 	f.deepOnce.Do(func() { f.deepErr = f.validateContent() })
 	return f.deepErr
 }
 
 func (f *Frozen) validateContent() error {
-	numKeys := f.NumKeys()
-	// One pass over the counts and refs comes first; it touches their
-	// pages, which is exactly what ReadPayload avoids at open, so it lives
-	// here with the other page-touching checks. The length checks at read
-	// time keep every walk below in bounds.
-	var ent entryScan
-	if f.counts32 == nil {
-		ent = scanEntries(f.counts8, f.refs, f.refLen)
-	} else {
-		ent = scanEntries(f.counts32, f.refs, f.refLen)
-	}
-	if ent.total != f.postings {
-		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", ent.total, f.postings)
-	}
 	// The pads after stored keys shorter than a word and after refs
 	// shorter than four bytes (empty otherwise) are zero, as FreezeRows
 	// writes them: one file per index. A bitmap's pad is checkKeys' to
-	// judge.
+	// judge. The length checks at read time keep every walk below in
+	// bounds.
 	if !f.bitmap {
-		for i, b := range f.keyArena[f.remLen*numKeys:] {
+		for i, b := range f.keyArena[f.remLen*f.numKeys:] {
 			if b != 0 {
 				return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i, b)
 			}
 		}
 	}
-	for i, b := range f.refs[f.refLen*numKeys:] {
+	for i, b := range f.refs[f.refLen*f.numKeys:] {
 		if b != 0 {
 			return fmt.Errorf("invindex: ref pad byte %d is %#x, not 0", i, b)
 		}
@@ -1711,36 +1760,17 @@ func (f *Frozen) validateContent() error {
 	if err := f.checkKeys(); err != nil {
 		return err
 	}
-	idLimit := uint64(max(f.maxID, 0))
-	entriesOK := ent.least > 0 && ent.single <= idLimit
-	var lastList uint32
-	var err error
-	switch {
-	case entriesOK && ent.total == int64(numKeys):
-		// Every entry holds one id — n counts of at least one sum to n — so
-		// there is no list to walk, and the arena must be empty.
-		if len(f.postArena) != 0 {
-			err = fmt.Errorf("invindex: frozen lists end at byte 0 of the %d-byte posting arena", len(f.postArena))
-		}
-	case f.counts32 == nil:
-		lastList, err = checkLists(f, f.counts8, entriesOK, idLimit)
-	default:
-		lastList, err = checkLists(f, f.counts32, entriesOK, idLimit)
-	}
+	s, err := f.checkLists()
 	if err != nil {
 		return err
 	}
-	// A number stored wider than it needs reads the same, so only the
-	// widths tell two files of one index apart. The largest ref is the
-	// largest one-id entry's or the last list's.
-	if f.counts32 != nil {
-		if most := slices.Max(f.counts32); most <= math.MaxUint8 {
-			return fmt.Errorf("invindex: counts are 4 bytes wide, and the largest, %d, fits one", most)
-		}
+	if total := int64(f.numKeys-s.lists) + s.postings; total != f.postings {
+		return fmt.Errorf("invindex: frozen entries hold %d postings, header says %d", total, f.postings)
 	}
-	top := max(uint32(max(ent.single, 1)-1), lastList)
-	if want := refLenFor(top); f.refLen != want {
-		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, top, want)
+	// A ref stored wider than it needs reads the same, so only the width
+	// tells two files of one index apart.
+	if want := refLenFor(s.top); f.refLen != want {
+		return fmt.Errorf("invindex: refs are %d bytes wide, and the largest, %d, needs %d", f.refLen, s.top, want)
 	}
 	return nil
 }
@@ -1939,118 +1969,115 @@ func (f *Frozen) checkBitmap() error {
 	return fmt.Errorf("invindex: bitmap key %d has bits set beyond dimension %d", k, f.width)
 }
 
-// checkLists is the postings pass over the entries of f, whose counts
-// are counts, and the check that the lists end where the arena does; it
-// returns the last list's ref, 0 for no list. entriesOK is scanEntries'
-// verdict on every entry: each has postings, and each one-id entry's ref
-// is an id below idLimit. When it is false, the first entry that fails
-// is found entry by entry. The lists before it are each judged from the
-// words that hold them, up to the next list's ref; one the words cannot
-// clear — a corrupt list, one off the chain, or one whose word would
-// reach past the arena's end — goes to checkList, which walks it a byte
-// at a time and says what is wrong with it or where it ends.
-func checkLists[C entryCount](f *Frozen, counts []C, entriesOK bool, idLimit uint64) (lastList uint32, err error) {
-	limit := len(counts)
-	bad := limit
-	if !entriesOK {
-		for e, c := range counts {
-			if c == 0 || c == 1 && uint64(f.ref(e)) >= idLimit {
-				bad = e
-				break
+// listScan is what the pass over an index's refs finds.
+type listScan struct {
+	lists    int    // entries of two ids or more
+	postings int64  // the ids they list
+	top      uint32 // the largest ref: the last list's, or with no list the largest id's
+}
+
+// checkLists is the postings pass over f's refs, in entry order, and
+// the check that the lists end where the arena does. The lists among a
+// block of entries are noted without a branch on an entry's kind
+// (noteLists); each is then judged from the words that hold it, up to
+// the next list's offset; one the words cannot clear — a corrupt list,
+// one off the chain, or one whose word would reach past the arena's end
+// — goes to checkList, which walks it a byte at a time and says what is
+// wrong with it or where it ends.
+func (f *Frozen) checkLists() (s listScan, err error) {
+	split, idLimit := uint32(f.maxID), uint64(f.maxID)
+	// Where the next list starts; the list whose end is still to find, and
+	// its offset.
+	pos, open, lo := 0, -1, 0
+	var lists [scanBlock]int32
+	for base := 0; base < f.numKeys; base += scanBlock {
+		var k int
+		refs := f.refs[f.refLen*base:]
+		n := min(scanBlock, f.numKeys-base)
+		switch f.refLen {
+		case 1:
+			k = noteLists[[1]byte](refs, n, int64(split), &lists, &s.top)
+		case 2:
+			k = noteLists[[2]byte](refs, n, int64(split), &lists, &s.top)
+		case 3:
+			k = noteLists[[3]byte](refs, n, int64(split), &lists, &s.top)
+		default:
+			k = noteLists[[4]byte](refs, n, int64(split), &lists, &s.top)
+		}
+		for _, j := range lists[:k] {
+			e := base + int(j)
+			off := int(f.ref(e) - split)
+			if open >= 0 {
+				var c int64
+				if pos, c, err = f.judgeList(open, lo, pos, off, idLimit); err != nil {
+					return s, err
+				}
+				s.postings += c
 			}
+			open, lo = e, off
 		}
-	}
-	// Where the next list starts; the list whose end is still to find, its
-	// ref and its count.
-	pos, open, lo, n := 0, -1, 0, uint32(0)
-	for e, c := range counts[:bad] {
-		if c < 2 {
-			continue
-		}
-		ref := int(f.ref(e))
-		if open >= 0 {
-			if pos, err = f.judgeList(open, lo, n, pos, ref, idLimit); err != nil {
-				return 0, err
-			}
-		}
-		open, lo, n = e, ref, uint32(c)
+		s.lists += k
 	}
 	if open >= 0 {
-		if pos, err = f.judgeList(open, lo, n, pos, len(f.postArena), idLimit); err != nil {
-			return 0, err
+		var c int64
+		if pos, c, err = f.judgeList(open, lo, pos, len(f.postArena), idLimit); err != nil {
+			return s, err
 		}
+		s.postings, s.top = s.postings+c, split+uint32(lo)
 	}
-	switch {
-	case bad < limit && counts[bad] == 0:
-		return 0, fmt.Errorf("invindex: frozen entry %d has no postings", bad)
-	case bad < limit:
-		return 0, fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", bad, f.ref(bad), f.maxID)
-	case pos != len(f.postArena):
-		return 0, fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
+	if pos != len(f.postArena) {
+		return s, fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
-	return uint32(lo), nil
+	return s, nil
 }
 
-// entryScan is what one pass over an index's counts and refs finds.
-type entryScan struct {
-	total  int64  // the counts' sum
-	least  uint32 // the smallest count, 1 for no entry
-	single uint64 // the largest one-id entry's ref plus one, 0 for none
-}
-
-// scanEntries is the pass over counts and refs — rl bytes a ref, then
-// the pad — with no branch: a one-id entry stands for its ref plus one in
-// single, any other for 0. Like histWords it keeps a copy of the loop a
-// ref length, the stride a constant in each.
-func scanEntries[C entryCount](counts []C, refs []byte, rl int) entryScan {
-	switch rl {
-	case 1:
-		return entriesStride(counts, refs, 1)
-	case 2:
-		return entriesStride(counts, refs, 2)
-	case 3:
-		return entriesStride(counts, refs, 3)
-	}
-	return entriesStride(counts, refs, 4)
-}
-
-// entriesStride is scanEntries' loop, inlined into it once a ref length.
-func entriesStride[C entryCount](counts []C, refs []byte, rl int) (s entryScan) {
-	mask := ^uint32(0) >> ((32 - 8*uint(rl)) & 31)
-	least := C(1)
-	for _, c := range counts {
+// noteLists notes in lists which of the n entries whose refs, len(R)
+// bytes each, lead refs are lists, and returns how many are; top grows to
+// the largest one-id ref among them. The count advances by a conditional
+// move, not a branch, as matchKeys' does.
+func noteLists[R remStride](refs []byte, n int, split int64, lists *[scanBlock]int32, top *uint32) int {
+	var stride R
+	mask, most, k := ^uint32(0)>>(32-8*len(stride)), *top, uint(0)
+	for j := range n {
 		if len(refs) < 4 {
 			break // never: the pad keeps the last ref's load inside the array
 		}
-		v := uint64(binary.LittleEndian.Uint32(refs)&mask) + 1
-		refs = refs[rl:]
-		if c != 1 {
-			v = 0
-		}
-		s.total += int64(c)
-		s.single, least = max(s.single, v), min(least, c)
+		r := binary.LittleEndian.Uint32(refs) & mask
+		refs = refs[len(stride):]
+		list := uint32((split - 1 - int64(r)) >> 63) // all ones for a list's ref
+		most = max(most, r&^list)
+		lists[k%scanBlock] = int32(j)
+		k += uint(list & 1)
 	}
-	s.least = uint32(least)
-	return s
+	*top = most
+	return int(k)
 }
 
-// judgeList checks the list of entry e, which holds c ids from lo, its
-// ref, and must start at pos, from the words that hold it when it ends at
-// hi; it returns where the list ends, from checkList when the words
-// cannot clear it.
-func (f *Frozen) judgeList(e, lo int, c uint32, pos, hi int, idLimit uint64) (int, error) {
+// judgeList checks the list of entry e, which starts at lo and must
+// start at pos, from the words that hold it when it ends at hi: its head,
+// then as many ids as the head says. It returns where the list ends and
+// its count, from checkList when the words cannot clear it.
+func (f *Frozen) judgeList(e, lo, pos, hi int, idLimit uint64) (int, int64, error) {
 	arena := f.postArena
-	ok := false
 	if lo == pos && lo < hi && hi <= len(arena) {
-		switch n := uint(hi - lo); {
-		case n > 8:
-			ok = varintsOK(arena[lo:hi], c, idLimit)
-		case lo+8 <= len(arena):
-			ok = varintWordOK(binary.LittleEndian.Uint64(arena[lo:]), n, c, idLimit)
+		// A head of one byte, most of them, is read in line.
+		head, i, err := uint64(arena[lo]), lo+1, error(nil)
+		if head >= 0x80 {
+			head, i, err = readVarint(arena[:hi], lo)
 		}
-	}
-	if ok {
-		return hi, nil
+		// A list holds at least a byte an id.
+		if n := hi - i; err == nil && head+2 <= uint64(n) {
+			count, ok := uint32(head)+2, false
+			switch {
+			case n > 8:
+				ok = varintsOK(arena[i:hi], count, idLimit)
+			case i+8 <= len(arena):
+				ok = varintWordOK(binary.LittleEndian.Uint64(arena[i:]), uint(n), count, idLimit)
+			}
+			if ok {
+				return hi, int64(count), nil
+			}
+		}
 	}
 	return f.checkList(e, pos)
 }
@@ -2130,17 +2157,21 @@ func byteSum(x uint64) uint64 {
 }
 
 // checkList walks entry e's list a byte at a time: it must start at pos,
-// where the lists before it end, and hold its count of ids, framed and in
-// range. It returns where the list ends.
-func (f *Frozen) checkList(e, pos int) (int, error) {
-	if int(f.ref(e)) != pos {
-		return 0, fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, f.ref(e), pos)
+// where the lists before it end, and hold as many ids as its head says,
+// framed and in range. It returns where the list ends and its count.
+func (f *Frozen) checkList(e, pos int) (int, int64, error) {
+	if off := int(f.ref(e) - uint32(f.maxID)); off != pos {
+		return 0, 0, fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, off, pos)
 	}
-	end, err := validateList(f.postArena, pos, f.countAt(e), f.maxID)
+	head, i, err := readVarint(f.postArena, pos)
 	if err != nil {
-		return 0, fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+		return 0, 0, fmt.Errorf("invindex: frozen entry %d: list head: %w", e, err)
 	}
-	return end, nil
+	end, err := validateList(f.postArena, i, head+2, f.maxID)
+	if err != nil {
+		return 0, 0, fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+	}
+	return end, int64(head + 2), nil
 }
 
 // bitmapKeys returns the keys bitmap bm holds, its set bits.
@@ -2154,30 +2185,16 @@ func bitmapKeys(bm []byte) int {
 
 // validateList walks the count delta-varints at b[i:], checking framing
 // and that every id lies in [0, maxID); it returns the index of the byte
-// after the last.
-func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
+// after the last. Each id takes a byte at least, so a count past the
+// bytes ends at the arena's end.
+func validateList(b []byte, i int, count uint64, maxID int32) (int, error) {
 	var prev int64
 	for ; count > 0; count-- {
-		var v uint64
-		var shift uint
-		for {
-			if i >= len(b) {
-				return 0, fmt.Errorf("truncated varint")
-			}
-			c := b[i]
-			i++
-			v |= uint64(c&0x7f) << shift
-			if c < 0x80 {
-				break
-			}
-			// Five bytes carry 35 bits, and a value past 32 of them fails
-			// the id range below: what is checked here is the length.
-			shift += 7
-			if shift > 28 {
-				return 0, fmt.Errorf("varint longer than 5 bytes")
-			}
+		v, next, err := readVarint(b, i)
+		if err != nil {
+			return 0, err
 		}
-		prev += int64(v)
+		i, prev = next, prev+int64(v)
 		if prev >= int64(maxID) {
 			return 0, fmt.Errorf("posting id %d outside [0,%d)", prev, maxID)
 		}
@@ -2185,9 +2202,31 @@ func validateList(b []byte, i int, count uint32, maxID int32) (int, error) {
 	return i, nil
 }
 
+// readVarint reads the varint at b[i:] a byte at a time and returns it
+// with the index of the byte after it. Five bytes carry 35 bits, and a
+// value past 32 of them fails whatever range it is checked against: what
+// is checked here is the framing — a varint ending before b does, in at
+// most five bytes.
+func readVarint(b []byte, i int) (v uint64, next int, err error) {
+	for shift := uint(0); ; shift += 7 {
+		if shift > 28 {
+			return 0, 0, fmt.Errorf("varint longer than 5 bytes")
+		}
+		if i >= len(b) {
+			return 0, 0, fmt.Errorf("truncated varint")
+		}
+		c := b[i]
+		i++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, i, nil
+		}
+	}
+}
+
 // ArenaBreakdown reports the byte size of each backing component (key
 // arena with its pad or bitmap, postings arena, entries — the refs with
-// their pad and the counts — and bucket directory or rank array):
+// their pad — and bucket directory or rank array):
 // SizeBytes less the struct. internal/core's golden test pins a GPH
 // index's footprint by component with it.
 func (f *Frozen) ArenaBreakdown() (keyBytes, postBytes, entryBytes, dirBytes int64) {

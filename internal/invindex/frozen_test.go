@@ -3,12 +3,12 @@ package invindex
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
@@ -201,14 +201,14 @@ func TestReadFrozenRejectsCorruption(t *testing.T) {
 // TestFrozenSizeBytesMatchesSerialized is the honesty bound behind
 // Fig. 6: the exact resident accounting must agree with the
 // serialized footprint — every array, the directory included, is
-// written — up to the struct on one side and the header's nine fields
-// and at most two alignment paddings on the other.
+// written — up to the struct on one side and the header's eight fields
+// and at most one alignment padding on the other.
 func TestFrozenSizeBytesMatchesSerialized(t *testing.T) {
 	for _, variants := range []bool{false, true} {
 		f, _, _, _ := randomIndex(t, 9, 300, 10, variants)
 		raw := frozenBytes(f)
-		resident, written := f.SizeBytes()-frozenStructBytes, int64(len(raw))-9*8
-		if written < resident || written > resident+2*7 {
+		resident, written := f.SizeBytes()-frozenStructBytes, int64(len(raw))-8*8
+		if written < resident || written > resident+7 {
 			t.Fatalf("variants=%v: SizeBytes %d less the struct, %d written less the header: more apart than the padding",
 				variants, resident, written)
 		}
@@ -307,35 +307,32 @@ func mapFreeze(n, per, width int, rows []uint64) *Frozen {
 	for k := range post {
 		keys = append(keys, k)
 	}
-	f := layOut(width, hashOrder(width, keys), post)
+	f := layOut(width, int32(n), hashOrder(width, keys), post)
 	if err := f.Validate(); err != nil {
 		panic(err)
 	}
 	return f
 }
 
-// layOut lays out the keys of post, width-bit keys given as their
+// layOut lays out the keys of lists, width-bit keys given as their
 // bytes, in the order given, each with its ids, as FreezeRows lays out
-// an entry.
-func layOut(width int, keys []string, lists map[string][]int32) *Frozen {
+// an entry in an index of maxID ids.
+func layOut(width int, maxID int32, keys []string, lists map[string][]int32) *Frozen {
 	posts := make([]post, len(keys))
-	counts := make([]uint32, len(keys))
 	for e, k := range keys {
 		ids := lists[k]
-		counts[e] = uint32(len(ids))
 		posts[e] = post{ref: uint32(ids[0])}
 		if len(ids) > 1 {
+			deltas := make([]uint64, len(ids))
 			prev := int32(0)
-			posts[e].ref, posts[e].list = 0, []byte{}
-			for _, id := range ids {
-				posts[e].list = binary.AppendUvarint(posts[e].list, uint64(id-prev))
-				prev = id
+			for i, id := range ids {
+				deltas[i], prev = uint64(id-prev), id
 			}
+			posts[e] = listOf(len(ids), deltas...)
 		}
 	}
-	f := handSection(width, keys, posts, counts, nil)
+	f := handSection(width, maxID, keys, posts, nil)
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, len(keys)))...)
-	f.maxID = math.MaxInt32
 	return f
 }
 
@@ -513,13 +510,9 @@ func TestEveryKeyWidth(t *testing.T) {
 			t.Fatalf("width %d: the section read back writes other bytes, or sizes %d against %d", width, g.SizeBytes(), f.SizeBytes())
 		}
 		kb, pb, ob, db := f.ArenaBreakdown()
-		// Nine header fields, the arenas and the refs, then 1-byte counts
-		// or, 8-aligned, 4-byte ones, then, 8-aligned, the directory.
-		serialized := 9*8 + kb + pb + int64(len(f.refs)) + int64(f.NumKeys())
-		if f.counts32 != nil {
-			serialized = (serialized-int64(f.NumKeys())+7)&^7 + 4*int64(f.NumKeys())
-		}
-		serialized = (serialized+7)&^7 + db
+		// Eight header fields, the arenas and the refs, then, 8-aligned, the
+		// directory.
+		serialized := (8*8+kb+pb+int64(len(f.refs))+7)&^7 + db
 		dir, dirWidth := dirTable(f)
 		if int64(len(raw)) != serialized || f.SizeBytes() != kb+pb+ob+db+frozenStructBytes || db != dirWidth*int64(len(dir)) {
 			t.Fatalf("width %d: %d bytes written, %d from the arenas; SizeBytes %d, arenas and directory %d",
@@ -756,9 +749,8 @@ func TestDirectoryWidthBoundary(t *testing.T) {
 				t.Fatalf("%d keys of %d bits: the directory rebuilt after a load differs from the build's", n, width)
 			}
 			kb, pb, ob, db := f.ArenaBreakdown()
-			// One-id keys: 2-byte refs (ids up to 65 535) and their pad,
-			// and 1-byte counts.
-			want := int64(len(f.keyArena)+len(f.postArena)) + int64(2*n+2+n) + dirWidth*int64(len(dir)) + frozenStructBytes
+			// One-id keys: 2-byte refs (ids up to 65 535) and their pad.
+			want := int64(len(f.keyArena)+len(f.postArena)) + int64(2*n+2) + dirWidth*int64(len(dir)) + frozenStructBytes
 			if f.SizeBytes() != want || g.SizeBytes() != want || kb+pb+ob+db+frozenStructBytes != want {
 				t.Fatalf("%d keys of %d bits: SizeBytes %d, loaded %d, by component %d; want %d",
 					n, width, f.SizeBytes(), g.SizeBytes(), kb+pb+ob+db+frozenStructBytes, want)
@@ -767,13 +759,13 @@ func TestDirectoryWidthBoundary(t *testing.T) {
 	}
 }
 
-// TestEntryWidthBoundary: a count takes one byte while every count of the
-// index fits one and four past that, and a ref the bytes its largest
-// needs, at every byte boundary of the largest — a one-id entry's id, or,
-// with 256 ids under one key, the count itself. Counts at 255 and 256
-// and refs up to 65 536 are built by FreezeRows; refs at 2²⁴ − 1 and 2²⁴
-// are sections written by hand and read against a collection past 2²⁴
-// ids. Each is checked as built, read onto the heap and read in place.
+// TestEntryWidthBoundary: a ref takes the bytes its largest needs, at
+// every byte boundary of the largest — a one-id entry's id, or, when the
+// index has a list, the last list's maxID + offset. Refs up to 65 536 are
+// built by FreezeRows, with the largest an id and with it a list's; refs
+// at 2²⁴ − 1 and 2²⁴ are sections written by hand and read against a
+// collection near 2²⁴ ids. Each is checked as built, read onto the heap
+// and read in place.
 func TestEntryWidthBoundary(t *testing.T) {
 	distinct := func(n int) *Frozen { // n ids, a key each: the largest ref is n − 1
 		rows := make([]uint64, n)
@@ -782,7 +774,7 @@ func TestEntryWidthBoundary(t *testing.T) {
 		}
 		return FreezeRows(n, 1, 20, rows)
 	}
-	shared := func(n, under int) *Frozen { // ids [0, under) under one key, the rest a key each
+	shared := func(n, under int) *Frozen { // ids [0, under) under one key, the rest a key each: the largest ref is n, the list's
 		rows := make([]uint64, n)
 		for id := range rows {
 			rows[id] = uint64(max(id-under+1, 0))
@@ -790,28 +782,31 @@ func TestEntryWidthBoundary(t *testing.T) {
 		return FreezeRows(n, 1, 9, rows)
 	}
 	id := func(v uint32) post { return post{ref: v} }
-	hand := func(last uint32) *Frozen {
-		keys := hashOrder(24, []string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
-		list := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1)
-		return handSection(24, keys, []post{{list: list}, id(7), id(last)}, []uint32{2, 1, 1}, make([]byte, 5))
+	keys := hashOrder(24, []string{narrowKey(1, 3), narrowKey(2, 3), narrowKey(3, 3)})
+	handIDs := func(last uint32) *Frozen { // ids 7, 9 and last: the largest ref is last
+		return handSection(24, 1<<24+1, keys, []post{id(7), id(9), id(last)}, make([]byte, 5))
+	}
+	handLists := func(maxID int32) *Frozen { // two lists of three bytes: the largest ref is maxID + 3
+		return handSection(24, maxID, keys, []post{id(7), listOf(2, 1, 1), listOf(2, 2, 1)}, make([]byte, 5))
 	}
 	for _, c := range []struct {
-		name             string
-		f                *Frozen
-		maxID            int32
-		refLen, countLen int
+		name   string
+		f      *Frozen
+		maxID  int32
+		refLen int
 	}{
-		{"255 ids under one key", shared(256, 255), 256, 1, 1},
-		{"256 ids under one key", shared(256, 256), 256, 1, 4},
-		{"largest ref 255", distinct(256), 256, 1, 1},
-		{"largest ref 256", distinct(257), 257, 2, 1},
-		{"largest ref 65 535", distinct(1 << 16), 1 << 16, 2, 1},
-		{"largest ref 65 536", distinct(1<<16 + 1), 1<<16 + 1, 3, 1},
-		{"largest ref 2²⁴ − 1", hand(1<<24 - 1), 1<<24 + 1, 3, 1},
-		{"largest ref 2²⁴", hand(1 << 24), 1<<24 + 1, 4, 1},
+		{"largest ref 255, an id", distinct(256), 256, 1},
+		{"largest ref 256, an id", distinct(257), 257, 2},
+		{"largest ref 255, a list", shared(255, 2), 255, 1},
+		{"largest ref 256, a list", shared(256, 2), 256, 2},
+		{"largest ref 65 535", distinct(1 << 16), 1 << 16, 2},
+		{"largest ref 65 536", distinct(1<<16 + 1), 1<<16 + 1, 3},
+		{"largest ref 2²⁴ − 1, an id", handIDs(1<<24 - 1), 1<<24 + 1, 3},
+		{"largest ref 2²⁴, an id", handIDs(1 << 24), 1<<24 + 1, 4},
+		{"largest ref 2²⁴ − 1, a list", handLists(1<<24 - 4), 1<<24 - 4, 3},
+		{"largest ref 2²⁴, a list", handLists(1<<24 - 3), 1<<24 - 3, 4},
 	} {
 		f := c.f
-		f.maxID = c.maxID
 		if err := f.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -830,15 +825,14 @@ func TestEntryWidthBoundary(t *testing.T) {
 			want[string(keys[e*f.keyLen:(e+1)*f.keyLen])] = f.appendList(e, nil)
 		}
 		n := int64(f.NumKeys())
-		size := int64(len(f.keyArena)+len(f.postArena)) + int64(c.refLen)*n + int64(4-c.refLen) +
-			int64(c.countLen)*n + f.dirBytes() + frozenStructBytes
+		size := int64(len(f.keyArena)+len(f.postArena)) + int64(c.refLen)*n + int64(4-c.refLen) + f.dirBytes() + frozenStructBytes
 		for _, g := range []struct {
 			how string
 			f   *Frozen
 		}{{"built", f}, {"heap", heap}, {"borrowed", borrowed}} {
 			what := c.name + ", " + g.how
-			if g.f.refLen != c.refLen || g.f.countLen() != c.countLen {
-				t.Fatalf("%s: refs of %d bytes and counts of %d, want %d and %d", what, g.f.refLen, g.f.countLen(), c.refLen, c.countLen)
+			if g.f.refLen != c.refLen {
+				t.Fatalf("%s: refs of %d bytes, want %d", what, g.f.refLen, c.refLen)
 			}
 			if g.f.SizeBytes() != size {
 				t.Fatalf("%s: SizeBytes %d, want %d", what, g.f.SizeBytes(), size)
@@ -848,6 +842,16 @@ func TestEntryWidthBoundary(t *testing.T) {
 			}
 			checkEveryForm(t, what, g.f, want, c.maxID)
 		}
+	}
+}
+
+// TestStructBytesPinned: SizeBytes charges the struct every field it
+// has, and the struct is as large as the fields say: five slice headers,
+// seven words, the layout flag and the id bound in one, the validation
+// state's once and error.
+func TestStructBytesPinned(t *testing.T) {
+	if frozenStructBytes != 216 || frozenStructBytes != int64(unsafe.Sizeof(Frozen{})) {
+		t.Fatalf("frozenStructBytes is %d, the struct %d bytes, pinned at 216", frozenStructBytes, unsafe.Sizeof(Frozen{}))
 	}
 }
 

@@ -13,30 +13,23 @@ import (
 	"gph/internal/binio"
 )
 
-// The reference: the content tier as an entry-by-entry walk — the
-// counts summed, the pads read a byte at a time, then the keys: a
-// bitmap's counted a bit at a time, its rank entries against those
-// counts and its bits past the width; a hashed section's directory
-// offset by offset, then, in the quotient layout, every remainder's bits
-// past its width a bit at a time and every key's bucket, read off the
-// directory, and remainder against the one before it, or, in the byte
-// layout, every key's hash against the bucket the directory puts it in
-// and against the key before it in its bucket, then the bits past the
-// width a bit at a time. Then every entry's postings, each list decoded
-// a byte at a time from where the one before it ended, then the widths
-// of the refs and counts, each entry's read a byte at a time. The fast
-// paths keep every check; this keeps them honest about that.
+// The reference: the content tier as an entry-by-entry walk — the pads
+// read a byte at a time, then the keys: a bitmap's counted a bit at a
+// time, its rank entries against those counts and its bits past the
+// width; a hashed section's directory offset by offset, then, in the
+// quotient layout, every remainder's bits past its width a bit at a time
+// and every key's bucket, read off the directory, and remainder against
+// the one before it, or, in the byte layout, every key's hash against the
+// bucket the directory puts it in and against the key before it in its
+// bucket, then the bits past the width a bit at a time. Then every
+// entry's ref, read a byte at a time: an id below maxID, or a list, its
+// head and ids decoded a byte at a time from where the one before it
+// ended; then the postings against the header's total, and the width of
+// the refs. The fast paths keep every check; this keeps them honest
+// about that.
 
 func refValidate(f *Frozen) error {
 	numKeys := f.NumKeys()
-	counts := entryCounts(f)
-	var total int64
-	for _, c := range counts {
-		total += int64(c)
-	}
-	if total != f.postings {
-		return fmt.Errorf("invindex: frozen counts sum to %d postings, header says %d", total, f.postings)
-	}
 	for i := f.remLen * numKeys; i < len(f.keyArena) && !f.bitmap; i++ {
 		if b := f.keyArena[i]; b != 0 {
 			return fmt.Errorf("invindex: key arena pad byte %d is %#x, not 0", i-f.remLen*numKeys, b)
@@ -56,34 +49,34 @@ func refValidate(f *Frozen) error {
 			refs[e] = refs[e]<<8 | uint32(f.refs[e*f.refLen+i])
 		}
 	}
-	pos := 0
-	for e := 0; e < numKeys; e++ {
-		switch c, ref := counts[e], refs[e]; {
-		case c == 0:
-			return fmt.Errorf("invindex: frozen entry %d has no postings", e)
-		case c == 1:
-			if int64(ref) >= int64(f.maxID) {
-				return fmt.Errorf("invindex: frozen entry %d: posting id %d outside [0,%d)", e, ref, f.maxID)
-			}
-		case int64(ref) != int64(pos):
-			return fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, ref, pos)
-		default:
-			n, err := refValidateList(f.postArena[pos:], int(c), f.maxID)
-			if err != nil {
-				return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
-			}
-			pos += n
+	pos, top := 0, uint32(0)
+	var total int64
+	for e, ref := range refs {
+		top = max(top, ref)
+		if int64(ref) < int64(f.maxID) {
+			total++
+			continue
 		}
+		if off := int64(ref) - int64(f.maxID); off != int64(pos) {
+			return fmt.Errorf("invindex: frozen entry %d: list starts at byte %d, the lists before it end at %d", e, off, pos)
+		}
+		head, n, err := refVarint(f.postArena[pos:])
+		if err != nil {
+			return fmt.Errorf("invindex: frozen entry %d: list head: %w", e, err)
+		}
+		pos += n
+		n, err = refValidateList(f.postArena[pos:], int(min(head+2, math.MaxInt32)), f.maxID)
+		if err != nil {
+			return fmt.Errorf("invindex: frozen entry %d: %w", e, err)
+		}
+		pos += n
+		total += int64(head + 2)
 	}
 	if pos != len(f.postArena) {
 		return fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
-	most, top := uint32(0), uint32(0)
-	for e := range numKeys {
-		most, top = max(most, counts[e]), max(top, refs[e])
-	}
-	if f.counts32 != nil && most < 256 {
-		return fmt.Errorf("invindex: counts are 4 bytes wide, and the largest, %d, fits one", most)
+	if total != f.postings {
+		return fmt.Errorf("invindex: frozen entries hold %d postings, header says %d", total, f.postings)
 	}
 	need := 1
 	for need < 4 && uint64(top) >= 1<<(8*need) {
@@ -221,11 +214,11 @@ func refBitmap(f *Frozen) error {
 	return nil
 }
 
-// entryCounts returns f's posting counts, whatever their width.
+// entryCounts returns f's posting counts.
 func entryCounts(f *Frozen) []uint32 {
 	counts := make([]uint32, f.NumKeys())
 	for e := range counts {
-		counts[e] = f.countAt(e)
+		counts[e] = uint32(f.count(e))
 	}
 	return counts
 }
@@ -236,12 +229,21 @@ func setRef(f *Frozen, e int, v uint32) {
 	copy(f.refs[e*f.refLen:(e+1)*f.refLen], b)
 }
 
-// setCount writes c over entry e's count, at the count's width.
-func setCount(f *Frozen, e int, c uint32) {
-	if f.counts32 != nil {
-		f.counts32[e] = c
-	} else {
-		f.counts8[e] = uint8(c)
+// refVarint decodes one varint from the front of b a byte at a time, at
+// most five bytes; it returns it and the bytes it takes.
+func refVarint(b []byte) (uint64, int, error) {
+	var v uint64
+	for i := 0; ; i++ {
+		if i == 5 {
+			return 0, 0, fmt.Errorf("varint longer than 5 bytes")
+		}
+		if i >= len(b) {
+			return 0, 0, fmt.Errorf("truncated varint")
+		}
+		v |= uint64(b[i]&0x7f) << (7 * i)
+		if b[i] < 0x80 {
+			return v, i + 1, nil
+		}
 	}
 }
 
@@ -252,23 +254,11 @@ func refValidateList(b []byte, count int, maxID int32) (int, error) {
 	var prev int64
 	i := 0
 	for range count {
-		var v uint64
-		var shift uint
-		for {
-			if i >= len(b) {
-				return 0, fmt.Errorf("truncated varint")
-			}
-			c := b[i]
-			i++
-			v |= uint64(c&0x7f) << shift
-			if c < 0x80 {
-				break
-			}
-			shift += 7
-			if shift > 28 { // a sixth byte: 35 bits are in, the id range judges the value
-				return 0, fmt.Errorf("varint longer than 5 bytes")
-			}
+		v, n, err := refVarint(b[i:])
+		if err != nil {
+			return 0, err
 		}
+		i += n
 		prev += int64(v)
 		if prev >= int64(maxID) {
 			return 0, fmt.Errorf("posting id %d outside [0,%d)", prev, maxID)
@@ -317,22 +307,22 @@ func narrowKey(w uint64, n int) string {
 }
 
 // post is one hand-made entry's postings as a section holds them: the
-// bytes of a list, which go to the arena and give the entry the ref
-// where they start, or, with no bytes, the ref itself — the id of a
-// one-id entry.
+// bytes of a list — its head and its ids — which go to the arena and give
+// the entry the ref maxID + where they start, or, with no bytes, the ref
+// itself — the id of a one-id entry.
 type post struct {
 	ref  uint32
 	list []byte
 }
 
-// handSection makes a section of width-bit keys by hand — keys in the
-// order given, each with its postings and the count it claims, the
-// directory the order gives, then pad — so a test can hold exactly the
-// corruption it means to, a ref or the arena changed before the section
-// is written.
-func handSection(width int, keys []string, posts []post, counts []uint32, pad []byte) *Frozen {
+// handSection makes a section of width-bit keys for maxID ids by hand —
+// keys in the order given, each with its postings, the posting total
+// what the heads and ids say, the directory the order gives, then pad —
+// so a test can hold exactly the corruption it means to, a ref or the
+// arena changed before the section is written.
+func handSection(width int, maxID int32, keys []string, posts []post, pad []byte) *Frozen {
 	n := len(keys)
-	f := &Frozen{keyLen: KeyLen(width), width: width, remLen: KeyLen(width), dirShift: dirShift(n)}
+	f := &Frozen{keyLen: KeyLen(width), width: width, remLen: KeyLen(width), dirShift: dirShift(n), numKeys: n, maxID: maxID}
 	if quotientWidth(width) {
 		f.remLen, f.dirShift = remBytes(width, n), uint(width-1-bucketBits(n))
 	}
@@ -346,12 +336,14 @@ func handSection(width int, keys []string, posts []post, counts []uint32, pad []
 		}
 		f.keyArena = append(f.keyArena, k...)
 		refs[e] = posts[e].ref
-		if posts[e].list != nil {
-			refs[e] = uint32(len(f.postArena))
-			f.postArena = append(f.postArena, posts[e].list...)
+		f.postings++
+		if l := posts[e].list; l != nil {
+			refs[e] = uint32(maxID) + uint32(len(f.postArena))
+			f.postArena = append(f.postArena, l...)
+			if head, _ := binary.Uvarint(l); head < 1<<20 {
+				f.postings += int64(head) + 1
+			}
 		}
-		f.addCount(int(counts[e]))
-		f.postings += int64(counts[e])
 	}
 	f.keyArena = append(f.keyArena, pad...)
 	f.packRefs(refs)
@@ -361,15 +353,25 @@ func handSection(width int, keys []string, posts []post, counts []uint32, pad []
 
 // handFrozen serializes handSection's section with the zero pad
 // FreezeRows writes after stored keys shorter than a word.
-func handFrozen(width int, keys []string, posts []post, counts []uint32) []byte {
-	f := handSection(width, keys, posts, counts, nil)
+func handFrozen(width int, maxID int32, keys []string, posts []post) []byte {
+	f := handSection(width, maxID, keys, posts, nil)
 	f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, len(keys)))...)
 	return frozenBytes(f)
 }
 
 // handFrozenPad is handFrozen with the bytes after the keys given.
-func handFrozenPad(width int, keys []string, posts []post, counts []uint32, pad []byte) []byte {
-	return frozenBytes(handSection(width, keys, posts, counts, pad))
+func handFrozenPad(width int, maxID int32, keys []string, posts []post, pad []byte) []byte {
+	return frozenBytes(handSection(width, maxID, keys, posts, pad))
+}
+
+// listOf is the post of a list whose head claims count ids, followed by
+// the varints of deltas.
+func listOf(count int, deltas ...uint64) post {
+	b := binary.AppendUvarint(nil, uint64(count-2))
+	for _, d := range deltas {
+		b = binary.AppendUvarint(b, d)
+	}
+	return post{list: b}
 }
 
 // fastPathSeeds are the sections the fast paths could get wrong and an
@@ -380,25 +382,12 @@ func fastPathSeeds() []struct {
 	data  []byte
 	maxID int32
 } {
-	one := func(width int, keys []string, posts []post) []byte {
-		counts := make([]uint32, len(keys))
-		for i := range counts {
-			counts[i] = 1
-		}
-		return handFrozen(width, keys, posts, counts)
-	}
 	id := func(v uint32) post { return post{ref: v} }
-	ids := func(deltas ...uint64) post {
-		var b []byte
-		for _, d := range deltas {
-			b = binary.AppendUvarint(b, d)
-		}
-		return post{list: b}
-	}
-	raw := func(b ...byte) post { return post{list: b} }
+	ids := func(deltas ...uint64) post { return listOf(len(deltas), deltas...) }
+	raw := func(b ...byte) post { return post{list: b} } // a head and ids, byte for byte
 	// edit writes a hand-made section after change has had its way with it.
-	edit := func(width int, keys []string, posts []post, counts []uint32, change func(f *Frozen)) []byte {
-		f := handSection(width, keys, posts, counts, nil)
+	edit := func(width int, maxID int32, keys []string, posts []post, change func(f *Frozen)) []byte {
+		f := handSection(width, maxID, keys, posts, nil)
 		f.keyArena = append(f.keyArena, make([]byte, keyPad(f.remLen, len(keys)))...)
 		change(f)
 		return frozenBytes(f)
@@ -424,99 +413,100 @@ func fastPathSeeds() []struct {
 		data  []byte
 		maxID int32
 	}{
-		{"a multi-byte varint ending a list", handFrozen(64, []string{k1}, []post{ids(0, 300)}, []uint32{2}), 301},
-		{"a list cut inside its last varint", handFrozen(64, []string{k1}, []post{raw(0x01, 0xac)}, []uint32{2}), 301},
+		{"a multi-byte varint ending a list", handFrozen(64, 301, []string{k1}, []post{ids(0, 300)}), 301},
+		{"a list cut inside its last varint", handFrozen(64, 301, []string{k1}, []post{raw(0, 0x01, 0xac)}), 301},
 		// Five bytes carry 35 bits: past 32 the value fails the id range, and
 		// a sixth byte is what the framing check is for.
-		{"a 5-byte varint overflowing 32 bits", handFrozen(64, []string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x7f)}, []uint32{2}), math.MaxInt32},
-		{"a 6-byte varint", handFrozen(64, []string{k1}, []post{raw(0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}, []uint32{2}), math.MaxInt32},
-		{"a 5-byte varint that fits", handFrozen(64, []string{k1}, []post{raw(0, 0xff, 0xff, 0xff, 0xff, 0x06)}, []uint32{2}), math.MaxInt32},
-		{"a singleton ref = maxID", one(64, []string{k1}, []post{id(40)}), 40},
-		{"a singleton ref = maxID − 1", one(64, []string{k1}, []post{id(39)}), 40},
-		{"a singleton ref of 2³² − 1", one(64, []string{k1}, []post{id(math.MaxUint32)}), math.MaxInt32},
-		{"a singleton ref against a negative maxID", one(64, []string{k1}, []post{id(0)}), -28},
-		{"a count one over its list", handFrozen(64, []string{k1}, []post{ids(3, 1)}, []uint32{3}), 40},
-		{"a count one under its list", handFrozen(64, []string{k1}, []post{ids(3, 1, 1)}, []uint32{2}), 40},
+		{"a 5-byte varint overflowing 32 bits", handFrozen(64, math.MaxInt32, []string{k1}, []post{raw(0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f)}), math.MaxInt32},
+		{"a 6-byte varint", handFrozen(64, math.MaxInt32, []string{k1}, []post{raw(0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}), math.MaxInt32},
+		{"a 5-byte varint that fits", handFrozen(64, math.MaxInt32, []string{k1}, []post{raw(0, 0, 0xff, 0xff, 0xff, 0xff, 0x06)}), math.MaxInt32},
+		// A ref from maxID on is a list's, whatever the arena holds.
+		{"a one-id ref = maxID", handFrozen(64, 40, []string{k1}, []post{id(40)}), 40},
+		{"a one-id ref = maxID − 1", handFrozen(64, 40, []string{k1}, []post{id(39)}), 40},
+		{"a one-id ref of 2³² − 1", handFrozen(64, math.MaxInt32, []string{k1}, []post{id(math.MaxUint32)}), math.MaxInt32},
+		{"a head claiming one id more than its bytes hold", handFrozen(64, 40, []string{k1}, []post{listOf(3, 3, 1)}), 40},
+		{"a head claiming one id more than its bytes hold, before a list", handFrozen(64, 40, []string{k1, k2}, []post{listOf(3, 3, 1), ids(1, 1)}), 40},
+		{"a head claiming one id fewer than its bytes hold", handFrozen(64, 40, []string{k1}, []post{listOf(2, 3, 1, 1)}), 40},
+		{"a head of five continuation bytes", handFrozen(64, 40, []string{k1}, []post{raw(0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 1, 1)}), 40},
+		{"a head of 2³² − 1, a count past 32 bits", handFrozen(64, 40, []string{k1}, []post{raw(0xff, 0xff, 0xff, 0xff, 0x0f, 1)}), 40},
+		{"a head of several bytes", handFrozen(64, 400, []string{k1}, []post{listOf(130, slices.Repeat([]uint64{1}, 130)...)}), 400},
 		// Two keys take one bucket: equal keys are equal remainders in it.
-		{"equal adjacent keys", one(64, []string{wordKey(5), wordKey(5)}, []post{id(0), id(1)}), 2},
+		{"equal adjacent keys", handFrozen(64, 2, []string{wordKey(5), wordKey(5)}, []post{id(0), id(1)}), 2},
 		// Byte 7 is the big end of the little-endian word a key is, byte 0
 		// the little end.
-		{"keys differing only in byte 7, in hash order", one(64, inOrder(64, false, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
-		{"keys differing only in byte 7, against hash order", one(64, inOrder(64, true, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
-		{"keys differing only in byte 0, in hash order", one(64, inOrder(64, false, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
-		{"keys differing only in byte 0, against hash order", one(64, inOrder(64, true, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 7, in hash order", handFrozen(64, 2, inOrder(64, false, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 7, against hash order", handFrozen(64, 2, inOrder(64, true, wordKey(1), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 0, in hash order", handFrozen(64, 2, inOrder(64, false, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
+		{"keys differing only in byte 0, against hash order", handFrozen(64, 2, inOrder(64, true, wordKey(1<<56), wordKey(1|1<<56)), []post{id(0), id(1)}), 2},
 		// One key takes one bucket: its remainder is all its 61 bits.
-		{"a remainder bit at the partition width", edit(61, []string{wordKey(1 << 60)}, []post{id(0)}, []uint32{1}, remBit(0, 61)), 1},
-		{"a remainder bit at the top of the word", edit(61, []string{wordKey(1 << 60)}, []post{id(0)}, []uint32{1}, remBit(0, 63)), 1},
-		{"a key bit just inside the partition width", one(61, []string{wordKey(1 << 60)}, []post{id(0)}), 1},
-		{"a remainder bit at the width before a bad list", edit(61, inOrder(61, false, wordKey(1<<60), wordKey(1<<60|1<<8)),
-			[]post{id(0), raw(0, 0x80)}, []uint32{1, 2}, remBit(1, 61)), 2},
+		{"a remainder bit at the partition width", edit(61, 1, []string{wordKey(1 << 60)}, []post{id(0)}, remBit(0, 61)), 1},
+		{"a remainder bit at the top of the word", edit(61, 1, []string{wordKey(1 << 60)}, []post{id(0)}, remBit(0, 63)), 1},
+		{"a key bit just inside the partition width", handFrozen(61, 1, []string{wordKey(1 << 60)}, []post{id(0)}), 1},
+		{"a remainder bit at the width before a bad list", edit(61, 2, inOrder(61, false, wordKey(1<<60), wordKey(1<<60|1<<8)),
+			[]post{id(0), raw(0, 0, 0x80)}, remBit(1, 61)), 2},
 
-		// The list pass judges a list of up to 8 bytes from the word at its
-		// start, a longer one a word at a time, and a list whose word would
+		// The list pass judges a list's ids of up to 8 bytes from the word at
+		// their start, longer ones a word at a time, and ids whose word would
 		// cross the arena's end a byte at a time; a list ends where the next
 		// list's ref says.
-		{"a list in the arena's last 8 bytes", handFrozen(64, []string{k1, k2},
-			[]post{ids(300, 1), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 6}), 400},
-		{"a list whose window crosses the arena's end", handFrozen(64, []string{k1, k2},
-			[]post{ids(1, 1, 1, 1, 1, 1, 1, 1), ids(300, 1)}, []uint32{8, 2}), 400},
-		{"a several-id list of exactly 8 bytes", handFrozen(64, []string{k1},
-			[]post{ids(1, 300, 300, 2, 3, 4)}, []uint32{6}), 611},
-		{"a several-id list of 9 bytes", handFrozen(64, []string{k1},
-			[]post{ids(1, 300, 300, 2, 3, 4, 5)}, []uint32{7}), 616},
-		{"two ids summing to maxID − 1", handFrozen(64, []string{k1, k2},
-			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20301},
-		{"two ids summing to maxID", handFrozen(64, []string{k1, k2},
-			[]post{ids(300, 20000), ids(1, 1, 1)}, []uint32{2, 3}), 20300},
-		{"a five-byte continuation run inside an 8-byte window", handFrozen(64, []string{k1, k2},
-			[]post{raw(0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), id(1)}, []uint32{2, 1}), math.MaxInt32},
-		{"a five-byte continuation run across a long list's words", handFrozen(64, []string{k1},
-			[]post{{list: append(ids(1, 1, 1, 1, 1).list, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}}, []uint32{6}), math.MaxInt32},
-		{"a varint split across a long list's words", handFrozen(64, []string{k1},
-			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20008},
-		{"a varint split across a long list's words, last id = maxID", handFrozen(64, []string{k1},
-			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}, []uint32{8}), 20007},
+		{"a list in the arena's last 8 bytes", handFrozen(64, 400, []string{k1, k2},
+			[]post{ids(300, 1), ids(1, 1, 1, 1, 1, 1, 1, 1)}), 400},
+		{"a list whose window crosses the arena's end", handFrozen(64, 400, []string{k1, k2},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 1), ids(300, 1)}), 400},
+		{"a several-id list of exactly 8 bytes", handFrozen(64, 611, []string{k1},
+			[]post{ids(1, 300, 300, 2, 3, 4)}), 611},
+		{"a several-id list of 9 bytes", handFrozen(64, 616, []string{k1},
+			[]post{ids(1, 300, 300, 2, 3, 4, 5)}), 616},
+		{"two ids summing to maxID − 1", handFrozen(64, 20301, []string{k1, k2},
+			[]post{ids(300, 20000), ids(1, 1, 1)}), 20301},
+		{"two ids summing to maxID", handFrozen(64, 20300, []string{k1, k2},
+			[]post{ids(300, 20000), ids(1, 1, 1)}), 20300},
+		{"a five-byte continuation run inside an 8-byte window", handFrozen(64, math.MaxInt32, []string{k1, k2},
+			[]post{raw(0, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00), id(1)}), math.MaxInt32},
+		{"a five-byte continuation run across a long list's words", handFrozen(64, math.MaxInt32, []string{k1},
+			[]post{raw(4, 1, 1, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)}), math.MaxInt32},
+		{"a varint split across a long list's words", handFrozen(64, 20008, []string{k1},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}), 20008},
+		{"a varint split across a long list's words, last id = maxID", handFrozen(64, 20007, []string{k1},
+			[]post{ids(1, 1, 1, 1, 1, 1, 1, 20000)}), 20007},
 
 		// The chain: each list starts where the one before it ends, the
-		// first at the arena's start, and the last ends the arena. An entry
-		// has postings, and one whose count says one holds its id in its ref.
-		{"a list ref past the previous list's end", edit(64, []string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)+1) }), 10},
-		{"a list ref before the previous list's end", edit(64, []string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1, 1)}, []uint32{2, 3}, func(f *Frozen) { setRef(f, 1, f.ref(1)-1) }), 10},
-		{"a first list not at the arena's start", edit(64, []string{k1, k2},
-			[]post{id(5), ids(1, 1)}, []uint32{1, 2}, func(f *Frozen) { f.postArena = append([]byte{7}, f.postArena...); setRef(f, 1, 1) }), 10},
-		{"a last list that stops short of the arena's end", edit(64, []string{k1, k2},
-			[]post{ids(1, 1), id(7)}, []uint32{2, 1}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10},
-		{"singletons over an arena that is not empty", edit(64, []string{k1, k2},
-			[]post{id(0), id(1)}, []uint32{1, 1}, func(f *Frozen) { f.postArena = []byte{0} }), 10},
-		{"an entry with count 0", handFrozen(64, three,
-			[]post{id(0), {}, id(2)}, []uint32{1, 0, 1}), 10},
-		{"an entry with count 0 over a list", handFrozen(64, []string{k1, k2},
-			[]post{ids(1, 1), ids(1, 1)}, []uint32{2, 0}), 10},
-		{"a count-1 entry in the middle of the chain", handFrozen(64, three,
-			[]post{ids(1, 1), ids(3, 4), ids(1, 1, 1, 1, 1, 1)}, []uint32{2, 1, 6}), 40},
-		{"an entry with count 0 behind a bad list", handFrozen(64, []string{k1, k2},
-			[]post{raw(0, 0x80), {}}, []uint32{2, 0}), 10},
-		{"a bad singleton behind a bad list", handFrozen(64, []string{k1, k2},
-			[]post{raw(0, 0x80), id(50)}, []uint32{2, 1}), 10},
-		{"a bad list behind a bad singleton", handFrozen(64, []string{k1, k2},
-			[]post{id(50), raw(0, 0x80)}, []uint32{1, 2}), 10},
-		{"a bad singleton behind a key out of order", one(64, []string{k2, k1}, []post{id(0), id(50)}), 10},
+		// first at the arena's start, and the last ends the arena.
+		{"a list ref past the previous list's end", edit(64, 10, []string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1, 1)}, func(f *Frozen) { setRef(f, 1, f.ref(1)+1) }), 10},
+		{"a list ref before the previous list's end", edit(64, 10, []string{k1, k2},
+			[]post{ids(1, 1), ids(1, 1, 1)}, func(f *Frozen) { setRef(f, 1, f.ref(1)-1) }), 10},
+		{"a first list not at the arena's start", edit(64, 10, []string{k1, k2},
+			[]post{id(5), ids(1, 1)}, func(f *Frozen) { f.postArena = append([]byte{7}, f.postArena...); setRef(f, 1, 11) }), 10},
+		{"a last list that stops short of the arena's end", edit(64, 10, []string{k1, k2},
+			[]post{ids(1, 1), id(7)}, func(f *Frozen) { f.postArena = append(f.postArena, 0) }), 10},
+		{"one-id refs over an arena that is not empty", edit(64, 10, []string{k1, k2},
+			[]post{id(0), id(1)}, func(f *Frozen) { f.postArena = []byte{0} }), 10},
+		{"a list ref inside the one-id range", edit(64, 10, []string{k1, k2},
+			[]post{ids(1, 1), id(7)}, func(f *Frozen) { setRef(f, 0, 9) }), 10},
+		{"a list ref past the arena's end", edit(64, 10, three,
+			[]post{id(0), ids(1, 1), ids(1, 1, 1)}, func(f *Frozen) { setRef(f, 2, 60) }), 10},
+		{"a list ref at the arena's end", edit(64, 10, []string{k1, k2},
+			[]post{ids(1, 1), id(3)}, func(f *Frozen) { setRef(f, 1, 13) }), 10},
+		{"a bad list behind a bad list", handFrozen(64, 10, []string{k1, k2},
+			[]post{raw(0, 0, 0x80), raw(0, 0x80)}), 10},
+		{"a list behind one-id ref maxID − 1", handFrozen(64, 10, []string{k1, k2},
+			[]post{id(9), ids(1, 1)}), 10},
+		{"a bad list behind a key out of order", handFrozen(64, 10, []string{k2, k1}, []post{id(0), raw(0, 0x80)}), 10},
 
 		// Remainders shorter than a word are loaded a word at a time too, the
 		// bytes past each masked off: the next remainder's, or the pad's.
-		{"a remainder bit at the partition width, 2-byte keys", edit(13, []string{narrowKey(1<<12, 2)}, []post{id(0)}, []uint32{1}, remBit(0, 13)), 1},
-		{"a key bit just inside the partition width, 2-byte keys", one(13, []string{narrowKey(1<<12, 2)}, []post{id(0)}), 1},
-		{"a remainder bit at the width of a partition of one byte", edit(7, []string{narrowKey(1<<6, 1)}, []post{id(0)}, []uint32{1}, remBit(0, 7)), 1},
-		{"2-byte keys differing only in byte 1, against hash order", one(16, inOrder(16, true, narrowKey(1|1<<8, 2), narrowKey(1, 2)), []post{id(0), id(1)}), 2},
+		{"a remainder bit at the partition width, 2-byte keys", edit(13, 1, []string{narrowKey(1<<12, 2)}, []post{id(0)}, remBit(0, 13)), 1},
+		{"a key bit just inside the partition width, 2-byte keys", handFrozen(13, 1, []string{narrowKey(1<<12, 2)}, []post{id(0)}), 1},
+		{"a remainder bit at the width of a partition of one byte", edit(7, 1, []string{narrowKey(1<<6, 1)}, []post{id(0)}, remBit(0, 7)), 1},
+		{"2-byte keys differing only in byte 1, against hash order", handFrozen(16, 2, inOrder(16, true, narrowKey(1|1<<8, 2), narrowKey(1, 2)), []post{id(0), id(1)}), 2},
 		// Unmasked, the first load reads 01 00 01 00 ff ff and the second
 		// 01 00 ff ff 00 00: two words, where the remainders are equal.
-		{"equal adjacent 2-byte keys before a larger one", one(16, []string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, []post{id(0), id(1), id(2)}), 3},
+		{"equal adjacent 2-byte keys before a larger one", handFrozen(16, 3, []string{narrowKey(1, 2), narrowKey(1, 2), narrowKey(0xffff, 2)}, []post{id(0), id(1), id(2)}), 3},
 		// A key wider than a word keeps its bytes: its bits past the width,
 		// its bucket and its order are the byte layout's.
-		{"a key bit past a 70-bit width", edit(70, []string{string(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1), 1<<6))},
-			[]post{id(0)}, []uint32{1}, func(f *Frozen) {}), 1},
+		{"a key bit past a 70-bit width", handFrozen(70, 1, []string{string(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1), 1<<6))},
+			[]post{id(0)}), 1},
 	}
 	// Every remainder length shorter than a word, with its pad as
 	// FreezeRows writes it, with a pad byte set, and with no pad at all.
@@ -524,7 +514,6 @@ func fastPathSeeds() []struct {
 		width := 8*rl - 1 // two keys take one bucket: the remainder is the key
 		keys := hashOrder(width, []string{narrowKey(1, rl), narrowKey(2, rl)})
 		posts := []post{id(0), ids(1, 300)}
-		counts := []uint32{1, 2}
 		set := make([]byte, 8-rl)
 		set[len(set)-1] = 1
 		for _, p := range []struct {
@@ -535,7 +524,7 @@ func fastPathSeeds() []struct {
 				name  string
 				data  []byte
 				maxID int32
-			}{fmt.Sprintf("%d-byte remainders, %s", rl, p.what), handFrozenPad(width, keys, posts, counts, p.pad), 302})
+			}{fmt.Sprintf("%d-byte remainders, %s", rl, p.what), handFrozenPad(width, 302, keys, posts, p.pad), 302})
 		}
 	}
 	return seeds
@@ -545,41 +534,41 @@ func fastPathSeeds() []struct {
 // check's verdict spelled out, then the same verdict from both sides.
 func TestFastPathsRejectWhatTheReferenceRejects(t *testing.T) {
 	wantErr := map[string]string{
-		"a list cut inside its last varint":                          "entry 0: truncated varint",
-		"a 5-byte varint overflowing 32 bits":                        "entry 0: posting id 34359738367 outside [0,2147483647)",
-		"a 6-byte varint":                                            "entry 0: varint longer than 5 bytes",
-		"a singleton ref = maxID":                                    "entry 0: posting id 40 outside [0,40)",
-		"a singleton ref of 2³² − 1":                                 "entry 0: posting id 4294967295 outside [0,2147483647)",
-		"a singleton ref against a negative maxID":                   "entry 0: posting id 0 outside [0,-28)",
-		"a count one over its list":                                  "entry 0: truncated varint",
-		"a count one under its list":                                 "lists end at byte 2 of the 3-byte posting arena",
-		"equal adjacent keys":                                        "not in strict hash order at entry 1",
-		"keys differing only in byte 7, against hash order":          "not in strict hash order at entry 1",
-		"keys differing only in byte 0, against hash order":          "not in strict hash order at entry 1",
-		"a remainder bit at the partition width":                     "key 0's remainder has bits set at or past bit 61",
-		"a remainder bit at the top of the word":                     "key 0's remainder has bits set at or past bit 61",
-		"a remainder bit at the width before a bad list":             "key 1's remainder has bits set at or past bit 61",
-		"two ids summing to maxID":                                   "entry 0: posting id 20300 outside [0,20300)",
-		"a five-byte continuation run inside an 8-byte window":       "entry 0: varint longer than 5 bytes",
-		"a five-byte continuation run across a long list's words":    "entry 0: varint longer than 5 bytes",
-		"a varint split across a long list's words, last id = maxID": "entry 0: posting id 20007 outside [0,20007)",
-		"a list ref past the previous list's end":                    "entry 1: list starts at byte 3, the lists before it end at 2",
-		"a list ref before the previous list's end":                  "entry 1: list starts at byte 1, the lists before it end at 2",
-		"a first list not at the arena's start":                      "entry 1: list starts at byte 1, the lists before it end at 0",
-		"a last list that stops short of the arena's end":            "lists end at byte 2 of the 3-byte posting arena",
-		"singletons over an arena that is not empty":                 "lists end at byte 0 of the 1-byte posting arena",
-		"an entry with count 0":                                      "entry 1 has no postings",
-		"an entry with count 0 over a list":                          "entry 1 has no postings",
-		"a count-1 entry in the middle of the chain":                 "entry 2: list starts at byte 4, the lists before it end at 2",
-		"an entry with count 0 behind a bad list":                    "entry 0: truncated varint",
-		"a bad singleton behind a bad list":                          "entry 0: truncated varint",
-		"a bad list behind a bad singleton":                          "entry 0: posting id 50 outside [0,10)",
-		"a bad singleton behind a key out of order":                  "not in strict hash order at entry 1",
-		"a remainder bit at the partition width, 2-byte keys":        "key 0's remainder has bits set at or past bit 13",
-		"a remainder bit at the width of a partition of one byte":    "key 0's remainder has bits set at or past bit 7",
-		"2-byte keys differing only in byte 1, against hash order":   "not in strict hash order at entry 1",
-		"equal adjacent 2-byte keys before a larger one":             "not in strict hash order at entry 1",
-		"a key bit past a 70-bit width":                              "key 0 has bits set beyond dimension 70",
+		"a list cut inside its last varint":                              "entry 0: truncated varint",
+		"a 5-byte varint overflowing 32 bits":                            "entry 0: posting id 34359738367 outside [0,2147483647)",
+		"a 6-byte varint":                                                "entry 0: varint longer than 5 bytes",
+		"a one-id ref = maxID":                                           "entry 0: list head: truncated varint",
+		"a one-id ref of 2³² − 1":                                        "entry 0: list starts at byte 2147483648, the lists before it end at 0",
+		"a head claiming one id more than its bytes hold":                "entry 0: truncated varint",
+		"a head claiming one id more than its bytes hold, before a list": "entry 1: list starts at byte 3, the lists before it end at 4",
+		"a head claiming one id fewer than its bytes hold":               "lists end at byte 3 of the 4-byte posting arena",
+		"a head of five continuation bytes":                              "entry 0: list head: varint longer than 5 bytes",
+		"a head of 2³² − 1, a count past 32 bits":                        "entry 0: truncated varint",
+		"equal adjacent keys":                                            "not in strict hash order at entry 1",
+		"keys differing only in byte 7, against hash order":              "not in strict hash order at entry 1",
+		"keys differing only in byte 0, against hash order":              "not in strict hash order at entry 1",
+		"a remainder bit at the partition width":                         "key 0's remainder has bits set at or past bit 61",
+		"a remainder bit at the top of the word":                         "key 0's remainder has bits set at or past bit 61",
+		"a remainder bit at the width before a bad list":                 "key 1's remainder has bits set at or past bit 61",
+		"two ids summing to maxID":                                       "entry 0: posting id 20300 outside [0,20300)",
+		"a five-byte continuation run inside an 8-byte window":           "entry 0: varint longer than 5 bytes",
+		"a five-byte continuation run across a long list's words":        "entry 0: varint longer than 5 bytes",
+		"a varint split across a long list's words, last id = maxID":     "entry 0: posting id 20007 outside [0,20007)",
+		"a list ref past the previous list's end":                        "entry 1: list starts at byte 4, the lists before it end at 3",
+		"a list ref before the previous list's end":                      "entry 1: list starts at byte 2, the lists before it end at 3",
+		"a first list not at the arena's start":                          "entry 1: list starts at byte 1, the lists before it end at 0",
+		"a last list that stops short of the arena's end":                "lists end at byte 3 of the 4-byte posting arena",
+		"one-id refs over an arena that is not empty":                    "lists end at byte 0 of the 1-byte posting arena",
+		"a list ref inside the one-id range":                             "lists end at byte 0 of the 3-byte posting arena",
+		"a list ref past the arena's end":                                "entry 2: list starts at byte 50, the lists before it end at 3",
+		"a list ref at the arena's end":                                  "entry 1: list head: truncated varint",
+		"a bad list behind a bad list":                                   "entry 1: list starts at byte 3, the lists before it end at 4",
+		"a bad list behind a key out of order":                           "not in strict hash order at entry 1",
+		"a remainder bit at the partition width, 2-byte keys":            "key 0's remainder has bits set at or past bit 13",
+		"a remainder bit at the width of a partition of one byte":        "key 0's remainder has bits set at or past bit 7",
+		"2-byte keys differing only in byte 1, against hash order":       "not in strict hash order at entry 1",
+		"equal adjacent 2-byte keys before a larger one":                 "not in strict hash order at entry 1",
+		"a key bit past a 70-bit width":                                  "key 0 has bits set beyond dimension 70",
 	}
 	for rl := 1; rl < 8; rl++ {
 		wantErr[fmt.Sprintf("%d-byte remainders, pad nonzero", rl)] = fmt.Sprintf("key arena pad byte %d is 0x1, not 0", 7-rl)
@@ -671,12 +660,12 @@ func TestListJudgesAgreeWithTheByteLoop(t *testing.T) {
 }
 
 // TestValidateRejectsOffsetsAndTotals: the checks on a built index's refs
-// and counts — each list where the one before it ends, the last ending
-// the arena, every entry with postings and every one-id entry's ref an
-// id, the counts summing to the header's total — each still reject.
+// and lists — each list where the one before it ends, the last ending
+// the arena, each head the count of its ids, the postings summing to the
+// header's total — each still reject.
 func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
-	// Ids i and i + 20 share a key below 10 and 20–29: ten lists and ten
-	// singletons.
+	// Ids i and i + 20 share a key below 10 and 20–29: ten lists of two,
+	// each a head and two one-byte ids, and ten one-id entries.
 	rows := make([]uint64, 30)
 	for i := range rows {
 		rows[i] = uint64(i%20) * 25
@@ -686,8 +675,8 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 	lists := slices.IndexFunc(counts, func(c uint32) bool { return c > 1 })
 	single := slices.IndexFunc(counts, func(c uint32) bool { return c == 1 })
 	second := lists + 1 + slices.IndexFunc(counts[lists+1:], func(c uint32) bool { return c > 1 })
-	if lists < 0 || single < 0 || second <= lists {
-		t.Fatalf("counts %v: the test needs two lists and a singleton", counts)
+	if lists < 0 || single < 0 || second <= lists || len(f.postArena) != 30 {
+		t.Fatalf("counts %v over %d bytes: the test needs lists of three bytes and a one-id entry", counts, len(f.postArena))
 	}
 	raw := frozenBytes(f)
 	for _, c := range []struct {
@@ -695,12 +684,12 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 		break_ func(f *Frozen)
 		want   string
 	}{
-		{"the first list's ref", func(f *Frozen) { setRef(f, lists, 1) }, fmt.Sprintf("entry %d: list starts at byte 1, the lists before it end at 0", lists)},
+		{"the first list's ref", func(f *Frozen) { setRef(f, lists, 31) }, fmt.Sprintf("entry %d: list starts at byte 1, the lists before it end at 0", lists)},
 		{"a list ref off the chain", func(f *Frozen) { setRef(f, second, f.ref(second)+1) }, fmt.Sprintf("entry %d: list starts at byte", second)},
 		{"the last list short of the arena's end", func(f *Frozen) { f.postArena = append(bytes.Clone(f.postArena), 0) }, "lists end at byte"},
-		{"a singleton's ref past the ids", func(f *Frozen) { setRef(f, single, 30) }, fmt.Sprintf("entry %d: posting id 30 outside [0,30)", single)},
-		{"a count of 0", func(f *Frozen) { setCount(f, single, 0); f.postings-- }, fmt.Sprintf("entry %d has no postings", single)},
-		{"counts against the total", func(f *Frozen) { f.postings++ }, "counts sum to"},
+		{"a one-id ref moved into the list range", func(f *Frozen) { setRef(f, single, 30+30) }, fmt.Sprintf("entry %d: list", single)},
+		{"a head one over its list", func(f *Frozen) { f.postArena[0]++ }, fmt.Sprintf("entry %d: list starts at byte 3, the lists before it end at 4", second)},
+		{"postings against the total", func(f *Frozen) { f.postings++ }, "entries hold 30 postings, header says 31"},
 	} {
 		f := readUnvalidated(bytes.Clone(raw), 30)
 		// The section was decoded in place, over bytes this test owns.
@@ -769,67 +758,62 @@ func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 	}
 }
 
-// rewidth returns f with its refs stored refLen bytes wide and its counts
-// countLen, whatever the numbers need: a number too wide for its bytes
-// loses its high ones.
-func rewidth(f *Frozen, refLen, countLen int) *Frozen {
+// rewidth returns f with its refs stored refLen bytes wide, whatever the
+// numbers need: a number too wide for its bytes loses its high ones.
+func rewidth(f *Frozen, refLen int) *Frozen {
 	g := &Frozen{keyArena: f.keyArena, keyLen: f.keyLen, remLen: f.remLen, width: f.width, postArena: f.postArena, postings: f.postings,
-		maxID: f.maxID, refLen: refLen, dir16: f.dir16, dir32: f.dir32, dirShift: f.dirShift, bitmap: f.bitmap}
+		numKeys: f.numKeys, maxID: f.maxID, refLen: refLen, dir16: f.dir16, dir32: f.dir32, dirShift: f.dirShift, bitmap: f.bitmap}
 	n := f.NumKeys()
 	g.refs = make([]byte, refLen*n+refPad(refLen, n))
 	for e := range n {
 		copy(g.refs[refLen*e:refLen*(e+1)], binary.LittleEndian.AppendUint32(nil, f.ref(e)))
 	}
-	counts := entryCounts(f)
-	if countLen == 4 {
-		g.counts32 = counts
-	} else {
-		g.counts8 = make([]uint8, n)
-		for e, c := range counts {
-			g.counts8[e] = uint8(c)
-		}
-	}
 	return g
 }
 
-// entryWidthSeeds are sections whose per-entry arrays are not the widths
-// the numbers give: each with the id bound it is read against and what
-// reading it must say. The structural tier refuses a width out of range
-// from the header alone; the content tier the rest.
+// entryWidthSeeds are sections whose refs are not the width the numbers
+// give, or whose header does not fit the section, each with the id bound
+// it is read against and what reading it must say. The structural tier
+// refuses a width out of range, or a negative id bound, from the header
+// alone; the content tier the rest.
 func entryWidthSeeds() []struct {
 	name, want string
 	data       []byte
 	maxID      int32
 } {
-	rows := make([]uint64, 30) // ids i and i + 15 share key i: fifteen lists of two
+	rows := make([]uint64, 30) // ids i and i + 15 share key i: fifteen lists of two, three bytes each
 	for i := range rows {
 		rows[i] = uint64(i % 15)
 	}
-	f := FreezeRows(len(rows), 1, 20, rows) // refs of one byte, counts of one
-	f.maxID = 30
+	f := FreezeRows(len(rows), 1, 20, rows) // refs of one byte, the last list's 30 + 42
+	singles := make([]uint64, 30)           // ids i and i + 1 apart: thirty one-id entries, the largest 29
+	for i := range singles {
+		singles[i] = uint64(i)
+	}
+	g := FreezeRows(len(singles), 1, 20, singles)
 	header := func(field int, v uint64) []byte { // the section with a header field overwritten
 		b := frozenBytes(f)
 		binary.LittleEndian.PutUint64(b[8*field:], v)
 		return b
 	}
 	padSet := frozenBytes(f)
-	padSet[9*8+len(f.keyArena)+len(f.postArena)+len(f.refs)-1] = 1 // the refs' last pad byte, after nine header fields and the arenas
+	padSet[8*8+len(f.keyArena)+len(f.postArena)+len(f.refs)-1] = 1 // the refs' last pad byte, after eight header fields and the arenas
 	empty := frozenBytes(FreezeRows(0, 1, 8, nil))
-	binary.LittleEndian.PutUint64(empty[8*5:], 4)
+	binary.LittleEndian.PutUint64(empty[8*4:], 2)
 	return []struct {
 		name, want string
 		data       []byte
 		maxID      int32
 	}{
-		{"refs one byte wider than the largest needs", "refs are 2 bytes wide, and the largest, 28, needs 1", frozenBytes(rewidth(f, 2, 1)), 30},
-		{"refs of four bytes that fit one", "refs are 4 bytes wide, and the largest, 28, needs 1", frozenBytes(rewidth(f, 4, 1)), 30},
-		{"4-byte counts that fit a byte", "counts are 4 bytes wide, and the largest, 2, fits one", frozenBytes(rewidth(f, 1, 4)), 30},
+		{"refs one byte wider than the last list needs", "refs are 2 bytes wide, and the largest, 72, needs 1", frozenBytes(rewidth(f, 2)), 30},
+		{"refs of four bytes that fit one", "refs are 4 bytes wide, and the largest, 72, needs 1", frozenBytes(rewidth(f, 4)), 30},
+		{"refs one byte wider than the largest id needs", "refs are 2 bytes wide, and the largest, 29, needs 1", frozenBytes(rewidth(g, 2)), 30},
 		{"a nonzero ref pad byte", "ref pad byte 2 is 0x1, not 0", padSet, 30},
 		{"a ref length of 0", "implausible ref length 0", header(4, 0), 30},
 		{"a ref length of 5", "implausible ref length 5", header(4, 5), 30},
-		{"a count length of 2", "implausible count length 2", header(5, 2), 30},
-		{"a count length of 0", "implausible count length 0", header(5, 0), 30},
-		{"4-byte counts in an index of no keys", "an index of no keys has 1-byte refs and counts, not 1- and 4-byte ones", empty, 1},
+		{"2-byte refs in an index of no keys", "an index of no keys has 1-byte refs, not 2-byte ones", empty, 1},
+		{"a section read for a negative id bound", "a section read for -28 ids", frozenBytes(g), -28},
+		{"a section read for fewer ids than it lists", "list starts at byte 10, the lists before it end at 0", frozenBytes(f), 20},
 	}
 }
 
@@ -873,7 +857,7 @@ func bitmapSeeds() []struct {
 		edit(b)
 		return b
 	}
-	const bm = 9 * 8 // the nine header fields, then the bitmap
+	const bm = 8 * 8 // the eight header fields, then the bitmap
 	header := func(field int, v uint64) func(b []byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint64(b[8*field:], v) }
 	}
@@ -890,9 +874,9 @@ func bitmapSeeds() []struct {
 		{"a 6-bit bitmap under a header of 7 bits", "a bitmap of 8 bytes, a 7-bit partition's takes 16", section(6, 15, header(2, 7)), 30},
 		{"a key moved into the pad", "bitmap pad byte 0 is 0x1, not 0", section(3, 5, func(b []byte) { b[bm] &^= 1 << 4; b[bm+1] = 1 }), 30},
 		{"a rank entry one over", "rank entry 1 is 9, the bitmap holds 8 keys below bit 512", section(10, 15, func(b []byte) { rank(b)[4]++ }), 30},
-		{"a bitmap of 24 bytes", "a bitmap of 24 bytes, a 6-bit partition's takes 8", section(6, 15, header(6, 24)), 30},
-		{"a bitmap of 512 bits of 6-bit keys", "a bitmap of 64 bytes, a 6-bit partition's takes 8", section(6, 15, header(6, 64)), 30},
-		{"a layout of 2", "unknown key layout 2", section(6, 15, header(8, 2)), 30},
+		{"a bitmap of 24 bytes", "a bitmap of 24 bytes, a 6-bit partition's takes 8", section(6, 15, header(5, 24)), 30},
+		{"a bitmap of 512 bits of 6-bit keys", "a bitmap of 64 bytes, a 6-bit partition's takes 8", section(6, 15, header(5, 64)), 30},
+		{"a layout of 2", "unknown key layout 2", section(6, 15, header(7, 2)), 30},
 	}
 }
 
@@ -1006,19 +990,40 @@ func hostileSeeds() []struct {
 // and, over the hostile sections the structural tier lets through, stays
 // inside the arrays, as the histogram does (threshold allocation may
 // estimate before the content tier has run): a key may go unfound, or
-// found under another's entry, and nothing panics.
+// found under another's entry, and nothing panics. Where the refs or the
+// heads are what is corrupt — a list past the arena, a head running off
+// its end — the counts and the histogram stay inside the arrays too; no
+// list is decoded there, which only a section Validate has passed is.
 func TestLookupsBeforeValidate(t *testing.T) {
 	rows := make([]uint64, 300)
 	for i := range rows {
 		rows[i] = uint64(i%97) * 0x9e37
 	}
 	built := FreezeRows(len(rows), 1, 30, rows)
-	sections := [][]byte{frozenBytes(built)}
-	for _, s := range append(hostileSeeds(), bitmapSeeds()...) {
-		sections = append(sections, s.data)
+	type section struct {
+		data        []byte
+		maxID       int32
+		listsIntact bool
 	}
-	for i, data := range sections {
-		f := readUnvalidated(data, math.MaxInt32)
+	sections := []section{{frozenBytes(built), 300, true}}
+	for _, s := range append(hostileSeeds(), bitmapSeeds()...) {
+		sections = append(sections, section{s.data, s.maxID, true})
+	}
+	// A list ref past the arena's end, and the last list's head a run of
+	// continuation bytes to the arena's end.
+	pastEnd, runOff := readUnvalidated(frozenBytes(built), 300), readUnvalidated(frozenBytes(built), 300)
+	last := slices.IndexFunc(entryCounts(pastEnd), func(c uint32) bool { return c > 1 })
+	setRef(pastEnd, last, 300+uint32(len(pastEnd.postArena))+7)
+	top := uint32(0)
+	for e := range runOff.NumKeys() {
+		top = max(top, runOff.ref(e))
+	}
+	for i := int(top) - 300; i < len(runOff.postArena); i++ {
+		runOff.postArena[i] = 0x80
+	}
+	sections = append(sections, section{frozenBytes(pastEnd), 300, false}, section{frozenBytes(runOff), 300, false})
+	for i, sec := range sections {
+		f := readUnvalidated(sec.data, sec.maxID)
 		if f == nil {
 			continue // refused at open
 		}
@@ -1035,6 +1040,9 @@ func TestLookupsBeforeValidate(t *testing.T) {
 				t.Fatalf("section %d, key %#x: LookupWords %d/%d, LookupKey %d, PostingLenWord %d, PostingLenBytes %d",
 					i, w, entries[j], counts[j], e, n, f.PostingLenBytes(key))
 			}
+			if !sec.listsIntact {
+				continue
+			}
 			set := IDSet{Seen: make([]uint64, 8)}
 			if got := f.CollectWord(w, &set); got != n {
 				t.Fatalf("section %d, key %#x: CollectWord decodes %d postings, PostingLenWord counts %d", i, w, got, n)
@@ -1045,6 +1053,9 @@ func TestLookupsBeforeValidate(t *testing.T) {
 		}
 		hist := make([]int64, 65)
 		f.Histogram([]uint64{words[0]}, hist)
+		if !sec.listsIntact && f.Validate() == nil {
+			t.Fatalf("section %d: the content tier passes a corrupt list", i)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ const EngineName = "lsh"
 // indexMagic identifies the persisted form: build threshold, options
 // and the raw collection; the hash tables are rebuilt
 // deterministically from the persisted seed on Load.
-const indexMagic = "GPHLH01\n"
+const indexMagic = "GPHLH02\n"
 
 // maxTables is the largest MaxTables Build takes. Load rebuilds the
 // tables a file's options ask for, so without it a file of a few hundred

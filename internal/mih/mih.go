@@ -39,7 +39,7 @@ const EngineName = "mih"
 // indexMagic identifies the persisted form: enumeration budget,
 // arrangement and the raw collection; the per-partition inverted
 // indexes are rebuilt deterministically on Load.
-const indexMagic = "GPHMH01\n"
+const indexMagic = "GPHMH02\n"
 
 // Options configures an MIH index.
 type Options struct {

@@ -35,7 +35,7 @@ const EngineName = "partalloc"
 // indexMagic identifies the persisted form: build threshold,
 // arrangement and the raw collection; the deletion-variant indexes
 // are rebuilt deterministically on Load.
-const indexMagic = "GPHPA01\n"
+const indexMagic = "GPHPA02\n"
 
 // Options configures Build.
 type Options struct {
