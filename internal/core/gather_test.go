@@ -14,7 +14,9 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/dataset"
 	"gph/internal/engine"
+	"gph/internal/engine/enginetest"
 	"gph/internal/hamming"
+	"gph/internal/invindex"
 	"gph/internal/mmapio"
 )
 
@@ -221,29 +223,6 @@ func TestGatherPathsAgree(t *testing.T) {
 	}
 }
 
-// drainScratches empties the index's scratch pool, checking that every
-// scratch in it came back with no candidate and an all-zero bitmap, and
-// returns how many it saw.
-func drainScratches(t *testing.T, ix *Index, after string) int {
-	t.Helper()
-	n := 0
-	for {
-		s, _ := ix.scratch.Get().(*searchScratch)
-		if s == nil {
-			return n
-		}
-		n++
-		if len(s.cand.IDs) != 0 {
-			t.Fatalf("after %s: pooled scratch holds %d candidates", after, len(s.cand.IDs))
-		}
-		for w, word := range s.cand.Seen {
-			if word != 0 {
-				t.Fatalf("after %s: pooled scratch has bitmap word %d = %#x", after, w, word)
-			}
-		}
-	}
-}
-
 // TestScratchComesBackClean: no query clears the dedup bitmap on the
 // way in, so every way out must leave it all zero — however the
 // candidates were reordered, compacted or abandoned on the way.
@@ -326,22 +305,19 @@ func TestScratchComesBackClean(t *testing.T) {
 			return nil
 		}},
 	}
+	exits := []enginetest.Exit{{Name: "a query refused", Run: func(t *testing.T) {
+		if _, err := ix.Search(q, -1); err == nil {
+			t.Fatal("tau=-1 was answered")
+		}
+	}}}
 	for _, step := range steps {
-		// A sync.Pool keeps a P's last Put where only that P's Get looks,
-		// so a test goroutine moved between the step's Put and the drain
-		// finds the pool empty (one run in twelve on two Ps): such a step
-		// is run again. One that returns no scratch finds it empty always.
-		returned := 0
-		for try := 0; try < 5 && returned == 0; try++ {
+		exits = append(exits, enginetest.Exit{Name: step.name, Pooled: true, Run: func(t *testing.T) {
 			if err := step.run(); err != nil {
 				t.Fatalf("%s: %v", step.name, err)
 			}
-			returned = drainScratches(t, ix, step.name)
-		}
-		if returned == 0 && !raceEnabled {
-			t.Fatalf("%s returned no scratch to the pool", step.name)
-		}
+		}})
 	}
+	enginetest.PoolComesBackClean(t, &ix.scratch, func(s *searchScratch) *invindex.IDSet { return &s.cand }, exits)
 }
 
 // TestGrowStatsMirrorKeyScans: a kNN that grows through radii reports

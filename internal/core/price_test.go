@@ -29,6 +29,7 @@ import (
 //	histogram          one key of the widest partition in its CN row's histogram pass (scanRow), count read and binned
 //	histogram-bitmap   the same over the partition a corpus keeps as a bitmap, if it keeps one
 //	candidate          engine.CandidatePrice: one posting decoded into the candidate set, fetched and verified
+//	candidate-selective  the same as queries meet it where τ < m (uqvideo's τ = 8): generate and FilterWithin from each of 400 queries' own thresholds, ns a posting and ns a candidate of the best pass
 //	scan-sparse        ScanCost(τ)/n where τ leaves few word-0 survivors: AppendWithin reads the column
 //	scan-dense         ScanCost(τ)/n where it does not: AppendWithin reads the rows
 //	scan-…-1M          the same over 10⁶ rows (the corpus tiled 50 times), read from memory
@@ -226,6 +227,44 @@ func BenchmarkPlanPrices(b *testing.B) {
 		})
 
 		if c.tau < ix.parts.NumParts() {
+			// candidate's keys hold no id twice and its rows lie far from the
+			// query, so every branch on its way is predicted; here a third of
+			// the postings are ids seen already and the rows are near ones.
+			// Each pass is the 400 queries lib_selective replays, only
+			// generation and verification timed, and the best pass is kept:
+			// over 64 queries a pass's branches are few enough for the
+			// predictor to learn across passes, and the branchy and the
+			// branch-free loops read alike there.
+			b.Run(c.name+"/candidate-selective", func(b *testing.B) {
+				many := dataset.PerturbQueries(c.ds, 400, 4, 7)
+				clock := clockReading()
+				best := time.Duration(math.MaxInt64)
+				var posts, cands int64
+				for range b.N {
+					var took time.Duration
+					posts, cands = 0, 0
+					for i, q := range many {
+						s := ix.getScratch()
+						res, price := ix.allocate(q, c.tau, ix.ScanCost(c.tau), s)
+						if price > ix.ScanCost(c.tau) {
+							b.Fatalf("query %d: scanned at %d", i, price)
+						}
+						t0 := time.Now()
+						if err := ix.generate(res.Thresholds, res.EffectiveBudget, s); err != nil {
+							b.Fatal(err)
+						}
+						ids := s.cand.IDs
+						s.cand.Reset()
+						ix.codes.FilterWithin(q, c.tau, ids)
+						took += time.Since(t0) - clock
+						posts, cands = posts+s.sumPost, cands+int64(len(ids))
+						ix.putScratch(s)
+					}
+					best = min(best, took)
+				}
+				b.ReportMetric(float64(best.Nanoseconds())/float64(posts), "ns/posting")
+				b.ReportMetric(float64(best.Nanoseconds())/float64(cands), "ns/candidate")
+			})
 			b.Run(c.name+"/allocate-selective", func(b *testing.B) {
 				many := dataset.PerturbQueries(c.ds, 400, 4, 7)
 				reportStage(b, len(many), func(i int) time.Duration {
@@ -424,13 +463,10 @@ func wordsOf(data []bitvec.Vector) [][]uint64 {
 	return out
 }
 
-// reportStage reports what one stage of a query costs, in ns a query, the
-// way benchmark/ keeps a latency: b.N passes over the queries, the best
-// reading of each query kept — what the stage costs when nothing
-// interrupts it — and the median query reported, less the clock's own
-// best reading, which it also returns. Queries that do not have the stage
-// (a negative duration) are left out; if none has it, so is the line.
-func reportStage(b *testing.B, queries int, run func(query int) time.Duration) float64 {
+// clockReading returns the best of 1 000 readings of a time.Now /
+// time.Since pair with nothing between: what the clock itself adds to a
+// span it times.
+func clockReading() time.Duration {
 	clock := time.Duration(math.MaxInt64)
 	for range 1000 {
 		t0 := time.Now()
@@ -438,6 +474,17 @@ func reportStage(b *testing.B, queries int, run func(query int) time.Duration) f
 			clock = d
 		}
 	}
+	return clock
+}
+
+// reportStage reports what one stage of a query costs, in ns a query, the
+// way benchmark/ keeps a latency: b.N passes over the queries, the best
+// reading of each query kept — what the stage costs when nothing
+// interrupts it — and the median query reported, less the clock's own
+// best reading, which it also returns. Queries that do not have the stage
+// (a negative duration) are left out; if none has it, so is the line.
+func reportStage(b *testing.B, queries int, run func(query int) time.Duration) float64 {
+	clock := clockReading()
 	best := make([]time.Duration, queries)
 	for i := range best {
 		best[i] = -1

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"gph/internal/bitvec"
 	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/engine/enginetest"
+	"gph/internal/invindex"
 	"gph/internal/linscan"
 )
 
@@ -173,4 +175,40 @@ func TestKNNGrowsAcrossTheAbandonBoundary(t *testing.T) {
 	if scanned == 0 {
 		t.Fatal("the fixture should scan at some radius of the growth")
 	}
+}
+
+// TestScratchComesBackClean: no query clears the collector's bitmap on
+// the way in, so every way out leaves the pooled one all zero — on the
+// index from fewer candidates than bitmap words, so that IDSet.Reset
+// clears by its members; abandoned mid-probe with postings already
+// collected; streamed and stopped early; and refused as an error.
+func TestScratchComesBackClean(t *testing.T) {
+	ds, ix := wideFixture()
+	type query struct {
+		q   bitvec.Vector
+		tau int
+	}
+	var index, abandon *query
+	for _, q := range append(dataset.PerturbQueries(ds, 6, 6, 21), ds.Vectors[17]) {
+		for tau := 0; tau <= fixtureTau; tau++ {
+			_, st, err := ix.SearchStats(q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case index == nil && !st.Scanned && st.Results > 0 && st.Candidates > st.Results && st.Candidates < ix.Len()/64:
+				index = &query{q, tau}
+			case abandon == nil && st.Scanned && st.SumPostings > 0:
+				abandon = &query{q, tau}
+			}
+		}
+	}
+	if index == nil || abandon == nil {
+		t.Fatalf("the fixture should answer a query on the index with results, from fewer candidates than bitmap words (%v), and abandon one with postings collected (%v)", index != nil, abandon != nil)
+	}
+	enginetest.PoolComesBackClean(t, &ix.scratch, func(s *searchScratch) *invindex.IDSet { return &s.col.Set }, slices.Concat(
+		enginetest.SearchExits("on the index", ix, index.q, index.tau, true),
+		enginetest.SearchExits("abandoned", ix, abandon.q, abandon.tau, true),
+		enginetest.SearchExits("an error", ix, index.q, fixtureTau+1, false),
+	))
 }

@@ -181,7 +181,7 @@ func (s *searchScratch) collect(id int32) bool {
 	if !s.bill.Postings(1) {
 		return false
 	}
-	s.col.Collect(id)
+	s.col.Set.Add(id)
 	return true
 }
 
@@ -198,6 +198,13 @@ func (ix *Index) getScratch() *searchScratch {
 	s.col.Reset(ix.Len())
 	s.sumPost = 0
 	return s
+}
+
+// putScratch returns a scratch to the pool, its candidate set empty and
+// its bitmap all zero (engine.Collector).
+func (ix *Index) putScratch(s *searchScratch) {
+	s.col.Set.Reset() // a no-op after FinishVerifiedCodes
+	ix.scratch.Put(s)
 }
 
 // Search returns ids within distance tau of q in ascending order. tau
@@ -243,7 +250,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 		if ix.gather(q, bill, s, &st) {
 			out = s.col.FinishVerifiedCodes(q, tau, ix.codes)
 		}
-		ix.scratch.Put(s)
+		ix.putScratch(s)
 	}
 	if st.Scanned {
 		out = ix.codes.AppendWithin(q, tau, nil)
@@ -315,7 +322,7 @@ func (ix *Index) SearchIter(q bitvec.Vector, tau int) iter.Seq2[engine.Neighbor,
 			if ix.gather(q, bill, s, &st) {
 				engine.StreamVerified(ix.codes, q, tau, s.col.CandidateIDs(), yield)
 			}
-			ix.scratch.Put(s)
+			ix.putScratch(s)
 		}
 		if st.Scanned {
 			engine.StreamScan(ix.codes, q, tau, yield)

@@ -597,3 +597,98 @@ func BenchmarkFrozenProbeVsScan(b *testing.B) {
 	})
 	_ = sink
 }
+
+// TestCollectMatchesMapReference holds the branch-free collect — every
+// decoded id stored past the members and kept by its seen bit — and
+// IDSet.Add to a map-based set: the same members in first-seen order, the
+// bits of exactly those members, each list's length reported, and a Reset
+// that leaves the bitmap all zero. The inputs are the ones a stored-past
+// id could go wrong on: lists in which every id repeats, ids either side
+// of a bitmap word (63, 64, 65) and the collection's last id, lists longer
+// than the set's capacity, and sets that hold members already.
+func TestCollectMatchesMapReference(t *testing.T) {
+	const n = 130 // the last id, 129, sits in a third word
+	edge := []int32{63, 64, 65, n - 1}
+	// Two keys an id, so that every id is in two lists: its first key
+	// puts it with the edge ids or in one of three long lists, its second
+	// in one of five; id 0's second key is its own, a one-id entry.
+	rows := make([]uint64, 2*n)
+	for id := range int32(n) {
+		rows[2*id], rows[2*id+1] = 10+uint64(id%3), 20+uint64(id%5)
+		if slices.Contains(edge, id) {
+			rows[2*id] = 1
+		}
+	}
+	rows[1] = 30
+	wide := make([]uint64, 2*2*n) // the same keys two words wide: the byte layout
+	for k, r := range rows {
+		wide[2*k] = r
+	}
+	forms := map[string]*Frozen{
+		"hash":   freezeRows(n, 2, 8, rows, hashLayout),
+		"bitmap": freezeRows(n, 2, 8, rows, bitmapLayout),
+		"bytes":  FreezeRows(n, 2, 128, wide),
+	}
+	for name, f := range forms {
+		entries := make([]int, f.NumKeys())
+		for e := range entries {
+			entries[e] = e
+		}
+		backwards := slices.Clone(entries)
+		slices.Reverse(backwards)
+		rng := rand.New(rand.NewSource(7))
+		for _, c := range []struct {
+			what  string
+			order []int
+		}{
+			{"every entry", entries},
+			{"every entry twice, so every id repeats", slices.Concat(entries, entries)},
+			{"every entry backwards", backwards},
+			{"a random draw", []int{rng.Intn(len(entries)), rng.Intn(len(entries)), rng.Intn(len(entries)), rng.Intn(len(entries))}},
+		} {
+			for _, members := range [][]int32{nil, {64}, edge} {
+				set := IDSet{Seen: make([]uint64, (n+63)/64), IDs: make([]int32, 0, 1)} // capacity below any list
+				added := IDSet{Seen: make([]uint64, (n+63)/64)}
+				seen := map[int32]bool{}
+				var want []int32
+				keep := func(id int32) {
+					if !seen[id] {
+						seen[id] = true
+						want = append(want, id)
+					}
+				}
+				for _, id := range members {
+					set.Add(id)
+					added.Add(id)
+					keep(id)
+				}
+				for _, e := range c.order {
+					list := f.appendList(e, nil)
+					if got := f.CollectEntry(e, &set); got != len(list) {
+						t.Fatalf("%s, %s: entry %d reported %d postings, holds %d", name, c.what, e, got, len(list))
+					}
+					for _, id := range list {
+						added.Add(id)
+						keep(id)
+					}
+				}
+				for _, got := range []IDSet{set, added} {
+					if !slices.Equal(got.IDs, want) {
+						t.Fatalf("%s, %s, members %v: collected %v, the map %v", name, c.what, members, got.IDs, want)
+					}
+					for id := range int32(n) {
+						if bit := got.Seen[id/64]>>(id%64)&1 == 1; bit != seen[id] {
+							t.Fatalf("%s, %s, members %v: id %d has bit %v, is a member %v", name, c.what, members, id, bit, seen[id])
+						}
+					}
+				}
+				for _, s := range []*IDSet{&set, &added} {
+					s.Reset()
+					if len(s.IDs) != 0 || slices.ContainsFunc(s.Seen, func(w uint64) bool { return w != 0 }) {
+						t.Fatalf("%s, %s: Reset left %d ids, bitmap %x", name, c.what, len(s.IDs), s.Seen)
+					}
+				}
+			}
+		}
+	}
+}

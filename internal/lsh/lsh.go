@@ -248,6 +248,13 @@ func (ix *Index) getScratch() *searchScratch {
 	return s
 }
 
+// putScratch returns a scratch to the pool, its candidate set empty and
+// its bitmap all zero (engine.Collector).
+func (ix *Index) putScratch(s *searchScratch) {
+	s.col.Set.Reset() // a no-op after FinishVerifiedCodes
+	ix.scratch.Put(s)
+}
+
 // Search returns ids within distance tau of q found by the hash
 // tables, in ascending order. Being LSH, recall is probabilistic:
 // roughly Options.Recall of true results are returned; false positives
@@ -270,7 +277,7 @@ func (ix *Index) search(q bitvec.Vector, tau int, wantStats bool) ([]int32, *Sta
 		return nil, nil, fmt.Errorf("lsh: %w", err)
 	}
 	s := ix.getScratch()
-	defer ix.scratch.Put(s)
+	defer ix.putScratch(s)
 	sigs := 0
 	var sumPost int64
 	s.ones = q.AppendOnes(s.ones[:0])

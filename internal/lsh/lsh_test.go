@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"gph/internal/dataset"
 	"gph/internal/engine/enginetest"
+	"gph/internal/invindex"
 	"gph/internal/linscan"
 )
 
@@ -162,4 +164,32 @@ func TestLoadRefusesTableCap(t *testing.T) {
 	if err != nil || len(big.tables) != maxTables {
 		t.Fatalf("a file capping tables at maxTables: %v", err)
 	}
+}
+
+// TestScratchComesBackClean: no query clears the collector's bitmap on
+// the way in, so every way out leaves the pooled one all zero — a query
+// answered from fewer candidates than bitmap words, so that IDSet.Reset
+// clears by its members, and a query refused.
+func TestScratchComesBackClean(t *testing.T) {
+	ds := dataset.Synthetic(8000, 128, 0.5, 2)
+	ix, err := Build(ds.Vectors, 8, Options{Seed: 3, K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the last stored vector back: its own id comes late in its
+	// lists, after candidates verification drops, which compacting first
+	// would lose the bits of.
+	q := len(ds.Vectors) - 1
+	for ; q >= 0; q-- {
+		if _, st, err := ix.SearchStats(ds.Vectors[q], 8); err == nil && st.Candidates > st.Results && st.Candidates < ix.Len()/64 {
+			break
+		}
+	}
+	if q < 0 {
+		t.Fatal("no stored vector is answered from fewer candidates than bitmap words, some verified away")
+	}
+	enginetest.PoolComesBackClean(t, &ix.scratch, func(s *searchScratch) *invindex.IDSet { return &s.col.Set }, slices.Concat(
+		enginetest.SearchExits("answered", ix, ds.Vectors[q], 8, true),
+		enginetest.SearchExits("τ past the build's", ix, ds.Vectors[q], 9, false),
+	))
 }

@@ -9,6 +9,7 @@ import (
 	"gph/internal/dataset"
 	"gph/internal/engine"
 	"gph/internal/engine/enginetest"
+	"gph/internal/invindex"
 	"gph/internal/linscan"
 )
 
@@ -184,4 +185,32 @@ func TestKNNGrowsAcrossTheAbandonBoundary(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("k=%d: got %v, the oracle's %v", k, got, want)
 	}
+}
+
+// TestScratchComesBackClean: no query clears the collector's bitmap on
+// the way in, so every way out leaves the pooled one all zero — on the
+// index, abandoned to the scan with postings already collected, streamed
+// and stopped early, refused before a scratch is taken, and refused as
+// an error.
+func TestScratchComesBackClean(t *testing.T) {
+	ds, ix, q, tauOf := routeFixture(t)
+	if _, st, err := ix.SearchStats(q, tauOf[abandoned]); err != nil || st.SumPostings == 0 {
+		t.Fatalf("tau=%d: the abandoned query should have collected postings first: %+v, %v", tauOf[abandoned], st, err)
+	}
+	// On the index: a stored vector, a result for the stream to stop at,
+	// answered from fewer candidates than bitmap words, so that IDSet.Reset
+	// clears by its members.
+	stored := slices.IndexFunc(ds.Vectors, func(v bitvec.Vector) bool {
+		_, st, err := ix.SearchStats(v, 2)
+		return err == nil && !st.Scanned && st.Candidates > st.Results && st.Candidates < ix.Len()/64
+	})
+	if stored < 0 {
+		t.Fatal("no stored vector is answered on the index at τ = 2 from few candidates")
+	}
+	enginetest.PoolComesBackClean(t, &ix.scratch, func(s *searchScratch) *invindex.IDSet { return &s.col.Set }, slices.Concat(
+		enginetest.SearchExits("on the index", ix, ds.Vectors[stored], 2, true),
+		enginetest.SearchExits("abandoned", ix, q, tauOf[abandoned], true),
+		enginetest.SearchExits("refused", ix, q, tauOf[refused], false),
+		enginetest.SearchExits("an error", ix, q, -1, false),
+	))
 }

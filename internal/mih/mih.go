@@ -202,8 +202,10 @@ func (ix *Index) getScratch() *searchScratch {
 	return s
 }
 
-// putScratch returns a scratch to the pool.
+// putScratch returns a scratch to the pool, its candidate set empty and
+// its bitmap all zero (engine.Collector).
 func (ix *Index) putScratch(s *searchScratch) {
+	s.col.Set.Reset() // a no-op after FinishVerifiedCodes
 	s.inv = nil
 	ix.scratch.Put(s)
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"sync"
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
@@ -50,6 +51,10 @@ type Index struct {
 	pops  []int32       // popcount per row, for the positional filter
 	parts *partition.Partitioning
 	inv   []*invindex.Frozen
+
+	// cands pools the per-query candidate set (*engine.Collector), its
+	// bitmap all zero whenever it is in the pool.
+	cands sync.Pool
 }
 
 // Stats is the shared per-query accounting type; PartAlloc fills the
@@ -147,17 +152,11 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 	T := ix.allocate(projs, tau, &r1)
 	stats.Thresholds = T
 
-	seen := make([]uint64, (ix.Len()+63)/64)
-	cands := make([]int32, 0, 256)
-	collect := func(id int32) bool {
-		stats.SumPostings++
-		w, b := id/64, uint(id)%64
-		if seen[w]>>b&1 == 0 {
-			seen[w] |= 1 << b
-			cands = append(cands, id)
-		}
-		return true
+	col, _ := ix.cands.Get().(*engine.Collector)
+	if col == nil {
+		col = &engine.Collector{}
 	}
+	col.Reset(ix.Len())
 	for i, ti := range T {
 		if ti < 0 {
 			continue
@@ -167,11 +166,13 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 		inv := ix.inv[i]
 		inv.Radius1(projs[i].Words(), projs[i].Dims(), &r1, func(e int) bool {
 			stats.Signatures++
-			inv.ForEachEntry(e, collect)
+			stats.SumPostings += int64(inv.CollectEntry(e, &col.Set))
 			return ti == 1
 		})
 	}
-	stats.Candidates = len(cands)
+	stats.Candidates = col.Candidates()
+	cands := col.Set.IDs
+	col.Set.Reset() // before the filters compact cands
 	qp := qPop(projs)
 	results := cands[:0]
 	for _, id := range cands {
@@ -182,8 +183,11 @@ func (ix *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *Stats, error) 
 	}
 	results = ix.codes.FilterWithin(q, tau, results)
 	slices.Sort(results)
-	stats.Results = len(results)
-	return results, stats, nil
+	out := make([]int32, len(results))
+	copy(out, results)
+	ix.cands.Put(col)
+	stats.Results = len(out)
+	return out, stats, nil
 }
 
 func qPop(projs []bitvec.Vector) int {

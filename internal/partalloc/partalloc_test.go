@@ -1,9 +1,13 @@
 package partalloc
 
 import (
+	"slices"
 	"testing"
 
 	"gph/internal/dataset"
+	"gph/internal/engine"
+	"gph/internal/engine/enginetest"
+	"gph/internal/invindex"
 	"gph/internal/linscan"
 	"gph/internal/partition"
 )
@@ -89,4 +93,25 @@ func TestBuildRejectsDimsMismatchArrangement(t *testing.T) {
 	if _, err := Build(ds.Vectors, 3, Options{Arrangement: arr}); err == nil {
 		t.Fatal("arrangement over 32 dims accepted for 16-dim data")
 	}
+}
+
+// TestCandidatesComeBackClean: no query clears the pooled candidate set's
+// bitmap on the way in, so every way out leaves it all zero — a query
+// answered (the positional filter and FilterWithin compact the
+// candidates) and queries refused.
+func TestCandidatesComeBackClean(t *testing.T) {
+	ds := dataset.Synthetic(500, 48, 0.3, 2)
+	ix, err := Build(ds.Vectors, 7, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.PerturbQueries(ds, 1, 3, 3)[0]
+	if _, st, err := ix.SearchStats(q, 7); err != nil || st.Candidates <= st.Results {
+		t.Fatalf("the query should filter candidates away: %+v, %v", st, err)
+	}
+	enginetest.PoolComesBackClean(t, &ix.cands, func(c *engine.Collector) *invindex.IDSet { return &c.Set }, slices.Concat(
+		enginetest.SearchExits("answered", ix, q, 7, true),
+		enginetest.SearchExits("τ past the build's", ix, q, 8, false),
+		enginetest.SearchExits("a negative τ", ix, q, -1, false),
+	))
 }

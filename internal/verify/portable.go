@@ -2,9 +2,9 @@
 // by words-per-vector: one- and two-word vectors (≤ 128 dims) get
 // fully unrolled popcount chains with a single threshold compare per
 // candidate — a branch per word costs more than the extra popcounts —
-// four-word vectors reject half-way through the row, and wide vectors
-// accumulate in 2-word strides, early-aborting the moment the running
-// distance exceeds tau.
+// four-word vectors keep a candidate with no branch at all, and wide
+// vectors accumulate in 2-word strides, early-aborting the moment the
+// running distance exceeds tau.
 package verify
 
 import "math/bits"
@@ -83,13 +83,11 @@ func filterW2(words []uint64, q0, q1 uint64, tau int, ids []int32) []int32 {
 	return ids[:k]
 }
 
-// filterW4 is the four-word (≤ 256 dims) filter: the distance
-// accumulates in two unrolled halves with a reject test between them.
-// At practical taus (≪ dims/2) the first half alone exceeds tau for
-// almost every non-neighbour, so the second pair of popcounts is
-// skipped on a highly predictable branch; the half-way reject is
-// exact because distance only accumulates — a partial sum above tau
-// can never come back under it.
+// filterW4 is the four-word (≤ 256 dims) filter: all four popcounts a
+// candidate, every candidate stored at the output's end and kept by
+// advancing it by d ≤ τ (within), with no branch. An early reject after
+// two words saves two popcounts on a far row but mispredicts wherever
+// near and far candidates mix, as they do among a selective query's.
 //
 //gph:hotpath
 func filterW4(words []uint64, q0, q1, q2, q3 uint64, tau int, ids []int32) []int32 {
@@ -97,18 +95,17 @@ func filterW4(words []uint64, q0, q1, q2, q3 uint64, tau int, ids []int32) []int
 	for _, id := range ids {
 		j := int(id) * 4
 		row := words[j : j+4 : j+4]
-		d := bits.OnesCount64(row[0]^q0) + bits.OnesCount64(row[1]^q1)
-		if d > tau {
-			continue
-		}
-		d += bits.OnesCount64(row[2]^q2) + bits.OnesCount64(row[3]^q3)
-		if d <= tau {
-			ids[k] = id
-			k++
-		}
+		d := bits.OnesCount64(row[0]^q0) + bits.OnesCount64(row[1]^q1) +
+			bits.OnesCount64(row[2]^q2) + bits.OnesCount64(row[3]^q3)
+		ids[k] = id
+		k += within(d, tau)
 	}
 	return ids[:k]
 }
+
+// within returns 1 if d ≤ tau, else 0, with no branch: the sign bit of
+// d − tau − 1.
+func within(d, tau int) int { return int(uint(d-tau-1) >> 63) }
 
 // filterGeneric handles every other width (w = 3 or w ≥ 5) with the
 // accumulator inlined: the real corpora this path serves (PubChem-like

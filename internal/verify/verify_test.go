@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gph/internal/bitvec"
@@ -93,6 +94,55 @@ func TestFilterWithinDifferential(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestFilterKernelsMatchMapReference holds each width's filter loop —
+// w = 1, 2, 4, and the generic loop at 3 and 14 words — to a map of
+// every row's distance, called directly so that the boundary taus
+// FilterWithin answers without a kernel (−1, dims) reach it too. The
+// rows sit at every distance from the query near the thresholds, the
+// candidates come in random order and each twice, and the kept ids must
+// be the map's, in order: a loop that stores every candidate and
+// advances by d ≤ τ must never keep a far row, drop a near one or lose
+// a duplicate.
+func TestFilterKernelsMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, dims := range []int{64, 128, 256, 192, 881} {
+		q := randVector(rng, dims, 0.5)
+		var data []bitvec.Vector
+		for _, d := range []int{0, 1, 2, 3, 5, 8, 13, dims/2 - 1, dims / 2, dims/2 + 1, dims - 2, dims - 1, dims} {
+			for range 3 {
+				v := q.Clone()
+				for _, i := range rng.Perm(dims)[:d] {
+					v.Flip(i)
+				}
+				data = append(data, v)
+			}
+		}
+		codes := Pack(data)
+		dist := map[int32]int{}
+		for id, v := range data {
+			dist[int32(id)] = q.Hamming(v)
+		}
+		var cands []int32
+		for _, id := range slices.Concat(rng.Perm(len(data)), rng.Perm(len(data))) {
+			cands = append(cands, int32(id))
+		}
+		for _, tau := range []int{-1, 0, 1, 8, dims / 2, dims - 1, dims} {
+			var want []int32
+			for _, id := range cands {
+				if dist[id] <= tau {
+					want = append(want, id)
+				}
+			}
+			if got := filterPortable(codes, q.Words(), tau, slices.Clone(cands)); !equalIDs(got, want) {
+				t.Fatalf("dims=%d tau=%d: the w=%d loop kept %v, the map %v", dims, tau, codes.w, got, want)
+			}
+			if got := codes.FilterWithin(q, tau, slices.Clone(cands)); !equalIDs(got, want) {
+				t.Fatalf("dims=%d tau=%d: FilterWithin kept %v, the map %v", dims, tau, got, want)
 			}
 		}
 	}
