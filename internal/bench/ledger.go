@@ -95,8 +95,8 @@ func Ledger(w io.Writer, cfg Config) error {
 
 func (l *ledger) header(w io.Writer, wall time.Duration) {
 	scan, proj := "AVX-512 VPOPCNTDQ assembly", "PEXT"
-	if cpu.ScanKernelMissing != "" {
-		scan = "portable loops (missing " + cpu.ScanKernelMissing + ")"
+	if cpu.KernelMissing != "" {
+		scan = "portable loops (missing " + cpu.KernelMissing + ")"
 	}
 	if cpu.PEXTMissing != "" {
 		proj = "gather (missing " + cpu.PEXTMissing + ")"

@@ -13,6 +13,7 @@ import (
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 	"gph/internal/engine"
 	"gph/internal/invindex"
 )
@@ -136,13 +137,24 @@ func keyArenaOffset(t *testing.T, ix *Index, raw []byte, p int) int {
 	return off
 }
 
-// rejectsEverywhere holds a hostile file to its error, want: Load
-// refuses it from a stream and from bytes in place; engine.Open refuses
-// it on the heap; a mapped open accepts it, having read no payload, and
-// its first search and its second refuse it with the same error; and a
-// deferred load estimates on it, before any validation, without leaving
-// its arrays.
+// rejectsEverywhere holds a hostile file to its error, want, under each
+// arm of the content tier (the AVX-512 passes where this host has them,
+// their Go reference, the portable passes): Load refuses it from a
+// stream and from bytes in place; engine.Open refuses it on the heap; a
+// mapped open accepts it, having read no payload, and its first search
+// and its second refuse it with the same error; and a deferred load
+// estimates on it, before any validation, without leaving its arrays.
 func rejectsEverywhere(t *testing.T, name string, hostile []byte, want string, q bitvec.Vector) {
+	t.Helper()
+	for _, arm := range []cpu.Kernel{cpu.KernelAssembly, cpu.KernelGo, cpu.KernelPortable} {
+		restore := cpu.Force(cpu.Setting{Kernel: arm})
+		rejectsUnder(t, name+", "+arm.String()+" arm", hostile, want, q)
+		restore()
+	}
+}
+
+// rejectsUnder is rejectsEverywhere under the arm in force.
+func rejectsUnder(t *testing.T, name string, hostile []byte, want string, q bitvec.Vector) {
 	t.Helper()
 	if _, err := Load(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("%s: from a stream: %v, want %q", name, err, want)

@@ -362,6 +362,15 @@ var crossoverN = flag.Int("crossover-n", 20000, "rows of BenchmarkCrossover's co
 // enumeration budget.
 //
 //	go test -run '^$' -bench Crossover -benchtime 200x ./internal/core [-args -crossover-n 100000]
+//
+// The four cells a change to the index path reports at 10⁶ — sift-like
+// τ = 12 and 14, uqvideo-like τ = 28 and 32, where the forced index and
+// the guard's regret moved before — without the rest of the grid:
+//
+//	go test -run '^$' -bench 'Crossover/sift/τ=1[24]/|Crossover/uqvideo/τ=(28|32)/' -benchtime 10x ./internal/core -args -crossover-n 1000000
+//
+// (The alternation is at the top: -bench matches each /-separated part
+// of the pattern to one level of the name, so a part may not span two.)
 func BenchmarkCrossover(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // Validate runs the content tier of load validation now — posting-list
 // varint framing and id ranges, key order, key and vector tail bits —
@@ -24,7 +27,8 @@ func (ix *Index) Validate() error {
 // doubles as page warm-up: the first query pays the major faults a heap
 // open paid at open. Corruption surfaces here as a sticky error every
 // subsequent query repeats — a clean failure, never a fault, because
-// Load's structural checks already proved every access in-bounds.
+// Load's structural checks already proved every access in-bounds — and
+// so does a mapped file cut short since the open (deepValidate).
 //
 // Every public query entry point calls this.
 func (ix *Index) ensureValidated() error {
@@ -51,9 +55,24 @@ func (ix *Index) runDeepValidation() {
 // deepValidate checks everything Load's structural tier could not
 // without touching the data arenas. Partitions are independent, so
 // the pass fans out over the build-side worker pool — on a cold
-// mapping this parallelizes the page-in as well as the checking.
+// mapping this parallelizes the page-in as well as the checking. It is
+// the first pass to read every page of a mapping, so its workers run
+// with memory faults made panics (debug.SetPanicOnFault): a page of a
+// file truncated since it was mapped faults here, and the fault is this
+// pass's verdict, not the process's end. A fault in a later query is not
+// caught.
 func (ix *Index) deepValidate() error {
-	return ForEach(0, len(ix.inv)+1, func(i int) error {
+	return ForEach(0, len(ix.inv)+1, func(i int) (err error) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer func() {
+			if r := recover(); r != nil {
+				f, fault := r.(interface{ Addr() uintptr })
+				if !fault {
+					panic(r)
+				}
+				err = fmt.Errorf("core: reading the index's arenas faulted at %#x: the file is shorter than its mapping", f.Addr())
+			}
+		}()
 		if i == 0 {
 			if err := ix.codes.CheckTails(); err != nil {
 				return fmt.Errorf("core: %w", err)

@@ -12,10 +12,11 @@ package cpu
 import "sync/atomic"
 
 var (
-	// ScanKernelMissing is internal/verify's gate for its AVX-512
-	// VPOPCNTDQ within-τ kernels: OSXSAVE, XCR0 saving the opmask and zmm
-	// state, AVX512F, AVX512DQ, AVX512_VPOPCNTDQ and POPCNT.
-	ScanKernelMissing = scanKernelMissing()
+	// KernelMissing is the gate of every AVX-512 kernel: internal/verify's
+	// within-τ kernels and internal/invindex's validation passes. It
+	// checks OSXSAVE, XCR0 saving the opmask and zmm state, AVX512F,
+	// AVX512DQ, AVX512BW, AVX512_VBMI, AVX512_VPOPCNTDQ and POPCNT.
+	KernelMissing = kernelMissing()
 
 	// PEXTMissing is internal/bitvec's gate for its PEXT projector: BMI2,
 	// on a CPU where PEXT is not microcoded — AMD's and Hygon's before
@@ -39,12 +40,13 @@ const (
 	RouteScan
 )
 
-// Kernel is the arm internal/verify's scan runs.
+// Kernel is the arm internal/verify's scan and internal/invindex's
+// validation passes run.
 type Kernel uint8
 
 const (
 	// KernelAssembly is the default: the AVX-512 kernels where
-	// ScanKernelMissing is empty, the portable loops elsewhere.
+	// KernelMissing is empty, the portable loops elsewhere.
 	KernelAssembly Kernel = iota
 	// KernelGo runs the kernels' drivers on their Go reference, on any
 	// amd64 host.

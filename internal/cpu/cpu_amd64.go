@@ -4,7 +4,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-func scanKernelMissing() string {
+func kernelMissing() string {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return "CPUID leaf 7"
 	}
@@ -25,6 +25,10 @@ func scanKernelMissing() string {
 		return "AVX512F"
 	case ebx&(1<<17) == 0:
 		return "AVX512DQ" // KMOVB to memory
+	case ebx&(1<<30) == 0:
+		return "AVX512BW" // byte and word lanes, 64-bit masks
+	case ecx&(1<<1) == 0:
+		return "AVX512_VBMI" // VPERMB, which widens 3- and 5- to 7-byte strides
 	case ecx&(1<<14) == 0:
 		return "AVX512_VPOPCNTDQ"
 	}

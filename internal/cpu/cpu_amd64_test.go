@@ -31,6 +31,6 @@ func TestMicrocodedPEXT(t *testing.T) {
 
 // TestVerdicts says in the log what this host's kernels may execute.
 func TestVerdicts(t *testing.T) {
-	t.Logf("scan kernels: %q (empty: they run)", ScanKernelMissing)
+	t.Logf("AVX-512 kernels: %q (empty: they run)", KernelMissing)
 	t.Logf("PEXT projector: %q (empty: it runs)", PEXTMissing)
 }

@@ -2,6 +2,6 @@
 
 package cpu
 
-func scanKernelMissing() string { return "a within-τ kernel for this GOARCH" }
+func kernelMissing() string { return "an AVX-512 kernel for this GOARCH" }
 
 func pextMissing() string { return "a PEXT projector for this GOARCH" }

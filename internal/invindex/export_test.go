@@ -38,3 +38,27 @@ func spread(dir []int, n int) (largest int, pastTwo float64) {
 	}
 	return largest, float64(past) / float64(max(n, 1))
 }
+
+// Passes returns the content tier's three passes over f, as the arm in
+// force runs them: the keys' (checkKeys), the refs' — noting each block's
+// lists, all the refs pass does — and the whole postings pass
+// (checkLists), whose time less the refs' is the lists'.
+func Passes(f *Frozen) (keys, refs, postings func() error) {
+	refs = func() error {
+		var lists [scanBlock]int32
+		var top uint32
+		kp := f.newRefPass(kernelArm())
+		for base := 0; base < f.numKeys; base += scanBlock {
+			f.noteBlock(&kp, base, &lists, &top)
+		}
+		return nil
+	}
+	postings = func() error {
+		_, err := f.checkLists()
+		return err
+	}
+	return f.checkKeys, refs, postings
+}
+
+// KernelMissing is what this host lacks of the content tier's kernels.
+var KernelMissing = kernelMissing

@@ -13,6 +13,7 @@ import (
 
 	"gph/internal/binio"
 	"gph/internal/bitvec"
+	"gph/internal/cpu"
 	"gph/internal/verify"
 )
 
@@ -1804,6 +1805,9 @@ func (f *Frozen) checkKeys() error {
 	if f.bitmap {
 		return f.checkBitmap()
 	}
+	if arm := kernelArm(); arm != cpu.KernelPortable && f.quotient() && f.keysAccepted(arm == cpu.KernelGo) {
+		return nil
+	}
 	var err error
 	if f.dir16 != nil {
 		err = checkDir(f.dir16, f.NumKeys())
@@ -1994,30 +1998,30 @@ type listScan struct {
 // checkLists is the postings pass over f's refs, in entry order, and
 // the check that the lists end where the arena does. The lists among a
 // block of entries are noted without a branch on an entry's kind
-// (noteLists); each is then judged from the words that hold it, up to
+// (noteBlock); each is then judged from the words that hold it, up to
 // the next list's offset; one the words cannot clear — a corrupt list,
 // one off the chain, or one whose word would reach past the arena's end
 // — goes to checkList, which walks it a byte at a time and says what is
-// wrong with it or where it ends.
+// wrong with it or where it ends. On the kernels' arms a block's lists
+// are judged on the lists kernel first (judgeBlock), and only the ones it
+// does not clear go to judgeList.
 func (f *Frozen) checkLists() (s listScan, err error) {
 	split, idLimit := uint32(f.maxID), uint64(f.maxID)
 	// Where the next list starts; the list whose end is still to find, and
 	// its offset.
 	pos, open, lo := 0, -1, 0
 	var lists [scanBlock]int32
+	kp := f.newRefPass(kernelArm())
+	var lp listPass
 	for base := 0; base < f.numKeys; base += scanBlock {
-		var k int
-		refs := f.refs[f.refLen*base:]
-		n := min(scanBlock, f.numKeys-base)
-		switch f.refLen {
-		case 1:
-			k = noteLists[[1]byte](refs, n, int64(split), &lists, &s.top)
-		case 2:
-			k = noteLists[[2]byte](refs, n, int64(split), &lists, &s.top)
-		case 3:
-			k = noteLists[[3]byte](refs, n, int64(split), &lists, &s.top)
-		default:
-			k = noteLists[[4]byte](refs, n, int64(split), &lists, &s.top)
+		k := f.noteBlock(&kp, base, &lists, &s.top)
+		if kp.lane > 0 && k > 0 {
+			var c int64
+			if pos, c, open, lo, err = f.judgeBlock(&kp, &lp, base, lists[:k], pos, open, lo); err != nil {
+				return s, err
+			}
+			s.postings, s.lists = s.postings+c, s.lists+k
+			continue
 		}
 		for _, j := range lists[:k] {
 			e := base + int(j)
@@ -2033,6 +2037,7 @@ func (f *Frozen) checkLists() (s listScan, err error) {
 		}
 		s.lists += k
 	}
+	s.top = max(s.top, kp.most())
 	if open >= 0 {
 		var c int64
 		if pos, c, err = f.judgeList(open, lo, pos, len(f.postArena), idLimit); err != nil {
@@ -2044,6 +2049,25 @@ func (f *Frozen) checkLists() (s listScan, err error) {
 		return s, fmt.Errorf("invindex: frozen lists end at byte %d of the %d-byte posting arena", pos, len(f.postArena))
 	}
 	return s, nil
+}
+
+// noteBlock notes in lists which of the entries from base on, a block
+// of scanBlock or the rest, are lists, and returns how many are: on the
+// refs kernel where kp holds it, else with noteLists. top grows to the
+// largest one-id ref noteLists or the kernel's tail meets.
+func (f *Frozen) noteBlock(kp *refPass, base int, lists *[scanBlock]int32, top *uint32) int {
+	refs, n, split := f.refs[f.refLen*base:], min(scanBlock, f.numKeys-base), int64(f.maxID)
+	switch {
+	case kp.lane > 0:
+		return f.kernelLists(kp, refs, n, lists, top)
+	case f.refLen == 1:
+		return noteLists[[1]byte](refs, n, split, lists, top)
+	case f.refLen == 2:
+		return noteLists[[2]byte](refs, n, split, lists, top)
+	case f.refLen == 3:
+		return noteLists[[3]byte](refs, n, split, lists, top)
+	}
+	return noteLists[[4]byte](refs, n, split, lists, top)
 }
 
 // noteLists notes in lists which of the n entries whose refs, len(R)

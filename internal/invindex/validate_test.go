@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gph/internal/binio"
+	"gph/internal/cpu"
 )
 
 // The reference: the content tier as an entry-by-entry walk — the pads
@@ -282,18 +283,33 @@ func readUnvalidated(data []byte, maxID int32) *Frozen {
 	return f
 }
 
-// sameVerdict holds the content tier to the reference on one section:
-// the same error — check, entry and all — or none from either.
+// sameVerdict holds the content tier to the reference on one section,
+// under each arm this host runs (arms): the same error — check, entry
+// and all — or none from either.
 func sameVerdict(t testing.TB, data []byte, maxID int32, what string) {
 	t.Helper()
 	f := readUnvalidated(data, maxID)
 	if f == nil {
 		return
 	}
-	got, want := f.validateContent(), refValidate(f)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%s:\n  content tier: %v\n  reference:    %v", what, got, want)
+	want := refValidate(f)
+	for _, arm := range arms() {
+		restore := cpu.Force(cpu.Setting{Kernel: arm})
+		got := f.validateContent()
+		restore()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s, %s arm:\n  content tier: %v\n  reference:    %v", what, arm, got, want)
+		}
 	}
+}
+
+// arms returns the content tier's arms this host runs: the kernels where
+// it has them, their Go reference and the portable passes.
+func arms() []cpu.Kernel {
+	if kernelMissing != "" {
+		return []cpu.Kernel{cpu.KernelGo, cpu.KernelPortable}
+	}
+	return []cpu.Kernel{cpu.KernelAssembly, cpu.KernelGo, cpu.KernelPortable}
 }
 
 // wordKey is the 8-byte little-endian key holding w.
@@ -708,8 +724,9 @@ func TestValidateRejectsOffsetsAndTotals(t *testing.T) {
 // single-byte mutation of small sections — keys of whole words narrow and
 // full width, remainders of 1, 2, 3 and 5 bytes with their pads, bitmaps
 // with their rank arrays, two-word keys, deletion variants, directories
-// of one and of several buckets — and 10⁴ random ones get the
-// reference's verdict, down to the first failing entry.
+// of one and of several buckets — 3 000 of sections longer than a kernel
+// block, and 10⁴ random ones get the reference's verdict under every arm,
+// down to the first failing entry.
 func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 	type section struct {
 		name  string
@@ -732,10 +749,25 @@ func TestValidateMatchesReferenceUnderMutation(t *testing.T) {
 	for _, s := range fastPathSeeds() {
 		sections = append(sections, section{s.name, s.data, s.maxID})
 	}
+	// Past a block of either pass (keyBlock keys, scanBlock refs): the
+	// kernels judge these, and their tails and block seams.
+	for _, w := range []int{14, 22, 30, 58} {
+		const n = keyBlock + 90
+		sections = append(sections, section{fmt.Sprintf("n=%d w=%d long", n, w), frozenBytes(FreezeRows(n, 1, w, randomRows(rng, n, w))), n})
+	}
 	check := func(s section, bad []byte, what string) {
 		sameVerdict(t, bad, s.maxID, s.name+": "+what)
 	}
 	for _, s := range sections {
+		if strings.HasSuffix(s.name, " long") {
+			for range 750 {
+				off, x := rng.Intn(len(s.data)), []byte{0x01, 0x80, 0xff}[rng.Intn(3)]
+				bad := bytes.Clone(s.data)
+				bad[off] ^= x
+				check(s, bad, fmt.Sprintf("byte %d ^ %#x", off, x))
+			}
+			continue
+		}
 		for off := range s.data {
 			for _, x := range []byte{0x01, 0x80, 0xff} {
 				bad := bytes.Clone(s.data)

@@ -40,10 +40,10 @@ func withinBits2(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
 func withinBits4(rows *uint64, groups int, q *uint64, tau uint64, out *uint64)
 
 // kernelMissing names the first thing this CPU or OS lacks of what the
-// kernels execute, or is empty when scanKernel can run: internal/cpu's
-// verdict, read once at package init; nothing else selects the kernel
-// (DESIGN.md §12).
-var kernelMissing = cpu.ScanKernelMissing
+// module's AVX-512 kernels execute, or is empty when scanKernel can run:
+// internal/cpu's one verdict for them all, read once at package init;
+// nothing else selects the kernel (DESIGN.md §12).
+var kernelMissing = cpu.KernelMissing
 
 // Arm returns the scan arm in force: the one cpu.Force set, else the
 // assembly where kernelMissing is empty and the portable loops where it
