@@ -20,9 +20,10 @@
 //
 // # Engines
 //
-// GPH and the paper's baselines (MIH, HmSearch, PartAlloc, linear
-// scan, MinHash LSH) all serve one search contract, Engine, through a
-// registry keyed by name and by persistence magic bytes:
+// GPH and the paper's baselines — MIH (a GPH build with round-robin
+// thresholds), HmSearch, PartAlloc, linear scan, MinHash LSH — all serve
+// one search contract, Engine, through a registry keyed by name and by
+// persistence magic bytes:
 //
 //	e, err := gph.BuildEngine("mih", data, gph.EngineOptions{})
 //	ids, err := e.Search(query, 8)
@@ -45,13 +46,13 @@ import (
 	"gph/internal/plan"
 	"gph/internal/shard"
 
-	// The baseline engines register themselves with the engine
-	// registry at init; importing them here makes every registered
-	// engine available to BuildEngine, LoadAny and the CLIs.
+	// The engines register themselves with the engine registry at
+	// init (core registers both "gph" and "mih"); importing them here
+	// makes every registered engine available to BuildEngine, LoadAny
+	// and the CLIs.
 	_ "gph/internal/hmsearch"
 	_ "gph/internal/linscan"
 	_ "gph/internal/lsh"
-	_ "gph/internal/mih"
 	_ "gph/internal/partalloc"
 )
 

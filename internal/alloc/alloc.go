@@ -472,7 +472,7 @@ func allocate(cn Table, p Params, enumBudget int64, selection bool, s *Scratch) 
 		}
 		objective = s.recurrence(cost, cut, bound, tau, T)
 	}
-	return Result{Thresholds: T, SumCN: sumCN(cn, T, tau), Objective: objective}, true
+	return Result{Thresholds: T, SumCN: SumCN(cn, T, tau), Objective: objective}, true
 }
 
 // selectRows answers a round with τ < m by selection where that is the
@@ -679,24 +679,28 @@ func (s *Scratch) recurrence(cost [][]int64, maxE []int, bound int64, tau int, T
 
 // RoundRobin is the baseline allocator of §VII-C: thresholds start at
 // −1 and are incremented cyclically until they sum to tau − m + 1, so
-// all partitions receive near-equal thresholds regardless of the data.
-func RoundRobin(m, tau int) []int {
+// all partitions receive near-equal thresholds regardless of the data —
+// ⌊τ/m⌋ on the first τ − m·⌊τ/m⌋ + 1 partitions and one less on the
+// rest, Multi-Index Hashing's vector. The vector is backed by s, as an
+// allocation's is, and valid until its next use.
+func (s *Scratch) RoundRobin(m, tau int) []int {
 	if m <= 0 {
 		panic("alloc: RoundRobin with no partitions")
 	}
-	T := make([]int, m)
+	T := sized(&s.thresholds, m)
+	each, more := (tau+1)/m, (tau+1)%m
 	for i := range T {
-		T[i] = -1
+		T[i] = each - 1
 	}
-	for k := 0; k < tau+1; k++ {
-		T[k%m]++
+	for i := range more {
+		T[i]++
 	}
 	return T
 }
 
-// sumCN evaluates a threshold vector against a CN table: the SumCN of
+// SumCN evaluates a threshold vector against a CN table: the SumCN of
 // an allocation.
-func sumCN(cn Table, T []int, tau int) int64 {
+func SumCN(cn Table, T []int, tau int) int64 {
 	var s int64
 	for i, e := range T {
 		if e < 0 {

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -74,7 +75,7 @@ func TestAllocateOptimal(t *testing.T) {
 			t.Errorf("invalid vector: %v", err)
 			return false
 		}
-		if got := sumCN(cn, res.Thresholds, tau); got != res.SumCN {
+		if got := SumCN(cn, res.Thresholds, tau); got != res.SumCN {
 			t.Errorf("SumCN mismatch: reported %d, recomputed %d", res.SumCN, got)
 			return false
 		}
@@ -204,9 +205,10 @@ func TestAllocateFallback(t *testing.T) {
 }
 
 func TestRoundRobin(t *testing.T) {
+	var s Scratch
 	for m := 1; m <= 8; m++ {
 		for tau := 0; tau <= 20; tau++ {
-			T := RoundRobin(m, tau)
+			T := s.RoundRobin(m, tau)
 			if err := CheckVector(T, tau); err != nil {
 				t.Fatalf("m=%d tau=%d: %v", m, tau, err)
 			}
@@ -222,6 +224,17 @@ func TestRoundRobin(t *testing.T) {
 			}
 			if hi-lo > 1 {
 				t.Fatalf("m=%d tau=%d: uneven RR %v", m, tau, T)
+			}
+			// The cyclic definition: tau + 1 increments from −1, in turn.
+			want := make([]int, m)
+			for i := range want {
+				want[i] = -1
+			}
+			for k := 0; k <= tau; k++ {
+				want[k%m]++
+			}
+			if !slices.Equal(T, want) {
+				t.Fatalf("m=%d tau=%d: RR %v, cyclic %v", m, tau, T, want)
 			}
 		}
 	}

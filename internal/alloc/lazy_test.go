@@ -53,12 +53,12 @@ func bruteObjective(cn Table, p Params, budget int64) (best int64, bestT []int, 
 func bruteAllocate(cn Table, p Params) Result {
 	if p.EnumBudget <= 0 {
 		obj, T, _ := bruteObjective(cn, p, 0)
-		return Result{Thresholds: T, Objective: obj, SumCN: sumCN(cn, T, p.Tau)}
+		return Result{Thresholds: T, Objective: obj, SumCN: SumCN(cn, T, p.Tau)}
 	}
 	budget := p.EnumBudget
 	for attempt := 0; attempt < 3; attempt++ {
 		if obj, T, ok := bruteObjective(cn, p, budget); ok {
-			return Result{Thresholds: T, Objective: obj, SumCN: sumCN(cn, T, p.Tau), EffectiveBudget: budget}
+			return Result{Thresholds: T, Objective: obj, SumCN: SumCN(cn, T, p.Tau), EffectiveBudget: budget}
 		}
 		budget *= 16
 	}
@@ -204,7 +204,7 @@ func eagerAllocate(cn Table, p Params, s *Scratch, takeExit bool) (res Result, e
 		if !exit || !takeExit {
 			objective = s.recurrence(cost, maxE, bound, p.Tau, T)
 		}
-		return Result{Thresholds: T, SumCN: sumCN(cn, T, p.Tau), Objective: objective, EffectiveBudget: budget}, true
+		return Result{Thresholds: T, SumCN: SumCN(cn, T, p.Tau), Objective: objective, EffectiveBudget: budget}, true
 	}
 	if p.EnumBudget <= 0 {
 		res, _ = solve(0)

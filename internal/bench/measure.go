@@ -13,7 +13,6 @@ import (
 	"gph/internal/hmsearch"
 	_ "gph/internal/linscan" // registers "linscan"
 	_ "gph/internal/lsh"     // registers "lsh"
-	_ "gph/internal/mih"     // registers "mih"
 	"gph/internal/partalloc"
 	"gph/internal/partition"
 )

@@ -25,7 +25,7 @@ import (
 // partition (probeBeatsScan), and run the index or scan the collection
 // (allocate). The two index-side prices, a probed signature and a posting
 // of a generated candidate list, are engine.ProbePrice and
-// engine.CandidatePrice: MIH and HmSearch bill themselves by them too.
+// engine.CandidatePrice: HmSearch bills itself by them too.
 const (
 	// dpCellPrice prices one run of the allocation DP, per cell of the
 	// m × (τ + 2) table it is handed, as measured on a round that walked
@@ -238,8 +238,8 @@ func (s *searchScratch) genPrice(i, e int) (steps int64, probe bool) {
 // something above limit (what the guard saw when it stopped the
 // loop; alloc.FallbackCost when no vector fits the enumeration budget),
 // the Result then being whatever the DP last proposed — not a plan, and
-// not necessarily on exact cells. Round-robin allocations are not
-// priced (0).
+// not necessarily on exact cells. A round-robin index does not come here:
+// its vector is fixed (roundRobin).
 //
 // The first call on a scratch binds it to q; rows then outlive the call
 // — CN(qᵢ, e) does not depend on τ, so SearchGrow's later calls, same q
@@ -251,10 +251,7 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, limit int64, s *searchSc
 	if s.q.Dims() == 0 {
 		ix.bindQuery(q, s)
 	}
-	if ix.opts.Allocator == AllocRR {
-		return alloc.Result{Thresholds: alloc.RoundRobin(ix.parts.NumParts(), tau), SumCN: -1}, 0
-	}
-	ix.startRows(tau, s)
+	ix.startRows(tau, nil, s)
 	params := alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}
 	prices := ix.pricesThrough(tau)
 	bill := prices.start + ix.roundPrice(tau)
@@ -276,7 +273,9 @@ func (ix *Index) allocateLoop(q bitvec.Vector, tau int, limit int64, s *searchSc
 
 // refine prices res, the vector of the round just billed (bill), and
 // settles on it, stops at the guard, or makes its cells exact and runs the
-// next round on the fitted table, until one of the first two.
+// next round on the fitted table, until one of the first two. A
+// round-robin vector is fixed: once its cells are exact it is priced again
+// as it stands, and no round runs.
 //
 //gph:hotpath
 func (ix *Index) refine(res alloc.Result, params alloc.Params, bill, limit int64, s *searchScratch) (alloc.Result, int64) {
@@ -311,6 +310,10 @@ func (ix *Index) refine(res alloc.Result, params alloc.Params, bill, limit int64
 				ix.extendRow(i, e, params.Tau, s)
 			}
 		}
+		if ix.opts.Allocator == AllocRR {
+			res.SumCN = alloc.SumCN(s.table, res.Thresholds, params.Tau)
+			continue
+		}
 		if bill += ix.roundPrice(params.Tau); bill > limit {
 			return alloc.Result{}, bill
 		}
@@ -325,21 +328,83 @@ func (ix *Index) roundPrice(tau int) int64 {
 }
 
 // allocate is the query path's allocation: allocateLoop, entered only
-// where it could say anything but "scan". Its bill opens at start +
-// round and no vector it can propose is priced below floor[τ], so where
-// those three pass limit round one's verdict is known from the
+// where it could say anything but "scan", or roundRobin. Its bill opens at
+// start + round and no vector it can propose is priced below floor[τ], so
+// where those three pass limit round one's verdict is known from the
 // index's shape and τ alone and is returned before the query is bound: no
 // projection, no probe, no DP, no counter moved.
 //
 //gph:hotpath
 func (ix *Index) allocate(q bitvec.Vector, tau int, limit int64, s *searchScratch) (alloc.Result, int64) {
-	if ix.opts.Allocator != AllocRR {
-		p := ix.pricesThrough(tau)
-		if price := p.start + ix.roundPrice(tau) + p.floor[tau]; price > limit {
-			return alloc.Result{}, price
-		}
+	p := ix.pricesThrough(tau)
+	if ix.opts.Allocator == AllocRR {
+		return ix.roundRobin(q, tau, p, limit, s)
+	}
+	if price := p.start + ix.roundPrice(tau) + p.floor[tau]; price > limit {
+		return alloc.Result{}, price
 	}
 	return ix.allocateLoop(q, tau, limit, s)
+}
+
+// roundRobin is allocate for AllocRR, whose vector is alloc's RoundRobin —
+// Multi-Index Hashing's — whatever the query: there is no DP to run or
+// bill. What refine's first pass will bill is priced before the query is
+// bound, with every CN it does not know yet at 0 — start, every cell's
+// generation price, the extension of a cell past its row's start, and the
+// whole collection for a cell as wide as its partition; floor[τ] is never
+// more — and where that passes limit the verdict is refine's, and as free
+// as allocate's. A ball it
+// would enumerate past the enumeration budget is not enumerated: the
+// query is scanned (alloc.FallbackCost), also before binding. Otherwise
+// the rows it reads start as the DP's do — for τ < m that is all it
+// reads — and refine prices it as a DP vector, making its cells exact, or
+// stops at the guard. Result.Thresholds is backed by the scratch.
+//
+//gph:hotpath
+func (ix *Index) roundRobin(q bitvec.Vector, tau int, p *planPrices, limit int64, s *searchScratch) (alloc.Result, int64) {
+	res := alloc.Result{Thresholds: s.dp.RoundRobin(len(p.gen), tau), EffectiveBudget: ix.opts.EnumBudget}
+	bound, price := s.q.Dims() != 0, p.start
+	for i, e := range res.Thresholds {
+		if e < 0 {
+			continue
+		}
+		row := p.gen[i]
+		steps := row[min(e, len(row)-1)]
+		if e < len(row)-1 && steps/engine.ProbePrice > res.EffectiveBudget {
+			return alloc.Result{Fallback: true}, alloc.FallbackCost
+		}
+		price += steps
+		switch {
+		case e >= len(ix.parts.Parts[i]):
+			price += engine.CandidatePrice * int64(ix.count)
+		case e > 0 && !(bound && e <= s.known[i]):
+			price += steps // refine bills making the cell exact, the same walk
+		}
+	}
+	if price > limit {
+		return alloc.Result{}, price
+	}
+	if s.q.Dims() == 0 {
+		ix.bindQuery(q, s)
+	}
+	ix.startRows(tau, res.Thresholds, s)
+	if tau >= len(res.Thresholds) {
+		ix.fitRows(tau, s)
+		res.SumCN = alloc.SumCN(s.table, res.Thresholds, tau)
+	} else {
+		// Every threshold is −1 or 0, and the row starts are the cells the
+		// vector reads: no table is fitted.
+		for i, e := range res.Thresholds {
+			switch {
+			case e < 0:
+			case s.startInv[i] != nil:
+				res.SumCN += int64(s.startCounts[i])
+			default:
+				res.SumCN += s.table[i][1]
+			}
+		}
+	}
+	return ix.refine(res, alloc.Params{Tau: tau}, p.start, limit, s)
 }
 
 // startRows makes every row the bound query has not started exact at
@@ -352,13 +417,14 @@ func (ix *Index) allocate(q bitvec.Vector, tau int, limit int64, s *searchScratc
 // partition allocated T[i] = 0 from its entry instead of hashing and
 // probing for the same key again. Each counts as the one posting-length
 // probe it is. Every other row is fitted to tau and starts through
-// extendRow.
+// extendRow. Given a vector T, only the rows it reads (T[i] ≥ 0) start;
+// nil starts them all.
 //
 //gph:hotpath
-func (ix *Index) startRows(tau int, s *searchScratch) {
+func (ix *Index) startRows(tau int, T []int, s *searchScratch) {
 	fresh := false
 	for i, inv := range s.startInv {
-		if inv != nil && s.known[i] < 0 {
+		if inv != nil && s.known[i] < 0 && (T == nil || T[i] >= 0) {
 			s.startWords[i] = s.projs[i].Words()[0]
 			fresh = true
 		}
@@ -368,7 +434,7 @@ func (ix *Index) startRows(tau int, s *searchScratch) {
 	}
 	for i, inv := range s.startInv {
 		switch {
-		case ix.cnExact(i, 0, s):
+		case ix.cnExact(i, 0, s) || T != nil && T[i] < 0:
 		case inv != nil:
 			s.known[i] = 0
 			s.cnProbes++

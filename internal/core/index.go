@@ -77,8 +77,6 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	}
 	opts = opts.withDefaults(dims)
 
-	ix := &Index{dims: dims, count: len(data), codes: verify.Pack(data), opts: opts}
-
 	// Offline phase 1: dimension partitioning (§V).
 	start := time.Now()
 	sample := partition.SampleRows(data, opts.SampleSize, opts.Seed)
@@ -95,20 +93,32 @@ func Build(data []bitvec.Vector, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.parts, ix.proj = parts, bitvec.NewProjector(dims, parts.Parts)
-	ix.stats.PartitionNanos = time.Since(start).Nanoseconds()
+	partitionNanos := time.Since(start).Nanoseconds()
 
-	// Offline phase 2: per-partition inverted indexes. Partitions are
-	// independent, so construction fans out over a bounded worker
-	// pool; each partition is built whole by one worker, which keeps
-	// the result identical to a serial build. A worker projects every
-	// vector into one array of words and freezes it straight into the
-	// compact arena layout queries probe, with no build-time map.
-	start = time.Now()
+	ix, err := freeze(verify.Pack(data), parts, opts)
+	if err != nil {
+		return nil, err
+	}
+	ix.stats.PartitionNanos = partitionNanos
+	return ix, nil
+}
+
+// freeze is offline phase 2: the index over codes, which it keeps, under
+// the partitioning parts — per-partition inverted indexes. Partitions are
+// independent, so construction fans out over a bounded worker pool; each
+// partition is built whole by one worker, which keeps the result identical
+// to a serial build. A worker projects every vector into one array of
+// words and freezes it straight into the compact arena layout queries
+// probe, with no build-time map. Build ends here, and so do the "mih"
+// engine's Build and Load.
+func freeze(codes *verify.Codes, parts *partition.Partitioning, opts Options) (*Index, error) {
+	ix := &Index{dims: codes.Dims(), count: codes.Len(), codes: codes, opts: opts,
+		parts: parts, proj: bitvec.NewProjector(codes.Dims(), parts.Parts)}
+	start := time.Now()
 	ix.inv = make([]*invindex.Frozen, parts.NumParts())
-	err = ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
+	err := ForEach(opts.BuildParallelism, parts.NumParts(), func(i int) error {
 		dimsI := parts.Parts[i]
-		ix.inv[i] = invindex.FreezeRows(ix.count, 1, len(dimsI), invindex.ProjectRows(ix.codes, dimsI))
+		ix.inv[i] = invindex.FreezeRows(ix.count, 1, len(dimsI), invindex.ProjectRows(codes, dimsI))
 		return nil
 	})
 	if err != nil {

@@ -59,8 +59,10 @@ const (
 	// AllocDP is the paper's Algorithm 1 (default).
 	AllocDP AllocatorKind = iota
 	// AllocRR is the round-robin baseline of §VII-C: near-equal
-	// thresholds summing to τ−m+1, no cost model. Queries skip CN
-	// estimation entirely, exactly as a cost-oblivious allocator would.
+	// thresholds summing to τ−m+1, no cost model — with equi-width
+	// partitions, Multi-Index Hashing (the "mih" engine). The vector
+	// ignores the CN estimates; the scan guard reads them to price it, as
+	// it prices the DP's.
 	AllocRR
 )
 

@@ -296,7 +296,7 @@ func BenchmarkPlanPrices(b *testing.B) {
 			{"row-starts", func(_ *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {
 				ix.bindQuery(q, s)
 				t0 := time.Now()
-				ix.startRows(c.tau, s)
+				ix.startRows(c.tau, nil, s)
 				return time.Since(t0)
 			}},
 			{"dp-round", func(_ *testing.B, q bitvec.Vector, s *searchScratch) time.Duration {

@@ -289,8 +289,8 @@ func reportStats(stats *Stats, want bool) *Stats {
 //
 //gph:hotpath
 func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats, timed bool) (scanned bool, err error) {
-	// Phase 1: threshold allocation. The RR baseline skips estimation
-	// entirely — that is the point of the comparison in Fig. 3.
+	// Phase 1: threshold allocation. The RR baseline's vector ignores the
+	// CN estimates; the guard still reads them to price it.
 	stats.ScanCost = ix.ScanCost(tau)
 	limit := stats.ScanCost
 	switch cpu.Forced().Route {
@@ -340,9 +340,9 @@ func (ix *Index) gather(q bitvec.Vector, tau int, s *searchScratch, stats *Stats
 // signature ball probed against the partition's index, or one pass over the
 // partition's keys. Nothing is materialized per signature or per
 // matching key (no key string, no posting slice), which is what makes
-// the loop allocation-free. budget (0 for unlimited: RR and unbudgeted
-// configs) caps a ball that is enumerated; a pass over the keys costs
-// the same whatever the ball holds.
+// the loop allocation-free. budget (0 for unlimited) caps a ball that is
+// enumerated; a pass over the keys costs the same whatever the ball
+// holds.
 //
 //gph:hotpath
 func (ix *Index) generate(thresholds []int, budget int64, s *searchScratch) error {

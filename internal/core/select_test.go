@@ -14,7 +14,7 @@ import (
 // table, as a round that is not a selection, or one the selection
 // refused, is run on.
 func (ix *Index) startTable(tau int, s *searchScratch) {
-	ix.startRows(tau, s)
+	ix.startRows(tau, nil, s)
 	ix.fitRows(tau, s)
 }
 
@@ -68,7 +68,7 @@ func selectsFromStarts(ix *Index, q bitvec.Vector, tau int) bool {
 	s := ix.getScratch()
 	defer ix.putScratch(s)
 	ix.bindQuery(q, s)
-	ix.startRows(tau, s)
+	ix.startRows(tau, nil, s)
 	ix.startIncrements(tau, ix.pricesThrough(tau).heads, s)
 	_, ok := alloc.Select(s.rows, alloc.Params{Tau: tau, Widths: s.widths, EnumBudget: ix.opts.EnumBudget}, &s.dp)
 	return ok

@@ -21,7 +21,6 @@ import (
 	_ "gph/internal/core"
 	_ "gph/internal/hmsearch"
 	_ "gph/internal/lsh"
-	_ "gph/internal/mih"
 	_ "gph/internal/partalloc"
 )
 

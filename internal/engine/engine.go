@@ -141,16 +141,18 @@ type Engine interface {
 // apply to it and ignores the rest; the zero value selects sensible
 // defaults everywhere.
 type BuildOptions struct {
-	// NumPartitions is the partition count m for partition-based
-	// engines (gph, mih); 0 selects each engine's own rule of thumb.
+	// NumPartitions is the partition count m for the partition-based
+	// builds of core (gph, and mih where no Arrangement is given); 0
+	// selects each engine's own rule of thumb.
 	NumPartitions int
 	// MaxTau is the largest query threshold the engine must support
 	// (default 64). Engines whose structure depends on τ (hmsearch,
 	// lsh, partalloc) build for exactly this threshold; gph uses it to
-	// bound estimator training; mih and linscan ignore it.
+	// size its surrogate workload; mih and linscan ignore it.
 	MaxTau int
 	// EnumBudget caps per-partition signature enumeration for engines
-	// that enumerate (0 selects each engine's default).
+	// that enumerate (0 selects each engine's default: 1<<18 for gph,
+	// 1<<20 for mih).
 	EnumBudget int64
 	// Seed drives every randomized choice, making builds reproducible.
 	Seed int64
@@ -159,8 +161,8 @@ type BuildOptions struct {
 	BuildParallelism int
 	// Arrangement optionally replaces an engine's default dimension
 	// arrangement (the bench harness equips the baselines with the OS
-	// rearrangement this way). gph derives its own cost-aware
-	// arrangement and ignores it.
+	// rearrangement this way; mih takes it in place of its equi-width
+	// one). gph derives its own cost-aware arrangement and ignores it.
 	Arrangement *partition.Partitioning
 }
 

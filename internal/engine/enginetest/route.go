@@ -1,6 +1,6 @@
 // Package enginetest holds the assertions tests in several packages make
-// about the route a query took through an engine that guards itself (gph,
-// and by engine.Budget MIH and HmSearch):
+// about the route a query took through an engine that guards itself (gph
+// and mih by core's allocation loop, HmSearch by engine.Budget):
 // a hand-sized fixture pins a route by accident, and a test whose subject
 // is the index path passes as well on the scan route unless it says so.
 // fields.go walks an options struct field by field, for the tests that
@@ -75,15 +75,15 @@ func FreeScan(t testing.TB, e statsSearcher, q bitvec.Vector, tau int) {
 	}
 }
 
-// BudgetHolds sweeps an engine that guards itself with engine.Budget
-// (MIH, HmSearch), whose packed arena is codes, over queries × τ ∈
+// BudgetHolds sweeps an engine that guards itself against the scan's
+// price (core's builds, HmSearch), whose packed arena is codes, over queries × τ ∈
 // [0, maxTau] and holds it to the budget's promise by the counters a
 // query reports: the index's priced
 // work — ProbePrice a signature, CandidatePrice a posting — is at most
 // the scan's price at that τ where the index answered, and at most that
-// plus the overdrawing charge (longest postings: 0 where the engine bills
-// a list before it decodes it, as MIH does, 1 where it bills a posting,
-// as HmSearch does) where the scan answered after all. Every answer equals the scan's.
+// plus the overdrawing charge (longest postings: 0 where the engine
+// prices its plan before it generates, as core does, 1 where it bills a
+// posting, as HmSearch does) where the scan answered after all. Every answer equals the scan's.
 // Which cell takes which route follows the host's scan price, so the
 // log names the arm and the counts and nothing asserts them.
 func BudgetHolds(t testing.TB, name string, e engine.Engine, codes *verify.Codes, queries []bitvec.Vector, maxTau, longest int) {
@@ -118,6 +118,6 @@ func BudgetHolds(t testing.TB, name string, e engine.Engine, codes *verify.Codes
 			}
 		}
 	}
-	t.Logf("%s: price arm %s: %d queries ran the index, %d were refused before binding, %d abandoned to the scan",
+	t.Logf("%s: price arm %s: %d queries ran the index, %d were scanned with nothing generated, %d abandoned to the scan",
 		name, arm, index, refused, abandoned)
 }

@@ -9,11 +9,11 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/core"
 	"gph/internal/dataset"
+	"gph/internal/engine"
 	"gph/internal/engine/enginetest"
 	"gph/internal/hmsearch"
 	"gph/internal/linscan"
 	"gph/internal/lsh"
-	"gph/internal/mih"
 	"gph/internal/partalloc"
 )
 
@@ -78,7 +78,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			enginetest.FreeScan(t, tiny, queries[0], g.taus[0])
-			mihIx, err := mih.Build(data, mih.Options{NumPartitions: g.m})
+			mihIx, err := engine.Build(core.MIHEngineName, data, engine.BuildOptions{NumPartitions: g.m})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestGPHBeatsBasicPigeonholeOnSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mihIx, err := mih.Build(ds.Vectors, mih.Options{NumPartitions: 12})
+	mihIx, err := engine.Build(core.MIHEngineName, ds.Vectors, engine.BuildOptions{NumPartitions: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

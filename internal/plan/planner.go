@@ -6,8 +6,8 @@ import (
 )
 
 // The planner decides nothing: every exact engine weighs its index
-// against a scan of its arena itself (gph's allocation loop, MIH's and
-// HmSearch's engine.Budget, linscan trivially), and a test that needs a
+// against a scan of its arena itself (core's allocation loop for gph and
+// mih, HmSearch's engine.Budget, linscan trivially), and a test that needs a
 // route forces it with cpu.Force. Mode, ModeAdaptive, NewPlanner, Route
 // and Calibrate are what benchmark/layers.go calls; they go with
 // ROADMAP 1(f)'s benchmark PR.

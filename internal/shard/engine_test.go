@@ -17,7 +17,6 @@ import (
 	_ "gph/internal/hmsearch"
 	_ "gph/internal/linscan"
 	_ "gph/internal/lsh"
-	_ "gph/internal/mih"
 	_ "gph/internal/partalloc"
 )
 

@@ -16,7 +16,6 @@ import (
 	"gph/internal/cpu"
 	"gph/internal/dataset"
 	"gph/internal/engine"
-	"gph/internal/mih"
 )
 
 // planOpts enables a result cache on top of the usual fast test options.
@@ -195,7 +194,7 @@ func init() {
 		Exact: true,
 		Magic: countingMagic,
 		Build: func(data []bitvec.Vector, opts engine.BuildOptions) (engine.Engine, error) {
-			e, err := engine.Build(mih.EngineName, data, opts)
+			e, err := engine.Build(core.MIHEngineName, data, opts)
 			return countingEngine{e}, err
 		},
 		Load: func(r io.Reader) (engine.Engine, error) {
@@ -203,7 +202,7 @@ func init() {
 			if br.Magic(countingMagic); br.Err() != nil {
 				return nil, br.Err()
 			}
-			e, err := mih.Load(r)
+			e, err := engine.LoadAny(r)
 			return countingEngine{e}, err
 		},
 	})
