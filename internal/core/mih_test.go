@@ -104,7 +104,7 @@ func TestMIHMatchesOracle(t *testing.T) {
 
 // TestMIHStatsAndErrors: a query MIH answers on the index reports one
 // signature a partition at τ = 1, m = 2 (thresholds [0, 0]), and its
-// postings and candidates; a negative τ and an empty build are refused.
+// postings and candidates; a negative τ is refused.
 func TestMIHStatsAndErrors(t *testing.T) {
 	// 20 000 rows: a scan costs 2 500 steps at least, two probes and their
 	// postings far less, so the stats read are the index's.
@@ -112,9 +112,6 @@ func TestMIHStatsAndErrors(t *testing.T) {
 	ix := mihBuild(t, ds.Vectors, engine.BuildOptions{NumPartitions: 2})
 	if _, err := ix.Search(ds.Vectors[0], -1); err == nil {
 		t.Fatal("negative tau accepted")
-	}
-	if _, err := engine.Build(MIHEngineName, nil, engine.BuildOptions{}); err == nil {
-		t.Fatal("empty data accepted")
 	}
 	enginetest.OnIndex(t, ix, ds.Vectors[0], 1)
 	_, st, err := ix.SearchStats(ds.Vectors[0], 1)
@@ -130,8 +127,8 @@ func TestMIHStatsAndErrors(t *testing.T) {
 }
 
 // TestSearchWithArrangement: MIH under the caller's arrangement (Fig. 7
-// equips it with OS) answers as the oracle does, its file keeps the
-// arrangement, and an arrangement that does not cover the rows is refused.
+// equips it with OS) answers as the oracle does, and its file keeps the
+// arrangement.
 func TestSearchWithArrangement(t *testing.T) {
 	ds := dataset.Synthetic(300, 32, 0.3, 4)
 	sample := partition.SampleRows(ds.Vectors, 100, 1)
@@ -159,6 +156,15 @@ func TestSearchWithArrangement(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMIHBuildRejectsBadInput: an MIH build over no rows, or under an
+// arrangement that does not cover the rows' dimensions, is refused.
+func TestMIHBuildRejectsBadInput(t *testing.T) {
+	if _, err := engine.Build(MIHEngineName, nil, engine.BuildOptions{}); err == nil {
+		t.Fatal("empty data accepted")
+	}
+	ds := dataset.Synthetic(10, 32, 0.2, 1)
 	bad := &partition.Partitioning{Dims: 32, Parts: [][]int{{0}}}
 	if _, err := engine.Build(MIHEngineName, ds.Vectors, engine.BuildOptions{Arrangement: bad}); err == nil {
 		t.Fatal("an arrangement of one dimension accepted")
@@ -210,6 +216,24 @@ func routeFixture(t *testing.T) (ds *dataset.Dataset, ix mihIndex, q bitvec.Vect
 func TestMIHIndexQueryAllocatesItsResult(t *testing.T) {
 	_, ix, q, tauOf := routeFixture(t)
 	enginetest.ScratchReturned(t, ix, q, tauOf[onIndex])
+}
+
+// TestMIHRefusedQueryIsFree: the closed-form verdict costs nothing. A
+// query the balls alone price past the scan moves no counter and
+// allocates what the scan's result slice does, nothing more.
+func TestMIHRefusedQueryIsFree(t *testing.T) {
+	_, ix, q, tauOf := routeFixture(t)
+	tau := tauOf[refused]
+	enginetest.FreeScan(t, ix, q, tau)
+	scan := testing.AllocsPerRun(20, func() { ix.codes.AppendWithin(q, tau, nil) })
+	search := testing.AllocsPerRun(20, func() {
+		if _, err := ix.Search(q, tau); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if search != scan {
+		t.Errorf("a refused query allocates %v times, its result slice %v", search, scan)
+	}
 }
 
 // TestStreamMatchesSearchOnEveryRoute: SearchIter drained is Search,
