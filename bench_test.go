@@ -170,9 +170,9 @@ func resetPeakRSS() func() float64 {
 }
 
 // BenchmarkBaselineGrid regenerates the "change" and "scan" columns of
-// DESIGN.md §13's table, HmSearch's, and the same grid for MIH (core's
-// round-robin build, whose guard is GPH's): each served through one
-// shard, cache off, built for τ ≤ 32, 50 perturbed queries a cell — ns a query under
+// HmSearch's verdict table (recorded in CHANGES.md, PR 28), and the same
+// grid for MIH (core's round-robin build, whose guard is GPH's): each
+// served through one shard, built for τ ≤ 32, 50 perturbed queries a cell — ns a query under
 // each route (the engine's own choice, and the index and the scan forced
 // by cpu.Force), with what the engine's own guard did beside it: the
 // share of the cell's queries it abandoned to the scan after probing, and

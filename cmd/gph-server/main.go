@@ -54,13 +54,14 @@
 // response, and replayed over the index on restart — a kill -9 loses
 // no acknowledged write. -snapshot PATH bounds the log: POST /save
 // (and graceful shutdown) atomically checkpoints the index there and
-// truncates the WAL. Every exact engine decides scan-or-index itself;
-// -cache-size bounds the result cache that answers repeated queries
-// without re-searching, and its counters surface in /stats and
-// /metrics. The server carries read/write timeouts, caps
-// POST batch sizes (-max-batch, oversize → 413), and shuts down
-// gracefully on SIGINT or SIGTERM, draining in-flight requests,
-// checkpointing and syncing the WAL.
+// truncates the WAL. Every exact engine decides scan-or-index itself.
+// The server keeps a result cache, bounded by -cache-size, that answers
+// a repeated GET or POST /search or /knn query without re-searching
+// while no update has been published since its answer was stored; its
+// counters surface in /stats and /metrics. The server carries
+// read/write timeouts, caps POST batch sizes (-max-batch, oversize →
+// 413), and shuts down gracefully on SIGINT or SIGTERM, draining
+// in-flight requests, checkpointing and syncing the WAL.
 package main
 
 import (
@@ -79,7 +80,9 @@ import (
 
 	"gph"
 	"gph/datagen"
+	"gph/internal/engine"
 	"gph/internal/mmapio"
+	"gph/internal/plan"
 )
 
 // server answers every request from one backend, whichever way it was
@@ -87,6 +90,7 @@ import (
 // engine-agnostic: it speaks the sharded index's contract.
 type server struct {
 	index    *gph.ShardedIndex
+	cache    *plan.Cache // -cache-size; nil caches nothing
 	maxBatch int
 	snapPath string // -snapshot: POST /save checkpoints here; "" disables
 	metrics  *metrics
@@ -139,7 +143,6 @@ func main() {
 		cacheMB  = flag.Int("cache-size", 64, "result-cache budget in MiB; 0 disables caching")
 	)
 	flag.Parse()
-	cacheBytes := int64(*cacheMB) << 20
 	openMode := gph.OpenHeap
 	if *useMmap {
 		openMode = gph.OpenMMap
@@ -163,10 +166,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("gph-server: opening %s: %v", openPath, err)
 		}
-		// Lifecycle and cache policy are runtime configuration, not
-		// persisted state: apply the flags to the opened index.
+		// The lifecycle policy is runtime configuration, not persisted
+		// state: apply the flag to the opened index.
 		index.SetAutoCompact(*autoComp)
-		_ = index.ConfigurePlan("", cacheBytes) // the empty mode is never refused
 		log.Printf("opened %s; -data/-gen ignored", openPath)
 	} else {
 		ds, derr := loadOrGenerate(*dataPath, *gen, *n, *seed)
@@ -175,7 +177,7 @@ func main() {
 		}
 		index, err = gph.BuildShardedEngine(*engName, ds.Vectors, *shards, gph.Options{
 			NumPartitions: *m, MaxTau: *maxTau, Seed: *seed, BuildParallelism: *buildPar,
-			AutoCompactDelta: *autoComp, CacheBytes: cacheBytes,
+			AutoCompactDelta: *autoComp,
 		})
 		if err != nil {
 			log.Fatalf("gph-server: building index: %v", err)
@@ -190,7 +192,7 @@ func main() {
 			log.Printf("replayed %d wal records from %s", replayed, *walPath)
 		}
 	}
-	s := &server{index: index, maxBatch: *maxBatch, snapPath: *snapPath, metrics: newMetrics(handlerNames...)}
+	s := &server{index: index, cache: plan.NewCache(int64(*cacheMB) << 20), maxBatch: *maxBatch, snapPath: *snapPath, metrics: newMetrics(handlerNames...)}
 	log.Printf("%s index ready (shards=%d, %s): %d vectors × %d dims in %v (%.2f MB)",
 		index.Engine(), index.NumShards(), s.openModeLabel(), index.Len(), index.Dims(),
 		time.Since(start).Round(time.Millisecond), float64(index.SizeBytes())/(1<<20))
@@ -298,7 +300,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"compaction":     s.index.CompactionStatus(),
 		"wal_bytes":      s.index.WALSizeBytes(),
 		"epoch":          s.index.Epoch(),
-		"planner":        s.index.PlanStats(),
+		"planner":        map[string]plan.CacheStats{"cache": s.cache.Stats()},
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -478,7 +480,7 @@ func (s *server) searchOne(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ids, stats, err := s.index.SearchStats(q, tau)
+	ids, candidates, err := s.search(q, tau, true)
 	if err != nil {
 		httpError(w, searchStatus(err), "%v", err)
 		return
@@ -486,7 +488,7 @@ func (s *server) searchOne(w http.ResponseWriter, r *http.Request) {
 	resp := searchResponse{
 		Results:    ids,
 		Distances:  make([]int, len(ids)),
-		Candidates: stats.Candidates,
+		Candidates: candidates,
 		Micros:     time.Since(start).Microseconds(),
 	}
 	for i, id := range ids {
@@ -591,7 +593,7 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	nns, err := s.index.SearchKNN(q, k)
+	nns, err := s.knn(q, k)
 	if err != nil {
 		httpError(w, searchStatus(err), "%v", err)
 		return
@@ -641,9 +643,12 @@ func (s *server) searchBatch(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	start := time.Now()
-	results, err := s.index.SearchBatch(queries, req.Tau, 0)
+	results, err := engine.BatchSearch(queries, 0, func(q gph.Vector) ([]int32, error) {
+		ids, _, err := s.search(q, req.Tau, false)
+		return ids, err
+	})
 	if err != nil {
-		// SearchBatch joins per-query errors ("query %d: ...") and
+		// BatchSearch joins per-query errors ("query %d: ...") and
 		// keeps sibling results; report the failures with a status
 		// matching their kind.
 		httpError(w, searchStatus(err), "%v", err)
@@ -653,6 +658,78 @@ func (s *server) searchBatch(w http.ResponseWriter, r *http.Request) {
 		"results": results,
 		"micros":  time.Since(start).Microseconds(),
 	})
+}
+
+// cacheKey keys q's answer at the index's current epoch; a range query
+// has k = -1 and a kNN query tau = -1. ok is false when the cache is off
+// or tau or k does not fit the key's 32 bits (such a query is answered,
+// never cached).
+func (s *server) cacheKey(q gph.Vector, tau, k int) (key plan.Key, ok bool) {
+	if s.cache == nil || int(int32(tau)) != tau || int(int32(k)) != k {
+		return key, false
+	}
+	return plan.Key{Hash: plan.HashWords(q.Words(), uint64(q.Dims())), Epoch: s.index.Epoch(), Tau: int32(tau), K: int32(k)}, true
+}
+
+// search answers a range query through the result cache. The epoch is
+// read before the index loads its snapshots, and an answer is stored
+// only if no swap was published by the time the search returned, so an
+// entry keyed e reflects every update acknowledged before e; a later
+// swap makes it unreachable. Only answers are stored, never errors, so
+// a hit cannot bypass validation. A hit returns the cached slice itself
+// (read-only) and the result count as its candidates; counted asks a
+// miss for the engines' own count (SearchStats), and without it
+// candidates is 0.
+func (s *server) search(q gph.Vector, tau int, counted bool) (ids []int32, candidates int, err error) {
+	key, cached := s.cacheKey(q, tau, -1)
+	if cached {
+		if ids, _, ok := s.cache.Get(key); ok {
+			return ids, len(ids), nil
+		}
+	}
+	if counted {
+		var st *gph.Stats
+		if ids, st, err = s.index.SearchStats(q, tau); err == nil {
+			candidates = st.Candidates
+		}
+	} else {
+		ids, err = s.index.Search(q, tau)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if cached && s.index.Epoch() == key.Epoch {
+		s.cache.Put(key, ids, nil)
+	}
+	return ids, candidates, nil
+}
+
+// knn answers a kNN query through the result cache, by search's epoch
+// protocol; an entry holds the ids and their distances.
+func (s *server) knn(q gph.Vector, k int) ([]gph.Neighbor, error) {
+	key, cached := s.cacheKey(q, -1, k)
+	if cached = cached && k > 0; cached {
+		if ids, dists, ok := s.cache.Get(key); ok {
+			out := make([]gph.Neighbor, len(ids))
+			for i := range ids {
+				out[i] = gph.Neighbor{ID: ids[i], Distance: int(dists[i])}
+			}
+			return out, nil
+		}
+	}
+	out, err := s.index.SearchKNN(q, k)
+	if err != nil {
+		return nil, err
+	}
+	if cached && s.index.Epoch() == key.Epoch {
+		ids := make([]int32, len(out))
+		dists := make([]int32, len(out))
+		for i, n := range out {
+			ids[i], dists[i] = n.ID, int32(n.Distance)
+		}
+		s.cache.Put(key, ids, dists)
+	}
+	return out, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {

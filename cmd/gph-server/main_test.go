@@ -238,7 +238,7 @@ func TestShardedSearchMatchesSingle(t *testing.T) {
 	small := serverOver(t, data[:100], 1)
 	enginetest.FreeScan(t, small.index, q, 8)
 	for _, shards := range []int{1, 3} {
-		s := serverOver(t, data, shards) // testOpts: the engines' own route, nothing cached
+		s := serverOver(t, data, shards) // the engines' own route, no result cache
 		enginetest.OnIndex(t, s.index, q, 0)
 		rec := httptest.NewRecorder()
 		s.handleSearch(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q.String()+"&tau=0", nil))

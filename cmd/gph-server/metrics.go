@@ -146,27 +146,26 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE gph_resident_bytes gauge\n")
 	fmt.Fprintf(w, "gph_resident_bytes %d\n", mmapio.ProcessResidentBytes())
 
-	// Result-cache counters, read from the backend at scrape time like
-	// the other index gauges.
-	ps := s.index.PlanStats()
+	// Result-cache counters, read at scrape time like the index gauges.
+	cache := s.cache.Stats()
 	fmt.Fprintf(w, "# HELP gph_cache_hits_total Result-cache hits.\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_hits_total counter\n")
-	fmt.Fprintf(w, "gph_cache_hits_total %d\n", ps.Cache.Hits)
+	fmt.Fprintf(w, "gph_cache_hits_total %d\n", cache.Hits)
 	fmt.Fprintf(w, "# HELP gph_cache_misses_total Result-cache misses.\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_misses_total counter\n")
-	fmt.Fprintf(w, "gph_cache_misses_total %d\n", ps.Cache.Misses)
+	fmt.Fprintf(w, "gph_cache_misses_total %d\n", cache.Misses)
 	fmt.Fprintf(w, "# HELP gph_cache_evictions_total Result-cache LRU evictions.\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "gph_cache_evictions_total %d\n", ps.Cache.Evictions)
+	fmt.Fprintf(w, "gph_cache_evictions_total %d\n", cache.Evictions)
 	fmt.Fprintf(w, "# HELP gph_cache_entries Result-cache resident entries.\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_entries gauge\n")
-	fmt.Fprintf(w, "gph_cache_entries %d\n", ps.Cache.Entries)
+	fmt.Fprintf(w, "gph_cache_entries %d\n", cache.Entries)
 	fmt.Fprintf(w, "# HELP gph_cache_bytes Result-cache resident bytes (budget gph_cache_bytes_max).\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_bytes gauge\n")
-	fmt.Fprintf(w, "gph_cache_bytes %d\n", ps.Cache.Bytes)
+	fmt.Fprintf(w, "gph_cache_bytes %d\n", cache.Bytes)
 	fmt.Fprintf(w, "# HELP gph_cache_bytes_max Result-cache byte budget.\n")
 	fmt.Fprintf(w, "# TYPE gph_cache_bytes_max gauge\n")
-	fmt.Fprintf(w, "gph_cache_bytes_max %d\n", ps.Cache.MaxBytes)
+	fmt.Fprintf(w, "gph_cache_bytes_max %d\n", cache.MaxBytes)
 
 	fmt.Fprintf(w, "# HELP gph_shard_delta Unindexed inserts pending compaction, by shard.\n")
 	fmt.Fprintf(w, "# TYPE gph_shard_delta gauge\n")

@@ -43,7 +43,6 @@ import (
 	"gph/internal/bitvec"
 	"gph/internal/core"
 	"gph/internal/engine"
-	"gph/internal/plan"
 	"gph/internal/shard"
 
 	// The engines register themselves with the engine registry at
@@ -365,11 +364,3 @@ func BuildShardedEngine(name string, data []Vector, numShards int, opts Options)
 func NewShardedEngine(name string, numShards int, opts Options) (*ShardedIndex, error) {
 	return shard.NewEngine(name, numShards, opts)
 }
-
-// PlanStats reports the result cache's counters; the struct lives in
-// internal/plan. Obtain one from ShardedIndex.PlanStats.
-type PlanStats = plan.Stats
-
-// CacheStats is the result cache's counter snapshot (hits, misses,
-// evictions, entries, bytes).
-type CacheStats = plan.CacheStats

@@ -257,7 +257,7 @@ func TestPersistRoundTripOptions(t *testing.T) {
 	}
 	notCarried := []string{
 		"NoRefine", "Workload", "WorkloadSize", "SampleSize", "BuildParallelism", "WALPath",
-		"AutoCompactDelta", "CacheBytes",
+		"AutoCompactDelta",
 	}
 	if lost := enginetest.FieldsThatDiffer(loaded.Options(), ix.Options()); !slices.Equal(lost, notCarried) {
 		t.Fatalf("options Load did not hand back:\n     %v\nwant %v\npersist a new field in saveOptions or declare it here", lost, notCarried)

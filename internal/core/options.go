@@ -130,10 +130,6 @@ type Options struct {
 	// (compaction is explicit). Runtime-only — ignored by a single
 	// immutable Index and not persisted in saved containers.
 	AutoCompactDelta int
-	// CacheBytes bounds the sharded layer's query-result cache; 0 (the
-	// default) disables caching. Runtime-only — ignored by a single
-	// immutable Index and not persisted in saved containers.
-	CacheBytes int64
 }
 
 func (o Options) withDefaults(n int) Options {

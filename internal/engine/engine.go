@@ -73,7 +73,6 @@ type Stats struct {
 	SumPostings int64
 	Candidates  int // |S_cand| distinct candidates (Fig. 2(b) "cand")
 	Results     int
-	CacheHit    bool // query answered from the planner's result cache
 }
 
 // TotalNanos returns the summed phase times.

@@ -7,32 +7,16 @@ import (
 
 // Key identifies one cached query result. Two lookups collide only if
 // every field matches: the seeded query hash (seed = dims, see
-// HashWords), the snapshot epoch at which the result was computed, the
-// query shape (tau for range queries with K = -1; k for kNN queries
-// with Tau = -1), and the engine the result came from. Epoch is the
-// invalidation mechanism: writers bump it on every snapshot swap, so
-// entries computed against a superseded snapshot can never match a
-// post-swap lookup — they simply age out of the LRU.
+// HashWords), the snapshot epoch at which the result was computed, and
+// the query shape (tau for range queries with K = -1; k for kNN queries
+// with Tau = -1). Epoch is the invalidation mechanism: writers bump it on
+// every snapshot swap, so entries computed against a superseded snapshot
+// can never match a post-swap lookup — they simply age out of the LRU.
 type Key struct {
 	Hash  uint64
 	Epoch uint64
 	Tau   int32
 	K     int32
-	Eng   uint8
-}
-
-// EngineID folds an engine name to the cache key's engine byte
-// (FNV-1a folded to 8 bits). Distinct engines sharing one cache is
-// not a supported configuration, so 8 bits of separation is plenty —
-// the byte exists to keep an engine swap from replaying another
-// engine's entries.
-func EngineID(name string) uint8 {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return uint8(h ^ h>>8 ^ h>>16 ^ h>>24)
 }
 
 // entry is one cached result, threaded on its shard's LRU list.

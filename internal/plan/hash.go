@@ -1,11 +1,11 @@
-// Package plan is the result cache, and the planner shims the benchmark
-// still calls (planner.go): every query goes to its engine, which weighs
-// its index against a linear scan of the verification arena itself. The
-// cache is a bounded, sharded LRU
-// keyed on (query hash, tau, k, engine, snapshot epoch): the shard
-// layer bumps the epoch on every snapshot swap, so Insert/Delete/Compact
-// invalidate stale entries with zero coordination and no locks on the
-// search hot path.
+// Package plan is gph-server's result cache, and the planner shims the
+// benchmark still calls (planner.go): every query goes to its engine,
+// which weighs its index against a linear scan of the verification arena
+// itself, and no library type caches. The cache is a bounded, sharded LRU
+// keyed on (query hash, tau, k, snapshot epoch): the server reads the
+// sharded index's epoch, which every snapshot swap bumps, so
+// Insert/Delete/Compact invalidate stale entries with zero coordination
+// and no locks on the search hot path.
 package plan
 
 import "math/bits"

@@ -143,3 +143,26 @@ func TestRouteNeverCallsTheEngine(t *testing.T) {
 		t.Fatalf("%v allocs a Route", allocs)
 	}
 }
+
+// TestCachedHitDoesNotAllocate pins the repeated-query fast path: a hit
+// returns the cached slices themselves, so Get allocates nothing.
+func TestCachedHitDoesNotAllocate(t *testing.T) {
+	c := NewCache(1 << 20)
+	words := []uint64{0xdeadbeef, 7, 1 << 63, 42}
+	key := Key{Hash: HashWords(words, 256), Epoch: 3, Tau: 8, K: -1}
+	c.Put(key, []int32{1, 5, 9}, nil)
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		ids, _, ok := c.Get(key)
+		if !ok {
+			panic("the entry is gone")
+		}
+		sink += len(ids)
+	})
+	if allocs != 0 {
+		t.Errorf("a cached hit allocates %v times per Get, want 0", allocs)
+	}
+	if hits := c.Stats().Hits; hits < 100 {
+		t.Errorf("%d hits counted for at least 100 Gets", hits)
+	}
+}

@@ -29,8 +29,3 @@ func (*Planner) Route(engine.Engine, bitvec.Vector, int) {}
 
 // Calibrate does nothing.
 func (*Planner) Calibrate(engine.Engine) {}
-
-// Stats is what /stats and /metrics report of the result cache.
-type Stats struct {
-	Cache CacheStats `json:"cache"`
-}

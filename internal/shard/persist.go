@@ -45,8 +45,8 @@ const shardMagic = "GPHSH05\n"
 // Options.Workload (a pointer the container cannot capture;
 // post-Load compactions fall back to the surrogate workload),
 // BuildParallelism (wall-clock only; resets to GOMAXPROCS), and the
-// lifecycle fields WALPath, AutoCompactDelta and CacheBytes
-// (reattach and reconfigure on open). TestOptionsRoundTrip holds the
+// lifecycle fields WALPath and AutoCompactDelta (reattach and
+// reconfigure on open). TestOptionsRoundTrip holds the
 // list: a new Options field is written here or named there.
 func (s *Index) Save(w io.Writer) error {
 	// Serializing the built engines reads their (possibly mapped)

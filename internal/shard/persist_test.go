@@ -149,7 +149,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtimeOnly := []string{"Workload", "BuildParallelism", "WALPath", "AutoCompactDelta", "CacheBytes"}
+	runtimeOnly := []string{"Workload", "BuildParallelism", "WALPath", "AutoCompactDelta"}
 	if lost := enginetest.FieldsThatDiffer(loaded.Options(), opts); !slices.Equal(lost, runtimeOnly) {
 		t.Fatalf("options the container did not hand back:\n     %v\nwant %v\npersist a new field in writeOptions or declare it here and in Save's comment", lost, runtimeOnly)
 	}

@@ -38,7 +38,6 @@ import (
 	"gph/internal/core"
 	"gph/internal/engine"
 	"gph/internal/mmapio"
-	"gph/internal/plan"
 	"gph/internal/wal"
 )
 
@@ -67,8 +66,8 @@ type state struct {
 
 	// epoch counts this shard's snapshot swaps: every successor state
 	// carries its predecessor's epoch plus one. Exported per shard in
-	// Stats for observability of snapshot churn; the result cache keys
-	// on the index-wide epoch counter, which the same swaps bump.
+	// Stats for observability of snapshot churn; the index-wide epoch
+	// counter is bumped by the same swaps.
 	epoch uint64
 }
 
@@ -209,17 +208,10 @@ type Index struct {
 	wal walLog // nil until OpenWAL; guarded by mu
 
 	// epoch counts snapshot swaps index-wide: writers bump it adjacent
-	// to every shards[i].Store. The result cache keys on it, so a swap
-	// invalidates every cached result with zero coordination — stale
-	// entries can never match a post-swap lookup and age out of the
-	// LRU. Monotonic, never reset (no ABA).
+	// to every shards[i].Store. gph-server's result cache keys on it, so
+	// a swap invalidates every cached result with zero coordination.
+	// Monotonic, never reset (no ABA).
 	epoch atomic.Uint64
-
-	// cache is the bounded LRU over query results, fixed at
-	// construction (ConfigurePlan before serving) and read lock-free on
-	// the search hot path; nil when disabled.
-	cache *plan.Cache
-	engID uint8 // plan.EngineID(engine), baked into cache keys
 
 	// Compaction: compactMu serializes rebuild runs; pending
 	// deduplicates async/auto triggers; autoCompact is the buffer
@@ -332,7 +324,6 @@ func NewEngine(engineName string, numShards int, opts core.Options) (*Index, err
 		s.maxTau = engine.BuildOptions{MaxTau: opts.MaxTau}.WithDefaults().MaxTau
 	}
 	s.autoCompact.Store(int32(opts.AutoCompactDelta))
-	_ = s.ConfigurePlan("", opts.CacheBytes) // the empty mode is never refused
 	empty := &state{dead: map[int32]bool{}}
 	for i := range s.shards {
 		s.shards[i].Store(empty)
@@ -927,11 +918,8 @@ func (s *Index) fanOut(tasks []func()) {
 // core index over the live vectors would return. Shards are probed
 // from their current snapshots (tombstones filtered, delta buffers
 // linearly scanned) concurrently over the fan-out pool, or inline
-// when at most one shard is populated. With a result cache configured
-// (Options.CacheBytes / ConfigurePlan), repeated queries return the
-// cached slice itself: callers must treat results as read-only. The
-// cached-hit path takes no locks beyond one cache-shard mutex and
-// performs no allocations.
+// when at most one shard is populated. Every call searches: the index
+// caches no results.
 //
 //gph:hotpath
 func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
@@ -943,9 +931,7 @@ func (s *Index) Search(q bitvec.Vector, tau int) ([]int32, error) {
 // (so the nanos are work done, not wall time, when shards ran
 // concurrently), plus one candidate per delta entry scanned. Scanned
 // reports that some shard's engine answered by a verified scan (that
-// shard contributes its whole arena as candidates);
-// CacheHit that the result cache answered, in which case only the
-// result count is known and Candidates repeats it. Thresholds is left
+// shard contributes its whole arena as candidates). Thresholds is left
 // empty — shards allocate independently.
 func (s *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *engine.Stats, error) {
 	st := &engine.Stats{}
@@ -957,43 +943,13 @@ func (s *Index) SearchStats(q bitvec.Vector, tau int) ([]int32, *engine.Stats, e
 	return ids, st, nil
 }
 
-// search is the cached pipeline behind Search and SearchStats; a nil
+// search brackets the fan-out pipeline behind Search and SearchStats
+// with the mapping reference: release is explicit — one success path,
+// one failure path — so the per-query pipeline stays defer-free. A nil
 // st asks for no accounting.
 //
 //gph:hotpath
 func (s *Index) search(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
-	var key plan.Key
-	var e1 uint64
-	if s.cache != nil {
-		// Epoch reads before the snapshot loads inside searchUncached:
-		// a result is cached only if no swap was published between this
-		// read and the re-read after the search, so an entry keyed e1
-		// provably reflects every update acknowledged before e1. Only
-		// valid queries are ever stored (Put runs on success), so a hit
-		// cannot bypass validation.
-		e1 = s.epoch.Load()
-		key = plan.Key{Hash: plan.HashWords(q.Words(), uint64(q.Dims())), Epoch: e1, Tau: int32(tau), K: -1, Eng: s.engID}
-		if ids, _, ok := s.cache.Get(key); ok {
-			if st != nil {
-				st.CacheHit = true
-				st.Candidates = len(ids)
-			}
-			return ids, nil
-		}
-	}
-	out, err := s.searchUncached(q, tau, st)
-	if s.cache != nil && err == nil && s.epoch.Load() == e1 {
-		s.cache.Put(key, out, nil)
-	}
-	return out, err
-}
-
-// searchUncached brackets the fan-out pipeline with the mapping
-// reference: release is explicit — one success path, one failure path
-// — so the per-query pipeline stays defer-free.
-//
-//gph:hotpath
-func (s *Index) searchUncached(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
 	if err := s.acquireMapping(); err != nil {
 		return nil, err
 	}
@@ -1002,8 +958,8 @@ func (s *Index) searchUncached(q bitvec.Vector, tau int, st *engine.Stats) ([]in
 	return out, err
 }
 
-// searchFanOut is the fan-out search pipeline behind the cache; the
-// caller holds the mapping reference.
+// searchFanOut is the fan-out search pipeline; the caller holds the
+// mapping reference.
 //
 //gph:hotpath
 func (s *Index) searchFanOut(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, error) {
@@ -1125,38 +1081,8 @@ func (sh *state) search(q bitvec.Vector, tau int, st *engine.Stats) ([]int32, er
 // the per-shard lists merge through a max-heap bounded at k. For
 // τ-bounded engines the answer is best-effort within the build
 // threshold, exactly like a single such index: neighbours beyond it
-// are never reported, whether indexed or delta-buffered. kNN results
-// cache like range results (ids and distances both), keyed on the
-// requested k.
+// are never reported, whether indexed or delta-buffered.
 func (s *Index) SearchKNN(q bitvec.Vector, k int) ([]core.Neighbor, error) {
-	var key plan.Key
-	var e1 uint64
-	if s.cache != nil && k > 0 {
-		e1 = s.epoch.Load()
-		key = plan.Key{Hash: plan.HashWords(q.Words(), uint64(q.Dims())), Epoch: e1, Tau: -1, K: int32(k), Eng: s.engID}
-		if ids, dists, ok := s.cache.Get(key); ok {
-			out := make([]core.Neighbor, len(ids))
-			for i := range ids {
-				out[i] = core.Neighbor{ID: ids[i], Distance: int(dists[i])}
-			}
-			return out, nil
-		}
-	}
-	out, err := s.searchKNNUncached(q, k)
-	if s.cache != nil && k > 0 && err == nil && s.epoch.Load() == e1 {
-		ids := make([]int32, len(out))
-		dists := make([]int32, len(out))
-		for i, n := range out {
-			ids[i] = n.ID
-			dists[i] = int32(n.Distance)
-		}
-		s.cache.Put(key, ids, dists)
-	}
-	return out, err
-}
-
-// searchKNNUncached is the fan-out kNN pipeline behind the cache.
-func (s *Index) searchKNNUncached(q bitvec.Vector, k int) ([]core.Neighbor, error) {
 	if err := s.acquireMapping(); err != nil {
 		return nil, err
 	}

@@ -23,23 +23,24 @@ import (
 
 // FuzzShardLifecycle is a seeded, deterministic simulation of the shard
 // lifecycle. Its first two bytes choose the engine, the shard count, the
-// starting collection, how the index is first opened and its result
-// cache; each byte pair after them is one step: insert, delete of a
-// built, a buffered or a missing id, Search at several τ, SearchKNN,
-// SearchBatch, a stream broken off early, Compact, a SaveFile checkpoint
-// reopened by a heap Load or a mapping, a crash reopened from the
-// checkpoint plus WAL replay, a switch of result cache, and an update
-// whose WAL fsync fails. Every search runs under a route, scan kernel and
-// projector drawn for it (cpu.Force) from a generator seeded by the first
-// two bytes. Auto-compaction is off, so a run is a function of its
-// bytes. After every step the index is held to a model of the live set
+// starting collection and how the index is first opened; each byte pair
+// after them is one step: insert, delete of a built, a buffered or a
+// missing id, Search at several τ, SearchKNN, SearchBatch, a stream
+// broken off early, Compact, a SaveFile checkpoint reopened by a heap
+// Load or a mapping, a crash reopened from the checkpoint plus WAL
+// replay, and an update whose WAL fsync fails. Every search runs under
+// a route, scan kernel and projector drawn for it (cpu.Force) from a
+// generator seeded by the first two bytes. Auto-compaction is off, so a
+// run is a function of its bytes. After every step the index is held to a model of the live set
 // and the id counter:
 //   - every answer, under every drawn setting, equals a linear scan of
 //     the live set;
 //   - Len, Vector of every live id, and built and buffered ids ascending
 //     in every shard;
 //   - the epoch (index-wide and summed over the shards) rose on every
-//     step that published a snapshot, and on no other;
+//     step that published a snapshot, and on no other, and the
+//     index-wide epoch rose by at least the number of shards whose
+//     published state changed (gph-server's result cache keys on it);
 //   - a mapped index holds no mapping reference once quiescent;
 //   - the goroutine count is back at its baseline, so a stream whose
 //     iter.Pull2 stop never ran fails the step that broke it off;
@@ -187,11 +188,12 @@ type lifecycle struct {
 	rebuild    bool // no checkpoint since the start: a crash may rebuild from the base
 	rng        *rand.Rand
 	setting    cpu.Setting // in force for the search under way
-	cache      int64
-	goroutines int // baseline with no index open
+	goroutines int         // baseline with no index open
 	emptyWAL   int64
 	step       string
 	published  map[*state]statePrint // every state met since the last reopen
+	states     []*state              // each shard's state after the last step
+	epoch      uint64                // the index-wide epoch after the last step
 }
 
 // statePrint is what a published state held when a step first met it.
@@ -257,7 +259,7 @@ func TestPublishedSnapshotsImmutable(t *testing.T) {
 	}
 	for hdr := byte(0); hdr < 6; hdr++ { // gph and mih over 1–3 shards
 		t.Run(fmt.Sprintf("%d", hdr), func(t *testing.T) {
-			prog := []byte{hdr, 2 | 8} // 96 vectors, the cache on
+			prog := []byte{hdr, 2} // 96 vectors
 			for range 8 {
 				prog = append(prog, steps...)
 			}
@@ -284,7 +286,6 @@ func simulate(t *testing.T, prog []byte) *lifecycle {
 		live:       map[int32]bitvec.Vector{},
 		rebuild:    true,
 		rng:        rand.New(rand.NewSource(int64(hdr[0])<<8 | int64(hdr[1]))),
-		cache:      int64(hdr[1]>>3&1) << 20,
 		goroutines: runtime.NumGoroutine(),
 	}
 	for id, v := range lifecyclePool[:m.base] {
@@ -341,7 +342,7 @@ func (m *lifecycle) do(op, arg byte) bool {
 		delete(m.live, id)
 		m.unsaved += boolToInt(live)
 		return live
-	case 6, 7:
+	case 6, 7, 14: // 14 was a cache switch: a search keeps older inputs running
 		for _, tau := range []int{0, int(arg % 8), tau} {
 			m.search("search", q, tau)
 		}
@@ -397,11 +398,6 @@ func (m *lifecycle) do(op, arg byte) bool {
 		}
 		m.closeIndex()
 		m.attach(m.reopen(arg))
-	case 14:
-		m.cache = int64(arg&1) << 20
-		if err := s.ConfigurePlan("adaptive", m.cache); err != nil {
-			m.fatalf("%v", err)
-		}
 	case 15:
 		m.failedUpdate(arg)
 		return true
@@ -531,7 +527,7 @@ func (m *lifecycle) tally(q bitvec.Vector, tau int) {
 func (m *lifecycle) expect(what string, q bitvec.Vector, tau int, got []int32, err error) {
 	m.t.Helper()
 	if want := bruteRange(m.live, q, tau); err != nil || !slices.Equal(got, want) {
-		m.fatalf("%s tau=%d (%+v, cache %d): %v %v, the scan finds %v", what, tau, m.setting, m.cache, got, err, want)
+		m.fatalf("%s tau=%d (%+v): %v %v, the scan finds %v", what, tau, m.setting, got, err, want)
 	}
 }
 
@@ -608,8 +604,8 @@ func (m *lifecycle) reopen(how byte) *Index {
 }
 
 // attach replays the WAL onto s, wraps its log, starts its fan-out
-// workers (so the goroutine count has one expected value) and applies
-// the run's result cache. Replay must apply exactly the updates acknowledged
+// workers (so the goroutine count has one expected value) and takes the
+// epoch baseline. Replay must apply exactly the updates acknowledged
 // since the last checkpoint, each publishing a snapshot.
 func (m *lifecycle) attach(s *Index) {
 	m.s, m.published = s, map[*state]statePrint{}
@@ -620,9 +616,7 @@ func (m *lifecycle) attach(s *Index) {
 	m.log = &checkedLog{Log: s.wal.(*wal.Log), s: s, t: m.t}
 	s.wal = m.log
 	s.ensureWorkers()
-	if err := s.ConfigurePlan("adaptive", m.cache); err != nil {
-		m.fatalf("%v", err)
-	}
+	m.observeStates()
 	if s.Dims() != 0 && s.Dims() != lifecyclePool[0].Dims() || s.NumShards() != m.shards {
 		m.fatalf("reopened with %d dims and %d shards", s.Dims(), s.NumShards())
 	}
@@ -636,6 +630,15 @@ func (m *lifecycle) closeIndex() {
 	if m.s.mapping != nil && m.s.mapping.Refs() != 0 {
 		m.fatalf("a closed mapping holds %d references", m.s.mapping.Refs())
 	}
+}
+
+// observeStates takes the baseline check holds the next step's epoch to.
+func (m *lifecycle) observeStates() {
+	m.states = m.states[:0]
+	for i := range m.s.shards {
+		m.states = append(m.states, m.s.shards[i].Load())
+	}
+	m.epoch = m.s.Epoch()
 }
 
 func (m *lifecycle) shardEpochs() uint64 {
@@ -679,8 +682,20 @@ func (m *lifecycle) check(step int) {
 			m.fatalf("id %d resolves to another vector (found=%v)", id, ok)
 		}
 	}
-	// One probe a step from a small query set: with the cache on, a
-	// snapshot published without an epoch bump answers a repeat stale.
+	// A swap invalidates gph-server's cached answers only through the
+	// epoch, so every shard whose published state changed must have
+	// bumped it.
+	swapped := 0
+	for i := range s.shards {
+		if s.shards[i].Load() != m.states[i] {
+			swapped++
+		}
+	}
+	if rise := s.Epoch() - m.epoch; rise < uint64(swapped) {
+		m.fatalf("%d shards published a new state and the epoch rose by %d", swapped, rise)
+	}
+	m.observeStates()
+	// One probe a step from a small query set, held to the scan.
 	m.search("probe", lifecycleQueries[step%len(lifecycleQueries)], []int{2, 12, 48}[step%3])
 	if s.mapping != nil && s.mapping.Refs() != 0 {
 		m.fatalf("a quiescent mapped index holds %d mapping references", s.mapping.Refs())
